@@ -3,25 +3,22 @@
 //! Usage: `cargo run --release -p swt-bench --bin bench_gemm [out.json]`
 //!
 //! Measures, single-threaded (so numbers are comparable across machines and
-//! cap configurations):
-//! * naive vs blocked GEMM on square and training-shaped problems — the
-//!   blocked driver is measured twice, on the forced portable scalar
-//!   micro-kernel (`gemm.blocked.*`) and on the runtime-dispatched kernel
-//!   (`gemm.simd.*`, AVX2+FMA where detected; identical to blocked rows on
-//!   hosts without SIMD),
-//! * im2col conv2d forward on a CIFAR-like layer,
-//! * one end-to-end `NasConfig::quick` run per kernel.
+//! cap configurations), on the runtime-dispatched micro-kernel (AVX2+FMA
+//! where detected):
+//! * blocked GEMM on square and training-shaped problems,
+//! * conv2d forward and backward on the Cifar10 space's first-block shapes
+//!   at batch 64 (input `(64,12,12,c)`, kernel `3×3×c×f`, 'same' padding),
+//! * one end-to-end `NasConfig::quick` run.
 //!
-//! The JSON is committed as `BENCH_gemm.json` at the repository root so perf
-//! changes show up in review diffs.
+//! Every GEMM and conv row also reports GFLOP/s (`gflops.*` in the JSON
+//! header), so the convolutions read against the 256³ figure they are built
+//! from. The JSON is committed as `BENCH_gemm.json` at the repository root
+//! so perf changes show up in review diffs.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use swt::prelude::*;
-use swt::tensor::{
-    conv2d_forward, force_naive_gemm, force_scalar_kernel, gemm_kernel_name, matmul, matmul_naive,
-    Padding,
-};
+use swt::tensor::{conv2d_backward, conv2d_forward, gemm_kernel_name, matmul, Padding};
 use swt_bench::Harness;
 
 fn main() {
@@ -31,94 +28,75 @@ fn main() {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
     }
-    // Single-threaded kernels: the speedup claimed here must come from the
-    // blocked kernel itself, not from parallel fan-out.
+    // Single-threaded kernels: the numbers here must come from the kernels
+    // themselves, not from parallel fan-out.
     swt::tensor::parallel::set_max_threads(1);
 
     let mut h = Harness::new();
     let mut rng = Rng::seed(0xBE7C);
+    // (row name, floating-point operations of one iteration)
+    let mut flops: Vec<(String, f64)> = Vec::new();
 
     // Square GEMMs (the 256 case is the headline number) plus one
     // training-shaped problem: batch x hidden times hidden x hidden.
     for &(m, k, n) in &[(256usize, 256usize, 256usize), (512, 512, 512), (64, 1024, 256)] {
         let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
-        h.bench(&format!("gemm.naive.{m}x{k}x{n}"), || {
-            black_box(matmul_naive(&a, &b));
-        });
-        force_scalar_kernel(true);
-        h.bench(&format!("gemm.blocked.{m}x{k}x{n}"), || {
+        let name = format!("gemm.simd.{m}x{k}x{n}");
+        h.bench(&name, || {
             black_box(matmul(&a, &b));
         });
-        force_scalar_kernel(false);
-        h.bench(&format!("gemm.simd.{m}x{k}x{n}"), || {
-            black_box(matmul(&a, &b));
-        });
+        flops.push((name, 2.0 * (m * k * n) as f64));
     }
 
-    // CIFAR-like conv layer: NHWC [8, 32, 32, 16] * [3, 3, 16, 32].
-    let input = Tensor::rand_normal([8, 32, 32, 16], 0.0, 1.0, &mut rng);
-    let kernel = Tensor::rand_normal([3, 3, 16, 32], 0.0, 0.1, &mut rng);
-    h.bench("conv2d.forward.8x32x32x16.3x3x16x32", || {
-        black_box(conv2d_forward(&input, &kernel, Padding::Same));
-    });
+    // Cifar10 first-block convolutions at batch 64. Backward is the two
+    // gradient products, so twice the forward's operations.
+    for &c in &[3usize, 8, 24] {
+        for &f in &[8usize, 24] {
+            let input = Tensor::rand_normal([64, 12, 12, c], 0.0, 1.0, &mut rng);
+            let kernel = Tensor::rand_normal([3, 3, c, f], 0.0, 0.1, &mut rng);
+            let dout = Tensor::rand_normal([64, 12, 12, f], 0.0, 1.0, &mut rng);
+            let fwd_flops = 2.0 * (64 * 12 * 12 * 9 * c * f) as f64;
+            let shape = format!("64x12x12x{c}.3x3x{c}x{f}");
+            h.bench(&format!("conv2d.forward.{shape}"), || {
+                black_box(conv2d_forward(&input, &kernel, Padding::Same));
+            });
+            flops.push((format!("conv2d.forward.{shape}"), fwd_flops));
+            h.bench(&format!("conv2d.backward.{shape}"), || {
+                black_box(conv2d_backward(&input, &kernel, &dout, Padding::Same));
+            });
+            flops.push((format!("conv2d.backward.{shape}"), 2.0 * fwd_flops));
+        }
+    }
 
-    // End-to-end: the same quick NAS run under the naive kernel (the seed's
-    // hot path) and the blocked one. The runner re-derives its own thread
-    // budget from the worker count, so with 1 worker both runs use identical
-    // parallelism and the delta is the GEMM kernel alone.
+    // End-to-end: one quick NAS run (no convolutions; Dense GEMMs only). The
+    // runner re-derives its own thread budget from the worker count, so with
+    // 1 worker this is single-threaded too.
     let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
     let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
     let cfg = NasConfig::quick(TransferScheme::Lcs, 8, 1, 3);
-    force_naive_gemm(true);
-    h.bench("nas.quick_uno.8cand_1worker.naive_gemm", || {
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-        black_box(run_nas(Arc::clone(&problem), Arc::clone(&space), store, &cfg));
-    });
-    force_naive_gemm(false);
-    force_scalar_kernel(true);
-    h.bench("nas.quick_uno.8cand_1worker.blocked_gemm", || {
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-        black_box(run_nas(Arc::clone(&problem), Arc::clone(&space), store, &cfg));
-    });
-    force_scalar_kernel(false);
     h.bench("nas.quick_uno.8cand_1worker.simd_gemm", || {
         let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
         black_box(run_nas(Arc::clone(&problem), Arc::clone(&space), store, &cfg));
     });
-    swt::tensor::parallel::set_max_threads(1);
 
-    // Speedup summaries for the acceptance headline.
-    if let (Some(naive), Some(blocked)) =
-        (h.get("gemm.naive.256x256x256"), h.get("gemm.blocked.256x256x256"))
-    {
-        println!(
-            "\ngemm 256x256x256 blocked-vs-naive speedup: {:.2}x (single-threaded)",
-            naive / blocked
-        );
-    }
-    if let (Some(blocked), Some(simd)) =
-        (h.get("gemm.blocked.256x256x256"), h.get("gemm.simd.256x256x256"))
-    {
-        println!(
-            "gemm 256x256x256 simd-vs-scalar-microkernel speedup: {:.2}x ({})",
-            blocked / simd,
-            gemm_kernel_name()
-        );
-    }
-    if let (Some(naive), Some(simd)) = (
-        h.get("nas.quick_uno.8cand_1worker.naive_gemm"),
-        h.get("nas.quick_uno.8cand_1worker.simd_gemm"),
-    ) {
-        println!("nas quick_uno end-to-end speedup: {:.2}x", naive / simd);
-    }
-
-    let meta = [
-        ("bench", "gemm".to_string()),
-        ("threads", "1".to_string()),
-        ("kernel", gemm_kernel_name().to_string()),
-        ("profile", if cfg!(debug_assertions) { "debug" } else { "release" }.to_string()),
+    let mut meta = vec![
+        ("bench".to_string(), "gemm".to_string()),
+        ("threads".to_string(), "1".to_string()),
+        ("kernel".to_string(), gemm_kernel_name().to_string()),
+        (
+            "profile".to_string(),
+            if cfg!(debug_assertions) { "debug" } else { "release" }.to_string(),
+        ),
     ];
+    println!();
+    for (name, ops) in &flops {
+        let gflops = ops / h.get(name).expect("row was just measured");
+        println!("{name:<48} {gflops:>8.1} GFLOP/s");
+        meta.push((format!("gflops.{name}"), format!("{gflops:.1}")));
+    }
+
+    let meta: Vec<(&str, String)> = meta.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
     std::fs::write(&out_path, h.to_json(&meta)).expect("write benchmark JSON");
     println!("wrote {out_path}");
 }

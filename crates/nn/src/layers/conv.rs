@@ -109,8 +109,8 @@ impl Layer for Conv2DLayer {
     }
 
     fn zero_grads(&mut self) {
-        self.d_kernel.scale(0.0);
-        self.d_bias.scale(0.0);
+        self.d_kernel.data_mut().fill(0.0);
+        self.d_bias.data_mut().fill(0.0);
     }
 }
 
@@ -184,8 +184,8 @@ impl Layer for Conv1DLayer {
     }
 
     fn zero_grads(&mut self) {
-        self.d_kernel.scale(0.0);
-        self.d_bias.scale(0.0);
+        self.d_kernel.data_mut().fill(0.0);
+        self.d_bias.data_mut().fill(0.0);
     }
 }
 

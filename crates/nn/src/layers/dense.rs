@@ -130,8 +130,8 @@ impl Layer for DenseLayer {
     }
 
     fn zero_grads(&mut self) {
-        self.d_kernel.scale(0.0);
-        self.d_bias.scale(0.0);
+        self.d_kernel.data_mut().fill(0.0);
+        self.d_bias.data_mut().fill(0.0);
     }
 }
 

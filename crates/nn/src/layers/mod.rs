@@ -99,6 +99,42 @@ pub(crate) fn ws_copy(src: &Tensor, ws: &mut Workspace) -> Tensor {
 mod tests {
     use super::*;
 
+    /// `zero_grads` must overwrite, not multiply: one overflowed step leaves
+    /// `inf` in the accumulators, and `inf · 0` is `NaN` for every later
+    /// batch.
+    #[test]
+    fn zero_grads_clears_a_poisoned_gradient() {
+        use swt_tensor::{Padding, Rng};
+        let mut rng = Rng::seed(7);
+        let mut ws = Workspace::new();
+        let cases: Vec<(Box<dyn Layer>, Tensor)> = vec![
+            (Box::new(DenseLayer::new(3, 2, None, &mut rng)), Tensor::ones([4, 3])),
+            (
+                Box::new(Conv2DLayer::new(2, 3, 3, Padding::Same, 0.0, &mut rng)),
+                Tensor::ones([1, 4, 4, 2]),
+            ),
+            (
+                Box::new(Conv1DLayer::new(2, 3, 3, Padding::Same, 0.0, &mut rng)),
+                Tensor::ones([1, 6, 2]),
+            ),
+            (Box::new(BatchNormLayer::new(3)), Tensor::rand_normal([4, 3], 0.0, 1.0, &mut rng)),
+        ];
+        for (mut layer, x) in cases {
+            let y = layer.forward(&[&x], true, &mut ws);
+            let dout = Tensor::full(y.shape().dims().to_vec(), f32::INFINITY);
+            layer.backward(&dout, &mut ws);
+            let mut poisoned = 0;
+            layer.visit_updates(&mut |_, _, g| {
+                poisoned += g.data().iter().filter(|v| !v.is_finite()).count()
+            });
+            assert!(poisoned > 0, "the infinite upstream gradient must reach the accumulators");
+            layer.zero_grads();
+            layer.visit_updates(&mut |name, _, g| {
+                assert!(g.data().iter().all(|v| v.to_bits() == 0), "{name} not zero");
+            });
+        }
+    }
+
     #[test]
     fn glorot_limit_shrinks_with_fan() {
         assert!(glorot_limit(10, 10) > glorot_limit(100, 100));

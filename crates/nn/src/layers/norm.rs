@@ -183,8 +183,8 @@ impl Layer for BatchNormLayer {
     }
 
     fn zero_grads(&mut self) {
-        self.d_gamma.scale(0.0);
-        self.d_beta.scale(0.0);
+        self.d_gamma.data_mut().fill(0.0);
+        self.d_beta.data_mut().fill(0.0);
     }
 
     fn visit_state(&self, f: &mut dyn FnMut(&str, &Tensor)) {

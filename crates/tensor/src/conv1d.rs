@@ -1,84 +1,22 @@
-//! 1-D convolution (NWC) via im2col, forward and backward.
+//! 1-D convolution (NWC), forward and backward.
 //!
 //! NT3 classifies RNA-sequence gene-expression profiles with 1-D
 //! convolutions over very wide inputs (Section VII-A); this is the kernel
-//! backing the NT3-like search space. Implemented directly rather than as a
-//! degenerate conv2d so the hot path stays branch-light.
-//!
-//! Like the 2-D path, `im2col`/`col2im` parallelise over the batch and the
-//! `_ws` variants draw all scratch from a caller-owned [`Workspace`].
+//! backing the NT3-like search space. An `(n, w, c)` input is the
+//! `(n, 1, w, c)` image of a 2-D convolution with a one-row kernel, so this
+//! module is the shape checks around [`crate::conv2d`]'s implicit GEMM: same
+//! packing, same `(kx, c)` contraction order, same Workspace discipline.
 
-use crate::conv2d::Padding;
-use crate::matmul::{gemm_at_rowmajor, gemm_bt_rowmajor, gemm_rowmajor};
-use crate::parallel;
+use crate::conv2d::{backward, forward, Geom, Padding};
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
 
-fn check_conv1d(input: &Tensor, kernel: &Tensor) -> (usize, usize, usize, usize, usize) {
+fn geom1d(input: &Tensor, kernel: &Tensor, padding: Padding) -> Geom {
     assert_eq!(input.shape().rank(), 3, "conv1d input must be (n, w, c) rank 3");
     assert_eq!(kernel.shape().rank(), 3, "conv1d kernel must be (k, c, f)");
-    let (n, w, c) = (input.shape().dim(0), input.shape().dim(1), input.shape().dim(2));
-    let (k, kc, f) = (kernel.shape().dim(0), kernel.shape().dim(1), kernel.shape().dim(2));
-    assert_eq!(c, kc, "conv1d channel mismatch: input {c}, kernel {kc}");
-    (n, w, c, k, f)
-}
-
-fn im2col1d(input: &Tensor, k: usize, padding: Padding, ws: &mut Workspace) -> (Vec<f32>, usize) {
-    let (n, w, c) = (input.shape().dim(0), input.shape().dim(1), input.shape().dim(2));
-    let ow = padding.out_size(w, k);
-    let (pl, _) = padding.pads(k);
-    let cols = k * c;
-    let mut m = ws.take_zeroed(n * ow * cols);
-    let src = input.data();
-    parallel::par_chunks_mut(&mut m, ow * cols, |ni, chunk| {
-        let sample = &src[ni * w * c..(ni + 1) * w * c];
-        for ox in 0..ow {
-            let row = ox * cols;
-            for kx in 0..k {
-                let ix = ox as isize + kx as isize - pl as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
-                }
-                let dst = row + kx * c;
-                let s = ix as usize * c;
-                chunk[dst..dst + c].copy_from_slice(&sample[s..s + c]);
-            }
-        }
-    });
-    (m, ow)
-}
-
-fn col2im1d(
-    dcol: &[f32],
-    n: usize,
-    w: usize,
-    c: usize,
-    k: usize,
-    padding: Padding,
-    ws: &mut Workspace,
-) -> Tensor {
-    let ow = padding.out_size(w, k);
-    let (pl, _) = padding.pads(k);
-    let cols = k * c;
-    let mut out = ws.take_tensor_zeroed([n, w, c]);
-    parallel::par_chunks_mut(out.data_mut(), w * c, |ni, dst| {
-        let sample = &dcol[ni * ow * cols..(ni + 1) * ow * cols];
-        for ox in 0..ow {
-            let row = ox * cols;
-            for kx in 0..k {
-                let ix = ox as isize + kx as isize - pl as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
-                }
-                let s = row + kx * c;
-                let d = ix as usize * c;
-                for ci in 0..c {
-                    dst[d + ci] += sample[s + ci];
-                }
-            }
-        }
-    });
-    out
+    let (i, k) = (input.shape().dims(), kernel.shape().dims());
+    assert_eq!(i[2], k[1], "conv1d channel mismatch: input {}, kernel {}", i[2], k[1]);
+    Geom::new(i[0], 1, i[1], i[2], 1, k[0], k[2], padding)
 }
 
 /// Forward 1-D convolution.
@@ -98,13 +36,8 @@ pub fn conv1d_forward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> Tensor {
-    let (n, _w, c, k, f) = check_conv1d(input, kernel);
-    let (col, ow) = im2col1d(input, k, padding, ws);
-    let rows = n * ow;
-    let mut out = ws.take(rows * f);
-    gemm_rowmajor(rows, f, k * c, &col, kernel.data(), &mut out, ws);
-    ws.give(col);
-    Tensor::from_vec([n, ow, f], out)
+    let g = geom1d(input, kernel, padding);
+    Tensor::from_vec([g.n, g.ow, g.f], forward(&g, input.data(), kernel.data(), ws))
 }
 
 /// Backward 1-D convolution: `(d_input, d_kernel)` for upstream `dout (n, ow, f)`.
@@ -125,20 +58,15 @@ pub fn conv1d_backward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor) {
-    let (n, w, c, k, f) = check_conv1d(input, kernel);
-    let (col, ow) = im2col1d(input, k, padding, ws);
-    assert_eq!(dout.shape().dims(), &[n, ow, f], "conv1d_backward: bad dout {}", dout.shape());
-    let rows = n * ow;
-    let cols = k * c;
-    let mut dk = ws.take(cols * f);
-    gemm_at_rowmajor(rows, cols, f, &col, dout.data(), &mut dk, ws);
-    let dkernel = Tensor::from_vec([k, c, f], dk);
-    let mut dcol = ws.take(rows * cols);
-    gemm_bt_rowmajor(rows, cols, f, dout.data(), kernel.data(), &mut dcol, ws);
-    ws.give(col);
-    let dinput = col2im1d(&dcol, n, w, c, k, padding, ws);
-    ws.give(dcol);
-    (dinput, dkernel)
+    let g = geom1d(input, kernel, padding);
+    assert_eq!(
+        dout.shape().dims(),
+        &[g.n, g.ow, g.f],
+        "conv1d_backward: bad dout {}",
+        dout.shape()
+    );
+    let (dx, dk) = backward(&g, input.data(), kernel.data(), dout.data(), ws);
+    (Tensor::from_vec([g.n, g.w, g.c], dx), Tensor::from_vec([g.kw, g.c, g.f], dk))
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! * a cache-blocked, register-tiled, packed [`matmul`](matmul::matmul)
 //!   (BLIS-style; see the module docs) with transpose variants for the
 //!   backward passes,
-//! * im2col [`conv2d`] / [`conv1d`] forward *and* backward,
-//!   batch-parallel,
+//! * implicit-GEMM [`conv2d`] / [`conv1d`] forward *and* backward, packing
+//!   the GEMM operands straight from the NHWC tensors,
 //! * max-pooling with argmax-based backward,
 //! * row-wise softmax and elementwise activations,
 //! * a reusable scratch arena ([`Workspace`]) so the
@@ -39,8 +39,8 @@ pub mod workspace;
 pub use conv1d::{conv1d_backward, conv1d_backward_ws, conv1d_forward, conv1d_forward_ws};
 pub use conv2d::{conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_ws, Padding};
 pub use matmul::{
-    force_naive_gemm, force_scalar_kernel, gemm_kernel_name, matmul, matmul_at, matmul_at_ws,
-    matmul_bt, matmul_bt_ws, matmul_naive, matmul_ws,
+    force_scalar_kernel, gemm_kernel_name, matmul, matmul_at, matmul_at_ws, matmul_bt,
+    matmul_bt_ws, matmul_naive, matmul_ws,
 };
 pub use ops::{
     relu, relu_grad_from_output, sigmoid, sigmoid_grad_from_output, softmax_rows, tanh_act,

@@ -1,8 +1,9 @@
 //! Cache-blocked, register-tiled dense matrix multiplication.
 //!
-//! Dense layers and the im2col convolution lowering reduce everything to
-//! GEMM, so this is the hottest kernel in the repository. The implementation
-//! follows the classic BLIS/GotoBLAS decomposition:
+//! Dense layers and the implicit-GEMM convolutions (see [`crate::conv2d`])
+//! reduce everything to GEMM, so this is the hottest kernel in the
+//! repository. The implementation follows the classic BLIS/GotoBLAS
+//! decomposition:
 //!
 //! * the K dimension is split into `KC`-deep panels; for each panel, `B` is
 //!   packed once into contiguous `NR`-wide strips and **reused across all row
@@ -53,8 +54,17 @@
 //! One stride-generic driver serves all three entry points — [`matmul`]
 //! (`A·B`), [`matmul_at`] (`Aᵀ·B`, the weight gradient) and [`matmul_bt`]
 //! (`A·Bᵀ`, the input gradient) — transposition is just a different pair of
-//! packing strides, never a materialised transpose. [`matmul_naive`] keeps
-//! the textbook triple loop as the correctness reference.
+//! packing strides, never a materialised transpose. Every view here has unit
+//! stride along rows or columns, so packing is contiguous reads — copied, or
+//! transposed into the strip layout by `pack_rows` — rather than
+//! per-element index arithmetic; on the AVX kernel that transpose, and the
+//! one that writes a register tile back to `C`, move 8×8 blocks through
+//! registers. The left operand is anything that implements `Lhs`: the
+//! convolutions pack their `MR` strips straight from the NHWC input, so no
+//! im2col matrix exists, and `RowBlocks` hands a product out block by
+//! block for the one consumer (conv2d's input gradient) that never needs it
+//! stored. [`matmul_naive`] keeps the textbook triple loop as the
+//! correctness reference.
 
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -62,24 +72,12 @@ use crate::workspace::{with_thread_workspace, Workspace};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Benchmark-only escape hatch: when set, every GEMM entry point (including
-/// the conv lowering) runs the textbook triple loop instead of the blocked
-/// kernel. This exists so `bench_gemm` can measure an honest end-to-end
-/// before/after on the same build; it is not meant for production use.
-static FORCE_NAIVE: AtomicBool = AtomicBool::new(false);
-
 /// Benchmark/CI escape hatch: when set, the blocked driver runs the portable
-/// scalar micro-kernel even where the SIMD kernel is available, mirroring
-/// [`force_naive_gemm`]. `scripts/check.sh` also runs the whole test suite
-/// with `SWT_FORCE_SCALAR_KERNEL=1` so the fallback kernel stays exercised
-/// on SIMD-capable CI hosts.
+/// scalar micro-kernel even where the SIMD kernel is available.
+/// `scripts/check.sh` also runs the whole test suite with
+/// `SWT_FORCE_SCALAR_KERNEL=1` so the fallback kernel stays exercised on
+/// SIMD-capable CI hosts.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Route all GEMMs through the naive reference kernel (`on = true`) or the
-/// blocked kernel (`on = false`, the default).
-pub fn force_naive_gemm(on: bool) {
-    FORCE_NAIVE.store(on, Ordering::Relaxed);
-}
 
 /// Route the blocked driver through the portable scalar micro-kernel
 /// (`on = true`) instead of the runtime-detected SIMD kernel. A/B tool for
@@ -91,7 +89,7 @@ pub fn force_scalar_kernel(on: bool) {
 
 /// Which micro-kernel the dispatch table selected (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelKind {
+pub(crate) enum KernelKind {
     /// Portable generic tile loop (fused only if the build enables FMA).
     Scalar,
     /// Generic tile loop compiled with hardware FMA for this one function.
@@ -122,7 +120,19 @@ fn detect_kernel() -> KernelKind {
     KernelKind::Scalar
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only pin for [`active_kernel`] on the calling thread, so suites
+    /// can run whole entry points on each kernel without touching process
+    /// state other tests read.
+    static PINNED: std::cell::Cell<Option<KernelKind>> = const { std::cell::Cell::new(None) };
+}
+
 fn active_kernel() -> KernelKind {
+    #[cfg(test)]
+    if let Some(kernel) = PINNED.with(|p| p.get()) {
+        return kernel;
+    }
     if FORCE_SCALAR.load(Ordering::Relaxed) {
         return KernelKind::Scalar;
     }
@@ -159,20 +169,55 @@ pub const MC: usize = 64;
 const SMALL_FLOPS: usize = 32 * 1024;
 
 /// Minimum output elements before parallel dispatch is worth its overhead.
-const PAR_THRESHOLD: usize = 64 * 1024;
+pub(crate) const PAR_THRESHOLD: usize = 64 * 1024;
 
-/// A strided read-only view of a logical `rows×cols` matrix.
+/// A read-only view of a logical `rows×cols` matrix with unit stride along
+/// its rows or its columns: a row-major matrix (`cs == 1`) or the transpose
+/// of one (`rs == 1`).
 #[derive(Clone, Copy)]
-struct View<'a> {
-    data: &'a [f32],
-    rs: usize,
-    cs: usize,
+pub(crate) struct View<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) rs: usize,
+    pub(crate) cs: usize,
 }
 
 impl View<'_> {
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
+    }
+}
+
+/// The left operand of the blocked driver. Dense matrices are a [`View`];
+/// the convolutions implement it over the NHWC input, so the im2col matrix
+/// is only ever a packing order, never a buffer.
+pub(crate) trait Lhs: Sync {
+    /// Element `(i, kk)`; only the `SMALL_FLOPS` direct loop reads this way.
+    fn at(&self, i: usize, kk: usize) -> f32;
+
+    /// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` into `MR`-tall strips,
+    /// each laid out `[kc][MR]`, zero-padding the ragged last strip. `dst`
+    /// is exactly `mc.div_ceil(MR) · MR · kc` long; `kernel` picks the
+    /// instruction set of the data movement, never what is moved.
+    fn pack(&self, kernel: KernelKind, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]);
+}
+
+impl Lhs for View<'_> {
+    #[inline(always)]
+    fn at(&self, i: usize, kk: usize) -> f32 {
+        View::at(self, i, kk)
+    }
+
+    fn pack(
+        &self,
+        kernel: KernelKind,
+        m0: usize,
+        mc: usize,
+        k0: usize,
+        kc: usize,
+        dst: &mut [f32],
+    ) {
+        pack_a(kernel, *self, m0, mc, k0, kc, dst)
     }
 }
 
@@ -211,7 +256,7 @@ pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
         m,
         n,
         k,
-        View { data: a.data(), rs: k, cs: 1 },
+        &View { data: a.data(), rs: k, cs: 1 },
         View { data: b.data(), rs: n, cs: 1 },
         &mut out,
         ws,
@@ -239,7 +284,7 @@ pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
         n,
         k,
         // Logical Aᵀ (M×K): element (i, k) lives at A[k][i].
-        View { data: a.data(), rs: 1, cs: m },
+        &View { data: a.data(), rs: 1, cs: m },
         View { data: b.data(), rs: n, cs: 1 },
         &mut out,
         ws,
@@ -266,7 +311,7 @@ pub fn matmul_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
         m,
         n,
         k,
-        View { data: a.data(), rs: k, cs: 1 },
+        &View { data: a.data(), rs: k, cs: 1 },
         // Logical Bᵀ (K×N): element (k, j) lives at B[j][k].
         View { data: b.data(), rs: 1, cs: k },
         &mut out,
@@ -276,7 +321,7 @@ pub fn matmul_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
 }
 
 /// Textbook triple-loop reference (`C = A·B`). Kept public as the
-/// correctness oracle for tests and the baseline for `BENCH_gemm.json`.
+/// correctness oracle for tests.
 pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
@@ -295,96 +340,74 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([m, n], out)
 }
 
-/// `out (m×n) = a (m×k) · b (k×n)`, all row-major slices. Conv's im2col
-/// lowering calls this directly so reshapes stay logical (no tensor clones).
-pub(crate) fn gemm_rowmajor(
+/// Blocked driver: `C (m×n, row-major, fully overwritten) = A · B` for a
+/// packable left operand `a` and a strided view `b`, on the process's
+/// selected micro-kernel.
+pub(crate) fn gemm<A: Lhs>(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    ws: &mut Workspace,
-) {
-    gemm(m, n, k, View { data: a, rs: k, cs: 1 }, View { data: b, rs: n, cs: 1 }, out, ws);
-}
-
-/// `out (m×n) = aᵀ · b` for `a (kdim×m)` and `b (kdim×n)`, row-major slices.
-pub(crate) fn gemm_at_rowmajor(
-    kdim: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    ws: &mut Workspace,
-) {
-    gemm(m, n, kdim, View { data: a, rs: 1, cs: m }, View { data: b, rs: n, cs: 1 }, out, ws);
-}
-
-/// `out (m×n) = a · bᵀ` for `a (m×k)` and `b (n×k)`, row-major slices.
-pub(crate) fn gemm_bt_rowmajor(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    ws: &mut Workspace,
-) {
-    gemm(m, n, k, View { data: a, rs: k, cs: 1 }, View { data: b, rs: 1, cs: k }, out, ws);
-}
-
-/// Blocked driver: `C (m×n, row-major, fully overwritten) = A · B` for
-/// strided views `a` and `b`, on the process's selected micro-kernel.
-fn gemm(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32], ws: &mut Workspace) {
-    gemm_with_kernel(active_kernel(), m, n, k, a, b, c, ws)
-}
-
-/// [`gemm`] pinned to a specific micro-kernel (tests compare kernels
-/// pairwise through this).
-#[allow(clippy::too_many_arguments)]
-fn gemm_with_kernel(
-    kernel: KernelKind,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: View,
+    a: &A,
     b: View,
     c: &mut [f32],
     ws: &mut Workspace,
 ) {
-    debug_assert_eq!(c.len(), m * n);
-    if FORCE_NAIVE.load(Ordering::Relaxed) {
-        swt_obs::counter!("tensor.gemm.naive").inc();
-        return gemm_naive_view(m, n, k, a, b, c);
-    }
+    gemm_with_kernel(active_kernel(), m, n, k, a, b, c, ws)
+}
+
+/// Count one GEMM-shaped contraction and pick its path: `None` is the
+/// `SMALL_FLOPS` direct loop, `Some(kernel)` the blocked driver.
+fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<KernelKind> {
     if m * n * k <= SMALL_FLOPS {
         swt_obs::counter!("tensor.gemm.small").inc();
-        return gemm_small(m, n, k, a, b, c);
+        return None;
     }
     match kernel {
         KernelKind::Scalar => swt_obs::counter!("tensor.gemm.blocked.scalar").inc(),
         #[cfg(target_arch = "x86_64")]
         _ => swt_obs::counter!("tensor.gemm.blocked.simd").inc(),
     }
+    Some(kernel)
+}
+
+/// Packed-`A` scratch one task needs: the tallest row block at the deepest
+/// panel, so every panel's packing fits without reallocating.
+fn pa_task_len(m: usize, k: usize) -> usize {
+    MC.min(m).div_ceil(MR) * MR * KC.min(k)
+}
+
+/// [`gemm`] pinned to a specific micro-kernel (tests compare kernels
+/// pairwise through this).
+#[allow(clippy::too_many_arguments)]
+fn gemm_with_kernel<A: Lhs>(
+    kernel: KernelKind,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &A,
+    b: View,
+    c: &mut [f32],
+    ws: &mut Workspace,
+) {
+    debug_assert_eq!(c.len(), m * n);
+    let Some(kernel) = route(kernel, m, n, k) else {
+        return gemm_small(m, n, k, a, b, c);
+    };
 
     let n_strips = n.div_ceil(NR);
-    let kc_max = KC.min(k);
     // One packed-A task slice per worker thread (the parallel path hands
-    // them out per task), or a single slice for the serial path. Sized for
-    // the deepest panel so every panel's packing fits without reallocating.
-    let pa_task_len = MC.min(m).div_ceil(MR) * MR * kc_max;
+    // them out per task), or a single slice for the serial path.
+    let pa_piece = pa_task_len(m, k);
     let row_blocks = m.div_ceil(MC);
     let go_parallel = parallel::max_threads() > 1 && row_blocks > 1 && m * n >= PAR_THRESHOLD;
     let pack_tasks = if go_parallel { parallel::max_threads().min(row_blocks) } else { 1 };
-    let mut pb = ws.take(kc_max * n_strips * NR);
-    let mut pa = ws.take(pack_tasks * pa_task_len);
+    let mut pb = ws.take(KC.min(k) * n_strips * NR);
+    let mut pa = ws.take(pack_tasks * pa_piece);
 
     let mut k0 = 0;
     while k0 < k {
         let kc = KC.min(k - k0);
-        pack_b(b, k0, kc, n, &mut pb);
+        pack_b(kernel, b, k0, kc, n, &mut pb);
         let first = k0 == 0;
         if go_parallel {
             // Row blocks are disjoint `MC×n` chunks of C; each task packs
@@ -395,13 +418,13 @@ fn gemm_with_kernel(
                 c,
                 MC * n,
                 &mut pa,
-                pa_task_len,
+                pa_piece,
                 |ib, c_chunk, pa_scratch| {
                     let m0 = ib * MC;
                     let mc = MC.min(m - m0);
                     let pa_len = mc.div_ceil(MR) * MR * kc;
                     let pa_scratch = &mut pa_scratch[..pa_len];
-                    pack_a(a, m0, mc, k0, kc, pa_scratch);
+                    a.pack(kernel, m0, mc, k0, kc, pa_scratch);
                     block_kernel(kernel, c_chunk, n, mc, kc, pa_scratch, pb_ref, first);
                 },
             );
@@ -410,7 +433,7 @@ fn gemm_with_kernel(
                 let m0 = ib * MC;
                 let mc = MC.min(m - m0);
                 let pa_len = mc.div_ceil(MR) * MR * kc;
-                pack_a(a, m0, mc, k0, kc, &mut pa[..pa_len]);
+                a.pack(kernel, m0, mc, k0, kc, &mut pa[..pa_len]);
                 block_kernel(
                     kernel,
                     &mut c[m0 * n..(m0 + mc) * n],
@@ -429,24 +452,83 @@ fn gemm_with_kernel(
     ws.give(pb);
 }
 
-/// Naive triple loop over strided views, used when [`force_naive_gemm`] is
-/// active. Mirrors [`matmul_naive`]'s loop order (no FMA, no blocking) so the
-/// benchmark baseline reflects the pre-optimisation kernel.
-fn gemm_naive_view(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
-    c.fill(0.0);
-    for i in 0..m {
-        for kk in 0..k {
-            let aik = a.at(i, kk);
-            let crow = &mut c[i * n..(i + 1) * n];
-            for (j, o) in crow.iter_mut().enumerate() {
-                *o += aik * b.at(kk, j);
+/// `A·B` delivered one `MC`-row block at a time instead of stored: conv2d's
+/// input gradient scatter-adds each block of `dOut·Wᵀ` while it is still
+/// cache-resident. Same packing, micro-kernels and per-element contraction
+/// as [`gemm`] — which block a row lands in never changes its bits — but
+/// row blocks are the outer loop, so every `KC` panel of `B` is packed once
+/// up front and blocks can be computed in any order, on any thread.
+pub(crate) struct RowBlocks<'a> {
+    n: usize,
+    k: usize,
+    a: View<'a>,
+    b: View<'a>,
+    /// The micro-kernel and all of `B` packed panel after panel, or `None`
+    /// for the `SMALL_FLOPS` direct loop.
+    blocked: Option<(KernelKind, Vec<f32>)>,
+}
+
+impl<'a> RowBlocks<'a> {
+    /// Count the contraction, pick its path exactly as [`gemm`] would for
+    /// the whole `m×n×k` product, and pack `B`.
+    pub(crate) fn new(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: View<'a>,
+        b: View<'a>,
+        ws: &mut Workspace,
+    ) -> Self {
+        let blocked = route(active_kernel(), m, n, k).map(|kernel| {
+            let panel_stride = n.div_ceil(NR) * NR;
+            let mut pb = ws.take(k * panel_stride);
+            for k0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - k0);
+                let panel = &mut pb[k0 * panel_stride..(k0 + kc) * panel_stride];
+                pack_b(kernel, b, k0, kc, n, panel);
             }
+            (kernel, pb)
+        });
+        RowBlocks { n, k, a, b, blocked }
+    }
+
+    /// Packed-`A` scratch [`block`](Self::block) needs for blocks of an
+    /// `m`-row product (`0` on the direct loop).
+    pub(crate) fn pa_len(&self, m: usize) -> usize {
+        if self.blocked.is_some() {
+            pa_task_len(m, self.k)
+        } else {
+            0
+        }
+    }
+
+    /// `tile (mc×n, row-major) =` rows `[m0, m0+mc)` of `A·B`, `mc ≤ MC`.
+    pub(crate) fn block(&self, m0: usize, mc: usize, pa: &mut [f32], tile: &mut [f32]) {
+        let (n, k) = (self.n, self.k);
+        let Some((kernel, pb)) = &self.blocked else {
+            let rows = View { data: &self.a.data[m0 * self.a.rs..], ..self.a };
+            return gemm_small(mc, n, k, &rows, self.b, tile);
+        };
+        let panel_stride = n.div_ceil(NR) * NR;
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            let pa = &mut pa[..mc.div_ceil(MR) * MR * kc];
+            pack_a(*kernel, self.a, m0, mc, k0, kc, pa);
+            let pb = &pb[k0 * panel_stride..(k0 + kc) * panel_stride];
+            block_kernel(*kernel, tile, n, mc, kc, pa, pb, k0 == 0);
+        }
+    }
+
+    /// Hand the packed `B` back to the arena.
+    pub(crate) fn finish(self, ws: &mut Workspace) {
+        if let Some((_, pb)) = self.blocked {
+            ws.give(pb);
         }
     }
 }
 
 /// Direct loop for tiny problems (also covers `k == 0`, where `C` is zero).
-fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
+fn gemm_small<A: Lhs>(m: usize, n: usize, k: usize, a: &A, b: View, c: &mut [f32]) {
     for i in 0..m {
         let crow = &mut c[i * n..(i + 1) * n];
         crow.fill(0.0);
@@ -459,37 +541,167 @@ fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
     }
 }
 
+/// Transpose `lanes ≤ L` contiguous rows of `kc` elements (row `r` starts at
+/// `src[r * stride]`) into one packed `L`-lane strip:
+/// `strip[kk * L + r] = src[r * stride + kk]`, zeros in lanes `≥ lanes`.
+///
+/// This is the data movement behind every row-major operand — [`pack_a`]
+/// with `cs == 1`, [`pack_b`] with `rs == 1`, conv2d's patch rows. Where the
+/// AVX kernel is live it moves 8×8 blocks through registers
+/// (`pack_rows8_avx`) instead of one element at a time; both ways move the
+/// same values to the same places.
+pub(crate) fn pack_rows<const L: usize>(
+    kernel: KernelKind,
+    src: &[f32],
+    stride: usize,
+    lanes: usize,
+    kc: usize,
+    strip: &mut [f32],
+) {
+    assert!(lanes <= L && strip.len() == kc * L);
+    assert!(lanes == 0 || src.len() >= (lanes - 1) * stride + kc);
+    if lanes < L {
+        strip.fill(0.0);
+    }
+    #[allow(unused_mut)]
+    let mut r0 = 0;
+    #[cfg(target_arch = "x86_64")]
+    if kernel == KernelKind::Avx2Fma {
+        while r0 + 8 <= lanes {
+            // SAFETY: the kernel is only `Avx2Fma` after feature detection.
+            // Rows `r0..r0+8` of `src` hold `kc` elements each (asserted
+            // above), and lanes `r0..r0+8` exist in every one of the strip's
+            // `kc` steps of `L` because `r0 + 8 <= lanes <= L`.
+            unsafe {
+                pack_rows8_avx(src[r0 * stride..].as_ptr(), stride, kc, strip[r0..].as_mut_ptr(), L)
+            };
+            r0 += 8;
+        }
+    }
+    for r in r0..lanes {
+        let row = &src[r * stride..][..kc];
+        for (l, &v) in strip.chunks_exact_mut(L).zip(row) {
+            l[r] = v;
+        }
+    }
+}
+
+/// Transpose the 8×8 block whose rows are `r`: output register `j` holds
+/// element `j` of every input row.
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("avx")`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn transpose8_avx(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+    let u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+    let u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+    let u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+    let u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+    let u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+    let u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+    let u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+    [
+        _mm256_permute2f128_ps(u0, u4, 0x20),
+        _mm256_permute2f128_ps(u1, u5, 0x20),
+        _mm256_permute2f128_ps(u2, u6, 0x20),
+        _mm256_permute2f128_ps(u3, u7, 0x20),
+        _mm256_permute2f128_ps(u0, u4, 0x31),
+        _mm256_permute2f128_ps(u1, u5, 0x31),
+        _mm256_permute2f128_ps(u2, u6, 0x31),
+        _mm256_permute2f128_ps(u3, u7, 0x31),
+    ]
+}
+
+/// `dst[kk * dst_stride + i] = src[i * src_stride + kk]` for `i < 8`,
+/// `kk < kc`: eight source rows become eight adjacent lanes.
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("avx")`. `src` must be
+/// readable for `kc` elements at each of the offsets `i * src_stride`,
+/// `i < 8`; `dst` must be writable for 8 elements at each of the offsets
+/// `kk * dst_stride`, `kk < kc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn pack_rows8_avx(
+    src: *const f32,
+    src_stride: usize,
+    kc: usize,
+    dst: *mut f32,
+    dst_stride: usize,
+) {
+    use std::arch::x86_64::*;
+    let blocks = kc / 8 * 8;
+    for kk in (0..blocks).step_by(8) {
+        let rows = std::array::from_fn(|i| _mm256_loadu_ps(src.add(i * src_stride + kk)));
+        for (j, v) in transpose8_avx(rows).into_iter().enumerate() {
+            _mm256_storeu_ps(dst.add((kk + j) * dst_stride), v);
+        }
+    }
+    for kk in blocks..kc {
+        for i in 0..8 {
+            *dst.add(kk * dst_stride + i) = *src.add(i * src_stride + kk);
+        }
+    }
+}
+
 /// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` of `a` into `MR`-tall
 /// strips, each laid out `[kc][MR]`, zero-padding the ragged last strip.
-fn pack_a(a: View, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]) {
-    let mut off = 0;
-    let mut i = 0;
-    while i < mc {
-        let rows = MR.min(mc - i);
-        for kk in 0..kc {
-            for r in 0..MR {
-                dst[off] = if r < rows { a.at(m0 + i + r, k0 + kk) } else { 0.0 };
-                off += 1;
+fn pack_a(
+    kernel: KernelKind,
+    a: View,
+    m0: usize,
+    mc: usize,
+    k0: usize,
+    kc: usize,
+    dst: &mut [f32],
+) {
+    assert!(a.cs == 1 || a.rs == 1, "View must have a unit stride");
+    for (s, strip) in dst.chunks_exact_mut(MR * kc).enumerate() {
+        let i = m0 + s * MR;
+        let rows = MR.min(m0 + mc - i);
+        if a.cs == 1 {
+            // Row-major: each row is a contiguous k run, transposed into
+            // lane `r` of the strip.
+            pack_rows::<MR>(kernel, &a.data[i * a.rs + k0..], a.rs, rows, kc, strip);
+        } else {
+            // Transposed: the `rows` lanes of one k step are contiguous.
+            for (kk, lanes) in strip.chunks_exact_mut(MR).enumerate() {
+                lanes[..rows].copy_from_slice(&a.data[(k0 + kk) * a.cs + i..][..rows]);
+                lanes[rows..].fill(0.0);
             }
         }
-        i += MR;
     }
 }
 
 /// Pack k-range `[k0, k0+kc)` × all `n` columns of `b` into `NR`-wide
 /// strips, each laid out `[kc][NR]`, zero-padding the ragged last strip.
-fn pack_b(b: View, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
-    let mut off = 0;
-    let mut j = 0;
-    while j < n {
+fn pack_b(kernel: KernelKind, b: View, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
+    assert!(b.cs == 1 || b.rs == 1, "View must have a unit stride");
+    for (s, strip) in dst[..n.div_ceil(NR) * NR * kc].chunks_exact_mut(NR * kc).enumerate() {
+        let j = s * NR;
         let cols = NR.min(n - j);
-        for kk in 0..kc {
-            for q in 0..NR {
-                dst[off] = if q < cols { b.at(k0 + kk, j + q) } else { 0.0 };
-                off += 1;
+        if b.cs == 1 {
+            // Row-major: the `cols` lanes of one k step are contiguous.
+            for (kk, lanes) in strip.chunks_exact_mut(NR).enumerate() {
+                lanes[..cols].copy_from_slice(&b.data[(k0 + kk) * b.rs + j..][..cols]);
+                lanes[cols..].fill(0.0);
             }
+        } else {
+            // Transposed: each column is a contiguous k run, transposed
+            // into lane `q` of the strip.
+            pack_rows::<NR>(kernel, &b.data[j * b.cs + k0..], b.cs, cols, kc, strip);
         }
-        j += NR;
     }
 }
 
@@ -532,6 +744,14 @@ fn block_kernel(
                     micro_kernel_avx2(kc, pa_strip, pb_strip, &mut acc)
                 },
             }
+            #[cfg(target_arch = "x86_64")]
+            if kernel == KernelKind::Avx2Fma && rows == MR && cols == NR {
+                let tile = &mut c[i * n + j..(i + MR - 1) * n + j + NR];
+                // SAFETY: `Avx2Fma` is only selected after feature detection,
+                // and `tile` spans `MR` rows of `NR` elements at stride `n`.
+                unsafe { store_tile_avx(&acc, tile.as_mut_ptr(), n, first) };
+                continue;
+            }
             for r in 0..rows {
                 let crow = &mut c[(i + r) * n + j..(i + r) * n + j + cols];
                 if first {
@@ -544,6 +764,28 @@ fn block_kernel(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Write a full `MR×NR` accumulator tile back to `C`: row `r` of the tile
+/// (`acc[..][r]`) is stored to (`first`) or added into the `NR` elements at
+/// `c + r * n`, two 8×8 register transposes instead of 128 scalar moves.
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("avx")`; `c` must be
+/// valid for reads and writes of `NR` elements at each offset `r * n`,
+/// `r < MR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn store_tile_avx(acc: &[[f32; MR]; NR], c: *mut f32, n: usize, first: bool) {
+    use std::arch::x86_64::*;
+    for half in (0..MR).step_by(8) {
+        let cols = std::array::from_fn(|q| _mm256_loadu_ps(acc[q][half..].as_ptr()));
+        for (r, v) in transpose8_avx(cols).into_iter().enumerate() {
+            let crow = c.add((half + r) * n);
+            let v = if first { v } else { _mm256_add_ps(_mm256_loadu_ps(crow), v) };
+            _mm256_storeu_ps(crow, v);
         }
     }
 }
@@ -679,9 +921,57 @@ unsafe fn micro_kernel_avx2(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::Rng;
+
+    /// Run `f` with every GEMM this thread issues pinned to `kernel`.
+    pub(crate) fn with_kernel<R>(kernel: KernelKind, f: impl FnOnce() -> R) -> R {
+        let prev = PINNED.with(|p| p.replace(Some(kernel)));
+        let out = f();
+        PINNED.with(|p| p.set(prev));
+        out
+    }
+
+    /// The per-element packer the unit-stride [`pack_a`] replaced, kept as
+    /// its oracle: one `View::at` per element, any strides.
+    fn pack_a_strided(a: View, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]) {
+        let mut off = 0;
+        for i in (0..mc).step_by(MR) {
+            for kk in 0..kc {
+                for r in 0..MR {
+                    dst[off] = if i + r < mc { a.at(m0 + i + r, k0 + kk) } else { 0.0 };
+                    off += 1;
+                }
+            }
+        }
+    }
+
+    /// The per-element oracle for [`pack_b`].
+    fn pack_b_strided(b: View, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
+        let mut off = 0;
+        for j in (0..n).step_by(NR) {
+            for kk in 0..kc {
+                for q in 0..NR {
+                    dst[off] = if j + q < n { b.at(k0 + kk, j + q) } else { 0.0 };
+                    off += 1;
+                }
+            }
+        }
+    }
+
+    /// Every micro-kernel this host can run.
+    pub(crate) fn available_kernels() -> Vec<KernelKind> {
+        let mut kinds = vec![KernelKind::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("fma") {
+            kinds.push(KernelKind::ScalarFma);
+            if std::is_x86_feature_detected!("avx2") {
+                kinds.push(KernelKind::Avx2Fma);
+            }
+        }
+        kinds
+    }
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         matmul_naive(a, b)
@@ -699,7 +989,7 @@ mod tests {
             m,
             n,
             k,
-            View { data: a.data(), rs: k, cs: 1 },
+            &View { data: a.data(), rs: k, cs: 1 },
             View { data: b.data(), rs: n, cs: 1 },
             &mut out,
             &mut ws,
@@ -859,16 +1149,62 @@ mod tests {
         assert!(ws.pooled() < pooled_before + 1);
     }
 
+    /// The unit-stride packers against the per-element `View::at` packers,
+    /// bit for bit on every kernel's data movement, over every `MR`/`NR`
+    /// residue, ragged and multi-strip blocks, and k-ranges that start
+    /// mid-matrix (a second `KC` panel).
     #[test]
-    fn forced_naive_path_matches_blocked() {
-        let mut rng = Rng::seed(7);
-        let a = Tensor::rand_normal([33, 70], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal([70, 21], 0.0, 1.0, &mut rng);
-        let blocked = matmul(&a, &b);
-        force_naive_gemm(true);
-        let forced = matmul(&a, &b);
-        force_naive_gemm(false);
-        assert!(forced.approx_eq(&blocked, 1e-4));
+    fn unit_stride_packers_match_the_strided_packers() {
+        let mut rng = Rng::seed(41);
+        let (rows, cols) = (KC + 21, KC + 37);
+        let data = Tensor::rand_normal([rows, cols], 0.0, 1.0, &mut rng);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The same buffer read row-major (`cs == 1`) and as its transpose
+        // (`rs == 1`).
+        let views = [
+            (View { data: data.data(), rs: cols, cs: 1 }, rows, cols),
+            (View { data: data.data(), rs: 1, cs: cols }, cols, rows),
+        ];
+        for kernel in available_kernels() {
+            for (v, m, k) in views {
+                for &(m0, mc) in
+                    &[(0, 1), (0, MR), (3, MR + 1), (MC, MC), (m - 7, 7), (5, 3 * MR - 1)]
+                {
+                    for &(k0, kc) in &[(0, 1), (0, 19), (KC, k - KC), (7, KC.min(k - 7))] {
+                        let len = mc.div_ceil(MR) * MR * kc;
+                        let (mut fast, mut slow) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                        pack_a(kernel, v, m0, mc, k0, kc, &mut fast);
+                        pack_a_strided(v, m0, mc, k0, kc, &mut slow);
+                        assert_eq!(
+                            bits(&fast),
+                            bits(&slow),
+                            "pack_a {kernel:?} rs={} ({m0},{mc},{k0},{kc})",
+                            v.rs
+                        );
+                    }
+                }
+                // As B the view is `k×n` with all columns packed: sweep the
+                // column count through the NR residues.
+                let (kdim, ndim) = (m, k);
+                for n in [1, NR - 1, NR, NR + 1, 3 * NR + 5, ndim] {
+                    for &(k0, kc) in &[(0, 1), (0, 23), (kdim - 9, 9), (KC.min(kdim - 30), 30)] {
+                        let len = n.div_ceil(NR) * NR * kc;
+                        // A longer `dst` than the panel needs, as the driver
+                        // passes for a short last panel.
+                        let (mut fast, mut slow) =
+                            (vec![f32::NAN; len + 8], vec![f32::NAN; len + 8]);
+                        pack_b(kernel, v, k0, kc, n, &mut fast);
+                        pack_b_strided(v, k0, kc, n, &mut slow);
+                        assert_eq!(
+                            bits(&fast[..len]),
+                            bits(&slow[..len]),
+                            "pack_b {kernel:?} rs={} ({k0},{kc},{n})",
+                            v.rs
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The parallel row-block path (per-thread pack scratch) must produce
@@ -881,13 +1217,13 @@ mod tests {
         let (m, k, n) = (2 * MC + 7, KC + 9, 512);
         let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
-        let prev = parallel::max_threads();
-        parallel::set_max_threads(1);
-        let serial = matmul(&a, &b);
-        parallel::set_max_threads(3);
-        let parallel_out = matmul(&a, &b);
-        parallel::set_max_threads(if prev == 0 { 0 } else { prev });
-        assert!(bitwise_eq(&serial, &parallel_out));
+        let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = {
+            let _one = parallel::scoped_max_threads(1);
+            matmul(&a, &b)
+        };
+        let _three = parallel::scoped_max_threads(3);
+        assert!(bitwise_eq(&serial, &matmul(&a, &b)));
     }
 
     #[test]

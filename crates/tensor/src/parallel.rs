@@ -55,6 +55,11 @@ pub fn max_threads() -> usize {
     }
 }
 
+/// Serialises the unit tests that change the process-wide budget, which the
+/// test harness would otherwise interleave.
+#[cfg(test)]
+pub(crate) static BUDGET_TESTS: Mutex<()> = Mutex::new(());
+
 fn threads_for(items: usize) -> usize {
     max_threads().min(items).max(1)
 }
@@ -266,6 +271,7 @@ mod tests {
 
     #[test]
     fn budget_is_clamped_to_at_least_one() {
+        let _lock = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         set_max_threads(1);
         assert_eq!(max_threads(), 1);
         let items = vec![1u32, 2, 3];
@@ -273,8 +279,7 @@ mod tests {
         set_max_threads(0);
         assert!(max_threads() >= 1);
         // The scoped guard restores whatever was set before it, including
-        // the auto default (this test is the only budget mutator in this
-        // binary, so the sequence is race-free).
+        // the auto default.
         set_max_threads(3);
         {
             let _g = scoped_max_threads(1);

@@ -1,24 +1,31 @@
-//! GEMM hot-loop allocation discipline.
+//! GEMM and conv2d hot-loop allocation discipline.
 //!
-//! The blocked driver's pack buffers come from the caller's `Workspace`
-//! (per-thread scratch slices under parallel dispatch — see
-//! `parallel::par_chunks_mut_scratch`), so at steady state the hot loop must
-//! not touch the heap. Two pins:
+//! The blocked driver's pack buffers — and conv2d's outputs, gradient tile
+//! and packed kernel — come from the caller's `Workspace` (per-thread scratch
+//! slices under parallel dispatch — see `parallel::par_chunks_mut_scratch`),
+//! so at steady state the hot loops must not touch the heap. Two pins, each
+//! on `matmul_ws` and on a conv2d forward + backward step:
 //!
-//! * **serial path**: a counting global allocator proves a warmed
-//!   `matmul_ws` performs literally zero heap allocations;
+//! * **serial path**: a counting global allocator proves a warmed loop
+//!   performs literally zero heap allocations;
 //! * **parallel path**: scoped thread spawns do allocate (stacks, join
 //!   handles — unavoidable with std scoped threads), so the pin is the
 //!   arena's own miss counter: once warm, pack-buffer requests never fall
 //!   through to the allocator.
 //!
-//! One `#[test]` on purpose: both checks mutate the process-wide thread
-//! budget and the allocation counter, and the default multi-threaded test
-//! runner would interleave them.
+//! The conv2d half also pins what only a one-test process can: two threads
+//! give the serial bits, and a forward + backward step counts exactly three
+//! `tensor.gemm.*` contractions.
+//!
+//! One `#[test]` on purpose: the checks mutate the process-wide thread
+//! budget, the allocation counter and the metrics registry, and the default
+//! multi-threaded test runner would interleave them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use swt_tensor::{matmul_ws, parallel, Rng, Tensor, Workspace};
+use swt_tensor::{
+    conv2d_backward_ws, conv2d_forward_ws, matmul_ws, parallel, Padding, Rng, Tensor, Workspace,
+};
 
 struct CountingAlloc;
 
@@ -80,6 +87,57 @@ fn warmed_gemm_hot_loop_never_allocates() {
         ws.recycle(c);
     }
     let misses = ws.alloc_misses() - misses_before;
-    parallel::set_max_threads(0);
     assert_eq!(misses, 0, "warmed parallel GEMM pack buffers fell through to the allocator");
+
+    // --- conv2d forward + backward: the same two pins. ---
+    // Wide enough that with threads all three products dispatch in parallel
+    // (rows·f, cols·f and rows·cols all clear PAR_THRESHOLD).
+    let x = Tensor::rand_normal([2, 16, 16, 32], 0.0, 1.0, &mut rng);
+    let k = Tensor::rand_normal([3, 3, 32, 232], 0.0, 0.1, &mut rng);
+    // One training step's conv work; the output doubles as the upstream
+    // gradient (same shape).
+    let step = |ws: &mut Workspace| {
+        let y = conv2d_forward_ws(&x, &k, Padding::Same, ws);
+        let (dx, dk) = conv2d_backward_ws(&x, &k, &y, Padding::Same, ws);
+        [y, dx, dk]
+    };
+    let steps = |n: usize, ws: &mut Workspace| {
+        for _ in 0..n {
+            step(ws).into_iter().for_each(|t| ws.recycle(t));
+        }
+    };
+    parallel::set_max_threads(1);
+    let mut ws = Workspace::new();
+    steps(2, &mut ws);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    steps(3, &mut ws);
+    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(during, 0, "warmed serial conv2d step must not allocate ({during} allocations)");
+    let serial = step(&mut ws);
+
+    parallel::set_max_threads(2);
+    steps(2, &mut ws);
+    let misses_before = ws.alloc_misses();
+    steps(3, &mut ws);
+    let misses = ws.alloc_misses() - misses_before;
+    assert_eq!(misses, 0, "warmed parallel conv2d scratch fell through to the allocator");
+    for (two, one) in step(&mut ws).iter().zip(&serial) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(two) == bits(one), "two threads changed conv2d's bits");
+    }
+    parallel::set_max_threads(0);
+
+    // --- One count per GEMM-shaped contraction: forward, dW, dX. ---
+    let gemms = || {
+        ["tensor.gemm.small", "tensor.gemm.blocked.scalar", "tensor.gemm.blocked.simd"]
+            .iter()
+            .map(|name| swt_obs::registry::global().counter(name).get())
+            .sum::<u64>()
+    };
+    swt_obs::enable();
+    let before = gemms();
+    steps(1, &mut ws);
+    let counted = gemms() - before;
+    swt_obs::disable();
+    assert_eq!(counted, 3, "a conv2d forward + backward is three contractions");
 }

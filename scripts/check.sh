@@ -60,19 +60,21 @@ fidelity_json=$(mktemp)
 cargo run --release --quiet -p swt-bench --bin bench_fidelity -- --smoke "$fidelity_json"
 rm -f "$fidelity_json"
 
-echo "==> GEMM alloc gate (matmul.rs hot paths draw from the Workspace, not the heap)"
-# The blocked driver's pack buffers must come from the caller's Workspace;
-# a `vec!`/`Vec::new` in matmul.rs is a hot-loop allocation unless the line
-# is annotated `alloc-gate: allow` (cold oracles like the naive reference).
-# The `#[cfg(test)]` module is exempt — tests may allocate freely.
-allocs=$(awk '/#\[cfg\(test\)\]/ { exit }
-  /vec!|Vec::new/ && !/alloc-gate: allow/ { print FILENAME ":" FNR ": " $0 }' \
-  crates/tensor/src/matmul.rs)
-if [ -n "$allocs" ]; then
-  echo "heap allocation in crates/tensor/src/matmul.rs hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
-  echo "$allocs" >&2
-  exit 1
-fi
+echo "==> GEMM alloc gate (matmul.rs and conv2d.rs hot paths draw from the Workspace, not the heap)"
+# The blocked driver's pack buffers and conv2d's outputs, tile and packed
+# kernel must come from the caller's Workspace; a `vec!`/`Vec::new` in either
+# file is a hot-loop allocation unless the line is annotated
+# `alloc-gate: allow` (cold oracles like the naive reference). The
+# `mod tests` modules are exempt — tests may allocate freely.
+for src in crates/tensor/src/matmul.rs crates/tensor/src/conv2d.rs; do
+  allocs=$(awk '/^(pub\(crate\) )?mod tests/ { exit }
+    /vec!|Vec::new/ && !/alloc-gate: allow/ { print FILENAME ":" FNR ": " $0 }' "$src")
+  if [ -n "$allocs" ]; then
+    echo "heap allocation in $src hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
+    echo "$allocs" >&2
+    exit 1
+  fi
+done
 
 echo "==> no-panic gate (networked code must degrade, never unwrap)"
 panics=$(grep -rnE '\.unwrap\(\)|\.expect\(|panic!\(' \
