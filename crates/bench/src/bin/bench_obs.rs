@@ -125,8 +125,10 @@ fn main() {
     swt::obs::disable();
     swt::obs::reset();
     let span_ops: u64 = report.spans.iter().map(|s| s.count).sum();
-    // Upper bound: counter values count `add(n)` as n ops.
-    let counter_ops: u64 = report.counters.iter().map(|c| c.value).sum();
+    // Upper bound: counter values count `add(n)` as n ops. A histogram
+    // observation (the per-layer-kind step timers) is one more such op.
+    let counter_ops: u64 = report.counters.iter().map(|c| c.value).sum::<u64>()
+        + report.histograms.iter().map(|h| h.count).sum::<u64>();
     let batches = report.counter("nn.batches_trained").max(1);
 
     // --- 4. derived overhead ------------------------------------------------

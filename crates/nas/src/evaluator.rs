@@ -608,6 +608,46 @@ mod tests {
         assert_eq!(a.score, b.score, "single-threaded evaluation must be deterministic");
     }
 
+    /// The carried arena is bounded by the largest candidate, not by how
+    /// many candidates or batches went through it: every model hands all it
+    /// held back on teardown, so the next one's warm-up is a free-list pop.
+    #[test]
+    fn carried_arena_is_bounded_by_the_largest_candidate() {
+        let problem = Arc::new(AppKind::Cifar10.problem(DataScale::Quick, 7));
+        let space = Arc::new(SearchSpace::for_app(AppKind::Cifar10));
+        let evaluator = || {
+            let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
+            let (problem, space) = (Arc::clone(&problem), Arc::clone(&space));
+            Evaluator::new(problem, space, store, TransferScheme::Lcs, 1, 42)
+        };
+        let mut rng = Rng::seed(31);
+        let cands: Vec<Candidate> = (0..24)
+            .map(|id| Candidate::new(id, space.sample(&mut rng), id.checked_sub(8)))
+            .collect();
+
+        let mut carried = evaluator();
+        let mut largest = 0;
+        for cand in &cands {
+            carried.evaluate(cand);
+            // What this candidate needs on its own, from an empty arena.
+            let mut alone = evaluator();
+            alone.evaluate(&Candidate::new(cand.id, cand.arch.clone(), None));
+            largest = largest.max(alone.ws.pooled());
+        }
+        assert!(
+            carried.ws.pooled() <= largest,
+            "24 candidates left {} buffers pooled; the largest one alone needs {largest}",
+            carried.ws.pooled()
+        );
+
+        // Going over the same ground again asks the allocator for nothing.
+        let again = &cands[23];
+        carried.evaluate(again);
+        let warm = (carried.ws.pooled(), carried.ws.alloc_misses());
+        carried.evaluate(again);
+        assert_eq!((carried.ws.pooled(), carried.ws.alloc_misses()), warm);
+    }
+
     #[test]
     fn stop_reason_codes_and_labels_round_trip() {
         for reason in [

@@ -1,7 +1,7 @@
 //! Convolutional layers (2-D NHWC and 1-D NWC), stride 1, with optional L2
 //! kernel regularisation (the CIFAR-like space's `l2 = 5e-4` choice).
 
-use super::{cache_from, glorot_limit, Layer};
+use super::{glorot_limit, Layer};
 use swt_tensor::{
     conv1d_backward_ws, conv1d_forward_ws, conv2d_backward_ws, conv2d_forward_ws, Padding, Rng,
     Tensor, Workspace,
@@ -15,7 +15,6 @@ pub struct Conv2DLayer {
     d_bias: Tensor,
     padding: Padding,
     l2: f32,
-    cached_input: Option<Tensor>,
 }
 
 impl Conv2DLayer {
@@ -42,7 +41,6 @@ impl Conv2DLayer {
             d_bias: Tensor::zeros([filters]),
             padding,
             l2,
-            cached_input: None,
         }
     }
 }
@@ -71,16 +69,19 @@ fn accumulate_channel_sums(t: &Tensor, acc: &mut Tensor) {
 
 impl Layer for Conv2DLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
-        let x = inputs[0];
-        let mut y = conv2d_forward_ws(x, &self.kernel, self.padding, ws);
+        let mut y = conv2d_forward_ws(inputs[0], &self.kernel, self.padding, ws);
         add_channel_bias(&mut y, &self.bias);
-        cache_from(&mut self.cached_input, x, ws);
         y
     }
 
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        let (dx, mut dk) = conv2d_backward_ws(x, &self.kernel, dout, self.padding, ws);
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        _output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        let (dx, mut dk) = conv2d_backward_ws(inputs[0], &self.kernel, dout, self.padding, ws);
         if self.l2 > 0.0 {
             // d/dw of (l2/2)·||w||² accumulated into the kernel gradient; the
             // factor matches Keras' `l2(l2)` regulariser up to its 1/2
@@ -122,7 +123,6 @@ pub struct Conv1DLayer {
     d_bias: Tensor,
     padding: Padding,
     l2: f32,
-    cached_input: Option<Tensor>,
 }
 
 impl Conv1DLayer {
@@ -142,23 +142,25 @@ impl Conv1DLayer {
             d_bias: Tensor::zeros([filters]),
             padding,
             l2,
-            cached_input: None,
         }
     }
 }
 
 impl Layer for Conv1DLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
-        let x = inputs[0];
-        let mut y = conv1d_forward_ws(x, &self.kernel, self.padding, ws);
+        let mut y = conv1d_forward_ws(inputs[0], &self.kernel, self.padding, ws);
         add_channel_bias(&mut y, &self.bias);
-        cache_from(&mut self.cached_input, x, ws);
         y
     }
 
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        let (dx, mut dk) = conv1d_backward_ws(x, &self.kernel, dout, self.padding, ws);
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        _output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        let (dx, mut dk) = conv1d_backward_ws(inputs[0], &self.kernel, dout, self.padding, ws);
         if self.l2 > 0.0 {
             dk.axpy(self.l2, &self.kernel);
         }
@@ -215,8 +217,8 @@ mod tests {
         let mut layer = Conv2DLayer::new(2, 2, 3, Padding::Same, 0.0, &mut rng);
         let x = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
         let y = layer.forward(&[&x], true, &mut ws);
-        let dout = Tensor::ones(y.shape().dims().to_vec());
-        let dx = layer.backward(&dout, &mut ws).remove(0);
+        let dout = Tensor::ones(y.shape().clone());
+        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(5) {
             let mut plus = x.clone();
@@ -239,7 +241,7 @@ mod tests {
             let mut ws = Workspace::new();
             let mut layer = Conv2DLayer::new(1, 1, 3, Padding::Valid, l2, &mut r);
             let y = layer.forward(&[&x], true, &mut ws);
-            let _ = layer.backward(&Tensor::ones(y.shape().dims().to_vec()), &mut ws);
+            let _ = layer.backward(&[&x], &y, &Tensor::ones(y.shape().clone()), &mut ws);
             let mut grad = None;
             let mut kern = None;
             layer.visit_updates(&mut |n, p, g| {
@@ -265,8 +267,8 @@ mod tests {
         let mut layer = Conv1DLayer::new(2, 3, 3, Padding::Valid, 0.0, &mut rng);
         let x = Tensor::rand_normal([2, 7, 2], 0.0, 1.0, &mut rng);
         let y = layer.forward(&[&x], true, &mut ws);
-        let dout = Tensor::ones(y.shape().dims().to_vec());
-        let dx = layer.backward(&dout, &mut ws).remove(0);
+        let dout = Tensor::ones(y.shape().clone());
+        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(4) {
             let mut plus = x.clone();

@@ -1,6 +1,6 @@
 //! Fully-connected layer with optional fused activation.
 
-use super::{cache_from, glorot_limit, Layer};
+use super::{glorot_limit, Layer};
 use crate::spec::Activation;
 use swt_tensor::{matmul_at_ws, matmul_bt_ws, matmul_ws, Rng, Tensor, Workspace};
 
@@ -11,8 +11,6 @@ pub struct DenseLayer {
     d_kernel: Tensor,
     d_bias: Tensor,
     activation: Option<Activation>,
-    cached_input: Option<Tensor>,
-    cached_output: Option<Tensor>,
 }
 
 impl DenseLayer {
@@ -30,17 +28,23 @@ impl DenseLayer {
             d_kernel: Tensor::zeros([in_features, units]),
             d_bias: Tensor::zeros([units]),
             activation,
-            cached_input: None,
-            cached_output: None,
         }
     }
 }
 
-pub(crate) fn apply_activation_inplace(t: &mut Tensor, a: Activation) {
+/// `*out = a(v)` for every `(out, v)` pair — in place or from another
+/// tensor, as the caller zips it. One loop per activation, so each is
+/// compiled (and vectorised) for a single function.
+pub(crate) fn apply_activation<'a>(pairs: impl Iterator<Item = (&'a mut f32, f32)>, a: Activation) {
+    fn map<'a>(pairs: impl Iterator<Item = (&'a mut f32, f32)>, f: impl Fn(f32) -> f32) {
+        for (out, v) in pairs {
+            *out = f(v);
+        }
+    }
     match a {
-        Activation::Relu => t.data_mut().iter_mut().for_each(|v| *v = v.max(0.0)),
-        Activation::Tanh => t.data_mut().iter_mut().for_each(|v| *v = v.tanh()),
-        Activation::Sigmoid => t.data_mut().iter_mut().for_each(|v| *v = 1.0 / (1.0 + (-*v).exp())),
+        Activation::Relu => map(pairs, |v| v.max(0.0)),
+        Activation::Tanh => map(pairs, f32::tanh),
+        Activation::Sigmoid => map(pairs, |v| 1.0 / (1.0 + (-v).exp())),
     }
 }
 
@@ -71,29 +75,30 @@ impl Layer for DenseLayer {
                 *v += b;
             }
         }
-        cache_from(&mut self.cached_input, x, ws);
-        match self.activation {
-            Some(a) => {
-                apply_activation_inplace(&mut y, a);
-                cache_from(&mut self.cached_output, &y, ws);
-            }
-            None => {
-                // Backward only needs the output for the activation gradient.
-                if let Some(old) = self.cached_output.take() {
-                    ws.recycle(old);
-                }
-            }
+        if let Some(a) = self.activation {
+            let in_place = y.data_mut().iter_mut().map(|out| {
+                let v = *out;
+                (out, v)
+            });
+            apply_activation(in_place, a);
         }
         y
     }
 
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        let mut dpre = ws.take_tensor(dout.shape().dims().to_vec());
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        let x = inputs[0];
+        let mut dpre = ws.take_tensor(dout.shape().clone());
         match self.activation {
             Some(a) => {
-                let y = self.cached_output.as_ref().unwrap();
-                for ((dp, &g), &yv) in dpre.data_mut().iter_mut().zip(dout.data()).zip(y.data()) {
+                for ((dp, &g), &yv) in
+                    dpre.data_mut().iter_mut().zip(dout.data()).zip(output.data())
+                {
                     *dp = g * activation_grad_scalar(yv, a);
                 }
             }
@@ -161,8 +166,8 @@ mod tests {
             let mut layer = DenseLayer::new(4, 3, act, &mut rng);
             let x = Tensor::rand_normal([2, 4], 0.3, 1.0, &mut rng);
             let y = layer.forward(&[&x], true, &mut ws);
-            let dout = Tensor::ones(y.shape().dims().to_vec());
-            let dx = layer.backward(&dout, &mut ws).remove(0);
+            let dout = Tensor::ones(y.shape().clone());
+            let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
             let eps = 1e-2f32;
             // Input gradient.
             for i in 0..x.numel() {
@@ -177,8 +182,8 @@ mod tests {
             }
             // Kernel gradient (re-run forward to restore cache, then read grads).
             layer.zero_grads();
-            let _ = layer.forward(&[&x], true, &mut ws);
-            let _ = layer.backward(&dout, &mut ws);
+            let y = layer.forward(&[&x], true, &mut ws);
+            let _ = layer.backward(&[&x], &y, &dout, &mut ws);
             let mut grads: Vec<(String, Tensor)> = Vec::new();
             layer.visit_updates(&mut |n, _p, g| grads.push((n.to_string(), g.clone())));
             let dk = &grads.iter().find(|(n, _)| n == "kernel").unwrap().1;
@@ -204,16 +209,16 @@ mod tests {
         let mut layer = DenseLayer::new(2, 2, None, &mut rng);
         let x = Tensor::ones([1, 2]);
         let dout = Tensor::ones([1, 2]);
-        let _ = layer.forward(&[&x], true, &mut ws);
-        let _ = layer.backward(&dout, &mut ws);
+        let y = layer.forward(&[&x], true, &mut ws);
+        let _ = layer.backward(&[&x], &y, &dout, &mut ws);
         let mut once = Tensor::zeros([2, 2]);
         layer.visit_updates(&mut |n, _p, g| {
             if n == "kernel" {
                 once = g.clone();
             }
         });
-        let _ = layer.forward(&[&x], true, &mut ws);
-        let _ = layer.backward(&dout, &mut ws);
+        let y = layer.forward(&[&x], true, &mut ws);
+        let _ = layer.backward(&[&x], &y, &dout, &mut ws);
         layer.visit_updates(&mut |n, _p, g| {
             if n == "kernel" {
                 assert!(g.approx_eq(
@@ -241,13 +246,13 @@ mod tests {
         // stable batch over batch (output tensors are recycled by the caller,
         // here manually).
         let y = layer.forward(&[&x], true, &mut ws);
-        let dx = layer.backward(&dout, &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
         ws.recycle(dx);
         ws.recycle(y);
         let pooled = ws.pooled();
         for _ in 0..3 {
             let y = layer.forward(&[&x], true, &mut ws);
-            let dx = layer.backward(&dout, &mut ws).remove(0);
+            let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
             ws.recycle(dx);
             ws.recycle(y);
             assert_eq!(ws.pooled(), pooled, "steady state must not grow the pool");

@@ -1,47 +1,40 @@
-//! Parameter-free layers: identity, activation, dropout, flatten, concat.
+//! Parameter-free layers: activation, dropout, concat. (Identity and flatten
+//! change no value, so the model passes the tensor through such nodes
+//! itself — see [`crate::LayerSpec::passes_through`].)
 
-use super::dense::{activation_grad_scalar, apply_activation_inplace};
-use super::{cache_from, ws_copy, Layer};
+use super::dense::{activation_grad_scalar, apply_activation};
+use super::{ws_copy, Layer};
 use crate::spec::Activation;
 use swt_tensor::{Rng, Tensor, Workspace};
-
-/// Skip connection (`Identity` choice of the variable nodes).
-pub struct IdentityLayer;
-
-impl Layer for IdentityLayer {
-    fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
-        ws_copy(inputs[0], ws)
-    }
-
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        vec![ws_copy(dout, ws)]
-    }
-}
 
 /// Standalone activation layer.
 pub struct ActivationLayer {
     activation: Activation,
-    cached_output: Option<Tensor>,
 }
 
 impl ActivationLayer {
     pub fn new(activation: Activation) -> Self {
-        ActivationLayer { activation, cached_output: None }
+        ActivationLayer { activation }
     }
 }
 
 impl Layer for ActivationLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
-        let mut y = ws_copy(inputs[0], ws);
-        apply_activation_inplace(&mut y, self.activation);
-        cache_from(&mut self.cached_output, &y, ws);
+        let x = inputs[0];
+        let mut y = ws.take_tensor(x.shape().clone());
+        apply_activation(y.data_mut().iter_mut().zip(x.data().iter().copied()), self.activation);
         y
     }
 
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        let y = self.cached_output.as_ref().expect("backward before forward");
-        let mut dx = ws.take_tensor(dout.shape().dims().to_vec());
-        for ((o, &g), &yv) in dx.data_mut().iter_mut().zip(dout.data()).zip(y.data()) {
+    fn backward(
+        &mut self,
+        _inputs: &[&Tensor],
+        output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        let mut dx = ws.take_tensor(dout.shape().clone());
+        for ((o, &g), &yv) in dx.data_mut().iter_mut().zip(dout.data()).zip(output.data()) {
             *o = g * activation_grad_scalar(yv, self.activation);
         }
         vec![dx]
@@ -53,52 +46,48 @@ impl Layer for ActivationLayer {
 pub struct DropoutLayer {
     rate: f32,
     rng: Rng,
-    cached_mask: Option<Tensor>,
+    /// The latest training-mode forward's mask; `None` when that forward was
+    /// the identity (inference, or `rate == 0`).
+    mask: Option<Tensor>,
 }
 
 impl DropoutLayer {
     /// `rate` is the *drop* probability, in `[0, 1)`.
     pub fn new(rate: f32, rng: Rng) -> Self {
         assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0, 1)");
-        DropoutLayer { rate, rng, cached_mask: None }
+        DropoutLayer { rate, rng, mask: None }
     }
 }
 
 impl Layer for DropoutLayer {
     fn forward(&mut self, inputs: &[&Tensor], training: bool, ws: &mut Workspace) -> Tensor {
         let x = inputs[0];
+        self.release(ws);
         if !training || self.rate == 0.0 {
-            if let Some(old) = self.cached_mask.take() {
-                ws.recycle(old);
-            }
             return ws_copy(x, ws);
         }
         let keep = 1.0 - self.rate;
         let scale = 1.0 / keep;
-        let mut mask = match self.cached_mask.take() {
-            Some(old) if old.numel() == x.numel() => old.reshape(x.shape().dims().to_vec()),
-            other => {
-                if let Some(old) = other {
-                    ws.recycle(old);
-                }
-                ws.take_tensor(x.shape().dims().to_vec())
-            }
-        };
-        for m in mask.data_mut() {
+        let mut mask = ws.take_tensor(x.shape().clone());
+        let mut y = ws.take_tensor(x.shape().clone());
+        for ((o, m), &a) in y.data_mut().iter_mut().zip(mask.data_mut()).zip(x.data()) {
             *m = if self.rng.chance(keep as f64) { scale } else { 0.0 };
+            *o = a * *m;
         }
-        let mut y = ws.take_tensor(x.shape().dims().to_vec());
-        for ((o, &a), &m) in y.data_mut().iter_mut().zip(x.data()).zip(mask.data()) {
-            *o = a * m;
-        }
-        self.cached_mask = Some(mask);
+        self.mask = Some(mask);
         y
     }
 
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        match &self.cached_mask {
+    fn backward(
+        &mut self,
+        _inputs: &[&Tensor],
+        _output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        match &self.mask {
             Some(mask) => {
-                let mut dx = ws.take_tensor(dout.shape().dims().to_vec());
+                let mut dx = ws.take_tensor(dout.shape().clone());
                 for ((o, &g), &m) in dx.data_mut().iter_mut().zip(dout.data()).zip(mask.data()) {
                     *o = g * m;
                 }
@@ -107,55 +96,22 @@ impl Layer for DropoutLayer {
             None => vec![ws_copy(dout, ws)],
         }
     }
-}
 
-/// Flatten per-sample dims to rank 1: `(b, d1, ..., dk) -> (b, d1·...·dk)`.
-pub struct FlattenLayer {
-    cached_input_shape: Vec<usize>,
-}
-
-impl FlattenLayer {
-    pub fn new() -> Self {
-        FlattenLayer { cached_input_shape: Vec::new() }
-    }
-}
-
-impl Default for FlattenLayer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for FlattenLayer {
-    fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
-        let x = inputs[0];
-        self.cached_input_shape.clear();
-        self.cached_input_shape.extend_from_slice(x.shape().dims());
-        let b = x.shape().dim(0);
-        let rest = x.numel() / b;
-        ws_copy(x, ws).reshape([b, rest])
-    }
-
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        vec![ws_copy(dout, ws).reshape(self.cached_input_shape.clone())]
+    fn release(&mut self, ws: &mut Workspace) {
+        if let Some(mask) = self.mask.take() {
+            ws.recycle(mask);
+        }
     }
 }
 
 /// Concatenate rank-2 inputs along the feature dimension (Uno's four-source
 /// fusion point).
-pub struct ConcatLayer {
-    cached_widths: Vec<usize>,
-}
+#[derive(Default)]
+pub struct ConcatLayer;
 
 impl ConcatLayer {
     pub fn new() -> Self {
-        ConcatLayer { cached_widths: Vec::new() }
-    }
-}
-
-impl Default for ConcatLayer {
-    fn default() -> Self {
-        Self::new()
+        ConcatLayer
     }
 }
 
@@ -163,38 +119,44 @@ impl Layer for ConcatLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
         assert!(inputs.len() >= 2, "concat needs >= 2 inputs");
         let b = inputs[0].shape().dim(0);
-        self.cached_widths.clear();
         for t in inputs {
             assert_eq!(t.shape().rank(), 2, "concat expects rank-2 inputs");
             assert_eq!(t.shape().dim(0), b, "concat batch mismatch");
-            self.cached_widths.push(t.shape().dim(1));
         }
-        let total: usize = self.cached_widths.iter().sum();
+        let total: usize = inputs.iter().map(|t| t.shape().dim(1)).sum();
         let mut out = ws.take_tensor([b, total]);
-        let data = out.data_mut();
-        for row in 0..b {
-            let mut off = row * total;
-            for (t, &w) in inputs.iter().zip(&self.cached_widths) {
-                data[off..off + w].copy_from_slice(&t.data()[row * w..(row + 1) * w]);
+        for (row, dst) in out.data_mut().chunks_mut(total).enumerate() {
+            let mut off = 0;
+            for t in inputs {
+                let w = t.shape().dim(1);
+                dst[off..off + w].copy_from_slice(&t.data()[row * w..(row + 1) * w]);
                 off += w;
             }
         }
         out
     }
 
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor> {
-        let b = dout.shape().dim(0);
-        let total: usize = self.cached_widths.iter().sum();
-        let mut grads: Vec<Tensor> =
-            self.cached_widths.iter().map(|&w| ws.take_tensor([b, w])).collect();
-        for row in 0..b {
-            let mut off = row * total;
-            for (g, &w) in grads.iter_mut().zip(&self.cached_widths) {
-                g.data_mut()[row * w..(row + 1) * w].copy_from_slice(&dout.data()[off..off + w]);
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        _output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        let total = dout.shape().dim(1);
+        let mut off = 0;
+        inputs
+            .iter()
+            .map(|t| {
+                let w = t.shape().dim(1);
+                let mut g = ws.take_tensor(t.shape().clone());
+                for (dst, src) in g.data_mut().chunks_mut(w).zip(dout.data().chunks(total)) {
+                    dst.copy_from_slice(&src[off..off + w]);
+                }
                 off += w;
-            }
-        }
-        grads
+                g
+            })
+            .collect()
     }
 }
 
@@ -203,22 +165,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_round_trip() {
-        let mut layer = IdentityLayer;
-        let mut ws = Workspace::new();
-        let x = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]);
-        assert!(layer.forward(&[&x], true, &mut ws).approx_eq(&x, 0.0));
-        assert!(layer.backward(&x, &mut ws)[0].approx_eq(&x, 0.0));
-    }
-
-    #[test]
     fn activation_layer_backward() {
         let mut layer = ActivationLayer::new(Activation::Relu);
         let mut ws = Workspace::new();
         let x = Tensor::from_vec([1, 4], vec![-1.0, 2.0, -3.0, 4.0]);
         let y = layer.forward(&[&x], true, &mut ws);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let dx = layer.backward(&Tensor::ones([1, 4]), &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &Tensor::ones([1, 4]), &mut ws).remove(0);
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -239,7 +192,7 @@ mod tests {
         // E[y] = 1; mean over 10k elements should be close.
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // Backward routes gradient only through kept elements.
-        let dx = layer.backward(&Tensor::ones([100, 100]), &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &Tensor::ones([100, 100]), &mut ws).remove(0);
         assert!(dx.approx_eq(&y, 1e-6));
     }
 
@@ -247,18 +200,6 @@ mod tests {
     fn dropout_rejects_rate_one() {
         let result = std::panic::catch_unwind(|| DropoutLayer::new(1.0, Rng::seed(3)));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn flatten_round_trip() {
-        let mut layer = FlattenLayer::new();
-        let mut ws = Workspace::new();
-        let x = Tensor::from_vec([2, 2, 3], (0..12).map(|i| i as f32).collect());
-        let y = layer.forward(&[&x], true, &mut ws);
-        assert_eq!(y.shape().dims(), &[2, 6]);
-        let dx = layer.backward(&y, &mut ws).remove(0);
-        assert_eq!(dx.shape().dims(), &[2, 2, 3]);
-        assert!(dx.approx_eq(&x, 0.0));
     }
 
     #[test]
@@ -270,7 +211,7 @@ mod tests {
         let y = layer.forward(&[&a, &b], true, &mut ws);
         assert_eq!(y.shape().dims(), &[2, 3]);
         assert_eq!(y.data(), &[1., 2., 9., 3., 4., 8.]);
-        let grads = layer.backward(&y, &mut ws);
+        let grads = layer.backward(&[&a, &b], &y, &y, &mut ws);
         assert!(grads[0].approx_eq(&a, 0.0));
         assert!(grads[1].approx_eq(&b, 0.0));
     }

@@ -1,14 +1,20 @@
 //! Trainable layer implementations.
 //!
-//! Every layer caches whatever its backward pass needs during `forward`, and
-//! accumulates parameter gradients internally; the [`crate::Model`] walks its
-//! DAG calling `forward`/`backward` and exposes parameters to the optimizer
-//! through [`Layer::visit_updates`].
+//! **Ownership rule.** The [`crate::Model`] is the single owner of
+//! activations: it keeps every node's forward output until the next batch and
+//! hands a layer's inputs and output back to it in `backward`, so a layer
+//! never copies a feature map to remember it. A layer may keep only what it
+//! *computed* and nobody else holds — batch-norm's `x̂`, dropout's mask, a
+//! pool's argmax — and only for a training-mode forward; parameter gradients
+//! accumulate inside the layer and reach the optimizer through
+//! [`Layer::visit_updates`].
 //!
 //! Both passes receive the model's [`Workspace`]: layers draw every
-//! per-batch buffer (outputs, caches, GEMM scratch) from it and recycle dead
-//! tensors back, so at steady state a training step touches the allocator
-//! only for O(1)-sized control structures, never for tensor storage.
+//! per-batch buffer (outputs, kept tensors, GEMM scratch) from it and recycle
+//! dead tensors back, so at steady state a training step touches the
+//! allocator only for O(1)-sized control structures, never for tensor
+//! storage. [`Layer::release`] returns what a layer still holds when its
+//! model is torn down.
 
 mod conv;
 mod dense;
@@ -18,7 +24,7 @@ mod pool;
 
 pub use conv::{Conv1DLayer, Conv2DLayer};
 pub use dense::DenseLayer;
-pub use misc::{ActivationLayer, ConcatLayer, DropoutLayer, FlattenLayer, IdentityLayer};
+pub use misc::{ActivationLayer, ConcatLayer, DropoutLayer};
 pub use norm::BatchNormLayer;
 pub use pool::{MaxPool1DLayer, MaxPool2DLayer};
 
@@ -27,18 +33,30 @@ use swt_tensor::{Tensor, Workspace};
 /// A trainable (or stateless) layer.
 ///
 /// `forward` receives one batched tensor per DAG input (leading dimension =
-/// batch). `backward` receives the upstream gradient of the layer output and
-/// returns one gradient per input, in the same order.
+/// batch). `backward` receives the same inputs, the output `forward`
+/// returned for them and the upstream gradient of that output, and returns
+/// one gradient per input, in the same order.
 pub trait Layer: Send {
     /// Run the layer. `training` toggles batch-statistics / dropout
-    /// behaviour exactly like Keras' `training=True`. Scratch and output
-    /// buffers come from `ws`.
+    /// behaviour exactly like Keras' `training=True`; only a training-mode
+    /// forward may keep state for `backward`. Scratch and output buffers
+    /// come from `ws`.
     fn forward(&mut self, inputs: &[&Tensor], training: bool, ws: &mut Workspace) -> Tensor;
 
-    /// Backpropagate; must be preceded by a `forward` call whose
-    /// intermediate state is still cached. Parameter gradients accumulate
-    /// into the layer.
-    fn backward(&mut self, dout: &Tensor, ws: &mut Workspace) -> Vec<Tensor>;
+    /// Backpropagate through the latest training-mode `forward`, whose
+    /// `inputs` and `output` the caller still holds. Parameter gradients
+    /// accumulate into the layer.
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor>;
+
+    /// Return every per-batch tensor the layer still holds to `ws` (the
+    /// model is being torn down and its arena moves on to the next one).
+    fn release(&mut self, _ws: &mut Workspace) {}
 
     /// Visit trainable parameters as `(local_name, value)`.
     fn visit_params(&self, _f: &mut dyn FnMut(&str, &Tensor)) {}
@@ -69,28 +87,11 @@ pub(crate) fn glorot_limit(fan_in: usize, fan_out: usize) -> f32 {
     (6.0 / (fan_in + fan_out) as f32).sqrt()
 }
 
-/// Store a copy of `src` in a layer's cache slot, reusing the slot's previous
-/// storage when the element count matches and drawing from / recycling into
-/// `ws` otherwise. This is how layer caches stay allocation-free at steady
-/// state: batch after batch the same buffer is overwritten in place.
-pub(crate) fn cache_from(slot: &mut Option<Tensor>, src: &Tensor, ws: &mut Workspace) {
-    let mut t = match slot.take() {
-        Some(old) if old.numel() == src.numel() => old.reshape(src.shape().dims().to_vec()),
-        other => {
-            if let Some(old) = other {
-                ws.recycle(old);
-            }
-            ws.take_tensor(src.shape().dims().to_vec())
-        }
-    };
-    t.data_mut().copy_from_slice(src.data());
-    *slot = Some(t);
-}
-
 /// Copy `src` into a fresh workspace tensor (the allocation-free analogue of
-/// `src.clone()`).
+/// `src.clone()`), for a layer that must produce a tensor of its own from one
+/// it may not take.
 pub(crate) fn ws_copy(src: &Tensor, ws: &mut Workspace) -> Tensor {
-    let mut t = ws.take_tensor(src.shape().dims().to_vec());
+    let mut t = ws.take_tensor(src.shape().clone());
     t.data_mut().copy_from_slice(src.data());
     t
 }
@@ -121,8 +122,8 @@ mod tests {
         ];
         for (mut layer, x) in cases {
             let y = layer.forward(&[&x], true, &mut ws);
-            let dout = Tensor::full(y.shape().dims().to_vec(), f32::INFINITY);
-            layer.backward(&dout, &mut ws);
+            let dout = Tensor::full(y.shape().clone(), f32::INFINITY);
+            layer.backward(&[&x], &y, &dout, &mut ws);
             let mut poisoned = 0;
             layer.visit_updates(&mut |_, _, g| {
                 poisoned += g.data().iter().filter(|v| !v.is_finite()).count()

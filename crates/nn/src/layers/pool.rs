@@ -2,35 +2,38 @@
 
 use super::Layer;
 use swt_tensor::{
-    maxpool1d_backward, maxpool1d_forward, maxpool2d_backward, maxpool2d_forward, Tensor, Workspace,
+    maxpool1d_backward_ws, maxpool1d_forward_ws, maxpool2d_backward_ws, maxpool2d_forward_ws,
+    Tensor, Workspace,
 };
 
 /// 2-D max pooling over `(batch, h, w, c)`.
 pub struct MaxPool2DLayer {
     size: usize,
     stride: usize,
-    cached_argmax: Vec<u32>,
-    cached_input_shape: Vec<usize>,
+    /// Flat input position of each output's maximum; the layer's own buffer,
+    /// rewritten in place batch after batch.
+    argmax: Vec<u32>,
 }
 
 impl MaxPool2DLayer {
     pub fn new(size: usize, stride: usize) -> Self {
-        MaxPool2DLayer { size, stride, cached_argmax: Vec::new(), cached_input_shape: Vec::new() }
+        MaxPool2DLayer { size, stride, argmax: Vec::new() }
     }
 }
 
 impl Layer for MaxPool2DLayer {
-    fn forward(&mut self, inputs: &[&Tensor], _training: bool, _ws: &mut Workspace) -> Tensor {
-        let x = inputs[0];
-        let (y, arg) = maxpool2d_forward(x, self.size, self.stride);
-        self.cached_argmax = arg;
-        self.cached_input_shape.clear();
-        self.cached_input_shape.extend_from_slice(x.shape().dims());
-        y
+    fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
+        maxpool2d_forward_ws(inputs[0], self.size, self.stride, &mut self.argmax, ws)
     }
 
-    fn backward(&mut self, dout: &Tensor, _ws: &mut Workspace) -> Vec<Tensor> {
-        vec![maxpool2d_backward(&self.cached_input_shape, dout, &self.cached_argmax)]
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        _output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        vec![maxpool2d_backward_ws(inputs[0].shape().dims(), dout, &self.argmax, ws)]
     }
 }
 
@@ -38,28 +41,30 @@ impl Layer for MaxPool2DLayer {
 pub struct MaxPool1DLayer {
     size: usize,
     stride: usize,
-    cached_argmax: Vec<u32>,
-    cached_input_shape: Vec<usize>,
+    /// Flat input position of each output's maximum; the layer's own buffer,
+    /// rewritten in place batch after batch.
+    argmax: Vec<u32>,
 }
 
 impl MaxPool1DLayer {
     pub fn new(size: usize, stride: usize) -> Self {
-        MaxPool1DLayer { size, stride, cached_argmax: Vec::new(), cached_input_shape: Vec::new() }
+        MaxPool1DLayer { size, stride, argmax: Vec::new() }
     }
 }
 
 impl Layer for MaxPool1DLayer {
-    fn forward(&mut self, inputs: &[&Tensor], _training: bool, _ws: &mut Workspace) -> Tensor {
-        let x = inputs[0];
-        let (y, arg) = maxpool1d_forward(x, self.size, self.stride);
-        self.cached_argmax = arg;
-        self.cached_input_shape.clear();
-        self.cached_input_shape.extend_from_slice(x.shape().dims());
-        y
+    fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
+        maxpool1d_forward_ws(inputs[0], self.size, self.stride, &mut self.argmax, ws)
     }
 
-    fn backward(&mut self, dout: &Tensor, _ws: &mut Workspace) -> Vec<Tensor> {
-        vec![maxpool1d_backward(&self.cached_input_shape, dout, &self.cached_argmax)]
+    fn backward(
+        &mut self,
+        inputs: &[&Tensor],
+        _output: &Tensor,
+        dout: &Tensor,
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        vec![maxpool1d_backward_ws(inputs[0].shape().dims(), dout, &self.argmax, ws)]
     }
 }
 
@@ -78,7 +83,8 @@ mod tests {
         ]);
         let y = layer.forward(&[&x], true, &mut ws);
         assert_eq!(y.data(), &[8., 6.]);
-        let dx = layer.backward(&Tensor::from_vec([1, 1, 2, 1], vec![1.0, 2.0]), &mut ws).remove(0);
+        let dout = Tensor::from_vec([1, 1, 2, 1], vec![1.0, 2.0]);
+        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
         assert_eq!(dx.data(), &[0., 0., 0., 0., 1., 0., 2., 0.]);
     }
 

@@ -1,10 +1,13 @@
 //! Trainable model: a [`ModelSpec`] materialised into layer instances.
 
 use crate::layers::{
-    ActivationLayer, BatchNormLayer, ConcatLayer, Conv1DLayer, Conv2DLayer, DenseLayer,
-    DropoutLayer, FlattenLayer, IdentityLayer, Layer, MaxPool1DLayer, MaxPool2DLayer,
+    ws_copy, ActivationLayer, BatchNormLayer, ConcatLayer, Conv1DLayer, Conv2DLayer, DenseLayer,
+    DropoutLayer, Layer, MaxPool1DLayer, MaxPool2DLayer,
 };
 use crate::spec::{LayerSpec, ModelSpec, NodeSpec, SpecError};
+use std::sync::Arc;
+use std::time::Instant;
+use swt_obs::Histogram;
 use swt_tensor::{Rng, Shape, Tensor, Workspace};
 
 /// A built model: DAG of layer instances plus the spec it came from.
@@ -14,18 +17,55 @@ use swt_tensor::{Rng, Shape, Tensor, Workspace};
 /// forked stream per node, so two builds from the same `(spec, seed)` are
 /// identical — the property the baseline-vs-transfer experiments rely on.
 ///
-/// The model owns a [`Workspace`] scratch arena that every forward/backward
-/// pass draws from: node outputs, layer caches and GEMM pack buffers are
+/// The model is the **single owner of activations**: each node's forward
+/// output lives in `outputs` until the next batch, and a layer's `backward`
+/// is handed its inputs and output from there instead of keeping copies.
+/// A node that changes no value ([`LayerSpec::passes_through`]) has no layer
+/// at all: the model moves its input's tensor through, reshaped.
+/// All of it is drawn from the model's [`Workspace`] scratch arena and
 /// recycled batch over batch, so steady-state training allocates no tensor
 /// storage. The NAS evaluator moves one arena from candidate to candidate
-/// via [`Model::take_workspace`]/[`Model::set_workspace`].
+/// via [`Model::take_workspace`]/[`Model::set_workspace`]; taking it first
+/// returns everything the model and its layers still hold.
 pub struct Model {
     spec: ModelSpec,
+    /// `None` for input nodes and for identity/flatten nodes.
     layers: Vec<Option<Box<dyn Layer>>>,
     input_nodes: Vec<usize>,
-    /// Per-node forward outputs, kept for the backward pass.
+    /// Per-sample output shape of every node.
+    sample_shapes: Vec<Shape>,
+    /// Readers of each node's output: consuming layer nodes, plus the caller
+    /// for the output node. An output with one reader may be given away.
+    consumers: Vec<usize>,
+    /// Per-node forward outputs, kept for the backward pass. `None` for a
+    /// node whose output was moved on (see `moved_from`) and, outside
+    /// training, for input nodes (read in place from the caller's batch).
     outputs: Vec<Option<Tensor>>,
+    /// `moved_from[i] = Some(j)`: pass-through node `i` took node `j`'s
+    /// output as its own instead of copying it. Backward hands the tensor
+    /// back to `j` when it passes `i`.
+    moved_from: Vec<Option<usize>>,
+    /// Backward's per-node gradient slots (all `None` between passes).
+    grads: Vec<Option<Tensor>>,
+    /// Per-node `nn.layer.<kind>.{fwd,bwd}_ns` histograms, resolved on the
+    /// first pass that finds instrumentation enabled.
+    layer_obs: Vec<Option<LayerObs>>,
     ws: Workspace,
+}
+
+/// Per-call time histograms of one layer kind (`LayerSpec::kind`): the
+/// count is the calls, the sum the nanoseconds.
+struct LayerObs {
+    fwd_ns: Arc<Histogram>,
+    bwd_ns: Arc<Histogram>,
+}
+
+impl LayerObs {
+    fn for_kind(kind: &str) -> LayerObs {
+        let histogram =
+            |pass: &str| swt_obs::registry::global().histogram(&format!("nn.layer.{kind}.{pass}"));
+        LayerObs { fwd_ns: histogram("fwd_ns"), bwd_ns: histogram("bwd_ns") }
+    }
 }
 
 impl Model {
@@ -34,14 +74,17 @@ impl Model {
     pub fn build(spec: &ModelSpec, seed: u64) -> Result<Model, SpecError> {
         let shapes = spec.infer_shapes()?;
         let mut root = Rng::seed(seed);
-        let mut layers: Vec<Option<Box<dyn Layer>>> = Vec::with_capacity(spec.nodes().len());
+        let n = spec.nodes().len();
+        let mut layers: Vec<Option<Box<dyn Layer>>> = Vec::with_capacity(n);
+        let mut consumers = vec![0usize; n];
+        consumers[spec.output()] += 1;
         for (i, node) in spec.nodes().iter().enumerate() {
             let layer: Option<Box<dyn Layer>> = match node {
                 NodeSpec::Input { .. } => None,
                 NodeSpec::Layer { op, inputs } => {
+                    inputs.iter().for_each(|&j| consumers[j] += 1);
                     let mut rng = root.fork(i as u64);
-                    let in_shape = &shapes[inputs[0]];
-                    Some(build_layer(op, in_shape, &mut rng))
+                    build_layer(op, &shapes[inputs[0]], &mut rng)
                 }
             };
             layers.push(layer);
@@ -49,7 +92,12 @@ impl Model {
         Ok(Model {
             spec: spec.clone(),
             input_nodes: spec.input_nodes(),
-            outputs: vec![None; spec.nodes().len()],
+            sample_shapes: shapes,
+            consumers,
+            outputs: vec![None; n],
+            moved_from: vec![None; n],
+            grads: vec![None; n],
+            layer_obs: Vec::new(),
             layers,
             ws: Workspace::new(),
         })
@@ -60,9 +108,15 @@ impl Model {
         &self.spec
     }
 
-    /// Move the scratch arena out of the model (leaving an empty one). The
-    /// evaluator uses this to carry one warmed-up pool across candidates.
+    /// Move the scratch arena out of the model (leaving an empty one), after
+    /// returning to it every activation the model holds and every per-batch
+    /// buffer its layers hold. The evaluator uses this to carry one
+    /// warmed-up pool across candidates.
     pub fn take_workspace(&mut self) -> Workspace {
+        self.release_activations();
+        for layer in self.layers.iter_mut().flatten() {
+            layer.release(&mut self.ws);
+        }
         std::mem::take(&mut self.ws)
     }
 
@@ -82,22 +136,46 @@ impl Model {
         self.ws.recycle(t);
     }
 
+    /// Recycle the previous batch's node outputs.
+    fn release_activations(&mut self) {
+        for slot in self.outputs.iter_mut() {
+            if let Some(old) = slot.take() {
+                self.ws.recycle(old);
+            }
+        }
+        self.moved_from.fill(None);
+    }
+
+    /// Whether this pass is timed per layer kind; resolves the histograms
+    /// the first time it is.
+    fn layer_timing(&mut self) -> bool {
+        let timed = swt_obs::enabled();
+        if timed && self.layer_obs.is_empty() {
+            self.layer_obs = (self.spec.nodes().iter())
+                .map(|node| match node {
+                    NodeSpec::Input { .. } => None,
+                    NodeSpec::Layer { op, .. } => Some(LayerObs::for_kind(op.kind())),
+                })
+                .collect();
+        }
+        timed
+    }
+
     /// Forward pass. `inputs` must match [`ModelSpec::input_nodes`] in count
     /// and order, each with a leading batch dimension.
+    ///
+    /// Only a `training` pass keeps what [`Model::backward`] needs.
     pub fn forward(&mut self, inputs: &[&Tensor], training: bool) -> Tensor {
         assert_eq!(inputs.len(), self.input_nodes.len(), "wrong number of model inputs");
         let batch = inputs[0].shape().dim(0);
         for t in inputs {
             assert_eq!(t.shape().dim(0), batch, "inconsistent batch sizes");
         }
-        // Recycle last batch's node outputs before producing this batch's.
-        for slot in self.outputs.iter_mut() {
-            if let Some(old) = slot.take() {
-                self.ws.recycle(old);
-            }
-        }
+        self.release_activations();
+        let timed = self.layer_timing();
         let mut next_input = 0;
         for i in 0..self.spec.nodes().len() {
+            let produced = |outputs, j| produced(outputs, &self.input_nodes, inputs, j);
             let out = match &self.spec.nodes()[i] {
                 NodeSpec::Input { shape } => {
                     let t = inputs[next_input];
@@ -107,46 +185,86 @@ impl Model {
                         "input {next_input} per-sample shape mismatch"
                     );
                     next_input += 1;
-                    let mut copy = self.ws.take_tensor(t.shape().dims().to_vec());
-                    copy.data_mut().copy_from_slice(t.data());
-                    copy
+                    // Backward runs after the caller's borrow has ended, so
+                    // training keeps the batch; inference reads it in place.
+                    if !training {
+                        continue;
+                    }
+                    ws_copy(t, &mut self.ws)
                 }
-                NodeSpec::Layer { inputs: in_ids, .. } => {
-                    let gathered: Vec<&Tensor> = in_ids
-                        .iter()
-                        .map(|&j| self.outputs[j].as_ref().expect("topo order"))
-                        .collect();
-                    self.layers[i].as_mut().unwrap().forward(&gathered, training, &mut self.ws)
+                NodeSpec::Layer { op, inputs: in_ids } => {
+                    let timing = timed.then(|| (&self.layer_obs[i], Instant::now()));
+                    let out = if op.passes_through(training) {
+                        // The values do not change: a sole reader takes the
+                        // tensor itself, anyone else a copy.
+                        let j = in_ids[0];
+                        let own =
+                            (self.consumers[j] == 1).then(|| self.outputs[j].take()).flatten();
+                        self.moved_from[i] = own.is_some().then_some(j);
+                        own.unwrap_or_else(|| ws_copy(produced(&self.outputs, j), &mut self.ws))
+                            .reshape(batched(batch, &self.sample_shapes[i]))
+                    } else {
+                        let gathered: Vec<&Tensor> =
+                            in_ids.iter().map(|&j| produced(&self.outputs, j)).collect();
+                        let layer = self.layers[i].as_mut().expect("layer node");
+                        layer.forward(&gathered, training, &mut self.ws)
+                    };
+                    if let Some((Some(obs), since)) = timing {
+                        obs.fwd_ns.observe(since.elapsed().as_nanos() as u64);
+                    }
+                    out
                 }
             };
             self.outputs[i] = Some(out);
         }
-        let out = self.outputs[self.spec.output()].as_ref().unwrap();
-        let mut ret = self.ws.take_tensor(out.shape().dims().to_vec());
-        ret.data_mut().copy_from_slice(out.data());
-        ret
+        let out = &mut self.outputs[self.spec.output()];
+        if training {
+            ws_copy(out.as_ref().expect("output node"), &mut self.ws)
+        } else {
+            out.take().expect("output node")
+        }
     }
 
-    /// Backward pass from the loss gradient of the output. Parameter
-    /// gradients accumulate inside the layers; call [`Model::zero_grads`]
-    /// between steps.
+    /// Backward pass from the loss gradient of the output; must follow a
+    /// `training` [`Model::forward`]. Parameter gradients accumulate inside
+    /// the layers; call [`Model::zero_grads`] between steps.
     pub fn backward(&mut self, dout: &Tensor) {
-        let n = self.spec.nodes().len();
-        let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        let mut dcopy = self.ws.take_tensor(dout.shape().dims().to_vec());
-        dcopy.data_mut().copy_from_slice(dout.data());
-        grads[self.spec.output()] = Some(dcopy);
-        for i in (0..n).rev() {
-            let Some(grad) = grads[i].take() else { continue };
-            let NodeSpec::Layer { inputs: in_ids, .. } = &self.spec.nodes()[i] else {
+        const NO_FORWARD: &str = "backward without a training-mode forward";
+        let timed = self.layer_timing();
+        let batch = dout.shape().dim(0);
+        self.grads[self.spec.output()] = Some(ws_copy(dout, &mut self.ws));
+        for i in (0..self.spec.nodes().len()).rev() {
+            let Some(grad) = self.grads[i].take() else { continue };
+            let NodeSpec::Layer { op, inputs: in_ids } = &self.spec.nodes()[i] else {
                 self.ws.recycle(grad);
                 continue; // input node: gradient terminates
             };
-            let input_grads = self.layers[i].as_mut().unwrap().backward(&grad, &mut self.ws);
-            self.ws.recycle(grad);
+            let timing = timed.then(|| (&self.layer_obs[i], Instant::now()));
+            let input_grads = if op.passes_through(true) {
+                let j = in_ids[0];
+                let input_shape = batched(batch, &self.sample_shapes[j]);
+                // The activation this node took goes back to its producer,
+                // whose own backward is still to come.
+                if self.moved_from[i].take().is_some() {
+                    let y = self.outputs[i].take().expect(NO_FORWARD);
+                    self.outputs[j] = Some(y.reshape(input_shape.clone()));
+                }
+                vec![grad.reshape(input_shape)]
+            } else {
+                let gathered: Vec<&Tensor> =
+                    in_ids.iter().map(|&j| self.outputs[j].as_ref().expect(NO_FORWARD)).collect();
+                let output = self.outputs[i].as_ref().expect(NO_FORWARD);
+                let layer = self.layers[i].as_mut().expect("layer node");
+                let input_grads = layer.backward(&gathered, output, &grad, &mut self.ws);
+                self.ws.recycle(grad);
+                input_grads
+            };
+            if let Some((Some(obs), since)) = timing {
+                obs.bwd_ns.observe(since.elapsed().as_nanos() as u64);
+            }
             debug_assert_eq!(input_grads.len(), in_ids.len());
             for (j, g) in in_ids.iter().zip(input_grads) {
-                match &mut grads[*j] {
+                match &mut self.grads[*j] {
                     Some(acc) => {
                         acc.axpy(1.0, &g);
                         self.ws.recycle(g);
@@ -266,9 +384,33 @@ impl Model {
     }
 }
 
-fn build_layer(op: &LayerSpec, input_shape: &Shape, rng: &mut Rng) -> Box<dyn Layer> {
-    match op {
-        LayerSpec::Identity => Box::new(IdentityLayer),
+/// What node `j` produced: the model's tensor, or — for an input node
+/// outside training — the caller's.
+fn produced<'a>(
+    outputs: &'a [Option<Tensor>],
+    input_nodes: &[usize],
+    inputs: &[&'a Tensor],
+    j: usize,
+) -> &'a Tensor {
+    match &outputs[j] {
+        Some(t) => t,
+        None => inputs[input_nodes.iter().position(|&n| n == j).expect("topo order")],
+    }
+}
+
+/// `(batch, sample dims…)` as a shape.
+fn batched(batch: usize, sample: &Shape) -> Shape {
+    let mut dims = [batch; 8];
+    let rank = 1 + sample.rank();
+    dims[1..rank].copy_from_slice(sample.dims());
+    Shape::from(&dims[..rank])
+}
+
+/// The layer behind `op`; `None` for operations the model passes through
+/// itself in every mode.
+fn build_layer(op: &LayerSpec, input_shape: &Shape, rng: &mut Rng) -> Option<Box<dyn Layer>> {
+    Some(match op {
+        LayerSpec::Identity | LayerSpec::Flatten => return None,
         LayerSpec::Dense { units, activation } => {
             Box::new(DenseLayer::new(input_shape.dim(0), *units, *activation, rng))
         }
@@ -285,9 +427,8 @@ fn build_layer(op: &LayerSpec, input_shape: &Shape, rng: &mut Rng) -> Box<dyn La
             Box::new(BatchNormLayer::new(input_shape.dim(input_shape.rank() - 1)))
         }
         LayerSpec::Dropout { rate } => Box::new(DropoutLayer::new(*rate, rng.fork(0xD80))),
-        LayerSpec::Flatten => Box::new(FlattenLayer::new()),
         LayerSpec::Concat => Box::new(ConcatLayer::new()),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -354,13 +495,17 @@ mod tests {
     #[test]
     fn end_to_end_gradient_check() {
         // A smooth variant (tanh, no max-pool) so the central-difference
-        // probe is valid everywhere.
+        // probe is valid everywhere. The tanh output is moved on through
+        // identity, flatten and a rate-0 dropout, so its own backward only
+        // sees it if the model hands it back, in its original shape.
         let spec = ModelSpec::chain(
             vec![6, 6, 1],
             vec![
                 LayerSpec::Conv2D { filters: 3, kernel: 3, padding: Padding::Same, l2: 0.0 },
                 LayerSpec::Activation(Activation::Tanh),
+                LayerSpec::Identity,
                 LayerSpec::Flatten,
+                LayerSpec::Dropout { rate: 0.0 },
                 LayerSpec::Dense { units: 4, activation: Some(Activation::Tanh) },
             ],
         )
@@ -402,6 +547,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn identity_nodes_cost_no_buffers() {
+        // A step through identity/flatten/inference-dropout nodes draws the
+        // same number of arena buffers as a step without them: they pass the
+        // activation (and its gradient) through instead of copying it.
+        let dense = |units| LayerSpec::Dense { units, activation: Some(Activation::Relu) };
+        let buffers_for = |layers: Vec<LayerSpec>| {
+            let mut model = Model::build(&ModelSpec::chain(vec![5], layers).unwrap(), 2).unwrap();
+            let x = Tensor::ones([3, 5]);
+            for training in [true, false] {
+                let y = model.forward(&[&x], training);
+                if training {
+                    model.backward(&y);
+                }
+                model.recycle(y);
+            }
+            model.take_workspace().pooled()
+        };
+        let plain = buffers_for(vec![dense(4), dense(2)]);
+        let padded = buffers_for(vec![
+            dense(4),
+            LayerSpec::Identity,
+            LayerSpec::Flatten,
+            LayerSpec::Dropout { rate: 0.0 },
+            LayerSpec::Identity,
+            dense(2),
+        ]);
+        assert_eq!(padded, plain);
     }
 
     #[test]

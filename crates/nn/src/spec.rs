@@ -60,6 +60,18 @@ pub enum LayerSpec {
 }
 
 impl LayerSpec {
+    /// True when the operation's output is its input's values unchanged, at
+    /// most reshaped — identity, flatten, dropout outside training or at
+    /// rate 0. [`crate::Model`] passes the tensor through such a node
+    /// instead of running a layer over it.
+    pub fn passes_through(&self, training: bool) -> bool {
+        match self {
+            LayerSpec::Identity | LayerSpec::Flatten => true,
+            LayerSpec::Dropout { rate } => !training || *rate == 0.0,
+            _ => false,
+        }
+    }
+
     /// Short kind tag used in deterministic parameter names.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -225,23 +225,29 @@ impl Trainer {
         }
         let _span = swt_obs::span!("val_eval");
         // Run prediction in batches, then evaluate the metric globally (R²
-        // is not batch-decomposable).
-        let mut preds: Option<Vec<f32>> = None;
-        let mut pred_cols = 0usize;
+        // is not batch-decomposable). The predictions land in one arena
+        // tensor, sized when the first batch shows the output width.
+        let mut preds: Option<Tensor> = None;
+        let mut row = 0usize;
         for idx in data.batch_indices(batch_size, None) {
             let (inputs, targets) = data.batch_ws(&idx, model.workspace_mut());
             let input_refs: Vec<&Tensor> = inputs.iter().collect();
             let out = model.forward(&input_refs, false);
-            pred_cols = out.numel() / idx.len();
-            preds.get_or_insert_with(Vec::new).extend_from_slice(out.data());
+            let cols = out.numel() / idx.len();
+            let all =
+                preds.get_or_insert_with(|| model.workspace_mut().take_tensor([data.len(), cols]));
+            all.data_mut()[row * cols..(row + idx.len()) * cols].copy_from_slice(out.data());
+            row += idx.len();
             for t in inputs {
                 model.recycle(t);
             }
             model.recycle(targets);
             model.recycle(out);
         }
-        let preds = Tensor::from_vec([data.len(), pred_cols], preds.unwrap());
-        self.metric.evaluate(&preds, data.targets())
+        let preds = preds.expect("a non-empty dataset has a batch");
+        let score = self.metric.evaluate(&preds, data.targets());
+        model.recycle(preds);
+        score
     }
 }
 

@@ -45,7 +45,7 @@ pub mod timeline;
 pub use log::Level;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::Registry;
-pub use report::RunReport;
+pub use report::{LayerKindRow, RunReport};
 pub use serve::{ObsServer, ServeSource};
 pub use span::SpanGuard;
 pub use timeline::TimelineEvent;

@@ -49,6 +49,17 @@ pub struct HistogramRow {
     pub buckets: Vec<(u64, u64)>,
 }
 
+/// One layer kind's share of the training step (see
+/// [`RunReport::layer_kinds`]).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LayerKindRow {
+    pub kind: String,
+    pub fwd_secs: f64,
+    pub fwd_calls: u64,
+    pub bwd_secs: f64,
+    pub bwd_calls: u64,
+}
+
 /// A complete observability snapshot plus free-form metadata (app, scheme,
 /// seed, wall_secs, …).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -159,6 +170,32 @@ impl RunReport {
     /// Sum of every counter whose name starts with `prefix`.
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
         self.counters.iter().filter(|c| c.name.starts_with(prefix)).map(|c| c.value).sum()
+    }
+
+    /// Where the training time went by layer kind: one row per `<kind>` of
+    /// the `nn.layer.<kind>.{fwd,bwd}_ns` histograms (count = calls, sum =
+    /// nanoseconds), largest total first; empty when the run recorded none.
+    pub fn layer_kinds(&self) -> Vec<LayerKindRow> {
+        let mut rows: Vec<LayerKindRow> = Vec::new();
+        for h in &self.histograms {
+            let Some((kind, pass)) =
+                h.name.strip_prefix("nn.layer.").and_then(|rest| rest.rsplit_once('.'))
+            else {
+                continue;
+            };
+            let at = rows.iter().position(|r| r.kind == kind).unwrap_or_else(|| {
+                rows.push(LayerKindRow { kind: kind.to_string(), ..Default::default() });
+                rows.len() - 1
+            });
+            let row = &mut rows[at];
+            match pass {
+                "fwd_ns" => (row.fwd_secs, row.fwd_calls) = (secs(h.sum), h.count),
+                "bwd_ns" => (row.bwd_secs, row.bwd_calls) = (secs(h.sum), h.count),
+                _ => {}
+            }
+        }
+        rows.sort_by(|a, b| (b.fwd_secs + b.bwd_secs).total_cmp(&(a.fwd_secs + a.bwd_secs)));
+        rows
     }
 
     /// Fold `other` into `self` — the cross-process aggregation primitive.
@@ -488,6 +525,36 @@ mod tests {
         assert_eq!(report.span_total_secs("nas.eval"), 1.35);
         assert_eq!(report.counter("nn.batches"), 128);
         assert_eq!(report.counter("missing"), 0);
+    }
+
+    #[test]
+    fn layer_kinds_groups_the_nn_layer_histograms() {
+        let hist = |name: &str, count, sum| HistogramRow {
+            name: name.into(),
+            count,
+            sum,
+            buckets: vec![],
+        };
+        let report = RunReport {
+            histograms: vec![
+                hist("ckpt.save_ns", 3, 3000),
+                hist("nn.layer.act.bwd_ns", 4, 1_000_000_000),
+                hist("nn.layer.act.fwd_ns", 6, 500_000_000),
+                hist("nn.layer.conv2d.bwd_ns", 4, 3_000_000_000),
+                hist("nn.layer.conv2d.fwd_ns", 6, 2_000_000_000),
+            ],
+            ..Default::default()
+        };
+        let conv = LayerKindRow {
+            kind: "conv2d".into(),
+            fwd_secs: 2.0,
+            fwd_calls: 6,
+            bwd_secs: 3.0,
+            bwd_calls: 4,
+        };
+        let act = LayerKindRow { kind: "act".into(), fwd_secs: 0.5, bwd_secs: 1.0, ..conv.clone() };
+        assert_eq!(report.layer_kinds(), vec![conv, act]);
+        assert!(sample().layer_kinds().is_empty());
     }
 
     #[test]

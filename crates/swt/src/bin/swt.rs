@@ -203,6 +203,7 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
     if let Some(best) = trace.top_k(1).first() {
         println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
     }
+    print_layer_kinds(&RunReport::capture());
     if let Some(path) = opt(args, "--trace") {
         let path = PathBuf::from(path);
         trace.write_csv(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -228,6 +229,28 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
         println!("report: {}", path.display());
     }
     Ok(())
+}
+
+/// Where the training steps' time went, by layer kind (forward + backward
+/// seconds summed over workers, calls in parentheses).
+fn print_layer_kinds(report: &RunReport) {
+    let rows = report.layer_kinds();
+    let total: f64 = rows.iter().map(|r| r.fwd_secs + r.bwd_secs).sum();
+    if total <= 0.0 {
+        return;
+    }
+    println!("layer kinds ({total:.3}s in layers):");
+    for r in rows {
+        println!(
+            "  {:<8} {:5.1}%  fwd {:8.3}s ({:>7})  bwd {:8.3}s ({:>7})",
+            r.kind,
+            100.0 * (r.fwd_secs + r.bwd_secs) / total,
+            r.fwd_secs,
+            r.fwd_calls,
+            r.bwd_secs,
+            r.bwd_calls
+        );
+    }
 }
 
 /// Pull the value following `--key` out of an option list.
@@ -472,6 +495,7 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         .with_meta("candidates", candidates)
         .with_meta("workers", workers)
         .with_meta("seed", seed);
+    print_layer_kinds(&report);
     if stats.lost > 0 {
         println!(
             "fault tolerance: {} worker(s) lost, {} candidate(s) reassigned",

@@ -46,7 +46,10 @@ pub use ops::{
     relu, relu_grad_from_output, sigmoid, sigmoid_grad_from_output, softmax_rows, tanh_act,
     tanh_grad_from_output,
 };
-pub use pool::{maxpool1d_backward, maxpool1d_forward, maxpool2d_backward, maxpool2d_forward};
+pub use pool::{
+    maxpool1d_backward, maxpool1d_backward_ws, maxpool1d_forward, maxpool1d_forward_ws,
+    maxpool2d_backward, maxpool2d_backward_ws, maxpool2d_forward, maxpool2d_forward_ws,
+};
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;

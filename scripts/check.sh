@@ -60,15 +60,25 @@ fidelity_json=$(mktemp)
 cargo run --release --quiet -p swt-bench --bin bench_fidelity -- --smoke "$fidelity_json"
 rm -f "$fidelity_json"
 
-echo "==> GEMM alloc gate (matmul.rs and conv2d.rs hot paths draw from the Workspace, not the heap)"
-# The blocked driver's pack buffers and conv2d's outputs, tile and packed
-# kernel must come from the caller's Workspace; a `vec!`/`Vec::new` in either
-# file is a hot-loop allocation unless the line is annotated
-# `alloc-gate: allow` (cold oracles like the naive reference). The
-# `mod tests` modules are exempt — tests may allocate freely.
-for src in crates/tensor/src/matmul.rs crates/tensor/src/conv2d.rs; do
+echo "==> alloc gate (kernel and layer hot paths draw from the Workspace, not the heap)"
+# The blocked driver's pack buffers, conv2d's and the pools' outputs, and every
+# per-batch tensor of an swt-nn layer must come from the caller's Workspace:
+# a sized `vec![x; n]`, `Vec::new`/`with_capacity`, `Tensor::zeros/ones/full`,
+# `.to_vec()` or `.clone()` (other than of a `Shape`, which is inline) in one
+# of these files is a hot-loop allocation. Exempt: constructors (`fn new`
+# bodies), comments, everything from `mod tests` on, and lines annotated
+# `alloc-gate: allow` (cold paths: oracles, checkpoint restore, buffers
+# returned to the caller). A one-element `vec![dx]` — a layer's gradient
+# list, a control structure — is not a sized allocation and is not flagged.
+for src in crates/tensor/src/matmul.rs crates/tensor/src/conv2d.rs crates/tensor/src/pool.rs \
+    crates/nn/src/layers/*.rs; do
   allocs=$(awk '/^(pub\(crate\) )?mod tests/ { exit }
-    /vec!|Vec::new/ && !/alloc-gate: allow/ { print FILENAME ":" FNR ": " $0 }' "$src")
+    /fn new\(/ { ctor = 1 }
+    ctor { if (/^    }$/) ctor = 0; next }
+    /^[[:space:]]*\/\// || /alloc-gate: allow/ { next }
+    { line = $0; gsub(/shape(\(\))?\.clone\(\)/, "", line) }
+    line ~ /vec!\[[^]]*;|Vec::(new|with_capacity)|Tensor::(zeros|ones|full)|\.to_vec\(\)|\.clone\(\)/ {
+      print FILENAME ":" FNR ": " $0 }' "$src")
   if [ -n "$allocs" ]; then
     echo "heap allocation in $src hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
     echo "$allocs" >&2

@@ -174,3 +174,54 @@ fn shared_cached_store_stays_coherent_under_concurrent_runs() {
     assert!(hits > 0, "provider re-reads should hit the shared cache");
     assert!(cached.resident_bytes() <= budget, "cache exceeded its byte budget");
 }
+
+/// One Cifar10-space candidate with both pool windows, batch-norm, identity
+/// nodes and dense layers, trained for one epoch: its score and every
+/// `state_dict` tensor must keep the bits recorded in
+/// `tests/golden/cifar10_candidate.txt` (one line per GEMM micro-kernel,
+/// taken from the commit before activations moved into the model's arena).
+/// A layer refactor that changes one rounding anywhere in forward, backward
+/// or the pooling route shows up here.
+#[test]
+fn cifar10_candidate_keeps_its_golden_bits() {
+    let problem = AppKind::Cifar10.problem(DataScale::Quick, 11);
+    let space = SearchSpace::for_app(AppKind::Cifar10);
+    // conv 8/same, pool 2/2, bn | conv 16/valid/l2, id, id |
+    // conv 24/same, pool 3/2, bn | conv 16/same, id, id | dense 64, id, dense 32
+    let arch = ArchSeq::new(vec![0, 1, 1, 7, 0, 0, 8, 2, 1, 4, 0, 0, 2, 0, 1]);
+    let spec = space.materialize(&arch).unwrap();
+    let mut model = Model::build(&spec, 0x5EED).unwrap();
+    let cfg = TrainConfig { batch_size: problem.batch_size, shuffle_seed: 3, ..Default::default() };
+    let report = Trainer::new(problem.loss, problem.metric).fit(
+        &mut model,
+        &problem.train,
+        &problem.val,
+        &cfg,
+    );
+
+    // FNV-1a over names, shapes and value bits, in state_dict order.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (name, t) in model.state_dict() {
+        eat(name.as_bytes());
+        t.shape().dims().iter().for_each(|d| eat(&(*d as u64).to_le_bytes()));
+        t.data().iter().for_each(|v| eat(&v.to_bits().to_le_bytes()));
+    }
+    let got = format!("{:016x} {hash:016x}", report.final_metric.to_bits());
+
+    let kernel = swt::tensor::gemm_kernel_name();
+    let golden = include_str!("golden/cifar10_candidate.txt");
+    let want = golden
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .find_map(|l| l.strip_prefix(kernel).and_then(|rest| rest.strip_prefix(' ')));
+    match want {
+        Some(want) => assert_eq!(got, want, "kernel {kernel}: score bits / state_dict hash moved"),
+        // A kernel nobody has recorded on (e.g. FMA hardware without AVX2).
+        None => eprintln!("no golden line for kernel `{kernel}`; measured `{got}`"),
+    }
+}
