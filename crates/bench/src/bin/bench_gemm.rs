@@ -8,6 +8,9 @@
 //! * blocked GEMM on square and training-shaped problems,
 //! * conv2d forward and backward on the Cifar10 space's first-block shapes
 //!   at batch 64 (input `(64,12,12,c)`, kernel `3×3×c×f`, 'same' padding),
+//!   then one row pair per thing the other layers of the spaces add: 'valid'
+//!   padding, a 6×6 second-block image, an MNIST 5×5 kernel with `f = 12`,
+//!   and an NT3 conv1d,
 //! * one end-to-end `NasConfig::quick` run.
 //!
 //! Every GEMM and conv row also reports GFLOP/s (`gflops.*` in the JSON
@@ -18,7 +21,10 @@
 use std::hint::black_box;
 use std::sync::Arc;
 use swt::prelude::*;
-use swt::tensor::{conv2d_backward, conv2d_forward, gemm_kernel_name, matmul, Padding};
+use swt::tensor::{
+    conv1d_backward, conv1d_forward, conv2d_backward, conv2d_forward, gemm_kernel_name, matmul,
+    Padding,
+};
 use swt_bench::Harness;
 
 fn main() {
@@ -49,24 +55,53 @@ fn main() {
         flops.push((name, 2.0 * (m * k * n) as f64));
     }
 
-    // Cifar10 first-block convolutions at batch 64. Backward is the two
-    // gradient products, so twice the forward's operations.
+    // Convolutions at the spaces' batch sizes: the Cifar10 first block at
+    // every (c, f) corner, then the shapes that differ in kind. Backward is
+    // the two gradient products, so twice the forward's operations.
+    let mut convs: Vec<(String, Vec<usize>, Vec<usize>, Padding)> = Vec::new();
     for &c in &[3usize, 8, 24] {
         for &f in &[8usize, 24] {
-            let input = Tensor::rand_normal([64, 12, 12, c], 0.0, 1.0, &mut rng);
-            let kernel = Tensor::rand_normal([3, 3, c, f], 0.0, 0.1, &mut rng);
-            let dout = Tensor::rand_normal([64, 12, 12, f], 0.0, 1.0, &mut rng);
-            let fwd_flops = 2.0 * (64 * 12 * 12 * 9 * c * f) as f64;
-            let shape = format!("64x12x12x{c}.3x3x{c}x{f}");
-            h.bench(&format!("conv2d.forward.{shape}"), || {
-                black_box(conv2d_forward(&input, &kernel, Padding::Same));
-            });
-            flops.push((format!("conv2d.forward.{shape}"), fwd_flops));
-            h.bench(&format!("conv2d.backward.{shape}"), || {
-                black_box(conv2d_backward(&input, &kernel, &dout, Padding::Same));
-            });
-            flops.push((format!("conv2d.backward.{shape}"), 2.0 * fwd_flops));
+            let name = format!("64x12x12x{c}.3x3x{c}x{f}");
+            convs.push((name, vec![64, 12, 12, c], vec![3, 3, c, f], Padding::Same));
         }
+    }
+    convs.extend(
+        [
+            (
+                "64x12x12x16.3x3x16x24.valid",
+                vec![64, 12, 12, 16],
+                vec![3, 3, 16, 24],
+                Padding::Valid,
+            ),
+            ("64x6x6x24.3x3x24x16", vec![64, 6, 6, 24], vec![3, 3, 24, 16], Padding::Same),
+            ("64x10x10x8.5x5x8x12", vec![64, 10, 10, 8], vec![5, 5, 8, 12], Padding::Same),
+            ("32x512x8.7x8x16", vec![32, 512, 8], vec![7, 8, 16], Padding::Same),
+        ]
+        .map(|(name, input, kernel, padding)| (name.to_string(), input, kernel, padding)),
+    );
+    for (shape, input, kernel, padding) in convs {
+        let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
+        let kernel = Tensor::rand_normal(kernel, 0.0, 0.1, &mut rng);
+        // A rank-3 input is NT3's conv1d; both entry points take the same
+        // arguments.
+        let (op, forward, backward): (_, fn(_, _, _) -> _, fn(_, _, _, _) -> _) =
+            if input.shape().rank() == 3 {
+                ("conv1d", conv1d_forward, conv1d_backward)
+            } else {
+                ("conv2d", conv2d_forward, conv2d_backward)
+            };
+        let out = forward(&input, &kernel, padding);
+        let dout = Tensor::rand_normal(out.shape().dims().to_vec(), 0.0, 1.0, &mut rng);
+        let patch = kernel.numel() / out.shape().dims().last().expect("output has a filter axis");
+        let fwd_flops = 2.0 * (out.numel() * patch) as f64;
+        h.bench(&format!("{op}.forward.{shape}"), || {
+            black_box(forward(&input, &kernel, padding));
+        });
+        flops.push((format!("{op}.forward.{shape}"), fwd_flops));
+        h.bench(&format!("{op}.backward.{shape}"), || {
+            black_box(backward(&input, &kernel, &dout, padding));
+        });
+        flops.push((format!("{op}.backward.{shape}"), 2.0 * fwd_flops));
     }
 
     // End-to-end: one quick NAS run (no convolutions; Dense GEMMs only). The

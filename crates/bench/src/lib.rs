@@ -106,7 +106,7 @@ impl Harness {
     pub fn to_json(&self, meta: &[(&str, String)]) -> String {
         let mut out = String::from("{\n");
         for (k, v) in meta {
-            out.push_str(&format!("  {}: {},\n", json_str(k), json_str(v)));
+            out.push_str(&format!("  {}: {},\n", json_str(k), json_value(v)));
         }
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
@@ -136,6 +136,20 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// A header value as JSON: a number when the text is one (`59.8`, `-3`, `1`),
+/// so readers can compare it without parsing strings; a string otherwise.
+fn json_value(s: &str) -> String {
+    let digits = |t: &str| !t.is_empty() && t.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = s.strip_prefix('-').unwrap_or(s);
+    let (int, frac) = unsigned.split_once('.').unwrap_or((unsigned, "0"));
+    // JSON allows no leading zeros (and `007` is more likely a label).
+    if digits(int) && digits(frac) && (int == "0" || !int.starts_with('0')) {
+        s.to_string()
+    } else {
+        json_str(s)
+    }
 }
 
 /// `1234567.8` -> `"1_234_567"` for readable console output.
@@ -177,8 +191,9 @@ mod tests {
         assert_eq!(h.results().len(), 1);
         assert!(h.get("noop.fast").is_some());
         assert!(h.get("missing").is_none());
-        let json = h.to_json(&[("host", "test".to_string())]);
+        let json = h.to_json(&[("host", "test".to_string()), ("gflops.x", "59.8".to_string())]);
         assert!(json.contains("\"host\": \"test\""));
+        assert!(json.contains("\"gflops.x\": 59.8,"));
         assert!(json.contains("\"name\": \"noop.fast\""));
         assert!(json.contains("\"median_ns\""));
     }
@@ -187,6 +202,16 @@ mod tests {
     fn json_escapes_special_characters() {
         assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
+    }
+
+    #[test]
+    fn header_values_that_are_numbers_are_written_as_numbers() {
+        for number in ["1", "0", "-3", "59.8", "0.25", "-0.5", "120"] {
+            assert_eq!(json_value(number), number);
+        }
+        for text in ["avx2+fma", "", "-", "1.", ".5", "1.2.3", "007", "1e5", "inf", "NaN", "+1"] {
+            assert_eq!(json_value(text), json_str(text));
+        }
     }
 
     #[test]

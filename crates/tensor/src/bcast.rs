@@ -1,0 +1,332 @@
+//! Broadcast-FMA register tiles: the arithmetic of the direct convolutions.
+//!
+//! All three products of a convolution step (see [`crate::conv2d`]) have one
+//! operand whose contracted elements sit in an NHWC tensor where they are,
+//! and one whose *other* axis — filters, or patch columns — is contiguous in
+//! memory. So one kernel serves them all: a tile of `R` accumulator rows ×
+//! `V` eight-lane vectors, and per contraction step one scalar **broadcast**
+//! per row, read in place from the tensor, fused into the row's vectors
+//! against `V` vector loads of the other operand:
+//!
+//! ```text
+//! acc[r][v] = fma(bcast a[a_off[r] + steps[t]], b[t·sb + 8v ..], acc[r][v])
+//! ```
+//!
+//! Nothing is packed, staged or transposed. Where step `t` finds its scalar
+//! is a table the caller fills once per panel and every tile of the panel
+//! shares, so the step loop is flat — no image-row or kernel-row boundaries
+//! inside it. The vector operand `b` must be readable in whole vectors
+//! (callers pad its rows to a multiple of [`LANES`] when they are not one
+//! already); `a` is only ever read one scalar at a time.
+//!
+//! **Tile shapes.** 8×1, 6×2 or 3×3 (rows × vectors), picked from the vector
+//! count so it divides evenly: 8–12 independent FMA chains cover the FMA
+//! latency, and accumulators + `V` operand vectors + one broadcast fit the
+//! 16 ymm registers (a 4×3 tile spills on every step).
+//!
+//! **Bits.** A lane is one output element's chain: steps ascending, one
+//! multiply-add per step, fused or not exactly as the GEMM micro-kernel of
+//! the same [`KernelKind`] fuses, started from `+0.0` and stored or added
+//! into `c` as a `KC` panel ([`Mode::Store`], [`Mode::Add`]), or picked up
+//! from `c` where the last strip left it ([`Mode::Extend`]: the undivided
+//! chain of the small-problem loop). That is the contraction
+//! [`mod@crate::matmul`] pins, so which tile, strip or thread an element lands
+//! in is never part of its value.
+
+use crate::matmul::KernelKind;
+
+/// Lanes of one accumulator vector.
+pub(crate) const LANES: usize = 8;
+
+/// Tallest tile: callers size their per-row offset arrays with it.
+pub(crate) const MAX_TILE_ROWS: usize = 8;
+
+/// Rows of the tile used for a vector dimension of `lanes` elements.
+pub(crate) fn tile_rows(lanes: usize) -> usize {
+    let nv = lanes.div_ceil(LANES);
+    if nv.is_multiple_of(3) {
+        3
+    } else if nv.is_multiple_of(2) {
+        6
+    } else {
+        8
+    }
+}
+
+/// How a strip's chains begin and end in `c`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Start from zero, store: a contraction's first panel.
+    Store,
+    /// Start from zero, add to `c`: a later panel, combined in panel order.
+    Add,
+    /// Start from `c`, store: the same chain, continued.
+    Extend,
+}
+
+/// One run of contraction steps, shared by every tile that takes them.
+pub(crate) struct Strip<'a> {
+    /// The broadcast operand, read in place.
+    pub(crate) a: &'a [f32],
+    /// Step `t` reads `a[a_off[r] + steps[t]]` for tile row `r`.
+    pub(crate) steps: &'a [u32],
+    /// The vector operand from the first step on: step `t` reads
+    /// `b[t·sb ..]`, `lanes` rounded up to whole vectors.
+    pub(crate) b: &'a [f32],
+    pub(crate) sb: usize,
+    /// Width of the vector dimension (elements of a `c` row).
+    pub(crate) lanes: usize,
+    pub(crate) mode: Mode,
+}
+
+/// Run `strip` for one tile: accumulator row `r < rows` contracts the
+/// broadcast operand from `a_off[r]` and lands in
+/// `c[c_off[r] .. c_off[r] + strip.lanes]`. Both offset slices hold
+/// [`tile_rows`]`(strip.lanes)` entries; a short tile (`rows` below that)
+/// repeats a valid `a_off` in the unused rows, whose sums are dropped.
+pub(crate) fn strip(
+    kernel: KernelKind,
+    s: &Strip,
+    a_off: &[usize],
+    rows: usize,
+    c: &mut [f32],
+    c_off: &[usize],
+) {
+    match tile_rows(s.lanes) {
+        3 => strip_tile::<3, 3>(kernel, s, a_off, rows, c, c_off),
+        6 => strip_tile::<6, 2>(kernel, s, a_off, rows, c, c_off),
+        _ => strip_tile::<8, 1>(kernel, s, a_off, rows, c, c_off),
+    }
+}
+
+fn strip_tile<const R: usize, const V: usize>(
+    kernel: KernelKind,
+    s: &Strip,
+    a_off: &[usize],
+    rows: usize,
+    c: &mut [f32],
+    c_off: &[usize],
+) {
+    let a_off: &[usize; R] = a_off[..R].try_into().expect("sliced to R");
+    let c_off: &[usize; R] = c_off[..R].try_into().expect("sliced to R");
+    // Everything the unchecked kernel relies on and does not check per step:
+    // whole tiles of vectors, a readable `b`, in-bounds `c` rows.
+    let nv = s.lanes.div_ceil(LANES);
+    assert!(rows <= R && nv.is_multiple_of(V) && !s.steps.is_empty());
+    assert!((s.steps.len() - 1) * s.sb + nv * LANES <= s.b.len());
+    assert!(c_off[..rows].iter().all(|&at| at + s.lanes <= c.len()));
+    match kernel {
+        KernelKind::Scalar => {
+            strip_generic::<{ cfg!(target_feature = "fma") }, R, V>(s, a_off, rows, c, c_off)
+        }
+        // SAFETY: the dispatch table only selects these kinds after
+        // `is_x86_feature_detected!` confirmed the features (tests gate the
+        // same way); the asserts above are the bounds `strip_avx2` names.
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::ScalarFma => unsafe { strip_scalar_fma::<R, V>(s, a_off, rows, c, c_off) },
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => unsafe { strip_avx2::<R, V>(s, a_off, rows, c, c_off) },
+    }
+}
+
+/// The portable tile loop; `FUSED` pins the per-step rounding like
+/// `matmul`'s generic micro-kernel. The lane loops have fixed trip counts,
+/// so they vectorise against whatever the enclosing function may use.
+#[inline(always)]
+fn strip_generic<const FUSED: bool, const R: usize, const V: usize>(
+    s: &Strip,
+    a_off: &[usize; R],
+    rows: usize,
+    c: &mut [f32],
+    c_off: &[usize; R],
+) {
+    for v0 in (0..s.lanes.div_ceil(LANES)).step_by(V) {
+        // The lanes of `c` row `r` under accumulator vector `v`.
+        let span = |r: usize, v: usize| {
+            let lane0 = (v0 + v) * LANES;
+            c_off[r] + lane0..c_off[r] + s.lanes.min(lane0 + LANES)
+        };
+        let mut acc = [[[0.0f32; LANES]; V]; R];
+        if s.mode == Mode::Extend {
+            for (r, acc) in acc.iter_mut().enumerate().take(rows) {
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    let row = &c[span(r, v)];
+                    acc[..row.len()].copy_from_slice(row);
+                }
+            }
+        }
+        for (t, &step) in s.steps.iter().enumerate() {
+            let b = &s.b[t * s.sb + v0 * LANES..][..V * LANES];
+            for (acc, &at) in acc.iter_mut().zip(a_off) {
+                let x = s.a[at + step as usize];
+                for (acc, b) in acc.iter_mut().zip(b.chunks_exact(LANES)) {
+                    for (o, &bl) in acc.iter_mut().zip(b) {
+                        *o = if FUSED { x.mul_add(bl, *o) } else { x * bl + *o };
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate().take(rows) {
+            for (v, acc) in acc.iter().enumerate() {
+                let row = &mut c[span(r, v)];
+                if s.mode == Mode::Add {
+                    row.iter_mut().zip(acc).for_each(|(o, &p)| *o += p);
+                } else {
+                    row.copy_from_slice(&acc[..row.len()]);
+                }
+            }
+        }
+    }
+}
+
+/// The generic tile loop compiled with hardware FMA for this one function;
+/// bit-identical to [`strip_avx2`] by the pinned contraction order.
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("fma")`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn strip_scalar_fma<const R: usize, const V: usize>(
+    s: &Strip,
+    a_off: &[usize; R],
+    rows: usize,
+    c: &mut [f32],
+    c_off: &[usize; R],
+) {
+    strip_generic::<true, R, V>(s, a_off, rows, c, c_off)
+}
+
+/// The AVX2+FMA strip: every `V`-vector chunk of the tile's rows goes
+/// through [`tile_avx2`], straight into `c` where the chunk is all whole
+/// vectors of a full tile, by way of a stack copy of the tile where it is
+/// ragged (the last vector of a row, the last rows of a product).
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("avx2")` and
+/// `("fma")`, and that `s.lanes.div_ceil(LANES)` is a multiple of `V`, every
+/// step's `b` row holds that many whole vectors, `rows <= R`, and
+/// `c[c_off[r]..][..s.lanes]` is in bounds for every `r < rows` (the asserts
+/// in `strip_tile`). Reads of `a` are checked in `tile_avx2`, step by step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn strip_avx2<const R: usize, const V: usize>(
+    s: &Strip,
+    a_off: &[usize; R],
+    rows: usize,
+    c: &mut [f32],
+    c_off: &[usize; R],
+) {
+    let a: [*const f32; R] = std::array::from_fn(|r| s.a.as_ptr().wrapping_add(a_off[r]));
+    // A step may reach this far past a row's start.
+    let reach = s.a.len().saturating_sub(a_off.iter().copied().max().unwrap_or(0));
+    for v0 in (0..s.lanes.div_ceil(LANES)).step_by(V) {
+        let lane0 = v0 * LANES;
+        let b = s.b.as_ptr().add(lane0);
+        // SAFETY (both calls): `reach` is what is left of `s.a` past the
+        // farthest row start, `b` holds `V` whole vectors per step from
+        // `lane0` on (caller's contract), and `to` points at `V` whole
+        // vectors — of every row of `c` here (`rows == R`, each row in bounds
+        // for `s.lanes >= lane0 + V·LANES` elements), of `tile` below.
+        if rows == R && lane0 + V * LANES <= s.lanes {
+            let to: [*mut f32; R] = std::array::from_fn(|r| c.as_mut_ptr().add(c_off[r] + lane0));
+            tile_avx2::<R, V>(&a, reach, s.steps, b, s.sb, &to, s.mode);
+            continue;
+        }
+        // The lanes of this chunk that exist in a row of `c`.
+        let live = (s.lanes - lane0).min(V * LANES);
+        let mut tile = [[[0.0f32; LANES]; V]; R];
+        if s.mode == Mode::Extend {
+            for (row, &at) in tile.iter_mut().zip(c_off).take(rows) {
+                row.as_flattened_mut()[..live].copy_from_slice(&c[at + lane0..][..live]);
+            }
+        }
+        let to: [*mut f32; R] = std::array::from_fn(|r| tile[r].as_mut_ptr().cast());
+        let mode = if s.mode == Mode::Add { Mode::Store } else { s.mode };
+        tile_avx2::<R, V>(&a, reach, s.steps, b, s.sb, &to, mode);
+        for (row, &at) in tile.iter().zip(c_off).take(rows) {
+            let (row, to) = (&row.as_flattened()[..live], &mut c[at + lane0..][..live]);
+            if s.mode == Mode::Add {
+                to.iter_mut().zip(row).for_each(|(o, &p)| *o += p);
+            } else {
+                to.copy_from_slice(row);
+            }
+        }
+    }
+}
+
+/// One `R × V` register tile, start to finish: per step `V` loads of `b`,
+/// then per row one `vbroadcastss` from `a` and `V` `vfmadd`s into the row's
+/// accumulators — `R·V` independent chains that never leave the registers.
+/// Out of line on purpose: on its own the step loop needs `R` row pointers
+/// and five more integers, which fit the general registers; inlined among a
+/// strip's bookkeeping the row pointers spill.
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("avx2")` and
+/// `("fma")`; `a[r]` must be readable for `reach` elements, `b` for `V`
+/// vectors at every multiple of `sb` below `steps.len() · sb`, and `c[r]`
+/// readable and writable for `V` vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline(never)]
+unsafe fn tile_avx2<const R: usize, const V: usize>(
+    a: &[*const f32; R],
+    reach: usize,
+    steps: &[u32],
+    mut b: *const f32,
+    sb: usize,
+    c: &[*mut f32; R],
+    mode: Mode,
+) {
+    use std::arch::x86_64::*;
+    let a = *a;
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    if mode == Mode::Extend {
+        for (acc, &from) in acc.iter_mut().zip(c) {
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_loadu_ps(from.add(v * LANES));
+            }
+        }
+    }
+    for &step in steps {
+        let step = step as usize;
+        assert!(step < reach, "contraction step outside the broadcast operand");
+        let bv: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(b.add(v * LANES)));
+        for r in 0..R {
+            let x = _mm256_broadcast_ss(&*a[r].add(step));
+            for v in 0..V {
+                acc[r][v] = _mm256_fmadd_ps(x, bv[v], acc[r][v]);
+            }
+        }
+        b = b.add(sb);
+    }
+    for (acc, &to) in acc.iter().zip(c) {
+        for (v, &sum) in acc.iter().enumerate() {
+            let to = to.add(v * LANES);
+            let sum = if mode == Mode::Add { _mm256_add_ps(_mm256_loadu_ps(to), sum) } else { sum };
+            _mm256_storeu_ps(to, sum);
+        }
+    }
+}
+
+/// `dst[i] += src[i]`: how a finished `dCol` run joins `d_input`. `kernel`
+/// picks the vector width of the loop, never a value.
+pub(crate) fn add_assign(kernel: KernelKind, dst: &mut [f32], src: &[f32]) {
+    #[inline(always)]
+    fn add(dst: &mut [f32], src: &[f32]) {
+        dst.iter_mut().zip(src).for_each(|(d, &v)| *d += v);
+    }
+    /// # Safety
+    /// Caller must have verified `is_x86_feature_detected!("avx")`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn add_avx(dst: &mut [f32], src: &[f32]) {
+        add(dst, src)
+    }
+    match kernel {
+        // SAFETY: `Avx2Fma` is only selected after feature detection.
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => unsafe { add_avx(dst, src) },
+        _ => add(dst, src),
+    }
+}

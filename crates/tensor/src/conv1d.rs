@@ -4,8 +4,8 @@
 //! convolutions over very wide inputs (Section VII-A); this is the kernel
 //! backing the NT3-like search space. An `(n, w, c)` input is the
 //! `(n, 1, w, c)` image of a 2-D convolution with a one-row kernel, so this
-//! module is the shape checks around [`crate::conv2d`]'s implicit GEMM: same
-//! packing, same `(kx, c)` contraction order, same Workspace discipline.
+//! module is the shape checks around [`crate::conv2d`]'s direct kernels: same
+//! tiles, same `(kx, c)` contraction order, same Workspace discipline.
 
 use crate::conv2d::{backward, forward, Geom, Padding};
 use crate::tensor::Tensor;

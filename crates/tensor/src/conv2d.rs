@@ -1,4 +1,4 @@
-//! 2-D convolution (NHWC) as an implicit GEMM, forward and backward.
+//! 2-D convolution (NHWC), forward and backward, as direct kernels.
 //!
 //! The CIFAR-like and MNIST-like search spaces stack convolutional variable
 //! nodes with `valid`/`same` padding choices (Section VII-A); this module
@@ -9,31 +9,41 @@
 //! A convolution is the product of the *patch matrix* `col` — one row per
 //! output position `(n, oy, ox)`, one column per kernel tap and channel
 //! `(ky, kx, c)`, zeros where a tap falls on padding — with the kernel
-//! reshaped to `(kh·kw·c, f)`. `col` is never built. In NHWC the in-bounds
-//! taps of one kernel row are one contiguous run of the input, so a row of
-//! `col` is a short list of segments (`Geom::segments`), and the three
-//! products of a training step read or write the tensors through that list:
+//! reshaped to `(kh·kw·c, f)`. `col` is never built, and neither are packed
+//! strips of it: every search space here has `f ≤ 24`, far too skinny to pay
+//! for GEMM packing. In NHWC a patch is `kh` contiguous runs of `kw·c`
+//! input elements and the filter axis of `W` and `dOut` is contiguous, so
+//! the three products of a training step run on the broadcast-FMA tiles of
+//! `bcast.rs`, reading every operand where it already lies:
 //!
-//! * **forward** `out = col · W`: `Patches` packs the `MR`-tall strips of
-//!   `col` the blocked driver in [`mod@crate::matmul`] asks for straight from the
-//!   input;
-//! * **`dW = colᵀ · dOut`**: `PatchesT` packs the same values as strips of
-//!   `colᵀ`;
-//! * **`dX`**: each `MC`-row block of `dCol = dOut · Wᵀ` is computed into a
-//!   scratch tile (`RowBlocks`) and scatter-added into `d_input` while
-//!   still in cache.
+//! * **forward** `out = col · W`: a tile of output positions × filter
+//!   vectors, the patch element broadcast, `W`'s rows the vector operand;
+//! * **`dW = colᵀ · dOut`**: a tile of patch columns × filter vectors,
+//!   contracting over output positions in `KC`-row panels, `dOut`'s rows
+//!   the vector operand;
+//! * **`dX`**: a tile of `dCol = dOut · Wᵀ` rows × patch-column vectors,
+//!   `dOut` broadcast against `Wᵀ` (packed once per call, the only
+//!   transpose), each finished row added into `d_input` as `kh` runs.
 //!
-//! Packing only changes where an operand's elements are read from. Every
-//! output element is still contracted over `(ky, kx, c)` ascending, padding
-//! zeros included, one multiply-add per step on the same micro-kernel, `KC`
-//! panel sums combined in panel order, and each `d_input` element still
-//! receives its contributions in `(oy, ox, ky, kx)` order — so the results
-//! are bit-identical to multiplying a materialised `col`, which is what the
-//! tests here do (`oracle`). The `_ws` variants draw every scratch buffer
-//! from a caller-owned [`Workspace`], so steady-state training allocates
-//! nothing.
+//! A tap can fall outside a same-padded input, so forward and `dW` of those
+//! convolutions read one zero-padded copy of it (`(h+kh−1)·(w+kw−1)·c` per
+//! sample): patches stay contiguous and the padding zeros are still
+//! *multiplied*, not skipped. Valid convolutions read `x` in place. `dX`
+//! needs no copy either way: a `dCol` row's runs are clipped to the image as
+//! they are added, dropping exactly the taps that fell on padding.
+//!
+//! None of this changes a value. Every output element is still contracted
+//! over `(ky, kx, c)` ascending, padding zeros included, one multiply-add
+//! per step, fused exactly where the GEMM micro-kernel of the same kind
+//! fuses, `KC` panel sums combined in panel order, and each `d_input`
+//! element still receives its contributions in `(oy, ox, ky, kx)` order — so
+//! the results are bit-identical to multiplying a materialised `col`, which
+//! is what the tests here do (`oracle`). The `_ws` variants draw every
+//! scratch buffer from a caller-owned [`Workspace`], so steady-state
+//! training allocates nothing.
 
-use crate::matmul::{gemm, pack_rows, KernelKind, Lhs, RowBlocks, View, KC, MC, MR, PAR_THRESHOLD};
+use crate::bcast::{add_assign, strip, tile_rows, Mode, Strip, LANES, MAX_TILE_ROWS};
+use crate::matmul::{active_kernel, route, KernelKind, KC};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
@@ -73,6 +83,11 @@ impl Padding {
         }
     }
 }
+
+/// Multiply-adds below which a convolution is not worth a thread dispatch:
+/// spawning and joining scoped threads costs about what 2 Mi multiply-adds
+/// do, so below this two threads cannot return 1.5×.
+const PAR_MACS: usize = 16 << 20;
 
 /// The shape bookkeeping of one stride-1 convolution.
 #[derive(Debug, Clone, Copy)]
@@ -125,14 +140,50 @@ impl Geom {
         self.kh * self.kw * self.c
     }
 
+    /// Height and width of the *source*: the input grown by the padding, so
+    /// that every patch lies inside it.
+    fn src_hw(&self) -> (usize, usize) {
+        (self.oh + self.kh - 1, self.ow + self.kw - 1)
+    }
+
+    /// Elements of one source image row / one source sample.
+    fn src_strides(&self) -> (usize, usize) {
+        let (hs, ws) = self.src_hw();
+        (ws * self.c, hs * ws * self.c)
+    }
+
+    /// Whether the source is a padded copy rather than the input itself.
+    fn padded(&self) -> bool {
+        self.src_hw() != (self.h, self.w)
+    }
+
+    /// The zero-padded copy of `x` a padded convolution reads.
+    fn pad(&self, x: &[f32], ws: &mut Workspace) -> Vec<f32> {
+        let (row, sample) = self.src_strides();
+        let mut xs = ws.take(self.n * sample);
+        let run = self.w * self.c;
+        // Input rows land `to` apart with padding between them; each gap is
+        // zeroed as the row after it is copied, so nothing is written twice.
+        let mut done = 0;
+        for (r, x_row) in x.chunks_exact(run).enumerate() {
+            let (ni, iy) = (r / self.h, r % self.h);
+            let to = ni * sample + (iy + self.pt) * row + self.pl * self.c;
+            xs[done..to].fill(0.0);
+            xs[to..to + run].copy_from_slice(x_row);
+            done = to + run;
+        }
+        xs[done..].fill(0.0);
+        xs
+    }
+
     /// The output position of patch row `row`.
     fn pos(&self, row: usize) -> Pos {
         let (ni, rest) = (row / (self.oh * self.ow), row % (self.oh * self.ow));
         Pos { ni, oy: rest / self.ow, ox: rest % self.ow }
     }
 
-    /// Step `p` to the next patch row (packing walks rows in order, so the
-    /// divisions of [`pos`](Self::pos) are paid once per block, not per row).
+    /// Step `p` to the next patch row (tiles walk rows in order, so the
+    /// divisions of [`pos`](Self::pos) are paid once per task, not per row).
     #[inline(always)]
     fn advance(&self, p: &mut Pos) {
         p.ox += 1;
@@ -146,137 +197,113 @@ impl Geom {
         }
     }
 
-    /// The patch row at `p` restricted to columns `[lo, hi)`, as segments in
-    /// ascending column order that together cover the range:
-    /// `emit(col, len, Some(at))` for `len` columns that are the input
-    /// elements `x[at..at + len]`, `emit(col, len, None)` for `len` columns
-    /// of padding zeros.
+    /// Source offset of the patch at `p`: its kernel row `ky` is the `kw·c`
+    /// elements from `patch(p) + ky · src_strides().0`.
     #[inline(always)]
-    fn segments(
-        &self,
-        p: Pos,
-        lo: usize,
-        hi: usize,
-        mut emit: impl FnMut(usize, usize, Option<usize>),
-    ) {
-        let Pos { ni, oy, ox } = p;
-        // In-bounds taps of every kernel row: ix = ox + kx - pl in [0, w).
-        let kx_lo = self.pl.saturating_sub(ox);
-        let kx_hi = self.kw.min(self.w + self.pl - ox);
-        let kernel_row = self.kw * self.c;
-        let mut piece = |from: usize, to: usize, at: Option<usize>| {
-            let (start, end) = (from.max(lo), to.min(hi));
-            if start < end {
-                emit(start, end - start, at.map(|at| at + (start - from)));
-            }
-        };
-        for ky in lo / kernel_row..hi.div_ceil(kernel_row) {
-            let (from, to) = (ky * kernel_row, (ky + 1) * kernel_row);
-            // iy = oy + ky - pt in [0, h), or the whole kernel row is padding.
-            if oy + ky < self.pt || oy + ky - self.pt >= self.h {
-                piece(from, to, None);
-                continue;
-            }
-            let iy = oy + ky - self.pt;
-            let at = ((ni * self.h + iy) * self.w + ox + kx_lo - self.pl) * self.c;
-            let (a, b) = (from + kx_lo * self.c, from + kx_hi * self.c);
-            piece(from, a, None);
-            piece(a, b, Some(at));
-            piece(b, to, None);
-        }
-    }
-
-    /// Columns `[lo, hi)` of the patch row at `p`, copied out of the input
-    /// `x` (zeros for padding taps) into `out`, which is `hi - lo` long.
-    #[inline(always)]
-    fn read_row(&self, x: &[f32], p: Pos, lo: usize, hi: usize, out: &mut [f32]) {
-        self.segments(p, lo, hi, |col, len, at| {
-            let run = &mut out[col - lo..col - lo + len];
-            match at {
-                Some(at) => run.copy_from_slice(&x[at..at + len]),
-                None => run.fill(0.0),
-            }
-        });
+    fn patch(&self, p: Pos) -> usize {
+        let (row, sample) = self.src_strides();
+        p.ni * sample + p.oy * row + p.ox * self.c
     }
 }
 
-/// The patch matrix `col` (`rows × cols`) as a left operand.
-struct Patches<'a> {
-    g: &'a Geom,
-    x: &'a [f32],
-}
-
-impl Lhs for Patches<'_> {
-    fn at(&self, i: usize, kk: usize) -> f32 {
-        let mut v = [0.0];
-        self.g.read_row(self.x, self.g.pos(i), kk, kk + 1, &mut v);
-        v[0]
-    }
-
-    fn pack(
-        &self,
-        kernel: KernelKind,
-        m0: usize,
-        mc: usize,
-        k0: usize,
-        kc: usize,
-        dst: &mut [f32],
-    ) {
-        // A strip's patch rows are staged row-major (contiguous copies,
-        // L1-resident), then transposed into the `[kc][MR]` layout together.
-        let mut stage = [0.0f32; MR * KC];
-        for (s, strip) in dst.chunks_exact_mut(MR * kc).enumerate() {
-            let i = m0 + s * MR;
-            let rows = MR.min(m0 + mc - i);
-            let mut p = self.g.pos(i);
-            for row in stage.chunks_exact_mut(kc).take(rows) {
-                self.g.read_row(self.x, p, k0, k0 + kc, row);
-                self.g.advance(&mut p);
-            }
-            pack_rows::<MR>(kernel, &stage, kc, rows, kc, strip);
-        }
+/// One GEMM-shaped contraction's kernel, counted under `tensor.gemm.*` like
+/// the dense products, and how its `KC`-step strips after the first join
+/// `c`: as panels added in panel order, or — below the small-problem cutoff —
+/// as one undivided chain on the portable tile, the unfused direct loop's
+/// contraction.
+fn plan(m: usize, n: usize, k: usize) -> (KernelKind, Mode) {
+    match route(active_kernel(), m, n, k) {
+        Some(kernel) => (kernel, Mode::Add),
+        None => (KernelKind::Scalar, Mode::Extend),
     }
 }
 
-/// `colᵀ` (`cols × rows`) as a left operand: the weight gradient contracts
-/// over output positions.
-struct PatchesT<'a>(Patches<'a>);
-
-impl Lhs for PatchesT<'_> {
-    fn at(&self, i: usize, kk: usize) -> f32 {
-        self.0.at(kk, i)
+/// Fill `table` with the broadcast operand's offset at each of `steps`.
+fn step_table(table: &mut [u32; KC], steps: impl ExactSizeIterator<Item = usize>) -> &[u32] {
+    let len = steps.len();
+    for (to, at) in table.iter_mut().zip(steps) {
+        *to = u32::try_from(at).expect("tensor offsets fit in 32 bits");
     }
+    &table[..len]
+}
 
-    fn pack(
-        &self,
-        _kernel: KernelKind,
-        m0: usize,
-        mc: usize,
-        k0: usize,
-        kc: usize,
-        dst: &mut [f32],
-    ) {
-        // The lanes of k step `kk` are consecutive columns of patch row
-        // `k0 + kk`: read the block's columns once, deal them out a strip
-        // at a time. Lanes past `mc` are never written and stay zero.
-        let Patches { g, x } = self.0;
-        let mut window = [0.0f32; MC];
-        let mut p = g.pos(k0);
-        for kk in 0..kc {
-            g.read_row(x, p, m0, m0 + mc, &mut window[..mc]);
-            for (s, lanes) in window.chunks_exact(MR).take(mc.div_ceil(MR)).enumerate() {
-                dst[(s * kc + kk) * MR..][..MR].copy_from_slice(lanes);
-            }
-            g.advance(&mut p);
-        }
+/// How many tasks to split `pieces` independent pieces of a `macs`-sized
+/// convolution into.
+fn tasks(macs: usize, pieces: usize) -> usize {
+    if macs >= PAR_MACS {
+        parallel::max_threads().min(pieces).max(1)
+    } else {
+        1
     }
+}
+
+/// `m` rows of `f` elements as the vector operand of a strip: the rows
+/// themselves when they are whole vectors, else a copy with each row
+/// zero-padded to the next multiple of [`LANES`]. Returns the copy (to give
+/// back) and the row stride to use.
+fn whole_vectors(src: &[f32], m: usize, f: usize, ws: &mut Workspace) -> (Option<Vec<f32>>, usize) {
+    if f.is_multiple_of(LANES) {
+        return (None, f);
+    }
+    let fp = f.next_multiple_of(LANES);
+    let mut wide = ws.take(m * fp);
+    for (to, row) in wide.chunks_exact_mut(fp).zip(src.chunks_exact(f)) {
+        to[..f].copy_from_slice(row);
+        to[f..].fill(0.0);
+    }
+    (Some(wide), fp)
 }
 
 /// `out (rows × f) = col · W`.
 pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -> Vec<f32> {
-    let mut out = ws.take(g.rows() * g.f);
-    let w = View { data: kernel, rs: g.f, cs: 1 };
-    gemm(g.rows(), g.f, g.cols(), &Patches { g, x }, w, &mut out, ws);
+    let (rows, cols, f) = (g.rows(), g.cols(), g.f);
+    let (kind, later) = plan(rows, f, cols);
+    let mut out = ws.take(rows * f);
+    if rows * cols * f == 0 {
+        out.fill(0.0);
+        return out;
+    }
+    let xs = g.padded().then(|| g.pad(x, ws));
+    let src = xs.as_deref().unwrap_or(x);
+    let (wide, fp) = whole_vectors(kernel, cols, f, ws);
+    let w = wide.as_deref().unwrap_or(kernel);
+    let (kernel_row, src_row) = (g.kw * g.c, g.src_strides().0);
+    let tile = tile_rows(f);
+    // Tasks are ranges of output rows, whole tiles each.
+    let task_rows = rows.div_ceil(tasks(rows * cols * f, rows.div_ceil(tile)));
+    let task_rows = task_rows.next_multiple_of(tile);
+    parallel::par_chunks_mut(&mut out, task_rows * f, |ti, out| {
+        let m = out.len() / f;
+        let (mut a_off, mut c_off) = ([0; MAX_TILE_ROWS], [0; MAX_TILE_ROWS]);
+        let mut table = [0; KC];
+        for k0 in (0..cols).step_by(KC) {
+            // Patch column `k` is `k % kernel_row` into kernel row
+            // `k / kernel_row`, and kernel rows are one source row apart.
+            let steps = (k0..cols.min(k0 + KC)).map(|k| k / kernel_row * src_row + k % kernel_row);
+            let panel = Strip {
+                a: src,
+                steps: step_table(&mut table, steps),
+                b: &w[k0 * fp..],
+                sb: fp,
+                lanes: f,
+                mode: if k0 == 0 { Mode::Store } else { later },
+            };
+            let mut p = g.pos(ti * task_rows);
+            for i in (0..m).step_by(tile) {
+                let live = tile.min(m - i);
+                for r in 0..tile {
+                    if r < live {
+                        (a_off[r], c_off[r]) = (g.patch(p), (i + r) * f);
+                        g.advance(&mut p);
+                    } else {
+                        a_off[r] = a_off[live - 1];
+                    }
+                }
+                strip(kind, &panel, &a_off, live, out, &c_off);
+            }
+        }
+    });
+    wide.into_iter().chain(xs).for_each(|buf| ws.give(buf));
     out
 }
 
@@ -289,55 +316,134 @@ pub(crate) fn backward(
     ws: &mut Workspace,
 ) -> (Vec<f32>, Vec<f32>) {
     let (rows, cols, f) = (g.rows(), g.cols(), g.f);
-    // dW = colᵀ · dOut
+    let (dw_kind, dw_later) = plan(cols, f, rows);
+    let (dx_kind, dx_later) = plan(rows, cols, f);
     let mut dk = ws.take(cols * f);
-    let dout = View { data: dout, rs: f, cs: 1 };
-    gemm(cols, f, rows, &PatchesT(Patches { g, x }), dout, &mut dk, ws);
-
-    // dX: dCol = dOut · Wᵀ one row block at a time, scattered as it appears.
-    let mut dx = ws.take_zeroed(g.n * g.h * g.w * g.c);
-    if rows == 0 {
-        return (dx, dk);
+    if rows * cols * f == 0 {
+        dk.fill(0.0);
+        return (ws.take_zeroed(g.n * g.h * g.w * g.c), dk);
     }
-    let dcol = RowBlocks::new(rows, cols, f, dout, View { data: kernel, rs: 1, cs: f }, ws);
-    // Scatter targets of different samples are disjoint, so tasks are whole
-    // samples: all of them in one serial task, or just enough per task to
-    // fill an `MC` block when there are threads to feed.
-    let go_parallel = parallel::max_threads() > 1 && g.n > 1 && rows * cols >= PAR_THRESHOLD;
-    let (group, tasks) = if go_parallel {
-        let group = MC.div_ceil(g.oh * g.ow);
-        (group, parallel::max_threads().min(g.n.div_ceil(group)))
-    } else {
-        (g.n, 1)
-    };
-    let group_rows = group * g.oh * g.ow;
-    let group_len = group * g.h * g.w * g.c;
-    let pa_len = dcol.pa_len(group_rows);
-    let piece = pa_len + MC.min(group_rows) * cols;
-    let mut scratch = ws.take(tasks * piece);
-    parallel::par_chunks_mut_scratch(&mut dx, group_len, &mut scratch, piece, |gi, dx, s| {
-        let (pa, tile) = s.split_at_mut(pa_len);
-        let end = rows.min((gi + 1) * group_rows);
-        for m0 in (gi * group_rows..end).step_by(MC) {
-            let mc = MC.min(end - m0);
-            let tile = &mut tile[..mc * cols];
-            dcol.block(m0, mc, pa, tile);
-            let mut p = g.pos(m0);
-            for trow in tile.chunks_exact(cols) {
-                g.segments(p, 0, cols, |col, len, at| {
-                    if let Some(at) = at {
-                        let at = at - gi * group_len;
-                        for (d, &v) in dx[at..at + len].iter_mut().zip(&trow[col..col + len]) {
-                            *d += v;
-                        }
-                    }
-                });
+    let macs = rows * cols * f;
+    let (kernel_row, src_row) = (g.kw * g.c, g.src_strides().0);
+
+    // dW = colᵀ · dOut: tiles of patch columns, contracted over output
+    // positions. Panels are the outer loop so one panel of `dOut` serves
+    // every column tile from cache.
+    let xs = g.padded().then(|| g.pad(x, ws));
+    let src = xs.as_deref().unwrap_or(x);
+    let (wide, fp) = whole_vectors(dout, rows, f, ws);
+    let dout_rows = wide.as_deref().unwrap_or(dout);
+    let tile = tile_rows(f);
+    // Tasks are ranges of patch columns (rows of `dk`), whole tiles each.
+    let task_cols = cols.div_ceil(tasks(macs, cols.div_ceil(tile))).next_multiple_of(tile);
+    parallel::par_chunks_mut(&mut dk, task_cols * f, |ti, dk| {
+        let m = dk.len() / f;
+        let (mut a_off, mut c_off) = ([0; MAX_TILE_ROWS], [0; MAX_TILE_ROWS]);
+        let mut table = [0; KC];
+        for r0 in (0..rows).step_by(KC) {
+            let mut p = g.pos(r0);
+            let steps = (r0..rows.min(r0 + KC)).map(|_| {
+                let at = g.patch(p);
                 g.advance(&mut p);
+                at
+            });
+            let panel = Strip {
+                a: src,
+                steps: step_table(&mut table, steps),
+                b: &dout_rows[r0 * fp..],
+                sb: fp,
+                lanes: f,
+                mode: if r0 == 0 { Mode::Store } else { dw_later },
+            };
+            // Column `(ky, kx, ci)` of every patch sits `ky` source rows and
+            // `(kx, ci)` elements into it; tiles take the columns in order.
+            let col0 = ti * task_cols;
+            let (mut ky, mut kxc) = (col0 / kernel_row, col0 % kernel_row);
+            for i in (0..m).step_by(tile) {
+                let live = tile.min(m - i);
+                for r in 0..tile {
+                    if r < live {
+                        (a_off[r], c_off[r]) = (ky * src_row + kxc, (i + r) * f);
+                        kxc += 1;
+                        if kxc == kernel_row {
+                            (ky, kxc) = (ky + 1, 0);
+                        }
+                    } else {
+                        a_off[r] = a_off[live - 1];
+                    }
+                }
+                strip(dw_kind, &panel, &a_off, live, dk, &c_off);
             }
         }
     });
-    ws.give(scratch);
-    dcol.finish(ws);
+    wide.into_iter().chain(xs).for_each(|buf| ws.give(buf));
+
+    // dX: rows of dCol = dOut · Wᵀ, a tile at a time into `stage`, each row
+    // then added into `d_input` as its `kh` runs, clipped to the image.
+    // Patches of neighbouring rows overlap, so a row is added whole before
+    // the next one starts: that is the order a col2im pass over a stored
+    // dCol keeps.
+    let colsp = cols.next_multiple_of(LANES);
+    let mut wt = ws.take(f * colsp);
+    for (fi, wt_row) in wt.chunks_exact_mut(colsp).enumerate() {
+        for (col, v) in wt_row.iter_mut().enumerate() {
+            *v = if col < cols { kernel[col * f + fi] } else { 0.0 };
+        }
+    }
+    // A row of `dOut` is contracted front to back, whichever panel.
+    let mut table = [0; KC];
+    let steps = step_table(&mut table, 0..f.min(KC));
+    let tile = tile_rows(cols);
+    let mut dx = ws.take_zeroed(g.n * g.h * g.w * g.c);
+    // Tasks are groups of samples: their gradients are disjoint.
+    let group = g.n.div_ceil(tasks(macs, g.n));
+    let mut stage = ws.take(g.n.div_ceil(group) * tile * cols);
+    let sample = g.h * g.w * g.c;
+    parallel::par_chunks_mut_scratch(
+        &mut dx,
+        group * sample,
+        &mut stage,
+        tile * cols,
+        |gi, dx, stage| {
+            let row0 = gi * group * g.oh * g.ow;
+            let m = dx.len() / sample * g.oh * g.ow;
+            let mut p = Pos { ni: 0, oy: 0, ox: 0 };
+            let mut a_off = [0; MAX_TILE_ROWS];
+            let c_off: [usize; MAX_TILE_ROWS] = std::array::from_fn(|r| r * cols);
+            for i in (0..m).step_by(tile) {
+                let live = tile.min(m - i);
+                for f0 in (0..f).step_by(KC) {
+                    for (r, at) in a_off.iter_mut().enumerate() {
+                        *at = (row0 + i + r.min(live - 1)) * f + f0;
+                    }
+                    let panel = Strip {
+                        a: dout,
+                        steps: &steps[..KC.min(f - f0)],
+                        b: &wt[f0 * colsp..],
+                        sb: colsp,
+                        lanes: cols,
+                        mode: if f0 == 0 { Mode::Store } else { dx_later },
+                    };
+                    strip(dx_kind, &panel, &a_off, live, stage, &c_off);
+                }
+                for drow in stage.chunks_exact(cols).take(live) {
+                    // In-bounds taps of every kernel row: ix = ox + kx - pl
+                    // in [0, w); likewise iy = oy + ky - pt in [0, h).
+                    let (kx_lo, kx_hi) = (g.pl.saturating_sub(p.ox), g.kw.min(g.w + g.pl - p.ox));
+                    let (ky_lo, ky_hi) = (g.pt.saturating_sub(p.oy), g.kh.min(g.h + g.pt - p.oy));
+                    for ky in ky_lo..ky_hi {
+                        let at =
+                            ((p.ni * g.h + p.oy + ky - g.pt) * g.w + p.ox + kx_lo - g.pl) * g.c;
+                        let run = &drow[(ky * g.kw + kx_lo) * g.c..(ky * g.kw + kx_hi) * g.c];
+                        add_assign(dx_kind, &mut dx[at..at + run.len()], run);
+                    }
+                    g.advance(&mut p);
+                }
+            }
+        },
+    );
+    ws.give(stage);
+    ws.give(wt);
     (dx, dk)
 }
 
@@ -411,6 +517,7 @@ mod tests {
     /// views, scatter `dCol` back with `col2im`.
     mod oracle {
         use super::*;
+        use crate::matmul::{gemm, View};
 
         fn im2col(g: &Geom, x: &[f32]) -> Vec<f32> {
             let cols = g.cols();
@@ -467,7 +574,7 @@ mod tests {
             let col = im2col(g, x);
             let mut out = vec![0.0; rows * f];
             let w = View { data: kernel, rs: f, cs: 1 };
-            gemm(rows, f, cols, &View { data: &col, rs: cols, cs: 1 }, w, &mut out, ws);
+            gemm(rows, f, cols, View { data: &col, rs: cols, cs: 1 }, w, &mut out, ws);
             out
         }
 
@@ -482,9 +589,9 @@ mod tests {
             let col = im2col(g, x);
             let dout = View { data: dout, rs: f, cs: 1 };
             let mut dk = vec![0.0; cols * f];
-            gemm(cols, f, rows, &View { data: &col, rs: 1, cs: cols }, dout, &mut dk, ws);
+            gemm(cols, f, rows, View { data: &col, rs: 1, cs: cols }, dout, &mut dk, ws);
             let mut dcol = vec![0.0; rows * cols];
-            gemm(rows, cols, f, &dout, View { data: kernel, rs: 1, cs: f }, &mut dcol, ws);
+            gemm(rows, cols, f, dout, View { data: kernel, rs: 1, cs: f }, &mut dcol, ws);
             (col2im(g, &dcol), dk)
         }
     }
@@ -493,8 +600,8 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Forward, `d_input` and `d_kernel` of the implicit-GEMM path against
-    /// the oracle, `to_bits()`-equal.
+    /// Forward, `d_input` and `d_kernel` of the direct kernels against the
+    /// oracle, `to_bits()`-equal.
     fn assert_matches_oracle(g: &Geom, x: &[f32], kernel: &[f32], dout: &[f32], what: &str) {
         let mut ws = Workspace::new();
         let out = forward(g, x, kernel, &mut ws);
@@ -510,29 +617,58 @@ mod tests {
         (fill(g.n * g.h * g.w * g.c), fill(g.cols() * g.f), fill(g.rows() * g.f))
     }
 
-    /// `(n, h, w, c, kh, kw, f)` covering: the `SMALL_FLOPS` direct loop;
-    /// `rows % MR != 0`; `MC` block edges inside a sample and blocks spanning
-    /// samples; a single ragged block; `f % NR != 0`; `c` of 1 and 3;
-    /// `kh·kw·c > KC` (two forward / `dW` panels) and `f > KC` (two `dX`
-    /// panels); even and asymmetric kernels; the `kh = 1` shape of conv1d.
+    /// `(n, h, w, c, kh, kw, f)`, each under both paddings (valid only where
+    /// the kernel fits), covering what the direct kernels branch on:
     const SWEEP: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
+        // The `SMALL_FLOPS` chain, with even and asymmetric kernels …
         (2, 5, 5, 1, 3, 3, 2),
         (1, 6, 4, 3, 2, 3, 4),
+        // … and continued past `KC` steps (`Mode::Extend`) in `dW`, forward
+        // and `dX`.
+        (1, 20, 20, 1, 3, 3, 2),
+        (1, 3, 3, 32, 3, 3, 2),
+        (1, 2, 2, 3, 1, 1, 260),
+        // `f` of 4, 12, 10, 9, 7: a ragged last vector on 8×1 and 6×2 tiles.
+        (3, 9, 9, 6, 3, 3, 4),
         (3, 7, 7, 3, 3, 3, 12),
+        (2, 8, 8, 4, 4, 4, 9),
+        (4, 1, 40, 3, 1, 5, 7),
+        // `c` of 1; whole vectors on each tile shape (`f` = 8, 16, 24).
         (2, 12, 12, 1, 3, 3, 16),
         (2, 12, 12, 8, 3, 3, 24),
+        (2, 10, 10, 3, 3, 3, 8),
+        // `kh·kw·c > KC`: two forward panels (one with ragged vectors).
         (2, 9, 9, 32, 3, 3, 10),
-        (2, 8, 8, 4, 4, 4, 9),
+        (2, 7, 7, 16, 5, 5, 8),
+        // Several chunks per row: `f` = 40 (five vectors) and `f > KC` (two
+        // `dX` panels, 33 vectors).
         (1, 10, 6, 2, 5, 2, 40),
         (1, 5, 5, 2, 3, 3, 260),
-        (4, 1, 40, 3, 1, 5, 7),
+        // NT3's one-row kernel.
+        (2, 1, 50, 4, 1, 7, 16),
+        // `kw·c > 24` with `c` of 16 and 24: a `dCol` row spans several
+        // chunks, whose runs overlap the next row's.
+        (2, 6, 6, 16, 3, 3, 16),
+        (2, 5, 5, 24, 3, 3, 24),
+        // `ow` of 2, 1 and 3 below `kw`, row counts (30, 28, 45, 36/216) no
+        // tile height divides: tiles straddle image rows and samples.
+        (5, 3, 2, 8, 5, 5, 8),
+        (7, 4, 1, 8, 3, 3, 24),
+        (3, 5, 3, 16, 3, 5, 16),
+        (9, 4, 6, 8, 3, 5, 16),
     ];
+
+    /// Every padding of a sweep shape that exists.
+    fn paddings(h: usize, w: usize, kh: usize, kw: usize) -> impl Iterator<Item = Padding> {
+        let valid = (h >= kh && w >= kw).then_some(Padding::Valid);
+        valid.into_iter().chain([Padding::Same])
+    }
 
     #[test]
     fn bitwise_equal_to_the_im2col_oracle_on_every_kernel() {
         let mut rng = Rng::seed(0xC0);
-        for &padding in &[Padding::Valid, Padding::Same] {
-            for &(n, h, w, c, kh, kw, f) in SWEEP {
+        for &(n, h, w, c, kh, kw, f) in SWEEP {
+            for padding in paddings(h, w, kh, kw) {
                 let g = Geom::new(n, h, w, c, kh, kw, f, padding);
                 let (x, kernel, dout) = random_case(&g, &mut rng);
                 for kind in available_kernels() {
@@ -550,40 +686,60 @@ mod tests {
     #[test]
     fn padding_zeros_meet_non_finite_weights_like_the_oracle() {
         let mut rng = Rng::seed(0xC1);
-        for &(n, h, w, c, kh, kw, f) in &[(1, 4, 4, 2, 3, 3, 2), (2, 12, 12, 8, 3, 3, 24)] {
+        for &(n, h, w, c, kh, kw, f) in &[
+            (1, 4, 4, 2, 3, 3, 2),
+            (2, 12, 12, 8, 3, 3, 24),
+            (2, 6, 6, 16, 3, 3, 12),
+            (3, 5, 3, 16, 3, 5, 16),
+        ] {
             let g = Geom::new(n, h, w, c, kh, kw, f, Padding::Same);
             let (x, mut kernel, dout) = random_case(&g, &mut rng);
             kernel[0] = f32::INFINITY;
             kernel[g.cols() * f - 1] = f32::NAN;
-            assert_matches_oracle(&g, &x, &kernel, &dout, &format!("{g:?}"));
-            let out = forward(&g, &x, &kernel, &mut Workspace::new());
-            assert!(out[0].is_nan(), "the top-left output sits on a padded inf tap");
+            for kind in available_kernels() {
+                with_kernel(kind, || {
+                    assert_matches_oracle(&g, &x, &kernel, &dout, &format!("{kind:?} {g:?}"));
+                    let out = forward(&g, &x, &kernel, &mut Workspace::new());
+                    assert!(out[0].is_nan(), "the top-left output sits on a padded inf tap");
+                });
+            }
         }
     }
 
-    /// Two threads take the parallel row-block paths of all three products
-    /// (forward over `MC` blocks of the output, `dW` over blocks of the
-    /// kernel, `dX` over sample groups); bits must not depend on it.
+    /// Two threads split all three products (forward over output-row ranges,
+    /// `dW` over patch-column ranges, `dX` over sample groups — uneven ones
+    /// for five samples); bits must not depend on it, on any kernel.
     #[test]
     fn parallel_paths_match_serial_bitwise() {
         let mut rng = Rng::seed(0xC2);
-        let g = Geom::new(2, 16, 16, 32, 3, 3, 230, Padding::Same);
-        let (x, kernel, dout) = random_case(&g, &mut rng);
-        let run = || {
-            let mut ws = Workspace::new();
-            (forward(&g, &x, &kernel, &mut ws), backward(&g, &x, &kernel, &dout, &mut ws))
-        };
         let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let (out1, (dx1, dk1)) = {
-            let _one = parallel::scoped_max_threads(1);
-            run()
-        };
-        let _two = parallel::scoped_max_threads(2);
-        let (out2, (dx2, dk2)) = run();
-        assert_eq!(bits(&out1), bits(&out2), "forward");
-        assert_eq!(bits(&dx1), bits(&dx2), "d_input");
-        assert_eq!(bits(&dk1), bits(&dk2), "d_kernel");
-        assert_matches_oracle(&g, &x, &kernel, &dout, "two threads");
+        for &(n, h, w, c, kh, kw, f) in
+            &[(2, 16, 16, 32, 3, 3, 230), (5, 26, 26, 32, 3, 3, 24), (5, 26, 26, 64, 3, 3, 12)]
+        {
+            for padding in [Padding::Valid, Padding::Same] {
+                let g = Geom::new(n, h, w, c, kh, kw, f, padding);
+                assert!(g.rows() * g.cols() * g.f >= PAR_MACS, "{g:?} would not dispatch");
+                let (x, kernel, dout) = random_case(&g, &mut rng);
+                let run = || {
+                    let mut ws = Workspace::new();
+                    (forward(&g, &x, &kernel, &mut ws), backward(&g, &x, &kernel, &dout, &mut ws))
+                };
+                for kind in available_kernels() {
+                    with_kernel(kind, || {
+                        let (out1, (dx1, dk1)) = {
+                            let _one = parallel::scoped_max_threads(1);
+                            run()
+                        };
+                        let _two = parallel::scoped_max_threads(2);
+                        let (out2, (dx2, dk2)) = run();
+                        assert_eq!(bits(&out1), bits(&out2), "forward {kind:?} {g:?}");
+                        assert_eq!(bits(&dx1), bits(&dx2), "d_input {kind:?} {g:?}");
+                        assert_eq!(bits(&dk1), bits(&dk2), "d_kernel {kind:?} {g:?}");
+                        assert_matches_oracle(&g, &x, &kernel, &dout, "two threads");
+                    });
+                }
+            }
+        }
     }
 
     /// Direct (quadruple-loop) reference convolution.

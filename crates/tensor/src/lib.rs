@@ -7,8 +7,9 @@
 //! * a cache-blocked, register-tiled, packed [`matmul`](matmul::matmul)
 //!   (BLIS-style; see the module docs) with transpose variants for the
 //!   backward passes,
-//! * implicit-GEMM [`conv2d`] / [`conv1d`] forward *and* backward, packing
-//!   the GEMM operands straight from the NHWC tensors,
+//! * direct [`conv2d`] / [`conv1d`] forward *and* backward: broadcast-FMA
+//!   register tiles that read the NHWC tensors in place, bit-identical to
+//!   the GEMMs they stand for,
 //! * max-pooling with argmax-based backward,
 //! * row-wise softmax and elementwise activations,
 //! * a reusable scratch arena ([`Workspace`]) so the
@@ -19,12 +20,13 @@
 //!   reproducible from a single `u64` seed.
 //!
 //! The crate has zero external dependencies. Everything is safe Rust except
-//! the GEMM micro-kernels behind the runtime dispatch table in [`mod@matmul`]:
-//! an explicit AVX2+FMA `std::arch` kernel (selected once per process via
-//! `is_x86_feature_detected!`, with the portable scalar kernel as fallback)
-//! is the one place `unsafe` buys real throughput. Hot loops elsewhere are
+//! the GEMM and convolution micro-kernels behind the runtime dispatch table
+//! in [`mod@matmul`]: explicit AVX2+FMA `std::arch` kernels (selected once per
+//! process via `is_x86_feature_detected!`, with the portable scalar kernels
+//! as fallback) are the one place `unsafe` buys real throughput. Hot loops elsewhere are
 //! written over slices and fixed-size tiles so bounds checks vectorise away.
 
+mod bcast;
 pub mod conv1d;
 pub mod conv2d;
 pub mod matmul;

@@ -1,8 +1,9 @@
 //! Cache-blocked, register-tiled dense matrix multiplication.
 //!
-//! Dense layers and the implicit-GEMM convolutions (see [`crate::conv2d`])
-//! reduce everything to GEMM, so this is the hottest kernel in the
-//! repository. The implementation follows the classic BLIS/GotoBLAS
+//! Dense layers reduce everything to GEMM, and the convolutions (see
+//! [`crate::conv2d`]) are GEMM-shaped contractions that borrow this module's
+//! kernel selection, panel depth and small-problem cutoff so their bits stay
+//! those of a GEMM. The implementation follows the classic BLIS/GotoBLAS
 //! decomposition:
 //!
 //! * the K dimension is split into `KC`-deep panels; for each panel, `B` is
@@ -59,11 +60,7 @@
 //! transposed into the strip layout by `pack_rows` — rather than
 //! per-element index arithmetic; on the AVX kernel that transpose, and the
 //! one that writes a register tile back to `C`, move 8×8 blocks through
-//! registers. The left operand is anything that implements `Lhs`: the
-//! convolutions pack their `MR` strips straight from the NHWC input, so no
-//! im2col matrix exists, and `RowBlocks` hands a product out block by
-//! block for the one consumer (conv2d's input gradient) that never needs it
-//! stored. [`matmul_naive`] keeps the textbook triple loop as the
+//! registers. [`matmul_naive`] keeps the textbook triple loop as the
 //! correctness reference.
 
 use crate::parallel;
@@ -128,7 +125,7 @@ thread_local! {
     static PINNED: std::cell::Cell<Option<KernelKind>> = const { std::cell::Cell::new(None) };
 }
 
-fn active_kernel() -> KernelKind {
+pub(crate) fn active_kernel() -> KernelKind {
     #[cfg(test)]
     if let Some(kernel) = PINNED.with(|p| p.get()) {
         return kernel;
@@ -169,7 +166,7 @@ pub const MC: usize = 64;
 const SMALL_FLOPS: usize = 32 * 1024;
 
 /// Minimum output elements before parallel dispatch is worth its overhead.
-pub(crate) const PAR_THRESHOLD: usize = 64 * 1024;
+const PAR_THRESHOLD: usize = 64 * 1024;
 
 /// A read-only view of a logical `rows×cols` matrix with unit stride along
 /// its rows or its columns: a row-major matrix (`cs == 1`) or the transpose
@@ -185,39 +182,6 @@ impl View<'_> {
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
-    }
-}
-
-/// The left operand of the blocked driver. Dense matrices are a [`View`];
-/// the convolutions implement it over the NHWC input, so the im2col matrix
-/// is only ever a packing order, never a buffer.
-pub(crate) trait Lhs: Sync {
-    /// Element `(i, kk)`; only the `SMALL_FLOPS` direct loop reads this way.
-    fn at(&self, i: usize, kk: usize) -> f32;
-
-    /// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` into `MR`-tall strips,
-    /// each laid out `[kc][MR]`, zero-padding the ragged last strip. `dst`
-    /// is exactly `mc.div_ceil(MR) · MR · kc` long; `kernel` picks the
-    /// instruction set of the data movement, never what is moved.
-    fn pack(&self, kernel: KernelKind, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]);
-}
-
-impl Lhs for View<'_> {
-    #[inline(always)]
-    fn at(&self, i: usize, kk: usize) -> f32 {
-        View::at(self, i, kk)
-    }
-
-    fn pack(
-        &self,
-        kernel: KernelKind,
-        m0: usize,
-        mc: usize,
-        k0: usize,
-        kc: usize,
-        dst: &mut [f32],
-    ) {
-        pack_a(kernel, *self, m0, mc, k0, kc, dst)
     }
 }
 
@@ -256,7 +220,7 @@ pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
         m,
         n,
         k,
-        &View { data: a.data(), rs: k, cs: 1 },
+        View { data: a.data(), rs: k, cs: 1 },
         View { data: b.data(), rs: n, cs: 1 },
         &mut out,
         ws,
@@ -284,7 +248,7 @@ pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
         n,
         k,
         // Logical Aᵀ (M×K): element (i, k) lives at A[k][i].
-        &View { data: a.data(), rs: 1, cs: m },
+        View { data: a.data(), rs: 1, cs: m },
         View { data: b.data(), rs: n, cs: 1 },
         &mut out,
         ws,
@@ -311,7 +275,7 @@ pub fn matmul_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
         m,
         n,
         k,
-        &View { data: a.data(), rs: k, cs: 1 },
+        View { data: a.data(), rs: k, cs: 1 },
         // Logical Bᵀ (K×N): element (k, j) lives at B[j][k].
         View { data: b.data(), rs: 1, cs: k },
         &mut out,
@@ -340,14 +304,13 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([m, n], out)
 }
 
-/// Blocked driver: `C (m×n, row-major, fully overwritten) = A · B` for a
-/// packable left operand `a` and a strided view `b`, on the process's
-/// selected micro-kernel.
-pub(crate) fn gemm<A: Lhs>(
+/// Blocked driver: `C (m×n, row-major, fully overwritten) = A · B` for
+/// strided views `a` and `b`, on the process's selected micro-kernel.
+pub(crate) fn gemm(
     m: usize,
     n: usize,
     k: usize,
-    a: &A,
+    a: View,
     b: View,
     c: &mut [f32],
     ws: &mut Workspace,
@@ -356,8 +319,10 @@ pub(crate) fn gemm<A: Lhs>(
 }
 
 /// Count one GEMM-shaped contraction and pick its path: `None` is the
-/// `SMALL_FLOPS` direct loop, `Some(kernel)` the blocked driver.
-fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<KernelKind> {
+/// `SMALL_FLOPS` direct loop, `Some(kernel)` the blocked driver. The
+/// convolutions route their three products through here too, so they are
+/// counted, cut off and fused exactly like the GEMMs they stand for.
+pub(crate) fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<KernelKind> {
     if m * n * k <= SMALL_FLOPS {
         swt_obs::counter!("tensor.gemm.small").inc();
         return None;
@@ -370,21 +335,15 @@ fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<KernelKind>
     Some(kernel)
 }
 
-/// Packed-`A` scratch one task needs: the tallest row block at the deepest
-/// panel, so every panel's packing fits without reallocating.
-fn pa_task_len(m: usize, k: usize) -> usize {
-    MC.min(m).div_ceil(MR) * MR * KC.min(k)
-}
-
 /// [`gemm`] pinned to a specific micro-kernel (tests compare kernels
 /// pairwise through this).
 #[allow(clippy::too_many_arguments)]
-fn gemm_with_kernel<A: Lhs>(
+fn gemm_with_kernel(
     kernel: KernelKind,
     m: usize,
     n: usize,
     k: usize,
-    a: &A,
+    a: View,
     b: View,
     c: &mut [f32],
     ws: &mut Workspace,
@@ -396,8 +355,9 @@ fn gemm_with_kernel<A: Lhs>(
 
     let n_strips = n.div_ceil(NR);
     // One packed-A task slice per worker thread (the parallel path hands
-    // them out per task), or a single slice for the serial path.
-    let pa_piece = pa_task_len(m, k);
+    // them out per task), or a single slice for the serial path: the tallest
+    // row block at the deepest panel, so every panel's packing fits.
+    let pa_piece = MC.min(m).div_ceil(MR) * MR * KC.min(k);
     let row_blocks = m.div_ceil(MC);
     let go_parallel = parallel::max_threads() > 1 && row_blocks > 1 && m * n >= PAR_THRESHOLD;
     let pack_tasks = if go_parallel { parallel::max_threads().min(row_blocks) } else { 1 };
@@ -424,7 +384,7 @@ fn gemm_with_kernel<A: Lhs>(
                     let mc = MC.min(m - m0);
                     let pa_len = mc.div_ceil(MR) * MR * kc;
                     let pa_scratch = &mut pa_scratch[..pa_len];
-                    a.pack(kernel, m0, mc, k0, kc, pa_scratch);
+                    pack_a(kernel, a, m0, mc, k0, kc, pa_scratch);
                     block_kernel(kernel, c_chunk, n, mc, kc, pa_scratch, pb_ref, first);
                 },
             );
@@ -433,7 +393,7 @@ fn gemm_with_kernel<A: Lhs>(
                 let m0 = ib * MC;
                 let mc = MC.min(m - m0);
                 let pa_len = mc.div_ceil(MR) * MR * kc;
-                a.pack(kernel, m0, mc, k0, kc, &mut pa[..pa_len]);
+                pack_a(kernel, a, m0, mc, k0, kc, &mut pa[..pa_len]);
                 block_kernel(
                     kernel,
                     &mut c[m0 * n..(m0 + mc) * n],
@@ -452,83 +412,8 @@ fn gemm_with_kernel<A: Lhs>(
     ws.give(pb);
 }
 
-/// `A·B` delivered one `MC`-row block at a time instead of stored: conv2d's
-/// input gradient scatter-adds each block of `dOut·Wᵀ` while it is still
-/// cache-resident. Same packing, micro-kernels and per-element contraction
-/// as [`gemm`] — which block a row lands in never changes its bits — but
-/// row blocks are the outer loop, so every `KC` panel of `B` is packed once
-/// up front and blocks can be computed in any order, on any thread.
-pub(crate) struct RowBlocks<'a> {
-    n: usize,
-    k: usize,
-    a: View<'a>,
-    b: View<'a>,
-    /// The micro-kernel and all of `B` packed panel after panel, or `None`
-    /// for the `SMALL_FLOPS` direct loop.
-    blocked: Option<(KernelKind, Vec<f32>)>,
-}
-
-impl<'a> RowBlocks<'a> {
-    /// Count the contraction, pick its path exactly as [`gemm`] would for
-    /// the whole `m×n×k` product, and pack `B`.
-    pub(crate) fn new(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: View<'a>,
-        b: View<'a>,
-        ws: &mut Workspace,
-    ) -> Self {
-        let blocked = route(active_kernel(), m, n, k).map(|kernel| {
-            let panel_stride = n.div_ceil(NR) * NR;
-            let mut pb = ws.take(k * panel_stride);
-            for k0 in (0..k).step_by(KC) {
-                let kc = KC.min(k - k0);
-                let panel = &mut pb[k0 * panel_stride..(k0 + kc) * panel_stride];
-                pack_b(kernel, b, k0, kc, n, panel);
-            }
-            (kernel, pb)
-        });
-        RowBlocks { n, k, a, b, blocked }
-    }
-
-    /// Packed-`A` scratch [`block`](Self::block) needs for blocks of an
-    /// `m`-row product (`0` on the direct loop).
-    pub(crate) fn pa_len(&self, m: usize) -> usize {
-        if self.blocked.is_some() {
-            pa_task_len(m, self.k)
-        } else {
-            0
-        }
-    }
-
-    /// `tile (mc×n, row-major) =` rows `[m0, m0+mc)` of `A·B`, `mc ≤ MC`.
-    pub(crate) fn block(&self, m0: usize, mc: usize, pa: &mut [f32], tile: &mut [f32]) {
-        let (n, k) = (self.n, self.k);
-        let Some((kernel, pb)) = &self.blocked else {
-            let rows = View { data: &self.a.data[m0 * self.a.rs..], ..self.a };
-            return gemm_small(mc, n, k, &rows, self.b, tile);
-        };
-        let panel_stride = n.div_ceil(NR) * NR;
-        for k0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - k0);
-            let pa = &mut pa[..mc.div_ceil(MR) * MR * kc];
-            pack_a(*kernel, self.a, m0, mc, k0, kc, pa);
-            let pb = &pb[k0 * panel_stride..(k0 + kc) * panel_stride];
-            block_kernel(*kernel, tile, n, mc, kc, pa, pb, k0 == 0);
-        }
-    }
-
-    /// Hand the packed `B` back to the arena.
-    pub(crate) fn finish(self, ws: &mut Workspace) {
-        if let Some((_, pb)) = self.blocked {
-            ws.give(pb);
-        }
-    }
-}
-
 /// Direct loop for tiny problems (also covers `k == 0`, where `C` is zero).
-fn gemm_small<A: Lhs>(m: usize, n: usize, k: usize, a: &A, b: View, c: &mut [f32]) {
+fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
     for i in 0..m {
         let crow = &mut c[i * n..(i + 1) * n];
         crow.fill(0.0);
@@ -546,11 +431,11 @@ fn gemm_small<A: Lhs>(m: usize, n: usize, k: usize, a: &A, b: View, c: &mut [f32
 /// `strip[kk * L + r] = src[r * stride + kk]`, zeros in lanes `≥ lanes`.
 ///
 /// This is the data movement behind every row-major operand — [`pack_a`]
-/// with `cs == 1`, [`pack_b`] with `rs == 1`, conv2d's patch rows. Where the
+/// with `cs == 1`, [`pack_b`] with `rs == 1`. Where the
 /// AVX kernel is live it moves 8×8 blocks through registers
 /// (`pack_rows8_avx`) instead of one element at a time; both ways move the
 /// same values to the same places.
-pub(crate) fn pack_rows<const L: usize>(
+fn pack_rows<const L: usize>(
     kernel: KernelKind,
     src: &[f32],
     stride: usize,
@@ -989,7 +874,7 @@ pub(crate) mod tests {
             m,
             n,
             k,
-            &View { data: a.data(), rs: k, cs: 1 },
+            View { data: a.data(), rs: k, cs: 1 },
             View { data: b.data(), rs: n, cs: 1 },
             &mut out,
             &mut ws,
@@ -1093,21 +978,6 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    /// The public entry point under the real dispatch table vs the pinned
-    /// scalar kernel: identical results up to FP contraction.
-    #[test]
-    fn forced_scalar_kernel_matches_dispatch() {
-        let mut rng = Rng::seed(33);
-        let a = Tensor::rand_normal([70, 90], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal([90, 40], 0.0, 1.0, &mut rng);
-        let auto = matmul(&a, &b);
-        force_scalar_kernel(true);
-        let forced = matmul(&a, &b);
-        force_scalar_kernel(false);
-        assert!(forced.approx_eq(&auto, 1e-4));
-        assert!(!gemm_kernel_name().is_empty());
     }
 
     #[test]

@@ -272,20 +272,22 @@ mod tests {
     #[test]
     fn budget_is_clamped_to_at_least_one() {
         let _lock = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        set_max_threads(1);
-        assert_eq!(max_threads(), 1);
-        let items = vec![1u32, 2, 3];
-        assert_eq!(par_map(&items, |_, &x| x + 1), vec![2, 3, 4]);
-        set_max_threads(0);
-        assert!(max_threads() >= 1);
-        // The scoped guard restores whatever was set before it, including
-        // the auto default.
-        set_max_threads(3);
+        {
+            let _one = scoped_max_threads(1);
+            assert_eq!(max_threads(), 1);
+            let items = vec![1u32, 2, 3];
+            assert_eq!(par_map(&items, |_, &x| x + 1), vec![2, 3, 4]);
+        }
+        {
+            let _auto = scoped_max_threads(0);
+            assert!(max_threads() >= 1);
+        }
+        // The scoped guard restores whatever was set before it.
+        let _three = scoped_max_threads(3);
         {
             let _g = scoped_max_threads(1);
             assert_eq!(max_threads(), 1);
         }
         assert_eq!(max_threads(), 3);
-        set_max_threads(0);
     }
 }

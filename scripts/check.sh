@@ -70,8 +70,8 @@ echo "==> alloc gate (kernel and layer hot paths draw from the Workspace, not th
 # `alloc-gate: allow` (cold paths: oracles, checkpoint restore, buffers
 # returned to the caller). A one-element `vec![dx]` — a layer's gradient
 # list, a control structure — is not a sized allocation and is not flagged.
-for src in crates/tensor/src/matmul.rs crates/tensor/src/conv2d.rs crates/tensor/src/pool.rs \
-    crates/nn/src/layers/*.rs; do
+for src in crates/tensor/src/matmul.rs crates/tensor/src/bcast.rs crates/tensor/src/conv2d.rs \
+    crates/tensor/src/pool.rs crates/nn/src/layers/*.rs; do
   allocs=$(awk '/^(pub\(crate\) )?mod tests/ { exit }
     /fn new\(/ { ctor = 1 }
     ctor { if (/^    }$/) ctor = 0; next }
@@ -82,6 +82,23 @@ for src in crates/tensor/src/matmul.rs crates/tensor/src/conv2d.rs crates/tensor
   if [ -n "$allocs" ]; then
     echo "heap allocation in $src hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
     echo "$allocs" >&2
+    exit 1
+  fi
+done
+
+echo "==> global-state gate (swt-tensor unit tests must not flip process-wide switches)"
+# The crate's unit tests share one multi-threaded test binary, and siblings
+# assert bit equality between two calls: a test that flips the kernel or the
+# thread budget for the whole process makes them fail a few runs in a hundred.
+# Pin the calling thread instead (`with_kernel`, `scoped_max_threads` under
+# `BUDGET_TESTS`), or put the test in its own binary under crates/tensor/tests.
+for src in crates/tensor/src/*.rs; do
+  flips=$(awk '/^(pub\(crate\) )?mod tests/ { tests = 1 }
+    tests && /force_scalar_kernel\(|set_max_threads\(/ {
+      print FILENAME ":" FNR ": " $0 }' "$src")
+  if [ -n "$flips" ]; then
+    echo "process-global switch flipped inside the shared swt-tensor unit-test binary:" >&2
+    echo "$flips" >&2
     exit 1
   fi
 done
