@@ -3,8 +3,8 @@
 
 use super::{glorot_limit, Layer};
 use swt_tensor::{
-    conv1d_backward_ws, conv1d_forward_ws, conv2d_backward_ws, conv2d_forward_ws, Padding, Rng,
-    Tensor, Workspace,
+    conv1d_backward_kernel_ws, conv1d_backward_ws, conv1d_forward_ws, conv2d_backward_kernel_ws,
+    conv2d_backward_ws, conv2d_forward_ws, Padding, Rng, Tensor, Workspace,
 };
 
 /// 2-D convolution layer: kernel `(k, k, c_in, filters)` + bias `(filters,)`.
@@ -79,9 +79,16 @@ impl Layer for Conv2DLayer {
         inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
-        let (dx, mut dk) = conv2d_backward_ws(inputs[0], &self.kernel, dout, self.padding, ws);
+    ) -> Vec<Option<Tensor>> {
+        let (x, kernel) = (inputs[0], &self.kernel);
+        let (dx, mut dk) = if wanted[0] {
+            let (dx, dk) = conv2d_backward_ws(x, kernel, dout, self.padding, ws);
+            (Some(dx), dk)
+        } else {
+            (None, conv2d_backward_kernel_ws(x, kernel, dout, self.padding, ws))
+        };
         if self.l2 > 0.0 {
             // d/dw of (l2/2)·||w||² accumulated into the kernel gradient; the
             // factor matches Keras' `l2(l2)` regulariser up to its 1/2
@@ -158,9 +165,16 @@ impl Layer for Conv1DLayer {
         inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
-        let (dx, mut dk) = conv1d_backward_ws(inputs[0], &self.kernel, dout, self.padding, ws);
+    ) -> Vec<Option<Tensor>> {
+        let (x, kernel) = (inputs[0], &self.kernel);
+        let (dx, mut dk) = if wanted[0] {
+            let (dx, dk) = conv1d_backward_ws(x, kernel, dout, self.padding, ws);
+            (Some(dx), dk)
+        } else {
+            (None, conv1d_backward_kernel_ws(x, kernel, dout, self.padding, ws))
+        };
         if self.l2 > 0.0 {
             dk.axpy(self.l2, &self.kernel);
         }
@@ -218,7 +232,7 @@ mod tests {
         let x = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
         let y = layer.forward(&[&x], true, &mut ws);
         let dout = Tensor::ones(y.shape().clone());
-        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(5) {
             let mut plus = x.clone();
@@ -241,7 +255,7 @@ mod tests {
             let mut ws = Workspace::new();
             let mut layer = Conv2DLayer::new(1, 1, 3, Padding::Valid, l2, &mut r);
             let y = layer.forward(&[&x], true, &mut ws);
-            let _ = layer.backward(&[&x], &y, &Tensor::ones(y.shape().clone()), &mut ws);
+            let _ = layer.backward(&[&x], &y, &Tensor::ones(y.shape().clone()), &[true], &mut ws);
             let mut grad = None;
             let mut kern = None;
             layer.visit_updates(&mut |n, p, g| {
@@ -268,7 +282,7 @@ mod tests {
         let x = Tensor::rand_normal([2, 7, 2], 0.0, 1.0, &mut rng);
         let y = layer.forward(&[&x], true, &mut ws);
         let dout = Tensor::ones(y.shape().clone());
-        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(4) {
             let mut plus = x.clone();

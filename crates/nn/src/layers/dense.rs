@@ -90,8 +90,9 @@ impl Layer for DenseLayer {
         inputs: &[&Tensor],
         output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
+    ) -> Vec<Option<Tensor>> {
         let x = inputs[0];
         let mut dpre = ws.take_tensor(dout.shape().clone());
         match self.activation {
@@ -114,7 +115,7 @@ impl Layer for DenseLayer {
                 *o += v;
             }
         }
-        let dx = matmul_bt_ws(&dpre, &self.kernel, ws);
+        let dx = wanted[0].then(|| matmul_bt_ws(&dpre, &self.kernel, ws));
         ws.recycle(dpre);
         vec![dx]
     }
@@ -167,7 +168,7 @@ mod tests {
             let x = Tensor::rand_normal([2, 4], 0.3, 1.0, &mut rng);
             let y = layer.forward(&[&x], true, &mut ws);
             let dout = Tensor::ones(y.shape().clone());
-            let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
+            let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
             let eps = 1e-2f32;
             // Input gradient.
             for i in 0..x.numel() {
@@ -183,7 +184,7 @@ mod tests {
             // Kernel gradient (re-run forward to restore cache, then read grads).
             layer.zero_grads();
             let y = layer.forward(&[&x], true, &mut ws);
-            let _ = layer.backward(&[&x], &y, &dout, &mut ws);
+            let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
             let mut grads: Vec<(String, Tensor)> = Vec::new();
             layer.visit_updates(&mut |n, _p, g| grads.push((n.to_string(), g.clone())));
             let dk = &grads.iter().find(|(n, _)| n == "kernel").unwrap().1;
@@ -210,7 +211,7 @@ mod tests {
         let x = Tensor::ones([1, 2]);
         let dout = Tensor::ones([1, 2]);
         let y = layer.forward(&[&x], true, &mut ws);
-        let _ = layer.backward(&[&x], &y, &dout, &mut ws);
+        let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
         let mut once = Tensor::zeros([2, 2]);
         layer.visit_updates(&mut |n, _p, g| {
             if n == "kernel" {
@@ -218,7 +219,7 @@ mod tests {
             }
         });
         let y = layer.forward(&[&x], true, &mut ws);
-        let _ = layer.backward(&[&x], &y, &dout, &mut ws);
+        let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
         layer.visit_updates(&mut |n, _p, g| {
             if n == "kernel" {
                 assert!(g.approx_eq(
@@ -246,13 +247,13 @@ mod tests {
         // stable batch over batch (output tensors are recycled by the caller,
         // here manually).
         let y = layer.forward(&[&x], true, &mut ws);
-        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
         ws.recycle(dx);
         ws.recycle(y);
         let pooled = ws.pooled();
         for _ in 0..3 {
             let y = layer.forward(&[&x], true, &mut ws);
-            let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
+            let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
             ws.recycle(dx);
             ws.recycle(y);
             assert_eq!(ws.pooled(), pooled, "steady state must not grow the pool");

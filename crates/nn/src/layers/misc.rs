@@ -31,13 +31,17 @@ impl Layer for ActivationLayer {
         _inputs: &[&Tensor],
         output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
+    ) -> Vec<Option<Tensor>> {
+        if !wanted[0] {
+            return vec![None];
+        }
         let mut dx = ws.take_tensor(dout.shape().clone());
         for ((o, &g), &yv) in dx.data_mut().iter_mut().zip(dout.data()).zip(output.data()) {
             *o = g * activation_grad_scalar(yv, self.activation);
         }
-        vec![dx]
+        vec![Some(dx)]
     }
 }
 
@@ -83,17 +87,21 @@ impl Layer for DropoutLayer {
         _inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
+    ) -> Vec<Option<Tensor>> {
+        if !wanted[0] {
+            return vec![None];
+        }
         match &self.mask {
             Some(mask) => {
                 let mut dx = ws.take_tensor(dout.shape().clone());
                 for ((o, &g), &m) in dx.data_mut().iter_mut().zip(dout.data()).zip(mask.data()) {
                     *o = g * m;
                 }
-                vec![dx]
+                vec![Some(dx)]
             }
-            None => vec![ws_copy(dout, ws)],
+            None => vec![Some(ws_copy(dout, ws))],
         }
     }
 
@@ -141,20 +149,25 @@ impl Layer for ConcatLayer {
         inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
+    ) -> Vec<Option<Tensor>> {
         let total = dout.shape().dim(1);
         let mut off = 0;
         inputs
             .iter()
-            .map(|t| {
+            .zip(wanted)
+            .map(|(t, &wanted)| {
                 let w = t.shape().dim(1);
-                let mut g = ws.take_tensor(t.shape().clone());
-                for (dst, src) in g.data_mut().chunks_mut(w).zip(dout.data().chunks(total)) {
-                    dst.copy_from_slice(&src[off..off + w]);
-                }
+                let from = off;
                 off += w;
-                g
+                wanted.then(|| {
+                    let mut g = ws.take_tensor(t.shape().clone());
+                    for (dst, src) in g.data_mut().chunks_mut(w).zip(dout.data().chunks(total)) {
+                        dst.copy_from_slice(&src[from..from + w]);
+                    }
+                    g
+                })
             })
             .collect()
     }
@@ -171,7 +184,8 @@ mod tests {
         let x = Tensor::from_vec([1, 4], vec![-1.0, 2.0, -3.0, 4.0]);
         let y = layer.forward(&[&x], true, &mut ws);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let dx = layer.backward(&[&x], &y, &Tensor::ones([1, 4]), &mut ws).remove(0);
+        let dx =
+            layer.backward(&[&x], &y, &Tensor::ones([1, 4]), &[true], &mut ws).remove(0).unwrap();
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -192,7 +206,10 @@ mod tests {
         // E[y] = 1; mean over 10k elements should be close.
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // Backward routes gradient only through kept elements.
-        let dx = layer.backward(&[&x], &y, &Tensor::ones([100, 100]), &mut ws).remove(0);
+        let dx = layer
+            .backward(&[&x], &y, &Tensor::ones([100, 100]), &[true], &mut ws)
+            .remove(0)
+            .unwrap();
         assert!(dx.approx_eq(&y, 1e-6));
     }
 
@@ -211,9 +228,14 @@ mod tests {
         let y = layer.forward(&[&a, &b], true, &mut ws);
         assert_eq!(y.shape().dims(), &[2, 3]);
         assert_eq!(y.data(), &[1., 2., 9., 3., 4., 8.]);
-        let grads = layer.backward(&[&a, &b], &y, &y, &mut ws);
-        assert!(grads[0].approx_eq(&a, 0.0));
-        assert!(grads[1].approx_eq(&b, 0.0));
+        let grads = layer.backward(&[&a, &b], &y, &y, &[true, true], &mut ws);
+        assert!(grads[0].as_ref().unwrap().approx_eq(&a, 0.0));
+        assert!(grads[1].as_ref().unwrap().approx_eq(&b, 0.0));
+        // An unwanted slice is not cut; the others still come from their
+        // own columns.
+        let grads = layer.backward(&[&a, &b], &y, &y, &[false, true], &mut ws);
+        assert!(grads[0].is_none());
+        assert!(grads[1].as_ref().unwrap().approx_eq(&b, 0.0));
     }
 
     #[test]

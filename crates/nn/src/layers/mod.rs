@@ -34,8 +34,9 @@ use swt_tensor::{Tensor, Workspace};
 ///
 /// `forward` receives one batched tensor per DAG input (leading dimension =
 /// batch). `backward` receives the same inputs, the output `forward`
-/// returned for them and the upstream gradient of that output, and returns
-/// one gradient per input, in the same order.
+/// returned for them, the upstream gradient of that output and which of the
+/// inputs' gradients anyone will read, and returns one entry per input, in
+/// the same order: the gradient where it is wanted, `None` where it is not.
 pub trait Layer: Send {
     /// Run the layer. `training` toggles batch-statistics / dropout
     /// behaviour exactly like Keras' `training=True`; only a training-mode
@@ -45,14 +46,18 @@ pub trait Layer: Send {
 
     /// Backpropagate through the latest training-mode `forward`, whose
     /// `inputs` and `output` the caller still holds. Parameter gradients
-    /// accumulate into the layer.
+    /// accumulate into the layer whatever `wanted` says; the gradient of
+    /// input `i` is computed only if `wanted[i]` — an input fed by the data
+    /// set has no reader for it, and for a first convolution or dense layer
+    /// that product is a third of the layer's step.
     fn backward(
         &mut self,
         inputs: &[&Tensor],
         output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor>;
+    ) -> Vec<Option<Tensor>>;
 
     /// Return every per-batch tensor the layer still holds to `ws` (the
     /// model is being torn down and its arena moves on to the next one).
@@ -123,7 +128,7 @@ mod tests {
         for (mut layer, x) in cases {
             let y = layer.forward(&[&x], true, &mut ws);
             let dout = Tensor::full(y.shape().clone(), f32::INFINITY);
-            layer.backward(&[&x], &y, &dout, &mut ws);
+            layer.backward(&[&x], &y, &dout, &[true], &mut ws);
             let mut poisoned = 0;
             layer.visit_updates(&mut |_, _, g| {
                 poisoned += g.data().iter().filter(|v| !v.is_finite()).count()

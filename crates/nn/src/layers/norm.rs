@@ -135,8 +135,9 @@ impl Layer for BatchNormLayer {
         _inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
+    ) -> Vec<Option<Tensor>> {
         let xhat = self.cached_xhat.as_ref().expect("backward before training forward");
         let c = self.channels();
         let n = self.cached_rows as f32;
@@ -158,16 +159,19 @@ impl Layer for BatchNormLayer {
         }
 
         // dx = (gamma · inv_std / n) · (n·dout − Σdout − xhat·Σ(dout·xhat))
-        let mut dx = ws.take_tensor(dout.shape().clone());
-        for ((dst, dchunk), xchunk) in
-            dx.data_mut().chunks_mut(c).zip(dout.data().chunks(c)).zip(xhat.data().chunks(c))
-        {
-            for i in 0..c {
-                let g = self.gamma.data()[i];
-                let is = self.cached_inv_std[i];
-                dst[i] = g * is / n * (n * dchunk[i] - dbeta[i] - xchunk[i] * dgamma[i]);
+        let dx = wanted[0].then(|| {
+            let mut dx = ws.take_tensor(dout.shape().clone());
+            for ((dst, dchunk), xchunk) in
+                dx.data_mut().chunks_mut(c).zip(dout.data().chunks(c)).zip(xhat.data().chunks(c))
+            {
+                for i in 0..c {
+                    let g = self.gamma.data()[i];
+                    let is = self.cached_inv_std[i];
+                    dst[i] = g * is / n * (n * dchunk[i] - dbeta[i] - xchunk[i] * dgamma[i]);
+                }
             }
-        }
+            dx
+        });
 
         for (o, &v) in self.d_beta.data_mut().iter_mut().zip(dbeta.iter()) {
             *o += v;
@@ -278,7 +282,7 @@ mod tests {
         let mut bn = BatchNormLayer::new(2);
         let y = bn.forward(&[&x], true, &mut ws);
         let dout = w.clone();
-        let dx = bn.backward(&[&x], &y, &dout, &mut ws).remove(0);
+        let dx = bn.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
         let eps = 1e-2f32;
         for i in 0..x.numel() {
             let mut plus = x.clone();

@@ -31,9 +31,11 @@ impl Layer for MaxPool2DLayer {
         inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
-        vec![maxpool2d_backward_ws(inputs[0].shape().dims(), dout, &self.argmax, ws)]
+    ) -> Vec<Option<Tensor>> {
+        let dx = || maxpool2d_backward_ws(inputs[0].shape().dims(), dout, &self.argmax, ws);
+        vec![wanted[0].then(dx)]
     }
 }
 
@@ -62,9 +64,11 @@ impl Layer for MaxPool1DLayer {
         inputs: &[&Tensor],
         _output: &Tensor,
         dout: &Tensor,
+        wanted: &[bool],
         ws: &mut Workspace,
-    ) -> Vec<Tensor> {
-        vec![maxpool1d_backward_ws(inputs[0].shape().dims(), dout, &self.argmax, ws)]
+    ) -> Vec<Option<Tensor>> {
+        let dx = || maxpool1d_backward_ws(inputs[0].shape().dims(), dout, &self.argmax, ws);
+        vec![wanted[0].then(dx)]
     }
 }
 
@@ -84,7 +88,7 @@ mod tests {
         let y = layer.forward(&[&x], true, &mut ws);
         assert_eq!(y.data(), &[8., 6.]);
         let dout = Tensor::from_vec([1, 1, 2, 1], vec![1.0, 2.0]);
-        let dx = layer.backward(&[&x], &y, &dout, &mut ws).remove(0);
+        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
         assert_eq!(dx.data(), &[0., 0., 0., 0., 1., 0., 2., 0.]);
     }
 

@@ -47,6 +47,12 @@ pub struct Model {
     moved_from: Vec<Option<usize>>,
     /// Backward's per-node gradient slots (all `None` between passes).
     grads: Vec<Option<Tensor>>,
+    /// Per node, per input: whether that input's gradient has a reader — a
+    /// parameter at or upstream of the node that produced it. The data set
+    /// has none, so neither has an input node or a parameter-free layer fed
+    /// only by such; a layer is not asked for (and does not compute) a
+    /// gradient that would only be recycled.
+    wanted: Vec<Vec<bool>>,
     /// Per-node `nn.layer.<kind>.{fwd,bwd}_ns` histograms, resolved on the
     /// first pass that finds instrumentation enabled.
     layer_obs: Vec<Option<LayerObs>>,
@@ -78,13 +84,21 @@ impl Model {
         let mut layers: Vec<Option<Box<dyn Layer>>> = Vec::with_capacity(n);
         let mut consumers = vec![0usize; n];
         consumers[spec.output()] += 1;
+        // Whether anything reads the gradient of node `j`'s output.
+        let mut has_reader = vec![false; n];
+        let mut wanted = vec![Vec::new(); n];
         for (i, node) in spec.nodes().iter().enumerate() {
             let layer: Option<Box<dyn Layer>> = match node {
                 NodeSpec::Input { .. } => None,
                 NodeSpec::Layer { op, inputs } => {
                     inputs.iter().for_each(|&j| consumers[j] += 1);
                     let mut rng = root.fork(i as u64);
-                    build_layer(op, &shapes[inputs[0]], &mut rng)
+                    let layer = build_layer(op, &shapes[inputs[0]], &mut rng);
+                    wanted[i] = inputs.iter().map(|&j| has_reader[j]).collect();
+                    let mut has_params = false;
+                    layer.iter().for_each(|l| l.visit_params(&mut |_, _| has_params = true));
+                    has_reader[i] = has_params || wanted[i].contains(&true);
+                    layer
                 }
             };
             layers.push(layer);
@@ -97,6 +111,7 @@ impl Model {
             outputs: vec![None; n],
             moved_from: vec![None; n],
             grads: vec![None; n],
+            wanted,
             layer_obs: Vec::new(),
             layers,
             ws: Workspace::new(),
@@ -227,7 +242,9 @@ impl Model {
 
     /// Backward pass from the loss gradient of the output; must follow a
     /// `training` [`Model::forward`]. Parameter gradients accumulate inside
-    /// the layers; call [`Model::zero_grads`] between steps.
+    /// the layers; call [`Model::zero_grads`] between steps. A layer is asked
+    /// only for the input gradients that have a reader (`wanted`): the first
+    /// convolution's or dense layer's input gradient is never computed.
     pub fn backward(&mut self, dout: &Tensor) {
         const NO_FORWARD: &str = "backward without a training-mode forward";
         let timed = self.layer_timing();
@@ -249,13 +266,14 @@ impl Model {
                     let y = self.outputs[i].take().expect(NO_FORWARD);
                     self.outputs[j] = Some(y.reshape(input_shape.clone()));
                 }
-                vec![grad.reshape(input_shape)]
+                vec![Some(grad.reshape(input_shape))]
             } else {
                 let gathered: Vec<&Tensor> =
                     in_ids.iter().map(|&j| self.outputs[j].as_ref().expect(NO_FORWARD)).collect();
                 let output = self.outputs[i].as_ref().expect(NO_FORWARD);
                 let layer = self.layers[i].as_mut().expect("layer node");
-                let input_grads = layer.backward(&gathered, output, &grad, &mut self.ws);
+                let input_grads =
+                    layer.backward(&gathered, output, &grad, &self.wanted[i], &mut self.ws);
                 self.ws.recycle(grad);
                 input_grads
             };
@@ -264,6 +282,7 @@ impl Model {
             }
             debug_assert_eq!(input_grads.len(), in_ids.len());
             for (j, g) in in_ids.iter().zip(input_grads) {
+                let Some(g) = g else { continue };
                 match &mut self.grads[*j] {
                     Some(acc) => {
                         acc.axpy(1.0, &g);
@@ -654,6 +673,102 @@ mod tests {
             }
         });
         assert!(nonzero >= 2, "expected gradients in both dense layers");
+    }
+
+    /// One training step's parameter gradients, `to_bits()`; `skip = false`
+    /// asks every layer for every input gradient, as before there was a
+    /// `wanted` to pass.
+    fn step_grad_bits(spec: &ModelSpec, inputs: &[&Tensor], skip: bool) -> Vec<(String, Vec<u32>)> {
+        let mut model = Model::build(spec, 21).unwrap();
+        if !skip {
+            model.wanted.iter_mut().for_each(|w| w.fill(true));
+        }
+        let y = model.forward(inputs, true);
+        model.zero_grads();
+        model.backward(&Tensor::ones(y.shape().clone()));
+        assert!(model.grads.iter().all(Option::is_none), "a gradient slot outlived the pass");
+        let mut grads = Vec::new();
+        model.visit_updates(&mut |name, _, g| {
+            grads.push((name.to_string(), g.data().iter().map(|v| v.to_bits()).collect()))
+        });
+        grads
+    }
+
+    /// A gradient only the data set would read is not computed, and no
+    /// parameter gradient can tell: conv-first and dense-first chains, a
+    /// parameter-free prefix, and an Uno-shaped concat of one raw input and
+    /// two towers.
+    #[test]
+    fn unread_input_gradients_are_skipped_without_moving_a_bit() {
+        let mut rng = Rng::seed(31);
+        let dense = |units| LayerSpec::Dense { units, activation: Some(Activation::Tanh) };
+        let conv = LayerSpec::Conv2D { filters: 12, kernel: 3, padding: Padding::Same, l2: 5e-4 };
+        let image = Tensor::rand_normal([4, 8, 8, 3], 0.0, 1.0, &mut rng);
+        let conv_first = ModelSpec::chain(
+            vec![8, 8, 3],
+            vec![
+                conv.clone(),
+                LayerSpec::BatchNorm,
+                LayerSpec::MaxPool2D { size: 2, stride: 2 },
+                conv.clone(),
+                LayerSpec::Flatten,
+                dense(5),
+            ],
+        )
+        .unwrap();
+        // Nothing before the batch-norm has a parameter, so its input
+        // gradient — and the pool's and the activation's — has no reader.
+        let free_prefix = ModelSpec::chain(
+            vec![8, 8, 3],
+            vec![
+                LayerSpec::Activation(Activation::Tanh),
+                LayerSpec::MaxPool2D { size: 2, stride: 2 },
+                LayerSpec::Identity,
+                LayerSpec::BatchNorm,
+                conv,
+                LayerSpec::Flatten,
+                dense(5),
+            ],
+        )
+        .unwrap();
+        for spec in [&conv_first, &free_prefix] {
+            assert_eq!(
+                step_grad_bits(spec, &[&image], true),
+                step_grad_bits(spec, &[&image], false)
+            );
+        }
+        let wanted = |spec: &ModelSpec| Model::build(spec, 0).unwrap().wanted;
+        assert_eq!(wanted(&conv_first)[1..=4], [vec![false], vec![true], vec![true], vec![true]]);
+        assert_eq!(wanted(&free_prefix)[1..=5].concat(), [false, false, false, false, true]);
+
+        let row = Tensor::rand_normal([6, 7], 0.0, 1.0, &mut rng);
+        let dense_first = ModelSpec::chain(vec![7], vec![dense(9), dense(3)]).unwrap();
+        assert_eq!(
+            step_grad_bits(&dense_first, &[&row], true),
+            step_grad_bits(&dense_first, &[&row], false)
+        );
+
+        let layer = |op, input| NodeSpec::Layer { op, inputs: vec![input] };
+        let uno = ModelSpec::new(
+            vec![
+                NodeSpec::Input { shape: vec![7] },
+                NodeSpec::Input { shape: vec![4] },
+                NodeSpec::Input { shape: vec![3] },
+                layer(dense(6), 0),
+                layer(dense(5), 3),
+                layer(dense(2), 1),
+                NodeSpec::Layer { op: LayerSpec::Concat, inputs: vec![4, 2, 5] },
+                layer(dense(1), 6),
+            ],
+            7,
+        )
+        .unwrap();
+        let (b, c) = (Tensor::ones([6, 4]), Tensor::rand_normal([6, 3], 0.0, 1.0, &mut rng));
+        assert_eq!(
+            step_grad_bits(&uno, &[&row, &b, &c], true),
+            step_grad_bits(&uno, &[&row, &b, &c], false)
+        );
+        assert_eq!(wanted(&uno)[6], [true, false, true]);
     }
 
     #[test]

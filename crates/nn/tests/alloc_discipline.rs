@@ -11,7 +11,11 @@
 //!   inputs, the loss's per-row probabilities — stay below that; a feature
 //!   map, an argmax or a mask does not), and
 //! * the arena's `pooled()` and `alloc_misses()` read the same after each of
-//!   ten more batches.
+//!   ten more batches, and
+//! * a step counts three `tensor.gemm.*` contractions per conv or dense layer
+//!   less one for each that is fed by the data set: nobody reads that input
+//!   gradient, so it is not computed (also on a dense-first chain and an
+//!   Uno-shaped concat of towers and a raw input).
 //!
 //! One `#[test]` on purpose: the allocation counter and the thread budget are
 //! process-wide.
@@ -19,7 +23,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use swt_nn::{
-    Activation, Adam, AdamConfig, Dataset, LayerSpec, Loss, Metric, Model, ModelSpec, Trainer,
+    Activation, Adam, AdamConfig, Dataset, LayerSpec, Loss, Metric, Model, ModelSpec, NodeSpec,
+    Trainer,
 };
 use swt_tensor::{parallel, Padding, Rng, Tensor};
 
@@ -131,12 +136,61 @@ fn warmed_model_step_and_evaluate_stay_inside_the_arena() {
     step(&mut model, &mut adam, &batches[0]);
     assert_eq!(arena(&mut model), warm, "the step after validation moved the arena");
     let large = LARGE_ALLOCS.load(Ordering::Relaxed) - before;
-    parallel::set_max_threads(0);
     assert_eq!(large, 0, "a warmed model made {large} allocation(s) of {LARGE} bytes or more");
+
+    // Two convs and two dense layers are twelve contractions a step; the
+    // first conv reads the batch itself, so its `dX` is not one of them.
+    swt_obs::enable();
+    let counted = gemms();
+    step(&mut model, &mut adam, &batches[0]);
+    assert_eq!(gemms() - counted, 4 * 3 - 1, "contractions in one step of the chain");
+    assert_eq!(arena(&mut model), warm, "the counted step moved the arena");
+
+    // The same count on a dense-first chain and on Uno's shape — two towers
+    // and one raw input into a concat: each input-fed dense layer skips one.
+    let dense = |units| LayerSpec::Dense { units, activation: Some(Activation::Relu) };
+    let layer = |op, input| NodeSpec::Layer { op, inputs: vec![input] };
+    let uno = ModelSpec::new(
+        vec![
+            NodeSpec::Input { shape: vec![96] },
+            NodeSpec::Input { shape: vec![160] },
+            NodeSpec::Input { shape: vec![8] },
+            layer(dense(64), 0),
+            layer(dense(32), 3),
+            layer(dense(64), 1),
+            NodeSpec::Layer { op: LayerSpec::Concat, inputs: vec![4, 5, 2] },
+            layer(dense(1), 6),
+        ],
+        7,
+    )
+    .unwrap();
+    let chain = ModelSpec::chain(vec![96], vec![dense(64), dense(32), dense(1)]).unwrap();
+    for (spec, widths, layers, input_fed) in
+        [(&chain, &[96][..], 3, 1), (&uno, &[96, 160, 8][..], 4, 2)]
+    {
+        let mut model = Model::build(spec, 7).unwrap();
+        let inputs: Vec<Tensor> =
+            widths.iter().map(|&w| Tensor::rand_normal([32, w], 0.0, 1.0, &mut rng)).collect();
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let counted = gemms();
+        let pred = model.forward(&refs, true);
+        model.backward(&pred);
+        assert_eq!(gemms() - counted, layers * 3 - input_fed, "contractions in one step");
+    }
+    swt_obs::disable();
+    parallel::set_max_threads(0);
 
     // Teardown hands everything back: nothing the model or its layers held
     // (activations, batch-norm's x̂, dropout's mask) is lost to the next one.
     let ws = model.take_workspace();
     assert!(ws.pooled() > warm.0, "take_workspace must return what the model still held");
     assert_eq!(ws.alloc_misses(), warm.1);
+}
+
+/// Every `tensor.gemm.*` contraction counted so far.
+fn gemms() -> u64 {
+    ["tensor.gemm.small", "tensor.gemm.blocked.scalar", "tensor.gemm.blocked.simd"]
+        .iter()
+        .map(|name| swt_obs::registry::global().counter(name).get())
+        .sum()
 }

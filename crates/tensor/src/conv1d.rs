@@ -7,7 +7,7 @@
 //! module is the shape checks around [`crate::conv2d`]'s direct kernels: same
 //! tiles, same `(kx, c)` contraction order, same Workspace discipline.
 
-use crate::conv2d::{backward, forward, Geom, Padding};
+use crate::conv2d::{backward_input, backward_kernel, forward, Geom, Padding};
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
 
@@ -58,6 +58,21 @@ pub fn conv1d_backward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor) {
+    let dk = conv1d_backward_kernel_ws(input, kernel, dout, padding, ws);
+    let g = geom1d(input, kernel, padding);
+    let dx = backward_input(&g, kernel.data(), dout.data(), ws);
+    (Tensor::from_vec([g.n, g.w, g.c], dx), dk)
+}
+
+/// The `d_kernel` half of [`conv1d_backward_ws`] alone (see
+/// [`crate::conv2d::conv2d_backward_kernel_ws`]).
+pub fn conv1d_backward_kernel_ws(
+    input: &Tensor,
+    kernel: &Tensor,
+    dout: &Tensor,
+    padding: Padding,
+    ws: &mut Workspace,
+) -> Tensor {
     let g = geom1d(input, kernel, padding);
     assert_eq!(
         dout.shape().dims(),
@@ -65,8 +80,7 @@ pub fn conv1d_backward_ws(
         "conv1d_backward: bad dout {}",
         dout.shape()
     );
-    let (dx, dk) = backward(&g, input.data(), kernel.data(), dout.data(), ws);
-    (Tensor::from_vec([g.n, g.w, g.c], dx), Tensor::from_vec([g.kw, g.c, g.f], dk))
+    Tensor::from_vec([g.kw, g.c, g.f], backward_kernel(&g, input.data(), dout.data(), ws))
 }
 
 #[cfg(test)]

@@ -42,7 +42,9 @@
 //! scratch buffer from a caller-owned [`Workspace`], so steady-state
 //! training allocates nothing.
 
-use crate::bcast::{add_assign, strip, tile_rows, Mode, Strip, LANES, MAX_TILE_ROWS};
+use crate::bcast::{
+    add_assign, b_row_len, strip, tile_kind, tile_rows, Mode, Strip, MAX_TILE_ROWS,
+};
 use crate::matmul::{active_kernel, route, KernelKind, KC};
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -206,14 +208,14 @@ impl Geom {
     }
 }
 
-/// One GEMM-shaped contraction's kernel, counted under `tensor.gemm.*` like
-/// the dense products, and how its `KC`-step strips after the first join
-/// `c`: as panels added in panel order, or — below the small-problem cutoff —
-/// as one undivided chain on the portable tile, the unfused direct loop's
-/// contraction.
+/// The kernel whose tile runs one GEMM-shaped contraction with `n` as its
+/// vector dimension, counted under `tensor.gemm.*` like the dense products,
+/// and how its `KC`-step strips after the first join `c`: as panels added in
+/// panel order, or — below the small-problem cutoff — as one undivided chain
+/// on the portable tile, the unfused direct loop's contraction.
 fn plan(m: usize, n: usize, k: usize) -> (KernelKind, Mode) {
     match route(active_kernel(), m, n, k) {
-        Some(kernel) => (kernel, Mode::Add),
+        Some(kernel) => (tile_kind(kernel, n), Mode::Add),
         None => (KernelKind::Scalar, Mode::Extend),
     }
 }
@@ -237,15 +239,21 @@ fn tasks(macs: usize, pieces: usize) -> usize {
     }
 }
 
-/// `m` rows of `f` elements as the vector operand of a strip: the rows
-/// themselves when they are whole vectors, else a copy with each row
-/// zero-padded to the next multiple of [`LANES`]. Returns the copy (to give
-/// back) and the row stride to use.
-fn whole_vectors(src: &[f32], m: usize, f: usize, ws: &mut Workspace) -> (Option<Vec<f32>>, usize) {
-    if f.is_multiple_of(LANES) {
+/// `m` rows of `f` elements as the vector operand of `kind`'s strips: the
+/// rows themselves when `kind` reads no further than they go (whole vectors,
+/// or masked loads), else a copy with each row zero-padded to what it reads.
+/// Returns the copy (to give back) and the row stride to use.
+fn whole_vectors(
+    kind: KernelKind,
+    src: &[f32],
+    m: usize,
+    f: usize,
+    ws: &mut Workspace,
+) -> (Option<Vec<f32>>, usize) {
+    let fp = b_row_len(kind, f);
+    if fp == f {
         return (None, f);
     }
-    let fp = f.next_multiple_of(LANES);
     let mut wide = ws.take(m * fp);
     for (to, row) in wide.chunks_exact_mut(fp).zip(src.chunks_exact(f)) {
         to[..f].copy_from_slice(row);
@@ -265,10 +273,10 @@ pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -
     }
     let xs = g.padded().then(|| g.pad(x, ws));
     let src = xs.as_deref().unwrap_or(x);
-    let (wide, fp) = whole_vectors(kernel, cols, f, ws);
+    let (wide, fp) = whole_vectors(kind, kernel, cols, f, ws);
     let w = wide.as_deref().unwrap_or(kernel);
     let (kernel_row, src_row) = (g.kw * g.c, g.src_strides().0);
-    let tile = tile_rows(f);
+    let tile = tile_rows(kind, f);
     // Tasks are ranges of output rows, whole tiles each.
     let task_rows = rows.div_ceil(tasks(rows * cols * f, rows.div_ceil(tile)));
     let task_rows = task_rows.next_multiple_of(tile);
@@ -307,33 +315,25 @@ pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -
     out
 }
 
-/// `(d_input, d_kernel)` as flat NHWC / `(kh, kw, c, f)` buffers.
-pub(crate) fn backward(
-    g: &Geom,
-    x: &[f32],
-    kernel: &[f32],
-    dout: &[f32],
-    ws: &mut Workspace,
-) -> (Vec<f32>, Vec<f32>) {
+/// `d_kernel (cols × f) = colᵀ · dOut`: tiles of patch columns, contracted
+/// over output positions. Panels are the outer loop so one panel of `dOut`
+/// serves every column tile from cache. Shares nothing with
+/// [`backward_input`] but `dout`: a backward pass is the two, in this order.
+pub(crate) fn backward_kernel(g: &Geom, x: &[f32], dout: &[f32], ws: &mut Workspace) -> Vec<f32> {
     let (rows, cols, f) = (g.rows(), g.cols(), g.f);
     let (dw_kind, dw_later) = plan(cols, f, rows);
-    let (dx_kind, dx_later) = plan(rows, cols, f);
     let mut dk = ws.take(cols * f);
     if rows * cols * f == 0 {
         dk.fill(0.0);
-        return (ws.take_zeroed(g.n * g.h * g.w * g.c), dk);
+        return dk;
     }
     let macs = rows * cols * f;
     let (kernel_row, src_row) = (g.kw * g.c, g.src_strides().0);
-
-    // dW = colᵀ · dOut: tiles of patch columns, contracted over output
-    // positions. Panels are the outer loop so one panel of `dOut` serves
-    // every column tile from cache.
     let xs = g.padded().then(|| g.pad(x, ws));
     let src = xs.as_deref().unwrap_or(x);
-    let (wide, fp) = whole_vectors(dout, rows, f, ws);
+    let (wide, fp) = whole_vectors(dw_kind, dout, rows, f, ws);
     let dout_rows = wide.as_deref().unwrap_or(dout);
-    let tile = tile_rows(f);
+    let tile = tile_rows(dw_kind, f);
     // Tasks are ranges of patch columns (rows of `dk`), whole tiles each.
     let task_cols = cols.div_ceil(tasks(macs, cols.div_ceil(tile))).next_multiple_of(tile);
     parallel::par_chunks_mut(&mut dk, task_cols * f, |ti, dk| {
@@ -377,13 +377,28 @@ pub(crate) fn backward(
         }
     });
     wide.into_iter().chain(xs).for_each(|buf| ws.give(buf));
+    dk
+}
 
-    // dX: rows of dCol = dOut · Wᵀ, a tile at a time into `stage`, each row
-    // then added into `d_input` as its `kh` runs, clipped to the image.
-    // Patches of neighbouring rows overlap, so a row is added whole before
-    // the next one starts: that is the order a col2im pass over a stored
-    // dCol keeps.
-    let colsp = cols.next_multiple_of(LANES);
+/// `d_input`: rows of `dCol = dOut · Wᵀ`, a tile at a time into `stage`, each
+/// row then added into `d_input` as its `kh` runs, clipped to the image.
+/// Patches of neighbouring rows overlap, so a row is added whole before the
+/// next one starts: that is the order a col2im pass over a stored `dCol`
+/// keeps.
+pub(crate) fn backward_input(
+    g: &Geom,
+    kernel: &[f32],
+    dout: &[f32],
+    ws: &mut Workspace,
+) -> Vec<f32> {
+    let (rows, cols, f) = (g.rows(), g.cols(), g.f);
+    let (dx_kind, dx_later) = plan(rows, cols, f);
+    let mut dx = ws.take_zeroed(g.n * g.h * g.w * g.c);
+    if rows * cols * f == 0 {
+        return dx;
+    }
+    let macs = rows * cols * f;
+    let colsp = b_row_len(dx_kind, cols);
     let mut wt = ws.take(f * colsp);
     for (fi, wt_row) in wt.chunks_exact_mut(colsp).enumerate() {
         for (col, v) in wt_row.iter_mut().enumerate() {
@@ -393,8 +408,7 @@ pub(crate) fn backward(
     // A row of `dOut` is contracted front to back, whichever panel.
     let mut table = [0; KC];
     let steps = step_table(&mut table, 0..f.min(KC));
-    let tile = tile_rows(cols);
-    let mut dx = ws.take_zeroed(g.n * g.h * g.w * g.c);
+    let tile = tile_rows(dx_kind, cols);
     // Tasks are groups of samples: their gradients are disjoint.
     let group = g.n.div_ceil(tasks(macs, g.n));
     let mut stage = ws.take(g.n.div_ceil(group) * tile * cols);
@@ -444,7 +458,7 @@ pub(crate) fn backward(
     );
     ws.give(stage);
     ws.give(wt);
-    (dx, dk)
+    dx
 }
 
 fn geom2d(input: &Tensor, kernel: &Tensor, padding: Padding) -> Geom {
@@ -477,7 +491,8 @@ pub fn conv2d_forward_ws(
 }
 
 /// Backward 2-D convolution: given upstream gradient `dout (n, oh, ow, f)`,
-/// returns `(d_input, d_kernel)`.
+/// returns `(d_input, d_kernel)` — [`conv2d_backward_kernel_ws`], then the
+/// input half.
 pub fn conv2d_backward(
     input: &Tensor,
     kernel: &Tensor,
@@ -495,6 +510,22 @@ pub fn conv2d_backward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor) {
+    let dk = conv2d_backward_kernel_ws(input, kernel, dout, padding, ws);
+    let g = geom2d(input, kernel, padding);
+    let dx = backward_input(&g, kernel.data(), dout.data(), ws);
+    (Tensor::from_vec([g.n, g.h, g.w, g.c], dx), dk)
+}
+
+/// The `d_kernel` half of [`conv2d_backward_ws`] alone, for a convolution
+/// whose `d_input` nobody reads (the first layer of a model): one contraction
+/// instead of two, the same bits. `kernel` gives the shape only.
+pub fn conv2d_backward_kernel_ws(
+    input: &Tensor,
+    kernel: &Tensor,
+    dout: &Tensor,
+    padding: Padding,
+    ws: &mut Workspace,
+) -> Tensor {
     let g = geom2d(input, kernel, padding);
     assert_eq!(
         dout.shape().dims(),
@@ -502,8 +533,7 @@ pub fn conv2d_backward_ws(
         "conv2d_backward: dout shape {} unexpected",
         dout.shape()
     );
-    let (dx, dk) = backward(&g, input.data(), kernel.data(), dout.data(), ws);
-    (Tensor::from_vec([g.n, g.h, g.w, g.c], dx), Tensor::from_vec([g.kh, g.kw, g.c, g.f], dk))
+    Tensor::from_vec([g.kh, g.kw, g.c, g.f], backward_kernel(&g, input.data(), dout.data(), ws))
 }
 
 #[cfg(test)]
@@ -600,6 +630,18 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `(d_input, d_kernel)`: a backward pass's two halves, in its order.
+    fn backward(
+        g: &Geom,
+        x: &[f32],
+        kernel: &[f32],
+        dout: &[f32],
+        ws: &mut Workspace,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let dk = backward_kernel(g, x, dout, ws);
+        (backward_input(g, kernel, dout, ws), dk)
+    }
+
     /// Forward, `d_input` and `d_kernel` of the direct kernels against the
     /// oracle, `to_bits()`-equal.
     fn assert_matches_oracle(g: &Geom, x: &[f32], kernel: &[f32], dout: &[f32], what: &str) {
@@ -656,6 +698,33 @@ mod tests {
         (7, 4, 1, 8, 3, 3, 24),
         (3, 5, 3, 16, 3, 5, 16),
         (9, 4, 6, 8, 3, 5, 16),
+        // What the 16-lane tile masks. `f` of 9–15 (one ragged zmm), 17, 24
+        // and 31 (6×2, the second vector ragged), 33 (3×3, one lane in the
+        // third); `c` of 3, 8 and 24 under a 3×3 kernel make `dX`'s vector
+        // dimension 27, 72 and 216 columns; 175 and 75 rows are short last
+        // tiles for every tile height.
+        (5, 7, 5, 3, 3, 3, 9),
+        (5, 7, 5, 3, 3, 3, 10),
+        (5, 7, 5, 8, 3, 3, 11),
+        (5, 7, 5, 8, 3, 3, 12),
+        (3, 5, 5, 24, 3, 3, 13),
+        (3, 5, 5, 24, 3, 3, 14),
+        (5, 7, 5, 3, 3, 3, 15),
+        (5, 7, 5, 3, 3, 3, 17),
+        (5, 7, 5, 8, 3, 3, 24),
+        (5, 7, 5, 8, 3, 3, 31),
+        (3, 5, 5, 24, 3, 3, 33),
+        // Short last tiles in a *later* panel (`Mode::Add`) under ragged
+        // vectors: forward with `kh·kw·c` = 288 > `KC` over 75 rows, `dW`
+        // with 324 rows > `KC` over 27 columns. (`dX` has its own above:
+        // `f` = 260 over 25 rows of 18 columns.)
+        (3, 5, 5, 32, 3, 3, 11),
+        (4, 9, 9, 3, 3, 3, 13),
+        // Eight lanes or fewer stay on the 8-lane tile under AVX-512: `dX`
+        // with 8 columns beside a 24-lane forward, and all three with `f` = 5
+        // beside a 27-lane `dX`.
+        (4, 10, 10, 2, 2, 2, 24),
+        (5, 7, 5, 3, 3, 3, 5),
     ];
 
     /// Every padding of a sweep shape that exists.
@@ -713,9 +782,13 @@ mod tests {
     fn parallel_paths_match_serial_bitwise() {
         let mut rng = Rng::seed(0xC2);
         let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        for &(n, h, w, c, kh, kw, f) in
-            &[(2, 16, 16, 32, 3, 3, 230), (5, 26, 26, 32, 3, 3, 24), (5, 26, 26, 64, 3, 3, 12)]
-        {
+        // The last has 15 ragged lanes forward and 216 in `dX`.
+        for &(n, h, w, c, kh, kw, f) in &[
+            (2, 16, 16, 32, 3, 3, 230),
+            (5, 26, 26, 32, 3, 3, 24),
+            (5, 26, 26, 64, 3, 3, 12),
+            (10, 26, 26, 24, 3, 3, 15),
+        ] {
             for padding in [Padding::Valid, Padding::Same] {
                 let g = Geom::new(n, h, w, c, kh, kw, f, padding);
                 assert!(g.rows() * g.cols() * g.f >= PAR_MACS, "{g:?} would not dispatch");

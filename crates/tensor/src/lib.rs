@@ -21,9 +21,10 @@
 //!
 //! The crate has zero external dependencies. Everything is safe Rust except
 //! the GEMM and convolution micro-kernels behind the runtime dispatch table
-//! in [`mod@matmul`]: explicit AVX2+FMA `std::arch` kernels (selected once per
-//! process via `is_x86_feature_detected!`, with the portable scalar kernels
-//! as fallback) are the one place `unsafe` buys real throughput. Hot loops elsewhere are
+//! in [`mod@matmul`]: explicit `std::arch` kernels — AVX2+FMA at 8 lanes, and
+//! AVX-512 at 16 where the host reports it — selected once per process via
+//! `is_x86_feature_detected!`, with the portable scalar kernels as fallback,
+//! are the one place `unsafe` buys real throughput. Hot loops elsewhere are
 //! written over slices and fixed-size tiles so bounds checks vectorise away.
 
 mod bcast;
@@ -38,8 +39,14 @@ pub mod shape;
 pub mod tensor;
 pub mod workspace;
 
-pub use conv1d::{conv1d_backward, conv1d_backward_ws, conv1d_forward, conv1d_forward_ws};
-pub use conv2d::{conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_ws, Padding};
+pub use conv1d::{
+    conv1d_backward, conv1d_backward_kernel_ws, conv1d_backward_ws, conv1d_forward,
+    conv1d_forward_ws,
+};
+pub use conv2d::{
+    conv2d_backward, conv2d_backward_kernel_ws, conv2d_backward_ws, conv2d_forward,
+    conv2d_forward_ws, Padding,
+};
 pub use matmul::{
     force_scalar_kernel, gemm_kernel_name, matmul, matmul_at, matmul_at_ws, matmul_bt,
     matmul_bt_ws, matmul_naive, matmul_ws,

@@ -26,23 +26,30 @@
 //! portable binary runs everywhere and still saturates wide vector units
 //! where they exist:
 //!
+//! * `Avx512Fma` — where the host also reports `avx512f`: a packed `A`
+//!   strip's `[k][MR = 16]` step is exactly one zmm register, so per k step
+//!   one 16-lane load and `NR = 8` broadcast-FMAs carry the whole tile in
+//!   eight accumulators, in a single pass (`micro_kernel_avx512`).
 //! * `Avx2Fma` — an explicit `std::arch::x86_64` kernel: per k step, two
 //!   8-lane loads of the packed `A` strip and eight broadcast
 //!   `_mm256_fmadd_ps` chains into the register tile
-//!   (`micro_kernel_avx2`).
+//!   (`micro_kernel_avx2`). The only SIMD kernel on hosts without AVX-512,
+//!   and the reference the other kinds' test sweeps compare against.
 //! * `ScalarFma` — the generic tile loop compiled with the `fma` feature
 //!   enabled for that one function, so `mul_add` lowers to hardware FMA.
 //! * `Scalar` — the fully portable generic tile loop; the baseline for any
 //!   target and the kernel behind [`force_scalar_kernel`].
 //!
-//! **FP-contract determinism:** all three kernels contract each output
+//! **FP-contract determinism:** all kernels contract each output
 //! element in the *same pinned order* — `k` ascending within a panel, one
 //! multiply-add per step, panel sums combined in panel order — and never
-//! reassociate. Kernels that fuse (`Avx2Fma`, `ScalarFma`, and `Scalar` when
-//! the build itself enables FMA) are therefore **bit-identical** to each
-//! other; the unfused portable `Scalar` kernel rounds each multiply and add
-//! separately and may differ from the fused kernels in the last ulp. Within
-//! one process the selection is pinned, so every run is bit-reproducible;
+//! reassociate: a lane is one output element's chain, so vector width is
+//! never part of a value. Kernels that fuse (`Avx512Fma`, `Avx2Fma`,
+//! `ScalarFma`, and `Scalar` when the build itself enables FMA) are therefore
+//! **bit-identical** to each other; the unfused portable `Scalar` kernel
+//! rounds each multiply and add separately and may differ from the fused
+//! kernels in the last ulp. Within one process the selection is pinned, so
+//! every run is bit-reproducible;
 //! A/B flags ([`force_scalar_kernel`], `SWT_FORCE_SCALAR_KERNEL=1`) change
 //! the kernel and may change low-order bits — they are benchmark/CI tools,
 //! not run-time tuning knobs.
@@ -58,7 +65,7 @@
 //! packing strides, never a materialised transpose. Every view here has unit
 //! stride along rows or columns, so packing is contiguous reads — copied, or
 //! transposed into the strip layout by `pack_rows` — rather than
-//! per-element index arithmetic; on the AVX kernel that transpose, and the
+//! per-element index arithmetic; on the AVX kernels that transpose, and the
 //! one that writes a register tile back to `C`, move 8×8 blocks through
 //! registers. [`matmul_naive`] keeps the textbook triple loop as the
 //! correctness reference.
@@ -95,6 +102,21 @@ pub(crate) enum KernelKind {
     /// Explicit AVX2+FMA `std::arch` kernel.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    /// Explicit AVX-512 `std::arch` kernel: the same chains at 16 lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx512Fma,
+}
+
+impl KernelKind {
+    /// Whether the 8×8 register transposes and other AVX data movement may
+    /// run under this kind.
+    pub(crate) fn has_avx(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if matches!(self, KernelKind::Avx2Fma | KernelKind::Avx512Fma) {
+            return true;
+        }
+        false
+    }
 }
 
 /// The process-wide kernel selection, made once at first GEMM.
@@ -107,6 +129,9 @@ fn detect_kernel() -> KernelKind {
         // portable kernel without touching process state in every test.
         if std::env::var_os("SWT_FORCE_SCALAR_KERNEL").is_none() {
             if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                if std::is_x86_feature_detected!("avx512f") {
+                    return KernelKind::Avx512Fma;
+                }
                 return KernelKind::Avx2Fma;
             }
             if std::is_x86_feature_detected!("fma") {
@@ -137,8 +162,9 @@ pub(crate) fn active_kernel() -> KernelKind {
 }
 
 /// Human-readable name of the micro-kernel the dispatch table would run
-/// right now (`"avx2+fma"`, `"scalar+fma"` or `"scalar"`); benchmarks and
-/// run reports record it so numbers are attributable to a kernel.
+/// right now (`"avx512+fma"`, `"avx2+fma"`, `"scalar+fma"` or `"scalar"`);
+/// benchmarks and run reports record it so numbers are attributable to a
+/// kernel.
 pub fn gemm_kernel_name() -> &'static str {
     match active_kernel() {
         KernelKind::Scalar => "scalar",
@@ -146,12 +172,14 @@ pub fn gemm_kernel_name() -> &'static str {
         KernelKind::ScalarFma => "scalar+fma",
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2Fma => "avx2+fma",
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx512Fma => "avx512+fma",
     }
 }
 
 /// Micro-kernel tile height (rows of `C` per register tile). Rows are the
 /// vectorised dimension: packed `A` strips are `MR`-contiguous, so one tile
-/// row-vector is two 8-lane loads.
+/// row-vector is two 8-lane loads, or one 16-lane load.
 pub const MR: usize = 16;
 /// Micro-kernel tile width (columns of `C` per register tile); each column
 /// holds an independent FMA chain, hiding FMA latency.
@@ -432,7 +460,7 @@ fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
 ///
 /// This is the data movement behind every row-major operand — [`pack_a`]
 /// with `cs == 1`, [`pack_b`] with `rs == 1`. Where the
-/// AVX kernel is live it moves 8×8 blocks through registers
+/// AVX kernels are live it moves 8×8 blocks through registers
 /// (`pack_rows8_avx`) instead of one element at a time; both ways move the
 /// same values to the same places.
 fn pack_rows<const L: usize>(
@@ -451,9 +479,9 @@ fn pack_rows<const L: usize>(
     #[allow(unused_mut)]
     let mut r0 = 0;
     #[cfg(target_arch = "x86_64")]
-    if kernel == KernelKind::Avx2Fma {
+    if kernel.has_avx() {
         while r0 + 8 <= lanes {
-            // SAFETY: the kernel is only `Avx2Fma` after feature detection.
+            // SAFETY: the kernel only has AVX after feature detection.
             // Rows `r0..r0+8` of `src` hold `kc` elements each (asserted
             // above), and lanes `r0..r0+8` exist in every one of the strip's
             // `kc` steps of `L` because `r0 + 8 <= lanes <= L`.
@@ -628,11 +656,15 @@ fn block_kernel(
                 KernelKind::Avx2Fma => unsafe {
                     micro_kernel_avx2(kc, pa_strip, pb_strip, &mut acc)
                 },
+                #[cfg(target_arch = "x86_64")]
+                KernelKind::Avx512Fma => unsafe {
+                    micro_kernel_avx512(kc, pa_strip, pb_strip, &mut acc)
+                },
             }
             #[cfg(target_arch = "x86_64")]
-            if kernel == KernelKind::Avx2Fma && rows == MR && cols == NR {
+            if kernel.has_avx() && rows == MR && cols == NR {
                 let tile = &mut c[i * n + j..(i + MR - 1) * n + j + NR];
-                // SAFETY: `Avx2Fma` is only selected after feature detection,
+                // SAFETY: an AVX kind is only selected after feature detection,
                 // and `tile` spans `MR` rows of `NR` elements at stride `n`.
                 unsafe { store_tile_avx(&acc, tile.as_mut_ptr(), n, first) };
                 continue;
@@ -805,6 +837,36 @@ unsafe fn micro_kernel_avx2(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; 
     }
 }
 
+/// The AVX-512 micro-kernel: a packed `A` step (`MR = 16` lanes) is exactly
+/// one zmm register, so per k step one load of it and `NR = 8` FMAs — each
+/// against one packed `B` value broadcast from memory (`{1to16}`) — carry the
+/// whole 16×8 tile in eight accumulators: one pass, no second half to
+/// re-stream `A` for. Eight independent chains cover the FMA latency on two
+/// 512-bit ports. Lanes, steps and fusing are [`micro_kernel_avx2`]'s, so the
+/// bits are too; ragged tiles are zero-padded by packing in the same way.
+///
+/// # Safety
+/// Caller must have verified `is_x86_feature_detected!("avx512f")`. `pa` must
+/// hold at least `kc·MR` and `pb` at least `kc·NR` elements (asserted).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn micro_kernel_avx512(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; MR]; NR]) {
+    use std::arch::x86_64::*;
+    assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
+    let (pa, pb) = (pa.as_ptr(), pb.as_ptr());
+    let mut c = [_mm512_setzero_ps(); NR];
+    for kk in 0..kc {
+        let a = _mm512_loadu_ps(pa.add(kk * MR));
+        let bk = pb.add(kk * NR);
+        for (q, c) in c.iter_mut().enumerate() {
+            *c = _mm512_fmadd_ps(a, _mm512_set1_ps(*bk.add(q)), *c);
+        }
+    }
+    for (col, c) in acc.iter_mut().zip(c) {
+        _mm512_storeu_ps(col.as_mut_ptr(), c);
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -853,9 +915,31 @@ pub(crate) mod tests {
             kinds.push(KernelKind::ScalarFma);
             if std::is_x86_feature_detected!("avx2") {
                 kinds.push(KernelKind::Avx2Fma);
+                if std::is_x86_feature_detected!("avx512f") {
+                    kinds.push(KernelKind::Avx512Fma);
+                }
             }
         }
         kinds
+    }
+
+    /// The per-kind sweeps run what [`available_kernels`] lists: log it (so a
+    /// CI log shows which kinds this host exercised), and pin that a wider
+    /// kind never displaces a narrower one from the list — on an AVX-512 host
+    /// `Avx2Fma` is still swept, and is still the reference the rest match.
+    #[test]
+    fn kernel_kinds_swept_on_this_host() {
+        let kinds = available_kernels();
+        swt_obs::info!("tensor.tests", "kernel kinds swept on this host: {kinds:?}");
+        assert_eq!(kinds[0], KernelKind::Scalar);
+        assert!(kinds.contains(&detect_kernel()), "the dispatched kind is not swept: {kinds:?}");
+        #[cfg(target_arch = "x86_64")]
+        for (wider, narrower) in [
+            (KernelKind::Avx512Fma, KernelKind::Avx2Fma),
+            (KernelKind::Avx2Fma, KernelKind::ScalarFma),
+        ] {
+            assert!(!kinds.contains(&wider) || kinds.contains(&narrower), "{kinds:?}");
+        }
     }
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
@@ -937,18 +1021,21 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every `(m % MR, n % NR, k % KC)` residue class: the SIMD and
-    /// scalar-FMA kernels must agree **bitwise** (same pinned contraction
-    /// order, same fused rounding), the portable scalar kernel agrees within
-    /// unfused-vs-fused rounding, and all three match the naive oracle.
+    /// Every `(m % MR, n % NR, k % KC)` residue class: every fusing kernel
+    /// this host runs — `ScalarFma`, `Avx2Fma`, `Avx512Fma` — must agree
+    /// **bitwise** (same pinned contraction order, same fused rounding,
+    /// whatever the vector width), the portable scalar kernel agrees within
+    /// unfused-vs-fused rounding, and all of them match the naive oracle.
     #[test]
     fn remainder_paths_all_kernels_agree() {
         let mut rng = Rng::seed(31);
-        // Residues 0, 1 and max for each tile dimension, plus a multi-panel
-        // k so the panel-accumulate path is covered in every kernel.
+        // Residues 0, 1 and max for each tile dimension, plus multi-panel
+        // `k` (two and three `KC` panels) so the panel-accumulate path is
+        // covered in every kernel.
         let ms = [MR, MR + 1, 2 * MR - 1, 3];
         let ns = [NR, NR + 1, 2 * NR - 1, 5];
-        let ks = [1, 2, KC - 1, KC, KC + 1, 2 * KC + 3];
+        let ks = [1, 2, KC - 1, KC, KC + 1, 2 * KC - 7, 2 * KC + 3];
+        let kinds = available_kernels();
         for &m in &ms {
             for &n in &ns {
                 for &k in &ks {
@@ -957,23 +1044,22 @@ pub(crate) mod tests {
                     let scalar = blocked_with(KernelKind::Scalar, &a, &b);
                     let reference = naive(&a, &b);
                     assert!(scalar.approx_eq(&reference, 1e-3), "scalar ({m},{n},{k})");
-                    #[cfg(target_arch = "x86_64")]
-                    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
-                    {
-                        let simd = blocked_with(KernelKind::Avx2Fma, &a, &b);
-                        let scalar_fma = blocked_with(KernelKind::ScalarFma, &a, &b);
+                    // `kinds[1]` is `ScalarFma` wherever anything fuses.
+                    let Some((&first, rest)) = kinds[1..].split_first() else { continue };
+                    let fused = blocked_with(first, &a, &b);
+                    assert!(fused.approx_eq(&reference, 1e-3), "{first:?} ({m},{n},{k})");
+                    // Unfused vs fused differ only in last-ulp rounding.
+                    assert!(fused.approx_eq(&scalar, 1e-4), "fused vs scalar ({m},{n},{k})");
+                    if cfg!(target_feature = "fma") {
+                        // A build that already targets FMA makes the
+                        // portable kernel fused too: all of them bit-equal.
+                        assert!(bitwise_eq(&fused, &scalar), "({m},{n},{k})");
+                    }
+                    for &kind in rest {
                         assert!(
-                            bitwise_eq(&simd, &scalar_fma),
-                            "SIMD vs scalar-FMA bits diverged at ({m},{n},{k})"
+                            bitwise_eq(&blocked_with(kind, &a, &b), &fused),
+                            "{kind:?} vs {first:?} bits diverged at ({m},{n},{k})"
                         );
-                        assert!(simd.approx_eq(&reference, 1e-3), "simd ({m},{n},{k})");
-                        // Unfused vs fused differ only in last-ulp rounding.
-                        assert!(simd.approx_eq(&scalar, 1e-4), "simd vs scalar ({m},{n},{k})");
-                        if cfg!(target_feature = "fma") {
-                            // A build that already targets FMA makes the
-                            // portable kernel fused too: all three bit-equal.
-                            assert!(bitwise_eq(&simd, &scalar), "({m},{n},{k})");
-                        }
                     }
                 }
             }

@@ -21,6 +21,25 @@ cargo test --workspace
 echo "==> cargo test (forced scalar micro-kernel: the portable fallback must stay correct)"
 SWT_FORCE_SCALAR_KERNEL=1 cargo test --workspace --quiet
 
+echo "==> kernel kinds (every micro-kernel this host can run is swept; its golden line exists)"
+# The per-kind oracle sweeps run what `available_kernels()` lists: print it,
+# so the log shows e.g. that `Avx2Fma` was still swept on an AVX-512 host.
+kinds=$(cargo test --quiet -p swt-tensor --lib kernel_kinds_swept -- --nocapture 2>&1 \
+  | grep 'kernel kinds swept on this host' || true)
+if [ -z "$kinds" ]; then
+  echo "swt-tensor did not report the kernel kinds its sweeps cover" >&2
+  exit 1
+fi
+echo "$kinds"
+# The golden-bits test only notes a kernel without a recorded line; here that
+# is a failure, or a new kernel kind would never be compared on its own host.
+missing=$(cargo test --quiet -p swt --test integration_nas cifar10_candidate -- --nocapture 2>&1 \
+  | grep 'no golden line for kernel' || true)
+if [ -n "$missing" ]; then
+  echo "tests/golden/cifar10_candidate.txt: $missing" >&2
+  exit 1
+fi
+
 echo "==> cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -181,7 +181,9 @@ fn shared_cached_store_stays_coherent_under_concurrent_runs() {
 /// `tests/golden/cifar10_candidate.txt` (one line per GEMM micro-kernel,
 /// taken from the commit before activations moved into the model's arena).
 /// A layer refactor that changes one rounding anywhere in forward, backward
-/// or the pooling route shows up here.
+/// or the pooling route shows up here. Every fusing kernel contracts in the
+/// same pinned order, so their lines must be one and the same; a host whose
+/// kernel has no line passes with a note here and fails `scripts/check.sh`.
 #[test]
 fn cifar10_candidate_keeps_its_golden_bits() {
     let problem = AppKind::Cifar10.problem(DataScale::Quick, 11);
@@ -215,10 +217,16 @@ fn cifar10_candidate_keeps_its_golden_bits() {
 
     let kernel = swt::tensor::gemm_kernel_name();
     let golden = include_str!("golden/cifar10_candidate.txt");
-    let want = golden
-        .lines()
+    let lines: Vec<(&str, &str)> = (golden.lines())
         .filter(|l| !l.starts_with('#'))
-        .find_map(|l| l.strip_prefix(kernel).and_then(|rest| rest.strip_prefix(' ')));
+        .filter_map(|l| l.split_once(' '))
+        .collect();
+    let mut fused = lines.iter().filter(|(name, _)| *name != "scalar");
+    let first = fused.next().expect("a fused-kernel golden line");
+    for line in fused {
+        assert_eq!(line.1, first.1, "`{}` and `{}` fuse alike: one line", line.0, first.0);
+    }
+    let want = lines.iter().find(|(name, _)| *name == kernel).map(|(_, bits)| *bits);
     match want {
         Some(want) => assert_eq!(got, want, "kernel {kernel}: score bits / state_dict hash moved"),
         // A kernel nobody has recorded on (e.g. FMA hardware without AVX2).
