@@ -30,7 +30,7 @@ use swt_checkpoint::{
     RawCheckpointStore, TensorMeta,
 };
 use swt_tensor::{with_thread_workspace, Tensor};
-use swt_wire::{read_frame, write_frame, WireError};
+use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
 /// Connection attempts per operation before giving up.
 const ATTEMPTS: u32 = 8;
@@ -46,13 +46,11 @@ struct Conn {
 
 impl Conn {
     fn send(&mut self, msg: &StoreMsg) -> Result<(), WireError> {
-        let (ty, payload) = msg.encode()?;
-        write_frame(&mut self.stream, ty, &payload)
+        send(&mut self.stream, msg)
     }
 
     fn recv(&mut self) -> Result<StoreMsg, WireError> {
-        let ty = read_frame(&mut self.stream, &mut self.buf)?;
-        StoreMsg::decode(ty, &self.buf)
+        recv(&mut self.stream, &mut self.buf)
     }
 
     fn recv_bytes(&mut self, total_len: u64) -> Result<Vec<u8>, WireError> {
@@ -297,7 +295,7 @@ impl CheckpointStore for RemoteStore {
             }
             let meta = TensorMeta {
                 name: name.clone(),
-                dims: row.dims.clone(),
+                dims: row.dims.iter().map(|&d| d as usize).collect(),
                 offset: 0,
                 checksum: row.checksum,
             };

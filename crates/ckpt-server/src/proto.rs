@@ -16,14 +16,21 @@
 //! unmatched ~98% of payload bytes — never crosses the network, which is
 //! the whole point of the subsystem.
 //!
-//! Like the dist wire, every decoder is total: any byte sequence yields
-//! either a message or a typed [`WireError`], never a panic.
+//! Every frame is declared once, in [`StoreMsg`]; its byte layout is what
+//! `swt-wire` derives from that declaration (DESIGN.md "Wire protocols").
+//! Decoding is total: any byte sequence yields either a message or a typed
+//! [`WireError`], never a panic.
 
-use swt_wire::{put_string, Cursor, WireError};
+use swt_wire::{ensure, wire_messages, wire_struct, Cursor, Raw, Wire, WireError};
 
-/// Store protocol version, exchanged in `Hello`/`HelloAck`. Independent of
-/// the dist protocol version: the two wires evolve separately.
-pub const STORE_PROTOCOL_VERSION: u32 = 1;
+/// Store protocol version, exchanged in `Hello`/`HelloAck`; the server
+/// refuses any other. Bump whenever a store frame's bytes move. Independent
+/// of the dist protocol version.
+pub const STORE_PROTOCOL_VERSION: u32 = 2;
+
+/// Tag of [`StoreMsg::Chunk`], the one frame the streaming helpers write
+/// and read without going through [`StoreMsg`].
+pub const CHUNK_TAG: u8 = 0x44;
 
 /// Bytes per streamed [`StoreMsg::Chunk`] — comfortably under the 1 MiB
 /// frame cap while keeping per-frame overhead negligible.
@@ -50,31 +57,25 @@ pub const MAX_RANK: usize = 16;
 
 /// Application-level error codes carried by [`StoreMsg::Err`]. These are
 /// *complete responses* — the connection stays usable — unlike wire-level
-/// `WireError`s, which desync and drop it.
+/// `WireError`s, which desync and drop it. One byte on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrCode {
     /// No checkpoint with the requested id in this bucket.
-    NotFound,
+    NotFound = 0,
     /// Invalid id/bucket token, over-cap request, or malformed container.
-    BadRequest,
+    BadRequest = 1,
     /// Server-side failure (disk, etc.).
-    Internal,
+    Internal = 2,
     /// Hello authentication failed.
-    Unauthorized,
+    Unauthorized = 3,
 }
 
-impl ErrCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrCode::NotFound => 0,
-            ErrCode::BadRequest => 1,
-            ErrCode::Internal => 2,
-            ErrCode::Unauthorized => 3,
-        }
+impl Wire for ErrCode {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        (*self as u8).put(out)
     }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        match v {
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
             0 => Ok(ErrCode::NotFound),
             1 => Ok(ErrCode::BadRequest),
             2 => Ok(ErrCode::Internal),
@@ -84,277 +85,103 @@ impl ErrCode {
     }
 }
 
-/// One tensor's row in a [`StoreMsg::Ranges`] response. `name_idx` points
-/// into the response's interned name table; decode rejects out-of-table
-/// indices. The payload bytes stream separately (concatenated in row
-/// order), `payload_len` each.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeRow {
-    pub name_idx: u16,
-    pub dims: Vec<usize>,
-    pub checksum: u64,
-    pub payload_len: u64,
+wire_struct! {
+    /// One tensor's row in a [`StoreMsg::Ranges`] response. `name_idx`
+    /// points into the response's interned name table. The payload bytes
+    /// stream separately (concatenated in row order), `payload_len` each.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RangeRow {
+        pub name_idx: u16,
+        pub dims: Vec<u32>,
+        pub checksum: u64,
+        pub payload_len: u64,
+    }
 }
 
-/// Every frame of the store protocol. Tag bytes in comments.
-#[derive(Debug, PartialEq)]
-pub enum StoreMsg {
-    /// 0x41 client→server: open a session on `bucket`. `mac` is
-    /// HMAC-SHA256 over the hello transcript (see [`crate::auth::hello_mac`]);
-    /// with an empty shared secret the server ignores it (open mode).
-    Hello { version: u32, bucket: String, nonce: [u8; 16], mac: [u8; 32] },
-    /// 0x42 server→client: session accepted.
-    HelloAck { version: u32 },
-    /// 0x43 client→server: store `total_len` bytes of an encoded WTC
-    /// container under `id`; `Chunk` frames follow.
-    Put { id: String, total_len: u64 },
-    /// 0x44 both directions: one slice of a streamed transfer. The payload
-    /// is raw bytes (no fields).
-    Chunk(Vec<u8>),
-    /// 0x45 server→client: `Put` durably applied (`bytes` written).
-    PutAck { bytes: u64 },
-    /// 0x46 client→server: request the checkpoint's table of contents.
-    GetIndex { id: String },
-    /// 0x47 server→client: `total_len` bytes of index follow as `Chunk`s —
-    /// the WTC2 header prefix (a few hundred bytes), or the whole container
-    /// for legacy WTC1. The client runs `parse_index` on them.
-    IndexResp { total_len: u64 },
-    /// 0x48 client→server: request only the named tensors.
-    GetTensors { id: String, names: Vec<String> },
-    /// 0x49 server→client: the selective response. `version` is the source
-    /// container version (payload checksums are meaningful for v2). Rows'
-    /// payloads follow as `Chunk`s, concatenated in row order. Names absent
-    /// from the checkpoint are omitted, not errors.
-    Ranges { version: u8, names: Vec<String>, rows: Vec<RangeRow> },
-    /// 0x4A client→server: request the full encoded container.
-    GetRaw { id: String },
-    /// 0x4B server→client: `total_len` container bytes follow as `Chunk`s.
-    Blob { total_len: u64 },
-    /// 0x4C client→server.
-    Exists { id: String },
-    /// 0x4D server→client. `size` is meaningful only when `exists`.
-    ExistsResp { exists: bool, size: u64 },
-    /// 0x4E client→server.
-    List,
-    /// 0x4F server→client.
-    ListResp { ids: Vec<String> },
-    /// 0x50 client→server.
-    Delete { id: String },
-    /// 0x51 server→client.
-    DeleteResp { existed: bool },
-    /// 0x52 server→client: request failed; the session survives.
-    Err { code: ErrCode, message: String },
-}
-
-fn put_id_frame(id: &str) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(2 + id.len());
-    put_string(&mut out, id)?;
-    Ok(out)
+wire_messages! {
+    /// Every frame of the store protocol: tag byte, then the fields in wire
+    /// order.
+    #[derive(Debug, PartialEq)]
+    pub enum StoreMsg {
+        /// client→server: open a session on `bucket`. `mac` is HMAC-SHA256
+        /// over the hello transcript (see [`crate::auth::hello_mac`]); with
+        /// an empty shared secret the server ignores it (open mode).
+        0x41 => Hello { version: u32, bucket: String, nonce: [u8; 16], mac: [u8; 32] },
+        /// server→client: session accepted.
+        0x42 => HelloAck { version: u32 },
+        /// client→server: store `total_len` bytes of an encoded WTC
+        /// container under `id`; `Chunk` frames follow.
+        0x43 => Put { id: String, total_len: u64 },
+        /// both directions: one slice of a streamed transfer. The payload is
+        /// the raw bytes, no fields — so every byte string is a valid chunk.
+        0x44 => Chunk { bytes: Raw },
+        /// server→client: `Put` durably applied (`bytes` written).
+        0x45 => PutAck { bytes: u64 },
+        /// client→server: request the checkpoint's table of contents.
+        0x46 => GetIndex { id: String },
+        /// server→client: `total_len` bytes of index follow as `Chunk`s —
+        /// the WTC2 header prefix (a few hundred bytes), or the whole
+        /// container for legacy WTC1. The client runs `parse_index` on them.
+        0x47 => IndexResp { total_len: u64 },
+        /// client→server: request only the named tensors.
+        0x48 => GetTensors { id: String, names: Vec<String> },
+        /// server→client: the selective response. `version` is the source
+        /// container version (payload checksums are meaningful for v2).
+        /// Rows' payloads follow as `Chunk`s, concatenated in row order.
+        /// Names absent from the checkpoint are omitted, not errors.
+        0x49 => Ranges { version: u8, names: Vec<String>, rows: Vec<RangeRow> },
+        /// client→server: request the full encoded container.
+        0x4A => GetRaw { id: String },
+        /// server→client: `total_len` container bytes follow as `Chunk`s.
+        0x4B => Blob { total_len: u64 },
+        /// client→server.
+        0x4C => Exists { id: String },
+        /// server→client. `size` is meaningful only when `exists`.
+        0x4D => ExistsResp { exists: bool, size: u64 },
+        /// client→server.
+        0x4E => List,
+        /// server→client.
+        0x4F => ListResp { ids: Vec<String> },
+        /// client→server.
+        0x50 => Delete { id: String },
+        /// server→client.
+        0x51 => DeleteResp { existed: bool },
+        /// server→client: request failed; the session survives.
+        0x52 => Err { code: ErrCode, message: String },
+    }
+    check = StoreMsg::check;
 }
 
 impl StoreMsg {
-    /// Serialize to `(frame type, payload)`.
-    pub fn encode(&self) -> Result<(u8, Vec<u8>), WireError> {
+    /// The protocol's caps. Run on every encode and every decode, so an
+    /// over-cap declaration is refused before either side acts on it.
+    fn check(&self) -> Result<(), WireError> {
         match self {
-            StoreMsg::Hello { version, bucket, nonce, mac } => {
-                let mut out = Vec::with_capacity(4 + 2 + bucket.len() + 16 + 32);
-                out.extend_from_slice(&version.to_le_bytes());
-                put_string(&mut out, bucket)?;
-                out.extend_from_slice(nonce);
-                out.extend_from_slice(mac);
-                Ok((0x41, out))
+            StoreMsg::Put { total_len, .. }
+            | StoreMsg::IndexResp { total_len }
+            | StoreMsg::Blob { total_len } => {
+                ensure(*total_len <= MAX_TRANSFER_LEN, "transfer length over cap")
             }
-            StoreMsg::HelloAck { version } => Ok((0x42, version.to_le_bytes().to_vec())),
-            StoreMsg::Put { id, total_len } => {
-                let mut out = put_id_frame(id)?;
-                out.extend_from_slice(&total_len.to_le_bytes());
-                Ok((0x43, out))
+            StoreMsg::GetTensors { names, .. } => {
+                ensure(names.len() <= MAX_GET_NAMES, "too many names in GetTensors")
             }
-            StoreMsg::Chunk(bytes) => Ok((0x44, bytes.clone())),
-            StoreMsg::PutAck { bytes } => Ok((0x45, bytes.to_le_bytes().to_vec())),
-            StoreMsg::GetIndex { id } => Ok((0x46, put_id_frame(id)?)),
-            StoreMsg::IndexResp { total_len } => Ok((0x47, total_len.to_le_bytes().to_vec())),
-            StoreMsg::GetTensors { id, names } => {
-                if names.len() > MAX_GET_NAMES {
-                    return Err(WireError::Malformed("too many names in GetTensors"));
-                }
-                let mut out = put_id_frame(id)?;
-                out.extend_from_slice(&(names.len() as u16).to_le_bytes());
-                for name in names {
-                    put_string(&mut out, name)?;
-                }
-                Ok((0x48, out))
+            StoreMsg::Ranges { names, rows, .. } => {
+                ensure(names.len() <= MAX_GET_NAMES, "too many names in Ranges")?;
+                ensure(rows.len() <= MAX_GET_NAMES, "too many rows in Ranges")?;
+                rows.iter().try_for_each(|row| {
+                    ensure(
+                        (row.name_idx as usize) < names.len(),
+                        "Ranges name index out of table",
+                    )?;
+                    ensure(row.dims.len() <= MAX_RANK, "tensor rank too large")?;
+                    ensure(row.payload_len <= MAX_TRANSFER_LEN, "Ranges payload_len over cap")
+                })
             }
-            StoreMsg::Ranges { version, names, rows } => {
-                if names.len() > MAX_GET_NAMES || rows.len() > MAX_GET_NAMES {
-                    return Err(WireError::Malformed("too many rows in Ranges"));
-                }
-                let mut out = vec![*version];
-                out.extend_from_slice(&(names.len() as u16).to_le_bytes());
-                for name in names {
-                    put_string(&mut out, name)?;
-                }
-                out.extend_from_slice(&(rows.len() as u16).to_le_bytes());
-                for row in rows {
-                    if row.dims.len() > MAX_RANK {
-                        return Err(WireError::Malformed("tensor rank too large"));
-                    }
-                    out.extend_from_slice(&row.name_idx.to_le_bytes());
-                    out.push(row.dims.len() as u8);
-                    for &d in &row.dims {
-                        let d = u32::try_from(d)
-                            .map_err(|_| WireError::Malformed("dimension too large"))?;
-                        out.extend_from_slice(&d.to_le_bytes());
-                    }
-                    out.extend_from_slice(&row.checksum.to_le_bytes());
-                    out.extend_from_slice(&row.payload_len.to_le_bytes());
-                }
-                Ok((0x49, out))
-            }
-            StoreMsg::GetRaw { id } => Ok((0x4A, put_id_frame(id)?)),
-            StoreMsg::Blob { total_len } => Ok((0x4B, total_len.to_le_bytes().to_vec())),
-            StoreMsg::Exists { id } => Ok((0x4C, put_id_frame(id)?)),
-            StoreMsg::ExistsResp { exists, size } => {
-                let mut out = vec![u8::from(*exists)];
-                out.extend_from_slice(&size.to_le_bytes());
-                Ok((0x4D, out))
-            }
-            StoreMsg::List => Ok((0x4E, Vec::new())),
             StoreMsg::ListResp { ids } => {
-                if ids.len() > MAX_LIST_IDS {
-                    return Err(WireError::Malformed("too many ids in ListResp"));
-                }
-                let mut out = (ids.len() as u32).to_le_bytes().to_vec();
-                for id in ids {
-                    put_string(&mut out, id)?;
-                }
-                Ok((0x4F, out))
+                ensure(ids.len() <= MAX_LIST_IDS, "too many ids in ListResp")
             }
-            StoreMsg::Delete { id } => Ok((0x50, put_id_frame(id)?)),
-            StoreMsg::DeleteResp { existed } => Ok((0x51, vec![u8::from(*existed)])),
-            StoreMsg::Err { code, message } => {
-                let mut out = vec![code.to_u8()];
-                put_string(&mut out, message)?;
-                Ok((0x52, out))
-            }
+            _ => Ok(()),
         }
-    }
-
-    /// Decode a frame. Total: any `(ty, payload)` yields a message or a
-    /// typed error.
-    pub fn decode(ty: u8, payload: &[u8]) -> Result<StoreMsg, WireError> {
-        let mut c = Cursor::new(payload);
-        let msg = match ty {
-            0x41 => {
-                let version = c.u32()?;
-                let bucket = c.string()?;
-                let mut nonce = [0u8; 16];
-                nonce.copy_from_slice(c.take(16)?);
-                let mut mac = [0u8; 32];
-                mac.copy_from_slice(c.take(32)?);
-                StoreMsg::Hello { version, bucket, nonce, mac }
-            }
-            0x42 => StoreMsg::HelloAck { version: c.u32()? },
-            0x43 => {
-                let id = c.string()?;
-                let total_len = c.u64()?;
-                if total_len > MAX_TRANSFER_LEN {
-                    return Err(WireError::Malformed("Put total_len over cap"));
-                }
-                StoreMsg::Put { id, total_len }
-            }
-            0x44 => return Ok(StoreMsg::Chunk(c.rest().to_vec())),
-            0x45 => StoreMsg::PutAck { bytes: c.u64()? },
-            0x46 => StoreMsg::GetIndex { id: c.string()? },
-            0x47 => {
-                let total_len = c.u64()?;
-                if total_len > MAX_TRANSFER_LEN {
-                    return Err(WireError::Malformed("IndexResp total_len over cap"));
-                }
-                StoreMsg::IndexResp { total_len }
-            }
-            0x48 => {
-                let id = c.string()?;
-                let count = c.u16()? as usize;
-                if count > MAX_GET_NAMES {
-                    return Err(WireError::Malformed("too many names in GetTensors"));
-                }
-                let mut names = Vec::with_capacity(count.min(256));
-                for _ in 0..count {
-                    names.push(c.string()?);
-                }
-                StoreMsg::GetTensors { id, names }
-            }
-            0x49 => {
-                let version = c.u8()?;
-                let name_count = c.u16()? as usize;
-                if name_count > MAX_GET_NAMES {
-                    return Err(WireError::Malformed("too many names in Ranges"));
-                }
-                let mut names = Vec::with_capacity(name_count.min(256));
-                for _ in 0..name_count {
-                    names.push(c.string()?);
-                }
-                let row_count = c.u16()? as usize;
-                if row_count > MAX_GET_NAMES {
-                    return Err(WireError::Malformed("too many rows in Ranges"));
-                }
-                let mut rows = Vec::with_capacity(row_count.min(256));
-                for _ in 0..row_count {
-                    let name_idx = c.u16()?;
-                    if name_idx as usize >= names.len() {
-                        return Err(WireError::Malformed("Ranges name index out of table"));
-                    }
-                    let rank = c.u8()? as usize;
-                    if rank > MAX_RANK {
-                        return Err(WireError::Malformed("tensor rank too large"));
-                    }
-                    let mut dims = Vec::with_capacity(rank);
-                    for _ in 0..rank {
-                        dims.push(c.u32()? as usize);
-                    }
-                    let checksum = c.u64()?;
-                    let payload_len = c.u64()?;
-                    if payload_len > MAX_TRANSFER_LEN {
-                        return Err(WireError::Malformed("Ranges payload_len over cap"));
-                    }
-                    rows.push(RangeRow { name_idx, dims, checksum, payload_len });
-                }
-                StoreMsg::Ranges { version, names, rows }
-            }
-            0x4A => StoreMsg::GetRaw { id: c.string()? },
-            0x4B => {
-                let total_len = c.u64()?;
-                if total_len > MAX_TRANSFER_LEN {
-                    return Err(WireError::Malformed("Blob total_len over cap"));
-                }
-                StoreMsg::Blob { total_len }
-            }
-            0x4C => StoreMsg::Exists { id: c.string()? },
-            0x4D => StoreMsg::ExistsResp { exists: c.u8()? != 0, size: c.u64()? },
-            0x4E => StoreMsg::List,
-            0x4F => {
-                let count = c.u32()? as usize;
-                if count > MAX_LIST_IDS {
-                    return Err(WireError::Malformed("too many ids in ListResp"));
-                }
-                let mut ids = Vec::with_capacity(count.min(256));
-                for _ in 0..count {
-                    ids.push(c.string()?);
-                }
-                StoreMsg::ListResp { ids }
-            }
-            0x50 => StoreMsg::Delete { id: c.string()? },
-            0x51 => StoreMsg::DeleteResp { existed: c.u8()? != 0 },
-            0x52 => {
-                let code = ErrCode::from_u8(c.u8()?)?;
-                let message = c.string()?;
-                StoreMsg::Err { code, message }
-            }
-            other => return Err(WireError::UnknownType(other)),
-        };
-        c.finish()?;
-        Ok(msg)
     }
 }
 
@@ -375,7 +202,7 @@ pub fn send_chunks(
     mut send: impl FnMut(u8, &[u8]) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     for chunk in bytes.chunks(CHUNK_LEN) {
-        send(0x44, chunk)?;
+        send(CHUNK_TAG, chunk)?;
     }
     Ok(())
 }
@@ -394,7 +221,7 @@ pub fn recv_chunks(
     let mut buf = Vec::new();
     while (out.len() as u64) < total_len {
         let ty = recv(&mut buf)?;
-        if ty != 0x44 {
+        if ty != CHUNK_TAG {
             return Err(WireError::Protocol(format!(
                 "expected Chunk frame mid-transfer, got type {ty:#04x}"
             )));
@@ -410,10 +237,19 @@ pub fn recv_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swt_wire::Message;
+
+    /// Overwrite the bytes at `at` with `value`'s encoding — how the hostile
+    /// frames below are made, since an over-cap message refuses to encode.
+    fn patch<T: Wire>(payload: &mut [u8], at: usize, value: T) -> Result<(), WireError> {
+        let mut bytes = Vec::new();
+        value.put(&mut bytes)?;
+        payload[at..at + bytes.len()].copy_from_slice(&bytes);
+        Ok(())
+    }
 
     fn round_trip(msg: StoreMsg) -> Result<(), WireError> {
-        let (ty, payload) = msg.encode()?;
-        let back = StoreMsg::decode(ty, &payload)?;
+        let back = StoreMsg::decode(msg.tag(), &msg.encode()?)?;
         if back == msg {
             Ok(())
         } else {
@@ -431,8 +267,9 @@ mod tests {
         })?;
         round_trip(StoreMsg::HelloAck { version: 1 })?;
         round_trip(StoreMsg::Put { id: "cand_17".into(), total_len: 13_000_000 })?;
-        round_trip(StoreMsg::Chunk(vec![1, 2, 3]))?;
-        round_trip(StoreMsg::Chunk(Vec::new()))?;
+        round_trip(StoreMsg::Chunk { bytes: Raw(vec![1, 2, 3]) })?;
+        round_trip(StoreMsg::Chunk { bytes: Raw(Vec::new()) })?;
+        assert_eq!(StoreMsg::Chunk { bytes: Raw(Vec::new()) }.tag(), CHUNK_TAG);
         round_trip(StoreMsg::PutAck { bytes: 42 })?;
         round_trip(StoreMsg::GetIndex { id: "cand_17".into() })?;
         round_trip(StoreMsg::IndexResp { total_len: 300 })?;
@@ -461,44 +298,57 @@ mod tests {
 
     #[test]
     fn hostile_name_index_is_rejected() -> Result<(), WireError> {
-        let (ty, payload) = StoreMsg::Ranges {
+        let msg = StoreMsg::Ranges {
             version: 2,
             names: vec!["only".into()],
             rows: vec![RangeRow { name_idx: 0, dims: vec![2], checksum: 0, payload_len: 8 }],
-        }
-        .encode()?;
-        // Patch the row's name_idx (u16 right after the row count) to point
-        // past the one-entry table.
-        let mut evil = payload.clone();
-        let row_start = evil.len() - (2 + 1 + 4 + 8 + 8);
-        evil[row_start..row_start + 2].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+        };
+        // Patch the row's name_idx (the u16 right after the row count) to
+        // point past the one-entry table; the row body is idx(2) +
+        // rank(4) + one dim(4) + checksum(8) + payload_len(8).
+        let mut evil = msg.encode()?;
+        let row_start = evil.len() - (2 + 4 + 4 + 8 + 8);
+        patch(&mut evil, row_start, 1u16)?;
+        assert!(matches!(
+            StoreMsg::decode(msg.tag(), &evil),
+            Err(WireError::Malformed("Ranges name index out of table"))
+        ));
+        // The sender's side of the same check: such a message never encodes.
+        let bad = StoreMsg::Ranges {
+            version: 2,
+            names: vec!["only".into()],
+            rows: vec![RangeRow { name_idx: 1, dims: vec![2], checksum: 0, payload_len: 8 }],
+        };
+        assert!(matches!(bad.encode(), Err(WireError::Malformed(_))));
         Ok(())
     }
 
     #[test]
     fn oversized_declarations_are_rejected() -> Result<(), WireError> {
-        let (ty, payload) = StoreMsg::Put { id: "x".into(), total_len: 1 }.encode()?;
-        let mut evil = payload.clone();
+        let msg = StoreMsg::Put { id: "x".into(), total_len: 1 };
+        let mut evil = msg.encode()?;
         let n = evil.len();
-        evil[n - 8..].copy_from_slice(&(MAX_TRANSFER_LEN + 1).to_le_bytes());
-        assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+        patch(&mut evil, n - 8, MAX_TRANSFER_LEN + 1)?;
+        assert!(matches!(StoreMsg::decode(msg.tag(), &evil), Err(WireError::Malformed(_))));
+        let over = StoreMsg::Put { id: "x".into(), total_len: MAX_TRANSFER_LEN + 1 };
+        assert!(matches!(over.encode(), Err(WireError::Malformed(_))));
 
-        // A GetTensors claiming 65535 names with no bytes behind the claim.
-        let (ty, payload) = StoreMsg::GetTensors { id: "x".into(), names: vec![] }.encode()?;
-        let mut evil = payload.clone();
+        // A GetTensors claiming u32::MAX names with no bytes behind the claim.
+        let msg = StoreMsg::GetTensors { id: "x".into(), names: vec![] };
+        let mut evil = msg.encode()?;
         let n = evil.len();
-        evil[n - 2..].copy_from_slice(&u16::MAX.to_le_bytes());
-        assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+        patch(&mut evil, n - 4, u32::MAX)?;
+        assert!(matches!(StoreMsg::decode(msg.tag(), &evil), Err(WireError::Malformed(_))));
         Ok(())
     }
 
     #[test]
     fn unknown_tags_and_trailing_bytes_are_typed_errors() -> Result<(), WireError> {
         assert!(matches!(StoreMsg::decode(0x60, &[]), Err(WireError::UnknownType(0x60))));
-        let (ty, mut payload) = StoreMsg::PutAck { bytes: 3 }.encode()?;
+        let msg = StoreMsg::PutAck { bytes: 3 };
+        let mut payload = msg.encode()?;
         payload.push(0);
-        assert!(matches!(StoreMsg::decode(ty, &payload), Err(WireError::Malformed(_))));
+        assert!(matches!(StoreMsg::decode(msg.tag(), &payload), Err(WireError::Malformed(_))));
         Ok(())
     }
 

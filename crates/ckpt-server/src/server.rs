@@ -31,7 +31,7 @@ use std::thread;
 use std::time::Duration;
 use swt_checkpoint::{parse_index, CachedStore, CheckpointStore, DirStore, RawCheckpointStore};
 use swt_obs::serve::{ObsServer, RegistrySource, ServeSource};
-use swt_wire::{read_frame, write_frame, WireError};
+use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
 /// How the server is run. `bind` takes `"host:port"` (port 0 for
 /// ephemeral); `secret` empty disables authentication (open mode).
@@ -211,11 +211,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn send(stream: &mut TcpStream, msg: &StoreMsg) -> Result<(), WireError> {
-    let (ty, payload) = msg.encode()?;
-    write_frame(stream, ty, &payload)
-}
-
 fn send_err(stream: &mut TcpStream, code: ErrCode, message: impl Into<String>) {
     swt_obs::counter!("ckptsrv.errors").inc();
     let _ = send(stream, &StoreMsg::Err { code, message: message.into() });
@@ -238,8 +233,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), WireErr
     // unreadable is dropped with a counter bump, mirroring the dist
     // joiner's malformed-Hello hardening: garbage on the store port must
     // never panic, allocate unboundedly, or occupy the accept loop.
-    let hello = read_frame(&mut stream, &mut buf).and_then(|ty| StoreMsg::decode(ty, &buf));
-    let (version, bucket, nonce, mac) = match hello {
+    let (version, bucket, nonce, mac) = match recv(&mut stream, &mut buf) {
         Ok(StoreMsg::Hello { version, bucket, nonce, mac }) => (version, bucket, nonce, mac),
         Ok(other) => {
             swt_obs::counter!("ckptsrv.bad_hello").inc();
@@ -286,8 +280,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), WireErr
 
     // --- Session loop: one request, one response (possibly chunked).
     loop {
-        let msg = match read_frame(&mut stream, &mut buf).and_then(|ty| StoreMsg::decode(ty, &buf))
-        {
+        let msg = match recv(&mut stream, &mut buf) {
             Ok(msg) => msg,
             Err(WireError::Io(e))
                 if matches!(
@@ -440,7 +433,11 @@ fn handle_get_tensors(
         };
         rows.push(RangeRow {
             name_idx: resp_names.len() as u16,
-            dims: meta.dims.clone(),
+            dims: meta
+                .dims
+                .iter()
+                .map(|&d| u32::try_from(d).map_err(|_| WireError::Malformed("dimension too large")))
+                .collect::<Result<_, _>>()?,
             checksum: meta.checksum,
             payload_len: len as u64,
         });

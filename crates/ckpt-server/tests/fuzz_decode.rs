@@ -7,11 +7,12 @@
 //! reproduces.
 
 use swt_ckpt_server::proto::{
-    recv_chunks, ErrCode, RangeRow, StoreMsg, MAX_GET_NAMES, MAX_LIST_IDS, MAX_TRANSFER_LEN,
+    recv_chunks, ErrCode, RangeRow, StoreMsg, MAX_GET_NAMES, MAX_LIST_IDS, MAX_RANK,
+    MAX_TRANSFER_LEN,
 };
 use swt_ckpt_server::STORE_PROTOCOL_VERSION;
 use swt_tensor::Rng;
-use swt_wire::WireError;
+use swt_wire::{Message, Raw, WireError};
 
 /// Every known store frame-type byte (0x41 Hello … 0x52 Err).
 const STORE_TAGS: std::ops::RangeInclusive<u8> = 0x41..=0x52;
@@ -27,7 +28,7 @@ fn corpus() -> Vec<StoreMsg> {
         },
         StoreMsg::HelloAck { version: STORE_PROTOCOL_VERSION },
         StoreMsg::Put { id: "cand_17".into(), total_len: 13_000_000 },
-        StoreMsg::Chunk(vec![1, 2, 3, 4, 5]),
+        StoreMsg::Chunk { bytes: Raw(vec![1, 2, 3, 4, 5]) },
         StoreMsg::PutAck { bytes: 13_000_000 },
         StoreMsg::GetIndex { id: "cand_17".into() },
         StoreMsg::IndexResp { total_len: 300 },
@@ -55,9 +56,65 @@ fn corpus() -> Vec<StoreMsg> {
     ]
 }
 
+/// A message as `(tag, payload)`, the way it sits inside a frame.
+fn frame(msg: &StoreMsg) -> (u8, Vec<u8>) {
+    (msg.tag(), msg.encode().expect("message must encode"))
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The byte layout of every corpus frame, pinned. A change here is a change
+/// of format: bump `STORE_PROTOCOL_VERSION` with it.
+#[test]
+fn golden_bytes_pin_the_store_layout() {
+    assert_eq!(STORE_PROTOCOL_VERSION, 2, "new version: re-record the frames below");
+    let golden = [
+        (
+            0x41,
+            "02000000050072756e5f6107070707070707070707070707070707\
+                0909090909090909090909090909090909090909090909090909090909090909",
+        ),
+        (0x42, "02000000"),
+        (0x43, "070063616e645f3137405dc60000000000"),
+        (0x44, "0102030405"),
+        (0x45, "405dc60000000000"),
+        (0x46, "070063616e645f3137"),
+        (0x47, "2c01000000000000"),
+        (
+            0x48,
+            "070063616e645f3137030000000800612f6b65726e656c0600612f626961730b00686561642f\
+                6b65726e656c",
+        ),
+        (
+            0x49,
+            "02020000000800612f6b65726e656c0600612f626961730200000000000200000010000000\
+                080000004d00000000000000000200000000000001000100000008000000\
+                4e000000000000002000000000000000",
+        ),
+        (0x4A, "070063616e645f3137"),
+        (0x4B, "0000000100000000"),
+        (0x4C, "070063616e645f3137"),
+        (0x4D, "01405dc60000000000"),
+        (0x4E, ""),
+        (0x4F, "02000000060063616e645f31060063616e645f32"),
+        (0x50, "060063616e645f31"),
+        (0x51, "01"),
+        (0x52, "0012006e6f207375636820636865636b706f696e74"),
+    ];
+    let corpus = corpus();
+    assert_eq!(corpus.len(), golden.len());
+    for (msg, (tag, want)) in corpus.iter().zip(golden) {
+        let (ty, payload) = frame(msg);
+        assert_eq!(ty, tag);
+        assert_eq!(hex(&payload), want, "layout of tag {tag:#04x} moved");
+    }
+}
+
 #[test]
 fn corpus_covers_every_tag() {
-    let mut tags: Vec<u8> = corpus().iter().map(|m| m.encode().unwrap().0).collect();
+    let mut tags: Vec<u8> = corpus().iter().map(StoreMsg::tag).collect();
     tags.sort_unstable();
     tags.dedup();
     assert_eq!(tags, STORE_TAGS.collect::<Vec<_>>(), "corpus must seed every store tag");
@@ -66,12 +123,12 @@ fn corpus_covers_every_tag() {
 #[test]
 fn every_truncation_of_every_frame_is_a_typed_error() {
     for msg in corpus() {
-        let (ty, payload) = msg.encode().expect("corpus must encode");
+        let (ty, payload) = frame(&msg);
         assert_eq!(StoreMsg::decode(ty, &payload).expect("corpus round-trip"), msg);
         // Chunk carries raw bytes with no structure: every prefix is itself
         // a valid (shorter) chunk. Everything else must reject every strict
         // prefix — a starved fixed-width read or a count without elements.
-        let is_chunk = matches!(msg, StoreMsg::Chunk(_));
+        let is_chunk = matches!(msg, StoreMsg::Chunk { .. });
         for cut in 0..payload.len() {
             let got = StoreMsg::decode(ty, &payload[..cut]);
             if is_chunk {
@@ -91,7 +148,7 @@ fn every_truncation_of_every_frame_is_a_typed_error() {
 fn bit_flips_never_panic() {
     let mut rng = Rng::seed(0x5708E);
     for msg in corpus() {
-        let (ty, payload) = msg.encode().expect("corpus must encode");
+        let (ty, payload) = frame(&msg);
         if payload.is_empty() {
             continue; // List: nothing to corrupt
         }
@@ -138,16 +195,14 @@ fn random_payloads_against_every_tag_never_panic() {
 
 #[test]
 fn hostile_name_table_indices_are_rejected() {
-    let (ty, payload) = StoreMsg::Ranges {
+    let (ty, payload) = frame(&StoreMsg::Ranges {
         version: 2,
         names: vec!["a".into(), "b".into()],
         rows: vec![RangeRow { name_idx: 1, dims: vec![4], checksum: 0, payload_len: 16 }],
-    }
-    .encode()
-    .unwrap();
+    });
     // The row's name_idx is the u16 right after the row count; the row body
-    // is idx(2) + rank(1) + one dim(4) + checksum(8) + payload_len(8).
-    let row_start = payload.len() - (2 + 1 + 4 + 8 + 8);
+    // is idx(2) + rank(4) + one dim(4) + checksum(8) + payload_len(8).
+    let row_start = payload.len() - (2 + 4 + 4 + 8 + 8);
     for idx in [2u16, 100, u16::MAX] {
         let mut evil = payload.clone();
         evil[row_start..row_start + 2].copy_from_slice(&idx.to_le_bytes());
@@ -168,7 +223,7 @@ fn oversized_declarations_are_typed_errors() {
         StoreMsg::IndexResp { total_len: 1 },
         StoreMsg::Blob { total_len: 1 },
     ] {
-        let (ty, payload) = msg.encode().unwrap();
+        let (ty, payload) = frame(&msg);
         let mut evil = payload.clone();
         let n = evil.len();
         evil[n - 8..].copy_from_slice(&over.to_le_bytes());
@@ -178,47 +233,57 @@ fn oversized_declarations_are_typed_errors() {
         );
     }
 
-    // A GetTensors claiming the maximum name count with no bytes behind it.
-    let (ty, payload) = StoreMsg::GetTensors { id: "x".into(), names: vec![] }.encode().unwrap();
-    let mut evil = payload.clone();
+    // A GetTensors or ListResp claiming u32::MAX entries with no bytes
+    // behind the claim: refused on the count, nothing reserved.
+    let (ty, mut evil) = frame(&StoreMsg::GetTensors { id: "x".into(), names: vec![] });
     let n = evil.len();
-    evil[n - 2..].copy_from_slice(&u16::MAX.to_le_bytes());
-    assert!(StoreMsg::decode(ty, &evil).is_err());
-    assert!(u16::MAX as usize > MAX_GET_NAMES);
-
-    // A ListResp claiming u32::MAX ids: the clamped capacity plus starved
-    // reads must reject it without ballooning.
-    let (ty, payload) = StoreMsg::ListResp { ids: vec![] }.encode().unwrap();
-    let mut evil = payload;
+    evil[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+    let (ty, mut evil) = frame(&StoreMsg::ListResp { ids: vec![] });
     evil[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(StoreMsg::decode(ty, &evil).is_err());
-    assert!(u32::MAX as usize > MAX_LIST_IDS);
+    assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+
+    // The same two lists one entry past their caps, every entry really
+    // present (empty strings, two bytes each): refused by the cap itself.
+    for (msg, cap) in [
+        (StoreMsg::GetTensors { id: String::new(), names: vec![] }, MAX_GET_NAMES),
+        (StoreMsg::ListResp { ids: vec![] }, MAX_LIST_IDS),
+    ] {
+        let (ty, mut evil) = frame(&msg);
+        let n = evil.len();
+        evil[n - 4..].copy_from_slice(&(cap as u32 + 1).to_le_bytes());
+        evil.resize(n + 2 * (cap + 1), 0);
+        assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+        evil[n - 4..n].copy_from_slice(&(cap as u32).to_le_bytes());
+        evil.truncate(n + 2 * cap);
+        assert!(StoreMsg::decode(ty, &evil).is_ok(), "a list at its cap must decode");
+    }
 
     // A Ranges row declaring an over-cap payload_len.
-    let (ty, payload) = StoreMsg::Ranges {
+    let (ty, mut evil) = frame(&StoreMsg::Ranges {
         version: 2,
         names: vec!["a".into()],
         rows: vec![RangeRow { name_idx: 0, dims: vec![], checksum: 0, payload_len: 1 }],
-    }
-    .encode()
-    .unwrap();
-    let mut evil = payload;
+    });
     let n = evil.len();
     evil[n - 8..].copy_from_slice(&over.to_le_bytes());
     assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
 
-    // A hostile rank byte promising more dims than any tensor has.
-    let (ty, payload) = StoreMsg::Ranges {
+    // A rank past MAX_RANK, with every announced dim present.
+    let (ty, payload) = frame(&StoreMsg::Ranges {
         version: 2,
         names: vec!["a".into()],
-        rows: vec![RangeRow { name_idx: 0, dims: vec![1], checksum: 0, payload_len: 1 }],
-    }
-    .encode()
-    .unwrap();
-    let rank_at = payload.len() - (1 + 4 + 8 + 8);
+        rows: vec![RangeRow { name_idx: 0, dims: vec![1; MAX_RANK], checksum: 0, payload_len: 1 }],
+    });
+    assert!(StoreMsg::decode(ty, &payload).is_ok(), "a row at MAX_RANK must decode");
+    let rank_at = payload.len() - (4 + 4 * MAX_RANK + 8 + 8);
     let mut evil = payload;
-    evil[rank_at] = 0xFF;
-    assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+    evil[rank_at] = MAX_RANK as u8 + 1;
+    evil.splice(rank_at + 4..rank_at + 4, [1, 0, 0, 0]);
+    assert!(matches!(
+        StoreMsg::decode(ty, &evil),
+        Err(WireError::Malformed("tensor rank too large"))
+    ));
 }
 
 #[test]

@@ -157,8 +157,7 @@ fn malformed_hello_is_dropped_and_server_keeps_serving() {
 
     // A well-framed frame that is not a Hello as the first frame.
     let mut wrong_first = TcpStream::connect(&addr).expect("connect");
-    let (ty, payload) = swt_ckpt_server::StoreMsg::List.encode().expect("encode");
-    swt_wire::write_frame(&mut wrong_first, ty, &payload).expect("frame");
+    swt_wire::send(&mut wrong_first, &swt_ckpt_server::StoreMsg::List).expect("frame");
     let _ = wrong_first.shutdown(std::net::Shutdown::Write);
 
     // Both are dropped with a counter bump, and a real client still works —

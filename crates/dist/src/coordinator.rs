@@ -26,11 +26,11 @@
 //! snapshot per slot and folds them all into the process-global registry,
 //! making one `RunReport::capture()` cover the whole multi-process run.
 
-use crate::frame::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
+use crate::frame::{recv, send, Message, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
 use crate::policy::{ScaleDecision, ScalePolicy};
 use crate::spawn::{find_worker_exe, spawn_worker};
-use crate::wire::{Msg, RunSpec, WorkerMetrics};
+use crate::wire::{Code, ConvergenceSpec, Msg, RunSpec, Task, TaskResult, WorkerMetrics};
 use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -160,10 +160,10 @@ impl DistBackend {
         // processes happen to be up, or elastic runs would diverge.
         let hardware = std::thread::available_parallelism().map_or(1, |v| v.get());
         let run = RunSpec {
-            app: dist.app,
-            scale: dist.scale,
+            app: Code(dist.app),
+            scale: Code(dist.scale),
             data_seed: dist.data_seed,
-            scheme: nas.scheme,
+            scheme: Code(nas.scheme),
             epochs: nas.epochs as u32,
             run_seed: nas.seed,
             namespace: nas.namespace.clone(),
@@ -171,64 +171,31 @@ impl DistBackend {
             threads: (hardware / window).max(1) as u32,
             cache_bytes: nas.cache_bytes / window as u64,
             prefilter_quantile: nas.fidelity.prefilter_quantile,
-            conv_window: nas.fidelity.convergence.map_or(0, |c| c.window as u32),
-            conv_min_delta: nas.fidelity.convergence.map_or(0.0, |c| c.min_delta),
-            store_url: dist.store_url.clone().unwrap_or_default(),
-            autoscale_min: dist.autoscale.as_ref().map_or(0, |c| c.min_workers as u32),
-            autoscale_max: dist.autoscale.as_ref().map_or(0, |c| c.max_workers as u32),
+            convergence: nas
+                .fidelity
+                .convergence
+                .map(|c| ConvergenceSpec { window: c.window as u32, min_delta: c.min_delta }),
+            store_url: dist.store_url.clone().filter(|url| !url.is_empty()),
+            autoscale: dist
+                .autoscale
+                .as_ref()
+                .map(|c| (c.min_workers as u32, c.max_workers as u32)),
         };
+        // A spec no worker would accept must fail the launch, not every
+        // handshake in turn.
+        run.check()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("run spec: {e}")))?;
 
-        let mut children = Vec::with_capacity(n);
-        for worker_id in 0..n {
-            children.push(Some(spawn_worker(&exe, &addr, worker_id)?));
-        }
-
-        // Accept until every worker has completed its handshake. The
-        // listener polls non-blocking so a child that dies before
-        // connecting (bad exe, immediate crash) turns into a clear error
-        // instead of a hung accept.
-        listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + dist.connect_timeout;
-        let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut connected = 0;
-        while connected < n {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true)?;
-                    let worker_id = handshake(stream, &run, &mut streams)?;
-                    connected += 1;
-                    swt_obs::info!("swt_dist", "worker {worker_id} connected ({connected}/{n})");
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    for (worker_id, child) in children.iter_mut().enumerate() {
-                        let exited = match child {
-                            Some(c) => c.try_wait()?.map(|status| (worker_id, status)),
-                            None => None,
-                        };
-                        if let Some((worker_id, status)) = exited {
-                            reap_all(&mut children);
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionAborted,
-                                format!("worker {worker_id} exited during startup: {status}"),
-                            ));
-                        }
-                    }
-                    if Instant::now() > deadline {
-                        reap_all(&mut children);
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("only {connected}/{n} workers connected before the deadline"),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    reap_all(&mut children);
-                    return Err(e);
-                }
-            }
-        }
+        let mut children = Unslotted(Vec::with_capacity(n));
+        let streams = spawn_and_admit(
+            &listener,
+            &exe,
+            &addr,
+            &run,
+            n,
+            dist.connect_timeout,
+            &mut children.0,
+        )?;
 
         let live = dist.live.clone().unwrap_or_else(|| Arc::new(LiveRunView::new()));
         live.set_meta("app", dist.app.name());
@@ -268,20 +235,24 @@ impl DistBackend {
             finished: false,
             live,
         };
-        for (child, stream) in children.into_iter().zip(streams) {
-            let (Some(child), Some(stream)) = (child, stream) else {
-                return Err(io::Error::other("worker slot not filled"));
-            };
+        for stream in streams {
+            let child = children.0.remove(0);
             backend.add_slot(Some(child), stream)?;
         }
         Ok(backend)
     }
 
     /// Park a handshaken connection in a fresh slot and start its reader
-    /// thread. Returns the slot index.
+    /// thread. Returns the slot index; on failure the child is reaped.
     fn add_slot(&mut self, child: Option<Child>, stream: TcpStream) -> io::Result<usize> {
         let worker = self.slots.len();
-        let reader_stream = stream.try_clone()?;
+        let reader_stream = match stream.try_clone() {
+            Ok(clone) => clone,
+            Err(e) => {
+                reap_all(child);
+                return Err(e);
+            }
+        };
         let tx = self.tx.clone();
         let reader = std::thread::spawn(move || reader_loop(worker, reader_stream, tx));
         self.slots.push(WorkerSlot {
@@ -311,12 +282,11 @@ impl DistBackend {
     }
 
     fn send_to(&mut self, worker: usize, msg: &Msg) -> Result<(), WireError> {
-        let payload = msg.encode()?;
         let stream = self.slots[worker]
             .writer
             .as_mut()
             .ok_or_else(|| WireError::Protocol(format!("worker {worker} already lost")))?;
-        write_frame(stream, msg.frame_type(), &payload)
+        send(stream, msg)
     }
 
     /// Declare `worker` lost: reclaim its candidate for reassignment, close
@@ -397,7 +367,7 @@ impl DistBackend {
                 return Ok(());
             };
             let id = cand.id;
-            match self.send_to(worker, &Msg::Task { cand: cand.clone() }) {
+            match Task::new(&cand).and_then(|task| self.send_to(worker, &Msg::Task { task })) {
                 Ok(()) => {
                     self.slots[worker].current = Some(id);
                     self.live.set_current(worker, Some(id));
@@ -454,77 +424,49 @@ impl DistBackend {
         }
     }
 
-    /// The join protocol on one mid-run connection: read `Hello`, validate
-    /// the version, then either admit (HelloAck + fresh slot) or refuse
-    /// (`Error` frame) when the pool is at `max_workers`. A malformed or
-    /// mismatched join never aborts the run — the connection is dropped and
-    /// the run continues on the existing pool.
+    /// One mid-run connection through [`admit`]: a newcomer gets a fresh slot
+    /// unless the pool already holds `max_workers` live processes. A refused
+    /// join never aborts the run — the connection is dropped and the run
+    /// continues on the existing pool.
     fn handle_join(&mut self, stream: TcpStream) -> io::Result<()> {
-        let mut stream = stream;
-        stream.set_nonblocking(false)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let mut buf = Vec::new();
-        let hello = match read_frame(&mut stream, &mut buf).and_then(|ty| Msg::decode(ty, &buf)) {
-            Ok(msg) => msg,
-            Err(e) => {
-                swt_obs::warn!("swt_dist", "join attempt with unreadable Hello dropped: {e}");
-                return Ok(());
+        let (live, max) = (self.live_workers(), self.max_workers);
+        let admission = admit(stream, &self.run, |_| {
+            if live < max {
+                Ok(())
+            } else {
+                Err(format!("join rejected: pool already at max_workers={max}"))
             }
-        };
-        let Msg::Hello { version, worker_id, pid } = hello else {
-            swt_obs::warn!(
-                "swt_dist",
-                "join attempt opened with frame {:#04x}, not Hello; dropped",
-                hello.frame_type()
-            );
-            return Ok(());
-        };
-        // If this is a process we spawned (join injection), take ownership
-        // of its handle so it gets reaped with its slot.
-        let child = self.joining.iter().position(|c| c.id() == pid).map(|i| self.joining.remove(i));
-        if version != PROTOCOL_VERSION {
-            let err = WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
-            send_error(&mut stream, &err.to_string());
-            reap(child);
-            swt_obs::warn!("swt_dist", "join from pid {pid} refused: {err}");
-            return Ok(());
+        });
+        match admission {
+            Admission::Refused { pid, no_room } => {
+                if no_room {
+                    swt_obs::counter!("dist.joins_rejected").inc();
+                    self.rejected += 1;
+                }
+                reap_all(pid.and_then(|pid| self.take_joining(pid)));
+                Ok(())
+            }
+            Admission::Admitted { stream, worker_id, pid } => {
+                let child = self.take_joining(pid);
+                let slot = self.add_slot(child, stream)?;
+                swt_obs::counter!("dist.workers_joined").inc();
+                self.joined += 1;
+                swt_obs::info!(
+                    "swt_dist",
+                    "worker joined mid-run as slot {slot} (hello id {worker_id}, pid {pid}); \
+                     pool now {} live / window {}",
+                    self.live_workers(),
+                    self.window
+                );
+                self.flush()
+            }
         }
-        if self.live_workers() >= self.max_workers {
-            swt_obs::counter!("dist.joins_rejected").inc();
-            self.rejected += 1;
-            send_error(
-                &mut stream,
-                &format!("join rejected: pool already at max_workers={}", self.max_workers),
-            );
-            reap(child);
-            swt_obs::info!(
-                "swt_dist",
-                "join from pid {pid} rejected at max_workers={}",
-                self.max_workers
-            );
-            return Ok(());
-        }
-        let ack = Msg::HelloAck { version: PROTOCOL_VERSION, run: self.run.clone() };
-        let sent =
-            ack.encode().and_then(|payload| write_frame(&mut stream, ack.frame_type(), &payload));
-        if let Err(e) = sent {
-            reap(child);
-            swt_obs::warn!("swt_dist", "join from pid {pid} died during HelloAck: {e}");
-            return Ok(());
-        }
-        stream.set_read_timeout(None)?;
-        let slot = self.add_slot(child, stream)?;
-        swt_obs::counter!("dist.workers_joined").inc();
-        self.joined += 1;
-        swt_obs::info!(
-            "swt_dist",
-            "worker joined mid-run as slot {slot} (hello id {worker_id}, pid {pid}); \
-             pool now {} live / window {}",
-            self.live_workers(),
-            self.window
-        );
-        self.flush()
+    }
+
+    /// If `pid` is a process we spawned (join injection, autoscale grow),
+    /// take ownership of its handle so it gets reaped with its slot.
+    fn take_joining(&mut self, pid: u32) -> Option<Child> {
+        self.joining.iter().position(|c| c.id() == pid).map(|i| self.joining.remove(i))
     }
 
     /// Elastic scale-out injection for tests, benches and the CI smoke
@@ -749,7 +691,7 @@ impl DistBackend {
         while self.slots.iter().any(|s| s.alive) && Instant::now() < deadline {
             match self.rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(Event::Msg { worker, msg }) => match msg {
-                    Msg::Stats { stats } | Msg::Result { stats, .. } => {
+                    Msg::Stats { stats } | Msg::Result { result: TaskResult { stats, .. } } => {
                         self.live.fold_metrics(worker, &stats);
                         self.slots[worker].stats = Some(stats);
                     }
@@ -839,9 +781,10 @@ impl EvalBackend for DistBackend {
         loop {
             match self.rx.recv_timeout(self.interval) {
                 Ok(Event::Msg { worker, msg }) => match msg {
-                    Msg::Result { id, outcome, stats, .. } => {
-                        self.live.fold_metrics(worker, &stats);
-                        self.slots[worker].stats = Some(stats);
+                    Msg::Result { result } => {
+                        let (id, outcome) = (result.id, result.outcome());
+                        self.live.fold_metrics(worker, &result.stats);
+                        self.slots[worker].stats = Some(result.stats);
                         if self.slots[worker].current == Some(id) {
                             self.slots[worker].current = None;
                         }
@@ -882,7 +825,7 @@ impl EvalBackend for DistBackend {
                         self.flush()?;
                     }
                     other => {
-                        let reason = format!("unexpected frame {:#04x}", other.frame_type());
+                        let reason = format!("unexpected frame {:#04x}", other.tag());
                         self.mark_lost(worker, &reason)?;
                         self.flush()?;
                     }
@@ -938,15 +881,19 @@ impl Drop for DistBackend {
     }
 }
 
-fn reap_all(children: &mut [Option<Child>]) {
-    for child in children.iter_mut().flatten() {
-        let _ = child.kill();
-        let _ = child.wait();
+/// The launch workers no slot owns yet. Whatever is still here when this
+/// drops is killed and reaped, so no error return from `launch` leaks a
+/// process.
+struct Unslotted(Vec<Child>);
+
+impl Drop for Unslotted {
+    fn drop(&mut self) {
+        reap_all(self.0.drain(..));
     }
 }
 
-fn reap(child: Option<Child>) {
-    if let Some(mut child) = child {
+fn reap_all(children: impl IntoIterator<Item = Child>) {
+    for mut child in children {
         let _ = child.kill();
         let _ = child.wait();
     }
@@ -954,59 +901,126 @@ fn reap(child: Option<Child>) {
 
 /// Best-effort `Error` frame to a peer we are about to drop.
 fn send_error(stream: &mut TcpStream, message: &str) {
-    let msg = Msg::Error { message: message.to_string() };
-    if let Ok(payload) = msg.encode() {
-        let _ = write_frame(stream, msg.frame_type(), &payload);
+    let _ = send(stream, &Msg::Error { message: message.to_string() });
+}
+
+/// What [`admit`] made of one fresh connection.
+enum Admission {
+    /// Handshake complete: `stream` has been sent its `HelloAck`.
+    Admitted { stream: TcpStream, worker_id: u64, pid: u32 },
+    /// Dropped, the cause logged and — where the peer could still read one —
+    /// sent as an `Error` frame. `pid` is known once a `Hello` was read;
+    /// `no_room` tells a pool that declined from a peer that could not be
+    /// talked to.
+    Refused { pid: Option<u32>, no_room: bool },
+}
+
+/// The one admission path, at launch and mid-run alike: read `Hello`, refuse
+/// a version mismatch, ask `room` whether the pool takes this worker id,
+/// answer `HelloAck`. Whatever a connection sends here costs only that
+/// connection: garbage, a wrong first frame or a dead socket is a refusal,
+/// never an error for the run.
+fn admit(
+    mut stream: TcpStream,
+    run: &RunSpec,
+    room: impl FnOnce(u64) -> Result<(), String>,
+) -> Admission {
+    let (mut seen_pid, mut no_room) = (None, false);
+    let handshake = || -> Result<(u64, u32), WireError> {
+        stream.set_nonblocking(false)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+        let hello = recv(&mut stream, &mut Vec::new())?;
+        let Msg::Hello { version, worker_id, pid } = hello else {
+            let first = hello.tag();
+            return Err(WireError::Protocol(format!("opened with frame {first:#04x}, not Hello")));
+        };
+        seen_pid = Some(pid);
+        if version != PROTOCOL_VERSION {
+            let err = WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
+            send_error(&mut stream, &err.to_string());
+            return Err(err);
+        }
+        if let Err(why) = room(worker_id) {
+            no_room = true;
+            send_error(&mut stream, &why);
+            return Err(WireError::Protocol(why));
+        }
+        send(&mut stream, &Msg::HelloAck { version: PROTOCOL_VERSION, run: run.clone() })?;
+        stream.set_read_timeout(None)?;
+        Ok((worker_id, pid))
+    };
+    match handshake() {
+        Ok((worker_id, pid)) => Admission::Admitted { stream, worker_id, pid },
+        Err(why) => {
+            swt_obs::warn!("swt_dist", "connection refused (worker pid {seen_pid:?}): {why}");
+            Admission::Refused { pid: seen_pid, no_room }
+        }
     }
 }
 
-/// Server side of the handshake on a fresh connection during startup: read
-/// `Hello`, validate, reply `HelloAck`, and park the stream in its worker
-/// slot. (Mid-run connections go through the join protocol instead.)
-fn handshake(
-    stream: TcpStream,
+/// Spawn the `n` launch workers into `children` and admit connections until
+/// each of them has completed its handshake; returns their streams in
+/// worker-id order. The listener polls non-blocking so a child that dies
+/// before connecting (bad exe, immediate crash) turns into a clear error
+/// instead of a hung accept, and `timeout` bounds the whole wait whatever
+/// else connects meanwhile. On error `children` stays with the caller to reap.
+fn spawn_and_admit(
+    listener: &TcpListener,
+    exe: &PathBuf,
+    addr: &str,
     run: &RunSpec,
-    streams: &mut [Option<TcpStream>],
-) -> io::Result<usize> {
-    let mut stream = stream;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut buf = Vec::new();
-    let ty = read_frame(&mut stream, &mut buf).map_err(io::Error::from)?;
-    let msg = Msg::decode(ty, &buf).map_err(io::Error::from)?;
-    let Msg::Hello { version, worker_id, pid } = msg else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected Hello, got frame {ty:#04x}"),
-        ));
-    };
-    if version != PROTOCOL_VERSION {
-        let err = WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
-        send_error(&mut stream, &err.to_string());
-        return Err(err.into());
+    n: usize,
+    timeout: Duration,
+    children: &mut Vec<Child>,
+) -> io::Result<Vec<TcpStream>> {
+    for worker_id in 0..n {
+        children.push(spawn_worker(exe, addr, worker_id)?);
     }
-    let slot = worker_id as usize;
-    if slot >= streams.len() || streams[slot].is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bogus or duplicate worker id {worker_id} (pid {pid})"),
-        ));
+    listener.set_nonblocking(true)?;
+    let deadline = Instant::now() + timeout;
+    let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
+    let mut connected = 0;
+    while connected < n {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let room = |id: u64| match streams.get(id as usize) {
+                    Some(None) => Ok(()),
+                    _ => Err(format!("bogus or duplicate worker id {id}")),
+                };
+                if let Admission::Admitted { stream, worker_id, .. } = admit(stream, run, room) {
+                    streams[worker_id as usize] = Some(stream);
+                    connected += 1;
+                    swt_obs::info!("swt_dist", "worker {worker_id} connected ({connected}/{n})");
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                for (worker_id, child) in children.iter_mut().enumerate() {
+                    if let Some(status) = child.try_wait()? {
+                        return Err(io::Error::new(
+                            io::ErrorKind::ConnectionAborted,
+                            format!("worker {worker_id} exited during startup: {status}"),
+                        ));
+                    }
+                }
+                if Instant::now() > deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("only {connected}/{n} workers connected before the deadline"),
+                    ));
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => return Err(e),
+        }
     }
-    let ack = Msg::HelloAck { version: PROTOCOL_VERSION, run: run.clone() };
-    let payload = ack.encode().map_err(io::Error::from)?;
-    write_frame(&mut stream, ack.frame_type(), &payload).map_err(io::Error::from)?;
-    stream.set_read_timeout(None)?;
-    streams[slot] = Some(stream);
-    Ok(slot)
+    Ok(streams.into_iter().flatten().collect())
 }
 
 fn reader_loop(worker: usize, mut stream: TcpStream, tx: mpsc::Sender<Event>) {
     let mut buf = Vec::new();
     loop {
-        let decoded = match read_frame(&mut stream, &mut buf) {
-            Ok(ty) => Msg::decode(ty, &buf),
-            Err(e) => Err(e),
-        };
-        match decoded {
+        match recv(&mut stream, &mut buf) {
             Ok(msg) => {
                 if tx.send(Event::Msg { worker, msg }).is_err() {
                     return; // coordinator gone; nothing to report to

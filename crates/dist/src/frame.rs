@@ -1,64 +1,36 @@
 //! Frame layer of the dist wire protocol.
 //!
-//! The mechanism — `[u32 len LE][u8 type][payload]` framing, the
-//! bounds-checked [`Cursor`], [`put_string`], and the typed [`WireError`] —
-//! lives in the shared `swt-wire` crate (the checkpoint server speaks the
-//! same framing). This module re-exports those primitives and layers the
-//! dist-specific pieces on top: the protocol version and the
-//! `dist.frames_tx` / `dist.frames_rx` counters.
+//! The mechanism — `[u32 len LE][u8 type][payload]` framing, the [`Wire`]
+//! field codec, the [`Message`] trait and the typed [`WireError`] — lives in
+//! the shared `swt-wire` crate (the checkpoint server speaks the same
+//! framing). This module re-exports it and layers the dist-specific pieces
+//! on top: the protocol version and the `dist.frames_tx` / `dist.frames_rx`
+//! counters.
 
+use crate::wire::Msg;
 use std::io::{Read, Write};
 
-pub use swt_wire::{put_string, Cursor, WireError, MAX_FRAME_LEN};
+pub use swt_wire::{ensure, Cursor, Message, Wire, WireError, MAX_FRAME_LEN};
 
-/// Protocol version exchanged in the handshake. Bump on any frame-layout
-/// change; coordinator and worker refuse mismatched peers.
-///
-/// v2: `Result` frames carry the worker's cumulative metrics snapshot, a
-/// `Stats` frame (0x09) delivers the final snapshot at shutdown, and
-/// `HelloAck`'s `RunSpec` gains the per-worker provider-cache byte budget.
-///
-/// v3: a `Telemetry` frame (0x0A) streams seq-numbered span/gauge snapshots
-/// plus timeline event batches between `Result`s. The addition is purely
-/// additive — every v2 frame decodes unchanged — but the version is bumped
-/// because v2 peers would drop the connection on the unknown type byte.
-///
-/// v4: multi-fidelity fields travel as *optional tails* — fixed-size field
-/// groups appended after each frame's v3 payload. `HelloAck` gains the run's
-/// fidelity knobs (prefilter quantile, convergence window/min-delta), `Task`
-/// the candidate's rung and per-task epoch override, and `Result` the
-/// worker's stop reason plus echoed rung. A v3-shaped payload (no tail)
-/// still decodes, with fidelity-off defaults; a *partial* tail is malformed.
-///
-/// v5: `HelloAck`'s `RunSpec` gains a variable-length `store_url` tail
-/// (`[u16 len][bytes]`) after the v4 fidelity group, selecting the remote
-/// checkpoint store (`tcp://host:port`); empty or absent means the shared
-/// `DirStore` directory. Both the v3-shaped and v4-shaped payloads still
-/// decode (with an empty url); a partial url tail is malformed.
-///
-/// v6: autoscaling. A `Retire` frame (0x0B) drains an idle worker out of the
-/// pool (same orderly teardown as `Shutdown`, but counted as a retirement),
-/// and `HelloAck`'s `RunSpec` gains an autoscale tail (`[u32 min_workers]`
-/// `[u32 max_workers]`) after the v5 store tail so workers can log that they
-/// joined an elastic pool. `(0, 0)` means autoscale off; any other pair must
-/// satisfy `1 ≤ min ≤ max ≤ MAX_POOL_WORKERS`. All earlier-shaped payloads
-/// still decode (autoscale off); a partial tail is malformed.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Protocol version exchanged in the handshake. Any change that moves a
+/// byte of any frame bumps it; coordinator and worker refuse a peer whose
+/// version differs, so there is no prefix compatibility to maintain.
+pub const PROTOCOL_VERSION: u32 = 7;
 
-/// Write one frame. Counts `dist.frames_tx`.
-pub fn write_frame(w: &mut impl Write, ty: u8, payload: &[u8]) -> Result<(), WireError> {
-    swt_wire::write_frame(w, ty, payload)?;
+/// Send one message as one frame. Counts `dist.frames_tx`.
+pub fn send(w: &mut impl Write, msg: &Msg) -> Result<(), WireError> {
+    swt_wire::send(w, msg)?;
     swt_obs::counter!("dist.frames_tx").inc();
     Ok(())
 }
 
-/// Read one frame into `buf` (reused across calls), returning the type
-/// byte. Counts `dist.frames_rx`. EOF before a complete header surfaces as
+/// Receive one frame into `buf` (reused across calls) and decode it. Counts
+/// `dist.frames_rx`. EOF before a complete header surfaces as
 /// `WireError::Io(UnexpectedEof)`.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<u8, WireError> {
-    let ty = swt_wire::read_frame(r, buf)?;
+pub fn recv(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Msg, WireError> {
+    let msg = swt_wire::recv(r, buf)?;
     swt_obs::counter!("dist.frames_rx").inc();
-    Ok(ty)
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -66,72 +38,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_round_trip() -> Result<(), WireError> {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, 0x03, b"hello")?;
-        write_frame(&mut wire, 0x07, b"")?;
-        let mut r = &wire[..];
-        let mut buf = Vec::new();
-        let ty = read_frame(&mut r, &mut buf)?;
-        assert_eq!((ty, buf.as_slice()), (0x03, &b"hello"[..]));
-        let ty = read_frame(&mut r, &mut buf)?;
-        assert_eq!((ty, buf.len()), (0x07, 0));
-        Ok(())
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_not_allocated() {
-        // A hostile header announcing 4 GiB must fail fast.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        wire.push(0x01);
-        let mut buf = Vec::new();
-        let got = read_frame(&mut &wire[..], &mut buf);
-        assert!(matches!(got, Err(WireError::FrameTooLarge(u32::MAX))), "got {got:?}");
-    }
-
-    #[test]
-    fn truncated_stream_is_an_io_error() {
-        let mut wire = Vec::new();
-        let _ = write_frame(&mut wire, 0x03, b"hello");
-        wire.truncate(wire.len() - 2);
-        let mut buf = Vec::new();
-        assert!(matches!(read_frame(&mut &wire[..], &mut buf), Err(WireError::Io(_))));
-    }
-
-    #[test]
     fn frame_counters_advance() -> Result<(), WireError> {
         swt_obs::enable(); // counter mutators are gated on enabled()
         let tx0 = swt_obs::counter!("dist.frames_tx").get();
         let rx0 = swt_obs::counter!("dist.frames_rx").get();
         let mut wire = Vec::new();
-        write_frame(&mut wire, 0x01, b"x")?;
+        send(&mut wire, &Msg::Ping { nonce: 1 })?;
         let mut buf = Vec::new();
-        read_frame(&mut &wire[..], &mut buf)?;
+        assert_eq!(recv(&mut &wire[..], &mut buf)?, Msg::Ping { nonce: 1 });
         assert!(swt_obs::counter!("dist.frames_tx").get() > tx0);
         assert!(swt_obs::counter!("dist.frames_rx").get() > rx0);
-        Ok(())
-    }
-
-    #[test]
-    fn cursor_rejects_truncation_and_trailing_bytes() {
-        let mut c = Cursor::new(&[1, 0]);
-        assert!(matches!(c.u32(), Err(WireError::Malformed(_))));
-        let mut c = Cursor::new(&[1, 0, 0, 0, 9]);
-        let _ = c.u32();
-        assert!(matches!(c.finish(), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn string_round_trip_and_invalid_utf8() -> Result<(), WireError> {
-        let mut out = Vec::new();
-        put_string(&mut out, "namespace_α")?;
-        let mut c = Cursor::new(&out);
-        assert_eq!(c.string()?, "namespace_α");
-        c.finish()?;
-        let bad = [2u8, 0, 0xff, 0xfe];
-        let mut c = Cursor::new(&bad);
-        assert!(matches!(c.string(), Err(WireError::Malformed(_))));
         Ok(())
     }
 }

@@ -13,8 +13,8 @@
 //! requirement for distributed NAS): the runner's deterministic dispatch
 //! window plus per-candidate seeding makes distributed runs — even runs
 //! where workers are SIGKILLed mid-flight — bit-identical to the
-//! single-process thread pool. See DESIGN.md §10 for the protocol and
-//! failure model.
+//! single-process thread pool. See DESIGN.md §10 for the failure model
+//! and §14 for the protocol.
 //!
 //! Modules: [`frame`] (framing + errors), [`wire`] (typed messages),
 //! [`coordinator`] ([`DistBackend`]), [`worker`] (the `swt dist-worker`

@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn stop_reason_counts_surface_in_status() -> Result<(), String> {
-        use swt_obs::report::CounterRow;
+        use crate::wire::CounterSnap;
         let live = LiveRunView::new();
         live.worker_added(0);
         // No metrics yet: the schema is stable, the counts zero.
@@ -545,9 +545,9 @@ mod tests {
             0,
             &WorkerMetrics {
                 counters: vec![
-                    CounterRow { name: "fidelity.stopped.converged".into(), value: 3 },
-                    CounterRow { name: "fidelity.stopped.prefiltered".into(), value: 5 },
-                    CounterRow { name: "nas.candidates_evaluated".into(), value: 9 },
+                    CounterSnap { name: "fidelity.stopped.converged".into(), value: 3 },
+                    CounterSnap { name: "fidelity.stopped.prefiltered".into(), value: 5 },
+                    CounterSnap { name: "nas.candidates_evaluated".into(), value: 9 },
                 ],
                 histograms: vec![],
             },

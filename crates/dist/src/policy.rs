@@ -26,9 +26,9 @@
 use crate::live::LiveRunView;
 use std::fmt;
 
-/// Hard ceiling on any configured worker pool — shared with the wire-v6
-/// `HelloAck` tail validation, so a hostile peer cannot announce an absurd
-/// pool either.
+/// Hard ceiling on any configured worker pool — shared with `RunSpec`'s
+/// range check on the wire, so a hostile peer cannot announce an absurd pool
+/// either.
 pub const MAX_POOL_WORKERS: usize = 4096;
 
 /// Upper bound on retained decision-log lines. The oldest are dropped

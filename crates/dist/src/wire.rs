@@ -1,11 +1,11 @@
-//! Message layer: typed frames and their payload encodings (DESIGN.md §10).
+//! Message layer: the dist protocol's frames, each declared once.
 //!
-//! | type | frame     | direction           | payload                                 |
+//! | tag  | frame     | direction           | payload                                 |
 //! |------|-----------|---------------------|-----------------------------------------|
 //! | 0x01 | Hello     | worker → coordinator| version, worker_id, pid                 |
 //! | 0x02 | HelloAck  | coordinator → worker| version, [`RunSpec`]                    |
-//! | 0x03 | Task      | coordinator → worker| candidate id, parent, arch sequence     |
-//! | 0x04 | Result    | worker → coordinator| id + [`EvalOutcome`] + [`WorkerMetrics`]|
+//! | 0x03 | Task      | coordinator → worker| [`Task`]: one candidate dispatch        |
+//! | 0x04 | Result    | worker → coordinator| [`TaskResult`]: outcome + metrics       |
 //! | 0x05 | Ping      | coordinator → worker| nonce                                   |
 //! | 0x06 | Pong      | worker → coordinator| echoed nonce                            |
 //! | 0x07 | Shutdown  | coordinator → worker| (empty)                                 |
@@ -14,31 +14,16 @@
 //! | 0x0A | Telemetry | worker → coordinator| seq-numbered [`Telemetry`] snapshot     |
 //! | 0x0B | Retire    | coordinator → worker| decision tick + utf-8 reason            |
 //!
-//! All integers little-endian; floats as IEEE-754 bit patterns (scores must
-//! round-trip bit-exactly — the A/B identity gate compares them with `==`).
-//!
-//! Wire v4 appends fixed-size *fidelity tails*: `HelloAck` carries the run's
-//! prefilter/convergence knobs, `Task` the candidate's rung and per-task
-//! epoch override, `Result` the stop reason plus echoed rung. Decoders probe
-//! [`Cursor::at_end`] after the v3 fields, so a v3-shaped payload still
-//! decodes (fidelity-off defaults) while a partial tail is malformed.
-//!
-//! Wire v5 appends one more optional tail to `HelloAck`: the run's
-//! `store_url` (`[u16 len][bytes]`, after the fidelity group), selecting a
-//! networked checkpoint store. The same `at_end` probe runs again after the
-//! fidelity tail, so both v3- and v4-shaped payloads still decode (empty
-//! url = local `DirStore`), while a partial url tail is malformed.
-//!
-//! Wire v6 adds the autoscaling pieces: a `Retire` frame (0x0B, the
-//! drain-then-close half of a shrink decision) and an *autoscale tail* on
-//! `HelloAck` — `[u32 min_workers][u32 max_workers]` after the store tail,
-//! informing the worker that the pool is elastic and it may be retired
-//! mid-run. `(0, 0)` means autoscaling off; anything else must satisfy
-//! `1 ≤ min ≤ max ≤ MAX_POOL_WORKERS` — hostile worker counts are
-//! malformed, and (as with v4/v5) only the exact v5 boundary decodes as a
-//! valid prefix; a partial tail is malformed.
+//! The byte layout is what `swt-wire` derives from the declarations below:
+//! fields in declaration order, integers little-endian, floats as IEEE-754
+//! bit patterns (scores must round-trip bit-exactly — the A/B identity gate
+//! compares them with `==`), lists behind a `u32` count, options behind a
+//! flag byte (DESIGN.md "Wire protocols"). A declaration's range checks sit
+//! in the `check` function beside it and run on encode and on decode.
+//! Editing a declaration moves bytes: bump [`crate::PROTOCOL_VERSION`] with
+//! it (the golden-bytes test in `tests/fuzz_decode.rs` fails until you do).
 
-use crate::frame::{put_string, Cursor, WireError};
+use crate::frame::{ensure, Cursor, Wire, WireError};
 use crate::policy::MAX_POOL_WORKERS;
 use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
@@ -47,86 +32,236 @@ use swt_obs::metrics::{bucket_bound, bucket_index, HIST_BUCKETS};
 use swt_obs::report::{CounterRow, HistogramRow};
 use swt_obs::RunReport;
 use swt_space::ArchSeq;
+use swt_wire::{wire_messages, wire_struct};
 
-/// Everything a worker needs to reproduce the coordinator's evaluation
-/// environment, sent once in `HelloAck`. The worker builds the same
-/// problem/search-space/evaluator from these fields that `run_nas` builds
-/// in-process — that is the whole determinism story: candidate seeds derive
-/// from `(run_seed, id)` and the data from `(app, scale, data_seed)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSpec {
-    pub app: AppKind,
-    pub scale: DataScale,
-    pub data_seed: u64,
-    pub scheme: TransferScheme,
-    pub epochs: u32,
-    pub run_seed: u64,
-    /// Checkpoint-id namespace (see `NasConfig::namespace`).
-    pub namespace: String,
-    /// Root of the shared `DirStore` (the stand-in for the paper's parallel
-    /// file system).
-    pub store_dir: String,
-    /// Intra-op thread budget this worker must pin
-    /// (`hardware / workers`, floored at 1 — same policy as the in-process
-    /// pool).
-    pub threads: u32,
-    /// Per-worker provider-cache byte budget: the worker wraps its
-    /// `DirStore` in a `CachedStore` of this size (0 disables caching).
-    /// Sized coordinator-side as the run's cache budget split across the
-    /// dispatch window, mirroring the in-process shared cache.
-    pub cache_bytes: u64,
-    /// Zero-cost pre-filter quantile in `[0, 1)`; 0 disables the filter
-    /// (wire v4, defaults when the peer sends a v3-shaped `HelloAck`).
-    pub prefilter_quantile: f64,
-    /// Convergence window in epochs; 0 disables per-candidate early
-    /// stopping (wire v4).
-    pub conv_window: u32,
-    /// Loss-delta threshold paired with `conv_window` (wire v4).
-    pub conv_min_delta: f64,
-    /// Checkpoint-store endpoint, e.g. `tcp://host:port` (wire v5, empty
-    /// when the peer sent a v3/v4-shaped `HelloAck`). Empty means "use the
-    /// shared `DirStore` at `store_dir`" — the pre-v5 behaviour; non-empty
-    /// means the worker dials a `swt-ckpt-server` and speaks the store
-    /// protocol, with `namespace` doubling as its tenant bucket.
-    pub store_url: String,
-    /// Autoscale pool floor (wire v6; 0 together with `autoscale_max`
-    /// means the pool is fixed). Informational for the worker — the
-    /// coordinator owns every scaling decision — but it makes the RunSpec
-    /// a complete record of the run's configuration and tells the worker
-    /// it may be retired mid-run.
-    pub autoscale_min: u32,
-    /// Autoscale pool ceiling (wire v6; see `autoscale_min`).
-    pub autoscale_max: u32,
+/// Carries a fieldless enum another crate owns through a wire declaration
+/// as one byte (`Wire` cannot be implemented on a foreign type from here).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Code<T>(pub T);
+
+/// `Type, "decode error": Variant = byte, …;` — both directions of a
+/// [`Code`] table from one list (the `match` stays exhaustive, so a new
+/// variant upstream fails the build here rather than an encode at run time).
+macro_rules! byte_codes {
+    ($($ty:ident, $unknown:literal: $($variant:ident = $code:literal),+;)+) => {$(
+        impl Wire for Code<$ty> {
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+                let code: u8 = match self.0 { $($ty::$variant => $code,)+ };
+                code.put(out)
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+                match u8::get(c)? {
+                    $($code => Ok(Code($ty::$variant)),)+
+                    _ => Err(WireError::Malformed($unknown)),
+                }
+            }
+        }
+    )+};
+}
+
+byte_codes! {
+    AppKind, "unknown app code": Cifar10 = 0, Mnist = 1, Nt3 = 2, Uno = 3;
+    DataScale, "unknown scale code": Quick = 0, Full = 1;
+    TransferScheme, "unknown scheme code": Baseline = 0, Lp = 1, Lcs = 2;
+}
+
+/// `swt-nas` already owns this table (`StopReason::code`).
+impl Wire for Code<StopReason> {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.0.code().put(out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        StopReason::from_code(u8::get(c)?)
+            .map(Code)
+            .ok_or(WireError::Malformed("unknown stop reason"))
+    }
+}
+
+wire_struct! {
+    /// Per-candidate early stopping as it travels in a [`RunSpec`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ConvergenceSpec {
+        /// Window in epochs, at least 1.
+        pub window: u32,
+        /// Loss-delta threshold, non-negative.
+        pub min_delta: f64,
+    }
+}
+
+wire_struct! {
+    /// Everything a worker needs to reproduce the coordinator's evaluation
+    /// environment, sent once in `HelloAck`. The worker builds the same
+    /// problem/search-space/evaluator from these fields that `run_nas`
+    /// builds in-process — that is the whole determinism story: candidate
+    /// seeds derive from `(run_seed, id)` and the data from `(app, scale,
+    /// data_seed)`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunSpec {
+        pub app: Code<AppKind>,
+        pub scale: Code<DataScale>,
+        pub data_seed: u64,
+        pub scheme: Code<TransferScheme>,
+        pub epochs: u32,
+        pub run_seed: u64,
+        /// Checkpoint-id namespace (see `NasConfig::namespace`).
+        pub namespace: String,
+        /// Root of the shared `DirStore` (the stand-in for the paper's
+        /// parallel file system).
+        pub store_dir: String,
+        /// Intra-op thread budget this worker must pin
+        /// (`hardware / workers`, floored at 1 — same policy as the
+        /// in-process pool).
+        pub threads: u32,
+        /// Per-worker provider-cache byte budget: the worker wraps its
+        /// store in a `CachedStore` of this size (0 disables caching).
+        /// Sized coordinator-side as the run's cache budget split across
+        /// the dispatch window, mirroring the in-process shared cache.
+        pub cache_bytes: u64,
+        /// Zero-cost pre-filter quantile in `[0, 1)`; 0 disables the filter.
+        pub prefilter_quantile: f64,
+        /// Per-candidate early stopping; `None` trains the full budget.
+        pub convergence: Option<ConvergenceSpec>,
+        /// Checkpoint-store endpoint, e.g. `tcp://host:port`: the worker
+        /// dials a `swt-ckpt-server` and speaks the store protocol, with
+        /// `namespace` doubling as its tenant bucket. `None` means the
+        /// shared `DirStore` at `store_dir`.
+        pub store_url: Option<String>,
+        /// Autoscale pool bounds `(min, max)`, `1 ≤ min ≤ max ≤
+        /// MAX_POOL_WORKERS`; `None` means the pool is fixed. Informational
+        /// for the worker — the coordinator owns every scaling decision —
+        /// but it makes the RunSpec a complete record of the run's
+        /// configuration and tells the worker it may be retired mid-run.
+        pub autoscale: Option<(u32, u32)>,
+    }
+    check = RunSpec::check;
 }
 
 impl RunSpec {
+    pub(crate) fn check(&self) -> Result<(), WireError> {
+        // Written so that NaN fails each comparison.
+        ensure((0.0..1.0).contains(&self.prefilter_quantile), "prefilter quantile out of range")?;
+        if let Some(conv) = &self.convergence {
+            ensure(conv.window >= 1, "zero convergence window")?;
+            ensure(conv.min_delta >= 0.0, "negative convergence min-delta")?;
+        }
+        if let Some((min, max)) = self.autoscale {
+            ensure(
+                1 <= min && min <= max && max as usize <= MAX_POOL_WORKERS,
+                "hostile autoscale worker counts",
+            )?;
+        }
+        Ok(())
+    }
+
     /// The evaluator-side fidelity knobs carried by this spec — what a
     /// worker passes to `Evaluator::set_fidelity` so its evaluations match
     /// the coordinator's in-process ones bit for bit.
     pub fn eval_fidelity(&self) -> EvalFidelity {
         EvalFidelity {
             prefilter_quantile: self.prefilter_quantile,
-            convergence: (self.conv_window > 0).then_some(Convergence {
-                window: self.conv_window as usize,
-                min_delta: self.conv_min_delta,
-            }),
+            convergence: self
+                .convergence
+                .map(|c| Convergence { window: c.window as usize, min_delta: c.min_delta }),
         }
     }
 }
 
-/// A worker process's cumulative counter/histogram snapshot, shipped in
-/// every `Result` frame and finally in a `Stats` frame at shutdown.
-///
-/// Snapshots are *cumulative since worker start*, not deltas: the
-/// coordinator keeps only the latest snapshot per worker, so a lost frame
-/// (or a worker killed mid-run) costs at most the metrics of work done
-/// after its last delivered `Result` — never double counting. Merging the
-/// latest snapshot of every process plus the coordinator's own registry
-/// yields whole-run totals (`report.json` conservation).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WorkerMetrics {
-    pub counters: Vec<CounterRow>,
-    pub histograms: Vec<HistogramRow>,
+wire_struct! {
+    /// One candidate dispatch: a [`Candidate`] as it travels.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Task {
+        pub id: u64,
+        /// The provider (mutation parent); `None` for warm-up candidates.
+        pub parent: Option<u64>,
+        /// The architecture sequence's choices.
+        pub arch: Vec<u16>,
+        /// Successive-halving rung, below `MAX_RUNGS`.
+        pub rung: u8,
+        /// Per-task epoch budget override; `None` uses the run's.
+        pub epochs: Option<u32>,
+    }
+    check = Task::check;
+}
+
+impl Task {
+    fn check(&self) -> Result<(), WireError> {
+        ensure((self.rung as usize) < MAX_RUNGS, "rung index out of range")
+    }
+
+    pub fn new(cand: &Candidate) -> Result<Task, WireError> {
+        let epochs = cand
+            .epochs
+            .map(u32::try_from)
+            .transpose()
+            .map_err(|_| WireError::Malformed("epochs too large"))?;
+        Ok(Task {
+            id: cand.id,
+            parent: cand.parent,
+            arch: cand.arch.choices().to_vec(),
+            rung: cand.rung,
+            epochs,
+        })
+    }
+
+    pub fn into_candidate(self) -> Candidate {
+        Candidate {
+            id: self.id,
+            arch: ArchSeq::new(self.arch),
+            parent: self.parent,
+            rung: self.rung,
+            epochs: self.epochs.map(|e| e as usize),
+        }
+    }
+}
+
+wire_struct! {
+    /// One counter's total in a [`WorkerMetrics`] snapshot.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CounterSnap {
+        pub name: String,
+        pub value: u64,
+    }
+}
+
+wire_struct! {
+    /// One histogram in a [`WorkerMetrics`] snapshot. Buckets travel as
+    /// `(pow2 bucket index, count)` — one byte per bound, and `u64::MAX`
+    /// (the overflow bucket) needs no special case.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HistSnap {
+        pub name: String,
+        pub count: u64,
+        pub sum: u64,
+        pub buckets: Vec<(u8, u64)>,
+    }
+    check = HistSnap::check;
+}
+
+impl HistSnap {
+    fn check(&self) -> Result<(), WireError> {
+        ensure(self.buckets.len() <= HIST_BUCKETS, "histogram bucket count out of range")?;
+        ensure(
+            self.buckets.iter().all(|&(idx, _)| (idx as usize) < HIST_BUCKETS),
+            "histogram bucket index out of range",
+        )
+    }
+}
+
+wire_struct! {
+    /// A worker process's cumulative counter/histogram snapshot, shipped in
+    /// every `Result` frame and finally in a `Stats` frame at shutdown.
+    ///
+    /// Snapshots are *cumulative since worker start*, not deltas: the
+    /// coordinator keeps only the latest snapshot per worker, so a lost
+    /// frame (or a worker killed mid-run) costs at most the metrics of work
+    /// done after its last delivered `Result` — never double counting.
+    /// Merging the latest snapshot of every process plus the coordinator's
+    /// own registry yields whole-run totals (`report.json` conservation).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct WorkerMetrics {
+        pub counters: Vec<CounterSnap>,
+        pub histograms: Vec<HistSnap>,
+    }
 }
 
 impl WorkerMetrics {
@@ -134,15 +269,48 @@ impl WorkerMetrics {
     /// spans and gauges are process-local and stay out of the wire format).
     pub fn capture() -> WorkerMetrics {
         let report = RunReport::capture();
-        WorkerMetrics { counters: report.counters, histograms: report.histograms }
+        WorkerMetrics {
+            counters: report
+                .counters
+                .into_iter()
+                .map(|c| CounterSnap { name: c.name, value: c.value })
+                .collect(),
+            histograms: report
+                .histograms
+                .into_iter()
+                .map(|h| HistSnap {
+                    name: h.name,
+                    count: h.count,
+                    sum: h.sum,
+                    buckets: h.buckets.iter().map(|&(b, n)| (bucket_index(b) as u8, n)).collect(),
+                })
+                .collect(),
+        }
     }
 
     /// View the snapshot as a counters/histograms-only [`RunReport`], the
     /// shape `RunReport::merge` and `absorb_into` consume.
     pub fn to_report(&self) -> RunReport {
         RunReport {
-            counters: self.counters.clone(),
-            histograms: self.histograms.clone(),
+            counters: self
+                .counters
+                .iter()
+                .map(|c| CounterRow { name: c.name.clone(), value: c.value })
+                .collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|h| HistogramRow {
+                    name: h.name.clone(),
+                    count: h.count,
+                    sum: h.sum,
+                    buckets: h
+                        .buckets
+                        .iter()
+                        .map(|&(i, n)| (bucket_bound(i as usize), n))
+                        .collect(),
+                })
+                .collect(),
             ..RunReport::default()
         }
     }
@@ -156,131 +324,162 @@ impl WorkerMetrics {
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
         self.counters.iter().filter(|c| c.name.starts_with(prefix)).map(|c| c.value).sum()
     }
+}
 
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        let n = u32::try_from(self.counters.len())
-            .map_err(|_| WireError::Malformed("too many counters"))?;
-        out.extend_from_slice(&n.to_le_bytes());
-        for c in &self.counters {
-            put_string(out, &c.name)?;
-            out.extend_from_slice(&c.value.to_le_bytes());
-        }
-        let n = u32::try_from(self.histograms.len())
-            .map_err(|_| WireError::Malformed("too many histograms"))?;
-        out.extend_from_slice(&n.to_le_bytes());
-        for h in &self.histograms {
-            put_string(out, &h.name)?;
-            out.extend_from_slice(&h.count.to_le_bytes());
-            out.extend_from_slice(&h.sum.to_le_bytes());
-            let nb = u8::try_from(h.buckets.len().min(HIST_BUCKETS))
-                .map_err(|_| WireError::Malformed("too many histogram buckets"))?;
-            out.push(nb);
-            for &(bound, count) in h.buckets.iter().take(HIST_BUCKETS) {
-                // Bounds travel as their pow2 bucket index — one byte, and
-                // u64::MAX (the overflow bucket) needs no special case.
-                out.push(bucket_index(bound) as u8);
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-        }
-        Ok(())
+wire_struct! {
+    /// What a worker reports for one [`Task`]: the [`EvalOutcome`] as it
+    /// travels, the rung it answers, and the worker's cumulative metrics.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TaskResult {
+        pub id: u64,
+        pub score: f64,
+        pub train_secs: f64,
+        pub transfer_secs: f64,
+        pub save_secs: f64,
+        pub checkpoint_bytes: u64,
+        pub transfer_tensors: u64,
+        pub transfer_bytes: u64,
+        pub transfer_skipped: u64,
+        pub epochs: u32,
+        pub stop: Code<StopReason>,
+        /// The rung of the task this result answers, echoed by the worker.
+        /// Scheduling ignores it — the coordinator tracks rungs in its
+        /// in-flight table — but it keeps `Result` frames self-describing
+        /// for monitors and logs.
+        pub rung: u8,
+        pub stats: WorkerMetrics,
+    }
+    check = TaskResult::check;
+}
+
+impl TaskResult {
+    fn check(&self) -> Result<(), WireError> {
+        ensure((self.rung as usize) < MAX_RUNGS, "rung index out of range")
     }
 
-    fn decode_from(c: &mut Cursor<'_>) -> Result<WorkerMetrics, WireError> {
-        let n = c.u32()? as usize;
-        // Capacity is clamped: a hostile count must not pre-allocate beyond
-        // what the (already length-capped) payload can actually hold.
-        let mut counters = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let name = c.string()?;
-            let value = c.u64()?;
-            counters.push(CounterRow { name, value });
+    pub fn new(outcome: &EvalOutcome, rung: u8, stats: WorkerMetrics) -> TaskResult {
+        TaskResult {
+            id: outcome.id,
+            score: outcome.score,
+            train_secs: outcome.train_secs,
+            transfer_secs: outcome.transfer_secs,
+            save_secs: outcome.save_secs,
+            checkpoint_bytes: outcome.checkpoint_bytes,
+            transfer_tensors: outcome.transfer.tensors as u64,
+            transfer_bytes: outcome.transfer.bytes as u64,
+            transfer_skipped: outcome.transfer.skipped as u64,
+            epochs: outcome.epochs as u32,
+            stop: Code(outcome.stop),
+            rung,
+            stats,
         }
-        let n = c.u32()? as usize;
-        let mut histograms = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let name = c.string()?;
-            let count = c.u64()?;
-            let sum = c.u64()?;
-            let nb = c.u8()? as usize;
-            if nb > HIST_BUCKETS {
-                return Err(WireError::Malformed("histogram bucket count out of range"));
-            }
-            let mut buckets = Vec::with_capacity(nb);
-            for _ in 0..nb {
-                let idx = c.u8()? as usize;
-                if idx >= HIST_BUCKETS {
-                    return Err(WireError::Malformed("histogram bucket index out of range"));
-                }
-                buckets.push((bucket_bound(idx), c.u64()?));
-            }
-            histograms.push(HistogramRow { name, count, sum, buckets });
+    }
+
+    pub fn outcome(&self) -> EvalOutcome {
+        EvalOutcome {
+            id: self.id,
+            score: self.score,
+            train_secs: self.train_secs,
+            transfer_secs: self.transfer_secs,
+            save_secs: self.save_secs,
+            checkpoint_bytes: self.checkpoint_bytes,
+            transfer: TransferStats {
+                tensors: self.transfer_tensors as usize,
+                bytes: self.transfer_bytes as usize,
+                skipped: self.transfer_skipped as usize,
+            },
+            epochs: self.epochs as usize,
+            stop: self.stop.0,
         }
-        Ok(WorkerMetrics { counters, histograms })
     }
 }
 
 /// Upper bound on timeline events per `Telemetry` frame. A drain larger
-/// than this is split across frames by the sender; a decode announcing
-/// more is hostile and rejected outright.
+/// than this is split across frames by the sender; a frame carrying more is
+/// refused.
 pub const MAX_TELEMETRY_EVENTS: usize = 2048;
 
 /// Upper bound on the per-frame event-name string table.
 pub const MAX_TELEMETRY_NAMES: usize = 1024;
 
-/// Cumulative wall time of one span path, summed across worker slots —
-/// the in-flight analogue of a report's span rows (a worker process only
-/// ever attributes to its own slot, so the sum loses nothing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanTotalRow {
-    pub path: String,
-    pub count: u64,
-    pub total_ns: u64,
+wire_struct! {
+    /// Cumulative wall time of one span path, summed across worker slots —
+    /// the in-flight analogue of a report's span rows (a worker process
+    /// only ever attributes to its own slot, so the sum loses nothing).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpanTotalRow {
+        pub path: String,
+        pub count: u64,
+        pub total_ns: u64,
+    }
 }
 
-/// One gauge's current value and high-watermark at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSnap {
-    pub name: String,
-    pub value: i64,
-    pub max: i64,
+wire_struct! {
+    /// One gauge's current value and high-watermark at snapshot time.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GaugeSnap {
+        pub name: String,
+        pub value: i64,
+        pub max: i64,
+    }
 }
 
-/// One timeline event on the wire; `name` indexes the frame's string
-/// table. `kind` 0 = span (`dur_ns` meaningful), 1 = counter mark
-/// (`delta` meaningful).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireEvent {
-    pub name: u16,
-    pub kind: u8,
-    pub t_ns: u64,
-    pub dur_ns: u64,
-    pub delta: i64,
+wire_struct! {
+    /// One timeline event on the wire; `name` indexes the frame's string
+    /// table. `kind` 0 = span (`dur_ns` meaningful), 1 = counter mark
+    /// (`delta` meaningful).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireEvent {
+        pub name: u16,
+        pub kind: u8,
+        pub t_ns: u64,
+        pub dur_ns: u64,
+        pub delta: i64,
+    }
 }
 
-/// A worker's periodic live-telemetry snapshot (frame 0x0A, wire v3).
-///
-/// `seq` increments per frame on each worker; the coordinator ignores any
-/// frame whose seq is not strictly greater than the last applied one, so
-/// reordering or loss degrades to staleness, never corruption. `spans` and
-/// `gauges` are *cumulative* (latest-wins like [`WorkerMetrics`]); only
-/// the `events` batch is a delta, cursor-tracked against the worker's
-/// timeline ring — overwritten events surface in `dropped_events`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Telemetry {
-    pub seq: u64,
-    /// Nanoseconds since the worker's timeline epoch at capture time.
-    pub uptime_ns: u64,
-    pub spans: Vec<SpanTotalRow>,
-    pub gauges: Vec<GaugeSnap>,
-    /// Event-name string table (`WireEvent::name` indexes into this).
-    pub names: Vec<String>,
-    pub events: Vec<WireEvent>,
-    /// Ring-overwritten events since the last capture — the staleness
-    /// signal a slow coordinator sees instead of corrupted history.
-    pub dropped_events: u64,
+wire_struct! {
+    /// A worker's periodic live-telemetry snapshot.
+    ///
+    /// `seq` increments per frame on each worker; the coordinator ignores
+    /// any frame whose seq is not strictly greater than the last applied
+    /// one, so reordering or loss degrades to staleness, never corruption.
+    /// `spans` and `gauges` are *cumulative* (latest-wins like
+    /// [`WorkerMetrics`]); only the `events` batch is a delta,
+    /// cursor-tracked against the worker's timeline ring — overwritten
+    /// events surface in `dropped_events`.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct Telemetry {
+        pub seq: u64,
+        /// Nanoseconds since the worker's timeline epoch at capture time.
+        pub uptime_ns: u64,
+        /// Ring-overwritten events since the last capture — the staleness
+        /// signal a slow coordinator sees instead of corrupted history.
+        pub dropped_events: u64,
+        pub spans: Vec<SpanTotalRow>,
+        pub gauges: Vec<GaugeSnap>,
+        /// Event-name string table (`WireEvent::name` indexes into this),
+        /// at most [`MAX_TELEMETRY_NAMES`] entries.
+        pub names: Vec<String>,
+        /// At most [`MAX_TELEMETRY_EVENTS`] per frame.
+        pub events: Vec<WireEvent>,
+    }
+    check = Telemetry::check;
 }
 
 impl Telemetry {
+    fn check(&self) -> Result<(), WireError> {
+        ensure(self.names.len() <= MAX_TELEMETRY_NAMES, "telemetry name table too large")?;
+        ensure(self.events.len() <= MAX_TELEMETRY_EVENTS, "telemetry event batch too large")?;
+        self.events.iter().try_for_each(|ev| {
+            ensure(
+                (ev.name as usize) < self.names.len(),
+                "telemetry event name index out of range",
+            )?;
+            ensure(ev.kind <= 1, "unknown telemetry event kind")
+        })
+    }
+
     /// Snapshot this process's live registry + timeline for the wire.
     ///
     /// `cursor` is the caller-owned timeline read position for
@@ -363,536 +562,103 @@ impl Telemetry {
     pub fn span_total_ns(&self, path: &str) -> u64 {
         self.spans.iter().find(|s| s.path == path).map_or(0, |s| s.total_ns)
     }
-
-    fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.uptime_ns.to_le_bytes());
-        out.extend_from_slice(&self.dropped_events.to_le_bytes());
-        let n =
-            u32::try_from(self.spans.len()).map_err(|_| WireError::Malformed("too many spans"))?;
-        out.extend_from_slice(&n.to_le_bytes());
-        for s in &self.spans {
-            put_string(out, &s.path)?;
-            out.extend_from_slice(&s.count.to_le_bytes());
-            out.extend_from_slice(&s.total_ns.to_le_bytes());
-        }
-        let n = u32::try_from(self.gauges.len())
-            .map_err(|_| WireError::Malformed("too many gauges"))?;
-        out.extend_from_slice(&n.to_le_bytes());
-        for g in &self.gauges {
-            put_string(out, &g.name)?;
-            out.extend_from_slice(&g.value.to_le_bytes());
-            out.extend_from_slice(&g.max.to_le_bytes());
-        }
-        if self.names.len() > MAX_TELEMETRY_NAMES {
-            return Err(WireError::Malformed("telemetry name table too large"));
-        }
-        out.extend_from_slice(&(self.names.len() as u16).to_le_bytes());
-        for name in &self.names {
-            put_string(out, name)?;
-        }
-        if self.events.len() > MAX_TELEMETRY_EVENTS {
-            return Err(WireError::Malformed("telemetry event batch too large"));
-        }
-        out.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
-        for ev in &self.events {
-            out.extend_from_slice(&ev.name.to_le_bytes());
-            out.push(ev.kind);
-            out.extend_from_slice(&ev.t_ns.to_le_bytes());
-            out.extend_from_slice(&ev.dur_ns.to_le_bytes());
-            out.extend_from_slice(&ev.delta.to_le_bytes());
-        }
-        Ok(())
-    }
-
-    fn decode_from(c: &mut Cursor<'_>) -> Result<Telemetry, WireError> {
-        let seq = c.u64()?;
-        let uptime_ns = c.u64()?;
-        let dropped_events = c.u64()?;
-        let n = c.u32()? as usize;
-        // Capacity clamped like WorkerMetrics: hostile counts must not
-        // pre-allocate beyond what the length-capped payload can hold.
-        let mut spans = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let path = c.string()?;
-            let count = c.u64()?;
-            let total_ns = c.u64()?;
-            spans.push(SpanTotalRow { path, count, total_ns });
-        }
-        let n = c.u32()? as usize;
-        let mut gauges = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let name = c.string()?;
-            let value = c.u64()? as i64;
-            let max = c.u64()? as i64;
-            gauges.push(GaugeSnap { name, value, max });
-        }
-        let n = c.u16()? as usize;
-        if n > MAX_TELEMETRY_NAMES {
-            return Err(WireError::Malformed("telemetry name table too large"));
-        }
-        let mut names = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            names.push(c.string()?);
-        }
-        let n = c.u32()? as usize;
-        if n > MAX_TELEMETRY_EVENTS {
-            return Err(WireError::Malformed("telemetry event batch too large"));
-        }
-        let mut events = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            let name = c.u16()?;
-            if name as usize >= names.len() {
-                return Err(WireError::Malformed("telemetry event name index out of range"));
-            }
-            let kind = c.u8()?;
-            if kind > 1 {
-                return Err(WireError::Malformed("unknown telemetry event kind"));
-            }
-            let t_ns = c.u64()?;
-            let dur_ns = c.u64()?;
-            let delta = c.u64()? as i64;
-            events.push(WireEvent { name, kind, t_ns, dur_ns, delta });
-        }
-        Ok(Telemetry { seq, uptime_ns, spans, gauges, names, events, dropped_events })
-    }
 }
 
-/// One decoded protocol message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
-    Hello {
-        version: u32,
-        worker_id: u64,
-        pid: u32,
-    },
-    HelloAck {
-        version: u32,
-        run: RunSpec,
-    },
-    Task {
-        cand: Candidate,
-    },
-    Result {
-        id: u64,
-        outcome: EvalOutcome,
-        stats: WorkerMetrics,
-        /// The rung of the task this result answers, echoed by the worker
-        /// (wire v4; 0 from a v3-shaped payload). Scheduling ignores it —
-        /// the coordinator tracks rungs in its in-flight table — but it
-        /// keeps `Result` frames self-describing for monitors and logs.
-        rung: u8,
-    },
-    Ping {
-        nonce: u64,
-    },
-    Pong {
-        nonce: u64,
-    },
-    Shutdown,
-    Error {
-        message: String,
-    },
-    /// Final cumulative metrics snapshot, sent by a worker right before it
-    /// closes its socket in response to `Shutdown`.
-    Stats {
-        stats: WorkerMetrics,
-    },
-    /// Periodic live-telemetry snapshot (wire v3): span/gauge state plus a
-    /// timeline event batch, folded into the coordinator's `LiveRunView`.
-    Telemetry {
-        telemetry: Telemetry,
-    },
-    /// Drain-then-close (wire v6): the autoscaler picked this *idle* worker
-    /// to shrink the pool. The worker flushes its final telemetry and
-    /// `Stats` snapshot and exits cleanly — same teardown as `Shutdown`,
-    /// but initiated by a policy decision, so the coordinator counts the
-    /// departure as a retirement, never a loss.
-    Retire {
-        /// The policy decision tick that retired this worker.
-        decision: u64,
-        /// Human-readable decision context, for the worker's log.
-        reason: String,
-    },
-}
-
-fn app_code(app: AppKind) -> u8 {
-    match app {
-        AppKind::Cifar10 => 0,
-        AppKind::Mnist => 1,
-        AppKind::Nt3 => 2,
-        AppKind::Uno => 3,
-    }
-}
-
-fn app_from(code: u8) -> Result<AppKind, WireError> {
-    match code {
-        0 => Ok(AppKind::Cifar10),
-        1 => Ok(AppKind::Mnist),
-        2 => Ok(AppKind::Nt3),
-        3 => Ok(AppKind::Uno),
-        _ => Err(WireError::Malformed("unknown app code")),
-    }
-}
-
-fn scheme_code(s: TransferScheme) -> u8 {
-    match s {
-        TransferScheme::Baseline => 0,
-        TransferScheme::Lp => 1,
-        TransferScheme::Lcs => 2,
-    }
-}
-
-fn scheme_from(code: u8) -> Result<TransferScheme, WireError> {
-    match code {
-        0 => Ok(TransferScheme::Baseline),
-        1 => Ok(TransferScheme::Lp),
-        2 => Ok(TransferScheme::Lcs),
-        _ => Err(WireError::Malformed("unknown scheme code")),
-    }
-}
-
-impl Msg {
-    /// The frame-type byte of this message.
-    pub fn frame_type(&self) -> u8 {
-        match self {
-            Msg::Hello { .. } => 0x01,
-            Msg::HelloAck { .. } => 0x02,
-            Msg::Task { .. } => 0x03,
-            Msg::Result { .. } => 0x04,
-            Msg::Ping { .. } => 0x05,
-            Msg::Pong { .. } => 0x06,
-            Msg::Shutdown => 0x07,
-            Msg::Error { .. } => 0x08,
-            Msg::Stats { .. } => 0x09,
-            Msg::Telemetry { .. } => 0x0A,
-            Msg::Retire { .. } => 0x0B,
-        }
-    }
-
-    /// Encode the payload (without the frame header).
-    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::new();
-        match self {
-            Msg::Hello { version, worker_id, pid } => {
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&worker_id.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-            }
-            Msg::HelloAck { version, run } => {
-                out.extend_from_slice(&version.to_le_bytes());
-                out.push(app_code(run.app));
-                out.push(match run.scale {
-                    DataScale::Quick => 0,
-                    DataScale::Full => 1,
-                });
-                out.extend_from_slice(&run.data_seed.to_le_bytes());
-                out.push(scheme_code(run.scheme));
-                out.extend_from_slice(&run.epochs.to_le_bytes());
-                out.extend_from_slice(&run.run_seed.to_le_bytes());
-                put_string(&mut out, &run.namespace)?;
-                put_string(&mut out, &run.store_dir)?;
-                out.extend_from_slice(&run.threads.to_le_bytes());
-                out.extend_from_slice(&run.cache_bytes.to_le_bytes());
-                // v4 fidelity tail.
-                out.extend_from_slice(&run.prefilter_quantile.to_bits().to_le_bytes());
-                out.extend_from_slice(&run.conv_window.to_le_bytes());
-                out.extend_from_slice(&run.conv_min_delta.to_bits().to_le_bytes());
-                // v5 store tail.
-                put_string(&mut out, &run.store_url)?;
-                // v6 autoscale tail.
-                out.extend_from_slice(&run.autoscale_min.to_le_bytes());
-                out.extend_from_slice(&run.autoscale_max.to_le_bytes());
-            }
-            Msg::Task { cand } => {
-                out.extend_from_slice(&cand.id.to_le_bytes());
-                out.push(u8::from(cand.parent.is_some()));
-                out.extend_from_slice(&cand.parent.unwrap_or(0).to_le_bytes());
-                let choices = cand.arch.choices();
-                let len = u16::try_from(choices.len())
-                    .map_err(|_| WireError::Malformed("architecture too long"))?;
-                out.extend_from_slice(&len.to_le_bytes());
-                for &c in choices {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-                // v4 fidelity tail: rung + optional per-task epoch override.
-                if cand.rung as usize >= MAX_RUNGS {
-                    return Err(WireError::Malformed("rung index out of range"));
-                }
-                out.push(cand.rung);
-                out.push(u8::from(cand.epochs.is_some()));
-                let epochs = match cand.epochs {
-                    Some(e) => {
-                        u32::try_from(e).map_err(|_| WireError::Malformed("epochs too large"))?
-                    }
-                    None => 0,
-                };
-                out.extend_from_slice(&epochs.to_le_bytes());
-            }
-            Msg::Result { id, outcome, stats, rung } => {
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&outcome.score.to_bits().to_le_bytes());
-                out.extend_from_slice(&outcome.train_secs.to_bits().to_le_bytes());
-                out.extend_from_slice(&outcome.transfer_secs.to_bits().to_le_bytes());
-                out.extend_from_slice(&outcome.save_secs.to_bits().to_le_bytes());
-                out.extend_from_slice(&outcome.checkpoint_bytes.to_le_bytes());
-                out.extend_from_slice(&(outcome.transfer.tensors as u64).to_le_bytes());
-                out.extend_from_slice(&(outcome.transfer.bytes as u64).to_le_bytes());
-                out.extend_from_slice(&(outcome.transfer.skipped as u64).to_le_bytes());
-                out.extend_from_slice(&(outcome.epochs as u32).to_le_bytes());
-                stats.encode_into(&mut out)?;
-                // v4 fidelity tail: stop reason + echoed rung.
-                out.push(outcome.stop.code());
-                if *rung as usize >= MAX_RUNGS {
-                    return Err(WireError::Malformed("rung index out of range"));
-                }
-                out.push(*rung);
-            }
-            Msg::Ping { nonce } | Msg::Pong { nonce } => {
-                out.extend_from_slice(&nonce.to_le_bytes());
-            }
-            Msg::Shutdown => {}
-            Msg::Error { message } => {
-                put_string(&mut out, message)?;
-            }
-            Msg::Stats { stats } => {
-                stats.encode_into(&mut out)?;
-            }
-            Msg::Telemetry { telemetry } => {
-                telemetry.encode_into(&mut out)?;
-            }
-            Msg::Retire { decision, reason } => {
-                out.extend_from_slice(&decision.to_le_bytes());
-                put_string(&mut out, reason)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Decode a payload of frame type `ty`. Never panics: every malformed
-    /// input maps to a [`WireError`].
-    pub fn decode(ty: u8, payload: &[u8]) -> Result<Msg, WireError> {
-        let mut c = Cursor::new(payload);
-        let msg = match ty {
-            0x01 => Msg::Hello { version: c.u32()?, worker_id: c.u64()?, pid: c.u32()? },
-            0x02 => {
-                let version = c.u32()?;
-                let app = app_from(c.u8()?)?;
-                let scale = match c.u8()? {
-                    0 => DataScale::Quick,
-                    1 => DataScale::Full,
-                    _ => return Err(WireError::Malformed("unknown scale code")),
-                };
-                let data_seed = c.u64()?;
-                let scheme = scheme_from(c.u8()?)?;
-                let epochs = c.u32()?;
-                let run_seed = c.u64()?;
-                let namespace = c.string()?;
-                let store_dir = c.string()?;
-                let threads = c.u32()?;
-                let cache_bytes = c.u64()?;
-                // v4 fidelity tail; fidelity-off defaults for v3 payloads.
-                let (prefilter_quantile, conv_window, conv_min_delta) = if c.at_end() {
-                    (0.0, 0, 0.0)
-                } else {
-                    let q = c.f64()?;
-                    if !(0.0..1.0).contains(&q) {
-                        return Err(WireError::Malformed("prefilter quantile out of range"));
-                    }
-                    let window = c.u32()?;
-                    let min_delta = c.f64()?;
-                    if min_delta.is_nan() || min_delta < 0.0 {
-                        return Err(WireError::Malformed("negative convergence min-delta"));
-                    }
-                    (q, window, min_delta)
-                };
-                // v5 store tail; empty url (local DirStore) for v3/v4
-                // payloads.
-                let store_url = if c.at_end() { String::new() } else { c.string()? };
-                // v6 autoscale tail; (0, 0) = autoscale off for v3/v4/v5
-                // payloads.
-                let (autoscale_min, autoscale_max) = if c.at_end() {
-                    (0, 0)
-                } else {
-                    let min = c.u32()?;
-                    let max = c.u32()?;
-                    let off = min == 0 && max == 0;
-                    if !off && (min == 0 || min > max || max as usize > MAX_POOL_WORKERS) {
-                        return Err(WireError::Malformed("hostile autoscale worker counts"));
-                    }
-                    (min, max)
-                };
-                Msg::HelloAck {
-                    version,
-                    run: RunSpec {
-                        app,
-                        scale,
-                        data_seed,
-                        scheme,
-                        epochs,
-                        run_seed,
-                        namespace,
-                        store_dir,
-                        threads,
-                        cache_bytes,
-                        prefilter_quantile,
-                        conv_window,
-                        conv_min_delta,
-                        store_url,
-                        autoscale_min,
-                        autoscale_max,
-                    },
-                }
-            }
-            0x03 => {
-                let id = c.u64()?;
-                let has_parent = c.u8()?;
-                let parent_raw = c.u64()?;
-                let parent = match has_parent {
-                    0 => None,
-                    1 => Some(parent_raw),
-                    _ => return Err(WireError::Malformed("invalid parent flag")),
-                };
-                let n = c.u16()? as usize;
-                let mut choices = Vec::with_capacity(n);
-                for _ in 0..n {
-                    choices.push(c.u16()?);
-                }
-                // v4 fidelity tail; rung-0 full-budget defaults for v3.
-                let (rung, epochs) = if c.at_end() {
-                    (0, None)
-                } else {
-                    let rung = c.u8()?;
-                    if rung as usize >= MAX_RUNGS {
-                        return Err(WireError::Malformed("rung index out of range"));
-                    }
-                    let has_epochs = c.u8()?;
-                    let epochs_raw = c.u32()?;
-                    let epochs = match has_epochs {
-                        0 => None,
-                        1 => Some(epochs_raw as usize),
-                        _ => return Err(WireError::Malformed("invalid epochs flag")),
-                    };
-                    (rung, epochs)
-                };
-                Msg::Task {
-                    cand: Candidate { id, arch: ArchSeq::new(choices), parent, rung, epochs },
-                }
-            }
-            0x04 => {
-                let id = c.u64()?;
-                let score = c.f64()?;
-                let train_secs = c.f64()?;
-                let transfer_secs = c.f64()?;
-                let save_secs = c.f64()?;
-                let checkpoint_bytes = c.u64()?;
-                let tensors = c.u64()? as usize;
-                let bytes = c.u64()? as usize;
-                let skipped = c.u64()? as usize;
-                let epochs = c.u32()? as usize;
-                let stats = WorkerMetrics::decode_from(&mut c)?;
-                // v4 fidelity tail; budget-exhausted rung-0 defaults for v3.
-                let (stop, rung) = if c.at_end() {
-                    (StopReason::BudgetExhausted, 0)
-                } else {
-                    let stop = StopReason::from_code(c.u8()?)
-                        .ok_or(WireError::Malformed("unknown stop reason"))?;
-                    let rung = c.u8()?;
-                    if rung as usize >= MAX_RUNGS {
-                        return Err(WireError::Malformed("rung index out of range"));
-                    }
-                    (stop, rung)
-                };
-                Msg::Result {
-                    id,
-                    outcome: EvalOutcome {
-                        id,
-                        score,
-                        train_secs,
-                        transfer_secs,
-                        save_secs,
-                        checkpoint_bytes,
-                        transfer: TransferStats { tensors, bytes, skipped },
-                        epochs,
-                        stop,
-                    },
-                    stats,
-                    rung,
-                }
-            }
-            0x05 => Msg::Ping { nonce: c.u64()? },
-            0x06 => Msg::Pong { nonce: c.u64()? },
-            0x07 => Msg::Shutdown,
-            0x08 => Msg::Error { message: c.string()? },
-            0x09 => Msg::Stats { stats: WorkerMetrics::decode_from(&mut c)? },
-            0x0A => Msg::Telemetry { telemetry: Telemetry::decode_from(&mut c)? },
-            0x0B => Msg::Retire { decision: c.u64()?, reason: c.string()? },
-            other => return Err(WireError::UnknownType(other)),
-        };
-        c.finish()?;
-        Ok(msg)
+wire_messages! {
+    /// One protocol message: tag byte, then the fields in wire order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Msg {
+        0x01 => Hello { version: u32, worker_id: u64, pid: u32 },
+        0x02 => HelloAck { version: u32, run: RunSpec },
+        0x03 => Task { task: Task },
+        0x04 => Result { result: TaskResult },
+        0x05 => Ping { nonce: u64 },
+        0x06 => Pong { nonce: u64 },
+        0x07 => Shutdown,
+        0x08 => Error { message: String },
+        /// Final cumulative metrics snapshot, sent by a worker right before
+        /// it closes its socket in response to `Shutdown`.
+        0x09 => Stats { stats: WorkerMetrics },
+        /// Periodic live-telemetry snapshot: span/gauge state plus a
+        /// timeline event batch, folded into the coordinator's
+        /// `LiveRunView`.
+        0x0A => Telemetry { telemetry: Telemetry },
+        /// Drain-then-close: the autoscaler picked this *idle* worker to
+        /// shrink the pool. The worker flushes its final telemetry and
+        /// `Stats` snapshot and exits cleanly — same teardown as
+        /// `Shutdown`, but initiated by a policy decision (`decision` is its
+        /// tick, `reason` its context for the worker's log), so the
+        /// coordinator counts the departure as a retirement, never a loss.
+        0x0B => Retire { decision: u64, reason: String },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::PROTOCOL_VERSION;
+    use crate::frame::{Message, PROTOCOL_VERSION};
 
     fn round_trip(msg: Msg) -> Result<(), WireError> {
         let payload = msg.encode()?;
-        let back = Msg::decode(msg.frame_type(), &payload)?;
+        let back = Msg::decode(msg.tag(), &payload)?;
         assert_eq!(back, msg);
         Ok(())
+    }
+
+    /// Overwrite the bytes at `at` with `value`'s encoding — how the hostile
+    /// frames below are made, since a bad value refuses to encode.
+    fn patch<T: Wire>(payload: &mut [u8], at: usize, value: T) -> Result<(), WireError> {
+        let mut bytes = Vec::new();
+        value.put(&mut bytes)?;
+        payload[at..at + bytes.len()].copy_from_slice(&bytes);
+        Ok(())
+    }
+
+    fn hello_ack(run: RunSpec) -> Msg {
+        Msg::HelloAck { version: PROTOCOL_VERSION, run }
+    }
+
+    fn sample_outcome(id: u64, score: f64, stop: StopReason) -> EvalOutcome {
+        EvalOutcome {
+            id,
+            score,
+            train_secs: 1.5,
+            transfer_secs: 0.25,
+            save_secs: 0.01,
+            checkpoint_bytes: 1 << 20,
+            transfer: TransferStats { tensors: 5, bytes: 4096, skipped: 1 },
+            epochs: 1,
+            stop,
+        }
     }
 
     #[test]
     fn all_frames_round_trip() -> Result<(), WireError> {
         round_trip(Msg::Hello { version: PROTOCOL_VERSION, worker_id: 3, pid: 4242 })?;
-        round_trip(Msg::HelloAck { version: PROTOCOL_VERSION, run: sample_run() })?;
-        round_trip(Msg::HelloAck {
-            version: PROTOCOL_VERSION,
-            run: RunSpec {
-                prefilter_quantile: 0.25,
-                conv_window: 3,
-                conv_min_delta: 1e-4,
-                ..sample_run()
-            },
-        })?;
-        round_trip(Msg::HelloAck {
-            version: PROTOCOL_VERSION,
-            run: RunSpec { store_url: "tcp://127.0.0.1:7421".into(), ..sample_run() },
-        })?;
-        round_trip(Msg::HelloAck {
-            version: PROTOCOL_VERSION,
-            run: RunSpec { autoscale_min: 1, autoscale_max: 8, ..sample_run() },
-        })?;
-        round_trip(Msg::Task {
-            cand: Candidate {
-                id: 7,
-                arch: ArchSeq::new(vec![1, 0, 4, 2]),
-                parent: Some(3),
-                rung: 2,
-                epochs: Some(4),
-            },
-        })?;
-        round_trip(Msg::Task { cand: Candidate::new(0, ArchSeq::new(vec![2]), None) })?;
-        round_trip(Msg::Result {
+        round_trip(hello_ack(sample_run()))?;
+        round_trip(hello_ack(RunSpec {
+            prefilter_quantile: 0.25,
+            convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
+            store_url: Some("tcp://127.0.0.1:7421".into()),
+            autoscale: Some((1, 8)),
+            ..sample_run()
+        }))?;
+        let cand = Candidate {
             id: 7,
-            outcome: EvalOutcome {
-                id: 7,
-                score: 0.12345678901234567,
-                train_secs: 1.5,
-                transfer_secs: 0.25,
-                save_secs: 0.01,
-                checkpoint_bytes: 1 << 20,
-                transfer: TransferStats { tensors: 5, bytes: 4096, skipped: 1 },
-                epochs: 1,
-                stop: StopReason::Converged,
-            },
-            stats: sample_metrics(),
-            rung: 1,
+            arch: ArchSeq::new(vec![1, 0, 4, 2]),
+            parent: Some(3),
+            rung: 2,
+            epochs: Some(4),
+        };
+        assert_eq!(Task::new(&cand)?.into_candidate(), cand);
+        round_trip(Msg::Task { task: Task::new(&cand)? })?;
+        round_trip(Msg::Task {
+            task: Task::new(&Candidate::new(0, ArchSeq::new(vec![2]), None))?,
         })?;
+        let outcome = sample_outcome(7, 0.12345678901234567, StopReason::Converged);
+        let result = TaskResult::new(&outcome, 1, sample_metrics());
+        assert_eq!(result.outcome(), outcome);
+        round_trip(Msg::Result { result })?;
         round_trip(Msg::Ping { nonce: u64::MAX })?;
         round_trip(Msg::Pong { nonce: 0 })?;
         round_trip(Msg::Shutdown)?;
@@ -907,10 +673,10 @@ mod tests {
 
     fn sample_run() -> RunSpec {
         RunSpec {
-            app: AppKind::Uno,
-            scale: DataScale::Quick,
+            app: Code(AppKind::Uno),
+            scale: Code(DataScale::Quick),
             data_seed: 11,
-            scheme: TransferScheme::Lcs,
+            scheme: Code(TransferScheme::Lcs),
             epochs: 1,
             run_seed: 9,
             namespace: "dist_".into(),
@@ -918,11 +684,9 @@ mod tests {
             threads: 1,
             cache_bytes: 1 << 22,
             prefilter_quantile: 0.0,
-            conv_window: 0,
-            conv_min_delta: 0.0,
-            store_url: String::new(),
-            autoscale_min: 0,
-            autoscale_max: 0,
+            convergence: None,
+            store_url: None,
+            autoscale: None,
         }
     }
 
@@ -946,30 +710,46 @@ mod tests {
 
     #[test]
     fn telemetry_rejects_hostile_payloads() -> Result<(), WireError> {
+        // The check refuses a bad frame on encode, so build each one by
+        // patching a good one: `events` is the last field, each event 27
+        // bytes (name u16, kind u8, then three 8-byte fields).
+        let good = Msg::Telemetry { telemetry: sample_telemetry() }.encode()?;
+        let first_event = good.len() - 2 * 27;
+
         // Event referencing a name index beyond the table.
-        let payload = {
-            // encode_into validates only sizes, so build the bad frame by
-            // patching a good one: the name index lives at a fixed offset
-            // from the end (2 events × 27 bytes).
-            let mut p = Msg::Telemetry { telemetry: sample_telemetry() }.encode()?;
-            let off = p.len() - 2 * 27;
-            p[off..off + 2].copy_from_slice(&(sample_telemetry().names.len() as u16).to_le_bytes());
-            p
-        };
-        assert!(matches!(Msg::decode(0x0A, &payload), Err(WireError::Malformed(_))));
+        let mut p = good.clone();
+        patch(&mut p, first_event, sample_telemetry().names.len() as u16)?;
+        assert!(matches!(
+            Msg::decode(0x0A, &p),
+            Err(WireError::Malformed("telemetry event name index out of range"))
+        ));
 
         // Unknown event kind.
-        let mut p = Msg::Telemetry { telemetry: sample_telemetry() }.encode()?;
-        let off = p.len() - 2 * 27 + 2;
-        p[off] = 7;
-        assert!(matches!(Msg::decode(0x0A, &p), Err(WireError::Malformed(_))));
+        let mut p = good;
+        p[first_event + 2] = 7;
+        assert!(matches!(
+            Msg::decode(0x0A, &p),
+            Err(WireError::Malformed("unknown telemetry event kind"))
+        ));
 
-        // Oversized event batch announcement.
-        let t = Telemetry { seq: 1, ..Default::default() };
-        let mut p = Msg::Telemetry { telemetry: t }.encode()?;
-        let len = p.len();
-        p[len - 4..].copy_from_slice(&((MAX_TELEMETRY_EVENTS as u32 + 1).to_le_bytes()));
-        assert!(matches!(Msg::decode(0x0A, &p), Err(WireError::Malformed(_))));
+        // One event or one name past its cap does not encode (the decode side
+        // of both caps, every entry present, is in `tests/fuzz_decode.rs`).
+        let event = WireEvent { name: 0, kind: 0, t_ns: 0, dur_ns: 0, delta: 0 };
+        let t = Telemetry {
+            names: vec!["n".into()],
+            events: vec![event; MAX_TELEMETRY_EVENTS + 1],
+            ..Default::default()
+        };
+        assert!(matches!(
+            Msg::Telemetry { telemetry: t }.encode(),
+            Err(WireError::Malformed("telemetry event batch too large"))
+        ));
+        let t =
+            Telemetry { names: vec![String::new(); MAX_TELEMETRY_NAMES + 1], ..Default::default() };
+        assert!(matches!(
+            Msg::Telemetry { telemetry: t }.encode(),
+            Err(WireError::Malformed("telemetry name table too large"))
+        ));
         Ok(())
     }
 
@@ -987,48 +767,61 @@ mod tests {
     fn sample_metrics() -> WorkerMetrics {
         WorkerMetrics {
             counters: vec![
-                CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
-                CounterRow { name: "tensor.gemm.calls".into(), value: 4096 },
+                CounterSnap { name: "ckpt.cache.hits".into(), value: 12 },
+                CounterSnap { name: "tensor.gemm.calls".into(), value: 4096 },
             ],
-            histograms: vec![HistogramRow {
+            histograms: vec![HistSnap {
                 name: "ckpt.save_ns".into(),
                 count: 3,
                 sum: 900,
-                // Includes the overflow bucket: its u64::MAX bound must
-                // survive the index-based encoding.
-                buckets: vec![(255, 2), (u64::MAX, 1)],
+                // Includes the overflow bucket (the last index).
+                buckets: vec![(8, 2), (HIST_BUCKETS as u8 - 1, 1)],
             }],
         }
     }
 
     #[test]
-    fn stats_with_bad_bucket_fields_error_cleanly() {
-        // Bucket count beyond HIST_BUCKETS.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&0u32.to_le_bytes()); // no counters
-        bad.extend_from_slice(&1u32.to_le_bytes()); // one histogram
-        let _ = put_string(&mut bad, "h");
-        bad.extend_from_slice(&1u64.to_le_bytes()); // count
-        bad.extend_from_slice(&1u64.to_le_bytes()); // sum
-        bad.push(HIST_BUCKETS as u8 + 1);
-        assert!(matches!(Msg::decode(0x09, &bad), Err(WireError::Malformed(_))));
+    fn metrics_snapshots_convert_to_reports_and_back() {
+        // Bounds travel as bucket indices; `u64::MAX` (the overflow bucket)
+        // must survive the conversion both ways.
+        let report = sample_metrics().to_report();
+        assert_eq!(report.histograms[0].buckets, vec![(bucket_bound(8), 2), (u64::MAX, 1)]);
+        assert_eq!(report.counter("ckpt.cache.hits"), 12);
+        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
+    }
+
+    #[test]
+    fn stats_with_bad_bucket_fields_error_cleanly() -> Result<(), WireError> {
+        // One histogram, no counters; the frame ends with the bucket list:
+        // [u32 count] then (u8 index, u64 count) per bucket.
+        let hist = |buckets| WorkerMetrics {
+            counters: vec![],
+            histograms: vec![HistSnap { name: "h".into(), count: 1, sum: 1, buckets }],
+        };
 
         // Bucket index out of range.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&0u32.to_le_bytes());
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        let _ = put_string(&mut bad, "h");
-        bad.extend_from_slice(&1u64.to_le_bytes());
-        bad.extend_from_slice(&1u64.to_le_bytes());
-        bad.push(1);
-        bad.push(HIST_BUCKETS as u8); // first invalid index
-        bad.extend_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(Msg::decode(0x09, &bad), Err(WireError::Malformed(_))));
+        let mut bad = Msg::Stats { stats: hist(vec![(0, 1)]) }.encode()?;
+        let n = bad.len();
+        bad[n - 9] = HIST_BUCKETS as u8; // first invalid index
+        assert!(matches!(
+            Msg::decode(0x09, &bad),
+            Err(WireError::Malformed("histogram bucket index out of range"))
+        ));
+        assert!(Msg::Stats { stats: hist(vec![(HIST_BUCKETS as u8, 1)]) }.encode().is_err());
+
+        // Bucket count beyond HIST_BUCKETS, every bucket really present.
+        let mut bad = Msg::Stats { stats: hist(vec![(0, 1); HIST_BUCKETS]) }.encode()?;
+        let count_at = bad.len() - 9 * HIST_BUCKETS - 4;
+        patch(&mut bad, count_at, HIST_BUCKETS as u32 + 1)?;
+        bad.extend_from_slice(&[0u8; 9]);
+        assert!(matches!(
+            Msg::decode(0x09, &bad),
+            Err(WireError::Malformed("histogram bucket count out of range"))
+        ));
 
         // Hostile counter count must not pre-allocate: payload ends early.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(Msg::decode(0x09, &bad), Err(WireError::Malformed(_))));
+        assert!(matches!(Msg::decode(0x09, &[0xff; 4]), Err(WireError::Malformed(_))));
+        Ok(())
     }
 
     #[test]
@@ -1036,191 +829,102 @@ mod tests {
         // NaN payloads and signed zeros must survive: identity gates compare
         // bit patterns, not approximate values.
         for bits in [f64::to_bits(-0.0), f64::NAN.to_bits() | 1, f64::MIN_POSITIVE.to_bits()] {
-            let msg = Msg::Result {
-                id: 1,
-                outcome: EvalOutcome {
-                    id: 1,
-                    score: f64::from_bits(bits),
-                    train_secs: 0.0,
-                    transfer_secs: 0.0,
-                    save_secs: 0.0,
-                    checkpoint_bytes: 0,
-                    transfer: TransferStats::default(),
-                    epochs: 0,
-                    stop: StopReason::BudgetExhausted,
-                },
-                stats: WorkerMetrics::default(),
-                rung: 0,
-            };
-            let decoded = Msg::decode(0x04, &msg.encode()?)?;
-            let Msg::Result { outcome, .. } = decoded else {
+            let outcome = sample_outcome(1, f64::from_bits(bits), StopReason::BudgetExhausted);
+            let result = TaskResult::new(&outcome, 0, WorkerMetrics::default());
+            let decoded = Msg::decode(0x04, &Msg::Result { result }.encode()?)?;
+            let Msg::Result { result } = decoded else {
                 return Err(WireError::Malformed("wrong decode variant"));
             };
-            assert_eq!(outcome.score.to_bits(), bits);
+            assert_eq!(result.outcome().score.to_bits(), bits);
         }
         Ok(())
     }
 
-    #[test]
-    fn v3_shaped_payloads_decode_with_fidelity_defaults() -> Result<(), WireError> {
-        // Truncating a v4 payload at the v3 boundary (dropping the whole
-        // tail) must decode with fidelity-off defaults — that is the
-        // backward-decode contract.
-        let full = Msg::HelloAck {
-            version: PROTOCOL_VERSION,
-            run: RunSpec { store_url: "tcp://127.0.0.1:7421".into(), ..sample_run() },
-        }
-        .encode()?;
-        let mut p = full.clone();
-        // autoscale tail (2 × u32) + store tail (u16 + 20) + fidelity tail
-        p.truncate(p.len() - 8 - 22 - 20);
-        let Msg::HelloAck { run, .. } = Msg::decode(0x02, &p)? else { unreachable!() };
-        assert_eq!(run, sample_run());
-        assert_eq!(run.eval_fidelity(), EvalFidelity::default());
-
-        // Truncating at the v4 boundary (dropping the v6 autoscale and v5
-        // store tails) must keep the fidelity fields and default the url to
-        // empty.
-        let mut p = full.clone();
-        p.truncate(p.len() - 8 - 22);
-        let Msg::HelloAck { run, .. } = Msg::decode(0x02, &p)? else { unreachable!() };
-        assert_eq!(run, sample_run());
-
-        // Truncating at the v5 boundary (dropping only the v6 autoscale
-        // tail) must keep the store url and default autoscale to off.
-        let mut p = full;
-        p.truncate(p.len() - 8);
-        let Msg::HelloAck { run, .. } = Msg::decode(0x02, &p)? else { unreachable!() };
-        assert_eq!(run.store_url, "tcp://127.0.0.1:7421");
-        assert_eq!((run.autoscale_min, run.autoscale_max), (0, 0));
-
-        let cand = Candidate {
-            rung: 1,
-            epochs: Some(2),
-            ..Candidate::new(5, ArchSeq::new(vec![3, 1]), None)
-        };
-        let mut p = Msg::Task { cand }.encode()?;
-        p.truncate(p.len() - 6); // u8 + u8 + u32
-        let Msg::Task { cand } = Msg::decode(0x03, &p)? else { unreachable!() };
-        assert_eq!((cand.rung, cand.epochs), (0, None));
-
-        let msg = Msg::Result {
-            id: 2,
-            outcome: EvalOutcome {
-                id: 2,
-                score: 0.5,
-                train_secs: 0.0,
-                transfer_secs: 0.0,
-                save_secs: 0.0,
-                checkpoint_bytes: 0,
-                transfer: TransferStats::default(),
-                epochs: 1,
-                stop: StopReason::Pruned,
-            },
-            stats: WorkerMetrics::default(),
-            rung: 3,
-        };
-        let mut p = msg.encode()?;
-        p.truncate(p.len() - 2); // stop + rung
-        let Msg::Result { outcome, rung, .. } = Msg::decode(0x04, &p)? else { unreachable!() };
-        assert_eq!((outcome.stop, rung), (StopReason::BudgetExhausted, 0));
-        Ok(())
-    }
+    /// Offsets of a `Result` payload's `stop` and `rung` bytes: after id,
+    /// four f64s, checkpoint_bytes, three transfer u64s and epochs.
+    const RESULT_STOP_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
+    const RESULT_RUNG_AT: usize = RESULT_STOP_AT + 1;
 
     #[test]
     fn hostile_fidelity_tails_are_rejected() -> Result<(), WireError> {
         // Unknown stop discriminant.
-        let msg = Msg::Result {
-            id: 1,
-            outcome: EvalOutcome {
-                id: 1,
-                score: 0.0,
-                train_secs: 0.0,
-                transfer_secs: 0.0,
-                save_secs: 0.0,
-                checkpoint_bytes: 0,
-                transfer: TransferStats::default(),
-                epochs: 0,
-                stop: StopReason::BudgetExhausted,
-            },
-            stats: WorkerMetrics::default(),
-            rung: 0,
-        };
-        let p = msg.encode()?;
+        let outcome = sample_outcome(1, 0.0, StopReason::BudgetExhausted);
+        let p = Msg::Result { result: TaskResult::new(&outcome, 0, WorkerMetrics::default()) }
+            .encode()?;
         let mut bad = p.clone();
-        let n = bad.len();
-        bad[n - 2] = 4; // first invalid StopReason code
+        bad[RESULT_STOP_AT] = 4; // first invalid StopReason code
         assert!(matches!(
             Msg::decode(0x04, &bad),
             Err(WireError::Malformed("unknown stop reason"))
         ));
-        // Out-of-range rung in a Result.
-        let mut bad = p.clone();
-        bad[n - 1] = MAX_RUNGS as u8;
-        assert!(matches!(Msg::decode(0x04, &bad), Err(WireError::Malformed(_))));
-        // Partial tail (stop present, rung missing) is malformed, not a
-        // silent default: only the exact v3 boundary is a valid prefix.
+        // Out-of-range rung in a Result — refused on decode and on encode.
         let mut bad = p;
-        bad.truncate(n - 1);
-        assert!(matches!(Msg::decode(0x04, &bad), Err(WireError::Malformed(_))));
+        bad[RESULT_RUNG_AT] = MAX_RUNGS as u8;
+        assert!(matches!(
+            Msg::decode(0x04, &bad),
+            Err(WireError::Malformed("rung index out of range"))
+        ));
+        let result = TaskResult::new(&outcome, MAX_RUNGS as u8, WorkerMetrics::default());
+        assert!(matches!(Msg::Result { result }.encode(), Err(WireError::Malformed(_))));
 
-        // Out-of-range rung / bogus epochs flag in a Task.
-        let p = Msg::Task { cand: Candidate::new(1, ArchSeq::new(vec![2]), None) }.encode()?;
+        // Out-of-range rung / bogus epochs flag in a Task: with no epoch
+        // override the payload ends [rung][flag 0].
+        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None))?;
+        let p = Msg::Task { task: task.clone() }.encode()?;
         let n = p.len();
         let mut bad = p.clone();
-        bad[n - 6] = MAX_RUNGS as u8;
+        bad[n - 2] = MAX_RUNGS as u8;
         assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
         let mut bad = p;
-        bad[n - 5] = 2;
-        assert!(matches!(
-            Msg::decode(0x03, &bad),
-            Err(WireError::Malformed("invalid epochs flag"))
-        ));
+        bad[n - 1] = 2;
+        assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
+        let bad = Task { rung: MAX_RUNGS as u8, ..task };
+        assert!(matches!(Msg::Task { task: bad }.encode(), Err(WireError::Malformed(_))));
 
-        // Quantile ≥ 1 / NaN min-delta in a HelloAck. The empty v5 store
-        // tail (2 bytes) and the v6 autoscale tail (8 bytes) sit after the
-        // fidelity group, shifting offsets.
-        let bad_run = Msg::HelloAck {
-            version: PROTOCOL_VERSION,
-            run: RunSpec { prefilter_quantile: 0.5, ..sample_run() },
-        }
-        .encode()?;
-        let n = bad_run.len();
-        let mut bad = bad_run.clone();
-        bad[n - 30..n - 22].copy_from_slice(&1.0f64.to_bits().to_le_bytes());
-        assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
-        let mut bad = bad_run.clone();
-        bad[n - 18..n - 10].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
-        // Store-url tail whose length prefix promises more bytes than the
-        // payload holds: a partial tail is malformed, never a default. (The
-        // announced 500 bytes swallow the autoscale tail and run off the
-        // end.)
-        let mut bad = bad_run.clone();
-        bad[n - 10..n - 8].copy_from_slice(&500u16.to_le_bytes());
-        assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
-
-        // Hostile autoscale worker counts: min > max, min == 0 with a
-        // nonzero max, and max beyond the pool cap are all malformed.
-        for (min, max) in
-            [(5u32, 2u32), (0, 3), (1, MAX_POOL_WORKERS as u32 + 1), (u32::MAX, u32::MAX)]
+        // Quantile ≥ 1 / NaN or negative min-delta / zero window / hostile
+        // pool bounds in a HelloAck: refused on encode…
+        let full = RunSpec {
+            prefilter_quantile: 0.5,
+            convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
+            autoscale: Some((1, 8)),
+            ..sample_run()
+        };
+        let conv = |window, min_delta| Some(ConvergenceSpec { window, min_delta });
+        let mut hostile = vec![
+            RunSpec { prefilter_quantile: 1.0, ..full.clone() },
+            RunSpec { prefilter_quantile: -0.5, ..full.clone() },
+            RunSpec { prefilter_quantile: f64::NAN, ..full.clone() },
+            RunSpec { convergence: conv(3, f64::NAN), ..full.clone() },
+            RunSpec { convergence: conv(3, -1e-9), ..full.clone() },
+            RunSpec { convergence: conv(0, 1e-4), ..full.clone() },
+        ];
+        for bounds in
+            [(5u32, 2u32), (0, 3), (0, 0), (1, MAX_POOL_WORKERS as u32 + 1), (u32::MAX, u32::MAX)]
         {
-            let mut bad = bad_run.clone();
-            bad[n - 8..n - 4].copy_from_slice(&min.to_le_bytes());
-            bad[n - 4..].copy_from_slice(&max.to_le_bytes());
+            hostile.push(RunSpec { autoscale: Some(bounds), ..full.clone() });
+        }
+        for run in hostile {
             assert!(
-                matches!(
-                    Msg::decode(0x02, &bad),
-                    Err(WireError::Malformed("hostile autoscale worker counts"))
-                ),
-                "({min}, {max}) must be rejected"
+                matches!(hello_ack(run.clone()).encode(), Err(WireError::Malformed(_))),
+                "{run:?} must not encode"
             );
         }
-        // Partial autoscale tail (min present, max missing) is malformed,
-        // never a default: only the exact v5 boundary is a valid prefix.
-        let mut bad = bad_run;
-        bad.truncate(n - 4);
-        assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
+        // …and on decode (every hostile value is patched in by
+        // `tests/fuzz_decode.rs`; here, one pair of pool bounds). With
+        // `store_url: None` the payload ends [1][min u32][max u32].
+        let good = hello_ack(full).encode()?;
+        let n = good.len();
+        let mut bad = good.clone();
+        patch(&mut bad, n - 8, (5u32, 2u32))?;
+        assert!(matches!(
+            Msg::decode(0x02, &bad),
+            Err(WireError::Malformed("hostile autoscale worker counts"))
+        ));
+        // No prefix of a frame is a frame: dropping the bounds, or half of
+        // them, is malformed — never a default.
+        for cut in [n - 4, n - 8, n - 9] {
+            assert!(matches!(Msg::decode(0x02, &good[..cut]), Err(WireError::Malformed(_))));
+        }
         Ok(())
     }
 
@@ -1228,8 +932,7 @@ mod tests {
     fn run_spec_fidelity_maps_onto_evaluator_knobs() {
         let run = RunSpec {
             prefilter_quantile: 0.25,
-            conv_window: 3,
-            conv_min_delta: 1e-4,
+            convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
             ..sample_run()
         };
         let f = run.eval_fidelity();
@@ -1240,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn malformed_payloads_error_cleanly() {
+    fn malformed_payloads_error_cleanly() -> Result<(), WireError> {
         // Truncated Task.
         assert!(matches!(Msg::decode(0x03, &[1, 2, 3]), Err(WireError::Malformed(_))));
         // Unknown frame type.
@@ -1248,19 +951,25 @@ mod tests {
         // Trailing garbage after a valid Ping.
         let ping = [0u8; 9];
         assert!(matches!(Msg::decode(0x05, &ping), Err(WireError::Malformed(_))));
-        // Bad parent flag.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&1u64.to_le_bytes());
-        bad.push(9);
-        bad.extend_from_slice(&0u64.to_le_bytes());
-        bad.extend_from_slice(&0u16.to_le_bytes());
+        // Bad parent flag (the byte right after the id).
+        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None))?;
+        let mut bad = Msg::Task { task }.encode()?;
+        bad[8] = 9;
         assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
         // Arch length that promises more choices than the payload holds.
         let mut short = Vec::new();
-        short.extend_from_slice(&1u64.to_le_bytes());
-        short.push(0);
-        short.extend_from_slice(&0u64.to_le_bytes());
-        short.extend_from_slice(&500u16.to_le_bytes());
+        1u64.put(&mut short)?;
+        false.put(&mut short)?;
+        500u32.put(&mut short)?;
         assert!(matches!(Msg::decode(0x03, &short), Err(WireError::Malformed(_))));
+        // Unknown app / scale / scheme codes in a HelloAck: version u32, then
+        // app, scale, data_seed u64, scheme.
+        let good = hello_ack(sample_run()).encode()?;
+        for at in [4, 5, 4 + 2 + 8] {
+            let mut bad = good.clone();
+            bad[at] = 9;
+            assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
+        }
+        Ok(())
     }
 }

@@ -12,8 +12,8 @@
 //! violations are answered with an `Error` frame before exiting, so the
 //! coordinator logs a cause instead of a bare EOF.
 
-use crate::frame::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
-use crate::wire::{Msg, RunSpec, Telemetry, WorkerMetrics};
+use crate::frame::{self, recv, Message, WireError, PROTOCOL_VERSION};
+use crate::wire::{Msg, RunSpec, TaskResult, Telemetry, WorkerMetrics};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -23,9 +23,8 @@ use swt_nas::{Candidate, Evaluator};
 use swt_space::SearchSpace;
 
 fn send(stream: &Mutex<TcpStream>, msg: &Msg) -> Result<(), WireError> {
-    let payload = msg.encode()?;
     let mut guard = stream.lock().unwrap_or_else(|e| e.into_inner());
-    write_frame(&mut *guard, msg.frame_type(), &payload)
+    frame::send(&mut *guard, msg)
 }
 
 /// Shared live-telemetry stream state: the per-frame sequence number and
@@ -74,8 +73,7 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     let mut buf = Vec::new();
     let run = {
         let mut guard = writer.lock().unwrap_or_else(|e| e.into_inner());
-        let ty = read_frame(&mut *guard, &mut buf)?;
-        match Msg::decode(ty, &buf)? {
+        match recv(&mut *guard, &mut buf)? {
             Msg::HelloAck { version, run } => {
                 if version != PROTOCOL_VERSION {
                     let err =
@@ -90,7 +88,7 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
             other => {
                 let err = WireError::Protocol(format!(
                     "expected HelloAck, got frame {:#04x}",
-                    other.frame_type()
+                    other.tag()
                 ));
                 drop(guard);
                 let _ = send(&writer, &Msg::Error { message: err.to_string() });
@@ -101,16 +99,11 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     swt_obs::info!(
         "swt_dist",
         "worker {worker_id} handshake ok: app={} scale={:?} threads={} elastic={}",
-        run.app.name(),
-        run.scale,
+        run.app.0.name(),
+        run.scale.0,
         run.threads,
-        // v6 autoscale tail: a nonzero max means this pool may grow/shrink
-        // around us while we run.
-        if run.autoscale_max > 0 {
-            format!("{}..={}", run.autoscale_min, run.autoscale_max)
-        } else {
-            "off".into()
-        }
+        // Bounds mean this pool may grow/shrink around us while we run.
+        run.autoscale.map_or("off".into(), |(min, max)| format!("{min}..={max}"))
     );
 
     // Pin this process's intra-op thread budget: each worker models one GPU
@@ -139,14 +132,13 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
         let mut reader_stream = reader_stream;
         let mut buf = Vec::new();
         loop {
-            let ty = read_frame(&mut reader_stream, &mut buf)?;
-            match Msg::decode(ty, &buf) {
+            match recv(&mut reader_stream, &mut buf) {
                 Ok(Msg::Ping { nonce }) => {
                     send(&ping_writer, &Msg::Pong { nonce })?;
                     send_telemetry(&ping_writer, &ping_telemetry)?;
                 }
-                Ok(Msg::Task { cand }) => {
-                    if task_tx.send(cand).is_err() {
+                Ok(Msg::Task { task }) => {
+                    if task_tx.send(task.into_candidate()).is_err() {
                         return Ok(()); // main loop gone; nothing left to do
                     }
                 }
@@ -164,10 +156,12 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
                 }
                 Ok(Msg::Error { message }) => return Err(WireError::Protocol(message)),
                 Ok(other) => {
-                    let err = format!("unexpected frame {:#04x} at worker", other.frame_type());
+                    let err = format!("unexpected frame {:#04x} at worker", other.tag());
                     let _ = send(&ping_writer, &Msg::Error { message: err.clone() });
                     return Err(WireError::Protocol(err));
                 }
+                // A dead socket is the read failing, not a frame to answer.
+                Err(err @ WireError::Io(_)) => return Err(err),
                 Err(err) => {
                     let _ = send(&ping_writer, &Msg::Error { message: err.to_string() });
                     return Err(err);
@@ -190,13 +184,11 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
                 Err(_) => break,
             }
         };
-        let id = cand.id;
-        let rung = cand.rung;
         let outcome = evaluator.evaluate(&cand);
-        let stats = WorkerMetrics::capture();
+        let result = TaskResult::new(&outcome, cand.rung, WorkerMetrics::capture());
         let sent = {
             let _send_span = swt_obs::span!("nas.result_send");
-            send(&writer, &Msg::Result { id, outcome, stats, rung })
+            send(&writer, &Msg::Result { result })
         };
         if let Err(e) = sent {
             eval_err = Some(e);
@@ -240,39 +232,42 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
 }
 
 fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
-    let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
-    let space = Arc::new(SearchSpace::for_app(run.app));
+    let problem = Arc::new(run.app.0.problem(run.scale.0, run.data_seed));
+    let space = Arc::new(SearchSpace::for_app(run.app.0));
     // Each worker fronts the shared store with its own provider cache (its
     // slice of the run's byte budget): a parent checkpoint read for the
     // index and again for the tensors costs one store round-trip, not two,
     // and repeat parents are served from memory entirely. The backend is
     // the shared `DirStore` by default, or — when the coordinator sent a
-    // v5 `store_url` — a `RemoteStore` session with the checkpoint server,
+    // `store_url` — a `RemoteStore` session with the checkpoint server,
     // bucketed by the run's namespace.
-    let store: Arc<dyn CheckpointStore> = if run.store_url.is_empty() {
-        let dir = DirStore::new(&run.store_dir)?;
-        if run.cache_bytes > 0 {
-            Arc::new(CachedStore::new(dir, run.cache_bytes))
-        } else {
-            Arc::new(dir)
+    let store: Arc<dyn CheckpointStore> = match &run.store_url {
+        None => {
+            let dir = DirStore::new(&run.store_dir)?;
+            if run.cache_bytes > 0 {
+                Arc::new(CachedStore::new(dir, run.cache_bytes))
+            } else {
+                Arc::new(dir)
+            }
         }
-    } else {
-        let secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
-        // Bucket names must be valid tokens; an un-namespaced run shares
-        // the server's "default" bucket (ids are still unique per run).
-        let bucket = if run.namespace.is_empty() { "default" } else { run.namespace.as_str() };
-        let remote = RemoteStore::connect(&run.store_url, bucket, &secret);
-        if run.cache_bytes > 0 {
-            Arc::new(CachedStore::new(remote, run.cache_bytes))
-        } else {
-            Arc::new(remote)
+        Some(store_url) => {
+            let secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
+            // Bucket names must be valid tokens; an un-namespaced run shares
+            // the server's "default" bucket (ids are still unique per run).
+            let bucket = if run.namespace.is_empty() { "default" } else { run.namespace.as_str() };
+            let remote = RemoteStore::connect(store_url, bucket, &secret);
+            if run.cache_bytes > 0 {
+                Arc::new(CachedStore::new(remote, run.cache_bytes))
+            } else {
+                Arc::new(remote)
+            }
         }
     };
     let mut evaluator = Evaluator::with_namespace(
         problem,
         space,
         store,
-        run.scheme,
+        run.scheme.0,
         run.epochs as usize,
         run.run_seed,
         run.namespace.clone(),

@@ -1,5 +1,5 @@
-//! Seeded fuzz coverage of the wire protocol's decode surface (satellite of
-//! the elastic-matrix PR): every frame type under truncation, bit flips,
+//! Seeded fuzz coverage of the wire protocol's decode surface: every frame
+//! type under truncation, bit flips,
 //! random payloads, unknown tags, and hostile length prefixes must come
 //! back as a typed [`WireError`] or a valid `Msg` — never a panic, never an
 //! unbounded allocation. Deterministic (fixed seeds, no time/randomness
@@ -8,47 +8,67 @@
 use std::io::Cursor as IoCursor;
 use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
-use swt_dist::frame::{read_frame, write_frame};
+use swt_dist::frame::Message;
 use swt_dist::wire::{
-    GaugeSnap, Msg, RunSpec, SpanTotalRow, Telemetry, WireEvent, WorkerMetrics,
-    MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
+    Code, ConvergenceSpec, CounterSnap, GaugeSnap, HistSnap, Msg, RunSpec, SpanTotalRow, Task,
+    TaskResult, Telemetry, WireEvent, WorkerMetrics, MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
 };
 use swt_dist::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use swt_nas::{Candidate, EvalOutcome, StopReason, MAX_RUNGS};
-use swt_obs::report::{CounterRow, HistogramRow};
+use swt_obs::metrics::HIST_BUCKETS;
 use swt_space::ArchSeq;
 use swt_tensor::Rng;
+use swt_wire::{read_frame, write_frame};
 
 /// Every known frame-type byte (0x01 Hello … 0x0B Retire).
 const FRAME_TYPES: std::ops::RangeInclusive<u8> = 0x01..=0x0B;
 
-/// The corpus HelloAck's store endpoint — non-empty so the wire-v5 store
-/// tail is actually exercised by the truncation sweeps.
+/// The corpus HelloAck's store endpoint.
 const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
 
-/// One valid message of every frame type — the fuzz corpus seeds.
+/// One valid message of every frame type, every optional field present —
+/// the fuzz corpus seeds.
 fn corpus() -> Vec<Msg> {
     let stats = WorkerMetrics {
         counters: vec![
-            CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
-            CounterRow { name: "tensor.gemm.blocked".into(), value: 4096 },
+            CounterSnap { name: "ckpt.cache.hits".into(), value: 12 },
+            CounterSnap { name: "tensor.gemm.blocked".into(), value: 4096 },
         ],
-        histograms: vec![HistogramRow {
+        histograms: vec![HistSnap {
             name: "ckpt.save_ns".into(),
             count: 3,
             sum: 900,
-            buckets: vec![(255, 2), (u64::MAX, 1)],
+            // The last index is the overflow bucket.
+            buckets: vec![(8, 2), (HIST_BUCKETS as u8 - 1, 1)],
         }],
+    };
+    let cand = Candidate {
+        id: 7,
+        arch: ArchSeq::new(vec![1, 0, 4, 2]),
+        parent: Some(3),
+        rung: 2,
+        epochs: Some(4),
+    };
+    let outcome = EvalOutcome {
+        id: 7,
+        score: 0.12345678901234567,
+        train_secs: 1.5,
+        transfer_secs: 0.25,
+        save_secs: 0.01,
+        checkpoint_bytes: 1 << 20,
+        transfer: TransferStats { tensors: 5, bytes: 4096, skipped: 1 },
+        epochs: 1,
+        stop: StopReason::Converged,
     };
     vec![
         Msg::Hello { version: PROTOCOL_VERSION, worker_id: 3, pid: 4242 },
         Msg::HelloAck {
             version: PROTOCOL_VERSION,
             run: RunSpec {
-                app: AppKind::Uno,
-                scale: DataScale::Quick,
+                app: Code(AppKind::Uno),
+                scale: Code(DataScale::Quick),
                 data_seed: 11,
-                scheme: TransferScheme::Lcs,
+                scheme: Code(TransferScheme::Lcs),
                 epochs: 1,
                 run_seed: 9,
                 namespace: "dist_".into(),
@@ -56,40 +76,13 @@ fn corpus() -> Vec<Msg> {
                 threads: 1,
                 cache_bytes: 1 << 22,
                 prefilter_quantile: 0.25,
-                conv_window: 3,
-                conv_min_delta: 1e-4,
-                store_url: CORPUS_URL.into(),
-                // Nonzero so the wire-v6 autoscale tail carries a real
-                // bound pair through the truncation sweeps.
-                autoscale_min: 1,
-                autoscale_max: 8,
+                convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
+                store_url: Some(CORPUS_URL.into()),
+                autoscale: Some((1, 8)),
             },
         },
-        Msg::Task {
-            cand: Candidate {
-                id: 7,
-                arch: ArchSeq::new(vec![1, 0, 4, 2]),
-                parent: Some(3),
-                rung: 2,
-                epochs: Some(4),
-            },
-        },
-        Msg::Result {
-            id: 7,
-            outcome: EvalOutcome {
-                id: 7,
-                score: 0.12345678901234567,
-                train_secs: 1.5,
-                transfer_secs: 0.25,
-                save_secs: 0.01,
-                checkpoint_bytes: 1 << 20,
-                transfer: TransferStats { tensors: 5, bytes: 4096, skipped: 1 },
-                epochs: 1,
-                stop: StopReason::Converged,
-            },
-            stats: stats.clone(),
-            rung: 2,
-        },
+        Msg::Task { task: Task::new(&cand).expect("corpus candidate") },
+        Msg::Result { result: TaskResult::new(&outcome, 2, stats.clone()) },
         Msg::Ping { nonce: u64::MAX },
         Msg::Pong { nonce: 0 },
         Msg::Shutdown,
@@ -113,155 +106,120 @@ fn corpus() -> Vec<Msg> {
     ]
 }
 
-/// Byte length of a frame type's wire-v4 fidelity tail (0 = no tail).
-fn fidelity_tail_len(ty: u8) -> usize {
-    match ty {
-        0x02 => 20, // prefilter f64 + conv_window u32 + conv_min_delta f64
-        0x03 => 6,  // rung u8 + has_epochs u8 + epochs u32
-        0x04 => 2,  // stop u8 + rung u8
-        _ => 0,
-    }
+/// The corpus message of one frame type, encoded.
+fn corpus_payload(tag: u8) -> Vec<u8> {
+    let msg = corpus().into_iter().find(|m| m.tag() == tag).expect("tag is in the corpus");
+    msg.encode().expect("corpus must encode")
 }
 
-/// Byte length of the corpus message's wire-v5 store tail (HelloAck only:
-/// u16 length prefix + url bytes).
-fn store_tail_len(ty: u8) -> usize {
-    if ty == 0x02 {
-        2 + CORPUS_URL.len()
-    } else {
-        0
-    }
+/// Byte offsets into the corpus payloads, from the declarations in
+/// `swt_dist::wire` (a `Result`: id, four f64s, checkpoint_bytes, three
+/// transfer u64s, epochs u32, then stop and rung; a `Task` with an epoch
+/// override ends [rung][flag 1][epochs u32]; the corpus `HelloAck` ends
+/// [quantile f64][1][window u32][min_delta f64][1][url][1][min u32][max u32]).
+const RESULT_STOP_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
+const RESULT_RUNG_AT: usize = RESULT_STOP_AT + 1;
+const ACK_BOUNDS_LEN: usize = 1 + 4 + 4;
+const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
+const ACK_CONVERGENCE_LEN: usize = 1 + 4 + 8;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Byte length of the wire-v6 autoscale tail (HelloAck only: min + max u32).
-fn autoscale_tail_len(ty: u8) -> usize {
-    if ty == 0x02 {
-        8
-    } else {
-        0
+/// The byte layout of every corpus frame, pinned. A change here is a change
+/// of format: bump `PROTOCOL_VERSION` with it.
+#[test]
+fn golden_bytes_pin_the_dist_layout() {
+    assert_eq!(PROTOCOL_VERSION, 7, "new version: re-record the frames below");
+    let golden = [
+        (0x01, "07000000030000000000000092100000"),
+        (
+            0x02,
+            "0700000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
+                7377745f73746f7265010000000000400000000000000000000000d03f01030000002d431cebe236\
+                1a3f0114007463703a2f2f3132372e302e302e313a39393939010100000008000000",
+        ),
+        (0x03, "0700000000000000010300000000000000040000000100000004000200020104000000"),
+        (
+            0x04,
+            "07000000000000005ef64637dd9abf3f000000000000f83f000000000000d03f7b14ae47e17a843f00\
+                00100000000000050000000000000000100000000000000100000000000000010000000102020000\
+                000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d6d2e\
+                626c6f636b65640010000000000000010000000c00636b70742e736176655f6e7303000000000000\
+                008403000000000000020000000802000000000000001f0100000000000000",
+        ),
+        (0x05, "ffffffffffffffff"),
+        (0x06, "0000000000000000"),
+        (0x07, ""),
+        (0x08, "1c00636865636b706f696e742073746f726520756e726561636861626c65"),
+        (
+            0x09,
+            "020000000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d\
+                6d2e626c6f636b65640010000000000000010000000c00636b70742e736176655f6e730300000000\
+                0000008403000000000000020000000802000000000000001f0100000000000000",
+        ),
+        (
+            0x0A,
+            "feffffffffffffff15cd5b070000000007000000000000000100000008006e61732e6576616c040000\
+                00000000006300000000000000010000001000706f6f6c2e71756575655f6465707468ffffffffff\
+                ffffff08000000000000000200000008006e61732e6576616c0c006e61732e646973706174636802\
+                0000000000000a000000000000000500000000000000000000000000000001000114000000000000\
+                000000000000000000fdffffffffffffff",
+        ),
+        (0x0B, "2a000000000000001000706f6f6c20706173742064656d616e64"),
+    ];
+    let corpus = corpus();
+    assert_eq!(corpus.len(), golden.len());
+    for (msg, (tag, want)) in corpus.iter().zip(golden) {
+        assert_eq!(msg.tag(), tag);
+        let payload = msg.encode().expect("corpus must encode");
+        assert_eq!(hex(&payload), want, "layout of tag {tag:#04x} moved");
     }
-}
-
-/// The strict prefixes of a corpus payload that must still decode — the
-/// optional-tail version boundaries. Tail-less frames have none; fidelity
-/// frames have the v3 boundary; HelloAck additionally has the v4 boundary
-/// (fidelity kept, store tail dropped) and the v5 boundary (store tail
-/// kept, autoscale tail dropped).
-fn valid_cuts(ty: u8, len: usize) -> Vec<usize> {
-    let mut cuts = Vec::new();
-    let (fid, store, auto) = (fidelity_tail_len(ty), store_tail_len(ty), autoscale_tail_len(ty));
-    if fid > 0 {
-        cuts.push(len - auto - store - fid);
-    }
-    if store > 0 {
-        cuts.push(len - auto - store);
-    }
-    if auto > 0 {
-        cuts.push(len - auto);
-    }
-    cuts
 }
 
 #[test]
 fn every_truncation_of_every_frame_is_a_typed_error() {
     for msg in corpus() {
         let payload = msg.encode().expect("corpus must encode");
-        assert_eq!(Msg::decode(msg.frame_type(), &payload).expect("corpus round-trip"), msg);
-        let cuts = valid_cuts(msg.frame_type(), payload.len());
+        assert_eq!(Msg::decode(msg.tag(), &payload).expect("corpus round-trip"), msg);
         // Every strict prefix either starves a fixed-width read or leaves a
-        // count without its elements; none may decode, none may panic. The
-        // one carve-out: optional-tail frames (HelloAck/Task/Result) decode
-        // at exactly their version boundaries — the backward-decode
-        // contract (v3 for all three, additionally v4 for HelloAck).
+        // count without its elements; none may decode, none may panic.
         for cut in 0..payload.len() {
-            let got = Msg::decode(msg.frame_type(), &payload[..cut]);
-            if cuts.contains(&cut) {
-                assert!(
-                    got.is_ok(),
-                    "type {:#04x} must decode its version-boundary prefix ({cut} bytes)",
-                    msg.frame_type()
-                );
-            } else {
-                assert!(
-                    got.is_err(),
-                    "type {:#04x} truncated to {cut}/{} bytes decoded successfully",
-                    msg.frame_type(),
-                    payload.len()
-                );
-            }
+            assert!(
+                Msg::decode(msg.tag(), &payload[..cut]).is_err(),
+                "type {:#04x} truncated to {cut}/{} bytes decoded successfully",
+                msg.tag(),
+                payload.len()
+            );
         }
-    }
-}
-
-#[test]
-fn v3_boundary_prefixes_decode_with_fidelity_defaults() {
-    for msg in corpus() {
-        let ty = msg.frame_type();
-        if fidelity_tail_len(ty) == 0 {
-            continue;
-        }
-        let payload = msg.encode().expect("corpus must encode");
-        let v3 =
-            payload.len() - fidelity_tail_len(ty) - store_tail_len(ty) - autoscale_tail_len(ty);
-        match Msg::decode(ty, &payload[..v3]).expect("v3-shaped prefix must decode") {
-            Msg::HelloAck { run, .. } => {
-                assert_eq!(run.prefilter_quantile, 0.0);
-                assert_eq!((run.conv_window, run.conv_min_delta), (0, 0.0));
-                assert!(!run.eval_fidelity().enabled());
-                assert!(run.store_url.is_empty(), "v3 prefix must default to DirStore");
-            }
-            Msg::Task { cand } => assert_eq!((cand.rung, cand.epochs), (0, None)),
-            Msg::Result { outcome, rung, .. } => {
-                assert_eq!(outcome.stop, StopReason::BudgetExhausted);
-                assert_eq!(rung, 0);
-            }
-            other => panic!("unexpected decode variant for tag {:#04x}: {other:?}", ty),
-        }
-        // HelloAck's v4 boundary keeps the fidelity knobs, drops the url
-        // and the autoscale pair.
-        if ty == 0x02 {
-            let v4 = payload.len() - store_tail_len(ty) - autoscale_tail_len(ty);
-            let Msg::HelloAck { run, .. } =
-                Msg::decode(ty, &payload[..v4]).expect("v4-shaped prefix must decode")
-            else {
-                panic!("HelloAck payload decoded to another variant");
-            };
-            assert_eq!(run.prefilter_quantile, 0.25);
-            assert!(run.store_url.is_empty());
-            assert_eq!((run.autoscale_min, run.autoscale_max), (0, 0));
-
-            // The v5 boundary keeps the url, defaults autoscale to off.
-            let v5 = payload.len() - autoscale_tail_len(ty);
-            let Msg::HelloAck { run, .. } =
-                Msg::decode(ty, &payload[..v5]).expect("v5-shaped prefix must decode")
-            else {
-                panic!("HelloAck payload decoded to another variant");
-            };
-            assert_eq!(run.store_url, CORPUS_URL);
-            assert_eq!((run.autoscale_min, run.autoscale_max), (0, 0));
-        }
+        // Nor may anything follow a frame's last field.
+        let mut long = payload;
+        long.push(0);
+        assert!(
+            matches!(Msg::decode(msg.tag(), &long), Err(WireError::Malformed("trailing bytes"))),
+            "type {:#04x} accepted a trailing byte",
+            msg.tag()
+        );
     }
 }
 
 #[test]
 fn hostile_fidelity_tails_are_typed_errors() {
-    let corpus = corpus();
-    let task = corpus.iter().find(|m| matches!(m, Msg::Task { .. })).unwrap();
-    let result = corpus.iter().find(|m| matches!(m, Msg::Result { .. })).unwrap();
+    let task = corpus_payload(0x03);
+    let result = corpus_payload(0x04);
 
-    // Out-of-range rung discriminants in Task tails (rung byte sits 6 from
-    // the end) and Result tails (last byte).
+    // Out-of-range rung discriminants in a Task and in a Result.
     for rung in [MAX_RUNGS as u8, 0x80, 0xFF] {
-        let mut p = task.encode().unwrap();
+        let mut p = task.clone();
         let n = p.len();
         p[n - 6] = rung;
         assert!(
             matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))),
             "task rung {rung} must be rejected"
         );
-        let mut p = result.encode().unwrap();
-        let n = p.len();
-        p[n - 1] = rung;
+        let mut p = result.clone();
+        p[RESULT_RUNG_AT] = rung;
         assert!(
             matches!(Msg::decode(0x04, &p), Err(WireError::Malformed(_))),
             "result rung {rung} must be rejected"
@@ -270,68 +228,75 @@ fn hostile_fidelity_tails_are_typed_errors() {
 
     // Every out-of-range stop discriminant (codes 0–3 are the enum).
     for stop in 4..=u8::MAX {
-        let mut p = result.encode().unwrap();
-        let n = p.len();
-        p[n - 2] = stop;
+        let mut p = result.clone();
+        p[RESULT_STOP_AT] = stop;
         assert!(
             matches!(Msg::decode(0x04, &p), Err(WireError::Malformed(_))),
             "stop discriminant {stop} must be rejected"
         );
     }
 
-    // Bogus epochs flag in a Task tail.
+    // Bogus epochs flag in a Task.
     for flag in [2u8, 0xFF] {
-        let mut p = task.encode().unwrap();
+        let mut p = task.clone();
         let n = p.len();
         p[n - 5] = flag;
         assert!(matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))));
     }
 
-    // HelloAck tails smuggling NaN/out-of-range knobs. The store tail
-    // (2 + CORPUS_URL.len() bytes) and the 8-byte autoscale tail sit after
-    // the fidelity group.
-    let ack = corpus.iter().find(|m| matches!(m, Msg::HelloAck { .. })).unwrap();
-    let good = ack.encode().unwrap();
-    let n = good.len();
-    let t = 2 + CORPUS_URL.len() + 8;
+    // A HelloAck smuggling NaN/out-of-range knobs.
+    let good = corpus_payload(0x02);
+    let url_at = good.len() - ACK_BOUNDS_LEN - ACK_URL_LEN;
+    let quantile_at = url_at - ACK_CONVERGENCE_LEN - 8;
     for bits in [f64::NAN.to_bits(), 1.0f64.to_bits(), (-0.5f64).to_bits()] {
         let mut p = good.clone();
-        p[n - t - 20..n - t - 12].copy_from_slice(&bits.to_le_bytes());
+        p[quantile_at..quantile_at + 8].copy_from_slice(&bits.to_le_bytes());
         assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     }
     for bits in [f64::NAN.to_bits(), (-1e-9f64).to_bits()] {
         let mut p = good.clone();
-        p[n - t - 8..n - t].copy_from_slice(&bits.to_le_bytes());
+        p[url_at - 8..url_at].copy_from_slice(&bits.to_le_bytes());
         assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     }
+    // A zero convergence window.
+    let mut p = good.clone();
+    p[url_at - 12..url_at - 8].copy_from_slice(&0u32.to_le_bytes());
+    assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     // A store-url length prefix promising more bytes than the payload
-    // holds: a partial v5 tail is malformed, never silently defaulted.
-    // (The announced length swallows the autoscale tail and overruns.)
-    for len in [CORPUS_URL.len() as u16 + 9, u16::MAX] {
+    // holds (the announced length swallows the pool bounds and overruns),
+    // and one promising fewer (the frame no longer ends where it should).
+    for len in [CORPUS_URL.len() as u16 + 10, u16::MAX, CORPUS_URL.len() as u16 - 1] {
         let mut p = good.clone();
-        p[n - t..n - t + 2].copy_from_slice(&len.to_le_bytes());
+        p[url_at + 1..url_at + 3].copy_from_slice(&len.to_le_bytes());
         assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     }
 }
 
 #[test]
 fn hostile_autoscale_tails_are_typed_errors() {
-    let ack = corpus().into_iter().find(|m| matches!(m, Msg::HelloAck { .. })).unwrap();
-    let good = ack.encode().unwrap();
+    let good = corpus_payload(0x02);
     let n = good.len();
-
-    // Hostile worker-count pairs in the v6 tail: an inverted range, a zero
-    // min with a nonzero max, and bounds past the pool cap must all be
-    // rejected — a worker must never accept a nonsense elastic envelope.
-    for (min, max) in
-        [(5u32, 2u32), (0, 1), (1, swt_dist::MAX_POOL_WORKERS as u32 + 1), (u32::MAX, u32::MAX)]
-    {
+    let with_bounds = |min: u32, max: u32| {
         let mut p = good.clone();
         p[n - 8..n - 4].copy_from_slice(&min.to_le_bytes());
         p[n - 4..].copy_from_slice(&max.to_le_bytes());
+        Msg::decode(0x02, &p)
+    };
+
+    // Hostile pool bounds: an inverted range, a zero min, and bounds past
+    // the pool cap must all be rejected — a worker must never accept a
+    // nonsense elastic envelope. `(0, 0)` is not "off" either: a fixed pool
+    // sends no bounds at all.
+    for (min, max) in [
+        (5u32, 2u32),
+        (0, 1),
+        (0, 0),
+        (1, swt_dist::MAX_POOL_WORKERS as u32 + 1),
+        (u32::MAX, u32::MAX),
+    ] {
         assert!(
             matches!(
-                Msg::decode(0x02, &p),
+                with_bounds(min, max),
                 Err(WireError::Malformed("hostile autoscale worker counts"))
             ),
             "autoscale pair ({min}, {max}) must be rejected"
@@ -340,23 +305,19 @@ fn hostile_autoscale_tails_are_typed_errors() {
 
     // The full in-range envelope decodes, including the degenerate
     // single-worker pool and the cap itself.
-    for (min, max) in [(1u32, 1u32), (1, swt_dist::MAX_POOL_WORKERS as u32), (0, 0)] {
-        let mut p = good.clone();
-        p[n - 8..n - 4].copy_from_slice(&min.to_le_bytes());
-        p[n - 4..].copy_from_slice(&max.to_le_bytes());
-        let Msg::HelloAck { run, .. } = Msg::decode(0x02, &p).expect("in-range pair must decode")
+    for (min, max) in [(1u32, 1u32), (1, swt_dist::MAX_POOL_WORKERS as u32)] {
+        let Msg::HelloAck { run, .. } = with_bounds(min, max).expect("in-range pair must decode")
         else {
             panic!("HelloAck payload decoded to another variant");
         };
-        assert_eq!((run.autoscale_min, run.autoscale_max), (min, max));
+        assert_eq!(run.autoscale, Some((min, max)));
     }
 
-    // A truncated tail (min present, max missing) is malformed — only the
-    // exact v5 boundary is a valid prefix. Every other cut inside the tail
-    // must also fail (the truncation sweep covers them; pin the worst one).
-    let mut p = good;
-    p.truncate(n - 4);
-    assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
+    // Bounds cut short (min present, max missing), bounds announced but
+    // absent, and a frame that simply stops before the flag: all malformed.
+    for cut in [n - 4, n - 8, n - 9] {
+        assert!(matches!(Msg::decode(0x02, &good[..cut]), Err(WireError::Malformed(_))));
+    }
 }
 
 #[test]
@@ -378,7 +339,7 @@ fn bit_flips_never_panic_and_often_fail_cleanly() {
             // A flip inside a value field may still decode (to a different
             // message); a flip inside structure must fail. Both are fine —
             // what's forbidden is a panic or an abort.
-            match Msg::decode(msg.frame_type(), &mutated) {
+            match Msg::decode(msg.tag(), &mutated) {
                 Ok(_) | Err(_) => {}
             }
         }
@@ -411,23 +372,34 @@ fn random_payloads_against_every_tag_never_panic() {
 
 #[test]
 fn hostile_counts_cannot_force_large_allocations() {
-    // A tiny payload claiming u32::MAX counters/histograms: the clamped
-    // capacity plus bounds-checked reads must reject it without ballooning.
+    // A tiny payload claiming u32::MAX counters/histograms: the count is
+    // refused against the bytes actually left, before anything is reserved.
     for ty in [0x04u8, 0x09] {
         let mut bad = Vec::new();
         if ty == 0x04 {
-            bad.extend_from_slice(&[0u8; 8 + 4 * 8 + 4 * 8 + 4]); // id + floats + ints + epochs
+            bad.extend_from_slice(&[0u8; RESULT_RUNG_AT + 1]); // everything up to the metrics
         }
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Msg::decode(ty, &bad).is_err(), "tag {ty:#04x} accepted a hostile count");
+        assert!(
+            matches!(
+                Msg::decode(ty, &bad),
+                Err(WireError::Malformed("list count exceeds the payload"))
+            ),
+            "tag {ty:#04x} accepted a hostile count"
+        );
     }
     // Same for a Task announcing more arch choices than the payload holds.
     let mut bad = Vec::new();
     bad.extend_from_slice(&1u64.to_le_bytes()); // id
     bad.push(0); // no parent
-    bad.extend_from_slice(&0u64.to_le_bytes()); // parent raw
-    bad.extend_from_slice(&u16::MAX.to_le_bytes()); // claims 65535 choices
+    bad.extend_from_slice(&u32::MAX.to_le_bytes()); // claims 4 billion choices
     assert!(Msg::decode(0x03, &bad).is_err());
+    // A count the remaining bytes allow but do not back (300 claimed u16s,
+    // 300 bytes present) starves mid-list: still a typed error.
+    let mut bad = bad[..9].to_vec();
+    bad.extend_from_slice(&300u32.to_le_bytes());
+    bad.extend_from_slice(&[0u8; 300]);
+    assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed("truncated payload"))));
 }
 
 #[test]
@@ -441,19 +413,38 @@ fn hostile_telemetry_payloads_are_rejected_without_allocation() {
         out.extend_from_slice(&0u32.to_le_bytes()); // gauges
     };
 
-    // An event batch claiming more than the cap: rejected outright, even
-    // though the (length-capped) payload could never hold it anyway.
+    // An event batch or a name table announcing more than its cap with no
+    // bytes behind the claim: refused on the count.
     let mut bad = Vec::new();
     header(&mut bad);
     bad.extend_from_slice(&0u32.to_le_bytes()); // names
     bad.extend_from_slice(&((MAX_TELEMETRY_EVENTS as u32) + 1).to_le_bytes());
     assert!(matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed(_))));
-
-    // Same for the name table.
     let mut bad = Vec::new();
     header(&mut bad);
     bad.extend_from_slice(&((MAX_TELEMETRY_NAMES as u32) + 1).to_le_bytes());
     assert!(matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed(_))));
+
+    // The same two tables one entry past their caps with every entry really
+    // present: refused by the caps themselves; at the caps, accepted.
+    let frame = |names: usize, events: usize| {
+        let mut p = Vec::new();
+        header(&mut p);
+        p.extend_from_slice(&(names as u32).to_le_bytes());
+        p.resize(p.len() + 2 * names, 0); // empty strings
+        p.extend_from_slice(&(events as u32).to_le_bytes());
+        p.resize(p.len() + 27 * events, 0); // span events naming entry 0
+        Msg::decode(0x0A, &p)
+    };
+    assert!(frame(MAX_TELEMETRY_NAMES, MAX_TELEMETRY_EVENTS).is_ok());
+    assert!(matches!(
+        frame(MAX_TELEMETRY_NAMES + 1, 0),
+        Err(WireError::Malformed("telemetry name table too large"))
+    ));
+    assert!(matches!(
+        frame(1, MAX_TELEMETRY_EVENTS + 1),
+        Err(WireError::Malformed("telemetry event batch too large"))
+    ));
 
     // An event pointing past the name table, and one with an unknown kind:
     // both must be typed errors, not panics or silent acceptance.
@@ -496,14 +487,12 @@ fn frame_reader_rejects_oversized_and_truncated_streams() {
     // Every truncation of a valid framed stream is an Io error, and the
     // frame layer itself refuses to write an oversized payload.
     let msg = Msg::Ping { nonce: 7 };
-    let payload = msg.encode().unwrap();
     let mut framed = Vec::new();
-    write_frame(&mut framed, msg.frame_type(), &payload).unwrap();
+    swt_dist::frame::send(&mut framed, &msg).unwrap();
     for cut in 0..framed.len() {
         assert!(read_frame(&mut IoCursor::new(&framed[..cut]), &mut buf).is_err());
     }
-    let ty = read_frame(&mut IoCursor::new(&framed), &mut buf).unwrap();
-    assert_eq!(Msg::decode(ty, &buf).unwrap(), msg);
+    assert_eq!(swt_dist::frame::recv(&mut IoCursor::new(&framed), &mut buf).unwrap(), msg);
     assert!(matches!(
         write_frame(&mut Vec::new(), 0x03, &vec![0u8; MAX_FRAME_LEN + 1]),
         Err(WireError::FrameTooLarge(_))

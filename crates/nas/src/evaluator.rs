@@ -17,7 +17,7 @@ use swt_space::{ArchSeq, SearchSpace};
 use swt_tensor::{Rng, Workspace};
 
 /// Why a candidate's evaluation ended. Flows through [`EvalOutcome`], the
-/// canonical trace and the wire-v4 `Result` frame.
+/// canonical trace and the dist protocol's `Result` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StopReason {
     /// Trained the full epoch budget for its rung (the only reason a
@@ -35,7 +35,7 @@ pub enum StopReason {
 }
 
 impl StopReason {
-    /// Wire discriminant (stable; v4 `Result` frames carry it as one byte).
+    /// Wire discriminant (stable; `Result` frames carry it as one byte).
     pub fn code(self) -> u8 {
         match self {
             StopReason::BudgetExhausted => 0,

@@ -128,7 +128,7 @@ impl std::fmt::Display for FidelityError {
 
 impl std::error::Error for FidelityError {}
 
-/// Maximum rung index carried on the wire (`u8` on `Task`/`Result` v4
+/// Maximum rung index carried on the wire (`u8` on `Task`/`Result`
 /// frames; anything beyond this is a hostile or corrupt payload).
 pub const MAX_RUNGS: usize = 16;
 
@@ -209,7 +209,7 @@ impl FidelityConfig {
     }
 
     /// The evaluator-side subset of these knobs (what travels to workers in
-    /// the v4 `RunSpec`; rungs and eta stay coordinator-side).
+    /// the `RunSpec`; rungs and eta stay coordinator-side).
     pub fn eval_fidelity(&self) -> EvalFidelity {
         EvalFidelity { prefilter_quantile: self.prefilter_quantile, convergence: self.convergence }
     }

@@ -1,19 +1,24 @@
-//! `swt-wire`: the frame layer shared by every TCP protocol in the
-//! workspace — `[u32 len LE][u8 type][payload]`.
+//! `swt-wire`: the byte format of every TCP protocol in the workspace.
 //!
-//! Extracted from `swt-dist` so the checkpoint server (`swt-ckpt-server`)
-//! can speak the same framing without a dependency cycle: the store crate
-//! needs frames, and `swt-dist`'s worker needs the store's client. This
-//! crate is dependency-free and holds only mechanism — no counters, no
-//! protocol versions, no message types. Each protocol layers its own
-//! message enum, version constant, and observability on top (`swt-dist`
-//! wraps [`read_frame`]/[`write_frame`] to count `dist.frames_*`; the
-//! store server counts `ckptsrv.*`).
+//! Three layers, all mechanism — no counters, no protocol versions, no
+//! message types (each protocol brings its own and layers observability on
+//! top):
 //!
-//! `len` counts the payload bytes only (the type byte is part of the fixed
-//! 5-byte header). Frames are capped at [`MAX_FRAME_LEN`]; anything larger
-//! is a protocol violation, reported as a [`WireError`] — this crate never
-//! panics on malformed input, whatever the peer sends.
+//! * **Frames** — `[u32 len LE][u8 tag][payload]`, [`write_frame`] /
+//!   [`read_frame`]. `len` counts the payload only; payloads are capped at
+//!   [`MAX_FRAME_LEN`] and the cap is checked before any allocation.
+//! * **Fields** — the [`Wire`] trait: one `put`/`get` pair per type, here
+//!   for the primitives and containers, derived by [`wire_struct!`] for a
+//!   struct from its field list. Declaration order *is* wire order.
+//! * **Messages** — the [`Message`] trait: a protocol's frame family as one
+//!   enum declared through [`wire_messages!`] (tag byte and fields per
+//!   variant), moved by the one [`send`] / [`recv`] pair.
+//!
+//! Decoding is total and strict: any byte sequence yields a value or a
+//! typed [`WireError`], never a panic; a payload must be consumed exactly —
+//! a strict prefix of a valid payload and a valid payload with trailing
+//! bytes are both malformed. Range checks a declaration names run on encode
+//! and on decode, so neither side can emit what the other would refuse.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -77,7 +82,17 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// Write one frame and flush. Protocols that meter traffic wrap this.
+/// `Ok` when `ok` holds, otherwise `Malformed(what)` — the shape of every
+/// range check beside a declaration.
+pub fn ensure(ok: bool, what: &'static str) -> Result<(), WireError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(WireError::Malformed(what))
+    }
+}
+
+/// Write one frame and flush.
 pub fn write_frame(w: &mut impl Write, ty: u8, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(payload.len() as u32));
@@ -108,7 +123,8 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<u8, WireError>
     Ok(header[4])
 }
 
-/// Bounds-checked little-endian payload reader used by frame decoders.
+/// Bounds-checked payload reader that [`Wire::get`] implementations draw
+/// from.
 pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -130,6 +146,16 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    /// Take exactly `N` bytes off the front.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        <[u8; N]>::try_from(self.take(N)?).map_err(|_| WireError::Malformed("truncated payload"))
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Every byte not yet consumed (consumes them). For frames whose tail
     /// is raw data — a chunk of checkpoint bytes — rather than fields.
     pub fn rest(&mut self) -> &'a [u8] {
@@ -138,60 +164,264 @@ impl<'a> Cursor<'a> {
         slice
     }
 
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A `[u16 len][bytes]` string.
-    pub fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("invalid utf-8"))
-    }
-
-    /// Whether the payload is fully consumed — the probe that makes
-    /// optional tails possible: a decoder reads its mandatory fields, then
-    /// takes the tail only when bytes remain.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     /// Decoding must consume the whole payload: trailing bytes mean the
-    /// peer speaks a different dialect.
+    /// peer speaks a different format.
     pub fn finish(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes"))
+        ensure(self.pos == self.buf.len(), "trailing bytes")
+    }
+}
+
+/// A value with one byte encoding: `put` appends it, `get` reads it back.
+/// Integers are little-endian; everything else is built from them.
+pub trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError>;
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+                out.extend_from_slice(&self.to_le_bytes());
+                Ok(())
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+                c.array().map(<$ty>::from_le_bytes)
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64, i64);
+
+/// Floats travel as their IEEE-754 bit pattern: NaN payloads and signed
+/// zeros survive (the trace identity gates compare scores by bits).
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.to_bits().put(out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        u64::get(c).map(f64::from_bits)
+    }
+}
+
+/// One byte, `0` or `1`; anything else is malformed.
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        u8::from(*self).put(out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("flag byte is neither 0 nor 1")),
         }
     }
 }
 
-/// Append a `[u16 len][bytes]` string to an encode buffer.
-pub fn put_string(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
-    let len = u16::try_from(s.len()).map_err(|_| WireError::Malformed("string too long"))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
+/// `[u16 len][utf-8 bytes]`.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let len = u16::try_from(self.len()).map_err(|_| WireError::Malformed("string too long"))?;
+        len.put(out)?;
+        out.extend_from_slice(self.as_bytes());
+        Ok(())
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let len = u16::get(c)? as usize;
+        String::from_utf8(c.take(len)?.to_vec()).map_err(|_| WireError::Malformed("invalid utf-8"))
+    }
+}
+
+/// Fixed byte arrays (nonces, MACs) travel bare.
+impl<const N: usize> Wire for [u8; N] {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        out.extend_from_slice(self);
+        Ok(())
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        c.array()
+    }
+}
+
+/// `[bool present][T when present]`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.is_some().put(out)?;
+        self.as_ref().map_or(Ok(()), |v| v.put(out))
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(if bool::get(c)? { Some(T::get(c)?) } else { None })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.0.put(out)?;
+        self.1.put(out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok((A::get(c)?, B::get(c)?))
+    }
+}
+
+/// Elements a decoded list reserves room for up front, whatever count the
+/// peer announced; the rest grows as elements actually arrive.
+const LIST_PREALLOC: usize = 256;
+
+/// `[u32 count][elements]`. Every element encodes to at least one byte, so
+/// a count beyond the bytes left in the payload is refused before a single
+/// element is read, and the pre-allocation is clamped: a hostile count
+/// cannot make the receiver reserve memory the (length-capped) frame does
+/// not back. Tighter per-field caps live in the owning declaration's check.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let n = u32::try_from(self.len()).map_err(|_| WireError::Malformed("list too long"))?;
+        n.put(out)?;
+        self.iter().try_for_each(|v| v.put(out))
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let n = u32::get(c)? as usize;
+        ensure(n <= c.remaining(), "list count exceeds the payload")?;
+        let mut out = Vec::with_capacity(n.min(LIST_PREALLOC));
+        for _ in 0..n {
+            out.push(T::get(c)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The rest of the payload as raw bytes — a slice of a chunked transfer.
+/// Only meaningful as a declaration's last field.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Raw(pub Vec<u8>);
+
+impl Wire for Raw {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        out.extend_from_slice(&self.0);
+        Ok(())
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(Raw(c.rest().to_vec()))
+    }
+}
+
+/// Declare a plain struct and derive [`Wire`] from its field list: fields
+/// travel in declaration order, each through its own `Wire` impl. An
+/// optional trailing `check = path;` names a `fn(&Self) -> Result<(),
+/// WireError>` holding the struct's range checks; it runs before the first
+/// byte is written and after the last is read.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+        $(check = $check:path;)?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $crate::Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), $crate::WireError> {
+                $( $check(self)?; )?
+                $( $crate::Wire::put(&self.$field, out)?; )*
+                Ok(())
+            }
+            fn get(c: &mut $crate::Cursor<'_>) -> Result<Self, $crate::WireError> {
+                let value = $name { $( $field: $crate::Wire::get(c)?, )* };
+                $( $check(&value)?; )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// One protocol's frame family: each value knows its tag byte and payload
+/// encoding, and `decode` is the total inverse.
+pub trait Message: Sized {
+    /// The frame-type byte of this message.
+    fn tag(&self) -> u8;
+
+    /// Append the payload (no frame header).
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError>;
+
+    /// Decode the payload of a frame tagged `tag`. Never panics; rejects
+    /// unknown tags, short payloads and trailing bytes.
+    fn decode(tag: u8, payload: &[u8]) -> Result<Self, WireError>;
+
+    /// The payload as a fresh buffer.
+    fn encode(&self) -> Result<Vec<u8>, WireError> {
+        let mut out = Vec::new();
+        self.put(&mut out)?;
+        Ok(out)
+    }
+}
+
+/// Declare a protocol's message enum and derive [`Message`] from it: each
+/// variant is `tag => Name { field: Type, … }` (or bare `tag => Name` for
+/// an empty payload), fields in wire order. An optional trailing
+/// `check = path;` names a `fn(&Self) -> Result<(), WireError>` holding the
+/// per-message range checks, run on encode and on decode.
+#[macro_export]
+macro_rules! wire_messages {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $({ $( $field:ident : $ty:ty ),* $(,)? })?
+            ),* $(,)?
+        }
+        $(check = $check:path;)?
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$vmeta])* $variant $({ $( $field: $ty ),* })?, )*
+        }
+
+        impl $crate::Message for $name {
+            fn tag(&self) -> u8 {
+                match self {
+                    $( $name::$variant { .. } => $tag, )*
+                }
+            }
+
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), $crate::WireError> {
+                $( $check(self)?; )?
+                match self {
+                    $( $name::$variant $({ $( $field ),* })? => {
+                        $($( $crate::Wire::put($field, out)?; )*)?
+                    } )*
+                }
+                Ok(())
+            }
+
+            fn decode(tag: u8, payload: &[u8]) -> Result<Self, $crate::WireError> {
+                let mut c = $crate::Cursor::new(payload);
+                let msg = match tag {
+                    $( $tag => $name::$variant $({ $( $field: $crate::Wire::get(&mut c)? ),* })?, )*
+                    other => return Err($crate::WireError::UnknownType(other)),
+                };
+                c.finish()?;
+                $( $check(&msg)?; )?
+                Ok(msg)
+            }
+        }
+    };
+}
+
+/// Encode `msg` and write it as one frame.
+pub fn send<M: Message>(w: &mut impl Write, msg: &M) -> Result<(), WireError> {
+    write_frame(w, msg.tag(), &msg.encode()?)
+}
+
+/// Read one frame into `buf` (reused across calls) and decode it.
+pub fn recv<M: Message>(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<M, WireError> {
+    let tag = read_frame(r, buf)?;
+    M::decode(tag, buf)
 }
 
 #[cfg(test)]
@@ -240,18 +470,18 @@ mod tests {
     #[test]
     fn cursor_rejects_truncation_and_trailing_bytes() {
         let mut c = Cursor::new(&[1, 0]);
-        assert!(matches!(c.u32(), Err(WireError::Malformed(_))));
+        assert!(matches!(u32::get(&mut c), Err(WireError::Malformed(_))));
         let mut c = Cursor::new(&[1, 0, 0, 0, 9]);
-        let _ = c.u32();
+        let _ = u32::get(&mut c);
         assert!(matches!(c.finish(), Err(WireError::Malformed(_))));
     }
 
     #[test]
     fn cursor_rest_drains_everything() -> Result<(), WireError> {
         let mut c = Cursor::new(&[7, 1, 2, 3]);
-        assert_eq!(c.u8()?, 7);
+        assert_eq!(u8::get(&mut c)?, 7);
         assert_eq!(c.rest(), &[1, 2, 3]);
-        assert!(c.at_end());
+        assert_eq!(c.remaining(), 0);
         assert_eq!(c.rest(), &[] as &[u8]);
         c.finish()
     }
@@ -259,13 +489,130 @@ mod tests {
     #[test]
     fn string_round_trip_and_invalid_utf8() -> Result<(), WireError> {
         let mut out = Vec::new();
-        put_string(&mut out, "namespace_α")?;
+        "namespace_α".to_string().put(&mut out)?;
         let mut c = Cursor::new(&out);
-        assert_eq!(c.string()?, "namespace_α");
+        assert_eq!(String::get(&mut c)?, "namespace_α");
         c.finish()?;
         let bad = [2u8, 0, 0xff, 0xfe];
-        let mut c = Cursor::new(&bad);
-        assert!(matches!(c.string(), Err(WireError::Malformed(_))));
+        assert!(matches!(String::get(&mut Cursor::new(&bad)), Err(WireError::Malformed(_))));
+        assert!(matches!("x".repeat(1 << 16).put(&mut out), Err(WireError::Malformed(_))));
+        Ok(())
+    }
+
+    wire_struct! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Probe {
+            small: u8,
+            wide: Option<(u64, i64)>,
+            ratio: f64,
+            list: Vec<u16>,
+            key: [u8; 4],
+        }
+        check = Probe::check;
+    }
+
+    impl Probe {
+        fn check(&self) -> Result<(), WireError> {
+            ensure(self.small < 10, "small out of range")
+        }
+    }
+
+    wire_messages! {
+        #[derive(Debug, PartialEq)]
+        enum Proto {
+            0x01 => Empty,
+            0x02 => Full { on: bool, probe: Probe, name: String },
+            0x03 => Bytes { bytes: Raw },
+        }
+    }
+
+    fn probe() -> Probe {
+        Probe {
+            small: 9,
+            wide: Some((u64::MAX, -2)),
+            ratio: -0.0,
+            list: vec![1, 515],
+            key: *b"abcd",
+        }
+    }
+
+    #[test]
+    fn derived_layout_is_declaration_order_little_endian() -> Result<(), WireError> {
+        let msg = Proto::Full { on: true, probe: probe(), name: "é".into() };
+        let bytes = msg.encode()?;
+        let mut want = vec![1u8, 9, 1];
+        want.extend_from_slice(&[0xff; 8]);
+        want.extend_from_slice(&[0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]);
+        want.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0x80]); // -0.0 by bits
+        want.extend_from_slice(&[2, 0, 0, 0, 1, 0, 3, 2]);
+        want.extend_from_slice(b"abcd");
+        want.extend_from_slice(&[2, 0, 0xc3, 0xa9]);
+        assert_eq!(bytes, want);
+        assert_eq!(Proto::decode(msg.tag(), &bytes)?, msg);
+        assert_eq!(Proto::Empty.encode()?, Vec::<u8>::new());
+        Ok(())
+    }
+
+    #[test]
+    fn derived_decoders_are_strict_and_checks_run_both_ways() -> Result<(), WireError> {
+        let msg = Proto::Full { on: false, probe: probe(), name: "n".into() };
+        let bytes = msg.encode()?;
+        for cut in 0..bytes.len() {
+            assert!(Proto::decode(0x02, &bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(matches!(Proto::decode(0x02, &long), Err(WireError::Malformed("trailing bytes"))));
+        assert!(matches!(Proto::decode(0x01, &[0]), Err(WireError::Malformed("trailing bytes"))));
+        assert!(matches!(Proto::decode(0x09, &[]), Err(WireError::UnknownType(0x09))));
+        // Raw swallows whatever is left, so it has no trailing bytes to reject.
+        assert_eq!(Proto::decode(0x03, &[5, 6])?, Proto::Bytes { bytes: Raw(vec![5, 6]) });
+
+        // The struct's check refuses the value on encode and on decode.
+        let bad = Probe { small: 10, ..probe() };
+        assert!(matches!(
+            bad.put(&mut Vec::new()),
+            Err(WireError::Malformed("small out of range"))
+        ));
+        let mut patched = bytes.clone();
+        patched[1] = 10;
+        assert!(matches!(
+            Proto::decode(0x02, &patched),
+            Err(WireError::Malformed("small out of range"))
+        ));
+        // Flag bytes other than 0/1 are malformed, for bool and Option alike.
+        for at in [0, 2] {
+            let mut patched = bytes.clone();
+            patched[at] = 2;
+            assert!(matches!(Proto::decode(0x02, &patched), Err(WireError::Malformed(_))));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn hostile_list_counts_are_refused_before_any_element() {
+        // u32::MAX elements announced, none present: refused on the count.
+        let got = Vec::<u64>::get(&mut Cursor::new(&u32::MAX.to_le_bytes()));
+        assert!(matches!(got, Err(WireError::Malformed("list count exceeds the payload"))));
+        // A count the payload's length allows but its bytes do not back:
+        // decoding stops at the first starved element, having reserved no
+        // more than the clamp.
+        let mut short = 300u32.to_le_bytes().to_vec();
+        short.extend_from_slice(&[0u8; 300]);
+        let got = Vec::<u64>::get(&mut Cursor::new(&short));
+        assert!(matches!(got, Err(WireError::Malformed("truncated payload"))));
+    }
+
+    #[test]
+    fn send_and_recv_move_whole_messages() -> Result<(), WireError> {
+        let mut wire = Vec::new();
+        send(&mut wire, &Proto::Empty)?;
+        send(&mut wire, &Proto::Bytes { bytes: Raw(vec![1, 2, 3]) })?;
+        let mut r = &wire[..];
+        let mut buf = Vec::new();
+        assert_eq!(recv::<Proto>(&mut r, &mut buf)?, Proto::Empty);
+        assert_eq!(recv::<Proto>(&mut r, &mut buf)?, Proto::Bytes { bytes: Raw(vec![1, 2, 3]) });
+        assert!(matches!(recv::<Proto>(&mut r, &mut buf), Err(WireError::Io(_))));
         Ok(())
     }
 }

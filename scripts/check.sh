@@ -142,11 +142,19 @@ cargo test --release --quiet -p swt-dist --test policy_props
 echo "==> bench_autoscale smoke (autoscaled A/B identical; replayed policy closes the makespan gap)"
 cargo run --release --quiet -p swt-bench --bin bench_autoscale -- --smoke
 
-echo "==> wire fuzz (every frame type under truncation/bit-flips/hostile prefixes)"
-cargo test --release --quiet -p swt-dist --test fuzz_decode
+echo "==> one-codec gate (the byte format lives in swt-wire; protocols only declare frames)"
+# A protocol file spelling bytes out itself — or probing for an optional
+# tail — is a second codec beside the derived one.
+bytes=$(grep -nE 'to_le_bytes|from_le_bytes|at_end\(' \
+  crates/dist/src/wire.rs crates/ckpt-server/src/proto.rs || true)
+if [ -n "$bytes" ]; then
+  echo "hand-written byte handling in a protocol declaration file (use the Wire impls in swt-wire):" >&2
+  echo "$bytes" >&2
+  exit 1
+fi
 
-echo "==> store wire fuzz (store frames: truncation, hostile name tables, oversized ranges)"
-cargo test --release --quiet -p swt-ckpt-server --test fuzz_decode
+echo "==> wire fuzz + store wire fuzz (golden bytes; every frame under truncation/bit-flips/hostile counts)"
+cargo test --release --quiet -p swt-dist -p swt-ckpt-server --test fuzz_decode
 
 echo "==> bench_ckptsrv smoke (selective read <= 5% of full bytes on the wire, >= 3x faster)"
 cargo run --release --quiet -p swt-bench --bin bench_ckptsrv -- --smoke

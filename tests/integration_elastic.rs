@@ -22,7 +22,7 @@ use swt::prelude::*;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::{assert_conserved, assert_traces_identical, temp_dir};
+use util::{assert_conserved, assert_kill_absorbed, assert_traces_identical, temp_dir};
 
 const CANDIDATES: usize = 12;
 const WINDOW: usize = 2;
@@ -197,8 +197,7 @@ fn fidelity_pipeline_survives_a_worker_kill_bit_identically() {
         local.canonical_csv(),
         "fidelity-on canonical trace diverged from in-process under a worker kill"
     );
-    assert_eq!(stats.lost, 1, "the injected kill must be observed");
-    assert!(stats.reassigned >= 1, "a mid-evaluation kill must trigger reassignment");
+    assert_kill_absorbed(&trace, stats.lost, stats.reassigned, "fidelity_kill");
 
     // The workers' streamed stop counters saw the same pipeline the trace
     // did (>= because a reassigned candidate may be counted on two
@@ -247,11 +246,7 @@ fn same_seed_same_trace_across_the_elastic_matrix() {
         assert_eq!(stats.rejected, cell.expect_rejected, "cell `{}`: rejected", cell.name);
         assert_eq!(stats.lost, cell.expect_lost, "cell `{}`: lost", cell.name);
         if cell.expect_lost > 0 {
-            assert!(
-                stats.reassigned >= 1,
-                "cell `{}`: a mid-evaluation kill must trigger reassignment",
-                cell.name
-            );
+            assert_kill_absorbed(&trace, stats.lost, stats.reassigned, cell.name);
         }
 
         // Metrics: merged totals are conserved sums over processes, and the

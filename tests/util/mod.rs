@@ -75,6 +75,21 @@ pub fn assert_conserved(stats: &DistRunStats, what: &str) {
     }
 }
 
+/// What one injected worker kill must leave behind. `maybe_inject_kill`
+/// fires while the victim holds a candidate, but a `Result` already in the
+/// socket is processed before the EOF — then nothing is left to reassign, so
+/// "at least one reassignment" is a race, not a property. Structural instead:
+/// exactly one loss, at most one reassignment, and every candidate id traced
+/// exactly once (nothing dropped with the victim, nothing delivered twice).
+pub fn assert_kill_absorbed(trace: &NasTrace, lost: usize, reassigned: usize, what: &str) {
+    assert_eq!(lost, 1, "{what}: the injected kill must be observed as exactly one loss");
+    assert!(reassigned <= 1, "{what}: one kill reassigned {reassigned} candidates");
+    let mut ids: Vec<u64> = trace.events.iter().map(|e| e.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), trace.events.len(), "{what}: a candidate id was traced twice");
+}
+
 /// The A/B identity contract: everything the strategy and the paper's
 /// analyses consume must match bit-for-bit.
 pub fn assert_traces_identical(a: &NasTrace, b: &NasTrace, what: &str) {
