@@ -2,36 +2,42 @@
 //!
 //! Usage: `cargo run --release -p swt-bench --bin bench_ckpt [--smoke] [out.json]`
 //!
-//! Measures the checkpoint data path the NAS evaluator exercises, before and
-//! after the WTC2/selective-read work:
+//! Measures the checkpoint data path the NAS evaluator exercises:
 //!
-//! 1. full saves and loads in both container formats (WTC1 legacy vs WTC2),
+//! 1. a full save and a full load of a provider-sized checkpoint,
 //! 2. the *transfer path*: what a child evaluation pays to read its
-//!    provider — formerly a full WTC1 decode, now an index read plus a
-//!    partial load of only the matched tensors,
+//!    provider — an index read plus a partial load of only the matched
+//!    tensors, against the full `load` it replaced,
 //! 3. the same transfer path against a warmed [`CachedStore`] (evolution
 //!    re-reads elite parents constantly, so this is the steady state),
-//! 4. an end-to-end A/B: two identical single-worker quick NAS runs, one on
+//! 4. the per-call split of one Uno-sized save — checksum alone, the fused
+//!    convert + checksum, `File::create`, `write`, `rename` — on one thread
+//!    and on two at once, under the system temp directory and under the
+//!    working directory (the cost of creating a file is the directory's,
+//!    not the code's: EXPERIMENTS.md),
+//! 5. an end-to-end A/B: two identical single-worker quick NAS runs, one on
 //!    a full-load-only store and one on the selective path + cache. Scores
 //!    and transferred-tensor counts must match exactly; only
 //!    `transfer_secs` may differ.
 //!
 //! Exits non-zero if the provider read on the transfer path is not at least
-//! 3x faster than the WTC1 full decode, or if the A/B runs diverge.
+//! 3x faster than a full load, or if the A/B runs diverge.
 //!
 //! `--smoke` writes the JSON to a temp directory instead of the repository
 //! root so CI checks do not dirty the tree.
 
 use std::hint::black_box;
-use std::io;
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::Arc;
-use swt::checkpoint::{decode, encode_v1};
+use std::time::Instant;
+use swt::checkpoint::{payload_checksum, with_encoded};
 use swt::prelude::*;
 use swt_bench::Harness;
 
 /// A store wrapper that hides the inner store's selective-read overrides, so
 /// the trait's default implementations (full load + filter) take over — the
-/// pre-WTC2 provider read path, reproduced exactly.
+/// provider read path before selective reads, reproduced exactly.
 struct FullLoadOnly<S: CheckpointStore>(S);
 
 impl<S: CheckpointStore> CheckpointStore for FullLoadOnly<S> {
@@ -102,6 +108,49 @@ fn transfer_subset() -> Vec<String> {
     .collect()
 }
 
+/// The state of one sampled Uno candidate: what `tab_*` workloads save and
+/// read a few hundred times a second.
+fn uno_state() -> Vec<(String, Tensor)> {
+    let space = SearchSpace::for_app(AppKind::Uno);
+    let arch = space.sample(&mut Rng::seed(21));
+    let spec = space.materialize(&arch).expect("a sampled architecture is valid");
+    Model::build(&spec, 7).expect("a materialised spec builds").state_dict()
+}
+
+/// Steps of one save, in the order [`save_split`] returns their medians.
+const SAVE_STEPS: [&str; 5] = ["hash", "encode", "create", "write", "rename"];
+
+/// Median nanoseconds of each of [`SAVE_STEPS`] over `iters` saves of
+/// `state` into `dir`, each to a file that does not exist yet — the steps of
+/// `DirStore::save`, spelled out so that each can be timed. `hash` is the
+/// payload checksum alone over the finished bytes; `encode` is the codec's
+/// fused convert + checksum.
+fn save_split(state: &[(String, Tensor)], dir: &Path, tag: &str, iters: usize) -> [f64; 5] {
+    let mut samples = vec![[0u64; 5]; iters];
+    for (i, row) in samples.iter_mut().enumerate() {
+        let (tmp, dst) = (dir.join(format!(".{tag}_{i}.tmp")), dir.join(format!("{tag}_{i}.wtc")));
+        let mut t = Instant::now();
+        let mut lap = || std::mem::replace(&mut t, Instant::now()).elapsed().as_nanos() as u64;
+        with_encoded(state, |bytes| {
+            row[1] = lap();
+            let mut f = std::fs::File::create(&tmp).expect("create");
+            row[2] = lap();
+            f.write_all(bytes).expect("write");
+            drop(f);
+            row[3] = lap();
+            std::fs::rename(&tmp, &dst).expect("rename");
+            row[4] = lap();
+            black_box(payload_checksum(bytes));
+            row[0] = lap();
+        });
+    }
+    std::array::from_fn(|step| {
+        let mut column: Vec<u64> = samples.iter().map(|row| row[step]).collect();
+        column.sort_unstable();
+        column[iters / 2] as f64
+    })
+}
+
 fn sum_transfer_secs(trace: &NasTrace) -> f64 {
     trace.events.iter().map(|e| e.transfer_secs).sum()
 }
@@ -157,28 +206,20 @@ fn main() {
 
     let mut h = Harness::new();
 
-    // --- 1. full saves and loads, both formats ------------------------------
-    let wtc1_path = scratch.join("provider_v1.wtc");
-    h.bench("ckpt.save.wtc1", || {
-        std::fs::write(&wtc1_path, encode_v1(&entries)).expect("write wtc1");
-    });
+    // --- 1. a full save and a full load -------------------------------------
     let store = Arc::new(DirStore::new(scratch.join("store")).expect("open store"));
-    h.bench("ckpt.save.wtc2", || {
-        store.save("provider", &entries).expect("save wtc2");
+    h.bench("ckpt.save", || {
+        store.save("provider", &entries).expect("save");
     });
-    h.bench("ckpt.load.full.wtc1", || {
-        let buf = std::fs::read(&wtc1_path).expect("read wtc1");
-        black_box(decode(&buf).expect("decode wtc1"));
-    });
-    h.bench("ckpt.load.full.wtc2", || {
-        black_box(store.load("provider").expect("load wtc2"));
+    h.bench("ckpt.load.full", || {
+        black_box(store.load("provider").expect("load"));
     });
 
     // --- 2. the transfer path: index + partial load -------------------------
-    h.bench("ckpt.load.index.wtc2", || {
+    h.bench("ckpt.load.index", || {
         black_box(store.load_index("provider").expect("load index"));
     });
-    h.bench("ckpt.load.transfer.wtc2", || {
+    h.bench("ckpt.load.transfer", || {
         let index = store.load_index("provider").expect("load index");
         black_box(&index);
         black_box(store.load_tensors("provider", &subset).expect("partial load"));
@@ -194,24 +235,53 @@ fn main() {
         black_box(cached.load_tensors("provider", &subset).expect("cached partial load"));
     });
 
-    let full_v1 = h.get("ckpt.load.full.wtc1").unwrap();
-    let transfer = h.get("ckpt.load.transfer.wtc2").unwrap();
+    let full = h.get("ckpt.load.full").unwrap();
+    let transfer = h.get("ckpt.load.transfer").unwrap();
     let cached_transfer = h.get("ckpt.load.transfer.cached").unwrap();
-    let provider_read_speedup = full_v1 / transfer;
-    let cache_speedup = full_v1 / cached_transfer;
+    let provider_read_speedup = full / transfer;
+    let cache_speedup = full / cached_transfer;
     println!();
     println!(
-        "provider read on the transfer path: {provider_read_speedup:.1}x faster than WTC1 \
-         full decode ({:.2} ms -> {:.3} ms)",
-        full_v1 / 1e6,
+        "provider read on the transfer path: {provider_read_speedup:.1}x faster than a full \
+         load ({:.2} ms -> {:.3} ms)",
+        full / 1e6,
         transfer / 1e6
     );
     println!(
-        "warm cache hit: {cache_speedup:.1}x faster than WTC1 full decode ({:.3} ms)",
+        "warm cache hit: {cache_speedup:.1}x faster than a full load ({:.3} ms)",
         cached_transfer / 1e6
     );
 
-    // --- 4. end-to-end A/B: full-load-only vs selective + cache -------------
+    // --- 4. per-call split of an Uno-sized save, 1 and 2 threads ------------
+    let uno = uno_state();
+    let uno_bytes = swt::checkpoint::encoded_len(&uno);
+    println!();
+    println!("uno state: {} tensors, {uno_bytes} bytes encoded", uno.len());
+    let cwd_scratch = Path::new("target").join(format!("bench_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd_scratch).expect("create scratch dir under the working directory");
+    for (place, dir) in [("tmp", scratch.as_path()), ("cwd", cwd_scratch.as_path())] {
+        for threads in [1usize, 2] {
+            let medians = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let uno = &uno;
+                        s.spawn(move || save_split(uno, dir, &format!("split{threads}{t}"), 101))
+                    })
+                    .collect();
+                // Every thread ran the same loop at the same time; report
+                // the first one's medians.
+                let all: Vec<_> =
+                    handles.into_iter().map(|h| h.join().expect("split thread")).collect();
+                all[0]
+            });
+            for (step, median) in SAVE_STEPS.iter().zip(medians) {
+                h.record(&format!("ckpt.uno.{step}.{place}.t{threads}"), median, 101);
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&cwd_scratch);
+
+    // --- 5. end-to-end A/B: full-load-only vs selective + cache -------------
     // 16-member quick population + 8 children, so the tail of the run
     // exercises the parent-read path under both stores.
     let candidates = 24;
@@ -256,9 +326,14 @@ fn main() {
     let meta = [
         ("bench", "ckpt".to_string()),
         ("threads", "1".to_string()),
+        (
+            "hardware_threads",
+            std::thread::available_parallelism().map_or(1, |n| n.get()).to_string(),
+        ),
         ("profile", if cfg!(debug_assertions) { "debug" } else { "release" }.to_string()),
         ("payload_bytes", payload.to_string()),
         ("transfer_subset_bytes", subset_payload.to_string()),
+        ("uno_state_bytes", uno_bytes.to_string()),
         ("provider_read_speedup", format!("{provider_read_speedup:.2}")),
         ("cache_hit_speedup", format!("{cache_speedup:.2}")),
         ("nas_transfer_secs_fullload", format!("{before_transfer:.6}")),

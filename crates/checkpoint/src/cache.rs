@@ -20,7 +20,7 @@
 //! `ckpt.cache.evictions` counters and the `ckpt.cache.resident_bytes`
 //! gauge.
 
-use crate::format::{decode, decode_tensors, parse_index};
+use crate::format::{decode, decode_tensors, parse_container};
 use crate::index::CheckpointIndex;
 use crate::store::{CheckpointStore, RawCheckpointStore};
 use std::collections::HashMap;
@@ -128,7 +128,7 @@ impl<S: CheckpointStore> CachedStore<S> {
         // must not enter the cache.
         let gen_before = self.shard(id).lock().unwrap().generation;
         let raw = self.inner.load_raw(id)?;
-        let index = parse_index(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let index = parse_container(&raw)?;
         let raw = Arc::new(raw);
         let index = Arc::new(index);
         let len = raw.len() as u64;
@@ -170,10 +170,6 @@ impl<S: CheckpointStore> CachedStore<S> {
     }
 }
 
-fn format_err(e: crate::format::FormatError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
 impl<S: RawCheckpointStore> RawCheckpointStore for CachedStore<S> {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         let n = self.inner.save_raw(id, bytes)?;
@@ -191,7 +187,7 @@ impl<S: CheckpointStore> CheckpointStore for CachedStore<S> {
 
     fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
         let (raw, _) = self.fetch(id)?;
-        decode(&raw).map_err(format_err)
+        Ok(decode(&raw)?)
     }
 
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
@@ -206,7 +202,7 @@ impl<S: CheckpointStore> CheckpointStore for CachedStore<S> {
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
         let (raw, index) = self.fetch(id)?;
-        decode_tensors(&raw, &index, names).map_err(format_err)
+        Ok(decode_tensors(&raw, &index, names)?)
     }
 
     fn exists(&self, id: &str) -> bool {
@@ -352,6 +348,37 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.list().len(), 10);
+    }
+
+    #[test]
+    fn torn_containers_are_refused_like_the_store_beneath_refuses_them() {
+        // One byte missing and one byte too many, under an intact header:
+        // the cache fill must refuse what `DirStore`'s own indexed reads
+        // refuse, and keep nothing resident.
+        let dir = std::env::temp_dir().join(format!("swt_cache_torn_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CachedStore::new(crate::DirStore::new(&dir).unwrap(), 1 << 20);
+        let clean = crate::format::encode(&entries(1));
+        let names = vec!["a/bias".to_string()];
+        for (what, bytes) in [
+            ("one missing byte", clean[..clean.len() - 1].to_vec()),
+            ("one trailing byte", [clean.as_slice(), &[0]].concat()),
+        ] {
+            std::fs::write(dir.join("t.wtc"), &bytes).unwrap();
+            for (path, err) in [
+                ("dir load_index", store.inner().load_index("t").err()),
+                ("dir load_tensors", store.inner().load_tensors("t", &names).err()),
+                ("cache load_index", store.load_index("t").err()),
+                ("cache load_tensors", store.load_tensors("t", &names).err()),
+                ("cache raw_and_index", store.raw_and_index("t").err()),
+                ("cache load", store.load("t").err()),
+            ] {
+                let err = err.unwrap_or_else(|| panic!("{what} accepted by {path}"));
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}, {path}: {err}");
+            }
+            assert_eq!(store.resident_bytes(), 0, "{what} entered the cache");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn encode_len_of(entries: &[(String, Tensor)]) -> u64 {

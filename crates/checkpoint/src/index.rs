@@ -1,7 +1,7 @@
 //! Checkpoint table-of-contents: per-tensor metadata recoverable without
 //! touching tensor payloads.
 //!
-//! A [`CheckpointIndex`] is what the WTC2 header (see [`crate::format`])
+//! A [`CheckpointIndex`] is what the WTC3 header (see [`crate::format`])
 //! describes: every tensor's name, shape, payload offset and payload
 //! checksum. It is the unit the selective transfer path operates on — the
 //! NAS evaluator builds its `TransferPlan` from the provider's index alone
@@ -9,6 +9,7 @@
 //! weight transfer (reading whole provider checkpoints, Section VIII-E)
 //! shrinks to the bytes the plan actually moves.
 
+use crate::format::FormatError;
 use swt_tensor::Shape;
 
 /// Metadata of one stored tensor, recoverable from the header alone.
@@ -21,8 +22,8 @@ pub struct TensorMeta {
     /// Absolute byte offset of the f32 payload within the encoded buffer
     /// (0 for synthesized indices, which carry no layout).
     pub offset: u64,
-    /// FNV-1a checksum of the payload bytes (0 when the format does not
-    /// store per-tensor checksums: WTC1 and synthesized indices).
+    /// [`crate::payload_checksum`] of the payload bytes (0 for synthesized
+    /// indices).
     pub checksum: u64,
 }
 
@@ -48,17 +49,14 @@ impl TensorMeta {
 /// tensor payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointIndex {
-    /// Container version the index was read from: 1 (WTC1), 2 (WTC2), or
-    /// 0 for an index synthesized from already-decoded tensors (no layout).
-    version: u8,
     tensors: Vec<TensorMeta>,
     /// Total encoded size in bytes (0 when synthesized).
     encoded_len: u64,
 }
 
 impl CheckpointIndex {
-    pub(crate) fn new(version: u8, tensors: Vec<TensorMeta>, encoded_len: u64) -> Self {
-        CheckpointIndex { version, tensors, encoded_len }
+    pub(crate) fn new(tensors: Vec<TensorMeta>, encoded_len: u64) -> Self {
+        CheckpointIndex { tensors, encoded_len }
     }
 
     /// An index carrying names and shapes only — the fallback produced by
@@ -69,12 +67,7 @@ impl CheckpointIndex {
             .into_iter()
             .map(|(name, dims)| TensorMeta { name, dims, offset: 0, checksum: 0 })
             .collect();
-        CheckpointIndex { version: 0, tensors, encoded_len: 0 }
-    }
-
-    /// Container version (0 = synthesized, 1 = WTC1, 2 = WTC2).
-    pub fn version(&self) -> u8 {
-        self.version
+        CheckpointIndex { tensors, encoded_len: 0 }
     }
 
     /// Per-tensor metadata in storage order.
@@ -101,6 +94,18 @@ impl CheckpointIndex {
     /// synthesized indices.
     pub fn encoded_len(&self) -> u64 {
         self.encoded_len
+    }
+
+    /// The torn-container check every reader of whole containers applies:
+    /// `actual`, the byte length of the file or buffer the index was parsed
+    /// from, must be exactly what the index declares — shorter is a torn
+    /// write, longer is trailing junk.
+    pub fn check_len(&self, actual: u64) -> Result<(), FormatError> {
+        match actual.cmp(&self.encoded_len) {
+            std::cmp::Ordering::Less => Err(FormatError::Truncated),
+            std::cmp::Ordering::Equal => Ok(()),
+            std::cmp::Ordering::Greater => Err(FormatError::Corrupt),
+        }
     }
 
     /// Total payload bytes across all tensors.
@@ -131,7 +136,7 @@ mod tests {
     fn meta_accessors() {
         let idx = index();
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.version(), 0);
+        assert_eq!(idx.encoded_len(), 0, "a synthesized index carries no layout");
         let kernel = idx.get("a/kernel").unwrap();
         assert_eq!(kernel.numel(), 12);
         assert_eq!(kernel.size_bytes(), 48);

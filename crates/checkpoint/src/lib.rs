@@ -9,27 +9,25 @@
 //! [`MemStore`] for tests and simulation. Checkpoint sizes reported by the
 //! stores feed Fig. 11.
 //!
-//! The default container is **WTC2**, an indexed layout whose header is a
+//! The container is **WTC3**, an indexed layout whose header is a
 //! self-checksummed table of contents ([`CheckpointIndex`]): readers recover
 //! every tensor's name, shape, offset and payload checksum without touching
 //! payload bytes, which is what makes [`CheckpointStore::load_index`] and
-//! [`CheckpointStore::load_tensors`] cheap. Legacy WTC1 files decode
-//! transparently. [`CachedStore`] adds a byte-budgeted in-memory cache for
-//! hot provider checkpoints.
+//! [`CheckpointStore::load_tensors`] cheap. It is the only version read or
+//! written. [`CachedStore`] adds a byte-budgeted in-memory cache for hot
+//! provider checkpoints.
 
-pub mod async_store;
 pub mod cache;
 pub mod compress;
 pub mod format;
 pub mod index;
 pub mod store;
 
-pub use async_store::AsyncStore;
 pub use cache::CachedStore;
 pub use compress::QuantizedStore;
 pub use format::{
-    decode, decode_tensors, encode, encode_to, encode_v1, encoded_len, parse_index,
-    tensor_from_payload, FormatError,
+    decode, decode_tensors, encode, encoded_len, parse_container, parse_index, payload_checksum,
+    tensor_from_payload, with_encoded, FormatError, CONTAINER_VERSION,
 };
 pub use index::{CheckpointIndex, TensorMeta};
 pub use store::{prune_except, CheckpointStore, DirStore, MemStore, RawCheckpointStore};

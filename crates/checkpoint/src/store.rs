@@ -1,13 +1,17 @@
 //! Checkpoint storage backends.
 
-use crate::format::{decode, decode_tensors, encode, encode_to, parse_index, FormatError};
+use crate::format::{
+    decode, decode_tensors, encode, header_len, parse_container, parse_index, tensor_from_payload,
+    with_encoded, with_thread_bytes, FormatError,
+};
 use crate::index::CheckpointIndex;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 use swt_tensor::{with_thread_workspace, Tensor};
 
 /// A place to persist candidate checkpoints, keyed by candidate id.
@@ -36,7 +40,7 @@ pub trait CheckpointStore: Send + Sync {
 
     /// The checkpoint's table of contents: names, shapes and layout, without
     /// tensor data. Default: synthesize from a full load (correct but not
-    /// faster); indexed backends read only the WTC2 header.
+    /// faster); indexed backends read only the container's header.
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
         let entries = self.load(id)?;
         Ok(CheckpointIndex::synthesized(
@@ -115,7 +119,7 @@ pub trait RawCheckpointStore: CheckpointStore {
     /// Persist pre-encoded checkpoint bytes under `id`; returns the byte
     /// count (== `bytes.len()`). The bytes are trusted to be a valid WTC
     /// container — callers on untrusted paths validate via
-    /// [`crate::parse_index`] first.
+    /// [`crate::parse_container`] first.
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64>;
 }
 
@@ -138,19 +142,14 @@ pub fn prune_except(store: &dyn CheckpointStore, keep: &[String]) -> usize {
         .count()
 }
 
-fn format_err(e: FormatError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-fn torn_err() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, "checkpoint file shorter than its index declares")
-}
-
 /// Directory-backed store: one `<id>.wtc` file per candidate. Stands in for
 /// the paper's HDF5-on-PFS checkpoints.
 pub struct DirStore {
     root: PathBuf,
 }
+
+/// Monotonic suffix making concurrent temp files unique within a process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl DirStore {
     /// Open (creating if needed) a store rooted at `root`.
@@ -168,80 +167,63 @@ impl DirStore {
         self.root.join(format!("{id}.wtc"))
     }
 
-    /// Open `id` and read its index: the 16-byte fixed header plus the TOC
-    /// for WTC2 (a few hundred bytes regardless of checkpoint size), or the
-    /// whole file for legacy WTC1. Returns the still-open file positioned
-    /// arbitrarily, the index, and the file length.
-    fn open_indexed(&self, id: &str) -> io::Result<(File, CheckpointIndex, u64)> {
+    /// Open `id` and read its index: the 8-byte fixed head plus the TOC and
+    /// its CRC (a few hundred bytes regardless of checkpoint size). Returns
+    /// the still-open file, positioned at the first payload, and the index;
+    /// a file whose length is not what its index declares is torn.
+    fn open_indexed(&self, id: &str) -> io::Result<(File, CheckpointIndex)> {
         let mut f = File::open(self.path(id))?;
         let file_len = f.metadata()?.len();
         let mut head = [0u8; 8];
-        f.read_exact(&mut head).map_err(|_| format_err(FormatError::Truncated))?;
-        let index = if &head[..4] == b"WTC2" {
-            let toc_len = u32::from_le_bytes(head[4..8].try_into().unwrap()) as u64;
-            let header_len = 8 + toc_len + 8;
-            if header_len > file_len {
-                return Err(format_err(FormatError::Truncated));
-            }
-            let mut header = vec![0u8; header_len as usize];
-            header[..8].copy_from_slice(&head);
-            f.read_exact(&mut header[8..])?;
-            parse_index(&header).map_err(format_err)?
-        } else {
-            // WTC1 (or garbage — parse_index reports which): the layout
-            // interleaves headers with payloads, so index extraction needs
-            // the full file.
-            let mut buf = Vec::with_capacity(file_len as usize);
-            buf.extend_from_slice(&head);
-            f.read_to_end(&mut buf)?;
-            parse_index(&buf).map_err(format_err)?
-        };
-        if index.encoded_len() != file_len {
-            return Err(torn_err());
+        f.read_exact(&mut head).map_err(|_| FormatError::Truncated)?;
+        let header_len = header_len(&head)?;
+        if header_len > file_len {
+            return Err(FormatError::Truncated.into());
         }
-        Ok((f, index, file_len))
+        let mut header = vec![0u8; header_len as usize];
+        header[..8].copy_from_slice(&head);
+        f.read_exact(&mut header[8..])?;
+        let index = parse_index(&header)?;
+        index.check_len(file_len)?;
+        Ok((f, index))
     }
-}
 
-/// Monotonic suffix making concurrent temp files unique within a process.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl CheckpointStore for DirStore {
-    fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
-        let t0 = std::time::Instant::now();
-        let dst = self.path(id); // validates the id up front
-                                 // Write-then-rename so concurrent readers never observe a torn file.
-                                 // The temp name carries pid + a process-wide sequence number:
-                                 // concurrent saves of the *same id* (two workers re-checkpointing a
-                                 // shared elite) must not clobber each other's half-written file.
+    /// One `write` of the whole container to a temp file, then a `rename`,
+    /// so concurrent readers never observe a torn file. The temp name
+    /// carries pid + a process-wide sequence number: concurrent saves of the
+    /// *same id* (two workers re-checkpointing a shared elite) must not
+    /// clobber each other's half-written file.
+    fn write_atomic(&self, id: &str, bytes: &[u8], t0: Instant) -> io::Result<u64> {
+        let dst = self.path(id);
         let tmp = self.root.join(format!(
             ".{id}.{}.{}.tmp",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let result = (|| -> io::Result<u64> {
-            // 1 MiB buffer: checkpoints are megabytes, and the default 8 KiB
-            // buffer turns one save into thousands of write syscalls.
-            let mut w = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
-            let bytes = encode_to(entries, &mut w)?;
-            w.flush()?;
-            std::fs::rename(&tmp, &dst)?;
-            Ok(bytes)
-        })();
+        let result = File::create(&tmp)
+            .and_then(|mut f| f.write_all(bytes))
+            .and_then(|()| std::fs::rename(&tmp, &dst));
         if result.is_err() {
             // Never leave a stale temp file behind on a failed save.
             let _ = std::fs::remove_file(&tmp);
         }
-        let bytes = result?;
+        result?;
         swt_obs::histogram!("ckpt.dir.save_ns").observe(t0.elapsed().as_nanos() as u64);
-        swt_obs::counter!("ckpt.dir.saved_bytes").add(bytes);
-        Ok(bytes)
+        swt_obs::counter!("ckpt.dir.saved_bytes").add(bytes.len() as u64);
+        Ok(bytes.len() as u64)
+    }
+}
+
+impl CheckpointStore for DirStore {
+    fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
+        let t0 = Instant::now();
+        with_encoded(entries, |bytes| self.write_atomic(id, bytes, t0))
     }
 
     fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let buf = std::fs::read(self.path(id))?;
-        let entries = decode(&buf).map_err(format_err)?;
+        let entries = decode(&buf)?;
         swt_obs::histogram!("ckpt.dir.load_ns").observe(t0.elapsed().as_nanos() as u64);
         Ok(entries)
     }
@@ -251,43 +233,35 @@ impl CheckpointStore for DirStore {
     }
 
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        let t0 = std::time::Instant::now();
-        let (_, index, _) = self.open_indexed(id)?;
+        let t0 = Instant::now();
+        let (_, index) = self.open_indexed(id)?;
         swt_obs::histogram!("ckpt.dir.load_index_ns").observe(t0.elapsed().as_nanos() as u64);
         Ok(index)
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        let t0 = std::time::Instant::now();
-        let (mut f, index, _) = self.open_indexed(id)?;
+        let t0 = Instant::now();
+        let (mut f, index) = self.open_indexed(id)?;
         let want: HashSet<&str> = names.iter().map(String::as_str).collect();
         let mut out = Vec::with_capacity(want.len().min(index.len()));
-        let mut read_bytes = 0u64;
-        if index.version() == 2 {
-            // Seek straight to each requested payload; unmatched tensors are
-            // never read off the disk at all.
-            let mut raw = Vec::new();
+        // Read each requested payload into the thread's byte buffer and
+        // convert it from there; unmatched tensors are never read off the
+        // disk at all, and neighbours need no seek between them.
+        let mut pos = index.encoded_len() - index.payload_bytes();
+        with_thread_bytes(|raw| -> io::Result<()> {
             for meta in index.tensors().iter().filter(|m| want.contains(m.name.as_str())) {
-                f.seek(SeekFrom::Start(meta.offset))?;
-                raw.clear();
+                if meta.offset != pos {
+                    f.seek(SeekFrom::Start(meta.offset))?;
+                }
                 raw.resize(meta.size_bytes() as usize, 0);
-                f.read_exact(&mut raw)?;
-                read_bytes += raw.len() as u64;
-                let tensor = with_thread_workspace(|ws| {
-                    crate::format::tensor_from_payload(meta, &raw, 2, ws)
-                })
-                .map_err(format_err)?;
+                f.read_exact(raw)?;
+                pos = meta.offset + meta.size_bytes();
+                let tensor = with_thread_workspace(|ws| tensor_from_payload(meta, raw, ws))?;
                 out.push((meta.name.clone(), tensor));
             }
-        } else {
-            // WTC1 interleaves payloads with headers: fall back to one full
-            // sequential read, then decode only the requested tensors.
-            let mut buf = Vec::new();
-            f.seek(SeekFrom::Start(0))?;
-            f.read_to_end(&mut buf)?;
-            read_bytes = buf.len() as u64;
-            out = decode_tensors(&buf, &index, names).map_err(format_err)?;
-        }
+            Ok(())
+        })?;
+        let read_bytes: u64 = out.iter().map(|(_, t)| 4 * t.numel() as u64).sum();
         swt_obs::histogram!("ckpt.dir.partial_load_ns").observe(t0.elapsed().as_nanos() as u64);
         swt_obs::counter!("ckpt.dir.partial_read_bytes").add(read_bytes);
         Ok(out)
@@ -317,28 +291,7 @@ impl CheckpointStore for DirStore {
 
 impl RawCheckpointStore for DirStore {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
-        let t0 = std::time::Instant::now();
-        let dst = self.path(id); // validates the id up front
-                                 // Same write-then-rename discipline as `save`: concurrent readers
-                                 // must never observe a torn file, and concurrent raw saves of the
-                                 // same id must not clobber each other's temp file.
-        let tmp = self.root.join(format!(
-            ".{id}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| -> io::Result<u64> {
-            std::fs::write(&tmp, bytes)?;
-            std::fs::rename(&tmp, &dst)?;
-            Ok(bytes.len() as u64)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        let n = result?;
-        swt_obs::histogram!("ckpt.dir.save_ns").observe(t0.elapsed().as_nanos() as u64);
-        swt_obs::counter!("ckpt.dir.saved_bytes").add(n);
-        Ok(n)
+        self.write_atomic(id, bytes, Instant::now())
     }
 }
 
@@ -369,7 +322,7 @@ impl MemStore {
 
 impl CheckpointStore for MemStore {
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let buf = encode(entries);
         let len = buf.len() as u64;
         self.map.write().unwrap().insert(id.to_string(), buf);
@@ -379,8 +332,8 @@ impl CheckpointStore for MemStore {
     }
 
     fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        let t0 = std::time::Instant::now();
-        let entries = self.with_buf(id, |buf| decode(buf).map_err(format_err))?;
+        let t0 = Instant::now();
+        let entries = self.with_buf(id, |buf| Ok(decode(buf)?))?;
         swt_obs::histogram!("ckpt.mem.load_ns").observe(t0.elapsed().as_nanos() as u64);
         Ok(entries)
     }
@@ -390,13 +343,13 @@ impl CheckpointStore for MemStore {
     }
 
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        self.with_buf(id, |buf| parse_index(buf).map_err(format_err))
+        self.with_buf(id, |buf| Ok(parse_container(buf)?))
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
         self.with_buf(id, |buf| {
-            let index = parse_index(buf).map_err(format_err)?;
-            decode_tensors(buf, &index, names).map_err(format_err)
+            let index = parse_container(buf)?;
+            Ok(decode_tensors(buf, &index, names)?)
         })
     }
 
@@ -429,7 +382,6 @@ impl RawCheckpointStore for MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::encode_v1;
     use swt_tensor::Rng;
 
     fn entries(seed: u64) -> Vec<(String, Tensor)> {
@@ -511,20 +463,46 @@ mod tests {
     }
 
     #[test]
-    fn dir_store_reads_legacy_wtc1_files() {
-        let dir = std::env::temp_dir().join(format!("swt_ckpt_v1_{}", std::process::id()));
+    fn dir_store_refuses_damaged_and_retired_files_with_typed_errors() {
+        // Written behind the store's back: every strict prefix, every
+        // single-bit flip of a payload, one trailing byte, and a file of a
+        // retired container version. `load_tensors` (and `load`) must answer
+        // each with `InvalidData`, never a panic and never data.
+        let dir = std::env::temp_dir().join(format!("swt_ckpt_damage_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = DirStore::new(&dir).unwrap();
-        let original = entries(4);
-        std::fs::write(dir.join("old.wtc"), encode_v1(&original)).unwrap();
-        let loaded = store.load("old").unwrap();
-        assert!(loaded[0].1.approx_eq(&original[0].1, 0.0));
-        // Selective reads fall back to a full scan but stay correct.
-        let index = store.load_index("old").unwrap();
-        assert_eq!(index.version(), 1);
-        let some = store.load_tensors("old", &["a/kernel".to_string()]).unwrap();
-        assert_eq!(some.len(), 1);
-        assert!(some[0].1.approx_eq(&original[0].1, 0.0));
+        let clean = encode(&entries(4));
+        let names = vec!["a/kernel".to_string(), "a/bias".to_string()];
+        let refused = |bytes: &[u8], what: &str| {
+            std::fs::write(dir.join("x.wtc"), bytes).unwrap();
+            for result in [store.load_tensors("x", &names), store.load("x")] {
+                let err = result.err().unwrap_or_else(|| panic!("{what}: accepted"));
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            }
+        };
+        for cut in 0..clean.len() {
+            refused(&clean[..cut], &format!("prefix of {cut} bytes"));
+        }
+        let first_payload = clean.len() - 4 * (16 + 4);
+        let mut dirty = clean.clone();
+        for bit in 8 * first_payload..8 * clean.len() {
+            dirty[bit / 8] ^= 1 << (bit % 8);
+            refused(&dirty, &format!("payload bit {bit} flipped"));
+            dirty[bit / 8] ^= 1 << (bit % 8);
+        }
+        dirty.push(0);
+        refused(&dirty, "one trailing byte");
+        assert!(store.load_index("x").is_err(), "load_index accepted a trailing byte");
+        for magic in [b"WTC1", b"WTC2"] {
+            dirty = clean.clone();
+            dirty[..4].copy_from_slice(magic);
+            refused(&dirty, "retired magic");
+            let err = store.load_index("x").unwrap_err();
+            assert!(err.to_string().contains("bad magic"), "{err}");
+        }
+        refused(&[], "empty file");
+        std::fs::write(dir.join("x.wtc"), &clean).unwrap();
+        assert_eq!(store.load_tensors("x", &names).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -649,7 +627,7 @@ mod tests {
         let store = DirStore::new(&dir).unwrap();
         store.save_raw("raw", &encoded).unwrap();
         assert_eq!(store.load_raw("raw").unwrap(), encoded);
-        assert_eq!(store.load_index("raw").unwrap().version(), 2);
+        assert_eq!(store.load_index("raw").unwrap().encoded_len(), encoded.len() as u64);
         let some = store.load_tensors("raw", &["a/bias".to_string()]).unwrap();
         assert_eq!(some.len(), 1);
         // Arc dispatch reaches the impl too.
@@ -662,9 +640,10 @@ mod tests {
     #[test]
     fn arc_dispatch_reaches_overridden_methods() {
         // The blanket Arc impl must forward to MemStore's native index
-        // reader (version 2), not the synthesized default (version 0).
+        // reader (which knows the layout), not the synthesized default
+        // (which has none: `encoded_len` 0).
         let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-        store.save("c", &entries(2)).unwrap();
-        assert_eq!(store.load_index("c").unwrap().version(), 2);
+        let bytes = store.save("c", &entries(2)).unwrap();
+        assert_eq!(store.load_index("c").unwrap().encoded_len(), bytes);
     }
 }

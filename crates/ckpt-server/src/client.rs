@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use swt_checkpoint::{
-    decode, encode, parse_index, tensor_from_payload, CheckpointIndex, CheckpointStore,
-    RawCheckpointStore, TensorMeta,
+    decode, parse_index, tensor_from_payload, with_encoded, CheckpointIndex, CheckpointStore,
+    RawCheckpointStore, TensorMeta, CONTAINER_VERSION,
 };
 use swt_tensor::{with_thread_workspace, Tensor};
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
@@ -214,12 +214,12 @@ impl RemoteStore {
 
 impl CheckpointStore for RemoteStore {
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
-        self.put_raw(id, &encode(entries))
+        with_encoded(entries, |bytes| self.put_raw(id, bytes))
     }
 
     fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
         let raw = self.load_raw(id)?;
-        decode(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        Ok(decode(&raw)?)
     }
 
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
@@ -247,7 +247,7 @@ impl CheckpointStore for RemoteStore {
         })?;
         swt_obs::counter!("ckptsrv.client.gets_index").inc();
         swt_obs::counter!("ckptsrv.client.index_bytes_rx").add(header.len() as u64);
-        parse_index(&header).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        Ok(parse_index(&header)?)
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
@@ -271,6 +271,14 @@ impl CheckpointStore for RemoteStore {
         })?;
         swt_obs::counter!("ckptsrv.client.gets_tensors").inc();
         swt_obs::counter!("ckptsrv.client.tensor_bytes_rx").add(payload.len() as u64);
+        if version != CONTAINER_VERSION {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "server answered with container version {version}, not {CONTAINER_VERSION}"
+                ),
+            ));
+        }
         // Reassemble tensors from the concatenated range payloads, running
         // the same checksum-verifying payload decoder as the disk path.
         let requested: HashSet<&str> = names.iter().map(String::as_str).collect();
@@ -299,8 +307,7 @@ impl CheckpointStore for RemoteStore {
                 offset: 0,
                 checksum: row.checksum,
             };
-            let tensor = with_thread_workspace(|ws| tensor_from_payload(&meta, slice, version, ws))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let tensor = with_thread_workspace(|ws| tensor_from_payload(&meta, slice, ws))?;
             out.push((name, tensor));
         }
         Ok(out)

@@ -8,7 +8,7 @@
 //! hosts and many concurrent NAS runs can share one long-lived store:
 //!
 //! * [`CkptServer`] — the service: per-bucket `CachedStore<DirStore>`
-//!   slices (byte-budgeted RAM over a durable WTC2 spill directory),
+//!   slices (byte-budgeted RAM over a durable WTC3 spill directory),
 //!   thread-per-connection framed TCP, `ckptsrv.*` counters and an
 //!   optional live `/status` endpoint.
 //! * [`RemoteStore`] — the client: a `CheckpointStore` whose selective

@@ -120,13 +120,14 @@ wire_messages! {
         /// client→server: request the checkpoint's table of contents.
         0x46 => GetIndex { id: String },
         /// server→client: `total_len` bytes of index follow as `Chunk`s —
-        /// the WTC2 header prefix (a few hundred bytes), or the whole
-        /// container for legacy WTC1. The client runs `parse_index` on them.
+        /// the container's header prefix (a few hundred bytes). The client
+        /// runs `parse_index` on them.
         0x47 => IndexResp { total_len: u64 },
         /// client→server: request only the named tensors.
         0x48 => GetTensors { id: String, names: Vec<String> },
         /// server→client: the selective response. `version` is the source
-        /// container version (payload checksums are meaningful for v2).
+        /// container's version, which fixes what the rows' checksums mean;
+        /// the client refuses any but its own.
         /// Rows' payloads follow as `Chunk`s, concatenated in row order.
         /// Names absent from the checkpoint are omitted, not errors.
         0x49 => Ranges { version: u8, names: Vec<String>, rows: Vec<RangeRow> },

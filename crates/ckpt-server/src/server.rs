@@ -4,7 +4,7 @@
 //! Every bucket (tenant namespace) is its own `CachedStore<DirStore>`
 //! rooted at `spill_dir/<bucket>`: hot checkpoints answer `GetIndex` /
 //! `GetTensors` straight from the sharded in-memory LRU, cold ones refill
-//! from the WTC2 spill files, and `Put` writes *through* to disk before it
+//! from the WTC3 spill files, and `Put` writes *through* to disk before it
 //! is acknowledged — so a server restart mid-run loses nothing that was
 //! ever acked, and a restarted server rebuilds its RAM state lazily from
 //! the spill directory.
@@ -29,7 +29,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
-use swt_checkpoint::{parse_index, CachedStore, CheckpointStore, DirStore, RawCheckpointStore};
+use swt_checkpoint::{
+    parse_container, CachedStore, CheckpointStore, DirStore, RawCheckpointStore, CONTAINER_VERSION,
+};
 use swt_obs::serve::{ObsServer, RegistrySource, ServeSource};
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
@@ -38,7 +40,7 @@ use swt_wire::{read_frame, recv, send, write_frame, WireError};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     pub bind: String,
-    /// Durable WTC2 spill root; each bucket gets a subdirectory.
+    /// Durable WTC3 spill root; each bucket gets a subdirectory.
     pub spill_dir: PathBuf,
     /// In-memory LRU budget per bucket, in bytes.
     pub cache_bytes: u64,
@@ -351,7 +353,7 @@ fn handle_put(
     }
     // Validate the container before it can enter the store: a corrupt Put
     // must fail here, not on some later reader.
-    if let Err(e) = parse_index(&bytes) {
+    if let Err(e) = parse_container(&bytes) {
         send_err(stream, ErrCode::BadRequest, format!("not a valid checkpoint container: {e}"));
         return Ok(());
     }
@@ -386,15 +388,10 @@ fn handle_get_index(
             return Ok(());
         }
     };
-    // WTC2 payloads all sit after the self-contained header (fixed head +
+    // The payloads all sit after the self-contained header (fixed head +
     // TOC + TOC checksum), so the header prefix — which ends where the
-    // first payload begins — is everything `parse_index` needs. WTC1
-    // interleaves headers with payloads; ship the whole container.
-    let header_len = if index.version() == 2 {
-        index.tensors().iter().map(|m| m.offset).min().unwrap_or(raw.len() as u64) as usize
-    } else {
-        raw.len()
-    };
+    // first payload begins — is everything `parse_index` needs.
+    let header_len = (index.encoded_len() - index.payload_bytes()) as usize;
     let header = &raw[..header_len.min(raw.len())];
     swt_obs::counter!("ckptsrv.gets_index").inc();
     swt_obs::counter!("ckptsrv.index_bytes_tx").add(header.len() as u64);
@@ -450,7 +447,7 @@ fn handle_get_tensors(
     }
     swt_obs::counter!("ckptsrv.gets_tensors").inc();
     swt_obs::counter!("ckptsrv.tensor_bytes_tx").add(payload.len() as u64);
-    send(stream, &StoreMsg::Ranges { version: index.version(), names: resp_names, rows })?;
+    send(stream, &StoreMsg::Ranges { version: CONTAINER_VERSION, names: resp_names, rows })?;
     send_chunks(&payload, |ty, chunk| write_frame(stream, ty, chunk))
 }
 

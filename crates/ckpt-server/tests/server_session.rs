@@ -49,7 +49,7 @@ fn put_and_selective_reads_round_trip() {
     // Header-only index read sees every tensor without the payload bytes.
     let index = client.load_index("cand_1").expect("load_index");
     assert_eq!(index.len(), saved.len());
-    assert_eq!(index.version(), 2);
+    assert_eq!(index.encoded_len(), raw.len() as u64);
 
     // Selective read: exactly the requested subset, bit-identical values.
     let names = vec!["a/kernel".to_string(), "b/kernel".to_string()];
@@ -68,6 +68,47 @@ fn put_and_selective_reads_round_trip() {
     assert!(client.load_raw("cand_2").is_err());
     assert!(client.delete("cand_1"));
     assert!(!client.exists("cand_1"));
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(spill);
+}
+
+#[test]
+fn damaged_spill_files_are_typed_errors_on_the_range_path() {
+    // Files damaged behind the server's back, each under its own id so the
+    // server's cache never answers for another: every strict prefix of a
+    // container is refused by the server's cache fill (a complete `Err`
+    // response), and every single-bit flip of a payload — which the server
+    // forwards without reading — fails the client's checksum.
+    let (server, spill) = start("damage", "");
+    let client = RemoteStore::connect(&server.addr().to_string(), "tenant_a", "");
+    let mut rng = Rng::seed(3);
+    let saved: Vec<(String, Tensor)> = vec![
+        ("a/kernel".into(), Tensor::rand_normal([4, 4], 0.0, 1.0, &mut rng)),
+        ("a/bias".into(), Tensor::rand_normal([4], 0.0, 1.0, &mut rng)),
+    ];
+    let names: Vec<String> = saved.iter().map(|(n, _)| n.clone()).collect();
+    client.save("clean", &saved).expect("save creates the bucket directory");
+    let clean = encode(&saved);
+    let dir = spill.join("tenant_a");
+
+    for cut in 0..clean.len() {
+        std::fs::write(dir.join(format!("p{cut}.wtc")), &clean[..cut]).expect("write prefix");
+        let err = client.load_tensors(&format!("p{cut}"), &names).expect_err("prefix accepted");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "prefix of {cut} bytes: {err}");
+    }
+    let first_payload = clean.len() - 4 * (16 + 4);
+    let mut dirty = clean.clone();
+    for bit in 8 * first_payload..8 * clean.len() {
+        dirty[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(dir.join(format!("f{bit}.wtc")), &dirty).expect("write flipped");
+        let err = client.load_tensors(&format!("f{bit}"), &names).expect_err("flip accepted");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "payload bit {bit}: {err}");
+        assert!(client.load(&format!("f{bit}")).is_err(), "full load accepted bit {bit}");
+        dirty[bit / 8] ^= 1 << (bit % 8);
+    }
+    // The session survived all of it.
+    assert_eq!(client.load_tensors("clean", &names).expect("clean read").len(), 2);
 
     drop(server);
     let _ = std::fs::remove_dir_all(spill);

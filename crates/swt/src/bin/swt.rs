@@ -79,7 +79,7 @@ usage:
   swt dist-worker --connect ADDR --worker-id N    (internal)
   swt ckpt-server [options]      run the networked checkpoint store
     --bind HOST:PORT             listen address                 [127.0.0.1:7421]
-    --spill DIR                  durable WTC2 spill directory   (required)
+    --spill DIR                  durable WTC3 spill directory   (required)
     --cache-bytes N              in-RAM LRU budget              [268435456]
     --serve HOST:PORT            expose /status, /metrics over HTTP
     --max-seconds N              exit after N seconds (demos/CI; default: run

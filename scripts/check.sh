@@ -63,10 +63,22 @@ fi
 echo "==> bench_obs smoke (disabled-instrumentation overhead < 2%)"
 cargo run --release --quiet -p swt-bench --bin bench_obs -- --smoke
 
-echo "==> WTC1 -> WTC2 compatibility (legacy checkpoints stay readable)"
-cargo test --release --quiet -p swt-checkpoint wtc1
+echo "==> payload-hash gate (no byte-serial hash over a checkpoint payload)"
+# Every payload byte is hashed on every save and every read, so payloads go
+# through the word-parallel `payload_checksum` loops. The byte-serial
+# `fnv1a` is for the TOC header (a few hundred bytes) and cache shard ids.
+serial=$(grep -rn 'fnv1a(' crates/checkpoint/src crates/ckpt-server/src --include='*.rs' \
+  | grep -v 'fn fnv1a(' \
+  | grep -v 'fnv1a(&\?header' \
+  | grep -v 'fnv1a(id\.as_bytes())' \
+  || true)
+if [ -n "$serial" ]; then
+  echo "fnv1a called on something other than a TOC header or a shard id:" >&2
+  echo "$serial" >&2
+  exit 1
+fi
 
-echo "==> bench_ckpt smoke (transfer-path read >= 3x WTC1 full decode; NAS A/B identical)"
+echo "==> bench_ckpt smoke (transfer-path read >= 3x a full load; NAS A/B identical)"
 cargo run --release --quiet -p swt-bench --bin bench_ckpt -- --smoke
 
 echo "==> bench_batch smoke (batched window reproduces the unbatched canonical trace)"
@@ -78,6 +90,9 @@ echo "==> bench_fidelity smoke (multi-fidelity pipeline engages: candidates prun
 fidelity_json=$(mktemp)
 cargo run --release --quiet -p swt-bench --bin bench_fidelity -- --smoke "$fidelity_json"
 rm -f "$fidelity_json"
+
+echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
+cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
 echo "==> alloc gate (kernel and layer hot paths draw from the Workspace, not the heap)"
 # The blocked driver's pack buffers, conv2d's and the pools' outputs, and every
