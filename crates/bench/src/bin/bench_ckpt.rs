@@ -8,8 +8,9 @@
 //! 2. the *transfer path*: what a child evaluation pays to read its
 //!    provider — an index read plus a partial load of only the matched
 //!    tensors, against the full `load` it replaced,
-//! 3. the same transfer path against a warmed [`CachedStore`] (evolution
-//!    re-reads elite parents constantly, so this is the steady state),
+//! 3. the same transfer path against a [`CachedStore`] the provider was
+//!    saved through (a search's steady state: the save that creates a
+//!    population member leaves it resident until the lineage retires it),
 //! 4. the per-call split of one Uno-sized save — checksum alone, the fused
 //!    convert + checksum, `File::create`, `write`, `rename` — on one thread
 //!    and on two at once, under the system temp directory and under the
@@ -225,10 +226,12 @@ fn main() {
         black_box(store.load_tensors("provider", &subset).expect("partial load"));
     });
 
-    // --- 3. the same transfer path against a warmed provider cache ----------
+    // --- 3. the same transfer path against the provider cache ---------------
+    // Write-through: the save that creates the provider leaves it resident,
+    // so even the first read below is a hit.
     let cached = CachedStore::new(Arc::clone(&store), 256 << 20);
-    cached.load_index("provider").expect("warm cache");
-    assert!(cached.resident_bytes() > 0, "provider must fit the cache budget");
+    cached.save("provider", &entries).expect("save through the cache");
+    assert!(cached.resident_bytes() > 0, "provider must fit the cache cap");
     h.bench("ckpt.load.transfer.cached", || {
         let index = cached.load_index("provider").expect("cached index");
         black_box(&index);

@@ -1,219 +1,216 @@
-//! Byte-budgeted provider cache.
+//! Lineage-resident provider cache.
 //!
-//! Regularized evolution re-mutates a small elite set, so the same provider
-//! checkpoints are read from the store over and over (Underwood et al.
-//! observe exactly this evolution pattern in NAS traces). [`CachedStore`]
-//! wraps any [`CheckpointStore`] and keeps hot checkpoints resident as
-//! *encoded bytes plus their parsed index* — the two artifacts every
-//! selective read needs — so a cache hit serves `load_index` without I/O and
-//! `load_tensors` with nothing but the bulk byte→f32 conversion of the
-//! requested payloads.
+//! Under regularized evolution the provider is the mutation parent, parents
+//! come only from the population, and the population ages out oldest first
+//! (Underwood et al. characterise these patterns to drive checkpoint
+//! caching): which checkpoints can be read again is known, not guessed.
+//! [`CachedStore`] wraps any [`CheckpointStore`] and holds that set as
+//! *encoded bytes plus their parsed index*, so a hit serves `load_index`
+//! without I/O and `load_tensors` with only the byte→f32 conversion.
 //!
-//! The cache is sharded (id-hashed) so concurrent evaluator workers do not
-//! serialise on one lock, and each shard evicts least-recently-used entries
-//! once its slice of the byte budget fills. Writes go straight through to
-//! the inner store and invalidate the cached entry; a per-shard generation
-//! counter closes the fill/invalidate race, so a reader refilling the cache
-//! concurrently with a save can never resurrect pre-save bytes.
+//! * **Born:** `save` encodes once into a cache-owned slab, hands those
+//!   bytes to the inner store's `save_raw` and keeps the slab: a child never
+//!   reaches disk or the wire for a parent this process trained. A parent
+//!   trained elsewhere is a miss, filled from `inner.load_raw`; `save_raw`
+//!   on the cache itself (a `Put` at the checkpoint server, which cannot
+//!   know who reads next) only drops the stale copy.
+//! * **Dies:** `evict` — the strategy's watermark, passed down by the
+//!   evaluator — drops the resident copy, never the durable one, and keeps
+//!   the slab as a later save's encode buffer. The byte budget is a hard cap
+//!   behind that: over it the oldest-inserted entry goes, which under ageing
+//!   evolution is the next member to die anyway.
 //!
-//! Observability: `ckpt.cache.hits` / `ckpt.cache.misses` /
-//! `ckpt.cache.evictions` counters and the `ckpt.cache.resident_bytes`
-//! gauge.
+//! Correctness never depends on a hint: an evicted id is a miss. One mutex
+//! guards one map; the `ckpt.cache.{hits,misses,retired,capped}` counters
+//! and the `ckpt.cache.resident_bytes` gauge (high-watermark = peak) watch it.
 
-use crate::format::{decode, decode_tensors, parse_container};
+use crate::format::{decode, decode_tensors, encode_into, parse_container, parse_index};
 use crate::index::CheckpointIndex;
-use crate::store::{CheckpointStore, RawCheckpointStore};
-use std::collections::HashMap;
+use crate::store::CheckpointStore;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use swt_tensor::Tensor;
 
-const SHARDS: usize = 8;
+/// Evicted slabs kept as encode buffers: a steady search evicts one entry per
+/// save, so one per saving thread is all that is ever taken.
+const SPARE_SLABS: usize = 8;
 
-struct CacheEntry {
-    raw: Arc<Vec<u8>>,
-    index: Arc<CheckpointIndex>,
-    last_used: u64,
-}
+/// What a hit hands out: the container's bytes and its parsed index.
+type Resident = (Arc<Vec<u8>>, Arc<CheckpointIndex>);
 
 #[derive(Default)]
-struct Shard {
-    map: HashMap<String, CacheEntry>,
+struct State {
+    map: HashMap<String, (Resident, u64)>,
+    /// Insertion sequence → id; the cap evicts from the front.
+    order: BTreeMap<u64, String>,
+    next_seq: u64,
     bytes: u64,
-    /// Bumped on every invalidation; fills racing an invalidation are
-    /// discarded instead of inserting stale bytes.
+    /// Ids being mutated in the inner store: mutations in flight, and whether
+    /// two ever overlapped (then whose bytes landed last is unknown, and none
+    /// stay resident).
+    writing: HashMap<String, (u32, bool)>,
+    /// Bumped when a mutation ends; a fill that read across one is dropped.
     generation: u64,
+    spare: Vec<Vec<u8>>,
+}
+
+impl State {
+    fn remove(&mut self, id: &str) -> bool {
+        let Some(((raw, _), seq)) = self.map.remove(id) else { return false };
+        self.order.remove(&seq);
+        self.bytes -= raw.len() as u64;
+        swt_obs::gauge!("ckpt.cache.resident_bytes").set(self.bytes as i64);
+        // A reader still decoding from the slab keeps it; otherwise it is
+        // the next save's buffer.
+        if self.spare.len() < SPARE_SLABS {
+            self.spare.extend(Arc::try_unwrap(raw));
+        }
+        true
+    }
+
+    fn insert(&mut self, id: &str, hit: Resident, budget: u64) {
+        let len = hit.0.len() as u64;
+        if len > budget {
+            return;
+        }
+        self.remove(id);
+        while self.bytes + len > budget {
+            let oldest = self.order.first_key_value().map(|(_, id)| id.clone());
+            self.remove(&oldest.expect("resident bytes without a resident entry"));
+            swt_obs::counter!("ckpt.cache.capped").inc();
+        }
+        self.order.insert(self.next_seq, id.to_string());
+        self.map.insert(id.to_string(), (hit, self.next_seq));
+        self.next_seq += 1;
+        self.bytes += len;
+        swt_obs::gauge!("ckpt.cache.resident_bytes").set(self.bytes as i64);
+    }
 }
 
 /// A read-through, write-through cache over another checkpoint store.
 pub struct CachedStore<S: CheckpointStore> {
     inner: S,
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: u64,
-    clock: AtomicU64,
-    resident: AtomicU64,
+    budget: u64,
+    state: Mutex<State>,
 }
 
 impl<S: CheckpointStore> CachedStore<S> {
     /// Wrap `inner`, keeping at most `budget_bytes` of encoded checkpoints
-    /// resident (split evenly across the shards). Entries larger than one
-    /// shard's slice are served but never cached.
+    /// resident. An entry larger than the whole budget is served but never
+    /// kept.
     pub fn new(inner: S, budget_bytes: u64) -> Self {
-        CachedStore {
-            inner,
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: budget_bytes / SHARDS as u64,
-            clock: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-        }
+        CachedStore { inner, budget: budget_bytes, state: Mutex::default() }
     }
 
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Bytes currently resident across all shards.
+    /// Bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        self.state().bytes
     }
 
-    fn shard(&self, id: &str) -> &Mutex<Shard> {
-        &self.shards[crate::format::fnv1a(id.as_bytes()) as usize % SHARDS]
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("a thread panicked inside the provider cache")
     }
 
-    fn set_gauge(&self) {
-        swt_obs::gauge!("ckpt.cache.resident_bytes")
-            .set(self.resident.load(Ordering::Relaxed) as i64);
-    }
-
-    fn lookup(&self, id: &str) -> Option<(Arc<Vec<u8>>, Arc<CheckpointIndex>)> {
-        let mut shard = self.shard(id).lock().unwrap();
-        if let Some(entry) = shard.map.get_mut(id) {
-            entry.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-            swt_obs::counter!("ckpt.cache.hits").inc();
-            Some((Arc::clone(&entry.raw), Arc::clone(&entry.index)))
-        } else {
+    /// Serve `id`'s encoded bytes *and* parsed index, filling from the inner
+    /// store on a miss. Every read goes through here; `swt-ckpt-server`
+    /// answers `GetIndex`, `GetTensors` and `GetRaw` straight off the pair.
+    pub fn raw_and_index(&self, id: &str) -> io::Result<Resident> {
+        let gen_before = {
+            let st = self.state();
+            if let Some((hit, _)) = st.map.get(id) {
+                swt_obs::counter!("ckpt.cache.hits").inc();
+                return Ok(hit.clone());
+            }
             swt_obs::counter!("ckpt.cache.misses").inc();
-            None
-        }
-    }
-
-    fn invalidate(&self, id: &str) {
-        let mut shard = self.shard(id).lock().unwrap();
-        shard.generation += 1;
-        if let Some(entry) = shard.map.remove(id) {
-            shard.bytes -= entry.raw.len() as u64;
-            self.resident.fetch_sub(entry.raw.len() as u64, Ordering::Relaxed);
-            self.set_gauge();
-        }
-    }
-
-    /// Serve `id`'s encoded bytes *and* parsed index from the cache,
-    /// filling from the inner store on a miss. This is the server-side
-    /// range-read primitive: `swt-ckpt-server` answers `GetIndex` and
-    /// `GetTensors` straight off the returned pair without re-parsing.
-    pub fn raw_and_index(&self, id: &str) -> io::Result<(Arc<Vec<u8>>, Arc<CheckpointIndex>)> {
-        self.fetch(id)
-    }
-
-    /// Serve `id` from the cache, filling from the inner store on a miss.
-    fn fetch(&self, id: &str) -> io::Result<(Arc<Vec<u8>>, Arc<CheckpointIndex>)> {
-        if let Some(hit) = self.lookup(id) {
-            return Ok(hit);
-        }
-        // Record the shard generation *before* the inner read: if a save
-        // invalidates while we read, the observed bytes may predate it and
-        // must not enter the cache.
-        let gen_before = self.shard(id).lock().unwrap().generation;
+            st.generation
+        };
         let raw = self.inner.load_raw(id)?;
         let index = parse_container(&raw)?;
-        let raw = Arc::new(raw);
-        let index = Arc::new(index);
-        let len = raw.len() as u64;
-        if len <= self.shard_budget {
-            let mut shard = self.shard(id).lock().unwrap();
-            if shard.generation == gen_before {
-                let entry = CacheEntry {
-                    raw: Arc::clone(&raw),
-                    index: Arc::clone(&index),
-                    last_used: self.clock.fetch_add(1, Ordering::Relaxed),
-                };
-                if let Some(old) = shard.map.insert(id.to_string(), entry) {
-                    shard.bytes -= old.raw.len() as u64;
-                    self.resident.fetch_sub(old.raw.len() as u64, Ordering::Relaxed);
-                }
-                shard.bytes += len;
-                self.resident.fetch_add(len, Ordering::Relaxed);
-                // Evict least-recently-used entries until this shard fits
-                // its slice of the budget again.
-                while shard.bytes > self.shard_budget {
-                    let Some(victim) = shard
-                        .map
-                        .iter()
-                        .filter(|(k, _)| k.as_str() != id)
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                    else {
-                        break;
-                    };
-                    let evicted = shard.map.remove(&victim).unwrap();
-                    shard.bytes -= evicted.raw.len() as u64;
-                    self.resident.fetch_sub(evicted.raw.len() as u64, Ordering::Relaxed);
-                    swt_obs::counter!("ckpt.cache.evictions").inc();
-                }
-                self.set_gauge();
+        let hit = (Arc::new(raw), Arc::new(index));
+        let mut st = self.state();
+        // Bytes read while the inner store was being written may predate
+        // the write: they are served, never kept.
+        if st.generation == gen_before && !st.writing.contains_key(id) {
+            st.insert(id, hit.clone(), self.budget);
+        }
+        Ok(hit)
+    }
+
+    /// Run one mutation of `id` on the inner store. The resident copy goes
+    /// first and fills are refused until the mutation ends; the bytes `op`
+    /// returns stay resident only if no other mutation of `id` overlapped
+    /// this one. (An `op` that panics leaves `id` uncached, no more.)
+    fn mutate<R>(&self, id: &str, op: impl FnOnce(&S) -> (R, Option<Resident>)) -> R {
+        {
+            let mut st = self.state();
+            st.remove(id);
+            let writers = st.writing.entry(id.to_string()).or_insert((0, false));
+            writers.0 += 1;
+            writers.1 |= writers.0 > 1;
+        }
+        let (done, fresh) = op(&self.inner);
+        let mut st = self.state();
+        st.generation += 1;
+        let writers = st.writing.get_mut(id).expect("counted on entry");
+        writers.0 -= 1;
+        if let (0, overlapped) = *writers {
+            st.writing.remove(id);
+            if let Some(fresh) = fresh.filter(|_| !overlapped) {
+                st.insert(id, fresh, self.budget);
             }
         }
-        Ok((raw, index))
-    }
-}
-
-impl<S: RawCheckpointStore> RawCheckpointStore for CachedStore<S> {
-    fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
-        let n = self.inner.save_raw(id, bytes)?;
-        self.invalidate(id);
-        Ok(n)
+        done
     }
 }
 
 impl<S: CheckpointStore> CheckpointStore for CachedStore<S> {
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
-        let bytes = self.inner.save(id, entries)?;
-        self.invalidate(id);
-        Ok(bytes)
+        let mut slab = self.state().spare.pop().unwrap_or_default();
+        encode_into(entries, &mut slab);
+        let index = parse_index(&slab)?;
+        self.mutate(id, move |inner| {
+            let saved = inner.save_raw(id, &slab);
+            let fresh = saved.is_ok().then(|| (Arc::new(slab), Arc::new(index)));
+            (saved, fresh)
+        })
+    }
+
+    fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
+        self.mutate(id, |inner| (inner.save_raw(id, bytes), None))
+    }
+
+    fn evict(&self, id: &str) {
+        if self.state().remove(id) {
+            swt_obs::counter!("ckpt.cache.retired").inc();
+        }
     }
 
     fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        let (raw, _) = self.fetch(id)?;
-        Ok(decode(&raw)?)
+        Ok(decode(&self.raw_and_index(id)?.0)?)
     }
 
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
-        let (raw, _) = self.fetch(id)?;
-        Ok((*raw).clone())
+        Ok((*self.raw_and_index(id)?.0).clone())
     }
 
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        let (_, index) = self.fetch(id)?;
-        Ok((*index).clone())
+        Ok((*self.raw_and_index(id)?.1).clone())
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        let (raw, index) = self.fetch(id)?;
+        let (raw, index) = self.raw_and_index(id)?;
         Ok(decode_tensors(&raw, &index, names)?)
     }
 
     fn exists(&self, id: &str) -> bool {
-        self.shard(id).lock().unwrap().map.contains_key(id) || self.inner.exists(id)
+        let resident = self.state().map.contains_key(id);
+        resident || self.inner.exists(id)
     }
 
     fn size_bytes(&self, id: &str) -> Option<u64> {
-        if let Some(entry) = self.shard(id).lock().unwrap().map.get(id) {
-            return Some(entry.raw.len() as u64);
-        }
-        self.inner.size_bytes(id)
+        let resident = self.state().map.get(id).map(|((raw, _), _)| raw.len() as u64);
+        resident.or_else(|| self.inner.size_bytes(id))
     }
 
     fn list(&self) -> Vec<String> {
@@ -221,8 +218,7 @@ impl<S: CheckpointStore> CheckpointStore for CachedStore<S> {
     }
 
     fn delete(&self, id: &str) -> bool {
-        self.invalidate(id);
-        self.inner.delete(id)
+        self.mutate(id, |inner| (inner.delete(id), None))
     }
 }
 
@@ -248,8 +244,8 @@ mod tests {
     fn hit_serves_identical_data() {
         let store = cached(1 << 20);
         store.save("c", &entries(1)).unwrap();
-        let cold = store.load("c").unwrap();
-        assert!(store.resident_bytes() > 0, "first load fills the cache");
+        assert!(store.resident_bytes() > 0, "the save keeps its container resident");
+        let cold = store.inner.load("c").unwrap();
         let warm = store.load("c").unwrap();
         assert_eq!(cold.len(), warm.len());
         for ((n1, t1), (n2, t2)) in cold.iter().zip(&warm) {
@@ -298,25 +294,31 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_lru() {
-        let one = encode_len_of(&entries(0));
-        // Budget fits ~2 entries per shard; loading many distinct ids must
-        // keep residency bounded and evict the least recently used.
-        let store = cached(one * 2 * SHARDS as u64);
-        for i in 0..64 {
+    fn byte_budget_evicts_oldest_inserted() {
+        // Each entry is half the budget — more than the old per-shard slice
+        // of an eighth ever admitted — so exactly the two newest stay.
+        let one = crate::format::encoded_len(&entries(0));
+        let store = cached(one * 2);
+        for i in 0..8 {
             store.save(&format!("c{i}"), &entries(i)).unwrap();
-            store.load(&format!("c{i}")).unwrap();
+            store.load("c0").unwrap(); // a hit ranks nothing; a miss refills c0 as newest
+            assert!(store.resident_bytes() <= one * 2, "resident exceeds the budget");
         }
-        assert!(
-            store.resident_bytes() <= one * 2 * SHARDS as u64,
-            "resident {} exceeds budget",
-            store.resident_bytes()
-        );
-        // The most recently loaded id is still resident: loading it again
-        // must not change residency (a hit, not a refill).
-        let resident = store.resident_bytes();
-        store.load("c63").unwrap();
-        assert_eq!(store.resident_bytes(), resident);
+        let resident = |id: &str| store.state().map.contains_key(id);
+        assert!(resident("c0") && resident("c7") && !resident("c6"), "oldest-inserted goes");
+    }
+
+    #[test]
+    fn evict_drops_the_resident_copy_and_keeps_the_durable_one() {
+        let store = cached(1 << 20);
+        store.save("c", &entries(1)).unwrap();
+        store.evict("c");
+        store.evict("never-saved");
+        assert_eq!(store.resident_bytes(), 0);
+        assert_eq!(store.state().spare.len(), 1, "the slab waits for the next save");
+        assert_eq!(store.load("c").unwrap().len(), 2, "an evicted id is a miss, not an error");
+        store.save("d", &entries(2)).unwrap();
+        assert!(store.state().spare.is_empty(), "the save encoded into the spare slab");
     }
 
     #[test]
@@ -366,8 +368,8 @@ mod tests {
         ] {
             std::fs::write(dir.join("t.wtc"), &bytes).unwrap();
             for (path, err) in [
-                ("dir load_index", store.inner().load_index("t").err()),
-                ("dir load_tensors", store.inner().load_tensors("t", &names).err()),
+                ("dir load_index", store.inner.load_index("t").err()),
+                ("dir load_tensors", store.inner.load_tensors("t", &names).err()),
                 ("cache load_index", store.load_index("t").err()),
                 ("cache load_tensors", store.load_tensors("t", &names).err()),
                 ("cache raw_and_index", store.raw_and_index("t").err()),
@@ -379,9 +381,5 @@ mod tests {
             assert_eq!(store.resident_bytes(), 0, "{what} entered the cache");
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn encode_len_of(entries: &[(String, Tensor)]) -> u64 {
-        crate::format::encoded_len(entries)
     }
 }

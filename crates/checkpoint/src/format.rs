@@ -329,7 +329,7 @@ pub fn with_encoded<R>(entries: &[(String, Tensor)], f: impl FnOnce(&[u8]) -> R)
 /// Overwrite `buf` with the container. Each payload is converted and
 /// checksummed in one loop, straight into its final place; only the header
 /// (a few hundred bytes) is gone over twice, for its CRC.
-fn encode_into(entries: &[(String, Tensor)], buf: &mut Vec<u8>) {
+pub(crate) fn encode_into(entries: &[(String, Tensor)], buf: &mut Vec<u8>) {
     let toc_len = toc_len(entries);
     let header_len = 8 + toc_len + 8;
     // No `clear()`: the bytes a previous container left behind are all

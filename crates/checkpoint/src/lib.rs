@@ -14,8 +14,9 @@
 //! every tensor's name, shape, offset and payload checksum without touching
 //! payload bytes, which is what makes [`CheckpointStore::load_index`] and
 //! [`CheckpointStore::load_tensors`] cheap. It is the only version read or
-//! written. [`CachedStore`] adds a byte-budgeted in-memory cache for hot
-//! provider checkpoints.
+//! written. [`CachedStore`] keeps the lineage's live providers resident in
+//! memory: filled by the save that creates one, emptied by the strategy's
+//! watermark, capped in bytes.
 
 pub mod cache;
 pub mod compress;
@@ -30,4 +31,4 @@ pub use format::{
     tensor_from_payload, with_encoded, FormatError, CONTAINER_VERSION,
 };
 pub use index::{CheckpointIndex, TensorMeta};
-pub use store::{prune_except, CheckpointStore, DirStore, MemStore, RawCheckpointStore};
+pub use store::{prune_except, CheckpointStore, DirStore, MemStore};

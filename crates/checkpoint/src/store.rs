@@ -71,6 +71,23 @@ pub trait CheckpointStore: Send + Sync {
     /// checkpoint every candidate (Section VI), so long searches need
     /// retention management.
     fn delete(&self, id: &str) -> bool;
+
+    /// Persist an already-encoded WTC container under `id`; returns the byte
+    /// count. The bytes are trusted to be a valid container — callers on
+    /// untrusted paths validate via [`crate::parse_container`] first — and
+    /// later reads must be indistinguishable from a [`CheckpointStore::save`]
+    /// of the same entries. Default: decode + `save`; backends that hold
+    /// encoded bytes take them as they are (a `Put` at the checkpoint server,
+    /// the write-through of [`crate::CachedStore`]).
+    fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
+        self.save(id, &decode(bytes)?)
+    }
+
+    /// Hint that this process will not read `id` again (the search's
+    /// lineage has moved past it). Only an in-memory copy may go: the
+    /// durable checkpoint stays, and reading `id` afterwards is still
+    /// correct. Default: nothing to drop.
+    fn evict(&self, _id: &str) {}
 }
 
 /// Stores are routinely shared across worker threads as `Arc<dyn
@@ -105,27 +122,11 @@ impl<T: CheckpointStore + ?Sized> CheckpointStore for Arc<T> {
     fn delete(&self, id: &str) -> bool {
         (**self).delete(id)
     }
-}
-
-/// Stores that can ingest a checkpoint as already-encoded WTC bytes,
-/// without decoding tensors first. This is the write path of the networked
-/// store (`swt-ckpt-server`): a `Put` streams the client's encoded bytes,
-/// and re-decoding ~megabytes of tensors just to re-encode them would
-/// double the ingest cost. Implementations must be atomic with respect to
-/// concurrent readers (no torn observations) and must leave subsequent
-/// `load`/`load_index`/`load_tensors` calls indistinguishable from a
-/// [`CheckpointStore::save`] of the same entries.
-pub trait RawCheckpointStore: CheckpointStore {
-    /// Persist pre-encoded checkpoint bytes under `id`; returns the byte
-    /// count (== `bytes.len()`). The bytes are trusted to be a valid WTC
-    /// container — callers on untrusted paths validate via
-    /// [`crate::parse_container`] first.
-    fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64>;
-}
-
-impl<T: RawCheckpointStore + ?Sized> RawCheckpointStore for Arc<T> {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         (**self).save_raw(id, bytes)
+    }
+    fn evict(&self, id: &str) {
+        (**self).evict(id)
     }
 }
 
@@ -287,9 +288,7 @@ impl CheckpointStore for DirStore {
     fn delete(&self, id: &str) -> bool {
         std::fs::remove_file(self.path(id)).is_ok()
     }
-}
 
-impl RawCheckpointStore for DirStore {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         self.write_atomic(id, bytes, Instant::now())
     }
@@ -368,9 +367,7 @@ impl CheckpointStore for MemStore {
     fn delete(&self, id: &str) -> bool {
         self.map.write().unwrap().remove(id).is_some()
     }
-}
 
-impl RawCheckpointStore for MemStore {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         let len = bytes.len() as u64;
         self.map.write().unwrap().insert(id.to_string(), bytes.to_vec());

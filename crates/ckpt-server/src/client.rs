@@ -27,7 +27,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use swt_checkpoint::{
     decode, parse_index, tensor_from_payload, with_encoded, CheckpointIndex, CheckpointStore,
-    RawCheckpointStore, TensorMeta, CONTAINER_VERSION,
+    TensorMeta, CONTAINER_VERSION,
 };
 use swt_tensor::{with_thread_workspace, Tensor};
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
@@ -361,9 +361,7 @@ impl CheckpointStore for RemoteStore {
         })
         .unwrap_or(false)
     }
-}
 
-impl RawCheckpointStore for RemoteStore {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         self.put_raw(id, bytes)
     }

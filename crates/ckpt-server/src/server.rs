@@ -29,9 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
-use swt_checkpoint::{
-    parse_container, CachedStore, CheckpointStore, DirStore, RawCheckpointStore, CONTAINER_VERSION,
-};
+use swt_checkpoint::{parse_container, CachedStore, CheckpointStore, DirStore, CONTAINER_VERSION};
 use swt_obs::serve::{ObsServer, RegistrySource, ServeSource};
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
@@ -42,7 +40,7 @@ pub struct ServerConfig {
     pub bind: String,
     /// Durable WTC3 spill root; each bucket gets a subdirectory.
     pub spill_dir: PathBuf,
-    /// In-memory LRU budget per bucket, in bytes.
+    /// Cap on each bucket's resident containers, in bytes.
     pub cache_bytes: u64,
     /// Shared HMAC secret; empty = open mode.
     pub secret: String,
@@ -456,8 +454,9 @@ fn handle_get_raw(stream: &mut TcpStream, store: &BucketStore, id: &str) -> Resu
         send_err(stream, ErrCode::BadRequest, "invalid checkpoint id");
         return Ok(());
     }
-    let raw = match store.load_raw(id) {
-        Ok(raw) => raw,
+    // Sent from the cache's own copy: `load_raw` would clone the container.
+    let raw = match store.raw_and_index(id) {
+        Ok((raw, _)) => raw,
         Err(e) => {
             let (code, msg) = err_of(&e);
             send_err(stream, code, msg);

@@ -72,6 +72,11 @@ pub struct WorkerView {
 /// in the table so `/status` and `dist-top` render a stable schema.
 pub const STOP_COUNTER_KINDS: [&str; 3] = ["converged", "pruned", "prefiltered"];
 
+/// The provider-cache counter suffixes a worker reports under `ckpt.cache.*`:
+/// reads served from memory or from the store, entries the lineage watermark
+/// retired, entries the byte cap pushed out.
+pub const CACHE_COUNTER_KINDS: [&str; 4] = ["hits", "misses", "retired", "capped"];
+
 impl WorkerView {
     /// Cumulative nanoseconds under `path` in the latest snapshot.
     pub fn span_total_ns(&self, path: &str) -> u64 {
@@ -81,7 +86,24 @@ impl WorkerView {
     /// This worker's `fidelity.stopped.{kind}` count from its latest
     /// metrics snapshot (0 when absent or fidelity is off).
     pub fn stopped(&self, kind: &str) -> u64 {
-        self.metrics.as_ref().map_or(0, |m| m.counter(&format!("fidelity.stopped.{kind}")))
+        self.counter(&format!("fidelity.stopped.{kind}"))
+    }
+
+    /// A counter from this worker's latest metrics snapshot (0 when absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.metrics.as_ref().map_or(0, |m| m.counter(name))
+    }
+
+    /// This worker's provider cache as `/status` shows it: the
+    /// [`CACHE_COUNTER_KINDS`] and the most bytes it ever held resident.
+    fn cache_json(&self) -> Json {
+        let peak = self.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
+        let mut fields: Vec<(String, Json)> = CACHE_COUNTER_KINDS
+            .iter()
+            .map(|k| (k.to_string(), Json::Num(self.counter(&format!("ckpt.cache.{k}")) as f64)))
+            .collect();
+        fields.push(("resident_peak_bytes".into(), Json::Num(peak.map_or(0, |g| g.max) as f64)));
+        Json::Obj(fields)
     }
 
     /// Nanoseconds under `path` gained between the last two snapshots.
@@ -398,6 +420,7 @@ impl ServeSource for LiveRunView {
                                 .collect(),
                         ),
                     ),
+                    ("cache".to_string(), w.cache_json()),
                     ("spans".to_string(), Json::Arr(spans)),
                     ("gauges".to_string(), Json::Arr(gauges)),
                 ])
@@ -548,6 +571,7 @@ mod tests {
                     CounterSnap { name: "fidelity.stopped.converged".into(), value: 3 },
                     CounterSnap { name: "fidelity.stopped.prefiltered".into(), value: 5 },
                     CounterSnap { name: "nas.candidates_evaluated".into(), value: 9 },
+                    CounterSnap { name: "ckpt.cache.retired".into(), value: 7 },
                 ],
                 histograms: vec![],
             },
@@ -559,6 +583,12 @@ mod tests {
         let stopped0 = stopped(&status, 0)?;
         assert_eq!(stopped0.get("converged").and_then(Json::as_f64), Some(3.0));
         assert_eq!(stopped0.get("prefiltered").and_then(Json::as_f64), Some(5.0));
+        // The provider-cache object sits beside it, every kind present.
+        let workers = status.get("workers").and_then(Json::as_array);
+        let cache = workers.and_then(|w| w[0].get("cache")).ok_or("cache object missing")?;
+        let field = |k: &str| cache.get(k).and_then(Json::as_f64);
+        assert_eq!(CACHE_COUNTER_KINDS.map(field), [Some(0.0), Some(0.0), Some(7.0), Some(0.0)]);
+        assert_eq!(field("resident_peak_bytes"), Some(0.0));
         Ok(())
     }
 

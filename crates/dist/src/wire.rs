@@ -112,10 +112,10 @@ wire_struct! {
         /// (`hardware / workers`, floored at 1 — same policy as the
         /// in-process pool).
         pub threads: u32,
-        /// Per-worker provider-cache byte budget: the worker wraps its
-        /// store in a `CachedStore` of this size (0 disables caching).
-        /// Sized coordinator-side as the run's cache budget split across
-        /// the dispatch window, mirroring the in-process shared cache.
+        /// Per-worker provider-cache cap: the worker wraps its store in a
+        /// `CachedStore` capped at this many bytes (0 disables caching).
+        /// Sized coordinator-side as the run's cap split across the
+        /// dispatch window, mirroring the in-process shared cache.
         pub cache_bytes: u64,
         /// Zero-cost pre-filter quantile in `[0, 1)`; 0 disables the filter.
         pub prefilter_quantile: f64,
@@ -179,13 +179,19 @@ wire_struct! {
         pub rung: u8,
         /// Per-task epoch budget override; `None` uses the run's.
         pub epochs: Option<u32>,
+        /// The lineage watermark at first dispatch (`Candidate::live_from`):
+        /// a reassigned task carries it unchanged, and the worker acts on
+        /// the running maximum.
+        pub live_from: u64,
     }
     check = Task::check;
 }
 
 impl Task {
     fn check(&self) -> Result<(), WireError> {
-        ensure((self.rung as usize) < MAX_RUNGS, "rung index out of range")
+        ensure((self.rung as usize) < MAX_RUNGS, "rung index out of range")?;
+        ensure(self.live_from <= self.id, "watermark beyond the candidate itself")?;
+        ensure(self.parent.is_none_or(|p| p >= self.live_from), "provider below the watermark")
     }
 
     pub fn new(cand: &Candidate) -> Result<Task, WireError> {
@@ -200,6 +206,7 @@ impl Task {
             arch: cand.arch.choices().to_vec(),
             rung: cand.rung,
             epochs,
+            live_from: cand.live_from,
         })
     }
 
@@ -210,6 +217,7 @@ impl Task {
             parent: self.parent,
             rung: self.rung,
             epochs: self.epochs.map(|e| e as usize),
+            live_from: self.live_from,
         }
     }
 }
@@ -649,6 +657,7 @@ mod tests {
             parent: Some(3),
             rung: 2,
             epochs: Some(4),
+            live_from: 2,
         };
         assert_eq!(Task::new(&cand)?.into_candidate(), cand);
         round_trip(Msg::Task { task: Task::new(&cand)? })?;
@@ -868,18 +877,25 @@ mod tests {
         assert!(matches!(Msg::Result { result }.encode(), Err(WireError::Malformed(_))));
 
         // Out-of-range rung / bogus epochs flag in a Task: with no epoch
-        // override the payload ends [rung][flag 0].
+        // override the payload ends [rung][flag 0][live_from u64].
         let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None))?;
         let p = Msg::Task { task: task.clone() }.encode()?;
         let n = p.len();
         let mut bad = p.clone();
-        bad[n - 2] = MAX_RUNGS as u8;
+        bad[n - 10] = MAX_RUNGS as u8;
         assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
         let mut bad = p;
-        bad[n - 1] = 2;
+        bad[n - 9] = 2;
         assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
-        let bad = Task { rung: MAX_RUNGS as u8, ..task };
+        let bad = Task { rung: MAX_RUNGS as u8, ..task.clone() };
         assert!(matches!(Msg::Task { task: bad }.encode(), Err(WireError::Malformed(_))));
+        // A watermark past the candidate itself, or past its provider.
+        for bad in [
+            Task { live_from: 2, ..task.clone() },
+            Task { id: 5, parent: Some(1), live_from: 2, ..task },
+        ] {
+            assert!(matches!(Msg::Task { task: bad }.encode(), Err(WireError::Malformed(_))));
+        }
 
         // Quantile ≥ 1 / NaN or negative min-delta / zero window / hostile
         // pool bounds in a HelloAck: refused on encode…

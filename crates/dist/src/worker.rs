@@ -234,33 +234,31 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
 fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
     let problem = Arc::new(run.app.0.problem(run.scale.0, run.data_seed));
     let space = Arc::new(SearchSpace::for_app(run.app.0));
-    // Each worker fronts the shared store with its own provider cache (its
-    // slice of the run's byte budget): a parent checkpoint read for the
-    // index and again for the tensors costs one store round-trip, not two,
-    // and repeat parents are served from memory entirely. The backend is
-    // the shared `DirStore` by default, or — when the coordinator sent a
-    // `store_url` — a `RemoteStore` session with the checkpoint server,
-    // bucketed by the run's namespace.
-    let store: Arc<dyn CheckpointStore> = match &run.store_url {
-        None => {
-            let dir = DirStore::new(&run.store_dir)?;
-            if run.cache_bytes > 0 {
-                Arc::new(CachedStore::new(dir, run.cache_bytes))
-            } else {
-                Arc::new(dir)
-            }
+    // Each worker fronts the shared store with its own provider cache, capped
+    // at its slice of the run's budget: a checkpoint this worker trained is
+    // resident from its save, so only a parent trained elsewhere costs a
+    // store round-trip (one, not one for the index and one for the tensors),
+    // and the lineage watermark on each `Task` empties it. A baseline run
+    // reads nothing back and caches nothing. The backend is the shared
+    // `DirStore` by default, or — when the coordinator sent a `store_url` —
+    // a `RemoteStore` session with the checkpoint server, bucketed by the
+    // run's namespace.
+    let cache_bytes = if run.scheme.0.matcher().is_some() { run.cache_bytes } else { 0 };
+    fn fronted<S: CheckpointStore + 'static>(store: S, cap: u64) -> Arc<dyn CheckpointStore> {
+        if cap > 0 {
+            Arc::new(CachedStore::new(store, cap))
+        } else {
+            Arc::new(store)
         }
+    }
+    let store = match &run.store_url {
+        None => fronted(DirStore::new(&run.store_dir)?, cache_bytes),
         Some(store_url) => {
             let secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
             // Bucket names must be valid tokens; an un-namespaced run shares
             // the server's "default" bucket (ids are still unique per run).
             let bucket = if run.namespace.is_empty() { "default" } else { run.namespace.as_str() };
-            let remote = RemoteStore::connect(store_url, bucket, &secret);
-            if run.cache_bytes > 0 {
-                Arc::new(CachedStore::new(remote, run.cache_bytes))
-            } else {
-                Arc::new(remote)
-            }
+            fronted(RemoteStore::connect(store_url, bucket, &secret), cache_bytes)
         }
     };
     let mut evaluator = Evaluator::with_namespace(

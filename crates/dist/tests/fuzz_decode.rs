@@ -48,7 +48,10 @@ fn corpus() -> Vec<Msg> {
         parent: Some(3),
         rung: 2,
         epochs: Some(4),
+        live_from: 3, // the provider is the oldest id still live
     };
+    // A reassigned warm-up candidate: no provider, nothing retired yet.
+    let reassigned = Candidate::new(9, ArchSeq::new(vec![2]), None);
     let outcome = EvalOutcome {
         id: 7,
         score: 0.12345678901234567,
@@ -82,6 +85,7 @@ fn corpus() -> Vec<Msg> {
             },
         },
         Msg::Task { task: Task::new(&cand).expect("corpus candidate") },
+        Msg::Task { task: Task::new(&reassigned).expect("corpus candidate") },
         Msg::Result { result: TaskResult::new(&outcome, 2, stats.clone()) },
         Msg::Ping { nonce: u64::MAX },
         Msg::Pong { nonce: 0 },
@@ -115,10 +119,11 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 /// Byte offsets into the corpus payloads, from the declarations in
 /// `swt_dist::wire` (a `Result`: id, four f64s, checkpoint_bytes, three
 /// transfer u64s, epochs u32, then stop and rung; a `Task` with an epoch
-/// override ends [rung][flag 1][epochs u32]; the corpus `HelloAck` ends
+/// override ends [rung][flag 1][epochs u32][live_from u64]; the corpus `HelloAck` ends
 /// [quantile f64][1][window u32][min_delta f64][1][url][1][min u32][max u32]).
 const RESULT_STOP_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const RESULT_RUNG_AT: usize = RESULT_STOP_AT + 1;
+const TASK_RUNG_BACK: usize = 1 + 1 + 4 + 8;
 const ACK_BOUNDS_LEN: usize = 1 + 4 + 4;
 const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
 const ACK_CONVERGENCE_LEN: usize = 1 + 4 + 8;
@@ -131,16 +136,20 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 7, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 8, "new version: re-record the frames below");
     let golden = [
-        (0x01, "07000000030000000000000092100000"),
+        (0x01, "08000000030000000000000092100000"),
         (
             0x02,
-            "0700000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
+            "0800000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
                 7377745f73746f7265010000000000400000000000000000000000d03f01030000002d431cebe236\
                 1a3f0114007463703a2f2f3132372e302e302e313a39393939010100000008000000",
         ),
-        (0x03, "0700000000000000010300000000000000040000000100000004000200020104000000"),
+        (
+            0x03,
+            "07000000000000000103000000000000000400000001000000040002000201040000000300000000000000",
+        ),
+        (0x03, "09000000000000000001000000020000000000000000000000"),
         (
             0x04,
             "07000000000000005ef64637dd9abf3f000000000000f83f000000000000d03f7b14ae47e17a843f00\
@@ -213,7 +222,7 @@ fn hostile_fidelity_tails_are_typed_errors() {
     for rung in [MAX_RUNGS as u8, 0x80, 0xFF] {
         let mut p = task.clone();
         let n = p.len();
-        p[n - 6] = rung;
+        p[n - TASK_RUNG_BACK] = rung;
         assert!(
             matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))),
             "task rung {rung} must be rejected"
@@ -240,8 +249,19 @@ fn hostile_fidelity_tails_are_typed_errors() {
     for flag in [2u8, 0xFF] {
         let mut p = task.clone();
         let n = p.len();
-        p[n - 5] = flag;
+        p[n - TASK_RUNG_BACK + 1] = flag;
         assert!(matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))));
+    }
+
+    // A watermark past the candidate (id 7) or past its provider (id 3).
+    for live_from in [8u64, 4, u64::MAX] {
+        let mut p = task.clone();
+        let n = p.len();
+        p[n - 8..].copy_from_slice(&live_from.to_le_bytes());
+        assert!(
+            matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))),
+            "task watermark {live_from} must be rejected"
+        );
     }
 
     // A HelloAck smuggling NaN/out-of-range knobs.

@@ -21,13 +21,18 @@ pub struct Candidate {
     pub rung: u8,
     /// Per-task epoch budget override; `None` uses the run-level budget.
     pub epochs: Option<usize>,
+    /// The lineage watermark when this candidate was dispatched: no
+    /// candidate, this one included, will ever name a provider with an id
+    /// below it, so those checkpoints need not stay in memory (the strategy
+    /// loop stamps it; `0` retires nothing).
+    pub live_from: CandidateId,
 }
 
 impl Candidate {
     /// A rung-0, run-budget candidate — the shape every pre-fidelity call
     /// site means.
     pub fn new(id: CandidateId, arch: ArchSeq, parent: Option<CandidateId>) -> Self {
-        Candidate { id, arch, parent, rung: 0, epochs: None }
+        Candidate { id, arch, parent, rung: 0, epochs: None, live_from: 0 }
     }
 
     /// The checkpoint id used for this candidate in the store.

@@ -149,6 +149,10 @@ pub struct Evaluator {
     /// Lazily calibrated zero-cost score cut-off (see
     /// [`Evaluator::prefilter_threshold`]).
     prefilter_threshold: Option<f64>,
+    /// Highest [`Candidate::live_from`] seen: every id below it has been
+    /// handed to [`CheckpointStore::evict`]. A running maximum, because a
+    /// reassigned candidate arrives with the watermark of its first dispatch.
+    live_from: CandidateId,
 }
 
 impl Evaluator {
@@ -186,6 +190,7 @@ impl Evaluator {
             ws: Workspace::new(),
             fidelity: EvalFidelity::default(),
             prefilter_threshold: None,
+            live_from: 0,
         }
     }
 
@@ -282,6 +287,14 @@ impl Evaluator {
     /// strategy only emits valid candidates).
     pub fn evaluate(&mut self, cand: &Candidate) -> EvalOutcome {
         let _eval_span = swt_obs::span!("nas.eval");
+
+        // The lineage has moved past these ids: no candidate dispatched from
+        // now on names one as provider, so the store need not keep them in
+        // memory. Only a hint — a read of one is still served.
+        for dead in self.live_from..cand.live_from {
+            self.store.evict(&self.ckpt_id(dead));
+        }
+        self.live_from = self.live_from.max(cand.live_from);
 
         // Zero-cost pre-filter: rung-0 candidates whose gradient-norm-at-init
         // falls below the calibrated quantile skip training (and the

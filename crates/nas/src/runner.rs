@@ -14,11 +14,11 @@
 //! §10).
 
 use crate::backend::{BackendResult, EvalBackend, ThreadPoolBackend};
-use crate::candidate::{Candidate, ScoredCandidate};
+use crate::candidate::{Candidate, CandidateId, ScoredCandidate};
 use crate::evaluator::{EvalFidelity, StopReason};
 use crate::strategy::{ProviderPolicy, RandomSearch, RegularizedEvolution, SearchStrategy};
 use crate::trace::{NasTrace, TraceEvent};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
@@ -238,10 +238,10 @@ pub struct NasConfig {
     /// Provider-selection policy (the paper's Algorithm 1 uses the mutation
     /// parent; alternatives exist for ablations).
     pub provider: ProviderPolicy,
-    /// Byte budget of the shared provider cache wrapped around the
-    /// checkpoint store (0 disables caching). Evolution re-reads elite
-    /// parents constantly, so even a small budget turns most provider reads
-    /// into memory hits.
+    /// Hard cap on the provider cache wrapped around the checkpoint store
+    /// (0 = no cache). Not a working-set size: the cache holds the lineage's
+    /// live set — population plus what is in flight — and the strategy's
+    /// watermark empties it; the cap only bounds it when hints do not arrive.
     pub cache_bytes: u64,
     /// Checkpoint-id namespace: candidate `i` is stored as `{namespace}c{i}`.
     /// Runs sharing one store (e.g. one `DirStore` on a parallel file
@@ -309,9 +309,10 @@ pub fn run_nas(
     store: Arc<dyn CheckpointStore>,
     cfg: &NasConfig,
 ) -> NasTrace {
-    // One provider cache shared by every evaluator worker: a parent pulled
-    // in by one worker is a memory hit for all of them.
-    let store: Arc<dyn CheckpointStore> = if cfg.cache_bytes > 0 {
+    // One provider cache shared by every evaluator worker: a checkpoint one
+    // worker saves is a memory hit for whichever trains its child. Without a
+    // transfer scheme nothing is ever read back, so nothing is held.
+    let store: Arc<dyn CheckpointStore> = if cfg.cache_bytes > 0 && cfg.scheme.matcher().is_some() {
         Arc::new(swt_checkpoint::CachedStore::new(store, cfg.cache_bytes))
     } else {
         store
@@ -321,6 +322,40 @@ pub fn run_nas(
     // The in-process backend's channels cannot fail while the runner holds
     // both endpoints' peers; an error here means an evaluator panicked.
     run_nas_with_backend(&app, space, cfg, &mut backend).expect("in-process evaluation failed")
+}
+
+/// Dispatches candidates stamped with the lineage watermark
+/// ([`Candidate::live_from`]): the oldest id that the strategy, a candidate
+/// still out for evaluation or a promotion still queued can name as
+/// provider. Results are reported in dispatch order, so the parents of
+/// unreported candidates form a queue.
+#[derive(Default)]
+struct Lineage {
+    unreported: VecDeque<Option<CandidateId>>,
+}
+
+impl Lineage {
+    /// Submit `cand`; `floor` is the oldest id anything not yet dispatched
+    /// can still name.
+    fn submit<B: EvalBackend>(
+        &mut self,
+        backend: &mut B,
+        mut cand: Candidate,
+        floor: CandidateId,
+    ) -> io::Result<()> {
+        self.unreported.push_back(cand.parent);
+        let oldest_parent = self.unreported.iter().flatten().min();
+        cand.live_from = oldest_parent.map_or(floor, |&parent| parent.min(floor));
+        backend.submit(cand)?;
+        swt_obs::counter!("nas.candidates_dispatched").inc();
+        swt_obs::event!("nas.dispatch", 1);
+        Ok(())
+    }
+
+    /// The oldest unreported candidate was reported.
+    fn reported(&mut self) {
+        self.unreported.pop_front();
+    }
 }
 
 /// The backend-agnostic strategy loop. Both `run_nas` (thread pool) and
@@ -374,20 +409,28 @@ pub fn run_nas_with_backend<B: EvalBackend>(
     // budget instead of the run budget; `None` leaves today's behaviour.
     let rung0_epochs: Option<usize> = cfg.fidelity.rungs.first().copied();
 
-    let dispatch_one = |strategy: &mut Box<dyn SearchStrategy>, rng: &mut Rng, backend: &mut B| {
+    // With promotion waves to come, any rung-0 result may yet be resumed.
+    let promotions_follow = cfg.fidelity.rungs.len() > 1;
+    let mut lineage = Lineage::default();
+    let dispatch_one = |strategy: &mut Box<dyn SearchStrategy>,
+                        rng: &mut Rng,
+                        backend: &mut B,
+                        lineage: &mut Lineage,
+                        next_report: u64| {
         let mut cand = {
             let _span = swt_obs::span!("nas.strategy_next");
             strategy.next(rng)
         };
         cand.epochs = rung0_epochs;
-        backend.submit(cand)?;
-        swt_obs::counter!("nas.candidates_dispatched").inc();
-        swt_obs::event!("nas.dispatch", 1);
-        Ok::<(), io::Error>(())
+        // Only a reported id is retired: its save is done. (A save landing
+        // after its own retirement would stay resident, nobody left to
+        // retire it.)
+        let floor = if promotions_follow { 0 } else { strategy.live_from().min(next_report) };
+        lineage.submit(backend, cand, floor)
     };
 
     while dispatched < window {
-        dispatch_one(&mut strategy, &mut rng, backend)?;
+        dispatch_one(&mut strategy, &mut rng, backend, &mut lineage, next_report)?;
         dispatched += 1;
     }
     while (next_report as usize) < total {
@@ -408,9 +451,10 @@ pub fn run_nas_with_backend<B: EvalBackend>(
             });
             events.push(trace_event(res));
             next_report += 1;
+            lineage.reported();
             swt_obs::event!("nas.report", 1);
             if dispatched < total {
-                dispatch_one(&mut strategy, &mut rng, backend)?;
+                dispatch_one(&mut strategy, &mut rng, backend, &mut lineage, next_report)?;
                 dispatched += 1;
             }
         }
@@ -466,7 +510,8 @@ pub fn run_nas_with_backend<B: EvalBackend>(
         } else {
             cfg.fidelity.rungs[rung]
         };
-        let mut queue: std::collections::VecDeque<Candidate> = (0..wave_len)
+        let wave_first_id = next_id;
+        let mut queue: VecDeque<Candidate> = (0..wave_len)
             .filter(|&off| is_promoted[off])
             .map(|off| {
                 let e = &events[wave_base + off];
@@ -478,6 +523,7 @@ pub fn run_nas_with_backend<B: EvalBackend>(
                     parent: Some(e.id),
                     rung: rung as u8,
                     epochs: Some(epochs),
+                    live_from: 0,
                 }
             })
             .collect();
@@ -485,15 +531,20 @@ pub fn run_nas_with_backend<B: EvalBackend>(
         if wave_count == 0 {
             break;
         }
+        // The queue resumes the previous wave in id order, so its front names
+        // the oldest checkpoint still wanted; behind an empty queue that is
+        // this wave's own first id if another wave may resume it, else
+        // whatever is still unreported.
+        let more_rungs = rung + 1 < cfg.fidelity.rungs.len();
+        let floor = |queue: &VecDeque<Candidate>, next_report: u64| {
+            let unqueued = if more_rungs { wave_first_id } else { next_report };
+            queue.front().and_then(|next| next.parent).unwrap_or(unqueued)
+        };
         // Same reorder-window discipline as rung 0: burst up to `window`,
         // then one dispatch per in-order report.
-        let mut in_flight = 0usize;
-        while in_flight < window.min(wave_count) {
+        for _ in 0..window.min(wave_count) {
             let cand = queue.pop_front().expect("burst is bounded by queue length");
-            backend.submit(cand)?;
-            swt_obs::counter!("nas.candidates_dispatched").inc();
-            swt_obs::event!("nas.dispatch", 1);
-            in_flight += 1;
+            lineage.submit(backend, cand, floor(&queue, next_report))?;
         }
         while next_report < next_id {
             let res = backend.next_result()?;
@@ -506,11 +557,10 @@ pub fn run_nas_with_backend<B: EvalBackend>(
             while let Some(res) = buffer.remove(&next_report) {
                 events.push(trace_event(res));
                 next_report += 1;
+                lineage.reported();
                 swt_obs::event!("nas.report", 1);
                 if let Some(cand) = queue.pop_front() {
-                    backend.submit(cand)?;
-                    swt_obs::counter!("nas.candidates_dispatched").inc();
-                    swt_obs::event!("nas.dispatch", 1);
+                    lineage.submit(backend, cand, floor(&queue, next_report))?;
                 }
             }
         }

@@ -16,6 +16,10 @@ pub trait SearchStrategy: Send {
 
     /// Receive a scored candidate (asynchronously, in completion order).
     fn report(&mut self, scored: ScoredCandidate);
+
+    /// The oldest id a future [`SearchStrategy::next`] can still name as a
+    /// provider. Never decreases; every id below it is dead to the lineage.
+    fn live_from(&self) -> CandidateId;
 }
 
 /// Uniform random search over valid candidates (the simplest strategy in
@@ -39,6 +43,10 @@ impl SearchStrategy for RandomSearch {
     }
 
     fn report(&mut self, _scored: ScoredCandidate) {}
+
+    fn live_from(&self) -> CandidateId {
+        self.next_id // random candidates have no provider at all
+    }
 }
 
 /// Which population member becomes the weight-transfer provider of a new
@@ -168,6 +176,12 @@ impl SearchStrategy for RegularizedEvolution {
             self.population.pop_front();
         }
     }
+
+    /// Providers come from the population under every [`ProviderPolicy`],
+    /// and it ages out in id order: its front is the oldest one left.
+    fn live_from(&self) -> CandidateId {
+        self.population.front().map_or(0, |oldest| oldest.id)
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +208,7 @@ mod tests {
             let c = s.next(&mut rng);
             assert_eq!(c.id, expect);
             assert!(c.parent.is_none());
+            assert_eq!(s.live_from(), expect + 1, "nothing dispatched is ever a provider");
         }
     }
 
@@ -227,6 +242,7 @@ mod tests {
             evo.report(ScoredCandidate { id: c.id, score: 0.5, arch: c.arch });
         }
         assert_eq!(evo.population().len(), 4);
+        assert_eq!(evo.live_from(), 6, "ids 6..10 are the population: 0..6 are dead");
         assert!(
             evo.population().iter().all(|p| p.id != first_id.unwrap()),
             "oldest member must have aged out"

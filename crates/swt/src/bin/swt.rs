@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use swt::prelude::*;
-use swt_dist::{DistConfig, JoinPlan, KillPlan, LiveRunView};
+use swt_dist::{DistConfig, JoinPlan, KillPlan, LiveRunView, CACHE_COUNTER_KINDS};
 use swt_obs::json::Json;
 
 const USAGE: &str = "\
@@ -80,7 +80,8 @@ usage:
   swt ckpt-server [options]      run the networked checkpoint store
     --bind HOST:PORT             listen address                 [127.0.0.1:7421]
     --spill DIR                  durable WTC3 spill directory   (required)
-    --cache-bytes N              in-RAM LRU budget              [268435456]
+    --cache-bytes N              cap on resident containers per bucket, not
+                                 a working-set size             [268435456]
     --serve HOST:PORT            expose /status, /metrics over HTTP
     --max-seconds N              exit after N seconds (demos/CI; default: run
                                  until killed)
@@ -203,7 +204,14 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
     if let Some(best) = trace.top_k(1).first() {
         println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
     }
-    print_layer_kinds(&RunReport::capture());
+    let report = RunReport::capture();
+    let peak = report.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
+    println!(
+        "provider cache: {}, resident peak {} B",
+        provider_cache_counts(&report),
+        peak.map_or(0, |g| g.max)
+    );
+    print_layer_kinds(&report);
     if let Some(path) = opt(args, "--trace") {
         let path = PathBuf::from(path);
         trace.write_csv(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -229,6 +237,13 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
         println!("report: {}", path.display());
     }
     Ok(())
+}
+
+/// What the provider cache did: reads served from memory or from the store,
+/// entries the lineage watermark retired, entries its byte cap pushed out.
+fn provider_cache_counts(report: &RunReport) -> String {
+    let count = |kind| format!("{kind} {}", report.counter(&format!("ckpt.cache.{kind}")));
+    CACHE_COUNTER_KINDS.map(count).join(" ")
 }
 
 /// Where the training steps' time went, by layer kind (forward + backward
@@ -516,11 +531,11 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     }
     println!(
         "metrics merged from {} worker process(es): gemm calls {}, checkpoint bytes saved {}, \
-         provider-cache hits {}",
+         provider caches: {}",
         stats.per_worker.len(),
         report.counter_prefix_sum("tensor.gemm."),
         report.counter("ckpt.dir.saved_bytes"),
-        report.counter("ckpt.cache.hits"),
+        provider_cache_counts(&report),
     );
     if let Some(path) = opt(args, "--trace") {
         let path = PathBuf::from(path);

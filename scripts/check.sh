@@ -66,17 +66,25 @@ cargo run --release --quiet -p swt-bench --bin bench_obs -- --smoke
 echo "==> payload-hash gate (no byte-serial hash over a checkpoint payload)"
 # Every payload byte is hashed on every save and every read, so payloads go
 # through the word-parallel `payload_checksum` loops. The byte-serial
-# `fnv1a` is for the TOC header (a few hundred bytes) and cache shard ids.
+# `fnv1a` is for the TOC header (a few hundred bytes) alone.
 serial=$(grep -rn 'fnv1a(' crates/checkpoint/src crates/ckpt-server/src --include='*.rs' \
   | grep -v 'fn fnv1a(' \
   | grep -v 'fnv1a(&\?header' \
-  | grep -v 'fnv1a(id\.as_bytes())' \
   || true)
 if [ -n "$serial" ]; then
-  echo "fnv1a called on something other than a TOC header or a shard id:" >&2
+  echo "fnv1a called on something other than a TOC header:" >&2
   echo "$serial" >&2
   exit 1
 fi
+
+echo "==> lineage cache (residency follows the watermark: no LRU, no shards, no second store trait)"
+guesses=$(grep -rnE 'RawCheckpointStore|last_used|SHARDS' crates/checkpoint/src --include='*.rs' || true)
+if [ -n "$guesses" ]; then
+  echo "the provider cache ranks by recency, shards, or a raw-store trait is back:" >&2
+  echo "$guesses" >&2
+  exit 1
+fi
+cargo test --release --quiet -p swt-checkpoint -p swt-nas --test cache_coherence --test lineage_props
 
 echo "==> bench_ckpt smoke (transfer-path read >= 3x a full load; NAS A/B identical)"
 cargo run --release --quiet -p swt-bench --bin bench_ckpt -- --smoke

@@ -86,6 +86,40 @@ fn killed_worker_is_detected_and_its_candidate_reassigned() {
 }
 
 #[test]
+fn reassigned_candidate_finds_its_provider_after_the_survivor_dropped_it() {
+    // Evolution starts after four candidates, so nearly every candidate —
+    // the one the victim held included — names a provider, and each
+    // worker's cache is capped at one to three checkpoints: the survivor
+    // has already dropped most of what it trained or fetched when a child
+    // asks for it. The watermark a reassigned task carries is the one it
+    // was first dispatched with, so it retires nothing the survivor's own
+    // tasks had not already retired; whatever is not resident is a miss
+    // served by the store, and the trace cannot tell.
+    let mut cfg = nas_config(24, 2);
+    cfg.population_size = 4;
+    cfg.sample_size = 2;
+    cfg.cache_bytes = 2 * 600_000;
+    let local_store = temp_dir("evicted_local");
+    let local = run_in_process(&cfg, &local_store);
+    assert!(local.events.iter().filter(|e| e.transfer_tensors > 0).count() >= 12);
+
+    let dist_store = temp_dir("evicted_dist");
+    let mut dist = dist_config(dist_store.clone());
+    dist.kill_worker_after = Some(KillPlan { worker: 1, after_results: 12 });
+    let (distributed, stats) = run_nas_dist_with_stats(&cfg, &dist).expect("degraded run failed");
+
+    assert_traces_identical(&local, &distributed, "kill after providers were dropped");
+    assert_eq!(distributed.canonical_csv(), local.canonical_csv());
+    assert_kill_absorbed(&distributed, stats.lost, stats.reassigned, "worker 1 killed");
+    let survivor = &stats.per_worker.iter().find(|(slot, _)| *slot == 0).expect("worker 0").1;
+    let (capped, misses) =
+        (survivor.counter("ckpt.cache.capped"), survivor.counter("ckpt.cache.misses"));
+    assert!(capped > 0 && misses > 0, "survivor: {capped} capped, {misses} misses");
+    let _ = std::fs::remove_dir_all(&local_store);
+    let _ = std::fs::remove_dir_all(&dist_store);
+}
+
+#[test]
 fn garbage_connections_at_startup_do_not_fail_the_launch() {
     // Start every worker through a wrapper that first throws two bad
     // connections at the coordinator — raw bytes whose "length prefix" is

@@ -1,6 +1,9 @@
 //! Integration: the NAS runner across transfer schemes — trace invariants,
-//! checkpointing of every candidate, and single-worker determinism.
+//! checkpointing of every candidate, single-worker determinism, and the
+//! provider cache holding the lineage's live set.
 
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use swt::prelude::*;
 
@@ -146,17 +149,19 @@ fn concurrent_namespaced_runs_on_one_store_match_isolated_runs() {
 
 #[test]
 fn shared_cached_store_stays_coherent_under_concurrent_runs() {
-    // Same workload through one *shared* CachedStore: the cache's
-    // generation counters must invalidate stale entries as both runs save
-    // and re-read providers concurrently, so every score still matches the
-    // uncached isolated baselines exactly — and the cache must actually
-    // serve hits while honouring its byte budget.
+    // Same workload through one *shared* CachedStore, two namespaces: both
+    // runs save through it, re-read providers from it and retire their own
+    // ids in it concurrently, under a cap (three checkpoints) far below
+    // their joint live set. Every score must still match the uncached
+    // isolated baselines exactly, and the cache must serve hits, take the
+    // hints and honour its cap. (Process-wide counters: lower bounds only.)
     let iso_a = run_with_store(Arc::new(MemStore::new()), "", 21, 24);
     let iso_b = run_with_store(Arc::new(MemStore::new()), "", 22, 24);
 
     swt::obs::enable();
     let reg = swt::obs::registry::global();
-    let hits_before = reg.counter("ckpt.cache.hits").get();
+    let count = |name: &str| reg.counter(&format!("ckpt.cache.{name}")).get();
+    let before = ["hits", "retired", "capped"].map(count);
 
     let budget: u64 = 1 << 20;
     let cached = Arc::new(CachedStore::new(MemStore::new(), budget));
@@ -170,9 +175,125 @@ fn shared_cached_store_stays_coherent_under_concurrent_runs() {
 
     assert_eq!(score_bits(&iso_a), score_bits(&a), "cached run A diverged from uncached");
     assert_eq!(score_bits(&iso_b), score_bits(&b), "cached run B diverged from uncached");
-    let hits = reg.counter("ckpt.cache.hits").get() - hits_before;
-    assert!(hits > 0, "provider re-reads should hit the shared cache");
+    let [hits, retired, capped] = ["hits", "retired", "capped"].map(count);
+    assert!(hits > before[0], "provider re-reads should hit the shared cache");
+    assert!(retired > before[1], "24 candidates outlive a 16-member population: ids retire");
+    assert!(capped > before[2], "48 checkpoints passed through a three-checkpoint cap");
     assert!(cached.resident_bytes() <= budget, "cache exceeded its byte budget");
+}
+
+/// Forwards to `inner`, counting what reaches it and sampling
+/// `resident(inner)` after every save (residency only peaks there).
+struct Watch<S> {
+    inner: S,
+    resident: fn(&S) -> u64,
+    reads: AtomicU64,
+    saves: AtomicU64,
+    raw_saves: AtomicU64,
+    largest: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl<S: CheckpointStore> Watch<S> {
+    fn new(inner: S, resident: fn(&S) -> u64) -> Arc<Self> {
+        let zero = || AtomicU64::new(0);
+        let (reads, saves, raw_saves, largest, peak) = (zero(), zero(), zero(), zero(), zero());
+        Arc::new(Watch { inner, resident, reads, saves, raw_saves, largest, peak })
+    }
+
+    fn read<R>(&self, result: R) -> R {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        result
+    }
+
+    fn saved(&self, calls: &AtomicU64, result: io::Result<u64>) -> io::Result<u64> {
+        calls.fetch_add(1, Ordering::Relaxed);
+        self.largest.fetch_max(*result.as_ref().unwrap_or(&0), Ordering::Relaxed);
+        self.peak.fetch_max((self.resident)(&self.inner), Ordering::Relaxed);
+        result
+    }
+}
+
+impl<S: CheckpointStore> CheckpointStore for Watch<S> {
+    fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
+        self.saved(&self.saves, self.inner.save(id, entries))
+    }
+    fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
+        self.saved(&self.raw_saves, self.inner.save_raw(id, bytes))
+    }
+    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
+        self.read(self.inner.load(id))
+    }
+    fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
+        self.read(self.inner.load_raw(id))
+    }
+    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
+        self.read(self.inner.load_index(id))
+    }
+    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
+        self.read(self.inner.load_tensors(id, names))
+    }
+    fn evict(&self, id: &str) {
+        self.inner.evict(id)
+    }
+    fn exists(&self, id: &str) -> bool {
+        self.inner.exists(id)
+    }
+    fn size_bytes(&self, id: &str) -> Option<u64> {
+        self.inner.size_bytes(id)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn delete(&self, id: &str) -> bool {
+        self.inner.delete(id)
+    }
+}
+
+#[test]
+fn the_provider_cache_holds_the_live_set_and_the_store_is_never_read() {
+    // tab_lcs_pool's shape: 400 Uno candidates, LCS, 2 workers, population 16.
+    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
+    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
+    let run = |store: Arc<dyn CheckpointStore>, cfg: &NasConfig| {
+        run_nas(Arc::clone(&problem), Arc::clone(&space), store, cfg)
+    };
+    let cfg = NasConfig::quick(TransferScheme::Lcs, 400, 2, 7);
+    let uncached = NasConfig { cache_bytes: 0, ..cfg.clone() };
+    let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+
+    // As a user runs it: every checkpoint reaches the store once, as the
+    // bytes the cache encoded, and no provider is ever read back from it.
+    let beneath = Watch::new(MemStore::new(), |_| 0);
+    let cached_trace = run(Arc::clone(&beneath) as _, &cfg);
+    assert_eq!(count(&beneath.reads), 0, "a provider this process trained was read from the store");
+    assert_eq!((count(&beneath.raw_saves), count(&beneath.saves)), (400, 0));
+
+    // Residency changes what is kept, never what is read: same trace bytes
+    // with no cache at all (and then the store does serve the reads).
+    let bare = Watch::new(MemStore::new(), |_| 0);
+    let bare_trace = run(Arc::clone(&bare) as _, &uncached);
+    assert_eq!(cached_trace.canonical_csv(), bare_trace.canonical_csv());
+    assert!(count(&bare.reads) > 400, "index + tensors per child, from the store");
+
+    // The same search through a cache this test can see into: what it holds
+    // is the population plus what is in flight on either side of it, not the
+    // 400 checkpoints that passed through (nor the 32 MiB it may hold).
+    let seen =
+        Watch::new(CachedStore::new(MemStore::new(), cfg.cache_bytes), |c| c.resident_bytes());
+    let seen_trace = run(Arc::clone(&seen) as _, &uncached);
+    assert_eq!(cached_trace.canonical_csv(), seen_trace.canonical_csv());
+    let live_set = (cfg.population_size + 2 * cfg.workers + 1) as u64 * count(&seen.largest);
+    let peak = count(&seen.peak);
+    assert!(0 < peak && peak <= live_set, "resident peak {peak} B, live set {live_set} B");
+    assert!(seen.inner.resident_bytes() <= peak);
+
+    // Without a transfer scheme nothing is read back, so `run_nas` puts no
+    // cache in front: the store sees plain saves, and nothing is resident.
+    let baseline = NasConfig::quick(TransferScheme::Baseline, 40, 2, 7);
+    let plain = Watch::new(MemStore::new(), |_| 0);
+    run(Arc::clone(&plain) as _, &baseline);
+    assert_eq!((count(&plain.saves), count(&plain.raw_saves), count(&plain.reads)), (40, 0, 0));
 }
 
 /// One Cifar10-space candidate with both pool windows, batch-norm, identity
