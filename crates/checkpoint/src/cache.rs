@@ -113,8 +113,8 @@ impl<S: CheckpointStore> CachedStore<S> {
     }
 
     /// Serve `id`'s encoded bytes *and* parsed index, filling from the inner
-    /// store on a miss. Every read goes through here; `swt-ckpt-server`
-    /// answers `GetIndex`, `GetTensors` and `GetRaw` straight off the pair.
+    /// store's `load_raw` on a miss. Every read goes through here;
+    /// `swt-ckpt-server` sends `GetRaw`'s answer from the shared bytes.
     pub fn raw_and_index(&self, id: &str) -> io::Result<Resident> {
         let gen_before = {
             let st = self.state();

@@ -428,13 +428,11 @@ pub fn parse_container(buf: &[u8]) -> Result<CheckpointIndex, FormatError> {
 
 // --- decoding ---------------------------------------------------------------
 
-/// Convert one tensor's raw payload bytes (already isolated, e.g. by a
-/// seeked file read or a network range response) into a tensor, verifying
-/// the per-tensor checksum in the same pass. The f32 buffer comes from `ws`,
-/// so steady-state decoding reuses storage instead of allocating. Public
-/// because the remote store's client reassembles tensors from `GetTensors`
-/// range payloads with exactly this routine.
-pub fn tensor_from_payload(
+/// Convert one tensor's raw payload bytes (already isolated: a slice of a
+/// whole container, or `DirStore`'s seeked file read) into a tensor,
+/// verifying the per-tensor checksum in the same pass. The f32 buffer comes
+/// from `ws`, so steady-state decoding reuses storage instead of allocating.
+pub(crate) fn tensor_from_payload(
     meta: &TensorMeta,
     raw: &[u8],
     ws: &mut Workspace,

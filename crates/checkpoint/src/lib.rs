@@ -19,16 +19,14 @@
 //! watermark, capped in bytes.
 
 pub mod cache;
-pub mod compress;
 pub mod format;
 pub mod index;
 pub mod store;
 
 pub use cache::CachedStore;
-pub use compress::QuantizedStore;
 pub use format::{
-    decode, decode_tensors, encode, encoded_len, parse_container, parse_index, payload_checksum,
-    tensor_from_payload, with_encoded, FormatError, CONTAINER_VERSION,
+    decode, decode_tensors, encode, encoded_len, parse_container, payload_checksum, with_encoded,
+    FormatError,
 };
-pub use index::{CheckpointIndex, TensorMeta};
+pub use index::CheckpointIndex;
 pub use store::{prune_except, CheckpointStore, DirStore, MemStore};

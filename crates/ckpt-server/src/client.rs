@@ -1,13 +1,14 @@
 //! `RemoteStore`: the networked [`CheckpointStore`] backed by a checkpoint
 //! server.
 //!
-//! Every trait method maps onto one request/response exchange; the
-//! selective methods map onto the selective frames (`load_index` →
-//! `GetIndex`, `load_tensors` → `GetTensors`), so only the transfer subset
-//! crosses the wire — the remote analogue of `DirStore`'s seek-and-read
-//! path. Workers wrap a `RemoteStore` in their existing `CachedStore`
-//! slice, so repeat providers are served from local RAM without a round
-//! trip at all.
+//! Every trait method maps onto one request/response exchange, and there
+//! is one read: `load_raw` → `GetRaw`, the whole container. `load`,
+//! `load_index` and `load_tensors` are views of those bytes through the
+//! functions `MemStore` and a cache hit use, so each costs a whole fetch —
+//! which is why workers front a `RemoteStore` with the run's `CachedStore`:
+//! a parent trained elsewhere is fetched once and every later read of it
+//! is served from local RAM, a checkpoint this worker trained never comes
+//! back over the wire at all.
 //!
 //! Transport faults (connection refused, reset, EOF mid-response) are
 //! retried with exponential backoff and a fresh connection — long enough
@@ -16,20 +17,16 @@
 //! retrying cannot change them.
 
 use crate::auth::hello_mac;
-use crate::proto::{
-    recv_chunks, send_chunks, ErrCode, StoreMsg, MAX_GET_NAMES, STORE_PROTOCOL_VERSION,
-};
-use std::collections::HashSet;
+use crate::proto::{recv_chunks, send_chunks, ErrCode, StoreMsg, STORE_PROTOCOL_VERSION};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use swt_checkpoint::{
-    decode, parse_index, tensor_from_payload, with_encoded, CheckpointIndex, CheckpointStore,
-    TensorMeta, CONTAINER_VERSION,
+    decode, decode_tensors, parse_container, with_encoded, CheckpointIndex, CheckpointStore,
 };
-use swt_tensor::{with_thread_workspace, Tensor};
+use swt_tensor::Tensor;
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
 /// Connection attempts per operation before giving up.
@@ -237,80 +234,13 @@ impl CheckpointStore for RemoteStore {
     }
 
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        let header = self.run_op(|conn| {
-            conn.send(&StoreMsg::GetIndex { id: id.to_string() })?;
-            match conn.recv()? {
-                StoreMsg::IndexResp { total_len } => Ok(conn.recv_bytes(total_len)?),
-                StoreMsg::Err { code, message } => Err(app_err(code, message)),
-                other => Err(desync(&other)),
-            }
-        })?;
-        swt_obs::counter!("ckptsrv.client.gets_index").inc();
-        swt_obs::counter!("ckptsrv.client.index_bytes_rx").add(header.len() as u64);
-        Ok(parse_index(&header)?)
+        Ok(parse_container(&self.load_raw(id)?)?)
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        if names.len() > MAX_GET_NAMES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("GetTensors limited to {MAX_GET_NAMES} names, got {}", names.len()),
-            ));
-        }
-        let (version, resp_names, rows, payload) = self.run_op(|conn| {
-            conn.send(&StoreMsg::GetTensors { id: id.to_string(), names: names.to_vec() })?;
-            match conn.recv()? {
-                StoreMsg::Ranges { version, names, rows } => {
-                    let total: u64 = rows.iter().map(|r| r.payload_len).sum();
-                    let payload = conn.recv_bytes(total)?;
-                    Ok((version, names, rows, payload))
-                }
-                StoreMsg::Err { code, message } => Err(app_err(code, message)),
-                other => Err(desync(&other)),
-            }
-        })?;
-        swt_obs::counter!("ckptsrv.client.gets_tensors").inc();
-        swt_obs::counter!("ckptsrv.client.tensor_bytes_rx").add(payload.len() as u64);
-        if version != CONTAINER_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "server answered with container version {version}, not {CONTAINER_VERSION}"
-                ),
-            ));
-        }
-        // Reassemble tensors from the concatenated range payloads, running
-        // the same checksum-verifying payload decoder as the disk path.
-        let requested: HashSet<&str> = names.iter().map(String::as_str).collect();
-        let mut out = Vec::with_capacity(rows.len());
-        let mut cursor = 0usize;
-        for row in &rows {
-            let name = resp_names
-                .get(row.name_idx as usize)
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "range row names out of table")
-                })?
-                .clone();
-            let len = row.payload_len as usize;
-            let slice = payload.get(cursor..cursor + len).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "range payloads shorter than rows")
-            })?;
-            cursor += len;
-            if !requested.contains(name.as_str()) {
-                // The server must only answer what was asked; skip anything
-                // else rather than surfacing surprise tensors.
-                continue;
-            }
-            let meta = TensorMeta {
-                name: name.clone(),
-                dims: row.dims.iter().map(|&d| d as usize).collect(),
-                offset: 0,
-                checksum: row.checksum,
-            };
-            let tensor = with_thread_workspace(|ws| tensor_from_payload(&meta, slice, ws))?;
-            out.push((name, tensor));
-        }
-        Ok(out)
+        let raw = self.load_raw(id)?;
+        let index = parse_container(&raw)?;
+        Ok(decode_tensors(&raw, &index, names)?)
     }
 
     fn exists(&self, id: &str) -> bool {

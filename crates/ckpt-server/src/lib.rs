@@ -1,27 +1,25 @@
-//! `swt-ckpt-server`: a networked, multi-tenant selective tensor store.
+//! `swt-ckpt-server`: a networked, multi-tenant checkpoint store.
 //!
-//! The paper's core result is that weight transfer needs only a small
-//! subset of a provider checkpoint's tensors (the LP/LCS overlap, ~2% of
-//! payload bytes). On disk that subset is served by `DirStore`'s
-//! seek-and-read path; this crate extends the same economics across the
-//! network, so coordinator, workers and storage can live on different
-//! hosts and many concurrent NAS runs can share one long-lived store:
+//! Coordinator, workers and storage can live on different hosts and many
+//! concurrent NAS runs can share one long-lived store. A worker fronts its
+//! [`RemoteStore`] with the run's lineage cache (`CachedStore`), so a
+//! checkpoint it trained never comes back over the wire and a parent trained
+//! elsewhere is fetched whole, once; the selective part of a read — which
+//! tensors the LP/LCS plan matched — is then served from that resident copy.
 //!
 //! * [`CkptServer`] — the service: per-bucket `CachedStore<DirStore>`
-//!   slices (byte-budgeted RAM over a durable WTC3 spill directory),
-//!   thread-per-connection framed TCP, `ckptsrv.*` counters and an
-//!   optional live `/status` endpoint.
-//! * [`RemoteStore`] — the client: a `CheckpointStore` whose selective
-//!   reads (`load_index`, `load_tensors`) translate to `GetIndex` /
-//!   `GetTensors` frames, moving only the transfer subset over the wire,
-//!   with retry-and-backoff riding out server restarts.
+//!   (resident containers capped in bytes over a durable WTC3 spill
+//!   directory), thread-per-connection framed TCP, `ckptsrv.*` counters and
+//!   an optional live `/status` endpoint.
+//! * [`RemoteStore`] — the client: a `CheckpointStore` with one read on the
+//!   wire, `GetRaw`, and retry-and-backoff riding out server restarts.
 //! * [`proto`] — the store frame family (tags 0x41..), chunked streaming
 //!   for multi-megabyte containers, and total, panic-free decoding.
 //! * [`auth`] — shared-secret HMAC-SHA256 session authentication with a
 //!   constant-time verifier.
 //!
 //! Multi-tenancy is by *bucket*: each `NasConfig.namespace` maps to one
-//! bucket, one directory under the spill root, one LRU slice — tenants
+//! bucket, one directory under the spill root, one resident set — tenants
 //! cannot observe each other's ids. Consistency is per-id last-write-wins
 //! with write-through durability: a `Put` is acked only after the container
 //! bytes are renamed into the spill directory, so an acked checkpoint

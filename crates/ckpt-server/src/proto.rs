@@ -9,24 +9,22 @@
 //! arriving on a dist connection (or vice versa) is an immediate
 //! `UnknownType`, never a silent misparse.
 //!
-//! The selective read path is `GetTensors` → [`StoreMsg::Ranges`]: the
-//! response carries an interned name table plus per-tensor rows (shape,
-//! checksum, payload length) and streams only the requested payload bytes,
-//! concatenated in row order. Everything else about the checkpoint — the
-//! unmatched ~98% of payload bytes — never crosses the network, which is
-//! the whole point of the subsystem.
+//! There is one read, `GetRaw` → [`StoreMsg::Blob`]: the whole container,
+//! which the client's lineage cache keeps and serves every later index or
+//! tensor read from. Tags 0x46–0x49 carried a per-tensor read until store
+//! protocol v2; they are retired, never reused, and decode as `UnknownType`.
 //!
 //! Every frame is declared once, in [`StoreMsg`]; its byte layout is what
 //! `swt-wire` derives from that declaration (DESIGN.md "Wire protocols").
 //! Decoding is total: any byte sequence yields either a message or a typed
 //! [`WireError`], never a panic.
 
-use swt_wire::{ensure, wire_messages, wire_struct, Cursor, Raw, Wire, WireError};
+use swt_wire::{ensure, wire_messages, Cursor, Raw, Wire, WireError};
 
 /// Store protocol version, exchanged in `Hello`/`HelloAck`; the server
 /// refuses any other. Bump whenever a store frame's bytes move. Independent
 /// of the dist protocol version.
-pub const STORE_PROTOCOL_VERSION: u32 = 2;
+pub const STORE_PROTOCOL_VERSION: u32 = 3;
 
 /// Tag of [`StoreMsg::Chunk`], the one frame the streaming helpers write
 /// and read without going through [`StoreMsg`].
@@ -36,13 +34,9 @@ pub const CHUNK_TAG: u8 = 0x44;
 /// frame cap while keeping per-frame overhead negligible.
 pub const CHUNK_LEN: usize = 256 * 1024;
 
-/// Most names one `GetTensors` may request, and most rows/names one
-/// `Ranges` may carry (mirrors the checkpoint format's own TOC cap).
-pub const MAX_GET_NAMES: usize = 4096;
-
-/// Upper bound on any streamed transfer (`Put`, `Blob`, `IndexResp`,
-/// `Ranges` payloads): 1 GiB, far above any real checkpoint, small enough
-/// to bound what a hostile peer can make either side buffer.
+/// Upper bound on any streamed transfer (`Put`, `Blob`): 1 GiB, far above
+/// any real checkpoint, small enough to bound what a hostile peer can make
+/// either side buffer.
 pub const MAX_TRANSFER_LEN: u64 = 1 << 30;
 
 /// Most ids a `ListResp` may carry.
@@ -50,10 +44,6 @@ pub const MAX_LIST_IDS: usize = 1 << 16;
 
 /// Longest bucket or checkpoint id token.
 pub const MAX_TOKEN_LEN: usize = 160;
-
-/// Most dimensions a `Ranges` row may declare (the tensor crate's ranks
-/// are tiny; 16 is generous).
-pub const MAX_RANK: usize = 16;
 
 /// Application-level error codes carried by [`StoreMsg::Err`]. These are
 /// *complete responses* — the connection stays usable — unlike wire-level
@@ -85,19 +75,6 @@ impl Wire for ErrCode {
     }
 }
 
-wire_struct! {
-    /// One tensor's row in a [`StoreMsg::Ranges`] response. `name_idx`
-    /// points into the response's interned name table. The payload bytes
-    /// stream separately (concatenated in row order), `payload_len` each.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct RangeRow {
-        pub name_idx: u16,
-        pub dims: Vec<u32>,
-        pub checksum: u64,
-        pub payload_len: u64,
-    }
-}
-
 wire_messages! {
     /// Every frame of the store protocol: tag byte, then the fields in wire
     /// order.
@@ -117,21 +94,7 @@ wire_messages! {
         0x44 => Chunk { bytes: Raw },
         /// server→client: `Put` durably applied (`bytes` written).
         0x45 => PutAck { bytes: u64 },
-        /// client→server: request the checkpoint's table of contents.
-        0x46 => GetIndex { id: String },
-        /// server→client: `total_len` bytes of index follow as `Chunk`s —
-        /// the container's header prefix (a few hundred bytes). The client
-        /// runs `parse_index` on them.
-        0x47 => IndexResp { total_len: u64 },
-        /// client→server: request only the named tensors.
-        0x48 => GetTensors { id: String, names: Vec<String> },
-        /// server→client: the selective response. `version` is the source
-        /// container's version, which fixes what the rows' checksums mean;
-        /// the client refuses any but its own.
-        /// Rows' payloads follow as `Chunk`s, concatenated in row order.
-        /// Names absent from the checkpoint are omitted, not errors.
-        0x49 => Ranges { version: u8, names: Vec<String>, rows: Vec<RangeRow> },
-        /// client→server: request the full encoded container.
+        /// client→server: request the encoded container — the one read.
         0x4A => GetRaw { id: String },
         /// server→client: `total_len` container bytes follow as `Chunk`s.
         0x4B => Blob { total_len: u64 },
@@ -158,25 +121,8 @@ impl StoreMsg {
     /// over-cap declaration is refused before either side acts on it.
     fn check(&self) -> Result<(), WireError> {
         match self {
-            StoreMsg::Put { total_len, .. }
-            | StoreMsg::IndexResp { total_len }
-            | StoreMsg::Blob { total_len } => {
+            StoreMsg::Put { total_len, .. } | StoreMsg::Blob { total_len } => {
                 ensure(*total_len <= MAX_TRANSFER_LEN, "transfer length over cap")
-            }
-            StoreMsg::GetTensors { names, .. } => {
-                ensure(names.len() <= MAX_GET_NAMES, "too many names in GetTensors")
-            }
-            StoreMsg::Ranges { names, rows, .. } => {
-                ensure(names.len() <= MAX_GET_NAMES, "too many names in Ranges")?;
-                ensure(rows.len() <= MAX_GET_NAMES, "too many rows in Ranges")?;
-                rows.iter().try_for_each(|row| {
-                    ensure(
-                        (row.name_idx as usize) < names.len(),
-                        "Ranges name index out of table",
-                    )?;
-                    ensure(row.dims.len() <= MAX_RANK, "tensor rank too large")?;
-                    ensure(row.payload_len <= MAX_TRANSFER_LEN, "Ranges payload_len over cap")
-                })
             }
             StoreMsg::ListResp { ids } => {
                 ensure(ids.len() <= MAX_LIST_IDS, "too many ids in ListResp")
@@ -272,20 +218,6 @@ mod tests {
         round_trip(StoreMsg::Chunk { bytes: Raw(Vec::new()) })?;
         assert_eq!(StoreMsg::Chunk { bytes: Raw(Vec::new()) }.tag(), CHUNK_TAG);
         round_trip(StoreMsg::PutAck { bytes: 42 })?;
-        round_trip(StoreMsg::GetIndex { id: "cand_17".into() })?;
-        round_trip(StoreMsg::IndexResp { total_len: 300 })?;
-        round_trip(StoreMsg::GetTensors {
-            id: "cand_17".into(),
-            names: vec!["a/kernel".into(), "a/bias".into()],
-        })?;
-        round_trip(StoreMsg::Ranges {
-            version: 2,
-            names: vec!["a/kernel".into(), "a/bias".into()],
-            rows: vec![
-                RangeRow { name_idx: 0, dims: vec![4, 4], checksum: 77, payload_len: 64 },
-                RangeRow { name_idx: 1, dims: vec![4], checksum: 78, payload_len: 16 },
-            ],
-        })?;
         round_trip(StoreMsg::GetRaw { id: "cand_17".into() })?;
         round_trip(StoreMsg::Blob { total_len: 1 << 24 })?;
         round_trip(StoreMsg::Exists { id: "x".into() })?;
@@ -298,33 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn hostile_name_index_is_rejected() -> Result<(), WireError> {
-        let msg = StoreMsg::Ranges {
-            version: 2,
-            names: vec!["only".into()],
-            rows: vec![RangeRow { name_idx: 0, dims: vec![2], checksum: 0, payload_len: 8 }],
-        };
-        // Patch the row's name_idx (the u16 right after the row count) to
-        // point past the one-entry table; the row body is idx(2) +
-        // rank(4) + one dim(4) + checksum(8) + payload_len(8).
-        let mut evil = msg.encode()?;
-        let row_start = evil.len() - (2 + 4 + 4 + 8 + 8);
-        patch(&mut evil, row_start, 1u16)?;
-        assert!(matches!(
-            StoreMsg::decode(msg.tag(), &evil),
-            Err(WireError::Malformed("Ranges name index out of table"))
-        ));
-        // The sender's side of the same check: such a message never encodes.
-        let bad = StoreMsg::Ranges {
-            version: 2,
-            names: vec!["only".into()],
-            rows: vec![RangeRow { name_idx: 1, dims: vec![2], checksum: 0, payload_len: 8 }],
-        };
-        assert!(matches!(bad.encode(), Err(WireError::Malformed(_))));
-        Ok(())
-    }
-
-    #[test]
     fn oversized_declarations_are_rejected() -> Result<(), WireError> {
         let msg = StoreMsg::Put { id: "x".into(), total_len: 1 };
         let mut evil = msg.encode()?;
@@ -334,11 +239,10 @@ mod tests {
         let over = StoreMsg::Put { id: "x".into(), total_len: MAX_TRANSFER_LEN + 1 };
         assert!(matches!(over.encode(), Err(WireError::Malformed(_))));
 
-        // A GetTensors claiming u32::MAX names with no bytes behind the claim.
-        let msg = StoreMsg::GetTensors { id: "x".into(), names: vec![] };
+        // A ListResp claiming u32::MAX ids with no bytes behind the claim.
+        let msg = StoreMsg::ListResp { ids: vec![] };
         let mut evil = msg.encode()?;
-        let n = evil.len();
-        patch(&mut evil, n - 4, u32::MAX)?;
+        patch(&mut evil, 0, u32::MAX)?;
         assert!(matches!(StoreMsg::decode(msg.tag(), &evil), Err(WireError::Malformed(_))));
         Ok(())
     }
@@ -346,6 +250,12 @@ mod tests {
     #[test]
     fn unknown_tags_and_trailing_bytes_are_typed_errors() -> Result<(), WireError> {
         assert!(matches!(StoreMsg::decode(0x60, &[]), Err(WireError::UnknownType(0x60))));
+        // The four tags of v2's per-tensor read are retired, not reused.
+        for tag in 0x46..=0x49u8 {
+            assert!(
+                matches!(StoreMsg::decode(tag, &[]), Err(WireError::UnknownType(t)) if t == tag)
+            );
+        }
         let msg = StoreMsg::PutAck { bytes: 3 };
         let mut payload = msg.encode()?;
         payload.push(0);

@@ -2,12 +2,12 @@
 //! behind framed TCP.
 //!
 //! Every bucket (tenant namespace) is its own `CachedStore<DirStore>`
-//! rooted at `spill_dir/<bucket>`: hot checkpoints answer `GetIndex` /
-//! `GetTensors` straight from the sharded in-memory LRU, cold ones refill
-//! from the WTC3 spill files, and `Put` writes *through* to disk before it
-//! is acknowledged — so a server restart mid-run loses nothing that was
-//! ever acked, and a restarted server rebuilds its RAM state lazily from
-//! the spill directory.
+//! rooted at `spill_dir/<bucket>`: `GetRaw`, the one read, is sent from the
+//! bucket's resident copy of the container (filled from the WTC3 spill file
+//! on the first read, capped in bytes, oldest-inserted out first), and `Put`
+//! writes *through* to disk before it is acknowledged — so a server restart
+//! mid-run loses nothing that was ever acked, and a restarted server
+//! rebuilds its RAM state lazily from the spill directory.
 //!
 //! Connections are thread-per-client (worker counts are small). Hostile
 //! input never panics: the CI no-panic gate covers this crate, tokens are
@@ -18,8 +18,7 @@
 
 use crate::auth::{ct_eq, hello_mac};
 use crate::proto::{
-    recv_chunks, send_chunks, valid_token, ErrCode, RangeRow, StoreMsg, MAX_LIST_IDS,
-    MAX_TRANSFER_LEN, STORE_PROTOCOL_VERSION,
+    recv_chunks, send_chunks, valid_token, ErrCode, StoreMsg, MAX_LIST_IDS, STORE_PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::io;
@@ -29,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
-use swt_checkpoint::{parse_container, CachedStore, CheckpointStore, DirStore, CONTAINER_VERSION};
+use swt_checkpoint::{parse_container, CachedStore, CheckpointStore, DirStore};
 use swt_obs::serve::{ObsServer, RegistrySource, ServeSource};
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
@@ -109,9 +108,10 @@ impl ServeSource for StoreStatus {
         }
         let _ = write!(
             out,
-            "],\"puts\":{},\"gets_tensors\":{}}}",
+            "],\"puts\":{},\"gets_raw\":{},\"full_bytes_tx\":{}}}",
             swt_obs::counter!("ckptsrv.puts").get(),
-            swt_obs::counter!("ckptsrv.gets_tensors").get()
+            swt_obs::counter!("ckptsrv.gets_raw").get(),
+            swt_obs::counter!("ckptsrv.full_bytes_tx").get()
         );
         out
     }
@@ -296,10 +296,6 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), WireErr
         };
         match msg {
             StoreMsg::Put { id, total_len } => handle_put(&mut stream, &store, &id, total_len)?,
-            StoreMsg::GetIndex { id } => handle_get_index(&mut stream, &store, &id)?,
-            StoreMsg::GetTensors { id, names } => {
-                handle_get_tensors(&mut stream, &store, &id, &names)?
-            }
             StoreMsg::GetRaw { id } => handle_get_raw(&mut stream, &store, &id)?,
             StoreMsg::Exists { id } => {
                 if !valid_token(&id) {
@@ -367,86 +363,6 @@ fn handle_put(
             Ok(())
         }
     }
-}
-
-fn handle_get_index(
-    stream: &mut TcpStream,
-    store: &BucketStore,
-    id: &str,
-) -> Result<(), WireError> {
-    if !valid_token(id) {
-        send_err(stream, ErrCode::BadRequest, "invalid checkpoint id");
-        return Ok(());
-    }
-    let (raw, index) = match store.raw_and_index(id) {
-        Ok(pair) => pair,
-        Err(e) => {
-            let (code, msg) = err_of(&e);
-            send_err(stream, code, msg);
-            return Ok(());
-        }
-    };
-    // The payloads all sit after the self-contained header (fixed head +
-    // TOC + TOC checksum), so the header prefix — which ends where the
-    // first payload begins — is everything `parse_index` needs.
-    let header_len = (index.encoded_len() - index.payload_bytes()) as usize;
-    let header = &raw[..header_len.min(raw.len())];
-    swt_obs::counter!("ckptsrv.gets_index").inc();
-    swt_obs::counter!("ckptsrv.index_bytes_tx").add(header.len() as u64);
-    send(stream, &StoreMsg::IndexResp { total_len: header.len() as u64 })?;
-    send_chunks(header, |ty, chunk| write_frame(stream, ty, chunk))
-}
-
-fn handle_get_tensors(
-    stream: &mut TcpStream,
-    store: &BucketStore,
-    id: &str,
-    names: &[String],
-) -> Result<(), WireError> {
-    if !valid_token(id) {
-        send_err(stream, ErrCode::BadRequest, "invalid checkpoint id");
-        return Ok(());
-    }
-    let (raw, index) = match store.raw_and_index(id) {
-        Ok(pair) => pair,
-        Err(e) => {
-            let (code, msg) = err_of(&e);
-            send_err(stream, code, msg);
-            return Ok(());
-        }
-    };
-    let want: std::collections::HashSet<&str> = names.iter().map(String::as_str).collect();
-    let mut resp_names = Vec::new();
-    let mut rows = Vec::new();
-    let mut payload = Vec::new();
-    for meta in index.tensors().iter().filter(|m| want.contains(m.name.as_str())) {
-        let start = meta.offset as usize;
-        let len = meta.size_bytes() as usize;
-        let Some(slice) = raw.get(start..start.saturating_add(len)) else {
-            send_err(stream, ErrCode::Internal, "stored container shorter than its index");
-            return Ok(());
-        };
-        rows.push(RangeRow {
-            name_idx: resp_names.len() as u16,
-            dims: meta
-                .dims
-                .iter()
-                .map(|&d| u32::try_from(d).map_err(|_| WireError::Malformed("dimension too large")))
-                .collect::<Result<_, _>>()?,
-            checksum: meta.checksum,
-            payload_len: len as u64,
-        });
-        resp_names.push(meta.name.clone());
-        payload.extend_from_slice(slice);
-    }
-    if payload.len() as u64 > MAX_TRANSFER_LEN {
-        send_err(stream, ErrCode::BadRequest, "requested tensor payloads exceed the transfer cap");
-        return Ok(());
-    }
-    swt_obs::counter!("ckptsrv.gets_tensors").inc();
-    swt_obs::counter!("ckptsrv.tensor_bytes_tx").add(payload.len() as u64);
-    send(stream, &StoreMsg::Ranges { version: CONTAINER_VERSION, names: resp_names, rows })?;
-    send_chunks(&payload, |ty, chunk| write_frame(stream, ty, chunk))
 }
 
 fn handle_get_raw(stream: &mut TcpStream, store: &BucketStore, id: &str) -> Result<(), WireError> {

@@ -1,21 +1,20 @@
 //! Seeded fuzz coverage of the store protocol's decode surface, mirroring
 //! the dist wire's `fuzz_decode` suite: every store frame under
-//! truncation, bit flips, random payloads, unknown tags, hostile
-//! name-table indices and oversized length declarations must come back as
-//! a typed [`WireError`] or a valid [`StoreMsg`] — never a panic, never an
-//! unbounded allocation. Deterministic (fixed seeds) so a failure always
-//! reproduces.
+//! truncation, bit flips, random payloads, unknown and retired tags and
+//! oversized length declarations must come back as a typed [`WireError`] or
+//! a valid [`StoreMsg`] — never a panic, never an unbounded allocation.
+//! Deterministic (fixed seeds) so a failure always reproduces.
 
-use swt_ckpt_server::proto::{
-    recv_chunks, ErrCode, RangeRow, StoreMsg, MAX_GET_NAMES, MAX_LIST_IDS, MAX_RANK,
-    MAX_TRANSFER_LEN,
-};
+use swt_ckpt_server::proto::{recv_chunks, ErrCode, StoreMsg, MAX_LIST_IDS, MAX_TRANSFER_LEN};
 use swt_ckpt_server::STORE_PROTOCOL_VERSION;
 use swt_tensor::Rng;
 use swt_wire::{Message, Raw, WireError};
 
-/// Every known store frame-type byte (0x41 Hello … 0x52 Err).
-const STORE_TAGS: std::ops::RangeInclusive<u8> = 0x41..=0x52;
+/// Every known store frame-type byte: 0x41 Hello … 0x45 PutAck, 0x4A GetRaw
+/// … 0x52 Err. 0x46–0x49 were v2's per-tensor read and are retired.
+fn store_tags() -> Vec<u8> {
+    (0x41..=0x45).chain(0x4A..=0x52).collect()
+}
 
 /// One valid message of every store frame type — the fuzz corpus seeds.
 fn corpus() -> Vec<StoreMsg> {
@@ -30,20 +29,6 @@ fn corpus() -> Vec<StoreMsg> {
         StoreMsg::Put { id: "cand_17".into(), total_len: 13_000_000 },
         StoreMsg::Chunk { bytes: Raw(vec![1, 2, 3, 4, 5]) },
         StoreMsg::PutAck { bytes: 13_000_000 },
-        StoreMsg::GetIndex { id: "cand_17".into() },
-        StoreMsg::IndexResp { total_len: 300 },
-        StoreMsg::GetTensors {
-            id: "cand_17".into(),
-            names: vec!["a/kernel".into(), "a/bias".into(), "head/kernel".into()],
-        },
-        StoreMsg::Ranges {
-            version: 2,
-            names: vec!["a/kernel".into(), "a/bias".into()],
-            rows: vec![
-                RangeRow { name_idx: 0, dims: vec![16, 8], checksum: 77, payload_len: 512 },
-                RangeRow { name_idx: 1, dims: vec![8], checksum: 78, payload_len: 32 },
-            ],
-        },
         StoreMsg::GetRaw { id: "cand_17".into() },
         StoreMsg::Blob { total_len: 1 << 24 },
         StoreMsg::Exists { id: "cand_17".into() },
@@ -69,30 +54,17 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `STORE_PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_store_layout() {
-    assert_eq!(STORE_PROTOCOL_VERSION, 2, "new version: re-record the frames below");
+    assert_eq!(STORE_PROTOCOL_VERSION, 3, "new version: re-record the frames below");
     let golden = [
         (
             0x41,
-            "02000000050072756e5f6107070707070707070707070707070707\
+            "03000000050072756e5f6107070707070707070707070707070707\
                 0909090909090909090909090909090909090909090909090909090909090909",
         ),
-        (0x42, "02000000"),
+        (0x42, "03000000"),
         (0x43, "070063616e645f3137405dc60000000000"),
         (0x44, "0102030405"),
         (0x45, "405dc60000000000"),
-        (0x46, "070063616e645f3137"),
-        (0x47, "2c01000000000000"),
-        (
-            0x48,
-            "070063616e645f3137030000000800612f6b65726e656c0600612f626961730b00686561642f\
-                6b65726e656c",
-        ),
-        (
-            0x49,
-            "02020000000800612f6b65726e656c0600612f626961730200000000000200000010000000\
-                080000004d00000000000000000200000000000001000100000008000000\
-                4e000000000000002000000000000000",
-        ),
         (0x4A, "070063616e645f3137"),
         (0x4B, "0000000100000000"),
         (0x4C, "070063616e645f3137"),
@@ -117,7 +89,7 @@ fn corpus_covers_every_tag() {
     let mut tags: Vec<u8> = corpus().iter().map(StoreMsg::tag).collect();
     tags.sort_unstable();
     tags.dedup();
-    assert_eq!(tags, STORE_TAGS.collect::<Vec<_>>(), "corpus must seed every store tag");
+    assert_eq!(tags, store_tags(), "corpus must seed every store tag");
 }
 
 #[test]
@@ -181,10 +153,12 @@ fn random_payloads_against_every_tag_never_panic() {
             }
         }
     }
-    // Tags outside the store range are always UnknownType — including every
-    // dist-protocol tag, so a cross-wired connection fails loudly.
+    // Every other tag is always UnknownType — including every dist-protocol
+    // tag, so a cross-wired connection fails loudly, and the retired
+    // 0x46–0x49, so a v2 client's per-tensor read is refused, not misread.
+    let known = store_tags();
     for ty in 0x00..=0xFFu8 {
-        if !STORE_TAGS.contains(&ty) {
+        if !known.contains(&ty) {
             assert!(
                 matches!(StoreMsg::decode(ty, &[]), Err(WireError::UnknownType(t)) if t == ty),
                 "tag {ty:#04x} must be rejected as unknown"
@@ -194,35 +168,11 @@ fn random_payloads_against_every_tag_never_panic() {
 }
 
 #[test]
-fn hostile_name_table_indices_are_rejected() {
-    let (ty, payload) = frame(&StoreMsg::Ranges {
-        version: 2,
-        names: vec!["a".into(), "b".into()],
-        rows: vec![RangeRow { name_idx: 1, dims: vec![4], checksum: 0, payload_len: 16 }],
-    });
-    // The row's name_idx is the u16 right after the row count; the row body
-    // is idx(2) + rank(4) + one dim(4) + checksum(8) + payload_len(8).
-    let row_start = payload.len() - (2 + 4 + 4 + 8 + 8);
-    for idx in [2u16, 100, u16::MAX] {
-        let mut evil = payload.clone();
-        evil[row_start..row_start + 2].copy_from_slice(&idx.to_le_bytes());
-        assert!(
-            matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))),
-            "name_idx {idx} must be rejected"
-        );
-    }
-}
-
-#[test]
 fn oversized_declarations_are_typed_errors() {
     // Transfer headers declaring more than the cap: rejected at decode,
     // before any receive loop could try to buffer them.
     let over = MAX_TRANSFER_LEN + 1;
-    for msg in [
-        StoreMsg::Put { id: "x".into(), total_len: 1 },
-        StoreMsg::IndexResp { total_len: 1 },
-        StoreMsg::Blob { total_len: 1 },
-    ] {
+    for msg in [StoreMsg::Put { id: "x".into(), total_len: 1 }, StoreMsg::Blob { total_len: 1 }] {
         let (ty, payload) = frame(&msg);
         let mut evil = payload.clone();
         let n = evil.len();
@@ -233,57 +183,22 @@ fn oversized_declarations_are_typed_errors() {
         );
     }
 
-    // A GetTensors or ListResp claiming u32::MAX entries with no bytes
-    // behind the claim: refused on the count, nothing reserved.
-    let (ty, mut evil) = frame(&StoreMsg::GetTensors { id: "x".into(), names: vec![] });
-    let n = evil.len();
-    evil[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
-    let (ty, mut evil) = frame(&StoreMsg::ListResp { ids: vec![] });
+    // A ListResp claiming u32::MAX ids with no bytes behind the claim:
+    // refused on the count, nothing reserved.
+    let (ty, payload) = frame(&StoreMsg::ListResp { ids: vec![] });
+    let mut evil = payload.clone();
     evil[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
 
-    // The same two lists one entry past their caps, every entry really
-    // present (empty strings, two bytes each): refused by the cap itself.
-    for (msg, cap) in [
-        (StoreMsg::GetTensors { id: String::new(), names: vec![] }, MAX_GET_NAMES),
-        (StoreMsg::ListResp { ids: vec![] }, MAX_LIST_IDS),
-    ] {
-        let (ty, mut evil) = frame(&msg);
-        let n = evil.len();
-        evil[n - 4..].copy_from_slice(&(cap as u32 + 1).to_le_bytes());
-        evil.resize(n + 2 * (cap + 1), 0);
-        assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
-        evil[n - 4..n].copy_from_slice(&(cap as u32).to_le_bytes());
-        evil.truncate(n + 2 * cap);
-        assert!(StoreMsg::decode(ty, &evil).is_ok(), "a list at its cap must decode");
-    }
-
-    // A Ranges row declaring an over-cap payload_len.
-    let (ty, mut evil) = frame(&StoreMsg::Ranges {
-        version: 2,
-        names: vec!["a".into()],
-        rows: vec![RangeRow { name_idx: 0, dims: vec![], checksum: 0, payload_len: 1 }],
-    });
-    let n = evil.len();
-    evil[n - 8..].copy_from_slice(&over.to_le_bytes());
-    assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
-
-    // A rank past MAX_RANK, with every announced dim present.
-    let (ty, payload) = frame(&StoreMsg::Ranges {
-        version: 2,
-        names: vec!["a".into()],
-        rows: vec![RangeRow { name_idx: 0, dims: vec![1; MAX_RANK], checksum: 0, payload_len: 1 }],
-    });
-    assert!(StoreMsg::decode(ty, &payload).is_ok(), "a row at MAX_RANK must decode");
-    let rank_at = payload.len() - (4 + 4 * MAX_RANK + 8 + 8);
+    // The same list one id past its cap, every id really present (empty
+    // strings, two bytes each): refused by the cap itself.
     let mut evil = payload;
-    evil[rank_at] = MAX_RANK as u8 + 1;
-    evil.splice(rank_at + 4..rank_at + 4, [1, 0, 0, 0]);
-    assert!(matches!(
-        StoreMsg::decode(ty, &evil),
-        Err(WireError::Malformed("tensor rank too large"))
-    ));
+    evil[..4].copy_from_slice(&(MAX_LIST_IDS as u32 + 1).to_le_bytes());
+    evil.resize(4 + 2 * (MAX_LIST_IDS + 1), 0);
+    assert!(matches!(StoreMsg::decode(ty, &evil), Err(WireError::Malformed(_))));
+    evil[..4].copy_from_slice(&(MAX_LIST_IDS as u32).to_le_bytes());
+    evil.truncate(4 + 2 * MAX_LIST_IDS);
+    assert!(StoreMsg::decode(ty, &evil).is_ok(), "a list at its cap must decode");
 }
 
 #[test]

@@ -1,14 +1,17 @@
-//! End-to-end sessions against a live [`CkptServer`]: selective reads,
+//! End-to-end sessions against a live [`CkptServer`]: reads through a bare
+//! [`RemoteStore`] and through the lineage cache a worker fronts it with,
 //! authentication (including the constant-time-rejection regression test),
-//! malformed-Hello hardening, and restart-with-durable-spill.
+//! malformed- and old-version-Hello hardening, and restart-with-durable-spill.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
-use swt_checkpoint::{encode, CheckpointStore};
+use swt_checkpoint::{encode, CachedStore, CheckpointStore};
 use swt_ckpt_server::auth::ct_eq;
-use swt_ckpt_server::{CkptServer, RemoteStore, ServerConfig};
+use swt_ckpt_server::proto::ErrCode;
+use swt_ckpt_server::{CkptServer, RemoteStore, ServerConfig, StoreMsg};
 use swt_tensor::{Rng, Tensor};
 
 fn temp_spill(tag: &str) -> PathBuf {
@@ -32,6 +35,13 @@ fn start(tag: &str, secret: &str) -> (CkptServer, PathBuf) {
     (server, spill)
 }
 
+/// A second session on `bucket`, fronted by the lineage cache the way a dist
+/// worker holds its store: every checkpoint in the bucket is foreign to it.
+fn worker_view(server: &CkptServer, bucket: &str) -> CachedStore<Arc<RemoteStore>> {
+    let remote = RemoteStore::connect(&server.addr().to_string(), bucket, "");
+    CachedStore::new(Arc::new(remote), 1 << 20)
+}
+
 #[test]
 fn put_and_selective_reads_round_trip() {
     swt_obs::enable();
@@ -46,18 +56,23 @@ fn put_and_selective_reads_round_trip() {
     // Full read returns the exact container bytes the client encoded.
     assert_eq!(client.load_raw("cand_1").expect("load_raw"), raw);
 
-    // Header-only index read sees every tensor without the payload bytes.
-    let index = client.load_index("cand_1").expect("load_index");
-    assert_eq!(index.len(), saved.len());
-    assert_eq!(index.encoded_len(), raw.len() as u64);
-
-    // Selective read: exactly the requested subset, bit-identical values.
+    // The index and the selective read are views of those bytes — on the
+    // bare client, and behind the cache a worker fronts it with.
+    let worker = worker_view(&server, "tenant_a");
     let names = vec!["a/kernel".to_string(), "b/kernel".to_string()];
-    let got = client.load_tensors("cand_1", &names).expect("load_tensors");
-    assert_eq!(got.len(), 2);
-    for (name, tensor) in &got {
-        let original = &saved.iter().find(|(n, _)| n == name).expect("requested name").1;
-        assert!(tensor.approx_eq(original, 0.0), "{name} must round-trip bit-exactly");
+    for (view, store) in [("bare", &client as &dyn CheckpointStore), ("cached", &worker)] {
+        // The index sees every tensor and the container's length.
+        let index = store.load_index("cand_1").expect("load_index");
+        assert_eq!(index.len(), saved.len(), "{view}");
+        assert_eq!(index.encoded_len(), raw.len() as u64, "{view}");
+
+        // Selective read: exactly the requested subset, bit-identical values.
+        let got = store.load_tensors("cand_1", &names).expect("load_tensors");
+        assert_eq!(got.len(), 2, "{view}");
+        for (name, tensor) in &got {
+            let original = &saved.iter().find(|(n, _)| n == name).expect("requested name").1;
+            assert!(tensor.approx_eq(original, 0.0), "{view}: {name} must round-trip bit-exactly");
+        }
     }
 
     // Metadata surface.
@@ -75,13 +90,17 @@ fn put_and_selective_reads_round_trip() {
 
 #[test]
 fn damaged_spill_files_are_typed_errors_on_the_range_path() {
-    // Files damaged behind the server's back, each under its own id so the
-    // server's cache never answers for another: every strict prefix of a
-    // container is refused by the server's cache fill (a complete `Err`
-    // response), and every single-bit flip of a payload — which the server
-    // forwards without reading — fails the client's checksum.
+    // Files damaged behind the server's back, each under its own id so no
+    // cache ever answers for another: every strict prefix of a container is
+    // refused by the server's cache fill (a complete `Err` response), and
+    // every single-bit flip of a payload — which the server forwards without
+    // reading — fails the reader's checksum. The path is `GetRaw`, read bare
+    // and through a worker's cache (v2's range read, which named this test,
+    // is gone).
     let (server, spill) = start("damage", "");
     let client = RemoteStore::connect(&server.addr().to_string(), "tenant_a", "");
+    let worker = worker_view(&server, "tenant_a");
+    let views = [("bare", &client as &dyn CheckpointStore), ("cached", &worker)];
     let mut rng = Rng::seed(3);
     let saved: Vec<(String, Tensor)> = vec![
         ("a/kernel".into(), Tensor::rand_normal([4, 4], 0.0, 1.0, &mut rng)),
@@ -94,21 +113,29 @@ fn damaged_spill_files_are_typed_errors_on_the_range_path() {
 
     for cut in 0..clean.len() {
         std::fs::write(dir.join(format!("p{cut}.wtc")), &clean[..cut]).expect("write prefix");
-        let err = client.load_tensors(&format!("p{cut}"), &names).expect_err("prefix accepted");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "prefix of {cut} bytes: {err}");
+        for (view, store) in views {
+            let err = store.load_tensors(&format!("p{cut}"), &names).expect_err("prefix accepted");
+            let kind = std::io::ErrorKind::InvalidInput;
+            assert_eq!(err.kind(), kind, "{view}: prefix of {cut} bytes: {err}");
+        }
     }
     let first_payload = clean.len() - 4 * (16 + 4);
     let mut dirty = clean.clone();
     for bit in 8 * first_payload..8 * clean.len() {
         dirty[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(dir.join(format!("f{bit}.wtc")), &dirty).expect("write flipped");
-        let err = client.load_tensors(&format!("f{bit}"), &names).expect_err("flip accepted");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "payload bit {bit}: {err}");
-        assert!(client.load(&format!("f{bit}")).is_err(), "full load accepted bit {bit}");
+        for (view, store) in views {
+            let err = store.load_tensors(&format!("f{bit}"), &names).expect_err("flip accepted");
+            let kind = std::io::ErrorKind::InvalidData;
+            assert_eq!(err.kind(), kind, "{view}: payload bit {bit}: {err}");
+            assert!(store.load(&format!("f{bit}")).is_err(), "{view}: full load accepted {bit}");
+        }
         dirty[bit / 8] ^= 1 << (bit % 8);
     }
-    // The session survived all of it.
-    assert_eq!(client.load_tensors("clean", &names).expect("clean read").len(), 2);
+    // Both sessions survived all of it.
+    for (view, store) in views {
+        assert_eq!(store.load_tensors("clean", &names).expect(view).len(), 2, "{view}");
+    }
 
     drop(server);
     let _ = std::fs::remove_dir_all(spill);
@@ -209,6 +236,32 @@ fn malformed_hello_is_dropped_and_server_keeps_serving() {
     while swt_obs::counter!("ckptsrv.bad_hello").get() < bad_before + 2 {
         assert!(Instant::now() < deadline, "bad_hello counter must record both drops");
         std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(spill);
+}
+
+#[test]
+fn a_v2_hello_is_answered_with_a_final_error() {
+    // A v2 client's Hello, written out byte for byte (v2's golden frame): it
+    // is well formed, so it is answered — `BadRequest`, the code `RemoteStore`
+    // maps to `InvalidInput`, which its retry loop treats as final. A v2
+    // worker against a v3 server fails at once, not on its first read.
+    let (server, spill) = start("oldhello", "");
+    let mut payload = vec![2, 0, 0, 0, 5, 0];
+    payload.extend_from_slice(b"run_a");
+    payload.extend_from_slice(&[7; 16]);
+    payload.extend_from_slice(&[9; 32]);
+    let mut old = TcpStream::connect(server.addr()).expect("connect");
+    swt_wire::write_frame(&mut old, 0x41, &payload).expect("frame");
+    let mut buf = Vec::new();
+    match swt_wire::recv::<StoreMsg>(&mut old, &mut buf).expect("the Hello is answered") {
+        StoreMsg::Err { code, message } => {
+            assert_eq!(code, ErrCode::BadRequest, "{message}");
+            assert!(message.contains("version"), "{message}");
+        }
+        other => panic!("a v2 Hello was answered with {other:?}"),
     }
 
     drop(server);

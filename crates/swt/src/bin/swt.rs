@@ -12,8 +12,8 @@
 //! * `swt dist-worker --connect ADDR --worker-id N` — internal: the worker
 //!   side, spawned by the coordinator (not for direct use).
 //! * `swt ckpt-server --spill DIR` — run the networked checkpoint store;
-//!   point `dist-run --store tcp://host:port` at it and workers fetch only
-//!   the selective transfer subset over the wire (DESIGN.md §12).
+//!   point `dist-run --store tcp://host:port` at it and a worker fetches a
+//!   parent another worker trained whole, once (DESIGN.md §12).
 //!
 //! See EXPERIMENTS.md §"Distributed runs" for walkthroughs, including the
 //! kill-a-worker fault-tolerance demo and §"Watching a run live".

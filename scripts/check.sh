@@ -155,14 +155,11 @@ if [ -n "$panics" ]; then
   exit 1
 fi
 
-echo "==> bench_dist smoke (coordinator + 2 workers, one SIGKILLed; A/B identical to in-process)"
-cargo build --release --quiet -p swt   # worker binary for the coordinator to spawn
-cargo run --release --quiet -p swt-bench --bin bench_dist -- --smoke
-
 echo "==> autoscale policy props (bounds, hysteresis, monotonicity, log determinism)"
 cargo test --release --quiet -p swt-dist --test policy_props
 
 echo "==> bench_autoscale smoke (autoscaled A/B identical; replayed policy closes the makespan gap)"
+cargo build --release --quiet -p swt   # worker binary for the coordinator (and the smokes below) to spawn
 cargo run --release --quiet -p swt-bench --bin bench_autoscale -- --smoke
 
 echo "==> one-codec gate (the byte format lives in swt-wire; protocols only declare frames)"
@@ -179,8 +176,13 @@ fi
 echo "==> wire fuzz + store wire fuzz (golden bytes; every frame under truncation/bit-flips/hostile counts)"
 cargo test --release --quiet -p swt-dist -p swt-ckpt-server --test fuzz_decode
 
-echo "==> bench_ckptsrv smoke (selective read <= 5% of full bytes on the wire, >= 3x faster)"
-cargo run --release --quiet -p swt-bench --bin bench_ckptsrv -- --smoke
+echo "==> one store read (GetRaw is the wire's only read; no per-tensor frames, no fifth store)"
+second=$(grep -rnE 'GetIndex|GetTensors|IndexResp|RangeRow|QuantizedStore' crates tests examples || true)
+if [ -n "$second" ]; then
+  echo "a deleted store read path or store implementation is named again:" >&2
+  echo "$second" >&2
+  exit 1
+fi
 
 echo "==> elastic smoke (late join must not change the canonical trace)"
 elastic_dir=$(mktemp -d)

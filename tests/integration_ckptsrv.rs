@@ -13,8 +13,14 @@ use swt::prelude::*;
 mod util;
 use util::{assert_traces_identical, poll_until, temp_dir};
 
+/// A population smaller than the run, so most candidates are mutated
+/// children that read their parent back from the server.
 fn nas_config(candidates: usize, workers: usize) -> NasConfig {
-    NasConfig::quick(TransferScheme::Lcs, candidates, workers, 9)
+    NasConfig {
+        population_size: 4,
+        sample_size: 2,
+        ..NasConfig::quick(TransferScheme::Lcs, candidates, workers, 9)
+    }
 }
 
 /// A dist config whose workers dial `url` instead of opening the DirStore.
@@ -68,6 +74,15 @@ fn remote_store_run_matches_dirstore_run() {
     let scratch_store = DirStore::new(&scratch).unwrap();
     assert!(scratch_store.list().is_empty(), "no checkpoint may bypass the server");
 
+    // `cache_bytes = 0` takes the cache from in front of the `RemoteStore`:
+    // each child then fetches its parent whole twice (the index, then the
+    // matched tensors) — slower, and the same trace.
+    let bare = NasConfig { cache_bytes: 0, namespace: "bare_".into(), ..cfg.clone() };
+    let uncached =
+        run_nas_dist(&bare, &dist_config(scratch.clone(), &url)).expect("uncached run failed");
+    assert_traces_identical(&local, &uncached, "remote-store run without a worker cache");
+    assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "no child read a parent");
+
     drop(server);
     for dir in [local_store, spill, scratch] {
         let _ = std::fs::remove_dir_all(dir);
@@ -85,7 +100,7 @@ fn killed_worker_recovers_through_the_remote_store() {
     let url = format!("tcp://{}", server.addr());
     let scratch = temp_dir("rs_kill_scratch");
     let mut dist = dist_config(scratch.clone(), &url);
-    // SIGKILL worker 1 mid-run — possibly mid-GetTensors. The server must
+    // SIGKILL worker 1 mid-run — possibly mid-fetch. The server must
     // shrug off the severed session and the reassigned candidate must pull
     // its parent's weights to the surviving worker, keeping the trace
     // bit-identical.

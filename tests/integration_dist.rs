@@ -34,7 +34,9 @@ fn run_in_process(cfg: &NasConfig, store_dir: &PathBuf) -> NasTrace {
 
 #[test]
 fn distributed_run_matches_in_process_run() {
-    let cfg = nas_config(10, 2);
+    // 24 candidates against a population of 16: the last third are mutated
+    // children that read their parent back, so the identity covers transfer.
+    let cfg = nas_config(24, 2);
     let local_store = temp_dir("ab_local");
     let local = run_in_process(&cfg, &local_store);
 
@@ -43,6 +45,7 @@ fn distributed_run_matches_in_process_run() {
     let distributed = run_nas_dist(&cfg, &dist).expect("distributed run failed");
 
     assert_traces_identical(&local, &distributed, "healthy 2-worker run");
+    assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "identity of nothing transferred");
     // Workers shared one DirStore: every candidate checkpoint is on disk.
     // Checkpoints are written by *worker* processes, so wait on a deadline
     // rather than asserting instantly.
@@ -168,13 +171,14 @@ exec '{}' "$@"
 fn single_worker_distributed_run_completes() {
     // Degenerate pool: the coordinator must work with a 1-wide window too
     // (this is also the post-failure steady state of a 2-worker run).
-    let cfg = nas_config(6, 1);
+    let cfg = nas_config(24, 1);
     let local_store = temp_dir("one_local");
     let local = run_in_process(&cfg, &local_store);
     let dist_store = temp_dir("one_dist");
     let dist = dist_config(dist_store.clone());
     let distributed = run_nas_dist(&cfg, &dist).expect("single-worker run failed");
     assert_traces_identical(&local, &distributed, "single-worker run");
+    assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "identity of nothing transferred");
     let _ = std::fs::remove_dir_all(&local_store);
     let _ = std::fs::remove_dir_all(&dist_store);
 }
