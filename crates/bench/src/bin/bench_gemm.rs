@@ -6,6 +6,11 @@
 //! cap configurations), on the runtime-dispatched micro-kernel (AVX2+FMA
 //! where detected):
 //! * blocked GEMM on square and training-shaped problems,
+//! * the three products of a dense layer (`x·w`, `xᵀ·dy`, `dy·wᵀ`) at every
+//!   shape the Uno space emits at batch 32 — the per-product table the
+//!   contraction-engine item (ROADMAP) starts from; the one-unit output layer
+//!   takes the direct loops, the rest the blocked driver — and one dropout
+//!   forward at Uno's widest hidden layer, in nanoseconds per element,
 //! * conv2d forward and backward on the Cifar10 space's first-block shapes
 //!   at batch 64 (input `(64,12,12,c)`, kernel `3×3×c×f`, 'same' padding),
 //!   then one row pair per thing the other layers of the spaces add: 'valid'
@@ -20,12 +25,20 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
+use swt::nn::layers::{DropoutLayer, Layer};
 use swt::prelude::*;
 use swt::tensor::{
     conv1d_backward, conv1d_forward, conv2d_backward, conv2d_forward, gemm_kernel_name, matmul,
-    Padding,
+    matmul_at_ws, matmul_bt_ws, matmul_ws, Padding, Workspace,
 };
-use swt_bench::Harness;
+use swt_bench::{median_ns, Harness};
+
+/// Calls per timed sample of a microsecond-scale row, so the clock reads are
+/// a negligible share of it.
+const REPS: usize = 32;
+
+/// One of a dense layer's three products, on the caller's arena.
+type Product = fn(&Tensor, &Tensor, &mut Workspace) -> Tensor;
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_gemm.json".to_string());
@@ -54,6 +67,45 @@ fn main() {
         });
         flops.push((name, 2.0 * (m * k * n) as f64));
     }
+
+    // A dense layer's three products at Uno's shapes, through the entry
+    // points and the arena the layer uses.
+    let mut ws = Workspace::new();
+    for &k in &[64usize, 96, 128, 160, 321] {
+        for &n in &[1usize, 32, 64, 128] {
+            let x = Tensor::rand_normal([32, k], 0.0, 1.0, &mut rng);
+            let w = Tensor::rand_normal([k, n], 0.0, 0.1, &mut rng);
+            let dy = Tensor::rand_normal([32, n], 0.0, 1.0, &mut rng);
+            let products: [(&str, Product, _, _); 3] = [
+                ("matmul", matmul_ws, &x, &w),
+                ("matmul_at", matmul_at_ws, &x, &dy),
+                ("matmul_bt", matmul_bt_ws, &dy, &w),
+            ];
+            for (entry, product, lhs, rhs) in products {
+                let name = format!("dense.{entry}.32x{k}x{n}");
+                let (ns, iters) = median_ns(|| {
+                    for _ in 0..REPS {
+                        let out = product(black_box(lhs), black_box(rhs), &mut ws);
+                        ws.recycle(black_box(out));
+                    }
+                });
+                h.record(&name, ns / REPS as f64, iters);
+                flops.push((name, 2.0 * (32 * k * n) as f64));
+            }
+        }
+    }
+
+    // Dropout's training forward (mask draw + scale) on a 32×160 activation.
+    let x = Tensor::rand_normal([32, 160], 0.0, 1.0, &mut rng);
+    let mut dropout = DropoutLayer::new(0.3, Rng::seed(1));
+    let (ns, iters) = median_ns(|| {
+        for _ in 0..REPS {
+            let y = dropout.forward(&[black_box(&x)], true, &mut ws);
+            ws.recycle(black_box(y));
+        }
+    });
+    h.record("dropout.fwd.32x160", ns / REPS as f64, iters);
+    let dropout_ns_per_element = ns / REPS as f64 / x.numel() as f64;
 
     // Convolutions at the spaces' batch sizes: the Cifar10 first block at
     // every (c, f) corner, then the shapes that differ in kind. Backward is
@@ -130,6 +182,12 @@ fn main() {
         println!("{name:<48} {gflops:>8.1} GFLOP/s");
         meta.push((format!("gflops.{name}"), format!("{gflops:.1}")));
     }
+
+    println!("{:<48} {dropout_ns_per_element:>8.2} ns/element", "dropout.fwd.32x160");
+    meta.push((
+        "ns_per_element.dropout.fwd.32x160".to_string(),
+        format!("{dropout_ns_per_element:.2}"),
+    ));
 
     let meta: Vec<(&str, String)> = meta.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
     std::fs::write(&out_path, h.to_json(&meta)).expect("write benchmark JSON");

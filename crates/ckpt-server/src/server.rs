@@ -64,7 +64,9 @@ type BucketStore = Arc<CachedStore<DirStore>>;
 struct Shared {
     cfg: ServerConfig,
     buckets: Mutex<HashMap<String, BucketStore>>,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A handle on every live session's socket, by session number, so `stop`
+    /// can shut them down; a session takes its own out when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     stop: AtomicBool,
 }
 
@@ -145,7 +147,7 @@ impl CkptServer {
         let shared = Arc::new(Shared {
             cfg,
             buckets: Mutex::new(HashMap::new()),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
         });
         let obs = match serve_bind {
@@ -170,7 +172,7 @@ impl CkptServer {
     /// `spill_dir` serves it again.
     pub fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-        for conn in lock(&self.shared.conns).drain(..) {
+        for (_, conn) in lock(&self.shared.conns).drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         if let Some(handle) = self.accept_handle.take() {
@@ -189,18 +191,25 @@ impl Drop for CkptServer {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut sessions = 0u64;
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 swt_obs::counter!("ckptsrv.conns").inc();
+                let session = sessions;
+                sessions += 1;
                 if let Ok(tracked) = stream.try_clone() {
-                    lock(&shared.conns).push(tracked);
+                    lock(&shared.conns).insert(session, tracked);
                 }
                 let conn_shared = Arc::clone(shared);
                 thread::spawn(move || {
                     if let Err(e) = serve_conn(&conn_shared, stream) {
                         swt_obs::debug!("ckptsrv", "session ended: {e}");
                     }
+                    // `serve_conn` dropped its handle; the socket closes — and
+                    // a client refused at Hello reads EOF — once the tracked
+                    // one goes too.
+                    lock(&conn_shared.conns).remove(&session);
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -3,7 +3,7 @@
 //! authentication (including the constant-time-rejection regression test),
 //! malformed- and old-version-Hello hardening, and restart-with-durable-spill.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use std::time::Instant;
 use swt_checkpoint::{encode, CachedStore, CheckpointStore};
 use swt_ckpt_server::auth::ct_eq;
 use swt_ckpt_server::proto::ErrCode;
-use swt_ckpt_server::{CkptServer, RemoteStore, ServerConfig, StoreMsg};
+use swt_ckpt_server::{CkptServer, RemoteStore, ServerConfig, StoreMsg, STORE_PROTOCOL_VERSION};
 use swt_tensor::{Rng, Tensor};
 
 fn temp_spill(tag: &str) -> PathBuf {
@@ -242,6 +242,40 @@ fn malformed_hello_is_dropped_and_server_keeps_serving() {
     let _ = std::fs::remove_dir_all(spill);
 }
 
+/// The server has closed its side of `stream`: a read returns EOF — within
+/// the timeout, so a socket the server forgot to close fails the test
+/// instead of hanging it.
+fn assert_reads_eof(stream: &mut TcpStream, why: &str) {
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "{why}: {} stray bytes before EOF", rest.len()),
+        Err(e) => panic!("{why}: the refused connection was not closed ({e})"),
+    }
+}
+
+#[test]
+fn a_hello_with_a_bad_mac_is_refused_and_the_connection_closed() {
+    let (server, spill) = start("badmac", "orchid-lattice");
+    let mut client = TcpStream::connect(server.addr()).expect("connect");
+    let hello = StoreMsg::Hello {
+        version: STORE_PROTOCOL_VERSION,
+        bucket: "run_a".into(),
+        nonce: [7; 16],
+        mac: [9; 32],
+    };
+    swt_wire::send(&mut client, &hello).expect("frame");
+    let mut buf = Vec::new();
+    match swt_wire::recv::<StoreMsg>(&mut client, &mut buf).expect("the Hello is answered") {
+        StoreMsg::Err { code, .. } => assert_eq!(code, ErrCode::Unauthorized),
+        other => panic!("a forged Hello was answered with {other:?}"),
+    }
+    assert_reads_eof(&mut client, "bad MAC");
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(spill);
+}
+
 #[test]
 fn a_v2_hello_is_answered_with_a_final_error() {
     // A v2 client's Hello, written out byte for byte (v2's golden frame): it
@@ -263,6 +297,7 @@ fn a_v2_hello_is_answered_with_a_final_error() {
         }
         other => panic!("a v2 Hello was answered with {other:?}"),
     }
+    assert_reads_eof(&mut old, "bad version");
 
     drop(server);
     let _ = std::fs::remove_dir_all(spill);

@@ -1,7 +1,7 @@
 //! Convolutional layers (2-D NHWC and 1-D NWC), stride 1, with optional L2
 //! kernel regularisation (the CIFAR-like space's `l2 = 5e-4` choice).
 
-use super::{glorot_limit, Layer};
+use super::{glorot_limit, set_gradient, Layer};
 use swt_tensor::{
     conv1d_backward_kernel_ws, conv1d_backward_ws, conv1d_forward_ws, conv2d_backward_kernel_ws,
     conv2d_backward_ws, conv2d_forward_ws, Padding, Rng, Tensor, Workspace,
@@ -55,11 +55,12 @@ fn add_channel_bias(t: &mut Tensor, bias: &Tensor) {
     }
 }
 
-/// Accumulate per-channel (last-dim) sums of `t` into `acc`, the bias
-/// gradient reduction.
-fn accumulate_channel_sums(t: &Tensor, acc: &mut Tensor) {
-    let f = acc.numel();
-    let out = acc.data_mut();
+/// `sums` = the per-channel (last-dim) sums of `t`, from `0.0` in row order:
+/// the bias gradient reduction.
+fn channel_sums(t: &Tensor, sums: &mut Tensor) {
+    let f = sums.numel();
+    let out = sums.data_mut();
+    out.fill(0.0);
     for chunk in t.data().chunks(f) {
         for (o, &v) in out.iter_mut().zip(chunk) {
             *o += v;
@@ -90,14 +91,14 @@ impl Layer for Conv2DLayer {
             (None, conv2d_backward_kernel_ws(x, kernel, dout, self.padding, ws))
         };
         if self.l2 > 0.0 {
-            // d/dw of (l2/2)·||w||² accumulated into the kernel gradient; the
+            // d/dw of (l2/2)·||w||² added to the kernel gradient; the
             // factor matches Keras' `l2(l2)` regulariser up to its 1/2
             // convention, which only rescales the effective weight decay.
             dk.axpy(self.l2, &self.kernel);
         }
-        self.d_kernel.axpy(1.0, &dk);
+        set_gradient(&mut self.d_kernel, &dk);
         ws.recycle(dk);
-        accumulate_channel_sums(dout, &mut self.d_bias);
+        channel_sums(dout, &mut self.d_bias);
         vec![dx]
     }
 
@@ -178,9 +179,9 @@ impl Layer for Conv1DLayer {
         if self.l2 > 0.0 {
             dk.axpy(self.l2, &self.kernel);
         }
-        self.d_kernel.axpy(1.0, &dk);
+        set_gradient(&mut self.d_kernel, &dk);
         ws.recycle(dk);
-        accumulate_channel_sums(dout, &mut self.d_bias);
+        channel_sums(dout, &mut self.d_bias);
         vec![dx]
     }
 

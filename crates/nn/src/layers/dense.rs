@@ -1,6 +1,6 @@
 //! Fully-connected layer with optional fused activation.
 
-use super::{glorot_limit, Layer};
+use super::{glorot_limit, set_gradient, Layer};
 use crate::spec::Activation;
 use swt_tensor::{matmul_at_ws, matmul_bt_ws, matmul_ws, Rng, Tensor, Workspace};
 
@@ -10,6 +10,11 @@ pub struct DenseLayer {
     bias: Tensor,
     d_kernel: Tensor,
     d_bias: Tensor,
+    /// `zero_grads` was called and neither `backward` nor a reader has come
+    /// since: the gradients read as zero, the buffers are not yet filled.
+    /// (`backward` overwrites them, so a training step never pays the fill —
+    /// `d_kernel` is most of a model's parameters.)
+    grads_zeroed: bool,
     activation: Option<Activation>,
 }
 
@@ -27,6 +32,7 @@ impl DenseLayer {
             bias: Tensor::zeros([units]),
             d_kernel: Tensor::zeros([in_features, units]),
             d_bias: Tensor::zeros([units]),
+            grads_zeroed: false,
             activation,
         }
     }
@@ -63,24 +69,44 @@ pub(crate) fn activation_grad_scalar(y: f32, a: Activation) -> f32 {
     }
 }
 
+/// `dpre = grad(dout, y)` element by element and, in the same pass over
+/// `dout`, `sums[j] = Σ_rows dpre[row][j]` from `0.0` in row order (the bias
+/// gradient).
+fn dpre_and_column_sums(
+    dpre: &mut [f32],
+    sums: &mut [f32],
+    dout: &[f32],
+    y: &[f32],
+    grad: impl Fn(f32, f32) -> f32,
+) {
+    let n = sums.len();
+    sums.fill(0.0);
+    for ((dp_row, g_row), y_row) in dpre.chunks_mut(n).zip(dout.chunks(n)).zip(y.chunks(n)) {
+        for (((dp, sum), &g), &yv) in dp_row.iter_mut().zip(sums.iter_mut()).zip(g_row).zip(y_row) {
+            *dp = grad(g, yv);
+            *sum += *dp;
+        }
+    }
+}
+
 impl Layer for DenseLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
         let x = inputs[0];
         assert_eq!(x.shape().rank(), 2, "dense input must be (batch, features)");
         let mut y = matmul_ws(x, &self.kernel, ws);
-        // Broadcast bias over rows.
-        let units = self.bias.numel();
-        for row in y.data_mut().chunks_mut(units) {
-            for (v, &b) in row.iter_mut().zip(self.bias.data()) {
-                *v += b;
+        // Bias (broadcast over rows) and activation in one pass over `y`.
+        let bias = self.bias.data();
+        for row in y.data_mut().chunks_mut(bias.len()) {
+            match self.activation {
+                None => row.iter_mut().zip(bias).for_each(|(v, &b)| *v += b),
+                Some(a) => {
+                    let biased = row.iter_mut().zip(bias).map(|(out, &b)| {
+                        let v = *out + b;
+                        (out, v)
+                    });
+                    apply_activation(biased, a);
+                }
             }
-        }
-        if let Some(a) = self.activation {
-            let in_place = y.data_mut().iter_mut().map(|out| {
-                let v = *out;
-                (out, v)
-            });
-            apply_activation(in_place, a);
         }
         y
     }
@@ -94,27 +120,19 @@ impl Layer for DenseLayer {
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
         let x = inputs[0];
+        self.grads_zeroed = false;
+        // The pre-activation gradient and the bias gradient, one pass.
         let mut dpre = ws.take_tensor(dout.shape().clone());
+        let (dp, db) = (dpre.data_mut(), self.d_bias.data_mut());
         match self.activation {
-            Some(a) => {
-                for ((dp, &g), &yv) in
-                    dpre.data_mut().iter_mut().zip(dout.data()).zip(output.data())
-                {
-                    *dp = g * activation_grad_scalar(yv, a);
-                }
-            }
-            None => dpre.data_mut().copy_from_slice(dout.data()),
+            Some(a) => dpre_and_column_sums(dp, db, dout.data(), output.data(), |g, y| {
+                g * activation_grad_scalar(y, a)
+            }),
+            None => dpre_and_column_sums(dp, db, dout.data(), output.data(), |g, _| g),
         }
         let dk = matmul_at_ws(x, &dpre, ws);
-        self.d_kernel.axpy(1.0, &dk);
+        set_gradient(&mut self.d_kernel, &dk);
         ws.recycle(dk);
-        let units = self.bias.numel();
-        let db = self.d_bias.data_mut();
-        for row in dpre.data().chunks(units) {
-            for (o, &v) in db.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
         let dx = wanted[0].then(|| matmul_bt_ws(&dpre, &self.kernel, ws));
         ws.recycle(dpre);
         vec![dx]
@@ -131,13 +149,16 @@ impl Layer for DenseLayer {
     }
 
     fn visit_updates(&mut self, f: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
+        if std::mem::take(&mut self.grads_zeroed) {
+            self.d_kernel.data_mut().fill(0.0);
+            self.d_bias.data_mut().fill(0.0);
+        }
         f("kernel", &mut self.kernel, &self.d_kernel);
         f("bias", &mut self.bias, &self.d_bias);
     }
 
     fn zero_grads(&mut self) {
-        self.d_kernel.data_mut().fill(0.0);
-        self.d_bias.data_mut().fill(0.0);
+        self.grads_zeroed = true;
     }
 }
 
@@ -203,8 +224,18 @@ mod tests {
         }
     }
 
+    fn grads(layer: &mut DenseLayer) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        layer.visit_updates(&mut |_, _, g| {
+            bits.push(g.data().iter().map(|v| v.to_bits()).collect())
+        });
+        bits
+    }
+
+    /// `backward` sets the gradients — a second pass leaves its own, not the
+    /// sum — and `zero_grads` makes them read zero until the next one.
     #[test]
-    fn gradients_accumulate_until_zeroed() {
+    fn backward_overwrites_and_zero_grads_reads_zero() {
         let mut rng = Rng::seed(3);
         let mut ws = Workspace::new();
         let mut layer = DenseLayer::new(2, 2, None, &mut rng);
@@ -212,28 +243,70 @@ mod tests {
         let dout = Tensor::ones([1, 2]);
         let y = layer.forward(&[&x], true, &mut ws);
         let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
-        let mut once = Tensor::zeros([2, 2]);
-        layer.visit_updates(&mut |n, _p, g| {
-            if n == "kernel" {
-                once = g.clone();
-            }
-        });
-        let y = layer.forward(&[&x], true, &mut ws);
+        let once = grads(&mut layer);
+        assert!(once.iter().flatten().any(|&bits| bits != 0));
         let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
-        layer.visit_updates(&mut |n, _p, g| {
-            if n == "kernel" {
-                assert!(g.approx_eq(
-                    &{
-                        let mut t = once.clone();
-                        t.scale(2.0);
-                        t
-                    },
-                    1e-6
-                ));
-            }
-        });
+        assert_eq!(grads(&mut layer), once);
         layer.zero_grads();
-        layer.visit_updates(&mut |_n, _p, g| assert_eq!(g.sum(), 0.0));
+        assert!(grads(&mut layer).iter().flatten().all(|&bits| bits == 0));
+        // The deferred fill does not outlive a `backward`.
+        layer.zero_grads();
+        let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+        assert_eq!(grads(&mut layer), once);
+    }
+
+    /// The one-pass write-back against what it replaced — zero the
+    /// gradients, then add the product and the column sums — to the bit, on
+    /// the operands where a bare store of the product would differ: exact-zero
+    /// products, `-0.0` operands, and chains whose every product underflows
+    /// from below (a fused chain then ends in `-0.0`, and `0.0 + -0.0` is
+    /// `+0.0`). One shape under the small-product cutoff, one on the blocked
+    /// driver.
+    #[test]
+    fn backward_equals_zero_then_accumulate_bitwise() {
+        let mut rng = Rng::seed(13);
+        let mut ws = Workspace::new();
+        for (batch, fan_in, units) in [(4, 3, 2), (32, 160, 64)] {
+            let mut layer = DenseLayer::new(fan_in, units, Some(Activation::Tanh), &mut rng);
+            let mut x = Tensor::rand_normal([batch, fan_in], 0.0, 1.0, &mut rng);
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                match i % fan_in % 3 {
+                    0 => *v = 1e-30, // column 0: every product underflows
+                    1 if i % 2 == 0 => *v = -0.0,
+                    1 => *v = 0.0,
+                    _ => {}
+                }
+            }
+            let y = layer.forward(&[&x], true, &mut ws);
+            let mut dout = Tensor::rand_normal([batch, units], 0.0, 1.0, &mut rng);
+            dout.data_mut().iter_mut().step_by(units).for_each(|v| *v = -1e-30);
+            let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+
+            let mut dpre = dout.clone();
+            for (dp, &yv) in dpre.data_mut().iter_mut().zip(y.data()) {
+                *dp *= activation_grad_scalar(yv, Activation::Tanh);
+            }
+            let product = swt_tensor::matmul_at(&x, &dpre);
+            if swt_tensor::gemm_kernel_name().contains("fma") && batch * fan_in * units > 32 * 1024
+            {
+                assert!(
+                    product.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()),
+                    "no chain ended in -0.0: a bare store would pass this test"
+                );
+            }
+            let mut d_kernel = Tensor::zeros([fan_in, units]);
+            d_kernel.axpy(1.0, &product);
+            let mut d_bias = vec![0.0f32; units];
+            for row in dpre.data().chunks(units) {
+                d_bias.iter_mut().zip(row).for_each(|(o, &v)| *o += v);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                grads(&mut layer),
+                [bits(d_kernel.data()), bits(&d_bias)],
+                "{fan_in}x{units}"
+            );
+        }
     }
 
     #[test]

@@ -74,9 +74,9 @@ impl Layer for DropoutLayer {
         let scale = 1.0 / keep;
         let mut mask = ws.take_tensor(x.shape().clone());
         let mut y = ws.take_tensor(x.shape().clone());
-        for ((o, m), &a) in y.data_mut().iter_mut().zip(mask.data_mut()).zip(x.data()) {
-            *m = if self.rng.chance(keep as f64) { scale } else { 0.0 };
-            *o = a * *m;
+        self.rng.fill_mask(f64::from(keep), scale, mask.data_mut());
+        for ((o, &m), &a) in y.data_mut().iter_mut().zip(mask.data()).zip(x.data()) {
+            *o = a * m;
         }
         self.mask = Some(mask);
         y
@@ -211,6 +211,31 @@ mod tests {
             .remove(0)
             .unwrap();
         assert!(dx.approx_eq(&y, 1e-6));
+    }
+
+    /// The mask, the output and the stream are those of one `chance(keep)`
+    /// per element in element order, at every rate the search spaces emit
+    /// and over several batches of one layer.
+    #[test]
+    fn dropout_draws_one_chance_per_element() {
+        let mut ws = Workspace::new();
+        let x = Tensor::rand_normal([32, 160], 0.0, 1.0, &mut Rng::seed(5));
+        for rate in [0.02f32, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50] {
+            let mut layer = DropoutLayer::new(rate, Rng::seed(9));
+            let mut reference = Rng::seed(9);
+            let keep = 1.0 - rate;
+            for batch in 0..3 {
+                let y = layer.forward(&[&x], true, &mut ws);
+                let mask = layer.mask.as_ref().expect("training forward keeps its mask");
+                for (i, &a) in x.data().iter().enumerate() {
+                    let m = if reference.chance(keep as f64) { 1.0 / keep } else { 0.0 };
+                    assert_eq!(mask.data()[i].to_bits(), m.to_bits(), "{rate} mask[{i}]");
+                    assert_eq!(y.data()[i].to_bits(), (a * m).to_bits(), "{rate} y[{i}]");
+                }
+                ws.recycle(y);
+                assert_eq!(layer.rng.clone().next_u64(), reference.clone().next_u64(), "{batch}");
+            }
+        }
     }
 
     #[test]

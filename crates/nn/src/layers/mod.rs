@@ -5,8 +5,8 @@
 //! hands a layer's inputs and output back to it in `backward`, so a layer
 //! never copies a feature map to remember it. A layer may keep only what it
 //! *computed* and nobody else holds — batch-norm's `x̂`, dropout's mask, a
-//! pool's argmax — and only for a training-mode forward; parameter gradients
-//! accumulate inside the layer and reach the optimizer through
+//! pool's argmax — and only for a training-mode forward; the latest pass's
+//! parameter gradients live inside the layer and reach the optimizer through
 //! [`Layer::visit_updates`].
 //!
 //! Both passes receive the model's [`Workspace`]: layers draw every
@@ -45,8 +45,12 @@ pub trait Layer: Send {
     fn forward(&mut self, inputs: &[&Tensor], training: bool, ws: &mut Workspace) -> Tensor;
 
     /// Backpropagate through the latest training-mode `forward`, whose
-    /// `inputs` and `output` the caller still holds. Parameter gradients
-    /// accumulate into the layer whatever `wanted` says; the gradient of
+    /// `inputs` and `output` the caller still holds. The layer's parameter
+    /// gradients are *set* to this pass's, whatever `wanted` says — to the
+    /// bit what zeroing them and adding this pass's would leave, without the
+    /// zeroing. Nothing sums them across calls: the model adds up the
+    /// gradients of a multi-reader activation at node level, and one
+    /// optimizer step follows every pass. The gradient of
     /// input `i` is computed only if `wanted[i]` — an input fed by the data
     /// set has no reader for it, and for a first convolution or dense layer
     /// that product is a third of the layer's step.
@@ -73,7 +77,8 @@ pub trait Layer: Send {
     /// Visit `(local_name, parameter, gradient)` triples for the optimizer.
     fn visit_updates(&mut self, _f: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {}
 
-    /// Reset accumulated gradients to zero.
+    /// Make the parameter gradients read zero until the next `backward`
+    /// sets them (a layer may defer the fill to the read).
     fn zero_grads(&mut self) {}
 
     /// Non-trainable state persisted in checkpoints (e.g. batch-norm running
@@ -92,6 +97,17 @@ pub(crate) fn glorot_limit(fan_in: usize, fan_out: usize) -> f32 {
     (6.0 / (fan_in + fan_out) as f32).sqrt()
 }
 
+/// `grad = 0.0 + product`, element by element: what zeroing `grad` and
+/// adding `product` leaves, to the bit, in one pass. A bare copy is not — a
+/// fused chain whose every product underflows from below ends in `-0.0`, and
+/// `0.0 + -0.0` is `+0.0`.
+pub(crate) fn set_gradient(grad: &mut Tensor, product: &Tensor) {
+    assert_eq!(grad.shape(), product.shape(), "gradient shape mismatch");
+    for (g, &p) in grad.data_mut().iter_mut().zip(product.data()) {
+        *g = 0.0 + p;
+    }
+}
+
 /// Copy `src` into a fresh workspace tensor (the allocation-free analogue of
 /// `src.clone()`), for a layer that must produce a tensor of its own from one
 /// it may not take.
@@ -105,9 +121,10 @@ pub(crate) fn ws_copy(src: &Tensor, ws: &mut Workspace) -> Tensor {
 mod tests {
     use super::*;
 
-    /// `zero_grads` must overwrite, not multiply: one overflowed step leaves
-    /// `inf` in the accumulators, and `inf · 0` is `NaN` for every later
-    /// batch.
+    /// One overflowed step must not outlive itself: `zero_grads` makes the
+    /// gradients read exact zeros (a fill, not a multiply — `inf · 0` is
+    /// `NaN`), and the next `backward` sets finite ones whether or not
+    /// `zero_grads` came between.
     #[test]
     fn zero_grads_clears_a_poisoned_gradient() {
         use swt_tensor::{Padding, Rng};
@@ -127,16 +144,24 @@ mod tests {
         ];
         for (mut layer, x) in cases {
             let y = layer.forward(&[&x], true, &mut ws);
-            let dout = Tensor::full(y.shape().clone(), f32::INFINITY);
-            layer.backward(&[&x], &y, &dout, &[true], &mut ws);
-            let mut poisoned = 0;
-            layer.visit_updates(&mut |_, _, g| {
-                poisoned += g.data().iter().filter(|v| !v.is_finite()).count()
-            });
-            assert!(poisoned > 0, "the infinite upstream gradient must reach the accumulators");
+            let poison = |layer: &mut Box<dyn Layer>, ws: &mut Workspace| {
+                let dout = Tensor::full(y.shape().clone(), f32::INFINITY);
+                layer.backward(&[&x], &y, &dout, &[true], ws);
+                let mut poisoned = 0;
+                layer.visit_updates(&mut |_, _, g| {
+                    poisoned += g.data().iter().filter(|v| !v.is_finite()).count()
+                });
+                assert!(poisoned > 0, "the infinite upstream gradient must reach the gradients");
+            };
+            poison(&mut layer, &mut ws);
             layer.zero_grads();
             layer.visit_updates(&mut |name, _, g| {
                 assert!(g.data().iter().all(|v| v.to_bits() == 0), "{name} not zero");
+            });
+            poison(&mut layer, &mut ws);
+            layer.backward(&[&x], &y, &Tensor::ones(y.shape().clone()), &[true], &mut ws);
+            layer.visit_updates(&mut |name, _, g| {
+                assert!(g.data().iter().all(|v| v.is_finite()), "{name} still poisoned");
             });
         }
     }

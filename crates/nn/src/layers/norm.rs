@@ -142,15 +142,11 @@ impl Layer for BatchNormLayer {
         let c = self.channels();
         let n = self.cached_rows as f32;
 
-        // Per-channel reductions: dbeta = Σ dout, dgamma = Σ dout·xhat,
-        // built in the reusable scratch vectors (the dx formula needs this
-        // batch's sums alone, separate from the accumulated gradients).
-        let dbeta = &mut self.scratch_mean;
-        dbeta.clear();
-        dbeta.resize(c, 0.0);
-        let dgamma = &mut self.scratch_var;
-        dgamma.clear();
-        dgamma.resize(c, 0.0);
+        // Per-channel reductions, dbeta = Σ dout and dgamma = Σ dout·xhat:
+        // this pass's parameter gradients, and what the dx formula needs.
+        let (dbeta, dgamma) = (self.d_beta.data_mut(), self.d_gamma.data_mut());
+        dbeta.fill(0.0);
+        dgamma.fill(0.0);
         for (dchunk, xchunk) in dout.data().chunks(c).zip(xhat.data().chunks(c)) {
             for i in 0..c {
                 dbeta[i] += dchunk[i];
@@ -173,12 +169,6 @@ impl Layer for BatchNormLayer {
             dx
         });
 
-        for (o, &v) in self.d_beta.data_mut().iter_mut().zip(dbeta.iter()) {
-            *o += v;
-        }
-        for (o, &v) in self.d_gamma.data_mut().iter_mut().zip(dgamma.iter()) {
-            *o += v;
-        }
         vec![dx]
     }
 

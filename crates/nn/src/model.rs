@@ -241,8 +241,10 @@ impl Model {
     }
 
     /// Backward pass from the loss gradient of the output; must follow a
-    /// `training` [`Model::forward`]. Parameter gradients accumulate inside
-    /// the layers; call [`Model::zero_grads`] between steps. A layer is asked
+    /// `training` [`Model::forward`]. Every layer's parameter gradients are
+    /// set to this pass's (see [`Layer::backward`]); a parameterised node the
+    /// pass does not reach keeps what it had, which [`Model::zero_grads`]
+    /// before the pass makes zero. A layer is asked
     /// only for the input gradients that have a reader (`wanted`): the first
     /// convolution's or dense layer's input gradient is never computed.
     pub fn backward(&mut self, dout: &Tensor) {
@@ -294,7 +296,8 @@ impl Model {
         }
     }
 
-    /// Zero all accumulated parameter gradients.
+    /// Make every parameter gradient read zero until the next
+    /// [`Model::backward`] sets it.
     pub fn zero_grads(&mut self) {
         for layer in self.layers.iter_mut().flatten() {
             layer.zero_grads();

@@ -36,7 +36,7 @@ impl Adam {
         Adam { cfg, t: 0, moments: Vec::new() }
     }
 
-    /// Apply one update step from the gradients currently accumulated in the
+    /// Apply one update step from the gradients the latest backward left in the
     /// model's layers.
     pub fn step(&mut self, model: &mut Model) {
         self.t += 1;

@@ -387,7 +387,7 @@ fn gemm_with_kernel(
     // row block at the deepest panel, so every panel's packing fits.
     let pa_piece = MC.min(m).div_ceil(MR) * MR * KC.min(k);
     let row_blocks = m.div_ceil(MC);
-    let go_parallel = parallel::max_threads() > 1 && row_blocks > 1 && m * n >= PAR_THRESHOLD;
+    let go_parallel = row_blocks > 1 && m * n >= PAR_THRESHOLD && parallel::max_threads() > 1;
     let pack_tasks = if go_parallel { parallel::max_threads().min(row_blocks) } else { 1 };
     let mut pb = ws.take(KC.min(k) * n_strips * NR);
     let mut pa = ws.take(pack_tasks * pa_piece);
@@ -440,17 +440,105 @@ fn gemm_with_kernel(
     ws.give(pb);
 }
 
-/// Direct loop for tiny problems (also covers `k == 0`, where `C` is zero).
+/// Independent accumulator chains the direct loops keep in registers: enough
+/// to cover the latency of a scalar multiply-add.
+const CHAINS: usize = 8;
+/// Outputs a vector-axis block of the direct loops carries in registers.
+const LANES: usize = 16;
+
+/// Direct loops for tiny problems (also covers `k == 0`, where `C` is zero).
+///
+/// Every output element is one chain, `acc = fmadd(a[i][kk], b[kk][j], acc)`
+/// from `+0.0` with `kk` ascending, whichever loop computes it; the loop is
+/// chosen so that the innermost index walks an operand's unit stride and the
+/// chains stay in registers. With `B` row-major and a row of it wide enough,
+/// the vector axis is `j`; with `A` a transposed view (`dW = xᵀ·dy`) it is
+/// `i`; otherwise `A`'s rows are contiguous along `k` (`x·w` with one output
+/// unit, `dy·wᵀ`) and [`CHAINS`] rows advance together as scalar chains.
 fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
-    for i in 0..m {
-        let crow = &mut c[i * n..(i + 1) * n];
-        crow.fill(0.0);
-        for kk in 0..k {
-            let aik = a.at(i, kk);
-            for (j, o) in crow.iter_mut().enumerate() {
-                *o = fmadd(aik, b.at(kk, j), *o);
+    if m == 0 || n == 0 {
+        return;
+    }
+    if b.cs == 1 && n >= CHAINS {
+        for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+            lanes(n, k, b.data, b.rs, |kk| a.at(i, kk), crow, 1);
+        }
+    } else if a.rs == 1 {
+        for j in 0..n {
+            lanes(m, k, a.data, a.cs, |kk| b.at(kk, j), &mut c[j..], n);
+        }
+    } else {
+        assert_eq!(a.cs, 1, "View must have a unit stride");
+        for i0 in (0..m).step_by(CHAINS) {
+            // A ragged last block repeats its last row; the repeats are not
+            // written back.
+            let rows: [&[f32]; CHAINS] =
+                std::array::from_fn(|r| &a.data[(i0 + r).min(m - 1) * a.rs..][..k]);
+            for j in 0..n {
+                let mut acc = [0.0f32; CHAINS];
+                for kk in 0..k {
+                    let bkj = b.at(kk, j);
+                    for (o, row) in acc.iter_mut().zip(rows) {
+                        *o = fmadd(row[kk], bkj, *o);
+                    }
+                }
+                for (r, &v) in acc.iter().enumerate().take(m - i0) {
+                    c[(i0 + r) * n + j] = v;
+                }
             }
         }
+    }
+}
+
+/// `out[v · stride] = Σ_kk runs[kk · step + v] · scalar(kk)` for `v < count`:
+/// one operand's unit-stride axis as the vector axis, the other operand
+/// broadcast. A full block of [`LANES`] outputs has a loop of its own, with a
+/// fixed trip count and its own accumulator array — that is what lets the
+/// compiler carry it in registers through the whole `k` loop (sharing one
+/// loop with the ragged block through a closure does not).
+#[inline(always)]
+fn lanes(
+    count: usize,
+    k: usize,
+    runs: &[f32],
+    step: usize,
+    scalar: impl Fn(usize) -> f32,
+    out: &mut [f32],
+    stride: usize,
+) {
+    let write = |out: &mut [f32], at: usize, acc: &[f32]| {
+        if stride == 1 {
+            out[at..at + acc.len()].copy_from_slice(acc);
+        } else {
+            for (o, &v) in out[at * stride..].iter_mut().step_by(stride).zip(acc) {
+                *o = v;
+            }
+        }
+    };
+    let mut at = 0;
+    while count - at >= LANES {
+        let mut acc = [0.0f32; LANES];
+        for kk in 0..k {
+            let s = scalar(kk);
+            let run: &[f32; LANES] =
+                runs[kk * step + at..][..LANES].try_into().expect("LANES elements");
+            for (o, &x) in acc.iter_mut().zip(run) {
+                *o = fmadd(x, s, *o);
+            }
+        }
+        write(out, at, &acc);
+        at += LANES;
+    }
+    if at < count {
+        let mut acc = [0.0f32; LANES];
+        let acc = &mut acc[..count - at];
+        for kk in 0..k {
+            let s = scalar(kk);
+            for (o, &x) in acc.iter_mut().zip(&runs[kk * step + at..]) {
+                *o = fmadd(x, s, *o);
+            }
+        }
+        write(out, at, acc);
     }
 }
 
@@ -1064,6 +1152,61 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// The one `i → k → j` loop over `View::at` that [`gemm_small`]'s
+    /// layout-chosen loops replaced, kept as their oracle.
+    fn gemm_small_at(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
+        for i in 0..m {
+            let crow = &mut c[i * n..(i + 1) * n];
+            crow.fill(0.0);
+            for kk in 0..k {
+                let aik = a.at(i, kk);
+                for (j, o) in crow.iter_mut().enumerate() {
+                    *o = fmadd(aik, b.at(kk, j), *o);
+                }
+            }
+        }
+    }
+
+    /// Every product under the small-problem cutoff, through the three entry
+    /// points (so through `route` and all three view layouts), is the old
+    /// loop's to the bit: dimensions on and around [`CHAINS`] and [`LANES`],
+    /// empty ones included.
+    #[test]
+    fn small_products_match_the_strided_loop_bitwise() {
+        let mut rng = Rng::seed(57);
+        let dims = [0usize, 1, 2, 7, 8, 9, 31, 32, 33, 65];
+        let mut products = 0;
+        for &m in &dims {
+            for &n in &dims {
+                for &k in &dims {
+                    if m * n * k > SMALL_FLOPS {
+                        continue;
+                    }
+                    products += 1;
+                    let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
+                    let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
+                    let (at, bt) = (a.transpose2(), b.transpose2());
+                    // Each entry point against the old loop on the views it
+                    // passes down.
+                    let old = |a: View, b: View| {
+                        let mut c = vec![f32::NAN; m * n];
+                        gemm_small_at(m, n, k, a, b, &mut c);
+                        Tensor::from_vec([m, n], c)
+                    };
+                    let a_rows = View { data: a.data(), rs: k, cs: 1 };
+                    let b_rows = View { data: b.data(), rs: n, cs: 1 };
+                    let a_cols = View { data: at.data(), rs: 1, cs: m };
+                    let b_cols = View { data: bt.data(), rs: 1, cs: k };
+                    let shape = format!("({m},{n},{k})");
+                    assert!(bitwise_eq(&matmul(&a, &b), &old(a_rows, b_rows)), "matmul {shape}");
+                    assert!(bitwise_eq(&matmul_at(&at, &b), &old(a_cols, b_rows)), "at {shape}");
+                    assert!(bitwise_eq(&matmul_bt(&a, &bt), &old(a_rows, b_cols)), "bt {shape}");
+                }
+            }
+        }
+        assert!(products > 700, "the cutoff left {products} products to compare");
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //! last short chunk, variable-cost candidates) balance automatically.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// `0` means "auto": use `std::thread::available_parallelism`.
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// What "auto" resolved to. Detection is an affinity syscall and cgroup file
+/// reads (tens of microseconds) and every GEMM asks for the budget, so it
+/// runs once per process.
+static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Cap the number of threads any parallel helper in this process may use.
 /// `0` restores the default (hardware parallelism). The NAS runner calls this
@@ -49,8 +54,16 @@ pub fn scoped_max_threads(n: usize) -> ThreadBudgetGuard {
 
 /// The current effective thread budget (always ≥ 1).
 pub fn max_threads() -> usize {
-    match MAX_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    resolve(MAX_THREADS.load(Ordering::Relaxed), &HARDWARE_THREADS, || {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
+}
+
+/// `budget`, or for the auto budget `0` the hardware count — `detect`ed on
+/// the first such call and remembered in `hardware`.
+fn resolve(budget: usize, hardware: &OnceLock<usize>, detect: impl FnOnce() -> usize) -> usize {
+    match budget {
+        0 => *hardware.get_or_init(detect),
         n => n,
     }
 }
@@ -267,6 +280,24 @@ mod tests {
         for (pos, &v) in data.iter().enumerate() {
             assert_eq!(v, 1 + (pos / 10) as u32, "pos {pos}");
         }
+    }
+
+    #[test]
+    fn hardware_threads_are_detected_once() {
+        let hardware = OnceLock::new();
+        let detections = AtomicUsize::new(0);
+        let detect = || {
+            detections.fetch_add(1, Ordering::Relaxed);
+            6
+        };
+        // An explicit budget never asks; the auto budget asks the first time.
+        assert_eq!(resolve(3, &hardware, detect), 3);
+        assert_eq!(detections.load(Ordering::Relaxed), 0);
+        for _ in 0..1000 {
+            assert_eq!(resolve(0, &hardware, detect), 6);
+        }
+        assert_eq!(resolve(2, &hardware, detect), 2);
+        assert_eq!(detections.load(Ordering::Relaxed), 1);
     }
 
     #[test]

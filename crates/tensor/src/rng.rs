@@ -45,6 +45,7 @@ impl Rng {
     }
 
     /// Uniform sample in `[lo, hi)`.
+    #[inline]
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         debug_assert!(hi > lo);
         self.next_f32() * (hi - lo) + lo
@@ -66,6 +67,7 @@ impl Rng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is undefined");
         let n = n as u64;
@@ -80,8 +82,31 @@ impl Rng {
     }
 
     /// Bernoulli draw with probability `p` of `true`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
+    }
+
+    /// `*o = if self.chance(p) { on } else { 0.0 }` for every element of
+    /// `out` in order — a scaled Bernoulli mask (dropout's), one draw per
+    /// element, the same stream and the same bits as that loop.
+    ///
+    /// `chance` compares `u · 2⁻⁵³ < p` for the integer `u = x >> 11`; scaling
+    /// by a power of two is exact, so that is `u < p · 2⁵³`, and for an
+    /// integer `u` it is `u < ⌈p · 2⁵³⌉`: one threshold, no conversion per
+    /// element. (`p ≤ 0` or NaN saturates the threshold to 0, never; `p ≥ 1`
+    /// puts it above every `u`, always.) A dropout draw is a coin the branch
+    /// predictor cannot learn, so the value is selected, not branched on.
+    pub fn fill_mask(&mut self, p: f64, on: f32, out: &mut [f32]) {
+        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+        let on = on.to_bits();
+        // A local copy keeps the generator in registers across the stores.
+        let mut rng = self.clone();
+        for o in out {
+            let hit = (rng.next_u64() >> 11) < threshold;
+            *o = f32::from_bits(std::hint::select_unpredictable(hit, on, 0));
+        }
+        *self = rng;
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -110,6 +135,7 @@ impl Rng {
     }
 
     /// Raw u64 draw (for deriving child seeds).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
@@ -202,6 +228,40 @@ mod tests {
         assert!(xs.iter().any(|&x| x > 0.95));
         let mean = xs.iter().sum::<f32>() / xs.len() as f32;
         assert!((mean - 0.5).abs() < 0.03, "mean {mean}");
+    }
+
+    /// `fill_mask` is `chance(p)` per element: same mask bits, same generator
+    /// afterwards. Every keep probability the search spaces' dropout rates
+    /// give, 1 000 random `p`, and `p` on and one ulp either side of a
+    /// `u · 2⁻⁵³` the stream is about to draw — the only places a rounded
+    /// threshold could disagree with the comparison it replaces.
+    #[test]
+    fn fill_mask_is_chance_per_element() {
+        let mut ps: Vec<f64> = [0.02f32, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50]
+            .iter()
+            .map(|rate| f64::from(1.0 - rate))
+            .collect();
+        ps.extend([0.0, -0.0, -1.0, 1.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE]);
+        let mut pick = Rng::seed(77);
+        ps.extend((0..1000).map(|_| pick.next_f64()));
+        let seed = 4242;
+        let mut ahead = Rng::seed(seed);
+        for _ in 0..40 {
+            let edge = ahead.next_f64();
+            let ulp = |by: i64| f64::from_bits((edge.to_bits() as i64 + by) as u64);
+            ps.extend([ulp(-1), edge, ulp(1)]);
+        }
+        for (case, &p) in ps.iter().enumerate() {
+            let on = 1.0 / (1.0 - 0.3f32) + case as f32;
+            let (mut by_fill, mut by_chance) = (Rng::seed(seed), Rng::seed(seed));
+            let mut mask = vec![f32::NAN; 257];
+            by_fill.fill_mask(p, on, &mut mask);
+            for (i, m) in mask.iter().enumerate() {
+                let expect = if by_chance.chance(p) { on } else { 0.0 };
+                assert_eq!(m.to_bits(), expect.to_bits(), "p = {p:e}, element {i}");
+            }
+            assert_eq!(by_fill.next_u64(), by_chance.next_u64(), "p = {p:e}: streams diverged");
+        }
     }
 
     #[test]

@@ -102,6 +102,18 @@ rm -f "$fidelity_json"
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
+echo "==> the step outside the GEMMs (mask fill, direct loops and gradient write-back are the old arithmetic, to the bit — in release)"
+cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise
+# A Bernoulli draw per element through `Rng::chance` is a call, a convert and
+# an unpredictable branch each; masks come from `Rng::fill_mask`.
+draws=$(awk '/^(pub\(crate\) )?mod tests/ { nextfile } /rng\.chance\(/ { print FILENAME ":" FNR ": " $0 }' \
+  crates/nn/src/layers/*.rs)
+if [ -n "$draws" ]; then
+  echo "per-element rng.chance( in a layer (fill the mask with Rng::fill_mask):" >&2
+  echo "$draws" >&2
+  exit 1
+fi
+
 echo "==> alloc gate (kernel and layer hot paths draw from the Workspace, not the heap)"
 # The blocked driver's pack buffers, conv2d's and the pools' outputs, and every
 # per-batch tensor of an swt-nn layer must come from the caller's Workspace:
@@ -185,13 +197,21 @@ if [ -n "$second" ]; then
 fi
 
 echo "==> elastic smoke (late join must not change the canonical trace)"
+# The quick population is 16: only from candidate 17 on is a candidate a
+# mutated child that reads its parent's checkpoint back. The dist smokes run
+# 24, and a trace in which no tensor was transferred fails them — two
+# transfer-free runs agreeing would say nothing about the transfer path.
 elastic_dir=$(mktemp -d)
 live_dir=$(mktemp -d)
 trap 'rm -rf "$elastic_dir" "$live_dir"' EXIT
-./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
+./target/release/swt dist-run --app uno --scheme lcs --candidates 24 \
   --workers 2 --store "$elastic_dir/fixed_store" \
   --canonical-trace "$elastic_dir/fixed.csv" >/dev/null
-./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
+if ! awk -F, '!/^#/ && $6 + 0 > 0 { found = 1 } END { exit !found }' "$elastic_dir/fixed.csv"; then
+  echo "dist smokes: no candidate of the reference run transferred a tensor" >&2
+  exit 1
+fi
+./target/release/swt dist-run --app uno --scheme lcs --candidates 24 \
   --workers 2 --join-after 2 --max-workers 3 \
   --store "$elastic_dir/elastic_store" \
   --canonical-trace "$elastic_dir/elastic.csv" >/dev/null
@@ -202,7 +222,7 @@ if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/elastic.csv"; then
 fi
 
 echo "==> autoscale smoke (policy-driven pool must not change the canonical trace)"
-./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
+./target/release/swt dist-run --app uno --scheme lcs --candidates 24 \
   --workers 2 --initial-workers 1 --autoscale 1:2 \
   --store "$elastic_dir/autoscale_store" \
   --canonical-trace "$elastic_dir/autoscale.csv" >/dev/null
@@ -229,7 +249,7 @@ if [ -z "$srv_addr" ]; then
   kill "$ckpt_pid" 2>/dev/null || true
   exit 1
 fi
-./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
+./target/release/swt dist-run --app uno --scheme lcs --candidates 24 \
   --workers 2 --store "tcp://$srv_addr" \
   --canonical-trace "$ckpt_dir/remote.csv" >/dev/null
 kill "$ckpt_pid" 2>/dev/null || true
@@ -248,11 +268,19 @@ if ! cmp -s "$elastic_dir/fidelity_off_local.csv" tests/golden/canonical_uno_lcs
   diff tests/golden/canonical_uno_lcs_c8_w2.csv "$elastic_dir/fidelity_off_local.csv" >&2 || true
   exit 1
 fi
-# The elastic smoke above ran the identical config through the dist backend;
-# its trace must sit on the same golden bytes.
-if ! cmp -s "$elastic_dir/fixed.csv" tests/golden/canonical_uno_lcs_c8_w2.csv; then
+# The dist smokes ran the same config for 24 candidates: the first 8 must sit
+# on the same golden bytes, and all 24 — children that transfer among them —
+# on the in-process run's.
+if ! head -n 10 "$elastic_dir/fixed.csv" | cmp -s - tests/golden/canonical_uno_lcs_c8_w2.csv; then
   echo "fidelity off-switch: dist canonical trace drifted from the pre-fidelity golden" >&2
-  diff tests/golden/canonical_uno_lcs_c8_w2.csv "$elastic_dir/fixed.csv" >&2 || true
+  head -n 10 "$elastic_dir/fixed.csv" | diff tests/golden/canonical_uno_lcs_c8_w2.csv - >&2 || true
+  exit 1
+fi
+./target/release/swt run --app uno --scheme lcs --candidates 24 --workers 2 \
+  --canonical-trace "$elastic_dir/local_c24.csv" >/dev/null
+if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/local_c24.csv"; then
+  echo "fidelity off-switch: dist canonical trace differs from the in-process run's" >&2
+  diff "$elastic_dir/local_c24.csv" "$elastic_dir/fixed.csv" >&2 || true
   exit 1
 fi
 
