@@ -30,7 +30,7 @@ use crate::frame::{recv, send, Message, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
 use crate::policy::{ScaleDecision, ScalePolicy};
 use crate::spawn::{find_worker_exe, spawn_worker};
-use crate::wire::{Code, ConvergenceSpec, Msg, RunSpec, Task, TaskResult, WorkerMetrics};
+use crate::wire::{Code, Msg, RunSpec, Task, TaskResult, WorkerMetrics};
 use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -170,11 +170,6 @@ impl DistBackend {
             store_dir: dist.store_dir.to_string_lossy().into_owned(),
             threads: (hardware / window).max(1) as u32,
             cache_bytes: nas.cache_bytes / window as u64,
-            prefilter_quantile: nas.fidelity.prefilter_quantile,
-            convergence: nas
-                .fidelity
-                .convergence
-                .map(|c| ConvergenceSpec { window: c.window as u32, min_delta: c.min_delta }),
             store_url: dist.store_url.clone().filter(|url| !url.is_empty()),
             autoscale: dist
                 .autoscale
@@ -367,7 +362,7 @@ impl DistBackend {
                 return Ok(());
             };
             let id = cand.id;
-            match Task::new(&cand).and_then(|task| self.send_to(worker, &Msg::Task { task })) {
+            match self.send_to(worker, &Msg::Task { task: Task::new(&cand) }) {
                 Ok(()) => {
                     self.slots[worker].current = Some(id);
                     self.live.set_current(worker, Some(id));

@@ -32,7 +32,7 @@ pub mod worker;
 
 pub use coordinator::DistBackend;
 pub use frame::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
-pub use live::{LiveRunView, WorkerView, CACHE_COUNTER_KINDS, STOP_COUNTER_KINDS};
+pub use live::{LiveRunView, WorkerView, CACHE_COUNTER_KINDS};
 pub use policy::{
     PolicyConfig, PolicyError, PoolSnapshot, ScaleDecision, ScalePolicy, MAX_POOL_WORKERS,
 };

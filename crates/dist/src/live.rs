@@ -66,12 +66,6 @@ pub struct WorkerView {
     pub metrics: Option<WorkerMetrics>,
 }
 
-/// The stop-reason counter suffixes a worker reports under
-/// `fidelity.stopped.*`. `pruned` is decided coordinator-side (after each
-/// rung's ranking), so its per-worker count stays 0 by design — it is kept
-/// in the table so `/status` and `dist-top` render a stable schema.
-pub const STOP_COUNTER_KINDS: [&str; 3] = ["converged", "pruned", "prefiltered"];
-
 /// The provider-cache counter suffixes a worker reports under `ckpt.cache.*`:
 /// reads served from memory or from the store, entries the lineage watermark
 /// retired, entries the byte cap pushed out.
@@ -81,12 +75,6 @@ impl WorkerView {
     /// Cumulative nanoseconds under `path` in the latest snapshot.
     pub fn span_total_ns(&self, path: &str) -> u64 {
         self.spans.iter().find(|s| s.path == path).map_or(0, |s| s.total_ns)
-    }
-
-    /// This worker's `fidelity.stopped.{kind}` count from its latest
-    /// metrics snapshot (0 when absent or fidelity is off).
-    pub fn stopped(&self, kind: &str) -> u64 {
-        self.counter(&format!("fidelity.stopped.{kind}"))
     }
 
     /// A counter from this worker's latest metrics snapshot (0 when absent).
@@ -411,15 +399,6 @@ impl ServeSource for LiveRunView {
                     ),
                     ("results".to_string(), Json::Num(w.results as f64)),
                     ("uptime_secs".to_string(), Json::Num(w.uptime_ns as f64 / 1e9)),
-                    (
-                        "stopped".to_string(),
-                        Json::Obj(
-                            STOP_COUNTER_KINDS
-                                .iter()
-                                .map(|k| (k.to_string(), Json::Num(w.stopped(k) as f64)))
-                                .collect(),
-                        ),
-                    ),
                     ("cache".to_string(), w.cache_json()),
                     ("spans".to_string(), Json::Arr(spans)),
                     ("gauges".to_string(), Json::Arr(gauges)),
@@ -545,45 +524,22 @@ mod tests {
     }
 
     #[test]
-    fn stop_reason_counts_surface_in_status() -> Result<(), String> {
+    fn cache_counts_surface_in_status() -> Result<(), String> {
         use crate::wire::CounterSnap;
         let live = LiveRunView::new();
         live.worker_added(0);
-        // No metrics yet: the schema is stable, the counts zero.
-        let status = Json::parse(&live.status_json())?;
-        let stopped = |s: &Json, i: usize| {
-            s.get("workers")
-                .and_then(Json::as_array)
-                .and_then(|w| w.get(i))
-                .and_then(|w| w.get("stopped"))
-                .cloned()
-                .ok_or_else(|| "worker stopped object missing from /status".to_string())
-        };
-        let stopped0 = stopped(&status, 0)?;
-        for kind in STOP_COUNTER_KINDS {
-            assert_eq!(stopped0.get(kind).and_then(Json::as_f64), Some(0.0));
-        }
-        // Fold a snapshot carrying fidelity counters.
         live.fold_metrics(
             0,
             &WorkerMetrics {
                 counters: vec![
-                    CounterSnap { name: "fidelity.stopped.converged".into(), value: 3 },
-                    CounterSnap { name: "fidelity.stopped.prefiltered".into(), value: 5 },
                     CounterSnap { name: "nas.candidates_evaluated".into(), value: 9 },
                     CounterSnap { name: "ckpt.cache.retired".into(), value: 7 },
                 ],
                 histograms: vec![],
             },
         );
-        assert_eq!(live.workers()[0].stopped("converged"), 3);
-        assert_eq!(live.workers()[0].stopped("prefiltered"), 5);
-        assert_eq!(live.workers()[0].stopped("pruned"), 0);
+        // The provider-cache object, every kind present.
         let status = Json::parse(&live.status_json())?;
-        let stopped0 = stopped(&status, 0)?;
-        assert_eq!(stopped0.get("converged").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(stopped0.get("prefiltered").and_then(Json::as_f64), Some(5.0));
-        // The provider-cache object sits beside it, every kind present.
         let workers = status.get("workers").and_then(Json::as_array);
         let cache = workers.and_then(|w| w[0].get("cache")).ok_or("cache object missing")?;
         let field = |k: &str| cache.get(k).and_then(Json::as_f64);

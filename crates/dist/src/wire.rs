@@ -27,7 +27,7 @@ use crate::frame::{ensure, Cursor, Wire, WireError};
 use crate::policy::MAX_POOL_WORKERS;
 use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
-use swt_nas::{Candidate, Convergence, EvalFidelity, EvalOutcome, StopReason, MAX_RUNGS};
+use swt_nas::{Candidate, EvalOutcome};
 use swt_obs::metrics::{bucket_bound, bucket_index, HIST_BUCKETS};
 use swt_obs::report::{CounterRow, HistogramRow};
 use swt_obs::RunReport;
@@ -65,29 +65,6 @@ byte_codes! {
     TransferScheme, "unknown scheme code": Baseline = 0, Lp = 1, Lcs = 2;
 }
 
-/// `swt-nas` already owns this table (`StopReason::code`).
-impl Wire for Code<StopReason> {
-    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        self.0.code().put(out)
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
-        StopReason::from_code(u8::get(c)?)
-            .map(Code)
-            .ok_or(WireError::Malformed("unknown stop reason"))
-    }
-}
-
-wire_struct! {
-    /// Per-candidate early stopping as it travels in a [`RunSpec`].
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct ConvergenceSpec {
-        /// Window in epochs, at least 1.
-        pub window: u32,
-        /// Loss-delta threshold, non-negative.
-        pub min_delta: f64,
-    }
-}
-
 wire_struct! {
     /// Everything a worker needs to reproduce the coordinator's evaluation
     /// environment, sent once in `HelloAck`. The worker builds the same
@@ -117,10 +94,6 @@ wire_struct! {
         /// Sized coordinator-side as the run's cap split across the
         /// dispatch window, mirroring the in-process shared cache.
         pub cache_bytes: u64,
-        /// Zero-cost pre-filter quantile in `[0, 1)`; 0 disables the filter.
-        pub prefilter_quantile: f64,
-        /// Per-candidate early stopping; `None` trains the full budget.
-        pub convergence: Option<ConvergenceSpec>,
         /// Checkpoint-store endpoint, e.g. `tcp://host:port`: the worker
         /// dials a `swt-ckpt-server` and speaks the store protocol, with
         /// `namespace` doubling as its tenant bucket. `None` means the
@@ -138,31 +111,12 @@ wire_struct! {
 
 impl RunSpec {
     pub(crate) fn check(&self) -> Result<(), WireError> {
-        // Written so that NaN fails each comparison.
-        ensure((0.0..1.0).contains(&self.prefilter_quantile), "prefilter quantile out of range")?;
-        if let Some(conv) = &self.convergence {
-            ensure(conv.window >= 1, "zero convergence window")?;
-            ensure(conv.min_delta >= 0.0, "negative convergence min-delta")?;
-        }
-        if let Some((min, max)) = self.autoscale {
+        self.autoscale.map_or(Ok(()), |(min, max)| {
             ensure(
                 1 <= min && min <= max && max as usize <= MAX_POOL_WORKERS,
                 "hostile autoscale worker counts",
-            )?;
-        }
-        Ok(())
-    }
-
-    /// The evaluator-side fidelity knobs carried by this spec — what a
-    /// worker passes to `Evaluator::set_fidelity` so its evaluations match
-    /// the coordinator's in-process ones bit for bit.
-    pub fn eval_fidelity(&self) -> EvalFidelity {
-        EvalFidelity {
-            prefilter_quantile: self.prefilter_quantile,
-            convergence: self
-                .convergence
-                .map(|c| Convergence { window: c.window as usize, min_delta: c.min_delta }),
-        }
+            )
+        })
     }
 }
 
@@ -175,10 +129,6 @@ wire_struct! {
         pub parent: Option<u64>,
         /// The architecture sequence's choices.
         pub arch: Vec<u16>,
-        /// Successive-halving rung, below `MAX_RUNGS`.
-        pub rung: u8,
-        /// Per-task epoch budget override; `None` uses the run's.
-        pub epochs: Option<u32>,
         /// The lineage watermark at first dispatch (`Candidate::live_from`):
         /// a reassigned task carries it unchanged, and the worker acts on
         /// the running maximum.
@@ -189,25 +139,17 @@ wire_struct! {
 
 impl Task {
     fn check(&self) -> Result<(), WireError> {
-        ensure((self.rung as usize) < MAX_RUNGS, "rung index out of range")?;
         ensure(self.live_from <= self.id, "watermark beyond the candidate itself")?;
         ensure(self.parent.is_none_or(|p| p >= self.live_from), "provider below the watermark")
     }
 
-    pub fn new(cand: &Candidate) -> Result<Task, WireError> {
-        let epochs = cand
-            .epochs
-            .map(u32::try_from)
-            .transpose()
-            .map_err(|_| WireError::Malformed("epochs too large"))?;
-        Ok(Task {
+    pub fn new(cand: &Candidate) -> Task {
+        Task {
             id: cand.id,
             parent: cand.parent,
             arch: cand.arch.choices().to_vec(),
-            rung: cand.rung,
-            epochs,
             live_from: cand.live_from,
-        })
+        }
     }
 
     pub fn into_candidate(self) -> Candidate {
@@ -215,8 +157,6 @@ impl Task {
             id: self.id,
             arch: ArchSeq::new(self.arch),
             parent: self.parent,
-            rung: self.rung,
-            epochs: self.epochs.map(|e| e as usize),
             live_from: self.live_from,
         }
     }
@@ -336,7 +276,7 @@ impl WorkerMetrics {
 
 wire_struct! {
     /// What a worker reports for one [`Task`]: the [`EvalOutcome`] as it
-    /// travels, the rung it answers, and the worker's cumulative metrics.
+    /// travels, and the worker's cumulative metrics.
     #[derive(Debug, Clone, PartialEq)]
     pub struct TaskResult {
         pub id: u64,
@@ -349,23 +289,12 @@ wire_struct! {
         pub transfer_bytes: u64,
         pub transfer_skipped: u64,
         pub epochs: u32,
-        pub stop: Code<StopReason>,
-        /// The rung of the task this result answers, echoed by the worker.
-        /// Scheduling ignores it — the coordinator tracks rungs in its
-        /// in-flight table — but it keeps `Result` frames self-describing
-        /// for monitors and logs.
-        pub rung: u8,
         pub stats: WorkerMetrics,
     }
-    check = TaskResult::check;
 }
 
 impl TaskResult {
-    fn check(&self) -> Result<(), WireError> {
-        ensure((self.rung as usize) < MAX_RUNGS, "rung index out of range")
-    }
-
-    pub fn new(outcome: &EvalOutcome, rung: u8, stats: WorkerMetrics) -> TaskResult {
+    pub fn new(outcome: &EvalOutcome, stats: WorkerMetrics) -> TaskResult {
         TaskResult {
             id: outcome.id,
             score: outcome.score,
@@ -377,8 +306,6 @@ impl TaskResult {
             transfer_bytes: outcome.transfer.bytes as u64,
             transfer_skipped: outcome.transfer.skipped as u64,
             epochs: outcome.epochs as u32,
-            stop: Code(outcome.stop),
-            rung,
             stats,
         }
     }
@@ -397,7 +324,6 @@ impl TaskResult {
                 skipped: self.transfer_skipped as usize,
             },
             epochs: self.epochs as usize,
-            stop: self.stop.0,
         }
     }
 }
@@ -626,7 +552,7 @@ mod tests {
         Msg::HelloAck { version: PROTOCOL_VERSION, run }
     }
 
-    fn sample_outcome(id: u64, score: f64, stop: StopReason) -> EvalOutcome {
+    fn sample_outcome(id: u64, score: f64) -> EvalOutcome {
         EvalOutcome {
             id,
             score,
@@ -636,7 +562,6 @@ mod tests {
             checkpoint_bytes: 1 << 20,
             transfer: TransferStats { tensors: 5, bytes: 4096, skipped: 1 },
             epochs: 1,
-            stop,
         }
     }
 
@@ -645,8 +570,6 @@ mod tests {
         round_trip(Msg::Hello { version: PROTOCOL_VERSION, worker_id: 3, pid: 4242 })?;
         round_trip(hello_ack(sample_run()))?;
         round_trip(hello_ack(RunSpec {
-            prefilter_quantile: 0.25,
-            convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
             store_url: Some("tcp://127.0.0.1:7421".into()),
             autoscale: Some((1, 8)),
             ..sample_run()
@@ -655,17 +578,13 @@ mod tests {
             id: 7,
             arch: ArchSeq::new(vec![1, 0, 4, 2]),
             parent: Some(3),
-            rung: 2,
-            epochs: Some(4),
             live_from: 2,
         };
-        assert_eq!(Task::new(&cand)?.into_candidate(), cand);
-        round_trip(Msg::Task { task: Task::new(&cand)? })?;
-        round_trip(Msg::Task {
-            task: Task::new(&Candidate::new(0, ArchSeq::new(vec![2]), None))?,
-        })?;
-        let outcome = sample_outcome(7, 0.12345678901234567, StopReason::Converged);
-        let result = TaskResult::new(&outcome, 1, sample_metrics());
+        assert_eq!(Task::new(&cand).into_candidate(), cand);
+        round_trip(Msg::Task { task: Task::new(&cand) })?;
+        round_trip(Msg::Task { task: Task::new(&Candidate::new(0, ArchSeq::new(vec![2]), None)) })?;
+        let outcome = sample_outcome(7, 0.12345678901234567);
+        let result = TaskResult::new(&outcome, sample_metrics());
         assert_eq!(result.outcome(), outcome);
         round_trip(Msg::Result { result })?;
         round_trip(Msg::Ping { nonce: u64::MAX })?;
@@ -692,8 +611,6 @@ mod tests {
             store_dir: "/tmp/swt_store".into(),
             threads: 1,
             cache_bytes: 1 << 22,
-            prefilter_quantile: 0.0,
-            convergence: None,
             store_url: None,
             autoscale: None,
         }
@@ -838,8 +755,8 @@ mod tests {
         // NaN payloads and signed zeros must survive: identity gates compare
         // bit patterns, not approximate values.
         for bits in [f64::to_bits(-0.0), f64::NAN.to_bits() | 1, f64::MIN_POSITIVE.to_bits()] {
-            let outcome = sample_outcome(1, f64::from_bits(bits), StopReason::BudgetExhausted);
-            let result = TaskResult::new(&outcome, 0, WorkerMetrics::default());
+            let outcome = sample_outcome(1, f64::from_bits(bits));
+            let result = TaskResult::new(&outcome, WorkerMetrics::default());
             let decoded = Msg::decode(0x04, &Msg::Result { result }.encode()?)?;
             let Msg::Result { result } = decoded else {
                 return Err(WireError::Malformed("wrong decode variant"));
@@ -849,47 +766,11 @@ mod tests {
         Ok(())
     }
 
-    /// Offsets of a `Result` payload's `stop` and `rung` bytes: after id,
-    /// four f64s, checkpoint_bytes, three transfer u64s and epochs.
-    const RESULT_STOP_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
-    const RESULT_RUNG_AT: usize = RESULT_STOP_AT + 1;
-
     #[test]
-    fn hostile_fidelity_tails_are_rejected() -> Result<(), WireError> {
-        // Unknown stop discriminant.
-        let outcome = sample_outcome(1, 0.0, StopReason::BudgetExhausted);
-        let p = Msg::Result { result: TaskResult::new(&outcome, 0, WorkerMetrics::default()) }
-            .encode()?;
-        let mut bad = p.clone();
-        bad[RESULT_STOP_AT] = 4; // first invalid StopReason code
-        assert!(matches!(
-            Msg::decode(0x04, &bad),
-            Err(WireError::Malformed("unknown stop reason"))
-        ));
-        // Out-of-range rung in a Result — refused on decode and on encode.
-        let mut bad = p;
-        bad[RESULT_RUNG_AT] = MAX_RUNGS as u8;
-        assert!(matches!(
-            Msg::decode(0x04, &bad),
-            Err(WireError::Malformed("rung index out of range"))
-        ));
-        let result = TaskResult::new(&outcome, MAX_RUNGS as u8, WorkerMetrics::default());
-        assert!(matches!(Msg::Result { result }.encode(), Err(WireError::Malformed(_))));
-
-        // Out-of-range rung / bogus epochs flag in a Task: with no epoch
-        // override the payload ends [rung][flag 0][live_from u64].
-        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None))?;
-        let p = Msg::Task { task: task.clone() }.encode()?;
-        let n = p.len();
-        let mut bad = p.clone();
-        bad[n - 10] = MAX_RUNGS as u8;
-        assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
-        let mut bad = p;
-        bad[n - 9] = 2;
-        assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
-        let bad = Task { rung: MAX_RUNGS as u8, ..task.clone() };
-        assert!(matches!(Msg::Task { task: bad }.encode(), Err(WireError::Malformed(_))));
-        // A watermark past the candidate itself, or past its provider.
+    fn hostile_tasks_and_run_specs_are_rejected() -> Result<(), WireError> {
+        // A watermark past the candidate itself, or past its provider:
+        // refused on encode.
+        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None));
         for bad in [
             Task { live_from: 2, ..task.clone() },
             Task { id: 5, parent: Some(1), live_from: 2, ..task },
@@ -897,29 +778,12 @@ mod tests {
             assert!(matches!(Msg::Task { task: bad }.encode(), Err(WireError::Malformed(_))));
         }
 
-        // Quantile ≥ 1 / NaN or negative min-delta / zero window / hostile
-        // pool bounds in a HelloAck: refused on encode…
-        let full = RunSpec {
-            prefilter_quantile: 0.5,
-            convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
-            autoscale: Some((1, 8)),
-            ..sample_run()
-        };
-        let conv = |window, min_delta| Some(ConvergenceSpec { window, min_delta });
-        let mut hostile = vec![
-            RunSpec { prefilter_quantile: 1.0, ..full.clone() },
-            RunSpec { prefilter_quantile: -0.5, ..full.clone() },
-            RunSpec { prefilter_quantile: f64::NAN, ..full.clone() },
-            RunSpec { convergence: conv(3, f64::NAN), ..full.clone() },
-            RunSpec { convergence: conv(3, -1e-9), ..full.clone() },
-            RunSpec { convergence: conv(0, 1e-4), ..full.clone() },
-        ];
+        // Hostile pool bounds in a HelloAck: refused on encode…
+        let full = RunSpec { autoscale: Some((1, 8)), ..sample_run() };
         for bounds in
             [(5u32, 2u32), (0, 3), (0, 0), (1, MAX_POOL_WORKERS as u32 + 1), (u32::MAX, u32::MAX)]
         {
-            hostile.push(RunSpec { autoscale: Some(bounds), ..full.clone() });
-        }
-        for run in hostile {
+            let run = RunSpec { autoscale: Some(bounds), ..full.clone() };
             assert!(
                 matches!(hello_ack(run.clone()).encode(), Err(WireError::Malformed(_))),
                 "{run:?} must not encode"
@@ -945,20 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_fidelity_maps_onto_evaluator_knobs() {
-        let run = RunSpec {
-            prefilter_quantile: 0.25,
-            convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
-            ..sample_run()
-        };
-        let f = run.eval_fidelity();
-        assert_eq!(f.prefilter_quantile, 0.25);
-        assert_eq!(f.convergence, Some(Convergence { window: 3, min_delta: 1e-4 }));
-        assert!(f.enabled());
-        assert!(!sample_run().eval_fidelity().enabled());
-    }
-
-    #[test]
     fn malformed_payloads_error_cleanly() -> Result<(), WireError> {
         // Truncated Task.
         assert!(matches!(Msg::decode(0x03, &[1, 2, 3]), Err(WireError::Malformed(_))));
@@ -968,7 +818,7 @@ mod tests {
         let ping = [0u8; 9];
         assert!(matches!(Msg::decode(0x05, &ping), Err(WireError::Malformed(_))));
         // Bad parent flag (the byte right after the id).
-        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None))?;
+        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None));
         let mut bad = Msg::Task { task }.encode()?;
         bad[8] = 9;
         assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));

@@ -185,7 +185,7 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
             }
         };
         let outcome = evaluator.evaluate(&cand);
-        let result = TaskResult::new(&outcome, cand.rung, WorkerMetrics::capture());
+        let result = TaskResult::new(&outcome, WorkerMetrics::capture());
         let sent = {
             let _send_span = swt_obs::span!("nas.result_send");
             send(&writer, &Msg::Result { result })
@@ -261,7 +261,7 @@ fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
             fronted(RemoteStore::connect(store_url, bucket, &secret), cache_bytes)
         }
     };
-    let mut evaluator = Evaluator::with_namespace(
+    Ok(Evaluator::with_namespace(
         problem,
         space,
         store,
@@ -269,12 +269,7 @@ fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
         run.epochs as usize,
         run.run_seed,
         run.namespace.clone(),
-    );
-    // The fidelity knobs travel in the RunSpec so every worker applies the
-    // same pre-filter threshold and convergence rule the in-process pool
-    // would — the off-switch identity gate depends on this symmetry.
-    evaluator.set_fidelity(run.eval_fidelity());
-    Ok(evaluator)
+    ))
 }
 
 /// Entry point for the `swt dist-worker` bin mode: connect and run.

@@ -10,11 +10,11 @@ use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
 use swt_dist::frame::Message;
 use swt_dist::wire::{
-    Code, ConvergenceSpec, CounterSnap, GaugeSnap, HistSnap, Msg, RunSpec, SpanTotalRow, Task,
-    TaskResult, Telemetry, WireEvent, WorkerMetrics, MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
+    Code, CounterSnap, GaugeSnap, HistSnap, Msg, RunSpec, SpanTotalRow, Task, TaskResult,
+    Telemetry, WireEvent, WorkerMetrics, MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
 };
 use swt_dist::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
-use swt_nas::{Candidate, EvalOutcome, StopReason, MAX_RUNGS};
+use swt_nas::{Candidate, EvalOutcome};
 use swt_obs::metrics::HIST_BUCKETS;
 use swt_space::ArchSeq;
 use swt_tensor::Rng;
@@ -46,8 +46,6 @@ fn corpus() -> Vec<Msg> {
         id: 7,
         arch: ArchSeq::new(vec![1, 0, 4, 2]),
         parent: Some(3),
-        rung: 2,
-        epochs: Some(4),
         live_from: 3, // the provider is the oldest id still live
     };
     // A reassigned warm-up candidate: no provider, nothing retired yet.
@@ -61,7 +59,6 @@ fn corpus() -> Vec<Msg> {
         checkpoint_bytes: 1 << 20,
         transfer: TransferStats { tensors: 5, bytes: 4096, skipped: 1 },
         epochs: 1,
-        stop: StopReason::Converged,
     };
     vec![
         Msg::Hello { version: PROTOCOL_VERSION, worker_id: 3, pid: 4242 },
@@ -78,15 +75,13 @@ fn corpus() -> Vec<Msg> {
                 store_dir: "/tmp/swt_store".into(),
                 threads: 1,
                 cache_bytes: 1 << 22,
-                prefilter_quantile: 0.25,
-                convergence: Some(ConvergenceSpec { window: 3, min_delta: 1e-4 }),
                 store_url: Some(CORPUS_URL.into()),
                 autoscale: Some((1, 8)),
             },
         },
-        Msg::Task { task: Task::new(&cand).expect("corpus candidate") },
-        Msg::Task { task: Task::new(&reassigned).expect("corpus candidate") },
-        Msg::Result { result: TaskResult::new(&outcome, 2, stats.clone()) },
+        Msg::Task { task: Task::new(&cand) },
+        Msg::Task { task: Task::new(&reassigned) },
+        Msg::Result { result: TaskResult::new(&outcome, stats.clone()) },
         Msg::Ping { nonce: u64::MAX },
         Msg::Pong { nonce: 0 },
         Msg::Shutdown,
@@ -118,15 +113,11 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 
 /// Byte offsets into the corpus payloads, from the declarations in
 /// `swt_dist::wire` (a `Result`: id, four f64s, checkpoint_bytes, three
-/// transfer u64s, epochs u32, then stop and rung; a `Task` with an epoch
-/// override ends [rung][flag 1][epochs u32][live_from u64]; the corpus `HelloAck` ends
-/// [quantile f64][1][window u32][min_delta f64][1][url][1][min u32][max u32]).
-const RESULT_STOP_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
-const RESULT_RUNG_AT: usize = RESULT_STOP_AT + 1;
-const TASK_RUNG_BACK: usize = 1 + 1 + 4 + 8;
+/// transfer u64s and epochs u32 before the metrics; the corpus `HelloAck`
+/// ends [1][url][1][min u32][max u32]).
+const RESULT_METRICS_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const ACK_BOUNDS_LEN: usize = 1 + 4 + 4;
 const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
-const ACK_CONVERGENCE_LEN: usize = 1 + 4 + 8;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -136,27 +127,24 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 8, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 9, "new version: re-record the frames below");
     let golden = [
-        (0x01, "08000000030000000000000092100000"),
+        (0x01, "09000000030000000000000092100000"),
         (
             0x02,
-            "0800000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
-                7377745f73746f7265010000000000400000000000000000000000d03f01030000002d431cebe236\
-                1a3f0114007463703a2f2f3132372e302e302e313a39393939010100000008000000",
+            "0900000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
+                7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e302e313a\
+                39393939010100000008000000",
         ),
-        (
-            0x03,
-            "07000000000000000103000000000000000400000001000000040002000201040000000300000000000000",
-        ),
-        (0x03, "09000000000000000001000000020000000000000000000000"),
+        (0x03, "07000000000000000103000000000000000400000001000000040002000300000000000000"),
+        (0x03, "0900000000000000000100000002000000000000000000"),
         (
             0x04,
             "07000000000000005ef64637dd9abf3f000000000000f83f000000000000d03f7b14ae47e17a843f00\
-                00100000000000050000000000000000100000000000000100000000000000010000000102020000\
-                000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d6d2e\
-                626c6f636b65640010000000000000010000000c00636b70742e736176655f6e7303000000000000\
-                008403000000000000020000000802000000000000001f0100000000000000",
+                0010000000000005000000000000000010000000000000010000000000000001000000020000000f\
+                00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d6d2e626c\
+                6f636b65640010000000000000010000000c00636b70742e736176655f6e73030000000000000084\
+                03000000000000020000000802000000000000001f0100000000000000",
         ),
         (0x05, "ffffffffffffffff"),
         (0x06, "0000000000000000"),
@@ -214,44 +202,8 @@ fn every_truncation_of_every_frame_is_a_typed_error() {
 }
 
 #[test]
-fn hostile_fidelity_tails_are_typed_errors() {
+fn hostile_task_and_store_url_fields_are_typed_errors() {
     let task = corpus_payload(0x03);
-    let result = corpus_payload(0x04);
-
-    // Out-of-range rung discriminants in a Task and in a Result.
-    for rung in [MAX_RUNGS as u8, 0x80, 0xFF] {
-        let mut p = task.clone();
-        let n = p.len();
-        p[n - TASK_RUNG_BACK] = rung;
-        assert!(
-            matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))),
-            "task rung {rung} must be rejected"
-        );
-        let mut p = result.clone();
-        p[RESULT_RUNG_AT] = rung;
-        assert!(
-            matches!(Msg::decode(0x04, &p), Err(WireError::Malformed(_))),
-            "result rung {rung} must be rejected"
-        );
-    }
-
-    // Every out-of-range stop discriminant (codes 0–3 are the enum).
-    for stop in 4..=u8::MAX {
-        let mut p = result.clone();
-        p[RESULT_STOP_AT] = stop;
-        assert!(
-            matches!(Msg::decode(0x04, &p), Err(WireError::Malformed(_))),
-            "stop discriminant {stop} must be rejected"
-        );
-    }
-
-    // Bogus epochs flag in a Task.
-    for flag in [2u8, 0xFF] {
-        let mut p = task.clone();
-        let n = p.len();
-        p[n - TASK_RUNG_BACK + 1] = flag;
-        assert!(matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))));
-    }
 
     // A watermark past the candidate (id 7) or past its provider (id 3).
     for live_from in [8u64, 4, u64::MAX] {
@@ -264,27 +216,11 @@ fn hostile_fidelity_tails_are_typed_errors() {
         );
     }
 
-    // A HelloAck smuggling NaN/out-of-range knobs.
-    let good = corpus_payload(0x02);
-    let url_at = good.len() - ACK_BOUNDS_LEN - ACK_URL_LEN;
-    let quantile_at = url_at - ACK_CONVERGENCE_LEN - 8;
-    for bits in [f64::NAN.to_bits(), 1.0f64.to_bits(), (-0.5f64).to_bits()] {
-        let mut p = good.clone();
-        p[quantile_at..quantile_at + 8].copy_from_slice(&bits.to_le_bytes());
-        assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
-    }
-    for bits in [f64::NAN.to_bits(), (-1e-9f64).to_bits()] {
-        let mut p = good.clone();
-        p[url_at - 8..url_at].copy_from_slice(&bits.to_le_bytes());
-        assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
-    }
-    // A zero convergence window.
-    let mut p = good.clone();
-    p[url_at - 12..url_at - 8].copy_from_slice(&0u32.to_le_bytes());
-    assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     // A store-url length prefix promising more bytes than the payload
     // holds (the announced length swallows the pool bounds and overruns),
     // and one promising fewer (the frame no longer ends where it should).
+    let good = corpus_payload(0x02);
+    let url_at = good.len() - ACK_BOUNDS_LEN - ACK_URL_LEN;
     for len in [CORPUS_URL.len() as u16 + 10, u16::MAX, CORPUS_URL.len() as u16 - 1] {
         let mut p = good.clone();
         p[url_at + 1..url_at + 3].copy_from_slice(&len.to_le_bytes());
@@ -397,7 +333,7 @@ fn hostile_counts_cannot_force_large_allocations() {
     for ty in [0x04u8, 0x09] {
         let mut bad = Vec::new();
         if ty == 0x04 {
-            bad.extend_from_slice(&[0u8; RESULT_RUNG_AT + 1]); // everything up to the metrics
+            bad.extend_from_slice(&[0u8; RESULT_METRICS_AT]); // everything up to the metrics
         }
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(

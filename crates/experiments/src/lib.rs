@@ -223,7 +223,6 @@ impl ExpCtx {
             cache_bytes: 256 << 20,
             namespace: String::new(),
             batch_eval: swt_nas::BatchEval::Off,
-            fidelity: swt_nas::FidelityConfig::off(),
         };
         swt_obs::reset();
         let trace = run_nas(problem, space, Arc::clone(&store), &cfg);

@@ -162,13 +162,12 @@ impl ThreadPoolBackend {
         let task_rx = Arc::new(Mutex::new(task_rx));
         let (result_tx, result_rx) = mpsc::channel::<BackendResult>();
 
-        let fidelity = cfg.fidelity.eval_fidelity();
         let mut handles = Vec::with_capacity(slots);
         for slot in 0..slots {
             let task_rx = Arc::clone(&task_rx);
             let result_tx = result_tx.clone();
             let mut unit = BatchedEval::new(slot, lanes, || {
-                let mut ev = Evaluator::with_namespace(
+                Evaluator::with_namespace(
                     Arc::clone(&problem),
                     Arc::clone(&space),
                     Arc::clone(&store),
@@ -176,9 +175,7 @@ impl ThreadPoolBackend {
                     cfg.epochs,
                     cfg.seed,
                     cfg.namespace.clone(),
-                );
-                ev.set_fidelity(fidelity);
-                ev
+                )
             });
             handles.push(std::thread::spawn(move || {
                 // Attribute this thread's spans (queue wait, evaluation and

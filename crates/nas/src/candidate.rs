@@ -14,13 +14,7 @@ pub struct Candidate {
     pub id: CandidateId,
     pub arch: ArchSeq,
     /// The provider (mutation parent) — `None` for warm-up/random candidates.
-    /// For a successive-halving promotion this is the candidate's own prior
-    /// rung id, so the transfer machinery resumes its checkpoint.
     pub parent: Option<CandidateId>,
-    /// Successive-halving rung this dispatch belongs to (0 = base fidelity).
-    pub rung: u8,
-    /// Per-task epoch budget override; `None` uses the run-level budget.
-    pub epochs: Option<usize>,
     /// The lineage watermark when this candidate was dispatched: no
     /// candidate, this one included, will ever name a provider with an id
     /// below it, so those checkpoints need not stay in memory (the strategy
@@ -29,10 +23,9 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// A rung-0, run-budget candidate — the shape every pre-fidelity call
-    /// site means.
+    /// A candidate that retires nothing (`live_from` 0).
     pub fn new(id: CandidateId, arch: ArchSeq, parent: Option<CandidateId>) -> Self {
-        Candidate { id, arch, parent, rung: 0, epochs: None, live_from: 0 }
+        Candidate { id, arch, parent, live_from: 0 }
     }
 
     /// The checkpoint id used for this candidate in the store.
@@ -57,13 +50,5 @@ mod tests {
     fn checkpoint_id_is_stable() {
         let c = Candidate::new(17, ArchSeq::new(vec![1, 2]), None);
         assert_eq!(c.checkpoint_id(), "c17");
-    }
-
-    #[test]
-    fn new_is_rung_zero_with_the_run_budget() {
-        let c = Candidate::new(3, ArchSeq::new(vec![0]), Some(1));
-        assert_eq!(c.rung, 0);
-        assert_eq!(c.epochs, None);
-        assert_eq!(c.parent, Some(1));
     }
 }

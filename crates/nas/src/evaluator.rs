@@ -12,89 +12,9 @@ use std::time::Instant;
 use swt_checkpoint::CheckpointStore;
 use swt_core::{apply_transfer, ShapeSeq, TransferPlan, TransferScheme, TransferStats};
 use swt_data::AppProblem;
-use swt_nn::{AdamConfig, Convergence, Model, TrainConfig, TrainStop, Trainer};
-use swt_space::{ArchSeq, SearchSpace};
-use swt_tensor::{Rng, Workspace};
-
-/// Why a candidate's evaluation ended. Flows through [`EvalOutcome`], the
-/// canonical trace and the dist protocol's `Result` frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StopReason {
-    /// Trained the full epoch budget for its rung (the only reason a
-    /// fidelity-off run ever produces).
-    #[default]
-    BudgetExhausted,
-    /// The loss-delta convergence tracker cut training early.
-    Converged,
-    /// Successive halving did not promote this candidate past its rung.
-    /// Assigned coordinator-side by the strategy loop — workers never
-    /// produce it.
-    Pruned,
-    /// The zero-cost pre-filter skipped training entirely.
-    Prefiltered,
-}
-
-impl StopReason {
-    /// Wire discriminant (stable; `Result` frames carry it as one byte).
-    pub fn code(self) -> u8 {
-        match self {
-            StopReason::BudgetExhausted => 0,
-            StopReason::Converged => 1,
-            StopReason::Pruned => 2,
-            StopReason::Prefiltered => 3,
-        }
-    }
-
-    /// Inverse of [`StopReason::code`]; `None` for unknown discriminants.
-    pub fn from_code(code: u8) -> Option<StopReason> {
-        match code {
-            0 => Some(StopReason::BudgetExhausted),
-            1 => Some(StopReason::Converged),
-            2 => Some(StopReason::Pruned),
-            3 => Some(StopReason::Prefiltered),
-            _ => None,
-        }
-    }
-
-    /// Short lowercase label used by traces, `/status` and `dist-top`.
-    pub fn label(self) -> &'static str {
-        match self {
-            StopReason::BudgetExhausted => "budget",
-            StopReason::Converged => "converged",
-            StopReason::Pruned => "pruned",
-            StopReason::Prefiltered => "prefiltered",
-        }
-    }
-
-    /// Inverse of [`StopReason::label`].
-    pub fn from_label(label: &str) -> Option<StopReason> {
-        match label {
-            "budget" => Some(StopReason::BudgetExhausted),
-            "converged" => Some(StopReason::Converged),
-            "pruned" => Some(StopReason::Pruned),
-            "prefiltered" => Some(StopReason::Prefiltered),
-            _ => None,
-        }
-    }
-}
-
-/// Per-evaluator fidelity knobs. The default is every feature off, which
-/// reproduces pre-fidelity behaviour bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EvalFidelity {
-    /// Quantile of rung-0 candidates the zero-cost pre-filter skips
-    /// (`0.0` = off).
-    pub prefilter_quantile: f64,
-    /// Loss-delta convergence cut handed to the trainer (`None` = off).
-    pub convergence: Option<Convergence>,
-}
-
-impl EvalFidelity {
-    /// True iff any knob is active.
-    pub fn enabled(&self) -> bool {
-        self.prefilter_quantile > 0.0 || self.convergence.is_some()
-    }
-}
+use swt_nn::{AdamConfig, Model, TrainConfig, Trainer};
+use swt_space::SearchSpace;
+use swt_tensor::Workspace;
 
 /// Everything measured while evaluating one candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,8 +35,6 @@ pub struct EvalOutcome {
     pub transfer: TransferStats,
     /// Epochs actually trained.
     pub epochs: usize,
-    /// Why evaluation ended.
-    pub stop: StopReason,
 }
 
 /// The per-candidate model seed used across the whole repository: the full
@@ -144,11 +62,6 @@ pub struct Evaluator {
     /// evaluation, so buffers warmed up by one candidate are reused by the
     /// next instead of being reallocated per evaluation.
     ws: Workspace,
-    /// Multi-fidelity knobs (default: everything off).
-    fidelity: EvalFidelity,
-    /// Lazily calibrated zero-cost score cut-off (see
-    /// [`Evaluator::prefilter_threshold`]).
-    prefilter_threshold: Option<f64>,
     /// Highest [`Candidate::live_from`] seen: every id below it has been
     /// handed to [`CheckpointStore::evict`]. A running maximum, because a
     /// reassigned candidate arrives with the watermark of its first dispatch.
@@ -188,96 +101,13 @@ impl Evaluator {
             run_seed,
             ns: ns.into(),
             ws: Workspace::new(),
-            fidelity: EvalFidelity::default(),
-            prefilter_threshold: None,
             live_from: 0,
         }
-    }
-
-    /// Set the multi-fidelity knobs (resets any calibrated pre-filter
-    /// threshold).
-    pub fn set_fidelity(&mut self, fidelity: EvalFidelity) {
-        self.fidelity = fidelity;
-        self.prefilter_threshold = None;
     }
 
     /// The namespaced checkpoint id of candidate `id`.
     fn ckpt_id(&self, id: CandidateId) -> String {
         format!("{}c{id}", self.ns)
-    }
-
-    /// Deterministic per-candidate seed.
-    fn seed_for(&self, id: CandidateId) -> u64 {
-        candidate_seed(self.run_seed, id)
-    }
-
-    /// NASI-style zero-cost-at-initialization score: the gradient L2 norm of
-    /// one deterministic (unshuffled) training batch through a freshly built
-    /// model. Higher means the architecture is more trainable at init. The
-    /// scored model is separate from the one training later uses, so scoring
-    /// never perturbs training determinism.
-    pub fn zero_cost_score(&mut self, arch: &ArchSeq, seed: u64) -> f64 {
-        let _span = swt_obs::span!("nas.zero_cost");
-        let spec = self.space.materialize(arch).expect("strategy emitted invalid candidate");
-        let mut model = Model::build(&spec, seed).expect("spec validated at materialise time");
-        model.set_workspace(std::mem::take(&mut self.ws));
-        let idx: Vec<usize> = self
-            .problem
-            .train
-            .batch_indices(self.problem.batch_size, None)
-            .into_iter()
-            .next()
-            .unwrap_or_default();
-        let norm = if idx.is_empty() {
-            0.0
-        } else {
-            let (inputs, targets) = self.problem.train.batch_ws(&idx, model.workspace_mut());
-            let input_refs: Vec<&swt_tensor::Tensor> = inputs.iter().collect();
-            let pred = model.forward(&input_refs, true);
-            let (_loss, grad) = self.problem.loss.forward_backward(&pred, &targets);
-            model.zero_grads();
-            model.backward(&grad);
-            let mut sum_sq = 0.0f64;
-            model.visit_updates(&mut |_name, _param, g| {
-                for &v in g.data() {
-                    sum_sq += f64::from(v) * f64::from(v);
-                }
-            });
-            for t in inputs {
-                model.recycle(t);
-            }
-            model.recycle(targets);
-            model.recycle(pred);
-            model.recycle(grad);
-            sum_sq.sqrt()
-        };
-        self.ws = model.take_workspace();
-        norm
-    }
-
-    /// The calibrated zero-cost cut-off: the configured quantile of the
-    /// scores of a fixed reference population sampled with seeds derived
-    /// only from the run seed — identical on every worker of a run, on
-    /// every backend, so the pre-filter decision is deterministic.
-    fn prefilter_threshold(&mut self) -> f64 {
-        if let Some(t) = self.prefilter_threshold {
-            return t;
-        }
-        const CALIBRATION_ARCHS: u64 = 32;
-        let cal_seed = self.run_seed ^ 0x00F1_17E8;
-        let mut rng = Rng::seed(cal_seed);
-        let mut scores: Vec<f64> = (0..CALIBRATION_ARCHS)
-            .map(|i| {
-                let arch = self.space.sample(&mut rng);
-                self.zero_cost_score(&arch, candidate_seed(cal_seed, i))
-            })
-            .collect();
-        scores.sort_by(f64::total_cmp);
-        let q = self.fidelity.prefilter_quantile.clamp(0.0, 1.0);
-        let k = ((scores.len() as f64) * q) as usize;
-        let t = scores[k.min(scores.len() - 1)];
-        self.prefilter_threshold = Some(t);
-        t
     }
 
     /// Train, score and checkpoint one candidate.
@@ -296,33 +126,8 @@ impl Evaluator {
         }
         self.live_from = self.live_from.max(cand.live_from);
 
-        // Zero-cost pre-filter: rung-0 candidates whose gradient-norm-at-init
-        // falls below the calibrated quantile skip training (and the
-        // checkpoint) entirely. Their score ranks last, so successive halving
-        // never promotes them, and children degrade through the existing
-        // missing-parent-checkpoint path.
-        if cand.rung == 0 && self.fidelity.prefilter_quantile > 0.0 {
-            let threshold = self.prefilter_threshold();
-            let zc = self.zero_cost_score(&cand.arch, self.seed_for(cand.id));
-            if zc < threshold {
-                swt_obs::counter!("fidelity.stopped.prefiltered").inc();
-                swt_obs::counter!("nas.candidates_evaluated").inc();
-                return EvalOutcome {
-                    id: cand.id,
-                    score: f64::NEG_INFINITY,
-                    train_secs: 0.0,
-                    transfer_secs: 0.0,
-                    save_secs: 0.0,
-                    checkpoint_bytes: 0,
-                    transfer: TransferStats::default(),
-                    epochs: 0,
-                    stop: StopReason::Prefiltered,
-                };
-            }
-        }
-
         let spec = self.space.materialize(&cand.arch).expect("strategy emitted invalid candidate");
-        let seed = self.seed_for(cand.id);
+        let seed = candidate_seed(self.run_seed, cand.id);
         let mut model = Model::build(&spec, seed).expect("spec validated at materialise time");
         model.set_workspace(std::mem::take(&mut self.ws));
 
@@ -362,12 +167,12 @@ impl Evaluator {
         // Partial training (the candidate-estimation phase).
         let trainer = Trainer::new(self.problem.loss, self.problem.metric);
         let cfg = TrainConfig {
-            epochs: cand.epochs.unwrap_or(self.epochs),
+            epochs: self.epochs,
             batch_size: self.problem.batch_size,
             adam: AdamConfig { lr: self.problem.lr, ..Default::default() },
             shuffle_seed: seed ^ 0x5EED,
             early_stop: None,
-            convergence: self.fidelity.convergence,
+            convergence: None,
         };
         let t0 = Instant::now();
         let report = {
@@ -393,13 +198,6 @@ impl Evaluator {
         swt_obs::counter!("nas.checkpoint.bytes").add(checkpoint_bytes);
         swt_obs::histogram!("nas.checkpoint.size_bytes").observe(checkpoint_bytes);
 
-        let stop = if report.stop == TrainStop::Converged {
-            swt_obs::counter!("fidelity.stopped.converged").inc();
-            StopReason::Converged
-        } else {
-            StopReason::BudgetExhausted
-        };
-
         EvalOutcome {
             id: cand.id,
             score: report.final_metric,
@@ -409,7 +207,6 @@ impl Evaluator {
             checkpoint_bytes,
             transfer,
             epochs: report.epochs_run,
-            stop,
         }
     }
 }
@@ -659,121 +456,5 @@ mod tests {
         let warm = (carried.ws.pooled(), carried.ws.alloc_misses());
         carried.evaluate(again);
         assert_eq!((carried.ws.pooled(), carried.ws.alloc_misses()), warm);
-    }
-
-    #[test]
-    fn stop_reason_codes_and_labels_round_trip() {
-        for reason in [
-            StopReason::BudgetExhausted,
-            StopReason::Converged,
-            StopReason::Pruned,
-            StopReason::Prefiltered,
-        ] {
-            assert_eq!(StopReason::from_code(reason.code()), Some(reason));
-            assert_eq!(StopReason::from_label(reason.label()), Some(reason));
-        }
-        assert_eq!(StopReason::from_code(4), None);
-        assert_eq!(StopReason::from_code(255), None);
-        assert_eq!(StopReason::from_label("surprise"), None);
-        assert_eq!(StopReason::default(), StopReason::BudgetExhausted);
-    }
-
-    #[test]
-    fn default_fidelity_reports_budget_exhausted() {
-        let (mut eval, space, _) = setup(TransferScheme::Baseline);
-        let mut rng = Rng::seed(21);
-        let out = eval.evaluate(&Candidate::new(0, space.sample(&mut rng), None));
-        assert_eq!(out.stop, StopReason::BudgetExhausted);
-    }
-
-    #[test]
-    fn zero_cost_score_is_deterministic_and_positive() {
-        let (mut eval, space, _) = setup(TransferScheme::Baseline);
-        let mut rng = Rng::seed(22);
-        let arch = space.sample(&mut rng);
-        let a = eval.zero_cost_score(&arch, 99);
-        let b = eval.zero_cost_score(&arch, 99);
-        assert_eq!(a, b, "same arch + seed must score identically");
-        assert!(a.is_finite() && a > 0.0, "gradient norm at init must be positive: {a}");
-        let other = space.sample(&mut rng);
-        let c = eval.zero_cost_score(&other, 99);
-        assert_ne!(a, c, "different architectures should rarely tie exactly");
-    }
-
-    #[test]
-    fn prefilter_skips_the_bottom_quantile_and_only_rung_zero() {
-        let (mut eval, space, store) = setup(TransferScheme::Baseline);
-        eval.set_fidelity(EvalFidelity { prefilter_quantile: 0.9, convergence: None });
-        let mut rng = Rng::seed(23);
-        let cands: Vec<Candidate> =
-            (0..8).map(|id| Candidate::new(id, space.sample(&mut rng), None)).collect();
-        let outs: Vec<EvalOutcome> = cands.iter().map(|c| eval.evaluate(c)).collect();
-        let filtered: Vec<&EvalOutcome> =
-            outs.iter().filter(|o| o.stop == StopReason::Prefiltered).collect();
-        assert!(!filtered.is_empty(), "a 0.9 quantile must filter some of 8 candidates");
-        for o in &filtered {
-            assert_eq!(o.score, f64::NEG_INFINITY, "prefiltered candidates rank last");
-            assert_eq!(o.epochs, 0);
-            assert_eq!(o.checkpoint_bytes, 0);
-            assert!(!store.exists(&format!("c{}", o.id)), "no checkpoint is written");
-        }
-        // A promoted re-dispatch (rung > 0) must never be prefiltered.
-        let mut promoted = cands[filtered[0].id as usize].clone();
-        promoted.rung = 1;
-        promoted.epochs = Some(1);
-        let out = eval.evaluate(&promoted);
-        assert_ne!(out.stop, StopReason::Prefiltered);
-        assert!(out.score.is_finite());
-    }
-
-    #[test]
-    fn prefilter_survivors_score_identically_to_a_plain_run() {
-        let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 7));
-        let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-        let mut rng = Rng::seed(24);
-        let cands: Vec<Candidate> =
-            (0..6).map(|id| Candidate::new(id, space.sample(&mut rng), None)).collect();
-        let mk = |fidelity: EvalFidelity| {
-            let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-            let mut ev = Evaluator::new(
-                Arc::clone(&problem),
-                Arc::clone(&space),
-                store,
-                TransferScheme::Baseline,
-                1,
-                42,
-            );
-            ev.set_fidelity(fidelity);
-            ev
-        };
-        let mut plain = mk(EvalFidelity::default());
-        let mut gated = mk(EvalFidelity { prefilter_quantile: 0.5, convergence: None });
-        for c in &cands {
-            let a = plain.evaluate(c);
-            let b = gated.evaluate(c);
-            if b.stop != StopReason::Prefiltered {
-                assert_eq!(a.score, b.score, "survivors must train bit-identically");
-                assert_eq!(a.checkpoint_bytes, b.checkpoint_bytes);
-            }
-        }
-    }
-
-    #[test]
-    fn per_task_epoch_override_and_convergence_stop() {
-        let (mut eval, space, _) = setup(TransferScheme::Baseline);
-        let mut rng = Rng::seed(25);
-        let arch = space.sample(&mut rng);
-        let mut cand = Candidate::new(0, arch, None);
-        cand.epochs = Some(3);
-        let out = eval.evaluate(&cand);
-        assert_eq!(out.epochs, 3, "the per-task budget overrides the run budget");
-        assert_eq!(out.stop, StopReason::BudgetExhausted);
-        eval.set_fidelity(EvalFidelity {
-            prefilter_quantile: 0.0,
-            convergence: Some(Convergence { window: 1, min_delta: f64::INFINITY }),
-        });
-        let out = eval.evaluate(&cand);
-        assert_eq!(out.epochs, 1, "an always-flat window stops after the first epoch");
-        assert_eq!(out.stop, StopReason::Converged);
     }
 }

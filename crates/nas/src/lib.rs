@@ -24,17 +24,11 @@ pub mod trace;
 
 pub use backend::{BackendResult, EvalBackend, ThreadPoolBackend};
 pub use candidate::{Candidate, CandidateId, ScoredCandidate};
-pub use evaluator::{
-    candidate_seed, BatchedEval, EvalFidelity, EvalOutcome, Evaluator, StopReason,
-};
+pub use evaluator::{candidate_seed, BatchedEval, EvalOutcome, Evaluator};
 pub use pairs::{
     run_distance_experiment, run_pair_experiment, MatchOutcome, PairOutcome, PairSummary,
 };
-pub use runner::{
-    run_nas, run_nas_with_backend, BatchEval, FidelityConfig, FidelityError, NasConfig,
-    StrategyKind, MAX_RUNGS,
-};
+pub use runner::{run_nas, run_nas_with_backend, BatchEval, NasConfig, StrategyKind};
 pub use strategy::{ProviderPolicy, RandomSearch, RegularizedEvolution, SearchStrategy};
-pub use swt_nn::Convergence;
 pub use topk::{full_train_sample, full_train_top_k, FullTrainOutcome, TopKReport};
 pub use trace::{NasTrace, TraceEvent};

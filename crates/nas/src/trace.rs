@@ -1,7 +1,6 @@
 //! NAS run traces: everything needed to reproduce the paper's plots.
 
 use crate::candidate::CandidateId;
-use crate::evaluator::StopReason;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 use swt_core::TransferScheme;
@@ -24,20 +23,6 @@ pub struct TraceEvent {
     pub checkpoint_bytes: u64,
     pub transfer_tensors: usize,
     pub transfer_bytes: usize,
-    /// Successive-halving rung this dispatch ran at (0 without fidelity).
-    pub rung: u8,
-    /// Why evaluation ended ([`StopReason::BudgetExhausted`] without
-    /// fidelity).
-    pub stop: StopReason,
-}
-
-impl TraceEvent {
-    /// True iff the event carries no fidelity information — the shape every
-    /// pre-fidelity trace row has. An all-default trace serialises in the
-    /// legacy column layout, byte-identically to older releases.
-    fn fidelity_default(&self) -> bool {
-        self.rung == 0 && self.stop == StopReason::BudgetExhausted
-    }
 }
 
 /// A complete NAS run: the scheme, every event, and the wall-clock duration.
@@ -145,18 +130,10 @@ impl NasTrace {
             / self.events.len() as f64
     }
 
-    /// True iff any event carries fidelity state (a non-zero rung or a
-    /// non-budget stop reason). Fidelity-off traces serialise in the legacy
-    /// column layout so their bytes match pre-fidelity releases exactly.
-    fn has_fidelity_columns(&self) -> bool {
-        self.events.iter().any(|e| !e.fidelity_default())
-    }
-
     /// Write the trace as CSV (one header + one row per event).
     pub fn write_csv(&self, path: &Path) -> io::Result<()> {
         let file = std::fs::File::create(path)?;
         let mut w = BufWriter::new(file);
-        let fidelity = self.has_fidelity_columns();
         writeln!(
             w,
             "# app={} scheme={} seed={} workers={} wall_secs={}",
@@ -168,11 +145,10 @@ impl NasTrace {
         )?;
         writeln!(
             w,
-            "id,arch,parent,score,t_start,t_end,train_secs,transfer_secs,save_secs,checkpoint_bytes,transfer_tensors,transfer_bytes{}",
-            if fidelity { ",rung,stop" } else { "" }
+            "id,arch,parent,score,t_start,t_end,train_secs,transfer_secs,save_secs,checkpoint_bytes,transfer_tensors,transfer_bytes"
         )?;
         for e in &self.events {
-            write!(
+            writeln!(
                 w,
                 "{},{},{},{},{},{},{},{},{},{},{},{}",
                 e.id,
@@ -188,10 +164,6 @@ impl NasTrace {
                 e.transfer_tensors,
                 e.transfer_bytes
             )?;
-            if fidelity {
-                write!(w, ",{},{}", e.rung, e.stop.label())?;
-            }
-            writeln!(w)?;
         }
         w.flush()
     }
@@ -204,10 +176,6 @@ impl NasTrace {
     pub fn canonical_csv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        // Fidelity columns appear only when some event carries them, so a
-        // run with every fidelity feature off emits the legacy 7-column
-        // layout byte-for-byte (the off-switch A/B gate in check.sh).
-        let fidelity = self.has_fidelity_columns();
         let _ = writeln!(
             out,
             "# app={} scheme={} seed={} workers={}",
@@ -216,13 +184,9 @@ impl NasTrace {
             self.seed,
             self.workers
         );
-        let _ = writeln!(
-            out,
-            "id,arch,parent,score,checkpoint_bytes,transfer_tensors,transfer_bytes{}",
-            if fidelity { ",rung,stop" } else { "" }
-        );
+        out.push_str("id,arch,parent,score,checkpoint_bytes,transfer_tensors,transfer_bytes\n");
         for e in &self.events {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
                 e.id,
@@ -237,10 +201,6 @@ impl NasTrace {
                 e.transfer_tensors,
                 e.transfer_bytes
             );
-            if fidelity {
-                let _ = write!(out, ",{},{}", e.rung, e.stop.label());
-            }
-            out.push('\n');
         }
         out
     }
@@ -289,9 +249,8 @@ impl NasTrace {
                 continue;
             }
             let cols: Vec<&str> = line.split(',').collect();
-            // 12 columns = the legacy layout; 14 = with fidelity (rung, stop).
-            if cols.len() != 12 && cols.len() != 14 {
-                return Err(bad(&format!("expected 12 or 14 columns, got {}", cols.len())));
+            if cols.len() != 12 {
+                return Err(bad(&format!("expected 12 columns, got {}", cols.len())));
             }
             events.push(TraceEvent {
                 id: cols[0].parse().map_err(|_| bad("id"))?,
@@ -310,12 +269,6 @@ impl NasTrace {
                 checkpoint_bytes: cols[9].parse().map_err(|_| bad("checkpoint_bytes"))?,
                 transfer_tensors: cols[10].parse().map_err(|_| bad("transfer_tensors"))?,
                 transfer_bytes: cols[11].parse().map_err(|_| bad("transfer_bytes"))?,
-                rung: if cols.len() > 12 { cols[12].parse().map_err(|_| bad("rung"))? } else { 0 },
-                stop: if cols.len() > 13 {
-                    StopReason::from_label(cols[13]).ok_or_else(|| bad("stop"))?
-                } else {
-                    StopReason::BudgetExhausted
-                },
             });
         }
         Ok(NasTrace { app, scheme, seed, workers, events, wall_secs })
@@ -340,8 +293,6 @@ mod tests {
             checkpoint_bytes: 1000 + id,
             transfer_tensors: 3,
             transfer_bytes: 400,
-            rung: 0,
-            stop: StopReason::BudgetExhausted,
         }
     }
 
@@ -518,55 +469,6 @@ mod tests {
         let path = std::env::temp_dir().join(format!("swt_badtrace_{}.csv", std::process::id()));
         std::fs::write(&path, "# app=X scheme=LP seed=1 workers=1 wall_secs=1\nheader\n1,2,3\n")
             .unwrap();
-        assert!(NasTrace::read_csv(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn fidelity_columns_appear_only_when_carried() {
-        let plain = trace();
-        assert!(!plain.canonical_csv().contains("rung"), "all-default traces stay 7-column");
-        let mut fid = trace();
-        fid.events[1].rung = 1;
-        fid.events[2].stop = StopReason::Pruned;
-        let canon = fid.canonical_csv();
-        assert!(canon.contains(",rung,stop"), "fidelity header columns present");
-        assert!(canon.contains(",1,budget"), "rung column rendered");
-        assert!(canon.contains(",0,pruned"), "stop label rendered");
-    }
-
-    #[test]
-    fn fidelity_csv_round_trips_and_legacy_reads_default() {
-        let mut t = trace();
-        t.events[0].stop = StopReason::Prefiltered;
-        t.events[0].score = f64::NEG_INFINITY;
-        t.events[2].rung = 2;
-        t.events[2].stop = StopReason::Converged;
-        let path = std::env::temp_dir().join(format!("swt_trace_fid_{}.csv", std::process::id()));
-        t.write_csv(&path).unwrap();
-        let back = NasTrace::read_csv(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(back, t, "14-column round trip preserves rung and stop");
-
-        // A legacy 12-column file (what every older release wrote) reads
-        // with default fidelity fields.
-        let legacy = trace();
-        let path = std::env::temp_dir().join(format!("swt_trace_leg_{}.csv", std::process::id()));
-        legacy.write_csv(&path).unwrap();
-        let back = NasTrace::read_csv(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(back.events.iter().all(|e| e.fidelity_default()));
-        assert_eq!(back, legacy);
-    }
-
-    #[test]
-    fn csv_rejects_unknown_stop_labels() {
-        let path = std::env::temp_dir().join(format!("swt_trace_bad_{}.csv", std::process::id()));
-        let mut t = trace();
-        t.events[0].rung = 1;
-        t.write_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap().replace(",budget", ",mystery");
-        std::fs::write(&path, text).unwrap();
         assert!(NasTrace::read_csv(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }

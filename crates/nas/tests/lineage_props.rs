@@ -1,15 +1,15 @@
 //! The lineage watermark the strategy loop stamps on every dispatch
 //! (`Candidate::live_from`), as a property of the loop alone: a fake backend
 //! completes candidates in a seeded random order with made-up scores, over
-//! seeds × provider policies × dispatch windows × promotion waves on/off.
+//! seeds × provider policies × dispatch windows.
 //!
 //! What a store acts on: the watermark never decreases, never passes the
 //! candidate that carries it, and no candidate ever names a provider below a
 //! watermark already issued, nor does a watermark pass the provider of a
 //! candidate still out for evaluation — so dropping everything below it from
 //! memory never takes a checkpoint a read still wants. And it is not vacuous:
-//! under evolution without promotion waves it trails the dispatch front by at
-//! most the population plus two windows.
+//! under evolution it trails the dispatch front by at most the population
+//! plus two windows.
 
 use std::io;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use swt_core::{TransferScheme, TransferStats};
 use swt_data::AppKind;
 use swt_nas::{
     run_nas_with_backend, BackendResult, Candidate, CandidateId, EvalBackend, EvalOutcome,
-    FidelityConfig, NasConfig, ProviderPolicy, StopReason, StrategyKind,
+    NasConfig, ProviderPolicy, StrategyKind,
 };
 use swt_space::SearchSpace;
 use swt_tensor::Rng;
@@ -78,7 +78,6 @@ impl EvalBackend for OutOfOrder {
             checkpoint_bytes: 1,
             transfer: TransferStats::default(),
             epochs: 1,
-            stop: StopReason::BudgetExhausted,
         };
         Ok(BackendResult { cand, t_start: 0.0, t_end: 0.0, outcome })
     }
@@ -92,41 +91,30 @@ fn the_watermark_is_monotone_and_never_passes_a_provider_still_to_be_named() {
     for seed in 0..6 {
         for provider in [ProviderPolicy::Parent, ProviderPolicy::Nearest, ProviderPolicy::Random] {
             for window in [1, 2, 4] {
-                for rungs in [vec![], vec![1, 2, 3]] {
-                    let waves = !rungs.is_empty();
-                    let cfg = NasConfig {
-                        strategy: StrategyKind::Evolution,
-                        population_size: POPULATION,
-                        sample_size: 4,
-                        provider,
-                        fidelity: FidelityConfig::new(2, rungs, 0.0, None).unwrap(),
-                        ..NasConfig::quick(TransferScheme::Lcs, CANDIDATES, window, seed)
-                    };
-                    let mut backend = OutOfOrder {
-                        window,
-                        rng: Rng::seed(seed ^ 0xBAC0),
-                        pending: Vec::new(),
-                        issued: 0,
-                        widest_gap: 0,
-                    };
-                    let trace = run_nas_with_backend("Uno", Arc::clone(&space), &cfg, &mut backend)
-                        .expect("the fake backend cannot fail");
-                    let what = format!("seed {seed} {provider:?} window {window} waves {waves}");
-                    if waves {
-                        // 60 → 30 → 15 promotions; the last wave retires the
-                        // first one's checkpoints as it resumes them.
-                        assert_eq!(trace.events.len(), CANDIDATES + 30 + 15, "{what}");
-                        assert!(backend.issued >= CANDIDATES as u64, "{what}: nothing retired");
-                    } else {
-                        assert_eq!(trace.events.len(), CANDIDATES, "{what}");
-                        let bound = (POPULATION + 2 * window) as u64;
-                        assert!(
-                            backend.widest_gap <= bound,
-                            "{what}: watermark trailed by {} > {bound}",
-                            backend.widest_gap
-                        );
-                    }
-                }
+                let cfg = NasConfig {
+                    strategy: StrategyKind::Evolution,
+                    population_size: POPULATION,
+                    sample_size: 4,
+                    provider,
+                    ..NasConfig::quick(TransferScheme::Lcs, CANDIDATES, window, seed)
+                };
+                let mut backend = OutOfOrder {
+                    window,
+                    rng: Rng::seed(seed ^ 0xBAC0),
+                    pending: Vec::new(),
+                    issued: 0,
+                    widest_gap: 0,
+                };
+                let trace = run_nas_with_backend("Uno", Arc::clone(&space), &cfg, &mut backend)
+                    .expect("the fake backend cannot fail");
+                let what = format!("seed {seed} {provider:?} window {window}");
+                assert_eq!(trace.events.len(), CANDIDATES, "{what}");
+                let bound = (POPULATION + 2 * window) as u64;
+                assert!(
+                    backend.widest_gap <= bound,
+                    "{what}: watermark trailed by {} > {bound}",
+                    backend.widest_gap
+                );
             }
         }
     }

@@ -26,11 +26,13 @@ impl EarlyStop {
     }
 }
 
-/// Loss-delta convergence rule for multi-fidelity evaluation: training stops
-/// at a clean epoch boundary once the last `window` train losses span at most
-/// `min_delta`. Unlike [`EarlyStop`] (which watches the *validation* metric
-/// with a patience counter), this watches the *training* loss over a sliding
-/// window — cheap, monotone-friendly, and what a rung budget wants to cut on.
+/// Loss-delta convergence rule: training stops at a clean epoch boundary once
+/// the last `window` train losses span at most `min_delta`. Unlike
+/// [`EarlyStop`] (which watches the *validation* metric with a patience
+/// counter), this watches the *training* loss over a sliding window. No
+/// search sets it — the multi-fidelity pipeline that did was deleted in
+/// PR 25 — but `TrainConfig::convergence` is part of the benchmark's pinned
+/// surface, so it stays until a benchmark issue drops it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Convergence {
     /// Number of trailing epoch losses that must agree.

@@ -149,29 +149,6 @@ fn summary_ci_shrinks_with_n() {
     }
 }
 
-#[test]
-fn fast_tau_matches_naive() {
-    let mut rng = Rng::seed(0x7A3);
-    for case in 0..100 {
-        // Tie-free xs; ys tie-free by an index-proportional jitter.
-        let mut xs = distinct_vec(&mut rng, 2, 64);
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let ys: Vec<f64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| (x * 31.7 + i as f64 * 0.013).sin() + i as f64 * 1e-9)
-            .collect();
-        let mut sorted = ys.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            continue; // astronomically unlikely; skip rather than mis-test
-        }
-        let naive = swt_stats::kendall_tau(&xs, &ys);
-        let fast = swt_stats::kendall_tau_fast(&xs, &ys);
-        assert!((naive - fast).abs() < 1e-9, "case {case}: {naive} vs {fast}");
-    }
-}
-
 /// Random samples drawn from a small bucket set so ties are plentiful.
 fn tied_vec(rng: &mut Rng, min_len: usize, max_len: usize) -> Vec<f64> {
     let len = min_len + rng.below(max_len - min_len);

@@ -2,7 +2,7 @@
 //!
 //! Modes:
 //! * `swt run …` — run an in-process NAS (thread-pool backend) with the
-//!   same knobs as `dist-run`, including the multi-fidelity pipeline.
+//!   same search knobs as `dist-run`.
 //! * `swt dist-run …` — launch a distributed NAS run: this process becomes
 //!   the coordinator and spawns `--workers` child processes of itself.
 //!   `--serve ADDR` additionally exposes the in-flight run as `/status`,
@@ -14,6 +14,9 @@
 //! * `swt ckpt-server --spill DIR` — run the networked checkpoint store;
 //!   point `dist-run --store tcp://host:port` at it and a worker fetches a
 //!   parent another worker trained whole, once (DESIGN.md §12).
+//!
+//! Every mode takes `--flag value` pairs and refuses a flag it does not
+//! accept, or a `--flag=value` spelling, before doing any work.
 //!
 //! See EXPERIMENTS.md §"Distributed runs" for walkthroughs, including the
 //! kill-a-worker fault-tolerance demo and §"Watching a run live".
@@ -39,14 +42,6 @@ usage:
     --trace FILE.csv             write the run trace CSV
     --canonical-trace FILE.csv   write the deterministic-columns-only trace
     --report FILE.json           write the observability report
-    multi-fidelity (also accepted by dist-run):
-    --rungs E1,E2,...            successive-halving epoch rungs (strictly
-                                 increasing; empty = single full-budget rung)
-    --eta N                      keep top 1/eta per rung        [2]
-    --prefilter Q                skip the bottom Q quantile by zero-cost
-                                 score at rung 0, Q in [0,1)    [0 = off]
-    --early-stop W:DELTA         stop a candidate when its train loss moves
-                                 < DELTA over a W-epoch window  [off]
   swt dist-run [options]         run a distributed NAS (this process coordinates)
     (accepts every `swt run` option above, plus:)
     --namespace S                checkpoint-id prefix           []
@@ -90,64 +85,86 @@ usage:
                                  value for dist-run so workers can connect
 ";
 
+/// The flags `run` accepts; `dist-run` accepts these and [`DIST_RUN_FLAGS`].
+const RUN_FLAGS: &[&str] = &[
+    "--app",
+    "--scale",
+    "--scheme",
+    "--candidates",
+    "--workers",
+    "--epochs",
+    "--seed",
+    "--data-seed",
+    "--trace",
+    "--canonical-trace",
+    "--report",
+];
+const DIST_RUN_FLAGS: &[&str] = &[
+    "--namespace",
+    "--store",
+    "--kill-after",
+    "--join-after",
+    "--max-workers",
+    "--initial-workers",
+    "--autoscale",
+    "--target-wall-secs",
+    "--cost-budget",
+    "--serve",
+    "--chrome-trace",
+];
+const DIST_TOP_FLAGS: &[&str] = &["--addr", "--interval-ms", "--iterations", "--fetch"];
+const DIST_WORKER_FLAGS: &[&str] = &["--connect", "--worker-id"];
+const CKPT_SERVER_FLAGS: &[&str] =
+    &["--bind", "--spill", "--cache-bytes", "--serve", "--max-seconds"];
+
+type Mode = fn(&[String]) -> Result<(), String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => run_local(&args[1..]),
-        Some("dist-run") => dist_run(&args[1..]),
-        Some("dist-top") => dist_top(&args[1..]),
-        Some("dist-worker") => dist_worker(&args[1..]),
-        Some("ckpt-server") => ckpt_server(&args[1..]),
+    let (mode, flags): (Mode, &[&[&str]]) = match args.first().map(String::as_str) {
+        Some("run") => (try_run_local, &[RUN_FLAGS]),
+        Some("dist-run") => (try_dist_run, &[RUN_FLAGS, DIST_RUN_FLAGS]),
+        Some("dist-top") => (try_dist_top, &[DIST_TOP_FLAGS]),
+        Some("dist-worker") => (try_dist_worker, &[DIST_WORKER_FLAGS]),
+        Some("ckpt-server") => (try_ckpt_server, &[CKPT_SERVER_FLAGS]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         Some(other) => {
             eprintln!("unknown mode `{other}`\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Parse the shared multi-fidelity flags into a validated
-/// [`FidelityConfig`] (all off when none are given).
-fn parse_fidelity(args: &[String]) -> Result<FidelityConfig, String> {
-    let rungs: Vec<usize> = match opt(args, "--rungs") {
-        None => vec![],
-        Some(raw) => raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| s.trim().parse().map_err(|_| format!("invalid rung in `{raw}`")))
-            .collect::<Result<_, _>>()?,
-    };
-    let eta: usize = parse(args, "--eta", 2)?;
-    let prefilter: f64 = parse(args, "--prefilter", 0.0)?;
-    let convergence = match opt(args, "--early-stop") {
-        None => None,
-        Some(spec) => {
-            let (w, d) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("--early-stop wants W:DELTA, got `{spec}`"))?;
-            Some(Convergence {
-                window: w.parse().map_err(|_| format!("invalid window in `{spec}`"))?,
-                min_delta: d.parse().map_err(|_| format!("invalid delta in `{spec}`"))?,
-            })
+            return ExitCode::FAILURE;
         }
     };
-    FidelityConfig::new(eta, rungs, prefilter, convergence).map_err(|e| e.to_string())
-}
-
-fn run_local(args: &[String]) -> ExitCode {
-    match try_run_local(args) {
+    let rest = &args[1..];
+    match check_flags(rest, flags).and_then(|()| mode(rest)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("run: {msg}");
+            eprintln!("{}: {msg}", args[0]);
             ExitCode::FAILURE
         }
     }
 }
 
-fn try_run_local(args: &[String]) -> Result<(), String> {
+/// Every argument is a `--flag value` pair naming a flag of `accepted`:
+/// anything else would otherwise be read as absent and silently defaulted.
+fn check_flags(args: &[String], accepted: &[&[&str]]) -> Result<(), String> {
+    args.chunks(2).try_for_each(|pair| match pair {
+        [flag, _] if accepted.iter().any(|set| set.contains(&flag.as_str())) => Ok(()),
+        [flag] if accepted.iter().any(|set| set.contains(&flag.as_str())) => {
+            Err(format!("`{flag}` needs a value"))
+        }
+        [flag, ..] if flag.starts_with("--") && flag.contains('=') => {
+            Err(format!("`{flag}`: a flag's value is the next argument, not after `=`"))
+        }
+        [flag, ..] => Err(format!("unknown flag `{flag}`\n{USAGE}")),
+        [] => Ok(()),
+    })
+}
+
+/// The search flags `run` and `dist-run` share: the app and scale, the
+/// dataset seed and the NAS configuration.
+fn search_args(args: &[String]) -> Result<(AppKind, DataScale, u64, NasConfig), String> {
     let app_raw = opt(args, "--app").unwrap_or("uno");
     let app = AppKind::from_slug(app_raw).ok_or_else(|| format!("unknown app `{app_raw}`"))?;
     let scale = match opt(args, "--scale").unwrap_or("quick") {
@@ -163,15 +180,19 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
     };
     let candidates: usize = parse(args, "--candidates", 24)?;
     let workers: usize = parse(args, "--workers", 2)?;
-    let epochs: usize = parse(args, "--epochs", 1)?;
     let seed: u64 = parse(args, "--seed", 9)?;
-    let data_seed: u64 = parse(args, "--data-seed", 11)?;
     if candidates == 0 || workers == 0 {
         return Err("--candidates and --workers must be positive".into());
     }
     let mut nas = NasConfig::quick(scheme, candidates, workers, seed);
-    nas.epochs = epochs;
-    nas.fidelity = parse_fidelity(args)?;
+    nas.epochs = parse(args, "--epochs", 1)?;
+    Ok((app, scale, parse(args, "--data-seed", 11)?, nas))
+}
+
+fn try_run_local(args: &[String]) -> Result<(), String> {
+    let (app, scale, data_seed, nas) = search_args(args)?;
+    let (scheme, candidates, workers, seed) =
+        (nas.scheme, nas.total_candidates, nas.workers, nas.seed);
 
     swt_obs::enable();
     let problem = Arc::new(app.problem(scale, data_seed));
@@ -190,17 +211,6 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
         scheme.name(),
         seed
     );
-    if nas.fidelity.enabled() {
-        let report = RunReport::capture();
-        println!(
-            "fidelity: rungs {:?} eta {}  stopped converged {} / pruned {} / prefiltered {}",
-            nas.fidelity.rungs,
-            nas.fidelity.eta,
-            report.counter("fidelity.stopped.converged"),
-            report.counter("fidelity.stopped.pruned"),
-            report.counter("fidelity.stopped.prefiltered"),
-        );
-    }
     if let Some(best) = trace.top_k(1).first() {
         println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
     }
@@ -280,33 +290,14 @@ fn parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result
     }
 }
 
-fn dist_worker(args: &[String]) -> ExitCode {
+fn try_dist_worker(args: &[String]) -> Result<(), String> {
     let (Some(connect), Some(worker_id)) = (opt(args, "--connect"), opt(args, "--worker-id"))
     else {
-        eprintln!("dist-worker requires --connect and --worker-id\n{USAGE}");
-        return ExitCode::FAILURE;
+        return Err(format!("--connect and --worker-id required\n{USAGE}"));
     };
-    let Ok(worker_id) = worker_id.parse::<u64>() else {
-        eprintln!("invalid --worker-id `{worker_id}`");
-        return ExitCode::FAILURE;
-    };
-    match swt_dist::worker_main(connect, worker_id) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("worker {worker_id}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn ckpt_server(args: &[String]) -> ExitCode {
-    match try_ckpt_server(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("ckpt-server: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    let worker_id: u64 =
+        worker_id.parse().map_err(|_| format!("invalid --worker-id `{worker_id}`"))?;
+    swt_dist::worker_main(connect, worker_id).map_err(|e| format!("worker {worker_id}: {e}"))
 }
 
 fn try_ckpt_server(args: &[String]) -> Result<(), String> {
@@ -346,35 +337,10 @@ fn try_ckpt_server(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn dist_run(args: &[String]) -> ExitCode {
-    match try_dist_run(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("dist-run: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn try_dist_run(args: &[String]) -> Result<(), String> {
-    let app_raw = opt(args, "--app").unwrap_or("uno");
-    let app = AppKind::from_slug(app_raw).ok_or_else(|| format!("unknown app `{app_raw}`"))?;
-    let scale = match opt(args, "--scale").unwrap_or("quick") {
-        "quick" => DataScale::Quick,
-        "full" => DataScale::Full,
-        other => return Err(format!("unknown scale `{other}`")),
-    };
-    let scheme = match opt(args, "--scheme").unwrap_or("lcs") {
-        "baseline" => TransferScheme::Baseline,
-        "lp" => TransferScheme::Lp,
-        "lcs" => TransferScheme::Lcs,
-        other => return Err(format!("unknown scheme `{other}`")),
-    };
-    let candidates: usize = parse(args, "--candidates", 24)?;
-    let workers: usize = parse(args, "--workers", 2)?;
-    let epochs: usize = parse(args, "--epochs", 1)?;
-    let seed: u64 = parse(args, "--seed", 9)?;
-    let data_seed: u64 = parse(args, "--data-seed", 11)?;
+    let (app, scale, data_seed, mut nas) = search_args(args)?;
+    let (scheme, candidates, workers, seed) =
+        (nas.scheme, nas.total_candidates, nas.workers, nas.seed);
     // `--store` is either a shared directory (the default DirStore path —
     // what the A/B identity gates pin) or a `tcp://host:port` endpoint of a
     // running `swt ckpt-server`.
@@ -384,14 +350,7 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     } else {
         (PathBuf::from(store_raw), None)
     };
-    if candidates == 0 || workers == 0 {
-        return Err("--candidates and --workers must be positive".into());
-    }
-
-    let mut nas = NasConfig::quick(scheme, candidates, workers, seed);
-    nas.epochs = epochs;
     nas.namespace = opt(args, "--namespace").unwrap_or("").to_string();
-    nas.fidelity = parse_fidelity(args)?;
     let mut dist = DistConfig::new(app, scale, data_seed, store_dir);
     dist.store_url = store_url;
     if let Some(spec) = opt(args, "--kill-after") {
@@ -562,16 +521,6 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn dist_top(args: &[String]) -> ExitCode {
-    match try_dist_top(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("dist-top: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn try_dist_top(args: &[String]) -> Result<(), String> {
     let Some(addr) = opt(args, "--addr") else {
         return Err(format!("--addr HOST:PORT required\n{USAGE}"));
@@ -635,27 +584,12 @@ fn render_top(status: &Json) -> String {
         }
     }
     out.push_str(&format!(
-        "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9} {:>8}\n",
-        "id",
-        "alive",
-        "seq",
-        "frames",
-        "results",
-        "current",
-        "wait_s",
-        "eval_s",
-        "send_s",
-        "stop c/f",
-        "drop"
+        "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>8}\n",
+        "id", "alive", "seq", "frames", "results", "current", "wait_s", "eval_s", "send_s", "drop"
     ));
     let workers = status.get("workers").and_then(Json::as_array).unwrap_or(&[]);
     for w in workers {
         let wf = |k: &str| w.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        // Worker-side stop reasons (converged / prefiltered counts; pruning
-        // happens coordinator-side, so it is not a per-worker number).
-        let stopped = |kind: &str| {
-            w.get("stopped").and_then(|s| s.get(kind)).and_then(Json::as_f64).unwrap_or(0.0) as u64
-        };
         let span_secs = |path: &str| {
             w.get("spans")
                 .and_then(Json::as_array)
@@ -672,7 +606,7 @@ fn render_top(status: &Json) -> String {
             None => "-".to_string(),
         };
         out.push_str(&format!(
-            "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>8}\n",
+            "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10.3} {:>10.3} {:>10.3} {:>8}\n",
             wf("id") as u64,
             if alive { "yes" } else { "no" },
             wf("seq") as u64,
@@ -682,7 +616,6 @@ fn render_top(status: &Json) -> String {
             span_secs("nas.queue_wait"),
             span_secs("nas.eval"),
             span_secs("nas.result_send"),
-            format!("{}/{}", stopped("converged"), stopped("prefiltered")),
             wf("dropped_events") as u64,
         ));
     }

@@ -62,9 +62,8 @@ pub mod prelude {
     };
     pub use swt_nas::{
         full_train_top_k, run_nas, run_nas_with_backend, run_pair_experiment, BatchEval, Candidate,
-        Convergence, EvalBackend, EvalFidelity, FidelityConfig, FidelityError, NasConfig, NasTrace,
-        PairSummary, ProviderPolicy, StopReason, StrategyKind, ThreadPoolBackend, TopKReport,
-        TraceEvent,
+        EvalBackend, NasConfig, NasTrace, PairSummary, ProviderPolicy, StrategyKind,
+        ThreadPoolBackend, TopKReport, TraceEvent,
     };
     pub use swt_nn::{
         Activation, Dataset, LayerSpec, Loss, Metric, Model, ModelSpec, NodeSpec, TrainConfig,

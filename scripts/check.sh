@@ -94,10 +94,16 @@ batch_json=$(mktemp)
 cargo run --release --quiet -p swt-bench --bin bench_batch -- --smoke "$batch_json"
 rm -f "$batch_json"
 
-echo "==> bench_fidelity smoke (multi-fidelity pipeline engages: candidates pruned + prefiltered)"
-fidelity_json=$(mktemp)
-cargo run --release --quiet -p swt-bench --bin bench_fidelity -- --smoke "$fidelity_json"
-rm -f "$fidelity_json"
+echo "==> one way to evaluate a candidate (no rungs, pre-filter, stop reasons or fast tau)"
+# Multi-fidelity lost to plain LCS on wall-to-baseline-top-5 (EXPERIMENTS.md
+# "PR 25") and was deleted from every layer; so was the unused O(n log n) tau.
+fidelity=$(grep -rnE 'FidelityConfig|StopReason|MAX_RUNGS|zero_cost_score|prefilter|kendall_tau_fast' \
+  crates tests examples || true)
+if [ -n "$fidelity" ]; then
+  echo "a deleted multi-fidelity stage or the fast Kendall tau is named again:" >&2
+  echo "$fidelity" >&2
+  exit 1
+fi
 
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
@@ -260,36 +266,35 @@ if ! cmp -s "$elastic_dir/fixed.csv" "$ckpt_dir/remote.csv"; then
 fi
 rm -rf "$ckpt_dir"
 
-echo "==> fidelity off-switch A/B (fidelity-off traces bit-identical to the pre-fidelity golden)"
+echo "==> in-process vs dist vs golden identity (one canonical trace whichever backend ran it)"
 ./target/release/swt run --app uno --scheme lcs --candidates 8 --workers 2 \
-  --canonical-trace "$elastic_dir/fidelity_off_local.csv" >/dev/null
-if ! cmp -s "$elastic_dir/fidelity_off_local.csv" tests/golden/canonical_uno_lcs_c8_w2.csv; then
-  echo "fidelity off-switch: in-process canonical trace drifted from the pre-fidelity golden" >&2
-  diff tests/golden/canonical_uno_lcs_c8_w2.csv "$elastic_dir/fidelity_off_local.csv" >&2 || true
+  --canonical-trace "$elastic_dir/local_c8.csv" >/dev/null
+if ! cmp -s "$elastic_dir/local_c8.csv" tests/golden/canonical_uno_lcs_c8_w2.csv; then
+  echo "identity: in-process canonical trace drifted from the golden" >&2
+  diff tests/golden/canonical_uno_lcs_c8_w2.csv "$elastic_dir/local_c8.csv" >&2 || true
   exit 1
 fi
 # The dist smokes ran the same config for 24 candidates: the first 8 must sit
 # on the same golden bytes, and all 24 — children that transfer among them —
 # on the in-process run's.
 if ! head -n 10 "$elastic_dir/fixed.csv" | cmp -s - tests/golden/canonical_uno_lcs_c8_w2.csv; then
-  echo "fidelity off-switch: dist canonical trace drifted from the pre-fidelity golden" >&2
+  echo "identity: dist canonical trace drifted from the golden" >&2
   head -n 10 "$elastic_dir/fixed.csv" | diff tests/golden/canonical_uno_lcs_c8_w2.csv - >&2 || true
   exit 1
 fi
 ./target/release/swt run --app uno --scheme lcs --candidates 24 --workers 2 \
   --canonical-trace "$elastic_dir/local_c24.csv" >/dev/null
 if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/local_c24.csv"; then
-  echo "fidelity off-switch: dist canonical trace differs from the in-process run's" >&2
+  echo "identity: dist canonical trace differs from the in-process run's" >&2
   diff "$elastic_dir/local_c24.csv" "$elastic_dir/fixed.csv" >&2 || true
   exit 1
 fi
 
 echo "==> live endpoint smoke (/status answers mid-run; /metrics counters match report.json)"
-# The multi-fidelity flags both lengthen the run enough for the poller to
-# catch it mid-flight (a plain 12-candidate quick run now finishes in
-# ~100 ms) and exercise the fidelity stop counters over the wire.
-./target/release/swt dist-run --app uno --scheme lcs --candidates 16 \
-  --epochs 4 --rungs 2,4 --eta 2 --prefilter 0.25 \
+# Four epochs over 64 candidates keep the run up long enough for the poller
+# to catch it mid-flight (a 12-candidate one-epoch quick run finishes in
+# ~100 ms).
+./target/release/swt dist-run --app uno --scheme lcs --candidates 64 --epochs 4 \
   --workers 2 --store "$live_dir/store" --serve 127.0.0.1:0 \
   --report "$live_dir/report.json" > "$live_dir/out.txt" &
 live_pid=$!
@@ -321,10 +326,6 @@ done
 wait "$live_pid"
 if [ -z "$ok" ]; then
   echo "live smoke: workers never reported over /status (or /metrics never answered)" >&2
-  exit 1
-fi
-if ! echo "$status" | grep -q '"stopped"'; then
-  echo "live smoke: /status workers are missing the stop-reason count object" >&2
   exit 1
 fi
 # Every counter family the live endpoint exported must exist in the

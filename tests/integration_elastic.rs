@@ -153,67 +153,6 @@ fn batched_evaluation_reproduces_the_unbatched_canonical_trace() {
     }
 }
 
-/// Rung re-dispatch under failure: with the multi-fidelity pipeline on
-/// (successive halving + zero-cost pre-filter), a SIGKILLed worker mid-run
-/// must not change the canonical trace. Promotions are scheduled by the
-/// backend-agnostic strategy loop, so the kill only changes which process
-/// evaluates a rung — reassignment stays invisible exactly as in the
-/// fidelity-off matrix.
-#[test]
-fn fidelity_pipeline_survives_a_worker_kill_bit_identically() {
-    let cfg = NasConfig {
-        fidelity: FidelityConfig::new(2, vec![1, 2], 0.25, None).expect("valid fidelity knobs"),
-        ..nas_config()
-    };
-
-    // In-process reference with the pipeline on.
-    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, DATA_SEED));
-    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-    let local_store = temp_dir("elastic_fidelity_local");
-    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::new(&local_store).unwrap());
-    let local = run_nas(problem, space, store, &cfg);
-    assert!(
-        local.events.iter().any(|e| e.rung > 0),
-        "no candidate was promoted — the kill cell would be vacuous"
-    );
-    assert!(
-        local.events.iter().any(|e| e.stop == StopReason::Pruned),
-        "no candidate was pruned — the kill cell would be vacuous"
-    );
-    let prefiltered_locally =
-        local.events.iter().filter(|e| e.stop == StopReason::Prefiltered).count() as u64;
-
-    // Same config through the dist backend, one worker SIGKILLed mid-run.
-    let store_dir = temp_dir("elastic_fidelity_dist");
-    let mut dist = DistConfig::new(AppKind::Uno, DataScale::Quick, DATA_SEED, store_dir.clone());
-    dist.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
-    dist.kill_worker_after = Some(KillPlan { worker: 0, after_results: 4 });
-    let (trace, stats) =
-        run_nas_dist_with_stats(&cfg, &dist).expect("fidelity kill cell failed to run");
-
-    assert_traces_identical(&local, &trace, "fidelity_kill");
-    assert_eq!(
-        trace.canonical_csv(),
-        local.canonical_csv(),
-        "fidelity-on canonical trace diverged from in-process under a worker kill"
-    );
-    assert_kill_absorbed(&trace, stats.lost, stats.reassigned, "fidelity_kill");
-
-    // The workers' streamed stop counters saw the same pipeline the trace
-    // did (>= because a reassigned candidate may be counted on two
-    // processes: once on the killed worker, once on the survivor).
-    if prefiltered_locally > 0 {
-        let merged = stats.workers_report();
-        assert!(
-            merged.counter("fidelity.stopped.prefiltered") >= prefiltered_locally,
-            "worker-side prefiltered count below the trace's"
-        );
-    }
-
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&local_store);
-}
-
 #[test]
 fn same_seed_same_trace_across_the_elastic_matrix() {
     // In-process reference: the canonical trace every cell must reproduce.

@@ -115,3 +115,33 @@ fn one_candidate_budget_still_completes() {
     assert_eq!(e.transfer_tensors, 0);
     assert!(e.score.is_finite());
 }
+
+#[test]
+fn swt_refuses_flags_it_does_not_know() {
+    let swt = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_swt"))
+            .args(args)
+            .output()
+            .expect("the swt binary runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for (args, named) in [
+        (&["run", "--candidates=2"][..], "`--candidates=2`"),
+        (&["run", "--rungs", "1,4"], "`--rungs`"),
+        (&["run", "--workers", "1", "--rugns", "1,4"], "`--rugns`"),
+        (&["run", "--seed"], "`--seed`"),
+        (&["dist-run", "--eta", "4"], "`--eta`"),
+        (&["dist-top", "--addr", "127.0.0.1:1", "--early-stop", "2:0.02"], "`--early-stop`"),
+        (&["dist-worker", "--connect", "127.0.0.1:1", "--worker-id"], "`--worker-id`"),
+        (&["ckpt-server", "--spill", "x", "--bind=127.0.0.1:0"], "`--bind=127.0.0.1:0`"),
+    ] {
+        let (code, stderr) = swt(args);
+        assert_eq!(code, Some(1), "{args:?} must fail: {stderr}");
+        assert!(stderr.starts_with(&format!("{}: ", args[0])), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?} must name {named}: {stderr}");
+    }
+    // A flag `dist-run` accepts is still unknown to `run`.
+    let (code, stderr) = swt(&["run", "--store", "x"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("`--store`"), "{stderr}");
+}

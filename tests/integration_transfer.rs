@@ -95,3 +95,35 @@ fn lp_and_lcs_plans_agree_on_identical_sequences() {
         assert!(plan.pairs().iter().all(|(p, r)| p == r), "{matcher:?}");
     }
 }
+
+#[test]
+fn lp_never_moves_more_tensors_than_lcs_along_sampled_lineages() {
+    // "Note that LP is a subset of LCS, therefore LCS will always transfer
+    // at least as many tensors as LP." (Section IV-A) Checked on what a
+    // search actually produces: every parent → `mutate` child step of four
+    // 16-generation lineages per application, 64 pairs each.
+    for app in AppKind::all() {
+        let space = SearchSpace::for_app(app);
+        let (mut lp_total, mut lcs_total) = (0, 0);
+        for lineage in 0..4 {
+            let mut rng = Rng::seed(0x11AE + lineage);
+            let mut parent = space.sample(&mut rng);
+            for step in 0..16 {
+                let child = space.mutate(&parent, &mut rng);
+                let provider = ShapeSeq::of(&space.materialize(&parent).unwrap()).unwrap();
+                let receiver = ShapeSeq::of(&space.materialize(&child).unwrap()).unwrap();
+                let lp = TransferPlan::build(Matcher::Lp, &provider, &receiver).tensors();
+                let lcs = TransferPlan::build(Matcher::Lcs, &provider, &receiver).tensors();
+                assert!(
+                    lp <= lcs,
+                    "{}: lineage {lineage} step {step}: LP moves {lp} tensors, LCS {lcs}",
+                    app.name()
+                );
+                (lp_total, lcs_total) = (lp_total + lp, lcs_total + lcs);
+                parent = child;
+            }
+        }
+        assert!(lp_total > 0, "{}: no pair shared a prefix, the check is vacuous", app.name());
+        println!("{}: 64 pairs, LP {lp_total} tensors, LCS {lcs_total}", app.name());
+    }
+}
