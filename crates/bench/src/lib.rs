@@ -7,6 +7,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
+use swt::obs::json::escape;
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,13 +107,13 @@ impl Harness {
     pub fn to_json(&self, meta: &[(&str, String)]) -> String {
         let mut out = String::from("{\n");
         for (k, v) in meta {
-            out.push_str(&format!("  {}: {},\n", json_str(k), json_value(v)));
+            out.push_str(&format!("  {}: {},\n", escape(k), json_value(v)));
         }
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": {}, \"median_ns\": {:.1}, \"iters\": {}}}{}\n",
-                json_str(&r.name),
+                escape(&r.name),
                 r.median_ns,
                 r.iters,
                 if i + 1 == self.results.len() { "" } else { "," }
@@ -121,21 +122,6 @@ impl Harness {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A header value as JSON: a number when the text is one (`59.8`, `-3`, `1`),
@@ -148,7 +134,7 @@ fn json_value(s: &str) -> String {
     if digits(int) && digits(frac) && (int == "0" || !int.starts_with('0')) {
         s.to_string()
     } else {
-        json_str(s)
+        escape(s)
     }
 }
 
@@ -199,18 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
-    }
-
-    #[test]
     fn header_values_that_are_numbers_are_written_as_numbers() {
         for number in ["1", "0", "-3", "59.8", "0.25", "-0.5", "120"] {
             assert_eq!(json_value(number), number);
         }
         for text in ["avx2+fma", "", "-", "1.", ".5", "1.2.3", "007", "1e5", "inf", "NaN", "+1"] {
-            assert_eq!(json_value(text), json_str(text));
+            assert_eq!(json_value(text), escape(text));
         }
     }
 

@@ -624,7 +624,7 @@ mod tests {
                 SpanTotalRow { path: "nas.eval".into(), count: 5, total_ns: 5_000_000 },
                 SpanTotalRow { path: "nas.queue_wait".into(), count: 5, total_ns: 700 },
             ],
-            gauges: vec![GaugeSnap { name: "eval.batch.size".into(), value: -1, max: 4 }],
+            gauges: vec![GaugeSnap { name: "ckpt.cache.resident_bytes".into(), value: -1, max: 4 }],
             names: vec!["nas.eval".into(), "nas.dispatch".into()],
             events: vec![
                 WireEvent { name: 0, kind: 0, t_ns: 10, dur_ns: 90, delta: 0 },

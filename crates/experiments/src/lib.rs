@@ -222,7 +222,6 @@ impl ExpCtx {
             sample_size: self.sample.min(self.population.min(self.candidates)),
             cache_bytes: 256 << 20,
             namespace: String::new(),
-            batch_eval: swt_nas::BatchEval::Off,
         };
         swt_obs::reset();
         let trace = run_nas(problem, space, Arc::clone(&store), &cfg);

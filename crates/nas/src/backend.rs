@@ -17,8 +17,8 @@
 //! transfers read the deterministic parent checkpoint).
 
 use crate::candidate::Candidate;
-use crate::evaluator::{BatchedEval, EvalOutcome, Evaluator};
-use crate::runner::{BatchEval, NasConfig};
+use crate::evaluator::{EvalOutcome, Evaluator};
+use crate::runner::NasConfig;
 use std::io;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -67,72 +67,29 @@ pub trait EvalBackend {
     fn next_result(&mut self) -> io::Result<BackendResult>;
 }
 
-/// Order-of-magnitude proxy for one training step's GEMM work: forward
-/// multiply-adds of a small candidate scale with `batch × Σ input elements ×
-/// a nominal hidden width`. Deliberately architecture-independent — the
-/// backend sizes batching *before* any candidate is materialised, so the
-/// proxy can only use the problem (which is fixed for the whole run).
-fn flops_per_step_proxy(problem: &AppProblem) -> u64 {
-    let per_sample: usize =
-        problem.train.inputs().iter().map(|t| t.numel() / t.shape().dim(0).max(1)).sum();
-    const REF_HIDDEN_WIDTH: u64 = 256;
-    2 * problem.batch_size as u64 * per_sample.max(1) as u64 * REF_HIDDEN_WIDTH
-}
-
-/// The `BatchEval::Auto` policy: candidates whose per-step work cannot keep
-/// even one core's microkernel busy gain nothing from intra-op threads, so
-/// when the proxy falls below a per-core threshold the window is packed onto
-/// ~one slot thread per core (`workers.div_ceil(hardware)` candidates per
-/// slot). Large-model problems keep the historical one-thread-per-worker
-/// shape.
-fn auto_batch(workers: usize, hardware: usize, problem: &AppProblem) -> usize {
-    const SMALL_STEP_FLOPS_PER_CORE: u64 = 512 << 20;
-    let threshold = SMALL_STEP_FLOPS_PER_CORE.saturating_mul(hardware as u64);
-    if flops_per_step_proxy(problem) < threshold {
-        workers.div_ceil(hardware.max(1))
-    } else {
-        1
-    }
-}
-
-fn batch_size_for(cfg: &NasConfig, hardware: usize, problem: &AppProblem) -> usize {
-    match cfg.batch_eval {
-        BatchEval::Off => 1,
-        BatchEval::Fixed(n) => n.clamp(1, cfg.workers),
-        BatchEval::Auto => auto_batch(cfg.workers, hardware, problem).clamp(1, cfg.workers),
-    }
-}
-
-/// The in-process backend: evaluator slot threads pulling from one shared
-/// queue, exactly DeepHyper's thread-pool evaluator shape. With
-/// `cfg.batch_eval` engaged, the `workers`-wide dispatch window is serviced
-/// by fewer slot threads, each draining several queued candidates per trip
-/// (a [`BatchedEval`] unit) — same window, same results, fewer runnable
-/// threads.
+/// The in-process backend: `workers` evaluator threads pulling from one
+/// shared queue, exactly DeepHyper's thread-pool evaluator shape.
 pub struct ThreadPoolBackend {
     task_tx: Option<mpsc::Sender<Candidate>>,
     result_rx: mpsc::Receiver<BackendResult>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
-    batch: usize,
-    slots: usize,
     /// Restores the previous intra-op thread budget when the backend drops,
     /// so a later run in the same process starts from a clean slate.
     _budget: swt_tensor::parallel::ThreadBudgetGuard,
 }
 
 impl ThreadPoolBackend {
-    /// Spawn the evaluator slot threads sharing `store`.
+    /// Spawn `cfg.workers` evaluator threads sharing `store`.
     ///
-    /// Thread-budget policy: every worker slot models one GPU, and each runs
-    /// its candidate's training mostly single-threaded. The intra-op pool in
-    /// swt-tensor must therefore share the machine with the slot pool —
+    /// Thread-budget policy: every worker models one GPU, and each runs its
+    /// candidate's training mostly single-threaded. The intra-op pool in
+    /// swt-tensor must therefore share the machine with the worker pool —
     /// without this cap, `workers` evaluators each fanning out to
     /// `available_parallelism()` intra-op threads oversubscribes the host by
     /// a factor of `workers` and context-switch thrash erases the speedup.
-    /// Budget = hardware threads / concurrently-training candidates
-    /// (`slots × lanes`), floored at 1 — pure inter-candidate parallelism
-    /// once the window covers the cores.
+    /// Budget = hardware threads / workers, floored at 1 — pure
+    /// inter-candidate parallelism once the window covers the cores.
     pub fn new(
         problem: Arc<AppProblem>,
         space: Arc<SearchSpace>,
@@ -141,86 +98,56 @@ impl ThreadPoolBackend {
     ) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let batch = batch_size_for(cfg, hardware, &problem);
-        let slots = cfg.workers.div_ceil(batch);
-        // Intra-slot candidate parallelism: when batching has freed cores
-        // (slots < hardware), each slot fans its drained batch over `lanes`
-        // lane threads; on a saturated host lanes == 1 and batches run
-        // sequentially on the slot thread.
-        let lanes = (hardware / slots).max(1).min(batch);
-        let budget = swt_tensor::parallel::scoped_max_threads((hardware / (slots * lanes)).max(1));
-        if batch > 1 {
-            swt_obs::gauge!("eval.batch.size").set(batch as i64);
-            swt_obs::gauge!("eval.batch.slots").set(slots as i64);
-        }
+        let budget = swt_tensor::parallel::scoped_max_threads((hardware / cfg.workers).max(1));
 
         let start = Instant::now();
         let (task_tx, task_rx) = mpsc::channel::<Candidate>();
-        // Slots pull tasks from one shared queue; std's Receiver is
+        // Workers pull tasks from one shared queue; std's Receiver is
         // single-consumer, so it is wrapped in a mutex (lock contention is
         // negligible: tasks take seconds, the lock nanoseconds).
         let task_rx = Arc::new(Mutex::new(task_rx));
         let (result_tx, result_rx) = mpsc::channel::<BackendResult>();
 
-        let mut handles = Vec::with_capacity(slots);
-        for slot in 0..slots {
+        let mut handles = Vec::with_capacity(cfg.workers);
+        for worker in 0..cfg.workers {
             let task_rx = Arc::clone(&task_rx);
             let result_tx = result_tx.clone();
-            let mut unit = BatchedEval::new(slot, lanes, || {
-                Evaluator::with_namespace(
-                    Arc::clone(&problem),
-                    Arc::clone(&space),
-                    Arc::clone(&store),
-                    cfg.scheme,
-                    cfg.epochs,
-                    cfg.seed,
-                    cfg.namespace.clone(),
-                )
-            });
+            let mut evaluator = Evaluator::with_namespace(
+                Arc::clone(&problem),
+                Arc::clone(&space),
+                Arc::clone(&store),
+                cfg.scheme,
+                cfg.epochs,
+                cfg.seed,
+                cfg.namespace.clone(),
+            );
             handles.push(std::thread::spawn(move || {
                 // Attribute this thread's spans (queue wait, evaluation and
-                // everything beneath) to its worker slot in run reports.
-                swt_obs::span::set_worker(slot);
+                // everything beneath) to its worker in run reports.
+                swt_obs::span::set_worker(worker);
                 loop {
                     // Hold the lock only for the recv handoff, never while
                     // evaluating. The span separates time spent starved for
                     // work from time spent evaluating (the per-worker
                     // breakdown behind the paper's Fig. 10-style attribution).
-                    // Blocking recv for the first candidate only, then a
-                    // greedy non-blocking drain: a slot must never idle
-                    // waiting for a "full" batch — the runner releases new
-                    // work one candidate per report, so waiting would
-                    // deadlock the window.
-                    let mut cands: Vec<Candidate> = Vec::with_capacity(batch);
-                    {
+                    let received = {
                         let _wait_span = swt_obs::span!("nas.queue_wait");
-                        let queue = task_rx.lock().expect("task queue poisoned");
-                        let Ok(first) = queue.recv() else { break };
-                        cands.push(first);
-                        while cands.len() < batch {
-                            match queue.try_recv() {
-                                Ok(c) => cands.push(c),
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                    if batch > 1 {
-                        swt_obs::gauge!("eval.batch.occupancy")
-                            .set((cands.len() * 100 / batch) as i64);
-                    }
-                    let results = unit.eval_batch(&cands, &start);
-                    for result in results {
-                        // The send itself is cheap, but it wakes the
-                        // scheduler and the OS often deschedules this thread
-                        // right at the futex wake — milliseconds a per-worker
-                        // report would otherwise fail to attribute.
-                        let sent = {
-                            let _send_span = swt_obs::span!("nas.result_send");
-                            result_tx.send(result)
-                        };
-                        if sent.is_err() {
-                            return;
-                        }
+                        task_rx.lock().expect("task queue poisoned").recv()
+                    };
+                    let Ok(cand) = received else { break };
+                    let t_start = start.elapsed().as_secs_f64();
+                    let outcome = evaluator.evaluate(&cand);
+                    let t_end = start.elapsed().as_secs_f64();
+                    // The send itself is cheap, but it wakes the scheduler
+                    // and the OS often deschedules this thread right at the
+                    // futex wake — milliseconds a per-worker report would
+                    // otherwise fail to attribute.
+                    let sent = {
+                        let _send_span = swt_obs::span!("nas.result_send");
+                        result_tx.send(BackendResult { cand, t_start, t_end, outcome })
+                    };
+                    if sent.is_err() {
+                        return;
                     }
                 }
             }));
@@ -230,20 +157,8 @@ impl ThreadPoolBackend {
             result_rx,
             handles,
             workers: cfg.workers,
-            batch,
-            slots,
             _budget: budget,
         }
-    }
-
-    /// Candidates drained per slot trip (1 when batching is off).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Slot threads servicing the window (== `workers` when batching is off).
-    pub fn slots(&self) -> usize {
-        self.slots
     }
 }
 
@@ -277,6 +192,12 @@ impl Drop for ThreadPoolBackend {
     }
 }
 
+/// Serialises the unit tests that run a backend: each one swaps the
+/// process-wide thread budget, which the test harness would otherwise
+/// interleave with `drop_restores_thread_budget`'s reading of it.
+#[cfg(test)]
+pub(crate) static BUDGET_TESTS: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +216,7 @@ mod tests {
 
     #[test]
     fn evaluates_submitted_candidates_in_some_order() {
+        let _budget = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let (mut be, space) = backend(2);
         assert_eq!(be.capacity(), 2);
         let mut rng = Rng::seed(5);
@@ -307,47 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_batching_packs_the_window_onto_fewer_slots() {
-        let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
-        let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-        let cfg = NasConfig {
-            batch_eval: BatchEval::Fixed(2),
-            ..NasConfig::quick(TransferScheme::Baseline, 8, 4, 3)
-        };
-        let mut be = ThreadPoolBackend::new(problem, Arc::clone(&space), store, &cfg);
-        // The dispatch window (capacity) is untouched; only the thread
-        // shape underneath changes.
-        assert_eq!(be.capacity(), 4);
-        assert_eq!(be.batch(), 2);
-        assert_eq!(be.slots(), 2);
-        let mut rng = Rng::seed(5);
-        for id in 0..8 {
-            be.submit(Candidate::new(id, space.sample(&mut rng), None)).unwrap();
-        }
-        let mut ids: Vec<u64> = (0..8).map(|_| be.next_result().unwrap().cand.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn auto_batching_derives_from_core_count_and_problem_size() {
-        let problem = AppKind::Nt3.problem(DataScale::Quick, 11);
-        // The few-shot problems are far below the per-core threshold, so a
-        // window wider than the host packs down to ~one slot per core.
-        assert_eq!(auto_batch(64, 16, &problem), 4);
-        assert_eq!(auto_batch(64, 1, &problem), 64);
-        assert_eq!(auto_batch(2, 16, &problem), 1, "never packs below one per slot");
-        // A problem with per-step work beyond the threshold keeps the
-        // historical shape regardless of the window.
-        let mut big = AppKind::Nt3.problem(DataScale::Quick, 11);
-        big.batch_size = 1 << 20; // proxy ≫ the 512M/core threshold
-        assert!(flops_per_step_proxy(&big) > flops_per_step_proxy(&problem));
-        assert_eq!(auto_batch(64, 1, &big), 1);
-    }
-
-    #[test]
     fn drop_restores_thread_budget() {
+        let _budget = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         swt_tensor::parallel::set_max_threads(7);
         let (be, _space) = backend(1);
         drop(be);

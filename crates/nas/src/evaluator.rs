@@ -211,90 +211,6 @@ impl Evaluator {
     }
 }
 
-/// One worker slot's batched-evaluation unit: a fixed set of *lanes*, each a
-/// full [`Evaluator`] with its own `Workspace` arena, servicing a drained
-/// batch of candidates.
-///
-/// Determinism contract: a candidate's outcome is a pure function of
-/// `(run_seed, id, parent checkpoint)` — the evaluator it lands on carries no
-/// candidate-visible state (arenas are value-neutral scratch). Batching
-/// therefore only changes *where and when* a candidate trains, never its
-/// score, transfer stats or checkpoint bytes; canonical traces are
-/// bit-identical to unbatched runs.
-///
-/// On a saturated host the lanes run sequentially on the slot's thread; when
-/// the intra-op thread budget leaves headroom (`lanes > 1`), candidates fan
-/// out over lane threads through a shared cursor, so a slow candidate does
-/// not serialise the rest of its batch.
-pub struct BatchedEval {
-    /// The worker-slot index, for span attribution of lane threads.
-    slot: usize,
-    lanes: Vec<Evaluator>,
-}
-
-impl BatchedEval {
-    /// A batched unit of `lanes` evaluators (at least one) built by `make`.
-    pub fn new(slot: usize, lanes: usize, mut make: impl FnMut() -> Evaluator) -> Self {
-        BatchedEval { slot, lanes: (0..lanes.max(1)).map(|_| make()).collect() }
-    }
-
-    /// Number of lanes (diagnostics).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Evaluate a drained batch, returning one [`crate::backend::BackendResult`]
-    /// per candidate in input order. `run_start` anchors the per-candidate
-    /// `t_start`/`t_end` run-relative timestamps.
-    pub fn eval_batch(
-        &mut self,
-        cands: &[Candidate],
-        run_start: &Instant,
-    ) -> Vec<crate::backend::BackendResult> {
-        fn timed(
-            ev: &mut Evaluator,
-            cand: &Candidate,
-            run_start: &Instant,
-        ) -> crate::backend::BackendResult {
-            let t_start = run_start.elapsed().as_secs_f64();
-            let outcome = ev.evaluate(cand);
-            let t_end = run_start.elapsed().as_secs_f64();
-            crate::backend::BackendResult { cand: cand.clone(), t_start, t_end, outcome }
-        }
-
-        if self.lanes.len() <= 1 || cands.len() <= 1 {
-            let ev = &mut self.lanes[0];
-            return cands.iter().map(|c| timed(ev, c, run_start)).collect();
-        }
-        let mut out: Vec<Option<crate::backend::BackendResult>> =
-            (0..cands.len()).map(|_| None).collect();
-        {
-            let queue = std::sync::Mutex::new(out.iter_mut().zip(cands).enumerate());
-            let queue = &queue;
-            let slot = self.slot;
-            std::thread::scope(|s| {
-                for ev in self.lanes.iter_mut().take(cands.len()) {
-                    s.spawn(move || {
-                        // Lane threads inherit the slot's worker attribution
-                        // so per-worker span reports stay meaningful.
-                        swt_obs::span::set_worker(slot);
-                        loop {
-                            let next = queue.lock().expect("lane queue poisoned").next();
-                            match next {
-                                Some((_, (result, cand))) => {
-                                    *result = Some(timed(ev, cand, run_start));
-                                }
-                                None => break,
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        out.into_iter().map(|r| r.expect("every lane slot filled")).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,53 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_lanes_reproduce_serial_outcomes_in_order() {
-        let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 7));
-        let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-        let mut rng = Rng::seed(9);
-        let cands: Vec<Candidate> =
-            (0..5).map(|id| Candidate::new(id, space.sample(&mut rng), None)).collect();
-
-        let serial_store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-        let mut serial = Evaluator::new(
-            Arc::clone(&problem),
-            Arc::clone(&space),
-            serial_store,
-            TransferScheme::Baseline,
-            1,
-            42,
-        );
-        let expect: Vec<EvalOutcome> = cands.iter().map(|c| serial.evaluate(c)).collect();
-
-        for lanes in [1usize, 3] {
-            let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-            let mut batched = BatchedEval::new(0, lanes, || {
-                Evaluator::new(
-                    Arc::clone(&problem),
-                    Arc::clone(&space),
-                    Arc::clone(&store),
-                    TransferScheme::Baseline,
-                    1,
-                    42,
-                )
-            });
-            assert_eq!(batched.lanes(), lanes);
-            let start = std::time::Instant::now();
-            let got = batched.eval_batch(&cands, &start);
-            assert_eq!(got.len(), cands.len());
-            for (g, e) in got.iter().zip(&expect) {
-                assert_eq!(g.cand.id, e.id, "results must keep input order");
-                // Deterministic fields only: the *_secs fields are wall clock.
-                assert_eq!(g.outcome.score, e.score, "lane count changed a score");
-                assert_eq!(g.outcome.checkpoint_bytes, e.checkpoint_bytes);
-                assert_eq!(g.outcome.transfer, e.transfer);
-                assert_eq!(g.outcome.epochs, e.epochs);
-                assert!(g.t_end >= g.t_start);
-            }
-        }
-    }
-
-    #[test]
     fn identical_candidate_same_seed_reproduces_score() {
         let (mut eval, space, _) = setup(TransferScheme::Baseline);
         let mut rng = Rng::seed(4);
@@ -419,7 +288,7 @@ mod tests {
     }
 
     /// The carried arena is bounded by the largest candidate, not by how
-    /// many candidates or batches went through it: every model hands all it
+    /// many candidates went through it: every model hands all it
     /// held back on teardown, so the next one's warm-up is a free-list pop.
     #[test]
     fn carried_arena_is_bounded_by_the_largest_candidate() {

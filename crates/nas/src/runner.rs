@@ -36,52 +36,6 @@ pub enum StrategyKind {
     Evolution,
 }
 
-/// How the in-process backend packs candidates onto worker-slot threads.
-///
-/// The paper's few-shot workloads train very many *tiny* models; one OS
-/// thread per simulated GPU then means `workers` runnable threads thrashing
-/// a handful of cores. Batched evaluation keeps the configured dispatch
-/// window (`workers` — the determinism contract is untouched) but services
-/// it with fewer slot threads, each evaluating several candidates. Every
-/// candidate keeps its own `Workspace`, seed derivation and trace row, so
-/// results are bit-identical to unbatched runs (the integration suite and
-/// `bench_batch` gate on canonical-trace equality).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchEval {
-    /// One thread per worker slot (the historical shape).
-    #[default]
-    Off,
-    /// Pack candidates when the model is small: engages when the problem's
-    /// flops-per-step proxy is below a threshold derived from the core
-    /// count, with batch size chosen so slot threads ≈ cores.
-    Auto,
-    /// Always pack exactly `n` candidates per slot thread (clamped to
-    /// `[1, workers]`).
-    Fixed(usize),
-}
-
-impl BatchEval {
-    /// Parse the config-file/CLI surface syntax: `auto`, `off`, or a
-    /// positive integer `N`.
-    pub fn parse(s: &str) -> Option<BatchEval> {
-        match s {
-            "auto" => Some(BatchEval::Auto),
-            "off" => Some(BatchEval::Off),
-            n => n.parse::<usize>().ok().filter(|&n| n > 0).map(BatchEval::Fixed),
-        }
-    }
-}
-
-impl std::fmt::Display for BatchEval {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchEval::Off => write!(f, "off"),
-            BatchEval::Auto => write!(f, "auto"),
-            BatchEval::Fixed(n) => write!(f, "{n}"),
-        }
-    }
-}
-
 /// Configuration of one NAS candidate-estimation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NasConfig {
@@ -115,10 +69,6 @@ pub struct NasConfig {
     /// system) must use distinct namespaces; the default empty string keeps
     /// the historical bare `c{i}` ids.
     pub namespace: String,
-    /// Candidate packing for the in-process backend (`auto|off|N`); see
-    /// [`BatchEval`]. Scheduling-only: results are bit-identical across
-    /// settings. Defaults to [`BatchEval::Off`].
-    pub batch_eval: BatchEval,
 }
 
 impl NasConfig {
@@ -141,7 +91,6 @@ impl NasConfig {
             provider: ProviderPolicy::Parent,
             cache_bytes: 256 << 20,
             namespace: String::new(),
-            batch_eval: BatchEval::Off,
         }
     }
 
@@ -353,6 +302,7 @@ mod tests {
         let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
         let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
         let cfg = NasConfig { strategy, ..NasConfig::quick(scheme, total, workers, 3) };
+        let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         run_nas(problem, space, store, &cfg)
     }
 
@@ -394,6 +344,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let store_dyn: Arc<dyn CheckpointStore> = Arc::clone(&store) as _;
         let cfg = NasConfig::quick(TransferScheme::Lp, 8, 2, 5);
+        let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let trace = run_nas(problem, space, store_dyn, &cfg);
         for e in &trace.events {
             assert!(store.exists(&format!("c{}", e.id)));
@@ -410,22 +361,11 @@ mod tests {
             namespace: "runA_".into(),
             ..NasConfig::quick(TransferScheme::Lcs, 4, 2, 5)
         };
+        let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let trace = run_nas(problem, space, store_dyn, &cfg);
         for e in &trace.events {
             assert!(store.exists(&format!("runA_c{}", e.id)));
             assert!(!store.exists(&format!("c{}", e.id)));
-        }
-    }
-
-    #[test]
-    fn batch_eval_surface_syntax_roundtrips() {
-        assert_eq!(BatchEval::parse("auto"), Some(BatchEval::Auto));
-        assert_eq!(BatchEval::parse("off"), Some(BatchEval::Off));
-        assert_eq!(BatchEval::parse("4"), Some(BatchEval::Fixed(4)));
-        assert_eq!(BatchEval::parse("0"), None);
-        assert_eq!(BatchEval::parse("many"), None);
-        for b in [BatchEval::Off, BatchEval::Auto, BatchEval::Fixed(7)] {
-            assert_eq!(BatchEval::parse(&b.to_string()), Some(b));
         }
     }
 

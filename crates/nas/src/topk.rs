@@ -185,7 +185,10 @@ mod tests {
             strategy: StrategyKind::Evolution,
             ..NasConfig::quick(TransferScheme::Lcs, 12, 2, 9)
         };
-        let trace = run_nas(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &cfg);
+        let trace = {
+            let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+            run_nas(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &cfg)
+        };
         (problem, space, store, trace)
     }
 

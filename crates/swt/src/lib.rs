@@ -61,7 +61,7 @@ pub mod prelude {
         Telemetry, WorkerMetrics, WorkerView,
     };
     pub use swt_nas::{
-        full_train_top_k, run_nas, run_nas_with_backend, run_pair_experiment, BatchEval, Candidate,
+        full_train_top_k, run_nas, run_nas_with_backend, run_pair_experiment, Candidate,
         EvalBackend, NasConfig, NasTrace, PairSummary, ProviderPolicy, StrategyKind,
         ThreadPoolBackend, TopKReport, TraceEvent,
     };

@@ -121,38 +121,6 @@ fn run_cell(cell: &Cell) -> (NasTrace, DistRunStats, PathBuf) {
     (trace, stats, store)
 }
 
-/// The batched-evaluation determinism cell, alongside the elastic matrix:
-/// packing the dispatch window onto fewer slot threads (`batch_eval=auto`,
-/// and a forced `Fixed` shape) must reproduce the unbatched canonical trace
-/// byte for byte — batching changes thread shape, never the schedule or any
-/// candidate's numbers.
-#[test]
-fn batched_evaluation_reproduces_the_unbatched_canonical_trace() {
-    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, DATA_SEED));
-    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-
-    let run = |batch_eval: BatchEval| {
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-        let cfg = NasConfig { batch_eval, ..nas_config() };
-        run_nas(Arc::clone(&problem), Arc::clone(&space), store, &cfg)
-    };
-
-    let reference = run(BatchEval::Off);
-    assert!(
-        reference.events.iter().any(|e| e.transfer_tensors > 0),
-        "config must produce weight-transferring children or the cell is vacuous"
-    );
-    for batch_eval in [BatchEval::Auto, BatchEval::Fixed(WINDOW)] {
-        let batched = run(batch_eval);
-        assert_traces_identical(&reference, &batched, "batched");
-        assert_eq!(
-            batched.canonical_csv(),
-            reference.canonical_csv(),
-            "batch_eval={batch_eval}: canonical trace diverged from batch_eval=off"
-        );
-    }
-}
-
 #[test]
 fn same_seed_same_trace_across_the_elastic_matrix() {
     // In-process reference: the canonical trace every cell must reproduce.
