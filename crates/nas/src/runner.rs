@@ -4,14 +4,16 @@
 //! [`EvalBackend`] (in-process thread pool, or the `swt-dist` multi-process
 //! coordinator) and is **deterministic by construction** regardless of the
 //! backend's completion timing. Results are reported to the strategy in
-//! candidate-id order through a reorder buffer, and exactly one new
-//! candidate is dispatched after each report (after an initial burst of
-//! `capacity` candidates). The strategy therefore sees one canonical
-//! next/report interleaving for a given `(config, seed)` — the same
-//! sequence whether candidates run on threads, processes, or a degraded
-//! worker pool after failures — which is what makes the distributed
-//! backend's results bit-identical to the in-process runner's (DESIGN.md
-//! §10).
+//! candidate-id order through a reorder buffer. Candidate `k + W` is
+//! proposed after report `k` at the latest (`W` = `capacity`, after an
+//! initial burst of `W`); a proposal that reads no score (evolution's
+//! warm-up) may go earlier, to an evaluator left idle by the reorder
+//! buffer. Proposals stay in id order and none is made after its canonical
+//! point, so every candidate's architecture, parent and seed is a function
+//! of `(config, seed)` alone — the same whether candidates run on threads,
+//! processes, or a degraded worker pool after failures — which is what
+//! makes the distributed backend's results bit-identical to the in-process
+//! runner's (DESIGN.md §10).
 
 use crate::backend::{BackendResult, EvalBackend, ThreadPoolBackend};
 use crate::candidate::{Candidate, CandidateId, ScoredCandidate};
@@ -172,13 +174,17 @@ impl Lineage {
 /// `swt_dist::run_nas_dist` (multi-process) are thin wrappers over this.
 ///
 /// Dispatch discipline (the determinism contract): ids are assigned
-/// sequentially by the strategy; the first `capacity` candidates are
+/// sequentially by the strategy; the first `W = capacity` candidates are
 /// submitted up front, completions are reported to the strategy strictly in
-/// id order (out-of-order arrivals wait in a reorder buffer), and each
-/// report is followed by exactly one dispatch while candidates remain. The
-/// strategy's call sequence — and therefore every candidate's architecture,
-/// parent and seed — depends only on `(cfg, seed)`, never on completion
-/// timing, worker count degradation, or result reassignment.
+/// id order (out-of-order arrivals wait in a reorder buffer), and report
+/// `k` is followed by the proposal of `k + W` unless that id was already
+/// proposed. The one earlier proposal: before blocking on a result with
+/// fewer than `W` candidates in flight, the runner proposes the next id
+/// `j` if `j + 1 < score_free_below + W`, i.e. if `j`'s canonical point
+/// (after `j + 1 − W` reports) still lies where the strategy reads no
+/// score. Since `report` draws nothing from the RNG, every candidate's
+/// architecture, parent and seed depends only on `(cfg, seed)`, never on
+/// completion timing, worker count degradation, or result reassignment.
 pub fn run_nas_with_backend<B: EvalBackend>(
     app: &str,
     space: Arc<SearchSpace>,
@@ -202,11 +208,16 @@ pub fn run_nas_with_backend<B: EvalBackend>(
     let start = Instant::now();
     let total = cfg.total_candidates;
     let window = backend.capacity().max(1).min(total);
+    // Ids below this may be proposed as soon as an evaluator is idle: the
+    // first `window` are due at the start, and the rest read no score at
+    // their canonical point.
+    let early = strategy.score_free_below().saturating_add(window - 1).min(total).max(window);
     let mut events: Vec<TraceEvent> = Vec::with_capacity(total);
     let mut dispatched = 0usize;
     // Results are reported to the strategy in id order; arrivals beyond the
-    // next expected id wait here. The buffer never holds more than `window`
-    // entries.
+    // next expected id wait here. Each entry is one small result, never a
+    // model. Proposing ahead lets the buffer grow past `window`: up to the
+    // warm-up's size under evolution, up to `total` under random search.
     let mut buffer: BTreeMap<u64, BackendResult> = BTreeMap::new();
     let mut next_report = 0u64;
 
@@ -227,11 +238,16 @@ pub fn run_nas_with_backend<B: EvalBackend>(
         lineage.submit(backend, cand, floor)
     };
 
-    while dispatched < window {
-        dispatch_one(&mut strategy, &mut rng, backend, &mut lineage, next_report)?;
-        dispatched += 1;
-    }
     while (next_report as usize) < total {
+        // Fill idle evaluators: at the start, and while the buffer holds
+        // results and the next proposal reads no score.
+        while dispatched < early && dispatched - next_report as usize - buffer.len() < window {
+            if dispatched >= next_report as usize + window {
+                swt_obs::counter!("nas.dispatched_ahead").inc();
+            }
+            dispatch_one(&mut strategy, &mut rng, backend, &mut lineage, next_report)?;
+            dispatched += 1;
+        }
         let res = backend.next_result()?;
         let id = res.cand.id;
         if id < next_report || buffer.contains_key(&id) {
@@ -251,7 +267,9 @@ pub fn run_nas_with_backend<B: EvalBackend>(
             next_report += 1;
             lineage.reported();
             swt_obs::event!("nas.report", 1);
-            if dispatched < total {
+            // The canonical point of `next_report - 1 + window`: propose it
+            // unless it went ahead.
+            if dispatched < (next_report as usize + window).min(total) {
                 dispatch_one(&mut strategy, &mut rng, backend, &mut lineage, next_report)?;
                 dispatched += 1;
             }

@@ -14,12 +14,19 @@ pub trait SearchStrategy: Send {
     /// Propose the next candidate to evaluate.
     fn next(&mut self, rng: &mut Rng) -> Candidate;
 
-    /// Receive a scored candidate (asynchronously, in completion order).
+    /// Receive a scored candidate. Reports arrive in id order, whatever
+    /// order the evaluations finished in; a report draws nothing from the
+    /// RNG.
     fn report(&mut self, scored: ScoredCandidate);
 
     /// The oldest id a future [`SearchStrategy::next`] can still name as a
     /// provider. Never decreases; every id below it is dead to the lineage.
     fn live_from(&self) -> CandidateId;
+
+    /// The number of reports below which [`SearchStrategy::next`] reads no
+    /// score: a proposal made with fewer reports in is the same whenever it
+    /// is made, so the runner may make it early.
+    fn score_free_below(&self) -> usize;
 }
 
 /// Uniform random search over valid candidates (the simplest strategy in
@@ -46,6 +53,10 @@ impl SearchStrategy for RandomSearch {
 
     fn live_from(&self) -> CandidateId {
         self.next_id // random candidates have no provider at all
+    }
+
+    fn score_free_below(&self) -> usize {
+        usize::MAX // no proposal ever reads a score
     }
 }
 
@@ -182,6 +193,12 @@ impl SearchStrategy for RegularizedEvolution {
     fn live_from(&self) -> CandidateId {
         self.population.front().map_or(0, |oldest| oldest.id)
     }
+
+    /// The warm-up: until the population is full, `next` draws a random
+    /// architecture and reads nothing the reports wrote.
+    fn score_free_below(&self) -> usize {
+        self.population_size
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +220,7 @@ mod tests {
     #[test]
     fn random_search_ids_are_sequential_and_parentless() {
         let mut s = RandomSearch::new(space());
+        assert_eq!(s.score_free_below(), usize::MAX, "no proposal reads a score");
         let mut rng = Rng::seed(1);
         for expect in 0..10 {
             let c = s.next(&mut rng);
@@ -215,6 +233,7 @@ mod tests {
     #[test]
     fn evolution_warms_up_with_random_candidates() {
         let mut evo = RegularizedEvolution::new(space(), 8, 4);
+        assert_eq!(evo.score_free_below(), 8, "the warm-up reads no score");
         let mut rng = Rng::seed(2);
         for _ in 0..8 {
             let c = evo.next(&mut rng);

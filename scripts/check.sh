@@ -286,6 +286,25 @@ if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/local_c24.csv"; then
   diff "$elastic_dir/local_c24.csv" "$elastic_dir/fixed.csv" >&2 || true
   exit 1
 fi
+# Uno candidates cost nearly the same, so results barely arrive out of order.
+# Cifar10 ones differ 1.7-3x: the reorder buffer fills and warm-up proposals
+# go ahead of their turn, and the trace must not notice. Ids 17-23 are
+# evolution children; at least one must have transferred.
+./target/release/swt run --app cifar10 --scale full --scheme lcs --candidates 24 --workers 2 \
+  --canonical-trace "$elastic_dir/local_c10.csv" >/dev/null
+./target/release/swt dist-run --app cifar10 --scale full --scheme lcs --candidates 24 \
+  --workers 2 --store "$elastic_dir/c10_store" \
+  --canonical-trace "$elastic_dir/dist_c10.csv" >/dev/null
+if ! cmp -s "$elastic_dir/local_c10.csv" "$elastic_dir/dist_c10.csv"; then
+  echo "identity: Cifar10 dist canonical trace differs from the in-process run's" >&2
+  diff "$elastic_dir/local_c10.csv" "$elastic_dir/dist_c10.csv" >&2 || true
+  exit 1
+fi
+if ! awk -F, '!/^#/ && $1 + 0 >= 17 && $6 + 0 > 0 { found = 1 } END { exit !found }' \
+    "$elastic_dir/local_c10.csv"; then
+  echo "identity: no Cifar10 child transferred a tensor" >&2
+  exit 1
+fi
 
 echo "==> live endpoint smoke (/status answers mid-run; /metrics counters match report.json)"
 # Four epochs over 64 candidates keep the run up long enough for the poller

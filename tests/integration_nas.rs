@@ -151,35 +151,45 @@ fn concurrent_namespaced_runs_on_one_store_match_isolated_runs() {
 fn shared_cached_store_stays_coherent_under_concurrent_runs() {
     // Same workload through one *shared* CachedStore, two namespaces: both
     // runs save through it, re-read providers from it and retire their own
-    // ids in it concurrently, under a cap (three checkpoints) far below
-    // their joint live set. Every score must still match the uncached
-    // isolated baselines exactly, and the cache must serve hits, take the
-    // hints and honour its cap. (Process-wide counters: lower bounds only.)
+    // ids in it concurrently. Every score must still match the uncached
+    // isolated baselines exactly, and the cache must serve hits, under two
+    // budgets. Three checkpoints, far below the joint live set: the cap
+    // evicts and holds, and it has taken a dying id long before its hint
+    // comes. Room for all 48: nothing is capped, so every hinted id is
+    // resident and the hint retires it. (Process-wide counters: lower
+    // bounds only.)
     let iso_a = run_with_store(Arc::new(MemStore::new()), "", 21, 24);
     let iso_b = run_with_store(Arc::new(MemStore::new()), "", 22, 24);
 
     swt::obs::enable();
     let reg = swt::obs::registry::global();
     let count = |name: &str| reg.counter(&format!("ckpt.cache.{name}")).get();
-    let before = ["hits", "retired", "capped"].map(count);
+    let (tight, roomy): (u64, u64) = (1 << 20, 64 << 20);
+    for budget in [tight, roomy] {
+        let before = ["hits", "retired", "capped"].map(count);
+        let cached = Watch::new(CachedStore::new(MemStore::new(), budget), |c| c.resident_bytes());
+        let (a, b) = std::thread::scope(|s| {
+            let sa: Arc<dyn CheckpointStore> = Arc::clone(&cached) as _;
+            let sb: Arc<dyn CheckpointStore> = Arc::clone(&cached) as _;
+            let ha = s.spawn(move || run_with_store(sa, "expA_", 21, 24));
+            let hb = s.spawn(move || run_with_store(sb, "expB_", 22, 24));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
 
-    let budget: u64 = 1 << 20;
-    let cached = Arc::new(CachedStore::new(MemStore::new(), budget));
-    let (a, b) = std::thread::scope(|s| {
-        let sa: Arc<dyn CheckpointStore> = Arc::clone(&cached) as _;
-        let sb: Arc<dyn CheckpointStore> = Arc::clone(&cached) as _;
-        let ha = s.spawn(move || run_with_store(sa, "expA_", 21, 24));
-        let hb = s.spawn(move || run_with_store(sb, "expB_", 22, 24));
-        (ha.join().unwrap(), hb.join().unwrap())
-    });
-
-    assert_eq!(score_bits(&iso_a), score_bits(&a), "cached run A diverged from uncached");
-    assert_eq!(score_bits(&iso_b), score_bits(&b), "cached run B diverged from uncached");
-    let [hits, retired, capped] = ["hits", "retired", "capped"].map(count);
-    assert!(hits > before[0], "provider re-reads should hit the shared cache");
-    assert!(retired > before[1], "24 candidates outlive a 16-member population: ids retire");
-    assert!(capped > before[2], "48 checkpoints passed through a three-checkpoint cap");
-    assert!(cached.resident_bytes() <= budget, "cache exceeded its byte budget");
+        let what = format!("budget {budget} B");
+        assert_eq!(score_bits(&iso_a), score_bits(&a), "{what}: cached run A diverged");
+        assert_eq!(score_bits(&iso_b), score_bits(&b), "{what}: cached run B diverged");
+        let [hits, retired, capped] = ["hits", "retired", "capped"].map(count);
+        assert!(hits > before[0], "{what}: provider re-reads should hit the shared cache");
+        assert!(cached.peak.load(Ordering::Relaxed) <= budget, "{what}: cache exceeded its budget");
+        if budget == tight {
+            assert!(capped > before[2], "48 checkpoints passed through a three-checkpoint cap");
+        } else {
+            let largest = cached.largest.load(Ordering::Relaxed);
+            assert!(48 * largest <= budget, "{what}: too small to hold every checkpoint");
+            assert!(retired > before[1], "24 candidates outlive a 16-member population");
+        }
+    }
 }
 
 /// Forwards to `inner`, counting what reaches it and sampling
