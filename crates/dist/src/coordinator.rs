@@ -20,17 +20,23 @@
 //! never *which candidate* is scheduled, so elastic runs stay bit-identical
 //! to fixed-pool runs.
 //!
-//! Metrics: every `Result` frame carries the worker's cumulative
-//! counter/histogram snapshot and a final `Stats` frame arrives during the
-//! [`DistBackend::finish`] teardown; the coordinator keeps the latest
-//! snapshot per slot and folds them all into the process-global registry,
-//! making one `RunReport::capture()` cover the whole multi-process run.
+//! Metrics: a worker's one snapshot type is the seq-numbered
+//! [`Telemetry`](crate::wire::Telemetry). One rides in every `Result`,
+//! taken after the evaluation, so a delivered candidate's work is counted
+//! with its result; standalone `Telemetry` frames follow each `Pong` and
+//! close the worker's teardown. All of them go through
+//! [`LiveRunView::apply_telemetry`], where the latest seq wins, so the
+//! coordinator keeps one copy per worker. [`DistBackend::finish`] folds the
+//! view's worker totals into the process-global registry, making one
+//! `RunReport::capture()` cover the whole multi-process run. Those totals
+//! are each worker's last applied snapshot: a heartbeat snapshot taken
+//! mid-candidate counts the partial work of a worker that is then lost.
 
 use crate::frame::{recv, send, Message, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
 use crate::policy::{ScaleDecision, ScalePolicy};
 use crate::spawn::{find_worker_exe, spawn_worker};
-use crate::wire::{Code, Msg, RunSpec, Task, TaskResult, WorkerMetrics};
+use crate::wire::{Code, Msg, RunSpec, Task};
 use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -43,8 +49,10 @@ use std::time::{Duration, Instant};
 use swt_nas::runner::NasConfig;
 use swt_nas::{BackendResult, Candidate, EvalBackend};
 
+/// What a reader thread hands the main loop. The frame is boxed: a `Result`
+/// carries a whole snapshot, every other frame a few words.
 enum Event {
-    Msg { worker: usize, msg: Msg },
+    Msg { worker: usize, msg: Box<Msg> },
     Gone { worker: usize, reason: String },
 }
 
@@ -67,8 +75,6 @@ struct WorkerSlot {
     /// tasks is silent but healthy).
     outstanding_ping: Option<(u64, Instant)>,
     rtt: Arc<swt_obs::metrics::Histogram>,
-    /// Latest cumulative metrics snapshot received from this worker.
-    stats: Option<WorkerMetrics>,
 }
 
 /// Multi-process evaluation backend: the coordinator side of `swt-dist`.
@@ -116,8 +122,9 @@ pub struct DistBackend {
     retired: usize,
     /// Set by [`DistBackend::finish`]; makes `Drop` a no-op.
     finished: bool,
-    /// In-flight run view; streamed `Telemetry` frames fold into it.
-    /// Monitoring only — nothing here feeds back into scheduling.
+    /// In-flight run view: every worker snapshot folds into it, and
+    /// `finish` reads the run's worker totals from it. Nothing here feeds
+    /// back into scheduling.
     live: Arc<LiveRunView>,
 }
 
@@ -259,7 +266,6 @@ impl DistBackend {
             retiring: false,
             outstanding_ping: None,
             rtt: swt_obs::registry::global().histogram(&format!("dist.rtt_ns.w{worker}")),
-            stats: None,
         });
         self.live.worker_added(worker);
         Ok(worker)
@@ -668,8 +674,8 @@ impl DistBackend {
     }
 
     /// Graceful teardown: send `Shutdown` to every live worker, drain the
-    /// final `Stats` frames they flush on the way out, fold every worker's
-    /// latest snapshot into the process-global registry, and return the
+    /// final snapshots they send on the way out, fold every worker's last
+    /// applied snapshot into the process-global registry, and return the
     /// run's [`DistRunStats`]. After this, `Drop` is a no-op.
     pub fn finish(&mut self) -> io::Result<DistRunStats> {
         self.finished = true;
@@ -678,19 +684,15 @@ impl DistBackend {
                 let _ = self.send_to(worker, &Msg::Shutdown);
             }
         }
-        // Workers answer Shutdown with a final Stats frame and close their
+        // Workers answer Shutdown with a final snapshot and close their
         // socket; wait (bounded) for every live socket to drain. A worker
-        // that stalls here keeps its last per-Result snapshot — cumulative
-        // snapshots make the fallback lossy only for post-last-Result work.
+        // that stalls here keeps its last applied snapshot — cumulative
+        // snapshots make the fallback lossy only for work after it.
         let deadline = Instant::now() + self.timeout;
         while self.slots.iter().any(|s| s.alive) && Instant::now() < deadline {
             match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Msg { worker, msg }) => match msg {
-                    Msg::Stats { stats } | Msg::Result { result: TaskResult { stats, .. } } => {
-                        self.live.fold_metrics(worker, &stats);
-                        self.slots[worker].stats = Some(stats);
-                    }
-                    Msg::Telemetry { telemetry } => {
+                Ok(Event::Msg { worker, msg }) => match *msg {
+                    Msg::Result { telemetry, .. } | Msg::Telemetry { telemetry } => {
                         self.live.apply_telemetry(worker, &telemetry);
                     }
                     _ => {}
@@ -714,29 +716,16 @@ impl DistBackend {
             }
         }
 
-        let per_worker: Vec<(usize, WorkerMetrics)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.stats.clone().map(|m| (i, m)))
-            .collect();
-        // Settle the live view on exactly the snapshots the run report will
-        // use, so a final `/status` poll and `report.json` agree.
-        for (worker, metrics) in &per_worker {
-            self.live.fold_metrics(*worker, metrics);
-        }
         self.sync_live_queue();
         // Fold worker-process totals into this process's registry so one
-        // `RunReport::capture()` after the run reports whole-run sums.
+        // `RunReport::capture()` after the run reports whole-run sums; the
+        // view they come from is what a final `/status` poll shows.
         // Gated: a disabled-observability run must stay metrics-silent.
         if swt_obs::enabled() {
-            let registry = swt_obs::registry::global();
-            for (_, metrics) in &per_worker {
-                metrics.to_report().absorb_into(registry);
-            }
+            self.live.workers_report().absorb_into(swt_obs::registry::global());
         }
         Ok(DistRunStats {
-            per_worker,
+            per_worker: self.live.worker_reports(),
             joined: self.joined,
             rejected: self.rejected,
             lost: self.lost,
@@ -775,11 +764,10 @@ impl EvalBackend for DistBackend {
     fn next_result(&mut self) -> io::Result<BackendResult> {
         loop {
             match self.rx.recv_timeout(self.interval) {
-                Ok(Event::Msg { worker, msg }) => match msg {
-                    Msg::Result { result } => {
+                Ok(Event::Msg { worker, msg }) => match *msg {
+                    Msg::Result { result, telemetry } => {
                         let (id, outcome) = (result.id, result.outcome());
-                        self.live.fold_metrics(worker, &result.stats);
-                        self.slots[worker].stats = Some(result.stats);
+                        self.live.apply_telemetry(worker, &telemetry);
                         if self.slots[worker].current == Some(id) {
                             self.slots[worker].current = None;
                         }
@@ -796,8 +784,8 @@ impl EvalBackend for DistBackend {
                         return Ok(BackendResult { cand, t_start, t_end, outcome });
                     }
                     Msg::Telemetry { telemetry } => {
-                        // Monitoring stream: fold and keep going. A stale
-                        // seq is counted by the view, never an error.
+                        // A snapshot between results: fold and keep going.
+                        // A stale seq is counted by the view, never an error.
                         self.live.apply_telemetry(worker, &telemetry);
                     }
                     Msg::Pong { nonce } => {
@@ -809,11 +797,6 @@ impl EvalBackend for DistBackend {
                                 swt_obs::counter!("dist.heartbeats").inc();
                             }
                         }
-                    }
-                    Msg::Stats { stats } => {
-                        // An early final snapshot (worker winding down);
-                        // keep it — it supersedes the per-Result one.
-                        self.slots[worker].stats = Some(stats);
                     }
                     Msg::Error { message } => {
                         self.mark_lost(worker, &format!("worker reported: {message}"))?;
@@ -1017,7 +1000,7 @@ fn reader_loop(worker: usize, mut stream: TcpStream, tx: mpsc::Sender<Event>) {
     loop {
         match recv(&mut stream, &mut buf) {
             Ok(msg) => {
-                if tx.send(Event::Msg { worker, msg }).is_err() {
+                if tx.send(Event::Msg { worker, msg: Box::new(msg) }).is_err() {
                     return; // coordinator gone; nothing to report to
                 }
             }

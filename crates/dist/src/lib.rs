@@ -18,8 +18,9 @@
 //!
 //! Modules: [`frame`] (framing + errors), [`wire`] (typed messages),
 //! [`coordinator`] ([`DistBackend`]), [`worker`] (the `swt dist-worker`
-//! loop), [`spawn`] (child-process management), [`live`] (the streamed
-//! in-flight run view behind `swt dist-run --serve`), [`policy`] (the
+//! loop), [`spawn`] (child-process management), [`live`] (the one copy of
+//! each worker's snapshot: the in-flight run view behind `swt dist-run
+//! --serve` and the source of the run's worker totals), [`policy`] (the
 //! autoscaling decision function behind `--autoscale`).
 
 pub mod coordinator;
@@ -36,7 +37,7 @@ pub use live::{LiveRunView, WorkerView, CACHE_COUNTER_KINDS};
 pub use policy::{
     PolicyConfig, PolicyError, PoolSnapshot, ScaleDecision, ScalePolicy, MAX_POOL_WORKERS,
 };
-pub use wire::{Msg, RunSpec, Telemetry, WorkerMetrics};
+pub use wire::{Msg, RunSpec, Telemetry};
 pub use worker::worker_main;
 
 use std::io;
@@ -50,8 +51,8 @@ use swt_obs::RunReport;
 use swt_space::SearchSpace;
 
 /// Fault injection: SIGKILL `worker` once `after_results` results have been
-/// delivered to the strategy. Used by `bench_dist` and the CI smoke gate to
-/// exercise the reassignment path deterministically.
+/// delivered to the strategy. Behind `swt dist-run --kill-after` and the
+/// integration tests, to exercise the reassignment path deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillPlan {
     pub worker: usize,
@@ -70,14 +71,16 @@ pub struct JoinPlan {
 }
 
 /// Per-run statistics the coordinator hands back from
-/// [`DistBackend::finish`]: each worker process's last cumulative metrics
-/// snapshot plus the elasticity/failure tallies for this run. Instance-local
-/// on purpose — tests assert conservation on these without diffing the
+/// [`DistBackend::finish`]: each worker process's counters and histograms
+/// from its last applied snapshot, read from the run's [`LiveRunView`],
+/// plus the elasticity/failure tallies for this run. Instance-local on
+/// purpose — tests assert conservation on these without diffing the
 /// process-global registry.
 #[derive(Debug, Clone, Default)]
 pub struct DistRunStats {
-    /// `(worker slot, last snapshot)` for every worker that delivered one.
-    pub per_worker: Vec<(usize, WorkerMetrics)>,
+    /// `(worker slot, counters and histograms)` for every worker that
+    /// delivered a snapshot ([`LiveRunView::worker_reports`]).
+    pub per_worker: Vec<(usize, RunReport)>,
     /// Workers admitted after launch (late `Hello`s).
     pub joined: usize,
     /// Join attempts refused because the pool was at `max_workers`.
@@ -93,12 +96,12 @@ pub struct DistRunStats {
 }
 
 impl DistRunStats {
-    /// Merge every worker snapshot into one counters/histograms-only
+    /// Merge every worker's report into one counters/histograms-only
     /// [`RunReport`] — the cross-process half of the run's totals.
     pub fn workers_report(&self) -> RunReport {
         let mut out = RunReport::default();
-        for (_, metrics) in &self.per_worker {
-            out.merge(&metrics.to_report());
+        for (_, report) in &self.per_worker {
+            out.merge(report);
         }
         out
     }
@@ -191,10 +194,11 @@ pub fn run_nas_dist(nas: &NasConfig, dist: &DistConfig) -> io::Result<NasTrace> 
 }
 
 /// [`run_nas_dist`], additionally returning the run's [`DistRunStats`]
-/// (worker metric snapshots + join/loss tallies). The graceful
-/// [`DistBackend::finish`] teardown this uses also folds every worker's
-/// counters and histograms into the process-global registry, so a
-/// `RunReport::capture()` after this call reports whole-run totals.
+/// (each worker's counters and histograms + join/loss tallies). The
+/// graceful [`DistBackend::finish`] teardown this uses also folds those
+/// counters and histograms — each worker's last applied snapshot — into
+/// the process-global registry, so a `RunReport::capture()` after this call
+/// reports whole-run totals.
 pub fn run_nas_dist_with_stats(
     nas: &NasConfig,
     dist: &DistConfig,

@@ -1,28 +1,33 @@
 //! The coordinator's in-flight picture of a distributed run.
 //!
-//! Workers stream [`Telemetry`] frames (cumulative span/gauge snapshots
-//! plus timeline-event deltas) between `Result`s; the coordinator folds
-//! each one into a [`LiveRunView`] — per-worker gauges, queue depth,
-//! candidates in flight, and an EWMA of per-candidate wall cost. The view
-//! implements [`ServeSource`], so `swt dist-run --serve` can expose it as
-//! `/status` (JSON), `/metrics` (Prometheus text) and `/trace` (Chrome
+//! A worker's metrics reach the coordinator one way: as seq-numbered
+//! [`Telemetry`] snapshots (cumulative spans, counters, gauges and
+//! histograms plus timeline-event deltas), one inside every `Result` and
+//! standalone ones at heartbeat cadence and at teardown. The coordinator
+//! folds each into a [`LiveRunView`], next to the dispatch picture — queue
+//! depth, candidates in flight, and an EWMA of per-candidate wall cost. The
+//! view implements [`ServeSource`], so `swt dist-run --serve` can expose it
+//! as `/status` (JSON), `/metrics` (Prometheus text) and `/trace` (Chrome
 //! trace JSON) while the run is still going.
 //!
-//! Consistency model: everything here is *monitoring*, deliberately
-//! decoupled from scheduling. Frames apply only when their per-worker
-//! `seq` is strictly greater than the last applied one — a reordered or
-//! replayed frame counts as stale and changes nothing — so lost or late
-//! telemetry degrades the view to staleness, never corruption, and never
-//! perturbs the run itself.
+//! Consistency model: the view keeps one copy of each worker's snapshot,
+//! and one rule decides it for every row kind. A snapshot applies only when
+//! its per-worker `seq` is strictly greater than the last applied one — a
+//! reordered or replayed frame counts as stale and changes nothing — so
+//! lost or late telemetry degrades the view to staleness, never
+//! corruption. `DistBackend::finish` reads the run's worker totals from
+//! here ([`LiveRunView::workers_report`]); nothing here feeds back into
+//! scheduling.
 
 use crate::policy::PoolSnapshot;
-use crate::wire::{GaugeSnap, SpanTotalRow, Telemetry, WorkerMetrics};
+use crate::wire::{SpanTotalRow, Telemetry};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 use swt_obs::json::Json;
 use swt_obs::registry::WORKER_SLOTS;
+use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
 use swt_obs::timeline::{self, EventKind, TimelineEvent};
 use swt_obs::{RunReport, ServeSource};
 
@@ -44,9 +49,10 @@ pub struct WorkerView {
     pub alive: bool,
     /// Retire frame sent; the worker is draining and takes no new work.
     pub retiring: bool,
-    /// Highest telemetry seq applied (frames at or below it are stale).
+    /// Highest snapshot seq applied (snapshots at or below it are stale).
     pub last_seq: u64,
-    /// Telemetry frames applied / rejected as stale.
+    /// Snapshots applied / rejected as stale, from `Result` and
+    /// `Telemetry` frames alike.
     pub frames: u64,
     pub stale_frames: u64,
     /// Ring-overwritten events the worker reported (staleness signal).
@@ -61,9 +67,10 @@ pub struct WorkerView {
     pub spans: Vec<SpanTotalRow>,
     /// …and the previous snapshot's, so deltas survive the overwrite.
     pub prev_spans: Vec<SpanTotalRow>,
-    pub gauges: Vec<GaugeSnap>,
-    /// Latest cumulative counter/histogram snapshot (from `Result`/`Stats`).
-    pub metrics: Option<WorkerMetrics>,
+    /// The latest snapshot's counters, gauges and histograms.
+    pub counters: Vec<CounterRow>,
+    pub gauges: Vec<GaugeRow>,
+    pub histograms: Vec<HistogramRow>,
 }
 
 /// The provider-cache counter suffixes a worker reports under `ckpt.cache.*`:
@@ -77,9 +84,9 @@ impl WorkerView {
         self.spans.iter().find(|s| s.path == path).map_or(0, |s| s.total_ns)
     }
 
-    /// A counter from this worker's latest metrics snapshot (0 when absent).
+    /// A counter from this worker's latest snapshot (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.as_ref().map_or(0, |m| m.counter(name))
+        self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
     }
 
     /// This worker's provider cache as `/status` shows it: the
@@ -274,16 +281,9 @@ impl LiveRunView {
         inner.workers[worker].current = None;
     }
 
-    /// Keep `worker`'s latest cumulative counter/histogram snapshot
-    /// (latest-wins, same rule the run report uses).
-    pub fn fold_metrics(&self, worker: usize, metrics: &WorkerMetrics) {
-        let mut inner = self.lock();
-        inner.ensure_worker(worker);
-        inner.workers[worker].metrics = Some(metrics.clone());
-    }
-
-    /// Fold one telemetry frame from `worker`. Returns `false` (and counts
-    /// a stale frame) when its seq does not advance the stream.
+    /// Fold one snapshot from `worker`, whether it came inside a `Result`
+    /// or in a `Telemetry` frame. Returns `false` (and counts a stale
+    /// frame) when its seq does not advance the stream.
     pub fn apply_telemetry(&self, worker: usize, t: &Telemetry) -> bool {
         let mut inner = self.lock();
         inner.ensure_worker(worker);
@@ -299,7 +299,9 @@ impl LiveRunView {
             w.uptime_ns = t.uptime_ns;
             w.dropped_events = w.dropped_events.saturating_add(t.dropped_events);
             w.prev_spans = std::mem::replace(&mut w.spans, t.spans.clone());
+            w.counters = t.counters.clone();
             w.gauges = t.gauges.clone();
+            w.histograms = t.histograms.clone();
         }
         let pid = worker as u32 + 1;
         for ev in &t.events {
@@ -335,16 +337,31 @@ impl LiveRunView {
         self.lock().results
     }
 
-    /// Merge of the latest counter/histogram snapshot of every worker —
-    /// the live analogue of `DistRunStats::workers_report`, and equal to
-    /// it once the final `Stats` frames have been folded.
-    pub fn workers_report(&self) -> RunReport {
+    /// `(worker, report)` for every worker that delivered a snapshot: its
+    /// latest counters and histograms — what the run's totals take from it.
+    pub fn worker_reports(&self) -> Vec<(usize, RunReport)> {
         let inner = self.lock();
+        let report = |w: &WorkerView| RunReport {
+            counters: w.counters.clone(),
+            histograms: w.histograms.clone(),
+            ..RunReport::default()
+        };
+        inner
+            .workers
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.frames > 0)
+            .map(|(id, w)| (id, report(w)))
+            .collect()
+    }
+
+    /// Merge of every worker's latest counters and histograms: mid-run,
+    /// the workers' share of `/metrics`; after `DistBackend::finish`, the
+    /// worker totals it folded into the run's registry.
+    pub fn workers_report(&self) -> RunReport {
         let mut merged = RunReport::default();
-        for w in &inner.workers {
-            if let Some(m) = &w.metrics {
-                merged.merge(&m.to_report());
-            }
+        for (_, report) in self.worker_reports() {
+            merged.merge(&report);
         }
         merged
     }
@@ -476,6 +493,7 @@ mod tests {
     use super::*;
     use crate::wire::WireEvent;
 
+    /// Snapshot `seq` of a worker that has trained `seq * 10` batches.
     fn frame(seq: u64) -> Telemetry {
         Telemetry {
             seq,
@@ -485,10 +503,11 @@ mod tests {
                 count: seq,
                 total_ns: seq * 500,
             }],
-            gauges: vec![GaugeSnap { name: "pool.depth".to_string(), value: 2, max: 4 }],
+            counters: vec![CounterRow { name: "live_test.batches".to_string(), value: seq * 10 }],
+            gauges: vec![GaugeRow { name: "pool.depth".to_string(), value: 2, max: 4 }],
             names: vec!["nas.eval".to_string()],
             events: vec![WireEvent { name: 0, kind: 0, t_ns: seq, dur_ns: 10, delta: 0 }],
-            dropped_events: 0,
+            ..Telemetry::default()
         }
     }
 
@@ -505,6 +524,29 @@ mod tests {
         assert_eq!(w.stale_frames, 2);
         assert_eq!(w.span_total_ns("nas.eval"), 1_500);
         assert_eq!(w.span_delta_ns("nas.eval"), 1_000, "delta spans snapshots 1 → 3");
+    }
+
+    #[test]
+    fn heartbeat_snapshots_move_counters_and_stale_ones_roll_nothing_back() {
+        let live = LiveRunView::new();
+        let batches = |live: &LiveRunView| {
+            let text = live.metrics_text();
+            let prefix = "swt_counter{name=\"live_test.batches\"} ";
+            text.lines().find_map(|l| l.strip_prefix(prefix)?.parse::<u64>().ok())
+        };
+        // A `Result`'s snapshot, then a heartbeat one taken mid-candidate:
+        // the counter moves before the next `Result` arrives.
+        assert!(live.apply_telemetry(0, &frame(1)));
+        assert_eq!(batches(&live), Some(10));
+        assert!(live.apply_telemetry(0, &frame(2)));
+        assert_eq!(batches(&live), Some(20));
+        assert_eq!(live.workers_report().counter("live_test.batches"), 20);
+        // A stale snapshot rolls back neither counters nor spans.
+        assert!(!live.apply_telemetry(0, &frame(1)));
+        assert_eq!(batches(&live), Some(20));
+        let w = &live.workers()[0];
+        assert_eq!((w.last_seq, w.stale_frames), (2, 1));
+        assert_eq!(w.span_total_ns("nas.eval"), 1_000, "spans stay at snapshot 2");
     }
 
     #[test]
@@ -525,19 +567,13 @@ mod tests {
 
     #[test]
     fn cache_counts_surface_in_status() -> Result<(), String> {
-        use crate::wire::CounterSnap;
         let live = LiveRunView::new();
         live.worker_added(0);
-        live.fold_metrics(
-            0,
-            &WorkerMetrics {
-                counters: vec![
-                    CounterSnap { name: "nas.candidates_evaluated".into(), value: 9 },
-                    CounterSnap { name: "ckpt.cache.retired".into(), value: 7 },
-                ],
-                histograms: vec![],
-            },
-        );
+        let counters = vec![
+            CounterRow { name: "nas.candidates_evaluated".into(), value: 9 },
+            CounterRow { name: "ckpt.cache.retired".into(), value: 7 },
+        ];
+        live.apply_telemetry(0, &Telemetry { seq: 1, counters, ..Telemetry::default() });
         // The provider-cache object, every kind present.
         let status = Json::parse(&live.status_json())?;
         let workers = status.get("workers").and_then(Json::as_array);

@@ -5,12 +5,12 @@
 //! | 0x01 | Hello     | worker → coordinator| version, worker_id, pid                 |
 //! | 0x02 | HelloAck  | coordinator → worker| version, [`RunSpec`]                    |
 //! | 0x03 | Task      | coordinator → worker| [`Task`]: one candidate dispatch        |
-//! | 0x04 | Result    | worker → coordinator| [`TaskResult`]: outcome + metrics       |
+//! | 0x04 | Result    | worker → coordinator| [`TaskResult`] + [`Telemetry`] snapshot |
 //! | 0x05 | Ping      | coordinator → worker| nonce                                   |
 //! | 0x06 | Pong      | worker → coordinator| echoed nonce                            |
 //! | 0x07 | Shutdown  | coordinator → worker| (empty)                                 |
 //! | 0x08 | Error     | either              | utf-8 description                       |
-//! | 0x09 | Stats     | worker → coordinator| final cumulative [`WorkerMetrics`]      |
+//! | 0x09 | —         | —                   | retired in v10 (`UnknownType`)          |
 //! | 0x0A | Telemetry | worker → coordinator| seq-numbered [`Telemetry`] snapshot     |
 //! | 0x0B | Retire    | coordinator → worker| decision tick + utf-8 reason            |
 //!
@@ -28,8 +28,7 @@ use crate::policy::MAX_POOL_WORKERS;
 use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
 use swt_nas::{Candidate, EvalOutcome};
-use swt_obs::metrics::{bucket_bound, bucket_index, HIST_BUCKETS};
-use swt_obs::report::{CounterRow, HistogramRow};
+use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
 use swt_obs::RunReport;
 use swt_space::ArchSeq;
 use swt_wire::{wire_messages, wire_struct};
@@ -163,120 +162,8 @@ impl Task {
 }
 
 wire_struct! {
-    /// One counter's total in a [`WorkerMetrics`] snapshot.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct CounterSnap {
-        pub name: String,
-        pub value: u64,
-    }
-}
-
-wire_struct! {
-    /// One histogram in a [`WorkerMetrics`] snapshot. Buckets travel as
-    /// `(pow2 bucket index, count)` — one byte per bound, and `u64::MAX`
-    /// (the overflow bucket) needs no special case.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct HistSnap {
-        pub name: String,
-        pub count: u64,
-        pub sum: u64,
-        pub buckets: Vec<(u8, u64)>,
-    }
-    check = HistSnap::check;
-}
-
-impl HistSnap {
-    fn check(&self) -> Result<(), WireError> {
-        ensure(self.buckets.len() <= HIST_BUCKETS, "histogram bucket count out of range")?;
-        ensure(
-            self.buckets.iter().all(|&(idx, _)| (idx as usize) < HIST_BUCKETS),
-            "histogram bucket index out of range",
-        )
-    }
-}
-
-wire_struct! {
-    /// A worker process's cumulative counter/histogram snapshot, shipped in
-    /// every `Result` frame and finally in a `Stats` frame at shutdown.
-    ///
-    /// Snapshots are *cumulative since worker start*, not deltas: the
-    /// coordinator keeps only the latest snapshot per worker, so a lost
-    /// frame (or a worker killed mid-run) costs at most the metrics of work
-    /// done after its last delivered `Result` — never double counting.
-    /// Merging the latest snapshot of every process plus the coordinator's
-    /// own registry yields whole-run totals (`report.json` conservation).
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct WorkerMetrics {
-        pub counters: Vec<CounterSnap>,
-        pub histograms: Vec<HistSnap>,
-    }
-}
-
-impl WorkerMetrics {
-    /// Snapshot this process's global registry (counters + histograms only;
-    /// spans and gauges are process-local and stay out of the wire format).
-    pub fn capture() -> WorkerMetrics {
-        let report = RunReport::capture();
-        WorkerMetrics {
-            counters: report
-                .counters
-                .into_iter()
-                .map(|c| CounterSnap { name: c.name, value: c.value })
-                .collect(),
-            histograms: report
-                .histograms
-                .into_iter()
-                .map(|h| HistSnap {
-                    name: h.name,
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: h.buckets.iter().map(|&(b, n)| (bucket_index(b) as u8, n)).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// View the snapshot as a counters/histograms-only [`RunReport`], the
-    /// shape `RunReport::merge` and `absorb_into` consume.
-    pub fn to_report(&self) -> RunReport {
-        RunReport {
-            counters: self
-                .counters
-                .iter()
-                .map(|c| CounterRow { name: c.name.clone(), value: c.value })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|h| HistogramRow {
-                    name: h.name.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .map(|&(i, n)| (bucket_bound(i as usize), n))
-                        .collect(),
-                })
-                .collect(),
-            ..RunReport::default()
-        }
-    }
-
-    /// A counter's value in this snapshot (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
-    }
-
-    /// Sum of every counter whose name starts with `prefix`.
-    pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
-        self.counters.iter().filter(|c| c.name.starts_with(prefix)).map(|c| c.value).sum()
-    }
-}
-
-wire_struct! {
     /// What a worker reports for one [`Task`]: the [`EvalOutcome`] as it
-    /// travels, and the worker's cumulative metrics.
+    /// travels.
     #[derive(Debug, Clone, PartialEq)]
     pub struct TaskResult {
         pub id: u64,
@@ -289,12 +176,11 @@ wire_struct! {
         pub transfer_bytes: u64,
         pub transfer_skipped: u64,
         pub epochs: u32,
-        pub stats: WorkerMetrics,
     }
 }
 
 impl TaskResult {
-    pub fn new(outcome: &EvalOutcome, stats: WorkerMetrics) -> TaskResult {
+    pub fn new(outcome: &EvalOutcome) -> TaskResult {
         TaskResult {
             id: outcome.id,
             score: outcome.score,
@@ -306,7 +192,6 @@ impl TaskResult {
             transfer_bytes: outcome.transfer.bytes as u64,
             transfer_skipped: outcome.transfer.skipped as u64,
             epochs: outcome.epochs as u32,
-            stats,
         }
     }
 
@@ -349,16 +234,6 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// One gauge's current value and high-watermark at snapshot time.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct GaugeSnap {
-        pub name: String,
-        pub value: i64,
-        pub max: i64,
-    }
-}
-
-wire_struct! {
     /// One timeline event on the wire; `name` indexes the frame's string
     /// table. `kind` 0 = span (`dur_ns` meaningful), 1 = counter mark
     /// (`delta` meaningful).
@@ -373,15 +248,18 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// A worker's periodic live-telemetry snapshot.
+    /// A worker's snapshot: the one way its metrics reach the coordinator,
+    /// inside every `Result` and in a standalone `Telemetry` frame after
+    /// each `Pong` and at teardown.
     ///
-    /// `seq` increments per frame on each worker; the coordinator ignores
-    /// any frame whose seq is not strictly greater than the last applied
-    /// one, so reordering or loss degrades to staleness, never corruption.
-    /// `spans` and `gauges` are *cumulative* (latest-wins like
-    /// [`WorkerMetrics`]); only the `events` batch is a delta,
-    /// cursor-tracked against the worker's timeline ring — overwritten
-    /// events surface in `dropped_events`.
+    /// `seq` increments per snapshot on each worker, and snapshots go on
+    /// the wire in seq order; the coordinator ignores any snapshot whose seq
+    /// is not strictly greater than the last applied one, so reordering or
+    /// loss degrades to staleness, never corruption. Spans, counters,
+    /// gauges and histograms are *cumulative since worker start*, so the
+    /// latest applied snapshot is the worker's whole account; only the
+    /// `events` batch is a delta, cursor-tracked against the worker's
+    /// timeline ring — overwritten events surface in `dropped_events`.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct Telemetry {
         pub seq: u64,
@@ -391,7 +269,9 @@ wire_struct! {
         /// signal a slow coordinator sees instead of corrupted history.
         pub dropped_events: u64,
         pub spans: Vec<SpanTotalRow>,
-        pub gauges: Vec<GaugeSnap>,
+        pub counters: Vec<CounterRow>,
+        pub gauges: Vec<GaugeRow>,
+        pub histograms: Vec<HistogramRow>,
         /// Event-name string table (`WireEvent::name` indexes into this),
         /// at most [`MAX_TELEMETRY_NAMES`] entries.
         pub names: Vec<String>,
@@ -416,13 +296,16 @@ impl Telemetry {
 
     /// Snapshot this process's live registry + timeline for the wire.
     ///
-    /// `cursor` is the caller-owned timeline read position for
+    /// Counters, gauges and histograms are the rows of one
+    /// [`RunReport::capture`]; span totals sum each path over the worker
+    /// slots. `cursor` is the caller-owned timeline read position for
     /// `worker_slot`; it advances to cover exactly the events taken, so an
     /// oversized drain simply spills into the next frame. Flushes the
     /// calling thread's buffered spans first so its own just-closed spans
     /// are visible.
     pub fn capture(seq: u64, worker_slot: usize, cursor: &mut u64) -> Telemetry {
         swt_obs::span::flush_thread();
+        let RunReport { counters, gauges, histograms, .. } = RunReport::capture();
         let mut spans = Vec::new();
         swt_obs::registry::global().for_each_span(|path, stat| {
             let mut count = 0u64;
@@ -434,13 +317,6 @@ impl Telemetry {
             }
             if count > 0 {
                 spans.push(SpanTotalRow { path: path.to_string(), count, total_ns });
-            }
-        });
-        let mut gauges = Vec::new();
-        swt_obs::registry::global().for_each_gauge(|name, g| {
-            let (value, max) = (g.get(), g.max());
-            if value != 0 || max != 0 {
-                gauges.push(GaugeSnap { name: name.to_string(), value, max });
             }
         });
         let drain = swt_obs::timeline::drain_since(worker_slot, *cursor);
@@ -483,18 +359,14 @@ impl Telemetry {
         Telemetry {
             seq,
             uptime_ns: swt_obs::timeline::now_ns(),
+            dropped_events: drain.dropped,
             spans,
+            counters,
             gauges,
+            histograms,
             names,
             events,
-            dropped_events: drain.dropped,
         }
-    }
-
-    /// Total nanoseconds recorded under `path` in this snapshot (0 when
-    /// absent).
-    pub fn span_total_ns(&self, path: &str) -> u64 {
-        self.spans.iter().find(|s| s.path == path).map_or(0, |s| s.total_ns)
     }
 }
 
@@ -505,24 +377,23 @@ wire_messages! {
         0x01 => Hello { version: u32, worker_id: u64, pid: u32 },
         0x02 => HelloAck { version: u32, run: RunSpec },
         0x03 => Task { task: Task },
-        0x04 => Result { result: TaskResult },
+        /// One candidate's outcome and the snapshot taken right after its
+        /// evaluation, so the work is counted with its result.
+        0x04 => Result { result: TaskResult, telemetry: Telemetry },
         0x05 => Ping { nonce: u64 },
         0x06 => Pong { nonce: u64 },
         0x07 => Shutdown,
         0x08 => Error { message: String },
-        /// Final cumulative metrics snapshot, sent by a worker right before
-        /// it closes its socket in response to `Shutdown`.
-        0x09 => Stats { stats: WorkerMetrics },
-        /// Periodic live-telemetry snapshot: span/gauge state plus a
-        /// timeline event batch, folded into the coordinator's
-        /// `LiveRunView`.
+        /// A snapshot between results: after each `Pong` (heartbeat
+        /// cadence, even mid-evaluation) and once at teardown, the last
+        /// frame a worker sends before it closes its socket.
         0x0A => Telemetry { telemetry: Telemetry },
         /// Drain-then-close: the autoscaler picked this *idle* worker to
-        /// shrink the pool. The worker flushes its final telemetry and
-        /// `Stats` snapshot and exits cleanly — same teardown as
-        /// `Shutdown`, but initiated by a policy decision (`decision` is its
-        /// tick, `reason` its context for the worker's log), so the
-        /// coordinator counts the departure as a retirement, never a loss.
+        /// shrink the pool. The worker sends its final snapshot and exits
+        /// cleanly — same teardown as `Shutdown`, but initiated by a policy
+        /// decision (`decision` is its tick, `reason` its context for the
+        /// worker's log), so the coordinator counts the departure as a
+        /// retirement, never a loss.
         0x0B => Retire { decision: u64, reason: String },
     }
 }
@@ -584,15 +455,14 @@ mod tests {
         round_trip(Msg::Task { task: Task::new(&cand) })?;
         round_trip(Msg::Task { task: Task::new(&Candidate::new(0, ArchSeq::new(vec![2]), None)) })?;
         let outcome = sample_outcome(7, 0.12345678901234567);
-        let result = TaskResult::new(&outcome, sample_metrics());
+        let result = TaskResult::new(&outcome);
         assert_eq!(result.outcome(), outcome);
-        round_trip(Msg::Result { result })?;
+        round_trip(Msg::Result { result: result.clone(), telemetry: sample_telemetry() })?;
+        round_trip(Msg::Result { result, telemetry: Telemetry::default() })?;
         round_trip(Msg::Ping { nonce: u64::MAX })?;
         round_trip(Msg::Pong { nonce: 0 })?;
         round_trip(Msg::Shutdown)?;
         round_trip(Msg::Error { message: "checkpoint store unreachable".into() })?;
-        round_trip(Msg::Stats { stats: sample_metrics() })?;
-        round_trip(Msg::Stats { stats: WorkerMetrics::default() })?;
         round_trip(Msg::Telemetry { telemetry: sample_telemetry() })?;
         round_trip(Msg::Telemetry { telemetry: Telemetry::default() })?;
         round_trip(Msg::Retire { decision: 17, reason: "pool drained to min".into() })?;
@@ -624,7 +494,18 @@ mod tests {
                 SpanTotalRow { path: "nas.eval".into(), count: 5, total_ns: 5_000_000 },
                 SpanTotalRow { path: "nas.queue_wait".into(), count: 5, total_ns: 700 },
             ],
-            gauges: vec![GaugeSnap { name: "ckpt.cache.resident_bytes".into(), value: -1, max: 4 }],
+            counters: vec![
+                CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
+                CounterRow { name: "tensor.gemm.calls".into(), value: 4096 },
+            ],
+            gauges: vec![GaugeRow { name: "ckpt.cache.resident_bytes".into(), value: -1, max: 4 }],
+            histograms: vec![HistogramRow {
+                name: "ckpt.save_ns".into(),
+                count: 3,
+                sum: 900,
+                // Includes the overflow bucket's bound.
+                buckets: vec![(511, 2), (u64::MAX, 1)],
+            }],
             names: vec!["nas.eval".into(), "nas.dispatch".into()],
             events: vec![
                 WireEvent { name: 0, kind: 0, t_ns: 10, dur_ns: 90, delta: 0 },
@@ -690,75 +571,16 @@ mod tests {
         assert!(cursor >= u64::MAX - 1, "cursor must never rewind");
     }
 
-    fn sample_metrics() -> WorkerMetrics {
-        WorkerMetrics {
-            counters: vec![
-                CounterSnap { name: "ckpt.cache.hits".into(), value: 12 },
-                CounterSnap { name: "tensor.gemm.calls".into(), value: 4096 },
-            ],
-            histograms: vec![HistSnap {
-                name: "ckpt.save_ns".into(),
-                count: 3,
-                sum: 900,
-                // Includes the overflow bucket (the last index).
-                buckets: vec![(8, 2), (HIST_BUCKETS as u8 - 1, 1)],
-            }],
-        }
-    }
-
-    #[test]
-    fn metrics_snapshots_convert_to_reports_and_back() {
-        // Bounds travel as bucket indices; `u64::MAX` (the overflow bucket)
-        // must survive the conversion both ways.
-        let report = sample_metrics().to_report();
-        assert_eq!(report.histograms[0].buckets, vec![(bucket_bound(8), 2), (u64::MAX, 1)]);
-        assert_eq!(report.counter("ckpt.cache.hits"), 12);
-        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn stats_with_bad_bucket_fields_error_cleanly() -> Result<(), WireError> {
-        // One histogram, no counters; the frame ends with the bucket list:
-        // [u32 count] then (u8 index, u64 count) per bucket.
-        let hist = |buckets| WorkerMetrics {
-            counters: vec![],
-            histograms: vec![HistSnap { name: "h".into(), count: 1, sum: 1, buckets }],
-        };
-
-        // Bucket index out of range.
-        let mut bad = Msg::Stats { stats: hist(vec![(0, 1)]) }.encode()?;
-        let n = bad.len();
-        bad[n - 9] = HIST_BUCKETS as u8; // first invalid index
-        assert!(matches!(
-            Msg::decode(0x09, &bad),
-            Err(WireError::Malformed("histogram bucket index out of range"))
-        ));
-        assert!(Msg::Stats { stats: hist(vec![(HIST_BUCKETS as u8, 1)]) }.encode().is_err());
-
-        // Bucket count beyond HIST_BUCKETS, every bucket really present.
-        let mut bad = Msg::Stats { stats: hist(vec![(0, 1); HIST_BUCKETS]) }.encode()?;
-        let count_at = bad.len() - 9 * HIST_BUCKETS - 4;
-        patch(&mut bad, count_at, HIST_BUCKETS as u32 + 1)?;
-        bad.extend_from_slice(&[0u8; 9]);
-        assert!(matches!(
-            Msg::decode(0x09, &bad),
-            Err(WireError::Malformed("histogram bucket count out of range"))
-        ));
-
-        // Hostile counter count must not pre-allocate: payload ends early.
-        assert!(matches!(Msg::decode(0x09, &[0xff; 4]), Err(WireError::Malformed(_))));
-        Ok(())
-    }
-
     #[test]
     fn scores_round_trip_bit_exactly() -> Result<(), WireError> {
         // NaN payloads and signed zeros must survive: identity gates compare
         // bit patterns, not approximate values.
         for bits in [f64::to_bits(-0.0), f64::NAN.to_bits() | 1, f64::MIN_POSITIVE.to_bits()] {
             let outcome = sample_outcome(1, f64::from_bits(bits));
-            let result = TaskResult::new(&outcome, WorkerMetrics::default());
-            let decoded = Msg::decode(0x04, &Msg::Result { result }.encode()?)?;
-            let Msg::Result { result } = decoded else {
+            let result = TaskResult::new(&outcome);
+            let telemetry = Telemetry::default();
+            let decoded = Msg::decode(0x04, &Msg::Result { result, telemetry }.encode()?)?;
+            let Msg::Result { result, .. } = decoded else {
                 return Err(WireError::Malformed("wrong decode variant"));
             };
             assert_eq!(result.outcome().score.to_bits(), bits);

@@ -13,7 +13,7 @@
 //! coordinator logs a cause instead of a bare EOF.
 
 use crate::frame::{self, recv, Message, WireError, PROTOCOL_VERSION};
-use crate::wire::{Msg, RunSpec, TaskResult, Telemetry, WorkerMetrics};
+use crate::wire::{Msg, RunSpec, TaskResult, Telemetry};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -27,10 +27,10 @@ fn send(stream: &Mutex<TcpStream>, msg: &Msg) -> Result<(), WireError> {
     frame::send(&mut *guard, msg)
 }
 
-/// Shared live-telemetry stream state: the per-frame sequence number and
-/// the timeline-drain cursor. Both the main loop (after each `Result`) and
-/// the reader thread (after each `Pong`, i.e. at heartbeat cadence) emit
-/// frames, so the pair lives behind one mutex to keep seqs strictly
+/// Shared snapshot stream state: the per-snapshot sequence number and the
+/// timeline-drain cursor. Both the main loop (each `Result`, teardown) and
+/// the reader thread (after each `Pong`, i.e. at heartbeat cadence) send
+/// snapshots, so the pair lives behind one mutex to keep seqs strictly
 /// increasing and drains non-overlapping.
 struct TelemetryState {
     seq: u64,
@@ -38,30 +38,33 @@ struct TelemetryState {
     slot: usize,
 }
 
-/// Capture and send one telemetry frame. Cheap enough for heartbeat
-/// cadence: a registry walk plus a bounded ring drain.
-fn send_telemetry(
+/// Capture one snapshot and send it inside the frame `wrap` builds. The
+/// state lock is held across the write, so snapshots reach the wire in seq
+/// order and the coordinator never counts one from this worker as stale.
+/// Lock order is state, then writer, at every site. Cheap enough for
+/// heartbeat cadence: two registry walks plus a bounded ring drain.
+fn send_snapshot(
     stream: &Mutex<TcpStream>,
     state: &Mutex<TelemetryState>,
+    wrap: impl FnOnce(Telemetry) -> Msg,
 ) -> Result<(), WireError> {
-    let telemetry = {
-        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-        st.seq += 1;
-        let (seq, slot) = (st.seq, st.slot);
-        Telemetry::capture(seq, slot, &mut st.cursor)
-    };
-    send(stream, &Msg::Telemetry { telemetry })
+    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+    st.seq += 1;
+    let (seq, slot) = (st.seq, st.slot);
+    let telemetry = Telemetry::capture(seq, slot, &mut st.cursor);
+    send(stream, &wrap(telemetry))
 }
 
 /// Run the worker protocol loop on an established connection. Returns when
 /// the coordinator sends `Shutdown` or the connection fails.
 pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     // Metrics are recorded process-locally and shipped to the coordinator as
-    // cumulative snapshots (one per `Result`, a final one in `Stats`);
-    // without this the worker's GEMM/checkpoint/cache counters stay zero and
-    // the merged run report under-counts. The timeline rings are bounded
-    // (staleness, not growth, on overflow), so they stay on unconditionally
-    // too: live `Telemetry` frames then need no extra negotiation.
+    // cumulative snapshots (one in each `Result`, others at heartbeat
+    // cadence and at teardown); without this the worker's
+    // GEMM/checkpoint/cache counters stay zero and the merged run report
+    // under-counts. The timeline rings are bounded (staleness, not growth,
+    // on overflow), so they stay on unconditionally too: snapshots then
+    // need no extra negotiation.
     swt_obs::enable();
     swt_obs::timeline::enable();
     swt_obs::span::set_worker(worker_id as usize);
@@ -118,9 +121,9 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     // on Shutdown, a protocol violation, or a dead socket — ends the main
     // loop below.
     let (task_tx, task_rx) = mpsc::channel::<Candidate>();
-    // One telemetry stream per worker, shared by both sending sites: the
+    // One snapshot stream per worker, shared by both sending sites: the
     // heartbeat responder below (steady cadence even mid-evaluation) and
-    // the main loop (fresh snapshot right after each `Result`).
+    // the main loop (a fresh snapshot inside each `Result`).
     let telemetry = Arc::new(Mutex::new(TelemetryState {
         seq: 0,
         cursor: 0,
@@ -135,7 +138,9 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
             match recv(&mut reader_stream, &mut buf) {
                 Ok(Msg::Ping { nonce }) => {
                     send(&ping_writer, &Msg::Pong { nonce })?;
-                    send_telemetry(&ping_writer, &ping_telemetry)?;
+                    send_snapshot(&ping_writer, &ping_telemetry, |telemetry| Msg::Telemetry {
+                        telemetry,
+                    })?;
                 }
                 Ok(Msg::Task { task }) => {
                     if task_tx.send(task.into_candidate()).is_err() {
@@ -147,7 +152,7 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
                     // Drain-then-close: the coordinator only retires idle
                     // workers, so the main loop has nothing in flight —
                     // dropping task_tx ends it and the normal teardown
-                    // (final telemetry + Stats) runs.
+                    // (final snapshot, close) runs.
                     swt_obs::info!(
                         "swt_dist",
                         "worker retired by autoscale decision {decision}: {reason}"
@@ -185,29 +190,22 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
             }
         };
         let outcome = evaluator.evaluate(&cand);
-        let result = TaskResult::new(&outcome, WorkerMetrics::capture());
+        let result = TaskResult::new(&outcome);
         let sent = {
             let _send_span = swt_obs::span!("nas.result_send");
-            send(&writer, &Msg::Result { result })
+            send_snapshot(&writer, &telemetry, |telemetry| Msg::Result { result, telemetry })
         };
         if let Err(e) = sent {
             eval_err = Some(e);
             break;
         }
-        if let Err(e) = send_telemetry(&writer, &telemetry) {
-            eval_err = Some(e);
-            break;
-        }
     }
-    // Clean teardown: flush the final cumulative snapshot. Best-effort — the
-    // coordinator falls back to the last Result snapshot if this frame is
-    // lost, so a dead socket here must not turn a clean shutdown into an
-    // error.
+    // Clean teardown: one last snapshot, so the coordinator's copy covers
+    // everything this worker did, then close. Best-effort — if this frame
+    // is lost the coordinator keeps the last snapshot it applied, so a dead
+    // socket here must not turn a clean shutdown into an error.
     if eval_err.is_none() {
-        // Final telemetry first: the `Stats` frame is what the coordinator
-        // treats as the authoritative last snapshot, so it goes last.
-        let _ = send_telemetry(&writer, &telemetry);
-        let _ = send(&writer, &Msg::Stats { stats: WorkerMetrics::capture() });
+        let _ = send_snapshot(&writer, &telemetry, |telemetry| Msg::Telemetry { telemetry });
     }
     // Unblock the reader if we exited first (send failure): closing the
     // socket fails its blocking read.

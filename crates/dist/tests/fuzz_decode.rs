@@ -10,18 +10,18 @@ use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
 use swt_dist::frame::Message;
 use swt_dist::wire::{
-    Code, CounterSnap, GaugeSnap, HistSnap, Msg, RunSpec, SpanTotalRow, Task, TaskResult,
-    Telemetry, WireEvent, WorkerMetrics, MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
+    Code, Msg, RunSpec, SpanTotalRow, Task, TaskResult, Telemetry, WireEvent, MAX_TELEMETRY_EVENTS,
+    MAX_TELEMETRY_NAMES,
 };
 use swt_dist::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use swt_nas::{Candidate, EvalOutcome};
-use swt_obs::metrics::HIST_BUCKETS;
+use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
 use swt_space::ArchSeq;
 use swt_tensor::Rng;
 use swt_wire::{read_frame, write_frame};
 
-/// Every known frame-type byte (0x01 Hello … 0x0B Retire).
-const FRAME_TYPES: std::ops::RangeInclusive<u8> = 0x01..=0x0B;
+/// Every known frame-type byte (0x01 Hello … 0x0B Retire; 0x09 is retired).
+const FRAME_TYPES: [u8; 10] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0A, 0x0B];
 
 /// The corpus HelloAck's store endpoint.
 const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
@@ -29,18 +29,28 @@ const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
 /// One valid message of every frame type, every optional field present —
 /// the fuzz corpus seeds.
 fn corpus() -> Vec<Msg> {
-    let stats = WorkerMetrics {
+    let telemetry = Telemetry {
+        seq: u64::MAX - 1, // hostile-adjacent seq must survive the trip
+        uptime_ns: 123_456_789,
+        dropped_events: 7,
+        spans: vec![SpanTotalRow { path: "nas.eval".into(), count: 4, total_ns: 99 }],
         counters: vec![
-            CounterSnap { name: "ckpt.cache.hits".into(), value: 12 },
-            CounterSnap { name: "tensor.gemm.blocked".into(), value: 4096 },
+            CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
+            CounterRow { name: "tensor.gemm.blocked".into(), value: 4096 },
         ],
-        histograms: vec![HistSnap {
+        gauges: vec![GaugeRow { name: "pool.queue_depth".into(), value: -1, max: 8 }],
+        histograms: vec![HistogramRow {
             name: "ckpt.save_ns".into(),
             count: 3,
             sum: 900,
-            // The last index is the overflow bucket.
-            buckets: vec![(8, 2), (HIST_BUCKETS as u8 - 1, 1)],
+            // Bucket 8's bound, and the overflow bucket's.
+            buckets: vec![(511, 2), (u64::MAX, 1)],
         }],
+        names: vec!["nas.eval".into(), "nas.dispatch".into()],
+        events: vec![
+            WireEvent { name: 0, kind: 0, t_ns: 10, dur_ns: 5, delta: 0 },
+            WireEvent { name: 1, kind: 1, t_ns: 20, dur_ns: 0, delta: -3 },
+        ],
     };
     let cand = Candidate {
         id: 7,
@@ -81,26 +91,12 @@ fn corpus() -> Vec<Msg> {
         },
         Msg::Task { task: Task::new(&cand) },
         Msg::Task { task: Task::new(&reassigned) },
-        Msg::Result { result: TaskResult::new(&outcome, stats.clone()) },
+        Msg::Result { result: TaskResult::new(&outcome), telemetry: telemetry.clone() },
         Msg::Ping { nonce: u64::MAX },
         Msg::Pong { nonce: 0 },
         Msg::Shutdown,
         Msg::Error { message: "checkpoint store unreachable".into() },
-        Msg::Stats { stats },
-        Msg::Telemetry {
-            telemetry: Telemetry {
-                seq: u64::MAX - 1, // hostile-adjacent seq must survive the trip
-                uptime_ns: 123_456_789,
-                spans: vec![SpanTotalRow { path: "nas.eval".into(), count: 4, total_ns: 99 }],
-                gauges: vec![GaugeSnap { name: "pool.queue_depth".into(), value: -1, max: 8 }],
-                names: vec!["nas.eval".into(), "nas.dispatch".into()],
-                events: vec![
-                    WireEvent { name: 0, kind: 0, t_ns: 10, dur_ns: 5, delta: 0 },
-                    WireEvent { name: 1, kind: 1, t_ns: 20, dur_ns: 0, delta: -3 },
-                ],
-                dropped_events: 7,
-            },
-        },
+        Msg::Telemetry { telemetry },
         Msg::Retire { decision: 42, reason: "pool past demand".into() },
     ]
 }
@@ -113,9 +109,12 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 
 /// Byte offsets into the corpus payloads, from the declarations in
 /// `swt_dist::wire` (a `Result`: id, four f64s, checkpoint_bytes, three
-/// transfer u64s and epochs u32 before the metrics; the corpus `HelloAck`
-/// ends [1][url][1][min u32][max u32]).
-const RESULT_METRICS_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
+/// transfer u64s and epochs u32 before its `Telemetry`; a `Telemetry`: seq,
+/// uptime_ns and dropped_events u64, then the span, counter, gauge and
+/// histogram lists; the corpus `HelloAck` ends [1][url][1][min u32][max
+/// u32]).
+const RESULT_TELEMETRY_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
+const TELEMETRY_LISTS_AT: usize = 3 * 8;
 const ACK_BOUNDS_LEN: usize = 1 + 4 + 4;
 const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
 
@@ -127,12 +126,12 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 9, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 10, "new version: re-record the frames below");
     let golden = [
-        (0x01, "09000000030000000000000092100000"),
+        (0x01, "0a000000030000000000000092100000"),
         (
             0x02,
-            "0900000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
+            "0a00000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
                 7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e302e313a\
                 39393939010100000008000000",
         ),
@@ -141,28 +140,30 @@ fn golden_bytes_pin_the_dist_layout() {
         (
             0x04,
             "07000000000000005ef64637dd9abf3f000000000000f83f000000000000d03f7b14ae47e17a843f00\
-                0010000000000005000000000000000010000000000000010000000000000001000000020000000f\
-                00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d6d2e626c\
-                6f636b65640010000000000000010000000c00636b70742e736176655f6e73030000000000000084\
-                03000000000000020000000802000000000000001f0100000000000000",
+                0010000000000005000000000000000010000000000000010000000000000001000000feffffffff\
+                ffffff15cd5b070000000007000000000000000100000008006e61732e6576616c04000000000000\
+                006300000000000000020000000f00636b70742e63616368652e686974730c000000000000001300\
+                74656e736f722e67656d6d2e626c6f636b65640010000000000000010000001000706f6f6c2e7175\
+                6575655f6465707468ffffffffffffffff0800000000000000010000000c00636b70742e73617665\
+                5f6e7303000000000000008403000000000000020000000802000000000000001f01000000000000\
+                000200000008006e61732e6576616c0c006e61732e6469737061746368020000000000000a000000\
+                000000000500000000000000000000000000000001000114000000000000000000000000000000fd\
+                ffffffffffffff",
         ),
         (0x05, "ffffffffffffffff"),
         (0x06, "0000000000000000"),
         (0x07, ""),
         (0x08, "1c00636865636b706f696e742073746f726520756e726561636861626c65"),
         (
-            0x09,
-            "020000000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d\
-                6d2e626c6f636b65640010000000000000010000000c00636b70742e736176655f6e730300000000\
-                0000008403000000000000020000000802000000000000001f0100000000000000",
-        ),
-        (
             0x0A,
             "feffffffffffffff15cd5b070000000007000000000000000100000008006e61732e6576616c040000\
-                00000000006300000000000000010000001000706f6f6c2e71756575655f6465707468ffffffffff\
-                ffffff08000000000000000200000008006e61732e6576616c0c006e61732e646973706174636802\
-                0000000000000a000000000000000500000000000000000000000000000001000114000000000000\
-                000000000000000000fdffffffffffffff",
+                00000000006300000000000000020000000f00636b70742e63616368652e686974730c0000000000\
+                0000130074656e736f722e67656d6d2e626c6f636b65640010000000000000010000001000706f6f\
+                6c2e71756575655f6465707468ffffffffffffffff0800000000000000010000000c00636b70742e\
+                736176655f6e7303000000000000008403000000000000020000000802000000000000001f010000\
+                00000000000200000008006e61732e6576616c0c006e61732e646973706174636802000000000000\
+                0a000000000000000500000000000000000000000000000001000114000000000000000000000000\
+                000000fdffffffffffffff",
         ),
         (0x0B, "2a000000000000001000706f6f6c20706173742064656d616e64"),
     ];
@@ -328,21 +329,22 @@ fn random_payloads_against_every_tag_never_panic() {
 
 #[test]
 fn hostile_counts_cannot_force_large_allocations() {
-    // A tiny payload claiming u32::MAX counters/histograms: the count is
+    // A tiny payload claiming u32::MAX counters or histograms, in a
+    // standalone `Telemetry` and in the one inside a `Result`: the count is
     // refused against the bytes actually left, before anything is reserved.
-    for ty in [0x04u8, 0x09] {
-        let mut bad = Vec::new();
-        if ty == 0x04 {
-            bad.extend_from_slice(&[0u8; RESULT_METRICS_AT]); // everything up to the metrics
+    // Zeros stand for every field before the list (empty earlier lists).
+    for (ty, telemetry_at) in [(0x0Au8, 0), (0x04, RESULT_TELEMETRY_AT)] {
+        for (list, empty_lists_before) in [("counters", 1), ("histograms", 3)] {
+            let mut bad = vec![0u8; telemetry_at + TELEMETRY_LISTS_AT + 4 * empty_lists_before];
+            bad.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert!(
+                matches!(
+                    Msg::decode(ty, &bad),
+                    Err(WireError::Malformed("list count exceeds the payload"))
+                ),
+                "tag {ty:#04x} accepted a hostile count of {list}"
+            );
         }
-        bad.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(
-            matches!(
-                Msg::decode(ty, &bad),
-                Err(WireError::Malformed("list count exceeds the payload"))
-            ),
-            "tag {ty:#04x} accepted a hostile count"
-        );
     }
     // Same for a Task announcing more arch choices than the payload holds.
     let mut bad = Vec::new();
@@ -360,13 +362,13 @@ fn hostile_counts_cannot_force_large_allocations() {
 
 #[test]
 fn hostile_telemetry_payloads_are_rejected_without_allocation() {
-    // Header: seq + uptime + dropped, then empty span/gauge tables.
+    // Header: seq + uptime + dropped, then empty span, counter, gauge and
+    // histogram tables.
     let header = |out: &mut Vec<u8>| {
         out.extend_from_slice(&1u64.to_le_bytes());
         out.extend_from_slice(&2u64.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // spans
-        out.extend_from_slice(&0u32.to_le_bytes()); // gauges
+        out.extend_from_slice(&[0u8; 4 * 4]); // four empty lists
     };
 
     // An event batch or a name table announcing more than its cap with no

@@ -18,7 +18,8 @@
 //!   read from `SWT_LOG` (default `info`).
 //! * **Run reports** — [`RunReport::capture`] snapshots the registry into a
 //!   serializable per-worker breakdown written as `report.json` next to the
-//!   NAS trace CSV.
+//!   NAS trace CSV. Its counter, gauge and histogram rows are also what a
+//!   distributed worker's snapshot carries ([`wire`]).
 //! * **Event timeline** — [`timeline`] keeps individual span completions
 //!   and [`event!`] counter-delta marks in bounded per-worker-slot rings,
 //!   drainable as deltas-since-seq and exportable as Chrome `trace_event`
@@ -41,6 +42,7 @@ pub mod report;
 pub mod serve;
 pub mod span;
 pub mod timeline;
+pub mod wire;
 
 pub use log::Level;
 pub use metrics::{Counter, Gauge, Histogram};

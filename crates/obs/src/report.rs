@@ -4,13 +4,17 @@
 //! split per evaluator worker, counters, gauges and histograms — and
 //! [`RunReport::to_json`] / [`RunReport::from_json`] round-trip the result
 //! through `report.json`, the file the experiment harness writes next to
-//! each NAS trace CSV. The schema is documented in DESIGN.md §8.
+//! each NAS trace CSV. The schema is documented in DESIGN.md §8. The
+//! counter, gauge and histogram rows are also what a distributed worker's
+//! snapshot carries to its coordinator, so each has a `swt_wire::Wire`
+//! codec.
 
 use crate::json::Json;
 use crate::metrics::bucket_bound;
 use crate::registry::{self, Registry, UNATTRIBUTED_SLOT, WORKER_SLOTS};
 use std::io;
 use std::path::Path;
+use swt_wire::wire_struct;
 
 /// Accumulated wall time of one span path on one worker (`worker: None` is
 /// the unattributed slot — scheduler/main-thread time).
@@ -24,23 +28,27 @@ pub struct SpanRow {
     pub max_secs: f64,
 }
 
-/// One counter's total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterRow {
-    pub name: String,
-    pub value: u64,
+wire_struct! {
+    /// One counter's total.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CounterRow {
+        pub name: String,
+        pub value: u64,
+    }
 }
 
-/// One gauge's final value and high-watermark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeRow {
-    pub name: String,
-    pub value: i64,
-    pub max: i64,
+wire_struct! {
+    /// One gauge's final value and high-watermark.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GaugeRow {
+        pub name: String,
+        pub value: i64,
+        pub max: i64,
+    }
 }
 
 /// One histogram: only non-empty buckets are kept, as `(inclusive upper
-/// bound, count)` pairs.
+/// bound, count)` pairs. Its `Wire` codec is in [`crate::wire`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramRow {
     pub name: String,

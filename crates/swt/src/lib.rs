@@ -58,7 +58,7 @@ pub mod prelude {
     pub use swt_dist::{
         run_nas_dist, run_nas_dist_with_stats, DistBackend, DistConfig, DistRunStats, JoinPlan,
         KillPlan, LiveRunView, PolicyConfig, PolicyError, PoolSnapshot, ScaleDecision, ScalePolicy,
-        Telemetry, WorkerMetrics, WorkerView,
+        Telemetry, WorkerView,
     };
     pub use swt_nas::{
         full_train_top_k, run_nas, run_nas_with_backend, run_pair_experiment, Candidate,

@@ -102,6 +102,19 @@ if [ -n "$fidelity" ]; then
   exit 1
 fi
 
+echo "==> one worker snapshot (metrics ride one seq-numbered Telemetry; no second copy, no Stats frame)"
+# A worker's counters, histograms, spans and gauges reach the coordinator
+# in one snapshot type built from swt-obs's own report rows, and the live
+# view keeps one copy of it per worker (DESIGN.md §10 "Cross-process metric
+# aggregation").
+mirrors=$(grep -rnE 'WorkerMetrics|CounterSnap|HistSnap|GaugeSnap|Msg::Stats|fold_metrics' \
+  crates tests examples || true)
+if [ -n "$mirrors" ]; then
+  echo "a second worker-metrics path or a wire-side mirror of a report row is named again:" >&2
+  echo "$mirrors" >&2
+  exit 1
+fi
+
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
@@ -162,10 +175,11 @@ done
 
 echo "==> no-panic gate (networked code must degrade, never unwrap)"
 panics=$(grep -rnE '\.unwrap\(\)|\.expect\(|panic!\(' \
-  crates/dist/src crates/obs/src/serve.rs crates/wire/src crates/ckpt-server/src \
+  crates/dist/src crates/obs/src/serve.rs crates/obs/src/wire.rs crates/wire/src \
+  crates/ckpt-server/src \
   --include='*.rs' || true)
 if [ -n "$panics" ]; then
-  echo "panicking call in networked code (swt-dist, swt-wire, swt-ckpt-server, live server) — degrade with errors, never panic:" >&2
+  echo "panicking call in networked code (swt-dist, swt-wire, swt-ckpt-server, live server, row codec) — degrade with errors, never panic:" >&2
   echo "$panics" >&2
   exit 1
 fi
@@ -179,9 +193,10 @@ cargo run --release --quiet -p swt-bench --bin bench_autoscale -- --smoke
 
 echo "==> one-codec gate (the byte format lives in swt-wire; protocols only declare frames)"
 # A protocol file spelling bytes out itself — or probing for an optional
-# tail — is a second codec beside the derived one.
+# tail — is a second codec beside the derived one. swt-obs's report rows
+# travel too; their one hand-written impl builds on the same primitives.
 bytes=$(grep -nE 'to_le_bytes|from_le_bytes|at_end\(' \
-  crates/dist/src/wire.rs crates/ckpt-server/src/proto.rs || true)
+  crates/dist/src/wire.rs crates/ckpt-server/src/proto.rs crates/obs/src/wire.rs || true)
 if [ -n "$bytes" ]; then
   echo "hand-written byte handling in a protocol declaration file (use the Wire impls in swt-wire):" >&2
   echo "$bytes" >&2
