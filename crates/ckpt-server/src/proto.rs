@@ -19,7 +19,7 @@
 //! Decoding is total: any byte sequence yields either a message or a typed
 //! [`WireError`], never a panic.
 
-use swt_wire::{ensure, wire_messages, Cursor, Raw, Wire, WireError};
+use swt_wire::{ensure, wire_codes, wire_messages, Raw, WireError};
 
 /// Store protocol version, exchanged in `Hello`/`HelloAck`; the server
 /// refuses any other. Bump whenever a store frame's bytes move. Independent
@@ -51,28 +51,17 @@ pub const MAX_TOKEN_LEN: usize = 160;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrCode {
     /// No checkpoint with the requested id in this bucket.
-    NotFound = 0,
+    NotFound,
     /// Invalid id/bucket token, over-cap request, or malformed container.
-    BadRequest = 1,
+    BadRequest,
     /// Server-side failure (disk, etc.).
-    Internal = 2,
+    Internal,
     /// Hello authentication failed.
-    Unauthorized = 3,
+    Unauthorized,
 }
 
-impl Wire for ErrCode {
-    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        (*self as u8).put(out)
-    }
-    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
-        match u8::get(c)? {
-            0 => Ok(ErrCode::NotFound),
-            1 => Ok(ErrCode::BadRequest),
-            2 => Ok(ErrCode::Internal),
-            3 => Ok(ErrCode::Unauthorized),
-            _ => Err(WireError::Malformed("unknown store error code")),
-        }
-    }
+wire_codes! {
+    ErrCode: NotFound = 0, BadRequest = 1, Internal = 2, Unauthorized = 3;
 }
 
 wire_messages! {
@@ -184,7 +173,7 @@ pub fn recv_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swt_wire::Message;
+    use swt_wire::{Message, Wire};
 
     /// Overwrite the bytes at `at` with `value`'s encoding — how the hostile
     /// frames below are made, since an over-cap message refuses to encode.

@@ -14,6 +14,10 @@ pub enum TransferScheme {
     Lcs,
 }
 
+swt_wire::wire_codes! {
+    TransferScheme: Baseline = 0, Lp = 1, Lcs = 2;
+}
+
 impl TransferScheme {
     /// All schemes in the paper's presentation order.
     pub fn all() -> [TransferScheme; 3] {

@@ -6,17 +6,19 @@ use std::collections::HashMap;
 use swt_nn::Model;
 use swt_tensor::Tensor;
 
-/// Outcome of applying a plan (reported in traces and the Fig. 10 overhead
-/// accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransferStats {
-    /// Tensors actually copied.
-    pub tensors: usize,
-    /// Bytes copied.
-    pub bytes: usize,
-    /// Plan entries that could not be applied (name missing from the
-    /// checkpoint or shape mismatch — indicates a stale checkpoint).
-    pub skipped: usize,
+swt_wire::wire_struct! {
+    /// Outcome of applying a plan (reported in traces and the Fig. 10 overhead
+    /// accounting).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct TransferStats {
+        /// Tensors actually copied.
+        pub tensors: usize,
+        /// Bytes copied.
+        pub bytes: usize,
+        /// Plan entries that could not be applied (name missing from the
+        /// checkpoint or shape mismatch — indicates a stale checkpoint).
+        pub skipped: usize,
+    }
 }
 
 /// Initialise `receiver`'s matched parameters from `provider_checkpoint`

@@ -26,6 +26,11 @@ pub enum AppKind {
     Uno,
 }
 
+swt_wire::wire_codes! {
+    DataScale: Quick = 0, Full = 1;
+    AppKind: Cifar10 = 0, Mnist = 1, Nt3 = 2, Uno = 3;
+}
+
 /// Everything an evaluator needs to train and score candidates of one
 /// application: data, loss, objective metric and the paper's per-app
 /// hyperparameters.

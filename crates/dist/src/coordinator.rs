@@ -36,7 +36,7 @@ use crate::frame::{recv, send, Message, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
 use crate::policy::{ScaleDecision, ScalePolicy};
 use crate::spawn::{find_worker_exe, spawn_worker};
-use crate::wire::{Code, Msg, RunSpec, Task};
+use crate::wire::{Msg, RunSpec};
 use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -48,6 +48,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swt_nas::runner::NasConfig;
 use swt_nas::{BackendResult, Candidate, EvalBackend};
+
+/// Ping cadence; also the coordinator's event-poll granularity.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
+/// An unanswered ping older than this marks the worker lost; also the bound
+/// on the teardown drain. Generous, since a loaded single-core host can
+/// starve a healthy worker's reader thread for whole seconds.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long spawned workers get to start and complete their handshake.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a reader thread hands the main loop. The frame is boxed: a `Result`
 /// carries a whole snapshot, every other frame a few words.
@@ -98,9 +109,6 @@ pub struct DistBackend {
     /// Assigned-or-pending candidates by id, with their submit timestamp.
     inflight: HashMap<u64, (Candidate, f64)>,
     start: Instant,
-    interval: Duration,
-    timeout: Duration,
-    connect_timeout: Duration,
     next_nonce: u64,
     results_delivered: usize,
     kill_plan: Option<KillPlan>,
@@ -167,10 +175,10 @@ impl DistBackend {
         // processes happen to be up, or elastic runs would diverge.
         let hardware = std::thread::available_parallelism().map_or(1, |v| v.get());
         let run = RunSpec {
-            app: Code(dist.app),
-            scale: Code(dist.scale),
+            app: dist.app,
+            scale: dist.scale,
             data_seed: dist.data_seed,
-            scheme: Code(nas.scheme),
+            scheme: nas.scheme,
             epochs: nas.epochs as u32,
             run_seed: nas.seed,
             namespace: nas.namespace.clone(),
@@ -189,15 +197,7 @@ impl DistBackend {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("run spec: {e}")))?;
 
         let mut children = Unslotted(Vec::with_capacity(n));
-        let streams = spawn_and_admit(
-            &listener,
-            &exe,
-            &addr,
-            &run,
-            n,
-            dist.connect_timeout,
-            &mut children.0,
-        )?;
+        let streams = spawn_and_admit(&listener, &exe, &addr, &run, n, &mut children.0)?;
 
         let live = dist.live.clone().unwrap_or_else(|| Arc::new(LiveRunView::new()));
         live.set_meta("app", dist.app.name());
@@ -219,9 +219,6 @@ impl DistBackend {
             pending: VecDeque::new(),
             inflight: HashMap::new(),
             start: Instant::now(),
-            interval: dist.heartbeat_interval,
-            timeout: dist.heartbeat_timeout,
-            connect_timeout: dist.connect_timeout,
             next_nonce: 0,
             results_delivered: 0,
             kill_plan: dist.kill_worker_after.clone(),
@@ -368,7 +365,7 @@ impl DistBackend {
                 return Ok(());
             };
             let id = cand.id;
-            match self.send_to(worker, &Msg::Task { task: Task::new(&cand) }) {
+            match self.send_to(worker, &Msg::Task { cand: cand.clone() }) {
                 Ok(()) => {
                     self.slots[worker].current = Some(id);
                     self.live.set_current(worker, Some(id));
@@ -395,7 +392,7 @@ impl DistBackend {
                 continue;
             }
             if let Some((_, sent)) = self.slots[worker].outstanding_ping {
-                if sent.elapsed() > self.timeout {
+                if sent.elapsed() > HEARTBEAT_TIMEOUT {
                     self.mark_lost(worker, "heartbeat timeout")?;
                 }
                 continue;
@@ -497,7 +494,7 @@ impl DistBackend {
             let worker_id = self.slots.len() + i;
             self.joining.push(spawn_worker(&self.exe, &self.addr, worker_id)?);
         }
-        let deadline = Instant::now() + self.connect_timeout;
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
         while self.joined + self.rejected < resolved_target {
             self.poll_joins()?;
             if self.joined + self.rejected >= resolved_target {
@@ -688,7 +685,7 @@ impl DistBackend {
         // socket; wait (bounded) for every live socket to drain. A worker
         // that stalls here keeps its last applied snapshot — cumulative
         // snapshots make the fallback lossy only for work after it.
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + HEARTBEAT_TIMEOUT;
         while self.slots.iter().any(|s| s.alive) && Instant::now() < deadline {
             match self.rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(Event::Msg { worker, msg }) => match *msg {
@@ -763,10 +760,10 @@ impl EvalBackend for DistBackend {
 
     fn next_result(&mut self) -> io::Result<BackendResult> {
         loop {
-            match self.rx.recv_timeout(self.interval) {
+            match self.rx.recv_timeout(HEARTBEAT_INTERVAL) {
                 Ok(Event::Msg { worker, msg }) => match *msg {
-                    Msg::Result { result, telemetry } => {
-                        let (id, outcome) = (result.id, result.outcome());
+                    Msg::Result { outcome, telemetry } => {
+                        let id = outcome.id;
                         self.live.apply_telemetry(worker, &telemetry);
                         if self.slots[worker].current == Some(id) {
                             self.slots[worker].current = None;
@@ -941,22 +938,22 @@ fn admit(
 /// each of them has completed its handshake; returns their streams in
 /// worker-id order. The listener polls non-blocking so a child that dies
 /// before connecting (bad exe, immediate crash) turns into a clear error
-/// instead of a hung accept, and `timeout` bounds the whole wait whatever
-/// else connects meanwhile. On error `children` stays with the caller to reap.
+/// instead of a hung accept, and [`CONNECT_TIMEOUT`] bounds the whole wait
+/// whatever else connects meanwhile. On error `children` stays with the
+/// caller to reap.
 fn spawn_and_admit(
     listener: &TcpListener,
     exe: &PathBuf,
     addr: &str,
     run: &RunSpec,
     n: usize,
-    timeout: Duration,
     children: &mut Vec<Child>,
 ) -> io::Result<Vec<TcpStream>> {
     for worker_id in 0..n {
         children.push(spawn_worker(exe, addr, worker_id)?);
     }
     listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
     let mut connected = 0;
     while connected < n {

@@ -43,7 +43,6 @@ pub use worker::worker_main;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 use swt_data::{AppKind, DataScale};
 use swt_nas::runner::NasConfig;
 use swt_nas::trace::NasTrace;
@@ -124,12 +123,6 @@ pub struct DistConfig {
     /// every worker dial a `swt-ckpt-server` instead (secret from the
     /// `SWT_CKPT_SECRET` env var; `NasConfig::namespace` is the bucket).
     pub store_url: Option<String>,
-    /// Ping cadence; also the coordinator's event-poll granularity.
-    pub heartbeat_interval: Duration,
-    /// An unanswered ping older than this marks the worker lost.
-    pub heartbeat_timeout: Duration,
-    /// How long workers get to spawn + connect back.
-    pub connect_timeout: Duration,
     /// Worker binary override (`SWT_DIST_WORKER_EXE` beats this; see
     /// [`spawn::find_worker_exe`]).
     pub worker_exe: Option<PathBuf>,
@@ -158,9 +151,8 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// Defaults tuned for slow shared CI machines: generous timeouts, since
-    /// a loaded single-core host can starve a healthy worker's reader
-    /// thread for whole seconds.
+    /// A fixed pool of `nas.workers` processes on the shared `DirStore` at
+    /// `store_dir`, with no injection and no autoscaling.
     pub fn new(app: AppKind, scale: DataScale, data_seed: u64, store_dir: PathBuf) -> Self {
         DistConfig {
             app,
@@ -168,9 +160,6 @@ impl DistConfig {
             data_seed,
             store_dir,
             store_url: None,
-            heartbeat_interval: Duration::from_millis(200),
-            heartbeat_timeout: Duration::from_secs(5),
-            connect_timeout: Duration::from_secs(30),
             worker_exe: None,
             kill_worker_after: None,
             initial_workers: None,

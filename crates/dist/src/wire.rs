@@ -1,68 +1,39 @@
 //! Message layer: the dist protocol's frames, each declared once.
 //!
-//! | tag  | frame     | direction           | payload                                 |
-//! |------|-----------|---------------------|-----------------------------------------|
-//! | 0x01 | Hello     | worker → coordinator| version, worker_id, pid                 |
-//! | 0x02 | HelloAck  | coordinator → worker| version, [`RunSpec`]                    |
-//! | 0x03 | Task      | coordinator → worker| [`Task`]: one candidate dispatch        |
-//! | 0x04 | Result    | worker → coordinator| [`TaskResult`] + [`Telemetry`] snapshot |
-//! | 0x05 | Ping      | coordinator → worker| nonce                                   |
-//! | 0x06 | Pong      | worker → coordinator| echoed nonce                            |
-//! | 0x07 | Shutdown  | coordinator → worker| (empty)                                 |
-//! | 0x08 | Error     | either              | utf-8 description                       |
-//! | 0x09 | —         | —                   | retired in v10 (`UnknownType`)          |
-//! | 0x0A | Telemetry | worker → coordinator| seq-numbered [`Telemetry`] snapshot     |
-//! | 0x0B | Retire    | coordinator → worker| decision tick + utf-8 reason            |
+//! | tag  | frame     | direction           | payload                                  |
+//! |------|-----------|---------------------|------------------------------------------|
+//! | 0x01 | Hello     | worker → coordinator| version, worker_id, pid                  |
+//! | 0x02 | HelloAck  | coordinator → worker| version, [`RunSpec`]                     |
+//! | 0x03 | Task      | coordinator → worker| [`Candidate`]: one candidate dispatch    |
+//! | 0x04 | Result    | worker → coordinator| [`EvalOutcome`] + [`Telemetry`] snapshot |
+//! | 0x05 | Ping      | coordinator → worker| nonce                                    |
+//! | 0x06 | Pong      | worker → coordinator| echoed nonce                             |
+//! | 0x07 | Shutdown  | coordinator → worker| (empty)                                  |
+//! | 0x08 | Error     | either              | utf-8 description                        |
+//! | 0x09 | —         | —                   | retired in v10 (`UnknownType`)           |
+//! | 0x0A | Telemetry | worker → coordinator| seq-numbered [`Telemetry`] snapshot      |
+//! | 0x0B | Retire    | coordinator → worker| decision tick + utf-8 reason             |
 //!
 //! The byte layout is what `swt-wire` derives from the declarations below:
 //! fields in declaration order, integers little-endian, floats as IEEE-754
 //! bit patterns (scores must round-trip bit-exactly — the A/B identity gate
 //! compares them with `==`), lists behind a `u32` count, options behind a
 //! flag byte (DESIGN.md "Wire protocols"). A declaration's range checks sit
-//! in the `check` function beside it and run on encode and on decode.
+//! in the `check` function beside it and run on encode and on decode. The
+//! frames carry the run's own types: `Candidate` and `EvalOutcome` (with the
+//! candidate's watermark check) derive their `Wire` impls in swt-nas, the
+//! enums in `RunSpec` theirs in swt-data and swt-core.
 //! Editing a declaration moves bytes: bump [`crate::PROTOCOL_VERSION`] with
 //! it (the golden-bytes test in `tests/fuzz_decode.rs` fails until you do).
 
-use crate::frame::{ensure, Cursor, Wire, WireError};
+use crate::frame::{ensure, WireError};
 use crate::policy::MAX_POOL_WORKERS;
-use swt_core::{TransferScheme, TransferStats};
+use swt_core::TransferScheme;
 use swt_data::{AppKind, DataScale};
 use swt_nas::{Candidate, EvalOutcome};
 use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
 use swt_obs::RunReport;
-use swt_space::ArchSeq;
 use swt_wire::{wire_messages, wire_struct};
-
-/// Carries a fieldless enum another crate owns through a wire declaration
-/// as one byte (`Wire` cannot be implemented on a foreign type from here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Code<T>(pub T);
-
-/// `Type, "decode error": Variant = byte, …;` — both directions of a
-/// [`Code`] table from one list (the `match` stays exhaustive, so a new
-/// variant upstream fails the build here rather than an encode at run time).
-macro_rules! byte_codes {
-    ($($ty:ident, $unknown:literal: $($variant:ident = $code:literal),+;)+) => {$(
-        impl Wire for Code<$ty> {
-            fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-                let code: u8 = match self.0 { $($ty::$variant => $code,)+ };
-                code.put(out)
-            }
-            fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
-                match u8::get(c)? {
-                    $($code => Ok(Code($ty::$variant)),)+
-                    _ => Err(WireError::Malformed($unknown)),
-                }
-            }
-        }
-    )+};
-}
-
-byte_codes! {
-    AppKind, "unknown app code": Cifar10 = 0, Mnist = 1, Nt3 = 2, Uno = 3;
-    DataScale, "unknown scale code": Quick = 0, Full = 1;
-    TransferScheme, "unknown scheme code": Baseline = 0, Lp = 1, Lcs = 2;
-}
 
 wire_struct! {
     /// Everything a worker needs to reproduce the coordinator's evaluation
@@ -73,10 +44,10 @@ wire_struct! {
     /// data_seed)`.
     #[derive(Debug, Clone, PartialEq)]
     pub struct RunSpec {
-        pub app: Code<AppKind>,
-        pub scale: Code<DataScale>,
+        pub app: AppKind,
+        pub scale: DataScale,
         pub data_seed: u64,
-        pub scheme: Code<TransferScheme>,
+        pub scheme: TransferScheme,
         pub epochs: u32,
         pub run_seed: u64,
         /// Checkpoint-id namespace (see `NasConfig::namespace`).
@@ -116,100 +87,6 @@ impl RunSpec {
                 "hostile autoscale worker counts",
             )
         })
-    }
-}
-
-wire_struct! {
-    /// One candidate dispatch: a [`Candidate`] as it travels.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Task {
-        pub id: u64,
-        /// The provider (mutation parent); `None` for warm-up candidates.
-        pub parent: Option<u64>,
-        /// The architecture sequence's choices.
-        pub arch: Vec<u16>,
-        /// The lineage watermark at first dispatch (`Candidate::live_from`):
-        /// a reassigned task carries it unchanged, and the worker acts on
-        /// the running maximum.
-        pub live_from: u64,
-    }
-    check = Task::check;
-}
-
-impl Task {
-    fn check(&self) -> Result<(), WireError> {
-        ensure(self.live_from <= self.id, "watermark beyond the candidate itself")?;
-        ensure(self.parent.is_none_or(|p| p >= self.live_from), "provider below the watermark")
-    }
-
-    pub fn new(cand: &Candidate) -> Task {
-        Task {
-            id: cand.id,
-            parent: cand.parent,
-            arch: cand.arch.choices().to_vec(),
-            live_from: cand.live_from,
-        }
-    }
-
-    pub fn into_candidate(self) -> Candidate {
-        Candidate {
-            id: self.id,
-            arch: ArchSeq::new(self.arch),
-            parent: self.parent,
-            live_from: self.live_from,
-        }
-    }
-}
-
-wire_struct! {
-    /// What a worker reports for one [`Task`]: the [`EvalOutcome`] as it
-    /// travels.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct TaskResult {
-        pub id: u64,
-        pub score: f64,
-        pub train_secs: f64,
-        pub transfer_secs: f64,
-        pub save_secs: f64,
-        pub checkpoint_bytes: u64,
-        pub transfer_tensors: u64,
-        pub transfer_bytes: u64,
-        pub transfer_skipped: u64,
-        pub epochs: u32,
-    }
-}
-
-impl TaskResult {
-    pub fn new(outcome: &EvalOutcome) -> TaskResult {
-        TaskResult {
-            id: outcome.id,
-            score: outcome.score,
-            train_secs: outcome.train_secs,
-            transfer_secs: outcome.transfer_secs,
-            save_secs: outcome.save_secs,
-            checkpoint_bytes: outcome.checkpoint_bytes,
-            transfer_tensors: outcome.transfer.tensors as u64,
-            transfer_bytes: outcome.transfer.bytes as u64,
-            transfer_skipped: outcome.transfer.skipped as u64,
-            epochs: outcome.epochs as u32,
-        }
-    }
-
-    pub fn outcome(&self) -> EvalOutcome {
-        EvalOutcome {
-            id: self.id,
-            score: self.score,
-            train_secs: self.train_secs,
-            transfer_secs: self.transfer_secs,
-            save_secs: self.save_secs,
-            checkpoint_bytes: self.checkpoint_bytes,
-            transfer: TransferStats {
-                tensors: self.transfer_tensors as usize,
-                bytes: self.transfer_bytes as usize,
-                skipped: self.transfer_skipped as usize,
-            },
-            epochs: self.epochs as usize,
-        }
     }
 }
 
@@ -376,10 +253,10 @@ wire_messages! {
     pub enum Msg {
         0x01 => Hello { version: u32, worker_id: u64, pid: u32 },
         0x02 => HelloAck { version: u32, run: RunSpec },
-        0x03 => Task { task: Task },
+        0x03 => Task { cand: Candidate },
         /// One candidate's outcome and the snapshot taken right after its
         /// evaluation, so the work is counted with its result.
-        0x04 => Result { result: TaskResult, telemetry: Telemetry },
+        0x04 => Result { outcome: EvalOutcome, telemetry: Telemetry },
         0x05 => Ping { nonce: u64 },
         0x06 => Pong { nonce: u64 },
         0x07 => Shutdown,
@@ -401,7 +278,9 @@ wire_messages! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{Message, PROTOCOL_VERSION};
+    use crate::frame::{Message, Wire, PROTOCOL_VERSION};
+    use swt_core::TransferStats;
+    use swt_space::ArchSeq;
 
     fn round_trip(msg: Msg) -> Result<(), WireError> {
         let payload = msg.encode()?;
@@ -451,14 +330,11 @@ mod tests {
             parent: Some(3),
             live_from: 2,
         };
-        assert_eq!(Task::new(&cand).into_candidate(), cand);
-        round_trip(Msg::Task { task: Task::new(&cand) })?;
-        round_trip(Msg::Task { task: Task::new(&Candidate::new(0, ArchSeq::new(vec![2]), None)) })?;
+        round_trip(Msg::Task { cand })?;
+        round_trip(Msg::Task { cand: Candidate::new(0, ArchSeq::new(vec![2]), None) })?;
         let outcome = sample_outcome(7, 0.12345678901234567);
-        let result = TaskResult::new(&outcome);
-        assert_eq!(result.outcome(), outcome);
-        round_trip(Msg::Result { result: result.clone(), telemetry: sample_telemetry() })?;
-        round_trip(Msg::Result { result, telemetry: Telemetry::default() })?;
+        round_trip(Msg::Result { outcome: outcome.clone(), telemetry: sample_telemetry() })?;
+        round_trip(Msg::Result { outcome, telemetry: Telemetry::default() })?;
         round_trip(Msg::Ping { nonce: u64::MAX })?;
         round_trip(Msg::Pong { nonce: 0 })?;
         round_trip(Msg::Shutdown)?;
@@ -471,10 +347,10 @@ mod tests {
 
     fn sample_run() -> RunSpec {
         RunSpec {
-            app: Code(AppKind::Uno),
-            scale: Code(DataScale::Quick),
+            app: AppKind::Uno,
+            scale: DataScale::Quick,
             data_seed: 11,
-            scheme: Code(TransferScheme::Lcs),
+            scheme: TransferScheme::Lcs,
             epochs: 1,
             run_seed: 9,
             namespace: "dist_".into(),
@@ -577,13 +453,12 @@ mod tests {
         // bit patterns, not approximate values.
         for bits in [f64::to_bits(-0.0), f64::NAN.to_bits() | 1, f64::MIN_POSITIVE.to_bits()] {
             let outcome = sample_outcome(1, f64::from_bits(bits));
-            let result = TaskResult::new(&outcome);
             let telemetry = Telemetry::default();
-            let decoded = Msg::decode(0x04, &Msg::Result { result, telemetry }.encode()?)?;
-            let Msg::Result { result, .. } = decoded else {
+            let decoded = Msg::decode(0x04, &Msg::Result { outcome, telemetry }.encode()?)?;
+            let Msg::Result { outcome, .. } = decoded else {
                 return Err(WireError::Malformed("wrong decode variant"));
             };
-            assert_eq!(result.outcome().score.to_bits(), bits);
+            assert_eq!(outcome.score.to_bits(), bits);
         }
         Ok(())
     }
@@ -592,12 +467,12 @@ mod tests {
     fn hostile_tasks_and_run_specs_are_rejected() -> Result<(), WireError> {
         // A watermark past the candidate itself, or past its provider:
         // refused on encode.
-        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None));
+        let cand = Candidate::new(1, ArchSeq::new(vec![2]), None);
         for bad in [
-            Task { live_from: 2, ..task.clone() },
-            Task { id: 5, parent: Some(1), live_from: 2, ..task },
+            Candidate { live_from: 2, ..cand.clone() },
+            Candidate { id: 5, parent: Some(1), live_from: 2, ..cand },
         ] {
-            assert!(matches!(Msg::Task { task: bad }.encode(), Err(WireError::Malformed(_))));
+            assert!(matches!(Msg::Task { cand: bad }.encode(), Err(WireError::Malformed(_))));
         }
 
         // Hostile pool bounds in a HelloAck: refused on encode…
@@ -640,8 +515,8 @@ mod tests {
         let ping = [0u8; 9];
         assert!(matches!(Msg::decode(0x05, &ping), Err(WireError::Malformed(_))));
         // Bad parent flag (the byte right after the id).
-        let task = Task::new(&Candidate::new(1, ArchSeq::new(vec![2]), None));
-        let mut bad = Msg::Task { task }.encode()?;
+        let cand = Candidate::new(1, ArchSeq::new(vec![2]), None);
+        let mut bad = Msg::Task { cand }.encode()?;
         bad[8] = 9;
         assert!(matches!(Msg::decode(0x03, &bad), Err(WireError::Malformed(_))));
         // Arch length that promises more choices than the payload holds.
@@ -653,10 +528,14 @@ mod tests {
         // Unknown app / scale / scheme codes in a HelloAck: version u32, then
         // app, scale, data_seed u64, scheme.
         let good = hello_ack(sample_run()).encode()?;
-        for at in [4, 5, 4 + 2 + 8] {
+        for (at, what) in [
+            (4, "unknown AppKind byte"),
+            (5, "unknown DataScale byte"),
+            (4 + 2 + 8, "unknown TransferScheme byte"),
+        ] {
             let mut bad = good.clone();
             bad[at] = 9;
-            assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
+            assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(m)) if m == what));
         }
         Ok(())
     }

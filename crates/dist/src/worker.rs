@@ -13,13 +13,13 @@
 //! coordinator logs a cause instead of a bare EOF.
 
 use crate::frame::{self, recv, Message, WireError, PROTOCOL_VERSION};
-use crate::wire::{Msg, RunSpec, TaskResult, Telemetry};
+use crate::wire::{Msg, RunSpec, Telemetry};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use swt_checkpoint::{CachedStore, CheckpointStore, DirStore};
+use swt_checkpoint::{CheckpointStore, DirStore};
 use swt_ckpt_server::RemoteStore;
-use swt_nas::{Candidate, Evaluator};
+use swt_nas::{provider_store, Candidate, Evaluator};
 use swt_space::SearchSpace;
 
 fn send(stream: &Mutex<TcpStream>, msg: &Msg) -> Result<(), WireError> {
@@ -102,8 +102,8 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     swt_obs::info!(
         "swt_dist",
         "worker {worker_id} handshake ok: app={} scale={:?} threads={} elastic={}",
-        run.app.0.name(),
-        run.scale.0,
+        run.app.name(),
+        run.scale,
         run.threads,
         // Bounds mean this pool may grow/shrink around us while we run.
         run.autoscale.map_or("off".into(), |(min, max)| format!("{min}..={max}"))
@@ -142,8 +142,8 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
                         telemetry,
                     })?;
                 }
-                Ok(Msg::Task { task }) => {
-                    if task_tx.send(task.into_candidate()).is_err() {
+                Ok(Msg::Task { cand }) => {
+                    if task_tx.send(cand).is_err() {
                         return Ok(()); // main loop gone; nothing left to do
                     }
                 }
@@ -190,10 +190,9 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
             }
         };
         let outcome = evaluator.evaluate(&cand);
-        let result = TaskResult::new(&outcome);
         let sent = {
             let _send_span = swt_obs::span!("nas.result_send");
-            send_snapshot(&writer, &telemetry, |telemetry| Msg::Result { result, telemetry })
+            send_snapshot(&writer, &telemetry, |telemetry| Msg::Result { outcome, telemetry })
         };
         if let Err(e) = sent {
             eval_err = Some(e);
@@ -230,40 +229,32 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
 }
 
 fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
-    let problem = Arc::new(run.app.0.problem(run.scale.0, run.data_seed));
-    let space = Arc::new(SearchSpace::for_app(run.app.0));
-    // Each worker fronts the shared store with its own provider cache, capped
-    // at its slice of the run's budget: a checkpoint this worker trained is
-    // resident from its save, so only a parent trained elsewhere costs a
-    // store round-trip (one, not one for the index and one for the tensors),
-    // and the lineage watermark on each `Task` empties it. A baseline run
-    // reads nothing back and caches nothing. The backend is the shared
-    // `DirStore` by default, or — when the coordinator sent a `store_url` —
-    // a `RemoteStore` session with the checkpoint server, bucketed by the
-    // run's namespace.
-    let cache_bytes = if run.scheme.0.matcher().is_some() { run.cache_bytes } else { 0 };
-    fn fronted<S: CheckpointStore + 'static>(store: S, cap: u64) -> Arc<dyn CheckpointStore> {
-        if cap > 0 {
-            Arc::new(CachedStore::new(store, cap))
-        } else {
-            Arc::new(store)
-        }
-    }
-    let store = match &run.store_url {
-        None => fronted(DirStore::new(&run.store_dir)?, cache_bytes),
+    let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
+    let space = Arc::new(SearchSpace::for_app(run.app));
+    // The backend is the shared `DirStore` by default, or — when the
+    // coordinator sent a `store_url` — a `RemoteStore` session with the
+    // checkpoint server, bucketed by the run's namespace.
+    let backend: Arc<dyn CheckpointStore> = match &run.store_url {
+        None => Arc::new(DirStore::new(&run.store_dir)?),
         Some(store_url) => {
             let secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
             // Bucket names must be valid tokens; an un-namespaced run shares
             // the server's "default" bucket (ids are still unique per run).
             let bucket = if run.namespace.is_empty() { "default" } else { run.namespace.as_str() };
-            fronted(RemoteStore::connect(store_url, bucket, &secret), cache_bytes)
+            Arc::new(RemoteStore::connect(store_url, bucket, &secret))
         }
     };
+    // Each worker fronts it with its own provider cache, capped at its slice
+    // of the run's budget: a checkpoint this worker trained is resident from
+    // its save, so only a parent trained elsewhere costs a store round-trip
+    // (one, not one for the index and one for the tensors), and the lineage
+    // watermark on each candidate empties it.
+    let store = provider_store(backend, run.cache_bytes, run.scheme);
     Ok(Evaluator::with_namespace(
         problem,
         space,
         store,
-        run.scheme.0,
+        run.scheme,
         run.epochs as usize,
         run.run_seed,
         run.namespace.clone(),

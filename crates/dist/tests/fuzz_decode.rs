@@ -10,8 +10,7 @@ use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
 use swt_dist::frame::Message;
 use swt_dist::wire::{
-    Code, Msg, RunSpec, SpanTotalRow, Task, TaskResult, Telemetry, WireEvent, MAX_TELEMETRY_EVENTS,
-    MAX_TELEMETRY_NAMES,
+    Msg, RunSpec, SpanTotalRow, Telemetry, WireEvent, MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
 };
 use swt_dist::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use swt_nas::{Candidate, EvalOutcome};
@@ -75,10 +74,10 @@ fn corpus() -> Vec<Msg> {
         Msg::HelloAck {
             version: PROTOCOL_VERSION,
             run: RunSpec {
-                app: Code(AppKind::Uno),
-                scale: Code(DataScale::Quick),
+                app: AppKind::Uno,
+                scale: DataScale::Quick,
                 data_seed: 11,
-                scheme: Code(TransferScheme::Lcs),
+                scheme: TransferScheme::Lcs,
                 epochs: 1,
                 run_seed: 9,
                 namespace: "dist_".into(),
@@ -89,9 +88,9 @@ fn corpus() -> Vec<Msg> {
                 autoscale: Some((1, 8)),
             },
         },
-        Msg::Task { task: Task::new(&cand) },
-        Msg::Task { task: Task::new(&reassigned) },
-        Msg::Result { result: TaskResult::new(&outcome), telemetry: telemetry.clone() },
+        Msg::Task { cand },
+        Msg::Task { cand: reassigned },
+        Msg::Result { outcome, telemetry: telemetry.clone() },
         Msg::Ping { nonce: u64::MAX },
         Msg::Pong { nonce: 0 },
         Msg::Shutdown,
@@ -108,11 +107,11 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 }
 
 /// Byte offsets into the corpus payloads, from the declarations in
-/// `swt_dist::wire` (a `Result`: id, four f64s, checkpoint_bytes, three
-/// transfer u64s and epochs u32 before its `Telemetry`; a `Telemetry`: seq,
-/// uptime_ns and dropped_events u64, then the span, counter, gauge and
-/// histogram lists; the corpus `HelloAck` ends [1][url][1][min u32][max
-/// u32]).
+/// `swt_dist::wire` and the types it carries (a `Result`: an `EvalOutcome`'s
+/// id, four f64s, checkpoint_bytes, three transfer u64s and epochs u32
+/// before its `Telemetry`; a `Telemetry`: seq, uptime_ns and dropped_events
+/// u64, then the span, counter, gauge and histogram lists; the corpus
+/// `HelloAck` ends [1][url][1][min u32][max u32]).
 const RESULT_TELEMETRY_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const TELEMETRY_LISTS_AT: usize = 3 * 8;
 const ACK_BOUNDS_LEN: usize = 1 + 4 + 4;
@@ -346,7 +345,7 @@ fn hostile_counts_cannot_force_large_allocations() {
             );
         }
     }
-    // Same for a Task announcing more arch choices than the payload holds.
+    // Same for a candidate announcing more arch choices than the payload holds.
     let mut bad = Vec::new();
     bad.extend_from_slice(&1u64.to_le_bytes()); // id
     bad.push(0); // no parent

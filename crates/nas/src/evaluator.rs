@@ -16,25 +16,29 @@ use swt_nn::{AdamConfig, Model, TrainConfig, Trainer};
 use swt_space::SearchSpace;
 use swt_tensor::Workspace;
 
-/// Everything measured while evaluating one candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalOutcome {
-    pub id: CandidateId,
-    pub score: f64,
-    /// Seconds spent in training + validation.
-    pub train_secs: f64,
-    /// Seconds spent loading the provider checkpoint + matching +
-    /// transferring (0 for baseline/warm-up) — the paper's main overhead
-    /// source (Section VIII-E).
-    pub transfer_secs: f64,
-    /// Seconds spent writing this candidate's checkpoint.
-    pub save_secs: f64,
-    /// Serialized checkpoint size (Fig. 11).
-    pub checkpoint_bytes: u64,
-    /// What the transfer moved.
-    pub transfer: TransferStats,
-    /// Epochs actually trained.
-    pub epochs: usize,
+swt_wire::wire_struct! {
+    /// Everything measured while evaluating one candidate; a worker sends it
+    /// back as is, fields in declaration order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EvalOutcome {
+        pub id: CandidateId,
+        pub score: f64,
+        /// Seconds spent in training + validation.
+        pub train_secs: f64,
+        /// Seconds spent loading the provider checkpoint + matching +
+        /// transferring (0 for baseline/warm-up) — the paper's main overhead
+        /// source (Section VIII-E).
+        pub transfer_secs: f64,
+        /// Seconds spent writing this candidate's checkpoint.
+        pub save_secs: f64,
+        /// Serialized checkpoint size (Fig. 11).
+        pub checkpoint_bytes: u64,
+        /// What the transfer moved.
+        pub transfer: TransferStats,
+        /// Epochs actually trained (the run's epoch count is a `u32` on the
+        /// wire too).
+        pub epochs: u32,
+    }
 }
 
 /// The per-candidate model seed used across the whole repository: the full
@@ -206,7 +210,7 @@ impl Evaluator {
             save_secs,
             checkpoint_bytes,
             transfer,
-            epochs: report.epochs_run,
+            epochs: u32::try_from(report.epochs_run).expect("epoch count fits u32"),
         }
     }
 }

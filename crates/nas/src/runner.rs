@@ -123,18 +123,30 @@ pub fn run_nas(
     cfg: &NasConfig,
 ) -> NasTrace {
     // One provider cache shared by every evaluator worker: a checkpoint one
-    // worker saves is a memory hit for whichever trains its child. Without a
-    // transfer scheme nothing is ever read back, so nothing is held.
-    let store: Arc<dyn CheckpointStore> = if cfg.cache_bytes > 0 && cfg.scheme.matcher().is_some() {
-        Arc::new(swt_checkpoint::CachedStore::new(store, cfg.cache_bytes))
-    } else {
-        store
-    };
+    // worker saves is a memory hit for whichever trains its child.
+    let store = provider_store(store, cfg.cache_bytes, cfg.scheme);
     let app = problem.kind.name().to_string();
     let mut backend = ThreadPoolBackend::new(problem, Arc::clone(&space), store, cfg);
     // The in-process backend's channels cannot fail while the runner holds
     // both endpoints' peers; an error here means an evaluator panicked.
     run_nas_with_backend(&app, space, cfg, &mut backend).expect("in-process evaluation failed")
+}
+
+/// The store evaluators read providers from: `store` fronted by a
+/// [`CachedStore`](swt_checkpoint::CachedStore) capped at `cache_bytes`
+/// when the cap is nonzero and `scheme` has a matcher, else `store` itself
+/// (without a transfer scheme nothing is ever read back, so nothing is
+/// held). The in-process pool and each dist worker build theirs here.
+pub fn provider_store(
+    store: Arc<dyn CheckpointStore>,
+    cache_bytes: u64,
+    scheme: TransferScheme,
+) -> Arc<dyn CheckpointStore> {
+    if cache_bytes > 0 && scheme.matcher().is_some() {
+        Arc::new(swt_checkpoint::CachedStore::new(store, cache_bytes))
+    } else {
+        store
+    }
 }
 
 /// Dispatches candidates stamped with the lineage watermark

@@ -2,62 +2,70 @@
 
 use std::fmt;
 
-/// An architecture sequence: one choice index per variable node, uniquely
-/// identifying a candidate model within its search space (Section II).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ArchSeq(Vec<u16>);
+swt_wire::wire_struct! {
+    /// An architecture sequence: one choice index per variable node, uniquely
+    /// identifying a candidate model within its search space (Section II).
+    /// On the wire, the choices as a list.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct ArchSeq {
+        choices: Vec<u16>,
+    }
+}
 
 impl ArchSeq {
     /// Wrap a vector of choice indices.
     pub fn new(choices: Vec<u16>) -> Self {
-        ArchSeq(choices)
+        ArchSeq { choices }
     }
 
     /// The choice indices.
     pub fn choices(&self) -> &[u16] {
-        &self.0
+        &self.choices
     }
 
     /// Number of variable nodes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.choices.len()
     }
 
     /// True iff there are no variable nodes.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.choices.is_empty()
     }
 
     /// Choice index of node `i`.
     pub fn get(&self, i: usize) -> u16 {
-        self.0[i]
+        self.choices[i]
     }
 
     /// Copy with node `i` set to `choice`.
     pub fn with_choice(&self, i: usize, choice: u16) -> ArchSeq {
-        let mut v = self.0.clone();
-        v[i] = choice;
-        ArchSeq(v)
+        let mut choices = self.choices.clone();
+        choices[i] = choice;
+        ArchSeq { choices }
     }
 
     /// Compact `1-2-0-2` encoding used in trace files.
     pub fn encode(&self) -> String {
-        self.0.iter().map(|c| c.to_string()).collect::<Vec<_>>().join("-")
+        self.choices.iter().map(|c| c.to_string()).collect::<Vec<_>>().join("-")
     }
 
     /// Parse the [`ArchSeq::encode`] format.
     pub fn decode(s: &str) -> Option<ArchSeq> {
         if s.is_empty() {
-            return Some(ArchSeq(Vec::new()));
+            return Some(ArchSeq::new(Vec::new()));
         }
-        s.split('-').map(|part| part.parse::<u16>().ok()).collect::<Option<Vec<_>>>().map(ArchSeq)
+        s.split('-')
+            .map(|part| part.parse::<u16>().ok())
+            .collect::<Option<Vec<_>>>()
+            .map(ArchSeq::new)
     }
 }
 
 impl fmt::Display for ArchSeq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, c) in self.0.iter().enumerate() {
+        for (i, c) in self.choices.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -9,7 +9,9 @@
 //!   [`MAX_FRAME_LEN`] and the cap is checked before any allocation.
 //! * **Fields** — the [`Wire`] trait: one `put`/`get` pair per type, here
 //!   for the primitives and containers, derived by [`wire_struct!`] for a
-//!   struct from its field list. Declaration order *is* wire order.
+//!   struct from its field list (declaration order *is* wire order) and by
+//!   [`wire_codes!`] for a fieldless enum from its byte table. Each type's
+//!   crate derives its own, beside the declaration.
 //! * **Messages** — the [`Message`] trait: a protocol's frame family as one
 //!   enum declared through [`wire_messages!`] (tag byte and fields per
 //!   variant), moved by the one [`send`] / [`recv`] pair.
@@ -193,6 +195,17 @@ macro_rules! wire_int {
 }
 wire_int!(u8, u16, u32, u64, i64);
 
+/// Travels as a `u64`, whatever the host's width; a decoded value this host
+/// cannot hold is malformed.
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        (*self as u64).put(out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        usize::try_from(u64::get(c)?).map_err(|_| WireError::Malformed("value does not fit usize"))
+    }
+}
+
 /// Floats travel as their IEEE-754 bit pattern: NaN payloads and signed
 /// zeros survive (the trace identity gates compare scores by bits).
 impl Wire for f64 {
@@ -337,6 +350,30 @@ macro_rules! wire_struct {
             }
         }
     };
+}
+
+/// Derive [`Wire`] for fieldless enums declared elsewhere in the calling
+/// crate: `Type: Variant = byte, …;` per enum. Each value travels as its one
+/// byte; an unknown byte is `Malformed` naming the type. The `match` is
+/// exhaustive, so a new variant fails the build until it has a byte.
+#[macro_export]
+macro_rules! wire_codes {
+    ($($ty:ident: $($variant:ident = $code:literal),+;)+) => {$(
+        impl $crate::Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), $crate::WireError> {
+                let code: u8 = match self { $($ty::$variant => $code,)+ };
+                $crate::Wire::put(&code, out)
+            }
+            fn get(c: &mut $crate::Cursor<'_>) -> Result<Self, $crate::WireError> {
+                match <u8 as $crate::Wire>::get(c)? {
+                    $($code => Ok($ty::$variant),)+
+                    _ => Err($crate::WireError::Malformed(
+                        concat!("unknown ", stringify!($ty), " byte"),
+                    )),
+                }
+            }
+        }
+    )+};
 }
 
 /// One protocol's frame family: each value knows its tag byte and payload
@@ -585,6 +622,34 @@ mod tests {
             let mut patched = bytes.clone();
             patched[at] = 2;
             assert!(matches!(Proto::decode(0x02, &patched), Err(WireError::Malformed(_))));
+        }
+        Ok(())
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mode {
+        Off,
+        Slow,
+        Fast,
+    }
+
+    wire_codes! {
+        Mode: Off = 0, Slow = 1, Fast = 7;
+    }
+
+    #[test]
+    fn enum_codes_round_trip_and_unknown_bytes_name_the_type() -> Result<(), WireError> {
+        for (mode, code) in [(Mode::Off, 0u8), (Mode::Slow, 1), (Mode::Fast, 7)] {
+            let mut out = Vec::new();
+            mode.put(&mut out)?;
+            assert_eq!(out, [code]);
+            assert_eq!(Mode::get(&mut Cursor::new(&out))?, mode);
+        }
+        for unknown in [2u8, 6, 8, 255] {
+            assert!(matches!(
+                Mode::get(&mut Cursor::new(&[unknown])),
+                Err(WireError::Malformed("unknown Mode byte"))
+            ));
         }
         Ok(())
     }

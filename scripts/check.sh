@@ -202,6 +202,19 @@ if [ -n "$bytes" ]; then
   echo "$bytes" >&2
   exit 1
 fi
+# The dist frames carry the run's own types (`Candidate`, `EvalOutcome`, the
+# enums in `RunSpec`), each deriving its codec beside its declaration: no
+# wire-side copy of one, and no `Wire` impl written out by hand.
+mirrors=$(grep -rnE 'struct Task\b|TaskResult|Code<|byte_codes!' crates/dist/src || true)
+handmade=$(grep -rnE 'impl\b.*\bWire for\b' crates tests examples --include='*.rs' \
+  | grep -v '^crates/wire/src/' \
+  | grep -v '^crates/obs/src/wire.rs:' \
+  || true)
+if [ -n "$mirrors$handmade" ]; then
+  echo "a wire-side mirror type or a hand-written Wire impl (derive it with wire_struct!/wire_codes! beside the type):" >&2
+  printf '%s\n' "$mirrors" "$handmade" | grep . >&2
+  exit 1
+fi
 
 echo "==> wire fuzz + store wire fuzz (golden bytes; every frame under truncation/bit-flips/hostile counts)"
 cargo test --release --quiet -p swt-dist -p swt-ckpt-server --test fuzz_decode
