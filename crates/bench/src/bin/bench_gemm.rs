@@ -5,12 +5,15 @@
 //! Measures, single-threaded (so numbers are comparable across machines and
 //! cap configurations), on the runtime-dispatched micro-kernel (AVX2+FMA
 //! where detected):
-//! * blocked GEMM on square and training-shaped problems,
+//! * square and training-shaped products on both engines: `matmul.*` runs
+//!   `A·B` on the broadcast-FMA tile, `matmul_bt.*` runs `A·Bᵀ` on the
+//!   packed GEMM,
 //! * the three products of a dense layer (`x·w`, `xᵀ·dy`, `dy·wᵀ`) at every
-//!   shape the Uno space emits at batch 32 — the per-product table the
-//!   contraction-engine item (ROADMAP) starts from; the one-unit output layer
-//!   takes the direct loops, the rest the blocked driver — and one dropout
-//!   forward at Uno's widest hidden layer, in nanoseconds per element,
+//!   shape the Uno space emits at batch 32 — the per-product table of the
+//!   contraction-engine item (ROADMAP); the one-unit output layer takes the
+//!   direct loops, the rest `x·w` and `xᵀ·dy` on the tile and `dy·wᵀ` on the
+//!   packed GEMM — and one dropout forward at Uno's widest hidden layer,
+//!   in nanoseconds per element,
 //! * conv2d forward and backward on the Cifar10 space's first-block shapes
 //!   at batch 64 (input `(64,12,12,c)`, kernel `3×3×c×f`, 'same' padding),
 //!   then one row pair per thing the other layers of the spaces add: 'valid'
@@ -29,7 +32,7 @@ use swt::nn::layers::{DropoutLayer, Layer};
 use swt::prelude::*;
 use swt::tensor::{
     conv1d_backward, conv1d_forward, conv2d_backward, conv2d_forward, gemm_kernel_name, matmul,
-    matmul_at_ws, matmul_bt_ws, matmul_ws, Padding, Workspace,
+    matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws, Padding, Workspace,
 };
 use swt_bench::{median_ns, Harness};
 
@@ -39,6 +42,9 @@ const REPS: usize = 32;
 
 /// One of a dense layer's three products, on the caller's arena.
 type Product = fn(&Tensor, &Tensor, &mut Workspace) -> Tensor;
+
+/// A product on the thread's own arena.
+type Plain = fn(&Tensor, &Tensor) -> Tensor;
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_gemm.json".to_string());
@@ -56,16 +62,22 @@ fn main() {
     // (row name, floating-point operations of one iteration)
     let mut flops: Vec<(String, f64)> = Vec::new();
 
-    // Square GEMMs (the 256 case is the headline number) plus one
-    // training-shaped problem: batch x hidden times hidden x hidden.
+    // Square products (the 256 case is the headline number) plus one
+    // training-shaped problem, batch x hidden times hidden x hidden, on each
+    // engine: `A·B` on the tile, `A·Bᵀ` on the packed GEMM.
     for &(m, k, n) in &[(256usize, 256usize, 256usize), (512, 512, 512), (64, 1024, 256)] {
         let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
-        let name = format!("gemm.simd.{m}x{k}x{n}");
-        h.bench(&name, || {
-            black_box(matmul(&a, &b));
-        });
-        flops.push((name, 2.0 * (m * k * n) as f64));
+        let bt = b.transpose2();
+        let engines: [(&str, Plain, _); 2] =
+            [("matmul", matmul, &b), ("matmul_bt", matmul_bt, &bt)];
+        for (entry, product, rhs) in engines {
+            let name = format!("{entry}.{m}x{k}x{n}");
+            h.bench(&name, || {
+                black_box(product(&a, rhs));
+            });
+            flops.push((name, 2.0 * (m * k * n) as f64));
+        }
     }
 
     // A dense layer's three products at Uno's shapes, through the entry

@@ -1,13 +1,16 @@
-//! Broadcast-FMA register tiles: the arithmetic of the direct convolutions.
+//! Broadcast-FMA register tiles: the arithmetic of the convolutions and of
+//! the dense products `x·w` and `xᵀ·dy`.
 //!
 //! All three products of a convolution step (see [`crate::conv2d`]) have one
 //! operand whose contracted elements sit in an NHWC tensor where they are,
 //! and one whose *other* axis — filters, or patch columns — is contiguous in
-//! memory. So one kernel serves them all: a tile of `R` accumulator rows ×
-//! `V` vectors (eight lanes, or sixteen on [`KernelKind::Avx512Fma`]), and
-//! per contraction step one scalar **broadcast** per row, read in place from
-//! the tensor, fused into the row's vectors against `V` vector loads of the
-//! other operand:
+//! memory; a dense layer's forward and weight gradient are those of a 1×1
+//! convolution over one-pixel images (see [`mod@crate::matmul`]) and run
+//! through the same functions. So one kernel serves them all: a tile of `R`
+//! accumulator rows × `V` vectors (eight lanes, or sixteen on
+//! [`KernelKind::Avx512Fma`]), and per contraction step one scalar
+//! **broadcast** per row, read in place from the tensor, fused into the
+//! row's vectors against `V` vector loads of the other operand:
 //!
 //! ```text
 //! acc[r][v] = fma(bcast a[a_off[r] + steps[t]], b[t·sb + L·v ..], acc[r][v])
@@ -209,12 +212,19 @@ fn strip_generic<const FUSED: bool, const R: usize, const V: usize>(
             }
         }
         for (t, &step) in s.steps.iter().enumerate() {
-            let b = &s.b[t * s.sb + v0 * LANES..][..V * LANES];
-            for (acc, &at) in acc.iter_mut().zip(a_off) {
-                let x = s.a[at + step as usize];
-                for (acc, b) in acc.iter_mut().zip(b.chunks_exact(LANES)) {
-                    for (o, &bl) in acc.iter_mut().zip(b) {
-                        *o = if FUSED { x.mul_add(bl, *o) } else { x * bl + *o };
+            // A step's operands in fixed-size arrays and the tile in
+            // fixed-trip index loops: LLVM keeps every shape in registers
+            // this way, where iterator chains left the 3×3 and 8×1 tiles
+            // scalar (7–16× slower on `ScalarFma`).
+            let b: [[f32; LANES]; V] = std::array::from_fn(|v| {
+                s.b[t * s.sb + (v0 + v) * LANES..][..LANES].try_into().expect("LANES elements")
+            });
+            let x: [f32; R] = std::array::from_fn(|r| s.a[a_off[r] + step as usize]);
+            for r in 0..R {
+                for v in 0..V {
+                    for l in 0..LANES {
+                        let o = &mut acc[r][v][l];
+                        *o = if FUSED { x[r].mul_add(b[v][l], *o) } else { x[r] * b[v][l] + *o };
                     }
                 }
             }

@@ -89,7 +89,7 @@ impl Padding {
 /// Multiply-adds below which a convolution is not worth a thread dispatch:
 /// spawning and joining scoped threads costs about what 2 Mi multiply-adds
 /// do, so below this two threads cannot return 1.5×.
-const PAR_MACS: usize = 16 << 20;
+pub(crate) const PAR_MACS: usize = 16 << 20;
 
 /// The shape bookkeeping of one stride-1 convolution.
 #[derive(Debug, Clone, Copy)]
@@ -543,11 +543,16 @@ mod tests {
     use crate::rng::Rng;
 
     /// The lowering this module replaced, kept as the bitwise oracle:
-    /// materialise the patch matrix, run the three GEMMs on plain row-major
-    /// views, scatter `dCol` back with `col2im`.
+    /// materialise the patch matrix, run the three products through
+    /// `matmul`'s plain-loop oracle on the kind this thread is pinned to,
+    /// scatter `dCol` back with `col2im`.
     mod oracle {
         use super::*;
-        use crate::matmul::{gemm, View};
+        use crate::matmul::View;
+
+        fn product(m: usize, n: usize, k: usize, a: View, b: View) -> Vec<f32> {
+            crate::matmul::tests::oracle(active_kernel(), m, n, k, a, b)
+        }
 
         fn im2col(g: &Geom, x: &[f32]) -> Vec<f32> {
             let cols = g.cols();
@@ -599,29 +604,19 @@ mod tests {
             dx
         }
 
-        pub fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -> Vec<f32> {
+        pub fn forward(g: &Geom, x: &[f32], kernel: &[f32]) -> Vec<f32> {
             let (rows, cols, f) = (g.rows(), g.cols(), g.f);
             let col = im2col(g, x);
-            let mut out = vec![0.0; rows * f];
             let w = View { data: kernel, rs: f, cs: 1 };
-            gemm(rows, f, cols, View { data: &col, rs: cols, cs: 1 }, w, &mut out, ws);
-            out
+            product(rows, f, cols, View { data: &col, rs: cols, cs: 1 }, w)
         }
 
-        pub fn backward(
-            g: &Geom,
-            x: &[f32],
-            kernel: &[f32],
-            dout: &[f32],
-            ws: &mut Workspace,
-        ) -> (Vec<f32>, Vec<f32>) {
+        pub fn backward(g: &Geom, x: &[f32], kernel: &[f32], dout: &[f32]) -> (Vec<f32>, Vec<f32>) {
             let (rows, cols, f) = (g.rows(), g.cols(), g.f);
             let col = im2col(g, x);
             let dout = View { data: dout, rs: f, cs: 1 };
-            let mut dk = vec![0.0; cols * f];
-            gemm(cols, f, rows, View { data: &col, rs: 1, cs: cols }, dout, &mut dk, ws);
-            let mut dcol = vec![0.0; rows * cols];
-            gemm(rows, cols, f, dout, View { data: kernel, rs: 1, cs: f }, &mut dcol, ws);
+            let dk = product(cols, f, rows, View { data: &col, rs: 1, cs: cols }, dout);
+            let dcol = product(rows, cols, f, dout, View { data: kernel, rs: 1, cs: f });
             (col2im(g, &dcol), dk)
         }
     }
@@ -648,8 +643,8 @@ mod tests {
         let mut ws = Workspace::new();
         let out = forward(g, x, kernel, &mut ws);
         let (dx, dk) = backward(g, x, kernel, dout, &mut ws);
-        assert_eq!(bits(&out), bits(&oracle::forward(g, x, kernel, &mut ws)), "forward {what}");
-        let (dx_ref, dk_ref) = oracle::backward(g, x, kernel, dout, &mut ws);
+        assert_eq!(bits(&out), bits(&oracle::forward(g, x, kernel)), "forward {what}");
+        let (dx_ref, dk_ref) = oracle::backward(g, x, kernel, dout);
         assert_eq!(bits(&dx), bits(&dx_ref), "d_input {what}");
         assert_eq!(bits(&dk), bits(&dk_ref), "d_kernel {what}");
     }

@@ -4,9 +4,10 @@
 //! from-scratch substitute: dense row-major `f32` tensors with exactly the
 //! kernels the four application search spaces need —
 //!
-//! * a cache-blocked, register-tiled, packed [`matmul`](matmul::matmul)
-//!   (BLIS-style; see the module docs) with transpose variants for the
-//!   backward passes,
+//! * dense products for a layer's forward and backward passes
+//!   ([`matmul`](matmul::matmul), [`matmul_at`], [`matmul_bt`]): the first
+//!   two on the convolutions' broadcast-FMA tiles, the input gradient on a
+//!   cache-blocked, packed BLIS-style GEMM (see the module docs),
 //! * direct [`conv2d`] / [`conv1d`] forward *and* backward: broadcast-FMA
 //!   register tiles that read the NHWC tensors in place, bit-identical to
 //!   the GEMMs they stand for,

@@ -1,10 +1,25 @@
-//! Cache-blocked, register-tiled dense matrix multiplication.
+//! Dense matrix products: the entry points, the contraction every product
+//! pins, and the cache-blocked, register-tiled GEMM that runs `A·Bᵀ`.
 //!
-//! Dense layers reduce everything to GEMM, and the convolutions (see
-//! [`crate::conv2d`]) are GEMM-shaped contractions that borrow this module's
-//! kernel selection, panel depth and small-problem cutoff so their bits stay
-//! those of a GEMM. The implementation follows the classic BLIS/GotoBLAS
-//! decomposition:
+//! A dense layer's three products take three engines, by which operand is
+//! contiguous where it lies:
+//!
+//! * [`matmul`] (`x·w`) and [`matmul_at`] (`xᵀ·dy`, the weight gradient) have
+//!   their vector operand's rows contiguous already: they are the forward and
+//!   kernel-gradient contractions of a 1×1 convolution over one-pixel images,
+//!   and run on [`crate::conv2d`]'s broadcast-FMA tile, operands read in
+//!   place, nothing packed;
+//! * [`matmul_bt`] (`dy·wᵀ`, the input gradient) would need `wᵀ` as the
+//!   tile's vector operand — a transpose that costs as much as the product —
+//!   so it runs on the packed GEMM below;
+//! * any of the three under `SMALL_FLOPS` multiply-adds runs on direct loops
+//!   (`gemm_small`): there a tile's per-panel setup, or a pack, is most of
+//!   the product.
+//!
+//! The convolutions borrow this module's kernel selection, panel depth and
+//! small-problem cutoff too, so all of them contract alike (see
+//! "FP-contract determinism" below). The packed GEMM follows the classic
+//! BLIS/GotoBLAS decomposition:
 //!
 //! * the K dimension is split into `KC`-deep panels; for each panel, `B` is
 //!   packed once into contiguous `NR`-wide strips and **reused across all row
@@ -33,8 +48,7 @@
 //! * `Avx2Fma` — an explicit `std::arch::x86_64` kernel: per k step, two
 //!   8-lane loads of the packed `A` strip and eight broadcast
 //!   `_mm256_fmadd_ps` chains into the register tile
-//!   (`micro_kernel_avx2`). The only SIMD kernel on hosts without AVX-512,
-//!   and the reference the other kinds' test sweeps compare against.
+//!   (`micro_kernel_avx2`). The only SIMD kernel on hosts without AVX-512.
 //! * `ScalarFma` — the generic tile loop compiled with the `fma` feature
 //!   enabled for that one function, so `mul_add` lowers to hardware FMA.
 //! * `Scalar` — the fully portable generic tile loop; the baseline for any
@@ -48,8 +62,9 @@
 //! `ScalarFma`, and `Scalar` when the build itself enables FMA) are therefore
 //! **bit-identical** to each other; the unfused portable `Scalar` kernel
 //! rounds each multiply and add separately and may differ from the fused
-//! kernels in the last ulp. Within one process the selection is pinned, so
-//! every run is bit-reproducible;
+//! kernels in the last ulp. The tests hold every kind this host runs, on
+//! every engine, to one plain-loop oracle of this contraction. Within one
+//! process the selection is pinned, so every run is bit-reproducible;
 //! A/B flags ([`force_scalar_kernel`], `SWT_FORCE_SCALAR_KERNEL=1`) change
 //! the kernel and may change low-order bits — they are benchmark/CI tools,
 //! not run-time tuning knobs.
@@ -59,17 +74,15 @@
 //! off at write-back). The first K panel overwrites `C` and later panels
 //! accumulate, so `C` needs no pre-zeroing.
 //!
-//! One stride-generic driver serves all three entry points — [`matmul`]
-//! (`A·B`), [`matmul_at`] (`Aᵀ·B`, the weight gradient) and [`matmul_bt`]
-//! (`A·Bᵀ`, the input gradient) — transposition is just a different pair of
-//! packing strides, never a materialised transpose. Every view here has unit
-//! stride along rows or columns, so packing is contiguous reads — copied, or
-//! transposed into the strip layout by `pack_rows` — rather than
-//! per-element index arithmetic; on the AVX kernels that transpose, and the
-//! one that writes a register tile back to `C`, move 8×8 blocks through
-//! registers. [`matmul_naive`] keeps the textbook triple loop as the
+//! The packed GEMM packs one layout: a row-major `A` (`dy`) whose rows are
+//! contiguous `k` runs, and a transposed `B` (`wᵀ`, read from `w`'s rows),
+//! whose columns are. Both are transposed into the strip layout by
+//! `pack_rows`, never materialised first; on the AVX kernels that transpose,
+//! and the one that writes a register tile back to `C`, move 8×8 blocks
+//! through registers. [`matmul_naive`] keeps the textbook triple loop as the
 //! correctness reference.
 
+use crate::conv2d::{self, Geom, Padding};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
@@ -189,8 +202,10 @@ pub const KC: usize = 256;
 /// Row-block height: one packed `A` block is `MC×KC` (~64 KiB, L2-resident).
 pub const MC: usize = 64;
 
-/// Below this many multiply-adds (`m·n·k`) the packing overhead dominates and
-/// a direct loop wins; candidate models here produce many tiny GEMMs.
+/// At or below this many multiply-adds (`m·n·k`) a product runs on the direct
+/// loops: a tile's step tables and lane-padded copies, or the packed GEMM's
+/// packs, would be most of its cost. Candidate models produce many such
+/// products (every output layer of one unit).
 const SMALL_FLOPS: usize = 32 * 1024;
 
 /// Minimum output elements before parallel dispatch is worth its overhead.
@@ -237,23 +252,24 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     with_thread_workspace(|ws| matmul_ws(a, b, ws))
 }
 
-/// [`matmul`] with caller-owned scratch: pack buffers and the output tensor
+/// [`matmul`] with caller-owned scratch: the output tensor and any scratch
 /// come from `ws`, so steady-state callers allocate nothing.
 pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-    let mut out = ws.take(m * n);
-    gemm(
+    // `A` is `m` one-pixel images of `k` channels, `B` a 1×1 kernel of `n`
+    // filters.
+    let g = Geom::new(m, 1, 1, k, 1, 1, n, Padding::Valid);
+    on_tile(
         m,
         n,
         k,
         View { data: a.data(), rs: k, cs: 1 },
         View { data: b.data(), rs: n, cs: 1 },
-        &mut out,
         ws,
-    );
-    Tensor::from_vec([m, n], out)
+        |ws| conv2d::forward(&g, a.data(), b.data(), ws),
+    )
 }
 
 /// `C = Aᵀ · B` for `A (K×M)` and `B (K×N)`, result `(M, N)`:
@@ -270,17 +286,42 @@ pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     let (k, m) = dims2(a, "matmul_at lhs");
     let (k2, n) = dims2(b, "matmul_at rhs");
     assert_eq!(k, k2, "matmul_at inner dimension mismatch: {k} vs {k2}");
-    let mut out = ws.take(m * n);
-    gemm(
+    // The kernel gradient of a 1×1 convolution over `k` one-pixel images of
+    // `m` channels, `B` its output gradient.
+    let g = Geom::new(k, 1, 1, m, 1, 1, n, Padding::Valid);
+    on_tile(
         m,
         n,
         k,
         // Logical Aᵀ (M×K): element (i, k) lives at A[k][i].
         View { data: a.data(), rs: 1, cs: m },
         View { data: b.data(), rs: n, cs: 1 },
-        &mut out,
         ws,
-    );
+        |ws| conv2d::backward_kernel(&g, a.data(), b.data(), ws),
+    )
+}
+
+/// A product whose vector operand is contiguous where it lies: on the
+/// broadcast-FMA tile (`tile`, which routes it) above the small-problem
+/// cutoff, on the direct loops below it.
+fn on_tile(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: View,
+    b: View,
+    ws: &mut Workspace,
+    tile: impl FnOnce(&mut Workspace) -> Vec<f32>,
+) -> Tensor {
+    let out = if m * n * k > SMALL_FLOPS {
+        tile(ws)
+    } else {
+        let direct = route(active_kernel(), m, n, k);
+        debug_assert!(direct.is_none(), "under the cutoff");
+        let mut out = ws.take(m * n);
+        gemm_small(m, n, k, a, b, &mut out);
+        out
+    };
     Tensor::from_vec([m, n], out)
 }
 
@@ -332,24 +373,18 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([m, n], out)
 }
 
-/// Blocked driver: `C (m×n, row-major, fully overwritten) = A · B` for
-/// strided views `a` and `b`, on the process's selected micro-kernel.
-pub(crate) fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: View,
-    b: View,
-    c: &mut [f32],
-    ws: &mut Workspace,
-) {
+/// Blocked GEMM: `C (m×n, row-major, fully overwritten) = A · B` for a
+/// row-major view `a` and a transposed view `b` (`dy·wᵀ`), on the process's
+/// selected micro-kernel; under the cutoff, on the direct loops.
+fn gemm(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32], ws: &mut Workspace) {
     gemm_with_kernel(active_kernel(), m, n, k, a, b, c, ws)
 }
 
 /// Count one GEMM-shaped contraction and pick its path: `None` is the
-/// `SMALL_FLOPS` direct loop, `Some(kernel)` the blocked driver. The
-/// convolutions route their three products through here too, so they are
-/// counted, cut off and fused exactly like the GEMMs they stand for.
+/// `SMALL_FLOPS` direct loop, `Some(kernel)` the kind its tile or the packed
+/// driver runs. Every product passes here exactly once — the dense ones, and
+/// the convolutions' three, which are counted, cut off and fused exactly like
+/// them. The counter names are `tensor.gemm.*` whichever engine runs it.
 pub(crate) fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<KernelKind> {
     if m * n * k <= SMALL_FLOPS {
         swt_obs::counter!("tensor.gemm.small").inc();
@@ -363,8 +398,8 @@ pub(crate) fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<
     Some(kernel)
 }
 
-/// [`gemm`] pinned to a specific micro-kernel (tests compare kernels
-/// pairwise through this).
+/// [`gemm`] pinned to a specific micro-kernel (tests run every kind through
+/// this).
 #[allow(clippy::too_many_arguments)]
 fn gemm_with_kernel(
     kernel: KernelKind,
@@ -546,8 +581,8 @@ fn lanes(
 /// `src[r * stride]`) into one packed `L`-lane strip:
 /// `strip[kk * L + r] = src[r * stride + kk]`, zeros in lanes `≥ lanes`.
 ///
-/// This is the data movement behind every row-major operand — [`pack_a`]
-/// with `cs == 1`, [`pack_b`] with `rs == 1`. Where the
+/// This is the data movement behind both packs — [`pack_a`]'s rows of `A`
+/// and [`pack_b`]'s columns of `B` are contiguous `k` runs. Where the
 /// AVX kernels are live it moves 8×8 blocks through registers
 /// (`pack_rows8_avx`) instead of one element at a time; both ways move the
 /// same values to the same places.
@@ -656,8 +691,10 @@ unsafe fn pack_rows8_avx(
     }
 }
 
-/// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` of `a` into `MR`-tall
-/// strips, each laid out `[kc][MR]`, zero-padding the ragged last strip.
+/// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` of the row-major `a` into
+/// `MR`-tall strips, each laid out `[kc][MR]`, zero-padding the ragged last
+/// strip: each row is a contiguous k run, transposed into lane `r` of its
+/// strip.
 fn pack_a(
     kernel: KernelKind,
     a: View,
@@ -667,42 +704,23 @@ fn pack_a(
     kc: usize,
     dst: &mut [f32],
 ) {
-    assert!(a.cs == 1 || a.rs == 1, "View must have a unit stride");
+    assert_eq!(a.cs, 1, "the packed A is row-major");
     for (s, strip) in dst.chunks_exact_mut(MR * kc).enumerate() {
         let i = m0 + s * MR;
         let rows = MR.min(m0 + mc - i);
-        if a.cs == 1 {
-            // Row-major: each row is a contiguous k run, transposed into
-            // lane `r` of the strip.
-            pack_rows::<MR>(kernel, &a.data[i * a.rs + k0..], a.rs, rows, kc, strip);
-        } else {
-            // Transposed: the `rows` lanes of one k step are contiguous.
-            for (kk, lanes) in strip.chunks_exact_mut(MR).enumerate() {
-                lanes[..rows].copy_from_slice(&a.data[(k0 + kk) * a.cs + i..][..rows]);
-                lanes[rows..].fill(0.0);
-            }
-        }
+        pack_rows::<MR>(kernel, &a.data[i * a.rs + k0..], a.rs, rows, kc, strip);
     }
 }
 
-/// Pack k-range `[k0, k0+kc)` × all `n` columns of `b` into `NR`-wide
-/// strips, each laid out `[kc][NR]`, zero-padding the ragged last strip.
+/// Pack k-range `[k0, k0+kc)` × all `n` columns of the transposed `b` into
+/// `NR`-wide strips, each laid out `[kc][NR]`, zero-padding the ragged last
+/// strip: each column is a contiguous k run, transposed into lane `q` of its
+/// strip.
 fn pack_b(kernel: KernelKind, b: View, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
-    assert!(b.cs == 1 || b.rs == 1, "View must have a unit stride");
+    assert_eq!(b.rs, 1, "the packed B is transposed");
     for (s, strip) in dst[..n.div_ceil(NR) * NR * kc].chunks_exact_mut(NR * kc).enumerate() {
         let j = s * NR;
-        let cols = NR.min(n - j);
-        if b.cs == 1 {
-            // Row-major: the `cols` lanes of one k step are contiguous.
-            for (kk, lanes) in strip.chunks_exact_mut(NR).enumerate() {
-                lanes[..cols].copy_from_slice(&b.data[(k0 + kk) * b.rs + j..][..cols]);
-                lanes[cols..].fill(0.0);
-            }
-        } else {
-            // Transposed: each column is a contiguous k run, transposed
-            // into lane `q` of the strip.
-            pack_rows::<NR>(kernel, &b.data[j * b.cs + k0..], b.cs, cols, kc, strip);
-        }
+        pack_rows::<NR>(kernel, &b.data[j * b.cs + k0..], b.cs, NR.min(n - j), kc, strip);
     }
 }
 
@@ -1030,15 +1048,85 @@ pub(crate) mod tests {
         }
     }
 
+    /// The contraction every product of this crate pins, written as a plain
+    /// loop: the one bitwise oracle of the dense and the convolution sweeps.
+    /// Per output element one chain from `+0.0`, `k` ascending, one
+    /// multiply-add per step. Above the cutoff the chain runs in `KC`-step
+    /// panels whose sums are added in panel order, and each step is fused
+    /// unless `kind` is `Scalar`; at or below it the chain is undivided and
+    /// fused only where the build itself fuses — the direct loops'.
+    pub(crate) fn oracle(
+        kind: KernelKind,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: View,
+        b: View,
+    ) -> Vec<f32> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("fma") {
+            /// The same loop, with `mul_add` an instruction rather than a
+            /// libm call: one rounding either way, so the same values.
+            ///
+            /// # Safety
+            /// Caller must have verified `is_x86_feature_detected!("fma")`.
+            #[target_feature(enable = "fma")]
+            unsafe fn oracle_fma(
+                kind: KernelKind,
+                m: usize,
+                n: usize,
+                k: usize,
+                a: View,
+                b: View,
+            ) -> Vec<f32> {
+                oracle_loop(kind, m, n, k, a, b)
+            }
+            // SAFETY: FMA was detected just above.
+            return unsafe { oracle_fma(kind, m, n, k, a, b) };
+        }
+        oracle_loop(kind, m, n, k, a, b)
+    }
+
+    #[inline(always)]
+    fn oracle_loop(kind: KernelKind, m: usize, n: usize, k: usize, a: View, b: View) -> Vec<f32> {
+        let small = m * n * k <= SMALL_FLOPS;
+        let fused = cfg!(target_feature = "fma") || !small && kind != KernelKind::Scalar;
+        let panel = if small { k.max(1) } else { KC };
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut sum = 0.0f32;
+                for k0 in (0..k).step_by(panel) {
+                    let mut acc = 0.0f32;
+                    for kk in k0..k.min(k0 + panel) {
+                        let (x, y) = (a.at(i, kk), b.at(kk, j));
+                        acc = if fused { x.mul_add(y, acc) } else { x * y + acc };
+                    }
+                    sum = if k0 == 0 { acc } else { sum + acc };
+                }
+                c[i * n + j] = sum;
+            }
+        }
+        c
+    }
+
+    /// `got` and `want` to the bit, naming the first element that differs.
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: lengths");
+        if let Some(at) = got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits()) {
+            panic!("{what}: element {at} is {:e}, the oracle's {:e}", got[at], want[at]);
+        }
+    }
+
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         matmul_naive(a, b)
     }
 
-    /// Run the full strided driver pinned to one kernel (bypassing the
-    /// small-problem cutoff is deliberate: tests want the blocked path).
-    fn blocked_with(kernel: KernelKind, a: &Tensor, b: &Tensor) -> Tensor {
+    /// `A·Bᵀ` on the packed GEMM pinned to one kernel, `bt` given as `n×k`: the
+    /// layout the blocked path packs, through the cutoff like `matmul_bt`.
+    fn blocked_with(kernel: KernelKind, a: &Tensor, bt: &Tensor) -> Tensor {
         let (m, k) = dims2(a, "lhs");
-        let (_, n) = dims2(b, "rhs");
+        let (n, _) = dims2(bt, "rhs");
         let mut ws = Workspace::new();
         let mut out = vec![0.0f32; m * n];
         gemm_with_kernel(
@@ -1047,7 +1135,7 @@ pub(crate) mod tests {
             n,
             k,
             View { data: a.data(), rs: k, cs: 1 },
-            View { data: b.data(), rs: n, cs: 1 },
+            View { data: bt.data(), rs: 1, cs: k },
             &mut out,
             &mut ws,
         );
@@ -1089,10 +1177,11 @@ pub(crate) mod tests {
         }
     }
 
+    /// All three entry points against the textbook loop, on sizes straddling
+    /// the `MR`/`NR`/`MC`/`KC` edges of the packed GEMM and the tiles'
+    /// vector and panel edges, multiple K panels included.
     #[test]
     fn blocked_path_matches_naive_across_block_edges() {
-        // Sizes straddling MR/NR/MC/KC boundaries, including multiple K
-        // panels (k > KC) so the accumulate path is exercised.
         let mut rng = Rng::seed(3);
         for &(m, k, n) in &[
             (MR, KC, NR),
@@ -1105,15 +1194,17 @@ pub(crate) mod tests {
         ] {
             let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
             let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
-            assert!(matmul(&a, &b).approx_eq(&naive(&a, &b), 1e-3), "({m},{k},{n})");
+            let expect = naive(&a, &b);
+            assert!(matmul(&a, &b).approx_eq(&expect, 1e-3), "({m},{k},{n})");
+            assert!(matmul_at(&a.transpose2(), &b).approx_eq(&expect, 1e-3), "at ({m},{k},{n})");
+            assert!(matmul_bt(&a, &b.transpose2()).approx_eq(&expect, 1e-3), "bt ({m},{k},{n})");
         }
     }
 
-    /// Every `(m % MR, n % NR, k % KC)` residue class: every fusing kernel
-    /// this host runs — `ScalarFma`, `Avx2Fma`, `Avx512Fma` — must agree
-    /// **bitwise** (same pinned contraction order, same fused rounding,
-    /// whatever the vector width), the portable scalar kernel agrees within
-    /// unfused-vs-fused rounding, and all of them match the naive oracle.
+    /// Every `(m % MR, n % NR, k % KC)` residue class of the packed GEMM,
+    /// on every kernel this host runs: each is the oracle's to the bit — so
+    /// the fusing kinds (`ScalarFma`, `Avx2Fma`, `Avx512Fma`) agree with each
+    /// other whatever their vector width — and near the textbook loop.
     #[test]
     fn remainder_paths_all_kernels_agree() {
         let mut rng = Rng::seed(31);
@@ -1123,35 +1214,152 @@ pub(crate) mod tests {
         let ms = [MR, MR + 1, 2 * MR - 1, 3];
         let ns = [NR, NR + 1, 2 * NR - 1, 5];
         let ks = [1, 2, KC - 1, KC, KC + 1, 2 * KC - 7, 2 * KC + 3];
-        let kinds = available_kernels();
         for &m in &ms {
             for &n in &ns {
                 for &k in &ks {
                     let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
-                    let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
-                    let scalar = blocked_with(KernelKind::Scalar, &a, &b);
-                    let reference = naive(&a, &b);
-                    assert!(scalar.approx_eq(&reference, 1e-3), "scalar ({m},{n},{k})");
-                    // `kinds[1]` is `ScalarFma` wherever anything fuses.
-                    let Some((&first, rest)) = kinds[1..].split_first() else { continue };
-                    let fused = blocked_with(first, &a, &b);
-                    assert!(fused.approx_eq(&reference, 1e-3), "{first:?} ({m},{n},{k})");
-                    // Unfused vs fused differ only in last-ulp rounding.
-                    assert!(fused.approx_eq(&scalar, 1e-4), "fused vs scalar ({m},{n},{k})");
-                    if cfg!(target_feature = "fma") {
-                        // A build that already targets FMA makes the
-                        // portable kernel fused too: all of them bit-equal.
-                        assert!(bitwise_eq(&fused, &scalar), "({m},{n},{k})");
-                    }
-                    for &kind in rest {
-                        assert!(
-                            bitwise_eq(&blocked_with(kind, &a, &b), &fused),
-                            "{kind:?} vs {first:?} bits diverged at ({m},{n},{k})"
-                        );
+                    let bt = Tensor::rand_normal([n, k], 0.0, 1.0, &mut rng);
+                    let reference = naive(&a, &bt.transpose2());
+                    let views = (
+                        View { data: a.data(), rs: k, cs: 1 },
+                        View { data: bt.data(), rs: 1, cs: k },
+                    );
+                    for kind in available_kernels() {
+                        let got = blocked_with(kind, &a, &bt);
+                        let what = format!("{kind:?} ({m},{n},{k})");
+                        assert!(got.approx_eq(&reference, 1e-3), "{what}");
+                        assert_bits(got.data(), &oracle(kind, m, n, k, views.0, views.1), &what);
                     }
                 }
             }
         }
+    }
+
+    /// A dense layer's three products — `x·w`, `xᵀ·dy`, `dy·wᵀ` — through
+    /// the `_ws` entry points the layer calls, on every kernel this host
+    /// runs, each the oracle's to the bit.
+    fn assert_dense_layer_matches_oracle(x: &Tensor, w: &Tensor, dy: &Tensor, what: &str) {
+        let ((batch, fan_in), (_, units)) = (dims2(x, "x"), dims2(w, "w"));
+        // Each operand as its product reads it: row-major, or transposed.
+        let x_rows = View { data: x.data(), rs: fan_in, cs: 1 };
+        let x_cols = View { data: x.data(), rs: 1, cs: fan_in };
+        let w_rows = View { data: w.data(), rs: units, cs: 1 };
+        let w_cols = View { data: w.data(), rs: 1, cs: units };
+        let dy_rows = View { data: dy.data(), rs: units, cs: 1 };
+        let want = |kind| {
+            [
+                oracle(kind, batch, units, fan_in, x_rows, w_rows),
+                oracle(kind, fan_in, units, batch, x_cols, dy_rows),
+                oracle(kind, batch, fan_in, units, dy_rows, w_cols),
+            ]
+        };
+        // One oracle for the unfused kind and one for every fusing kind.
+        let (unfused, fused) =
+            (want(KernelKind::Scalar), available_kernels().get(1).map(|&k| want(k)));
+        let mut ws = Workspace::new();
+        for kind in available_kernels() {
+            let got = with_kernel(kind, || {
+                [
+                    matmul_ws(x, w, &mut ws),
+                    matmul_at_ws(x, dy, &mut ws),
+                    matmul_bt_ws(dy, w, &mut ws),
+                ]
+            });
+            let want = if kind == KernelKind::Scalar {
+                &unfused
+            } else {
+                fused.as_ref().expect("a fusing kind")
+            };
+            for ((got, want), product) in got.iter().zip(want).zip(["x·w", "xᵀ·dy", "dy·wᵀ"])
+            {
+                let shape = format!("{product} {kind:?} {batch}x{fan_in}x{units} {what}");
+                assert_bits(got.data(), want, &shape);
+            }
+        }
+    }
+
+    /// `batch × fan_in → units` layer operands, `N(0, 1)` but for `w`.
+    fn dense_case(batch: usize, fan_in: usize, units: usize, rng: &mut Rng) -> [Tensor; 3] {
+        [
+            Tensor::rand_normal([batch, fan_in], 0.0, 1.0, rng),
+            Tensor::rand_normal([fan_in, units], 0.0, 0.1, rng),
+            Tensor::rand_normal([batch, units], 0.0, 1.0, rng),
+        ]
+    }
+
+    /// Every dense shape the search spaces emit, and every edge the three
+    /// engines branch on, `to_bits()`-equal to the oracle on every kind. A
+    /// layer `batch × fan_in → units` is three products of the same `m·n·k`,
+    /// contracting over `fan_in` (`x·w`), `batch` (`xᵀ·dy`) and `units`
+    /// (`dy·wᵀ`).
+    #[test]
+    fn dense_products_match_the_oracle_bitwise() {
+        let mut rng = Rng::seed(0xD5);
+        let mut shapes = Vec::new();
+        // Uno: every layer width `BENCH_gemm.json` times, at batch 32.
+        for fan_in in [64, 96, 128, 160, 321] {
+            shapes.extend([1, 32, 64, 128].map(|units| (32, fan_in, units)));
+        }
+        // Cifar10's flatten widths at batch 64, NT3's at batch 32.
+        for (batch, fan_in) in [(64, 3456), (64, 864), (32, 2048), (32, 404)] {
+            shapes.extend([10, 32, 64, 128].map(|units| (batch, fan_in, units)));
+        }
+        shapes.extend([
+            // `m·n·k` one under the cutoff, on it, and one over.
+            (7, 151, 31),
+            (32, 32, 32),
+            (9, 331, 11),
+            // `KC + 1` steps: two panels in `x·w`, `xᵀ·dy` and `dy·wᵀ`, with
+            // ragged vectors of 33 and 10 lanes.
+            (32, KC + 1, 33),
+            (KC + 1, 20, 10),
+            (16, 40, KC + 1),
+        ]);
+        assert_eq!(7 * 151 * 31 + 1, SMALL_FLOPS);
+        assert_eq!(9 * 331 * 11 - 1, SMALL_FLOPS);
+        for (batch, fan_in, units) in shapes {
+            let [x, w, dy] = dense_case(batch, fan_in, units, &mut rng);
+            assert_dense_layer_matches_oracle(&x, &w, &dy, "");
+        }
+    }
+
+    /// Signed zeros, chains whose every product underflows, and infinities
+    /// and NaN meet the three products as they meet the oracle, below and
+    /// above the cutoff.
+    #[test]
+    fn dense_products_meet_zeros_underflow_and_non_finite_like_the_oracle() {
+        let mut rng = Rng::seed(0xD6);
+        for (batch, fan_in, units) in [(8, 20, 12), (32, KC + 1, 33)] {
+            // Every product of `x·w` and `xᵀ·dy` is a negative number too
+            // small for an `f32`: a fused chain ends in `-0.0`, an unfused one
+            // in `+0.0`. A few operands are `-0.0` themselves.
+            let tiny = |t: Tensor, sign: f32| t.map(|v| sign * v.abs() * 1e-30);
+            let [x, w, dy] = dense_case(batch, fan_in, units, &mut rng);
+            let (mut x, mut w, dy) = (tiny(x, 1.0), tiny(w, -1.0), tiny(dy, -1.0));
+            x.data_mut()[0] = -0.0;
+            w.data_mut()[fan_in * units - 1] = -0.0;
+            assert_dense_layer_matches_oracle(&x, &w, &dy, "underflow");
+
+            let [mut x, mut w, mut dy] = dense_case(batch, fan_in, units, &mut rng);
+            x.data_mut()[1] = f32::INFINITY;
+            w.data_mut()[units + 2] = f32::NAN;
+            dy.data_mut()[units] = f32::NEG_INFINITY;
+            x.data_mut()[fan_in] = -0.0;
+            assert_dense_layer_matches_oracle(&x, &w, &dy, "non-finite");
+        }
+    }
+
+    /// Two threads split the tile's products (`x·w` over rows, `xᵀ·dy` over
+    /// output rows of `dW`) above the convolutions' dispatch size; the bits
+    /// stay the oracle's.
+    #[test]
+    fn dense_products_on_two_threads_match_the_oracle_bitwise() {
+        let (batch, fan_in, units) = (64, 3456, 128);
+        assert!(batch * fan_in * units >= conv2d::PAR_MACS, "would not dispatch");
+        let [x, w, dy] = dense_case(batch, fan_in, units, &mut Rng::seed(0xD7));
+        let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let _two = parallel::scoped_max_threads(2);
+        assert_dense_layer_matches_oracle(&x, &w, &dy, "two threads");
     }
 
     /// The one `i → k → j` loop over `View::at` that [`gemm_small`]'s
@@ -1255,52 +1463,40 @@ pub(crate) mod tests {
     #[test]
     fn unit_stride_packers_match_the_strided_packers() {
         let mut rng = Rng::seed(41);
-        let (rows, cols) = (KC + 21, KC + 37);
-        let data = Tensor::rand_normal([rows, cols], 0.0, 1.0, &mut rng);
+        let (rows, k) = (KC + 21, KC + 37);
+        let data = Tensor::rand_normal([rows, k], 0.0, 1.0, &mut rng);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // The same buffer read row-major (`cs == 1`) and as its transpose
-        // (`rs == 1`).
-        let views = [
-            (View { data: data.data(), rs: cols, cs: 1 }, rows, cols),
-            (View { data: data.data(), rs: 1, cs: cols }, cols, rows),
-        ];
+        // The same buffer read as a row-major `A` (`rows×k`) and as a
+        // transposed `B` (`k×rows`): rows of `k` contiguous steps both ways.
+        let a = View { data: data.data(), rs: k, cs: 1 };
+        let b = View { data: data.data(), rs: 1, cs: k };
         for kernel in available_kernels() {
-            for (v, m, k) in views {
-                for &(m0, mc) in
-                    &[(0, 1), (0, MR), (3, MR + 1), (MC, MC), (m - 7, 7), (5, 3 * MR - 1)]
-                {
-                    for &(k0, kc) in &[(0, 1), (0, 19), (KC, k - KC), (7, KC.min(k - 7))] {
-                        let len = mc.div_ceil(MR) * MR * kc;
-                        let (mut fast, mut slow) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-                        pack_a(kernel, v, m0, mc, k0, kc, &mut fast);
-                        pack_a_strided(v, m0, mc, k0, kc, &mut slow);
-                        assert_eq!(
-                            bits(&fast),
-                            bits(&slow),
-                            "pack_a {kernel:?} rs={} ({m0},{mc},{k0},{kc})",
-                            v.rs
-                        );
-                    }
+            for &(m0, mc) in
+                &[(0, 1), (0, MR), (3, MR + 1), (MC, MC), (rows - 7, 7), (5, 3 * MR - 1)]
+            {
+                for &(k0, kc) in &[(0, 1), (0, 19), (KC, k - KC), (7, KC.min(k - 7))] {
+                    let len = mc.div_ceil(MR) * MR * kc;
+                    let (mut fast, mut slow) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                    pack_a(kernel, a, m0, mc, k0, kc, &mut fast);
+                    pack_a_strided(a, m0, mc, k0, kc, &mut slow);
+                    assert_eq!(bits(&fast), bits(&slow), "pack_a {kernel:?} ({m0},{mc},{k0},{kc})");
                 }
-                // As B the view is `k×n` with all columns packed: sweep the
-                // column count through the NR residues.
-                let (kdim, ndim) = (m, k);
-                for n in [1, NR - 1, NR, NR + 1, 3 * NR + 5, ndim] {
-                    for &(k0, kc) in &[(0, 1), (0, 23), (kdim - 9, 9), (KC.min(kdim - 30), 30)] {
-                        let len = n.div_ceil(NR) * NR * kc;
-                        // A longer `dst` than the panel needs, as the driver
-                        // passes for a short last panel.
-                        let (mut fast, mut slow) =
-                            (vec![f32::NAN; len + 8], vec![f32::NAN; len + 8]);
-                        pack_b(kernel, v, k0, kc, n, &mut fast);
-                        pack_b_strided(v, k0, kc, n, &mut slow);
-                        assert_eq!(
-                            bits(&fast[..len]),
-                            bits(&slow[..len]),
-                            "pack_b {kernel:?} rs={} ({k0},{kc},{n})",
-                            v.rs
-                        );
-                    }
+            }
+            // All of `B`'s columns are packed: sweep their count through the
+            // NR residues.
+            for n in [1, NR - 1, NR, NR + 1, 3 * NR + 5, rows] {
+                for &(k0, kc) in &[(0, 1), (0, 23), (k - 9, 9), (KC.min(k - 30), 30)] {
+                    let len = n.div_ceil(NR) * NR * kc;
+                    // A longer `dst` than the panel needs, as the driver
+                    // passes for a short last panel.
+                    let (mut fast, mut slow) = (vec![f32::NAN; len + 8], vec![f32::NAN; len + 8]);
+                    pack_b(kernel, b, k0, kc, n, &mut fast);
+                    pack_b_strided(b, k0, kc, n, &mut slow);
+                    assert_eq!(
+                        bits(&fast[..len]),
+                        bits(&slow[..len]),
+                        "pack_b {kernel:?} ({k0},{kc},{n})"
+                    );
                 }
             }
         }
@@ -1315,14 +1511,14 @@ pub(crate) mod tests {
         // PAR_THRESHOLD with room (m*n = 2*MC*n ≥ 64k needs n ≥ 475).
         let (m, k, n) = (2 * MC + 7, KC + 9, 512);
         let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal([k, n], 0.0, 1.0, &mut rng);
+        let bt = Tensor::rand_normal([n, k], 0.0, 1.0, &mut rng);
         let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let serial = {
             let _one = parallel::scoped_max_threads(1);
-            matmul(&a, &b)
+            matmul_bt(&a, &bt)
         };
         let _three = parallel::scoped_max_threads(3);
-        assert!(bitwise_eq(&serial, &matmul(&a, &b)));
+        assert!(bitwise_eq(&serial, &matmul_bt(&a, &bt)));
     }
 
     #[test]

@@ -118,8 +118,44 @@ fi
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
-echo "==> the step outside the GEMMs (mask fill, direct loops and gradient write-back are the old arithmetic, to the bit — in release)"
-cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise
+echo "==> one contraction engine (x·w and xᵀ·dy run on the broadcast-FMA tile; the packed GEMM runs dy·wᵀ alone)"
+# DESIGN.md §7: a product whose vector operand is contiguous where it lies
+# runs on bcast.rs's tile through conv2d's functions; only `matmul_bt_ws`
+# reaches the packed GEMM, and only the packed GEMM packs. `allowed` names the
+# one non-test function that may call each of its functions.
+engine=$(awk '
+  BEGIN {
+    allowed["gemm"] = "matmul_bt_ws"; allowed["gemm_with_kernel"] = "gemm"
+    allowed["pack_a"] = "gemm_with_kernel"; allowed["pack_b"] = "gemm_with_kernel"
+    allowed["block_kernel"] = "gemm_with_kernel"
+  }
+  FNR == 1 { fn = "" }
+  /^(pub\(crate\) )?mod tests/ { nextfile }
+  /^[[:space:]]*\/\// { next }
+  {
+    line = $0
+    if (sub(/^(pub(\(crate\))? )?(unsafe )?fn /, "", line)) {
+      # A top-level item: what follows its name is its own body.
+      fn = line; sub(/[^a-z_0-9].*/, "", fn); line = substr(line, length(fn) + 1)
+    }
+    for (callee in allowed)
+      if (line ~ ("(^|[^a-z_0-9])" callee "\\(") && fn != allowed[callee])
+        print FILENAME ":" FNR ": " callee "( called from " fn "(), not " allowed[callee] "()"
+  }
+  fn == "matmul_ws" && /conv2d::forward\(/ { fwd = 1 }
+  fn == "matmul_at_ws" && /conv2d::backward_kernel\(/ { dw = 1 }
+  END {
+    if (!fwd) print "matmul_ws no longer runs conv2d::forward (the tile)"
+    if (!dw) print "matmul_at_ws no longer runs conv2d::backward_kernel (the tile)"
+  }' crates/tensor/src/*.rs)
+if [ -n "$engine" ]; then
+  echo "a dense product left the broadcast-FMA tile, or the packed GEMM has a second caller:" >&2
+  echo "$engine" >&2
+  exit 1
+fi
+
+echo "==> the step outside the GEMMs (mask fill, direct loops, gradient write-back and the dense products are their oracles' arithmetic, to the bit — in release)"
+cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise dense_products_
 # A Bernoulli draw per element through `Rng::chance` is a call, a convert and
 # an unpredictable branch each; masks come from `Rng::fill_mask`.
 draws=$(awk '/^(pub\(crate\) )?mod tests/ { nextfile } /rng\.chance\(/ { print FILENAME ":" FNR ": " $0 }' \
