@@ -50,19 +50,6 @@ impl ClusterConfig {
             dispatch_secs: 0.05,
         }
     }
-
-    /// Table II rendered as text (for the `table2` experiment binary).
-    pub fn describe(&self) -> String {
-        format!(
-            "{}\n  GPUs: {}\n  PFS: read {:.1} GB/s, write {:.1} GB/s, latency {:.0} ms\n  scheduler dispatch: {:.0} ms/task",
-            self.name,
-            self.gpus,
-            self.pfs.read_bw / 1e9,
-            self.pfs.write_bw / 1e9,
-            self.pfs.latency * 1e3,
-            self.dispatch_secs * 1e3
-        )
-    }
 }
 
 #[cfg(test)]
@@ -85,12 +72,5 @@ mod tests {
         assert!(contended > one);
         // Latency dominates tiny transfers.
         assert!((pfs.write_secs(0, 1) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn describe_mentions_key_numbers() {
-        let d = ClusterConfig::node_type_a(4).describe();
-        assert!(d.contains("GPUs: 32"));
-        assert!(d.contains("A100"));
     }
 }

@@ -15,12 +15,11 @@
 //!   frequently changes the objects in its local store", Section VIII-E).
 //!
 //! Wall-clock scalability of a bag-of-tasks workload is fully determined by
-//! these quantities, which is what makes the substitution sound.
+//! these quantities, which is what makes the substitution sound. The pool is
+//! fixed, as in the paper: [`simulate`] is the crate's one event loop.
 
 pub mod config;
-pub mod replay;
 pub mod sim;
 
 pub use config::{ClusterConfig, PfsModel};
-pub use replay::{replay_policy, scenario_tasks, ReplayConfig, ReplayReport, ReplayView};
 pub use sim::{simulate, SimReport, TaskCost};

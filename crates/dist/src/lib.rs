@@ -20,13 +20,11 @@
 //! [`coordinator`] ([`DistBackend`]), [`worker`] (the `swt dist-worker`
 //! loop), [`spawn`] (child-process management), [`live`] (the one copy of
 //! each worker's snapshot: the in-flight run view behind `swt dist-run
-//! --serve` and the source of the run's worker totals), [`policy`] (the
-//! autoscaling decision function behind `--autoscale`).
+//! --serve` and the source of the run's worker totals).
 
 pub mod coordinator;
 pub mod frame;
 pub mod live;
-pub mod policy;
 pub mod spawn;
 pub mod wire;
 pub mod worker;
@@ -34,9 +32,6 @@ pub mod worker;
 pub use coordinator::DistBackend;
 pub use frame::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use live::{LiveRunView, WorkerView, CACHE_COUNTER_KINDS};
-pub use policy::{
-    PolicyConfig, PolicyError, PoolSnapshot, ScaleDecision, ScalePolicy, MAX_POOL_WORKERS,
-};
 pub use wire::{Msg, RunSpec, Telemetry};
 pub use worker::worker_main;
 
@@ -88,10 +83,6 @@ pub struct DistRunStats {
     pub lost: usize,
     /// Candidates reassigned off lost workers.
     pub reassigned: usize,
-    /// Workers spawned by autoscale grow decisions.
-    pub grown: usize,
-    /// Workers drained out of the pool by autoscale shrink decisions.
-    pub retired: usize,
 }
 
 impl DistRunStats {
@@ -138,11 +129,6 @@ pub struct DistConfig {
     pub max_workers: usize,
     /// Optional scale-out injection for benches/tests.
     pub join_after: Option<JoinPlan>,
-    /// Autoscaling policy; `None` (the default) keeps the pool fixed. The
-    /// policy only ever changes which *processes* evaluate — the dispatch
-    /// window, and with it the candidate schedule, never moves (its
-    /// `max_workers` must not exceed [`DistConfig::max_workers`]).
-    pub autoscale: Option<PolicyConfig>,
     /// Live run view the coordinator folds streamed telemetry into. Pass a
     /// view that is also handed to an [`swt_obs::ObsServer`] to watch the
     /// run over HTTP; when `None` the backend keeps a private one (the
@@ -152,7 +138,7 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// A fixed pool of `nas.workers` processes on the shared `DirStore` at
-    /// `store_dir`, with no injection and no autoscaling.
+    /// `store_dir`, with no injection.
     pub fn new(app: AppKind, scale: DataScale, data_seed: u64, store_dir: PathBuf) -> Self {
         DistConfig {
             app,
@@ -165,7 +151,6 @@ impl DistConfig {
             initial_workers: None,
             max_workers: 64,
             join_after: None,
-            autoscale: None,
             live: None,
         }
     }

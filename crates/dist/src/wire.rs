@@ -12,7 +12,7 @@
 //! | 0x08 | Error     | either              | utf-8 description                        |
 //! | 0x09 | —         | —                   | retired in v10 (`UnknownType`)           |
 //! | 0x0A | Telemetry | worker → coordinator| seq-numbered [`Telemetry`] snapshot      |
-//! | 0x0B | Retire    | coordinator → worker| decision tick + utf-8 reason             |
+//! | 0x0B | —         | —                   | retired in v11 (`UnknownType`)           |
 //!
 //! The byte layout is what `swt-wire` derives from the declarations below:
 //! fields in declaration order, integers little-endian, floats as IEEE-754
@@ -27,7 +27,6 @@
 //! it (the golden-bytes test in `tests/fuzz_decode.rs` fails until you do).
 
 use crate::frame::{ensure, WireError};
-use crate::policy::MAX_POOL_WORKERS;
 use swt_core::TransferScheme;
 use swt_data::{AppKind, DataScale};
 use swt_nas::{Candidate, EvalOutcome};
@@ -69,24 +68,6 @@ wire_struct! {
         /// `namespace` doubling as its tenant bucket. `None` means the
         /// shared `DirStore` at `store_dir`.
         pub store_url: Option<String>,
-        /// Autoscale pool bounds `(min, max)`, `1 ≤ min ≤ max ≤
-        /// MAX_POOL_WORKERS`; `None` means the pool is fixed. Informational
-        /// for the worker — the coordinator owns every scaling decision —
-        /// but it makes the RunSpec a complete record of the run's
-        /// configuration and tells the worker it may be retired mid-run.
-        pub autoscale: Option<(u32, u32)>,
-    }
-    check = RunSpec::check;
-}
-
-impl RunSpec {
-    pub(crate) fn check(&self) -> Result<(), WireError> {
-        self.autoscale.map_or(Ok(()), |(min, max)| {
-            ensure(
-                1 <= min && min <= max && max as usize <= MAX_POOL_WORKERS,
-                "hostile autoscale worker counts",
-            )
-        })
     }
 }
 
@@ -265,13 +246,6 @@ wire_messages! {
         /// cadence, even mid-evaluation) and once at teardown, the last
         /// frame a worker sends before it closes its socket.
         0x0A => Telemetry { telemetry: Telemetry },
-        /// Drain-then-close: the autoscaler picked this *idle* worker to
-        /// shrink the pool. The worker sends its final snapshot and exits
-        /// cleanly — same teardown as `Shutdown`, but initiated by a policy
-        /// decision (`decision` is its tick, `reason` its context for the
-        /// worker's log), so the coordinator counts the departure as a
-        /// retirement, never a loss.
-        0x0B => Retire { decision: u64, reason: String },
     }
 }
 
@@ -321,7 +295,6 @@ mod tests {
         round_trip(hello_ack(sample_run()))?;
         round_trip(hello_ack(RunSpec {
             store_url: Some("tcp://127.0.0.1:7421".into()),
-            autoscale: Some((1, 8)),
             ..sample_run()
         }))?;
         let cand = Candidate {
@@ -341,7 +314,6 @@ mod tests {
         round_trip(Msg::Error { message: "checkpoint store unreachable".into() })?;
         round_trip(Msg::Telemetry { telemetry: sample_telemetry() })?;
         round_trip(Msg::Telemetry { telemetry: Telemetry::default() })?;
-        round_trip(Msg::Retire { decision: 17, reason: "pool drained to min".into() })?;
         Ok(())
     }
 
@@ -358,7 +330,6 @@ mod tests {
             threads: 1,
             cache_bytes: 1 << 22,
             store_url: None,
-            autoscale: None,
         }
     }
 
@@ -475,33 +446,12 @@ mod tests {
             assert!(matches!(Msg::Task { cand: bad }.encode(), Err(WireError::Malformed(_))));
         }
 
-        // Hostile pool bounds in a HelloAck: refused on encode…
-        let full = RunSpec { autoscale: Some((1, 8)), ..sample_run() };
-        for bounds in
-            [(5u32, 2u32), (0, 3), (0, 0), (1, MAX_POOL_WORKERS as u32 + 1), (u32::MAX, u32::MAX)]
-        {
-            let run = RunSpec { autoscale: Some(bounds), ..full.clone() };
-            assert!(
-                matches!(hello_ack(run.clone()).encode(), Err(WireError::Malformed(_))),
-                "{run:?} must not encode"
-            );
-        }
-        // …and on decode (every hostile value is patched in by
-        // `tests/fuzz_decode.rs`; here, one pair of pool bounds). With
-        // `store_url: None` the payload ends [1][min u32][max u32].
-        let good = hello_ack(full).encode()?;
-        let n = good.len();
-        let mut bad = good.clone();
-        patch(&mut bad, n - 8, (5u32, 2u32))?;
-        assert!(matches!(
-            Msg::decode(0x02, &bad),
-            Err(WireError::Malformed("hostile autoscale worker counts"))
-        ));
-        // No prefix of a frame is a frame: dropping the bounds, or half of
-        // them, is malformed — never a default.
-        for cut in [n - 4, n - 8, n - 9] {
-            assert!(matches!(Msg::decode(0x02, &good[..cut]), Err(WireError::Malformed(_))));
-        }
+        // A HelloAck whose store-URL flag byte (its last byte when the URL
+        // is absent) is neither 0 nor 1.
+        let mut bad = hello_ack(sample_run()).encode()?;
+        let last = bad.len() - 1;
+        bad[last] = 2;
+        assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
         Ok(())
     }
 

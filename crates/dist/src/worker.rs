@@ -101,12 +101,10 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     };
     swt_obs::info!(
         "swt_dist",
-        "worker {worker_id} handshake ok: app={} scale={:?} threads={} elastic={}",
+        "worker {worker_id} handshake ok: app={} scale={:?} threads={}",
         run.app.name(),
         run.scale,
-        run.threads,
-        // Bounds mean this pool may grow/shrink around us while we run.
-        run.autoscale.map_or("off".into(), |(min, max)| format!("{min}..={max}"))
+        run.threads
     );
 
     // Pin this process's intra-op thread budget: each worker models one GPU
@@ -148,17 +146,6 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
                     }
                 }
                 Ok(Msg::Shutdown) => return Ok(()),
-                Ok(Msg::Retire { decision, reason }) => {
-                    // Drain-then-close: the coordinator only retires idle
-                    // workers, so the main loop has nothing in flight —
-                    // dropping task_tx ends it and the normal teardown
-                    // (final snapshot, close) runs.
-                    swt_obs::info!(
-                        "swt_dist",
-                        "worker retired by autoscale decision {decision}: {reason}"
-                    );
-                    return Ok(());
-                }
                 Ok(Msg::Error { message }) => return Err(WireError::Protocol(message)),
                 Ok(other) => {
                     let err = format!("unexpected frame {:#04x} at worker", other.tag());

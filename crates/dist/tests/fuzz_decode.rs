@@ -19,8 +19,9 @@ use swt_space::ArchSeq;
 use swt_tensor::Rng;
 use swt_wire::{read_frame, write_frame};
 
-/// Every known frame-type byte (0x01 Hello … 0x0B Retire; 0x09 is retired).
-const FRAME_TYPES: [u8; 10] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0A, 0x0B];
+/// Every known frame-type byte (0x01 Hello … 0x0A Telemetry; 0x09 and 0x0B
+/// are retired).
+const FRAME_TYPES: [u8; 9] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0A];
 
 /// The corpus HelloAck's store endpoint.
 const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
@@ -85,7 +86,6 @@ fn corpus() -> Vec<Msg> {
                 threads: 1,
                 cache_bytes: 1 << 22,
                 store_url: Some(CORPUS_URL.into()),
-                autoscale: Some((1, 8)),
             },
         },
         Msg::Task { cand },
@@ -96,7 +96,6 @@ fn corpus() -> Vec<Msg> {
         Msg::Shutdown,
         Msg::Error { message: "checkpoint store unreachable".into() },
         Msg::Telemetry { telemetry },
-        Msg::Retire { decision: 42, reason: "pool past demand".into() },
     ]
 }
 
@@ -111,10 +110,9 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 /// id, four f64s, checkpoint_bytes, three transfer u64s and epochs u32
 /// before its `Telemetry`; a `Telemetry`: seq, uptime_ns and dropped_events
 /// u64, then the span, counter, gauge and histogram lists; the corpus
-/// `HelloAck` ends [1][url][1][min u32][max u32]).
+/// `HelloAck` ends [1][url]).
 const RESULT_TELEMETRY_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const TELEMETRY_LISTS_AT: usize = 3 * 8;
-const ACK_BOUNDS_LEN: usize = 1 + 4 + 4;
 const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
 
 fn hex(bytes: &[u8]) -> String {
@@ -125,14 +123,14 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 10, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 11, "new version: re-record the frames below");
     let golden = [
-        (0x01, "0a000000030000000000000092100000"),
+        (0x01, "0b000000030000000000000092100000"),
         (
             0x02,
-            "0a00000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
+            "0b00000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
                 7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e302e313a\
-                39393939010100000008000000",
+                39393939",
         ),
         (0x03, "07000000000000000103000000000000000400000001000000040002000300000000000000"),
         (0x03, "0900000000000000000100000002000000000000000000"),
@@ -164,7 +162,6 @@ fn golden_bytes_pin_the_dist_layout() {
                 0a000000000000000500000000000000000000000000000001000114000000000000000000000000\
                 000000fdffffffffffffff",
         ),
-        (0x0B, "2a000000000000001000706f6f6c20706173742064656d616e64"),
     ];
     let corpus = corpus();
     assert_eq!(corpus.len(), golden.len());
@@ -217,10 +214,10 @@ fn hostile_task_and_store_url_fields_are_typed_errors() {
     }
 
     // A store-url length prefix promising more bytes than the payload
-    // holds (the announced length swallows the pool bounds and overruns),
-    // and one promising fewer (the frame no longer ends where it should).
+    // holds, and one promising fewer (the frame no longer ends where it
+    // should).
     let good = corpus_payload(0x02);
-    let url_at = good.len() - ACK_BOUNDS_LEN - ACK_URL_LEN;
+    let url_at = good.len() - ACK_URL_LEN;
     for len in [CORPUS_URL.len() as u16 + 10, u16::MAX, CORPUS_URL.len() as u16 - 1] {
         let mut p = good.clone();
         p[url_at + 1..url_at + 3].copy_from_slice(&len.to_le_bytes());
@@ -229,51 +226,17 @@ fn hostile_task_and_store_url_fields_are_typed_errors() {
 }
 
 #[test]
-fn hostile_autoscale_tails_are_typed_errors() {
-    let good = corpus_payload(0x02);
-    let n = good.len();
-    let with_bounds = |min: u32, max: u32| {
-        let mut p = good.clone();
-        p[n - 8..n - 4].copy_from_slice(&min.to_le_bytes());
-        p[n - 4..].copy_from_slice(&max.to_le_bytes());
-        Msg::decode(0x02, &p)
-    };
-
-    // Hostile pool bounds: an inverted range, a zero min, and bounds past
-    // the pool cap must all be rejected — a worker must never accept a
-    // nonsense elastic envelope. `(0, 0)` is not "off" either: a fixed pool
-    // sends no bounds at all.
-    for (min, max) in [
-        (5u32, 2u32),
-        (0, 1),
-        (0, 0),
-        (1, swt_dist::MAX_POOL_WORKERS as u32 + 1),
-        (u32::MAX, u32::MAX),
-    ] {
-        assert!(
-            matches!(
-                with_bounds(min, max),
-                Err(WireError::Malformed("hostile autoscale worker counts"))
-            ),
-            "autoscale pair ({min}, {max}) must be rejected"
-        );
-    }
-
-    // The full in-range envelope decodes, including the degenerate
-    // single-worker pool and the cap itself.
-    for (min, max) in [(1u32, 1u32), (1, swt_dist::MAX_POOL_WORKERS as u32)] {
-        let Msg::HelloAck { run, .. } = with_bounds(min, max).expect("in-range pair must decode")
-        else {
-            panic!("HelloAck payload decoded to another variant");
-        };
-        assert_eq!(run.autoscale, Some((min, max)));
-    }
-
-    // Bounds cut short (min present, max missing), bounds announced but
-    // absent, and a frame that simply stops before the flag: all malformed.
-    for cut in [n - 4, n - 8, n - 9] {
-        assert!(matches!(Msg::decode(0x02, &good[..cut]), Err(WireError::Malformed(_))));
-    }
+fn a_retired_0x0b_frame_is_an_unknown_type() {
+    // A well-formed v10 `Retire` (decision tick u64, then a reason string)
+    // read off the stream: the frame layer hands it up, decode names the tag.
+    let mut payload = 42u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&16u16.to_le_bytes());
+    payload.extend_from_slice(b"pool past demand");
+    let mut stream = Vec::new();
+    write_frame(&mut stream, 0x0B, &payload).unwrap();
+    let mut buf = Vec::new();
+    let ty = read_frame(&mut IoCursor::new(&stream), &mut buf).unwrap();
+    assert!(matches!(Msg::decode(ty, &buf), Err(WireError::UnknownType(0x0B))));
 }
 
 #[test]

@@ -53,14 +53,6 @@ usage:
     --max-workers N              refuse joins beyond N live workers   [64]
     --initial-workers N          processes at launch (may be < --workers;
                                  the dispatch window stays --workers)
-    --autoscale MIN:MAX          let the coordinator size its own pool inside
-                                 [MIN, MAX]: grow on backlog, drain-then-retire
-                                 idle spares; the dispatch window — and thus
-                                 the canonical trace — stays --workers
-    --target-wall-secs S         autoscale hint: keep growing while the
-                                 projected finish time exceeds S
-    --cost-budget S              autoscale cap: stop growing once projected
-                                 worker-seconds would exceed S
     --serve ADDR                 serve the live run view over HTTP
                                  (/status JSON, /metrics Prometheus text,
                                  /trace Chrome trace JSON), e.g. 127.0.0.1:0
@@ -106,9 +98,6 @@ const DIST_RUN_FLAGS: &[&str] = &[
     "--join-after",
     "--max-workers",
     "--initial-workers",
-    "--autoscale",
-    "--target-wall-secs",
-    "--cost-budget",
     "--serve",
     "--chrome-trace",
 ];
@@ -375,33 +364,6 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     if dist.max_workers == 0 {
         return Err("--max-workers must be positive".into());
     }
-    if let Some(spec) = opt(args, "--autoscale") {
-        let (lo, hi) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("--autoscale wants MIN:MAX, got `{spec}`"))?;
-        let mut policy = PolicyConfig::bounded(
-            lo.parse().map_err(|_| format!("invalid min in `{spec}`"))?,
-            hi.parse().map_err(|_| format!("invalid max in `{spec}`"))?,
-        );
-        if let Some(raw) = opt(args, "--target-wall-secs") {
-            policy.target_wall_secs =
-                Some(raw.parse().map_err(|_| format!("invalid --target-wall-secs `{raw}`"))?);
-        }
-        if let Some(raw) = opt(args, "--cost-budget") {
-            policy.cost_budget_secs =
-                Some(raw.parse().map_err(|_| format!("invalid --cost-budget `{raw}`"))?);
-        }
-        policy.validate().map_err(|e| format!("--autoscale: {e}"))?;
-        if policy.max_workers > dist.max_workers {
-            return Err(format!(
-                "--autoscale max {} exceeds --max-workers {}",
-                policy.max_workers, dist.max_workers
-            ));
-        }
-        dist.autoscale = Some(policy);
-    } else if opt(args, "--target-wall-secs").is_some() || opt(args, "--cost-budget").is_some() {
-        return Err("--target-wall-secs/--cost-budget need --autoscale MIN:MAX".into());
-    }
     if let Some(raw) = opt(args, "--initial-workers") {
         let initial: usize =
             raw.parse().map_err(|_| format!("invalid value for --initial-workers: `{raw}`"))?;
@@ -482,12 +444,6 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
             stats.joined, stats.rejected, dist.max_workers
         );
     }
-    if let Some(policy) = &dist.autoscale {
-        println!(
-            "autoscale: {} worker(s) grown, {} retired (pool bounds {}..={})",
-            stats.grown, stats.retired, policy.min_workers, policy.max_workers
-        );
-    }
     println!(
         "metrics merged from {} worker process(es): gemm calls {}, checkpoint bytes saved {}, \
          provider caches: {}",
@@ -565,24 +521,6 @@ fn render_top(status: &Json) -> String {
         num("inflight") as u64,
         num("ewma_candidate_secs"),
     );
-    if let Some(auto) = status.get("autoscale") {
-        if auto.get("enabled") == Some(&Json::Bool(true)) {
-            let an = |k: &str| auto.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let last = auto
-                .get("log")
-                .and_then(Json::as_array)
-                .and_then(|log| log.last())
-                .and_then(Json::as_str)
-                .unwrap_or("-");
-            out.push_str(&format!(
-                "autoscale grow {} / shrink {} / hold {}  connecting {}  last: {last}\n\n",
-                an("grows"),
-                an("shrinks"),
-                an("holds"),
-                num("connecting") as u64,
-            ));
-        }
-    }
     out.push_str(&format!(
         "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>8}\n",
         "id", "alive", "seq", "frames", "results", "current", "wait_s", "eval_s", "send_s", "drop"

@@ -46,10 +46,7 @@ pub use swt_tensor as tensor;
 pub mod prelude {
     pub use swt_checkpoint::{CachedStore, CheckpointIndex, CheckpointStore, DirStore, MemStore};
     pub use swt_ckpt_server::{CkptServer, RemoteStore, ServerConfig};
-    pub use swt_cluster::{
-        replay_policy, scenario_tasks, simulate, ClusterConfig, ReplayConfig, ReplayReport,
-        ReplayView, SimReport, TaskCost,
-    };
+    pub use swt_cluster::{simulate, ClusterConfig, SimReport, TaskCost};
     pub use swt_core::{
         apply_transfer, lcs_match, lp_match, select_nearest, Matcher, ShapeSeq, TransferPlan,
         TransferScheme, TransferStats,
@@ -57,8 +54,7 @@ pub mod prelude {
     pub use swt_data::{AppKind, AppProblem, DataScale};
     pub use swt_dist::{
         run_nas_dist, run_nas_dist_with_stats, DistBackend, DistConfig, DistRunStats, JoinPlan,
-        KillPlan, LiveRunView, PolicyConfig, PolicyError, PoolSnapshot, ScaleDecision, ScalePolicy,
-        Telemetry, WorkerView,
+        KillPlan, LiveRunView, Telemetry, WorkerView,
     };
     pub use swt_nas::{
         full_train_top_k, run_nas, run_nas_with_backend, run_pair_experiment, Candidate,
