@@ -2,11 +2,16 @@
 //!
 //! Every binary accepts:
 //!
-//! * `--scale quick|full` — quick (default) is CI-sized; full approaches the
-//!   paper's counts (400 candidates, 5 seeds, population 64/32).
+//! * `--scale quick|full|paper` — quick (default) is CI-sized; full is
+//!   full-size data at reduced counts; paper is the paper's counts (400
+//!   candidates, 5 seeds, population 64/32).
 //! * `--workers N` — evaluator threads (default: available cores − 2).
 //! * `--apps a,b` — restrict to a subset of `cifar10,mnist,nt3,uno`.
+//! * `--candidates N`, `--pairs N`, `--seeds N` — override the preset.
 //! * `--out DIR` — results directory (default `results/`).
+//!
+//! An unknown scale or app, or a count that does not parse, panics naming
+//! the flag rather than running the default.
 //!
 //! NAS runs are cached: traces land in `<out>/traces/` as CSV and candidate
 //! checkpoints in `<out>/ckpts/<run>/`, so `fig8`, `fig9`, `table3` and
@@ -55,15 +60,22 @@ impl ExpCtx {
         let get = |flag: &str| -> Option<String> {
             args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
         };
+        // A value that does not parse panics naming its flag: a typo must
+        // never run (and record) the default instead.
+        let count = |flag: &str| -> Option<usize> {
+            get(flag)
+                .map(|v| v.parse().unwrap_or_else(|_| panic!("invalid value for {flag}: {v:?}")))
+        };
         let scale_name = get("--scale").unwrap_or_else(|| "quick".into());
         let scale = match scale_name.as_str() {
             "full" | "paper" => DataScale::Full,
-            _ => DataScale::Quick,
+            "quick" => DataScale::Quick,
+            other => panic!("unknown scale {other:?} (quick, full or paper)"),
         };
         let default_workers = std::thread::available_parallelism()
             .map(|p| p.get().saturating_sub(2).max(1))
             .unwrap_or(4);
-        let workers = get("--workers").and_then(|w| w.parse().ok()).unwrap_or(default_workers);
+        let workers = count("--workers").unwrap_or(default_workers);
         let apps = match get("--apps") {
             Some(list) => list
                 .split(',')
@@ -117,13 +129,13 @@ impl ExpCtx {
                 out,
             },
         };
-        if let Some(c) = get("--candidates").and_then(|v| v.parse().ok()) {
+        if let Some(c) = count("--candidates") {
             ctx.candidates = c;
         }
-        if let Some(p) = get("--pairs").and_then(|v| v.parse().ok()) {
+        if let Some(p) = count("--pairs") {
             ctx.pairs = p;
         }
-        if let Some(s) = get("--seeds").and_then(|v| v.parse::<usize>().ok()) {
+        if let Some(s) = count("--seeds") {
             ctx.seeds = (1..=s as u64).collect();
         }
         std::fs::create_dir_all(ctx.out.join("traces")).expect("create results dir");
@@ -359,5 +371,35 @@ mod tests {
     #[should_panic(expected = "unknown app")]
     fn unknown_app_rejected() {
         ctx(&["--apps", "imagenet"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown scale \"ful\"")]
+    fn unknown_scale_rejected() {
+        ctx(&["--scale", "ful"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --workers")]
+    fn unparsable_workers_rejected() {
+        ctx(&["--workers", "two"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --candidates")]
+    fn unparsable_candidates_rejected() {
+        ctx(&["--candidates", "4OO"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --pairs")]
+    fn unparsable_pairs_rejected() {
+        ctx(&["--pairs", "-1"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --seeds")]
+    fn unparsable_seeds_rejected() {
+        ctx(&["--seeds", "1,2,3"]);
     }
 }
