@@ -94,10 +94,6 @@ impl Harness {
         });
     }
 
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
     /// Median of a previously recorded benchmark.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.results.iter().find(|r| r.name == name).map(|r| r.median_ns)
@@ -174,7 +170,6 @@ mod tests {
         h.bench("noop.fast", || {
             std::hint::black_box(1 + 1);
         });
-        assert_eq!(h.results().len(), 1);
         assert!(h.get("noop.fast").is_some());
         assert!(h.get("missing").is_none());
         let json = h.to_json(&[("host", "test".to_string()), ("gflops.x", "59.8".to_string())]);

@@ -355,8 +355,8 @@ mod tests {
     #[test]
     fn torn_containers_are_refused_like_the_store_beneath_refuses_them() {
         // One byte missing and one byte too many, under an intact header:
-        // the cache fill must refuse what `DirStore`'s own indexed reads
-        // refuse, and keep nothing resident.
+        // the cache fill must refuse what `DirStore`'s own reads refuse, and
+        // keep nothing resident.
         let dir = std::env::temp_dir().join(format!("swt_cache_torn_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CachedStore::new(crate::DirStore::new(&dir).unwrap(), 1 << 20);

@@ -38,9 +38,6 @@ use swt_tensor::{with_thread_workspace, Tensor, Workspace};
 
 const MAGIC: &[u8; 4] = b"WTC3";
 
-/// The container version, as the store protocol's `Ranges` frame names it.
-pub const CONTAINER_VERSION: u8 = 3;
-
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
@@ -210,7 +207,7 @@ fn payload_to_f32s(src: &[u8], dst: &mut [f32]) -> u64 {
 
 thread_local! {
     /// One byte buffer per thread for the codec's two bulk moves — the
-    /// container [`with_encoded`] builds and the payload bytes a file read
+    /// container [`with_encoded`] builds and the container a file read
     /// lands in — so neither allocates once it has seen the thread's largest
     /// checkpoint. Never shrunk; never held across calls.
     static THREAD_BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
@@ -367,7 +364,7 @@ pub(crate) fn encode_into(entries: &[(String, Tensor)], buf: &mut Vec<u8>) {
 
 /// Byte length of the header (magic through `toc_crc`) that a container's
 /// first 8 bytes declare.
-pub(crate) fn header_len(head: &[u8]) -> Result<u64, FormatError> {
+fn header_len(head: &[u8]) -> Result<u64, FormatError> {
     let mut r = Reader { buf: head, pos: 0 };
     if r.take(4)? != MAGIC {
         return Err(FormatError::BadMagic);
@@ -376,9 +373,8 @@ pub(crate) fn header_len(head: &[u8]) -> Result<u64, FormatError> {
 }
 
 /// Parse a checkpoint's table of contents. `buf` only needs to hold the
-/// header (magic through `toc_crc`) — this is what lets [`crate::DirStore`]
-/// index a checkpoint by reading a few hundred bytes of a multi-megabyte
-/// file. A caller that holds the whole container uses [`parse_container`].
+/// header (magic through `toc_crc`). A caller that holds the whole container
+/// uses [`parse_container`].
 pub fn parse_index(buf: &[u8]) -> Result<CheckpointIndex, FormatError> {
     let header_len = header_len(buf)?;
     if (buf.len() as u64) < header_len {
@@ -428,11 +424,11 @@ pub fn parse_container(buf: &[u8]) -> Result<CheckpointIndex, FormatError> {
 
 // --- decoding ---------------------------------------------------------------
 
-/// Convert one tensor's raw payload bytes (already isolated: a slice of a
-/// whole container, or `DirStore`'s seeked file read) into a tensor,
+/// Convert one tensor's raw payload bytes (already isolated from the whole
+/// container, and checked against the row's dims here) into a tensor,
 /// verifying the per-tensor checksum in the same pass. The f32 buffer comes
 /// from `ws`, so steady-state decoding reuses storage instead of allocating.
-pub(crate) fn tensor_from_payload(
+fn tensor_from_payload(
     meta: &TensorMeta,
     raw: &[u8],
     ws: &mut Workspace,
@@ -472,7 +468,7 @@ pub fn decode(buf: &[u8]) -> Result<Vec<(String, Tensor)>, FormatError> {
 /// previously parsed index. Names absent from the checkpoint are silently
 /// omitted (mirroring `CheckpointStore::load_tensors`); payload bytes of
 /// unrequested tensors are never touched.
-pub fn decode_tensors(
+pub(crate) fn decode_tensors(
     buf: &[u8],
     index: &CheckpointIndex,
     names: &[String],
@@ -486,6 +482,14 @@ pub fn decode_tensors(
             .map(|m| Ok((m.name.clone(), extract(buf, m, ws)?)))
             .collect()
     })
+}
+
+/// The named tensors of a whole container: [`parse_container`], which
+/// refuses a torn or padded one, then `decode_tensors`. Every store's
+/// `load_tensors` ends here once it holds a checkpoint's bytes, except a
+/// [`crate::CachedStore`] hit, which already holds the parsed index.
+pub fn decode_named(buf: &[u8], names: &[String]) -> Result<Vec<(String, Tensor)>, FormatError> {
+    decode_tensors(buf, &parse_container(buf)?, names)
 }
 
 #[cfg(test)]

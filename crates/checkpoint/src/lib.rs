@@ -12,11 +12,11 @@
 //! The container is **WTC3**, an indexed layout whose header is a
 //! self-checksummed table of contents ([`CheckpointIndex`]): readers recover
 //! every tensor's name, shape, offset and payload checksum without touching
-//! payload bytes, which is what makes [`CheckpointStore::load_index`] and
-//! [`CheckpointStore::load_tensors`] cheap. It is the only version read or
-//! written. [`CachedStore`] keeps the lineage's live providers resident in
-//! memory: filled by the save that creates one, emptied by the strategy's
-//! watermark, capped in bytes.
+//! payload bytes, and [`CheckpointStore::load_tensors`] converts only the
+//! payloads a transfer plan names. Every store reads a checkpoint as one
+//! whole container. It is the only version read or written. [`CachedStore`]
+//! keeps the lineage's live providers resident in memory: filled by the save
+//! that creates one, emptied by the strategy's watermark, capped in bytes.
 
 pub mod cache;
 pub mod format;
@@ -25,7 +25,7 @@ pub mod store;
 
 pub use cache::CachedStore;
 pub use format::{
-    decode, decode_tensors, encode, encoded_len, parse_container, payload_checksum, with_encoded,
+    decode, decode_named, encode, encoded_len, parse_container, payload_checksum, with_encoded,
     FormatError,
 };
 pub use index::CheckpointIndex;

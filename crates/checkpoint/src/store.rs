@@ -1,18 +1,17 @@
 //! Checkpoint storage backends.
 
 use crate::format::{
-    decode, decode_tensors, encode, header_len, parse_container, parse_index, tensor_from_payload,
-    with_encoded, with_thread_bytes, FormatError,
+    decode, decode_named, encode, parse_container, with_encoded, with_thread_bytes,
 };
 use crate::index::CheckpointIndex;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use swt_tensor::{with_thread_workspace, Tensor};
+use swt_tensor::Tensor;
 
 /// A place to persist candidate checkpoints, keyed by candidate id.
 ///
@@ -20,9 +19,9 @@ use swt_tensor::{with_thread_workspace, Tensor};
 /// system and later read parents back for weight transfer (Fig. 6 steps
 /// ③/⑤); this trait is that interface. The provided `load_index` /
 /// `load_tensors` methods are the *selective* read path (Section VIII-E
-/// identifies checkpoint reads as the dominant transfer overhead): backends
-/// with native header support override them to serve a transfer plan without
-/// decoding — or even reading — unmatched tensor payloads.
+/// identifies checkpoint reads as the dominant transfer overhead): every
+/// store here overrides them to read the container whole, once, and convert
+/// only the payloads a transfer plan names.
 pub trait CheckpointStore: Send + Sync {
     /// Persist a checkpoint; returns the serialized size in bytes (Fig. 11's
     /// measured quantity).
@@ -40,7 +39,7 @@ pub trait CheckpointStore: Send + Sync {
 
     /// The checkpoint's table of contents: names, shapes and layout, without
     /// tensor data. Default: synthesize from a full load (correct but not
-    /// faster); indexed backends read only the container's header.
+    /// faster); the stores here parse it from the container's header.
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
         let entries = self.load(id)?;
         Ok(CheckpointIndex::synthesized(
@@ -168,25 +167,17 @@ impl DirStore {
         self.root.join(format!("{id}.wtc"))
     }
 
-    /// Open `id` and read its index: the 8-byte fixed head plus the TOC and
-    /// its CRC (a few hundred bytes regardless of checkpoint size). Returns
-    /// the still-open file, positioned at the first payload, and the index;
-    /// a file whose length is not what its index declares is torn.
-    fn open_indexed(&self, id: &str) -> io::Result<(File, CheckpointIndex)> {
-        let mut f = File::open(self.path(id))?;
-        let file_len = f.metadata()?.len();
-        let mut head = [0u8; 8];
-        f.read_exact(&mut head).map_err(|_| FormatError::Truncated)?;
-        let header_len = header_len(&head)?;
-        if header_len > file_len {
-            return Err(FormatError::Truncated.into());
-        }
-        let mut header = vec![0u8; header_len as usize];
-        header[..8].copy_from_slice(&head);
-        f.read_exact(&mut header[8..])?;
-        let index = parse_index(&header)?;
-        index.check_len(file_len)?;
-        Ok((f, index))
+    /// Read `id`'s whole file into this thread's byte buffer and lend the
+    /// bytes to `f`: one `read` per checkpoint, and no allocation once the
+    /// buffer has held the thread's largest container. `f` sees exactly what
+    /// is on disk, so a torn or padded file meets [`parse_container`].
+    fn with_file<R>(&self, id: &str, f: impl FnOnce(&[u8]) -> io::Result<R>) -> io::Result<R> {
+        let mut file = File::open(self.path(id))?;
+        with_thread_bytes(|buf| {
+            buf.clear();
+            file.read_to_end(buf)?;
+            f(buf)
+        })
     }
 
     /// One `write` of the whole container to a temp file, then a `rename`,
@@ -222,11 +213,7 @@ impl CheckpointStore for DirStore {
     }
 
     fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        let t0 = Instant::now();
-        let buf = std::fs::read(self.path(id))?;
-        let entries = decode(&buf)?;
-        swt_obs::histogram!("ckpt.dir.load_ns").observe(t0.elapsed().as_nanos() as u64);
-        Ok(entries)
+        self.with_file(id, |buf| Ok(decode(buf)?))
     }
 
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
@@ -234,38 +221,11 @@ impl CheckpointStore for DirStore {
     }
 
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        let t0 = Instant::now();
-        let (_, index) = self.open_indexed(id)?;
-        swt_obs::histogram!("ckpt.dir.load_index_ns").observe(t0.elapsed().as_nanos() as u64);
-        Ok(index)
+        self.with_file(id, |buf| Ok(parse_container(buf)?))
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        let t0 = Instant::now();
-        let (mut f, index) = self.open_indexed(id)?;
-        let want: HashSet<&str> = names.iter().map(String::as_str).collect();
-        let mut out = Vec::with_capacity(want.len().min(index.len()));
-        // Read each requested payload into the thread's byte buffer and
-        // convert it from there; unmatched tensors are never read off the
-        // disk at all, and neighbours need no seek between them.
-        let mut pos = index.encoded_len() - index.payload_bytes();
-        with_thread_bytes(|raw| -> io::Result<()> {
-            for meta in index.tensors().iter().filter(|m| want.contains(m.name.as_str())) {
-                if meta.offset != pos {
-                    f.seek(SeekFrom::Start(meta.offset))?;
-                }
-                raw.resize(meta.size_bytes() as usize, 0);
-                f.read_exact(raw)?;
-                pos = meta.offset + meta.size_bytes();
-                let tensor = with_thread_workspace(|ws| tensor_from_payload(meta, raw, ws))?;
-                out.push((meta.name.clone(), tensor));
-            }
-            Ok(())
-        })?;
-        let read_bytes: u64 = out.iter().map(|(_, t)| 4 * t.numel() as u64).sum();
-        swt_obs::histogram!("ckpt.dir.partial_load_ns").observe(t0.elapsed().as_nanos() as u64);
-        swt_obs::counter!("ckpt.dir.partial_read_bytes").add(read_bytes);
-        Ok(out)
+        self.with_file(id, |buf| Ok(decode_named(buf, names)?))
     }
 
     fn exists(&self, id: &str) -> bool {
@@ -346,10 +306,7 @@ impl CheckpointStore for MemStore {
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        self.with_buf(id, |buf| {
-            let index = parse_container(buf)?;
-            Ok(decode_tensors(buf, &index, names)?)
-        })
+        self.with_buf(id, |buf| Ok(decode_named(buf, names)?))
     }
 
     fn exists(&self, id: &str) -> bool {
@@ -500,6 +457,38 @@ mod tests {
         refused(&[], "empty file");
         std::fs::write(dir.join("x.wtc"), &clean).unwrap();
         assert_eq!(store.load_tensors("x", &names).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dir_store_selective_reads_refuse_a_torn_padded_or_flipped_file() {
+        // The whole file meets `parse_container` (its length against its
+        // index) and each requested payload its checksum. A flipped payload
+        // byte leaves the header intact, so the index is still served; the
+        // tensor read that asks for that payload is refused.
+        let dir = std::env::temp_dir().join(format!("swt_ckpt_torn_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DirStore::new(&dir).unwrap();
+        let clean = encode(&entries(6));
+        let bias = vec!["a/bias".to_string()];
+        let mut flipped = clean.clone();
+        flipped[parse_container(&clean).unwrap().get("a/bias").unwrap().offset as usize] ^= 0x10;
+        for (what, bytes, index_refused) in [
+            ("one byte missing", &clean[..clean.len() - 1], true),
+            ("one trailing byte", &[clean.as_slice(), &[0]].concat()[..], true),
+            ("a flipped byte in a requested payload", &flipped[..], false),
+        ] {
+            std::fs::write(dir.join("t.wtc"), bytes).unwrap();
+            let err = store.load_tensors("t", &bias).err();
+            let err = err.unwrap_or_else(|| panic!("load_tensors accepted {what}"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "load_tensors, {what}: {err}");
+            match store.load_index("t") {
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "load_index, {what}: {e}")
+                }
+                Ok(index) => assert!(!index_refused && index.len() == 2, "load_index: {what}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,11 +6,11 @@
 //! against a bare `DirStore` and against the `CachedStore` a search puts in
 //! front of it. After two warm-up cycles a cycle makes **no** allocation of
 //! 64 KiB or more. On the bare store the container is built in the thread's
-//! reused byte buffer and handed to one `write`, and payloads are read back
-//! through the same buffer; behind the cache the container is built in the
-//! slab the previous cycle's `evict` handed back, written from there, and
-//! both reads are hits on it (fresh pages are what this host charges most
-//! for). Either way the decoded tensors come from (and here, like the
+//! reused byte buffer and handed to one `write`, and each read takes the
+//! whole file back into the same buffer; behind the cache the container is
+//! built in the slab the previous cycle's `evict` handed back, written from
+//! there, and both reads are hits on it (fresh pages are what this host
+//! charges most for). Either way the decoded tensors come from (and here, like the
 //! evaluator, go back to) the thread's arena — from one thread, and from two
 //! at once (buffers are per thread and a slab has one owner, so a second
 //! writer must not push either back to the allocator).

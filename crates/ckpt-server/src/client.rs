@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use swt_checkpoint::{
-    decode, decode_tensors, parse_container, with_encoded, CheckpointIndex, CheckpointStore,
+    decode, decode_named, parse_container, with_encoded, CheckpointIndex, CheckpointStore,
 };
 use swt_tensor::Tensor;
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
@@ -238,9 +238,7 @@ impl CheckpointStore for RemoteStore {
     }
 
     fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        let raw = self.load_raw(id)?;
-        let index = parse_container(&raw)?;
-        Ok(decode_tensors(&raw, &index, names)?)
+        Ok(decode_named(&self.load_raw(id)?, names)?)
     }
 
     fn exists(&self, id: &str) -> bool {

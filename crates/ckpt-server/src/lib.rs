@@ -10,7 +10,9 @@
 //! * [`CkptServer`] — the service: per-bucket `CachedStore<DirStore>`
 //!   (resident containers capped in bytes over a durable WTC3 spill
 //!   directory), thread-per-connection framed TCP, `ckptsrv.*` counters and
-//!   an optional live `/status` endpoint.
+//!   an optional live `/status` endpoint. `swt ckpt-server` runs it (the
+//!   crate has no binary of its own); the shared secret comes from
+//!   `SWT_CKPT_SECRET`, never argv.
 //! * [`RemoteStore`] — the client: a `CheckpointStore` with one read on the
 //!   wire, `GetRaw`, and retry-and-backoff riding out server restarts.
 //! * [`proto`] — the store frame family (tags 0x41..), chunked streaming

@@ -286,6 +286,16 @@ fn the_provider_cache_holds_the_live_set_and_the_store_is_never_read() {
     assert_eq!(cached_trace.canonical_csv(), bare_trace.canonical_csv());
     assert!(count(&bare.reads) > 400, "index + tensors per child, from the store");
 
+    // The same on disk: a bare `DirStore` reads each provider's file whole
+    // for the index and again for the tensors.
+    let dir = std::env::temp_dir().join(format!("swt_bare_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let on_disk = Watch::new(DirStore::new(&dir).unwrap(), |_| 0);
+    let dir_trace = run(Arc::clone(&on_disk) as _, &uncached);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(cached_trace.canonical_csv(), dir_trace.canonical_csv());
+    assert_eq!(count(&on_disk.reads), count(&bare.reads), "the same reads, served from files");
+
     // The same search through a cache this test can see into: what it holds
     // is the population plus what is in flight on either side of it, not the
     // 400 checkpoints that passed through (nor the 32 MiB it may hold).
