@@ -125,18 +125,17 @@ pub struct DistBackend {
 }
 
 impl DistBackend {
-    /// Bind a localhost listener, spawn the initial worker processes
-    /// (`dist.initial_workers`, default `nas.workers`), and complete the
-    /// handshake with each.
+    /// Bind a localhost listener, spawn one worker process per slot of the
+    /// dispatch window (`nas.workers`), and complete the handshake with
+    /// each.
     pub fn launch(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
         let window = nas.workers;
         assert!(window > 0, "need a non-empty dispatch window");
-        let n = dist.initial_workers.unwrap_or(window).max(1);
-        assert!(n <= dist.max_workers, "initial workers exceed max_workers");
+        assert!(window <= dist.max_workers, "the dispatch window exceeds max_workers");
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?.to_string();
         let exe = find_worker_exe(dist.worker_exe.as_ref())?;
-        swt_obs::info!("swt_dist", "coordinator on {addr}, spawning {n} × {}", exe.display());
+        swt_obs::info!("swt_dist", "coordinator on {addr}, spawning {window} × {}", exe.display());
 
         // Worker resources are budgeted by the window, not the live pool:
         // thread pinning and cache slices must not depend on how many
@@ -156,8 +155,8 @@ impl DistBackend {
             store_url: dist.store_url.clone().filter(|url| !url.is_empty()),
         };
 
-        let mut children = Unslotted(Vec::with_capacity(n));
-        let streams = spawn_and_admit(&listener, &exe, &addr, &run, n, &mut children.0)?;
+        let mut children = Unslotted(Vec::with_capacity(window));
+        let streams = spawn_and_admit(&listener, &exe, &addr, &run, window, &mut children.0)?;
 
         let live = dist.live.clone().unwrap_or_else(|| Arc::new(LiveRunView::new()));
         live.set_meta("app", dist.app.name());
@@ -173,7 +172,7 @@ impl DistBackend {
             run,
             window,
             max_workers: dist.max_workers,
-            slots: Vec::with_capacity(n),
+            slots: Vec::with_capacity(window),
             tx,
             rx,
             pending: VecDeque::new(),
@@ -514,7 +513,7 @@ impl DistBackend {
             match self.rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(Event::Msg { worker, msg }) => match *msg {
                     Msg::Result { telemetry, .. } | Msg::Telemetry { telemetry } => {
-                        self.live.apply_telemetry(worker, &telemetry);
+                        self.live.apply_telemetry(worker, telemetry);
                     }
                     _ => {}
                 },
@@ -580,7 +579,7 @@ impl EvalBackend for DistBackend {
                 Ok(Event::Msg { worker, msg }) => match *msg {
                     Msg::Result { outcome, telemetry } => {
                         let id = outcome.id;
-                        self.live.apply_telemetry(worker, &telemetry);
+                        self.live.apply_telemetry(worker, telemetry);
                         if self.slots[worker].current == Some(id) {
                             self.slots[worker].current = None;
                         }
@@ -599,7 +598,7 @@ impl EvalBackend for DistBackend {
                     Msg::Telemetry { telemetry } => {
                         // A snapshot between results: fold and keep going.
                         // A stale seq is counted by the view, never an error.
-                        self.live.apply_telemetry(worker, &telemetry);
+                        self.live.apply_telemetry(worker, telemetry);
                     }
                     Msg::Pong { nonce } => {
                         let slot = &mut self.slots[worker];

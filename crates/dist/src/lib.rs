@@ -65,15 +65,15 @@ pub struct JoinPlan {
 }
 
 /// Per-run statistics the coordinator hands back from
-/// [`DistBackend::finish`]: each worker process's counters and histograms
-/// from its last applied snapshot, read from the run's [`LiveRunView`],
+/// [`DistBackend::finish`]: each worker process's report from its last
+/// applied snapshot, read from the run's [`LiveRunView`],
 /// plus the elasticity/failure tallies for this run. Instance-local on
 /// purpose — tests assert conservation on these without diffing the
 /// process-global registry.
 #[derive(Debug, Clone, Default)]
 pub struct DistRunStats {
-    /// `(worker slot, counters and histograms)` for every worker that
-    /// delivered a snapshot ([`LiveRunView::worker_reports`]).
+    /// `(worker slot, its whole report)` for every worker that delivered a
+    /// snapshot ([`LiveRunView::worker_reports`]).
     pub per_worker: Vec<(usize, RunReport)>,
     /// Workers admitted after launch (late `Hello`s).
     pub joined: usize,
@@ -86,8 +86,8 @@ pub struct DistRunStats {
 }
 
 impl DistRunStats {
-    /// Merge every worker's report into one counters/histograms-only
-    /// [`RunReport`] — the cross-process half of the run's totals.
+    /// Merge every worker's report into one [`RunReport`] — the
+    /// cross-process half of the run's totals.
     pub fn workers_report(&self) -> RunReport {
         let mut out = RunReport::default();
         for (_, report) in &self.per_worker {
@@ -119,11 +119,6 @@ pub struct DistConfig {
     pub worker_exe: Option<PathBuf>,
     /// Optional fault injection for benches/tests.
     pub kill_worker_after: Option<KillPlan>,
-    /// Processes to spawn at launch (default: `nas.workers`). May be below
-    /// the dispatch window: the window is sized by `nas.workers` alone, so a
-    /// short-handed pool just queues the overflow until workers join —
-    /// elasticity never changes the schedule, only who evaluates it.
-    pub initial_workers: Option<usize>,
     /// Hard cap on concurrently-live workers; late joins beyond it are
     /// refused with an `Error` frame (`dist.joins_rejected`).
     pub max_workers: usize,
@@ -148,7 +143,6 @@ impl DistConfig {
             store_url: None,
             worker_exe: None,
             kill_worker_after: None,
-            initial_workers: None,
             max_workers: 64,
             join_after: None,
             live: None,
@@ -168,7 +162,7 @@ pub fn run_nas_dist(nas: &NasConfig, dist: &DistConfig) -> io::Result<NasTrace> 
 }
 
 /// [`run_nas_dist`], additionally returning the run's [`DistRunStats`]
-/// (each worker's counters and histograms + join/loss tallies). The
+/// (each worker's report + join/loss tallies). The
 /// graceful [`DistBackend::finish`] teardown this uses also folds those
 /// counters and histograms — each worker's last applied snapshot — into
 /// the process-global registry, so a `RunReport::capture()` after this call

@@ -1,8 +1,8 @@
 //! The coordinator's in-flight picture of a distributed run.
 //!
 //! A worker's metrics reach the coordinator one way: as seq-numbered
-//! [`Telemetry`] snapshots (cumulative spans, counters, gauges and
-//! histograms plus timeline-event deltas), one inside every `Result` and
+//! [`Telemetry`] snapshots (the worker's cumulative [`RunReport`] plus
+//! timeline-event deltas), one inside every `Result` and
 //! standalone ones at heartbeat cadence and at teardown. The coordinator
 //! folds each into a [`LiveRunView`], next to the dispatch picture — queue
 //! depth, candidates in flight, and an EWMA of per-candidate wall cost. The
@@ -19,15 +19,15 @@
 //! here ([`LiveRunView::workers_report`]); nothing here feeds back into
 //! scheduling.
 
-use crate::wire::{SpanTotalRow, Telemetry};
+use crate::wire::Telemetry;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 use swt_obs::json::Json;
 use swt_obs::registry::WORKER_SLOTS;
-use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
-use swt_obs::timeline::{self, EventKind, TimelineEvent};
+use swt_obs::report::SpanRow;
+use swt_obs::timeline::{self, TimelineEvent};
 use swt_obs::{RunReport, ServeSource};
 
 /// Upper bound on buffered worker timeline events kept for `/trace`. The
@@ -56,14 +56,11 @@ pub struct WorkerView {
     pub results: u64,
     /// Worker-process uptime at its last snapshot, nanoseconds.
     pub uptime_ns: u64,
-    /// Latest cumulative span totals…
-    pub spans: Vec<SpanTotalRow>,
-    /// …and the previous snapshot's, so deltas survive the overwrite.
-    pub prev_spans: Vec<SpanTotalRow>,
-    /// The latest snapshot's counters, gauges and histograms.
-    pub counters: Vec<CounterRow>,
-    pub gauges: Vec<GaugeRow>,
-    pub histograms: Vec<HistogramRow>,
+    /// The latest snapshot's report, cumulative since worker start…
+    pub report: RunReport,
+    /// …and the previous snapshot's span rows, so deltas survive the
+    /// overwrite.
+    pub prev_spans: Vec<SpanRow>,
 }
 
 /// The provider-cache counter suffixes a worker reports under `ckpt.cache.*`:
@@ -72,32 +69,25 @@ pub struct WorkerView {
 pub const CACHE_COUNTER_KINDS: [&str; 4] = ["hits", "misses", "retired", "capped"];
 
 impl WorkerView {
-    /// Cumulative nanoseconds under `path` in the latest snapshot.
-    pub fn span_total_ns(&self, path: &str) -> u64 {
-        self.spans.iter().find(|s| s.path == path).map_or(0, |s| s.total_ns)
-    }
-
-    /// A counter from this worker's latest snapshot (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
-    }
-
     /// This worker's provider cache as `/status` shows it: the
     /// [`CACHE_COUNTER_KINDS`] and the most bytes it ever held resident.
     fn cache_json(&self) -> Json {
-        let peak = self.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
+        let report = &self.report;
+        let peak = report.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
         let mut fields: Vec<(String, Json)> = CACHE_COUNTER_KINDS
             .iter()
-            .map(|k| (k.to_string(), Json::Num(self.counter(&format!("ckpt.cache.{k}")) as f64)))
+            .map(|k| (k.to_string(), Json::Num(report.counter(&format!("ckpt.cache.{k}")) as f64)))
             .collect();
         fields.push(("resident_peak_bytes".into(), Json::Num(peak.map_or(0, |g| g.max) as f64)));
         Json::Obj(fields)
     }
 
-    /// Nanoseconds under `path` gained between the last two snapshots.
-    pub fn span_delta_ns(&self, path: &str) -> u64 {
-        let prev = self.prev_spans.iter().find(|s| s.path == path).map_or(0, |s| s.total_ns);
-        self.span_total_ns(path).saturating_sub(prev)
+    /// Seconds under `path`, over every slot, gained between the last two
+    /// snapshots.
+    fn span_delta_secs(&self, path: &str) -> f64 {
+        let prev: f64 =
+            self.prev_spans.iter().filter(|s| s.path == path).map(|s| s.total_secs).sum();
+        (self.report.span_total_secs(path) - prev).max(0.0)
     }
 }
 
@@ -212,9 +202,10 @@ impl LiveRunView {
     }
 
     /// Fold one snapshot from `worker`, whether it came inside a `Result`
-    /// or in a `Telemetry` frame. Returns `false` (and counts a stale
-    /// frame) when its seq does not advance the stream.
-    pub fn apply_telemetry(&self, worker: usize, t: &Telemetry) -> bool {
+    /// or in a `Telemetry` frame: keep its report, append its events.
+    /// Returns `false` (and counts a stale frame) when its seq does not
+    /// advance the stream.
+    pub fn apply_telemetry(&self, worker: usize, t: Telemetry) -> bool {
         let mut inner = self.lock();
         inner.ensure_worker(worker);
         {
@@ -228,31 +219,20 @@ impl LiveRunView {
             w.alive = true;
             w.uptime_ns = t.uptime_ns;
             w.dropped_events = w.dropped_events.saturating_add(t.dropped_events);
-            w.prev_spans = std::mem::replace(&mut w.spans, t.spans.clone());
-            w.counters = t.counters.clone();
-            w.gauges = t.gauges.clone();
-            w.histograms = t.histograms.clone();
+            w.prev_spans = std::mem::replace(&mut w.report, t.report).spans;
         }
         let pid = worker as u32 + 1;
-        for ev in &t.events {
-            // Decode already bounds-checked the index; unknown names (a
-            // peer speaking a future dialect) are skipped, not fatal.
-            let Some(name) = t.names.get(ev.name as usize) else { continue };
+        for mut ev in t.events {
+            // The frame was decoded on its connection's reader thread. A name
+            // kept from it would pin that thread's allocator arena for the
+            // whole run (measured: the coordinator's peak RSS ~6 % higher),
+            // so the view keeps a copy made here.
+            ev.name = String::from(ev.name.as_str());
             if inner.events.len() >= MAX_VIEW_EVENTS {
                 inner.events.pop_front();
                 inner.events_dropped += 1;
             }
-            inner.events.push_back((
-                pid,
-                TimelineEvent {
-                    seq: ev.t_ns, // slot seq is worker-local; order by time instead
-                    kind: if ev.kind == 1 { EventKind::Counter } else { EventKind::Span },
-                    name: name.clone(),
-                    t_ns: ev.t_ns,
-                    dur_ns: ev.dur_ns,
-                    delta: ev.delta,
-                },
-            ));
+            inner.events.push_back((pid, ev));
         }
         true
     }
@@ -267,27 +247,28 @@ impl LiveRunView {
         self.lock().results
     }
 
+    /// Worker timeline events discarded at [`MAX_VIEW_EVENTS`], oldest
+    /// first, so far.
+    pub fn events_dropped(&self) -> u64 {
+        self.lock().events_dropped
+    }
+
     /// `(worker, report)` for every worker that delivered a snapshot: its
-    /// latest counters and histograms — what the run's totals take from it.
+    /// latest report, spans included.
     pub fn worker_reports(&self) -> Vec<(usize, RunReport)> {
         let inner = self.lock();
-        let report = |w: &WorkerView| RunReport {
-            counters: w.counters.clone(),
-            histograms: w.histograms.clone(),
-            ..RunReport::default()
-        };
         inner
             .workers
             .iter()
             .enumerate()
             .filter(|(_, w)| w.frames > 0)
-            .map(|(id, w)| (id, report(w)))
+            .map(|(id, w)| (id, w.report.clone()))
             .collect()
     }
 
-    /// Merge of every worker's latest counters and histograms: mid-run,
-    /// the workers' share of `/metrics`; after `DistBackend::finish`, the
-    /// worker totals it folded into the run's registry.
+    /// Merge of every worker's latest report: mid-run, the workers' share
+    /// of `/metrics`; after `DistBackend::finish`, the source of the
+    /// counters and histograms it folded into the run's registry.
     pub fn workers_report(&self) -> RunReport {
         let mut merged = RunReport::default();
         for (_, report) in self.worker_reports() {
@@ -306,22 +287,24 @@ impl ServeSource for LiveRunView {
             .iter()
             .enumerate()
             .map(|(id, w)| {
-                let spans = w
-                    .spans
-                    .iter()
-                    .map(|s| {
+                // One row per path, summed over the worker's slots.
+                let mut paths: Vec<&str> = w.report.spans.iter().map(|s| s.path.as_str()).collect();
+                paths.dedup();
+                let spans = paths
+                    .into_iter()
+                    .map(|path| {
+                        let rows = w.report.spans.iter().filter(|s| s.path == path);
+                        let count: u64 = rows.map(|s| s.count).sum();
                         Json::Obj(vec![
-                            ("path".to_string(), Json::Str(s.path.clone())),
-                            ("count".to_string(), Json::Num(s.count as f64)),
-                            ("total_secs".to_string(), Json::Num(s.total_ns as f64 / 1e9)),
-                            (
-                                "delta_secs".to_string(),
-                                Json::Num(w.span_delta_ns(&s.path) as f64 / 1e9),
-                            ),
+                            ("path".to_string(), Json::Str(path.to_string())),
+                            ("count".to_string(), Json::Num(count as f64)),
+                            ("total_secs".to_string(), Json::Num(w.report.span_total_secs(path))),
+                            ("delta_secs".to_string(), Json::Num(w.span_delta_secs(path))),
                         ])
                     })
                     .collect();
                 let gauges = w
+                    .report
                     .gauges
                     .iter()
                     .map(|g| {
@@ -407,39 +390,69 @@ impl ServeSource for LiveRunView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireEvent;
+    use swt_obs::report::{CounterRow, GaugeRow};
+    use swt_obs::timeline::EventKind;
 
-    /// Snapshot `seq` of a worker that has trained `seq * 10` batches.
+    fn event(seq: u64) -> TimelineEvent {
+        TimelineEvent {
+            seq,
+            kind: EventKind::Span,
+            name: "nas.eval".to_string(),
+            t_ns: seq,
+            dur_ns: 10,
+            delta: 0,
+        }
+    }
+
+    /// Snapshot `seq` of a worker that has trained `seq * 10` batches, its
+    /// evaluations split over two slots.
     fn frame(seq: u64) -> Telemetry {
+        let span = |worker, total_secs| SpanRow {
+            path: "nas.eval".to_string(),
+            worker,
+            count: seq,
+            total_secs,
+            min_secs: 0.0,
+            max_secs: 0.0,
+        };
         Telemetry {
             seq,
             uptime_ns: seq * 1_000,
-            spans: vec![SpanTotalRow {
-                path: "nas.eval".to_string(),
-                count: seq,
-                total_ns: seq * 500,
-            }],
-            counters: vec![CounterRow { name: "live_test.batches".to_string(), value: seq * 10 }],
-            gauges: vec![GaugeRow { name: "pool.depth".to_string(), value: 2, max: 4 }],
-            names: vec!["nas.eval".to_string()],
-            events: vec![WireEvent { name: 0, kind: 0, t_ns: seq, dur_ns: 10, delta: 0 }],
+            report: RunReport {
+                spans: vec![span(Some(1), seq as f64 * 0.5), span(None, seq as f64 * 0.25)],
+                counters: vec![CounterRow {
+                    name: "live_test.batches".to_string(),
+                    value: seq * 10,
+                }],
+                gauges: vec![GaugeRow { name: "pool.depth".to_string(), value: 2, max: 4 }],
+                ..RunReport::default()
+            },
+            events: vec![event(seq)],
             ..Telemetry::default()
         }
     }
 
     #[test]
-    fn stale_and_replayed_frames_do_not_regress_the_view() {
+    fn stale_and_replayed_frames_do_not_regress_the_view() -> Result<(), String> {
         let live = LiveRunView::new();
-        assert!(live.apply_telemetry(1, &frame(1)));
-        assert!(live.apply_telemetry(1, &frame(3)));
-        assert!(!live.apply_telemetry(1, &frame(2)), "reordered frame is stale");
-        assert!(!live.apply_telemetry(1, &frame(3)), "replayed frame is stale");
+        assert!(live.apply_telemetry(1, frame(1)));
+        assert!(live.apply_telemetry(1, frame(3)));
+        assert!(!live.apply_telemetry(1, frame(2)), "reordered frame is stale");
+        assert!(!live.apply_telemetry(1, frame(3)), "replayed frame is stale");
         let w = &live.workers()[1];
         assert_eq!(w.last_seq, 3);
         assert_eq!(w.frames, 2);
         assert_eq!(w.stale_frames, 2);
-        assert_eq!(w.span_total_ns("nas.eval"), 1_500);
-        assert_eq!(w.span_delta_ns("nas.eval"), 1_000, "delta spans snapshots 1 → 3");
+        assert_eq!(w.report, frame(3).report, "the view keeps the report as it arrived");
+        assert_eq!(w.report.span_total_secs("nas.eval"), 2.25);
+        assert_eq!(w.span_delta_secs("nas.eval"), 1.5, "delta spans snapshots 1 → 3");
+        // `/status` keeps one span row per path, summed over slots.
+        let status = Json::parse(&live.status_json())?;
+        let workers = status.get("workers").and_then(Json::as_array).ok_or("workers")?;
+        let spans = workers[1].get("spans").and_then(Json::as_array).ok_or("spans")?;
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].get("total_secs").and_then(Json::as_f64), Some(2.25));
+        Ok(())
     }
 
     #[test]
@@ -452,17 +465,17 @@ mod tests {
         };
         // A `Result`'s snapshot, then a heartbeat one taken mid-candidate:
         // the counter moves before the next `Result` arrives.
-        assert!(live.apply_telemetry(0, &frame(1)));
+        assert!(live.apply_telemetry(0, frame(1)));
         assert_eq!(batches(&live), Some(10));
-        assert!(live.apply_telemetry(0, &frame(2)));
+        assert!(live.apply_telemetry(0, frame(2)));
         assert_eq!(batches(&live), Some(20));
         assert_eq!(live.workers_report().counter("live_test.batches"), 20);
         // A stale snapshot rolls back neither counters nor spans.
-        assert!(!live.apply_telemetry(0, &frame(1)));
+        assert!(!live.apply_telemetry(0, frame(1)));
         assert_eq!(batches(&live), Some(20));
         let w = &live.workers()[0];
         assert_eq!((w.last_seq, w.stale_frames), (2, 1));
-        assert_eq!(w.span_total_ns("nas.eval"), 1_000, "spans stay at snapshot 2");
+        assert_eq!(w.report.span_total_secs("nas.eval"), 1.5, "spans stay at snapshot 2");
     }
 
     #[test]
@@ -489,7 +502,8 @@ mod tests {
             CounterRow { name: "nas.candidates_evaluated".into(), value: 9 },
             CounterRow { name: "ckpt.cache.retired".into(), value: 7 },
         ];
-        live.apply_telemetry(0, &Telemetry { seq: 1, counters, ..Telemetry::default() });
+        let report = RunReport { counters, ..RunReport::default() };
+        live.apply_telemetry(0, Telemetry { seq: 1, report, ..Telemetry::default() });
         // The provider-cache object, every kind present.
         let status = Json::parse(&live.status_json())?;
         let workers = status.get("workers").and_then(Json::as_array);
@@ -532,7 +546,7 @@ mod tests {
         live.set_window(4);
         assert!(Json::parse(&live.status_json()).is_ok());
         assert!(Json::parse(&live.trace_json()).is_ok());
-        live.apply_telemetry(0, &frame(1));
+        live.apply_telemetry(0, frame(1));
         let status = Json::parse(&live.status_json())?;
         assert_eq!(
             status.get("meta").and_then(|m| m.get("app")).and_then(Json::as_str),
@@ -544,5 +558,21 @@ mod tests {
         let metrics = live.metrics_text();
         assert!(metrics.contains("swt_live_workers"), "run-level gauges present");
         Ok(())
+    }
+
+    #[test]
+    fn events_past_the_cap_drop_oldest_first_and_are_counted() {
+        let live = LiveRunView::new();
+        let named = |seq| TimelineEvent { name: format!("ev{seq}"), ..event(seq) };
+        let events = (0..MAX_VIEW_EVENTS as u64 + 3).map(named).collect();
+        live.apply_telemetry(0, Telemetry { seq: 1, events, ..Telemetry::default() });
+        assert_eq!(live.events_dropped(), 3);
+        let trace = live.trace_json();
+        for seq in 0..3 {
+            assert!(!trace.contains(&format!("\"ev{seq}\"")), "event {seq} must be dropped");
+        }
+        for seq in [3, MAX_VIEW_EVENTS as u64 + 2] {
+            assert!(trace.contains(&format!("\"ev{seq}\"")), "event {seq} must be kept");
+        }
     }
 }

@@ -22,7 +22,8 @@
 //! in the `check` function beside it and run on encode and on decode. The
 //! frames carry the run's own types: `Candidate` and `EvalOutcome` (with the
 //! candidate's watermark check) derive their `Wire` impls in swt-nas, the
-//! enums in `RunSpec` theirs in swt-data and swt-core.
+//! enums in `RunSpec` theirs in swt-data and swt-core, and a snapshot's
+//! `RunReport` and `TimelineEvent`s theirs in swt-obs.
 //! Editing a declaration moves bytes: bump [`crate::PROTOCOL_VERSION`] with
 //! it (the golden-bytes test in `tests/fuzz_decode.rs` fails until you do).
 
@@ -30,7 +31,7 @@ use crate::frame::{ensure, WireError};
 use swt_core::TransferScheme;
 use swt_data::{AppKind, DataScale};
 use swt_nas::{Candidate, EvalOutcome};
-use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
+use swt_obs::timeline::TimelineEvent;
 use swt_obs::RunReport;
 use swt_wire::{wire_messages, wire_struct};
 
@@ -76,35 +77,6 @@ wire_struct! {
 /// refused.
 pub const MAX_TELEMETRY_EVENTS: usize = 2048;
 
-/// Upper bound on the per-frame event-name string table.
-pub const MAX_TELEMETRY_NAMES: usize = 1024;
-
-wire_struct! {
-    /// Cumulative wall time of one span path, summed across worker slots —
-    /// the in-flight analogue of a report's span rows (a worker process
-    /// only ever attributes to its own slot, so the sum loses nothing).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct SpanTotalRow {
-        pub path: String,
-        pub count: u64,
-        pub total_ns: u64,
-    }
-}
-
-wire_struct! {
-    /// One timeline event on the wire; `name` indexes the frame's string
-    /// table. `kind` 0 = span (`dur_ns` meaningful), 1 = counter mark
-    /// (`delta` meaningful).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct WireEvent {
-        pub name: u16,
-        pub kind: u8,
-        pub t_ns: u64,
-        pub dur_ns: u64,
-        pub delta: i64,
-    }
-}
-
 wire_struct! {
     /// A worker's snapshot: the one way its metrics reach the coordinator,
     /// inside every `Result` and in a standalone `Telemetry` frame after
@@ -113,8 +85,8 @@ wire_struct! {
     /// `seq` increments per snapshot on each worker, and snapshots go on
     /// the wire in seq order; the coordinator ignores any snapshot whose seq
     /// is not strictly greater than the last applied one, so reordering or
-    /// loss degrades to staleness, never corruption. Spans, counters,
-    /// gauges and histograms are *cumulative since worker start*, so the
+    /// loss degrades to staleness, never corruption. `report` is the
+    /// worker's own [`RunReport`], *cumulative since worker start*, so the
     /// latest applied snapshot is the worker's whole account; only the
     /// `events` batch is a delta, cursor-tracked against the worker's
     /// timeline ring — overwritten events surface in `dropped_events`.
@@ -126,104 +98,37 @@ wire_struct! {
         /// Ring-overwritten events since the last capture — the staleness
         /// signal a slow coordinator sees instead of corrupted history.
         pub dropped_events: u64,
-        pub spans: Vec<SpanTotalRow>,
-        pub counters: Vec<CounterRow>,
-        pub gauges: Vec<GaugeRow>,
-        pub histograms: Vec<HistogramRow>,
-        /// Event-name string table (`WireEvent::name` indexes into this),
-        /// at most [`MAX_TELEMETRY_NAMES`] entries.
-        pub names: Vec<String>,
+        pub report: RunReport,
         /// At most [`MAX_TELEMETRY_EVENTS`] per frame.
-        pub events: Vec<WireEvent>,
+        pub events: Vec<TimelineEvent>,
     }
     check = Telemetry::check;
 }
 
 impl Telemetry {
     fn check(&self) -> Result<(), WireError> {
-        ensure(self.names.len() <= MAX_TELEMETRY_NAMES, "telemetry name table too large")?;
-        ensure(self.events.len() <= MAX_TELEMETRY_EVENTS, "telemetry event batch too large")?;
-        self.events.iter().try_for_each(|ev| {
-            ensure(
-                (ev.name as usize) < self.names.len(),
-                "telemetry event name index out of range",
-            )?;
-            ensure(ev.kind <= 1, "unknown telemetry event kind")
-        })
+        ensure(self.events.len() <= MAX_TELEMETRY_EVENTS, "telemetry event batch too large")
     }
 
-    /// Snapshot this process's live registry + timeline for the wire.
-    ///
-    /// Counters, gauges and histograms are the rows of one
-    /// [`RunReport::capture`]; span totals sum each path over the worker
-    /// slots. `cursor` is the caller-owned timeline read position for
-    /// `worker_slot`; it advances to cover exactly the events taken, so an
-    /// oversized drain simply spills into the next frame. Flushes the
-    /// calling thread's buffered spans first so its own just-closed spans
-    /// are visible.
+    /// Snapshot this process's live registry + timeline for the wire: one
+    /// [`RunReport::capture`] and the events of `worker_slot` at or after
+    /// `cursor`, at most [`MAX_TELEMETRY_EVENTS`] of them. `cursor` is the
+    /// caller-owned timeline read position; it advances past exactly the
+    /// events taken, so an oversized drain simply spills into the next
+    /// frame. Flushes the calling thread's buffered spans first so its own
+    /// just-closed spans are visible.
     pub fn capture(seq: u64, worker_slot: usize, cursor: &mut u64) -> Telemetry {
         swt_obs::span::flush_thread();
-        let RunReport { counters, gauges, histograms, .. } = RunReport::capture();
-        let mut spans = Vec::new();
-        swt_obs::registry::global().for_each_span(|path, stat| {
-            let mut count = 0u64;
-            let mut total_ns = 0u64;
-            for slot in 0..=swt_obs::registry::WORKER_SLOTS {
-                let (c, t, ..) = stat.snapshot(slot);
-                count += c;
-                total_ns += t;
-            }
-            if count > 0 {
-                spans.push(SpanTotalRow { path: path.to_string(), count, total_ns });
-            }
-        });
-        let drain = swt_obs::timeline::drain_since(worker_slot, *cursor);
-        let mut names: Vec<String> = Vec::new();
-        let mut events = Vec::new();
-        let mut taken = 0usize;
-        for ev in &drain.events {
-            if events.len() >= MAX_TELEMETRY_EVENTS {
-                break;
-            }
-            let idx = match names.iter().position(|n| n == &ev.name) {
-                Some(i) => i,
-                None if names.len() < MAX_TELEMETRY_NAMES => {
-                    names.push(ev.name.clone());
-                    names.len() - 1
-                }
-                // A saturated name table (pathological) drops the event;
-                // the cursor still advances so the stream cannot stall.
-                None => {
-                    taken += 1;
-                    continue;
-                }
-            };
-            events.push(WireEvent {
-                name: idx as u16,
-                kind: match ev.kind {
-                    swt_obs::timeline::EventKind::Span => 0,
-                    swt_obs::timeline::EventKind::Counter => 1,
-                },
-                t_ns: ev.t_ns,
-                dur_ns: ev.dur_ns,
-                delta: ev.delta,
-            });
-            taken += 1;
-        }
-        *cursor = match drain.events.get(taken.wrapping_sub(1)) {
-            Some(last) if taken > 0 => last.seq + 1,
-            _ => drain.next_seq.max(*cursor),
-        };
+        let report = RunReport::capture();
+        let mut drain = swt_obs::timeline::drain_since(worker_slot, *cursor);
+        drain.events.truncate(MAX_TELEMETRY_EVENTS);
+        *cursor = drain.events.last().map_or(drain.next_seq.max(*cursor), |last| last.seq + 1);
         Telemetry {
             seq,
             uptime_ns: swt_obs::timeline::now_ns(),
             dropped_events: drain.dropped,
-            spans,
-            counters,
-            gauges,
-            histograms,
-            names,
-            events,
+            report,
+            events: drain.events,
         }
     }
 }
@@ -254,21 +159,14 @@ mod tests {
     use super::*;
     use crate::frame::{Message, Wire, PROTOCOL_VERSION};
     use swt_core::TransferStats;
+    use swt_obs::report::{CounterRow, GaugeRow, HistogramRow, SpanRow};
+    use swt_obs::timeline::EventKind;
     use swt_space::ArchSeq;
 
     fn round_trip(msg: Msg) -> Result<(), WireError> {
         let payload = msg.encode()?;
         let back = Msg::decode(msg.tag(), &payload)?;
         assert_eq!(back, msg);
-        Ok(())
-    }
-
-    /// Overwrite the bytes at `at` with `value`'s encoding — how the hostile
-    /// frames below are made, since a bad value refuses to encode.
-    fn patch<T: Wire>(payload: &mut [u8], at: usize, value: T) -> Result<(), WireError> {
-        let mut bytes = Vec::new();
-        value.put(&mut bytes)?;
-        payload[at..at + bytes.len()].copy_from_slice(&bytes);
         Ok(())
     }
 
@@ -334,29 +232,48 @@ mod tests {
     }
 
     fn sample_telemetry() -> Telemetry {
+        let span = |path: &str, count, total_secs| SpanRow {
+            path: path.into(),
+            worker: Some(1),
+            count,
+            total_secs,
+            min_secs: 1e-4,
+            max_secs: 2e-3,
+        };
+        let event = |seq, kind, name: &str, t_ns, dur_ns, delta| TimelineEvent {
+            seq,
+            kind,
+            name: name.into(),
+            t_ns,
+            dur_ns,
+            delta,
+        };
         Telemetry {
             seq: 42,
             uptime_ns: 1_000_000_007,
-            spans: vec![
-                SpanTotalRow { path: "nas.eval".into(), count: 5, total_ns: 5_000_000 },
-                SpanTotalRow { path: "nas.queue_wait".into(), count: 5, total_ns: 700 },
-            ],
-            counters: vec![
-                CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
-                CounterRow { name: "tensor.gemm.calls".into(), value: 4096 },
-            ],
-            gauges: vec![GaugeRow { name: "ckpt.cache.resident_bytes".into(), value: -1, max: 4 }],
-            histograms: vec![HistogramRow {
-                name: "ckpt.save_ns".into(),
-                count: 3,
-                sum: 900,
-                // Includes the overflow bucket's bound.
-                buckets: vec![(511, 2), (u64::MAX, 1)],
-            }],
-            names: vec!["nas.eval".into(), "nas.dispatch".into()],
+            report: RunReport {
+                spans: vec![span("nas.eval", 5, 0.005), span("nas.queue_wait", 5, 7e-7)],
+                counters: vec![
+                    CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
+                    CounterRow { name: "tensor.gemm.calls".into(), value: 4096 },
+                ],
+                gauges: vec![GaugeRow {
+                    name: "ckpt.cache.resident_bytes".into(),
+                    value: -1,
+                    max: 4,
+                }],
+                histograms: vec![HistogramRow {
+                    name: "ckpt.save_ns".into(),
+                    count: 3,
+                    sum: 900,
+                    // Includes the overflow bucket's bound.
+                    buckets: vec![(511, 2), (u64::MAX, 1)],
+                }],
+                ..RunReport::default()
+            },
             events: vec![
-                WireEvent { name: 0, kind: 0, t_ns: 10, dur_ns: 90, delta: 0 },
-                WireEvent { name: 1, kind: 1, t_ns: 120, dur_ns: 0, delta: -3 },
+                event(0, EventKind::Span, "nas.eval", 10, 90, 0),
+                event(1, EventKind::Counter, "nas.dispatch", 120, 0, -3),
             ],
             dropped_events: 9,
         }
@@ -364,45 +281,26 @@ mod tests {
 
     #[test]
     fn telemetry_rejects_hostile_payloads() -> Result<(), WireError> {
-        // The check refuses a bad frame on encode, so build each one by
-        // patching a good one: `events` is the last field, each event 27
-        // bytes (name u16, kind u8, then three 8-byte fields).
+        // `events` is the last field; the last event is seq u64, kind u8,
+        // the 12-byte name behind its u16 length, then three 8-byte fields.
         let good = Msg::Telemetry { telemetry: sample_telemetry() }.encode()?;
-        let first_event = good.len() - 2 * 27;
-
-        // Event referencing a name index beyond the table.
-        let mut p = good.clone();
-        patch(&mut p, first_event, sample_telemetry().names.len() as u16)?;
-        assert!(matches!(
-            Msg::decode(0x0A, &p),
-            Err(WireError::Malformed("telemetry event name index out of range"))
-        ));
-
-        // Unknown event kind.
         let mut p = good;
-        p[first_event + 2] = 7;
+        let kind_at = p.len() - (1 + 2 + 12 + 3 * 8);
+        p[kind_at] = 7;
         assert!(matches!(
             Msg::decode(0x0A, &p),
-            Err(WireError::Malformed("unknown telemetry event kind"))
+            Err(WireError::Malformed("unknown EventKind byte"))
         ));
 
-        // One event or one name past its cap does not encode (the decode side
-        // of both caps, every entry present, is in `tests/fuzz_decode.rs`).
-        let event = WireEvent { name: 0, kind: 0, t_ns: 0, dur_ns: 0, delta: 0 };
+        // One event past the cap does not encode (the decode side, every
+        // event present, is in `tests/fuzz_decode.rs`).
         let t = Telemetry {
-            names: vec!["n".into()],
-            events: vec![event; MAX_TELEMETRY_EVENTS + 1],
+            events: vec![sample_telemetry().events[0].clone(); MAX_TELEMETRY_EVENTS + 1],
             ..Default::default()
         };
         assert!(matches!(
             Msg::Telemetry { telemetry: t }.encode(),
             Err(WireError::Malformed("telemetry event batch too large"))
-        ));
-        let t =
-            Telemetry { names: vec![String::new(); MAX_TELEMETRY_NAMES + 1], ..Default::default() };
-        assert!(matches!(
-            Msg::Telemetry { telemetry: t }.encode(),
-            Err(WireError::Malformed("telemetry name table too large"))
         ));
         Ok(())
     }
@@ -416,6 +314,23 @@ mod tests {
         let t = Telemetry::capture(1, swt_obs::registry::UNATTRIBUTED_SLOT, &mut cursor);
         assert!(t.events.is_empty());
         assert!(cursor >= u64::MAX - 1, "cursor must never rewind");
+
+        // A drain past the frame cap is cut there, and the cursor moves past
+        // exactly the events taken: the rest ride in the next snapshot.
+        let worker = Some(41); // a slot no other test in this crate records into
+        let slot = swt_obs::registry::SpanStat::slot_for(worker);
+        for t_ns in 0..MAX_TELEMETRY_EVENTS as u64 + 5 {
+            swt_obs::timeline::record_span(worker, "wire_test.span", t_ns, 1);
+        }
+        let mut cursor = 0;
+        let first = Telemetry::capture(1, slot, &mut cursor);
+        assert_eq!((first.events.len(), cursor), (MAX_TELEMETRY_EVENTS, 2048));
+        let rest = Telemetry::capture(2, slot, &mut cursor);
+        assert_eq!(
+            rest.events.iter().map(|e| e.t_ns).collect::<Vec<_>>(),
+            [2048, 2049, 2050, 2051, 2052]
+        );
+        assert_eq!(cursor, MAX_TELEMETRY_EVENTS as u64 + 5);
     }
 
     #[test]

@@ -42,7 +42,7 @@ struct TelemetryState {
 /// state lock is held across the write, so snapshots reach the wire in seq
 /// order and the coordinator never counts one from this worker as stale.
 /// Lock order is state, then writer, at every site. Cheap enough for
-/// heartbeat cadence: two registry walks plus a bounded ring drain.
+/// heartbeat cadence: one registry walk plus a bounded ring drain.
 fn send_snapshot(
     stream: &Mutex<TcpStream>,
     state: &Mutex<TelemetryState>,

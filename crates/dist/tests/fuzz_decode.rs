@@ -9,12 +9,12 @@ use std::io::Cursor as IoCursor;
 use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
 use swt_dist::frame::Message;
-use swt_dist::wire::{
-    Msg, RunSpec, SpanTotalRow, Telemetry, WireEvent, MAX_TELEMETRY_EVENTS, MAX_TELEMETRY_NAMES,
-};
+use swt_dist::wire::{Msg, RunSpec, Telemetry, MAX_TELEMETRY_EVENTS};
 use swt_dist::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use swt_nas::{Candidate, EvalOutcome};
-use swt_obs::report::{CounterRow, GaugeRow, HistogramRow};
+use swt_obs::report::{CounterRow, GaugeRow, HistogramRow, SpanRow};
+use swt_obs::timeline::{EventKind, TimelineEvent};
+use swt_obs::RunReport;
 use swt_space::ArchSeq;
 use swt_tensor::Rng;
 use swt_wire::{read_frame, write_frame};
@@ -29,27 +29,44 @@ const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
 /// One valid message of every frame type, every optional field present —
 /// the fuzz corpus seeds.
 fn corpus() -> Vec<Msg> {
+    let event = |seq, kind, name: &str, t_ns, dur_ns, delta| TimelineEvent {
+        seq,
+        kind,
+        name: name.into(),
+        t_ns,
+        dur_ns,
+        delta,
+    };
     let telemetry = Telemetry {
         seq: u64::MAX - 1, // hostile-adjacent seq must survive the trip
         uptime_ns: 123_456_789,
         dropped_events: 7,
-        spans: vec![SpanTotalRow { path: "nas.eval".into(), count: 4, total_ns: 99 }],
-        counters: vec![
-            CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
-            CounterRow { name: "tensor.gemm.blocked".into(), value: 4096 },
-        ],
-        gauges: vec![GaugeRow { name: "pool.queue_depth".into(), value: -1, max: 8 }],
-        histograms: vec![HistogramRow {
-            name: "ckpt.save_ns".into(),
-            count: 3,
-            sum: 900,
-            // Bucket 8's bound, and the overflow bucket's.
-            buckets: vec![(511, 2), (u64::MAX, 1)],
-        }],
-        names: vec!["nas.eval".into(), "nas.dispatch".into()],
+        report: RunReport {
+            meta: vec![],
+            spans: vec![SpanRow {
+                path: "nas.eval".into(),
+                worker: Some(1),
+                count: 4,
+                total_secs: 9.9e-8,
+                min_secs: 2e-8,
+                max_secs: 3e-8,
+            }],
+            counters: vec![
+                CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
+                CounterRow { name: "tensor.gemm.blocked".into(), value: 4096 },
+            ],
+            gauges: vec![GaugeRow { name: "pool.queue_depth".into(), value: -1, max: 8 }],
+            histograms: vec![HistogramRow {
+                name: "ckpt.save_ns".into(),
+                count: 3,
+                sum: 900,
+                // Bucket 8's bound, and the overflow bucket's.
+                buckets: vec![(511, 2), (u64::MAX, 1)],
+            }],
+        },
         events: vec![
-            WireEvent { name: 0, kind: 0, t_ns: 10, dur_ns: 5, delta: 0 },
-            WireEvent { name: 1, kind: 1, t_ns: 20, dur_ns: 0, delta: -3 },
+            event(0, EventKind::Span, "nas.eval", 10, 5, 0),
+            event(1, EventKind::Counter, "nas.dispatch", 20, 0, -3),
         ],
     };
     let cand = Candidate {
@@ -109,8 +126,8 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 /// `swt_dist::wire` and the types it carries (a `Result`: an `EvalOutcome`'s
 /// id, four f64s, checkpoint_bytes, three transfer u64s and epochs u32
 /// before its `Telemetry`; a `Telemetry`: seq, uptime_ns and dropped_events
-/// u64, then the span, counter, gauge and histogram lists; the corpus
-/// `HelloAck` ends [1][url]).
+/// u64, then its report's meta, span, counter, gauge and histogram lists and
+/// the event list; the corpus `HelloAck` ends [1][url]).
 const RESULT_TELEMETRY_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const TELEMETRY_LISTS_AT: usize = 3 * 8;
 const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
@@ -123,12 +140,12 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 11, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 12, "new version: re-record the frames below");
     let golden = [
-        (0x01, "0b000000030000000000000092100000"),
+        (0x01, "0c000000030000000000000092100000"),
         (
             0x02,
-            "0b00000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
+            "0c00000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
                 7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e302e313a\
                 39393939",
         ),
@@ -138,14 +155,15 @@ fn golden_bytes_pin_the_dist_layout() {
             0x04,
             "07000000000000005ef64637dd9abf3f000000000000f83f000000000000d03f7b14ae47e17a843f00\
                 0010000000000005000000000000000010000000000000010000000000000001000000feffffffff\
-                ffffff15cd5b070000000007000000000000000100000008006e61732e6576616c04000000000000\
-                006300000000000000020000000f00636b70742e63616368652e686974730c000000000000001300\
-                74656e736f722e67656d6d2e626c6f636b65640010000000000000010000001000706f6f6c2e7175\
-                6575655f6465707468ffffffffffffffff0800000000000000010000000c00636b70742e73617665\
-                5f6e7303000000000000008403000000000000020000000802000000000000001f01000000000000\
-                000200000008006e61732e6576616c0c006e61732e6469737061746368020000000000000a000000\
-                000000000500000000000000000000000000000001000114000000000000000000000000000000fd\
-                ffffffffffffff",
+                ffffff15cd5b07000000000700000000000000000000000100000008006e61732e6576616c010100\
+                0000000000000400000000000000ee131c6b3a937a3e3a8c30e28e79553e2b69a4292b1b603e0200\
+                00000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d6d\
+                2e626c6f636b65640010000000000000010000001000706f6f6c2e71756575655f6465707468ffff\
+                ffffffffffff0800000000000000010000000c00636b70742e736176655f6e730300000000000000\
+                8403000000000000020000000802000000000000001f010000000000000002000000000000000000\
+                00000008006e61732e6576616c0a0000000000000005000000000000000000000000000000010000\
+                0000000000010c006e61732e646973706174636814000000000000000000000000000000fdffffff\
+                ffffffff",
         ),
         (0x05, "ffffffffffffffff"),
         (0x06, "0000000000000000"),
@@ -153,14 +171,15 @@ fn golden_bytes_pin_the_dist_layout() {
         (0x08, "1c00636865636b706f696e742073746f726520756e726561636861626c65"),
         (
             0x0A,
-            "feffffffffffffff15cd5b070000000007000000000000000100000008006e61732e6576616c040000\
-                00000000006300000000000000020000000f00636b70742e63616368652e686974730c0000000000\
-                0000130074656e736f722e67656d6d2e626c6f636b65640010000000000000010000001000706f6f\
-                6c2e71756575655f6465707468ffffffffffffffff0800000000000000010000000c00636b70742e\
-                736176655f6e7303000000000000008403000000000000020000000802000000000000001f010000\
-                00000000000200000008006e61732e6576616c0c006e61732e646973706174636802000000000000\
-                0a000000000000000500000000000000000000000000000001000114000000000000000000000000\
-                000000fdffffffffffffff",
+            "feffffffffffffff15cd5b07000000000700000000000000000000000100000008006e61732e657661\
+                6c0101000000000000000400000000000000ee131c6b3a937a3e3a8c30e28e79553e2b69a4292b1b\
+                603e020000000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e\
+                67656d6d2e626c6f636b65640010000000000000010000001000706f6f6c2e71756575655f646570\
+                7468ffffffffffffffff0800000000000000010000000c00636b70742e736176655f6e7303000000\
+                000000008403000000000000020000000802000000000000001f0100000000000000020000000000\
+                0000000000000008006e61732e6576616c0a00000000000000050000000000000000000000000000\
+                000100000000000000010c006e61732e646973706174636814000000000000000000000000000000\
+                fdffffffffffffff",
         ),
     ];
     let corpus = corpus();
@@ -291,12 +310,15 @@ fn random_payloads_against_every_tag_never_panic() {
 
 #[test]
 fn hostile_counts_cannot_force_large_allocations() {
-    // A tiny payload claiming u32::MAX counters or histograms, in a
-    // standalone `Telemetry` and in the one inside a `Result`: the count is
-    // refused against the bytes actually left, before anything is reserved.
-    // Zeros stand for every field before the list (empty earlier lists).
+    // A tiny payload claiming u32::MAX report spans, counters, histograms
+    // or events, in a standalone `Telemetry` and in the one inside a
+    // `Result`: the count is refused against the bytes actually left,
+    // before anything is reserved. Zeros stand for every field before the
+    // list (empty earlier lists).
     for (ty, telemetry_at) in [(0x0Au8, 0), (0x04, RESULT_TELEMETRY_AT)] {
-        for (list, empty_lists_before) in [("counters", 1), ("histograms", 3)] {
+        for (list, empty_lists_before) in
+            [("report.spans", 1), ("counters", 2), ("histograms", 4), ("events", 5)]
+        {
             let mut bad = vec![0u8; telemetry_at + TELEMETRY_LISTS_AT + 4 * empty_lists_before];
             bad.extend_from_slice(&u32::MAX.to_le_bytes());
             assert!(
@@ -324,63 +346,48 @@ fn hostile_counts_cannot_force_large_allocations() {
 
 #[test]
 fn hostile_telemetry_payloads_are_rejected_without_allocation() {
-    // Header: seq + uptime + dropped, then empty span, counter, gauge and
-    // histogram tables.
+    // Header: seq + uptime + dropped, then the report's five empty lists
+    // (meta, spans, counters, gauges, histograms).
     let header = |out: &mut Vec<u8>| {
         out.extend_from_slice(&1u64.to_le_bytes());
         out.extend_from_slice(&2u64.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4 * 4]); // four empty lists
+        out.extend_from_slice(&[0u8; 5 * 4]);
     };
-
-    // An event batch or a name table announcing more than its cap with no
-    // bytes behind the claim: refused on the count.
-    let mut bad = Vec::new();
-    header(&mut bad);
-    bad.extend_from_slice(&0u32.to_le_bytes()); // names
-    bad.extend_from_slice(&((MAX_TELEMETRY_EVENTS as u32) + 1).to_le_bytes());
-    assert!(matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed(_))));
-    let mut bad = Vec::new();
-    header(&mut bad);
-    bad.extend_from_slice(&((MAX_TELEMETRY_NAMES as u32) + 1).to_le_bytes());
-    assert!(matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed(_))));
-
-    // The same two tables one entry past their caps with every entry really
-    // present: refused by the caps themselves; at the caps, accepted.
-    let frame = |names: usize, events: usize| {
+    // `events` span events, each seq u64, kind u8, an empty name, then
+    // t_ns, dur_ns and delta.
+    let frame = |events: usize| {
         let mut p = Vec::new();
         header(&mut p);
-        p.extend_from_slice(&(names as u32).to_le_bytes());
-        p.resize(p.len() + 2 * names, 0); // empty strings
         p.extend_from_slice(&(events as u32).to_le_bytes());
-        p.resize(p.len() + 27 * events, 0); // span events naming entry 0
-        Msg::decode(0x0A, &p)
+        p.resize(p.len() + (8 + 1 + 2 + 3 * 8) * events, 0);
+        p
     };
-    assert!(frame(MAX_TELEMETRY_NAMES, MAX_TELEMETRY_EVENTS).is_ok());
+
+    // An event batch announcing more than its cap with no bytes behind the
+    // claim: refused on the count.
+    let mut bad = frame(0);
+    let n = bad.len();
+    bad[n - 4..].copy_from_slice(&((MAX_TELEMETRY_EVENTS as u32) + 1).to_le_bytes());
+    assert!(matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed(_))));
+
+    // One event past the cap with every event really present: refused by
+    // the cap itself; at the cap, accepted.
+    assert!(Msg::decode(0x0A, &frame(MAX_TELEMETRY_EVENTS)).is_ok());
     assert!(matches!(
-        frame(MAX_TELEMETRY_NAMES + 1, 0),
-        Err(WireError::Malformed("telemetry name table too large"))
-    ));
-    assert!(matches!(
-        frame(1, MAX_TELEMETRY_EVENTS + 1),
+        Msg::decode(0x0A, &frame(MAX_TELEMETRY_EVENTS + 1)),
         Err(WireError::Malformed("telemetry event batch too large"))
     ));
 
-    // An event pointing past the name table, and one with an unknown kind:
-    // both must be typed errors, not panics or silent acceptance.
-    for (name_idx, kind) in [(5u16, 0u8), (0, 9)] {
-        let mut bad = Vec::new();
-        header(&mut bad);
-        bad.extend_from_slice(&1u32.to_le_bytes()); // one name
-        bad.extend_from_slice(&1u16.to_le_bytes());
-        bad.push(b'x');
-        bad.extend_from_slice(&1u32.to_le_bytes()); // one event
-        bad.extend_from_slice(&name_idx.to_le_bytes());
-        bad.push(kind);
-        bad.extend_from_slice(&[0u8; 24]); // t_ns + dur_ns + delta
+    // An event kind byte the protocol does not know (the byte after the
+    // first event's seq): a typed error naming the type.
+    let mut bad = frame(1);
+    let kind_at = bad.len() - (1 + 2 + 3 * 8);
+    for kind in [2u8, 9, 0xFF] {
+        bad[kind_at] = kind;
         assert!(
-            matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed(_))),
-            "name_idx={name_idx} kind={kind} must be rejected"
+            matches!(Msg::decode(0x0A, &bad), Err(WireError::Malformed("unknown EventKind byte"))),
+            "event kind {kind} must be rejected"
         );
     }
 }

@@ -4,10 +4,9 @@
 //! split per evaluator worker, counters, gauges and histograms — and
 //! [`RunReport::to_json`] / [`RunReport::from_json`] round-trip the result
 //! through `report.json`, the file the experiment harness writes next to
-//! each NAS trace CSV. The schema is documented in DESIGN.md §8. The
-//! counter, gauge and histogram rows are also what a distributed worker's
-//! snapshot carries to its coordinator, so each has a `swt_wire::Wire`
-//! codec.
+//! each NAS trace CSV. The schema is documented in DESIGN.md §8. A whole
+//! report is also what a distributed worker's snapshot carries to its
+//! coordinator, so it and each of its rows have a `swt_wire::Wire` codec.
 
 use crate::json::Json;
 use crate::metrics::bucket_bound;
@@ -16,16 +15,18 @@ use std::io;
 use std::path::Path;
 use swt_wire::wire_struct;
 
-/// Accumulated wall time of one span path on one worker (`worker: None` is
-/// the unattributed slot — scheduler/main-thread time).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRow {
-    pub path: String,
-    pub worker: Option<usize>,
-    pub count: u64,
-    pub total_secs: f64,
-    pub min_secs: f64,
-    pub max_secs: f64,
+wire_struct! {
+    /// Accumulated wall time of one span path on one worker (`worker: None`
+    /// is the unattributed slot — scheduler/main-thread time).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpanRow {
+        pub path: String,
+        pub worker: Option<usize>,
+        pub count: u64,
+        pub total_secs: f64,
+        pub min_secs: f64,
+        pub max_secs: f64,
+    }
 }
 
 wire_struct! {
@@ -68,15 +69,17 @@ pub struct LayerKindRow {
     pub bwd_calls: u64,
 }
 
-/// A complete observability snapshot plus free-form metadata (app, scheme,
-/// seed, wall_secs, …).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunReport {
-    pub meta: Vec<(String, String)>,
-    pub spans: Vec<SpanRow>,
-    pub counters: Vec<CounterRow>,
-    pub gauges: Vec<GaugeRow>,
-    pub histograms: Vec<HistogramRow>,
+wire_struct! {
+    /// A complete observability snapshot plus free-form metadata (app,
+    /// scheme, seed, wall_secs, …).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RunReport {
+        pub meta: Vec<(String, String)>,
+        pub spans: Vec<SpanRow>,
+        pub counters: Vec<CounterRow>,
+        pub gauges: Vec<GaugeRow>,
+        pub histograms: Vec<HistogramRow>,
+    }
 }
 
 fn secs(ns: u64) -> f64 {

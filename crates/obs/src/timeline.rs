@@ -20,6 +20,7 @@ use crate::registry::{SpanStat, WORKER_SLOTS};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+use swt_wire::{wire_codes, wire_struct};
 
 /// Events each worker-slot ring retains before overwriting the oldest.
 pub const RING_CAPACITY: usize = 4096;
@@ -33,20 +34,27 @@ pub enum EventKind {
     Counter,
 }
 
-/// One recorded event, stamped with its slot-local sequence number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineEvent {
-    /// Slot-local monotone sequence number, starting at 0.
-    pub seq: u64,
-    pub kind: EventKind,
-    /// Span path or counter name.
-    pub name: String,
-    /// Nanoseconds since the timeline epoch (first enable of this process).
-    pub t_ns: u64,
-    /// Span duration in nanoseconds (0 for counter marks).
-    pub dur_ns: u64,
-    /// Counter delta (0 for spans).
-    pub delta: i64,
+wire_codes! {
+    EventKind: Span = 0, Counter = 1;
+}
+
+wire_struct! {
+    /// One recorded event, stamped with its slot-local sequence number. A
+    /// distributed worker ships these as they are, name inline.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TimelineEvent {
+        /// Slot-local monotone sequence number, starting at 0.
+        pub seq: u64,
+        pub kind: EventKind,
+        /// Span path or counter name.
+        pub name: String,
+        /// Nanoseconds since the timeline epoch (first enable of this process).
+        pub t_ns: u64,
+        /// Span duration in nanoseconds (0 for counter marks).
+        pub dur_ns: u64,
+        /// Counter delta (0 for spans).
+        pub delta: i64,
+    }
 }
 
 /// Result of [`drain_since`]: the still-buffered events at or after the

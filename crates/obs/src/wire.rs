@@ -1,5 +1,6 @@
 //! The one hand-written report-row codec: a [`HistogramRow`] on the wire
-//! (counter and gauge rows derive theirs in [`crate::report`]). Buckets
+//! (the other rows and the report itself derive theirs in
+//! [`crate::report`], timeline events in [`crate::timeline`]). Buckets
 //! travel as `(pow2 bucket index u8, count u64)`: one byte per bound, and
 //! `u64::MAX` (the overflow bucket's bound) needs no special case. Two
 //! range checks run on encode and on decode: at most [`HIST_BUCKETS`]
@@ -49,7 +50,7 @@ impl Wire for HistogramRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{CounterRow, GaugeRow};
+    use crate::report::{CounterRow, GaugeRow, RunReport, SpanRow};
 
     fn encode<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
         let mut out = Vec::new();
@@ -91,6 +92,43 @@ mod tests {
         assert_eq!(decode::<CounterRow>(&encode(&counter)?)?, counter);
         let gauge = GaugeRow { name: "ckpt.cache.resident_bytes".into(), value: -1, max: 4 };
         assert_eq!(decode::<GaugeRow>(&encode(&gauge)?)?, gauge);
+        Ok(())
+    }
+
+    #[test]
+    fn a_report_round_trips_bit_exactly() -> Result<(), WireError> {
+        // A worker's snapshot is its report: seconds travel as f64 bit
+        // patterns and the overflow bucket's bound survives.
+        let span = |worker, total_secs| SpanRow {
+            path: "nas.eval".into(),
+            worker,
+            count: 3,
+            total_secs,
+            min_secs: f64::MIN_POSITIVE,
+            max_secs: -0.0,
+        };
+        let report = RunReport {
+            meta: vec![("app".into(), "uno".into())],
+            spans: vec![span(Some(1), 0.1 + 0.2), span(None, 1e-9 / 3.0)],
+            counters: vec![CounterRow { name: "nas.candidates_evaluated".into(), value: 7 }],
+            gauges: vec![GaugeRow { name: "ckpt.cache.resident_bytes".into(), value: -1, max: 4 }],
+            histograms: vec![HistogramRow {
+                name: "ckpt.save_ns".into(),
+                count: 3,
+                sum: 900,
+                buckets: vec![(bucket_bound(8), 2), (u64::MAX, 1)],
+            }],
+        };
+        let back = decode::<RunReport>(&encode(&report)?)?;
+        assert_eq!(back, report);
+        let bits = |r: &RunReport| -> Vec<u64> {
+            r.spans
+                .iter()
+                .flat_map(|s| [s.total_secs, s.min_secs, s.max_secs].map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&report));
+        assert_eq!(back.histograms[0].buckets.last(), Some(&(u64::MAX, 1)));
         Ok(())
     }
 

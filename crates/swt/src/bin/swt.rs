@@ -51,8 +51,6 @@ usage:
     --join-after K[:C]           elastic demo: C extra workers (default 1)
                                  join after K results
     --max-workers N              refuse joins beyond N live workers   [64]
-    --initial-workers N          processes at launch (may be < --workers;
-                                 the dispatch window stays --workers)
     --serve ADDR                 serve the live run view over HTTP
                                  (/status JSON, /metrics Prometheus text,
                                  /trace Chrome trace JSON), e.g. 127.0.0.1:0
@@ -97,7 +95,6 @@ const DIST_RUN_FLAGS: &[&str] = &[
     "--kill-after",
     "--join-after",
     "--max-workers",
-    "--initial-workers",
     "--serve",
     "--chrome-trace",
 ];
@@ -364,14 +361,6 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     if dist.max_workers == 0 {
         return Err("--max-workers must be positive".into());
     }
-    if let Some(raw) = opt(args, "--initial-workers") {
-        let initial: usize =
-            raw.parse().map_err(|_| format!("invalid value for --initial-workers: `{raw}`"))?;
-        if initial == 0 || initial > dist.max_workers {
-            return Err("--initial-workers must be in 1..=--max-workers".into());
-        }
-        dist.initial_workers = Some(initial);
-    }
 
     // Live view + timeline only when someone will read them: the canonical
     // schedule (and trace) is identical either way, this only adds export.
@@ -472,7 +461,14 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     if let (Some(path), Some(live)) = (chrome_trace, &live) {
         std::fs::write(&path, live.trace_json())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("chrome trace: {}", path.display());
+        match live.events_dropped() {
+            0 => println!("chrome trace: {}", path.display()),
+            n => println!(
+                "chrome trace: {} (the oldest {n} worker events dropped at the view's cap of {})",
+                path.display(),
+                swt_dist::live::MAX_VIEW_EVENTS
+            ),
+        }
     }
     Ok(())
 }

@@ -117,10 +117,10 @@ fi
 
 echo "==> one worker snapshot (metrics ride one seq-numbered Telemetry; no second copy, no Stats frame)"
 # A worker's counters, histograms, spans and gauges reach the coordinator
-# in one snapshot type built from swt-obs's own report rows, and the live
-# view keeps one copy of it per worker (DESIGN.md §10 "Cross-process metric
-# aggregation").
-mirrors=$(grep -rnE 'WorkerMetrics|CounterSnap|HistSnap|GaugeSnap|Msg::Stats|fold_metrics' \
+# as its own swt-obs RunReport, its timeline events as swt-obs's own
+# TimelineEvent, in one snapshot type; the live view keeps one copy of it
+# per worker (DESIGN.md §10 "Cross-process metric aggregation").
+mirrors=$(grep -rnE 'WorkerMetrics|CounterSnap|HistSnap|GaugeSnap|Msg::Stats|fold_metrics|SpanTotalRow|WireEvent|MAX_TELEMETRY_NAMES' \
   crates tests examples || true)
 if [ -n "$mirrors" ]; then
   echo "a second worker-metrics path or a wire-side mirror of a report row is named again:" >&2
@@ -315,11 +315,15 @@ if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/elastic.csv"; then
 fi
 
 echo "==> fixed pool (a script still asking the coordinator to size its pool fails loudly)"
-if ./target/release/swt dist-run --autoscale 1:2 >/dev/null 2>"$elastic_dir/autoscale.err" \
-    || ! grep -q 'unknown flag `--autoscale`' "$elastic_dir/autoscale.err"; then
-  echo "dist-run accepted --autoscale, or refused it without naming the unknown flag" >&2
-  exit 1
-fi
+for sizing in "--autoscale 1:2" "--initial-workers 1"; do
+  flag=${sizing%% *}
+  # shellcheck disable=SC2086 # flag and value are two words on purpose
+  if ./target/release/swt dist-run $sizing >/dev/null 2>"$elastic_dir/sizing.err" \
+      || ! grep -q "unknown flag \`$flag\`" "$elastic_dir/sizing.err"; then
+    echo "dist-run accepted $flag, or refused it without naming the unknown flag" >&2
+    exit 1
+  fi
+done
 
 echo "==> remote store smoke (dist-run over swt-ckpt-server reproduces the DirStore trace)"
 ckpt_dir=$(mktemp -d)

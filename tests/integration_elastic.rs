@@ -1,10 +1,8 @@
-//! The elastic dist matrix — this PR's headline test. One seed, five pool
-//! shapes:
+//! The elastic dist matrix. One seed, four pool shapes:
 //!
 //! | cell            | pool history                                        |
 //! |-----------------|-----------------------------------------------------|
 //! | `fixed`         | 2 workers, healthy throughout                       |
-//! | `late_join`     | starts with 1 of 2, a second joins mid-run          |
 //! | `join_then_kill`| 2 workers, a third joins, then one is SIGKILLed     |
 //! | `kill_then_join`| 2 workers, one SIGKILLed, a replacement joins       |
 //! | `join_rejected` | 2 workers at `max_workers=2`; a join is refused     |
@@ -31,7 +29,6 @@ const DATA_SEED: u64 = 11;
 
 struct Cell {
     name: &'static str,
-    initial_workers: Option<usize>,
     max_workers: usize,
     join: Option<JoinPlan>,
     kill: Option<KillPlan>,
@@ -43,7 +40,6 @@ struct Cell {
 const MATRIX: &[Cell] = &[
     Cell {
         name: "fixed",
-        initial_workers: None,
         max_workers: 2,
         join: None,
         kill: None,
@@ -52,20 +48,7 @@ const MATRIX: &[Cell] = &[
         expect_lost: 0,
     },
     Cell {
-        // True scale-out: one process at launch against the 2-wide window,
-        // so the pending queue has real backlog for the joiner to drain.
-        name: "late_join",
-        initial_workers: Some(1),
-        max_workers: 2,
-        join: Some(JoinPlan { after_results: 2, count: 1 }),
-        kill: None,
-        expect_joined: 1,
-        expect_rejected: 0,
-        expect_lost: 0,
-    },
-    Cell {
         name: "join_then_kill",
-        initial_workers: None,
         max_workers: 3,
         join: Some(JoinPlan { after_results: 2, count: 1 }),
         kill: Some(KillPlan { worker: 0, after_results: 4 }),
@@ -75,9 +58,9 @@ const MATRIX: &[Cell] = &[
     },
     Cell {
         // The kill (a SIGKILL, detected via EOF well before result 6)
-        // frees a slot below max_workers, so the later join is admitted.
+        // frees a slot below max_workers, so the later join is admitted
+        // and drains the backlog the short-handed pool built up.
         name: "kill_then_join",
-        initial_workers: None,
         max_workers: 2,
         join: Some(JoinPlan { after_results: 6, count: 1 }),
         kill: Some(KillPlan { worker: 1, after_results: 2 }),
@@ -87,7 +70,6 @@ const MATRIX: &[Cell] = &[
     },
     Cell {
         name: "join_rejected",
-        initial_workers: None,
         max_workers: 2,
         join: Some(JoinPlan { after_results: 2, count: 1 }),
         kill: None,
@@ -112,7 +94,6 @@ fn run_cell(cell: &Cell) -> (NasTrace, DistRunStats, PathBuf) {
     let store = temp_dir(&format!("elastic_{}", cell.name));
     let mut dist = DistConfig::new(AppKind::Uno, DataScale::Quick, DATA_SEED, store.clone());
     dist.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
-    dist.initial_workers = cell.initial_workers;
     dist.max_workers = cell.max_workers;
     dist.join_after = cell.join.clone();
     dist.kill_worker_after = cell.kill.clone();
@@ -165,6 +146,22 @@ fn same_seed_same_trace_across_the_elastic_matrix() {
             cell.name
         );
         assert_conserved(&stats, cell.name);
+        // Each worker's report is whole, spans included: one `nas.eval`
+        // per evaluated candidate. Only where no worker was killed — a
+        // victim's last snapshot may be a heartbeat's, taken mid-candidate.
+        if cell.kill.is_none() {
+            for (worker, report) in &stats.per_worker {
+                let evals: u64 =
+                    report.spans.iter().filter(|s| s.path == "nas.eval").map(|s| s.count).sum();
+                assert!(evals > 0, "cell `{}`: worker {worker} has no nas.eval span", cell.name);
+                assert_eq!(
+                    evals,
+                    report.counter("nas.candidates_evaluated"),
+                    "cell `{}`: worker {worker}'s nas.eval spans",
+                    cell.name
+                );
+            }
+        }
         let merged = stats.workers_report();
         assert!(
             merged.counter_prefix_sum("tensor.gemm.") > 0,

@@ -150,7 +150,7 @@ fn live_view_tracks_a_distributed_run_and_settles_on_report_totals() {
     );
     for (id, w) in workers.iter().enumerate().filter(|(_, w)| w.results > 0) {
         for path in ["nas.queue_wait", "nas.eval", "nas.result_send"] {
-            assert!(w.span_total_ns(path) > 0, "worker {id} never reported span {path}");
+            assert!(w.report.span_total_secs(path) > 0.0, "worker {id} never reported span {path}");
         }
     }
 
