@@ -3,22 +3,26 @@
 //!
 //! Failure model (DESIGN.md §10): a worker is *lost* when its socket dies
 //! (process crash → immediate EOF) or an outstanding heartbeat goes
-//! unanswered past the timeout (hang/partition). A lost worker's in-flight
-//! candidate goes back to the front of the pending queue and is re-evaluated
-//! elsewhere — candidate seeds derive from `(run_seed, id)` and parent
-//! checkpoints are immutable once written, so the re-run reproduces the
-//! original result exactly and the run stays bit-identical to a failure-free
-//! one. The pool degrades gracefully down to a single surviving worker;
-//! only losing *all* workers aborts the run.
+//! unanswered past the timeout (hang/partition). The heartbeat round runs on
+//! the clock, every 200 ms, however busy the run is. A lost worker's
+//! in-flight candidate goes back to the front of the pending queue and is
+//! re-evaluated elsewhere — candidate seeds derive from `(run_seed, id)` and
+//! parent checkpoints are immutable once written, so the re-run reproduces
+//! the original result exactly and the run stays bit-identical to a
+//! failure-free one. The pool degrades gracefully down to a single
+//! surviving worker; only losing *all* workers aborts the run.
 //!
 //! Elasticity (DESIGN.md §10): the listener stays open for the whole run,
-//! so a `Hello` arriving mid-run is a *join* — the newcomer is handshaken,
-//! given a fresh slot, and starts draining the pending queue (or refused
-//! with an `Error` frame when the pool already holds `max_workers` live
-//! processes). The dispatch window is sized by `nas.workers` alone and
-//! never moves: joining changes *which process* evaluates a candidate,
-//! never *which candidate* is scheduled, so elastic runs stay bit-identical
-//! to fixed-pool runs.
+//! and every connection goes through one admission rule: a `Hello` is
+//! answered with a `HelloAck` naming the next slot while fewer than
+//! `max_workers` workers are live, and refused with an `Error` frame
+//! otherwise. Launch is [`DistBackend::spawn_workers`] of the dispatch
+//! window; a slot past the window is a *join*, whether a process the
+//! coordinator spawned or an outside `swt dist-worker --connect ADDR`
+//! picked up at a heartbeat round. The dispatch window is sized by
+//! `nas.workers` alone and never moves: joining changes *which process*
+//! evaluates a candidate, never *which candidate* is scheduled, so elastic
+//! runs stay bit-identical to fixed-pool runs.
 //!
 //! Metrics: a worker's one snapshot type is the seq-numbered
 //! [`Telemetry`](crate::wire::Telemetry). One rides in every `Result`,
@@ -36,7 +40,7 @@ use crate::frame::{recv, send, Message, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
 use crate::spawn::{find_worker_exe, spawn_worker};
 use crate::wire::{Msg, RunSpec};
-use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
+use crate::{DistConfig, DistRunStats};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -48,7 +52,8 @@ use std::time::{Duration, Instant};
 use swt_nas::runner::NasConfig;
 use swt_nas::{BackendResult, Candidate, EvalBackend};
 
-/// Ping cadence; also the coordinator's event-poll granularity.
+/// Heartbeat cadence: a round pings every live worker and admits waiting
+/// connections.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
 
 /// An unanswered ping older than this marks the worker lost; also the bound
@@ -67,8 +72,7 @@ enum Event {
 }
 
 struct WorkerSlot {
-    /// The child process — `None` for workers we did not spawn ourselves
-    /// (a join connecting from outside the coordinator's own injection).
+    /// The child process — `None` for a worker that connected from outside.
     child: Option<Child>,
     /// Write half; `None` once the worker is lost.
     writer: Option<TcpStream>,
@@ -106,18 +110,13 @@ pub struct DistBackend {
     inflight: HashMap<u64, (Candidate, f64)>,
     start: Instant,
     next_nonce: u64,
-    results_delivered: usize,
-    kill_plan: Option<KillPlan>,
-    join_plan: Option<JoinPlan>,
-    /// Children spawned by join injection that have not completed their
-    /// handshake yet.
+    /// When the next heartbeat round is due.
+    next_tick: Instant,
+    /// Spawned children that have not completed their handshake yet.
     joining: Vec<Child>,
-    joined: usize,
     rejected: usize,
     lost: usize,
     reassigned: usize,
-    /// Set by [`DistBackend::finish`]; makes `Drop` a no-op.
-    finished: bool,
     /// In-flight run view: every worker snapshot folds into it, and
     /// `finish` reads the run's worker totals from it. Nothing here feeds
     /// back into scheduling.
@@ -125,14 +124,15 @@ pub struct DistBackend {
 }
 
 impl DistBackend {
-    /// Bind a localhost listener, spawn one worker process per slot of the
-    /// dispatch window (`nas.workers`), and complete the handshake with
-    /// each.
+    /// Bind a localhost listener and [`spawn_workers`](Self::spawn_workers)
+    /// one process per slot of the dispatch window (`nas.workers`). On
+    /// error every child spawned so far is reaped.
     pub fn launch(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
         let window = nas.workers;
         assert!(window > 0, "need a non-empty dispatch window");
         assert!(window <= dist.max_workers, "the dispatch window exceeds max_workers");
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?.to_string();
         let exe = find_worker_exe(dist.worker_exe.as_ref())?;
         swt_obs::info!("swt_dist", "coordinator on {addr}, spawning {window} × {}", exe.display());
@@ -155,9 +155,6 @@ impl DistBackend {
             store_url: dist.store_url.clone().filter(|url| !url.is_empty()),
         };
 
-        let mut children = Unslotted(Vec::with_capacity(window));
-        let streams = spawn_and_admit(&listener, &exe, &addr, &run, window, &mut children.0)?;
-
         let live = dist.live.clone().unwrap_or_else(|| Arc::new(LiveRunView::new()));
         live.set_meta("app", dist.app.name());
         live.set_meta("scale", format!("{:?}", dist.scale));
@@ -179,27 +176,65 @@ impl DistBackend {
             inflight: HashMap::new(),
             start: Instant::now(),
             next_nonce: 0,
-            results_delivered: 0,
-            kill_plan: dist.kill_worker_after.clone(),
-            join_plan: dist.join_after.clone(),
+            next_tick: Instant::now() + HEARTBEAT_INTERVAL,
             joining: Vec::new(),
-            joined: 0,
             rejected: 0,
             lost: 0,
             reassigned: 0,
-            finished: false,
             live,
         };
-        for stream in streams {
-            let child = children.0.remove(0);
-            backend.add_slot(Some(child), stream)?;
+        backend.spawn_workers(window)?;
+        if backend.live_workers() < window {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                format!("only {}/{window} launch workers were admitted", backend.live_workers()),
+            ));
         }
         Ok(backend)
     }
 
-    /// Park a handshaken connection in a fresh slot and start its reader
+    /// Spawn `n` worker processes and admit connections until each of them
+    /// has been admitted or refused. The listener polls non-blocking, so a
+    /// child that dies before connecting (bad exe, immediate crash) is a
+    /// clear error instead of a hung accept, and a 30 s deadline bounds
+    /// the whole wait whatever else connects meanwhile. Other connections
+    /// go through the same admission and do not count.
+    pub fn spawn_workers(&mut self, n: usize) -> io::Result<()> {
+        let mut waiting = Vec::with_capacity(n);
+        for _ in 0..n {
+            let child = spawn_worker(&self.exe, &self.addr)?;
+            waiting.push(child.id());
+            self.joining.push(child);
+        }
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
+        loop {
+            self.poll_joins()?;
+            // Admission moves a child into its slot, refusal reaps it.
+            waiting.retain(|pid| self.joining.iter().any(|c| c.id() == *pid));
+            if waiting.is_empty() {
+                return Ok(());
+            }
+            for child in self.joining.iter_mut().filter(|c| waiting.contains(&c.id())) {
+                if let Some(status) = child.try_wait()? {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionAborted,
+                        format!("worker pid {} exited during startup: {status}", child.id()),
+                    ));
+                }
+            }
+            if Instant::now() > deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("{} of {n} spawned workers did not connect in time", waiting.len()),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Park a handshaken connection in the next slot and start its reader
     /// thread. Returns the slot index; on failure the child is reaped.
-    fn add_slot(&mut self, child: Option<Child>, stream: TcpStream) -> io::Result<usize> {
+    fn add_slot(&mut self, child: Option<Child>, stream: TcpStream, pid: u32) -> io::Result<usize> {
         let worker = self.slots.len();
         let reader_stream = match stream.try_clone() {
             Ok(clone) => clone,
@@ -219,7 +254,7 @@ impl DistBackend {
             outstanding_ping: None,
             rtt: swt_obs::registry::global().histogram(&format!("dist.rtt_ns.w{worker}")),
         });
-        self.live.worker_added(worker);
+        self.live.worker_added(worker, pid);
         Ok(worker)
     }
 
@@ -242,8 +277,8 @@ impl DistBackend {
         send(stream, msg)
     }
 
-    /// Declare `worker` lost: reclaim its candidate for reassignment, close
-    /// its socket and reap the process. Errors only when no worker is left.
+    /// Declare `worker` lost: close its slot and reclaim its candidate for
+    /// reassignment. Errors only when no worker is left.
     fn mark_lost(&mut self, worker: usize, reason: &str) -> io::Result<()> {
         if !self.slots[worker].alive {
             return Ok(());
@@ -251,17 +286,8 @@ impl DistBackend {
         swt_obs::warn!("swt_dist", "worker {worker} lost: {reason}");
         swt_obs::counter!("dist.workers_lost").inc();
         self.lost += 1;
-        let slot = &mut self.slots[worker];
-        slot.alive = false;
-        slot.outstanding_ping = None;
-        if let Some(stream) = slot.writer.take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(child) = slot.child.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        if let Some(id) = slot.current.take() {
+        self.close_slot(worker);
+        if let Some(id) = self.slots[worker].current.take() {
             if let Some((cand, _)) = self.inflight.get(&id) {
                 swt_obs::counter!("dist.reassigned").inc();
                 self.reassigned += 1;
@@ -269,7 +295,6 @@ impl DistBackend {
                 self.pending.push_front(cand.clone());
             }
         }
-        self.live.worker_lost(worker);
         self.sync_live_queue();
         if self.slots.iter().any(|s| s.alive) {
             Ok(())
@@ -281,8 +306,8 @@ impl DistBackend {
         }
     }
 
-    /// Close a slot during orderly teardown: same cleanup as a loss, but it
-    /// is not one — no loss counter, no reassignment.
+    /// Close a slot: shut its socket and kill and reap its process, if this
+    /// coordinator spawned one. Idempotent.
     fn close_slot(&mut self, worker: usize) {
         let slot = &mut self.slots[worker];
         slot.alive = false;
@@ -290,10 +315,7 @@ impl DistBackend {
         if let Some(stream) = slot.writer.take() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        if let Some(child) = slot.child.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        reap_all(slot.child.take());
         self.live.worker_lost(worker);
     }
 
@@ -334,9 +356,9 @@ impl DistBackend {
         }
     }
 
-    /// One heartbeat round: time out workers with stale outstanding pings,
-    /// ping everyone else, and pick up any join attempts waiting on the
-    /// listener.
+    /// One heartbeat round: pick up any join attempts waiting on the
+    /// listener, time out workers with stale outstanding pings, and ping
+    /// everyone else.
     fn heartbeat_tick(&mut self) -> io::Result<()> {
         self.poll_joins()?;
         for worker in 0..self.slots.len() {
@@ -371,20 +393,17 @@ impl DistBackend {
         }
     }
 
-    /// One mid-run connection through [`admit`]: a newcomer gets a fresh slot
+    /// One connection through [`admit`]: a newcomer gets the next slot
     /// unless the pool already holds `max_workers` live processes. A refused
     /// join never aborts the run — the connection is dropped and the run
     /// continues on the existing pool.
     fn handle_join(&mut self, stream: TcpStream) -> io::Result<()> {
-        let (live, max) = (self.live_workers(), self.max_workers);
-        let admission = admit(stream, &self.run, |_| {
-            if live < max {
-                Ok(())
-            } else {
-                Err(format!("join rejected: pool already at max_workers={max}"))
-            }
-        });
-        match admission {
+        let room = if self.live_workers() < self.max_workers {
+            Ok(self.slots.len() as u32)
+        } else {
+            Err(format!("join rejected: pool already at max_workers={}", self.max_workers))
+        };
+        match admit(stream, &self.run, room) {
             Admission::Refused { pid, no_room } => {
                 if no_room {
                     swt_obs::counter!("dist.joins_rejected").inc();
@@ -393,15 +412,15 @@ impl DistBackend {
                 reap_all(pid.and_then(|pid| self.take_joining(pid)));
                 Ok(())
             }
-            Admission::Admitted { stream, worker_id, pid } => {
+            Admission::Admitted { stream, pid } => {
                 let child = self.take_joining(pid);
-                let slot = self.add_slot(child, stream)?;
-                swt_obs::counter!("dist.workers_joined").inc();
-                self.joined += 1;
+                let slot = self.add_slot(child, stream, pid)?;
+                if slot >= self.window {
+                    swt_obs::counter!("dist.workers_joined").inc();
+                }
                 swt_obs::info!(
                     "swt_dist",
-                    "worker joined mid-run as slot {slot} (hello id {worker_id}, pid {pid}); \
-                     pool now {} live / window {}",
+                    "worker pid {pid} admitted as slot {slot}; pool now {} live / window {}",
                     self.live_workers(),
                     self.window
                 );
@@ -410,85 +429,34 @@ impl DistBackend {
         }
     }
 
-    /// If `pid` is a process join injection spawned, take ownership of its
+    /// If `pid` is a process this coordinator spawned, take ownership of its
     /// handle so it gets reaped with its slot.
     fn take_joining(&mut self, pid: u32) -> Option<Child> {
         self.joining.iter().position(|c| c.id() == pid).map(|i| self.joining.remove(i))
     }
 
-    /// Elastic scale-out injection for tests, benches and the CI smoke
-    /// gate: once the configured number of results has been delivered,
-    /// spawn the planned workers and block until the coordinator has
-    /// admitted or rejected every one of them, so the join lands at a
-    /// deterministic point in the schedule.
-    fn maybe_inject_join(&mut self) -> io::Result<()> {
-        let due = self
-            .join_plan
-            .as_ref()
-            .is_some_and(|plan| self.results_delivered >= plan.after_results);
-        if !due {
-            return Ok(());
-        }
-        let Some(plan) = self.join_plan.take() else {
-            return Ok(());
-        };
-        swt_obs::info!(
-            "swt_dist",
-            "join injection: spawning {} worker(s) after {} results",
-            plan.count,
-            self.results_delivered
-        );
-        let resolved_target = self.joined + self.rejected + plan.count;
-        for i in 0..plan.count {
-            let worker_id = self.slots.len() + i;
-            self.joining.push(spawn_worker(&self.exe, &self.addr, worker_id)?);
-        }
-        let deadline = Instant::now() + CONNECT_TIMEOUT;
-        while self.joined + self.rejected < resolved_target {
-            self.poll_joins()?;
-            if self.joined + self.rejected >= resolved_target {
-                break;
+    /// Send `Shutdown` to every worker whose socket is still open.
+    fn shutdown_all(&mut self) {
+        for worker in 0..self.slots.len() {
+            if self.slots[worker].writer.is_some() {
+                let _ = self.send_to(worker, &Msg::Shutdown);
             }
-            if Instant::now() > deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "injected worker join did not resolve before the deadline",
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(5));
         }
-        Ok(())
     }
 
-    /// Fault injection for benches and the CI smoke gate: SIGKILL a worker
-    /// after the configured number of delivered results, then let the
-    /// ordinary detection/reassignment machinery pick up the pieces. The
-    /// kill waits until the victim is mid-evaluation, so the reassignment
-    /// path (not merely loss detection) is guaranteed to run.
-    fn maybe_inject_kill(&mut self) {
-        let due = match &self.kill_plan {
-            Some(plan) => {
-                self.results_delivered >= plan.after_results
-                    && self.slots.get(plan.worker).is_some_and(|s| s.alive && s.current.is_some())
-            }
-            None => false,
-        };
-        if !due {
-            return;
+    /// Close every slot, reap every child still connecting and join the
+    /// reader threads. Idempotent: `finish` and `Drop` both end here.
+    fn close_all(&mut self) {
+        for worker in 0..self.slots.len() {
+            // SIGKILLs — a no-op for workers that already exited on
+            // Shutdown, and it ends stragglers (e.g. mid-evaluation after an
+            // aborted run) without blocking the coordinator.
+            self.close_slot(worker);
         }
-        if let Some(plan) = self.kill_plan.take() {
-            if let Some(slot) = self.slots.get_mut(plan.worker) {
-                if slot.alive {
-                    swt_obs::info!(
-                        "swt_dist",
-                        "fault injection: SIGKILL worker {} after {} results",
-                        plan.worker,
-                        self.results_delivered
-                    );
-                    if let Some(child) = slot.child.as_mut() {
-                        let _ = child.kill();
-                    }
-                }
+        reap_all(self.joining.drain(..));
+        for slot in &mut self.slots {
+            if let Some(reader) = slot.reader.take() {
+                let _ = reader.join();
             }
         }
     }
@@ -496,14 +464,9 @@ impl DistBackend {
     /// Graceful teardown: send `Shutdown` to every live worker, drain the
     /// final snapshots they send on the way out, fold every worker's last
     /// applied snapshot into the process-global registry, and return the
-    /// run's [`DistRunStats`]. After this, `Drop` is a no-op.
+    /// run's [`DistRunStats`]. After this, `Drop` has nothing left to do.
     pub fn finish(&mut self) -> io::Result<DistRunStats> {
-        self.finished = true;
-        for worker in 0..self.slots.len() {
-            if self.slots[worker].alive && self.slots[worker].writer.is_some() {
-                let _ = self.send_to(worker, &Msg::Shutdown);
-            }
-        }
+        self.shutdown_all();
         // Workers answer Shutdown with a final snapshot and close their
         // socket; wait (bounded) for every live socket to drain. A worker
         // that stalls here keeps its last applied snapshot — cumulative
@@ -522,19 +485,7 @@ impl DistBackend {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        for worker in 0..self.slots.len() {
-            self.close_slot(worker);
-        }
-        for child in &mut self.joining {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.joining.clear();
-        for slot in &mut self.slots {
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
-        }
+        self.close_all();
 
         self.sync_live_queue();
         // Fold worker-process totals into this process's registry so one
@@ -546,7 +497,7 @@ impl DistBackend {
         }
         Ok(DistRunStats {
             per_worker: self.live.worker_reports(),
-            joined: self.joined,
+            joined: self.slots.len().saturating_sub(self.window),
             rejected: self.rejected,
             lost: self.lost,
             reassigned: self.reassigned,
@@ -567,15 +518,17 @@ impl EvalBackend for DistBackend {
         self.inflight.insert(cand.id, (cand.clone(), t_submit));
         self.pending.push_back(cand);
         self.sync_live_queue();
-        self.flush()?;
-        self.maybe_inject_join()?;
-        self.maybe_inject_kill();
-        Ok(())
+        self.flush()
     }
 
     fn next_result(&mut self) -> io::Result<BackendResult> {
         loop {
-            match self.rx.recv_timeout(HEARTBEAT_INTERVAL) {
+            let now = Instant::now();
+            if now >= self.next_tick {
+                self.heartbeat_tick()?;
+                self.next_tick = now + HEARTBEAT_INTERVAL;
+            }
+            match self.rx.recv_timeout(self.next_tick.saturating_duration_since(Instant::now())) {
                 Ok(Event::Msg { worker, msg }) => match *msg {
                     Msg::Result { outcome, telemetry } => {
                         let id = outcome.id;
@@ -586,9 +539,6 @@ impl EvalBackend for DistBackend {
                         let Some((cand, t_start)) = self.inflight.remove(&id) else {
                             continue; // late duplicate; the runner never sees it
                         };
-                        self.results_delivered += 1;
-                        self.maybe_inject_join()?;
-                        self.maybe_inject_kill();
                         self.flush()?;
                         let t_end = self.start.elapsed().as_secs_f64();
                         self.live.record_result(worker, t_end - t_start);
@@ -624,7 +574,7 @@ impl EvalBackend for DistBackend {
                     self.mark_lost(worker, &reason)?;
                     self.flush()?;
                 }
-                Err(RecvTimeoutError::Timeout) => self.heartbeat_tick()?,
+                Err(RecvTimeoutError::Timeout) => {} // the round is due
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
@@ -638,43 +588,11 @@ impl EvalBackend for DistBackend {
 
 impl Drop for DistBackend {
     fn drop(&mut self) {
-        // The abort path only: a graceful teardown goes through `finish`,
-        // which already reaped everything.
-        if self.finished {
-            return;
-        }
-        // Graceful first: a Shutdown frame lets idle workers exit cleanly.
-        for worker in 0..self.slots.len() {
-            if self.slots[worker].writer.is_some() {
-                let _ = self.send_to(worker, &Msg::Shutdown);
-            }
-        }
-        for worker in 0..self.slots.len() {
-            // close_slot SIGKILLs — a no-op for workers that already exited
-            // on Shutdown, and it ends stragglers (e.g. mid-evaluation
-            // after an aborted run) without blocking the coordinator.
-            self.close_slot(worker);
-        }
-        for child in &mut self.joining {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        for slot in &mut self.slots {
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
-        }
-    }
-}
-
-/// The launch workers no slot owns yet. Whatever is still here when this
-/// drops is killed and reaped, so no error return from `launch` leaks a
-/// process.
-struct Unslotted(Vec<Child>);
-
-impl Drop for Unslotted {
-    fn drop(&mut self) {
-        reap_all(self.0.drain(..));
+        // After `finish` every socket is closed and this does nothing; on
+        // the abort path a Shutdown frame lets idle workers exit cleanly
+        // before their slots are closed.
+        self.shutdown_all();
+        self.close_all();
     }
 }
 
@@ -693,7 +611,7 @@ fn send_error(stream: &mut TcpStream, message: &str) {
 /// What [`admit`] made of one fresh connection.
 enum Admission {
     /// Handshake complete: `stream` has been sent its `HelloAck`.
-    Admitted { stream: TcpStream, worker_id: u64, pid: u32 },
+    Admitted { stream: TcpStream, pid: u32 },
     /// Dropped, the cause logged and — where the peer could still read one —
     /// sent as an `Error` frame. `pid` is known once a `Hello` was read;
     /// `no_room` tells a pool that declined from a peer that could not be
@@ -701,23 +619,19 @@ enum Admission {
     Refused { pid: Option<u32>, no_room: bool },
 }
 
-/// The one admission path, at launch and mid-run alike: read `Hello`, refuse
-/// a version mismatch, ask `room` whether the pool takes this worker id,
-/// answer `HelloAck`. Whatever a connection sends here costs only that
-/// connection: garbage, a wrong first frame or a dead socket is a refusal,
-/// never an error for the run.
-fn admit(
-    mut stream: TcpStream,
-    run: &RunSpec,
-    room: impl FnOnce(u64) -> Result<(), String>,
-) -> Admission {
+/// The one handshake: read `Hello`, refuse a version mismatch, then answer
+/// `HelloAck` naming the slot `room` offers, or refuse with its reason.
+/// Whatever a connection sends here costs only that connection: garbage, a
+/// wrong first frame or a dead socket is a refusal, never an error for the
+/// run.
+fn admit(mut stream: TcpStream, run: &RunSpec, room: Result<u32, String>) -> Admission {
     let (mut seen_pid, mut no_room) = (None, false);
-    let handshake = || -> Result<(u64, u32), WireError> {
+    let handshake = || -> Result<u32, WireError> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         let hello = recv(&mut stream, &mut Vec::new())?;
-        let Msg::Hello { version, worker_id, pid } = hello else {
+        let Msg::Hello { version, pid } = hello else {
             let first = hello.tag();
             return Err(WireError::Protocol(format!("opened with frame {first:#04x}, not Hello")));
         };
@@ -727,80 +641,22 @@ fn admit(
             send_error(&mut stream, &err.to_string());
             return Err(err);
         }
-        if let Err(why) = room(worker_id) {
+        let slot = room.map_err(|why| {
             no_room = true;
             send_error(&mut stream, &why);
-            return Err(WireError::Protocol(why));
-        }
-        send(&mut stream, &Msg::HelloAck { version: PROTOCOL_VERSION, run: run.clone() })?;
+            WireError::Protocol(why)
+        })?;
+        send(&mut stream, &Msg::HelloAck { version: PROTOCOL_VERSION, slot, run: run.clone() })?;
         stream.set_read_timeout(None)?;
-        Ok((worker_id, pid))
+        Ok(pid)
     };
     match handshake() {
-        Ok((worker_id, pid)) => Admission::Admitted { stream, worker_id, pid },
+        Ok(pid) => Admission::Admitted { stream, pid },
         Err(why) => {
             swt_obs::warn!("swt_dist", "connection refused (worker pid {seen_pid:?}): {why}");
             Admission::Refused { pid: seen_pid, no_room }
         }
     }
-}
-
-/// Spawn the `n` launch workers into `children` and admit connections until
-/// each of them has completed its handshake; returns their streams in
-/// worker-id order. The listener polls non-blocking so a child that dies
-/// before connecting (bad exe, immediate crash) turns into a clear error
-/// instead of a hung accept, and [`CONNECT_TIMEOUT`] bounds the whole wait
-/// whatever else connects meanwhile. On error `children` stays with the
-/// caller to reap.
-fn spawn_and_admit(
-    listener: &TcpListener,
-    exe: &PathBuf,
-    addr: &str,
-    run: &RunSpec,
-    n: usize,
-    children: &mut Vec<Child>,
-) -> io::Result<Vec<TcpStream>> {
-    for worker_id in 0..n {
-        children.push(spawn_worker(exe, addr, worker_id)?);
-    }
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut connected = 0;
-    while connected < n {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let room = |id: u64| match streams.get(id as usize) {
-                    Some(None) => Ok(()),
-                    _ => Err(format!("bogus or duplicate worker id {id}")),
-                };
-                if let Admission::Admitted { stream, worker_id, .. } = admit(stream, run, room) {
-                    streams[worker_id as usize] = Some(stream);
-                    connected += 1;
-                    swt_obs::info!("swt_dist", "worker {worker_id} connected ({connected}/{n})");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (worker_id, child) in children.iter_mut().enumerate() {
-                    if let Some(status) = child.try_wait()? {
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            format!("worker {worker_id} exited during startup: {status}"),
-                        ));
-                    }
-                }
-                if Instant::now() > deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("only {connected}/{n} workers connected before the deadline"),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(streams.into_iter().flatten().collect())
 }
 
 fn reader_loop(worker: usize, mut stream: TcpStream, tx: mpsc::Sender<Event>) {

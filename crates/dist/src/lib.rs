@@ -44,26 +44,6 @@ use swt_nas::trace::NasTrace;
 use swt_obs::RunReport;
 use swt_space::SearchSpace;
 
-/// Fault injection: SIGKILL `worker` once `after_results` results have been
-/// delivered to the strategy. Behind `swt dist-run --kill-after` and the
-/// integration tests, to exercise the reassignment path deterministically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KillPlan {
-    pub worker: usize,
-    pub after_results: usize,
-}
-
-/// Elastic scale-out injection: once `after_results` results have been
-/// delivered to the strategy, spawn `count` extra worker processes and block
-/// until the coordinator has admitted (or, at `max_workers`, rejected) every
-/// one of them. Blocking makes the join visible at a deterministic point in
-/// the schedule, which the test matrix and the CI smoke gate rely on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinPlan {
-    pub after_results: usize,
-    pub count: usize,
-}
-
 /// Per-run statistics the coordinator hands back from
 /// [`DistBackend::finish`]: each worker process's report from its last
 /// applied snapshot, read from the run's [`LiveRunView`],
@@ -75,7 +55,7 @@ pub struct DistRunStats {
     /// `(worker slot, its whole report)` for every worker that delivered a
     /// snapshot ([`LiveRunView::worker_reports`]).
     pub per_worker: Vec<(usize, RunReport)>,
-    /// Workers admitted after launch (late `Hello`s).
+    /// Workers admitted past the dispatch window: slots `window..`.
     pub joined: usize,
     /// Join attempts refused because the pool was at `max_workers`.
     pub rejected: usize,
@@ -117,13 +97,9 @@ pub struct DistConfig {
     /// Worker binary override (`SWT_DIST_WORKER_EXE` beats this; see
     /// [`spawn::find_worker_exe`]).
     pub worker_exe: Option<PathBuf>,
-    /// Optional fault injection for benches/tests.
-    pub kill_worker_after: Option<KillPlan>,
     /// Hard cap on concurrently-live workers; late joins beyond it are
     /// refused with an `Error` frame (`dist.joins_rejected`).
     pub max_workers: usize,
-    /// Optional scale-out injection for benches/tests.
-    pub join_after: Option<JoinPlan>,
     /// Live run view the coordinator folds streamed telemetry into. Pass a
     /// view that is also handed to an [`swt_obs::ObsServer`] to watch the
     /// run over HTTP; when `None` the backend keeps a private one (the
@@ -132,8 +108,8 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// A fixed pool of `nas.workers` processes on the shared `DirStore` at
-    /// `store_dir`, with no injection.
+    /// A pool of `nas.workers` processes on the shared `DirStore` at
+    /// `store_dir`, taking joins up to 64 live workers.
     pub fn new(app: AppKind, scale: DataScale, data_seed: u64, store_dir: PathBuf) -> Self {
         DistConfig {
             app,
@@ -142,9 +118,7 @@ impl DistConfig {
             store_dir,
             store_url: None,
             worker_exe: None,
-            kill_worker_after: None,
             max_workers: 64,
-            join_after: None,
             live: None,
         }
     }
@@ -156,25 +130,15 @@ impl DistConfig {
 /// deterministic schedule, but evaluation happens in `nas.workers` child
 /// processes sharing the `DirStore` at `dist.store_dir`. For a given
 /// `NasConfig` the returned trace's scores, architectures, parents and
-/// transfer counts are bit-identical to the in-process run's.
-pub fn run_nas_dist(nas: &NasConfig, dist: &DistConfig) -> io::Result<NasTrace> {
-    run_nas_dist_with_stats(nas, dist).map(|(trace, _)| trace)
-}
-
-/// [`run_nas_dist`], additionally returning the run's [`DistRunStats`]
-/// (each worker's report + join/loss tallies). The
-/// graceful [`DistBackend::finish`] teardown this uses also folds those
-/// counters and histograms — each worker's last applied snapshot — into
-/// the process-global registry, so a `RunReport::capture()` after this call
+/// transfer counts are bit-identical to the in-process run's. The run's
+/// [`DistRunStats`] come with it; the graceful [`DistBackend::finish`]
+/// teardown also folds each worker's last applied snapshot into the
+/// process-global registry, so a `RunReport::capture()` after this call
 /// reports whole-run totals.
-pub fn run_nas_dist_with_stats(
-    nas: &NasConfig,
-    dist: &DistConfig,
-) -> io::Result<(NasTrace, DistRunStats)> {
+pub fn run_nas_dist(nas: &NasConfig, dist: &DistConfig) -> io::Result<(NasTrace, DistRunStats)> {
     let space = Arc::new(SearchSpace::for_app(dist.app));
     let mut backend = DistBackend::launch(nas, dist)?;
     let trace = swt_nas::run_nas_with_backend(dist.app.name(), space, nas, &mut backend)?;
     let stats = backend.finish()?;
-    drop(backend); // joins readers, reaps any straggling children
     Ok((trace, stats))
 }

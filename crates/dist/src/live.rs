@@ -42,6 +42,8 @@ const EWMA_ALPHA: f64 = 0.2;
 #[derive(Debug, Clone, Default)]
 pub struct WorkerView {
     pub alive: bool,
+    /// The worker process's id, from its `Hello`.
+    pub pid: u32,
     /// Highest snapshot seq applied (snapshots at or below it are stale).
     pub last_seq: u64,
     /// Snapshots applied / rejected as stale, from `Result` and
@@ -158,10 +160,11 @@ impl LiveRunView {
         self.lock().window = window;
     }
 
-    pub fn worker_added(&self, worker: usize) {
+    pub fn worker_added(&self, worker: usize, pid: u32) {
         let mut inner = self.lock();
         inner.ensure_worker(worker);
         inner.workers[worker].alive = true;
+        inner.workers[worker].pid = pid;
     }
 
     pub fn worker_lost(&self, worker: usize) {
@@ -318,6 +321,7 @@ impl ServeSource for LiveRunView {
                 Json::Obj(vec![
                     ("id".to_string(), Json::Num(id as f64)),
                     ("alive".to_string(), Json::Bool(w.alive)),
+                    ("pid".to_string(), Json::Num(w.pid as f64)),
                     ("seq".to_string(), Json::Num(w.last_seq as f64)),
                     ("frames".to_string(), Json::Num(w.frames as f64)),
                     ("stale_frames".to_string(), Json::Num(w.stale_frames as f64)),
@@ -497,7 +501,7 @@ mod tests {
     #[test]
     fn cache_counts_surface_in_status() -> Result<(), String> {
         let live = LiveRunView::new();
-        live.worker_added(0);
+        live.worker_added(0, 100);
         let counters = vec![
             CounterRow { name: "nas.candidates_evaluated".into(), value: 9 },
             CounterRow { name: "ckpt.cache.retired".into(), value: 7 },
@@ -518,9 +522,9 @@ mod tests {
     fn dispatch_picture_surfaces_in_status() -> Result<(), String> {
         let live = LiveRunView::new();
         live.set_window(2);
-        live.worker_added(0);
-        live.worker_added(1);
-        live.worker_added(2);
+        live.worker_added(0, 100);
+        live.worker_added(1, 101);
+        live.worker_added(2, 102);
         live.record_result(0, 0.5);
         live.set_current(0, Some(4));
         live.worker_lost(2);
@@ -536,6 +540,8 @@ mod tests {
         let workers = status.get("workers").and_then(Json::as_array).ok_or("workers")?;
         assert_eq!(workers[0].get("current").and_then(Json::as_u64), Some(4));
         assert_eq!(workers[2].get("alive"), Some(&Json::Bool(false)));
+        let pids: Vec<_> = workers.iter().map(|w| w.get("pid").and_then(Json::as_u64)).collect();
+        assert_eq!(pids, [Some(100), Some(101), Some(102)], "a lost worker keeps its pid");
         Ok(())
     }
 

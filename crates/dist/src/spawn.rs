@@ -53,20 +53,14 @@ pub fn find_worker_exe(overridden: Option<&PathBuf>) -> io::Result<PathBuf> {
     }
 }
 
-/// Spawn one worker child connecting back to `addr` as `worker_id`.
+/// Spawn one worker child connecting back to `addr`; the coordinator names
+/// its slot in the handshake.
 ///
 /// stdin is closed (workers take everything from the socket); stdout/stderr
 /// are inherited so worker logs (and crash messages) surface in the
 /// coordinator's terminal.
-pub fn spawn_worker(exe: &PathBuf, addr: &str, worker_id: usize) -> io::Result<Child> {
-    Command::new(exe)
-        .arg("dist-worker")
-        .arg("--connect")
-        .arg(addr)
-        .arg("--worker-id")
-        .arg(worker_id.to_string())
-        .stdin(Stdio::null())
-        .spawn()
+pub fn spawn_worker(exe: &PathBuf, addr: &str) -> io::Result<Child> {
+    Command::new(exe).args(["dist-worker", "--connect", addr]).stdin(Stdio::null()).spawn()
 }
 
 #[cfg(test)]

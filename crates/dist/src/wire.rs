@@ -2,8 +2,8 @@
 //!
 //! | tag  | frame     | direction           | payload                                  |
 //! |------|-----------|---------------------|------------------------------------------|
-//! | 0x01 | Hello     | worker → coordinator| version, worker_id, pid                  |
-//! | 0x02 | HelloAck  | coordinator → worker| version, [`RunSpec`]                     |
+//! | 0x01 | Hello     | worker → coordinator| version, pid                             |
+//! | 0x02 | HelloAck  | coordinator → worker| version, slot, [`RunSpec`]               |
 //! | 0x03 | Task      | coordinator → worker| [`Candidate`]: one candidate dispatch    |
 //! | 0x04 | Result    | worker → coordinator| [`EvalOutcome`] + [`Telemetry`] snapshot |
 //! | 0x05 | Ping      | coordinator → worker| nonce                                    |
@@ -137,8 +137,10 @@ wire_messages! {
     /// One protocol message: tag byte, then the fields in wire order.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Msg {
-        0x01 => Hello { version: u32, worker_id: u64, pid: u32 },
-        0x02 => HelloAck { version: u32, run: RunSpec },
+        0x01 => Hello { version: u32, pid: u32 },
+        /// `slot` is the worker's index in the pool, named by the
+        /// coordinator: its spans and timeline are attributed to it.
+        0x02 => HelloAck { version: u32, slot: u32, run: RunSpec },
         0x03 => Task { cand: Candidate },
         /// One candidate's outcome and the snapshot taken right after its
         /// evaluation, so the work is counted with its result.
@@ -171,7 +173,7 @@ mod tests {
     }
 
     fn hello_ack(run: RunSpec) -> Msg {
-        Msg::HelloAck { version: PROTOCOL_VERSION, run }
+        Msg::HelloAck { version: PROTOCOL_VERSION, slot: 3, run }
     }
 
     fn sample_outcome(id: u64, score: f64) -> EvalOutcome {
@@ -189,7 +191,7 @@ mod tests {
 
     #[test]
     fn all_frames_round_trip() -> Result<(), WireError> {
-        round_trip(Msg::Hello { version: PROTOCOL_VERSION, worker_id: 3, pid: 4242 })?;
+        round_trip(Msg::Hello { version: PROTOCOL_VERSION, pid: 4242 })?;
         round_trip(hello_ack(sample_run()))?;
         round_trip(hello_ack(RunSpec {
             store_url: Some("tcp://127.0.0.1:7421".into()),
@@ -390,13 +392,13 @@ mod tests {
         false.put(&mut short)?;
         500u32.put(&mut short)?;
         assert!(matches!(Msg::decode(0x03, &short), Err(WireError::Malformed(_))));
-        // Unknown app / scale / scheme codes in a HelloAck: version u32, then
-        // app, scale, data_seed u64, scheme.
+        // Unknown app / scale / scheme codes in a HelloAck: version and slot
+        // u32, then app, scale, data_seed u64, scheme.
         let good = hello_ack(sample_run()).encode()?;
         for (at, what) in [
-            (4, "unknown AppKind byte"),
-            (5, "unknown DataScale byte"),
-            (4 + 2 + 8, "unknown TransferScheme byte"),
+            (8, "unknown AppKind byte"),
+            (9, "unknown DataScale byte"),
+            (8 + 2 + 8, "unknown TransferScheme byte"),
         ] {
             let mut bad = good.clone();
             bad[at] = 9;

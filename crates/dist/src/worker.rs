@@ -1,9 +1,10 @@
 //! The worker process: one simulated GPU evaluating candidates.
 //!
 //! Lifecycle: connect → `Hello`/`HelloAck` (version check, receive the
-//! [`RunSpec`]) → build the problem, search space and evaluator locally →
-//! evaluate `Task` frames one at a time, answering `Ping`s concurrently
-//! from a reader thread, until `Shutdown` or the socket dies.
+//! slot the coordinator named and the [`RunSpec`]) → build the problem,
+//! search space and evaluator locally → evaluate `Task` frames one at a
+//! time, answering `Ping`s concurrently from a reader thread, until
+//! `Shutdown` or the socket dies.
 //!
 //! Failure model: the worker is deliberately fragile. An evaluation panic
 //! (e.g. the shared store becomes unwritable mid-save) kills the process;
@@ -57,7 +58,7 @@ fn send_snapshot(
 
 /// Run the worker protocol loop on an established connection. Returns when
 /// the coordinator sends `Shutdown` or the connection fails.
-pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
+pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     // Metrics are recorded process-locally and shipped to the coordinator as
     // cumulative snapshots (one in each `Result`, others at heartbeat
     // cadence and at teardown); without this the worker's
@@ -67,17 +68,16 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     // need no extra negotiation.
     swt_obs::enable();
     swt_obs::timeline::enable();
-    swt_obs::span::set_worker(worker_id as usize);
     stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     let writer = Arc::new(Mutex::new(stream));
 
-    send(&writer, &Msg::Hello { version: PROTOCOL_VERSION, worker_id, pid: std::process::id() })?;
+    send(&writer, &Msg::Hello { version: PROTOCOL_VERSION, pid: std::process::id() })?;
     let mut buf = Vec::new();
-    let run = {
+    let (slot, run) = {
         let mut guard = writer.lock().unwrap_or_else(|e| e.into_inner());
         match recv(&mut *guard, &mut buf)? {
-            Msg::HelloAck { version, run } => {
+            Msg::HelloAck { version, slot, run } => {
                 if version != PROTOCOL_VERSION {
                     let err =
                         WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
@@ -85,7 +85,7 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
                     let _ = send(&writer, &Msg::Error { message: err.to_string() });
                     return Err(err);
                 }
-                run
+                (slot as usize, run)
             }
             Msg::Error { message } => return Err(WireError::Protocol(message)),
             other => {
@@ -99,9 +99,10 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
             }
         }
     };
+    swt_obs::span::set_worker(slot);
     swt_obs::info!(
         "swt_dist",
-        "worker {worker_id} handshake ok: app={} scale={:?} threads={}",
+        "worker {slot} handshake ok: app={} scale={:?} threads={}",
         run.app.name(),
         run.scale,
         run.threads
@@ -125,7 +126,7 @@ pub fn run_worker(stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     let telemetry = Arc::new(Mutex::new(TelemetryState {
         seq: 0,
         cursor: 0,
-        slot: swt_obs::registry::SpanStat::slot_for(Some(worker_id as usize)),
+        slot: swt_obs::registry::SpanStat::slot_for(Some(slot)),
     }));
     let ping_writer = Arc::clone(&writer);
     let ping_telemetry = Arc::clone(&telemetry);
@@ -249,7 +250,6 @@ fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
 }
 
 /// Entry point for the `swt dist-worker` bin mode: connect and run.
-pub fn worker_main(connect: &str, worker_id: u64) -> Result<(), WireError> {
-    let stream = TcpStream::connect(connect)?;
-    run_worker(stream, worker_id)
+pub fn worker_main(connect: &str) -> Result<(), WireError> {
+    run_worker(TcpStream::connect(connect)?)
 }

@@ -88,9 +88,10 @@ fn corpus() -> Vec<Msg> {
         epochs: 1,
     };
     vec![
-        Msg::Hello { version: PROTOCOL_VERSION, worker_id: 3, pid: 4242 },
+        Msg::Hello { version: PROTOCOL_VERSION, pid: 4242 },
         Msg::HelloAck {
             version: PROTOCOL_VERSION,
+            slot: 3,
             run: RunSpec {
                 app: AppKind::Uno,
                 scale: DataScale::Quick,
@@ -140,14 +141,14 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 12, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 13, "new version: re-record the frames below");
     let golden = [
-        (0x01, "0c000000030000000000000092100000"),
+        (0x01, "0d00000092100000"),
         (
             0x02,
-            "0c00000003000b00000000000000020100000009000000000000000500646973745f0e002f746d702f\
-                7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e302e313a\
-                39393939",
+            "0d0000000300000003000b00000000000000020100000009000000000000000500646973745f0e002f\
+                746d702f7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e\
+                302e313a39393939",
         ),
         (0x03, "07000000000000000103000000000000000400000001000000040002000300000000000000"),
         (0x03, "0900000000000000000100000002000000000000000000"),

@@ -9,8 +9,10 @@
 //!   `/metrics` and `/trace` on a local HTTP listener.
 //! * `swt dist-top --addr ADDR` — poll a serving coordinator's `/status`
 //!   and render a refreshing per-worker table (a `top` for the run).
-//! * `swt dist-worker --connect ADDR --worker-id N` — internal: the worker
-//!   side, spawned by the coordinator (not for direct use).
+//! * `swt dist-worker --connect ADDR` — the worker side: how the
+//!   coordinator's own children connect, and how any other process joins a
+//!   running `dist-run` (ADDR is its `coordinator on ADDR` log line, or the
+//!   `addr` in its `/status`).
 //! * `swt ckpt-server --spill DIR` — run the networked checkpoint store;
 //!   point `dist-run --store tcp://host:port` at it and a worker fetches a
 //!   parent another worker trained whole, once (DESIGN.md §12).
@@ -19,13 +21,13 @@
 //! accept, or a `--flag=value` spelling, before doing any work.
 //!
 //! See EXPERIMENTS.md §"Distributed runs" for walkthroughs, including the
-//! kill-a-worker fault-tolerance demo and §"Watching a run live".
+//! kill-a-worker and join-a-worker demos, and §"Watching a run live".
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use swt::prelude::*;
-use swt_dist::{DistConfig, JoinPlan, KillPlan, LiveRunView, CACHE_COUNTER_KINDS};
+use swt_dist::{DistConfig, LiveRunView, CACHE_COUNTER_KINDS};
 use swt_obs::json::Json;
 
 const USAGE: &str = "\
@@ -47,9 +49,6 @@ usage:
     --namespace S                checkpoint-id prefix           []
     --store DIR|tcp://H:P        shared checkpoint dir, or a running
                                  `swt ckpt-server` endpoint     [./swt_dist_store]
-    --kill-after W:K             fault demo: SIGKILL worker W after K results
-    --join-after K[:C]           elastic demo: C extra workers (default 1)
-                                 join after K results
     --max-workers N              refuse joins beyond N live workers   [64]
     --serve ADDR                 serve the live run view over HTTP
                                  (/status JSON, /metrics Prometheus text,
@@ -61,7 +60,7 @@ usage:
     --iterations N               stop after N polls (0 = forever)    [0]
     --fetch PATH                 fetch PATH once, print the raw body, exit
                                  (scripting/CI helper; no curl needed)
-  swt dist-worker --connect ADDR --worker-id N    (internal)
+  swt dist-worker --connect ADDR join the dist-run coordinating on ADDR
   swt ckpt-server [options]      run the networked checkpoint store
     --bind HOST:PORT             listen address                 [127.0.0.1:7421]
     --spill DIR                  durable WTC3 spill directory   (required)
@@ -89,17 +88,10 @@ const RUN_FLAGS: &[&str] = &[
     "--canonical-trace",
     "--report",
 ];
-const DIST_RUN_FLAGS: &[&str] = &[
-    "--namespace",
-    "--store",
-    "--kill-after",
-    "--join-after",
-    "--max-workers",
-    "--serve",
-    "--chrome-trace",
-];
+const DIST_RUN_FLAGS: &[&str] =
+    &["--namespace", "--store", "--max-workers", "--serve", "--chrome-trace"];
 const DIST_TOP_FLAGS: &[&str] = &["--addr", "--interval-ms", "--iterations", "--fetch"];
-const DIST_WORKER_FLAGS: &[&str] = &["--connect", "--worker-id"];
+const DIST_WORKER_FLAGS: &[&str] = &["--connect"];
 const CKPT_SERVER_FLAGS: &[&str] =
     &["--bind", "--spill", "--cache-bytes", "--serve", "--max-seconds"];
 
@@ -277,13 +269,8 @@ fn parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result
 }
 
 fn try_dist_worker(args: &[String]) -> Result<(), String> {
-    let (Some(connect), Some(worker_id)) = (opt(args, "--connect"), opt(args, "--worker-id"))
-    else {
-        return Err(format!("--connect and --worker-id required\n{USAGE}"));
-    };
-    let worker_id: u64 =
-        worker_id.parse().map_err(|_| format!("invalid --worker-id `{worker_id}`"))?;
-    swt_dist::worker_main(connect, worker_id).map_err(|e| format!("worker {worker_id}: {e}"))
+    let connect = opt(args, "--connect").ok_or_else(|| format!("--connect required\n{USAGE}"))?;
+    swt_dist::worker_main(connect).map_err(|e| format!("worker: {e}"))
 }
 
 fn try_ckpt_server(args: &[String]) -> Result<(), String> {
@@ -339,24 +326,6 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     nas.namespace = opt(args, "--namespace").unwrap_or("").to_string();
     let mut dist = DistConfig::new(app, scale, data_seed, store_dir);
     dist.store_url = store_url;
-    if let Some(spec) = opt(args, "--kill-after") {
-        let (w, k) =
-            spec.split_once(':').ok_or_else(|| format!("--kill-after wants W:K, got `{spec}`"))?;
-        dist.kill_worker_after = Some(KillPlan {
-            worker: w.parse().map_err(|_| format!("invalid worker in `{spec}`"))?,
-            after_results: k.parse().map_err(|_| format!("invalid count in `{spec}`"))?,
-        });
-    }
-    if let Some(spec) = opt(args, "--join-after") {
-        let (k, c) = match spec.split_once(':') {
-            Some((k, c)) => (k, c),
-            None => (spec, "1"),
-        };
-        dist.join_after = Some(JoinPlan {
-            after_results: k.parse().map_err(|_| format!("invalid count in `{spec}`"))?,
-            count: c.parse().map_err(|_| format!("invalid worker count in `{spec}`"))?,
-        });
-    }
     dist.max_workers = parse(args, "--max-workers", dist.max_workers)?;
     if dist.max_workers == 0 {
         return Err("--max-workers must be positive".into());
@@ -396,8 +365,7 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
     };
 
     let t0 = std::time::Instant::now();
-    let (trace, stats) =
-        swt_dist::run_nas_dist_with_stats(&nas, &dist).map_err(|e| e.to_string())?;
+    let (trace, stats) = swt_dist::run_nas_dist(&nas, &dist).map_err(|e| e.to_string())?;
     let wall = t0.elapsed();
 
     println!(

@@ -53,8 +53,7 @@ pub mod prelude {
     };
     pub use swt_data::{AppKind, AppProblem, DataScale};
     pub use swt_dist::{
-        run_nas_dist, run_nas_dist_with_stats, DistBackend, DistConfig, DistRunStats, JoinPlan,
-        KillPlan, LiveRunView, Telemetry, WorkerView,
+        run_nas_dist, DistBackend, DistConfig, DistRunStats, LiveRunView, Telemetry, WorkerView,
     };
     pub use swt_nas::{
         full_train_top_k, run_nas, run_nas_with_backend, run_pair_experiment, Candidate,

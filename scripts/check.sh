@@ -128,6 +128,19 @@ if [ -n "$mirrors" ]; then
   exit 1
 fi
 
+echo "==> no test hooks in the coordinator (kills and joins come from outside it)"
+# One admission loop, `DistBackend::spawn_workers`, serves launch and joins;
+# tests inject faults through `tests/util::Inject`, an `EvalBackend` over the
+# coordinator, and kill a worker by the pid `/status` shows (DESIGN.md §10
+# "Elastic joins").
+hooks=$(grep -rnE 'KillPlan|JoinPlan|kill_worker_after|join_after|maybe_inject|spawn_and_admit|Unslotted|run_nas_dist_with_stats' \
+  crates tests examples || true)
+if [ -n "$hooks" ]; then
+  echo "a fault or join hook, the launch-only admission loop or a second dist entry point is named again:" >&2
+  echo "$hooks" >&2
+  exit 1
+fi
+
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
@@ -289,7 +302,7 @@ if [ -n "$second" ]; then
   exit 1
 fi
 
-echo "==> elastic smoke (late join must not change the canonical trace)"
+echo "==> elastic smoke (a worker joining from outside must not change the canonical trace)"
 # The quick population is 16: only from candidate 17 on is a candidate a
 # mutated child that reads its parent's checkpoint back. The dist smokes run
 # 24, and a trace in which no tensor was transferred fails them — two
@@ -304,23 +317,51 @@ if ! awk -F, '!/^#/ && $6 + 0 > 0 { found = 1 } END { exit !found }' "$elastic_d
   echo "dist smokes: no candidate of the reference run transferred a tensor" >&2
   exit 1
 fi
-./target/release/swt dist-run --app uno --scheme lcs --candidates 24 \
-  --workers 2 --join-after 2 --max-workers 3 \
-  --store "$elastic_dir/elastic_store" \
-  --canonical-trace "$elastic_dir/elastic.csv" >/dev/null
-if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/elastic.csv"; then
+# An outside `swt dist-worker --connect ADDR` is admitted at a heartbeat
+# round, which runs on the clock however busy the run is. 400 candidates
+# keep the run up for several rounds; 24 and 100 end before the first.
+./target/release/swt dist-run --app uno --scheme lcs --candidates 400 \
+  --workers 2 --max-workers 3 --store "$elastic_dir/elastic_store" \
+  --canonical-trace "$elastic_dir/elastic.csv" \
+  > "$elastic_dir/elastic.out" 2> "$elastic_dir/elastic.err" &
+elastic_pid=$!
+coord=""
+for _ in $(seq 1 100); do
+  coord=$(sed -n 's/.*coordinator on \([0-9.:]*\),.*/\1/p' "$elastic_dir/elastic.err")
+  [ -n "$coord" ] && break
+  sleep 0.05
+done
+if [ -z "$coord" ]; then
+  echo "elastic smoke: the run never logged its coordinator address" >&2
+  kill "$elastic_pid" 2>/dev/null || true
+  exit 1
+fi
+sleep 0.2 # let the search start: the join lands on a busy run
+./target/release/swt dist-worker --connect "$coord" 2> "$elastic_dir/joiner.err" || true
+if ! wait "$elastic_pid" || ! grep -q '1 worker(s) joined' "$elastic_dir/elastic.out"; then
+  echo "elastic smoke: the outside worker was not admitted" >&2
+  cat "$elastic_dir/elastic.out" "$elastic_dir/elastic.err" "$elastic_dir/joiner.err" >&2
+  exit 1
+fi
+./target/release/swt run --app uno --scheme lcs --candidates 400 --workers 2 \
+  --canonical-trace "$elastic_dir/local_c400.csv" >/dev/null
+if ! cmp -s "$elastic_dir/local_c400.csv" "$elastic_dir/elastic.csv"; then
   echo "elastic smoke: canonical trace changed when a worker joined mid-run" >&2
-  diff "$elastic_dir/fixed.csv" "$elastic_dir/elastic.csv" >&2 || true
+  diff "$elastic_dir/local_c400.csv" "$elastic_dir/elastic.csv" >&2 || true
   exit 1
 fi
 
-echo "==> fixed pool (a script still asking the coordinator to size its pool fails loudly)"
-for sizing in "--autoscale 1:2" "--initial-workers 1"; do
-  flag=${sizing%% *}
-  # shellcheck disable=SC2086 # flag and value are two words on purpose
-  if ./target/release/swt dist-run $sizing >/dev/null 2>"$elastic_dir/sizing.err" \
+echo "==> fixed pool (a script still asking for a pool size, a kill or a join fails loudly)"
+# The coordinator sizes nothing and injects nothing: a kill is `kill` on a
+# pid from /status, a join is `swt dist-worker --connect ADDR`, and the
+# coordinator names each worker's slot.
+for cmd in "dist-run --autoscale 1:2" "dist-run --initial-workers 1" \
+    "dist-run --kill-after 1:3" "dist-run --join-after 2" "dist-worker --worker-id 1"; do
+  flag=$(echo "$cmd" | cut -d' ' -f2)
+  # shellcheck disable=SC2086 # mode, flag and value are three words on purpose
+  if ./target/release/swt $cmd >/dev/null 2>"$elastic_dir/sizing.err" \
       || ! grep -q "unknown flag \`$flag\`" "$elastic_dir/sizing.err"; then
-    echo "dist-run accepted $flag, or refused it without naming the unknown flag" >&2
+    echo "swt ${cmd%% *} accepted $flag, or refused it without naming the unknown flag" >&2
     exit 1
   fi
 done

@@ -11,7 +11,7 @@ use swt::prelude::*;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::{assert_traces_identical, poll_until, temp_dir};
+use util::{assert_traces_identical, poll_until, run_injected, temp_dir, Kill};
 
 /// A population smaller than the run, so most candidates are mutated
 /// children that read their parent back from the server.
@@ -57,7 +57,7 @@ fn remote_store_run_matches_dirstore_run() {
     let url = format!("tcp://{}", server.addr());
     let scratch = temp_dir("rs_ab_scratch");
     let distributed =
-        run_nas_dist(&cfg, &dist_config(scratch.clone(), &url)).expect("remote-store run failed");
+        run_nas_dist(&cfg, &dist_config(scratch.clone(), &url)).expect("remote-store run failed").0;
 
     assert_traces_identical(&local, &distributed, "remote-store 2-worker run");
 
@@ -79,7 +79,7 @@ fn remote_store_run_matches_dirstore_run() {
     // matched tensors) — slower, and the same trace.
     let bare = NasConfig { cache_bytes: 0, namespace: "bare_".into(), ..cfg.clone() };
     let uncached =
-        run_nas_dist(&bare, &dist_config(scratch.clone(), &url)).expect("uncached run failed");
+        run_nas_dist(&bare, &dist_config(scratch.clone(), &url)).expect("uncached run failed").0;
     assert_traces_identical(&local, &uncached, "remote-store run without a worker cache");
     assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "no child read a parent");
 
@@ -99,13 +99,14 @@ fn killed_worker_recovers_through_the_remote_store() {
     let (server, spill) = start_server("kill", "");
     let url = format!("tcp://{}", server.addr());
     let scratch = temp_dir("rs_kill_scratch");
-    let mut dist = dist_config(scratch.clone(), &url);
+    let dist = dist_config(scratch.clone(), &url);
     // SIGKILL worker 1 mid-run — possibly mid-fetch. The server must
     // shrug off the severed session and the reassigned candidate must pull
     // its parent's weights to the surviving worker, keeping the trace
     // bit-identical.
-    dist.kill_worker_after = Some(KillPlan { worker: 1, after_results: 3 });
-    let distributed = run_nas_dist(&cfg, &dist).expect("degraded remote-store run failed");
+    let kill = Some(Kill { slot: 1, after: 3 });
+    let distributed =
+        run_injected(&cfg, &dist, kill, None).expect("degraded remote-store run failed").0;
 
     assert_traces_identical(&local, &distributed, "remote-store run with worker 1 killed");
 
@@ -146,7 +147,8 @@ fn server_restart_mid_run_is_ridden_out_by_worker_backoff() {
     });
 
     let distributed = run_nas_dist(&cfg, &dist_config(scratch.clone(), &url))
-        .expect("run across server restart failed");
+        .expect("run across server restart failed")
+        .0;
     let server2 = bouncer.join().expect("bouncer thread panicked");
 
     assert_traces_identical(&local, &distributed, "run across a server restart");
@@ -174,7 +176,7 @@ fn secured_run_round_trips_with_shared_secret() {
     // ignore the Hello MAC, so this process-wide setting is benign there.)
     std::env::set_var("SWT_CKPT_SECRET", secret);
     let distributed =
-        run_nas_dist(&cfg, &dist_config(scratch.clone(), &url)).expect("secured run failed");
+        run_nas_dist(&cfg, &dist_config(scratch.clone(), &url)).expect("secured run failed").0;
 
     assert_traces_identical(&local, &distributed, "secured remote-store run");
     // And the wrong secret still bounces off the same server.

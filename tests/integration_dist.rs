@@ -1,6 +1,6 @@
 //! Integration tests for `swt-dist`: multi-process runs must be
-//! bit-identical to the in-process thread pool — with healthy workers and
-//! with a worker SIGKILLed mid-run.
+//! bit-identical to the in-process thread pool — with healthy workers, with
+//! a worker SIGKILLed mid-run and with one joining from outside.
 //!
 //! The worker binary comes from `CARGO_BIN_EXE_swt` (cargo builds package
 //! bins for integration tests), passed explicitly so the tests are immune
@@ -13,7 +13,9 @@ use swt::prelude::*;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::{assert_kill_absorbed, assert_traces_identical, poll_until, temp_dir};
+use util::{
+    assert_kill_absorbed, assert_traces_identical, poll_until, run_injected, temp_dir, Kill,
+};
 
 fn nas_config(candidates: usize, workers: usize) -> NasConfig {
     NasConfig::quick(TransferScheme::Lcs, candidates, workers, 9)
@@ -42,7 +44,7 @@ fn distributed_run_matches_in_process_run() {
 
     let dist_store = temp_dir("ab_dist");
     let dist = dist_config(dist_store.clone());
-    let distributed = run_nas_dist(&cfg, &dist).expect("distributed run failed");
+    let distributed = run_nas_dist(&cfg, &dist).expect("distributed run failed").0;
 
     assert_traces_identical(&local, &distributed, "healthy 2-worker run");
     assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "identity of nothing transferred");
@@ -72,12 +74,12 @@ fn killed_worker_is_detected_and_its_candidate_reassigned() {
     let lost_before = swt_obs::registry::global().counter("dist.workers_lost").get();
 
     let dist_store = temp_dir("kill_dist");
-    let mut dist = dist_config(dist_store.clone());
+    let dist = dist_config(dist_store.clone());
     // SIGKILL worker 1 while the run is mid-flight: with a 2-wide window,
     // worker 1 holds an in-flight candidate at that point, so the
     // reassignment path must run for the trace to complete.
-    dist.kill_worker_after = Some(KillPlan { worker: 1, after_results: 3 });
-    let distributed = run_nas_dist(&cfg, &dist).expect("degraded run failed");
+    let kill = Some(Kill { slot: 1, after: 3 });
+    let distributed = run_injected(&cfg, &dist, kill, None).expect("degraded run failed").0;
 
     assert_traces_identical(&local, &distributed, "run with worker 1 killed");
     let lost = swt_obs::registry::global().counter("dist.workers_lost").get() - lost_before;
@@ -107,9 +109,9 @@ fn reassigned_candidate_finds_its_provider_after_the_survivor_dropped_it() {
     assert!(local.events.iter().filter(|e| e.transfer_tensors > 0).count() >= 12);
 
     let dist_store = temp_dir("evicted_dist");
-    let mut dist = dist_config(dist_store.clone());
-    dist.kill_worker_after = Some(KillPlan { worker: 1, after_results: 12 });
-    let (distributed, stats) = run_nas_dist_with_stats(&cfg, &dist).expect("degraded run failed");
+    let dist = dist_config(dist_store.clone());
+    let kill = Some(Kill { slot: 1, after: 12 });
+    let (distributed, stats) = run_injected(&cfg, &dist, kill, None).expect("degraded run failed");
 
     assert_traces_identical(&local, &distributed, "kill after providers were dropped");
     assert_eq!(distributed.canonical_csv(), local.canonical_csv());
@@ -134,7 +136,7 @@ fn garbage_connections_at_startup_do_not_fail_the_launch() {
     let wrapper = dir.join("noisy_worker.sh");
     let script = format!(
         r#"#!/usr/bin/env bash
-addr="$3" # dist-worker --connect ADDR --worker-id N
+addr="$3" # dist-worker --connect ADDR
 for junk in 'GET / HTTP/1.1\r\n\r\n' '\x08\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x00'; do
   # The coordinator may hang up mid-write; that is the point.
   exec 3<>"/dev/tcp/${{addr%:*}}/${{addr##*:}}" && printf "$junk" >&3 2>/dev/null
@@ -161,7 +163,8 @@ exec '{}' "$@"
     let mut dist = dist_config(dir.join("store"));
     dist.worker_exe = Some(wrapper);
     let distributed = run_nas_dist(&cfg, &dist)
-        .expect("garbage ahead of the workers' Hellos must not fail the launch");
+        .expect("garbage ahead of the workers' Hellos must not fail the launch")
+        .0;
     assert_traces_identical(&local, &distributed, "launch behind garbage connections");
     let _ = std::fs::remove_dir_all(&local_store);
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,7 +179,7 @@ fn single_worker_distributed_run_completes() {
     let local = run_in_process(&cfg, &local_store);
     let dist_store = temp_dir("one_dist");
     let dist = dist_config(dist_store.clone());
-    let distributed = run_nas_dist(&cfg, &dist).expect("single-worker run failed");
+    let distributed = run_nas_dist(&cfg, &dist).expect("single-worker run failed").0;
     assert_traces_identical(&local, &distributed, "single-worker run");
     assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "identity of nothing transferred");
     let _ = std::fs::remove_dir_all(&local_store);
@@ -202,8 +205,8 @@ fn two_runs_share_one_store_via_namespaces() {
     iso_cfg_a.namespace = String::new();
     let isolated_a = run_in_process(&iso_cfg_a, &isolated_store);
 
-    let a = run_nas_dist(&cfg_a, &dist_config(shared_store.clone())).expect("run A failed");
-    let b = run_nas_dist(&cfg_b, &dist_config(shared_store.clone())).expect("run B failed");
+    let a = run_nas_dist(&cfg_a, &dist_config(shared_store.clone())).expect("run A failed").0;
+    let b = run_nas_dist(&cfg_b, &dist_config(shared_store.clone())).expect("run B failed").0;
 
     assert_traces_identical(&isolated_a, &a, "shared-store run A vs isolated baseline");
     let store = DirStore::new(&shared_store).unwrap();
@@ -216,4 +219,50 @@ fn two_runs_share_one_store_via_namespaces() {
     assert!(!store.exists("c0"), "no run may write outside its namespace");
     let _ = std::fs::remove_dir_all(&shared_store);
     let _ = std::fs::remove_dir_all(&isolated_store);
+}
+
+#[test]
+fn a_busy_run_heartbeats_and_admits_a_worker_from_outside() {
+    // 400 one-epoch Uno candidates keep two workers busy for several
+    // heartbeat rounds: every worker is pinged (each Pong is followed by a
+    // snapshot, so `frames` outgrows one per result plus the teardown one),
+    // and a `swt dist-worker --connect` started after the 2nd result is
+    // admitted at a round although no event loop ever goes quiet.
+    let cfg = nas_config(400, 2);
+    let local_store = temp_dir("outside_local");
+    let local = run_in_process(&cfg, &local_store);
+
+    let dist_store = temp_dir("outside_dist");
+    let mut dist = dist_config(dist_store.clone());
+    let live = Arc::new(LiveRunView::new());
+    dist.live = Some(Arc::clone(&live));
+    let view = Arc::clone(&live);
+    let joiner = std::thread::spawn(move || {
+        assert!(poll_until(Duration::from_secs(60), || view.results() >= 2), "run never started");
+        let status = swt_obs::json::Json::parse(&view.status_json()).expect("status is JSON");
+        let addr = status.get("meta").and_then(|m| m.get("addr")).and_then(|a| a.as_str());
+        let addr = addr.expect("the view names the coordinator's address").to_string();
+        std::process::Command::new(env!("CARGO_BIN_EXE_swt"))
+            .args(["dist-worker", "--connect", &addr])
+            .status()
+            .expect("the swt binary runs")
+    });
+    let (distributed, stats) = run_nas_dist(&cfg, &dist).expect("distributed run failed");
+    let joined = joiner.join().expect("joiner thread");
+
+    assert!(joined.success(), "the outside worker must exit cleanly on Shutdown: {joined}");
+    assert_eq!(stats.joined, 1, "the outside worker was not admitted");
+    assert_traces_identical(&local, &distributed, "run joined from outside");
+    let workers = live.workers();
+    assert_eq!(workers.len(), 3);
+    for (slot, w) in workers.iter().enumerate() {
+        assert!(
+            w.frames > w.results + 1,
+            "worker {slot}: {} frames, {} results",
+            w.frames,
+            w.results
+        );
+    }
+    let _ = std::fs::remove_dir_all(&local_store);
+    let _ = std::fs::remove_dir_all(&dist_store);
 }

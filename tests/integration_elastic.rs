@@ -20,7 +20,10 @@ use swt::prelude::*;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::{assert_conserved, assert_kill_absorbed, assert_traces_identical, temp_dir};
+use util::{
+    assert_conserved, assert_kill_absorbed, assert_traces_identical, run_injected, temp_dir, Join,
+    Kill,
+};
 
 const CANDIDATES: usize = 12;
 const WINDOW: usize = 2;
@@ -30,8 +33,8 @@ const DATA_SEED: u64 = 11;
 struct Cell {
     name: &'static str,
     max_workers: usize,
-    join: Option<JoinPlan>,
-    kill: Option<KillPlan>,
+    join: Option<Join>,
+    kill: Option<Kill>,
     expect_joined: usize,
     expect_rejected: usize,
     expect_lost: usize,
@@ -50,8 +53,8 @@ const MATRIX: &[Cell] = &[
     Cell {
         name: "join_then_kill",
         max_workers: 3,
-        join: Some(JoinPlan { after_results: 2, count: 1 }),
-        kill: Some(KillPlan { worker: 0, after_results: 4 }),
+        join: Some(Join { after: 2, count: 1 }),
+        kill: Some(Kill { slot: 0, after: 4 }),
         expect_joined: 1,
         expect_rejected: 0,
         expect_lost: 1,
@@ -62,8 +65,8 @@ const MATRIX: &[Cell] = &[
         // and drains the backlog the short-handed pool built up.
         name: "kill_then_join",
         max_workers: 2,
-        join: Some(JoinPlan { after_results: 6, count: 1 }),
-        kill: Some(KillPlan { worker: 1, after_results: 2 }),
+        join: Some(Join { after: 6, count: 1 }),
+        kill: Some(Kill { slot: 1, after: 2 }),
         expect_joined: 1,
         expect_rejected: 0,
         expect_lost: 1,
@@ -71,7 +74,7 @@ const MATRIX: &[Cell] = &[
     Cell {
         name: "join_rejected",
         max_workers: 2,
-        join: Some(JoinPlan { after_results: 2, count: 1 }),
+        join: Some(Join { after: 2, count: 1 }),
         kill: None,
         expect_joined: 0,
         expect_rejected: 1,
@@ -95,9 +98,7 @@ fn run_cell(cell: &Cell) -> (NasTrace, DistRunStats, PathBuf) {
     let mut dist = DistConfig::new(AppKind::Uno, DataScale::Quick, DATA_SEED, store.clone());
     dist.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
     dist.max_workers = cell.max_workers;
-    dist.join_after = cell.join.clone();
-    dist.kill_worker_after = cell.kill.clone();
-    let (trace, stats) = run_nas_dist_with_stats(&nas_config(), &dist)
+    let (trace, stats) = run_injected(&nas_config(), &dist, cell.kill, cell.join)
         .unwrap_or_else(|e| panic!("cell `{}` failed: {e}", cell.name));
     (trace, stats, store)
 }
@@ -146,6 +147,19 @@ fn same_seed_same_trace_across_the_elastic_matrix() {
             cell.name
         );
         assert_conserved(&stats, cell.name);
+        // A worker's spans are attributed to the slot the coordinator named
+        // in its `HelloAck`, whichever order the processes connected in.
+        for (slot, report) in &stats.per_worker {
+            for span in &report.spans {
+                assert_eq!(
+                    span.worker,
+                    Some(*slot),
+                    "cell `{}`: slot {slot}'s span {} is attributed elsewhere",
+                    cell.name,
+                    span.path
+                );
+            }
+        }
         // Each worker's report is whole, spans included: one `nas.eval`
         // per evaluated candidate. Only where no worker was killed — a
         // victim's last snapshot may be a heartbeat's, taken mid-candidate.

@@ -132,7 +132,12 @@ fn swt_refuses_flags_it_does_not_know() {
         (&["run", "--seed"], "`--seed`"),
         (&["dist-run", "--eta", "4"], "`--eta`"),
         (&["dist-top", "--addr", "127.0.0.1:1", "--early-stop", "2:0.02"], "`--early-stop`"),
-        (&["dist-worker", "--connect", "127.0.0.1:1", "--worker-id"], "`--worker-id`"),
+        (
+            &["dist-worker", "--connect", "127.0.0.1:1", "--worker-id", "1"],
+            "unknown flag `--worker-id`",
+        ),
+        (&["dist-run", "--kill-after", "1:3"], "unknown flag `--kill-after`"),
+        (&["dist-run", "--join-after", "2"], "unknown flag `--join-after`"),
         (&["ckpt-server", "--spill", "x", "--bind=127.0.0.1:0"], "`--bind=127.0.0.1:0`"),
     ] {
         let (code, stderr) = swt(args);

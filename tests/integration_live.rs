@@ -13,7 +13,7 @@ use swt_obs::json::Json;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::temp_dir;
+use util::{run_injected, temp_dir, Join};
 
 /// These tests toggle the process-global observability switches; the cargo
 /// test harness runs tests concurrently, so serialize them.
@@ -77,9 +77,6 @@ fn live_view_tracks_a_distributed_run_and_settles_on_report_totals() {
     let cfg = nas_config(total, 2);
     let store = temp_dir("live_dist");
     let mut dist = dist_config(store.clone());
-    // Make the run elastic: a third worker joins mid-run, and the view must
-    // pick it up like any other.
-    dist.join_after = Some(JoinPlan { after_results: 3, count: 1 });
     let live = Arc::new(LiveRunView::new());
     dist.live = Some(Arc::clone(&live));
 
@@ -111,7 +108,10 @@ fn live_view_tracks_a_distributed_run_and_settles_on_report_totals() {
         (polls, seqs)
     });
 
-    let trace = run_nas_dist(&cfg, &dist).expect("distributed run failed");
+    // Make the run elastic: a third worker joins mid-run, and the view must
+    // pick it up like any other.
+    let join = Some(Join { after: 3, count: 1 });
+    let trace = run_injected(&cfg, &dist, None, join).expect("distributed run failed").0;
     stop.store(true, Ordering::Relaxed);
     let (polls, seqs) = poller.join().expect("poller must not panic");
 
@@ -141,6 +141,18 @@ fn live_view_tracks_a_distributed_run_and_settles_on_report_totals() {
     let workers = live.workers();
     for (id, w) in workers.iter().enumerate() {
         assert_eq!(w.stale_frames, 0, "worker {id} sent a snapshot out of seq order");
+    }
+
+    // `/status` names each worker's process, the joiner's included: the pid
+    // an operator kills or looks up.
+    let body = swt_obs::serve::http_get(&addr, "/status").expect("status fetch failed");
+    let doc = Json::parse(&body).expect("status must be valid JSON");
+    let rows = doc.get("workers").and_then(Json::as_array).expect("workers array");
+    let pids: Vec<Option<u64>> = rows.iter().map(|w| w.get("pid").and_then(Json::as_u64)).collect();
+    assert_eq!(pids.len(), 3, "two launch workers and the joiner");
+    for (id, (pid, w)) in pids.iter().zip(&workers).enumerate() {
+        assert!(w.pid > 0, "worker {id} has no pid");
+        assert_eq!(*pid, Some(w.pid as u64), "worker {id}'s pid in /status");
     }
 
     // Every worker that produced results streamed the pool's span split.

@@ -6,9 +6,12 @@
 
 #![allow(dead_code)]
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use swt::nas::BackendResult;
 use swt::prelude::*;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -75,8 +78,8 @@ pub fn assert_conserved(stats: &DistRunStats, what: &str) {
     }
 }
 
-/// What one injected worker kill must leave behind. `maybe_inject_kill`
-/// fires while the victim holds a candidate, but a `Result` already in the
+/// What one injected worker kill must leave behind. [`Inject`] kills the
+/// victim while it holds a candidate, but a `Result` already in the
 /// socket is processed before the EOF — then nothing is left to reassign, so
 /// "at least one reassignment" is a race, not a property. Structural instead:
 /// exactly one loss, at most one reassignment, and every candidate id traced
@@ -120,4 +123,86 @@ pub fn assert_traces_identical(a: &NasTrace, b: &NasTrace, what: &str) {
     let top_a: Vec<u64> = a.top_k(5).iter().map(|e| e.id).collect();
     let top_b: Vec<u64> = b.top_k(5).iter().map(|e| e.id).collect();
     assert_eq!(top_a, top_b, "{what}: top-K diverged");
+}
+
+/// SIGKILL the worker in `slot` once `after` results have been delivered
+/// and it holds a candidate, so the reassignment path (not merely loss
+/// detection) runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Kill {
+    pub slot: usize,
+    pub after: usize,
+}
+
+/// Spawn `count` workers once `after` results have been delivered, and
+/// block until each is admitted or refused, so the join lands at a fixed
+/// point in the schedule.
+#[derive(Debug, Clone, Copy)]
+pub struct Join {
+    pub after: usize,
+    pub count: usize,
+}
+
+/// Faults from outside the coordinator: an [`EvalBackend`] that forwards to
+/// a [`DistBackend`] and, after each submit and each delivered result,
+/// fires whatever of its [`Kill`] and [`Join`] is due. The victim is found
+/// the way an operator finds it, by the pid `/status` shows.
+pub struct Inject<'a> {
+    dist: &'a mut DistBackend,
+    kill: Option<Kill>,
+    join: Option<Join>,
+    delivered: usize,
+}
+
+impl Inject<'_> {
+    fn fire(&mut self) -> io::Result<()> {
+        if let Some(join) = self.join.take_if(|join| self.delivered >= join.after) {
+            self.dist.spawn_workers(join.count)?;
+        }
+        let Some(kill) = self.kill.filter(|kill| self.delivered >= kill.after) else {
+            return Ok(());
+        };
+        let workers = self.dist.live().workers();
+        let Some(victim) = workers.get(kill.slot).filter(|w| w.alive && w.current.is_some()) else {
+            return Ok(());
+        };
+        let killed =
+            std::process::Command::new("kill").args(["-KILL", &victim.pid.to_string()]).status()?;
+        assert!(killed.success(), "kill -KILL {} failed", victim.pid);
+        self.kill = None;
+        Ok(())
+    }
+}
+
+impl EvalBackend for Inject<'_> {
+    fn capacity(&self) -> usize {
+        self.dist.capacity()
+    }
+
+    fn submit(&mut self, cand: Candidate) -> io::Result<()> {
+        self.dist.submit(cand)?;
+        self.fire()
+    }
+
+    fn next_result(&mut self) -> io::Result<BackendResult> {
+        let result = self.dist.next_result()?;
+        self.delivered += 1;
+        self.fire()?;
+        Ok(result)
+    }
+}
+
+/// [`run_nas_dist`] with faults injected through [`Inject`].
+pub fn run_injected(
+    nas: &NasConfig,
+    dist: &DistConfig,
+    kill: Option<Kill>,
+    join: Option<Join>,
+) -> io::Result<(NasTrace, DistRunStats)> {
+    let space = Arc::new(SearchSpace::for_app(dist.app));
+    let mut backend = DistBackend::launch(nas, dist)?;
+    let mut inject = Inject { dist: &mut backend, kill, join, delivered: 0 };
+    let trace = run_nas_with_backend(dist.app.name(), space, nas, &mut inject)?;
+    let stats = backend.finish()?;
+    Ok((trace, stats))
 }
