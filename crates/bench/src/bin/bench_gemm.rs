@@ -55,7 +55,7 @@ fn main() {
     }
     // Single-threaded kernels: the numbers here must come from the kernels
     // themselves, not from parallel fan-out.
-    swt::tensor::parallel::set_max_threads(1);
+    let _one_thread = swt::tensor::parallel::scoped_max_threads(1);
 
     let mut h = Harness::new();
     let mut rng = Rng::seed(0xBE7C);

@@ -55,7 +55,7 @@ fn main() {
         std::process::exit(1);
     }
     // Single-threaded so per-op and hot-path numbers share one core's clock.
-    swt::tensor::parallel::set_max_threads(1);
+    let _one_thread = swt::tensor::parallel::scoped_max_threads(1);
 
     let mut h = Harness::new();
 

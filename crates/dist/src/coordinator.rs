@@ -140,7 +140,6 @@ impl DistBackend {
         // Worker resources are budgeted by the window, not the live pool:
         // thread pinning and cache slices must not depend on how many
         // processes happen to be up, or elastic runs would diverge.
-        let hardware = std::thread::available_parallelism().map_or(1, |v| v.get());
         let run = RunSpec {
             app: dist.app,
             scale: dist.scale,
@@ -150,7 +149,7 @@ impl DistBackend {
             run_seed: nas.seed,
             namespace: nas.namespace.clone(),
             store_dir: dist.store_dir.to_string_lossy().into_owned(),
-            threads: (hardware / window).max(1) as u32,
+            threads: swt_tensor::parallel::share(window) as u32,
             cache_bytes: nas.cache_bytes / window as u64,
             store_url: dist.store_url.clone().filter(|url| !url.is_empty()),
         };

@@ -55,9 +55,8 @@ wire_struct! {
         /// Root of the shared `DirStore` (the stand-in for the paper's
         /// parallel file system).
         pub store_dir: String,
-        /// Intra-op thread budget this worker must pin
-        /// (`hardware / workers`, floored at 1 — same policy as the
-        /// in-process pool).
+        /// Intra-op thread budget this worker pins on its evaluating
+        /// thread (`parallel::share(workers)`, as in the in-process pool).
         pub threads: u32,
         /// Per-worker provider-cache cap: the worker wraps its store in a
         /// `CachedStore` capped at this many bytes (0 disables caching).

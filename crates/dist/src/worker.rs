@@ -108,9 +108,9 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
         run.threads
     );
 
-    // Pin this process's intra-op thread budget: each worker models one GPU
-    // and must not fan out to the whole machine (same policy as the
-    // in-process pool, but per process instead of per run).
+    // Pin the intra-op thread budget of this thread, which evaluates: each
+    // worker models one GPU and must not fan out to the whole machine (the
+    // in-process pool's evaluator threads pin theirs the same way).
     let _budget = swt_tensor::parallel::scoped_max_threads(run.threads.max(1) as usize);
     let mut evaluator = build_evaluator(&run)?;
 

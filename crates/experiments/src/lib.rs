@@ -141,14 +141,8 @@ impl ExpCtx {
         std::fs::create_dir_all(ctx.out.join("traces")).expect("create results dir");
         std::fs::create_dir_all(ctx.out.join("ckpts")).expect("create results dir");
         // Observability: record spans/counters for every run this context
-        // launches; `SWT_LOG_JSON=<path>` additionally mirrors log records
-        // to a JSONL file. Reports land next to each trace CSV.
+        // launches. Reports land next to each trace CSV.
         swt_obs::enable();
-        if let Ok(path) = std::env::var("SWT_LOG_JSON") {
-            if let Err(e) = swt_obs::log::set_jsonl_path(Path::new(&path)) {
-                swt_obs::warn!("swt_experiments", "cannot open SWT_LOG_JSON={path}: {e}");
-            }
-        }
         ctx
     }
 

@@ -74,9 +74,6 @@ pub struct ThreadPoolBackend {
     result_rx: mpsc::Receiver<BackendResult>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
-    /// Restores the previous intra-op thread budget when the backend drops,
-    /// so a later run in the same process starts from a clean slate.
-    _budget: swt_tensor::parallel::ThreadBudgetGuard,
 }
 
 impl ThreadPoolBackend {
@@ -88,8 +85,10 @@ impl ThreadPoolBackend {
     /// without this cap, `workers` evaluators each fanning out to
     /// `available_parallelism()` intra-op threads oversubscribes the host by
     /// a factor of `workers` and context-switch thrash erases the speedup.
-    /// Budget = hardware threads / workers, floored at 1 — pure
-    /// inter-candidate parallelism once the window covers the cores.
+    /// Each evaluator thread pins its own budget,
+    /// [`share`](swt_tensor::parallel::share)`(workers)` — pure
+    /// inter-candidate parallelism once the window covers the cores; the
+    /// constructing thread keeps its own.
     pub fn new(
         problem: Arc<AppProblem>,
         space: Arc<SearchSpace>,
@@ -97,8 +96,7 @@ impl ThreadPoolBackend {
         cfg: &NasConfig,
     ) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
-        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let budget = swt_tensor::parallel::scoped_max_threads((hardware / cfg.workers).max(1));
+        let budget = swt_tensor::parallel::share(cfg.workers);
 
         let start = Instant::now();
         let (task_tx, task_rx) = mpsc::channel::<Candidate>();
@@ -125,6 +123,7 @@ impl ThreadPoolBackend {
                 // Attribute this thread's spans (queue wait, evaluation and
                 // everything beneath) to its worker in run reports.
                 swt_obs::span::set_worker(worker);
+                let _budget = swt_tensor::parallel::scoped_max_threads(budget);
                 loop {
                     // Hold the lock only for the recv handoff, never while
                     // evaluating. The span separates time spent starved for
@@ -152,13 +151,7 @@ impl ThreadPoolBackend {
                 }
             }));
         }
-        ThreadPoolBackend {
-            task_tx: Some(task_tx),
-            result_rx,
-            handles,
-            workers: cfg.workers,
-            _budget: budget,
-        }
+        ThreadPoolBackend { task_tx: Some(task_tx), result_rx, handles, workers: cfg.workers }
     }
 }
 
@@ -192,12 +185,6 @@ impl Drop for ThreadPoolBackend {
     }
 }
 
-/// Serialises the unit tests that run a backend: each one swaps the
-/// process-wide thread budget, which the test harness would otherwise
-/// interleave with `drop_restores_thread_budget`'s reading of it.
-#[cfg(test)]
-pub(crate) static BUDGET_TESTS: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +203,6 @@ mod tests {
 
     #[test]
     fn evaluates_submitted_candidates_in_some_order() {
-        let _budget = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let (mut be, space) = backend(2);
         assert_eq!(be.capacity(), 2);
         let mut rng = Rng::seed(5);
@@ -228,13 +214,14 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
+    /// The evaluator threads pin their budgets; the thread that built the
+    /// pool keeps its own while the pool runs.
     #[test]
-    fn drop_restores_thread_budget() {
-        let _budget = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        swt_tensor::parallel::set_max_threads(7);
-        let (be, _space) = backend(1);
+    fn the_constructing_thread_keeps_its_budget() {
+        let _seven = swt_tensor::parallel::scoped_max_threads(7);
+        let (be, _space) = backend(2);
+        assert_eq!(swt_tensor::parallel::max_threads(), 7);
         drop(be);
         assert_eq!(swt_tensor::parallel::max_threads(), 7);
-        swt_tensor::parallel::set_max_threads(0);
     }
 }

@@ -286,10 +286,7 @@ mod tests {
             strategy: StrategyKind::Random,
             ..NasConfig::quick(TransferScheme::Baseline, 10, 2, 17)
         };
-        let trace = {
-            let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-            run_nas(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &cfg)
-        };
+        let trace = run_nas(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &cfg);
         (problem, space, store, trace)
     }
 

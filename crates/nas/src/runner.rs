@@ -332,7 +332,6 @@ mod tests {
         let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
         let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
         let cfg = NasConfig { strategy, ..NasConfig::quick(scheme, total, workers, 3) };
-        let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         run_nas(problem, space, store, &cfg)
     }
 
@@ -374,7 +373,6 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let store_dyn: Arc<dyn CheckpointStore> = Arc::clone(&store) as _;
         let cfg = NasConfig::quick(TransferScheme::Lp, 8, 2, 5);
-        let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let trace = run_nas(problem, space, store_dyn, &cfg);
         for e in &trace.events {
             assert!(store.exists(&format!("c{}", e.id)));
@@ -391,7 +389,6 @@ mod tests {
             namespace: "runA_".into(),
             ..NasConfig::quick(TransferScheme::Lcs, 4, 2, 5)
         };
-        let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let trace = run_nas(problem, space, store_dyn, &cfg);
         for e in &trace.events {
             assert!(store.exists(&format!("runA_c{}", e.id)));

@@ -97,15 +97,11 @@ pub fn full_train_top_k(
     max_epochs: usize,
     cutoff_secs: f64,
 ) -> TopKReport {
-    let mut eligible: Vec<_> = trace.events.iter().filter(|e| e.t_end <= cutoff_secs).collect();
-    eligible.sort_by(|a, b| {
-        b.score.partial_cmp(&a.score).unwrap().then(a.t_end.partial_cmp(&b.t_end).unwrap())
-    });
-    eligible.truncate(k);
+    let eligible = trace.top_k(trace.events.len()).into_iter().filter(|e| e.t_end <= cutoff_secs);
 
     let trainer = Trainer::new(problem.loss, problem.metric);
     let outcomes = eligible
-        .into_iter()
+        .take(k)
         .map(|event| {
             let base_cfg = TrainConfig {
                 epochs: max_epochs,
@@ -185,10 +181,7 @@ mod tests {
             strategy: StrategyKind::Evolution,
             ..NasConfig::quick(TransferScheme::Lcs, 12, 2, 9)
         };
-        let trace = {
-            let _budget = crate::backend::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-            run_nas(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &cfg)
-        };
+        let trace = run_nas(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &cfg);
         (problem, space, store, trace)
     }
 
@@ -215,6 +208,18 @@ mod tests {
         let report = full_train_top_k(&problem, space, store, &trace, 100, 2, mid);
         assert!(report.outcomes.len() <= trace.events.len() / 2 + 1);
         assert!(!report.outcomes.is_empty());
+    }
+
+    /// A diverged candidate (NaN score) ranks below every finite one
+    /// instead of panicking the ranking.
+    #[test]
+    fn nan_score_ranks_last() {
+        let (problem, space, store, mut trace) = setup();
+        trace.events.truncate(2);
+        trace.events[0].score = f64::NAN;
+        let report = full_train_top_k(&problem, space, store, &trace, 2, 1, f64::INFINITY);
+        let ids: Vec<u64> = report.outcomes.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec![trace.events[1].id, trace.events[0].id]);
     }
 
     #[test]

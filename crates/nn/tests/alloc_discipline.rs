@@ -17,8 +17,7 @@
 //!   gradient, so it is not computed (also on a dense-first chain and an
 //!   Uno-shaped concat of towers and a raw input).
 //!
-//! One `#[test]` on purpose: the allocation counter and the thread budget are
-//! process-wide.
+//! One `#[test]` on purpose: the allocation counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,7 +112,7 @@ fn warmed_model_step_and_evaluate_stay_inside_the_arena() {
         (ws.pooled(), ws.alloc_misses())
     };
 
-    parallel::set_max_threads(1);
+    let _one = parallel::scoped_max_threads(1);
     // Warm-up: two train batches and one validation pass touch every buffer
     // either mode ever asks for.
     for idx in &batches[..2] {
@@ -178,7 +177,6 @@ fn warmed_model_step_and_evaluate_stay_inside_the_arena() {
         assert_eq!(gemms() - counted, layers * 3 - input_fed, "contractions in one step");
     }
     swt_obs::disable();
-    parallel::set_max_threads(0);
 
     // Teardown hands everything back: nothing the model or its layers held
     // (activations, batch-norm's x̂, dropout's mask) is lost to the next one.

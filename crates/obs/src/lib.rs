@@ -13,9 +13,8 @@
 //! * **Counters, histograms, gauges** — [`counter!`], [`histogram!`] and
 //!   [`gauge!`] resolve a named metric once per call site (a `OnceLock`
 //!   handle) and then mutate lock-free atomics.
-//! * **Structured logging** — [`error!`] … [`trace!`] write leveled
-//!   messages to stderr and, when configured, to a JSONL sink; the level is
-//!   read from `SWT_LOG` (default `info`).
+//! * **Logging** — [`error!`] … [`trace!`] write leveled messages to
+//!   stderr; the level is read from `SWT_LOG` (default `info`).
 //! * **Run reports** — [`RunReport::capture`] snapshots the registry into a
 //!   serializable per-worker breakdown written as `report.json` next to the
 //!   NAS trace CSV. Its counter, gauge and histogram rows are also what a

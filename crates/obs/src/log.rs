@@ -1,23 +1,16 @@
-//! Leveled structured logging with an optional JSONL sink.
+//! Leveled logging to stderr.
 //!
 //! Library crates log through [`crate::error!`] … [`crate::trace!`] instead
 //! of raw `println!`/`eprintln!` (scripts/check.sh greps for regressions).
-//! Messages at or below the active level go to stderr — stdout stays
-//! reserved for figure/CSV output — and, when a sink is installed via
-//! [`set_jsonl_path`], to a JSON-lines file for machine consumption.
+//! Messages at or below the active level go to stderr; stdout stays
+//! reserved for figure/CSV output.
 //!
 //! The level comes from `SWT_LOG` (`off|error|warn|info|debug|trace`,
 //! default `info`) or [`set_max_level`]. The level check is one relaxed
 //! atomic load and happens *before* message formatting.
 
-use crate::json::escape;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,44 +83,10 @@ pub fn log_enabled(level: Level) -> bool {
     level as u8 <= max_level()
 }
 
-static JSONL: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
-
-/// Send every emitted record to `path` as JSON lines (in addition to
-/// stderr). Replaces any previous sink; the file is created or truncated.
-pub fn set_jsonl_path(path: &Path) -> io::Result<()> {
-    let file = File::create(path)?;
-    *JSONL.lock().unwrap_or_else(|e| e.into_inner()) = Some(BufWriter::new(file));
-    Ok(())
-}
-
-/// Remove the JSONL sink, flushing it.
-pub fn clear_jsonl_sink() {
-    if let Some(mut w) = JSONL.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        let _ = w.flush();
-    }
-}
-
 /// Emit one record. Callers go through the macros, which check
 /// [`log_enabled`] first so disabled messages are never formatted.
 pub fn log(level: Level, target: &str, args: fmt::Arguments<'_>) {
-    let msg = args.to_string();
-    eprintln!("[{:<5} {target}] {msg}", level.name());
-    let mut sink = JSONL.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(w) = sink.as_mut() {
-        let ts_ms =
-            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64);
-        let line = format!(
-            "{{\"ts_ms\":{ts_ms},\"level\":{},\"target\":{},\"msg\":{}}}",
-            escape(level.name()),
-            escape(target),
-            escape(&msg)
-        );
-        // Flush per record so logs survive crashes and are tail-able.
-        let ok = writeln!(w, "{line}").and_then(|_| w.flush());
-        if ok.is_err() {
-            *sink = None; // drop a broken sink instead of erroring forever
-        }
-    }
+    eprintln!("[{:<5} {target}] {args}", level.name());
 }
 
 /// Log at [`Level::Error`]: `error!("target", "format {}", args)`.
@@ -183,7 +142,6 @@ macro_rules! trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     #[test]
     fn level_parsing_and_ordering() {
@@ -191,27 +149,6 @@ mod tests {
         assert_eq!(Level::parse("WARNING"), Some(Level::Warn));
         assert_eq!(Level::parse("nope"), None);
         assert!(Level::Error < Level::Trace);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let _lock = crate::test_lock();
-        let path = std::env::temp_dir().join(format!("swt_obs_log_{}.jsonl", std::process::id()));
-        set_jsonl_path(&path).unwrap();
-        set_max_level(Some(Level::Debug));
-        crate::info!("obs::test", "hello {} with \"quotes\"", 42);
-        crate::trace!("obs::test", "filtered out");
-        clear_jsonl_sink();
-        set_max_level(None);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1, "trace is above the debug level: {text}");
-        let rec = Json::parse(lines[0]).unwrap();
-        assert_eq!(rec.get("level").unwrap().as_str(), Some("info"));
-        assert_eq!(rec.get("target").unwrap().as_str(), Some("obs::test"));
-        assert_eq!(rec.get("msg").unwrap().as_str(), Some("hello 42 with \"quotes\""));
-        assert!(rec.get("ts_ms").unwrap().as_u64().is_some());
     }
 
     #[test]

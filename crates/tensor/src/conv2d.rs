@@ -776,7 +776,6 @@ mod tests {
     #[test]
     fn parallel_paths_match_serial_bitwise() {
         let mut rng = Rng::seed(0xC2);
-        let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         // The last has 15 ragged lanes forward and 216 in `dX`.
         for &(n, h, w, c, kh, kw, f) in &[
             (2, 16, 16, 32, 3, 3, 230),

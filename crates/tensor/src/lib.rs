@@ -15,8 +15,8 @@
 //! * row-wise softmax and elementwise activations,
 //! * a reusable scratch arena ([`Workspace`]) so the
 //!   training hot path is allocation-free at steady state,
-//! * scoped-thread data-parallel helpers ([`parallel`]) with one
-//!   process-wide thread budget,
+//! * scoped-thread data-parallel helpers ([`parallel`]) under a per-thread
+//!   budget that nested parallelism splits instead of multiplying,
 //! * a seeded, splittable [`Rng`] so every experiment is
 //!   reproducible from a single `u64` seed.
 //!
@@ -49,8 +49,8 @@ pub use conv2d::{
     conv2d_forward_ws, Padding,
 };
 pub use matmul::{
-    force_scalar_kernel, gemm_kernel_name, matmul, matmul_at, matmul_at_ws, matmul_bt,
-    matmul_bt_ws, matmul_naive, matmul_ws,
+    gemm_kernel_name, matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_naive,
+    matmul_ws,
 };
 pub use ops::{
     relu, relu_grad_from_output, sigmoid, sigmoid_grad_from_output, softmax_rows, tanh_act,

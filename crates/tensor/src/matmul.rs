@@ -52,7 +52,7 @@
 //! * `ScalarFma` — the generic tile loop compiled with the `fma` feature
 //!   enabled for that one function, so `mul_add` lowers to hardware FMA.
 //! * `Scalar` — the fully portable generic tile loop; the baseline for any
-//!   target and the kernel behind [`force_scalar_kernel`].
+//!   target and the kernel `SWT_FORCE_SCALAR_KERNEL=1` pins.
 //!
 //! **FP-contract determinism:** all kernels contract each output
 //! element in the *same pinned order* — `k` ascending within a panel, one
@@ -65,9 +65,9 @@
 //! kernels in the last ulp. The tests hold every kind this host runs, on
 //! every engine, to one plain-loop oracle of this contraction. Within one
 //! process the selection is pinned, so every run is bit-reproducible;
-//! A/B flags ([`force_scalar_kernel`], `SWT_FORCE_SCALAR_KERNEL=1`) change
-//! the kernel and may change low-order bits — they are benchmark/CI tools,
-//! not run-time tuning knobs.
+//! `SWT_FORCE_SCALAR_KERNEL=1`, read once at the first GEMM, changes the
+//! kernel and may change low-order bits — it is a benchmark/CI tool, not a
+//! run-time tuning knob.
 //!
 //! Edges are zero-padded inside the packed buffers, so the micro-kernels are
 //! branch-free (padding lanes compute `fma(0, b, acc) = acc` and are masked
@@ -86,23 +86,7 @@ use crate::conv2d::{self, Geom, Padding};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-
-/// Benchmark/CI escape hatch: when set, the blocked driver runs the portable
-/// scalar micro-kernel even where the SIMD kernel is available.
-/// `scripts/check.sh` also runs the whole test suite with
-/// `SWT_FORCE_SCALAR_KERNEL=1` so the fallback kernel stays exercised on
-/// SIMD-capable CI hosts.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Route the blocked driver through the portable scalar micro-kernel
-/// (`on = true`) instead of the runtime-detected SIMD kernel. A/B tool for
-/// benchmarks and CI; note the scalar kernel may differ from the fused SIMD
-/// kernels in low-order bits (see the module docs).
-pub fn force_scalar_kernel(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
 
 /// Which micro-kernel the dispatch table selected (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +122,8 @@ static KERNEL: OnceLock<KernelKind> = OnceLock::new();
 fn detect_kernel() -> KernelKind {
     #[cfg(target_arch = "x86_64")]
     {
-        // The env override exists so CI can run the *entire* suite on the
-        // portable kernel without touching process state in every test.
+        // The one way to pin the portable kernel: CI runs the *entire*
+        // suite under it.
         if std::env::var_os("SWT_FORCE_SCALAR_KERNEL").is_none() {
             if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
                 if std::is_x86_feature_detected!("avx512f") {
@@ -167,9 +151,6 @@ pub(crate) fn active_kernel() -> KernelKind {
     #[cfg(test)]
     if let Some(kernel) = PINNED.with(|p| p.get()) {
         return kernel;
-    }
-    if FORCE_SCALAR.load(Ordering::Relaxed) {
-        return KernelKind::Scalar;
     }
     *KERNEL.get_or_init(detect_kernel)
 }
@@ -417,13 +398,12 @@ fn gemm_with_kernel(
     };
 
     let n_strips = n.div_ceil(NR);
-    // One packed-A task slice per worker thread (the parallel path hands
-    // them out per task), or a single slice for the serial path: the tallest
-    // row block at the deepest panel, so every panel's packing fits.
+    // One packed-A slice per worker thread, each the tallest row block at the
+    // deepest panel, so every panel's packing fits. One slice runs the row
+    // blocks in order on this thread.
     let pa_piece = MC.min(m).div_ceil(MR) * MR * KC.min(k);
-    let row_blocks = m.div_ceil(MC);
-    let go_parallel = row_blocks > 1 && m * n >= PAR_THRESHOLD && parallel::max_threads() > 1;
-    let pack_tasks = if go_parallel { parallel::max_threads().min(row_blocks) } else { 1 };
+    let pack_tasks =
+        if m * n >= PAR_THRESHOLD { parallel::max_threads().min(m.div_ceil(MC)) } else { 1 };
     let mut pb = ws.take(KC.min(k) * n_strips * NR);
     let mut pa = ws.take(pack_tasks * pa_piece);
 
@@ -432,43 +412,22 @@ fn gemm_with_kernel(
         let kc = KC.min(k - k0);
         pack_b(kernel, b, k0, kc, n, &mut pb);
         let first = k0 == 0;
-        if go_parallel {
-            // Row blocks are disjoint `MC×n` chunks of C; each task packs
-            // its own A block into its thread's scratch slice, carved from
-            // the caller's Workspace — the hot loop never allocates.
-            let pb_ref = &pb[..];
-            parallel::par_chunks_mut_scratch(
-                c,
-                MC * n,
-                &mut pa,
-                pa_piece,
-                |ib, c_chunk, pa_scratch| {
-                    let m0 = ib * MC;
-                    let mc = MC.min(m - m0);
-                    let pa_len = mc.div_ceil(MR) * MR * kc;
-                    let pa_scratch = &mut pa_scratch[..pa_len];
-                    pack_a(kernel, a, m0, mc, k0, kc, pa_scratch);
-                    block_kernel(kernel, c_chunk, n, mc, kc, pa_scratch, pb_ref, first);
-                },
-            );
-        } else {
-            for ib in 0..row_blocks {
+        // Row blocks are disjoint `MC×n` chunks of C; each task packs its own
+        // A block into its thread's scratch slice, carved from the caller's
+        // Workspace — the hot loop never allocates.
+        parallel::par_chunks_mut_scratch(
+            c,
+            MC * n,
+            &mut pa,
+            pa_piece,
+            |ib, c_chunk, pa_scratch| {
                 let m0 = ib * MC;
                 let mc = MC.min(m - m0);
-                let pa_len = mc.div_ceil(MR) * MR * kc;
-                pack_a(kernel, a, m0, mc, k0, kc, &mut pa[..pa_len]);
-                block_kernel(
-                    kernel,
-                    &mut c[m0 * n..(m0 + mc) * n],
-                    n,
-                    mc,
-                    kc,
-                    &pa[..pa_len],
-                    &pb,
-                    first,
-                );
-            }
-        }
+                let pa_scratch = &mut pa_scratch[..mc.div_ceil(MR) * MR * kc];
+                pack_a(kernel, a, m0, mc, k0, kc, pa_scratch);
+                block_kernel(kernel, c_chunk, n, mc, kc, pa_scratch, &pb, first);
+            },
+        );
         k0 += kc;
     }
     ws.give(pa);
@@ -1039,6 +998,9 @@ pub(crate) mod tests {
         swt_obs::info!("tensor.tests", "kernel kinds swept on this host: {kinds:?}");
         assert_eq!(kinds[0], KernelKind::Scalar);
         assert!(kinds.contains(&detect_kernel()), "the dispatched kind is not swept: {kinds:?}");
+        if std::env::var_os("SWT_FORCE_SCALAR_KERNEL").is_some() {
+            assert_eq!(gemm_kernel_name(), "scalar", "SWT_FORCE_SCALAR_KERNEL did not pin");
+        }
         #[cfg(target_arch = "x86_64")]
         for (wider, narrower) in [
             (KernelKind::Avx512Fma, KernelKind::Avx2Fma),
@@ -1357,7 +1319,6 @@ pub(crate) mod tests {
         let (batch, fan_in, units) = (64, 3456, 128);
         assert!(batch * fan_in * units >= conv2d::PAR_MACS, "would not dispatch");
         let [x, w, dy] = dense_case(batch, fan_in, units, &mut Rng::seed(0xD7));
-        let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let _two = parallel::scoped_max_threads(2);
         assert_dense_layer_matches_oracle(&x, &w, &dy, "two threads");
     }
@@ -1512,7 +1473,6 @@ pub(crate) mod tests {
         let (m, k, n) = (2 * MC + 7, KC + 9, 512);
         let a = Tensor::rand_normal([m, k], 0.0, 1.0, &mut rng);
         let bt = Tensor::rand_normal([n, k], 0.0, 1.0, &mut rng);
-        let _lock = parallel::BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let serial = {
             let _one = parallel::scoped_max_threads(1);
             matmul_bt(&a, &bt)

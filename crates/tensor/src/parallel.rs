@@ -3,60 +3,68 @@
 //! The repository used to route CPU parallelism through a global rayon pool;
 //! that pool multiplied with the NAS evaluator's own worker threads
 //! (`workers × rayon_threads` runnable threads) and cannot be built offline.
-//! This module replaces it with two primitives on `std::thread::scope` plus a
-//! process-wide thread *budget* that the NAS runner sizes from
-//! `NasConfig.workers`, so kernel parallelism and evaluator parallelism share
-//! one explicit cap instead of multiplying.
+//! This module replaces it with one scoped-thread loop and a thread *budget*
+//! that belongs to the thread that runs the kernels: each thread starts at the
+//! hardware count, an evaluator thread pins its [`share`] of the machine with
+//! [`scoped_max_threads`], and every thread the loop spawns starts with an
+//! equal split of its caller's budget. Kernel parallelism nested inside
+//! [`par_map`] or an evaluator therefore divides its caller's threads instead
+//! of multiplying them.
 //!
 //! Work items are handed out through a shared cursor, so uneven items (the
 //! last short chunk, variable-cost candidates) balance automatically.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// `0` means "auto": use `std::thread::available_parallelism`.
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's budget; `0` means "auto": the hardware count.
+    static BUDGET: Cell<usize> = const { Cell::new(0) };
+}
 
 /// What "auto" resolved to. Detection is an affinity syscall and cgroup file
 /// reads (tens of microseconds) and every GEMM asks for the budget, so it
 /// runs once per process.
 static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Cap the number of threads any parallel helper in this process may use.
-/// `0` restores the default (hardware parallelism). The NAS runner calls this
-/// with `hardware / workers` so evaluator workers and kernel parallelism do
-/// not multiply.
-pub fn set_max_threads(n: usize) {
-    MAX_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// RAII guard restoring a previous thread budget; see [`scoped_max_threads`].
+/// RAII guard restoring this thread's previous budget; see
+/// [`scoped_max_threads`]. It stays on the thread that made it.
 #[must_use = "dropping the guard immediately restores the previous budget"]
 pub struct ThreadBudgetGuard {
     prev: usize,
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl Drop for ThreadBudgetGuard {
     fn drop(&mut self) {
-        MAX_THREADS.store(self.prev, Ordering::Relaxed);
+        BUDGET.with(|b| b.set(self.prev));
     }
 }
 
-/// Set the thread budget like [`set_max_threads`], returning a guard that
-/// restores the previous setting (including the `0` auto default) when
-/// dropped. The NAS runner holds one per run, so a quick run following a
-/// paper run in the same process (bench A/Bs, test binaries) does not
-/// inherit the previous run's cap.
+/// Cap the threads the parallel helpers may use when called from this
+/// thread (`0` is the hardware count), until the returned guard drops and
+/// restores the previous setting. Other threads keep their own budgets.
 pub fn scoped_max_threads(n: usize) -> ThreadBudgetGuard {
-    ThreadBudgetGuard { prev: MAX_THREADS.swap(n, Ordering::Relaxed) }
+    ThreadBudgetGuard { prev: BUDGET.with(|b| b.replace(n)), _this_thread: PhantomData }
 }
 
-/// The current effective thread budget (always ≥ 1).
+/// This thread's effective budget (always ≥ 1).
 pub fn max_threads() -> usize {
-    resolve(MAX_THREADS.load(Ordering::Relaxed), &HARDWARE_THREADS, || {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
+    resolve(BUDGET.with(Cell::get), &HARDWARE_THREADS, detect_hardware)
+}
+
+/// The budget of one of `evaluators` concurrent evaluators: an equal share
+/// of the hardware threads, at least 1, so evaluators and their kernels do
+/// not oversubscribe the host while there are no more evaluators than
+/// hardware threads.
+pub fn share(evaluators: usize) -> usize {
+    (resolve(0, &HARDWARE_THREADS, detect_hardware) / evaluators).max(1)
+}
+
+fn detect_hardware() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// `budget`, or for the auto budget `0` the hardware count — `detect`ed on
@@ -68,15 +76,6 @@ fn resolve(budget: usize, hardware: &OnceLock<usize>, detect: impl FnOnce() -> u
     }
 }
 
-/// Serialises the unit tests that change the process-wide budget, which the
-/// test harness would otherwise interleave.
-#[cfg(test)]
-pub(crate) static BUDGET_TESTS: Mutex<()> = Mutex::new(());
-
-fn threads_for(items: usize) -> usize {
-    max_threads().min(items).max(1)
-}
-
 /// Apply `f(chunk_index, chunk)` to every `chunk_len`-sized chunk of `data`
 /// (last chunk may be short), in parallel when the thread budget allows.
 ///
@@ -86,44 +85,9 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = threads_for(n_chunks);
-    if threads <= 1 {
-        swt_obs::counter!("tensor.pool.serial_chunks").add(n_chunks as u64);
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    swt_obs::counter!("tensor.pool.dispatches").inc();
-    swt_obs::counter!("tensor.pool.tasks").add(n_chunks as u64);
-    let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Idle time = waiting on the shared cursor for the next work
-                // item; per-thread accumulation keeps the measurement out of
-                // the contended region.
-                let measure = swt_obs::enabled();
-                let mut idle_ns = 0u64;
-                loop {
-                    let wait = measure.then(Instant::now);
-                    let next = queue.lock().unwrap().next();
-                    if let Some(t0) = wait {
-                        idle_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    match next {
-                        Some((i, chunk)) => f(i, chunk),
-                        None => break,
-                    }
-                }
-                if measure {
-                    swt_obs::histogram!("tensor.pool.idle_ns").observe(idle_ns);
-                }
-            });
-        }
-    });
+    // One zero-sized piece per thread the budget allows: no allocation.
+    let mut pieces = vec![(); max_threads()];
+    par_chunks_mut_scratch(data, chunk_len, &mut pieces, 1, |i, chunk, _| f(i, chunk));
 }
 
 /// [`par_chunks_mut`] with per-thread scratch: `scratch` is split into
@@ -134,7 +98,11 @@ where
 /// caller sizes `scratch` from its [`crate::Workspace`] for
 /// `max_threads().min(n_chunks)` pieces and lends slices out, instead of
 /// every task allocating its own buffer. At most `scratch.len() / piece_len`
-/// threads run, so a short `scratch` degrades parallelism, never safety.
+/// threads run, so a short `scratch` degrades parallelism, never safety; with
+/// one piece the chunks run in order on the calling thread.
+///
+/// This is the module's one scoped-thread loop. Each thread it spawns runs
+/// `f` with `budget / threads` as its own budget.
 pub fn par_chunks_mut_scratch<T, S, F>(
     data: &mut [T],
     chunk_len: usize,
@@ -149,7 +117,8 @@ pub fn par_chunks_mut_scratch<T, S, F>(
     assert!(chunk_len > 0, "chunk_len must be positive");
     assert!(piece_len > 0 && scratch.len() >= piece_len, "scratch must hold >= 1 piece");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = threads_for(n_chunks).min(scratch.len() / piece_len);
+    let budget = max_threads();
+    let threads = budget.min(n_chunks).min(scratch.len() / piece_len);
     if threads <= 1 {
         swt_obs::counter!("tensor.pool.serial_chunks").add(n_chunks as u64);
         let piece = &mut scratch[..piece_len];
@@ -160,12 +129,18 @@ pub fn par_chunks_mut_scratch<T, S, F>(
     }
     swt_obs::counter!("tensor.pool.dispatches").inc();
     swt_obs::counter!("tensor.pool.tasks").add(n_chunks as u64);
+    // `threads ≤ budget`, so every spawned thread keeps at least one.
+    let split = budget / threads;
     let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
     let queue = &queue;
     let f = &f;
     std::thread::scope(|s| {
         for piece in scratch.chunks_mut(piece_len).take(threads) {
             s.spawn(move || {
+                let _budget = scoped_max_threads(split);
+                // Idle time = waiting on the shared cursor for the next work
+                // item; per-thread accumulation keeps the measurement out of
+                // the contended region.
                 let measure = swt_obs::enabled();
                 let mut idle_ns = 0u64;
                 loop {
@@ -195,45 +170,15 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads_for(items.len());
-    if threads <= 1 {
-        swt_obs::counter!("tensor.pool.serial_tasks").add(items.len() as u64);
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    swt_obs::counter!("tensor.pool.dispatches").inc();
-    swt_obs::counter!("tensor.pool.tasks").add(items.len() as u64);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    {
-        let queue = Mutex::new(out.iter_mut().zip(items).enumerate());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let measure = swt_obs::enabled();
-                    let mut idle_ns = 0u64;
-                    loop {
-                        let wait = measure.then(Instant::now);
-                        let next = queue.lock().unwrap().next();
-                        if let Some(t0) = wait {
-                            idle_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        match next {
-                            Some((i, (slot, item))) => *slot = Some(f(i, item)),
-                            None => break,
-                        }
-                    }
-                    if measure {
-                        swt_obs::histogram!("tensor.pool.idle_ns").observe(idle_ns);
-                    }
-                });
-            }
-        });
-    }
+    par_chunks_mut(&mut out, 1, |i, slot| slot[0] = Some(f(i, &items[i])));
     out.into_iter().map(|r| r.expect("par_map slot filled")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_preserves_order() {
@@ -302,7 +247,6 @@ mod tests {
 
     #[test]
     fn budget_is_clamped_to_at_least_one() {
-        let _lock = BUDGET_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         {
             let _one = scoped_max_threads(1);
             assert_eq!(max_threads(), 1);
@@ -320,5 +264,26 @@ mod tests {
             assert_eq!(max_threads(), 1);
         }
         assert_eq!(max_threads(), 3);
+    }
+
+    /// Work nested inside `par_map` divides the caller's budget: four items
+    /// on four threads get one each, two items get two each, and the
+    /// caller's own budget is untouched.
+    #[test]
+    fn nested_work_splits_the_callers_budget() {
+        let _four = scoped_max_threads(4);
+        assert_eq!(par_map(&[(); 4], |_, _| max_threads()), vec![1; 4]);
+        assert_eq!(par_map(&[(); 2], |_, _| max_threads()), vec![2; 2]);
+        assert_eq!(max_threads(), 4);
+    }
+
+    /// A budget pinned on one thread is not another thread's: a thread
+    /// spawned outside the loop starts at the hardware count.
+    #[test]
+    fn a_new_thread_starts_at_the_hardware_budget() {
+        let _one = scoped_max_threads(1);
+        let spawned = std::thread::spawn(max_threads).join().unwrap();
+        assert_eq!(spawned, std::thread::available_parallelism().map_or(1, |n| n.get()));
+        assert_eq!(share(1), spawned);
     }
 }

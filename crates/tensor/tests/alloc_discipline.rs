@@ -18,9 +18,9 @@
 //! give the serial bits, and a forward + backward step counts exactly three
 //! `tensor.gemm.*` contractions.
 //!
-//! One `#[test]` on purpose: the checks mutate the process-wide thread
-//! budget, the allocation counter and the metrics registry, and the default
-//! multi-threaded test runner would interleave them.
+//! One `#[test]` on purpose: the checks read the process-wide allocation
+//! counter and metrics registry, and the default multi-threaded test runner
+//! would interleave them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +60,7 @@ fn warmed_gemm_hot_loop_never_allocates() {
     let b = Tensor::rand_normal([300, 512], 0.0, 1.0, &mut rng);
 
     // --- Serial path: zero heap allocations once warm. ---
-    parallel::set_max_threads(1);
+    let one = parallel::scoped_max_threads(1);
     let mut ws = Workspace::new();
     // Two warm-up passes: kernel detection, obs handle registration and the
     // arena's first-touch allocations all happen here.
@@ -77,7 +77,8 @@ fn warmed_gemm_hot_loop_never_allocates() {
     assert_eq!(during, 0, "warmed serial GEMM must not allocate ({during} allocations)");
 
     // --- Parallel path: pack buffers never miss the arena once warm. ---
-    parallel::set_max_threads(3);
+    drop(one);
+    let three = parallel::scoped_max_threads(3);
     for _ in 0..2 {
         let c = matmul_ws(&a, &b, &mut ws);
         ws.recycle(c);
@@ -89,6 +90,7 @@ fn warmed_gemm_hot_loop_never_allocates() {
     }
     let misses = ws.alloc_misses() - misses_before;
     assert_eq!(misses, 0, "warmed parallel GEMM pack buffers fell through to the allocator");
+    drop(three);
 
     // --- conv2d forward + backward: the same two pins. ---
     // Same-padded, and big enough that with threads all three products
@@ -114,7 +116,7 @@ fn warmed_gemm_hot_loop_never_allocates() {
                 step(ws).into_iter().for_each(|t| ws.recycle(t));
             }
         };
-        parallel::set_max_threads(1);
+        let one = parallel::scoped_max_threads(1);
         steps(2, &mut ws);
         let (before, misses_before, pooled) =
             (ALLOCS.load(Ordering::Relaxed), ws.alloc_misses(), ws.pooled());
@@ -131,7 +133,8 @@ fn warmed_gemm_hot_loop_never_allocates() {
         assert_eq!(ws.pooled(), pooled, "a conv2d step left a new buffer in the arena");
         let serial = step(&mut ws);
 
-        parallel::set_max_threads(2);
+        drop(one);
+        let two = parallel::scoped_max_threads(2);
         steps(2, &mut ws);
         let misses_before = ws.alloc_misses();
         steps(3, &mut ws);
@@ -142,7 +145,7 @@ fn warmed_gemm_hot_loop_never_allocates() {
             assert!(bits(two) == bits(one), "two threads changed conv2d's bits");
         }
         serial.into_iter().for_each(|t| ws.recycle(t));
-        parallel::set_max_threads(0);
+        drop(two);
 
         // --- One count per GEMM-shaped contraction: forward, dW, dX. ---
         swt_obs::enable();

@@ -218,22 +218,18 @@ for src in crates/tensor/src/matmul.rs crates/tensor/src/bcast.rs crates/tensor/
   fi
 done
 
-echo "==> global-state gate (swt-tensor unit tests must not flip process-wide switches)"
-# The crate's unit tests share one multi-threaded test binary, and siblings
-# assert bit equality between two calls: a test that flips the kernel or the
-# thread budget for the whole process makes them fail a few runs in a hundred.
-# Pin the calling thread instead (`with_kernel`, `scoped_max_threads` under
-# `BUDGET_TESTS`), or put the test in its own binary under crates/tensor/tests.
-for src in crates/tensor/src/*.rs; do
-  flips=$(awk '/^(pub\(crate\) )?mod tests/ { tests = 1 }
-    tests && /force_scalar_kernel\(|set_max_threads\(/ {
-      print FILENAME ":" FNR ": " $0 }' "$src")
-  if [ -n "$flips" ]; then
-    echo "process-global switch flipped inside the shared swt-tensor unit-test binary:" >&2
-    echo "$flips" >&2
-    exit 1
-  fi
-done
+echo "==> no process-wide switch (thread budgets are per thread, the scalar kernel is an env var, logs go to stderr)"
+# swt-tensor's thread budget belongs to the thread that runs the kernels
+# (`scoped_max_threads`), the portable kernel is pinned by
+# SWT_FORCE_SCALAR_KERNEL alone, and the JSONL log sink is gone, so no test
+# needs a lock or a binary of its own to flip one of them.
+switches=$(grep -rnE 'set_max_threads|force_scalar_kernel|\bFORCE_SCALAR\b|BUDGET_TESTS|\bMAX_THREADS\b|set_jsonl_path|SWT_LOG_JSON' \
+  crates tests examples || true)
+if [ -n "$switches" ]; then
+  echo "a deleted process-wide switch or its test lock is named again:" >&2
+  echo "$switches" >&2
+  exit 1
+fi
 
 echo "==> no-panic gate (networked code must degrade, never unwrap)"
 panics=$(grep -rnE '\.unwrap\(\)|\.expect\(|panic!\(' \
