@@ -366,7 +366,7 @@ mod tests {
             ("one missing byte", clean[..clean.len() - 1].to_vec()),
             ("one trailing byte", [clean.as_slice(), &[0]].concat()),
         ] {
-            std::fs::write(dir.join("t.wtc"), &bytes).unwrap();
+            store.inner.save_raw("t", &bytes).unwrap();
             for (path, err) in [
                 ("dir load_index", store.inner.load_index("t").err()),
                 ("dir load_tensors", store.inner.load_tensors("t", &names).err()),

@@ -5,7 +5,8 @@
 //! system (Section VI); providers for weight transfer are read back from
 //! those checkpoints. This crate supplies the equivalent: [`encode`] /
 //! [`decode`] for a named-tensor container (the "WTC" format), a
-//! directory-backed [`DirStore`] standing in for the PFS, and an in-memory
+//! directory-backed [`DirStore`] standing in for the PFS (an append-only
+//! segment log: one append per checkpoint), and an in-memory
 //! [`MemStore`] for tests and simulation. Checkpoint sizes reported by the
 //! stores feed Fig. 11.
 //!

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use swt_checkpoint::{encode, CachedStore, CheckpointStore};
+use swt_checkpoint::{encode, CachedStore, CheckpointStore, DirStore};
 use swt_ckpt_server::auth::ct_eq;
 use swt_ckpt_server::proto::ErrCode;
 use swt_ckpt_server::{CkptServer, RemoteStore, ServerConfig, StoreMsg, STORE_PROTOCOL_VERSION};
@@ -90,8 +90,10 @@ fn put_and_selective_reads_round_trip() {
 
 #[test]
 fn damaged_spill_files_are_typed_errors_on_the_range_path() {
-    // Files damaged behind the server's back, each under its own id so no
-    // cache ever answers for another: every strict prefix of a container is
+    // Records damaged behind the server's back — appended by another store
+    // instance on the bucket's directory, which the server's store finds by
+    // rescanning on a miss — each under its own id so no cache ever answers
+    // for another: every strict prefix of a container is
     // refused by the server's cache fill (a complete `Err` response), and
     // every single-bit flip of a payload — which the server forwards without
     // reading — fails the reader's checksum. The path is `GetRaw`, read bare
@@ -109,10 +111,10 @@ fn damaged_spill_files_are_typed_errors_on_the_range_path() {
     let names: Vec<String> = saved.iter().map(|(n, _)| n.clone()).collect();
     client.save("clean", &saved).expect("save creates the bucket directory");
     let clean = encode(&saved);
-    let dir = spill.join("tenant_a");
+    let beside = DirStore::new(spill.join("tenant_a")).expect("open the bucket directory");
 
     for cut in 0..clean.len() {
-        std::fs::write(dir.join(format!("p{cut}.wtc")), &clean[..cut]).expect("write prefix");
+        beside.save_raw(&format!("p{cut}"), &clean[..cut]).expect("append prefix");
         for (view, store) in views {
             let err = store.load_tensors(&format!("p{cut}"), &names).expect_err("prefix accepted");
             let kind = std::io::ErrorKind::InvalidInput;
@@ -123,7 +125,7 @@ fn damaged_spill_files_are_typed_errors_on_the_range_path() {
     let mut dirty = clean.clone();
     for bit in 8 * first_payload..8 * clean.len() {
         dirty[bit / 8] ^= 1 << (bit % 8);
-        std::fs::write(dir.join(format!("f{bit}.wtc")), &dirty).expect("write flipped");
+        beside.save_raw(&format!("f{bit}"), &dirty).expect("append flipped");
         for (view, store) in views {
             let err = store.load_tensors(&format!("f{bit}"), &names).expect_err("flip accepted");
             let kind = std::io::ErrorKind::InvalidData;

@@ -66,7 +66,8 @@ cargo run --release --quiet -p swt-bench --bin bench_obs -- --smoke
 echo "==> payload-hash gate (no byte-serial hash over a checkpoint payload)"
 # Every payload byte is hashed on every save and every read, so payloads go
 # through the word-parallel `payload_checksum` loops. The byte-serial
-# `fnv1a` is for the TOC header (a few hundred bytes) alone.
+# `fnv1a` is for headers alone: the TOC (a few hundred bytes) and a segment
+# record's (at most 303).
 serial=$(grep -rn 'fnv1a(' crates/checkpoint/src crates/ckpt-server/src --include='*.rs' \
   | grep -v 'fn fnv1a(' \
   | grep -v 'fnv1a(&\?header' \
@@ -87,10 +88,11 @@ fi
 cargo test --release --quiet -p swt-checkpoint -p swt-nas --test cache_coherence --test lineage_props
 
 echo "==> one read per store, no unread instrument (no seek path, no cargo bench, one ckpt-server entry point)"
-# Every store reads a checkpoint as one whole container (DESIGN.md §9). A
-# bench binary gates a budget or is a record a document reads; `cargo bench`
-# targets had neither. The server starts one way: `swt ckpt-server`. Cargo
-# also finds targets by directory, so the directories count as well.
+# Every store reads a checkpoint as one whole container; DirStore's read is
+# one positioned read of a whole record (DESIGN.md §9). A bench binary gates
+# a budget or is a record a document reads; `cargo bench` targets had
+# neither. The server starts one way: `swt ckpt-server`. Cargo also finds
+# targets by directory, so the directories count as well.
 seek=$(grep -rnE 'SeekFrom|open_indexed|partial_read' crates/checkpoint/src || true)
 targets=$(grep -HnE '\[\[bench\]\]|bench_ckpt' crates/bench/Cargo.toml || true)
 bins=$(grep -Hn '\[\[bin\]\]' crates/ckpt-server/Cargo.toml || true)
@@ -99,6 +101,17 @@ dirs=$(find crates/bench/benches crates/ckpt-server/src/bin crates/ckpt-server/s
 if [ -n "$seek$targets$bins$dirs" ]; then
   echo "a seek-and-read store path, a cargo bench target, bench_ckpt or a second ckpt-server binary is back:" >&2
   printf '%s\n' "$seek" "$targets" "$bins" "$dirs" | grep . >&2
+  exit 1
+fi
+
+echo "==> one checkpoint layout (DirStore appends to a segment log: no temp file, no rename)"
+# A save appends a record to the writer's segment; the file-per-checkpoint
+# path (temp file, rename, unlink per checkpoint) was deleted, not kept as a
+# fork (DESIGN.md §9 "The segment log").
+per_file=$(grep -rnE 'write_atomic|TMP_SEQ|\.tmp\b|rename\(' crates/checkpoint/src || true)
+if [ -n "$per_file" ]; then
+  echo "the file-per-checkpoint save path is back in swt-checkpoint:" >&2
+  echo "$per_file" >&2
   exit 1
 fi
 
