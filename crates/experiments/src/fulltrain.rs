@@ -1,7 +1,7 @@
-//! Shared full-training data collection for Fig. 8 and Tables III/IV.
+//! Shared full-training data for Fig. 8 and Tables III/IV: the top-K models
+//! of every run, trained to convergence, one table per app.
 
-use crate::ExpCtx;
-use std::path::Path;
+use crate::{app_tag, ExpCtx, Table};
 use std::sync::Arc;
 use swt_core::TransferScheme;
 use swt_data::AppKind;
@@ -11,98 +11,41 @@ use swt_space::SearchSpace;
 pub const TOP_K: usize = 10;
 pub const MAX_EPOCHS: usize = 20;
 
-/// One fully-trained top-K model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelRow {
-    pub app: String,
-    pub scheme: String,
-    pub seed: u64,
-    pub candidate: u64,
-    pub estimate: f64,
-    pub epochs_early_stop: usize,
-    pub metric_early_stop: f64,
-    pub metric_full: f64,
-    pub params: usize,
-}
-
-fn csv_path(ctx: &ExpCtx, app: AppKind) -> std::path::PathBuf {
-    let data = match ctx.scale {
-        swt_data::DataScale::Quick => "q",
-        swt_data::DataScale::Full => "f",
-    };
-    ctx.out.join(format!(
-        "fig8_models_{}_c{}_s{}_p{}_{}.csv",
-        app.name().to_lowercase().replace('-', ""),
-        ctx.candidates,
-        ctx.seeds.len(),
-        ctx.population,
-        data
-    ))
-}
-
-fn load_rows(path: &Path) -> Option<Vec<ModelRow>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut rows = Vec::new();
-    for line in text.lines().skip(1) {
-        let cols: Vec<&str> = line.split(',').collect();
-        if cols.len() != 9 {
-            return None;
-        }
-        rows.push(ModelRow {
-            app: cols[0].to_string(),
-            scheme: cols[1].to_string(),
-            seed: cols[2].parse().ok()?,
-            candidate: cols[3].parse().ok()?,
-            estimate: cols[4].parse().ok()?,
-            epochs_early_stop: cols[5].parse().ok()?,
-            metric_early_stop: cols[6].parse().ok()?,
-            metric_full: cols[7].parse().ok()?,
-            params: cols[8].parse().ok()?,
-        });
-    }
-    (!rows.is_empty()).then_some(rows)
-}
-
-fn save_rows(path: &Path, rows: &[ModelRow]) {
-    let mut s = String::from(
-        "app,scheme,seed,candidate,estimate,epochs_early_stop,metric_early_stop,metric_full,params\n",
-    );
-    for r in rows {
-        s.push_str(&format!(
-            "{},{},{},{},{:.6},{},{:.6},{:.6},{}\n",
-            r.app,
-            r.scheme,
-            r.seed,
-            r.candidate,
-            r.estimate,
-            r.epochs_early_stop,
-            r.metric_early_stop,
-            r.metric_full,
-            r.params
-        ));
-    }
-    let _ = std::fs::write(path, s);
-}
-
-/// Fully train the top-K of every `(app, scheme, seed)` run, using per-app
-/// cached results from previous invocations when available.
-pub fn collect(ctx: &ExpCtx) -> Vec<ModelRow> {
-    let mut rows = Vec::new();
+/// Fully train the top-K of every `(app, scheme, seed)` run: one
+/// `fig8_models_<app>_…` table per app. Each is cached under
+/// `<out>/traces/`, beside the traces it was computed from, so deleting the
+/// traces to record afresh recomputes it too.
+pub fn collect(ctx: &ExpCtx) -> Vec<Table> {
+    let cache = ctx.out.join("traces");
+    let mut tables = Vec::new();
     for &app in &ctx.apps {
-        let path = csv_path(ctx, app);
-        if let Some(cached) = load_rows(&path) {
-            swt_obs::info!("swt_experiments", "cache {}", path.display());
-            rows.extend(cached);
-            continue;
+        let name = format!(
+            "fig8_models_{}_c{}_s{}_p{}_{}",
+            app_tag(app),
+            ctx.candidates,
+            ctx.seeds.len(),
+            ctx.population,
+            ctx.scale_tag()
+        );
+        let empty = Table::new(
+            name, "app,scheme,seed,candidate,estimate,epochs_early_stop,metric_early_stop,metric_full,params"
+        );
+        match empty.read_from(&cache) {
+            Ok(cached) if !cached.rows.is_empty() => {
+                swt_obs::info!("swt_experiments", "cache {}", cached.name);
+                tables.push(cached);
+            }
+            _ => {
+                let fresh = train_app(ctx, app, empty);
+                fresh.write(&cache);
+                tables.push(fresh);
+            }
         }
-        let fresh = collect_app(ctx, app);
-        save_rows(&path, &fresh);
-        rows.extend(fresh);
     }
-    rows
+    tables
 }
 
-fn collect_app(ctx: &ExpCtx, app: AppKind) -> Vec<ModelRow> {
+fn train_app(ctx: &ExpCtx, app: AppKind, mut table: Table) -> Table {
     let problem = ctx.problem(app);
     let space = Arc::new(SearchSpace::for_app(app));
     let mut traces = Vec::new();
@@ -115,7 +58,6 @@ fn collect_app(ctx: &ExpCtx, app: AppKind) -> Vec<ModelRow> {
     // Same time budget for every scheme: the shortest experiment's duration
     // (Section VIII-C).
     let cutoff = traces.iter().map(|(_, _, t, _)| t.wall_secs).fold(f64::INFINITY, f64::min);
-    let mut rows = Vec::new();
     for (scheme, seed, trace, store) in &traces {
         swt_obs::info!(
             "swt_experiments",
@@ -133,18 +75,18 @@ fn collect_app(ctx: &ExpCtx, app: AppKind) -> Vec<ModelRow> {
             cutoff,
         );
         for o in &report.outcomes {
-            rows.push(ModelRow {
-                app: app.name().to_string(),
-                scheme: scheme.name().to_string(),
-                seed: *seed,
-                candidate: o.id,
-                estimate: o.estimate,
-                epochs_early_stop: o.epochs_early_stop,
-                metric_early_stop: o.metric_early_stop,
-                metric_full: o.metric_full,
-                params: o.params,
-            });
+            table.push(vec![
+                app.name().to_string(),
+                scheme.name().to_string(),
+                seed.to_string(),
+                o.id.to_string(),
+                format!("{:.6}", o.estimate),
+                o.epochs_early_stop.to_string(),
+                format!("{:.6}", o.metric_early_stop),
+                format!("{:.6}", o.metric_full),
+                o.params.to_string(),
+            ]);
         }
     }
-    rows
+    table
 }

@@ -46,13 +46,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> print gate (library crates log via swt-obs, not stdout/stderr)"
 # Binaries own stdout (figures, CSV, bench tables); library code must go
 # through the swt-obs logger. Allowlisted: the logger's own stderr sink,
-# the bench harness console table, and the experiments table/CSV renderer
-# that the figure binaries print through.
+# the bench harness console table, and the experiment driver's `main`
+# (the figures return their blocks as text).
 violations=$(grep -rn 'println!\|eprintln!' crates/*/src --include='*.rs' \
   | grep -v '/src/bin/' \
   | grep -v '^crates/obs/src/log.rs:' \
   | grep -v '^crates/bench/src/lib.rs:' \
-  | grep -v '^crates/experiments/src/lib.rs:' \
+  | grep -v '^crates/experiments/src/main.rs:' \
   || true)
 if [ -n "$violations" ]; then
   echo "library code printing outside swt-obs:" >&2
@@ -274,6 +274,34 @@ if [ -n "$history" ]; then
 fi
 
 cargo build --release --quiet -p swt   # worker binary for the coordinator (and the smokes below) to spawn
+
+echo "==> one experiment driver (each figure is a function; no per-figure binary, report or trace_stats)"
+# Every table and figure runs through `swt-experiments <figure|all|docs>`
+# (DESIGN.md §4): `docs` replaced `report`, and `trace_stats` fed no
+# section. Cargo finds binaries by directory as well as by stanza.
+bin_dir=$(find crates/experiments/src/bin crates/experiments/src/bin.rs 2>/dev/null || true)
+stanzas=$(grep -Hn '\[\[bin\]\]' crates/experiments/Cargo.toml || true)
+gone=$(grep -rnE 'trace_stats|"report"|fn report\b' crates/experiments || true)
+if [ -n "$bin_dir$stanzas$gone" ]; then
+  echo "a per-figure binary, a [[bin]] stanza, report or trace_stats is back in swt-experiments:" >&2
+  printf '%s\n' "$bin_dir" "$stanzas" "$gone" | grep . >&2
+  exit 1
+fi
+
+echo "==> experiments docs gate (EXPERIMENTS.md's measured blocks are generated from results/quick/)"
+# `docs` rewrites every fenced block whose info string names a figure from
+# the committed CSVs, with that figure's ✓/✗ verdicts: a block edited by
+# hand, a CSV committed without its block, or a section left unfilled fails.
+cargo build --release --quiet -p swt-experiments
+./target/release/swt-experiments docs --out results/quick
+if ! git diff --exit-code EXPERIMENTS.md >&2; then
+  echo "EXPERIMENTS.md's measured blocks differ from results/quick/ (run swt-experiments docs --out results/quick)" >&2
+  exit 1
+fi
+if grep -n '(to be filled' EXPERIMENTS.md >&2; then
+  echo "EXPERIMENTS.md still has a section to be filled" >&2
+  exit 1
+fi
 
 echo "==> one-codec gate (the byte format lives in swt-wire; protocols only declare frames)"
 # A protocol file spelling bytes out itself — or probing for an optional
