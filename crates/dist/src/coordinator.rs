@@ -44,6 +44,7 @@ use crate::{DistConfig, DistRunStats};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::num::NonZeroU32;
 use std::path::PathBuf;
 use std::process::Child;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -51,6 +52,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swt_nas::runner::NasConfig;
 use swt_nas::{BackendResult, Candidate, EvalBackend};
+use swt_tensor::parallel::share;
 
 /// Heartbeat cadence: a round pings every live worker and admits waiting
 /// connections.
@@ -126,17 +128,21 @@ pub struct DistBackend {
 impl DistBackend {
     /// Bind a localhost listener and [`spawn_workers`](Self::spawn_workers)
     /// one process per slot of the dispatch window (`nas.workers`). On
-    /// error every child spawned so far is reaped.
+    /// error every child spawned so far is reaped; a config that
+    /// [`NasConfig::eval_spec`] refuses, or a `store_url` other than
+    /// `tcp://host:port`, is `InvalidInput` before anything is spawned.
     pub fn launch(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
         let window = nas.workers;
         assert!(window > 0, "need a non-empty dispatch window");
         assert!(window <= dist.max_workers, "the dispatch window exceeds max_workers");
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?.to_string();
-        let exe = find_worker_exe(dist.worker_exe.as_ref())?;
-        swt_obs::info!("swt_dist", "coordinator on {addr}, spawning {window} × {}", exe.display());
-
+        let store = match &dist.store_url {
+            None => dist.store_dir.to_string_lossy().into_owned(),
+            Some(url) if url.starts_with("tcp://") => url.clone(),
+            Some(url) => {
+                let what = format!("store_url `{url}` is not tcp://host:port");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+            }
+        };
         // Worker resources are budgeted by the window, not the live pool:
         // thread pinning and cache slices must not depend on how many
         // processes happen to be up, or elastic runs would diverge.
@@ -144,15 +150,18 @@ impl DistBackend {
             app: dist.app,
             scale: dist.scale,
             data_seed: dist.data_seed,
-            scheme: nas.scheme,
-            epochs: nas.epochs as u32,
-            run_seed: nas.seed,
-            namespace: nas.namespace.clone(),
-            store_dir: dist.store_dir.to_string_lossy().into_owned(),
-            threads: swt_tensor::parallel::share(window) as u32,
+            eval: nas.eval_spec()?,
+            // `share` is at least 1.
+            threads: NonZeroU32::new(share(window) as u32).unwrap_or(NonZeroU32::MIN),
             cache_bytes: nas.cache_bytes / window as u64,
-            store_url: dist.store_url.clone().filter(|url| !url.is_empty()),
+            store,
         };
+
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?.to_string();
+        let exe = find_worker_exe(dist.worker_exe.as_ref())?;
+        swt_obs::info!("swt_dist", "coordinator on {addr}, spawning {window} × {}", exe.display());
 
         let live = dist.live.clone().unwrap_or_else(|| Arc::new(LiveRunView::new()));
         live.set_meta("app", dist.app.name());

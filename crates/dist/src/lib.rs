@@ -92,7 +92,8 @@ pub struct DistConfig {
     /// keeps the shared `DirStore` at `store_dir` — the default, and the
     /// configuration whose traces the A/B identity gates pin. `Some` makes
     /// every worker dial a `swt-ckpt-server` instead (secret from the
-    /// `SWT_CKPT_SECRET` env var; `NasConfig::namespace` is the bucket).
+    /// `SWT_CKPT_SECRET` env var; `NasConfig::namespace` is the bucket), and
+    /// `store_dir` goes unused; one without the `tcp://` prefix is refused.
     pub store_url: Option<String>,
     /// Worker binary override (`SWT_DIST_WORKER_EXE` beats this; see
     /// [`spawn::find_worker_exe`]).

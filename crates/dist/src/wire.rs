@@ -18,9 +18,10 @@
 //! fields in declaration order, integers little-endian, floats as IEEE-754
 //! bit patterns (scores must round-trip bit-exactly — the A/B identity gate
 //! compares them with `==`), lists behind a `u32` count, options behind a
-//! flag byte (DESIGN.md "Wire protocols"). A declaration's range checks sit
-//! in the `check` function beside it and run on encode and on decode. The
-//! frames carry the run's own types: `Candidate` and `EvalOutcome` (with the
+//! flag byte, positive counts as a `u32` whose 0 is malformed (DESIGN.md
+//! "Wire protocols"). A declaration's range checks sit in the `check`
+//! function beside it and run on encode and on decode. The frames carry
+//! the run's own types: `Candidate`, `EvalOutcome` and `EvalSpec` (with the
 //! candidate's watermark check) derive their `Wire` impls in swt-nas, the
 //! enums in `RunSpec` theirs in swt-data and swt-core, and a snapshot's
 //! `RunReport` and `TimelineEvent`s theirs in swt-obs.
@@ -28,46 +29,40 @@
 //! it (the golden-bytes test in `tests/fuzz_decode.rs` fails until you do).
 
 use crate::frame::{ensure, WireError};
-use swt_core::TransferScheme;
+use std::num::NonZeroU32;
 use swt_data::{AppKind, DataScale};
-use swt_nas::{Candidate, EvalOutcome};
+use swt_nas::{Candidate, EvalOutcome, EvalSpec};
 use swt_obs::timeline::TimelineEvent;
 use swt_obs::RunReport;
 use swt_wire::{wire_messages, wire_struct};
 
 wire_struct! {
     /// Everything a worker needs to reproduce the coordinator's evaluation
-    /// environment, sent once in `HelloAck`. The worker builds the same
-    /// problem/search-space/evaluator from these fields that `run_nas`
-    /// builds in-process — that is the whole determinism story: candidate
-    /// seeds derive from `(run_seed, id)` and the data from `(app, scale,
+    /// environment, sent once in `HelloAck`. The worker rebuilds the problem
+    /// from `(app, scale, data_seed)`, opens `store`, and builds its
+    /// evaluator from `eval`, the [`EvalSpec`] `run_nas` hands its own
+    /// threads — that is the whole determinism story: candidate seeds derive
+    /// from `(eval.run_seed, id)` and the data from `(app, scale,
     /// data_seed)`.
     #[derive(Debug, Clone, PartialEq)]
     pub struct RunSpec {
         pub app: AppKind,
         pub scale: DataScale,
         pub data_seed: u64,
-        pub scheme: TransferScheme,
-        pub epochs: u32,
-        pub run_seed: u64,
-        /// Checkpoint-id namespace (see `NasConfig::namespace`).
-        pub namespace: String,
-        /// Root of the shared `DirStore` (the stand-in for the paper's
-        /// parallel file system).
-        pub store_dir: String,
+        pub eval: EvalSpec,
         /// Intra-op thread budget this worker pins on its evaluating
         /// thread (`parallel::share(workers)`, as in the in-process pool).
-        pub threads: u32,
+        pub threads: NonZeroU32,
         /// Per-worker provider-cache cap: the worker wraps its store in a
         /// `CachedStore` capped at this many bytes (0 disables caching).
         /// Sized coordinator-side as the run's cap split across the
         /// dispatch window, mirroring the in-process shared cache.
         pub cache_bytes: u64,
-        /// Checkpoint-store endpoint, e.g. `tcp://host:port`: the worker
-        /// dials a `swt-ckpt-server` and speaks the store protocol, with
-        /// `namespace` doubling as its tenant bucket. `None` means the
-        /// shared `DirStore` at `store_dir`.
-        pub store_url: Option<String>,
+        /// The checkpoint store, spelled as `swt dist-run --store` takes it:
+        /// `tcp://host:port` dials a `swt-ckpt-server` (`eval.namespace` is
+        /// the tenant bucket), anything else is the directory of the shared
+        /// `DirStore`.
+        pub store: String,
     }
 }
 
@@ -159,7 +154,7 @@ wire_messages! {
 mod tests {
     use super::*;
     use crate::frame::{Message, Wire, PROTOCOL_VERSION};
-    use swt_core::TransferStats;
+    use swt_core::{TransferScheme, TransferStats};
     use swt_obs::report::{CounterRow, GaugeRow, HistogramRow, SpanRow};
     use swt_obs::timeline::EventKind;
     use swt_space::ArchSeq;
@@ -192,10 +187,7 @@ mod tests {
     fn all_frames_round_trip() -> Result<(), WireError> {
         round_trip(Msg::Hello { version: PROTOCOL_VERSION, pid: 4242 })?;
         round_trip(hello_ack(sample_run()))?;
-        round_trip(hello_ack(RunSpec {
-            store_url: Some("tcp://127.0.0.1:7421".into()),
-            ..sample_run()
-        }))?;
+        round_trip(hello_ack(RunSpec { store: "tcp://127.0.0.1:7421".into(), ..sample_run() }))?;
         let cand = Candidate {
             id: 7,
             arch: ArchSeq::new(vec![1, 0, 4, 2]),
@@ -221,14 +213,15 @@ mod tests {
             app: AppKind::Uno,
             scale: DataScale::Quick,
             data_seed: 11,
-            scheme: TransferScheme::Lcs,
-            epochs: 1,
-            run_seed: 9,
-            namespace: "dist_".into(),
-            store_dir: "/tmp/swt_store".into(),
-            threads: 1,
+            eval: EvalSpec {
+                scheme: TransferScheme::Lcs,
+                epochs: NonZeroU32::MIN,
+                run_seed: 9,
+                namespace: "dist_".into(),
+            },
+            threads: NonZeroU32::MIN,
             cache_bytes: 1 << 22,
-            store_url: None,
+            store: "/tmp/swt_store".into(),
         }
     }
 
@@ -362,11 +355,11 @@ mod tests {
             assert!(matches!(Msg::Task { cand: bad }.encode(), Err(WireError::Malformed(_))));
         }
 
-        // A HelloAck whose store-URL flag byte (its last byte when the URL
-        // is absent) is neither 0 nor 1.
+        // A HelloAck whose store string promises one byte more than the
+        // frame holds (the store is its last field).
         let mut bad = hello_ack(sample_run()).encode()?;
-        let last = bad.len() - 1;
-        bad[last] = 2;
+        let len_at = bad.len() - 2 - "/tmp/swt_store".len();
+        bad[len_at] += 1;
         assert!(matches!(Msg::decode(0x02, &bad), Err(WireError::Malformed(_))));
         Ok(())
     }

@@ -73,30 +73,19 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     let writer = Arc::new(Mutex::new(stream));
 
     send(&writer, &Msg::Hello { version: PROTOCOL_VERSION, pid: std::process::id() })?;
-    let mut buf = Vec::new();
-    let (slot, run) = {
-        let mut guard = writer.lock().unwrap_or_else(|e| e.into_inner());
-        match recv(&mut *guard, &mut buf)? {
-            Msg::HelloAck { version, slot, run } => {
-                if version != PROTOCOL_VERSION {
-                    let err =
-                        WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
-                    drop(guard);
-                    let _ = send(&writer, &Msg::Error { message: err.to_string() });
-                    return Err(err);
-                }
-                (slot as usize, run)
-            }
-            Msg::Error { message } => return Err(WireError::Protocol(message)),
-            other => {
-                let err = WireError::Protocol(format!(
-                    "expected HelloAck, got frame {:#04x}",
-                    other.tag()
-                ));
-                drop(guard);
-                let _ = send(&writer, &Msg::Error { message: err.to_string() });
-                return Err(err);
-            }
+    // The handshake reply is read on the reader's clone before the reader
+    // thread owns it; a refusal is answered with an `Error` frame.
+    let (slot, run) = match recv(&mut &reader_stream, &mut Vec::new())? {
+        Msg::HelloAck { version, slot, run } if version == PROTOCOL_VERSION => (slot as usize, run),
+        Msg::Error { message } => return Err(WireError::Protocol(message)),
+        other => {
+            let err = if let Msg::HelloAck { version, .. } = other {
+                WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version }
+            } else {
+                WireError::Protocol(format!("expected HelloAck, got frame {:#04x}", other.tag()))
+            };
+            let _ = send(&writer, &Msg::Error { message: err.to_string() });
+            return Err(err);
         }
     };
     swt_obs::span::set_worker(slot);
@@ -111,7 +100,7 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     // Pin the intra-op thread budget of this thread, which evaluates: each
     // worker models one GPU and must not fan out to the whole machine (the
     // in-process pool's evaluator threads pin theirs the same way).
-    let _budget = swt_tensor::parallel::scoped_max_threads(run.threads.max(1) as usize);
+    let _budget = swt_tensor::parallel::scoped_max_threads(run.threads.get() as usize);
     let mut evaluator = build_evaluator(&run)?;
 
     // The reader thread owns the receive half: it answers Pings immediately
@@ -219,17 +208,17 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
 fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
     let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
     let space = Arc::new(SearchSpace::for_app(run.app));
-    // The backend is the shared `DirStore` by default, or — when the
-    // coordinator sent a `store_url` — a `RemoteStore` session with the
-    // checkpoint server, bucketed by the run's namespace.
-    let backend: Arc<dyn CheckpointStore> = match &run.store_url {
-        None => Arc::new(DirStore::new(&run.store_dir)?),
-        Some(store_url) => {
+    // The shared `DirStore`, or a `RemoteStore` session with the checkpoint
+    // server, bucketed by the run's namespace.
+    let backend: Arc<dyn CheckpointStore> = match run.store.strip_prefix("tcp://") {
+        None => Arc::new(DirStore::new(&run.store)?),
+        Some(addr) => {
             let secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
             // Bucket names must be valid tokens; an un-namespaced run shares
             // the server's "default" bucket (ids are still unique per run).
-            let bucket = if run.namespace.is_empty() { "default" } else { run.namespace.as_str() };
-            Arc::new(RemoteStore::connect(store_url, bucket, &secret))
+            let ns = run.eval.namespace.as_str();
+            let bucket = if ns.is_empty() { "default" } else { ns };
+            Arc::new(RemoteStore::connect(addr, bucket, &secret))
         }
     };
     // Each worker fronts it with its own provider cache, capped at its slice
@@ -237,19 +226,66 @@ fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
     // its save, so only a parent trained elsewhere costs a store round-trip
     // (one, not one for the index and one for the tensors), and the lineage
     // watermark on each candidate empties it.
-    let store = provider_store(backend, run.cache_bytes, run.scheme);
-    Ok(Evaluator::with_namespace(
-        problem,
-        space,
-        store,
-        run.scheme,
-        run.epochs as usize,
-        run.run_seed,
-        run.namespace.clone(),
-    ))
+    let store = provider_store(backend, run.cache_bytes, run.eval.scheme);
+    Ok(Evaluator::new(problem, space, store, &run.eval))
 }
 
 /// Entry point for the `swt dist-worker` bin mode: connect and run.
 pub fn worker_main(connect: &str) -> Result<(), WireError> {
     run_worker(TcpStream::connect(connect)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::num::NonZeroU32;
+    use swt_core::TransferScheme;
+    use swt_data::{AppKind, DataScale};
+    use swt_nas::EvalSpec;
+    use swt_tensor::Rng;
+
+    /// A `RunSpec` carries everything an evaluator is built from: the
+    /// worker's build path and `Evaluator::new` over the same spec and store
+    /// give a parent and its child the same outcomes, bit for bit.
+    #[test]
+    fn the_worker_builds_the_evaluator_run_nas_builds() -> Result<(), Box<dyn std::error::Error>> {
+        let dir = std::env::temp_dir().join(format!("swt_worker_build_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = RunSpec {
+            app: AppKind::Uno,
+            scale: DataScale::Quick,
+            data_seed: 11,
+            eval: EvalSpec {
+                scheme: TransferScheme::Lcs,
+                epochs: NonZeroU32::MIN,
+                run_seed: 9,
+                namespace: "w_".into(),
+            },
+            threads: NonZeroU32::MIN,
+            cache_bytes: 1 << 22,
+            store: dir.to_string_lossy().into_owned(),
+        };
+        let space = Arc::new(SearchSpace::for_app(run.app));
+        let mut rng = Rng::seed(5);
+        let parent = Candidate::new(0, space.sample(&mut rng), None);
+        let child = Candidate::new(1, space.mutate(&parent.arch, &mut rng), Some(0));
+        let pair = |mut evaluator: Evaluator| [&parent, &child].map(|c| evaluator.evaluate(c));
+
+        let worker = pair(build_evaluator(&run)?);
+        let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
+        let store =
+            provider_store(Arc::new(DirStore::new(&dir)?), run.cache_bytes, run.eval.scheme);
+        let direct = pair(Evaluator::new(problem, space, store, &run.eval));
+
+        assert!(worker[1].transfer.tensors > 0, "the child reads its parent back");
+        for (w, d) in worker.iter().zip(&direct) {
+            assert_eq!(w.score.to_bits(), d.score.to_bits(), "score of c{}", w.id);
+            assert_eq!(
+                (w.checkpoint_bytes, &w.transfer, w.epochs),
+                (d.checkpoint_bytes, &d.transfer, d.epochs)
+            );
+        }
+        std::fs::remove_dir_all(&dir)?;
+        Ok(())
+    }
 }

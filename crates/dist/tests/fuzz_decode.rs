@@ -6,12 +6,13 @@
 //! from the environment) so a failure always reproduces.
 
 use std::io::Cursor as IoCursor;
+use std::num::NonZeroU32;
 use swt_core::{TransferScheme, TransferStats};
 use swt_data::{AppKind, DataScale};
 use swt_dist::frame::Message;
 use swt_dist::wire::{Msg, RunSpec, Telemetry, MAX_TELEMETRY_EVENTS};
 use swt_dist::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
-use swt_nas::{Candidate, EvalOutcome};
+use swt_nas::{Candidate, EvalOutcome, EvalSpec};
 use swt_obs::report::{CounterRow, GaugeRow, HistogramRow, SpanRow};
 use swt_obs::timeline::{EventKind, TimelineEvent};
 use swt_obs::RunReport;
@@ -96,14 +97,15 @@ fn corpus() -> Vec<Msg> {
                 app: AppKind::Uno,
                 scale: DataScale::Quick,
                 data_seed: 11,
-                scheme: TransferScheme::Lcs,
-                epochs: 1,
-                run_seed: 9,
-                namespace: "dist_".into(),
-                store_dir: "/tmp/swt_store".into(),
-                threads: 1,
+                eval: EvalSpec {
+                    scheme: TransferScheme::Lcs,
+                    epochs: NonZeroU32::MIN,
+                    run_seed: 9,
+                    namespace: "dist_".into(),
+                },
+                threads: NonZeroU32::MIN,
                 cache_bytes: 1 << 22,
-                store_url: Some(CORPUS_URL.into()),
+                store: CORPUS_URL.into(),
             },
         },
         Msg::Task { cand },
@@ -128,10 +130,14 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 /// id, four f64s, checkpoint_bytes, three transfer u64s and epochs u32
 /// before its `Telemetry`; a `Telemetry`: seq, uptime_ns and dropped_events
 /// u64, then its report's meta, span, counter, gauge and histogram lists and
-/// the event list; the corpus `HelloAck` ends [1][url]).
+/// the event list; a `HelloAck`: version and slot u32, app and scale u8,
+/// data_seed u64, then its `EvalSpec` (scheme u8, epochs u32, …), and it
+/// ends threads u32, cache_bytes u64, [u16 len][store]).
 const RESULT_TELEMETRY_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const TELEMETRY_LISTS_AT: usize = 3 * 8;
-const ACK_URL_LEN: usize = 1 + 2 + CORPUS_URL.len();
+const ACK_EPOCHS_AT: usize = 4 + 4 + 1 + 1 + 8 + 1;
+const ACK_URL_LEN: usize = 2 + CORPUS_URL.len();
+const ACK_THREADS_FROM_END: usize = ACK_URL_LEN + 8 + 4;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -141,14 +147,13 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 13, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 14, "new version: re-record the frames below");
     let golden = [
-        (0x01, "0d00000092100000"),
+        (0x01, "0e00000092100000"),
         (
             0x02,
-            "0d0000000300000003000b00000000000000020100000009000000000000000500646973745f0e002f\
-                746d702f7377745f73746f72650100000000004000000000000114007463703a2f2f3132372e302e\
-                302e313a39393939",
+            "0e0000000300000003000b00000000000000020100000009000000000000000500646973745f010000\
+                00000040000000000014007463703a2f2f3132372e302e302e313a39393939",
         ),
         (0x03, "07000000000000000103000000000000000400000001000000040002000300000000000000"),
         (0x03, "0900000000000000000100000002000000000000000000"),
@@ -240,8 +245,28 @@ fn hostile_task_and_store_url_fields_are_typed_errors() {
     let url_at = good.len() - ACK_URL_LEN;
     for len in [CORPUS_URL.len() as u16 + 10, u16::MAX, CORPUS_URL.len() as u16 - 1] {
         let mut p = good.clone();
-        p[url_at + 1..url_at + 3].copy_from_slice(&len.to_le_bytes());
+        p[url_at..url_at + 2].copy_from_slice(&len.to_le_bytes());
         assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
+    }
+}
+
+#[test]
+fn a_run_spec_with_a_zero_count_is_malformed() {
+    // A run of zero epochs, or a worker pinned to zero threads, is refused
+    // as it is read: the worker never builds an evaluator from it.
+    let good = corpus_payload(0x02);
+    let threads_at = good.len() - ACK_THREADS_FROM_END;
+    for (at, what) in [(ACK_EPOCHS_AT, "eval.epochs"), (threads_at, "threads")] {
+        let mut p = good.clone();
+        assert_eq!(p[at..at + 4], 1u32.to_le_bytes(), "{what} is where the layout says");
+        p[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(
+            matches!(
+                Msg::decode(0x02, &p),
+                Err(WireError::Malformed("zero where a positive count is required"))
+            ),
+            "a zero {what} must be refused"
+        );
     }
 }
 

@@ -235,7 +235,7 @@ pub fn fig5(ctx: &ExpCtx) -> Figure {
         swt_obs::info!("swt_experiments", "pairs {}: {per_d} pairs per distance x3", app.name());
         let problem = ctx.problem(app);
         let outcomes =
-            run_distance_experiment(&problem, space(app), store, &trace, per_d, MAX_D, 505, true);
+            run_distance_experiment(&problem, space(app), store, &trace, per_d, MAX_D, 505);
         for (d, s) in PairSummary::by_distance(&outcomes, MAX_D) {
             if s.pairs == 0 {
                 continue;

@@ -89,6 +89,10 @@ impl ThreadPoolBackend {
     /// [`share`](swt_tensor::parallel::share)`(workers)` — pure
     /// inter-candidate parallelism once the window covers the cores; the
     /// constructing thread keeps its own.
+    ///
+    /// # Panics
+    /// On the calling thread, before any evaluator starts, if `cfg.workers`
+    /// is 0 or [`NasConfig::eval_spec`] refuses `cfg`.
     pub fn new(
         problem: Arc<AppProblem>,
         space: Arc<SearchSpace>,
@@ -96,6 +100,7 @@ impl ThreadPoolBackend {
         cfg: &NasConfig,
     ) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
+        let spec = cfg.eval_spec().unwrap_or_else(|e| panic!("{e}"));
         let budget = swt_tensor::parallel::share(cfg.workers);
 
         let start = Instant::now();
@@ -110,15 +115,8 @@ impl ThreadPoolBackend {
         for worker in 0..cfg.workers {
             let task_rx = Arc::clone(&task_rx);
             let result_tx = result_tx.clone();
-            let mut evaluator = Evaluator::with_namespace(
-                Arc::clone(&problem),
-                Arc::clone(&space),
-                Arc::clone(&store),
-                cfg.scheme,
-                cfg.epochs,
-                cfg.seed,
-                cfg.namespace.clone(),
-            );
+            let mut evaluator =
+                Evaluator::new(Arc::clone(&problem), Arc::clone(&space), Arc::clone(&store), &spec);
             handles.push(std::thread::spawn(move || {
                 // Attribute this thread's spans (queue wait, evaluation and
                 // everything beneath) to its worker in run reports.

@@ -7,6 +7,7 @@
 //! with the weights of the parent's model."
 
 use crate::candidate::{Candidate, CandidateId};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Instant;
 use swt_checkpoint::CheckpointStore;
@@ -48,20 +49,32 @@ pub fn candidate_seed(run_seed: u64, id: CandidateId) -> u64 {
     run_seed ^ (id.wrapping_mul(0x9E3779B97F4A7C15)).rotate_left(17)
 }
 
+swt_wire::wire_struct! {
+    /// What fixes an evaluator's outcomes beyond the problem, space and
+    /// store it runs over: built once from a run's config
+    /// ([`NasConfig::eval_spec`](crate::NasConfig::eval_spec)) and handed
+    /// as is to every evaluator, in-process or in a worker process (which
+    /// receives it inside the dist handshake).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EvalSpec {
+        pub scheme: TransferScheme,
+        /// Epochs per estimate (the paper uses 1).
+        pub epochs: NonZeroU32,
+        /// Root seed of the run; candidate seeds derive from it.
+        pub run_seed: u64,
+        /// Checkpoint-id prefix. Distinct namespaces let several runs share
+        /// one store (a run's candidate `i` is stored as `{ns}c{i}`); the
+        /// empty string keeps the bare `c{i}` ids.
+        pub namespace: String,
+    }
+}
+
 /// A reusable candidate evaluator (one per worker thread).
 pub struct Evaluator {
     problem: Arc<AppProblem>,
     space: Arc<SearchSpace>,
     store: Arc<dyn CheckpointStore>,
-    scheme: TransferScheme,
-    /// Epochs per estimate (the paper uses 1).
-    epochs: usize,
-    /// Root seed of the run; candidate seeds derive from it.
-    run_seed: u64,
-    /// Checkpoint-id prefix. Distinct namespaces let several runs share one
-    /// store (a run's candidate `i` is stored as `{ns}c{i}`); the default is
-    /// the empty string, preserving the historical bare `c{i}` ids.
-    ns: String,
+    spec: EvalSpec,
     /// Scratch arena handed to each candidate's model and reclaimed after
     /// evaluation, so buffers warmed up by one candidate are reused by the
     /// next instead of being reallocated per evaluation.
@@ -73,45 +86,20 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
+    /// The one way to build an evaluator: both backends pass the spec their
+    /// run's [`NasConfig::eval_spec`](crate::NasConfig::eval_spec) built.
     pub fn new(
         problem: Arc<AppProblem>,
         space: Arc<SearchSpace>,
         store: Arc<dyn CheckpointStore>,
-        scheme: TransferScheme,
-        epochs: usize,
-        run_seed: u64,
+        spec: &EvalSpec,
     ) -> Self {
-        Self::with_namespace(problem, space, store, scheme, epochs, run_seed, "")
-    }
-
-    /// An evaluator whose checkpoint ids carry a run namespace prefix, so
-    /// concurrent runs can share one store without colliding.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_namespace(
-        problem: Arc<AppProblem>,
-        space: Arc<SearchSpace>,
-        store: Arc<dyn CheckpointStore>,
-        scheme: TransferScheme,
-        epochs: usize,
-        run_seed: u64,
-        ns: impl Into<String>,
-    ) -> Self {
-        Evaluator {
-            problem,
-            space,
-            store,
-            scheme,
-            epochs,
-            run_seed,
-            ns: ns.into(),
-            ws: Workspace::new(),
-            live_from: 0,
-        }
+        Evaluator { problem, space, store, spec: spec.clone(), ws: Workspace::new(), live_from: 0 }
     }
 
     /// The namespaced checkpoint id of candidate `id`.
     fn ckpt_id(&self, id: CandidateId) -> String {
-        format!("{}c{id}", self.ns)
+        format!("{}c{id}", self.spec.namespace)
     }
 
     /// Train, score and checkpoint one candidate.
@@ -131,14 +119,14 @@ impl Evaluator {
         self.live_from = self.live_from.max(cand.live_from);
 
         let spec = self.space.materialize(&cand.arch).expect("strategy emitted invalid candidate");
-        let seed = candidate_seed(self.run_seed, cand.id);
+        let seed = candidate_seed(self.spec.run_seed, cand.id);
         let mut model = Model::build(&spec, seed).expect("spec validated at materialise time");
         model.set_workspace(std::mem::take(&mut self.ws));
 
         // Weight transfer from the parent checkpoint, when enabled.
         let mut transfer = TransferStats::default();
         let mut transfer_secs = 0.0;
-        if let (Some(matcher), Some(parent)) = (self.scheme.matcher(), cand.parent) {
+        if let (Some(matcher), Some(parent)) = (self.spec.scheme.matcher(), cand.parent) {
             let _transfer_span = swt_obs::span!("transfer");
             let t0 = Instant::now();
             let parent_ckpt_id = self.ckpt_id(parent);
@@ -171,7 +159,7 @@ impl Evaluator {
         // Partial training (the candidate-estimation phase).
         let trainer = Trainer::new(self.problem.loss, self.problem.metric);
         let cfg = TrainConfig {
-            epochs: self.epochs,
+            epochs: self.spec.epochs.get() as usize,
             batch_size: self.problem.batch_size,
             adam: AdamConfig { lr: self.problem.lr, ..Default::default() },
             shuffle_seed: seed ^ 0x5EED,
@@ -222,6 +210,10 @@ mod tests {
     use swt_data::{AppKind, DataScale};
     use swt_tensor::Rng;
 
+    fn spec(scheme: TransferScheme) -> EvalSpec {
+        EvalSpec { scheme, epochs: NonZeroU32::MIN, run_seed: 42, namespace: String::new() }
+    }
+
     fn setup(scheme: TransferScheme) -> (Evaluator, Arc<SearchSpace>, Arc<dyn CheckpointStore>) {
         let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 7));
         let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
@@ -230,9 +222,7 @@ mod tests {
             Arc::clone(&problem),
             Arc::clone(&space),
             Arc::clone(&store),
-            scheme,
-            1,
-            42,
+            &spec(scheme),
         );
         (eval, space, store)
     }
@@ -301,7 +291,7 @@ mod tests {
         let evaluator = || {
             let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
             let (problem, space) = (Arc::clone(&problem), Arc::clone(&space));
-            Evaluator::new(problem, space, store, TransferScheme::Lcs, 1, 42)
+            Evaluator::new(problem, space, store, &spec(TransferScheme::Lcs))
         };
         let mut rng = Rng::seed(31);
         let cands: Vec<Candidate> = (0..24)

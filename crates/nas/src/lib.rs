@@ -24,7 +24,7 @@ pub mod trace;
 
 pub use backend::{BackendResult, EvalBackend, ThreadPoolBackend};
 pub use candidate::{Candidate, CandidateId, ScoredCandidate};
-pub use evaluator::{candidate_seed, EvalOutcome, Evaluator};
+pub use evaluator::{candidate_seed, EvalOutcome, EvalSpec, Evaluator};
 pub use pairs::{
     run_distance_experiment, run_pair_experiment, MatchOutcome, PairOutcome, PairSummary,
 };

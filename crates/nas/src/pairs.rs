@@ -100,8 +100,8 @@ pub fn run_pair_experiment(
 /// trace providers exactly `d` times for each `d` in `1..=max_d`, yielding
 /// `per_d` pairs per distance bin. (Uniformly random pairs almost always
 /// land at large `d`, which would leave the small-`d` bins — the ones the
-/// provider-selection rule is built on — empty.)
-#[allow(clippy::too_many_arguments)]
+/// provider-selection rule is built on — empty.) Every receiver is
+/// trained, as in [`run_pair_experiment`] with `train_receivers`.
 pub fn run_distance_experiment(
     problem: &AppProblem,
     space: Arc<SearchSpace>,
@@ -110,7 +110,6 @@ pub fn run_distance_experiment(
     per_d: usize,
     max_d: usize,
     seed: u64,
-    train_receivers: bool,
 ) -> Vec<PairOutcome> {
     let mut rng = Rng::seed(seed);
     let events = events_by_id(trace);
@@ -132,7 +131,7 @@ pub fn run_distance_experiment(
             tasks.push((provider.id, provider.arch.clone(), receiver));
         }
     }
-    evaluate_pairs(problem, space, store, &tasks, seed, train_receivers)
+    evaluate_pairs(problem, space, store, &tasks, seed, true)
 }
 
 /// Shared pair-evaluation kernel: `(provider_id, provider_arch,

@@ -17,10 +17,12 @@
 
 use crate::backend::{BackendResult, EvalBackend, ThreadPoolBackend};
 use crate::candidate::{Candidate, CandidateId, ScoredCandidate};
+use crate::evaluator::EvalSpec;
 use crate::strategy::{ProviderPolicy, RandomSearch, RegularizedEvolution, SearchStrategy};
 use crate::trace::{NasTrace, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Instant;
 use swt_checkpoint::CheckpointStore;
@@ -109,6 +111,19 @@ impl NasConfig {
             cache_bytes: 32 << 20,
             ..Self::paper(scheme, total_candidates, workers, seed)
         }
+    }
+
+    /// What every evaluator of this run is built from, copied out of the
+    /// config in this one place. `InvalidInput` unless `epochs` is in
+    /// `1..=u32::MAX`.
+    pub fn eval_spec(&self) -> io::Result<EvalSpec> {
+        let epochs =
+            u32::try_from(self.epochs).ok().and_then(NonZeroU32::new).ok_or_else(|| {
+                let what = format!("epochs must be in 1..={}, got {}", u32::MAX, self.epochs);
+                io::Error::new(io::ErrorKind::InvalidInput, what)
+            })?;
+        let (scheme, run_seed, namespace) = (self.scheme, self.seed, self.namespace.clone());
+        Ok(EvalSpec { scheme, epochs, run_seed, namespace })
     }
 }
 

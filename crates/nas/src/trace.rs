@@ -210,13 +210,14 @@ impl NasTrace {
         std::fs::write(path, self.canonical_csv())
     }
 
-    /// Read a trace written by [`NasTrace::write_csv`].
+    /// Read a trace written by [`NasTrace::write_csv`]. A header value that
+    /// does not parse (an unknown scheme name, a non-numeric seed, worker
+    /// count or wall time) is `InvalidData` naming it, not a default.
     pub fn read_csv(path: &Path) -> io::Result<NasTrace> {
         let file = std::fs::File::open(path)?;
         let mut lines = io::BufReader::new(file).lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty trace"))??;
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+        let header = lines.next().ok_or_else(|| bad("empty trace"))??;
         let mut app = String::new();
         let mut scheme = TransferScheme::Baseline;
         let mut seed = 0u64;
@@ -224,24 +225,23 @@ impl NasTrace {
         let mut wall_secs = 0.0f64;
         for token in header.trim_start_matches('#').split_whitespace() {
             if let Some((k, v)) = token.split_once('=') {
+                let unreadable = || bad(&format!("unreadable trace header value {k}={v}"));
                 match k {
                     "app" => app = v.to_string(),
                     "scheme" => {
-                        scheme = match v {
-                            "LP" => TransferScheme::Lp,
-                            "LCS" => TransferScheme::Lcs,
-                            _ => TransferScheme::Baseline,
-                        }
+                        scheme = TransferScheme::all()
+                            .into_iter()
+                            .find(|s| s.name() == v)
+                            .ok_or_else(unreadable)?
                     }
-                    "seed" => seed = v.parse().unwrap_or(0),
-                    "workers" => workers = v.parse().unwrap_or(0),
-                    "wall_secs" => wall_secs = v.parse().unwrap_or(0.0),
+                    "seed" => seed = v.parse().map_err(|_| unreadable())?,
+                    "workers" => workers = v.parse().map_err(|_| unreadable())?,
+                    "wall_secs" => wall_secs = v.parse().map_err(|_| unreadable())?,
                     _ => {}
                 }
             }
         }
         let _column_header = lines.next();
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut events = Vec::new();
         for line in lines {
             let line = line?;
@@ -395,6 +395,26 @@ mod tests {
     }
 
     #[test]
+    fn a_damaged_header_value_is_invalid_data_naming_its_key() {
+        let path = std::env::temp_dir().join(format!("swt_trace_hdr_{}.csv", std::process::id()));
+        trace().write_csv(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (good, damaged) in [
+            ("scheme=LCS", "scheme=FUTURE"),
+            ("scheme=LCS", "scheme=lcs"),
+            ("seed=9", "seed=nine"),
+            ("workers=4", "workers=-4"),
+            ("wall_secs=3.5", "wall_secs=3.5s"),
+        ] {
+            std::fs::write(&path, text.replacen(good, damaged, 1)).unwrap();
+            let err = NasTrace::read_csv(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{damaged}");
+            assert!(err.to_string().contains(damaged), "{damaged}: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn canonical_csv_drops_every_wall_clock_column() {
         let mut a = trace();
         let mut b = trace();
@@ -425,20 +445,6 @@ mod tests {
         assert_eq!(text, t.canonical_csv());
         assert!(text.starts_with("# app=Uno scheme=LCS seed=9 workers=4\n"));
         assert!(!text.contains("wall_secs"), "no wall-clock leaks into the header");
-    }
-
-    #[test]
-    fn csv_header_unknown_scheme_falls_back_to_baseline() {
-        let path =
-            std::env::temp_dir().join(format!("swt_trace_scheme_{}.csv", std::process::id()));
-        std::fs::write(&path, "# app=X scheme=FUTURE seed=7 workers=2 wall_secs=1.5\nheader\n")
-            .unwrap();
-        let t = NasTrace::read_csv(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(t.scheme, TransferScheme::Baseline);
-        assert_eq!((t.seed, t.workers), (7, 2));
-        assert_eq!(t.wall_secs, 1.5);
-        assert!(t.events.is_empty());
     }
 
     #[test]

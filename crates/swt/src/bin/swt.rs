@@ -23,6 +23,7 @@
 //! See EXPERIMENTS.md §"Distributed runs" for walkthroughs, including the
 //! kill-a-worker and join-a-worker demos, and §"Watching a run live".
 
+use std::num::NonZeroU32;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -163,7 +164,7 @@ fn search_args(args: &[String]) -> Result<(AppKind, DataScale, u64, NasConfig), 
         return Err("--candidates and --workers must be positive".into());
     }
     let mut nas = NasConfig::quick(scheme, candidates, workers, seed);
-    nas.epochs = parse(args, "--epochs", 1)?;
+    nas.epochs = parse(args, "--epochs", NonZeroU32::MIN)?.get() as usize;
     Ok((app, scale, parse(args, "--data-seed", 11)?, nas))
 }
 
@@ -316,19 +317,14 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         (nas.scheme, nas.total_candidates, nas.workers, nas.seed);
     // `--store` is either a shared directory (the default DirStore path —
     // what the A/B identity gates pin) or a `tcp://host:port` endpoint of a
-    // running `swt ckpt-server`.
-    let store_raw = opt(args, "--store").unwrap_or("swt_dist_store");
-    let (store_dir, store_url) = if store_raw.starts_with("tcp://") {
-        (PathBuf::from("swt_dist_store"), Some(store_raw.to_string()))
-    } else {
-        (PathBuf::from(store_raw), None)
-    };
+    // running `swt ckpt-server`, which the workers then use instead.
+    let store = opt(args, "--store").unwrap_or("swt_dist_store");
     nas.namespace = opt(args, "--namespace").unwrap_or("").to_string();
-    let mut dist = DistConfig::new(app, scale, data_seed, store_dir);
-    dist.store_url = store_url;
+    let mut dist = DistConfig::new(app, scale, data_seed, PathBuf::from(store));
+    dist.store_url = store.starts_with("tcp://").then(|| store.to_string());
     dist.max_workers = parse(args, "--max-workers", dist.max_workers)?;
-    if dist.max_workers == 0 {
-        return Err("--max-workers must be positive".into());
+    if dist.max_workers < workers {
+        return Err(format!("--max-workers {} is below --workers {workers}", dist.max_workers));
     }
 
     // Live view + timeline only when someone will read them: the canonical

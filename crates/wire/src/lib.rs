@@ -206,6 +206,18 @@ impl Wire for usize {
     }
 }
 
+/// A count that must be positive travels as its `u32`; a decoded zero is
+/// malformed, so a peer cannot hand over a run with nothing to do.
+impl Wire for std::num::NonZeroU32 {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        self.get().put(out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Self::new(u32::get(c)?)
+            .ok_or(WireError::Malformed("zero where a positive count is required"))
+    }
+}
+
 /// Floats travel as their IEEE-754 bit pattern: NaN payloads and signed
 /// zeros survive (the trace identity gates compare scores by bits).
 impl Wire for f64 {
@@ -666,6 +678,21 @@ mod tests {
         short.extend_from_slice(&[0u8; 300]);
         let got = Vec::<u64>::get(&mut Cursor::new(&short));
         assert!(matches!(got, Err(WireError::Malformed("truncated payload"))));
+    }
+
+    #[test]
+    fn positive_counts_travel_as_u32_and_refuse_zero() -> Result<(), WireError> {
+        use std::num::NonZeroU32;
+        let mut out = Vec::new();
+        NonZeroU32::MAX.put(&mut out)?;
+        assert_eq!(out, u32::MAX.to_le_bytes());
+        assert_eq!(<NonZeroU32 as Wire>::get(&mut Cursor::new(&out))?, NonZeroU32::MAX);
+        let got = <NonZeroU32 as Wire>::get(&mut Cursor::new(&[0; 4]));
+        assert!(matches!(
+            got,
+            Err(WireError::Malformed("zero where a positive count is required"))
+        ));
+        Ok(())
     }
 
     #[test]

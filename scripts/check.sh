@@ -154,6 +154,24 @@ if [ -n "$hooks" ]; then
   exit 1
 fi
 
+echo "==> one evaluator constructor (Evaluator::new over one EvalSpec; one store spelling, no clamped counts)"
+# Both backends build evaluators through `Evaluator::new(problem, space,
+# store, &EvalSpec)`, from the spec `NasConfig::eval_spec` copies out of the
+# config; a dist worker gets it as `RunSpec.eval`, its store as the one
+# `RunSpec.store` string, and its counts as `NonZeroU32`s that decode 0 as
+# malformed, so nothing clamps them (DESIGN.md §10 "Backend split").
+second=$(grep -rnE 'with_namespace|threads\.max\(1\)' crates tests examples || true)
+allows=$(grep -rn 'too_many_arguments' crates/nas || true)
+pair=$(grep -nE 'store_dir|store_url' crates/dist/src/wire.rs || true)
+literals=$(grep -rnE '(^|[^[:alnum:]_])Evaluator \{' crates tests examples --include='*.rs' \
+  | grep -vE '(struct|impl) Evaluator \{' || true)
+if [ "$(printf '%s' "$literals" | grep -c .)" -le 1 ]; then literals=""; fi
+if [ -n "$second$allows$pair$literals" ]; then
+  echo "a second evaluator construction path, a clamped count or the store_dir/store_url pair is back:" >&2
+  printf '%s\n' "$second" "$allows" "$pair" "$literals" | grep . >&2
+  exit 1
+fi
+
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 

@@ -23,9 +23,8 @@ fn nas_config(candidates: usize, workers: usize) -> NasConfig {
     }
 }
 
-/// A dist config whose workers dial `url` instead of opening the DirStore.
-/// `store_dir` still names a scratch dir (the coordinator creates it) but
-/// no checkpoint bytes land there.
+/// A dist config whose workers dial `url` instead of opening the DirStore:
+/// the run ships the URL alone, so `store_dir` is never opened.
 fn dist_config(store_dir: PathBuf, url: &str) -> DistConfig {
     let mut cfg = DistConfig::new(AppKind::Uno, DataScale::Quick, 11, store_dir);
     cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));

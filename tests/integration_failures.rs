@@ -138,6 +138,10 @@ fn swt_refuses_flags_it_does_not_know() {
         ),
         (&["dist-run", "--kill-after", "1:3"], "unknown flag `--kill-after`"),
         (&["dist-run", "--join-after", "2"], "unknown flag `--join-after`"),
+        // A zero epoch count is refused before any evaluator or worker runs.
+        (&["run", "--epochs", "0"], "--epochs"),
+        (&["dist-run", "--epochs", "0"], "--epochs"),
+        (&["dist-run", "--workers", "3", "--max-workers", "2"], "--max-workers"),
         (&["ckpt-server", "--spill", "x", "--bind=127.0.0.1:0"], "`--bind=127.0.0.1:0`"),
     ] {
         let (code, stderr) = swt(args);
