@@ -1,18 +1,20 @@
 //! Phase two of NAS: full training of the top-K candidates (Section VIII-B).
 //!
 //! Every scheme (baseline included) resumes each top candidate from its
-//! estimation-phase checkpoint and trains until the paper's early-stopping
-//! rule fires (threshold per app, patience 2) or a 20-epoch cap. Models
-//! discovered with weight transfer have inherited training through chains of
-//! parent transfers, so they converge in fewer epochs — the paper's
-//! 1.4–1.5× speedup mechanism.
+//! estimation-phase checkpoint and trains it once, for the 20-epoch cap.
+//! The paper's early-stopping rule (threshold per app, patience 2) is read
+//! off that run's validation curve: training with the rule on would stop
+//! at the same epoch with the same metric, because the curve up to there is
+//! the same. Models discovered with weight transfer have inherited training
+//! through chains of parent transfers, so they converge in fewer epochs —
+//! the paper's 1.4–1.5× speedup mechanism.
 
 use crate::evaluator::candidate_seed;
 use crate::trace::NasTrace;
 use std::sync::Arc;
 use swt_checkpoint::CheckpointStore;
 use swt_data::AppProblem;
-use swt_nn::{AdamConfig, Model, TrainConfig, Trainer};
+use swt_nn::{AdamConfig, EarlyStop, Model, TrainConfig, Trainer};
 use swt_space::SearchSpace;
 
 /// Result of fully training one top candidate.
@@ -81,13 +83,29 @@ fn restore_candidate(
     model
 }
 
-/// Fully train the top-`k` candidates of a trace, with and without early
-/// stopping, resuming from their estimation checkpoints.
-///
-/// `max_epochs` is the paper's 20-epoch cap; `cutoff_secs` restricts the
-/// eligible candidates to those discovered before a time budget (the paper
-/// compares schemes at the duration of the *shortest* experiment,
-/// Section VIII-C) — pass `f64::INFINITY` for no cutoff.
+/// How phase two trains a restored candidate: the app's batch size and
+/// learning rate, `epochs` at most, shuffled by `shuffle_seed`.
+fn train_config(
+    problem: &AppProblem,
+    epochs: usize,
+    shuffle_seed: u64,
+    early_stop: Option<EarlyStop>,
+) -> TrainConfig {
+    TrainConfig {
+        epochs,
+        batch_size: problem.batch_size,
+        adam: AdamConfig { lr: problem.lr, ..Default::default() },
+        shuffle_seed,
+        early_stop,
+        convergence: None,
+    }
+}
+
+/// Fully train the `k` best-scored candidates of a trace (equal scores go
+/// to the lower id), each resumed from its estimation checkpoint and
+/// trained once for `max_epochs`, the paper's 20-epoch cap. The early stop
+/// is where `problem.early_stop` fires on that run's validation curve, or
+/// the cap if it never does.
 pub fn full_train_top_k(
     problem: &AppProblem,
     space: Arc<SearchSpace>,
@@ -97,33 +115,24 @@ pub fn full_train_top_k(
     max_epochs: usize,
     cutoff_secs: f64,
 ) -> TopKReport {
-    let eligible = trace.top_k(trace.events.len()).into_iter().filter(|e| e.t_end <= cutoff_secs);
-
     let trainer = Trainer::new(problem.loss, problem.metric);
-    let outcomes = eligible
+    let outcomes = trace
+        .top_k(trace.events.len())
+        .into_iter()
+        .filter(|e| e.t_end <= cutoff_secs)
         .take(k)
         .map(|event| {
-            let base_cfg = TrainConfig {
-                epochs: max_epochs,
-                batch_size: problem.batch_size,
-                adam: AdamConfig { lr: problem.lr, ..Default::default() },
-                shuffle_seed: trace.seed ^ event.id ^ 0xF011,
-                early_stop: None,
-                convergence: None,
-            };
-            // Early-stopping run.
+            let cfg = train_config(problem, max_epochs, trace.seed ^ event.id ^ 0xF011, None);
             let mut model = restore_candidate(&space, &*store, trace.seed, event.id, &event.arch);
-            let es_cfg = TrainConfig { early_stop: Some(problem.early_stop), ..base_cfg.clone() };
-            let es_report = trainer.fit(&mut model, &problem.train, &problem.val, &es_cfg);
-            // Full run without early stopping (fresh restore).
-            let mut model = restore_candidate(&space, &*store, trace.seed, event.id, &event.arch);
-            let full_report = trainer.fit(&mut model, &problem.train, &problem.val, &base_cfg);
+            let report = trainer.fit(&mut model, &problem.train, &problem.val, &cfg);
+            let curve: Vec<f64> = report.records.iter().map(|r| r.val_metric).collect();
+            let stop = problem.early_stop.stop_epoch(&curve).unwrap_or(curve.len());
             FullTrainOutcome {
                 id: event.id,
                 estimate: event.score,
-                epochs_early_stop: es_report.epochs_run,
-                metric_early_stop: es_report.final_metric,
-                metric_full: full_report.final_metric,
+                epochs_early_stop: stop,
+                metric_early_stop: curve[stop - 1],
+                metric_full: report.final_metric,
                 params: model.param_count(),
             }
         })
@@ -152,14 +161,8 @@ pub fn full_train_sample(
     swt_tensor::parallel::par_map(&idx, |_, &i| {
         let event = &trace.events[i];
         let mut model = restore_candidate(&space, &*store, trace.seed, event.id, &event.arch);
-        let cfg = TrainConfig {
-            epochs: max_epochs,
-            batch_size: problem.batch_size,
-            adam: AdamConfig { lr: problem.lr, ..Default::default() },
-            shuffle_seed: trace.seed ^ event.id ^ 0x516,
-            early_stop: Some(problem.early_stop),
-            convergence: None,
-        };
+        let shuffle_seed = trace.seed ^ event.id ^ 0x516;
+        let cfg = train_config(problem, max_epochs, shuffle_seed, Some(problem.early_stop));
         let report = trainer.fit(&mut model, &problem.train, &problem.val, &cfg);
         (event.score, report.final_metric)
     })
@@ -201,13 +204,25 @@ mod tests {
         assert!(report.mean_epochs() >= 1.0);
     }
 
+    /// One 20-epoch fit per model reads the same early stop, to the bit, as
+    /// a separate fit of the same restored model with the rule on.
     #[test]
-    fn cutoff_excludes_late_candidates() {
+    fn the_early_stop_read_off_the_curve_is_the_early_stopped_fit() {
         let (problem, space, store, trace) = setup();
-        let mid = trace.by_completion()[trace.events.len() / 2].t_end;
-        let report = full_train_top_k(&problem, space, store, &trace, 100, 2, mid);
-        assert!(report.outcomes.len() <= trace.events.len() / 2 + 1);
-        assert!(!report.outcomes.is_empty());
+        let report = full_train_top_k(&problem, Arc::clone(&space), Arc::clone(&store), &trace, 4, 20, f64::INFINITY);
+        assert_eq!(report.outcomes.len(), 4);
+        let trainer = Trainer::new(problem.loss, problem.metric);
+        let mut stopped = 0;
+        for (o, event) in report.outcomes.iter().zip(trace.top_k(4)) {
+            let mut model = restore_candidate(&space, &*store, trace.seed, o.id, &event.arch);
+            let shuffle_seed = trace.seed ^ o.id ^ 0xF011;
+            let cfg = train_config(&problem, 20, shuffle_seed, Some(problem.early_stop));
+            let es = trainer.fit(&mut model, &problem.train, &problem.val, &cfg);
+            assert_eq!(o.epochs_early_stop, es.epochs_run, "c{}", o.id);
+            assert_eq!(o.metric_early_stop.to_bits(), es.final_metric.to_bits(), "c{}", o.id);
+            stopped += usize::from(o.epochs_early_stop < 20);
+        }
+        assert!(stopped > 0, "no model stopped early, so nothing was compared");
     }
 
     /// A diverged candidate (NaN score) ranks below every finite one

@@ -24,6 +24,22 @@ impl EarlyStop {
     pub fn paper(threshold: f64) -> Self {
         EarlyStop { threshold, patience: 2 }
     }
+
+    /// The number of epochs after which the rule stops training whose
+    /// per-epoch validation metrics are `curve`, or `None` if it never
+    /// fires within `curve`. An epoch is flat when its metric is within
+    /// `threshold` of the previous epoch's (a NaN is never flat); the rule
+    /// fires on the `patience`-th consecutive flat epoch.
+    pub fn stop_epoch(&self, curve: &[f64]) -> Option<usize> {
+        let mut flat = 0usize;
+        for (i, pair) in curve.windows(2).enumerate() {
+            flat = if (pair[1] - pair[0]).abs() <= self.threshold { flat + 1 } else { 0 };
+            if flat >= self.patience {
+                return Some(i + 2);
+            }
+        }
+        None
+    }
 }
 
 /// Loss-delta convergence rule: training stops at a clean epoch boundary once
@@ -124,9 +140,7 @@ pub struct EpochRecord {
 pub struct TrainReport {
     pub records: Vec<EpochRecord>,
     pub epochs_run: usize,
-    pub early_stopped: bool,
-    /// Why the loop ended; `early_stopped` stays `true` for any non-budget
-    /// stop so existing callers keep working.
+    /// Why the loop ended.
     pub stop: TrainStop,
     /// Validation objective after the final epoch.
     pub final_metric: f64,
@@ -156,9 +170,9 @@ impl Trainer {
         let mut adam = Adam::new(cfg.adam);
         let mut rng = Rng::seed(cfg.shuffle_seed);
         let mut records = Vec::with_capacity(cfg.epochs);
-        let mut flat_epochs = 0usize;
-        let mut prev_metric: Option<f64> = None;
-        let mut early_stopped = false;
+        // The validation curve the early-stopping rule reads; it stays
+        // unallocated when no rule is set.
+        let mut curve = Vec::new();
         let mut stop = TrainStop::Budget;
         let mut tracker = cfg.convergence.map(ConvergenceTracker::new);
 
@@ -194,30 +208,21 @@ impl Trainer {
             let train_loss = loss_sum / batches.max(1) as f64;
             records.push(EpochRecord { epoch, train_loss, val_metric });
             if let Some(es) = cfg.early_stop {
-                if let Some(prev) = prev_metric {
-                    if (val_metric - prev).abs() <= es.threshold {
-                        flat_epochs += 1;
-                    } else {
-                        flat_epochs = 0;
-                    }
-                    if flat_epochs >= es.patience {
-                        early_stopped = true;
-                        stop = TrainStop::Plateau;
-                        break;
-                    }
+                curve.push(val_metric);
+                if es.stop_epoch(&curve).is_some() {
+                    stop = TrainStop::Plateau;
+                    break;
                 }
-                prev_metric = Some(val_metric);
             }
             if let Some(t) = tracker.as_mut() {
                 if t.observe(train_loss) && epoch + 1 < cfg.epochs {
-                    early_stopped = true;
                     stop = TrainStop::Converged;
                     break;
                 }
             }
         }
         let final_metric = records.last().map(|r| r.val_metric).unwrap_or(0.0);
-        TrainReport { epochs_run: records.len(), records, early_stopped, stop, final_metric }
+        TrainReport { epochs_run: records.len(), records, stop, final_metric }
     }
 
     /// Batched evaluation of the objective metric on a dataset.
@@ -299,7 +304,7 @@ mod tests {
         };
         let report = trainer.fit(&mut model, &train, &val, &cfg);
         assert_eq!(report.epochs_run, 10);
-        assert!(!report.early_stopped);
+        assert_eq!(report.stop, TrainStop::Budget);
         assert!(report.final_metric > 0.95, "final accuracy {}", report.final_metric);
         // Loss must trend downward.
         assert!(report.records.last().unwrap().train_loss < report.records[0].train_loss);
@@ -319,9 +324,12 @@ mod tests {
             ..Default::default()
         };
         let report = trainer.fit(&mut model, &train, &val, &cfg);
-        assert!(report.early_stopped, "separable blobs must plateau within 40 epochs");
+        assert_eq!(report.stop, TrainStop::Plateau, "separable blobs must plateau within 40 epochs");
         assert!(report.epochs_run < 40);
         assert!(report.final_metric > 0.9);
+        // The loop stops where the rule, replayed over its curve, says.
+        let curve: Vec<f64> = report.records.iter().map(|r| r.val_metric).collect();
+        assert_eq!(cfg.early_stop.unwrap().stop_epoch(&curve), Some(report.epochs_run));
     }
 
     #[test]
@@ -342,7 +350,19 @@ mod tests {
         // (first epoch has no predecessor, then two flat comparisons).
         let report = trainer.fit(&mut model, &train, &val, &cfg);
         assert_eq!(report.epochs_run, 3);
-        assert!(report.early_stopped);
+        assert_eq!(report.stop, TrainStop::Plateau);
+        // The rule alone, on any curve: threshold 1.0 stops at epoch 3, one
+        // flat epoch does not, and a curve shorter than patience + 1 never
+        // stops.
+        let rule = cfg.early_stop.unwrap();
+        assert_eq!(rule.stop_epoch(&[0.1, 0.9, 0.2, 0.7, 0.3]), Some(3));
+        let paper = EarlyStop::paper(0.01);
+        assert_eq!(paper.stop_epoch(&[0.5, 0.5, 0.7, 0.7, 0.9]), None);
+        assert_eq!(paper.stop_epoch(&[0.5, 0.5, 0.7, 0.7, 0.7]), Some(5));
+        assert_eq!(paper.stop_epoch(&[0.5, f64::NAN, f64::NAN, 0.5]), None, "NaN is never flat");
+        assert_eq!(rule.stop_epoch(&[0.5, 0.5]), None);
+        assert_eq!(rule.stop_epoch(&[0.5]), None);
+        assert_eq!(rule.stop_epoch(&[]), None);
     }
 
     #[test]
@@ -382,7 +402,6 @@ mod tests {
         };
         let report = trainer.fit(&mut model, &train, &val, &cfg);
         assert_eq!(report.epochs_run, 2);
-        assert!(report.early_stopped);
         assert_eq!(report.stop, TrainStop::Converged);
     }
 
@@ -398,7 +417,6 @@ mod tests {
             &TrainConfig { epochs: 2, batch_size: 16, ..Default::default() },
         );
         assert_eq!(budget.stop, TrainStop::Budget);
-        assert!(!budget.early_stopped);
         let plateau = trainer.fit(
             &mut mlp(),
             &train,
@@ -411,7 +429,6 @@ mod tests {
             },
         );
         assert_eq!(plateau.stop, TrainStop::Plateau);
-        assert!(plateau.early_stopped);
     }
 
     #[test]
@@ -427,7 +444,6 @@ mod tests {
         };
         let report = trainer.fit(&mut mlp(), &train, &val, &cfg);
         assert_eq!(report.stop, TrainStop::Budget, "no epochs were saved, nothing converged away");
-        assert!(!report.early_stopped);
     }
 
     #[test]
