@@ -499,9 +499,13 @@ enum Body<'a> {
 }
 
 impl DirStore {
-    /// Open (creating if needed) a store rooted at `root`.
+    /// Open (creating if needed) a store rooted at `root`; an empty path,
+    /// which `create_dir_all` accepts, is `InvalidInput`.
     pub fn new(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
+        if root.as_os_str().is_empty() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "empty store path"));
+        }
         std::fs::create_dir_all(&root)?;
         Ok(DirStore { root, appending: Mutex::default(), index: Mutex::default() })
     }

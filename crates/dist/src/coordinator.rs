@@ -128,13 +128,16 @@ pub struct DistBackend {
 impl DistBackend {
     /// Bind a localhost listener and [`spawn_workers`](Self::spawn_workers)
     /// one process per slot of the dispatch window (`nas.workers`). On
-    /// error every child spawned so far is reaped; a config that
-    /// [`NasConfig::eval_spec`] refuses, or a `store_url` other than
-    /// `tcp://host:port`, is `InvalidInput` before anything is spawned.
+    /// error every child spawned so far is reaped; a window of 0 or above
+    /// `max_workers`, a config that [`NasConfig::eval_spec`] refuses, or a
+    /// `store_url` other than `tcp://host:port`, is `InvalidInput` before
+    /// anything is spawned.
     pub fn launch(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
         let window = nas.workers;
-        assert!(window > 0, "need a non-empty dispatch window");
-        assert!(window <= dist.max_workers, "the dispatch window exceeds max_workers");
+        if window == 0 || window > dist.max_workers {
+            let what = format!("{window} workers: need 1 to max_workers = {}", dist.max_workers);
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        }
         let store = match &dist.store_url {
             None => dist.store_dir.to_string_lossy().into_owned(),
             Some(url) if url.starts_with("tcp://") => url.clone(),

@@ -15,6 +15,7 @@
 
 use crate::frame::{self, recv, Message, WireError, PROTOCOL_VERSION};
 use crate::wire::{Msg, RunSpec, Telemetry};
+use std::io;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -101,7 +102,10 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     // worker models one GPU and must not fan out to the whole machine (the
     // in-process pool's evaluator threads pin theirs the same way).
     let _budget = swt_tensor::parallel::scoped_max_threads(run.threads.get() as usize);
-    let mut evaluator = build_evaluator(&run)?;
+    // A store that cannot be opened ends the run: say why before closing.
+    let mut evaluator = build_evaluator(&run).inspect_err(|err| {
+        let _ = send(&writer, &Msg::Error { message: err.to_string() });
+    })?;
 
     // The reader thread owns the receive half: it answers Pings immediately
     // (heartbeats must flow while the main thread is deep in a long
@@ -205,13 +209,15 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     }
 }
 
-fn build_evaluator(run: &RunSpec) -> Result<Evaluator, WireError> {
+fn build_evaluator(run: &RunSpec) -> io::Result<Evaluator> {
     let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
     let space = Arc::new(SearchSpace::for_app(run.app));
     // The shared `DirStore`, or a `RemoteStore` session with the checkpoint
     // server, bucketed by the run's namespace.
     let backend: Arc<dyn CheckpointStore> = match run.store.strip_prefix("tcp://") {
-        None => Arc::new(DirStore::new(&run.store)?),
+        None => Arc::new(DirStore::new(&run.store).map_err(|e| {
+            io::Error::new(e.kind(), format!("cannot open checkpoint store `{}`: {e}", run.store))
+        })?),
         Some(addr) => {
             let secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
             // Bucket names must be valid tokens; an un-namespaced run shares

@@ -2,9 +2,8 @@
 //! one reports as a predicate over its shown table.
 //!
 //! Each figure's shown table is deterministic except where its title says
-//! "wall-dependent": Fig. 8 and Tables III–IV take the top-10 within the
-//! shortest run's wall time (the paper's budget), and Fig. 11's training
-//! seconds and Fig. 10's simulated costs come from measured wall times.
+//! "wall-dependent": Fig. 11's training seconds and Fig. 10's simulated
+//! costs come from measured wall times.
 
 use crate::{check, fulltrain, pct, Check, ExpCtx, Figure, Table};
 use std::sync::Arc;
@@ -384,8 +383,7 @@ pub fn fig8(ctx: &ExpCtx) -> Figure {
         }
     }
     Figure {
-        title: "Fig. 8 — epochs to early stop and metrics of each run's top-10 \
-                (wall-dependent: top-10 within the shortest run's wall time)",
+        title: "Fig. 8 — epochs to early stop and metrics of each run's top-10",
         paper: "geometric-mean speedup in epochs LCS 1.5×, LP 1.4×; metrics better or comparable",
         tables: [vec![t], models].concat(),
         shape: fig8_shape,
@@ -434,7 +432,7 @@ pub fn table3(ctx: &ExpCtx) -> Figure {
         }
     }
     Figure {
-        title: "Table III — top-scored models after full training, mean ± std (wall-dependent)",
+        title: "Table III — top-scored models after full training, mean ± std",
         paper: "fully trained Baseline/LCS/LP: CIFAR-10 0.799/0.823/0.823, MNIST 0.993 all, \
                 NT3 0.976/0.988/0.987, Uno 0.582/0.594/0.609",
         tables: vec![t],
@@ -479,7 +477,7 @@ pub fn table4(ctx: &ExpCtx) -> Figure {
         }
     }
     Figure {
-        title: "Table IV — parameters / 1e6 of the top-scored models (wall-dependent)",
+        title: "Table IV — parameters / 1e6 of the top-scored models",
         paper: "similar ranges across schemes; NT3+LCS and Uno+LP smaller than Baseline",
         tables: vec![t],
         shape: table4_shape,

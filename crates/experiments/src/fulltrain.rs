@@ -1,5 +1,8 @@
 //! Shared full-training data for Fig. 8 and Tables III/IV: the top-K models
-//! of every run, trained to convergence, one table per app.
+//! of every run by estimation score (equal scores to the lower id), each
+//! trained once for `MAX_EPOCHS`, one table per app. The budget is the
+//! run's candidate count, the same for every scheme, so the tables are a
+//! function of the seeds alone (EXPERIMENTS.md deviation 8).
 
 use crate::{app_tag, ExpCtx, Table};
 use std::sync::Arc;
@@ -48,44 +51,30 @@ pub fn collect(ctx: &ExpCtx) -> Vec<Table> {
 fn train_app(ctx: &ExpCtx, app: AppKind, mut table: Table) -> Table {
     let problem = ctx.problem(app);
     let space = Arc::new(SearchSpace::for_app(app));
-    let mut traces = Vec::new();
     for scheme in TransferScheme::all() {
         for &seed in &ctx.seeds {
             let (trace, store) = ctx.run_or_load(app, scheme, StrategyKind::Evolution, seed);
-            traces.push((scheme, seed, trace, store));
-        }
-    }
-    // Same time budget for every scheme: the shortest experiment's duration
-    // (Section VIII-C).
-    let cutoff = traces.iter().map(|(_, _, t, _)| t.wall_secs).fold(f64::INFINITY, f64::min);
-    for (scheme, seed, trace, store) in &traces {
-        swt_obs::info!(
-            "swt_experiments",
-            "full-train {} {} seed {seed}",
-            app.name(),
-            scheme.name()
-        );
-        let report = full_train_top_k(
-            &problem,
-            Arc::clone(&space),
-            Arc::clone(store),
-            trace,
-            TOP_K,
-            MAX_EPOCHS,
-            cutoff,
-        );
-        for o in &report.outcomes {
-            table.push(vec![
-                app.name().to_string(),
-                scheme.name().to_string(),
-                seed.to_string(),
-                o.id.to_string(),
-                format!("{:.6}", o.estimate),
-                o.epochs_early_stop.to_string(),
-                format!("{:.6}", o.metric_early_stop),
-                format!("{:.6}", o.metric_full),
-                o.params.to_string(),
-            ]);
+            swt_obs::info!(
+                "swt_experiments",
+                "full-train {} {} seed {seed}",
+                app.name(),
+                scheme.name()
+            );
+            let report =
+                full_train_top_k(&problem, Arc::clone(&space), store, &trace, TOP_K, MAX_EPOCHS);
+            for o in &report.outcomes {
+                table.push(vec![
+                    app.name().to_string(),
+                    scheme.name().to_string(),
+                    seed.to_string(),
+                    o.id.to_string(),
+                    format!("{:.6}", o.estimate),
+                    o.epochs_early_stop.to_string(),
+                    format!("{:.6}", o.metric_early_stop),
+                    format!("{:.6}", o.metric_full),
+                    o.params.to_string(),
+                ]);
+            }
         }
     }
     table

@@ -1,11 +1,10 @@
 //! Phase two of NAS: full training of the top-K candidates (Section VIII-B).
 //!
 //! Every scheme (baseline included) resumes each top candidate from its
-//! estimation-phase checkpoint and trains it once, for the 20-epoch cap.
-//! The paper's early-stopping rule (threshold per app, patience 2) is read
-//! off that run's validation curve: training with the rule on would stop
-//! at the same epoch with the same metric, because the curve up to there is
-//! the same. Models discovered with weight transfer have inherited training
+//! estimation-phase checkpoint and trains it once, for the 20-epoch cap;
+//! the paper's early stop (threshold per app, patience 2) is read off that
+//! run's validation curve, which a run with the rule on shares up to its
+//! stop. Models discovered with weight transfer have inherited training
 //! through chains of parent transfers, so they converge in fewer epochs —
 //! the paper's 1.4–1.5× speedup mechanism.
 
@@ -52,16 +51,6 @@ impl TopKReport {
     /// Early-stopped metrics of all outcomes.
     pub fn metrics_early(&self) -> Vec<f64> {
         self.outcomes.iter().map(|o| o.metric_early_stop).collect()
-    }
-
-    /// Fully-trained metrics of all outcomes.
-    pub fn metrics_full(&self) -> Vec<f64> {
-        self.outcomes.iter().map(|o| o.metric_full).collect()
-    }
-
-    /// Parameter counts of all outcomes.
-    pub fn params(&self) -> Vec<f64> {
-        self.outcomes.iter().map(|o| o.params as f64).collect()
     }
 }
 
@@ -113,14 +102,11 @@ pub fn full_train_top_k(
     trace: &NasTrace,
     k: usize,
     max_epochs: usize,
-    cutoff_secs: f64,
 ) -> TopKReport {
     let trainer = Trainer::new(problem.loss, problem.metric);
     let outcomes = trace
-        .top_k(trace.events.len())
+        .top_k(k)
         .into_iter()
-        .filter(|e| e.t_end <= cutoff_secs)
-        .take(k)
         .map(|event| {
             let cfg = train_config(problem, max_epochs, trace.seed ^ event.id ^ 0xF011, None);
             let mut model = restore_candidate(&space, &*store, trace.seed, event.id, &event.arch);
@@ -191,7 +177,7 @@ mod tests {
     #[test]
     fn full_training_improves_or_matches_estimates() {
         let (problem, space, store, trace) = setup();
-        let report = full_train_top_k(&problem, space, store, &trace, 3, 8, f64::INFINITY);
+        let report = full_train_top_k(&problem, space, store, &trace, 3, 8);
         assert_eq!(report.outcomes.len(), 3);
         for o in &report.outcomes {
             assert!(o.epochs_early_stop >= 1 && o.epochs_early_stop <= 8);
@@ -207,9 +193,10 @@ mod tests {
     /// One 20-epoch fit per model reads the same early stop, to the bit, as
     /// a separate fit of the same restored model with the rule on.
     #[test]
-    fn the_early_stop_read_off_the_curve_is_the_early_stopped_fit() {
+    fn the_curve_gives_the_early_stop_of_a_stopping_fit() {
         let (problem, space, store, trace) = setup();
-        let report = full_train_top_k(&problem, Arc::clone(&space), Arc::clone(&store), &trace, 4, 20, f64::INFINITY);
+        let report =
+            full_train_top_k(&problem, Arc::clone(&space), Arc::clone(&store), &trace, 4, 20);
         assert_eq!(report.outcomes.len(), 4);
         let trainer = Trainer::new(problem.loss, problem.metric);
         let mut stopped = 0;
@@ -232,7 +219,7 @@ mod tests {
         let (problem, space, store, mut trace) = setup();
         trace.events.truncate(2);
         trace.events[0].score = f64::NAN;
-        let report = full_train_top_k(&problem, space, store, &trace, 2, 1, f64::INFINITY);
+        let report = full_train_top_k(&problem, space, store, &trace, 2, 1);
         let ids: Vec<u64> = report.outcomes.iter().map(|o| o.id).collect();
         assert_eq!(ids, vec![trace.events[1].id, trace.events[0].id]);
     }
@@ -240,7 +227,7 @@ mod tests {
     #[test]
     fn k_larger_than_trace_is_clamped() {
         let (problem, space, store, trace) = setup();
-        let report = full_train_top_k(&problem, space, store, &trace, 500, 2, f64::INFINITY);
+        let report = full_train_top_k(&problem, space, store, &trace, 500, 2);
         assert_eq!(report.outcomes.len(), trace.events.len());
     }
 }

@@ -45,7 +45,8 @@ impl NasTrace {
         v
     }
 
-    /// The `k` best events by score (ties broken by earlier completion).
+    /// The `k` best events by score, equal scores in id order (the
+    /// canonical order, so the pick never depends on the wall clock).
     /// NaN scores (a diverged loss can produce one) rank below every real
     /// score instead of panicking the sort.
     pub fn top_k(&self, k: usize) -> Vec<&TraceEvent> {
@@ -58,9 +59,7 @@ impl NasTrace {
             }
         };
         let mut v: Vec<&TraceEvent> = self.events.iter().collect();
-        v.sort_by(|a, b| {
-            nan_last(b.score).total_cmp(&nan_last(a.score)).then(a.t_end.total_cmp(&b.t_end))
-        });
+        v.sort_by(|a, b| nan_last(b.score).total_cmp(&nan_last(a.score)).then(a.id.cmp(&b.id)));
         v.truncate(k);
         v
     }
@@ -320,6 +319,11 @@ mod tests {
         let top: Vec<CandidateId> = t.top_k(2).iter().map(|e| e.id).collect();
         assert_eq!(top, vec![1, 2]);
         assert_eq!(t.top_k(100).len(), 3);
+        // Equal scores go to the lower id, whatever order they completed in.
+        let mut tied = trace();
+        tied.events = vec![event(5, 1.0, 1.0), event(2, 1.0, 3.0), event(7, 1.0, 2.0)];
+        let top: Vec<CandidateId> = tied.top_k(2).iter().map(|e| e.id).collect();
+        assert_eq!(top, vec![2, 5]);
     }
 
     #[test]

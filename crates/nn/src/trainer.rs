@@ -324,7 +324,11 @@ mod tests {
             ..Default::default()
         };
         let report = trainer.fit(&mut model, &train, &val, &cfg);
-        assert_eq!(report.stop, TrainStop::Plateau, "separable blobs must plateau within 40 epochs");
+        assert_eq!(
+            report.stop,
+            TrainStop::Plateau,
+            "separable blobs must plateau within 40 epochs"
+        );
         assert!(report.epochs_run < 40);
         assert!(report.final_metric > 0.9);
         // The loop stops where the rule, replayed over its curve, says.

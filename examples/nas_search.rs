@@ -50,8 +50,7 @@ fn main() {
         );
 
         // Phase two on the top-5.
-        let report =
-            full_train_top_k(&problem, Arc::clone(&space), store, &trace, 5, 20, f64::INFINITY);
+        let report = full_train_top_k(&problem, Arc::clone(&space), store, &trace, 5, 20);
         let metrics: Vec<f64> = report.metrics_early();
         results.push((scheme, report.mean_epochs(), Summary::of(&metrics)));
     }

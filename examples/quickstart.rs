@@ -53,8 +53,9 @@ fn main() {
         );
     }
 
-    // 5. Phase two: fully train the top-3 with the paper's early stopping.
-    let report = full_train_top_k(&problem, space, store, &trace, 3, 20, f64::INFINITY);
+    // 5. Phase two: fully train the top-3 for 20 epochs; the paper's early
+    // stop is read off each one's validation curve.
+    let report = full_train_top_k(&problem, space, store, &trace, 3, 20);
     println!("\nfull training of the top-3 (early stopping, patience 2):");
     for o in &report.outcomes {
         println!(

@@ -128,6 +128,20 @@ if [ -n "$fidelity" ]; then
   exit 1
 fi
 
+echo "==> one fit per top model (its early stop is read off its curve; no wall-clock cut)"
+# full_train_top_k trains each top-K model once and replays
+# EarlyStop::stop_epoch, the rule Trainer::fit runs, over its validation
+# curve; the top-K are a run's best scores, ties to the lower id, with no
+# wall-clock cut (EXPERIMENTS.md deviation 8). TrainReport says why training
+# ended in `stop` alone. table3's `early_stopped` CSV column is neither a
+# field access nor a declaration, so it does not match.
+refit=$(grep -rnE 'cutoff_secs|\.early_stopped\b|\bearly_stopped *:' crates tests examples || true)
+if [ -n "$refit" ]; then
+  echo "a deleted wall-clock cut or TrainReport.early_stopped is named again:" >&2
+  echo "$refit" >&2
+  exit 1
+fi
+
 echo "==> one worker snapshot (metrics ride one seq-numbered Telemetry; no second copy, no Stats frame)"
 # A worker's counters, histograms, spans and gauges reach the coordinator
 # as its own swt-obs RunReport, its timeline events as swt-obs's own

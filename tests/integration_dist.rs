@@ -90,6 +90,34 @@ fn killed_worker_is_detected_and_its_candidate_reassigned() {
     let _ = std::fs::remove_dir_all(&dist_store);
 }
 
+/// A window of 0, or one above `max_workers`, is `InvalidInput` naming the
+/// count, before any worker is spawned.
+#[test]
+fn launch_refuses_a_window_it_cannot_fill() {
+    for (workers, max_workers) in [(0, 64), (3, 2)] {
+        let mut dist = dist_config(temp_dir("bad_window"));
+        dist.max_workers = max_workers;
+        let err = DistBackend::launch(&nas_config(4, workers), &dist).err().expect("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(&format!("{workers} workers")), "{err}");
+        let _ = std::fs::remove_dir_all(&dist.store_dir);
+    }
+}
+
+/// A worker whose store cannot be opened says why before it exits, so the
+/// run's error names the store and not only the lost worker.
+#[test]
+fn a_store_that_cannot_open_is_named_in_the_run_error() {
+    let dir = temp_dir("store_is_a_file");
+    let file = dir.join("file");
+    std::fs::write(&file, b"").unwrap();
+    for store in [PathBuf::new(), file] {
+        let err = run_nas_dist(&nas_config(2, 1), &dist_config(store.clone())).expect_err("fails");
+        assert!(err.to_string().contains("cannot open checkpoint store"), "{store:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn reassigned_candidate_finds_its_provider_after_the_survivor_dropped_it() {
     // Evolution starts after four candidates, so nearly every candidate —

@@ -24,15 +24,7 @@ fn estimate_then_fully_train_top_k() {
     assert!(top.windows(2).all(|w| w[0].score >= w[1].score));
 
     // Phase two: full training of the top 3 for up to 5 epochs.
-    let report = full_train_top_k(
-        &problem,
-        Arc::clone(&space),
-        Arc::clone(&store),
-        &trace,
-        3,
-        5,
-        f64::INFINITY,
-    );
+    let report = full_train_top_k(&problem, Arc::clone(&space), Arc::clone(&store), &trace, 3, 5);
     assert_eq!(report.outcomes.len(), 3);
     for o in &report.outcomes {
         assert!(o.metric_early_stop.is_finite(), "c{}", o.id);
