@@ -6,12 +6,13 @@
 //! time, answering `Ping`s concurrently from a reader thread, until
 //! `Shutdown` or the socket dies.
 //!
-//! Failure model: the worker is deliberately fragile. An evaluation panic
-//! (e.g. the shared store becomes unwritable mid-save) kills the process;
-//! the coordinator sees the dead socket and reassigns the candidate —
-//! recovery lives in exactly one place, coordinator-side. Protocol
-//! violations are answered with an `Error` frame before exiting, so the
-//! coordinator logs a cause instead of a bare EOF.
+//! Failure model: the worker is deliberately fragile. A failed evaluation
+//! (the shared store refuses a save, the space refuses the candidate's
+//! architecture) ends it, and so does a protocol violation; each is
+//! answered with an `Error` frame before exiting, so the coordinator logs a
+//! cause instead of a bare EOF. A crash is a dead socket, and the
+//! coordinator reassigns the candidate: recovery lives in exactly one
+//! place, coordinator-side.
 
 use crate::frame::{self, recv, Message, WireError, PROTOCOL_VERSION};
 use crate::wire::{Msg, RunSpec, Telemetry};
@@ -156,9 +157,8 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
         }
     });
 
-    // Main loop: evaluate until the reader closes the channel. A panic in
-    // `evaluate` (store write failure, poisoned state) intentionally kills
-    // the process — the coordinator reassigns.
+    // Main loop: evaluate until the reader closes the channel, or until an
+    // evaluation fails, which ends the worker after saying why.
     let mut eval_err = None;
     loop {
         // Mirror the in-process pool's span names so a live view shows the
@@ -170,7 +170,14 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
                 Err(_) => break,
             }
         };
-        let outcome = evaluator.evaluate(&cand);
+        let outcome = match evaluator.evaluate(&cand) {
+            Ok(outcome) => outcome,
+            Err(err) => {
+                let _ = send(&writer, &Msg::Error { message: err.to_string() });
+                eval_err = Some(WireError::Io(err));
+                break;
+            }
+        };
         let sent = {
             let _send_span = swt_obs::span!("nas.result_send");
             send_snapshot(&writer, &telemetry, |telemetry| Msg::Result { outcome, telemetry })
@@ -248,14 +255,14 @@ mod tests {
     use swt_core::TransferScheme;
     use swt_data::{AppKind, DataScale};
     use swt_nas::EvalSpec;
+    use swt_space::ArchSeq;
     use swt_tensor::Rng;
 
-    /// A `RunSpec` carries everything an evaluator is built from: the
-    /// worker's build path and `Evaluator::new` over the same spec and store
-    /// give a parent and its child the same outcomes, bit for bit.
-    #[test]
-    fn the_worker_builds_the_evaluator_run_nas_builds() -> Result<(), Box<dyn std::error::Error>> {
-        let dir = std::env::temp_dir().join(format!("swt_worker_build_{}", std::process::id()));
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    /// A quick Uno LCS run over a `DirStore` in a fresh `dir`.
+    fn run_spec(name: &str) -> (RunSpec, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("swt_worker_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let run = RunSpec {
             app: AppKind::Uno,
@@ -271,17 +278,88 @@ mod tests {
             cache_bytes: 1 << 22,
             store: dir.to_string_lossy().into_owned(),
         };
+        (run, dir)
+    }
+
+    /// Plays the coordinator for one worker: the handshake with `run`, a
+    /// `Ping` (the worker answers once its evaluator is built), then
+    /// `before_task` and one `Task`. Returns the first frame after the
+    /// task that is not a snapshot, once the worker has exited.
+    fn answer_to(
+        run: RunSpec,
+        cand: Candidate,
+        before_task: impl FnOnce(),
+    ) -> Result<Msg, WireError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?.to_string();
+        let worker = std::thread::spawn(move || worker_main(&addr));
+        let (mut conn, _) = listener.accept()?;
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
+        let mut buf = Vec::new();
+        let mut next = |conn: &mut TcpStream| loop {
+            match recv(conn, &mut buf)? {
+                Msg::Telemetry { .. } => continue,
+                other => return Ok::<Msg, WireError>(other),
+            }
+        };
+        next(&mut conn)?; // Hello
+        frame::send(&mut conn, &Msg::HelloAck { version: PROTOCOL_VERSION, slot: 0, run })?;
+        frame::send(&mut conn, &Msg::Ping { nonce: 7 })?;
+        next(&mut conn)?; // Pong
+        before_task();
+        frame::send(&mut conn, &Msg::Task { cand })?;
+        let reply = next(&mut conn)?;
+        let ended = worker.join().map_err(|_| WireError::Protocol("worker panicked".into()))?;
+        assert!(ended.is_err(), "a worker that cannot evaluate exits with an error");
+        Ok(reply)
+    }
+
+    /// A save the store refuses reaches the coordinator as an `Error` frame
+    /// naming the candidate, not as a dead socket.
+    #[test]
+    fn a_failed_save_is_answered_with_an_error_frame() -> TestResult {
+        let (run, dir) = run_spec("save");
+        let space = SearchSpace::for_app(run.app);
+        let cand = Candidate::new(0, space.sample(&mut Rng::seed(5)), None);
+        // The store's directory goes after it was opened: the save fails.
+        let reply = answer_to(run, cand, || drop(std::fs::remove_dir_all(&dir)))?;
+        let Msg::Error { message } = reply else { return Err(format!("{reply:?}").into()) };
+        assert!(message.contains("candidate c0: checkpoint save of w_c0"), "{message}");
+        Ok(())
+    }
+
+    /// An architecture the space refuses (a choice out of range) is
+    /// answered with an `Error` frame, not EOF.
+    #[test]
+    fn an_out_of_range_choice_is_answered_with_an_error_frame() -> TestResult {
+        let (run, dir) = run_spec("choice");
+        let arch = ArchSeq::new(vec![200; SearchSpace::for_app(run.app).num_nodes()]);
+        let reply = answer_to(run, Candidate::new(3, arch, None), || {})?;
+        let Msg::Error { message } = reply else { return Err(format!("{reply:?}").into()) };
+        assert!(message.contains("candidate c3") && message.contains("out of range"), "{message}");
+        std::fs::remove_dir_all(&dir)?;
+        Ok(())
+    }
+
+    /// A `RunSpec` carries everything an evaluator is built from: the
+    /// worker's build path and `Evaluator::new` over the same spec and store
+    /// give a parent and its child the same outcomes, bit for bit.
+    #[test]
+    fn the_worker_builds_the_evaluator_run_nas_builds() -> TestResult {
+        let (run, dir) = run_spec("build");
         let space = Arc::new(SearchSpace::for_app(run.app));
         let mut rng = Rng::seed(5);
         let parent = Candidate::new(0, space.sample(&mut rng), None);
         let child = Candidate::new(1, space.mutate(&parent.arch, &mut rng), Some(0));
-        let pair = |mut evaluator: Evaluator| [&parent, &child].map(|c| evaluator.evaluate(c));
+        let pair = |mut evaluator: Evaluator| -> io::Result<Vec<_>> {
+            [&parent, &child].iter().map(|c| evaluator.evaluate(c)).collect()
+        };
 
-        let worker = pair(build_evaluator(&run)?);
+        let worker = pair(build_evaluator(&run)?)?;
         let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
         let store =
             provider_store(Arc::new(DirStore::new(&dir)?), run.cache_bytes, run.eval.scheme);
-        let direct = pair(Evaluator::new(problem, space, store, &run.eval));
+        let direct = pair(Evaluator::new(problem, space, store, &run.eval))?;
 
         assert!(worker[1].transfer.tensors > 0, "the child reads its parent back");
         for (w, d) in worker.iter().zip(&direct) {

@@ -2,13 +2,13 @@
 //! one reports as a predicate over its shown table.
 //!
 //! Each figure's shown table is deterministic except where its title says
-//! "wall-dependent": Fig. 11's training seconds and Fig. 10's simulated
+//! "wall-dependent": Fig. 11's training seconds and Fig. 10's replayed
 //! costs come from measured wall times.
 
 use crate::{check, fulltrain, pct, Check, ExpCtx, Figure, Table};
 use std::sync::Arc;
 use swt_checkpoint::{CheckpointStore, MemStore};
-use swt_cluster::{simulate, ClusterConfig, TaskCost};
+use swt_cluster::{simulate, task_costs, ClusterConfig};
 use swt_core::TransferScheme;
 use swt_data::{AppKind, DataScale};
 use swt_nas::{
@@ -570,71 +570,70 @@ fn fig9_shape(t: &Table) -> Vec<Check> {
     checks
 }
 
-/// Fig. 10: the candidate-estimation phase on 8/16/32 simulated GPUs
-/// (`ClusterConfig::node_type_a`), over this repository's measured
-/// per-candidate costs rescaled to paper-magnitude means (`calibrate`). For
-/// NT3 the paper reports ~4 s checkpoint loads (Ray object-store churn)
-/// against ~6 s trainings; that rehydration cost is modelled explicitly.
+/// Fig. 10: each app's seed-1 searches replayed on 8/16/32 workers from
+/// their own traces: the measured per-candidate costs, the runner's
+/// proposal rule and the serial section measured from the same run
+/// (`swt_cluster`; its bar is in EXPERIMENTS.md's decision records).
 pub fn fig10(ctx: &ExpCtx) -> Figure {
-    use crate::calibrate::{paper_checkpoint_bytes, paper_train_secs, scale_factor};
-    // Rehydration rate for short-lived evaluators, calibrated so a
-    // paper-sized NT3 checkpoint (~40 MB) costs ~4 s (Section VIII-E).
-    const NT3_REHYDRATE_BYTES_PER_SEC: f64 = 10.0e6;
     let mut t = Table::new("fig10", "app,scheme,gpus,makespan_secs,utilization,io_secs");
+    // Evolution's warm-up, which reads no score (`run_or_load`'s config).
+    let population = ctx.population.min(ctx.candidates);
     for &app in &ctx.apps {
         for scheme in TransferScheme::all() {
             let (trace, _) = ctx.run_or_load(app, scheme, StrategyKind::Evolution, ctx.seeds[0]);
-            let mean_of = |f: fn(&swt_nas::TraceEvent) -> f64| {
-                mean(&trace.events.iter().map(f).collect::<Vec<_>>())
-            };
-            let train_scale = scale_factor(mean_of(|e| e.train_secs), paper_train_secs(app));
-            let bytes =
-                scale_factor(mean_of(|e| e.checkpoint_bytes as f64), paper_checkpoint_bytes(app));
-            // The paper estimates 400 candidates per run; bootstrap-resample
-            // the measured distribution up to that count so scaling is not
-            // distorted by wave quantisation at 32 GPUs.
-            let mut rng = swt_tensor::Rng::seed(0x00F1_6010);
-            let tasks: Vec<TaskCost> = (0..400)
-                .map(|_| {
-                    let e = &trace.events[rng.below(trace.events.len())];
-                    let ckpt_bytes = (e.checkpoint_bytes as f64 * bytes) as u64;
-                    let read_bytes = if e.transfer_tensors > 0 { ckpt_bytes } else { 0 };
-                    // Matching/copy cost: the paper measures "at most 150 ms";
-                    // keep the measured value, floored to that order.
-                    let mut transfer_secs =
-                        e.transfer_secs.max(if read_bytes > 0 { 0.05 } else { 0.0 });
-                    if app == AppKind::Nt3 && read_bytes > 0 {
-                        transfer_secs += read_bytes as f64 / NT3_REHYDRATE_BYTES_PER_SEC;
-                    }
-                    TaskCost {
-                        train_secs: e.train_secs * train_scale,
-                        read_bytes,
-                        transfer_secs,
-                        write_bytes: ckpt_bytes,
-                    }
-                })
-                .collect();
-            for nodes in [1usize, 2, 4] {
-                let report = simulate(&ClusterConfig::node_type_a(nodes), &tasks);
+            let tasks = task_costs(&trace);
+            for gpus in FIG10_GPUS {
+                let report = simulate(&ClusterConfig::measured(&trace, population, gpus), &tasks);
                 t.push(vec![
                     app.name().to_string(),
                     scheme.name().to_string(),
-                    (nodes * 8).to_string(),
-                    format!("{:.3}", report.makespan),
+                    gpus.to_string(),
+                    format!("{:.4}", report.makespan),
                     format!("{:.3}", report.utilization),
-                    format!("{:.3}", report.io_secs),
+                    format!("{:.4}", report.io_secs),
                 ]);
             }
         }
     }
     Figure {
-        title: "Fig. 10 — simulated estimation time on 8/16/32 GPUs (uncalibrated: the \
-                simulator is not yet checked against a measured run, so no verdict)",
+        title: "Fig. 10 — each seed-1 search replayed on 8/16/32 workers from its own trace \
+                (wall-dependent: measured costs)",
         paper: "near-linear scaling with a constant overhead on CIFAR-10, MNIST, Uno; \
                 NT3 sublinear from 16 to 32 GPUs (≈ 4 s checkpoint loads vs ≈ 6 s trainings)",
         tables: vec![t],
-        shape: |_| Vec::new(),
+        shape: fig10_shape,
     }
+}
+
+const FIG10_GPUS: [usize; 3] = [8, 16, 32];
+
+/// Near-linear is at least 1.6× per doubling of the pool, for every scheme.
+fn fig10_shape(t: &Table) -> Vec<Check> {
+    let speedups = |app: &str, scheme: &str| {
+        let secs = FIG10_GPUS.map(|g| t.get(&[app, scheme, &g.to_string()], "makespan_secs"));
+        [secs[0] / secs[1], secs[1] / secs[2]]
+    };
+    let mut checks = Vec::new();
+    let mut late = Vec::new();
+    for app in t.apps() {
+        let schemes = TransferScheme::all().map(|s| (s.name(), speedups(app, s.name())));
+        late.push((app, speedups(app, "LCS")[1]));
+        if app == "NT3" {
+            continue;
+        }
+        let worst = schemes.iter().flat_map(|(_, s)| *s).fold(f64::INFINITY, f64::min);
+        let detail: Vec<String> =
+            schemes.iter().map(|(name, [a, b])| format!("{name} {a:.2}×, {b:.2}×")).collect();
+        let claim = format!("{app}: near-linear, ≥ 1.6× per doubling under every scheme");
+        checks.push(check(claim, worst >= 1.6, detail.join("; ")));
+    }
+    if let Some(&(_, nt3)) = late.iter().find(|(app, _)| *app == "NT3") {
+        late.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let detail: Vec<String> = late.iter().map(|(a, s)| format!("{a} {s:.2}×")).collect();
+        let claim = "NT3 has the smallest LCS speedup from 16 to 32";
+        checks.push(check(claim, late[0].1 == nt3, detail.join(" < ")));
+    }
+    checks
 }
 
 /// Fig. 11: average checkpoint sizes, and their size-to-training-time ratio.
@@ -648,7 +647,7 @@ pub fn fig11(ctx: &ExpCtx) -> Figure {
             format!("{b:.0} B")
         }
     };
-    let mut t = Table::new("fig11", "app,mean,max,min,mean_train_secs,kb_per_train_sec,calibrated");
+    let mut t = Table::new("fig11", "app,mean,max,min,mean_train_secs,kb_per_train_sec");
     for &app in &ctx.apps {
         let (trace, _) =
             ctx.run_or_load(app, TransferScheme::Lcs, StrategyKind::Evolution, ctx.seeds[0]);
@@ -662,7 +661,6 @@ pub fn fig11(ctx: &ExpCtx) -> Figure {
             human_bytes(s.min),
             format!("{train:.2}s"),
             format!("{:.1}", s.mean / 1e3 / train.max(1e-9)),
-            human_bytes(crate::calibrate::paper_checkpoint_bytes(app)),
         ]);
     }
     Figure {

@@ -20,7 +20,6 @@
 //! checkpoints in `<out>/ckpts/<run>/`, so `fig8`, `fig9`, `table3` and
 //! `table4` reuse the runs produced by `fig7` instead of recomputing them.
 
-pub mod calibrate;
 pub mod figures;
 pub mod fulltrain;
 

@@ -71,7 +71,8 @@ pub trait EvalBackend {
 /// shared queue, exactly DeepHyper's thread-pool evaluator shape.
 pub struct ThreadPoolBackend {
     task_tx: Option<mpsc::Sender<Candidate>>,
-    result_rx: mpsc::Receiver<BackendResult>,
+    /// A thread whose evaluation fails sends the error and exits.
+    result_rx: mpsc::Receiver<io::Result<BackendResult>>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
 }
@@ -109,7 +110,7 @@ impl ThreadPoolBackend {
         // single-consumer, so it is wrapped in a mutex (lock contention is
         // negligible: tasks take seconds, the lock nanoseconds).
         let task_rx = Arc::new(Mutex::new(task_rx));
-        let (result_tx, result_rx) = mpsc::channel::<BackendResult>();
+        let (result_tx, result_rx) = mpsc::channel::<io::Result<BackendResult>>();
 
         let mut handles = Vec::with_capacity(cfg.workers);
         for worker in 0..cfg.workers {
@@ -133,7 +134,13 @@ impl ThreadPoolBackend {
                     };
                     let Ok(cand) = received else { break };
                     let t_start = start.elapsed().as_secs_f64();
-                    let outcome = evaluator.evaluate(&cand);
+                    let outcome = match evaluator.evaluate(&cand) {
+                        Ok(outcome) => outcome,
+                        Err(e) => {
+                            let _ = result_tx.send(Err(e));
+                            return;
+                        }
+                    };
                     let t_end = start.elapsed().as_secs_f64();
                     // The send itself is cheap, but it wakes the scheduler
                     // and the OS often deschedules this thread right at the
@@ -141,7 +148,7 @@ impl ThreadPoolBackend {
                     // otherwise fail to attribute.
                     let sent = {
                         let _send_span = swt_obs::span!("nas.result_send");
-                        result_tx.send(BackendResult { cand, t_start, t_end, outcome })
+                        result_tx.send(Ok(BackendResult { cand, t_start, t_end, outcome }))
                     };
                     if sent.is_err() {
                         return;
@@ -165,8 +172,11 @@ impl EvalBackend for ThreadPoolBackend {
     }
 
     fn next_result(&mut self) -> io::Result<BackendResult> {
-        self.result_rx.recv().map_err(|_| {
-            io::Error::new(io::ErrorKind::BrokenPipe, "evaluator threads exited with work pending")
+        self.result_rx.recv().unwrap_or_else(|_| {
+            Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "evaluator threads exited with work pending",
+            ))
         })
     }
 }

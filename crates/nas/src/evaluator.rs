@@ -7,6 +7,7 @@
 //! with the weights of the parent's model."
 
 use crate::candidate::{Candidate, CandidateId};
+use std::io;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,12 +103,10 @@ impl Evaluator {
         format!("{}c{id}", self.spec.namespace)
     }
 
-    /// Train, score and checkpoint one candidate.
-    ///
-    /// # Panics
-    /// Panics if the candidate's architecture fails to materialise (the
-    /// strategy only emits valid candidates).
-    pub fn evaluate(&mut self, cand: &Candidate) -> EvalOutcome {
+    /// Train, score and checkpoint one candidate. An architecture the
+    /// space refuses is `InvalidInput`, and a failed checkpoint save keeps
+    /// the store's error kind; either message names the candidate.
+    pub fn evaluate(&mut self, cand: &Candidate) -> io::Result<EvalOutcome> {
         let _eval_span = swt_obs::span!("nas.eval");
 
         // The lineage has moved past these ids: no candidate dispatched from
@@ -118,7 +117,10 @@ impl Evaluator {
         }
         self.live_from = self.live_from.max(cand.live_from);
 
-        let spec = self.space.materialize(&cand.arch).expect("strategy emitted invalid candidate");
+        let spec = self.space.materialize(&cand.arch).map_err(|e| {
+            let what = format!("candidate c{} ({}): {e}", cand.id, cand.arch);
+            io::Error::new(io::ErrorKind::InvalidInput, what)
+        })?;
         let seed = candidate_seed(self.spec.run_seed, cand.id);
         let mut model = Model::build(&spec, seed).expect("spec validated at materialise time");
         model.set_workspace(std::mem::take(&mut self.ws));
@@ -177,9 +179,13 @@ impl Evaluator {
         let t0 = Instant::now();
         let checkpoint_bytes = {
             let _save_span = swt_obs::span!("save");
-            self.store
-                .save(&self.ckpt_id(cand.id), &model.state_dict())
-                .expect("checkpoint save failed")
+            let id = self.ckpt_id(cand.id);
+            self.store.save(&id, &model.state_dict()).map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!("candidate c{}: checkpoint save of {id}: {e}", cand.id),
+                )
+            })?
         };
         let save_secs = t0.elapsed().as_secs_f64();
         self.ws = model.take_workspace();
@@ -190,7 +196,7 @@ impl Evaluator {
         swt_obs::counter!("nas.checkpoint.bytes").add(checkpoint_bytes);
         swt_obs::histogram!("nas.checkpoint.size_bytes").observe(checkpoint_bytes);
 
-        EvalOutcome {
+        Ok(EvalOutcome {
             id: cand.id,
             score: report.final_metric,
             train_secs,
@@ -199,7 +205,7 @@ impl Evaluator {
             checkpoint_bytes,
             transfer,
             epochs: u32::try_from(report.epochs_run).expect("epoch count fits u32"),
-        }
+        })
     }
 }
 
@@ -232,7 +238,7 @@ mod tests {
         let (mut eval, space, store) = setup(TransferScheme::Baseline);
         let mut rng = Rng::seed(1);
         let cand = Candidate::new(0, space.sample(&mut rng), None);
-        let out = eval.evaluate(&cand);
+        let out = eval.evaluate(&cand).unwrap();
         assert_eq!(out.id, 0);
         assert!(out.score.is_finite());
         assert_eq!(out.epochs, 1);
@@ -247,10 +253,10 @@ mod tests {
         let mut rng = Rng::seed(2);
         let parent_arch = space.sample(&mut rng);
         let parent = Candidate::new(0, parent_arch.clone(), None);
-        let _ = eval.evaluate(&parent);
+        eval.evaluate(&parent).unwrap();
         let child_arch = space.mutate(&parent_arch, &mut rng);
         let child = Candidate::new(1, child_arch, Some(0));
-        let out = eval.evaluate(&child);
+        let out = eval.evaluate(&child).unwrap();
         assert!(
             out.transfer.tensors > 0,
             "a d=1 Uno child must share tensors with its parent: {:?}",
@@ -266,7 +272,7 @@ mod tests {
         let mut rng = Rng::seed(3);
         let arch = space.sample(&mut rng);
         let cand = Candidate::new(9, arch, Some(777)); // no such checkpoint
-        let out = eval.evaluate(&cand);
+        let out = eval.evaluate(&cand).unwrap();
         assert_eq!(out.transfer.tensors, 0);
         assert!(out.score.is_finite());
     }
@@ -276,8 +282,8 @@ mod tests {
         let (mut eval, space, _) = setup(TransferScheme::Baseline);
         let mut rng = Rng::seed(4);
         let arch = space.sample(&mut rng);
-        let a = eval.evaluate(&Candidate::new(5, arch.clone(), None));
-        let b = eval.evaluate(&Candidate::new(5, arch, None));
+        let a = eval.evaluate(&Candidate::new(5, arch.clone(), None)).unwrap();
+        let b = eval.evaluate(&Candidate::new(5, arch, None)).unwrap();
         assert_eq!(a.score, b.score, "single-threaded evaluation must be deterministic");
     }
 
@@ -301,10 +307,10 @@ mod tests {
         let mut carried = evaluator();
         let mut largest = 0;
         for cand in &cands {
-            carried.evaluate(cand);
+            carried.evaluate(cand).unwrap();
             // What this candidate needs on its own, from an empty arena.
             let mut alone = evaluator();
-            alone.evaluate(&Candidate::new(cand.id, cand.arch.clone(), None));
+            alone.evaluate(&Candidate::new(cand.id, cand.arch.clone(), None)).unwrap();
             largest = largest.max(alone.ws.pooled());
         }
         assert!(
@@ -315,9 +321,9 @@ mod tests {
 
         // Going over the same ground again asks the allocator for nothing.
         let again = &cands[23];
-        carried.evaluate(again);
+        carried.evaluate(again).unwrap();
         let warm = (carried.ws.pooled(), carried.ws.alloc_misses());
-        carried.evaluate(again);
+        carried.evaluate(again).unwrap();
         assert_eq!((carried.ws.pooled(), carried.ws.alloc_misses()), warm);
     }
 }

@@ -131,6 +131,10 @@ impl NasConfig {
 /// `workers` evaluator threads stay busy while the strategy loop streams
 /// candidates through the deterministic dispatch window, exactly like
 /// DeepHyper's Ray evaluators against a local pool.
+///
+/// # Panics
+/// If an evaluation fails (a checkpoint save); [`run_nas_with_backend`]
+/// over a [`ThreadPoolBackend`] returns that error instead.
 pub fn run_nas(
     problem: Arc<AppProblem>,
     space: Arc<SearchSpace>,
@@ -142,9 +146,7 @@ pub fn run_nas(
     let store = provider_store(store, cfg.cache_bytes, cfg.scheme);
     let app = problem.kind.name().to_string();
     let mut backend = ThreadPoolBackend::new(problem, Arc::clone(&space), store, cfg);
-    // The in-process backend's channels cannot fail while the runner holds
-    // both endpoints' peers; an error here means an evaluator panicked.
-    run_nas_with_backend(&app, space, cfg, &mut backend).expect("in-process evaluation failed")
+    run_nas_with_backend(&app, space, cfg, &mut backend).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The store evaluators read providers from: `store` fronted by a
@@ -435,5 +437,51 @@ mod tests {
             assert_eq!(x.score, y.score, "candidate {} diverged", x.id);
             assert_eq!(x.transfer_tensors, y.transfer_tensors);
         }
+    }
+
+    /// A store that refuses every write and serves the reads of a
+    /// `MemStore` (which has nothing to serve).
+    struct FullDisk(MemStore);
+
+    impl CheckpointStore for FullDisk {
+        fn save(&self, _: &str, _: &[(String, swt_tensor::Tensor)]) -> io::Result<u64> {
+            Err(io::Error::other("no space left on device"))
+        }
+        fn load(&self, id: &str) -> io::Result<Vec<(String, swt_tensor::Tensor)>> {
+            self.0.load(id)
+        }
+        fn exists(&self, id: &str) -> bool {
+            self.0.exists(id)
+        }
+        fn size_bytes(&self, id: &str) -> Option<u64> {
+            self.0.size_bytes(id)
+        }
+        fn list(&self) -> Vec<String> {
+            self.0.list()
+        }
+        fn delete(&self, id: &str) -> bool {
+            self.0.delete(id)
+        }
+    }
+
+    /// A failed save ends the run with an error that names it, on the
+    /// runner's thread and in bounded time, while the other evaluator is
+    /// still working.
+    #[test]
+    fn a_failed_save_ends_the_run_with_its_error() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
+            let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
+            let store: Arc<dyn CheckpointStore> = Arc::new(FullDisk(MemStore::new()));
+            let cfg = NasConfig::quick(TransferScheme::Lcs, 24, 2, 3);
+            let mut backend = ThreadPoolBackend::new(problem, Arc::clone(&space), store, &cfg);
+            let res = run_nas_with_backend("Uno", space, &cfg, &mut backend).map(|_| ());
+            drop(backend);
+            let _ = tx.send(res);
+        });
+        let res = rx.recv_timeout(std::time::Duration::from_secs(120)).expect("the run ends");
+        let msg = res.expect_err("no candidate can be saved").to_string();
+        assert!(msg.contains("checkpoint save of c") && msg.contains("no space left"), "{msg}");
     }
 }

@@ -135,6 +135,11 @@ pub enum SpecError {
     BadOutput,
     /// The spec has no nodes.
     Empty,
+    /// An architecture sequence's length differs from its space's number
+    /// of variable nodes.
+    Length { expected: usize, got: usize },
+    /// An architecture sequence picks a choice its variable node lacks.
+    Choice { node: usize, choice: u16, arity: usize },
 }
 
 impl fmt::Display for SpecError {
@@ -149,6 +154,12 @@ impl fmt::Display for SpecError {
             SpecError::Shape { node, message } => write!(f, "node {node}: {message}"),
             SpecError::BadOutput => write!(f, "output index out of range"),
             SpecError::Empty => write!(f, "empty model spec"),
+            SpecError::Length { expected, got } => {
+                write!(f, "{got} choices for a space of {expected} variable nodes")
+            }
+            SpecError::Choice { node, choice, arity } => {
+                write!(f, "variable node {node}: choice {choice} out of range 0..{arity}")
+            }
         }
     }
 }

@@ -86,31 +86,27 @@ impl SearchSpace {
         self.nodes.iter().map(|n| n.arity() as f64).product()
     }
 
-    /// The operations selected by an architecture sequence.
-    ///
-    /// # Panics
-    /// Panics if the sequence length or any index is out of range.
-    pub fn ops(&self, seq: &ArchSeq) -> Vec<&LayerSpec> {
-        assert_eq!(seq.len(), self.nodes.len(), "sequence/space length mismatch");
-        self.nodes
-            .iter()
-            .zip(seq.choices())
-            .map(|(node, &c)| {
-                assert!(
-                    (c as usize) < node.arity(),
-                    "choice {c} out of range for node {}",
-                    node.name
-                );
-                &node.choices[c as usize]
+    /// The operations selected by an architecture sequence; a sequence of
+    /// the wrong length, or a choice out of its node's range, is an error
+    /// (a sequence can arrive from a socket).
+    pub fn ops(&self, seq: &ArchSeq) -> Result<Vec<&LayerSpec>, SpecError> {
+        if seq.len() != self.nodes.len() {
+            return Err(SpecError::Length { expected: self.nodes.len(), got: seq.len() });
+        }
+        let picks = self.nodes.iter().zip(seq.choices()).enumerate();
+        picks
+            .map(|(node, (n, &choice))| {
+                let arity = n.arity();
+                n.choices.get(choice as usize).ok_or(SpecError::Choice { node, choice, arity })
             })
             .collect()
     }
 
     /// Materialise a sequence into a model spec (the fixed skeleton with the
     /// chosen operations spliced in). Fails for structurally invalid
-    /// candidates.
+    /// candidates and for sequences [`SearchSpace::ops`] refuses.
     pub fn materialize(&self, seq: &ArchSeq) -> Result<ModelSpec, SpecError> {
-        crate::apps::assemble(self.kind, &self.ops(seq))
+        crate::apps::assemble(self.kind, &self.ops(seq)?)
     }
 
     /// True iff the sequence materialises into a valid model.
@@ -225,7 +221,7 @@ mod tests {
     fn ops_selects_choices() {
         let space = SearchSpace::for_app(AppKind::Uno);
         let seq = ArchSeq::new(vec![0; space.num_nodes()]);
-        let ops = space.ops(&seq);
+        let ops = space.ops(&seq).unwrap();
         assert_eq!(ops.len(), space.num_nodes());
         for (node, op) in space.nodes().iter().zip(&ops) {
             assert_eq!(&&node.choices[0], op);
@@ -233,11 +229,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn ops_rejects_bad_choice_index() {
         let space = SearchSpace::for_app(AppKind::Uno);
         let mut v = vec![0u16; space.num_nodes()];
-        v[0] = 200;
-        space.ops(&ArchSeq::new(v));
+        v[1] = 200;
+        let arity = space.nodes()[1].arity();
+        let err = SpecError::Choice { node: 1, choice: 200, arity };
+        assert_eq!(space.materialize(&ArchSeq::new(v.clone())), Err(err));
+        v.pop();
+        let err = SpecError::Length { expected: space.num_nodes(), got: v.len() };
+        assert_eq!(space.materialize(&ArchSeq::new(v)), Err(err));
     }
 }

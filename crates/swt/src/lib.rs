@@ -26,7 +26,8 @@
 //! (search spaces), [`swt_nn`] / [`swt_tensor`] (training substrate),
 //! [`swt_data`] (synthetic applications), [`swt_checkpoint`],
 //! [`swt_ckpt_server`] (networked checkpoint store),
-//! [`swt_cluster`] (scalability simulator), [`swt_stats`] and
+//! [`swt_cluster`] (a traced run replayed on more workers, for Fig. 10),
+//! [`swt_stats`] and
 //! [`swt_obs`] (spans, metrics, logging, run reports).
 
 pub use swt_checkpoint as checkpoint;
