@@ -29,7 +29,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 use swt_checkpoint::{parse_container, CachedStore, CheckpointStore, DirStore};
-use swt_obs::serve::{ObsServer, RegistrySource, ServeSource};
+use swt_obs::serve::{prometheus_text, ObsServer, ServeSource};
+use swt_obs::RunReport;
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
 /// How the server is run. `bind` takes `"host:port"` (port 0 for
@@ -88,7 +89,7 @@ impl Shared {
 }
 
 /// Live-endpoint source: bucket inventory on `/status`, the process
-/// registry (all `ckptsrv.*` counters) on `/metrics` and `/trace`.
+/// registry (all `ckptsrv.*` counters) on `/metrics`.
 struct StoreStatus(Arc<Shared>);
 
 impl ServeSource for StoreStatus {
@@ -119,11 +120,7 @@ impl ServeSource for StoreStatus {
     }
 
     fn metrics_text(&self) -> String {
-        RegistrySource.metrics_text()
-    }
-
-    fn trace_json(&self) -> String {
-        RegistrySource.trace_json()
+        prometheus_text(&RunReport::capture())
     }
 }
 

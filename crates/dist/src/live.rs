@@ -7,16 +7,20 @@
 //! folds each into a [`LiveRunView`], next to the dispatch picture — queue
 //! depth, candidates in flight, and an EWMA of per-candidate wall cost. The
 //! view implements [`ServeSource`], so `swt dist-run --serve` can expose it
-//! as `/status` (JSON), `/metrics` (Prometheus text) and `/trace` (Chrome
-//! trace JSON) while the run is still going.
+//! as `/status` (JSON) and `/metrics` (Prometheus text) while the run is
+//! still going; [`LiveRunView::trace_json`] renders the run's Chrome trace
+//! once it has ended (`swt dist-run --chrome-trace`).
 //!
 //! Consistency model: the view keeps one copy of each worker's snapshot,
 //! and one rule decides it for every row kind. A snapshot applies only when
 //! its per-worker `seq` is strictly greater than the last applied one — a
 //! reordered or replayed frame counts as stale and changes nothing — so
 //! lost or late telemetry degrades the view to staleness, never
-//! corruption. `DistBackend::finish` reads the run's worker totals from
-//! here ([`LiveRunView::workers_report`]); nothing here feeds back into
+//! corruption. Whether a worker is alive is the coordinator's call alone
+//! ([`LiveRunView::worker_added`], [`LiveRunView::worker_lost`]): a
+//! snapshot queued before a loss still applies, and does not revive it.
+//! `DistBackend::finish` reads the run's worker totals from here
+//! ([`LiveRunView::workers_report`]); nothing here feeds back into
 //! scheduling.
 
 use crate::wire::Telemetry;
@@ -26,13 +30,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 use swt_obs::json::Json;
 use swt_obs::registry::WORKER_SLOTS;
-use swt_obs::report::SpanRow;
 use swt_obs::timeline::{self, TimelineEvent};
 use swt_obs::{RunReport, ServeSource};
 
-/// Upper bound on buffered worker timeline events kept for `/trace`. The
-/// oldest are discarded first (and counted), same contract as the source
-/// rings.
+/// Upper bound on buffered worker timeline events kept for the run-end
+/// Chrome trace. The oldest are discarded first (and counted), same
+/// contract as the source rings.
 pub const MAX_VIEW_EVENTS: usize = 16_384;
 
 /// Smoothing factor for the per-candidate wall-cost EWMA.
@@ -58,11 +61,8 @@ pub struct WorkerView {
     pub results: u64,
     /// Worker-process uptime at its last snapshot, nanoseconds.
     pub uptime_ns: u64,
-    /// The latest snapshot's report, cumulative since worker start…
+    /// The latest snapshot's report, cumulative since worker start.
     pub report: RunReport,
-    /// …and the previous snapshot's span rows, so deltas survive the
-    /// overwrite.
-    pub prev_spans: Vec<SpanRow>,
 }
 
 /// The provider-cache counter suffixes a worker reports under `ckpt.cache.*`:
@@ -82,14 +82,6 @@ impl WorkerView {
             .collect();
         fields.push(("resident_peak_bytes".into(), Json::Num(peak.map_or(0, |g| g.max) as f64)));
         Json::Obj(fields)
-    }
-
-    /// Seconds under `path`, over every slot, gained between the last two
-    /// snapshots.
-    fn span_delta_secs(&self, path: &str) -> f64 {
-        let prev: f64 =
-            self.prev_spans.iter().filter(|s| s.path == path).map(|s| s.total_secs).sum();
-        (self.report.span_total_secs(path) - prev).max(0.0)
     }
 }
 
@@ -219,10 +211,9 @@ impl LiveRunView {
             }
             w.last_seq = t.seq;
             w.frames += 1;
-            w.alive = true;
             w.uptime_ns = t.uptime_ns;
             w.dropped_events = w.dropped_events.saturating_add(t.dropped_events);
-            w.prev_spans = std::mem::replace(&mut w.report, t.report).spans;
+            w.report = t.report;
         }
         let pid = worker as u32 + 1;
         for mut ev in t.events {
@@ -279,6 +270,22 @@ impl LiveRunView {
         }
         merged
     }
+
+    /// The run's Chrome `trace_event` JSON: the buffered worker events
+    /// (pid = worker + 1) merged with this process's own timeline (pid 0,
+    /// tid = slot), ordered by time. `swt dist-run --chrome-trace` writes
+    /// it once the run has ended.
+    pub fn trace_json(&self) -> String {
+        let mut rows: Vec<(u32, u32, TimelineEvent)> = Vec::new();
+        for slot in 0..=WORKER_SLOTS {
+            for ev in timeline::drain_since(slot, 0).events {
+                rows.push((0, slot as u32, ev));
+            }
+        }
+        rows.extend(self.lock().events.iter().map(|(pid, ev)| (*pid, 0u32, ev.clone())));
+        rows.sort_by_key(|(_, _, ev)| ev.t_ns);
+        timeline::chrome_trace_json(&rows)
+    }
 }
 
 impl ServeSource for LiveRunView {
@@ -302,7 +309,6 @@ impl ServeSource for LiveRunView {
                             ("path".to_string(), Json::Str(path.to_string())),
                             ("count".to_string(), Json::Num(count as f64)),
                             ("total_secs".to_string(), Json::Num(w.report.span_total_secs(path))),
-                            ("delta_secs".to_string(), Json::Num(w.span_delta_secs(path))),
                         ])
                     })
                     .collect();
@@ -372,29 +378,12 @@ impl ServeSource for LiveRunView {
         text.push_str(&format!("swt_live_ewma_candidate_seconds {}\n", inner.ewma_secs));
         text
     }
-
-    fn trace_json(&self) -> String {
-        // Worker events (pid = worker + 1) merged with this process's own
-        // timeline (pid 0, tid = slot), ordered by time.
-        let mut rows: Vec<(u32, u32, TimelineEvent)> = Vec::new();
-        for slot in 0..=WORKER_SLOTS {
-            for ev in timeline::drain_since(slot, 0).events {
-                rows.push((0, slot as u32, ev));
-            }
-        }
-        {
-            let inner = self.lock();
-            rows.extend(inner.events.iter().map(|(pid, ev)| (*pid, 0u32, ev.clone())));
-        }
-        rows.sort_by_key(|(_, _, ev)| ev.t_ns);
-        timeline::chrome_trace_json(&rows)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swt_obs::report::{CounterRow, GaugeRow};
+    use swt_obs::report::{CounterRow, GaugeRow, SpanRow};
     use swt_obs::timeline::EventKind;
 
     fn event(seq: u64) -> TimelineEvent {
@@ -449,7 +438,6 @@ mod tests {
         assert_eq!(w.stale_frames, 2);
         assert_eq!(w.report, frame(3).report, "the view keeps the report as it arrived");
         assert_eq!(w.report.span_total_secs("nas.eval"), 2.25);
-        assert_eq!(w.span_delta_secs("nas.eval"), 1.5, "delta spans snapshots 1 → 3");
         // `/status` keeps one span row per path, summed over slots.
         let status = Json::parse(&live.status_json())?;
         let workers = status.get("workers").and_then(Json::as_array).ok_or("workers")?;
@@ -480,6 +468,24 @@ mod tests {
         let w = &live.workers()[0];
         assert_eq!((w.last_seq, w.stale_frames), (2, 1));
         assert_eq!(w.report.span_total_secs("nas.eval"), 1.5, "spans stay at snapshot 2");
+    }
+
+    #[test]
+    fn a_snapshot_applied_after_a_loss_does_not_revive_the_worker() -> Result<(), String> {
+        let live = LiveRunView::new();
+        live.worker_added(0, 100);
+        live.worker_added(1, 101);
+        // A `Result` the reader thread queued before the heartbeat timeout
+        // closed the slot is applied after it.
+        live.worker_lost(1);
+        assert!(live.apply_telemetry(1, frame(1)), "a fresh seq still applies");
+        let w = &live.workers()[1];
+        assert!(!w.alive, "a snapshot must not revive a lost worker");
+        assert_eq!(w.report, frame(1).report, "its counters are real work and are kept");
+        let status = Json::parse(&live.status_json())?;
+        assert_eq!(status.get("workers_live").and_then(Json::as_f64), Some(1.0));
+        assert!(live.metrics_text().contains("swt_live_workers 1\n"));
+        Ok(())
     }
 
     #[test]

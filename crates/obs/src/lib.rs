@@ -22,10 +22,12 @@
 //! * **Event timeline** — [`timeline`] keeps individual span completions
 //!   and [`event!`] counter-delta marks in bounded per-worker-slot rings,
 //!   drainable as deltas-since-seq and exportable as Chrome `trace_event`
-//!   JSON. Off by default behind its own switch on top of [`enabled`].
+//!   JSON (`swt dist-run --chrome-trace` writes one at run end). Off by
+//!   default behind its own switch on top of [`enabled`].
 //! * **Live endpoints** — [`serve`] is a tiny single-threaded HTTP
-//!   listener (`/status`, `/metrics`, `/trace`) over any [`serve::ServeSource`],
-//!   used by `swt dist-run --serve` and `swt dist-top`.
+//!   listener (`/status`, `/metrics`) over any [`serve::ServeSource`],
+//!   used by `swt dist-run --serve`, `swt ckpt-server --serve` and
+//!   `swt dist-top`.
 //!
 //! Instrumentation is **disabled by default** and must stay off the tensor
 //! hot path: every recording primitive first checks one relaxed atomic load

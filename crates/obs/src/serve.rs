@@ -1,14 +1,14 @@
 //! `swt-obs-serve`: a tiny std-only HTTP endpoint for live runs.
 //!
-//! One background thread, one connection at a time, three routes:
+//! One background thread, one connection at a time, two routes:
 //!
 //! * `/status`  — JSON snapshot of the serving source (for `swt dist-top`)
 //! * `/metrics` — Prometheus text exposition of counters/gauges/histograms
-//! * `/trace`   — Chrome `trace_event` JSON (load in `chrome://tracing`)
 //!
-//! The server renders whatever a [`ServeSource`] gives it; the coordinator
-//! plugs in its LiveRunView, and [`RegistrySource`] serves the
-//! process-global registry for single-process runs. Handlers are pull-only
+//! The server renders whatever a [`ServeSource`] gives it: a distributed
+//! run's coordinator plugs in its LiveRunView, the checkpoint server its
+//! bucket inventory. A run's Chrome trace is written once, when the run
+//! ends (`swt dist-run --chrome-trace`), not served. Handlers are pull-only
 //! — serving never mutates run state, so an attached monitor cannot
 //! perturb a deterministic run. Like the rest of the wire stack this file
 //! must stay free of `unwrap`/`expect`/`panic!` (CI greps for them): every
@@ -35,27 +35,6 @@ pub trait ServeSource: Send + Sync {
     fn status_json(&self) -> String;
     /// Body for `/metrics` (Prometheus text exposition format).
     fn metrics_text(&self) -> String;
-    /// Body for `/trace` (Chrome `trace_event` JSON).
-    fn trace_json(&self) -> String;
-}
-
-/// Serves the process-global registry and timeline — the source for
-/// single-process runs where there is no coordinator view.
-#[derive(Debug, Default)]
-pub struct RegistrySource;
-
-impl ServeSource for RegistrySource {
-    fn status_json(&self) -> String {
-        RunReport::capture().to_json()
-    }
-
-    fn metrics_text(&self) -> String {
-        prometheus_text(&RunReport::capture())
-    }
-
-    fn trace_json(&self) -> String {
-        crate::timeline::process_trace_json()
-    }
 }
 
 /// Handle to a running listener; stops (and joins) on drop.
@@ -124,7 +103,6 @@ fn handle_conn(mut stream: TcpStream, source: &dyn ServeSource) -> io::Result<()
     let (status, content_type, body) = match path.as_str() {
         "/status" | "/" => ("200 OK", "application/json", source.status_json()),
         "/metrics" => ("200 OK", "text/plain; version=0.0.4", source.metrics_text()),
-        "/trace" => ("200 OK", "application/json", source.trace_json()),
         _ => ("404 Not Found", "text/plain", format!("no route {path}\n")),
     };
     let head = format!(
@@ -253,9 +231,6 @@ mod tests {
         fn metrics_text(&self) -> String {
             "swt_counter{name=\"x\"} 1\n".to_string()
         }
-        fn trace_json(&self) -> String {
-            "{\"traceEvents\":[]}".to_string()
-        }
     }
 
     fn must(cond: bool, what: &str) -> io::Result<()> {
@@ -273,8 +248,9 @@ mod tests {
         must(http_get(&addr, "/status")? == "{\"ok\":true}", "status body")?;
         must(http_get(&addr, "/")? == "{\"ok\":true}", "root aliases status")?;
         must(http_get(&addr, "/metrics")?.contains("swt_counter"), "metrics body")?;
-        must(http_get(&addr, "/trace")?.contains("traceEvents"), "trace body")?;
-        must(http_get(&addr, "/nope").is_err(), "unknown route must 404")?;
+        for path in ["/trace", "/nope"] {
+            must(http_get(&addr, path).is_err(), &format!("{path} must 404"))?;
+        }
         server.stop();
         must(http_get(&addr, "/status").is_err(), "stopped server must refuse")
     }

@@ -242,19 +242,6 @@ pub fn chrome_trace_json(events: &[(u32, u32, TimelineEvent)]) -> String {
     .render()
 }
 
-/// Chrome trace JSON of everything currently buffered in this process
-/// (pid 0, tid = worker slot).
-pub fn process_trace_json() -> String {
-    let mut events = Vec::new();
-    for slot in 0..=WORKER_SLOTS {
-        for ev in drain_since(slot, 0).events {
-            events.push((0u32, slot as u32, ev));
-        }
-    }
-    events.sort_by_key(|(_, _, ev)| ev.t_ns);
-    chrome_trace_json(&events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,10 @@
 //!   same search knobs as `dist-run`.
 //! * `swt dist-run …` — launch a distributed NAS run: this process becomes
 //!   the coordinator and spawns `--workers` child processes of itself.
-//!   `--serve ADDR` additionally exposes the in-flight run as `/status`,
-//!   `/metrics` and `/trace` on a local HTTP listener.
+//!   `--serve ADDR` additionally exposes the in-flight run as `/status`
+//!   and `/metrics` on a local HTTP listener; `--chrome-trace FILE` turns
+//!   the coordinator's event timeline on and writes the whole run's
+//!   Chrome trace when it ends.
 //! * `swt dist-top --addr ADDR` — poll a serving coordinator's `/status`
 //!   and render a refreshing per-worker table (a `top` for the run).
 //! * `swt dist-worker --connect ADDR` — the worker side: how the
@@ -52,10 +54,11 @@ usage:
                                  `swt ckpt-server` endpoint     [./swt_dist_store]
     --max-workers N              refuse joins beyond N live workers   [64]
     --serve ADDR                 serve the live run view over HTTP
-                                 (/status JSON, /metrics Prometheus text,
-                                 /trace Chrome trace JSON), e.g. 127.0.0.1:0
-    --chrome-trace FILE.json     write the run's event timeline as Chrome
-                                 trace JSON (chrome://tracing, Perfetto)
+                                 (/status JSON, /metrics Prometheus text),
+                                 e.g. 127.0.0.1:0
+    --chrome-trace FILE.json     at run end, write the run's event timeline
+                                 as Chrome trace JSON (chrome://tracing,
+                                 Perfetto)
   swt dist-top --addr HOST:PORT  watch a serving coordinator
     --interval-ms N              poll cadence                   [500]
     --iterations N               stop after N polls (0 = forever)    [0]
@@ -170,8 +173,6 @@ fn search_args(args: &[String]) -> Result<(AppKind, DataScale, u64, NasConfig), 
 
 fn try_run_local(args: &[String]) -> Result<(), String> {
     let (app, scale, data_seed, nas) = search_args(args)?;
-    let (scheme, candidates, workers, seed) =
-        (nas.scheme, nas.total_candidates, nas.workers, nas.seed);
 
     swt_obs::enable();
     let problem = Arc::new(app.problem(scale, data_seed));
@@ -184,45 +185,57 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
     println!(
         "completed {} evaluation(s) of {} candidate(s) in {:.2?} ({} app, {} scheme, seed {})",
         trace.events.len(),
-        candidates,
+        nas.total_candidates,
         wall,
         app.name(),
-        scheme.name(),
-        seed
+        nas.scheme.name(),
+        nas.seed
     );
+    epilogue(args, "run", app, &nas, &trace, |report| {
+        let peak = report.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
+        println!(
+            "provider cache: {}, resident peak {} B",
+            provider_cache_counts(report),
+            peak.map_or(0, |g| g.max)
+        );
+        print_layer_kinds(report);
+    })
+}
+
+/// What `run` and `dist-run` print and write once the search is over: the
+/// best candidate, the mode's own summary of the one report captured here,
+/// then the `--trace`, `--canonical-trace` and `--report` files.
+fn epilogue(
+    args: &[String],
+    mode: &str,
+    app: AppKind,
+    nas: &NasConfig,
+    trace: &NasTrace,
+    summary: impl FnOnce(&RunReport),
+) -> Result<(), String> {
     if let Some(best) = trace.top_k(1).first() {
         println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
     }
-    let report = RunReport::capture();
-    let peak = report.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
-    println!(
-        "provider cache: {}, resident peak {} B",
-        provider_cache_counts(&report),
-        peak.map_or(0, |g| g.max)
-    );
-    print_layer_kinds(&report);
-    if let Some(path) = opt(args, "--trace") {
-        let path = PathBuf::from(path);
-        trace.write_csv(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let report = RunReport::capture()
+        .with_meta("mode", mode)
+        .with_meta("app", app.name())
+        .with_meta("scheme", nas.scheme.name())
+        .with_meta("candidates", nas.total_candidates)
+        .with_meta("workers", nas.workers)
+        .with_meta("seed", nas.seed);
+    summary(&report);
+    let cannot =
+        |path: &PathBuf, e: std::io::Error| format!("cannot write {}: {e}", path.display());
+    if let Some(path) = opt(args, "--trace").map(PathBuf::from) {
+        trace.write_csv(&path).map_err(|e| cannot(&path, e))?;
         println!("trace: {}", path.display());
     }
-    if let Some(path) = opt(args, "--canonical-trace") {
-        let path = PathBuf::from(path);
-        trace
-            .write_canonical_csv(&path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if let Some(path) = opt(args, "--canonical-trace").map(PathBuf::from) {
+        trace.write_canonical_csv(&path).map_err(|e| cannot(&path, e))?;
         println!("canonical trace: {}", path.display());
     }
-    if let Some(path) = opt(args, "--report") {
-        let report = RunReport::capture()
-            .with_meta("mode", "run")
-            .with_meta("app", app.name())
-            .with_meta("scheme", scheme.name())
-            .with_meta("candidates", candidates)
-            .with_meta("workers", workers)
-            .with_meta("seed", seed);
-        let path = PathBuf::from(path);
-        report.write_json(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if let Some(path) = opt(args, "--report").map(PathBuf::from) {
+        report.write_json(&path).map_err(|e| cannot(&path, e))?;
         println!("report: {}", path.display());
     }
     Ok(())
@@ -313,8 +326,7 @@ fn try_ckpt_server(args: &[String]) -> Result<(), String> {
 
 fn try_dist_run(args: &[String]) -> Result<(), String> {
     let (app, scale, data_seed, mut nas) = search_args(args)?;
-    let (scheme, candidates, workers, seed) =
-        (nas.scheme, nas.total_candidates, nas.workers, nas.seed);
+    let workers = nas.workers;
     // `--store` is either a shared directory (the default DirStore path —
     // what the A/B identity gates pin) or a `tcp://host:port` endpoint of a
     // running `swt ckpt-server`, which the workers then use instead.
@@ -327,37 +339,29 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         return Err(format!("--max-workers {} is below --workers {workers}", dist.max_workers));
     }
 
-    // Live view + timeline only when someone will read them: the canonical
+    // The live view only when someone will read it, and the coordinator's
+    // timeline only for the Chrome trace written at run end: the canonical
     // schedule (and trace) is identical either way, this only adds export.
     let chrome_trace = opt(args, "--chrome-trace").map(PathBuf::from);
     let serve_addr = opt(args, "--serve");
-    let live = if serve_addr.is_some() || chrome_trace.is_some() {
+    let live = (serve_addr.is_some() || chrome_trace.is_some()).then(|| {
         let live = Arc::new(LiveRunView::new());
         dist.live = Some(Arc::clone(&live));
-        Some(live)
-    } else {
-        None
-    };
+        live
+    });
 
     swt_obs::enable();
+    if chrome_trace.is_some() {
+        swt_obs::timeline::enable();
+    }
     let _server = match (serve_addr, &live) {
         (Some(bind), Some(live)) => {
-            swt_obs::timeline::enable();
-            let source: Arc<dyn ServeSource> = Arc::clone(live) as Arc<dyn ServeSource>;
-            let server = ObsServer::start(bind, source)
+            let server = ObsServer::start(bind, Arc::clone(live) as Arc<dyn ServeSource>)
                 .map_err(|e| format!("cannot serve on {bind}: {e}"))?;
-            println!(
-                "live: http://{0}/status  http://{0}/metrics  http://{0}/trace",
-                server.addr()
-            );
+            println!("live: http://{0}/status  http://{0}/metrics", server.addr());
             Some(server)
         }
-        _ => {
-            if live.is_some() {
-                swt_obs::timeline::enable();
-            }
-            None
-        }
+        _ => None,
     };
 
     let t0 = std::time::Instant::now();
@@ -370,58 +374,32 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         workers,
         wall,
         app.name(),
-        scheme.name(),
-        seed
+        nas.scheme.name(),
+        nas.seed
     );
-    let best = trace.top_k(1);
-    if let Some(best) = best.first() {
-        println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
-    }
-    let report = RunReport::capture()
-        .with_meta("mode", "dist-run")
-        .with_meta("app", app.name())
-        .with_meta("scheme", scheme.name())
-        .with_meta("candidates", candidates)
-        .with_meta("workers", workers)
-        .with_meta("seed", seed);
-    print_layer_kinds(&report);
-    if stats.lost > 0 {
+    epilogue(args, "dist-run", app, &nas, &trace, |report| {
+        print_layer_kinds(report);
+        if stats.lost > 0 {
+            println!(
+                "fault tolerance: {} worker(s) lost, {} candidate(s) reassigned",
+                stats.lost, stats.reassigned
+            );
+        }
+        if stats.joined > 0 || stats.rejected > 0 {
+            println!(
+                "elasticity: {} worker(s) joined mid-run, {} join(s) rejected at max_workers={}",
+                stats.joined, stats.rejected, dist.max_workers
+            );
+        }
         println!(
-            "fault tolerance: {} worker(s) lost, {} candidate(s) reassigned",
-            stats.lost, stats.reassigned
+            "metrics merged from {} worker process(es): gemm calls {}, checkpoint bytes saved {}, \
+             provider caches: {}",
+            stats.per_worker.len(),
+            report.counter_prefix_sum("tensor.gemm."),
+            report.counter("ckpt.dir.saved_bytes"),
+            provider_cache_counts(report),
         );
-    }
-    if stats.joined > 0 || stats.rejected > 0 {
-        println!(
-            "elasticity: {} worker(s) joined mid-run, {} join(s) rejected at max_workers={}",
-            stats.joined, stats.rejected, dist.max_workers
-        );
-    }
-    println!(
-        "metrics merged from {} worker process(es): gemm calls {}, checkpoint bytes saved {}, \
-         provider caches: {}",
-        stats.per_worker.len(),
-        report.counter_prefix_sum("tensor.gemm."),
-        report.counter("ckpt.dir.saved_bytes"),
-        provider_cache_counts(&report),
-    );
-    if let Some(path) = opt(args, "--trace") {
-        let path = PathBuf::from(path);
-        trace.write_csv(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("trace: {}", path.display());
-    }
-    if let Some(path) = opt(args, "--canonical-trace") {
-        let path = PathBuf::from(path);
-        trace
-            .write_canonical_csv(&path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("canonical trace: {}", path.display());
-    }
-    if let Some(path) = opt(args, "--report") {
-        let path = PathBuf::from(path);
-        report.write_json(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("report: {}", path.display());
-    }
+    })?;
     if let (Some(path), Some(live)) = (chrome_trace, &live) {
         std::fs::write(&path, live.trace_json())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;

@@ -171,6 +171,24 @@ if [ -n "$mirrors" ]; then
   exit 1
 fi
 
+echo "==> one run trace (the Chrome trace is written at run end; two live routes, no span deltas)"
+# `dist-run --chrome-trace` writes the whole run's trace when it ends; a
+# `/trace` route served the same document only while the process lived.
+# Endpoints serve `/status` and `/metrics` from a `ServeSource` of two
+# methods, and the live view keeps one report per worker, not the previous
+# snapshot's spans beside it (DESIGN.md §8.3).
+served=$(grep -rnE 'RegistrySource|process_trace_json|prev_spans|span_delta_secs|"/trace"[[:space:]]*(=>|\|)' \
+  crates tests examples || true)
+traits=$(grep -rl --include='*.rs' 'ServeSource' crates tests examples | xargs awk '
+  /(trait ServeSource|impl ServeSource for)/ { match($0, /^ */); ind = RLENGTH; on = 1; next }
+  on && $0 ~ ("^" sprintf("%" ind "s", "") "}") { on = 0 }
+  on && /fn trace_json/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$served$traits" ]; then
+  echo "a served trace, RegistrySource, or the view's second copy of a worker's spans is back:" >&2
+  printf '%s\n' "$served" "$traits" | grep . >&2
+  exit 1
+fi
+
 echo "==> no test hooks in the coordinator (kills and joins come from outside it)"
 # One admission loop, `DistBackend::spawn_workers`, serves launch and joins;
 # tests inject faults through `tests/util::Inject`, an `EvalBackend` over the
@@ -522,13 +540,14 @@ if ! awk -F, '!/^#/ && $1 + 0 >= 17 && $6 + 0 > 0 { found = 1 } END { exit !foun
   exit 1
 fi
 
-echo "==> live endpoint smoke (/status answers mid-run; /metrics counters match report.json)"
+echo "==> live endpoint smoke (/status answers mid-run; /metrics counters match report.json; the run-end Chrome trace holds worker events)"
 # Four epochs over 64 candidates keep the run up long enough for the poller
 # to catch it mid-flight (a 12-candidate one-epoch quick run finishes in
 # ~100 ms).
 ./target/release/swt dist-run --app uno --scheme lcs --candidates 64 --epochs 4 \
   --workers 2 --store "$live_dir/store" --serve 127.0.0.1:0 \
-  --report "$live_dir/report.json" > "$live_dir/out.txt" &
+  --report "$live_dir/report.json" --chrome-trace "$live_dir/run.trace.json" \
+  > "$live_dir/out.txt" &
 live_pid=$!
 # The run picks a free port and prints the live URL; wait for it.
 addr=""
@@ -568,6 +587,12 @@ for name in $(echo "$metrics" | sed -n 's/^swt_counter{name="\([^"]*\)".*/\1/p' 
 done
 if [ -n "$missing" ]; then
   echo "live smoke: /metrics exported counters absent from report.json:$missing" >&2
+  exit 1
+fi
+# Workers are pid 1..N in the trace, the coordinator pid 0.
+if ! grep -q '"traceEvents":\[' "$live_dir/run.trace.json" \
+    || ! grep -qE '"pid":[1-9]' "$live_dir/run.trace.json"; then
+  echo "live smoke: --chrome-trace wrote no traceEvents under a worker pid" >&2
   exit 1
 fi
 

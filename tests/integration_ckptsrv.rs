@@ -5,13 +5,14 @@
 //! restarted mid-run, and with shared-secret authentication enabled.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 use swt::prelude::*;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::{assert_traces_identical, poll_until, run_injected, temp_dir, Kill};
+use util::{
+    assert_traces_identical, dist_config, poll_until, run_in_process, run_injected, temp_dir, Kill,
+};
 
 /// A population smaller than the run, so most candidates are mutated
 /// children that read their parent back from the server.
@@ -25,18 +26,10 @@ fn nas_config(candidates: usize, workers: usize) -> NasConfig {
 
 /// A dist config whose workers dial `url` instead of opening the DirStore:
 /// the run ships the URL alone, so `store_dir` is never opened.
-fn dist_config(store_dir: PathBuf, url: &str) -> DistConfig {
-    let mut cfg = DistConfig::new(AppKind::Uno, DataScale::Quick, 11, store_dir);
-    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
+fn remote_config(store_dir: PathBuf, url: &str) -> DistConfig {
+    let mut cfg = dist_config(store_dir);
     cfg.store_url = Some(url.to_string());
     cfg
-}
-
-fn run_in_process(cfg: &NasConfig, store_dir: &PathBuf) -> NasTrace {
-    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
-    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::new(store_dir).unwrap());
-    run_nas(problem, space, store, cfg)
 }
 
 fn start_server(tag: &str, secret: &str) -> (CkptServer, PathBuf) {
@@ -55,8 +48,9 @@ fn remote_store_run_matches_dirstore_run() {
     let (server, spill) = start_server("ab", "");
     let url = format!("tcp://{}", server.addr());
     let scratch = temp_dir("rs_ab_scratch");
-    let distributed =
-        run_nas_dist(&cfg, &dist_config(scratch.clone(), &url)).expect("remote-store run failed").0;
+    let distributed = run_nas_dist(&cfg, &remote_config(scratch.clone(), &url))
+        .expect("remote-store run failed")
+        .0;
 
     assert_traces_identical(&local, &distributed, "remote-store 2-worker run");
 
@@ -78,7 +72,7 @@ fn remote_store_run_matches_dirstore_run() {
     // matched tensors) — slower, and the same trace.
     let bare = NasConfig { cache_bytes: 0, namespace: "bare_".into(), ..cfg.clone() };
     let uncached =
-        run_nas_dist(&bare, &dist_config(scratch.clone(), &url)).expect("uncached run failed").0;
+        run_nas_dist(&bare, &remote_config(scratch.clone(), &url)).expect("uncached run failed").0;
     assert_traces_identical(&local, &uncached, "remote-store run without a worker cache");
     assert!(local.events.iter().any(|e| e.transfer_tensors > 0), "no child read a parent");
 
@@ -98,7 +92,7 @@ fn killed_worker_recovers_through_the_remote_store() {
     let (server, spill) = start_server("kill", "");
     let url = format!("tcp://{}", server.addr());
     let scratch = temp_dir("rs_kill_scratch");
-    let dist = dist_config(scratch.clone(), &url);
+    let dist = remote_config(scratch.clone(), &url);
     // SIGKILL worker 1 mid-run — possibly mid-fetch. The server must
     // shrug off the severed session and the reassigned candidate must pull
     // its parent's weights to the surviving worker, keeping the trace
@@ -145,7 +139,7 @@ fn server_restart_mid_run_is_ridden_out_by_worker_backoff() {
         CkptServer::start(cfg).expect("rebind on the same port")
     });
 
-    let distributed = run_nas_dist(&cfg, &dist_config(scratch.clone(), &url))
+    let distributed = run_nas_dist(&cfg, &remote_config(scratch.clone(), &url))
         .expect("run across server restart failed")
         .0;
     let server2 = bouncer.join().expect("bouncer thread panicked");
@@ -175,7 +169,7 @@ fn secured_run_round_trips_with_shared_secret() {
     // ignore the Hello MAC, so this process-wide setting is benign there.)
     std::env::set_var("SWT_CKPT_SECRET", secret);
     let distributed =
-        run_nas_dist(&cfg, &dist_config(scratch.clone(), &url)).expect("secured run failed").0;
+        run_nas_dist(&cfg, &remote_config(scratch.clone(), &url)).expect("secured run failed").0;
 
     assert_traces_identical(&local, &distributed, "secured remote-store run");
     // And the wrong secret still bounces off the same server.

@@ -14,24 +14,12 @@ use swt::prelude::*;
 #[path = "util/mod.rs"]
 mod util;
 use util::{
-    assert_kill_absorbed, assert_traces_identical, poll_until, run_injected, temp_dir, Kill,
+    assert_kill_absorbed, assert_traces_identical, dist_config, poll_until, run_in_process,
+    run_injected, temp_dir, Kill,
 };
 
 fn nas_config(candidates: usize, workers: usize) -> NasConfig {
     NasConfig::quick(TransferScheme::Lcs, candidates, workers, 9)
-}
-
-fn dist_config(store: PathBuf) -> DistConfig {
-    let mut cfg = DistConfig::new(AppKind::Uno, DataScale::Quick, 11, store);
-    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
-    cfg
-}
-
-fn run_in_process(cfg: &NasConfig, store_dir: &PathBuf) -> NasTrace {
-    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
-    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::new(store_dir).unwrap());
-    run_nas(problem, space, store, cfg)
 }
 
 #[test]

@@ -15,20 +15,18 @@
 //! checkpoint writes and provider-cache hits all visibly nonzero.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use swt::prelude::*;
 
 #[path = "util/mod.rs"]
 mod util;
 use util::{
-    assert_conserved, assert_kill_absorbed, assert_traces_identical, run_injected, temp_dir, Join,
-    Kill,
+    assert_conserved, assert_kill_absorbed, assert_traces_identical, dist_config, run_in_process,
+    run_injected, temp_dir, Join, Kill,
 };
 
 const CANDIDATES: usize = 12;
 const WINDOW: usize = 2;
 const SEED: u64 = 9;
-const DATA_SEED: u64 = 11;
 
 struct Cell {
     name: &'static str,
@@ -95,8 +93,7 @@ fn nas_config() -> NasConfig {
 
 fn run_cell(cell: &Cell) -> (NasTrace, DistRunStats, PathBuf) {
     let store = temp_dir(&format!("elastic_{}", cell.name));
-    let mut dist = DistConfig::new(AppKind::Uno, DataScale::Quick, DATA_SEED, store.clone());
-    dist.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
+    let mut dist = dist_config(store.clone());
     dist.max_workers = cell.max_workers;
     let (trace, stats) = run_injected(&nas_config(), &dist, cell.kill, cell.join)
         .unwrap_or_else(|e| panic!("cell `{}` failed: {e}", cell.name));
@@ -108,10 +105,7 @@ fn same_seed_same_trace_across_the_elastic_matrix() {
     // In-process reference: the canonical trace every cell must reproduce.
     let cfg = nas_config();
     let local_store = temp_dir("elastic_local");
-    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, DATA_SEED));
-    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::new(&local_store).unwrap());
-    let local = run_nas(problem, space, store, &cfg);
+    let local = run_in_process(&cfg, &local_store);
     let reference = local.canonical_csv();
     assert!(
         local.events.iter().any(|e| e.transfer_tensors > 0),

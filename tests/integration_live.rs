@@ -4,7 +4,6 @@
 //! where the run report's worker totals come from.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -13,7 +12,7 @@ use swt_obs::json::Json;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::{run_injected, temp_dir, Join};
+use util::{dist_config, run_in_process, run_injected, temp_dir, Join};
 
 /// These tests toggle the process-global observability switches; the cargo
 /// test harness runs tests concurrently, so serialize them.
@@ -24,19 +23,6 @@ fn global_lock() -> MutexGuard<'static, ()> {
 
 fn nas_config(candidates: usize, workers: usize) -> NasConfig {
     NasConfig::quick(TransferScheme::Lcs, candidates, workers, 9)
-}
-
-fn dist_config(store: PathBuf) -> DistConfig {
-    let mut cfg = DistConfig::new(AppKind::Uno, DataScale::Quick, 11, store);
-    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
-    cfg
-}
-
-fn run_in_process(cfg: &NasConfig, store_dir: &PathBuf) -> NasTrace {
-    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
-    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
-    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::new(store_dir).unwrap());
-    run_nas(problem, space, store, cfg)
 }
 
 #[test]
@@ -166,10 +152,9 @@ fn live_view_tracks_a_distributed_run_and_settles_on_report_totals() {
         }
     }
 
-    // `/trace` is a loadable Chrome trace carrying worker-attributed
-    // events (pid = worker + 1).
-    let body = swt_obs::serve::http_get(&addr, "/trace").expect("trace fetch failed");
-    let doc = Json::parse(&body).expect("trace must be valid JSON");
+    // The run-end Chrome trace (`dist-run --chrome-trace`) is loadable and
+    // carries worker-attributed events (pid = worker + 1).
+    let doc = Json::parse(&live.trace_json()).expect("trace must be valid JSON");
     let rows = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
     assert!(!rows.is_empty(), "trace must carry events");
     assert!(

@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,6 +25,24 @@ pub fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A distributed Uno quick run (data seed 11) over the shared store
+/// `store`, its workers this package's `swt` binary — so a test never runs
+/// a stale binary from elsewhere on the path.
+pub fn dist_config(store: PathBuf) -> DistConfig {
+    let mut cfg = DistConfig::new(AppKind::Uno, DataScale::Quick, 11, store);
+    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_swt")));
+    cfg
+}
+
+/// The in-process run of the search [`dist_config`] distributes, on a
+/// `DirStore` at `store_dir`: the reference a distributed trace must equal.
+pub fn run_in_process(cfg: &NasConfig, store_dir: &Path) -> NasTrace {
+    let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
+    let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
+    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::new(store_dir).unwrap());
+    run_nas(problem, space, store, cfg)
 }
 
 /// Poll `cond` until it returns true or `timeout` elapses — the
