@@ -158,6 +158,9 @@ impl DistBackend {
             threads: NonZeroU32::new(share(window) as u32).unwrap_or(NonZeroU32::MIN),
             cache_bytes: nas.cache_bytes / window as u64,
             store,
+            // Workers record events only for a trace this process will
+            // write: its own timeline is on only then.
+            timeline: swt_obs::timeline::enabled(),
         };
 
         let listener = TcpListener::bind(("127.0.0.1", 0))?;

@@ -15,7 +15,7 @@ pub use swt_wire::{ensure, Cursor, Message, Wire, WireError, MAX_FRAME_LEN};
 /// Protocol version exchanged in the handshake. Any change that moves a
 /// byte of any frame bumps it; coordinator and worker refuse a peer whose
 /// version differs, so there is no prefix compatibility to maintain.
-pub const PROTOCOL_VERSION: u32 = 14;
+pub const PROTOCOL_VERSION: u32 = 15;
 
 /// Send one message as one frame. Counts `dist.frames_tx`.
 pub fn send(w: &mut impl Write, msg: &Msg) -> Result<(), WireError> {

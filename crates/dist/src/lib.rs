@@ -125,6 +125,15 @@ impl DistConfig {
     }
 }
 
+/// Serializes this crate's unit tests that fill or take the process's one
+/// timeline ring: each event is taken once, so two of them running at once
+/// would take each other's events.
+#[cfg(test)]
+pub(crate) fn timeline_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Run one NAS candidate-estimation phase on worker processes.
 ///
 /// The counterpart of `swt_nas::run_nas`: same strategy loop, same

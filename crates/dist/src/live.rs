@@ -1,15 +1,17 @@
 //! The coordinator's in-flight picture of a distributed run.
 //!
 //! A worker's metrics reach the coordinator one way: as seq-numbered
-//! [`Telemetry`] snapshots (the worker's cumulative [`RunReport`] plus
-//! timeline-event deltas), one inside every `Result` and
+//! [`Telemetry`] snapshots (the worker's cumulative [`RunReport`], plus the
+//! timeline events it recorded since the last one when the run writes a
+//! Chrome trace), one inside every `Result` and
 //! standalone ones at heartbeat cadence and at teardown. The coordinator
 //! folds each into a [`LiveRunView`], next to the dispatch picture — queue
 //! depth, candidates in flight, and an EWMA of per-candidate wall cost. The
 //! view implements [`ServeSource`], so `swt dist-run --serve` can expose it
 //! as `/status` (JSON) and `/metrics` (Prometheus text) while the run is
-//! still going; [`LiveRunView::trace_json`] renders the run's Chrome trace
-//! once it has ended (`swt dist-run --chrome-trace`).
+//! still going; [`LiveRunView::trace_json`] renders the run's Chrome trace,
+//! every worker's events on this process's clock, once it has ended
+//! (`swt dist-run --chrome-trace`).
 //!
 //! Consistency model: the view keeps one copy of each worker's snapshot,
 //! and one rule decides it for every row kind. A snapshot applies only when
@@ -29,17 +31,21 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 use swt_obs::json::Json;
-use swt_obs::registry::WORKER_SLOTS;
 use swt_obs::timeline::{self, TimelineEvent};
 use swt_obs::{RunReport, ServeSource};
 
 /// Upper bound on buffered worker timeline events kept for the run-end
 /// Chrome trace. The oldest are discarded first (and counted), same
-/// contract as the source rings.
+/// contract as the process's own ring.
 pub const MAX_VIEW_EVENTS: usize = 16_384;
 
 /// Smoothing factor for the per-candidate wall-cost EWMA.
 const EWMA_ALPHA: f64 = 0.2;
+
+/// A worker-reported nanosecond count as a signed one, saturating.
+fn signed(ns: u64) -> i64 {
+    i64::try_from(ns).unwrap_or(i64::MAX)
+}
 
 /// What the coordinator currently knows about one worker.
 #[derive(Debug, Clone, Default)]
@@ -53,8 +59,11 @@ pub struct WorkerView {
     /// `Telemetry` frames alike.
     pub frames: u64,
     pub stale_frames: u64,
-    /// Ring-overwritten events the worker reported (staleness signal).
-    pub dropped_events: u64,
+    /// Where the worker's timeline epoch sits on this process's: the least,
+    /// over applied snapshots, of this process's `timeline::now_ns()` at
+    /// apply minus the snapshot's `uptime_ns`. Transit only adds to that
+    /// difference, so the least is the closest. `None` before a snapshot.
+    pub clock_offset_ns: Option<i64>,
     /// Candidate id currently being evaluated, if any.
     pub current: Option<u64>,
     /// Results delivered by this worker.
@@ -94,9 +103,11 @@ struct Inner {
     results: u64,
     ewma_secs: f64,
     workers: Vec<WorkerView>,
-    /// Worker timeline events, oldest first, as `(pid, event)` with
-    /// `pid = worker + 1` (pid 0 is this process's own timeline).
-    events: VecDeque<(u32, TimelineEvent)>,
+    /// Worker timeline events, oldest first, as `(worker, event)`, each on
+    /// its worker's clock.
+    events: VecDeque<(usize, TimelineEvent)>,
+    /// Events the trace lost: overwritten in a worker's ring, discarded at
+    /// [`MAX_VIEW_EVENTS`], or overwritten in this process's ring.
     events_dropped: u64,
 }
 
@@ -197,10 +208,12 @@ impl LiveRunView {
     }
 
     /// Fold one snapshot from `worker`, whether it came inside a `Result`
-    /// or in a `Telemetry` frame: keep its report, append its events.
+    /// or in a `Telemetry` frame: keep its report, append its events, and
+    /// tighten the worker's clock offset.
     /// Returns `false` (and counts a stale frame) when its seq does not
     /// advance the stream.
     pub fn apply_telemetry(&self, worker: usize, t: Telemetry) -> bool {
+        let now_ns = timeline::now_ns();
         let mut inner = self.lock();
         inner.ensure_worker(worker);
         {
@@ -212,10 +225,11 @@ impl LiveRunView {
             w.last_seq = t.seq;
             w.frames += 1;
             w.uptime_ns = t.uptime_ns;
-            w.dropped_events = w.dropped_events.saturating_add(t.dropped_events);
+            let offset = signed(now_ns).saturating_sub(signed(t.uptime_ns));
+            w.clock_offset_ns = Some(w.clock_offset_ns.map_or(offset, |o| o.min(offset)));
             w.report = t.report;
         }
-        let pid = worker as u32 + 1;
+        inner.events_dropped = inner.events_dropped.saturating_add(t.dropped_events);
         for mut ev in t.events {
             // The frame was decoded on its connection's reader thread. A name
             // kept from it would pin that thread's allocator arena for the
@@ -226,7 +240,7 @@ impl LiveRunView {
                 inner.events.pop_front();
                 inner.events_dropped += 1;
             }
-            inner.events.push_back((pid, ev));
+            inner.events.push_back((worker, ev));
         }
         true
     }
@@ -241,8 +255,10 @@ impl LiveRunView {
         self.lock().results
     }
 
-    /// Worker timeline events discarded at [`MAX_VIEW_EVENTS`], oldest
-    /// first, so far.
+    /// Timeline events the trace has lost so far: the workers' ring
+    /// overwrites, the oldest discarded at [`MAX_VIEW_EVENTS`], and, once
+    /// [`trace_json`](Self::trace_json) has run, this process's ring
+    /// overwrites.
     pub fn events_dropped(&self) -> u64 {
         self.lock().events_dropped
     }
@@ -271,19 +287,26 @@ impl LiveRunView {
         merged
     }
 
-    /// The run's Chrome `trace_event` JSON: the buffered worker events
-    /// (pid = worker + 1) merged with this process's own timeline (pid 0,
-    /// tid = slot), ordered by time. `swt dist-run --chrome-trace` writes
-    /// it once the run has ended.
+    /// The run's Chrome `trace_event` JSON, ordered by time: this
+    /// process's timeline on pid 0 and worker `w`'s buffered events on pid
+    /// `w + 1`, moved onto this process's clock by the worker's
+    /// [`WorkerView::clock_offset_ns`]. It consumes both: it takes this
+    /// process's ring, adding what the ring overwrote to
+    /// [`events_dropped`](Self::events_dropped), and empties the view's
+    /// buffer. Call it once, at run end (`swt dist-run --chrome-trace`).
     pub fn trace_json(&self) -> String {
-        let mut rows: Vec<(u32, u32, TimelineEvent)> = Vec::new();
-        for slot in 0..=WORKER_SLOTS {
-            for ev in timeline::drain_since(slot, 0).events {
-                rows.push((0, slot as u32, ev));
-            }
-        }
-        rows.extend(self.lock().events.iter().map(|(pid, ev)| (*pid, 0u32, ev.clone())));
-        rows.sort_by_key(|(_, _, ev)| ev.t_ns);
+        let (own, dropped) = timeline::take(usize::MAX);
+        let mut inner = self.lock();
+        inner.events_dropped = inner.events_dropped.saturating_add(dropped);
+        let workers = std::mem::take(&mut inner.events).into_iter().map(|(worker, mut ev)| {
+            let offset = inner.workers[worker].clock_offset_ns.unwrap_or(0);
+            ev.t_ns = signed(ev.t_ns).saturating_add(offset).max(0) as u64;
+            (worker as u32 + 1, ev)
+        });
+        let mut rows: Vec<(u32, TimelineEvent)> = own.into_iter().map(|ev| (0, ev)).collect();
+        rows.extend(workers);
+        drop(inner);
+        rows.sort_by_key(|(_, ev)| ev.t_ns);
         timeline::chrome_trace_json(&rows)
     }
 }
@@ -331,7 +354,6 @@ impl ServeSource for LiveRunView {
                     ("seq".to_string(), Json::Num(w.last_seq as f64)),
                     ("frames".to_string(), Json::Num(w.frames as f64)),
                     ("stale_frames".to_string(), Json::Num(w.stale_frames as f64)),
-                    ("dropped_events".to_string(), Json::Num(w.dropped_events as f64)),
                     (
                         "current".to_string(),
                         w.current.map_or(Json::Null, |id| Json::Num(id as f64)),
@@ -386,12 +408,11 @@ mod tests {
     use swt_obs::report::{CounterRow, GaugeRow, SpanRow};
     use swt_obs::timeline::EventKind;
 
-    fn event(seq: u64) -> TimelineEvent {
+    fn event(t_ns: u64) -> TimelineEvent {
         TimelineEvent {
-            seq,
             kind: EventKind::Span,
             name: "nas.eval".to_string(),
-            t_ns: seq,
+            t_ns,
             dur_ns: 10,
             delta: 0,
         }
@@ -553,6 +574,7 @@ mod tests {
 
     #[test]
     fn endpoints_render_for_an_empty_and_a_populated_view() -> Result<(), String> {
+        let _lock = crate::timeline_lock();
         let live = LiveRunView::new();
         live.set_meta("app", "mnist-mlp");
         live.set_window(4);
@@ -574,11 +596,17 @@ mod tests {
 
     #[test]
     fn events_past_the_cap_drop_oldest_first_and_are_counted() {
+        let _lock = crate::timeline_lock();
         let live = LiveRunView::new();
         let named = |seq| TimelineEvent { name: format!("ev{seq}"), ..event(seq) };
         let events = (0..MAX_VIEW_EVENTS as u64 + 3).map(named).collect();
-        live.apply_telemetry(0, Telemetry { seq: 1, events, ..Telemetry::default() });
-        assert_eq!(live.events_dropped(), 3);
+        // The worker's own ring overwrote 4 more: one loss count for both.
+        let t = Telemetry { seq: 1, dropped_events: 4, events, ..Telemetry::default() };
+        live.apply_telemetry(0, t);
+        assert_eq!(live.events_dropped(), 7);
+        let status = Json::parse(&live.status_json()).map_err(|e| e.to_string());
+        let total = status.ok().and_then(|s| s.get("events_dropped").and_then(Json::as_u64));
+        assert_eq!(total, Some(7), "`/status` names the same total");
         let trace = live.trace_json();
         for seq in 0..3 {
             assert!(!trace.contains(&format!("\"ev{seq}\"")), "event {seq} must be dropped");
@@ -586,5 +614,23 @@ mod tests {
         for seq in [3, MAX_VIEW_EVENTS as u64 + 2] {
             assert!(trace.contains(&format!("\"ev{seq}\"")), "event {seq} must be kept");
         }
+    }
+
+    #[test]
+    fn worker_events_render_on_the_coordinator_clock() -> Result<(), String> {
+        let _lock = crate::timeline_lock();
+        timeline::now_ns(); // pin this process's epoch
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        // A worker that started 20 ms after this process: its epoch is
+        // "now" here, and its first event sits at its own t = 0.
+        let live = LiveRunView::new();
+        let t = Telemetry { seq: 1, uptime_ns: 0, events: vec![event(0)], ..Telemetry::default() };
+        assert!(live.apply_telemetry(0, t));
+        let trace = Json::parse(&live.trace_json())?;
+        let rows = trace.get("traceEvents").and_then(Json::as_array).ok_or("traceEvents")?;
+        let worker = rows.iter().find(|r| r.get("pid").and_then(Json::as_u64) == Some(1));
+        let ts = worker.and_then(|r| r.get("ts")).and_then(Json::as_f64).ok_or("worker event")?;
+        assert!(ts >= 20_000.0, "the worker's t = 0 renders at {ts} µs, before it started");
+        Ok(())
     }
 }

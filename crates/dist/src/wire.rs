@@ -63,12 +63,16 @@ wire_struct! {
         /// the tenant bucket), anything else is the directory of the shared
         /// `DirStore`.
         pub store: String,
+        /// Whether the worker records timeline events and ships them in its
+        /// snapshots: set when the coordinator's own timeline is on, that
+        /// is, when the run will write a Chrome trace.
+        pub timeline: bool,
     }
 }
 
-/// Upper bound on timeline events per `Telemetry` frame. A drain larger
-/// than this is split across frames by the sender; a frame carrying more is
-/// refused.
+/// Upper bound on timeline events per `Telemetry` frame. The sender takes
+/// at most this many and leaves the rest for its next snapshot; a frame
+/// carrying more is refused.
 pub const MAX_TELEMETRY_EVENTS: usize = 2048;
 
 wire_struct! {
@@ -82,15 +86,15 @@ wire_struct! {
     /// loss degrades to staleness, never corruption. `report` is the
     /// worker's own [`RunReport`], *cumulative since worker start*, so the
     /// latest applied snapshot is the worker's whole account; only the
-    /// `events` batch is a delta, cursor-tracked against the worker's
-    /// timeline ring — overwritten events surface in `dropped_events`.
+    /// `events` batch is a delta, taken off the worker's timeline ring —
+    /// overwritten events surface in `dropped_events`.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct Telemetry {
         pub seq: u64,
-        /// Nanoseconds since the worker's timeline epoch at capture time.
+        /// Nanoseconds since the worker's timeline epoch at capture time:
+        /// what the coordinator places the worker's events on its own clock by.
         pub uptime_ns: u64,
-        /// Ring-overwritten events since the last capture — the staleness
-        /// signal a slow coordinator sees instead of corrupted history.
+        /// Events the worker's ring overwrote since the last capture.
         pub dropped_events: u64,
         pub report: RunReport,
         /// At most [`MAX_TELEMETRY_EVENTS`] per frame.
@@ -104,26 +108,15 @@ impl Telemetry {
         ensure(self.events.len() <= MAX_TELEMETRY_EVENTS, "telemetry event batch too large")
     }
 
-    /// Snapshot this process's live registry + timeline for the wire: one
-    /// [`RunReport::capture`] and the events of `worker_slot` at or after
-    /// `cursor`, at most [`MAX_TELEMETRY_EVENTS`] of them. `cursor` is the
-    /// caller-owned timeline read position; it advances past exactly the
-    /// events taken, so an oversized drain simply spills into the next
-    /// frame. Flushes the calling thread's buffered spans first so its own
-    /// just-closed spans are visible.
-    pub fn capture(seq: u64, worker_slot: usize, cursor: &mut u64) -> Telemetry {
+    /// Snapshot this process for the wire: one [`RunReport::capture`] and
+    /// at most [`MAX_TELEMETRY_EVENTS`] events taken off its timeline ring;
+    /// any left over go in the next snapshot. Flushes the calling thread's
+    /// buffered spans first so its own just-closed spans are visible.
+    pub fn capture(seq: u64) -> Telemetry {
         swt_obs::span::flush_thread();
         let report = RunReport::capture();
-        let mut drain = swt_obs::timeline::drain_since(worker_slot, *cursor);
-        drain.events.truncate(MAX_TELEMETRY_EVENTS);
-        *cursor = drain.events.last().map_or(drain.next_seq.max(*cursor), |last| last.seq + 1);
-        Telemetry {
-            seq,
-            uptime_ns: swt_obs::timeline::now_ns(),
-            dropped_events: drain.dropped,
-            report,
-            events: drain.events,
-        }
+        let (events, dropped_events) = swt_obs::timeline::take(MAX_TELEMETRY_EVENTS);
+        Telemetry { seq, uptime_ns: swt_obs::timeline::now_ns(), dropped_events, report, events }
     }
 }
 
@@ -222,6 +215,7 @@ mod tests {
             threads: NonZeroU32::MIN,
             cache_bytes: 1 << 22,
             store: "/tmp/swt_store".into(),
+            timeline: true,
         }
     }
 
@@ -234,8 +228,7 @@ mod tests {
             min_secs: 1e-4,
             max_secs: 2e-3,
         };
-        let event = |seq, kind, name: &str, t_ns, dur_ns, delta| TimelineEvent {
-            seq,
+        let event = |kind, name: &str, t_ns, dur_ns, delta| TimelineEvent {
             kind,
             name: name.into(),
             t_ns,
@@ -266,8 +259,8 @@ mod tests {
                 ..RunReport::default()
             },
             events: vec![
-                event(0, EventKind::Span, "nas.eval", 10, 90, 0),
-                event(1, EventKind::Counter, "nas.dispatch", 120, 0, -3),
+                event(EventKind::Span, "nas.eval", 10, 90, 0),
+                event(EventKind::Counter, "nas.dispatch", 120, 0, -3),
             ],
             dropped_events: 9,
         }
@@ -275,8 +268,8 @@ mod tests {
 
     #[test]
     fn telemetry_rejects_hostile_payloads() -> Result<(), WireError> {
-        // `events` is the last field; the last event is seq u64, kind u8,
-        // the 12-byte name behind its u16 length, then three 8-byte fields.
+        // `events` is the last field; the last event is kind u8, the
+        // 12-byte name behind its u16 length, then three 8-byte fields.
         let good = Msg::Telemetry { telemetry: sample_telemetry() }.encode()?;
         let mut p = good;
         let kind_at = p.len() - (1 + 2 + 12 + 3 * 8);
@@ -300,31 +293,22 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_capture_advances_its_cursor() {
-        // seq numbers and cursors are plain data — hostile values must be
-        // handled by the *consumer* (LiveRunView ignores non-monotone seqs);
-        // here we pin the producer side: capture never rewinds its cursor.
-        let mut cursor = u64::MAX - 1; // hostile: far beyond the ring
-        let t = Telemetry::capture(1, swt_obs::registry::UNATTRIBUTED_SLOT, &mut cursor);
-        assert!(t.events.is_empty());
-        assert!(cursor >= u64::MAX - 1, "cursor must never rewind");
-
-        // A drain past the frame cap is cut there, and the cursor moves past
-        // exactly the events taken: the rest ride in the next snapshot.
-        let worker = Some(41); // a slot no other test in this crate records into
-        let slot = swt_obs::registry::SpanStat::slot_for(worker);
+    fn telemetry_capture_spills_past_the_frame_cap() {
+        // A take past the frame cap is cut there: the rest ride in the next
+        // snapshot, in order, and nothing is read twice.
+        let _lock = crate::timeline_lock();
+        swt_obs::timeline::reset();
         for t_ns in 0..MAX_TELEMETRY_EVENTS as u64 + 5 {
-            swt_obs::timeline::record_span(worker, "wire_test.span", t_ns, 1);
+            swt_obs::timeline::record_span("wire_test.span", t_ns, 1);
         }
-        let mut cursor = 0;
-        let first = Telemetry::capture(1, slot, &mut cursor);
-        assert_eq!((first.events.len(), cursor), (MAX_TELEMETRY_EVENTS, 2048));
-        let rest = Telemetry::capture(2, slot, &mut cursor);
+        let first = Telemetry::capture(1);
+        assert_eq!(first.events.len(), MAX_TELEMETRY_EVENTS);
+        let rest = Telemetry::capture(2);
         assert_eq!(
             rest.events.iter().map(|e| e.t_ns).collect::<Vec<_>>(),
             [2048, 2049, 2050, 2051, 2052]
         );
-        assert_eq!(cursor, MAX_TELEMETRY_EVENTS as u64 + 5);
+        assert!(Telemetry::capture(3).events.is_empty());
     }
 
     #[test]

@@ -30,32 +30,22 @@ fn send(stream: &Mutex<TcpStream>, msg: &Msg) -> Result<(), WireError> {
     frame::send(&mut *guard, msg)
 }
 
-/// Shared snapshot stream state: the per-snapshot sequence number and the
-/// timeline-drain cursor. Both the main loop (each `Result`, teardown) and
-/// the reader thread (after each `Pong`, i.e. at heartbeat cadence) send
-/// snapshots, so the pair lives behind one mutex to keep seqs strictly
-/// increasing and drains non-overlapping.
-struct TelemetryState {
-    seq: u64,
-    cursor: u64,
-    slot: usize,
-}
-
-/// Capture one snapshot and send it inside the frame `wrap` builds. The
-/// state lock is held across the write, so snapshots reach the wire in seq
-/// order and the coordinator never counts one from this worker as stale.
-/// Lock order is state, then writer, at every site. Cheap enough for
-/// heartbeat cadence: one registry walk plus a bounded ring drain.
+/// Capture one snapshot and send it inside the frame `wrap` builds. `seq`
+/// is the last snapshot's number: both the main loop (each `Result`,
+/// teardown) and the reader thread (after each `Pong`, i.e. at heartbeat
+/// cadence) send snapshots, and its lock is held across the capture and the
+/// write, so seqs strictly increase on the wire, each timeline event goes
+/// out once, and the coordinator never counts a snapshot from this worker
+/// as stale. Lock order is seq, then writer, at every site. Cheap enough
+/// for heartbeat cadence: one registry walk plus a bounded ring take.
 fn send_snapshot(
     stream: &Mutex<TcpStream>,
-    state: &Mutex<TelemetryState>,
+    seq: &Mutex<u64>,
     wrap: impl FnOnce(Telemetry) -> Msg,
 ) -> Result<(), WireError> {
-    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-    st.seq += 1;
-    let (seq, slot) = (st.seq, st.slot);
-    let telemetry = Telemetry::capture(seq, slot, &mut st.cursor);
-    send(stream, &wrap(telemetry))
+    let mut seq = seq.lock().unwrap_or_else(|e| e.into_inner());
+    *seq += 1;
+    send(stream, &wrap(Telemetry::capture(*seq)))
 }
 
 /// Run the worker protocol loop on an established connection. Returns when
@@ -65,11 +55,10 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     // cumulative snapshots (one in each `Result`, others at heartbeat
     // cadence and at teardown); without this the worker's
     // GEMM/checkpoint/cache counters stay zero and the merged run report
-    // under-counts. The timeline rings are bounded (staleness, not growth,
-    // on overflow), so they stay on unconditionally too: snapshots then
-    // need no extra negotiation.
+    // under-counts. The timeline waits for the `RunSpec`, but its epoch is
+    // pinned here: a snapshot's `uptime_ns` counts from worker start.
     swt_obs::enable();
-    swt_obs::timeline::enable();
+    swt_obs::timeline::now_ns();
     stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     let writer = Arc::new(Mutex::new(stream));
@@ -91,6 +80,10 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
         }
     };
     swt_obs::span::set_worker(slot);
+    // Events only when the run will write them into its Chrome trace.
+    if run.timeline {
+        swt_obs::timeline::enable();
+    }
     swt_obs::info!(
         "swt_dist",
         "worker {slot} handshake ok: app={} scale={:?} threads={}",
@@ -114,16 +107,12 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     // on Shutdown, a protocol violation, or a dead socket — ends the main
     // loop below.
     let (task_tx, task_rx) = mpsc::channel::<Candidate>();
-    // One snapshot stream per worker, shared by both sending sites: the
+    // One snapshot seq per worker, shared by both sending sites: the
     // heartbeat responder below (steady cadence even mid-evaluation) and
     // the main loop (a fresh snapshot inside each `Result`).
-    let telemetry = Arc::new(Mutex::new(TelemetryState {
-        seq: 0,
-        cursor: 0,
-        slot: swt_obs::registry::SpanStat::slot_for(Some(slot)),
-    }));
+    let seq = Arc::new(Mutex::new(0u64));
     let ping_writer = Arc::clone(&writer);
-    let ping_telemetry = Arc::clone(&telemetry);
+    let ping_seq = Arc::clone(&seq);
     let reader = std::thread::spawn(move || -> Result<(), WireError> {
         let mut reader_stream = reader_stream;
         let mut buf = Vec::new();
@@ -131,7 +120,7 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
             match recv(&mut reader_stream, &mut buf) {
                 Ok(Msg::Ping { nonce }) => {
                     send(&ping_writer, &Msg::Pong { nonce })?;
-                    send_snapshot(&ping_writer, &ping_telemetry, |telemetry| Msg::Telemetry {
+                    send_snapshot(&ping_writer, &ping_seq, |telemetry| Msg::Telemetry {
                         telemetry,
                     })?;
                 }
@@ -180,7 +169,7 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
         };
         let sent = {
             let _send_span = swt_obs::span!("nas.result_send");
-            send_snapshot(&writer, &telemetry, |telemetry| Msg::Result { outcome, telemetry })
+            send_snapshot(&writer, &seq, |telemetry| Msg::Result { outcome, telemetry })
         };
         if let Err(e) = sent {
             eval_err = Some(e);
@@ -192,7 +181,7 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
     // is lost the coordinator keeps the last snapshot it applied, so a dead
     // socket here must not turn a clean shutdown into an error.
     if eval_err.is_none() {
-        let _ = send_snapshot(&writer, &telemetry, |telemetry| Msg::Telemetry { telemetry });
+        let _ = send_snapshot(&writer, &seq, |telemetry| Msg::Telemetry { telemetry });
     }
     // Unblock the reader if we exited first (send failure): closing the
     // socket fails its blocking read.
@@ -277,6 +266,7 @@ mod tests {
             threads: NonZeroU32::MIN,
             cache_bytes: 1 << 22,
             store: dir.to_string_lossy().into_owned(),
+            timeline: false,
         };
         (run, dir)
     }
@@ -290,6 +280,8 @@ mod tests {
         cand: Candidate,
         before_task: impl FnOnce(),
     ) -> Result<Msg, WireError> {
+        // The worker's snapshots take from this process's timeline ring.
+        let _lock = crate::timeline_lock();
         let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
         let worker = std::thread::spawn(move || worker_main(&addr));

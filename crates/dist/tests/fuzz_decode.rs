@@ -30,8 +30,7 @@ const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
 /// One valid message of every frame type, every optional field present —
 /// the fuzz corpus seeds.
 fn corpus() -> Vec<Msg> {
-    let event = |seq, kind, name: &str, t_ns, dur_ns, delta| TimelineEvent {
-        seq,
+    let event = |kind, name: &str, t_ns, dur_ns, delta| TimelineEvent {
         kind,
         name: name.into(),
         t_ns,
@@ -66,8 +65,8 @@ fn corpus() -> Vec<Msg> {
             }],
         },
         events: vec![
-            event(0, EventKind::Span, "nas.eval", 10, 5, 0),
-            event(1, EventKind::Counter, "nas.dispatch", 20, 0, -3),
+            event(EventKind::Span, "nas.eval", 10, 5, 0),
+            event(EventKind::Counter, "nas.dispatch", 20, 0, -3),
         ],
     };
     let cand = Candidate {
@@ -106,6 +105,7 @@ fn corpus() -> Vec<Msg> {
                 threads: NonZeroU32::MIN,
                 cache_bytes: 1 << 22,
                 store: CORPUS_URL.into(),
+                timeline: true,
             },
         },
         Msg::Task { cand },
@@ -132,12 +132,12 @@ fn corpus_payload(tag: u8) -> Vec<u8> {
 /// u64, then its report's meta, span, counter, gauge and histogram lists and
 /// the event list; a `HelloAck`: version and slot u32, app and scale u8,
 /// data_seed u64, then its `EvalSpec` (scheme u8, epochs u32, …), and it
-/// ends threads u32, cache_bytes u64, [u16 len][store]).
+/// ends threads u32, cache_bytes u64, [u16 len][store], timeline u8).
 const RESULT_TELEMETRY_AT: usize = 8 + 4 * 8 + 8 + 3 * 8 + 4;
 const TELEMETRY_LISTS_AT: usize = 3 * 8;
 const ACK_EPOCHS_AT: usize = 4 + 4 + 1 + 1 + 8 + 1;
-const ACK_URL_LEN: usize = 2 + CORPUS_URL.len();
-const ACK_THREADS_FROM_END: usize = ACK_URL_LEN + 8 + 4;
+const ACK_URL_FROM_END: usize = 2 + CORPUS_URL.len() + 1;
+const ACK_THREADS_FROM_END: usize = ACK_URL_FROM_END + 8 + 4;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -147,13 +147,13 @@ fn hex(bytes: &[u8]) -> String {
 /// of format: bump `PROTOCOL_VERSION` with it.
 #[test]
 fn golden_bytes_pin_the_dist_layout() {
-    assert_eq!(PROTOCOL_VERSION, 14, "new version: re-record the frames below");
+    assert_eq!(PROTOCOL_VERSION, 15, "new version: re-record the frames below");
     let golden = [
-        (0x01, "0e00000092100000"),
+        (0x01, "0f00000092100000"),
         (
             0x02,
-            "0e0000000300000003000b00000000000000020100000009000000000000000500646973745f010000\
-                00000040000000000014007463703a2f2f3132372e302e302e313a39393939",
+            "0f0000000300000003000b00000000000000020100000009000000000000000500646973745f010000\
+                00000040000000000014007463703a2f2f3132372e302e302e313a3939393901",
         ),
         (0x03, "07000000000000000103000000000000000400000001000000040002000300000000000000"),
         (0x03, "0900000000000000000100000002000000000000000000"),
@@ -166,10 +166,9 @@ fn golden_bytes_pin_the_dist_layout() {
                 00000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e67656d6d\
                 2e626c6f636b65640010000000000000010000001000706f6f6c2e71756575655f6465707468ffff\
                 ffffffffffff0800000000000000010000000c00636b70742e736176655f6e730300000000000000\
-                8403000000000000020000000802000000000000001f010000000000000002000000000000000000\
-                00000008006e61732e6576616c0a0000000000000005000000000000000000000000000000010000\
-                0000000000010c006e61732e646973706174636814000000000000000000000000000000fdffffff\
-                ffffffff",
+                8403000000000000020000000802000000000000001f0100000000000000020000000008006e6173\
+                2e6576616c0a0000000000000005000000000000000000000000000000010c006e61732e64697370\
+                6174636814000000000000000000000000000000fdffffffffffffff",
         ),
         (0x05, "ffffffffffffffff"),
         (0x06, "0000000000000000"),
@@ -182,10 +181,9 @@ fn golden_bytes_pin_the_dist_layout() {
                 603e020000000f00636b70742e63616368652e686974730c00000000000000130074656e736f722e\
                 67656d6d2e626c6f636b65640010000000000000010000001000706f6f6c2e71756575655f646570\
                 7468ffffffffffffffff0800000000000000010000000c00636b70742e736176655f6e7303000000\
-                000000008403000000000000020000000802000000000000001f0100000000000000020000000000\
-                0000000000000008006e61732e6576616c0a00000000000000050000000000000000000000000000\
-                000100000000000000010c006e61732e646973706174636814000000000000000000000000000000\
-                fdffffffffffffff",
+                000000008403000000000000020000000802000000000000001f0100000000000000020000000008\
+                006e61732e6576616c0a0000000000000005000000000000000000000000000000010c006e61732e\
+                646973706174636814000000000000000000000000000000fdffffffffffffff",
         ),
     ];
     let corpus = corpus();
@@ -242,7 +240,7 @@ fn hostile_task_and_store_url_fields_are_typed_errors() {
     // holds, and one promising fewer (the frame no longer ends where it
     // should).
     let good = corpus_payload(0x02);
-    let url_at = good.len() - ACK_URL_LEN;
+    let url_at = good.len() - ACK_URL_FROM_END;
     for len in [CORPUS_URL.len() as u16 + 10, u16::MAX, CORPUS_URL.len() as u16 - 1] {
         let mut p = good.clone();
         p[url_at..url_at + 2].copy_from_slice(&len.to_le_bytes());
@@ -268,6 +266,24 @@ fn a_run_spec_with_a_zero_count_is_malformed() {
             "a zero {what} must be refused"
         );
     }
+}
+
+#[test]
+fn a_run_spec_timeline_flag_is_0_or_1() {
+    // The last byte of a `HelloAck` is `RunSpec.timeline`: any other value
+    // is refused, not read as "on".
+    let good = corpus_payload(0x02);
+    assert_eq!(good.last(), Some(&1), "timeline is where the layout says");
+    let mut p = good.clone();
+    if let Some(flag) = p.last_mut() {
+        *flag = 2;
+    }
+    assert!(matches!(
+        Msg::decode(0x02, &p),
+        Err(WireError::Malformed("flag byte is neither 0 nor 1"))
+    ));
+    p.pop();
+    assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))), "a v14 HelloAck");
 }
 
 #[test]
@@ -380,13 +396,13 @@ fn hostile_telemetry_payloads_are_rejected_without_allocation() {
         out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&[0u8; 5 * 4]);
     };
-    // `events` span events, each seq u64, kind u8, an empty name, then
-    // t_ns, dur_ns and delta.
+    // `events` span events, each kind u8, an empty name, then t_ns, dur_ns
+    // and delta.
     let frame = |events: usize| {
         let mut p = Vec::new();
         header(&mut p);
         p.extend_from_slice(&(events as u32).to_le_bytes());
-        p.resize(p.len() + (8 + 1 + 2 + 3 * 8) * events, 0);
+        p.resize(p.len() + (1 + 2 + 3 * 8) * events, 0);
         p
     };
 
@@ -405,8 +421,8 @@ fn hostile_telemetry_payloads_are_rejected_without_allocation() {
         Err(WireError::Malformed("telemetry event batch too large"))
     ));
 
-    // An event kind byte the protocol does not know (the byte after the
-    // first event's seq): a typed error naming the type.
+    // An event kind byte the protocol does not know (the first event's
+    // first byte): a typed error naming the type.
     let mut bad = frame(1);
     let kind_at = bad.len() - (1 + 2 + 3 * 8);
     for kind in [2u8, 9, 0xFF] {

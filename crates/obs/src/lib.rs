@@ -20,10 +20,11 @@
 //!   NAS trace CSV. Its counter, gauge and histogram rows are also what a
 //!   distributed worker's snapshot carries ([`wire`]).
 //! * **Event timeline** — [`timeline`] keeps individual span completions
-//!   and [`event!`] counter-delta marks in bounded per-worker-slot rings,
-//!   drainable as deltas-since-seq and exportable as Chrome `trace_event`
-//!   JSON (`swt dist-run --chrome-trace` writes one at run end). Off by
-//!   default behind its own switch on top of [`enabled`].
+//!   and [`event!`] counter-delta marks in one bounded ring per process,
+//!   each event taken once, and renders them as Chrome `trace_event` JSON
+//!   (`swt dist-run --chrome-trace` writes one at run end). Off by default
+//!   behind its own switch on top of [`enabled`]; only a run that writes
+//!   the trace turns it on.
 //! * **Live endpoints** — [`serve`] is a tiny single-threaded HTTP
 //!   listener (`/status`, `/metrics`) over any [`serve::ServeSource`],
 //!   used by `swt dist-run --serve`, `swt ckpt-server --serve` and
@@ -98,10 +99,9 @@ macro_rules! span {
     };
 }
 
-/// Record a counter-delta mark on the event timeline, attributed to the
-/// current thread's worker. Two relaxed loads when the timeline (or all
-/// instrumentation) is off; unlike [`counter!`] this records a discrete
-/// *event* (when/where), not an aggregate.
+/// Record a counter-delta mark on the process's event timeline. Two
+/// relaxed loads when the timeline (or all instrumentation) is off; unlike
+/// [`counter!`] this records a discrete *event* (when), not an aggregate.
 ///
 /// ```
 /// swt_obs::event!("nas.dispatch", 1);

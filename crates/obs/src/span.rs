@@ -151,7 +151,6 @@ impl SpanTree {
             }
             if timeline_on {
                 crate::timeline::record_span(
-                    p.worker,
                     &node.path,
                     crate::timeline::instant_ns(p.start),
                     p.dur_ns,
@@ -306,11 +305,10 @@ mod tests {
         }
         crate::timeline::disable();
         crate::disable();
-        let d = crate::timeline::drain_since(UNATTRIBUTED_SLOT, 0);
-        assert_eq!(d.events.len(), 1);
-        assert_eq!(d.events[0].name, "obs_test.timelined");
-        assert_eq!(d.events[0].kind, crate::timeline::EventKind::Span);
-        crate::timeline::reset();
+        let (events, _) = crate::timeline::take(usize::MAX);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "obs_test.timelined");
+        assert_eq!(events[0].kind, crate::timeline::EventKind::Span);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   the coordinator and spawns `--workers` child processes of itself.
 //!   `--serve ADDR` additionally exposes the in-flight run as `/status`
 //!   and `/metrics` on a local HTTP listener; `--chrome-trace FILE` turns
-//!   the coordinator's event timeline on and writes the whole run's
-//!   Chrome trace when it ends.
+//!   the event timeline on, in the coordinator and in every worker, and
+//!   writes the whole run's Chrome trace, on the coordinator's clock, when
+//!   it ends. Without it no process records events.
 //! * `swt dist-top --addr ADDR` — poll a serving coordinator's `/status`
 //!   and render a refreshing per-worker table (a `top` for the run).
 //! * `swt dist-worker --connect ADDR` — the worker side: how the
@@ -56,9 +57,9 @@ usage:
     --serve ADDR                 serve the live run view over HTTP
                                  (/status JSON, /metrics Prometheus text),
                                  e.g. 127.0.0.1:0
-    --chrome-trace FILE.json     at run end, write the run's event timeline
-                                 as Chrome trace JSON (chrome://tracing,
-                                 Perfetto)
+    --chrome-trace FILE.json     record every process's event timeline and,
+                                 at run end, write it as Chrome trace JSON
+                                 (chrome://tracing, Perfetto)
   swt dist-top --addr HOST:PORT  watch a serving coordinator
     --interval-ms N              poll cadence                   [500]
     --iterations N               stop after N polls (0 = forever)    [0]
@@ -339,9 +340,10 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         return Err(format!("--max-workers {} is below --workers {workers}", dist.max_workers));
     }
 
-    // The live view only when someone will read it, and the coordinator's
-    // timeline only for the Chrome trace written at run end: the canonical
-    // schedule (and trace) is identical either way, this only adds export.
+    // The live view only when someone will read it, and the timeline only
+    // for the Chrome trace written at run end (the coordinator's switch also
+    // turns its workers' on): the canonical schedule (and trace) is
+    // identical either way, this only adds export.
     let chrome_trace = opt(args, "--chrome-trace").map(PathBuf::from);
     let serve_addr = opt(args, "--serve");
     let live = (serve_addr.is_some() || chrome_trace.is_some()).then(|| {
@@ -406,8 +408,10 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         match live.events_dropped() {
             0 => println!("chrome trace: {}", path.display()),
             n => println!(
-                "chrome trace: {} (the oldest {n} worker events dropped at the view's cap of {})",
+                "chrome trace: {} ({n} events lost at the caps: {} per process ring, {} in \
+                 the view)",
                 path.display(),
+                swt_obs::timeline::RING_CAPACITY,
                 swt_dist::live::MAX_VIEW_EVENTS
             ),
         }
@@ -460,8 +464,8 @@ fn render_top(status: &Json) -> String {
         num("ewma_candidate_secs"),
     );
     out.push_str(&format!(
-        "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>8}\n",
-        "id", "alive", "seq", "frames", "results", "current", "wait_s", "eval_s", "send_s", "drop"
+        "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10}\n",
+        "id", "alive", "seq", "frames", "results", "current", "wait_s", "eval_s", "send_s"
     ));
     let workers = status.get("workers").and_then(Json::as_array).unwrap_or(&[]);
     for w in workers {
@@ -482,7 +486,7 @@ fn render_top(status: &Json) -> String {
             None => "-".to_string(),
         };
         out.push_str(&format!(
-            "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10.3} {:>10.3} {:>10.3} {:>8}\n",
+            "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10.3} {:>10.3} {:>10.3}\n",
             wf("id") as u64,
             if alive { "yes" } else { "no" },
             wf("seq") as u64,
@@ -492,7 +496,6 @@ fn render_top(status: &Json) -> String {
             span_secs("nas.queue_wait"),
             span_secs("nas.eval"),
             span_secs("nas.result_send"),
-            wf("dropped_events") as u64,
         ));
     }
     out

@@ -162,12 +162,18 @@ echo "==> one worker snapshot (metrics ride one seq-numbered Telemetry; no secon
 # A worker's counters, histograms, spans and gauges reach the coordinator
 # as its own swt-obs RunReport, its timeline events as swt-obs's own
 # TimelineEvent, in one snapshot type; the live view keeps one copy of it
-# per worker (DESIGN.md §10 "Cross-process metric aggregation").
-mirrors=$(grep -rnE 'WorkerMetrics|CounterSnap|HistSnap|GaugeSnap|Msg::Stats|fold_metrics|SpanTotalRow|WireEvent|MAX_TELEMETRY_NAMES' \
+# per worker (DESIGN.md §10 "Cross-process metric aggregation"). The
+# timeline is one ring per process, each event taken once: no cursor read,
+# no ring per worker slot, and one loss count for the trace, not one per
+# worker (DESIGN.md §8.1). No program reads a report back.
+mirrors=$(grep -rnE 'WorkerMetrics|CounterSnap|HistSnap|GaugeSnap|Msg::Stats|fold_metrics|SpanTotalRow|WireEvent|MAX_TELEMETRY_NAMES|drain_since|struct Drain\b' \
   crates tests examples || true)
-if [ -n "$mirrors" ]; then
-  echo "a second worker-metrics path or a wire-side mirror of a report row is named again:" >&2
-  echo "$mirrors" >&2
+slots=$(grep -nE 'WORKER_SLOTS|slot_for|Vec<Mutex<' crates/obs/src/timeline.rs || true)
+perworker=$(grep -nE 'pub dropped_events|"dropped_events"' crates/dist/src/live.rs crates/swt/src/bin/swt.rs || true)
+readback=$(grep -nE 'fn (from|read)_json' crates/obs/src/report.rs || true)
+if [ -n "$mirrors$slots$perworker$readback" ]; then
+  echo "a second worker-metrics path, a wire-side mirror of a report row, a cursor or per-slot timeline read, a per-worker drop count or a report read-back is back:" >&2
+  printf '%s\n' "$mirrors" "$slots" "$perworker" "$readback" | grep . >&2
   exit 1
 fi
 

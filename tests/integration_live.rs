@@ -1,7 +1,8 @@
 //! Live-telemetry integration: the streamed run view must (1) never
 //! perturb the canonical NAS trace, (2) expose a seq-monotone, eventually
-//! consistent `/status` while a distributed run is in flight, and (3) be
-//! where the run report's worker totals come from.
+//! consistent `/status` while a distributed run is in flight, (3) be
+//! where the run report's worker totals come from, and (4) carry timeline
+//! events only when the run writes a Chrome trace.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,4 +172,46 @@ fn live_view_tracks_a_distributed_run_and_settles_on_report_totals() {
     swt_obs::timeline::disable();
     swt_obs::disable();
     let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn workers_record_events_only_for_a_run_that_writes_the_trace() {
+    let _lock = global_lock();
+    swt_obs::enable();
+    let total = 12usize;
+    let cfg = nas_config(total, 2);
+    for on in [false, true] {
+        // The coordinator's switch is the one `dist-run --chrome-trace`
+        // flips; the workers follow it through `RunSpec.timeline`.
+        if on {
+            swt_obs::timeline::enable();
+        } else {
+            swt_obs::timeline::disable();
+        }
+        let store = temp_dir("live_timeline");
+        let mut dist = dist_config(store.clone());
+        let live = Arc::new(LiveRunView::new());
+        dist.live = Some(Arc::clone(&live));
+        let (trace, _) = run_nas_dist(&cfg, &dist).expect("distributed run failed");
+        assert_eq!(trace.events.len(), total);
+        let _ = std::fs::remove_dir_all(&store);
+        if !on {
+            // Every event a snapshot carries is buffered or counted lost.
+            let status = Json::parse(&live.status_json()).expect("status must be valid JSON");
+            let buffered = status.get("events_buffered").and_then(Json::as_u64);
+            assert_eq!(buffered, Some(0), "a run without a trace buffered worker events");
+            assert_eq!(live.events_dropped(), 0, "a run without a trace dropped worker events");
+            continue;
+        }
+        let doc = Json::parse(&live.trace_json()).expect("trace must be valid JSON");
+        let rows = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
+        let worker_evals = rows
+            .iter()
+            .filter(|r| r.get("pid").and_then(Json::as_u64).is_some_and(|p| p >= 1))
+            .filter(|r| r.get("name").and_then(Json::as_str) == Some("nas.eval"))
+            .count();
+        assert_eq!(worker_evals, total, "one worker `nas.eval` per candidate");
+    }
+    swt_obs::timeline::disable();
+    swt_obs::disable();
 }

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use swt::prelude::*;
+use swt_obs::json::Json;
 
 /// A quick NAS run with instrumentation enabled must produce a run report
 /// whose per-worker span tree (queue wait / eval / result send, with train,
@@ -98,10 +99,24 @@ fn run_report_accounts_for_worker_time() {
     let traced_bytes: u64 = trace.events.iter().map(|e| e.checkpoint_bytes).sum();
     assert_eq!(report.counter("nas.checkpoint.bytes"), traced_bytes);
 
-    // report.json round trip: exact (f64 Display is shortest-round-trip).
+    // report.json holds the report's rows, each section whole and every
+    // value exact (f64 Display is shortest-round-trip).
     let path = std::env::temp_dir().join(format!("swt_obs_it_{}.report.json", std::process::id()));
     report.write_json(&path).unwrap();
-    let back = RunReport::read_json(&path).unwrap();
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).unwrap();
-    assert_eq!(back, report);
+    let section = |k: &str| doc.get(k).and_then(Json::as_array).unwrap_or(&[]).to_vec();
+    let lens = ["spans", "counters", "gauges", "histograms"].map(|k| section(k).len());
+    let (r, h) = (&report, report.histograms.len());
+    assert_eq!(lens, [r.spans.len(), r.counters.len(), r.gauges.len(), h], "rows per section");
+    for (row, c) in section("counters").iter().zip(&report.counters) {
+        assert_eq!(row.get("name").and_then(Json::as_str), Some(c.name.as_str()));
+        assert_eq!(row.get("value").and_then(Json::as_u64), Some(c.value), "{}", c.name);
+    }
+    for (row, s) in section("spans").iter().zip(&report.spans) {
+        assert_eq!(row.get("path").and_then(Json::as_str), Some(s.path.as_str()));
+        assert_eq!(row.get("worker").and_then(Json::as_u64), s.worker.map(|w| w as u64));
+        assert_eq!(row.get("count").and_then(Json::as_u64), Some(s.count), "{}", s.path);
+        assert_eq!(row.get("total_secs").and_then(Json::as_f64), Some(s.total_secs), "{}", s.path);
+    }
 }
