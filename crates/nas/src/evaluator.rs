@@ -16,7 +16,6 @@ use swt_core::{apply_transfer, ShapeSeq, TransferPlan, TransferScheme, TransferS
 use swt_data::AppProblem;
 use swt_nn::{AdamConfig, Model, TrainConfig, Trainer};
 use swt_space::SearchSpace;
-use swt_tensor::Workspace;
 
 swt_wire::wire_struct! {
     /// Everything measured while evaluating one candidate; a worker sends it
@@ -76,10 +75,6 @@ pub struct Evaluator {
     space: Arc<SearchSpace>,
     store: Arc<dyn CheckpointStore>,
     spec: EvalSpec,
-    /// Scratch arena handed to each candidate's model and reclaimed after
-    /// evaluation, so buffers warmed up by one candidate are reused by the
-    /// next instead of being reallocated per evaluation.
-    ws: Workspace,
     /// Highest [`Candidate::live_from`] seen: every id below it has been
     /// handed to [`CheckpointStore::evict`]. A running maximum, because a
     /// reassigned candidate arrives with the watermark of its first dispatch.
@@ -95,7 +90,7 @@ impl Evaluator {
         store: Arc<dyn CheckpointStore>,
         spec: &EvalSpec,
     ) -> Self {
-        Evaluator { problem, space, store, spec: spec.clone(), ws: Workspace::new(), live_from: 0 }
+        Evaluator { problem, space, store, spec: spec.clone(), live_from: 0 }
     }
 
     /// The namespaced checkpoint id of candidate `id`.
@@ -122,8 +117,9 @@ impl Evaluator {
             io::Error::new(io::ErrorKind::InvalidInput, what)
         })?;
         let seed = candidate_seed(self.spec.run_seed, cand.id);
+        // The model's arena starts empty and goes with it: one carried across
+        // candidates grows to fit the largest request any of them made.
         let mut model = Model::build(&spec, seed).expect("spec validated at materialise time");
-        model.set_workspace(std::mem::take(&mut self.ws));
 
         // Weight transfer from the parent checkpoint, when enabled.
         let mut transfer = TransferStats::default();
@@ -188,7 +184,6 @@ impl Evaluator {
             })?
         };
         let save_secs = t0.elapsed().as_secs_f64();
-        self.ws = model.take_workspace();
 
         swt_obs::counter!("nas.candidates_evaluated").inc();
         swt_obs::counter!("nas.transfer.tensors").add(transfer.tensors as u64);
@@ -285,45 +280,5 @@ mod tests {
         let a = eval.evaluate(&Candidate::new(5, arch.clone(), None)).unwrap();
         let b = eval.evaluate(&Candidate::new(5, arch, None)).unwrap();
         assert_eq!(a.score, b.score, "single-threaded evaluation must be deterministic");
-    }
-
-    /// The carried arena is bounded by the largest candidate, not by how
-    /// many candidates went through it: every model hands all it
-    /// held back on teardown, so the next one's warm-up is a free-list pop.
-    #[test]
-    fn carried_arena_is_bounded_by_the_largest_candidate() {
-        let problem = Arc::new(AppKind::Cifar10.problem(DataScale::Quick, 7));
-        let space = Arc::new(SearchSpace::for_app(AppKind::Cifar10));
-        let evaluator = || {
-            let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-            let (problem, space) = (Arc::clone(&problem), Arc::clone(&space));
-            Evaluator::new(problem, space, store, &spec(TransferScheme::Lcs))
-        };
-        let mut rng = Rng::seed(31);
-        let cands: Vec<Candidate> = (0..24)
-            .map(|id| Candidate::new(id, space.sample(&mut rng), id.checked_sub(8)))
-            .collect();
-
-        let mut carried = evaluator();
-        let mut largest = 0;
-        for cand in &cands {
-            carried.evaluate(cand).unwrap();
-            // What this candidate needs on its own, from an empty arena.
-            let mut alone = evaluator();
-            alone.evaluate(&Candidate::new(cand.id, cand.arch.clone(), None)).unwrap();
-            largest = largest.max(alone.ws.pooled());
-        }
-        assert!(
-            carried.ws.pooled() <= largest,
-            "24 candidates left {} buffers pooled; the largest one alone needs {largest}",
-            carried.ws.pooled()
-        );
-
-        // Going over the same ground again asks the allocator for nothing.
-        let again = &cands[23];
-        carried.evaluate(again).unwrap();
-        let warm = (carried.ws.pooled(), carried.ws.alloc_misses());
-        carried.evaluate(again).unwrap();
-        assert_eq!((carried.ws.pooled(), carried.ws.alloc_misses()), warm);
     }
 }

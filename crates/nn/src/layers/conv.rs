@@ -1,7 +1,9 @@
 //! Convolutional layers (2-D NHWC and 1-D NWC), stride 1, with optional L2
-//! kernel regularisation (the CIFAR-like space's `l2 = 5e-4` choice).
+//! kernel regularisation (the CIFAR-like space's `l2 = 5e-4` choice) and an
+//! activation folded in from the `Activation` node that reads them.
 
-use super::{glorot_limit, set_gradient, Layer};
+use super::{add_bias_and_activate, glorot_limit, pre_activation_grad, set_gradient, Layer};
+use crate::spec::Activation;
 use swt_tensor::{
     conv1d_backward_kernel_ws, conv1d_backward_ws, conv1d_forward_ws, conv2d_backward_kernel_ws,
     conv2d_backward_ws, conv2d_forward_ws, Padding, Rng, Tensor, Workspace,
@@ -15,6 +17,7 @@ pub struct Conv2DLayer {
     d_bias: Tensor,
     padding: Padding,
     l2: f32,
+    activation: Option<Activation>,
 }
 
 impl Conv2DLayer {
@@ -41,29 +44,7 @@ impl Conv2DLayer {
             d_bias: Tensor::zeros([filters]),
             padding,
             l2,
-        }
-    }
-}
-
-/// Add a `(filters,)` bias over the last dimension of `t` in place.
-fn add_channel_bias(t: &mut Tensor, bias: &Tensor) {
-    let f = bias.numel();
-    for chunk in t.data_mut().chunks_mut(f) {
-        for (v, &b) in chunk.iter_mut().zip(bias.data()) {
-            *v += b;
-        }
-    }
-}
-
-/// `sums` = the per-channel (last-dim) sums of `t`, from `0.0` in row order:
-/// the bias gradient reduction.
-fn channel_sums(t: &Tensor, sums: &mut Tensor) {
-    let f = sums.numel();
-    let out = sums.data_mut();
-    out.fill(0.0);
-    for chunk in t.data().chunks(f) {
-        for (o, &v) in out.iter_mut().zip(chunk) {
-            *o += v;
+            activation: None,
         }
     }
 }
@@ -71,24 +52,25 @@ fn channel_sums(t: &Tensor, sums: &mut Tensor) {
 impl Layer for Conv2DLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
         let mut y = conv2d_forward_ws(inputs[0], &self.kernel, self.padding, ws);
-        add_channel_bias(&mut y, &self.bias);
+        add_bias_and_activate(&mut y, &self.bias, self.activation);
         y
     }
 
     fn backward(
         &mut self,
         inputs: &[&Tensor],
-        _output: &Tensor,
-        dout: &Tensor,
+        output: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
-        let (x, kernel) = (inputs[0], &self.kernel);
+        pre_activation_grad(dout, output, self.activation, &mut self.d_bias);
+        let (x, kernel, dpre) = (inputs[0], &self.kernel, &*dout);
         let (dx, mut dk) = if wanted[0] {
-            let (dx, dk) = conv2d_backward_ws(x, kernel, dout, self.padding, ws);
+            let (dx, dk) = conv2d_backward_ws(x, kernel, dpre, self.padding, ws);
             (Some(dx), dk)
         } else {
-            (None, conv2d_backward_kernel_ws(x, kernel, dout, self.padding, ws))
+            (None, conv2d_backward_kernel_ws(x, kernel, dpre, self.padding, ws))
         };
         if self.l2 > 0.0 {
             // d/dw of (l2/2)·||w||² added to the kernel gradient; the
@@ -98,8 +80,15 @@ impl Layer for Conv2DLayer {
         }
         set_gradient(&mut self.d_kernel, &dk);
         ws.recycle(dk);
-        channel_sums(dout, &mut self.d_bias);
         vec![dx]
+    }
+
+    fn fold_activation(&mut self, activation: Activation) -> bool {
+        if self.activation.is_some() {
+            return false;
+        }
+        self.activation = Some(activation);
+        true
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&str, &Tensor)) {
@@ -131,6 +120,7 @@ pub struct Conv1DLayer {
     d_bias: Tensor,
     padding: Padding,
     l2: f32,
+    activation: Option<Activation>,
 }
 
 impl Conv1DLayer {
@@ -150,6 +140,7 @@ impl Conv1DLayer {
             d_bias: Tensor::zeros([filters]),
             padding,
             l2,
+            activation: None,
         }
     }
 }
@@ -157,32 +148,40 @@ impl Conv1DLayer {
 impl Layer for Conv1DLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
         let mut y = conv1d_forward_ws(inputs[0], &self.kernel, self.padding, ws);
-        add_channel_bias(&mut y, &self.bias);
+        add_bias_and_activate(&mut y, &self.bias, self.activation);
         y
     }
 
     fn backward(
         &mut self,
         inputs: &[&Tensor],
-        _output: &Tensor,
-        dout: &Tensor,
+        output: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
-        let (x, kernel) = (inputs[0], &self.kernel);
+        pre_activation_grad(dout, output, self.activation, &mut self.d_bias);
+        let (x, kernel, dpre) = (inputs[0], &self.kernel, &*dout);
         let (dx, mut dk) = if wanted[0] {
-            let (dx, dk) = conv1d_backward_ws(x, kernel, dout, self.padding, ws);
+            let (dx, dk) = conv1d_backward_ws(x, kernel, dpre, self.padding, ws);
             (Some(dx), dk)
         } else {
-            (None, conv1d_backward_kernel_ws(x, kernel, dout, self.padding, ws))
+            (None, conv1d_backward_kernel_ws(x, kernel, dpre, self.padding, ws))
         };
         if self.l2 > 0.0 {
             dk.axpy(self.l2, &self.kernel);
         }
         set_gradient(&mut self.d_kernel, &dk);
         ws.recycle(dk);
-        channel_sums(dout, &mut self.d_bias);
         vec![dx]
+    }
+
+    fn fold_activation(&mut self, activation: Activation) -> bool {
+        if self.activation.is_some() {
+            return false;
+        }
+        self.activation = Some(activation);
+        true
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&str, &Tensor)) {
@@ -232,8 +231,8 @@ mod tests {
         let mut layer = Conv2DLayer::new(2, 2, 3, Padding::Same, 0.0, &mut rng);
         let x = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
         let y = layer.forward(&[&x], true, &mut ws);
-        let dout = Tensor::ones(y.shape().clone());
-        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+        let mut dout = Tensor::ones(y.shape().clone());
+        let dx = layer.backward(&[&x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(5) {
             let mut plus = x.clone();
@@ -256,7 +255,8 @@ mod tests {
             let mut ws = Workspace::new();
             let mut layer = Conv2DLayer::new(1, 1, 3, Padding::Valid, l2, &mut r);
             let y = layer.forward(&[&x], true, &mut ws);
-            let _ = layer.backward(&[&x], &y, &Tensor::ones(y.shape().clone()), &[true], &mut ws);
+            let mut dout = Tensor::ones(y.shape().clone());
+            let _ = layer.backward(&[&x], &y, &mut dout, &[true], &mut ws);
             let mut grad = None;
             let mut kern = None;
             layer.visit_updates(&mut |n, p, g| {
@@ -282,8 +282,8 @@ mod tests {
         let mut layer = Conv1DLayer::new(2, 3, 3, Padding::Valid, 0.0, &mut rng);
         let x = Tensor::rand_normal([2, 7, 2], 0.0, 1.0, &mut rng);
         let y = layer.forward(&[&x], true, &mut ws);
-        let dout = Tensor::ones(y.shape().clone());
-        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+        let mut dout = Tensor::ones(y.shape().clone());
+        let dx = layer.backward(&[&x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
         let eps = 1e-2f32;
         for i in (0..x.numel()).step_by(4) {
             let mut plus = x.clone();

@@ -1,6 +1,6 @@
 //! Fully-connected layer with optional fused activation.
 
-use super::{glorot_limit, set_gradient, Layer};
+use super::{add_bias_and_activate, glorot_limit, pre_activation_grad, set_gradient, Layer};
 use crate::spec::Activation;
 use swt_tensor::{matmul_at_ws, matmul_bt_ws, matmul_ws, Rng, Tensor, Workspace};
 
@@ -38,76 +38,12 @@ impl DenseLayer {
     }
 }
 
-/// `*out = a(v)` for every `(out, v)` pair — in place or from another
-/// tensor, as the caller zips it. One loop per activation, so each is
-/// compiled (and vectorised) for a single function.
-pub(crate) fn apply_activation<'a>(pairs: impl Iterator<Item = (&'a mut f32, f32)>, a: Activation) {
-    fn map<'a>(pairs: impl Iterator<Item = (&'a mut f32, f32)>, f: impl Fn(f32) -> f32) {
-        for (out, v) in pairs {
-            *out = f(v);
-        }
-    }
-    match a {
-        Activation::Relu => map(pairs, |v| v.max(0.0)),
-        Activation::Tanh => map(pairs, f32::tanh),
-        Activation::Sigmoid => map(pairs, |v| 1.0 / (1.0 + (-v).exp())),
-    }
-}
-
-/// Scalar activation derivative expressed via the forward output.
-pub(crate) fn activation_grad_scalar(y: f32, a: Activation) -> f32 {
-    match a {
-        Activation::Relu => {
-            if y > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        Activation::Tanh => 1.0 - y * y,
-        Activation::Sigmoid => y * (1.0 - y),
-    }
-}
-
-/// `dpre = grad(dout, y)` element by element and, in the same pass over
-/// `dout`, `sums[j] = Σ_rows dpre[row][j]` from `0.0` in row order (the bias
-/// gradient).
-fn dpre_and_column_sums(
-    dpre: &mut [f32],
-    sums: &mut [f32],
-    dout: &[f32],
-    y: &[f32],
-    grad: impl Fn(f32, f32) -> f32,
-) {
-    let n = sums.len();
-    sums.fill(0.0);
-    for ((dp_row, g_row), y_row) in dpre.chunks_mut(n).zip(dout.chunks(n)).zip(y.chunks(n)) {
-        for (((dp, sum), &g), &yv) in dp_row.iter_mut().zip(sums.iter_mut()).zip(g_row).zip(y_row) {
-            *dp = grad(g, yv);
-            *sum += *dp;
-        }
-    }
-}
-
 impl Layer for DenseLayer {
     fn forward(&mut self, inputs: &[&Tensor], _training: bool, ws: &mut Workspace) -> Tensor {
         let x = inputs[0];
         assert_eq!(x.shape().rank(), 2, "dense input must be (batch, features)");
         let mut y = matmul_ws(x, &self.kernel, ws);
-        // Bias (broadcast over rows) and activation in one pass over `y`.
-        let bias = self.bias.data();
-        for row in y.data_mut().chunks_mut(bias.len()) {
-            match self.activation {
-                None => row.iter_mut().zip(bias).for_each(|(v, &b)| *v += b),
-                Some(a) => {
-                    let biased = row.iter_mut().zip(bias).map(|(out, &b)| {
-                        let v = *out + b;
-                        (out, v)
-                    });
-                    apply_activation(biased, a);
-                }
-            }
-        }
+        add_bias_and_activate(&mut y, &self.bias, self.activation);
         y
     }
 
@@ -115,27 +51,27 @@ impl Layer for DenseLayer {
         &mut self,
         inputs: &[&Tensor],
         output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
         let x = inputs[0];
         self.grads_zeroed = false;
-        // The pre-activation gradient and the bias gradient, one pass.
-        let mut dpre = ws.take_tensor(dout.shape().clone());
-        let (dp, db) = (dpre.data_mut(), self.d_bias.data_mut());
-        match self.activation {
-            Some(a) => dpre_and_column_sums(dp, db, dout.data(), output.data(), |g, y| {
-                g * activation_grad_scalar(y, a)
-            }),
-            None => dpre_and_column_sums(dp, db, dout.data(), output.data(), |g, _| g),
-        }
-        let dk = matmul_at_ws(x, &dpre, ws);
+        // The pre-activation gradient, in place, and the bias gradient.
+        pre_activation_grad(dout, output, self.activation, &mut self.d_bias);
+        let dk = matmul_at_ws(x, dout, ws);
         set_gradient(&mut self.d_kernel, &dk);
         ws.recycle(dk);
-        let dx = wanted[0].then(|| matmul_bt_ws(&dpre, &self.kernel, ws));
-        ws.recycle(dpre);
+        let dx = wanted[0].then(|| matmul_bt_ws(dout, &self.kernel, ws));
         vec![dx]
+    }
+
+    fn fold_activation(&mut self, activation: Activation) -> bool {
+        if self.activation.is_some() {
+            return false;
+        }
+        self.activation = Some(activation);
+        true
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&str, &Tensor)) {
@@ -164,6 +100,7 @@ impl Layer for DenseLayer {
 
 #[cfg(test)]
 mod tests {
+    use super::super::activation_grad_scalar;
     use super::*;
 
     #[test]
@@ -189,7 +126,8 @@ mod tests {
             let x = Tensor::rand_normal([2, 4], 0.3, 1.0, &mut rng);
             let y = layer.forward(&[&x], true, &mut ws);
             let dout = Tensor::ones(y.shape().clone());
-            let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+            let dx =
+                layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws).remove(0).unwrap();
             let eps = 1e-2f32;
             // Input gradient.
             for i in 0..x.numel() {
@@ -205,7 +143,7 @@ mod tests {
             // Kernel gradient (re-run forward to restore cache, then read grads).
             layer.zero_grads();
             let y = layer.forward(&[&x], true, &mut ws);
-            let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+            let _ = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws);
             let mut grads: Vec<(String, Tensor)> = Vec::new();
             layer.visit_updates(&mut |n, _p, g| grads.push((n.to_string(), g.clone())));
             let dk = &grads.iter().find(|(n, _)| n == "kernel").unwrap().1;
@@ -242,16 +180,16 @@ mod tests {
         let x = Tensor::ones([1, 2]);
         let dout = Tensor::ones([1, 2]);
         let y = layer.forward(&[&x], true, &mut ws);
-        let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+        let _ = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws);
         let once = grads(&mut layer);
         assert!(once.iter().flatten().any(|&bits| bits != 0));
-        let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+        let _ = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws);
         assert_eq!(grads(&mut layer), once);
         layer.zero_grads();
         assert!(grads(&mut layer).iter().flatten().all(|&bits| bits == 0));
         // The deferred fill does not outlive a `backward`.
         layer.zero_grads();
-        let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+        let _ = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws);
         assert_eq!(grads(&mut layer), once);
     }
 
@@ -280,7 +218,7 @@ mod tests {
             let y = layer.forward(&[&x], true, &mut ws);
             let mut dout = Tensor::rand_normal([batch, units], 0.0, 1.0, &mut rng);
             dout.data_mut().iter_mut().step_by(units).for_each(|v| *v = -1e-30);
-            let _ = layer.backward(&[&x], &y, &dout, &[true], &mut ws);
+            let _ = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws);
 
             let mut dpre = dout.clone();
             for (dp, &yv) in dpre.data_mut().iter_mut().zip(y.data()) {
@@ -320,13 +258,14 @@ mod tests {
         // stable batch over batch (output tensors are recycled by the caller,
         // here manually).
         let y = layer.forward(&[&x], true, &mut ws);
-        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+        let dx = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws).remove(0).unwrap();
         ws.recycle(dx);
         ws.recycle(y);
         let pooled = ws.pooled();
         for _ in 0..3 {
             let y = layer.forward(&[&x], true, &mut ws);
-            let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+            let dx =
+                layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws).remove(0).unwrap();
             ws.recycle(dx);
             ws.recycle(y);
             assert_eq!(ws.pooled(), pooled, "steady state must not grow the pool");

@@ -2,12 +2,12 @@
 //! change no value, so the model passes the tensor through such nodes
 //! itself — see [`crate::LayerSpec::passes_through`].)
 
-use super::dense::{activation_grad_scalar, apply_activation};
-use super::{ws_copy, Layer};
+use super::{activation_grad_scalar, apply_activation, ws_copy, Layer};
 use crate::spec::Activation;
 use swt_tensor::{Rng, Tensor, Workspace};
 
-/// Standalone activation layer.
+/// Standalone activation layer, for an `Activation` node whose input no layer
+/// could take it over from (see [`Layer::fold_activation`]).
 pub struct ActivationLayer {
     activation: Activation,
 }
@@ -30,7 +30,7 @@ impl Layer for ActivationLayer {
         &mut self,
         _inputs: &[&Tensor],
         output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
@@ -66,7 +66,9 @@ impl DropoutLayer {
 impl Layer for DropoutLayer {
     fn forward(&mut self, inputs: &[&Tensor], training: bool, ws: &mut Workspace) -> Tensor {
         let x = inputs[0];
-        self.release(ws);
+        if let Some(mask) = self.mask.take() {
+            ws.recycle(mask);
+        }
         if !training || self.rate == 0.0 {
             return ws_copy(x, ws);
         }
@@ -86,7 +88,7 @@ impl Layer for DropoutLayer {
         &mut self,
         _inputs: &[&Tensor],
         _output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
@@ -102,12 +104,6 @@ impl Layer for DropoutLayer {
                 vec![Some(dx)]
             }
             None => vec![Some(ws_copy(dout, ws))],
-        }
-    }
-
-    fn release(&mut self, ws: &mut Workspace) {
-        if let Some(mask) = self.mask.take() {
-            ws.recycle(mask);
         }
     }
 }
@@ -148,7 +144,7 @@ impl Layer for ConcatLayer {
         &mut self,
         inputs: &[&Tensor],
         _output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
@@ -184,8 +180,10 @@ mod tests {
         let x = Tensor::from_vec([1, 4], vec![-1.0, 2.0, -3.0, 4.0]);
         let y = layer.forward(&[&x], true, &mut ws);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let dx =
-            layer.backward(&[&x], &y, &Tensor::ones([1, 4]), &[true], &mut ws).remove(0).unwrap();
+        let dx = layer
+            .backward(&[&x], &y, &mut Tensor::ones([1, 4]), &[true], &mut ws)
+            .remove(0)
+            .unwrap();
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -207,7 +205,7 @@ mod tests {
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // Backward routes gradient only through kept elements.
         let dx = layer
-            .backward(&[&x], &y, &Tensor::ones([100, 100]), &[true], &mut ws)
+            .backward(&[&x], &y, &mut Tensor::ones([100, 100]), &[true], &mut ws)
             .remove(0)
             .unwrap();
         assert!(dx.approx_eq(&y, 1e-6));
@@ -253,12 +251,12 @@ mod tests {
         let y = layer.forward(&[&a, &b], true, &mut ws);
         assert_eq!(y.shape().dims(), &[2, 3]);
         assert_eq!(y.data(), &[1., 2., 9., 3., 4., 8.]);
-        let grads = layer.backward(&[&a, &b], &y, &y, &[true, true], &mut ws);
+        let grads = layer.backward(&[&a, &b], &y, &mut y.clone(), &[true, true], &mut ws);
         assert!(grads[0].as_ref().unwrap().approx_eq(&a, 0.0));
         assert!(grads[1].as_ref().unwrap().approx_eq(&b, 0.0));
         // An unwanted slice is not cut; the others still come from their
         // own columns.
-        let grads = layer.backward(&[&a, &b], &y, &y, &[false, true], &mut ws);
+        let grads = layer.backward(&[&a, &b], &y, &mut y.clone(), &[false, true], &mut ws);
         assert!(grads[0].is_none());
         assert!(grads[1].as_ref().unwrap().approx_eq(&b, 0.0));
     }

@@ -57,7 +57,9 @@ impl Layer for BatchNormLayer {
         let c = self.channels();
         assert_eq!(x.shape().dim(x.shape().rank() - 1), c, "batchnorm channel mismatch");
         let rows = x.numel() / c;
-        self.release(ws);
+        if let Some(xhat) = self.cached_xhat.take() {
+            ws.recycle(xhat);
+        }
         let mean = &mut self.scratch_mean;
         let var = &mut self.scratch_var;
         if training {
@@ -134,7 +136,7 @@ impl Layer for BatchNormLayer {
         &mut self,
         _inputs: &[&Tensor],
         _output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
@@ -170,12 +172,6 @@ impl Layer for BatchNormLayer {
         });
 
         vec![dx]
-    }
-
-    fn release(&mut self, ws: &mut Workspace) {
-        if let Some(xhat) = self.cached_xhat.take() {
-            ws.recycle(xhat);
-        }
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&str, &Tensor)) {
@@ -271,8 +267,8 @@ mod tests {
         };
         let mut bn = BatchNormLayer::new(2);
         let y = bn.forward(&[&x], true, &mut ws);
-        let dout = w.clone();
-        let dx = bn.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+        let mut dout = w.clone();
+        let dx = bn.backward(&[&x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
         let eps = 1e-2f32;
         for i in 0..x.numel() {
             let mut plus = x.clone();

@@ -30,7 +30,7 @@ impl Layer for MaxPool2DLayer {
         &mut self,
         inputs: &[&Tensor],
         _output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
@@ -63,7 +63,7 @@ impl Layer for MaxPool1DLayer {
         &mut self,
         inputs: &[&Tensor],
         _output: &Tensor,
-        dout: &Tensor,
+        dout: &mut Tensor,
         wanted: &[bool],
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
@@ -87,8 +87,8 @@ mod tests {
         ]);
         let y = layer.forward(&[&x], true, &mut ws);
         assert_eq!(y.data(), &[8., 6.]);
-        let dout = Tensor::from_vec([1, 1, 2, 1], vec![1.0, 2.0]);
-        let dx = layer.backward(&[&x], &y, &dout, &[true], &mut ws).remove(0).unwrap();
+        let mut dout = Tensor::from_vec([1, 1, 2, 1], vec![1.0, 2.0]);
+        let dx = layer.backward(&[&x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
         assert_eq!(dx.data(), &[0., 0., 0., 0., 1., 0., 2., 0.]);
     }
 

@@ -21,15 +21,17 @@ use swt_tensor::{Rng, Shape, Tensor, Workspace};
 /// output lives in `outputs` until the next batch, and a layer's `backward`
 /// is handed its inputs and output from there instead of keeping copies.
 /// A node that changes no value ([`LayerSpec::passes_through`]) has no layer
-/// at all: the model moves its input's tensor through, reshaped.
-/// All of it is drawn from the model's [`Workspace`] scratch arena and
-/// recycled batch over batch, so steady-state training allocates no tensor
-/// storage. The NAS evaluator moves one arena from candidate to candidate
-/// via [`Model::take_workspace`]/[`Model::set_workspace`]; taking it first
-/// returns everything the model and its layers still hold.
+/// at all: the model moves its input's tensor through, reshaped. Nor has an
+/// `Activation` node whose input's layer took it over
+/// ([`Layer::fold_activation`]): it moves that layer's output through, so
+/// the pair holds one tensor. All of it is drawn from the model's own
+/// [`Workspace`] scratch arena and recycled batch over batch, so
+/// steady-state training allocates no tensor storage; the arena goes with
+/// the model.
 pub struct Model {
     spec: ModelSpec,
-    /// `None` for input nodes and for identity/flatten nodes.
+    /// `None` for input nodes, identity/flatten nodes and folded activations:
+    /// the nodes that always pass their input through.
     layers: Vec<Option<Box<dyn Layer>>>,
     input_nodes: Vec<usize>,
     /// Per-sample output shape of every node.
@@ -103,6 +105,16 @@ impl Model {
             };
             layers.push(layer);
         }
+        // An activation whose input nothing else reads runs inside that
+        // input's layer, if the layer can take it.
+        for (i, node) in spec.nodes().iter().enumerate() {
+            if let NodeSpec::Layer { op: LayerSpec::Activation(a), inputs } = node {
+                let j = inputs[0];
+                if consumers[j] == 1 && layers[j].as_mut().is_some_and(|l| l.fold_activation(*a)) {
+                    layers[i] = None;
+                }
+            }
+        }
         Ok(Model {
             spec: spec.clone(),
             input_nodes: spec.input_nodes(),
@@ -121,23 +133,6 @@ impl Model {
     /// The spec this model was built from.
     pub fn spec(&self) -> &ModelSpec {
         &self.spec
-    }
-
-    /// Move the scratch arena out of the model (leaving an empty one), after
-    /// returning to it every activation the model holds and every per-batch
-    /// buffer its layers hold. The evaluator uses this to carry one
-    /// warmed-up pool across candidates.
-    pub fn take_workspace(&mut self) -> Workspace {
-        self.release_activations();
-        for layer in self.layers.iter_mut().flatten() {
-            layer.release(&mut self.ws);
-        }
-        std::mem::take(&mut self.ws)
-    }
-
-    /// Install a scratch arena (typically one taken from a previous model).
-    pub fn set_workspace(&mut self, ws: Workspace) {
-        self.ws = ws;
     }
 
     /// Borrow the model's scratch arena (e.g. for building batches out of
@@ -209,8 +204,8 @@ impl Model {
                 }
                 NodeSpec::Layer { op, inputs: in_ids } => {
                     let timing = timed.then(|| (&self.layer_obs[i], Instant::now()));
-                    let out = if op.passes_through(training) {
-                        // The values do not change: a sole reader takes the
+                    let out = if self.layers[i].is_none() || op.passes_through(training) {
+                        // Nothing to compute here: a sole reader takes the
                         // tensor itself, anyone else a copy.
                         let j = in_ids[0];
                         let own =
@@ -253,13 +248,13 @@ impl Model {
         let batch = dout.shape().dim(0);
         self.grads[self.spec.output()] = Some(ws_copy(dout, &mut self.ws));
         for i in (0..self.spec.nodes().len()).rev() {
-            let Some(grad) = self.grads[i].take() else { continue };
+            let Some(mut grad) = self.grads[i].take() else { continue };
             let NodeSpec::Layer { op, inputs: in_ids } = &self.spec.nodes()[i] else {
                 self.ws.recycle(grad);
                 continue; // input node: gradient terminates
             };
             let timing = timed.then(|| (&self.layer_obs[i], Instant::now()));
-            let input_grads = if op.passes_through(true) {
+            let input_grads = if self.layers[i].is_none() || op.passes_through(true) {
                 let j = in_ids[0];
                 let input_shape = batched(batch, &self.sample_shapes[j]);
                 // The activation this node took goes back to its producer,
@@ -275,7 +270,7 @@ impl Model {
                 let output = self.outputs[i].as_ref().expect(NO_FORWARD);
                 let layer = self.layers[i].as_mut().expect("layer node");
                 let input_grads =
-                    layer.backward(&gathered, output, &grad, &self.wanted[i], &mut self.ws);
+                    layer.backward(&gathered, output, &mut grad, &self.wanted[i], &mut self.ws);
                 self.ws.recycle(grad);
                 input_grads
             };
@@ -459,6 +454,17 @@ mod tests {
     use crate::spec::Activation;
     use swt_tensor::Padding;
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every parameter gradient a layer holds, `to_bits()`, in visit order.
+    fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        layer.visit_updates(&mut |_, _, g| out.push(bits(g)));
+        out
+    }
+
     fn small_cnn() -> ModelSpec {
         ModelSpec::chain(
             vec![6, 6, 1],
@@ -587,7 +593,7 @@ mod tests {
                 }
                 model.recycle(y);
             }
-            model.take_workspace().pooled()
+            model.workspace_mut().pooled() + model.outputs.iter().flatten().count()
         };
         let plain = buffers_for(vec![dense(4), dense(2)]);
         let padded = buffers_for(vec![
@@ -599,6 +605,148 @@ mod tests {
             dense(2),
         ]);
         assert_eq!(padded, plain);
+    }
+
+    /// A conv → relu pair holds one feature map after a training forward,
+    /// not two: the relu runs in the conv's write-back and its node takes
+    /// the conv's tensor.
+    #[test]
+    fn a_conv_relu_pair_holds_one_feature_map() {
+        let conv = LayerSpec::Conv2D { filters: 4, kernel: 3, padding: Padding::Same, l2: 0.0 };
+        let relu = LayerSpec::Activation(Activation::Relu);
+        let spec =
+            ModelSpec::chain(vec![6, 6, 2], vec![conv.clone(), relu.clone(), conv, relu]).unwrap();
+        let mut model = Model::build(&spec, 1).unwrap();
+        let x = Tensor::rand_normal([2, 6, 6, 2], 0.0, 1.0, &mut Rng::seed(3));
+        let y = model.forward(&[&x], true);
+        let held: Vec<usize> = model.outputs.iter().flatten().map(Tensor::numel).collect();
+        // The batch's copy, then one 6×6×4 map per pair.
+        assert_eq!(held, [2 * 6 * 6 * 2, 2 * 6 * 6 * 4, 2 * 6 * 6 * 4]);
+        model.backward(&y);
+    }
+
+    /// The layer `op` builds unfused, holding the parameters of `model`, the
+    /// one-layer model that built `op`, after all are redrawn: a fresh bias is
+    /// zero, and would hide one added in the wrong place.
+    fn unfused_twin(
+        model: &mut Model,
+        op: &LayerSpec,
+        input: &[usize],
+        rng: &mut Rng,
+    ) -> Box<dyn Layer> {
+        for (name, t) in model.named_params() {
+            assert!(model.set_param(&name, &Tensor::rand_normal(t.shape().clone(), 0.0, 0.5, rng)));
+        }
+        let mut layer = build_layer(op, &Shape::from(input), &mut Rng::seed(0)).expect("a layer");
+        let mut params = model.named_params().into_iter().map(|(_, t)| t);
+        layer.visit_params_mut(&mut |_, p| *p = params.next().unwrap());
+        layer
+    }
+
+    /// A folded activation computes, to the bit, what its producer's layer
+    /// and an `ActivationLayer` computed one after the other: the outputs in
+    /// training and in inference, the producer's kernel and bias gradients,
+    /// and its input gradient — for every producer that folds and every
+    /// activation. A conv whose output has a second reader stays unfused and
+    /// matches its composition too.
+    #[test]
+    fn a_folded_activation_matches_the_layer_by_layer_composition_bitwise() {
+        let mut rng = Rng::seed(41);
+        let batched = |sample: &[usize]| [&[4][..], sample].concat();
+        let producers = [
+            (
+                LayerSpec::Conv2D { filters: 5, kernel: 3, padding: Padding::Same, l2: 5e-4 },
+                &[6, 6, 3][..],
+            ),
+            (
+                LayerSpec::Conv1D { filters: 5, kernel: 3, padding: Padding::Valid, l2: 0.0 },
+                &[9, 3],
+            ),
+            (LayerSpec::Dense { units: 5, activation: None }, &[7]),
+        ];
+        for (producer, sample) in &producers {
+            for a in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
+                let what = format!("{producer:?} → {a}");
+                let chain = vec![producer.clone(), LayerSpec::Activation(a)];
+                let mut fused =
+                    Model::build(&ModelSpec::chain(sample.to_vec(), chain).unwrap(), 5).unwrap();
+                assert!(fused.layers[2].is_none(), "{what}: not folded");
+                // The two layers as they ran unfused, on the fused model's
+                // parameters.
+                let mut layer = unfused_twin(&mut fused, producer, sample, &mut rng);
+                let mut act = ActivationLayer::new(a);
+                let mut ws = Workspace::new();
+
+                let x = Tensor::rand_normal(batched(sample), 0.0, 1.0, &mut rng);
+                let pre = layer.forward(&[&x], true, &mut ws);
+                let y = act.forward(&[&pre], true, &mut ws);
+                assert_eq!(bits(&fused.forward(&[&x], false)), bits(&y), "{what}: inference");
+                let y_fused = fused.forward(&[&x], true);
+                assert_eq!(bits(&y_fused), bits(&y), "{what}: training");
+
+                let dout = Tensor::rand_normal(y.shape().clone(), 0.0, 1.0, &mut rng);
+                fused.zero_grads();
+                fused.backward(&dout);
+                let mut dpre = act
+                    .backward(&[&pre], &y, &mut dout.clone(), &[true], &mut ws)
+                    .remove(0)
+                    .unwrap();
+                let dx =
+                    layer.backward(&[&x], &pre, &mut dpre, &[true], &mut ws).remove(0).unwrap();
+                let own = fused.layers[1].as_deref_mut().unwrap();
+                assert_eq!(grad_bits(own), grad_bits(layer.as_mut()), "{what}: d_kernel, d_bias");
+                // The model never asks a first layer for its input gradient,
+                // so ask the layer it built.
+                let mut dout = dout;
+                let dx_fused = own.backward(&[&x], &y_fused, &mut dout, &[true], &mut ws).remove(0);
+                assert_eq!(bits(&dx_fused.unwrap()), bits(&dx), "{what}: d_input");
+            }
+        }
+
+        // input → conv → relu → flatten ┐
+        //           └───────→ flatten ──┴→ concat
+        let conv = producers[0].0.clone();
+        let node = |op, inputs| NodeSpec::Layer { op, inputs };
+        let spec = ModelSpec::new(
+            vec![
+                NodeSpec::Input { shape: vec![6, 6, 3] },
+                node(conv.clone(), vec![0]),
+                node(LayerSpec::Activation(Activation::Relu), vec![1]),
+                node(LayerSpec::Flatten, vec![2]),
+                node(LayerSpec::Flatten, vec![1]),
+                node(LayerSpec::Concat, vec![3, 4]),
+            ],
+            5,
+        )
+        .unwrap();
+        let mut model = Model::build(&spec, 5).unwrap();
+        assert!(model.layers[2].is_some(), "a conv read twice must keep its output");
+        let mut layer = unfused_twin(&mut model, &conv, &[6, 6, 3], &mut rng);
+        let (mut act, mut concat) = (ActivationLayer::new(Activation::Relu), ConcatLayer::new());
+        let mut ws = Workspace::new();
+
+        let x = Tensor::rand_normal([4, 6, 6, 3], 0.0, 1.0, &mut rng);
+        let pre = layer.forward(&[&x], true, &mut ws);
+        let r = act.forward(&[&pre], true, &mut ws);
+        let flat = |t: &Tensor| t.clone().reshape([4, 6 * 6 * 5]);
+        let (r_flat, pre_flat) = (flat(&r), flat(&pre));
+        let y = concat.forward(&[&r_flat, &pre_flat], true, &mut ws);
+        assert_eq!(bits(&model.forward(&[&x], true)), bits(&y), "two readers: output");
+
+        let dout = Tensor::rand_normal(y.shape().clone(), 0.0, 1.0, &mut rng);
+        model.zero_grads();
+        model.backward(&dout);
+        let mut parts =
+            concat.backward(&[&r_flat, &pre_flat], &y, &mut dout.clone(), &[true, true], &mut ws);
+        let d_pre = parts.pop().unwrap().unwrap().reshape(pre.shape().clone());
+        let mut d_r = parts.pop().unwrap().unwrap().reshape(r.shape().clone());
+        let d_act = act.backward(&[&pre], &r, &mut d_r, &[true], &mut ws).remove(0).unwrap();
+        // The model sums a shared output's gradients in reverse node order.
+        let mut d_conv = d_pre;
+        d_conv.axpy(1.0, &d_act);
+        layer.backward(&[&x], &pre, &mut d_conv, &[false], &mut ws);
+        let own = model.layers[1].as_deref_mut().unwrap();
+        assert_eq!(grad_bits(own), grad_bits(layer.as_mut()), "two readers: d_kernel, d_bias");
     }
 
     #[test]

@@ -177,12 +177,6 @@ fn warmed_model_step_and_evaluate_stay_inside_the_arena() {
         assert_eq!(gemms() - counted, layers * 3 - input_fed, "contractions in one step");
     }
     swt_obs::disable();
-
-    // Teardown hands everything back: nothing the model or its layers held
-    // (activations, batch-norm's x̂, dropout's mask) is lost to the next one.
-    let ws = model.take_workspace();
-    assert!(ws.pooled() > warm.0, "take_workspace must return what the model still held");
-    assert_eq!(ws.alloc_misses(), warm.1);
 }
 
 /// Every `tensor.gemm.*` contraction counted so far.

@@ -2,9 +2,9 @@
 //!
 //! Steady-state training runs the same shapes batch after batch; the arena
 //! lets every kernel and layer reuse last batch's buffers instead of hitting
-//! the allocator. Ownership rule: **one `Workspace` per evaluator thread**
-//! (the NAS evaluator owns one and hands it to the model it is training);
-//! a `Workspace` is never shared across threads.
+//! the allocator. Ownership rule: **one `Workspace` per model** (it is
+//! dropped with the model, so a candidate never inherits another's pool); a
+//! `Workspace` is never shared across threads.
 //!
 //! Protocol: `take`/`take_zeroed` a buffer, wrap it in a [`Tensor`] if
 //! needed, and `give`/`recycle` it back once the values are dead. After the

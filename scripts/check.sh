@@ -364,12 +364,20 @@ echo "==> experiments docs gate (EXPERIMENTS.md's measured blocks are generated 
 # `docs` rewrites every fenced block whose info string names a figure from
 # the committed CSVs, with that figure's ✓/✗ verdicts: a block edited by
 # hand, a CSV committed without its block, or a section left unfilled fails.
+# It diffs against the file as it was before `docs` ran, not against the
+# index, so an unstaged edit to the prose around the blocks passes; a failure
+# puts that file back.
 cargo build --release --quiet -p swt-experiments
+before=$(mktemp)
+cp EXPERIMENTS.md "$before"
 ./target/release/swt-experiments docs --out results/quick
-if ! git diff --exit-code EXPERIMENTS.md >&2; then
+if ! diff -u "$before" EXPERIMENTS.md >&2; then
+  cp "$before" EXPERIMENTS.md
+  rm -f "$before"
   echo "EXPERIMENTS.md's measured blocks differ from results/quick/ (run swt-experiments docs --out results/quick)" >&2
   exit 1
 fi
+rm -f "$before"
 if grep -n '(to be filled' EXPERIMENTS.md >&2; then
   echo "EXPERIMENTS.md still has a section to be filled" >&2
   exit 1
