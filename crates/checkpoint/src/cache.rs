@@ -1,19 +1,22 @@
-//! Lineage-resident provider cache.
+//! Lineage-resident provider cache, for a store behind a wire.
 //!
 //! Under regularized evolution the provider is the mutation parent, parents
 //! come only from the population, and the population ages out oldest first
 //! (Underwood et al. characterise these patterns to drive checkpoint
 //! caching): which checkpoints can be read again is known, not guessed.
 //! [`CachedStore`] wraps any [`CheckpointStore`] and holds that set as
-//! *encoded bytes plus their parsed index*, so a hit serves `load_index`
-//! without I/O and `load_tensors` with only the byte→f32 conversion.
+//! *encoded bytes plus their parsed index*, so a hit serves `load_raw` with
+//! one copy, `load_index` without I/O and `load_tensors` with only the
+//! byte→f32 conversion. A store on local disk needs none of it: the OS page
+//! cache already holds what was just written, so only a dist worker's
+//! `RemoteStore` is fronted by one.
 //!
 //! * **Born:** `save` encodes once into a cache-owned slab, hands those
 //!   bytes to the inner store's `save_raw` and keeps the slab: a child never
 //!   reaches disk or the wire for a parent this process trained. A parent
 //!   trained elsewhere is a miss, filled from `inner.load_raw`; `save_raw`
-//!   on the cache itself (a `Put` at the checkpoint server, which cannot
-//!   know who reads next) only drops the stale copy.
+//!   on the cache itself (bytes someone else encoded) only drops the stale
+//!   copy.
 //! * **Dies:** `evict` — the strategy's watermark, passed down by the
 //!   evaluator — drops the resident copy, never the durable one, and keeps
 //!   the slab as a later save's encode buffer. The byte budget is a hard cap
@@ -113,9 +116,8 @@ impl<S: CheckpointStore> CachedStore<S> {
     }
 
     /// Serve `id`'s encoded bytes *and* parsed index, filling from the inner
-    /// store's `load_raw` on a miss. Every read goes through here;
-    /// `swt-ckpt-server` sends `GetRaw`'s answer from the shared bytes.
-    pub fn raw_and_index(&self, id: &str) -> io::Result<Resident> {
+    /// store's `load_raw` on a miss. Every read goes through here.
+    fn raw_and_index(&self, id: &str) -> io::Result<Resident> {
         let gen_before = {
             let st = self.state();
             if let Some((hit, _)) = st.map.get(id) {

@@ -16,8 +16,9 @@
 //! payload bytes, and [`CheckpointStore::load_tensors`] converts only the
 //! payloads a transfer plan names. Every store reads a checkpoint as one
 //! whole container. It is the only version read or written. [`CachedStore`]
-//! keeps the lineage's live providers resident in memory: filled by the save
-//! that creates one, emptied by the strategy's watermark, capped in bytes.
+//! keeps the lineage's live providers resident in memory in front of a store
+//! behind a wire: filled by the save that creates one, emptied by the
+//! strategy's watermark, capped in bytes.
 
 pub mod cache;
 pub mod format;

@@ -517,13 +517,15 @@ impl DirStore {
         Ok(index)
     }
 
-    /// `id`'s live record and the segment it lies in.
+    /// `id`'s live record and the segment it lies in; the caller reads it
+    /// (counted as `ckpt.dir.reads`).
     fn locate(&self, id: &str) -> io::Result<(Arc<File>, Live)> {
         check_id(id);
         let index = self.fresh_index()?;
         let live = index.live(id).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("no checkpoint {id}"))
         })?;
+        swt_obs::counter!("ckpt.dir.reads").inc();
         Ok((Arc::clone(&index.segments[&live.key.seg].file), live))
     }
 

@@ -7,9 +7,9 @@
 //! elsewhere is fetched whole, once; the selective part of a read — which
 //! tensors the LP/LCS plan matched — is then served from that resident copy.
 //!
-//! * [`CkptServer`] — the service: per-bucket `CachedStore<DirStore>`
-//!   (resident containers capped in bytes over a durable WTC3 spill
-//!   directory), thread-per-connection framed TCP, `ckptsrv.*` counters and
+//! * [`CkptServer`] — the service: one `DirStore` per bucket (a durable
+//!   segment log under the spill root, no resident copy), thread-per-connection
+//!   framed TCP, `ckptsrv.*` counters and
 //!   an optional live `/status` endpoint. `swt ckpt-server` runs it (the
 //!   crate has no binary of its own); the shared secret comes from
 //!   `SWT_CKPT_SECRET`, never argv.
@@ -21,11 +21,10 @@
 //!   constant-time verifier.
 //!
 //! Multi-tenancy is by *bucket*: each `NasConfig.namespace` maps to one
-//! bucket, one directory under the spill root, one resident set — tenants
-//! cannot observe each other's ids. Consistency is per-id last-write-wins
-//! with write-through durability: a `Put` is acked only after the container
-//! bytes are renamed into the spill directory, so an acked checkpoint
-//! survives a server crash and a restarted server serves it from disk.
+//! bucket, one directory under the spill root — tenants cannot observe each
+//! other's ids. Consistency is per-id last-write-wins: a `Put` is acked only
+//! after the container is appended to the bucket's segment log, so an acked
+//! checkpoint survives a server crash and a restarted server serves it.
 
 pub mod auth;
 pub mod client;

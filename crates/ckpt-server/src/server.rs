@@ -1,13 +1,12 @@
-//! The checkpoint server: a multi-tenant, byte-budgeted tensor store
-//! behind framed TCP.
+//! The checkpoint server: a multi-tenant tensor store behind framed TCP.
 //!
-//! Every bucket (tenant namespace) is its own `CachedStore<DirStore>`
-//! rooted at `spill_dir/<bucket>`: `GetRaw`, the one read, is sent from the
-//! bucket's resident copy of the container (filled from the WTC3 spill file
-//! on the first read, capped in bytes, oldest-inserted out first), and `Put`
-//! writes *through* to disk before it is acknowledged — so a server restart
-//! mid-run loses nothing that was ever acked, and a restarted server
-//! rebuilds its RAM state lazily from the spill directory.
+//! Every bucket (tenant namespace) is its own `DirStore` rooted at
+//! `spill_dir/<bucket>`: `GetRaw`, the one read, is one read of the
+//! container from the segment log, checked before it is sent, and `Put` is
+//! on disk before it is acknowledged — so a server restart mid-run loses
+//! nothing that was ever acked. The server keeps no copy of its own: no
+//! eviction hint reaches it, and the OS page cache already holds what was
+//! just written.
 //!
 //! Connections are thread-per-client (worker counts are small). Hostile
 //! input never panics: the CI no-panic gate covers this crate, tokens are
@@ -28,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
-use swt_checkpoint::{parse_container, CachedStore, CheckpointStore, DirStore};
+use swt_checkpoint::{parse_container, CheckpointStore, DirStore};
 use swt_obs::serve::{prometheus_text, ObsServer, ServeSource};
 use swt_obs::RunReport;
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
@@ -40,8 +39,6 @@ pub struct ServerConfig {
     pub bind: String,
     /// Durable WTC3 spill root; each bucket gets a subdirectory.
     pub spill_dir: PathBuf,
-    /// Cap on each bucket's resident containers, in bytes.
-    pub cache_bytes: u64,
     /// Shared HMAC secret; empty = open mode.
     pub secret: String,
     /// Optional `host:port` for the server's own live `/status` endpoint.
@@ -53,14 +50,13 @@ impl ServerConfig {
         ServerConfig {
             bind: bind.into(),
             spill_dir: spill_dir.into(),
-            cache_bytes: 256 << 20,
             secret: String::new(),
             serve: None,
         }
     }
 }
 
-type BucketStore = Arc<CachedStore<DirStore>>;
+type BucketStore = Arc<DirStore>;
 
 struct Shared {
     cfg: ServerConfig,
@@ -81,8 +77,7 @@ impl Shared {
         if let Some(store) = buckets.get(name) {
             return Ok(Arc::clone(store));
         }
-        let dir = DirStore::new(self.cfg.spill_dir.join(name))?;
-        let store = Arc::new(CachedStore::new(dir, self.cfg.cache_bytes));
+        let store = Arc::new(DirStore::new(self.cfg.spill_dir.join(name))?);
         buckets.insert(name.to_string(), Arc::clone(&store));
         Ok(store)
     }
@@ -102,12 +97,7 @@ impl ServeSource for StoreStatus {
                 out.push(',');
             }
             // Bucket names pass `valid_token`, so no JSON escaping needed.
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"checkpoints\":{},\"resident_bytes\":{}}}",
-                store.list().len(),
-                store.resident_bytes()
-            );
+            let _ = write!(out, "{{\"name\":\"{name}\",\"checkpoints\":{}}}", store.list().len());
         }
         let _ = write!(
             out,
@@ -376,9 +366,14 @@ fn handle_get_raw(stream: &mut TcpStream, store: &BucketStore, id: &str) -> Resu
         send_err(stream, ErrCode::BadRequest, "invalid checkpoint id");
         return Ok(());
     }
-    // Sent from the cache's own copy: `load_raw` would clone the container.
-    let raw = match store.raw_and_index(id) {
-        Ok((raw, _)) => raw,
+    // A record damaged behind the server's back is refused here, whole,
+    // rather than sent for the reader to find out.
+    let checked = store.load_raw(id).and_then(|raw| {
+        parse_container(&raw)?;
+        Ok(raw)
+    });
+    let raw = match checked {
+        Ok(raw) => raw,
         Err(e) => {
             let (code, msg) = err_of(&e);
             send_err(stream, code, msg);

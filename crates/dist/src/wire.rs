@@ -53,10 +53,10 @@ wire_struct! {
         /// Intra-op thread budget this worker pins on its evaluating
         /// thread (`parallel::share(workers)`, as in the in-process pool).
         pub threads: NonZeroU32,
-        /// Per-worker provider-cache cap: the worker wraps its store in a
-        /// `CachedStore` capped at this many bytes (0 disables caching).
-        /// Sized coordinator-side as the run's cap split across the
-        /// dispatch window, mirroring the in-process shared cache.
+        /// Cap on the provider cache a worker fronts a `tcp://` store with
+        /// (0 = none); a shared directory is read directly. Sized
+        /// coordinator-side as the run's cap split across the dispatch
+        /// window.
         pub cache_bytes: u64,
         /// The checkpoint store, spelled as `swt dist-run --store` takes it:
         /// `tcp://host:port` dials a `swt-ckpt-server` (`eval.namespace` is

@@ -20,9 +20,9 @@ use std::io;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use swt_checkpoint::{CheckpointStore, DirStore};
+use swt_checkpoint::{CachedStore, CheckpointStore, DirStore};
 use swt_ckpt_server::RemoteStore;
-use swt_nas::{provider_store, Candidate, Evaluator};
+use swt_nas::{Candidate, Evaluator};
 use swt_space::SearchSpace;
 
 fn send(stream: &Mutex<TcpStream>, msg: &Msg) -> Result<(), WireError> {
@@ -208,9 +208,14 @@ pub fn run_worker(stream: TcpStream) -> Result<(), WireError> {
 fn build_evaluator(run: &RunSpec) -> io::Result<Evaluator> {
     let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
     let space = Arc::new(SearchSpace::for_app(run.app));
-    // The shared `DirStore`, or a `RemoteStore` session with the checkpoint
-    // server, bucketed by the run's namespace.
-    let backend: Arc<dyn CheckpointStore> = match run.store.strip_prefix("tcp://") {
+    // The shared `DirStore`, read directly: on local disk the OS page cache
+    // is the provider cache. Or a `RemoteStore` session with the checkpoint
+    // server, bucketed by the run's namespace, and the one store behind a
+    // wire: fronted by this worker's own provider cache, capped at its slice
+    // of the run's budget, so a checkpoint this worker trained is resident
+    // from its save and only a parent trained elsewhere costs a fetch. The
+    // lineage watermark on each candidate empties it.
+    let store: Arc<dyn CheckpointStore> = match run.store.strip_prefix("tcp://") {
         None => Arc::new(DirStore::new(&run.store).map_err(|e| {
             io::Error::new(e.kind(), format!("cannot open checkpoint store `{}`: {e}", run.store))
         })?),
@@ -220,15 +225,15 @@ fn build_evaluator(run: &RunSpec) -> io::Result<Evaluator> {
             // the server's "default" bucket (ids are still unique per run).
             let ns = run.eval.namespace.as_str();
             let bucket = if ns.is_empty() { "default" } else { ns };
-            Arc::new(RemoteStore::connect(addr, bucket, &secret))
+            let remote = RemoteStore::connect(addr, bucket, &secret);
+            // Without a transfer scheme nothing is read back.
+            if run.cache_bytes > 0 && run.eval.scheme.matcher().is_some() {
+                Arc::new(CachedStore::new(remote, run.cache_bytes))
+            } else {
+                Arc::new(remote)
+            }
         }
     };
-    // Each worker fronts it with its own provider cache, capped at its slice
-    // of the run's budget: a checkpoint this worker trained is resident from
-    // its save, so only a parent trained elsewhere costs a store round-trip
-    // (one, not one for the index and one for the tensors), and the lineage
-    // watermark on each candidate empties it.
-    let store = provider_store(backend, run.cache_bytes, run.eval.scheme);
     Ok(Evaluator::new(problem, space, store, &run.eval))
 }
 
@@ -349,9 +354,8 @@ mod tests {
 
         let worker = pair(build_evaluator(&run)?)?;
         let problem = Arc::new(run.app.problem(run.scale, run.data_seed));
-        let store =
-            provider_store(Arc::new(DirStore::new(&dir)?), run.cache_bytes, run.eval.scheme);
-        let direct = pair(Evaluator::new(problem, space, store, &run.eval))?;
+        let direct =
+            pair(Evaluator::new(problem, space, Arc::new(DirStore::new(&dir)?), &run.eval))?;
 
         assert!(worker[1].transfer.tensors > 0, "the child reads its parent back");
         for (w, d) in worker.iter().zip(&direct) {

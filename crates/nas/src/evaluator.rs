@@ -11,7 +11,7 @@ use std::io;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Instant;
-use swt_checkpoint::CheckpointStore;
+use swt_checkpoint::{decode_named, parse_container, CheckpointStore};
 use swt_core::{apply_transfer, ShapeSeq, TransferPlan, TransferScheme, TransferStats};
 use swt_data::AppProblem;
 use swt_nn::{AdamConfig, Model, TrainConfig, Trainer};
@@ -128,18 +128,15 @@ impl Evaluator {
             let _transfer_span = swt_obs::span!("transfer");
             let t0 = Instant::now();
             let parent_ckpt_id = self.ckpt_id(parent);
-            // Plan from the provider's *index* alone (names + shapes, no
-            // payload bytes), then fetch only the payloads the plan moves —
-            // the paper's Section VIII-E overhead shrinks from "read the
-            // whole parent checkpoint" to "read the matched tensors".
-            if let Ok(index) = self.store.load_index(&parent_ckpt_id) {
-                let provider_seq = ShapeSeq::from_checkpoint_index(&index);
-                let receiver_seq = ShapeSeq::of(&spec).unwrap();
-                let plan = TransferPlan::build(matcher, &provider_seq, &receiver_seq);
-                if !plan.is_empty() {
-                    if let Ok(provider_ckpt) =
-                        self.store.load_tensors(&parent_ckpt_id, &plan.provider_names())
-                    {
+            // One read of the provider's container: plan from its table of
+            // contents, then convert only the payloads the plan moves (the
+            // paper's Section VIII-E overhead is the read, not the decode).
+            if let Ok(raw) = self.store.load_raw(&parent_ckpt_id) {
+                if let Ok(index) = parse_container(&raw) {
+                    let provider_seq = ShapeSeq::from_checkpoint_index(&index);
+                    let receiver_seq = ShapeSeq::of(&spec).unwrap();
+                    let plan = TransferPlan::build(matcher, &provider_seq, &receiver_seq);
+                    if let Ok(provider_ckpt) = decode_named(&raw, &plan.provider_names()) {
                         transfer = apply_transfer(&plan, &provider_ckpt, &mut model);
                         // Hand the decoded payload buffers back to the
                         // thread arena for the next partial load.

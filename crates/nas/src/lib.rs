@@ -28,7 +28,7 @@ pub use evaluator::{candidate_seed, EvalOutcome, EvalSpec, Evaluator};
 pub use pairs::{
     run_distance_experiment, run_pair_experiment, MatchOutcome, PairOutcome, PairSummary,
 };
-pub use runner::{provider_store, run_nas, run_nas_with_backend, NasConfig, StrategyKind};
+pub use runner::{run_nas, run_nas_with_backend, NasConfig, StrategyKind};
 pub use strategy::{ProviderPolicy, RandomSearch, RegularizedEvolution, SearchStrategy};
 pub use topk::{full_train_sample, full_train_top_k, FullTrainOutcome, TopKReport};
 pub use trace::{NasTrace, TraceEvent};

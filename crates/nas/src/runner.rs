@@ -63,10 +63,12 @@ pub struct NasConfig {
     /// Provider-selection policy (the paper's Algorithm 1 uses the mutation
     /// parent; alternatives exist for ablations).
     pub provider: ProviderPolicy,
-    /// Hard cap on the provider cache wrapped around the checkpoint store
-    /// (0 = no cache). Not a working-set size: the cache holds the lineage's
-    /// live set — population plus what is in flight — and the strategy's
-    /// watermark empties it; the cap only bounds it when hints do not arrive.
+    /// Hard cap on the provider cache of a dist worker whose store is a
+    /// `tcp://` checkpoint server (0 = no cache), split evenly across the
+    /// workers. Every other store is read directly: on local disk the OS
+    /// page cache is the provider cache. Not a working-set size: the cache
+    /// holds the lineage's live set and the strategy's watermark empties it;
+    /// the cap only bounds it when hints do not arrive.
     pub cache_bytes: u64,
     /// Checkpoint-id namespace: candidate `i` is stored as `{namespace}c{i}`.
     /// Runs sharing one store (e.g. one `DirStore` on a parallel file
@@ -130,7 +132,9 @@ impl NasConfig {
 /// Run one NAS candidate-estimation phase on the in-process thread pool:
 /// `workers` evaluator threads stay busy while the strategy loop streams
 /// candidates through the deterministic dispatch window, exactly like
-/// DeepHyper's Ray evaluators against a local pool.
+/// DeepHyper's Ray evaluators against a local pool. The evaluators save to
+/// and read from `store` itself, one `load_raw` per child: nothing sits in
+/// front of it, since on local disk the OS page cache serves providers.
 ///
 /// # Panics
 /// If an evaluation fails (a checkpoint save); [`run_nas_with_backend`]
@@ -141,29 +145,9 @@ pub fn run_nas(
     store: Arc<dyn CheckpointStore>,
     cfg: &NasConfig,
 ) -> NasTrace {
-    // One provider cache shared by every evaluator worker: a checkpoint one
-    // worker saves is a memory hit for whichever trains its child.
-    let store = provider_store(store, cfg.cache_bytes, cfg.scheme);
     let app = problem.kind.name().to_string();
     let mut backend = ThreadPoolBackend::new(problem, Arc::clone(&space), store, cfg);
     run_nas_with_backend(&app, space, cfg, &mut backend).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The store evaluators read providers from: `store` fronted by a
-/// [`CachedStore`](swt_checkpoint::CachedStore) capped at `cache_bytes`
-/// when the cap is nonzero and `scheme` has a matcher, else `store` itself
-/// (without a transfer scheme nothing is ever read back, so nothing is
-/// held). The in-process pool and each dist worker build theirs here.
-pub fn provider_store(
-    store: Arc<dyn CheckpointStore>,
-    cache_bytes: u64,
-    scheme: TransferScheme,
-) -> Arc<dyn CheckpointStore> {
-    if cache_bytes > 0 && scheme.matcher().is_some() {
-        Arc::new(swt_checkpoint::CachedStore::new(store, cache_bytes))
-    } else {
-        store
-    }
 }
 
 /// Dispatches candidates stamped with the lineage watermark

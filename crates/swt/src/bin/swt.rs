@@ -69,8 +69,6 @@ usage:
   swt ckpt-server [options]      run the networked checkpoint store
     --bind HOST:PORT             listen address                 [127.0.0.1:7421]
     --spill DIR                  durable WTC3 spill directory   (required)
-    --cache-bytes N              cap on resident containers per bucket, not
-                                 a working-set size             [268435456]
     --serve HOST:PORT            expose /status, /metrics over HTTP
     --max-seconds N              exit after N seconds (demos/CI; default: run
                                  until killed)
@@ -97,8 +95,7 @@ const DIST_RUN_FLAGS: &[&str] =
     &["--namespace", "--store", "--max-workers", "--serve", "--chrome-trace"];
 const DIST_TOP_FLAGS: &[&str] = &["--addr", "--interval-ms", "--iterations", "--fetch"];
 const DIST_WORKER_FLAGS: &[&str] = &["--connect"];
-const CKPT_SERVER_FLAGS: &[&str] =
-    &["--bind", "--spill", "--cache-bytes", "--serve", "--max-seconds"];
+const CKPT_SERVER_FLAGS: &[&str] = &["--bind", "--spill", "--serve", "--max-seconds"];
 
 type Mode = fn(&[String]) -> Result<(), String>;
 
@@ -192,15 +189,7 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
         nas.scheme.name(),
         nas.seed
     );
-    epilogue(args, "run", app, &nas, &trace, |report| {
-        let peak = report.gauges.iter().find(|g| g.name == "ckpt.cache.resident_bytes");
-        println!(
-            "provider cache: {}, resident peak {} B",
-            provider_cache_counts(report),
-            peak.map_or(0, |g| g.max)
-        );
-        print_layer_kinds(report);
-    })
+    epilogue(args, "run", app, &nas, &trace, print_layer_kinds)
 }
 
 /// What `run` and `dist-run` print and write once the search is over: the
@@ -240,13 +229,6 @@ fn epilogue(
         println!("report: {}", path.display());
     }
     Ok(())
-}
-
-/// What the provider cache did: reads served from memory or from the store,
-/// entries the lineage watermark retired, entries its byte cap pushed out.
-fn provider_cache_counts(report: &RunReport) -> String {
-    let count = |kind| format!("{kind} {}", report.counter(&format!("ckpt.cache.{kind}")));
-    CACHE_COUNTER_KINDS.map(count).join(" ")
 }
 
 /// Where the training steps' time went, by layer kind (forward + backward
@@ -293,7 +275,6 @@ fn try_ckpt_server(args: &[String]) -> Result<(), String> {
     let spill: PathBuf =
         opt(args, "--spill").ok_or_else(|| format!("--spill DIR required\n{USAGE}"))?.into();
     let mut cfg = ServerConfig::new(bind, spill);
-    cfg.cache_bytes = parse(args, "--cache-bytes", cfg.cache_bytes)?;
     cfg.serve = opt(args, "--serve").map(str::to_string);
     // The secret rides in the environment, not argv (which `ps` exposes).
     cfg.secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
@@ -393,13 +374,24 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
                 stats.joined, stats.rejected, dist.max_workers
             );
         }
+        // Bytes saved from the trace, which counts them for every store (a
+        // worker's `ckpt.dir.saved_bytes` stays 0 over tcp); cache counts
+        // only where the workers have a cache, in front of a tcp store:
+        // hits and misses, entries the lineage watermark retired, entries
+        // the byte cap pushed out.
+        let saved: u64 = trace.events.iter().map(|e| e.checkpoint_bytes).sum();
+        let caches = match &dist.store_url {
+            Some(_) => {
+                let count = |k| format!("{k} {}", report.counter(&format!("ckpt.cache.{k}")));
+                format!(", provider caches: {}", CACHE_COUNTER_KINDS.map(count).join(" "))
+            }
+            None => String::new(),
+        };
         println!(
-            "metrics merged from {} worker process(es): gemm calls {}, checkpoint bytes saved {}, \
-             provider caches: {}",
+            "metrics merged from {} worker process(es): gemm calls {}, checkpoint bytes saved \
+             {saved}{caches}",
             stats.per_worker.len(),
             report.counter_prefix_sum("tensor.gemm."),
-            report.counter("ckpt.dir.saved_bytes"),
-            provider_cache_counts(report),
         );
     })?;
     if let (Some(path), Some(live)) = (chrome_trace, &live) {

@@ -87,6 +87,27 @@ if [ -n "$guesses" ]; then
 fi
 cargo test --release --quiet -p swt-checkpoint -p swt-nas --test cache_coherence --test lineage_props
 
+echo "==> one provider cache, behind the wire (the page cache serves every local store)"
+# A store on local disk is read directly: the OS page cache already holds
+# what was just written (DESIGN.md §9 "The provider cache: one, behind the
+# wire"). The one `CachedStore` outside swt-checkpoint and test code fronts a
+# dist worker's `RemoteStore`, in the `tcp://` arm of its store match; the
+# run-wide wrapper and the checkpoint server's bucket cache are gone, with
+# their knobs.
+cached=$(grep -rn 'CachedStore::new' crates/*/src examples --include='*.rs' \
+  | grep -v '^crates/checkpoint/' || true)
+tcp_arm=$(grep -B14 'CachedStore::new' crates/dist/src/worker.rs | grep -c 'Some(addr) =>' || true)
+knobs=$(grep -rnE 'provider_store' crates tests examples --include='*.rs' || true)
+knobs+=$(grep -rnE 'cache_bytes|resident_bytes' crates/ckpt-server/src --include='*.rs' || true)
+knobs+=$(grep -rn -- '--cache-bytes' crates/swt/src || true)
+if [ "$(printf '%s\n' "$cached" | grep -c .)" != 1 ] \
+  || ! printf '%s\n' "$cached" | grep -q '^crates/dist/src/worker.rs:' \
+  || [ "$tcp_arm" != 1 ] || [ -n "$knobs" ]; then
+  echo "a provider cache in front of a local store, provider_store, the server's bucket cache or --cache-bytes is back:" >&2
+  printf '%s\n' "$cached" "$knobs" | grep . >&2
+  exit 1
+fi
+
 echo "==> one read per store, no unread instrument (no seek path, no cargo bench, one ckpt-server entry point)"
 # Every store reads a checkpoint as one whole container; DirStore's read is
 # one positioned read of a whole record (DESIGN.md §9). A bench binary gates

@@ -2,7 +2,8 @@
 //! run whose workers fetch weights from `swt-ckpt-server` must produce a
 //! trace bit-identical to the same run over the shared `DirStore` — with
 //! healthy workers, with a worker SIGKILLed mid-run, with the server
-//! restarted mid-run, and with shared-secret authentication enabled.
+//! restarted mid-run, and with shared-secret authentication enabled. And
+//! `swt dist-run` reports such a run's checkpoint bytes.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -68,8 +69,8 @@ fn remote_store_run_matches_dirstore_run() {
     assert!(scratch_store.list().is_empty(), "no checkpoint may bypass the server");
 
     // `cache_bytes = 0` takes the cache from in front of the `RemoteStore`:
-    // each child then fetches its parent whole twice (the index, then the
-    // matched tensors) — slower, and the same trace.
+    // each child then fetches its parent whole, also one it trained itself —
+    // more on the wire, and the same trace.
     let bare = NasConfig { cache_bytes: 0, namespace: "bare_".into(), ..cfg.clone() };
     let uncached =
         run_nas_dist(&bare, &remote_config(scratch.clone(), &url)).expect("uncached run failed").0;
@@ -178,6 +179,44 @@ fn secured_run_round_trips_with_shared_secret() {
 
     drop(server);
     for dir in [local_store, spill, scratch] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// `swt dist-run` prints the checkpoint bytes its trace counts, over a
+/// directory and over tcp, where the server writes them and a worker's
+/// `ckpt.dir.saved_bytes` stays 0. Provider-cache counts are printed only
+/// over tcp, the one store a worker fronts with a cache.
+#[test]
+fn dist_run_prints_the_checkpoint_bytes_of_its_trace() {
+    let (server, spill) = start_server("cli", "");
+    let dir = temp_dir("rs_cli");
+    let tcp = format!("tcp://{}", server.addr());
+    let shared = dir.join("store").to_string_lossy().into_owned();
+    for store in [tcp.as_str(), shared.as_str()] {
+        let trace_csv = dir.join("trace.csv");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_swt"))
+            .args(["dist-run", "--workers", "2", "--candidates", "20", "--store", store])
+            .arg("--trace")
+            .arg(&trace_csv)
+            .env_remove("SWT_CKPT_SECRET")
+            .output()
+            .expect("the swt binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{store}: {stdout}{}", String::from_utf8_lossy(&out.stderr));
+        let line = stdout.lines().find(|l| l.starts_with("metrics merged from")).expect(store);
+        let printed = line
+            .split("checkpoint bytes saved ")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next()?.parse::<u64>().ok());
+        let trace = NasTrace::read_csv(&trace_csv).expect("trace");
+        let total: u64 = trace.events.iter().map(|e| e.checkpoint_bytes).sum();
+        assert!(total > 0, "{store}: {line}");
+        assert_eq!(printed, Some(total), "{store}: {line}");
+        assert_eq!(line.contains("provider caches:"), store == tcp, "{store}: {line}");
+    }
+    drop(server);
+    for dir in [spill, dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -109,13 +109,14 @@ fn a_store_that_cannot_open_is_named_in_the_run_error() {
 #[test]
 fn reassigned_candidate_finds_its_provider_after_the_survivor_dropped_it() {
     // Evolution starts after four candidates, so nearly every candidate —
-    // the one the victim held included — names a provider, and each
-    // worker's cache is capped at one to three checkpoints: the survivor
+    // the one the victim held included — names a provider. On a shared
+    // directory every read goes to the directory; behind the wire each
+    // worker's cache is capped at one to three checkpoints, so the survivor
     // has already dropped most of what it trained or fetched when a child
     // asks for it. The watermark a reassigned task carries is the one it
     // was first dispatched with, so it retires nothing the survivor's own
     // tasks had not already retired; whatever is not resident is a miss
-    // served by the store, and the trace cannot tell.
+    // served by the server, and the trace cannot tell.
     let mut cfg = nas_config(24, 2);
     cfg.population_size = 4;
     cfg.sample_size = 2;
@@ -123,21 +124,30 @@ fn reassigned_candidate_finds_its_provider_after_the_survivor_dropped_it() {
     let local_store = temp_dir("evicted_local");
     let local = run_in_process(&cfg, &local_store);
     assert!(local.events.iter().filter(|e| e.transfer_tensors > 0).count() >= 12);
+    let kill = Some(Kill { slot: 1, after: 12 });
 
     let dist_store = temp_dir("evicted_dist");
     let dist = dist_config(dist_store.clone());
-    let kill = Some(Kill { slot: 1, after: 12 });
     let (distributed, stats) = run_injected(&cfg, &dist, kill, None).expect("degraded run failed");
-
     assert_traces_identical(&local, &distributed, "kill after providers were dropped");
     assert_eq!(distributed.canonical_csv(), local.canonical_csv());
     assert_kill_absorbed(&distributed, stats.lost, stats.reassigned, "worker 1 killed");
+
+    let spill = temp_dir("evicted_spill");
+    let server = CkptServer::start(ServerConfig::new("127.0.0.1:0", &spill)).expect("server");
+    let mut remote = dist_config(temp_dir("evicted_remote"));
+    remote.store_url = Some(format!("tcp://{}", server.addr()));
+    let (over_tcp, stats) = run_injected(&cfg, &remote, kill, None).expect("degraded tcp run");
+    assert_eq!(over_tcp.canonical_csv(), local.canonical_csv());
+    assert_kill_absorbed(&over_tcp, stats.lost, stats.reassigned, "worker 1 killed, tcp store");
     let survivor = &stats.per_worker.iter().find(|(slot, _)| *slot == 0).expect("worker 0").1;
     let (capped, misses) =
         (survivor.counter("ckpt.cache.capped"), survivor.counter("ckpt.cache.misses"));
     assert!(capped > 0 && misses > 0, "survivor: {capped} capped, {misses} misses");
-    let _ = std::fs::remove_dir_all(&local_store);
-    let _ = std::fs::remove_dir_all(&dist_store);
+    drop(server);
+    for dir in [local_store, dist_store, spill, remote.store_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

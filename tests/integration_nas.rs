@@ -1,10 +1,11 @@
 //! Integration: the NAS runner across transfer schemes — trace invariants,
-//! checkpointing of every candidate, single-worker determinism, and the
-//! provider cache holding the lineage's live set.
+//! checkpointing of every candidate, single-worker determinism, one read of
+//! each provider from the store, and the provider cache holding the
+//! lineage's live set.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use swt::prelude::*;
 
 fn quick_run(scheme: TransferScheme, workers: usize, seed: u64) -> (NasTrace, Arc<MemStore>) {
@@ -108,9 +109,6 @@ fn run_with_store(
     let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
     let mut cfg = NasConfig::quick(TransferScheme::Lcs, candidates, 2, seed);
     cfg.namespace = namespace.to_string();
-    // No per-run cache wrapper: these tests read and write the injected
-    // store directly (one of them wraps it in a single shared CachedStore).
-    cfg.cache_bytes = 0;
     run_nas(problem, space, store, &cfg)
 }
 
@@ -192,14 +190,17 @@ fn shared_cached_store_stays_coherent_under_concurrent_runs() {
     }
 }
 
-/// Forwards to `inner`, counting what reaches it and sampling
-/// `resident(inner)` after every save (residency only peaks there).
+/// Forwards to `inner`, counting what reaches it — every `load_raw` by id,
+/// the other reads in one count — and sampling `resident(inner)` after
+/// every save (residency only peaks there).
 struct Watch<S> {
     inner: S,
     resident: fn(&S) -> u64,
+    raw_reads: Mutex<Vec<String>>,
     reads: AtomicU64,
     saves: AtomicU64,
     raw_saves: AtomicU64,
+    evicts: AtomicU64,
     largest: AtomicU64,
     peak: AtomicU64,
 }
@@ -207,8 +208,17 @@ struct Watch<S> {
 impl<S: CheckpointStore> Watch<S> {
     fn new(inner: S, resident: fn(&S) -> u64) -> Arc<Self> {
         let zero = || AtomicU64::new(0);
-        let (reads, saves, raw_saves, largest, peak) = (zero(), zero(), zero(), zero(), zero());
-        Arc::new(Watch { inner, resident, reads, saves, raw_saves, largest, peak })
+        Arc::new(Watch {
+            inner,
+            resident,
+            raw_reads: Mutex::default(),
+            reads: zero(),
+            saves: zero(),
+            raw_saves: zero(),
+            evicts: zero(),
+            largest: zero(),
+            peak: zero(),
+        })
     }
 
     fn read<R>(&self, result: R) -> R {
@@ -235,7 +245,8 @@ impl<S: CheckpointStore> CheckpointStore for Watch<S> {
         self.read(self.inner.load(id))
     }
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
-        self.read(self.inner.load_raw(id))
+        self.raw_reads.lock().unwrap().push(id.to_string());
+        self.inner.load_raw(id)
     }
     fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
         self.read(self.inner.load_index(id))
@@ -244,6 +255,7 @@ impl<S: CheckpointStore> CheckpointStore for Watch<S> {
         self.read(self.inner.load_tensors(id, names))
     }
     fn evict(&self, id: &str) {
+        self.evicts.fetch_add(1, Ordering::Relaxed);
         self.inner.evict(id)
     }
     fn exists(&self, id: &str) -> bool {
@@ -261,7 +273,7 @@ impl<S: CheckpointStore> CheckpointStore for Watch<S> {
 }
 
 #[test]
-fn the_provider_cache_holds_the_live_set_and_the_store_is_never_read() {
+fn each_provider_is_read_once_from_the_store_and_nothing_is_resident() {
     // tab_lcs_pool's shape: 400 Uno candidates, LCS, 2 workers, population 16.
     let problem = Arc::new(AppKind::Uno.problem(DataScale::Quick, 11));
     let space = Arc::new(SearchSpace::for_app(AppKind::Uno));
@@ -269,51 +281,49 @@ fn the_provider_cache_holds_the_live_set_and_the_store_is_never_read() {
         run_nas(Arc::clone(&problem), Arc::clone(&space), store, cfg)
     };
     let cfg = NasConfig::quick(TransferScheme::Lcs, 400, 2, 7);
-    let uncached = NasConfig { cache_bytes: 0, ..cfg.clone() };
     let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
 
-    // As a user runs it: every checkpoint reaches the store once, as the
-    // bytes the cache encoded, and no provider is ever read back from it.
-    let beneath = Watch::new(MemStore::new(), |_| 0);
-    let cached_trace = run(Arc::clone(&beneath) as _, &cfg);
-    assert_eq!(count(&beneath.reads), 0, "a provider this process trained was read from the store");
-    assert_eq!((count(&beneath.raw_saves), count(&beneath.saves)), (400, 0));
-
-    // Residency changes what is kept, never what is read: same trace bytes
-    // with no cache at all (and then the store does serve the reads).
-    let bare = Watch::new(MemStore::new(), |_| 0);
-    let bare_trace = run(Arc::clone(&bare) as _, &uncached);
-    assert_eq!(cached_trace.canonical_csv(), bare_trace.canonical_csv());
-    assert!(count(&bare.reads) > 400, "index + tensors per child, from the store");
-
-    // The same on disk: a bare `DirStore` reads each provider's file whole
-    // for the index and again for the tensors.
-    let dir = std::env::temp_dir().join(format!("swt_bare_dir_{}", std::process::id()));
+    // As a user runs it, on a directory: `run_nas` puts nothing in front of
+    // the store it is given, so the OS page cache is the provider cache.
+    // Every checkpoint is saved once, by `save` (a cache in front would hand
+    // down `save_raw`); every child reads its provider once, whole, by
+    // `load_raw`, and nothing else is read; the watermark's hints reach the
+    // store, because nothing holds a copy to drop.
+    let dir = std::env::temp_dir().join(format!("swt_one_read_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let on_disk = Watch::new(DirStore::new(&dir).unwrap(), |_| 0);
-    let dir_trace = run(Arc::clone(&on_disk) as _, &uncached);
+    let trace = run(Arc::clone(&on_disk) as _, &cfg);
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(cached_trace.canonical_csv(), dir_trace.canonical_csv());
-    assert_eq!(count(&on_disk.reads), count(&bare.reads), "the same reads, served from files");
+    assert_eq!((count(&on_disk.saves), count(&on_disk.raw_saves)), (400, 0));
+    let mut providers: Vec<String> =
+        trace.events.iter().filter_map(|e| Some(format!("c{}", e.parent?))).collect();
+    let mut raw_reads = on_disk.raw_reads.lock().unwrap().clone();
+    providers.sort();
+    raw_reads.sort();
+    assert!(providers.len() > 300, "{} children of 400", providers.len());
+    assert_eq!(raw_reads, providers, "one load_raw of its provider per child");
+    assert_eq!(count(&on_disk.reads), 0, "a read other than load_raw reached the store");
+    assert!(count(&on_disk.evicts) > 0, "the lineage watermark's hints never reached the store");
 
-    // The same search through a cache this test can see into: what it holds
-    // is the population plus what is in flight on either side of it, not the
-    // 400 checkpoints that passed through (nor the 32 MiB it may hold).
+    // The same search through a cache this test can see into: the same trace
+    // bytes, and what it holds is the population plus what is in flight on
+    // either side of it, not the 400 checkpoints that passed through (nor
+    // the 32 MiB it may hold).
     let seen =
         Watch::new(CachedStore::new(MemStore::new(), cfg.cache_bytes), |c| c.resident_bytes());
-    let seen_trace = run(Arc::clone(&seen) as _, &uncached);
-    assert_eq!(cached_trace.canonical_csv(), seen_trace.canonical_csv());
+    let seen_trace = run(Arc::clone(&seen) as _, &cfg);
+    assert_eq!(trace.canonical_csv(), seen_trace.canonical_csv());
     let live_set = (cfg.population_size + 2 * cfg.workers + 1) as u64 * count(&seen.largest);
     let peak = count(&seen.peak);
     assert!(0 < peak && peak <= live_set, "resident peak {peak} B, live set {live_set} B");
     assert!(seen.inner.resident_bytes() <= peak);
 
-    // Without a transfer scheme nothing is read back, so `run_nas` puts no
-    // cache in front: the store sees plain saves, and nothing is resident.
+    // Without a transfer scheme nothing is read back.
     let baseline = NasConfig::quick(TransferScheme::Baseline, 40, 2, 7);
     let plain = Watch::new(MemStore::new(), |_| 0);
     run(Arc::clone(&plain) as _, &baseline);
     assert_eq!((count(&plain.saves), count(&plain.raw_saves), count(&plain.reads)), (40, 0, 0));
+    assert!(plain.raw_reads.lock().unwrap().is_empty());
 }
 
 /// One Cifar10-space candidate with both pool windows, batch-norm, identity
