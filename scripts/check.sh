@@ -33,10 +33,11 @@ fi
 echo "$kinds"
 # The golden-bits test only notes a kernel without a recorded line; here that
 # is a failure, or a new kernel kind would never be compared on its own host.
-missing=$(cargo test --quiet -p swt --test integration_nas cifar10_candidate -- --nocapture 2>&1 \
-  | grep 'no golden line for kernel' || true)
+# It covers both convolution ranks: tests/golden/{cifar10,nt3}_candidate.txt.
+missing=$(cargo test --quiet -p swt --test integration_nas candidate_keeps_its_golden_bits \
+  -- --nocapture 2>&1 | grep 'no golden line for kernel' || true)
 if [ -n "$missing" ]; then
-  echo "tests/golden/cifar10_candidate.txt: $missing" >&2
+  echo "$missing" >&2
   exit 1
 fi
 

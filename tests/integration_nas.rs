@@ -326,23 +326,17 @@ fn each_provider_is_read_once_from_the_store_and_nothing_is_resident() {
     assert!(plain.raw_reads.lock().unwrap().is_empty());
 }
 
-/// One Cifar10-space candidate with both pool windows, batch-norm, identity
-/// nodes and dense layers, trained for one epoch: its score and every
-/// `state_dict` tensor must keep the bits recorded in
-/// `tests/golden/cifar10_candidate.txt` (one line per GEMM micro-kernel,
-/// taken from the commit before activations moved into the model's arena).
-/// A layer refactor that changes one rounding anywhere in forward, backward
-/// or the pooling route shows up here. Every fusing kernel contracts in the
-/// same pinned order, so their lines must be one and the same; a host whose
-/// kernel has no line passes with a note here and fails `scripts/check.sh`.
-#[test]
-fn cifar10_candidate_keeps_its_golden_bits() {
-    let problem = AppKind::Cifar10.problem(DataScale::Quick, 11);
-    let space = SearchSpace::for_app(AppKind::Cifar10);
-    // conv 8/same, pool 2/2, bn | conv 16/valid/l2, id, id |
-    // conv 24/same, pool 3/2, bn | conv 16/same, id, id | dense 64, id, dense 32
-    let arch = ArchSeq::new(vec![0, 1, 1, 7, 0, 0, 8, 2, 1, 4, 0, 0, 2, 0, 1]);
-    let spec = space.materialize(&arch).unwrap();
+/// One candidate per convolution rank, trained for one epoch from a fixed
+/// build seed: its score and every `state_dict` tensor must keep the bits
+/// recorded in its `tests/golden/*_candidate.txt` (one line per GEMM
+/// micro-kernel). A layer refactor that changes one rounding anywhere in
+/// forward, backward or the pooling route shows up here. Every fusing kernel
+/// contracts in the same pinned order, so their lines must be one and the
+/// same; a host whose kernel has no line passes with a note here and fails
+/// `scripts/check.sh`.
+fn assert_golden_bits(app: AppKind, arch: &[u16], golden: &str, file: &str) {
+    let problem = app.problem(DataScale::Quick, 11);
+    let spec = SearchSpace::for_app(app).materialize(&ArchSeq::new(arch.to_vec())).unwrap();
     let mut model = Model::build(&spec, 0x5EED).unwrap();
     let cfg = TrainConfig { batch_size: problem.batch_size, shuffle_seed: 3, ..Default::default() };
     let report = Trainer::new(problem.loss, problem.metric).fit(
@@ -367,7 +361,6 @@ fn cifar10_candidate_keeps_its_golden_bits() {
     let got = format!("{:016x} {hash:016x}", report.final_metric.to_bits());
 
     let kernel = swt::tensor::gemm_kernel_name();
-    let golden = include_str!("golden/cifar10_candidate.txt");
     let lines: Vec<(&str, &str)> = (golden.lines())
         .filter(|l| !l.starts_with('#'))
         .filter_map(|l| l.split_once(' '))
@@ -375,12 +368,37 @@ fn cifar10_candidate_keeps_its_golden_bits() {
     let mut fused = lines.iter().filter(|(name, _)| *name != "scalar");
     let first = fused.next().expect("a fused-kernel golden line");
     for line in fused {
-        assert_eq!(line.1, first.1, "`{}` and `{}` fuse alike: one line", line.0, first.0);
+        assert_eq!(line.1, first.1, "{file}: `{}` and `{}` fuse alike: one line", line.0, first.0);
     }
     let want = lines.iter().find(|(name, _)| *name == kernel).map(|(_, bits)| *bits);
     match want {
-        Some(want) => assert_eq!(got, want, "kernel {kernel}: score bits / state_dict hash moved"),
+        Some(want) => {
+            assert_eq!(got, want, "{file}, kernel {kernel}: score bits / state_dict hash moved")
+        }
         // A kernel nobody has recorded on (e.g. FMA hardware without AVX2).
-        None => eprintln!("no golden line for kernel `{kernel}`; measured `{got}`"),
+        None => eprintln!("{file}: no golden line for kernel `{kernel}`; measured `{got}`"),
     }
+}
+
+/// 2-D convolutions and pools, batch-norm, identity nodes and dense layers
+/// (lines taken from the commit before activations moved into the model's
+/// arena).
+#[test]
+fn cifar10_candidate_keeps_its_golden_bits() {
+    // conv 8/same, pool 2/2, bn | conv 16/valid/l2, id, id |
+    // conv 24/same, pool 3/2, bn | conv 16/same, id, id | dense 64, id, dense 32
+    let arch = [0, 1, 1, 7, 0, 0, 8, 2, 1, 4, 0, 0, 2, 0, 1];
+    let golden = include_str!("golden/cifar10_candidate.txt");
+    assert_golden_bits(AppKind::Cifar10, &arch, golden, "tests/golden/cifar10_candidate.txt");
+}
+
+/// A 1-D convolution with its activation folded in, a 1-D pool, dropout and
+/// dense layers (lines taken from the commit before the 1-D layers became
+/// the one-row case of the 2-D ones).
+#[test]
+fn nt3_candidate_keeps_its_golden_bits() {
+    // conv 8/k5/same, relu, pool 3/3 | dense 32, relu, dropout 0.1, id, sigmoid
+    let arch = [9, 0, 2, 1, 0, 3, 0, 2];
+    let golden = include_str!("golden/nt3_candidate.txt");
+    assert_golden_bits(AppKind::Nt3, &arch, golden, "tests/golden/nt3_candidate.txt");
 }
