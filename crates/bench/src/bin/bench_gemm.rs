@@ -31,8 +31,8 @@ use std::sync::Arc;
 use swt::nn::layers::{DropoutLayer, Layer};
 use swt::prelude::*;
 use swt::tensor::{
-    conv1d_backward, conv1d_forward, conv2d_backward, conv2d_forward, gemm_kernel_name, matmul,
-    matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_ws, Padding, Workspace,
+    conv2d_backward, conv2d_forward, gemm_kernel_name, matmul, matmul_at_ws, matmul_bt,
+    matmul_bt_ws, matmul_ws, Padding, Workspace,
 };
 use swt_bench::{median_ns, Harness};
 
@@ -146,24 +146,18 @@ fn main() {
     for (shape, input, kernel, padding) in convs {
         let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
         let kernel = Tensor::rand_normal(kernel, 0.0, 0.1, &mut rng);
-        // A rank-3 input is NT3's conv1d; both entry points take the same
-        // arguments.
-        let (op, forward, backward): (_, fn(_, _, _) -> _, fn(_, _, _, _) -> _) =
-            if input.shape().rank() == 3 {
-                ("conv1d", conv1d_forward, conv1d_backward)
-            } else {
-                ("conv2d", conv2d_forward, conv2d_backward)
-            };
-        let out = forward(&input, &kernel, padding);
+        // A rank-3 input is NT3's conv1d: the same entry points, its own rows.
+        let op = if input.shape().rank() == 3 { "conv1d" } else { "conv2d" };
+        let out = conv2d_forward(&input, &kernel, padding);
         let dout = Tensor::rand_normal(out.shape().dims().to_vec(), 0.0, 1.0, &mut rng);
         let patch = kernel.numel() / out.shape().dims().last().expect("output has a filter axis");
         let fwd_flops = 2.0 * (out.numel() * patch) as f64;
         h.bench(&format!("{op}.forward.{shape}"), || {
-            black_box(forward(&input, &kernel, padding));
+            black_box(conv2d_forward(&input, &kernel, padding));
         });
         flops.push((format!("{op}.forward.{shape}"), fwd_flops));
         h.bench(&format!("{op}.backward.{shape}"), || {
-            black_box(backward(&input, &kernel, &dout, padding));
+            black_box(conv2d_backward(&input, &kernel, &dout, padding));
         });
         flops.push((format!("{op}.backward.{shape}"), 2.0 * fwd_flops));
     }

@@ -27,11 +27,11 @@ mod misc;
 mod norm;
 mod pool;
 
-pub use conv::{Conv1DLayer, Conv2DLayer};
+pub use conv::ConvLayer;
 pub use dense::DenseLayer;
 pub use misc::{ActivationLayer, ConcatLayer, DropoutLayer};
 pub use norm::BatchNormLayer;
-pub use pool::{MaxPool1DLayer, MaxPool2DLayer};
+pub use pool::MaxPoolLayer;
 
 use crate::spec::Activation;
 use swt_tensor::{Tensor, Workspace};
@@ -233,11 +233,11 @@ mod tests {
         let cases: Vec<(Box<dyn Layer>, Tensor)> = vec![
             (Box::new(DenseLayer::new(3, 2, None, &mut rng)), Tensor::ones([4, 3])),
             (
-                Box::new(Conv2DLayer::new(2, 3, 3, Padding::Same, 0.0, &mut rng)),
+                Box::new(ConvLayer::new(&[3, 3], 2, 3, Padding::Same, 0.0, &mut rng)),
                 Tensor::ones([1, 4, 4, 2]),
             ),
             (
-                Box::new(Conv1DLayer::new(2, 3, 3, Padding::Same, 0.0, &mut rng)),
+                Box::new(ConvLayer::new(&[3], 2, 3, Padding::Same, 0.0, &mut rng)),
                 Tensor::ones([1, 6, 2]),
             ),
             (Box::new(BatchNormLayer::new(3)), Tensor::rand_normal([4, 3], 0.0, 1.0, &mut rng)),

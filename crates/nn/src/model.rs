@@ -1,8 +1,8 @@
 //! Trainable model: a [`ModelSpec`] materialised into layer instances.
 
 use crate::layers::{
-    ws_copy, ActivationLayer, BatchNormLayer, ConcatLayer, Conv1DLayer, Conv2DLayer, DenseLayer,
-    DropoutLayer, Layer, MaxPool1DLayer, MaxPool2DLayer,
+    ws_copy, ActivationLayer, BatchNormLayer, ConcatLayer, ConvLayer, DenseLayer, DropoutLayer,
+    Layer, MaxPoolLayer,
 };
 use crate::spec::{LayerSpec, ModelSpec, NodeSpec, SpecError};
 use std::sync::Arc;
@@ -432,14 +432,15 @@ fn build_layer(op: &LayerSpec, input_shape: &Shape, rng: &mut Rng) -> Option<Box
             Box::new(DenseLayer::new(input_shape.dim(0), *units, *activation, rng))
         }
         LayerSpec::Activation(a) => Box::new(ActivationLayer::new(*a)),
-        LayerSpec::Conv2D { filters, kernel, padding, l2 } => {
-            Box::new(Conv2DLayer::new(input_shape.dim(2), *filters, *kernel, *padding, *l2, rng))
+        LayerSpec::Conv2D { filters, kernel: k, padding, l2 } => {
+            Box::new(ConvLayer::new(&[*k, *k], input_shape.dim(2), *filters, *padding, *l2, rng))
         }
-        LayerSpec::Conv1D { filters, kernel, padding, l2 } => {
-            Box::new(Conv1DLayer::new(input_shape.dim(1), *filters, *kernel, *padding, *l2, rng))
+        LayerSpec::Conv1D { filters, kernel: k, padding, l2 } => {
+            Box::new(ConvLayer::new(&[*k], input_shape.dim(1), *filters, *padding, *l2, rng))
         }
-        LayerSpec::MaxPool2D { size, stride } => Box::new(MaxPool2DLayer::new(*size, *stride)),
-        LayerSpec::MaxPool1D { size, stride } => Box::new(MaxPool1DLayer::new(*size, *stride)),
+        LayerSpec::MaxPool2D { size, stride } | LayerSpec::MaxPool1D { size, stride } => {
+            Box::new(MaxPoolLayer::new(*size, *stride))
+        }
         LayerSpec::BatchNorm => {
             Box::new(BatchNormLayer::new(input_shape.dim(input_shape.rank() - 1)))
         }

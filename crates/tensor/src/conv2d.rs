@@ -4,7 +4,10 @@
 //! nodes with `valid`/`same` padding choices (Section VII-A); this module
 //! provides the kernel. Stride is fixed at 1 — exactly like the paper's
 //! search spaces, where spatial reduction comes from the pooling variable
-//! nodes, not from strided convolutions.
+//! nodes, not from strided convolutions. NT3's 1-D convolutions over very
+//! wide inputs are the same code: an `(n, w, c)` input under a `(k, c, f)`
+//! kernel is the one-row image `(n, 1, w, c)` under a one-row kernel, and
+//! every entry point returns its tensors in the input's rank.
 //!
 //! A convolution is the product of the *patch matrix* `col` — one row per
 //! output position `(n, oy, ox)`, one column per kernel tap and channel
@@ -47,6 +50,7 @@ use crate::bcast::{
 };
 use crate::matmul::{active_kernel, route, KernelKind, KC};
 use crate::parallel;
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
 
@@ -117,17 +121,8 @@ struct Pos {
 }
 
 impl Geom {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        n: usize,
-        h: usize,
-        w: usize,
-        c: usize,
-        kh: usize,
-        kw: usize,
-        f: usize,
-        padding: Padding,
-    ) -> Self {
+    /// An `(n, h, w, c)` image under `kh × kw` taps of `f` filters.
+    pub(crate) fn new([n, h, w, c]: [usize; 4], [kh, kw, f]: [usize; 3], padding: Padding) -> Self {
         let (oh, ow) = (padding.out_size(h, kh), padding.out_size(w, kw));
         Geom { n, h, w, c, kh, kw, f, oh, ow, pt: padding.pads(kh).0, pl: padding.pads(kw).0 }
     }
@@ -461,20 +456,41 @@ pub(crate) fn backward_input(
     dx
 }
 
-fn geom2d(input: &Tensor, kernel: &Tensor, padding: Padding) -> Geom {
-    assert_eq!(input.shape().rank(), 4, "conv2d input must be NHWC rank 4");
-    assert_eq!(kernel.shape().rank(), 4, "conv2d kernel must be (kh, kw, c, f)");
-    let (i, k) = (input.shape().dims(), kernel.shape().dims());
-    assert_eq!(i[3], k[2], "conv2d channel mismatch: input {}, kernel {}", i[3], k[2]);
-    Geom::new(i[0], i[1], i[2], i[3], k[0], k[1], k[3], padding)
+/// `[n, rows, cols, ch]` as a shape of `rank` 4, or of rank 3 without the
+/// row axis: a rank-3 tensor is one row of a rank-4 one.
+pub(crate) fn nhwc_or_nwc(rank: usize, [n, h, w, c]: [usize; 4]) -> Shape {
+    if rank == 3 {
+        debug_assert_eq!(h, 1, "a rank-3 tensor has one row");
+        Shape::from([n, w, c])
+    } else {
+        Shape::from([n, h, w, c])
+    }
 }
 
-/// Forward 2-D convolution.
+/// The geometry of `input` under `kernel`: `(n, h, w, c)` under
+/// `(kh, kw, c, f)`, or `(n, w, c)` under `(k, c, f)` as the one-row image
+/// `(n, 1, w, c)` under a one-row kernel.
+fn geom(input: &Tensor, kernel: &Tensor, padding: Padding) -> Geom {
+    let (image, [kh, kw, kc, f]) = match (input.shape().dims(), kernel.shape().dims()) {
+        (&[n, h, w, c], &[kh, kw, kc, f]) => ([n, h, w, c], [kh, kw, kc, f]),
+        (&[n, w, c], &[kw, kc, f]) => ([n, 1, w, c], [1, kw, kc, f]),
+        _ => panic!(
+            "conv2d: input {} and kernel {} must be (n, h, w, c) and (kh, kw, c, f), \
+             or (n, w, c) and (k, c, f)",
+            input.shape(),
+            kernel.shape()
+        ),
+    };
+    assert_eq!(image[3], kc, "conv2d channel mismatch: input {}, kernel {kc}", image[3]);
+    Geom::new(image, [kh, kw, f], padding)
+}
+
+/// Forward convolution, stride 1.
 ///
-/// * `input` — `(n, h, w, c)`
-/// * `kernel` — `(kh, kw, c, f)`
+/// * `input` — `(n, h, w, c)`, or `(n, w, c)` for a 1-D convolution
+/// * `kernel` — `(kh, kw, c, f)`, or `(k, c, f)`
 ///
-/// Returns `(n, oh, ow, f)`.
+/// Returns `(n, oh, ow, f)`, or `(n, ow, f)`.
 pub fn conv2d_forward(input: &Tensor, kernel: &Tensor, padding: Padding) -> Tensor {
     with_thread_workspace(|ws| conv2d_forward_ws(input, kernel, padding, ws))
 }
@@ -486,13 +502,14 @@ pub fn conv2d_forward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> Tensor {
-    let g = geom2d(input, kernel, padding);
-    Tensor::from_vec([g.n, g.oh, g.ow, g.f], forward(&g, input.data(), kernel.data(), ws))
+    let g = geom(input, kernel, padding);
+    let out = forward(&g, input.data(), kernel.data(), ws);
+    Tensor::from_vec(nhwc_or_nwc(input.shape().rank(), [g.n, g.oh, g.ow, g.f]), out)
 }
 
-/// Backward 2-D convolution: given upstream gradient `dout (n, oh, ow, f)`,
-/// returns `(d_input, d_kernel)` — [`conv2d_backward_kernel_ws`], then the
-/// input half.
+/// Backward convolution: given upstream gradient `dout` (the forward
+/// output's shape), returns `(d_input, d_kernel)` — [`conv2d_backward_kernel_ws`],
+/// then the input half.
 pub fn conv2d_backward(
     input: &Tensor,
     kernel: &Tensor,
@@ -511,9 +528,9 @@ pub fn conv2d_backward_ws(
     ws: &mut Workspace,
 ) -> (Tensor, Tensor) {
     let dk = conv2d_backward_kernel_ws(input, kernel, dout, padding, ws);
-    let g = geom2d(input, kernel, padding);
+    let g = geom(input, kernel, padding);
     let dx = backward_input(&g, kernel.data(), dout.data(), ws);
-    (Tensor::from_vec([g.n, g.h, g.w, g.c], dx), dk)
+    (Tensor::from_vec(input.shape().clone(), dx), dk)
 }
 
 /// The `d_kernel` half of [`conv2d_backward_ws`] alone, for a convolution
@@ -526,14 +543,15 @@ pub fn conv2d_backward_kernel_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> Tensor {
-    let g = geom2d(input, kernel, padding);
+    let g = geom(input, kernel, padding);
     assert_eq!(
-        dout.shape().dims(),
-        &[g.n, g.oh, g.ow, g.f],
+        dout.shape(),
+        &nhwc_or_nwc(input.shape().rank(), [g.n, g.oh, g.ow, g.f]),
         "conv2d_backward: dout shape {} unexpected",
         dout.shape()
     );
-    Tensor::from_vec([g.kh, g.kw, g.c, g.f], backward_kernel(&g, input.data(), dout.data(), ws))
+    let dk = backward_kernel(&g, input.data(), dout.data(), ws);
+    Tensor::from_vec(kernel.shape().clone(), dk)
 }
 
 #[cfg(test)]
@@ -733,7 +751,7 @@ mod tests {
         let mut rng = Rng::seed(0xC0);
         for &(n, h, w, c, kh, kw, f) in SWEEP {
             for padding in paddings(h, w, kh, kw) {
-                let g = Geom::new(n, h, w, c, kh, kw, f, padding);
+                let g = Geom::new([n, h, w, c], [kh, kw, f], padding);
                 let (x, kernel, dout) = random_case(&g, &mut rng);
                 for kind in available_kernels() {
                     with_kernel(kind, || {
@@ -756,7 +774,7 @@ mod tests {
             (2, 6, 6, 16, 3, 3, 12),
             (3, 5, 3, 16, 3, 5, 16),
         ] {
-            let g = Geom::new(n, h, w, c, kh, kw, f, Padding::Same);
+            let g = Geom::new([n, h, w, c], [kh, kw, f], Padding::Same);
             let (x, mut kernel, dout) = random_case(&g, &mut rng);
             kernel[0] = f32::INFINITY;
             kernel[g.cols() * f - 1] = f32::NAN;
@@ -784,7 +802,7 @@ mod tests {
             (10, 26, 26, 24, 3, 3, 15),
         ] {
             for padding in [Padding::Valid, Padding::Same] {
-                let g = Geom::new(n, h, w, c, kh, kw, f, padding);
+                let g = Geom::new([n, h, w, c], [kh, kw, f], padding);
                 assert!(g.rows() * g.cols() * g.f >= PAR_MACS, "{g:?} would not dispatch");
                 let (x, kernel, dout) = random_case(&g, &mut rng);
                 let run = || {
@@ -809,8 +827,14 @@ mod tests {
         }
     }
 
-    /// Direct (quadruple-loop) reference convolution.
+    /// Direct (quadruple-loop) reference convolution; a rank-3 call is the
+    /// one-row image under a one-row kernel.
     fn naive_conv2d(input: &Tensor, kernel: &Tensor, padding: Padding) -> Tensor {
+        if let (&[n, w, c], &[k, kc, f]) = (input.shape().dims(), kernel.shape().dims()) {
+            let image = input.clone().reshape([n, 1, w, c]);
+            let out = naive_conv2d(&image, &kernel.clone().reshape([1, k, kc, f]), padding);
+            return out.reshape([n, padding.out_size(w, k), f]);
+        }
         let (n, h, w, c) = (
             input.shape().dim(0),
             input.shape().dim(1),
@@ -860,6 +884,9 @@ mod tests {
         let kernel = Tensor::zeros([3, 3, 3, 16]);
         let out = conv2d_forward(&input, &kernel, Padding::Valid);
         assert_eq!(out.shape().dims(), &[2, 6, 6, 16]);
+        let out =
+            conv2d_forward(&Tensor::zeros([2, 16, 4]), &Tensor::zeros([5, 4, 8]), Padding::Valid);
+        assert_eq!(out.shape().dims(), &[2, 12, 8]);
     }
 
     #[test]
@@ -868,23 +895,30 @@ mod tests {
         let kernel = Tensor::zeros([4, 2, 2, 5]);
         let out = conv2d_forward(&input, &kernel, Padding::Same);
         assert_eq!(out.shape().dims(), &[1, 7, 7, 5]);
+        let out =
+            conv2d_forward(&Tensor::zeros([2, 16, 4]), &Tensor::zeros([4, 4, 8]), Padding::Same);
+        assert_eq!(out.shape().dims(), &[2, 16, 8]);
     }
 
     #[test]
     fn forward_matches_naive() {
         let mut rng = Rng::seed(1);
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[2, 5, 5, 1], &[3, 3, 1, 2]),
+            (&[2, 6, 4, 3], &[2, 3, 3, 4]),
+            (&[2, 4, 4, 2], &[1, 1, 2, 3]),
+            (&[2, 9, 1], &[3, 1, 2]),
+            (&[2, 12, 3], &[4, 3, 5]),
+            (&[2, 7, 2], &[1, 2, 1]),
+        ];
         for &padding in &[Padding::Valid, Padding::Same] {
-            for &(h, w, c, kh, kw, f) in
-                &[(5, 5, 1, 3, 3, 2), (6, 4, 3, 2, 3, 4), (4, 4, 2, 1, 1, 3)]
-            {
-                let input = Tensor::rand_normal([2, h, w, c], 0.0, 1.0, &mut rng);
-                let kernel = Tensor::rand_normal([kh, kw, c, f], 0.0, 1.0, &mut rng);
+            for (input, kernel) in cases {
+                let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
+                let kernel = Tensor::rand_normal(kernel, 0.0, 1.0, &mut rng);
                 let fast = conv2d_forward(&input, &kernel, padding);
                 let slow = naive_conv2d(&input, &kernel, padding);
-                assert!(
-                    fast.approx_eq(&slow, 1e-4),
-                    "padding {padding:?} ({h},{w},{c},{kh},{kw},{f})"
-                );
+                let what = format!("{padding:?} {} {}", input.shape(), kernel.shape());
+                assert!(fast.approx_eq(&slow, 1e-4), "{what}");
             }
         }
     }
@@ -892,26 +926,34 @@ mod tests {
     #[test]
     fn forward_matches_naive_at_gemm_blocking_sizes() {
         // Big enough that the blocked GEMM path (not the small-size fallback)
-        // carries the im2col product.
+        // carries the im2col product: a Cifar10 block and a wide NT3 row.
         let mut rng = Rng::seed(4);
-        let input = Tensor::rand_normal([2, 12, 12, 8], 0.0, 1.0, &mut rng);
-        let kernel = Tensor::rand_normal([3, 3, 8, 24], 0.0, 0.3, &mut rng);
-        let fast = conv2d_forward(&input, &kernel, Padding::Same);
-        let slow = naive_conv2d(&input, &kernel, Padding::Same);
-        assert!(fast.approx_eq(&slow, 1e-3));
+        for (input, kernel) in
+            [([2, 12, 12, 8].as_slice(), [3, 3, 8, 24].as_slice()), (&[2, 180, 4], &[5, 4, 20])]
+        {
+            let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
+            let kernel = Tensor::rand_normal(kernel, 0.0, 0.3, &mut rng);
+            let fast = conv2d_forward(&input, &kernel, Padding::Same);
+            let slow = naive_conv2d(&input, &kernel, Padding::Same);
+            assert!(fast.approx_eq(&slow, 1e-3), "{}", input.shape());
+        }
     }
 
     #[test]
     fn ws_variant_matches_and_reuses() {
         let mut rng = Rng::seed(5);
         let mut ws = Workspace::new();
-        let input = Tensor::rand_normal([2, 6, 6, 3], 0.0, 1.0, &mut rng);
-        let kernel = Tensor::rand_normal([3, 3, 3, 4], 0.0, 1.0, &mut rng);
-        let base = conv2d_forward(&input, &kernel, Padding::Same);
-        for _ in 0..3 {
-            let out = conv2d_forward_ws(&input, &kernel, Padding::Same, &mut ws);
-            assert!(out.approx_eq(&base, 1e-6));
-            ws.recycle(out);
+        for (input, kernel) in
+            [([2, 6, 6, 3].as_slice(), [3, 3, 3, 4].as_slice()), (&[3, 14, 2], &[3, 2, 5])]
+        {
+            let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
+            let kernel = Tensor::rand_normal(kernel, 0.0, 1.0, &mut rng);
+            let base = conv2d_forward(&input, &kernel, Padding::Same);
+            for _ in 0..3 {
+                let out = conv2d_forward_ws(&input, &kernel, Padding::Same, &mut ws);
+                assert!(out.approx_eq(&base, 1e-6));
+                ws.recycle(out);
+            }
         }
     }
 
@@ -927,50 +969,111 @@ mod tests {
         assert!(out.approx_eq(&input, 1e-6));
     }
 
-    /// Central-difference gradient check of both input and kernel gradients.
+    /// Central-difference gradient check of both input and kernel gradients,
+    /// on an image and on a row.
     #[test]
     fn backward_matches_numerical_gradient() {
         let mut rng = Rng::seed(3);
         for &padding in &[Padding::Valid, Padding::Same] {
-            let input = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
-            let kernel = Tensor::rand_normal([3, 3, 2, 2], 0.0, 0.5, &mut rng);
-            // Loss = sum of conv output elements -> dout = ones.
-            let out = conv2d_forward(&input, &kernel, padding);
-            let dout = Tensor::ones(out.shape().dims().to_vec());
-            let (dinput, dkernel) = conv2d_backward(&input, &kernel, &dout, padding);
+            for (input, kernel) in
+                [([1, 4, 4, 2].as_slice(), [3, 3, 2, 2].as_slice()), (&[1, 8, 2], &[3, 2, 3])]
+            {
+                let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
+                let kernel = Tensor::rand_normal(kernel, 0.0, 0.5, &mut rng);
+                // Loss = sum of conv output elements -> dout = ones.
+                let out = conv2d_forward(&input, &kernel, padding);
+                let dout = Tensor::ones(out.shape().dims().to_vec());
+                let (dinput, dkernel) = conv2d_backward(&input, &kernel, &dout, padding);
+                assert_eq!((dinput.shape(), dkernel.shape()), (input.shape(), kernel.shape()));
 
-            let eps = 1e-2f32;
-            for probe in 0..6 {
-                // Probe input gradient.
-                let idx = probe * 3 % input.numel();
-                let mut plus = input.clone();
-                plus.data_mut()[idx] += eps;
-                let mut minus = input.clone();
-                minus.data_mut()[idx] -= eps;
-                let num = (conv2d_forward(&plus, &kernel, padding).sum()
-                    - conv2d_forward(&minus, &kernel, padding).sum())
-                    / (2.0 * eps);
-                assert!(
-                    (num - dinput.data()[idx]).abs() < 1e-2,
-                    "dinput[{idx}] analytic {} vs numeric {num} ({padding:?})",
-                    dinput.data()[idx]
-                );
-                // Probe kernel gradient.
-                let kidx = probe * 5 % kernel.numel();
-                let mut kplus = kernel.clone();
-                kplus.data_mut()[kidx] += eps;
-                let mut kminus = kernel.clone();
-                kminus.data_mut()[kidx] -= eps;
-                let num = (conv2d_forward(&input, &kplus, padding).sum()
-                    - conv2d_forward(&input, &kminus, padding).sum())
-                    / (2.0 * eps);
-                assert!(
-                    (num - dkernel.data()[kidx]).abs() < 1e-2,
-                    "dkernel[{kidx}] analytic {} vs numeric {num} ({padding:?})",
-                    dkernel.data()[kidx]
-                );
+                let eps = 1e-2f32;
+                for probe in 0..6 {
+                    // Probe input gradient.
+                    let idx = probe * 3 % input.numel();
+                    let mut plus = input.clone();
+                    plus.data_mut()[idx] += eps;
+                    let mut minus = input.clone();
+                    minus.data_mut()[idx] -= eps;
+                    let num = (conv2d_forward(&plus, &kernel, padding).sum()
+                        - conv2d_forward(&minus, &kernel, padding).sum())
+                        / (2.0 * eps);
+                    assert!(
+                        (num - dinput.data()[idx]).abs() < 1e-2,
+                        "dinput[{idx}] analytic {} vs numeric {num} ({padding:?} {})",
+                        dinput.data()[idx],
+                        input.shape()
+                    );
+                    // Probe kernel gradient.
+                    let kidx = probe * 5 % kernel.numel();
+                    let mut kplus = kernel.clone();
+                    kplus.data_mut()[kidx] += eps;
+                    let mut kminus = kernel.clone();
+                    kminus.data_mut()[kidx] -= eps;
+                    let num = (conv2d_forward(&input, &kplus, padding).sum()
+                        - conv2d_forward(&input, &kminus, padding).sum())
+                        / (2.0 * eps);
+                    assert!(
+                        (num - dkernel.data()[kidx]).abs() < 1e-2,
+                        "dkernel[{kidx}] analytic {} vs numeric {num} ({padding:?} {})",
+                        dkernel.data()[kidx],
+                        input.shape()
+                    );
+                }
             }
         }
+    }
+
+    /// A rank-3 call is the rank-4 call on the one-row image `(n, 1, w, c)`
+    /// under the one-row kernel `(1, k, c, f)`, to the bit: forward, `d_input`
+    /// and `d_kernel` on every kernel (max-pooling has no rank-4 call with a
+    /// one-row window: `pool`'s oracle test pins its rank-3 case). Mismatched
+    /// input and kernel ranks panic.
+    #[test]
+    fn a_row_is_the_one_row_image_bitwise() {
+        let mut rng = Rng::seed(0xC3);
+        for &(n, w, c, k, f) in &[(2, 50, 4, 7, 16), (3, 14, 2, 3, 5), (2, 512, 1, 5, 8)] {
+            for padding in [Padding::Valid, Padding::Same] {
+                let x = Tensor::rand_normal([n, w, c], 0.0, 1.0, &mut rng);
+                let kernel = Tensor::rand_normal([k, c, f], 0.0, 0.5, &mut rng);
+                let x4 = x.clone().reshape([n, 1, w, c]);
+                let kernel4 = kernel.clone().reshape([1, k, c, f]);
+                for kind in available_kernels() {
+                    with_kernel(kind, || {
+                        let what = format!("{kind:?} {padding:?} ({n},{w},{c},{k},{f})");
+                        let out = conv2d_forward(&x, &kernel, padding);
+                        let out4 = conv2d_forward(&x4, &kernel4, padding);
+                        assert_eq!(out.shape().dims(), &[n, padding.out_size(w, k), f], "{what}");
+                        assert_eq!(bits(out.data()), bits(out4.data()), "forward {what}");
+                        let dout =
+                            Tensor::rand_normal(out.shape().clone(), 0.0, 1.0, &mut Rng::seed(7));
+                        let (dx, dk) = conv2d_backward(&x, &kernel, &dout, padding);
+                        let dout4 = dout.clone().reshape(out4.shape().clone());
+                        let (dx4, dk4) = conv2d_backward(&x4, &kernel4, &dout4, padding);
+                        assert_eq!((dx.shape(), dk.shape()), (x.shape(), kernel.shape()), "{what}");
+                        assert_eq!(bits(dx.data()), bits(dx4.data()), "d_input {what}");
+                        assert_eq!(bits(dk.data()), bits(dk4.data()), "d_kernel {what}");
+                    });
+                }
+            }
+        }
+        for (input, kernel) in
+            [([1, 8, 2].as_slice(), [1, 3, 2, 2].as_slice()), (&[1, 1, 8, 2], &[3, 2, 2])]
+        {
+            let (input, kernel) = (Tensor::zeros(input), Tensor::zeros(kernel));
+            let call = std::panic::catch_unwind(|| conv2d_forward(&input, &kernel, Padding::Same));
+            assert!(
+                call.is_err(),
+                "input {} under kernel {} must panic",
+                input.shape(),
+                kernel.shape()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be (n, h, w, c)")]
+    fn wrong_rank_panics() {
+        conv2d_forward(&Tensor::zeros([2, 4]), &Tensor::zeros([3, 1, 1]), Padding::Valid);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   ([`matmul`](matmul::matmul), [`matmul_at`], [`matmul_bt`]): the first
 //!   two on the convolutions' broadcast-FMA tiles, the input gradient on a
 //!   cache-blocked, packed BLIS-style GEMM (see the module docs),
-//! * direct [`conv2d`] / [`conv1d`] forward *and* backward: broadcast-FMA
-//!   register tiles that read the NHWC tensors in place, bit-identical to
-//!   the GEMMs they stand for,
-//! * max-pooling with argmax-based backward,
+//! * direct [`conv2d`] forward *and* backward, 1-D as its one-row case:
+//!   broadcast-FMA register tiles that read the NHWC tensors in place,
+//!   bit-identical to the GEMMs they stand for,
+//! * max-pooling over either rank with argmax-based backward,
 //! * row-wise softmax and elementwise activations,
 //! * a reusable scratch arena ([`Workspace`]) so the
 //!   training hot path is allocation-free at steady state,
@@ -29,7 +29,6 @@
 //! written over slices and fixed-size tiles so bounds checks vectorise away.
 
 mod bcast;
-pub mod conv1d;
 pub mod conv2d;
 pub mod matmul;
 pub mod ops;
@@ -40,10 +39,6 @@ pub mod shape;
 pub mod tensor;
 pub mod workspace;
 
-pub use conv1d::{
-    conv1d_backward, conv1d_backward_kernel_ws, conv1d_backward_ws, conv1d_forward,
-    conv1d_forward_ws,
-};
 pub use conv2d::{
     conv2d_backward, conv2d_backward_kernel_ws, conv2d_backward_ws, conv2d_forward,
     conv2d_forward_ws, Padding,
@@ -57,7 +52,6 @@ pub use ops::{
     tanh_grad_from_output,
 };
 pub use pool::{
-    maxpool1d_backward, maxpool1d_backward_ws, maxpool1d_forward, maxpool1d_forward_ws,
     maxpool2d_backward, maxpool2d_backward_ws, maxpool2d_forward, maxpool2d_forward_ws,
 };
 pub use rng::Rng;

@@ -241,7 +241,7 @@ pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     // `A` is `m` one-pixel images of `k` channels, `B` a 1×1 kernel of `n`
     // filters.
-    let g = Geom::new(m, 1, 1, k, 1, 1, n, Padding::Valid);
+    let g = Geom::new([m, 1, 1, k], [1, 1, n], Padding::Valid);
     on_tile(
         m,
         n,
@@ -269,7 +269,7 @@ pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     assert_eq!(k, k2, "matmul_at inner dimension mismatch: {k} vs {k2}");
     // The kernel gradient of a 1×1 convolution over `k` one-pixel images of
     // `m` channels, `B` its output gradient.
-    let g = Geom::new(k, 1, 1, m, 1, 1, n, Padding::Valid);
+    let g = Geom::new([k, 1, 1, m], [1, 1, n], Padding::Valid);
     on_tile(
         m,
         n,

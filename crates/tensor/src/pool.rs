@@ -1,4 +1,5 @@
-//! Max pooling (2-D NHWC and 1-D NWC) with argmax-routed backward.
+//! Max pooling (2-D NHWC, and 1-D NWC as its one-row case) with
+//! argmax-routed backward.
 //!
 //! The paper's Pooling variable nodes choose identity or pooling layers with
 //! sizes/strides from 2 to 5. The forward pass records the flat index of each
@@ -10,6 +11,7 @@
 //! keeps, so a warmed training step never reaches the allocator; the plain
 //! entry points are thin wrappers over this thread's fallback arena.
 
+use crate::conv2d::nhwc_or_nwc;
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
 
@@ -101,14 +103,8 @@ fn forward(g: &Geom, src: &[f32], out: &mut [f32], arg: &mut [u32]) {
     }
 }
 
-fn forward_ws(g: &Geom, input: &Tensor, argmax: &mut Vec<u32>, ws: &mut Workspace) -> Vec<f32> {
-    let mut out = ws.take(g.out_len());
-    argmax.resize(g.out_len(), 0);
-    forward(g, input.data(), &mut out, argmax);
-    out
-}
-
-/// 2-D max pool over `(n, h, w, c)` with a square `k`×`k` window.
+/// Max pool over `(n, h, w, c)` with a square `k`×`k` window, or over
+/// `(n, w, c)` with a `k`-wide one.
 ///
 /// Returns `(output, argmax)` where `argmax[i]` is the flat input index that
 /// produced `output.data()[i]`.
@@ -127,13 +123,19 @@ pub fn maxpool2d_forward_ws(
     argmax: &mut Vec<u32>,
     ws: &mut Workspace,
 ) -> Tensor {
-    assert_eq!(input.shape().rank(), 4, "maxpool2d input must be NHWC");
-    let d = input.shape().dims();
-    let g = Geom::new(d[0], d[1], d[2], d[3], k, k, stride);
-    Tensor::from_vec([g.n, g.oh, g.ow, g.c], forward_ws(&g, input, argmax, ws))
+    let g = match *input.shape().dims() {
+        [n, h, w, c] => Geom::new(n, h, w, c, k, k, stride),
+        [n, w, c] => Geom::new(n, 1, w, c, 1, k, stride),
+        _ => panic!("maxpool2d input must be (n, h, w, c) or (n, w, c), not {}", input.shape()),
+    };
+    let mut out = ws.take(g.out_len());
+    argmax.resize(g.out_len(), 0);
+    forward(&g, input.data(), &mut out, argmax);
+    Tensor::from_vec(nhwc_or_nwc(input.shape().rank(), [g.n, g.oh, g.ow, g.c]), out)
 }
 
-/// Backward 2-D max pool: scatter `dout` to the recorded argmax positions.
+/// Backward max pool, either rank: scatter `dout` to the recorded argmax
+/// positions.
 pub fn maxpool2d_backward(input_shape: &[usize], dout: &Tensor, argmax: &[u32]) -> Tensor {
     with_thread_workspace(|ws| maxpool2d_backward_ws(input_shape, dout, argmax, ws))
 }
@@ -152,43 +154,6 @@ pub fn maxpool2d_backward_ws(
         dst[a as usize] += g;
     }
     dinput
-}
-
-/// 1-D max pool over `(n, w, c)`.
-pub fn maxpool1d_forward(input: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<u32>) {
-    let mut argmax = Vec::new(); // alloc-gate: allow (returned to the caller)
-    let out = with_thread_workspace(|ws| maxpool1d_forward_ws(input, k, stride, &mut argmax, ws));
-    (out, argmax)
-}
-
-/// [`maxpool1d_forward`] with the output drawn from `ws` and the argmax
-/// written into the caller's buffer.
-pub fn maxpool1d_forward_ws(
-    input: &Tensor,
-    k: usize,
-    stride: usize,
-    argmax: &mut Vec<u32>,
-    ws: &mut Workspace,
-) -> Tensor {
-    assert_eq!(input.shape().rank(), 3, "maxpool1d input must be (n, w, c)");
-    let d = input.shape().dims();
-    let g = Geom::new(d[0], 1, d[1], d[2], 1, k, stride);
-    Tensor::from_vec([g.n, g.ow, g.c], forward_ws(&g, input, argmax, ws))
-}
-
-/// Backward 1-D max pool.
-pub fn maxpool1d_backward(input_shape: &[usize], dout: &Tensor, argmax: &[u32]) -> Tensor {
-    maxpool2d_backward(input_shape, dout, argmax)
-}
-
-/// [`maxpool1d_backward`] with the zeroed `d_input` drawn from `ws`.
-pub fn maxpool1d_backward_ws(
-    input_shape: &[usize],
-    dout: &Tensor,
-    argmax: &[u32],
-    ws: &mut Workspace,
-) -> Tensor {
-    maxpool2d_backward_ws(input_shape, dout, argmax, ws)
 }
 
 #[cfg(test)]
@@ -292,10 +257,17 @@ mod tests {
                         let x1 = x.clone().reshape([2, 42, c]);
                         let g1 = Geom::new(2, 1, 42, c, 1, k, stride);
                         let (want_out, want_arg) = oracle_forward(&g1, x1.data());
-                        let y1 = maxpool1d_forward_ws(&x1, k, stride, &mut argmax, &mut ws);
+                        let y1 = maxpool2d_forward_ws(&x1, k, stride, &mut argmax, &mut ws);
+                        assert_eq!(y1.shape().dims(), &[2, g1.ow, c], "1-D {tag}");
                         assert_eq!(bits(y1.data()), bits(&want_out), "1-D output {tag}");
                         assert_eq!(argmax, want_arg, "1-D argmax {tag}");
+                        let dout = Tensor::rand_normal(y1.shape().clone(), 0.0, 1.0, &mut rng);
+                        let dx = maxpool2d_backward_ws(x1.shape().dims(), &dout, &argmax, &mut ws);
+                        let want_dx = oracle_backward(x1.numel(), dout.data(), &want_arg);
+                        assert_eq!(dx.shape(), x1.shape(), "1-D {tag}");
+                        assert_eq!(bits(dx.data()), bits(&want_dx), "1-D d_input {tag}");
                         ws.recycle(y1);
+                        ws.recycle(dx);
                     }
                 }
             }
@@ -412,9 +384,9 @@ mod tests {
     #[test]
     fn pool1d_known_values() {
         let input = Tensor::from_vec([1, 6, 1], vec![3., 1., 4., 1., 5., 9.]);
-        let (out, _) = maxpool1d_forward(&input, 2, 2);
+        let (out, _) = maxpool2d_forward(&input, 2, 2);
         assert_eq!(out.data(), &[3., 4., 9.]);
-        let (out3, _) = maxpool1d_forward(&input, 3, 3);
+        let (out3, _) = maxpool2d_forward(&input, 3, 3);
         assert_eq!(out3.data(), &[4., 9.]);
     }
 
@@ -422,16 +394,16 @@ mod tests {
     fn pool1d_multi_channel_independent() {
         // Two channels pooled independently.
         let input = Tensor::from_vec([1, 2, 2], vec![1., 8., 5., 2.]);
-        let (out, arg) = maxpool1d_forward(&input, 2, 1);
+        let (out, arg) = maxpool2d_forward(&input, 2, 1);
         assert_eq!(out.data(), &[5., 8.]);
         let dout = Tensor::from_vec([1, 1, 2], vec![1.0, 1.0]);
-        let dinput = maxpool1d_backward(&[1, 2, 2], &dout, &arg);
+        let dinput = maxpool2d_backward(&[1, 2, 2], &dout, &arg);
         assert_eq!(dinput.data(), &[0., 1., 1., 0.]);
     }
 
     #[test]
     #[should_panic(expected = "smaller than window")]
     fn window_larger_than_input_panics() {
-        maxpool1d_forward(&Tensor::zeros([1, 2, 1]), 3, 1);
+        maxpool2d_forward(&Tensor::zeros([1, 2, 1]), 3, 1);
     }
 }

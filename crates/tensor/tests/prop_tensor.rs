@@ -191,7 +191,7 @@ fn pooling_output_bounded_by_input_extrema() {
     for _ in 0..25 {
         let w = 4 + rng.below(8);
         let x = Tensor::rand_normal([2, w, 3], 0.0, 1.0, &mut rng);
-        let (out, arg) = swt_tensor::maxpool1d_forward(&x, 2, 2);
+        let (out, arg) = swt_tensor::maxpool2d_forward(&x, 2, 2);
         let hi = x.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         assert!(out.data().iter().all(|&v| v <= hi));
         // Every argmax points at an element equal to the recorded output.

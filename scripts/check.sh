@@ -287,6 +287,20 @@ if [ -n "$engine" ]; then
   exit 1
 fi
 
+echo "==> one convolution and one max-pool for both ranks (a 1-D call is the one-row 2-D call)"
+# An `(n, w, c)` input under a `(k, c, f)` kernel is the one-row image `(n, 1,
+# w, c)`: the conv2d_* and maxpool2d_* entry points take either rank, and
+# swt-nn's ConvLayer and MaxPoolLayer serve both LayerSpec ranks. A per-rank
+# entry point, layer type or module would make every conv change twice.
+ranked=$(grep -rnE 'conv1d_|maxpool1d_|Conv1DLayer|Conv2DLayer|MaxPool1DLayer|MaxPool2DLayer' \
+  crates tests examples || true)
+ranked+=$(find crates/tensor/src -name conv1d.rs)
+if [ -n "$ranked" ]; then
+  echo "a per-rank convolution or max-pool entry point, layer type or module is back:" >&2
+  printf '%s\n' "$ranked" >&2
+  exit 1
+fi
+
 echo "==> the step outside the GEMMs (mask fill, direct loops, gradient write-back and the dense products are their oracles' arithmetic, to the bit — in release)"
 cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise dense_products_
 # A Bernoulli draw per element through `Rng::chance` is a call, a convert and
