@@ -129,31 +129,42 @@ mod tests {
         }
     }
 
-    /// Central-difference check of `d_input`, for a 2-D layer and a 1-D one.
+    /// Central-difference check of `d_input` through `layer` at `x`, probing
+    /// every `step`-th element.
+    fn assert_input_gradient(mut layer: ConvLayer, x: &Tensor, step: usize) {
+        let mut ws = Workspace::new();
+        let y = layer.forward(&[x], true, &mut ws);
+        let mut dout = Tensor::ones(y.shape().clone());
+        let dx = layer.backward(&[x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
+        assert_eq!(dx.shape(), x.shape());
+        let eps = 1e-2f32;
+        for i in (0..x.numel()).step_by(step) {
+            let mut plus = x.clone();
+            plus.data_mut()[i] += eps;
+            let mut minus = x.clone();
+            minus.data_mut()[i] -= eps;
+            let num = (layer.forward(&[&plus], true, &mut ws).sum()
+                - layer.forward(&[&minus], true, &mut ws).sum())
+                / (2.0 * eps);
+            assert!((num - dx.data()[i]).abs() < 2e-2, "{} dx[{i}]", x.shape());
+        }
+    }
+
     #[test]
     fn conv2d_gradient_check() {
         let mut rng = Rng::seed(2);
-        let image = ConvLayer::new(&[3, 3], 2, 2, Padding::Same, 0.0, &mut rng);
-        let x_image = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
-        let row = ConvLayer::new(&[3], 2, 3, Padding::Valid, 0.0, &mut rng);
-        let x_row = Tensor::rand_normal([2, 7, 2], 0.0, 1.0, &mut rng);
-        for (mut layer, x) in [(image, x_image), (row, x_row)] {
-            let mut ws = Workspace::new();
-            let y = layer.forward(&[&x], true, &mut ws);
-            let mut dout = Tensor::ones(y.shape().clone());
-            let dx = layer.backward(&[&x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
-            let eps = 1e-2f32;
-            for i in (0..x.numel()).step_by(4) {
-                let mut plus = x.clone();
-                plus.data_mut()[i] += eps;
-                let mut minus = x.clone();
-                minus.data_mut()[i] -= eps;
-                let num = (layer.forward(&[&plus], true, &mut ws).sum()
-                    - layer.forward(&[&minus], true, &mut ws).sum())
-                    / (2.0 * eps);
-                assert!((num - dx.data()[i]).abs() < 2e-2, "{} dx[{i}]", x.shape());
-            }
-        }
+        let layer = ConvLayer::new(&[3, 3], 2, 2, Padding::Same, 0.0, &mut rng);
+        let x = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
+        assert_input_gradient(layer, &x, 5);
+    }
+
+    /// The layer built from `[k]` taps convolves rows.
+    #[test]
+    fn conv1d_gradient_check() {
+        let mut rng = Rng::seed(5);
+        let layer = ConvLayer::new(&[3], 2, 3, Padding::Valid, 0.0, &mut rng);
+        let x = Tensor::rand_normal([2, 7, 2], 0.0, 1.0, &mut rng);
+        assert_input_gradient(layer, &x, 4);
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod tests {
     use super::*;
 
     /// An image and a row: forward picks each window's maximum, backward
-    /// routes `dout` to it, and the layer has no parameters.
+    /// routes `dout` to it.
     #[test]
     fn pool_layer_round_trip() {
         #[rustfmt::skip]
@@ -58,10 +58,6 @@ mod tests {
         for (x, want_y, want_dx) in cases {
             let mut layer = MaxPoolLayer::new(2, 2);
             let mut ws = Workspace::new();
-            let mut count = 0;
-            layer.visit_params(&mut |_, _| count += 1);
-            layer.visit_updates(&mut |_, _, _| count += 1);
-            assert_eq!(count, 0, "{}", x.shape());
             let y = layer.forward(&[&x], true, &mut ws);
             assert_eq!(y.data(), &want_y[..], "{}", x.shape());
             assert_eq!(y.shape().rank(), x.shape().rank());
@@ -69,5 +65,17 @@ mod tests {
             let dx = layer.backward(&[&x], &y, &mut dout, &[true], &mut ws).remove(0).unwrap();
             assert_eq!(dx.data(), &want_dx[..], "{}", x.shape());
         }
+    }
+
+    #[test]
+    fn pool1d_layer_has_no_params() {
+        let mut layer = MaxPoolLayer::new(2, 2);
+        let mut ws = Workspace::new();
+        let mut count = 0;
+        layer.visit_params(&mut |_, _| count += 1);
+        layer.visit_updates(&mut |_, _, _| count += 1);
+        assert_eq!(count, 0);
+        let x = Tensor::from_vec([1, 4, 1], vec![1., 3., 2., 4.]);
+        assert_eq!(layer.forward(&[&x], false, &mut ws).data(), &[3., 4.]);
     }
 }

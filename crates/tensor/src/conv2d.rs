@@ -827,14 +827,8 @@ mod tests {
         }
     }
 
-    /// Direct (quadruple-loop) reference convolution; a rank-3 call is the
-    /// one-row image under a one-row kernel.
+    /// Direct (quadruple-loop) reference convolution.
     fn naive_conv2d(input: &Tensor, kernel: &Tensor, padding: Padding) -> Tensor {
-        if let (&[n, w, c], &[k, kc, f]) = (input.shape().dims(), kernel.shape().dims()) {
-            let image = input.clone().reshape([n, 1, w, c]);
-            let out = naive_conv2d(&image, &kernel.clone().reshape([1, k, kc, f]), padding);
-            return out.reshape([n, padding.out_size(w, k), f]);
-        }
         let (n, h, w, c) = (
             input.shape().dim(0),
             input.shape().dim(1),
@@ -884,9 +878,6 @@ mod tests {
         let kernel = Tensor::zeros([3, 3, 3, 16]);
         let out = conv2d_forward(&input, &kernel, Padding::Valid);
         assert_eq!(out.shape().dims(), &[2, 6, 6, 16]);
-        let out =
-            conv2d_forward(&Tensor::zeros([2, 16, 4]), &Tensor::zeros([5, 4, 8]), Padding::Valid);
-        assert_eq!(out.shape().dims(), &[2, 12, 8]);
     }
 
     #[test]
@@ -895,30 +886,23 @@ mod tests {
         let kernel = Tensor::zeros([4, 2, 2, 5]);
         let out = conv2d_forward(&input, &kernel, Padding::Same);
         assert_eq!(out.shape().dims(), &[1, 7, 7, 5]);
-        let out =
-            conv2d_forward(&Tensor::zeros([2, 16, 4]), &Tensor::zeros([4, 4, 8]), Padding::Same);
-        assert_eq!(out.shape().dims(), &[2, 16, 8]);
     }
 
     #[test]
     fn forward_matches_naive() {
         let mut rng = Rng::seed(1);
-        let cases: [(&[usize], &[usize]); 6] = [
-            (&[2, 5, 5, 1], &[3, 3, 1, 2]),
-            (&[2, 6, 4, 3], &[2, 3, 3, 4]),
-            (&[2, 4, 4, 2], &[1, 1, 2, 3]),
-            (&[2, 9, 1], &[3, 1, 2]),
-            (&[2, 12, 3], &[4, 3, 5]),
-            (&[2, 7, 2], &[1, 2, 1]),
-        ];
         for &padding in &[Padding::Valid, Padding::Same] {
-            for (input, kernel) in cases {
-                let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
-                let kernel = Tensor::rand_normal(kernel, 0.0, 1.0, &mut rng);
+            for &(h, w, c, kh, kw, f) in
+                &[(5, 5, 1, 3, 3, 2), (6, 4, 3, 2, 3, 4), (4, 4, 2, 1, 1, 3)]
+            {
+                let input = Tensor::rand_normal([2, h, w, c], 0.0, 1.0, &mut rng);
+                let kernel = Tensor::rand_normal([kh, kw, c, f], 0.0, 1.0, &mut rng);
                 let fast = conv2d_forward(&input, &kernel, padding);
                 let slow = naive_conv2d(&input, &kernel, padding);
-                let what = format!("{padding:?} {} {}", input.shape(), kernel.shape());
-                assert!(fast.approx_eq(&slow, 1e-4), "{what}");
+                assert!(
+                    fast.approx_eq(&slow, 1e-4),
+                    "padding {padding:?} ({h},{w},{c},{kh},{kw},{f})"
+                );
             }
         }
     }
@@ -926,34 +910,26 @@ mod tests {
     #[test]
     fn forward_matches_naive_at_gemm_blocking_sizes() {
         // Big enough that the blocked GEMM path (not the small-size fallback)
-        // carries the im2col product: a Cifar10 block and a wide NT3 row.
+        // carries the im2col product.
         let mut rng = Rng::seed(4);
-        for (input, kernel) in
-            [([2, 12, 12, 8].as_slice(), [3, 3, 8, 24].as_slice()), (&[2, 180, 4], &[5, 4, 20])]
-        {
-            let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
-            let kernel = Tensor::rand_normal(kernel, 0.0, 0.3, &mut rng);
-            let fast = conv2d_forward(&input, &kernel, Padding::Same);
-            let slow = naive_conv2d(&input, &kernel, Padding::Same);
-            assert!(fast.approx_eq(&slow, 1e-3), "{}", input.shape());
-        }
+        let input = Tensor::rand_normal([2, 12, 12, 8], 0.0, 1.0, &mut rng);
+        let kernel = Tensor::rand_normal([3, 3, 8, 24], 0.0, 0.3, &mut rng);
+        let fast = conv2d_forward(&input, &kernel, Padding::Same);
+        let slow = naive_conv2d(&input, &kernel, Padding::Same);
+        assert!(fast.approx_eq(&slow, 1e-3));
     }
 
     #[test]
     fn ws_variant_matches_and_reuses() {
         let mut rng = Rng::seed(5);
         let mut ws = Workspace::new();
-        for (input, kernel) in
-            [([2, 6, 6, 3].as_slice(), [3, 3, 3, 4].as_slice()), (&[3, 14, 2], &[3, 2, 5])]
-        {
-            let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
-            let kernel = Tensor::rand_normal(kernel, 0.0, 1.0, &mut rng);
-            let base = conv2d_forward(&input, &kernel, Padding::Same);
-            for _ in 0..3 {
-                let out = conv2d_forward_ws(&input, &kernel, Padding::Same, &mut ws);
-                assert!(out.approx_eq(&base, 1e-6));
-                ws.recycle(out);
-            }
+        let input = Tensor::rand_normal([2, 6, 6, 3], 0.0, 1.0, &mut rng);
+        let kernel = Tensor::rand_normal([3, 3, 3, 4], 0.0, 1.0, &mut rng);
+        let base = conv2d_forward(&input, &kernel, Padding::Same);
+        for _ in 0..3 {
+            let out = conv2d_forward_ws(&input, &kernel, Padding::Same, &mut ws);
+            assert!(out.approx_eq(&base, 1e-6));
+            ws.recycle(out);
         }
     }
 
@@ -969,56 +945,48 @@ mod tests {
         assert!(out.approx_eq(&input, 1e-6));
     }
 
-    /// Central-difference gradient check of both input and kernel gradients,
-    /// on an image and on a row.
+    /// Central-difference gradient check of both input and kernel gradients.
     #[test]
     fn backward_matches_numerical_gradient() {
         let mut rng = Rng::seed(3);
         for &padding in &[Padding::Valid, Padding::Same] {
-            for (input, kernel) in
-                [([1, 4, 4, 2].as_slice(), [3, 3, 2, 2].as_slice()), (&[1, 8, 2], &[3, 2, 3])]
-            {
-                let input = Tensor::rand_normal(input, 0.0, 1.0, &mut rng);
-                let kernel = Tensor::rand_normal(kernel, 0.0, 0.5, &mut rng);
-                // Loss = sum of conv output elements -> dout = ones.
-                let out = conv2d_forward(&input, &kernel, padding);
-                let dout = Tensor::ones(out.shape().dims().to_vec());
-                let (dinput, dkernel) = conv2d_backward(&input, &kernel, &dout, padding);
-                assert_eq!((dinput.shape(), dkernel.shape()), (input.shape(), kernel.shape()));
+            let input = Tensor::rand_normal([1, 4, 4, 2], 0.0, 1.0, &mut rng);
+            let kernel = Tensor::rand_normal([3, 3, 2, 2], 0.0, 0.5, &mut rng);
+            // Loss = sum of conv output elements -> dout = ones.
+            let out = conv2d_forward(&input, &kernel, padding);
+            let dout = Tensor::ones(out.shape().dims().to_vec());
+            let (dinput, dkernel) = conv2d_backward(&input, &kernel, &dout, padding);
 
-                let eps = 1e-2f32;
-                for probe in 0..6 {
-                    // Probe input gradient.
-                    let idx = probe * 3 % input.numel();
-                    let mut plus = input.clone();
-                    plus.data_mut()[idx] += eps;
-                    let mut minus = input.clone();
-                    minus.data_mut()[idx] -= eps;
-                    let num = (conv2d_forward(&plus, &kernel, padding).sum()
-                        - conv2d_forward(&minus, &kernel, padding).sum())
-                        / (2.0 * eps);
-                    assert!(
-                        (num - dinput.data()[idx]).abs() < 1e-2,
-                        "dinput[{idx}] analytic {} vs numeric {num} ({padding:?} {})",
-                        dinput.data()[idx],
-                        input.shape()
-                    );
-                    // Probe kernel gradient.
-                    let kidx = probe * 5 % kernel.numel();
-                    let mut kplus = kernel.clone();
-                    kplus.data_mut()[kidx] += eps;
-                    let mut kminus = kernel.clone();
-                    kminus.data_mut()[kidx] -= eps;
-                    let num = (conv2d_forward(&input, &kplus, padding).sum()
-                        - conv2d_forward(&input, &kminus, padding).sum())
-                        / (2.0 * eps);
-                    assert!(
-                        (num - dkernel.data()[kidx]).abs() < 1e-2,
-                        "dkernel[{kidx}] analytic {} vs numeric {num} ({padding:?} {})",
-                        dkernel.data()[kidx],
-                        input.shape()
-                    );
-                }
+            let eps = 1e-2f32;
+            for probe in 0..6 {
+                // Probe input gradient.
+                let idx = probe * 3 % input.numel();
+                let mut plus = input.clone();
+                plus.data_mut()[idx] += eps;
+                let mut minus = input.clone();
+                minus.data_mut()[idx] -= eps;
+                let num = (conv2d_forward(&plus, &kernel, padding).sum()
+                    - conv2d_forward(&minus, &kernel, padding).sum())
+                    / (2.0 * eps);
+                assert!(
+                    (num - dinput.data()[idx]).abs() < 1e-2,
+                    "dinput[{idx}] analytic {} vs numeric {num} ({padding:?})",
+                    dinput.data()[idx]
+                );
+                // Probe kernel gradient.
+                let kidx = probe * 5 % kernel.numel();
+                let mut kplus = kernel.clone();
+                kplus.data_mut()[kidx] += eps;
+                let mut kminus = kernel.clone();
+                kminus.data_mut()[kidx] -= eps;
+                let num = (conv2d_forward(&input, &kplus, padding).sum()
+                    - conv2d_forward(&input, &kminus, padding).sum())
+                    / (2.0 * eps);
+                assert!(
+                    (num - dkernel.data()[kidx]).abs() < 1e-2,
+                    "dkernel[{kidx}] analytic {} vs numeric {num} ({padding:?})",
+                    dkernel.data()[kidx]
+                );
             }
         }
     }

@@ -58,3 +58,6 @@ pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use workspace::{with_thread_workspace, Workspace};
+
+#[cfg(test)]
+mod conv1d;

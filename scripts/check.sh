@@ -291,10 +291,14 @@ echo "==> one convolution and one max-pool for both ranks (a 1-D call is the one
 # An `(n, w, c)` input under a `(k, c, f)` kernel is the one-row image `(n, 1,
 # w, c)`: the conv2d_* and maxpool2d_* entry points take either rank, and
 # swt-nn's ConvLayer and MaxPoolLayer serve both LayerSpec ranks. A per-rank
-# entry point, layer type or module would make every conv change twice.
-ranked=$(grep -rnE 'conv1d_|maxpool1d_|Conv1DLayer|Conv2DLayer|MaxPool1DLayer|MaxPool2DLayer' \
+# entry point, layer type or module would make every conv change twice; the
+# rank-3 call's tests may sit in a test-only `conv1d` module.
+ranked=$(grep -rnE '\b(conv1d|maxpool1d)_(forward|backward)|Conv1DLayer|Conv2DLayer|MaxPool1DLayer|MaxPool2DLayer' \
   crates tests examples || true)
-ranked+=$(find crates/tensor/src -name conv1d.rs)
+if [ -e crates/tensor/src/conv1d.rs ] \
+  && ! grep -B1 -xE 'mod conv1d;' crates/tensor/src/lib.rs | grep -qx '#\[cfg(test)\]'; then
+  ranked+="crates/tensor/src/conv1d.rs is not a #[cfg(test)] module"
+fi
 if [ -n "$ranked" ]; then
   echo "a per-rank convolution or max-pool entry point, layer type or module is back:" >&2
   printf '%s\n' "$ranked" >&2
