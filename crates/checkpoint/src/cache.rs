@@ -5,18 +5,18 @@
 //! (Underwood et al. characterise these patterns to drive checkpoint
 //! caching): which checkpoints can be read again is known, not guessed.
 //! [`CachedStore`] wraps any [`CheckpointStore`] and holds that set as
-//! *encoded bytes plus their parsed index*, so a hit serves `load_raw` with
-//! one copy, `load_index` without I/O and `load_tensors` with only the
-//! byte→f32 conversion. A store on local disk needs none of it: the OS page
-//! cache already holds what was just written, so only a dist worker's
-//! `RemoteStore` is fronted by one.
+//! *encoded bytes*, so a hit's `read` lends them without I/O or a copy, and
+//! every read derived from it is the parse and the byte→f32 conversion. A
+//! store on local disk needs none of it: the OS page cache already holds
+//! what was just written, so only a dist worker's `RemoteStore` is fronted
+//! by one.
 //!
 //! * **Born:** `save` encodes once into a cache-owned slab, hands those
 //!   bytes to the inner store's `save_raw` and keeps the slab: a child never
 //!   reaches disk or the wire for a parent this process trained. A parent
-//!   trained elsewhere is a miss, filled from `inner.load_raw`; `save_raw`
-//!   on the cache itself (bytes someone else encoded) only drops the stale
-//!   copy.
+//!   trained elsewhere is a miss, filled from `inner.load_raw` once
+//!   `parse_container` has accepted the bytes; `save_raw` on the cache
+//!   itself (bytes someone else encoded) only drops the stale copy.
 //! * **Dies:** `evict` — the strategy's watermark, passed down by the
 //!   evaluator — drops the resident copy, never the durable one, and keeps
 //!   the slab as a later save's encode buffer. The byte budget is a hard cap
@@ -27,8 +27,7 @@
 //! guards one map; the `ckpt.cache.{hits,misses,retired,capped}` counters
 //! and the `ckpt.cache.resident_bytes` gauge (high-watermark = peak) watch it.
 
-use crate::format::{decode, decode_tensors, encode_into, parse_container, parse_index};
-use crate::index::CheckpointIndex;
+use crate::format::{encode_into, parse_container};
 use crate::store::CheckpointStore;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -39,12 +38,9 @@ use swt_tensor::Tensor;
 /// save, so one per saving thread is all that is ever taken.
 const SPARE_SLABS: usize = 8;
 
-/// What a hit hands out: the container's bytes and its parsed index.
-type Resident = (Arc<Vec<u8>>, Arc<CheckpointIndex>);
-
 #[derive(Default)]
 struct State {
-    map: HashMap<String, (Resident, u64)>,
+    map: HashMap<String, (Arc<Vec<u8>>, u64)>,
     /// Insertion sequence → id; the cap evicts from the front.
     order: BTreeMap<u64, String>,
     next_seq: u64,
@@ -60,7 +56,7 @@ struct State {
 
 impl State {
     fn remove(&mut self, id: &str) -> bool {
-        let Some(((raw, _), seq)) = self.map.remove(id) else { return false };
+        let Some((raw, seq)) = self.map.remove(id) else { return false };
         self.order.remove(&seq);
         self.bytes -= raw.len() as u64;
         swt_obs::gauge!("ckpt.cache.resident_bytes").set(self.bytes as i64);
@@ -72,8 +68,8 @@ impl State {
         true
     }
 
-    fn insert(&mut self, id: &str, hit: Resident, budget: u64) {
-        let len = hit.0.len() as u64;
+    fn insert(&mut self, id: &str, raw: Arc<Vec<u8>>, budget: u64) {
+        let len = raw.len() as u64;
         if len > budget {
             return;
         }
@@ -84,7 +80,7 @@ impl State {
             swt_obs::counter!("ckpt.cache.capped").inc();
         }
         self.order.insert(self.next_seq, id.to_string());
-        self.map.insert(id.to_string(), (hit, self.next_seq));
+        self.map.insert(id.to_string(), (raw, self.next_seq));
         self.next_seq += 1;
         self.bytes += len;
         swt_obs::gauge!("ckpt.cache.resident_bytes").set(self.bytes as i64);
@@ -115,35 +111,36 @@ impl<S: CheckpointStore> CachedStore<S> {
         self.state.lock().expect("a thread panicked inside the provider cache")
     }
 
-    /// Serve `id`'s encoded bytes *and* parsed index, filling from the inner
-    /// store's `load_raw` on a miss. Every read goes through here.
-    fn raw_and_index(&self, id: &str) -> io::Result<Resident> {
+    /// Serve `id`'s encoded bytes, filling from the inner store's
+    /// `load_raw` on a miss; a container `parse_container` refuses is an
+    /// error and never kept. Every read goes through here.
+    fn resident(&self, id: &str) -> io::Result<Arc<Vec<u8>>> {
         let gen_before = {
             let st = self.state();
-            if let Some((hit, _)) = st.map.get(id) {
+            if let Some((raw, _)) = st.map.get(id) {
                 swt_obs::counter!("ckpt.cache.hits").inc();
-                return Ok(hit.clone());
+                return Ok(Arc::clone(raw));
             }
             swt_obs::counter!("ckpt.cache.misses").inc();
             st.generation
         };
         let raw = self.inner.load_raw(id)?;
-        let index = parse_container(&raw)?;
-        let hit = (Arc::new(raw), Arc::new(index));
+        parse_container(&raw)?;
+        let raw = Arc::new(raw);
         let mut st = self.state();
         // Bytes read while the inner store was being written may predate
         // the write: they are served, never kept.
         if st.generation == gen_before && !st.writing.contains_key(id) {
-            st.insert(id, hit.clone(), self.budget);
+            st.insert(id, Arc::clone(&raw), self.budget);
         }
-        Ok(hit)
+        Ok(raw)
     }
 
     /// Run one mutation of `id` on the inner store. The resident copy goes
     /// first and fills are refused until the mutation ends; the bytes `op`
     /// returns stay resident only if no other mutation of `id` overlapped
     /// this one. (An `op` that panics leaves `id` uncached, no more.)
-    fn mutate<R>(&self, id: &str, op: impl FnOnce(&S) -> (R, Option<Resident>)) -> R {
+    fn mutate<R>(&self, id: &str, op: impl FnOnce(&S) -> (R, Option<Arc<Vec<u8>>>)) -> R {
         {
             let mut st = self.state();
             st.remove(id);
@@ -170,10 +167,9 @@ impl<S: CheckpointStore> CheckpointStore for CachedStore<S> {
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
         let mut slab = self.state().spare.pop().unwrap_or_default();
         encode_into(entries, &mut slab);
-        let index = parse_index(&slab)?;
         self.mutate(id, move |inner| {
             let saved = inner.save_raw(id, &slab);
-            let fresh = saved.is_ok().then(|| (Arc::new(slab), Arc::new(index)));
+            let fresh = saved.is_ok().then(|| Arc::new(slab));
             (saved, fresh)
         })
     }
@@ -188,30 +184,19 @@ impl<S: CheckpointStore> CheckpointStore for CachedStore<S> {
         }
     }
 
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        Ok(decode(&self.raw_and_index(id)?.0)?)
-    }
-
+    /// A copy of the resident bytes; a miss that is not kept hands over the
+    /// fill's own buffer.
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
-        Ok((*self.raw_and_index(id)?.0).clone())
+        Ok(Arc::unwrap_or_clone(self.resident(id)?))
     }
 
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        Ok((*self.raw_and_index(id)?.1).clone())
-    }
-
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        let (raw, index) = self.raw_and_index(id)?;
-        Ok(decode_tensors(&raw, &index, names)?)
-    }
-
-    fn exists(&self, id: &str) -> bool {
-        let resident = self.state().map.contains_key(id);
-        resident || self.inner.exists(id)
+    /// Lends the resident bytes: a hit makes no copy.
+    fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        f(&self.resident(id)?)
     }
 
     fn size_bytes(&self, id: &str) -> Option<u64> {
-        let resident = self.state().map.get(id).map(|((raw, _), _)| raw.len() as u64);
+        let resident = self.state().map.get(id).map(|(raw, _)| raw.len() as u64);
         resident.or_else(|| self.inner.size_bytes(id))
     }
 
@@ -254,10 +239,20 @@ mod tests {
             assert_eq!(n1, n2);
             assert!(t1.approx_eq(t2, 0.0));
         }
-        // Index and partial loads hit the same resident entry.
+        // Index and partial loads hit the same resident entry, and a read
+        // lends that entry itself.
         assert_eq!(store.load_index("c").unwrap().len(), 2);
         let some = store.load_tensors("c", &["a/bias".to_string()]).unwrap();
         assert!(some[0].1.approx_eq(&cold[1].1, 0.0));
+        let resident = store.resident("c").unwrap();
+        let mut lent = std::ptr::null();
+        store
+            .read("c", &mut |buf| {
+                lent = buf.as_ptr();
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(lent, resident.as_ptr(), "a hit lends the resident bytes, not a copy");
     }
 
     #[test]
@@ -271,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn save_raw_invalidates_and_raw_and_index_serves_fresh_bytes() {
+    fn save_raw_invalidates_and_a_read_serves_fresh_bytes() {
         let store = cached(1 << 20);
         store.save("c", &entries(1)).unwrap();
         let before = store.load("c").unwrap();
@@ -279,9 +274,8 @@ mod tests {
         store.save_raw("c", &newer).unwrap();
         let after = store.load("c").unwrap();
         assert!(!before[0].1.approx_eq(&after[0].1, 0.0), "stale bytes served after save_raw");
-        let (raw, index) = store.raw_and_index("c").unwrap();
-        assert_eq!(raw.len(), newer.len());
-        assert_eq!(index.len(), 2);
+        assert_eq!(*store.resident("c").unwrap(), newer);
+        assert_eq!(store.load_raw("c").unwrap(), newer);
     }
 
     #[test]
@@ -374,7 +368,7 @@ mod tests {
                 ("dir load_tensors", store.inner.load_tensors("t", &names).err()),
                 ("cache load_index", store.load_index("t").err()),
                 ("cache load_tensors", store.load_tensors("t", &names).err()),
-                ("cache raw_and_index", store.raw_and_index("t").err()),
+                ("cache read", store.read("t", &mut |_| Ok(())).err()),
                 ("cache load", store.load("t").err()),
             ] {
                 let err = err.unwrap_or_else(|| panic!("{what} accepted by {path}"));

@@ -464,11 +464,13 @@ pub fn decode(buf: &[u8]) -> Result<Vec<(String, Tensor)>, FormatError> {
     })
 }
 
-/// Deserialise only the named tensors from an encoded buffer, using a
-/// previously parsed index. Names absent from the checkpoint are silently
-/// omitted (mirroring `CheckpointStore::load_tensors`); payload bytes of
-/// unrequested tensors are never touched.
-pub(crate) fn decode_tensors(
+/// Deserialise only the named tensors from a container, against its index
+/// as [`parse_container`] returned it: parse once, then plan from the index
+/// and decode here. Names absent from the checkpoint are silently omitted
+/// (mirroring `CheckpointStore::load_tensors`); payload bytes of unrequested
+/// tensors are never touched. Each requested payload is bounds-checked
+/// against `buf` and verified against its checksum.
+pub fn decode_tensors(
     buf: &[u8],
     index: &CheckpointIndex,
     names: &[String],
@@ -482,14 +484,6 @@ pub(crate) fn decode_tensors(
             .map(|m| Ok((m.name.clone(), extract(buf, m, ws)?)))
             .collect()
     })
-}
-
-/// The named tensors of a whole container: [`parse_container`], which
-/// refuses a torn or padded one, then `decode_tensors`. Every store's
-/// `load_tensors` ends here once it holds a checkpoint's bytes, except a
-/// [`crate::CachedStore`] hit, which already holds the parsed index.
-pub fn decode_named(buf: &[u8], names: &[String]) -> Result<Vec<(String, Tensor)>, FormatError> {
-    decode_tensors(buf, &parse_container(buf)?, names)
 }
 
 #[cfg(test)]

@@ -19,11 +19,9 @@ pub struct TensorMeta {
     pub name: String,
     /// Tensor dimensions.
     pub dims: Vec<usize>,
-    /// Absolute byte offset of the f32 payload within the encoded buffer
-    /// (0 for synthesized indices, which carry no layout).
+    /// Absolute byte offset of the f32 payload within the encoded buffer.
     pub offset: u64,
-    /// [`crate::payload_checksum`] of the payload bytes (0 for synthesized
-    /// indices).
+    /// [`crate::payload_checksum`] of the payload bytes.
     pub checksum: u64,
 }
 
@@ -50,24 +48,13 @@ impl TensorMeta {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointIndex {
     tensors: Vec<TensorMeta>,
-    /// Total encoded size in bytes (0 when synthesized).
+    /// Total encoded size in bytes.
     encoded_len: u64,
 }
 
 impl CheckpointIndex {
     pub(crate) fn new(tensors: Vec<TensorMeta>, encoded_len: u64) -> Self {
         CheckpointIndex { tensors, encoded_len }
-    }
-
-    /// An index carrying names and shapes only — the fallback produced by
-    /// [`crate::CheckpointStore::load_index`]'s default implementation for
-    /// stores without native header support.
-    pub fn synthesized(shapes: impl IntoIterator<Item = (String, Vec<usize>)>) -> Self {
-        let tensors = shapes
-            .into_iter()
-            .map(|(name, dims)| TensorMeta { name, dims, offset: 0, checksum: 0 })
-            .collect();
-        CheckpointIndex { tensors, encoded_len: 0 }
     }
 
     /// Per-tensor metadata in storage order.
@@ -90,8 +77,7 @@ impl CheckpointIndex {
         self.tensors.iter().find(|m| m.name == name)
     }
 
-    /// Total encoded size in bytes (header + payloads + any trailer); 0 for
-    /// synthesized indices.
+    /// Total encoded size in bytes (header + payloads).
     pub fn encoded_len(&self) -> u64 {
         self.encoded_len
     }
@@ -123,20 +109,26 @@ impl CheckpointIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{encode, parse_container};
+    use swt_tensor::Tensor;
+
+    fn entries() -> Vec<(String, Tensor)> {
+        vec![
+            ("a/kernel".to_string(), Tensor::zeros([3, 4])),
+            ("a/bias".to_string(), Tensor::zeros([4])),
+            ("scalar".to_string(), Tensor::from_vec(Vec::<usize>::new(), vec![1.0])),
+        ]
+    }
 
     fn index() -> CheckpointIndex {
-        CheckpointIndex::synthesized(vec![
-            ("a/kernel".to_string(), vec![3, 4]),
-            ("a/bias".to_string(), vec![4]),
-            ("scalar".to_string(), vec![]),
-        ])
+        parse_container(&encode(&entries())).unwrap()
     }
 
     #[test]
     fn meta_accessors() {
         let idx = index();
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.encoded_len(), 0, "a synthesized index carries no layout");
+        assert_eq!(idx.encoded_len(), encode(&entries()).len() as u64);
         let kernel = idx.get("a/kernel").unwrap();
         assert_eq!(kernel.numel(), 12);
         assert_eq!(kernel.size_bytes(), 48);

@@ -13,9 +13,11 @@
 //! The container is **WTC3**, an indexed layout whose header is a
 //! self-checksummed table of contents ([`CheckpointIndex`]): readers recover
 //! every tensor's name, shape, offset and payload checksum without touching
-//! payload bytes, and [`CheckpointStore::load_tensors`] converts only the
-//! payloads a transfer plan names. Every store reads a checkpoint as one
-//! whole container. It is the only version read or written. [`CachedStore`]
+//! payload bytes, and [`decode_tensors`] converts only the payloads a
+//! transfer plan names. It is the only version read or written. Every store
+//! reads a checkpoint as one whole container, lent by
+//! [`CheckpointStore::read`], the read every other one is built on.
+//! [`CachedStore`]
 //! keeps the lineage's live providers resident in memory in front of a store
 //! behind a wire: filled by the save that creates one, emptied by the
 //! strategy's watermark, capped in bytes.
@@ -27,8 +29,8 @@ pub mod store;
 
 pub use cache::CachedStore;
 pub use format::{
-    decode, decode_named, encode, encoded_len, parse_container, payload_checksum, with_encoded,
+    decode, decode_tensors, encode, encoded_len, parse_container, payload_checksum, with_encoded,
     FormatError,
 };
 pub use index::CheckpointIndex;
-pub use store::{prune_except, CheckpointStore, DirStore, MemStore};
+pub use store::{CheckpointStore, DirStore, MemStore};

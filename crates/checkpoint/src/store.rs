@@ -1,11 +1,11 @@
 //! Checkpoint storage backends.
 
 use crate::format::{
-    decode, decode_named, encode, fnv1a, parse_container, with_encoded, with_thread_bytes,
+    decode, decode_tensors, encode, fnv1a, parse_container, with_encoded, with_thread_bytes,
 };
 use crate::index::CheckpointIndex;
 use std::collections::hash_map::{self, RandomState};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ffi::OsStr;
 use std::fs::{File, OpenOptions};
 use std::hash::BuildHasher;
@@ -20,48 +20,21 @@ use swt_tensor::Tensor;
 ///
 /// The paper's evaluators write each scored candidate to a parallel file
 /// system and later read parents back for weight transfer (Fig. 6 steps
-/// ③/⑤); this trait is that interface. The provided `load_index` /
-/// `load_tensors` methods are the *selective* read path (Section VIII-E
-/// identifies checkpoint reads as the dominant transfer overhead): every
-/// store here overrides them to read the container whole, once, and convert
-/// only the payloads a transfer plan names.
+/// ③/⑤); this trait is that interface. A store implements five methods:
+/// `save`, `load_raw`, `size_bytes`, `list` and `delete`. Every read is of
+/// one whole container. [`CheckpointStore::read`] lends it — by default
+/// `load_raw`'s buffer, and without a copy from a store that already holds
+/// the bytes — and `load`, `load_index` and `load_tensors` are built on it:
+/// the container decoded, parsed, or decoded for the named payloads only
+/// (Section VIII-E identifies checkpoint reads as the dominant transfer
+/// overhead, so the evaluator's transfer converts only what its plan moves).
 pub trait CheckpointStore: Send + Sync {
     /// Persist a checkpoint; returns the serialized size in bytes (Fig. 11's
     /// measured quantity).
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64>;
 
-    /// Load a checkpoint by id.
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>>;
-
-    /// The raw encoded bytes of a checkpoint. Default: re-encode a full
-    /// load; backends that hold encoded bytes return them directly (this is
-    /// what [`crate::CachedStore`] keeps resident).
-    fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
-        Ok(encode(&self.load(id)?))
-    }
-
-    /// The checkpoint's table of contents: names, shapes and layout, without
-    /// tensor data. Default: synthesize from a full load (correct but not
-    /// faster); the stores here parse it from the container's header.
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        let entries = self.load(id)?;
-        Ok(CheckpointIndex::synthesized(
-            entries.into_iter().map(|(n, t)| (n, t.shape().dims().to_vec())),
-        ))
-    }
-
-    /// Load only the named tensors. Names absent from the checkpoint are
-    /// omitted from the result, not errors (a stale plan must degrade, not
-    /// fail). Default: full load + filter.
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        let want: HashSet<&str> = names.iter().map(String::as_str).collect();
-        let mut entries = self.load(id)?;
-        entries.retain(|(n, _)| want.contains(n.as_str()));
-        Ok(entries)
-    }
-
-    /// True iff a checkpoint with this id exists.
-    fn exists(&self, id: &str) -> bool;
+    /// The encoded container of a checkpoint, in a buffer the caller owns.
+    fn load_raw(&self, id: &str) -> io::Result<Vec<u8>>;
 
     /// Size in bytes of a stored checkpoint, if present.
     fn size_bytes(&self, id: &str) -> Option<u64>;
@@ -73,6 +46,40 @@ pub trait CheckpointStore: Send + Sync {
     /// checkpoint every candidate (Section VI), so long searches need
     /// retention management.
     fn delete(&self, id: &str) -> bool;
+
+    /// Lend `id`'s whole encoded container to `f`, once; a failed read, or
+    /// `f`'s error, is returned. The bytes are exactly what was stored —
+    /// torn or padded ones included, for [`crate::parse_container`] to
+    /// refuse — and `f` must not call back into the store. Default: `f` of
+    /// [`CheckpointStore::load_raw`]'s buffer; a store that holds the bytes
+    /// lends them without a copy.
+    fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        f(&self.load_raw(id)?)
+    }
+
+    /// Load a checkpoint by id: [`CheckpointStore::read`], decoded whole.
+    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
+        read_with(self, id, |buf| Ok(decode(buf)?))
+    }
+
+    /// The checkpoint's table of contents: names, shapes and layout,
+    /// parsed from one [`CheckpointStore::read`] without converting a
+    /// payload.
+    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
+        read_with(self, id, |buf| Ok(parse_container(buf)?))
+    }
+
+    /// Load only the named tensors, from one [`CheckpointStore::read`].
+    /// Names absent from the checkpoint are omitted from the result, not
+    /// errors (a stale plan must degrade, not fail).
+    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
+        read_with(self, id, |buf| Ok(decode_tensors(buf, &parse_container(buf)?, names)?))
+    }
+
+    /// True iff a checkpoint with this id exists.
+    fn exists(&self, id: &str) -> bool {
+        self.size_bytes(id).is_some()
+    }
 
     /// Persist an already-encoded WTC container under `id`; returns the byte
     /// count. The bytes are trusted to be a valid container — callers on
@@ -92,28 +99,29 @@ pub trait CheckpointStore: Send + Sync {
     fn evict(&self, _id: &str) {}
 }
 
+/// What `f` makes of `id`'s container, through `store`'s one read.
+fn read_with<S: CheckpointStore + ?Sized, R>(
+    store: &S,
+    id: &str,
+    mut f: impl FnMut(&[u8]) -> io::Result<R>,
+) -> io::Result<R> {
+    let mut out = None;
+    store.read(id, &mut |buf| {
+        out = Some(f(buf)?);
+        Ok(())
+    })?;
+    out.ok_or_else(|| io::Error::other(format!("the store lent no container for {id}")))
+}
+
 /// Stores are routinely shared across worker threads as `Arc<dyn
-/// CheckpointStore>`; this impl lets wrappers like [`crate::CachedStore`]
-/// hold one generically while still dispatching to the inner store's
-/// overridden selective-read methods.
+/// CheckpointStore>`. This impl forwards every method, provided ones
+/// included, so a wrapper's override is never bypassed for the default.
 impl<T: CheckpointStore + ?Sized> CheckpointStore for Arc<T> {
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
         (**self).save(id, entries)
     }
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        (**self).load(id)
-    }
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
         (**self).load_raw(id)
-    }
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        (**self).load_index(id)
-    }
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        (**self).load_tensors(id, names)
-    }
-    fn exists(&self, id: &str) -> bool {
-        (**self).exists(id)
     }
     fn size_bytes(&self, id: &str) -> Option<u64> {
         (**self).size_bytes(id)
@@ -124,25 +132,27 @@ impl<T: CheckpointStore + ?Sized> CheckpointStore for Arc<T> {
     fn delete(&self, id: &str) -> bool {
         (**self).delete(id)
     }
+    fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        (**self).read(id, f)
+    }
+    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
+        (**self).load(id)
+    }
+    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
+        (**self).load_index(id)
+    }
+    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
+        (**self).load_tensors(id, names)
+    }
+    fn exists(&self, id: &str) -> bool {
+        (**self).exists(id)
+    }
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         (**self).save_raw(id, bytes)
     }
     fn evict(&self, id: &str) {
         (**self).evict(id)
     }
-}
-
-/// Retention helper: delete every checkpoint not in `keep`. Returns the
-/// number deleted. Typical use: after the top-K are selected, prune the
-/// thousands of non-elite candidate checkpoints.
-pub fn prune_except(store: &dyn CheckpointStore, keep: &[String]) -> usize {
-    let keep: HashSet<&str> = keep.iter().map(String::as_str).collect();
-    store
-        .list()
-        .into_iter()
-        .filter(|id| !keep.contains(id.as_str()))
-        .filter(|id| store.delete(id))
-        .count()
 }
 
 /// Directory-backed store: an append-only segment log standing in for the
@@ -529,21 +539,6 @@ impl DirStore {
         Ok((Arc::clone(&index.segments[&live.key.seg].file), live))
     }
 
-    /// Read `id`'s container into this thread's byte buffer and lend the
-    /// bytes to `f`: one positioned read of the whole container, and no
-    /// allocation once the buffer has held the thread's largest one. `f`
-    /// sees exactly what the record holds, so a torn or padded container
-    /// meets [`parse_container`].
-    fn with_record<R>(&self, id: &str, f: impl FnOnce(&[u8]) -> io::Result<R>) -> io::Result<R> {
-        let (file, live) = self.locate(id)?;
-        let len = live.bytes()?;
-        with_thread_bytes(|buf| {
-            buf.resize(len, 0);
-            file.read_exact_at(buf, live.data)?;
-            f(buf)
-        })
-    }
-
     /// Append a record to this instance's segment, opening one on the first
     /// write, and index it; the caller holds `appending`. The call returns
     /// once the whole record is written. A failed write abandons the
@@ -616,27 +611,11 @@ impl CheckpointStore for DirStore {
         with_encoded(entries, |bytes| self.put(id, bytes, t0))
     }
 
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        self.with_record(id, |buf| Ok(decode(buf)?))
-    }
-
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
         let (file, live) = self.locate(id)?;
         let mut buf = vec![0; live.bytes()?];
         file.read_exact_at(&mut buf, live.data)?;
         Ok(buf)
-    }
-
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        self.with_record(id, |buf| Ok(parse_container(buf)?))
-    }
-
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        self.with_record(id, |buf| Ok(decode_named(buf, names)?))
-    }
-
-    fn exists(&self, id: &str) -> bool {
-        self.size_bytes(id).is_some()
     }
 
     fn size_bytes(&self, id: &str) -> Option<u64> {
@@ -665,6 +644,19 @@ impl CheckpointStore for DirStore {
             index.retire(&self.root, own);
         }
         true
+    }
+
+    /// One positioned read of the whole container into this thread's byte
+    /// buffer, lent to `f`: no allocation once the buffer has held the
+    /// thread's largest checkpoint.
+    fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        let (file, live) = self.locate(id)?;
+        let len = live.bytes()?;
+        with_thread_bytes(|buf| {
+            buf.resize(len, 0);
+            file.read_exact_at(buf, live.data)?;
+            f(buf)
+        })
     }
 
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
@@ -700,12 +692,12 @@ impl MemStore {
         self.map.read().unwrap().values().map(|v| v.len() as u64).sum()
     }
 
-    fn with_buf<R>(&self, id: &str, f: impl FnOnce(&[u8]) -> io::Result<R>) -> io::Result<R> {
-        let guard = self.map.read().unwrap();
-        let buf = guard.get(id).ok_or_else(|| {
+    fn entry<R>(&self, id: &str, f: impl FnOnce(&Vec<u8>) -> R) -> io::Result<R> {
+        let map = self.map.read().unwrap();
+        let buf = map.get(id).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("no checkpoint {id}"))
         })?;
-        f(buf)
+        Ok(f(buf))
     }
 }
 
@@ -720,27 +712,8 @@ impl CheckpointStore for MemStore {
         Ok(len)
     }
 
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        let t0 = Instant::now();
-        let entries = self.with_buf(id, |buf| Ok(decode(buf)?))?;
-        swt_obs::histogram!("ckpt.mem.load_ns").observe(t0.elapsed().as_nanos() as u64);
-        Ok(entries)
-    }
-
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
-        self.with_buf(id, |buf| Ok(buf.to_vec()))
-    }
-
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        self.with_buf(id, |buf| Ok(parse_container(buf)?))
-    }
-
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        self.with_buf(id, |buf| Ok(decode_named(buf, names)?))
-    }
-
-    fn exists(&self, id: &str) -> bool {
-        self.map.read().unwrap().contains_key(id)
+        self.entry(id, Vec::clone)
     }
 
     fn size_bytes(&self, id: &str) -> Option<u64> {
@@ -753,6 +726,11 @@ impl CheckpointStore for MemStore {
 
     fn delete(&self, id: &str) -> bool {
         self.map.write().unwrap().remove(id).is_some()
+    }
+
+    /// Lends the map's entry, under the map's read lock.
+    fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        self.entry(id, |buf| f(buf))?
     }
 
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
@@ -816,6 +794,15 @@ mod tests {
         assert!(some[0].1.approx_eq(&full[1].1, 0.0));
         let raw = store.load_raw("sel").unwrap();
         assert_eq!(raw.len() as u64, store.size_bytes("sel").unwrap());
+        // The lent bytes are the owned ones; an absent id lends nothing.
+        store
+            .read("sel", &mut |buf| {
+                assert_eq!(buf, raw);
+                Ok(())
+            })
+            .unwrap();
+        let absent = store.read("ghost", &mut |_| panic!("lent bytes of an absent id"));
+        assert_eq!(absent.unwrap_err().kind(), io::ErrorKind::NotFound);
     }
 
     #[test]
@@ -945,12 +932,9 @@ mod tests {
         assert!(store.delete("c0"));
         assert!(!store.delete("c0"), "double delete reports absence");
         assert!(!store.exists("c0"));
-        let kept = vec!["c2".to_string(), "c4".to_string()];
-        let pruned = prune_except(&store, &kept);
-        assert_eq!(pruned, 3); // c1, c3, c5
         let mut left = store.list();
         left.sort();
-        assert_eq!(left, kept);
+        assert_eq!(left, ["c1", "c2", "c3", "c4", "c5"]);
     }
 
     #[test]
@@ -1061,14 +1045,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A decorator that overrides every provided read and tallies which
+    /// one was reached.
+    #[derive(Default)]
+    struct Tally {
+        inner: MemStore,
+        reached: Mutex<Vec<&'static str>>,
+    }
+
+    impl Tally {
+        fn reached<R>(&self, what: &'static str, result: R) -> R {
+            self.reached.lock().unwrap().push(what);
+            result
+        }
+    }
+
+    impl CheckpointStore for Tally {
+        fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
+            self.inner.save(id, entries)
+        }
+        fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
+            self.reached("load_raw", self.inner.load_raw(id))
+        }
+        fn size_bytes(&self, id: &str) -> Option<u64> {
+            self.inner.size_bytes(id)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn delete(&self, id: &str) -> bool {
+            self.inner.delete(id)
+        }
+        fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+            self.reached("read", self.inner.read(id, f))
+        }
+        fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
+            self.reached("load", self.inner.load(id))
+        }
+        fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
+            self.reached("load_index", self.inner.load_index(id))
+        }
+        fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
+            self.reached("load_tensors", self.inner.load_tensors(id, names))
+        }
+        fn exists(&self, id: &str) -> bool {
+            self.reached("exists", self.inner.exists(id))
+        }
+    }
+
     #[test]
     fn arc_dispatch_reaches_overridden_methods() {
-        // The blanket Arc impl must forward to MemStore's native index
-        // reader (which knows the layout), not the synthesized default
-        // (which has none: `encoded_len` 0).
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
+        // The blanket Arc impl forwards every method, provided ones too: a
+        // decorator behind `Arc<dyn CheckpointStore>` sees each read as the
+        // caller made it, not as the default it would fall back to.
+        let tally = Arc::new(Tally::default());
+        let store: Arc<dyn CheckpointStore> = Arc::clone(&tally) as _;
         let bytes = store.save("c", &entries(2)).unwrap();
+        store
+            .read("c", &mut |buf| {
+                assert_eq!(buf.len() as u64, bytes);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(store.load("c").unwrap().len(), 2);
         assert_eq!(store.load_index("c").unwrap().encoded_len(), bytes);
+        assert_eq!(store.load_tensors("c", &["a/bias".to_string()]).unwrap().len(), 1);
+        assert!(store.exists("c"));
+        assert_eq!(store.load_raw("c").unwrap().len() as u64, bytes);
+        let reached = tally.reached.lock().unwrap().clone();
+        assert_eq!(reached, ["read", "load", "load_index", "load_tensors", "exists", "load_raw"]);
     }
 
     // --- the segment log's contract (DESIGN.md §9 "The segment log") -------

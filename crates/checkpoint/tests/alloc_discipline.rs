@@ -1,18 +1,19 @@
 //! Store-path allocation discipline.
 //!
-//! `swt-nn`'s `alloc_discipline` pins a training step; this pins what every
-//! candidate does around it: one `save`, one `load_index` and one
-//! `load_tensors` of an Uno-sized state (~270 KB, largest tensor 128 KiB),
-//! against a bare `DirStore` and against the `CachedStore` a search puts in
-//! front of it. After two warm-up cycles a cycle makes **no** allocation of
-//! 64 KiB or more. On the bare store the container is built in the thread's
-//! reused byte buffer and handed to one `write`, and each read takes the
-//! whole file back into the same buffer; behind the cache the container is
-//! built in the slab the previous cycle's `evict` handed back, written from
-//! there, and both reads are hits on it (fresh pages are what this host
-//! charges most for). Either way the decoded tensors come from (and here, like the
-//! evaluator, go back to) the thread's arena — from one thread, and from two
-//! at once (buffers are per thread and a slab has one owner, so a second
+//! `swt-nn`'s `alloc_discipline` pins a training step; this pins the store
+//! calls the evaluator makes around it: one `save` of an Uno-sized state
+//! (~270 KB, largest tensor 128 KiB), one `read` of it that parses the
+//! container once and decodes the plan's names against that index, and the
+//! watermark's `evict` — against a bare `DirStore` and against the
+//! `CachedStore` a dist worker puts in front of its remote store. After two
+//! warm-up cycles a cycle makes **no** allocation of 64 KiB or more. On the
+//! bare store the container is built in the thread's reused byte buffer and
+//! handed to one `write`, and the read takes the record back into the same
+//! buffer; behind the cache the container is built in the slab the previous
+//! cycle's `evict` handed back, written from there, and the read is a hit
+//! that lends it. Either way the decoded tensors come from (and here, like
+//! the evaluator, go back to) the thread's arena — from one thread, and from
+//! two at once (buffers are per thread and a slab has one owner, so a second
 //! writer must not push either back to the allocator).
 //!
 //! One `#[test]` on purpose: the allocation counter is process-wide.
@@ -20,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
-use swt_checkpoint::{CachedStore, CheckpointStore, DirStore};
+use swt_checkpoint::{decode_tensors, parse_container, CachedStore, CheckpointStore, DirStore};
 use swt_tensor::{with_thread_workspace, Rng, Tensor};
 
 /// A checkpoint-sized allocation: a container, a payload, a tensor.
@@ -66,16 +67,22 @@ fn uno_sized_state(seed: u64) -> Vec<(String, Tensor)> {
     state
 }
 
-/// What one candidate asks of the store, with the evaluator's hand-back of
-/// the provider tensors to the thread arena and, last, the watermark's hint
-/// that this id is dead (a no-op on a bare store).
+/// What one candidate asks of the store, as `Evaluator::evaluate` asks it:
+/// the save, then the provider read — parsed once, the plan's names decoded
+/// against that index and handed back to the thread arena — and, last, the
+/// watermark's hint that this id is dead (a no-op on a bare store).
 fn cycle(store: &dyn CheckpointStore, id: &str, state: &[(String, Tensor)], names: &[String]) {
     let bytes = store.save(id, state).expect("save");
-    let index = store.load_index(id).expect("load_index");
-    assert_eq!(index.encoded_len(), bytes);
-    let tensors = store.load_tensors(id, names).expect("load_tensors");
-    assert_eq!(tensors.len(), state.len());
-    with_thread_workspace(|ws| tensors.into_iter().for_each(|(_, t)| ws.recycle(t)));
+    store
+        .read(id, &mut |raw| {
+            let index = parse_container(raw)?;
+            assert_eq!(index.encoded_len(), bytes);
+            let tensors = decode_tensors(raw, &index, names)?;
+            assert_eq!(tensors.len(), state.len());
+            with_thread_workspace(|ws| tensors.into_iter().for_each(|(_, t)| ws.recycle(t)));
+            Ok(())
+        })
+        .expect("read");
     store.evict(id);
 }
 

@@ -60,9 +60,6 @@ impl CheckpointStore for Gated {
     fn save(&self, id: &str, entries: &[(String, Tensor)]) -> io::Result<u64> {
         self.mem.save(id, entries)
     }
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        self.mem.load(id)
-    }
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
         let raw = self.mem.load_raw(id);
         self.gate.hold();
@@ -72,9 +69,6 @@ impl CheckpointStore for Gated {
         let saved = self.mem.save_raw(id, bytes);
         self.gate.hold();
         saved
-    }
-    fn exists(&self, id: &str) -> bool {
-        self.mem.exists(id)
     }
     fn size_bytes(&self, id: &str) -> Option<u64> {
         self.mem.size_bytes(id)

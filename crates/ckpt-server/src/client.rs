@@ -2,13 +2,12 @@
 //! server.
 //!
 //! Every trait method maps onto one request/response exchange, and there
-//! is one read: `load_raw` → `GetRaw`, the whole container. `load`,
-//! `load_index` and `load_tensors` are views of those bytes through the
-//! functions `MemStore` and a cache hit use, so each costs a whole fetch —
-//! which is why workers front a `RemoteStore` with the run's `CachedStore`:
-//! a parent trained elsewhere is fetched once and every later read of it
-//! is served from local RAM, a checkpoint this worker trained never comes
-//! back over the wire at all.
+//! is one read: `load_raw` → `GetRaw`, the whole container. Every other read
+//! is the trait's, derived from it, so each costs a whole fetch — which is
+//! why workers front a `RemoteStore` with the run's `CachedStore`: a parent
+//! trained elsewhere is fetched once and every later read of it is lent
+//! from local RAM, a checkpoint this worker trained never comes back over
+//! the wire at all.
 //!
 //! Transport faults (connection refused, reset, EOF mid-response) are
 //! retried with exponential backoff and a fresh connection — long enough
@@ -23,9 +22,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
-use swt_checkpoint::{
-    decode, decode_named, parse_container, with_encoded, CheckpointIndex, CheckpointStore,
-};
+use swt_checkpoint::{with_encoded, CheckpointStore};
 use swt_tensor::Tensor;
 use swt_wire::{read_frame, recv, send, write_frame, WireError};
 
@@ -214,11 +211,6 @@ impl CheckpointStore for RemoteStore {
         with_encoded(entries, |bytes| self.put_raw(id, bytes))
     }
 
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        let raw = self.load_raw(id)?;
-        Ok(decode(&raw)?)
-    }
-
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
         let raw = self.run_op(|conn| {
             conn.send(&StoreMsg::GetRaw { id: id.to_string() })?;
@@ -231,26 +223,6 @@ impl CheckpointStore for RemoteStore {
         swt_obs::counter!("ckptsrv.client.gets_raw").inc();
         swt_obs::counter!("ckptsrv.client.full_bytes_rx").add(raw.len() as u64);
         Ok(raw)
-    }
-
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        Ok(parse_container(&self.load_raw(id)?)?)
-    }
-
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        Ok(decode_named(&self.load_raw(id)?, names)?)
-    }
-
-    fn exists(&self, id: &str) -> bool {
-        self.run_op(|conn| {
-            conn.send(&StoreMsg::Exists { id: id.to_string() })?;
-            match conn.recv()? {
-                StoreMsg::ExistsResp { exists, .. } => Ok(exists),
-                StoreMsg::Err { code, message } => Err(app_err(code, message)),
-                other => Err(desync(&other)),
-            }
-        })
-        .unwrap_or(false)
     }
 
     fn size_bytes(&self, id: &str) -> Option<u64> {

@@ -367,21 +367,21 @@ fn handle_get_raw(stream: &mut TcpStream, store: &BucketStore, id: &str) -> Resu
         return Ok(());
     }
     // A record damaged behind the server's back is refused here, whole,
-    // rather than sent for the reader to find out.
-    let checked = store.load_raw(id).and_then(|raw| {
-        parse_container(&raw)?;
-        Ok(raw)
+    // rather than sent for the reader to find out. The bytes are sent from
+    // where the store lends them; a send's own failure ends the session.
+    let mut sent = None;
+    let read = store.read(id, &mut |raw| {
+        parse_container(raw)?;
+        swt_obs::counter!("ckptsrv.gets_raw").inc();
+        swt_obs::counter!("ckptsrv.full_bytes_tx").add(raw.len() as u64);
+        let blob = send(stream, &StoreMsg::Blob { total_len: raw.len() as u64 });
+        sent =
+            Some(blob.and_then(|()| send_chunks(raw, |ty, chunk| write_frame(stream, ty, chunk))));
+        Ok(())
     });
-    let raw = match checked {
-        Ok(raw) => raw,
-        Err(e) => {
-            let (code, msg) = err_of(&e);
-            send_err(stream, code, msg);
-            return Ok(());
-        }
-    };
-    swt_obs::counter!("ckptsrv.gets_raw").inc();
-    swt_obs::counter!("ckptsrv.full_bytes_tx").add(raw.len() as u64);
-    send(stream, &StoreMsg::Blob { total_len: raw.len() as u64 })?;
-    send_chunks(&raw, |ty, chunk| write_frame(stream, ty, chunk))
+    if let (None, Err(e)) = (&sent, read) {
+        let (code, msg) = err_of(&e);
+        send_err(stream, code, msg);
+    }
+    sent.unwrap_or(Ok(()))
 }

@@ -142,7 +142,7 @@ impl ShapeSeq {
 mod tests {
     use super::*;
     use swt_nn::{Activation, LayerSpec, ModelSpec};
-    use swt_tensor::Padding;
+    use swt_tensor::{Padding, Tensor};
 
     fn cnn(extra_conv: bool) -> ModelSpec {
         let mut ops =
@@ -226,14 +226,18 @@ mod tests {
 
     #[test]
     fn from_checkpoint_index_filters_running_stats() {
-        let index = swt_checkpoint::CheckpointIndex::synthesized(vec![
-            ("n1_conv2d/kernel".to_string(), vec![3, 3, 1, 4]),
-            ("n1_conv2d/bias".to_string(), vec![4]),
-            ("n2_bn/gamma".to_string(), vec![4]),
-            ("n2_bn/beta".to_string(), vec![4]),
-            ("n2_bn/running_mean".to_string(), vec![4]),
-            ("n2_bn/running_var".to_string(), vec![4]),
-        ]);
+        let entries: Vec<(String, Tensor)> = [
+            ("n1_conv2d/kernel", vec![3, 3, 1, 4]),
+            ("n1_conv2d/bias", vec![4]),
+            ("n2_bn/gamma", vec![4]),
+            ("n2_bn/beta", vec![4]),
+            ("n2_bn/running_mean", vec![4]),
+            ("n2_bn/running_var", vec![4]),
+        ]
+        .into_iter()
+        .map(|(name, dims)| (name.to_string(), Tensor::zeros(dims)))
+        .collect();
+        let index = swt_checkpoint::parse_container(&swt_checkpoint::encode(&entries)).unwrap();
         let seq = ShapeSeq::from_checkpoint_index(&index);
         assert_eq!(seq.len(), 2);
         assert_eq!(seq.entry(1).tensors.len(), 2); // gamma + beta only

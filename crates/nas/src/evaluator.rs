@@ -11,7 +11,7 @@ use std::io;
 use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Instant;
-use swt_checkpoint::{decode_named, parse_container, CheckpointStore};
+use swt_checkpoint::{decode_tensors, parse_container, CheckpointStore};
 use swt_core::{apply_transfer, ShapeSeq, TransferPlan, TransferScheme, TransferStats};
 use swt_data::AppProblem;
 use swt_nn::{AdamConfig, Model, TrainConfig, Trainer};
@@ -127,27 +127,27 @@ impl Evaluator {
         if let (Some(matcher), Some(parent)) = (self.spec.scheme.matcher(), cand.parent) {
             let _transfer_span = swt_obs::span!("transfer");
             let t0 = Instant::now();
-            let parent_ckpt_id = self.ckpt_id(parent);
-            // One read of the provider's container: plan from its table of
-            // contents, then convert only the payloads the plan moves (the
-            // paper's Section VIII-E overhead is the read, not the decode).
-            if let Ok(raw) = self.store.load_raw(&parent_ckpt_id) {
-                if let Ok(index) = parse_container(&raw) {
-                    let provider_seq = ShapeSeq::from_checkpoint_index(&index);
-                    let receiver_seq = ShapeSeq::of(&spec).unwrap();
-                    let plan = TransferPlan::build(matcher, &provider_seq, &receiver_seq);
-                    if let Ok(provider_ckpt) = decode_named(&raw, &plan.provider_names()) {
-                        transfer = apply_transfer(&plan, &provider_ckpt, &mut model);
-                        // Hand the decoded payload buffers back to the
-                        // thread arena for the next partial load.
-                        swt_tensor::with_thread_workspace(|ws| {
-                            for (_, t) in provider_ckpt {
-                                ws.recycle(t);
-                            }
-                        });
+            // One read of the provider's container, lent by the store and
+            // parsed once: plan from its table of contents, then convert only
+            // the payloads the plan moves (the paper's Section VIII-E
+            // overhead is the read, not the decode). A missing or damaged
+            // provider leaves the random init.
+            let _ = self.store.read(&self.ckpt_id(parent), &mut |raw| {
+                let index = parse_container(raw)?;
+                let provider_seq = ShapeSeq::from_checkpoint_index(&index);
+                let receiver_seq = ShapeSeq::of(&spec).unwrap();
+                let plan = TransferPlan::build(matcher, &provider_seq, &receiver_seq);
+                let provider_ckpt = decode_tensors(raw, &index, &plan.provider_names())?;
+                transfer = apply_transfer(&plan, &provider_ckpt, &mut model);
+                // Hand the decoded payload buffers back to the thread arena
+                // for the next provider read.
+                swt_tensor::with_thread_workspace(|ws| {
+                    for (_, t) in provider_ckpt {
+                        ws.recycle(t);
                     }
-                }
-            }
+                });
+                Ok(())
+            });
             transfer_secs = t0.elapsed().as_secs_f64();
         }
 

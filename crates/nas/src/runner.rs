@@ -431,11 +431,8 @@ mod tests {
         fn save(&self, _: &str, _: &[(String, swt_tensor::Tensor)]) -> io::Result<u64> {
             Err(io::Error::other("no space left on device"))
         }
-        fn load(&self, id: &str) -> io::Result<Vec<(String, swt_tensor::Tensor)>> {
-            self.0.load(id)
-        }
-        fn exists(&self, id: &str) -> bool {
-            self.0.exists(id)
+        fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
+            self.0.load_raw(id)
         }
         fn size_bytes(&self, id: &str) -> Option<u64> {
             self.0.size_bytes(id)

@@ -109,7 +109,7 @@ if [ "$(printf '%s\n' "$cached" | grep -c .)" != 1 ] \
   exit 1
 fi
 
-echo "==> one read per store, no unread instrument (no seek path, no cargo bench, one ckpt-server entry point)"
+echo "==> one read per store, no unread instrument (no seek path, no derived read overridden, no cargo bench, one ckpt-server entry point)"
 # Every store reads a checkpoint as one whole container; DirStore's read is
 # one positioned read of a whole record (DESIGN.md §9). A bench binary gates
 # a budget or is a record a document reads; `cargo bench` targets had
@@ -123,6 +123,30 @@ dirs=$(find crates/bench/benches crates/ckpt-server/src/bin crates/ckpt-server/s
 if [ -n "$seek$targets$bins$dirs" ]; then
   echo "a seek-and-read store path, a cargo bench target, bench_ckpt or a second ckpt-server binary is back:" >&2
   printf '%s\n' "$seek" "$targets" "$bins" "$dirs" | grep . >&2
+  exit 1
+fi
+# A store implements five methods, `load_raw` its one required read; a store
+# that holds the bytes lends them through `read`, and `load`, `load_index`,
+# `load_tensors` and `exists` are the trait's own, built on those (DESIGN.md
+# §9 "One read per provider"). Only the `Arc<T>` impl forwards them, so a
+# decorator's override is never bypassed. Test modules' doubles are exempt.
+impls=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { impl = "" }
+  /^(pub\(crate\) )?mod tests/ { nextfile }
+  /^impl.* CheckpointStore for / {
+    impl = $0; sub(/^.* CheckpointStore for /, "", impl); sub(/[ <{].*/, "", impl); next
+  }
+  impl != "" && /^}/ { impl = ""; next }
+  impl != "" && match($0, /^    fn [a-z_]+/) { print FILENAME ":" FNR ": " impl " " substr($0, 8, RLENGTH - 7) }')
+derived=$(printf '%s\n' "$impls" | awk '$2 != "Arc" && $3 ~ /^(load|load_index|load_tensors|exists)$/')
+lenders=$(printf '%s\n' "$impls" | awk '$3 == "read" && $2 !~ /^(DirStore|MemStore|CachedStore|Arc)$/')
+required=$(awk '/^pub trait CheckpointStore/ { on = 1; next } on && /^}/ { on = 0 }
+  on && /^    fn .*;$/ { sub(/^    fn /, ""); sub(/[(<].*/, ""); print }' crates/checkpoint/src/store.rs \
+  | sort | tr '\n' ' ')
+gone=$(grep -rnE 'fn synthesized|::synthesized|prune_except' crates tests examples || true)
+if [ -n "$derived$lenders$gone" ] || [ "$required" != "delete list load_raw save size_bytes " ]; then
+  echo "a store overrides a derived read, lends without holding the bytes, the trait's required methods moved, or synthesized/prune_except is back:" >&2
+  printf '%s\n' "$derived" "$lenders" "$gone" "required: $required" | grep . >&2
   exit 1
 fi
 

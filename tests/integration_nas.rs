@@ -190,14 +190,15 @@ fn shared_cached_store_stays_coherent_under_concurrent_runs() {
     }
 }
 
-/// Forwards to `inner`, counting what reaches it — every `load_raw` by id,
-/// the other reads in one count — and sampling `resident(inner)` after
+/// Forwards to `inner`, counting what reaches it — every `read` by id
+/// (`load`, `load_index` and `load_tensors` are the trait's, built on it),
+/// every `load_raw` in one count — and sampling `resident(inner)` after
 /// every save (residency only peaks there).
 struct Watch<S> {
     inner: S,
     resident: fn(&S) -> u64,
-    raw_reads: Mutex<Vec<String>>,
-    reads: AtomicU64,
+    reads: Mutex<Vec<String>>,
+    raw_reads: AtomicU64,
     saves: AtomicU64,
     raw_saves: AtomicU64,
     evicts: AtomicU64,
@@ -211,19 +212,14 @@ impl<S: CheckpointStore> Watch<S> {
         Arc::new(Watch {
             inner,
             resident,
-            raw_reads: Mutex::default(),
-            reads: zero(),
+            reads: Mutex::default(),
+            raw_reads: zero(),
             saves: zero(),
             raw_saves: zero(),
             evicts: zero(),
             largest: zero(),
             peak: zero(),
         })
-    }
-
-    fn read<R>(&self, result: R) -> R {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        result
     }
 
     fn saved(&self, calls: &AtomicU64, result: io::Result<u64>) -> io::Result<u64> {
@@ -241,25 +237,17 @@ impl<S: CheckpointStore> CheckpointStore for Watch<S> {
     fn save_raw(&self, id: &str, bytes: &[u8]) -> io::Result<u64> {
         self.saved(&self.raw_saves, self.inner.save_raw(id, bytes))
     }
-    fn load(&self, id: &str) -> io::Result<Vec<(String, Tensor)>> {
-        self.read(self.inner.load(id))
-    }
     fn load_raw(&self, id: &str) -> io::Result<Vec<u8>> {
-        self.raw_reads.lock().unwrap().push(id.to_string());
+        self.raw_reads.fetch_add(1, Ordering::Relaxed);
         self.inner.load_raw(id)
     }
-    fn load_index(&self, id: &str) -> io::Result<CheckpointIndex> {
-        self.read(self.inner.load_index(id))
-    }
-    fn load_tensors(&self, id: &str, names: &[String]) -> io::Result<Vec<(String, Tensor)>> {
-        self.read(self.inner.load_tensors(id, names))
+    fn read(&self, id: &str, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        self.reads.lock().unwrap().push(id.to_string());
+        self.inner.read(id, f)
     }
     fn evict(&self, id: &str) {
         self.evicts.fetch_add(1, Ordering::Relaxed);
         self.inner.evict(id)
-    }
-    fn exists(&self, id: &str) -> bool {
-        self.inner.exists(id)
     }
     fn size_bytes(&self, id: &str) -> Option<u64> {
         self.inner.size_bytes(id)
@@ -286,8 +274,9 @@ fn each_provider_is_read_once_from_the_store_and_nothing_is_resident() {
     // As a user runs it, on a directory: `run_nas` puts nothing in front of
     // the store it is given, so the OS page cache is the provider cache.
     // Every checkpoint is saved once, by `save` (a cache in front would hand
-    // down `save_raw`); every child reads its provider once, whole, by
-    // `load_raw`, and nothing else is read; the watermark's hints reach the
+    // down `save_raw`); every child reads its provider once, whole, by one
+    // `read` the store lends, and nothing else is read (no `load_raw`, which
+    // copies); the watermark's hints reach the
     // store, because nothing holds a copy to drop.
     let dir = std::env::temp_dir().join(format!("swt_one_read_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -297,12 +286,12 @@ fn each_provider_is_read_once_from_the_store_and_nothing_is_resident() {
     assert_eq!((count(&on_disk.saves), count(&on_disk.raw_saves)), (400, 0));
     let mut providers: Vec<String> =
         trace.events.iter().filter_map(|e| Some(format!("c{}", e.parent?))).collect();
-    let mut raw_reads = on_disk.raw_reads.lock().unwrap().clone();
+    let mut reads = on_disk.reads.lock().unwrap().clone();
     providers.sort();
-    raw_reads.sort();
+    reads.sort();
     assert!(providers.len() > 300, "{} children of 400", providers.len());
-    assert_eq!(raw_reads, providers, "one load_raw of its provider per child");
-    assert_eq!(count(&on_disk.reads), 0, "a read other than load_raw reached the store");
+    assert_eq!(reads, providers, "one read of its provider per child");
+    assert_eq!(count(&on_disk.raw_reads), 0, "a load_raw reached the store");
     assert!(count(&on_disk.evicts) > 0, "the lineage watermark's hints never reached the store");
 
     // The same search through a cache this test can see into: the same trace
@@ -322,8 +311,8 @@ fn each_provider_is_read_once_from_the_store_and_nothing_is_resident() {
     let baseline = NasConfig::quick(TransferScheme::Baseline, 40, 2, 7);
     let plain = Watch::new(MemStore::new(), |_| 0);
     run(Arc::clone(&plain) as _, &baseline);
-    assert_eq!((count(&plain.saves), count(&plain.raw_saves), count(&plain.reads)), (40, 0, 0));
-    assert!(plain.raw_reads.lock().unwrap().is_empty());
+    assert_eq!((count(&plain.saves), count(&plain.raw_saves), count(&plain.raw_reads)), (40, 0, 0));
+    assert!(plain.reads.lock().unwrap().is_empty());
 }
 
 /// One candidate per convolution rank, trained for one epoch from a fixed
