@@ -172,12 +172,12 @@ impl AppKind {
         let (train_n, val_n) = self.sizes(scale);
         match self {
             AppKind::Cifar10 => {
-                synthetic::image_classification(train_n, val_n, 12, 12, 3, 10, 2.0, seed)
+                synthetic::image_classification(train_n, val_n, [12, 12, 3], 10, 2.0, seed)
             }
             AppKind::Mnist => {
                 // Lower noise: the paper notes "it is very easy to get high
                 // accuracy in MNIST".
-                synthetic::image_classification(train_n, val_n, 10, 10, 1, 10, 0.5, seed)
+                synthetic::image_classification(train_n, val_n, [10, 10, 1], 10, 0.5, seed)
             }
             AppKind::Nt3 => synthetic::sequence_classification(train_n, val_n, 512, 2, 8.0, seed),
             AppKind::Uno => {

@@ -62,13 +62,10 @@ fn one_hot(labels: &[usize], classes: usize) -> Tensor {
 /// Multi-class image classification: `classes` smooth prototypes of shape
 /// `(h, w, c)`; each sample is its class prototype plus i.i.d. Gaussian noise
 /// of standard deviation `noise`. Returns `(train, val)`.
-#[allow(clippy::too_many_arguments)]
 pub fn image_classification(
     train_n: usize,
     val_n: usize,
-    h: usize,
-    w: usize,
-    c: usize,
+    [h, w, c]: [usize; 3],
     classes: usize,
     noise: f32,
     seed: u64,
@@ -196,20 +193,20 @@ mod tests {
 
     #[test]
     fn image_dataset_shapes_and_determinism() {
-        let (train, val) = image_classification(20, 10, 8, 8, 3, 10, 0.5, 7);
+        let (train, val) = image_classification(20, 10, [8, 8, 3], 10, 0.5, 7);
         assert_eq!(train.len(), 20);
         assert_eq!(val.len(), 10);
         assert_eq!(train.inputs()[0].shape().dims(), &[20, 8, 8, 3]);
         assert_eq!(train.targets().shape().dims(), &[20, 10]);
-        let (train2, _) = image_classification(20, 10, 8, 8, 3, 10, 0.5, 7);
+        let (train2, _) = image_classification(20, 10, [8, 8, 3], 10, 0.5, 7);
         assert!(train.inputs()[0].approx_eq(&train2.inputs()[0], 0.0));
-        let (train3, _) = image_classification(20, 10, 8, 8, 3, 10, 0.5, 8);
+        let (train3, _) = image_classification(20, 10, [8, 8, 3], 10, 0.5, 8);
         assert!(!train.inputs()[0].approx_eq(&train3.inputs()[0], 0.0));
     }
 
     #[test]
     fn image_classes_are_balanced() {
-        let (train, _) = image_classification(30, 10, 4, 4, 1, 3, 0.1, 1);
+        let (train, _) = image_classification(30, 10, [4, 4, 1], 3, 0.1, 1);
         let labels = train.targets().row_argmax();
         for class in 0..3 {
             assert_eq!(labels.iter().filter(|&&l| l == class).count(), 10);
@@ -218,7 +215,7 @@ mod tests {
 
     #[test]
     fn image_problem_is_learnable() {
-        let (train, val) = image_classification(128, 64, 6, 6, 1, 4, 0.6, 3);
+        let (train, val) = image_classification(128, 64, [6, 6, 1], 4, 0.6, 3);
         let spec = ModelSpec::chain(
             vec![6, 6, 1],
             vec![
@@ -302,7 +299,7 @@ mod tests {
         // With extreme noise, a quick probe should score worse than with
         // little noise.
         let run = |noise: f32| {
-            let (train, val) = image_classification(96, 48, 6, 6, 1, 4, noise, 21);
+            let (train, val) = image_classification(96, 48, [6, 6, 1], 4, noise, 21);
             let spec = ModelSpec::chain(
                 vec![6, 6, 1],
                 vec![

@@ -64,7 +64,7 @@ fn main() {
     // Train the provider briefly, then compare the receiver's one-epoch
     // score with and without the transfer (the Fig. 4 pair experiment in
     // miniature).
-    let (train, val) = swt::data::image_classification(512, 128, 10, 10, 1, 10, 0.5, 99);
+    let (train, val) = swt::data::image_classification(512, 128, [10, 10, 1], 10, 0.5, 99);
     let trainer = Trainer::new(Loss::CategoricalCrossEntropy, Metric::Accuracy);
     let cfg = TrainConfig {
         epochs: 1,

@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, build and the full test suite.
 #
+# The source gates (deleted paths stay deleted, hot paths stay off the
+# allocator, networked code never panics) are one table in
+# tests/source_gates.rs, which `cargo test` runs; this script adds the
+# release-mode tests, the docs gates and the end-to-end smokes.
+#
 # Usage: scripts/check.sh
 # Runs everything offline (the workspace has no external dependencies).
 set -euo pipefail
@@ -44,352 +49,17 @@ fi
 echo "==> cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> print gate (library crates log via swt-obs, not stdout/stderr)"
-# Binaries own stdout (figures, CSV, bench tables); library code must go
-# through the swt-obs logger. Allowlisted: the logger's own stderr sink,
-# the bench harness console table, and the experiment driver's `main`
-# (the figures return their blocks as text).
-violations=$(grep -rn 'println!\|eprintln!' crates/*/src --include='*.rs' \
-  | grep -v '/src/bin/' \
-  | grep -v '^crates/obs/src/log.rs:' \
-  | grep -v '^crates/bench/src/lib.rs:' \
-  | grep -v '^crates/experiments/src/main.rs:' \
-  || true)
-if [ -n "$violations" ]; then
-  echo "library code printing outside swt-obs:" >&2
-  echo "$violations" >&2
-  exit 1
-fi
-
 echo "==> bench_obs smoke (disabled-instrumentation overhead < 2%)"
 cargo run --release --quiet -p swt-bench --bin bench_obs -- --smoke
 
-echo "==> payload-hash gate (no byte-serial hash over a checkpoint payload)"
-# Every payload byte is hashed on every save and every read, so payloads go
-# through the word-parallel `payload_checksum` loops. The byte-serial
-# `fnv1a` is for headers alone: the TOC (a few hundred bytes) and a segment
-# record's (at most 303).
-serial=$(grep -rn 'fnv1a(' crates/checkpoint/src crates/ckpt-server/src --include='*.rs' \
-  | grep -v 'fn fnv1a(' \
-  | grep -v 'fnv1a(&\?header' \
-  || true)
-if [ -n "$serial" ]; then
-  echo "fnv1a called on something other than a TOC header:" >&2
-  echo "$serial" >&2
-  exit 1
-fi
-
-echo "==> lineage cache (residency follows the watermark: no LRU, no shards, no second store trait)"
-guesses=$(grep -rnE 'RawCheckpointStore|last_used|SHARDS' crates/checkpoint/src --include='*.rs' || true)
-if [ -n "$guesses" ]; then
-  echo "the provider cache ranks by recency, shards, or a raw-store trait is back:" >&2
-  echo "$guesses" >&2
-  exit 1
-fi
+echo "==> lineage cache (residency follows the watermark, in release)"
 cargo test --release --quiet -p swt-checkpoint -p swt-nas --test cache_coherence --test lineage_props
-
-echo "==> one provider cache, behind the wire (the page cache serves every local store)"
-# A store on local disk is read directly: the OS page cache already holds
-# what was just written (DESIGN.md §9 "The provider cache: one, behind the
-# wire"). The one `CachedStore` outside swt-checkpoint and test code fronts a
-# dist worker's `RemoteStore`, in the `tcp://` arm of its store match; the
-# run-wide wrapper and the checkpoint server's bucket cache are gone, with
-# their knobs.
-cached=$(grep -rn 'CachedStore::new' crates/*/src examples --include='*.rs' \
-  | grep -v '^crates/checkpoint/' || true)
-tcp_arm=$(grep -B14 'CachedStore::new' crates/dist/src/worker.rs | grep -c 'Some(addr) =>' || true)
-knobs=$(grep -rnE 'provider_store' crates tests examples --include='*.rs' || true)
-knobs+=$(grep -rnE 'cache_bytes|resident_bytes' crates/ckpt-server/src --include='*.rs' || true)
-knobs+=$(grep -rn -- '--cache-bytes' crates/swt/src || true)
-if [ "$(printf '%s\n' "$cached" | grep -c .)" != 1 ] \
-  || ! printf '%s\n' "$cached" | grep -q '^crates/dist/src/worker.rs:' \
-  || [ "$tcp_arm" != 1 ] || [ -n "$knobs" ]; then
-  echo "a provider cache in front of a local store, provider_store, the server's bucket cache or --cache-bytes is back:" >&2
-  printf '%s\n' "$cached" "$knobs" | grep . >&2
-  exit 1
-fi
-
-echo "==> one read per store, no unread instrument (no seek path, no derived read overridden, no cargo bench, one ckpt-server entry point)"
-# Every store reads a checkpoint as one whole container; DirStore's read is
-# one positioned read of a whole record (DESIGN.md §9). A bench binary gates
-# a budget or is a record a document reads; `cargo bench` targets had
-# neither. The server starts one way: `swt ckpt-server`. Cargo also finds
-# targets by directory, so the directories count as well.
-seek=$(grep -rnE 'SeekFrom|open_indexed|partial_read' crates/checkpoint/src || true)
-targets=$(grep -HnE '\[\[bench\]\]|bench_ckpt' crates/bench/Cargo.toml || true)
-bins=$(grep -Hn '\[\[bin\]\]' crates/ckpt-server/Cargo.toml || true)
-dirs=$(find crates/bench/benches crates/ckpt-server/src/bin crates/ckpt-server/src/main.rs \
-  -name '*.rs' 2>/dev/null || true)
-if [ -n "$seek$targets$bins$dirs" ]; then
-  echo "a seek-and-read store path, a cargo bench target, bench_ckpt or a second ckpt-server binary is back:" >&2
-  printf '%s\n' "$seek" "$targets" "$bins" "$dirs" | grep . >&2
-  exit 1
-fi
-# A store implements five methods, `load_raw` its one required read; a store
-# that holds the bytes lends them through `read`, and `load`, `load_index`,
-# `load_tensors` and `exists` are the trait's own, built on those (DESIGN.md
-# §9 "One read per provider"). Only the `Arc<T>` impl forwards them, so a
-# decorator's override is never bypassed. Test modules' doubles are exempt.
-impls=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
-  FNR == 1 { impl = "" }
-  /^(pub\(crate\) )?mod tests/ { nextfile }
-  /^impl.* CheckpointStore for / {
-    impl = $0; sub(/^.* CheckpointStore for /, "", impl); sub(/[ <{].*/, "", impl); next
-  }
-  impl != "" && /^}/ { impl = ""; next }
-  impl != "" && match($0, /^    fn [a-z_]+/) { print FILENAME ":" FNR ": " impl " " substr($0, 8, RLENGTH - 7) }')
-derived=$(printf '%s\n' "$impls" | awk '$2 != "Arc" && $3 ~ /^(load|load_index|load_tensors|exists)$/')
-lenders=$(printf '%s\n' "$impls" | awk '$3 == "read" && $2 !~ /^(DirStore|MemStore|CachedStore|Arc)$/')
-required=$(awk '/^pub trait CheckpointStore/ { on = 1; next } on && /^}/ { on = 0 }
-  on && /^    fn .*;$/ { sub(/^    fn /, ""); sub(/[(<].*/, ""); print }' crates/checkpoint/src/store.rs \
-  | sort | tr '\n' ' ')
-gone=$(grep -rnE 'fn synthesized|::synthesized|prune_except' crates tests examples || true)
-if [ -n "$derived$lenders$gone" ] || [ "$required" != "delete list load_raw save size_bytes " ]; then
-  echo "a store overrides a derived read, lends without holding the bytes, the trait's required methods moved, or synthesized/prune_except is back:" >&2
-  printf '%s\n' "$derived" "$lenders" "$gone" "required: $required" | grep . >&2
-  exit 1
-fi
-
-echo "==> one checkpoint layout (DirStore appends to a segment log: no temp file, no rename)"
-# A save appends a record to the writer's segment; the file-per-checkpoint
-# path (temp file, rename, unlink per checkpoint) was deleted, not kept as a
-# fork (DESIGN.md §9 "The segment log").
-per_file=$(grep -rnE 'write_atomic|TMP_SEQ|\.tmp\b|rename\(' crates/checkpoint/src || true)
-if [ -n "$per_file" ]; then
-  echo "the file-per-checkpoint save path is back in swt-checkpoint:" >&2
-  echo "$per_file" >&2
-  exit 1
-fi
-
-echo "==> one way to evaluate a candidate (no rungs, pre-filter, stop reasons, fast tau or batching)"
-# Multi-fidelity lost to plain LCS on wall-to-baseline-top-5 (EXPERIMENTS.md
-# "PR 25") and was deleted from every layer; so was the unused O(n log n) tau.
-# Batched evaluation reached its 1.2x bar on 0 of 10 pairs (EXPERIMENTS.md
-# "PR 26"): one evaluator thread per worker is the only in-process shape.
-fidelity=$(grep -rnE 'FidelityConfig|StopReason|MAX_RUNGS|zero_cost_score|prefilter|kendall_tau_fast|BatchEval|BatchedEval|auto_batch|batch_eval|eval\.batch|bench_batch' \
-  crates tests examples || true)
-if [ -n "$fidelity" ]; then
-  echo "a deleted multi-fidelity stage, the fast Kendall tau or batched evaluation is named again:" >&2
-  echo "$fidelity" >&2
-  exit 1
-fi
-
-echo "==> one fit per top model (its early stop is read off its curve; no wall-clock cut)"
-# full_train_top_k trains each top-K model once and replays
-# EarlyStop::stop_epoch, the rule Trainer::fit runs, over its validation
-# curve; the top-K are a run's best scores, ties to the lower id, with no
-# wall-clock cut (EXPERIMENTS.md deviation 8). TrainReport says why training
-# ended in `stop` alone. table3's `early_stopped` CSV column is neither a
-# field access nor a declaration, so it does not match.
-refit=$(grep -rnE 'cutoff_secs|\.early_stopped\b|\bearly_stopped *:' crates tests examples || true)
-if [ -n "$refit" ]; then
-  echo "a deleted wall-clock cut or TrainReport.early_stopped is named again:" >&2
-  echo "$refit" >&2
-  exit 1
-fi
-
-echo "==> one replay of measured costs (no paper-magnitude rescaling; a failed save is an error, not a panic)"
-# Fig. 10 replays each run's own trace through swt-cluster: measured costs,
-# the runner's proposal rule and its measured serial section. The replay met
-# its bar, within 25 % of measured walls at 1 and 2 workers (EXPERIMENTS.md
-# "Decision records"); the guessed paper magnitudes it used to be rescaled to
-# were deleted. A save the store refuses is returned by `Evaluator::evaluate`
-# and reaches a dist coordinator as an `Error` frame. The brackets keep this
-# file from matching itself.
-guessed=$(grep -rnE 'paper_train_sec[s]|scale_facto[r]|expect\("checkpoint save faile[d]"\)' \
-  crates tests examples scripts || true)
-if [ -n "$guessed" ]; then
-  echo "a paper-magnitude rescaling or the panicking checkpoint save is back:" >&2
-  echo "$guessed" >&2
-  exit 1
-fi
-
-echo "==> one worker snapshot (metrics ride one seq-numbered Telemetry; no second copy, no Stats frame)"
-# A worker's counters, histograms, spans and gauges reach the coordinator
-# as its own swt-obs RunReport, its timeline events as swt-obs's own
-# TimelineEvent, in one snapshot type; the live view keeps one copy of it
-# per worker (DESIGN.md §10 "Cross-process metric aggregation"). The
-# timeline is one ring per process, each event taken once: no cursor read,
-# no ring per worker slot, and one loss count for the trace, not one per
-# worker (DESIGN.md §8.1). No program reads a report back.
-mirrors=$(grep -rnE 'WorkerMetrics|CounterSnap|HistSnap|GaugeSnap|Msg::Stats|fold_metrics|SpanTotalRow|WireEvent|MAX_TELEMETRY_NAMES|drain_since|struct Drain\b' \
-  crates tests examples || true)
-slots=$(grep -nE 'WORKER_SLOTS|slot_for|Vec<Mutex<' crates/obs/src/timeline.rs || true)
-perworker=$(grep -nE 'pub dropped_events|"dropped_events"' crates/dist/src/live.rs crates/swt/src/bin/swt.rs || true)
-readback=$(grep -nE 'fn (from|read)_json' crates/obs/src/report.rs || true)
-if [ -n "$mirrors$slots$perworker$readback" ]; then
-  echo "a second worker-metrics path, a wire-side mirror of a report row, a cursor or per-slot timeline read, a per-worker drop count or a report read-back is back:" >&2
-  printf '%s\n' "$mirrors" "$slots" "$perworker" "$readback" | grep . >&2
-  exit 1
-fi
-
-echo "==> one run trace (the Chrome trace is written at run end; two live routes, no span deltas)"
-# `dist-run --chrome-trace` writes the whole run's trace when it ends; a
-# `/trace` route served the same document only while the process lived.
-# Endpoints serve `/status` and `/metrics` from a `ServeSource` of two
-# methods, and the live view keeps one report per worker, not the previous
-# snapshot's spans beside it (DESIGN.md §8.3).
-served=$(grep -rnE 'RegistrySource|process_trace_json|prev_spans|span_delta_secs|"/trace"[[:space:]]*(=>|\|)' \
-  crates tests examples || true)
-traits=$(grep -rl --include='*.rs' 'ServeSource' crates tests examples | xargs awk '
-  /(trait ServeSource|impl ServeSource for)/ { match($0, /^ */); ind = RLENGTH; on = 1; next }
-  on && $0 ~ ("^" sprintf("%" ind "s", "") "}") { on = 0 }
-  on && /fn trace_json/ { print FILENAME ":" FNR ": " $0 }')
-if [ -n "$served$traits" ]; then
-  echo "a served trace, RegistrySource, or the view's second copy of a worker's spans is back:" >&2
-  printf '%s\n' "$served" "$traits" | grep . >&2
-  exit 1
-fi
-
-echo "==> no test hooks in the coordinator (kills and joins come from outside it)"
-# One admission loop, `DistBackend::spawn_workers`, serves launch and joins;
-# tests inject faults through `tests/util::Inject`, an `EvalBackend` over the
-# coordinator, and kill a worker by the pid `/status` shows (DESIGN.md §10
-# "Elastic joins").
-hooks=$(grep -rnE 'KillPlan|JoinPlan|kill_worker_after|join_after|maybe_inject|spawn_and_admit|Unslotted|run_nas_dist_with_stats' \
-  crates tests examples || true)
-if [ -n "$hooks" ]; then
-  echo "a fault or join hook, the launch-only admission loop or a second dist entry point is named again:" >&2
-  echo "$hooks" >&2
-  exit 1
-fi
-
-echo "==> one evaluator constructor (Evaluator::new over one EvalSpec; one store spelling, no clamped counts)"
-# Both backends build evaluators through `Evaluator::new(problem, space,
-# store, &EvalSpec)`, from the spec `NasConfig::eval_spec` copies out of the
-# config; a dist worker gets it as `RunSpec.eval`, its store as the one
-# `RunSpec.store` string, and its counts as `NonZeroU32`s that decode 0 as
-# malformed, so nothing clamps them (DESIGN.md §10 "Backend split").
-second=$(grep -rnE 'with_namespace|threads\.max\(1\)' crates tests examples || true)
-allows=$(grep -rn 'too_many_arguments' crates/nas || true)
-pair=$(grep -nE 'store_dir|store_url' crates/dist/src/wire.rs || true)
-literals=$(grep -rnE '(^|[^[:alnum:]_])Evaluator \{' crates tests examples --include='*.rs' \
-  | grep -vE '(struct|impl) Evaluator \{' || true)
-if [ "$(printf '%s' "$literals" | grep -c .)" -le 1 ]; then literals=""; fi
-if [ -n "$second$allows$pair$literals" ]; then
-  echo "a second evaluator construction path, a clamped count or the store_dir/store_url pair is back:" >&2
-  printf '%s\n' "$second" "$allows" "$pair" "$literals" | grep . >&2
-  exit 1
-fi
 
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
-echo "==> one contraction engine (x·w and xᵀ·dy run on the broadcast-FMA tile; the packed GEMM runs dy·wᵀ alone)"
-# DESIGN.md §7: a product whose vector operand is contiguous where it lies
-# runs on bcast.rs's tile through conv2d's functions; only `matmul_bt_ws`
-# reaches the packed GEMM, and only the packed GEMM packs. `allowed` names the
-# one non-test function that may call each of its functions.
-engine=$(awk '
-  BEGIN {
-    allowed["gemm"] = "matmul_bt_ws"; allowed["gemm_with_kernel"] = "gemm"
-    allowed["pack_a"] = "gemm_with_kernel"; allowed["pack_b"] = "gemm_with_kernel"
-    allowed["block_kernel"] = "gemm_with_kernel"
-  }
-  FNR == 1 { fn = "" }
-  /^(pub\(crate\) )?mod tests/ { nextfile }
-  /^[[:space:]]*\/\// { next }
-  {
-    line = $0
-    if (sub(/^(pub(\(crate\))? )?(unsafe )?fn /, "", line)) {
-      # A top-level item: what follows its name is its own body.
-      fn = line; sub(/[^a-z_0-9].*/, "", fn); line = substr(line, length(fn) + 1)
-    }
-    for (callee in allowed)
-      if (line ~ ("(^|[^a-z_0-9])" callee "\\(") && fn != allowed[callee])
-        print FILENAME ":" FNR ": " callee "( called from " fn "(), not " allowed[callee] "()"
-  }
-  fn == "matmul_ws" && /conv2d::forward\(/ { fwd = 1 }
-  fn == "matmul_at_ws" && /conv2d::backward_kernel\(/ { dw = 1 }
-  END {
-    if (!fwd) print "matmul_ws no longer runs conv2d::forward (the tile)"
-    if (!dw) print "matmul_at_ws no longer runs conv2d::backward_kernel (the tile)"
-  }' crates/tensor/src/*.rs)
-if [ -n "$engine" ]; then
-  echo "a dense product left the broadcast-FMA tile, or the packed GEMM has a second caller:" >&2
-  echo "$engine" >&2
-  exit 1
-fi
-
-echo "==> one convolution and one max-pool for both ranks (a 1-D call is the one-row 2-D call)"
-# An `(n, w, c)` input under a `(k, c, f)` kernel is the one-row image `(n, 1,
-# w, c)`: the conv2d_* and maxpool2d_* entry points take either rank, and
-# swt-nn's ConvLayer and MaxPoolLayer serve both LayerSpec ranks. A per-rank
-# entry point, layer type or module would make every conv change twice; the
-# rank-3 call's tests may sit in a test-only `conv1d` module.
-ranked=$(grep -rnE '\b(conv1d|maxpool1d)_(forward|backward)|Conv1DLayer|Conv2DLayer|MaxPool1DLayer|MaxPool2DLayer' \
-  crates tests examples || true)
-if [ -e crates/tensor/src/conv1d.rs ] \
-  && ! grep -B1 -xE 'mod conv1d;' crates/tensor/src/lib.rs | grep -qx '#\[cfg(test)\]'; then
-  ranked+="crates/tensor/src/conv1d.rs is not a #[cfg(test)] module"
-fi
-if [ -n "$ranked" ]; then
-  echo "a per-rank convolution or max-pool entry point, layer type or module is back:" >&2
-  printf '%s\n' "$ranked" >&2
-  exit 1
-fi
-
 echo "==> the step outside the GEMMs (mask fill, direct loops, gradient write-back and the dense products are their oracles' arithmetic, to the bit — in release)"
 cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise dense_products_
-# A Bernoulli draw per element through `Rng::chance` is a call, a convert and
-# an unpredictable branch each; masks come from `Rng::fill_mask`.
-draws=$(awk '/^(pub\(crate\) )?mod tests/ { nextfile } /rng\.chance\(/ { print FILENAME ":" FNR ": " $0 }' \
-  crates/nn/src/layers/*.rs)
-if [ -n "$draws" ]; then
-  echo "per-element rng.chance( in a layer (fill the mask with Rng::fill_mask):" >&2
-  echo "$draws" >&2
-  exit 1
-fi
-
-echo "==> alloc gate (kernel and layer hot paths draw from the Workspace, not the heap)"
-# The blocked driver's pack buffers, conv2d's and the pools' outputs, and every
-# per-batch tensor of an swt-nn layer must come from the caller's Workspace:
-# a sized `vec![x; n]`, `Vec::new`/`with_capacity`, `Tensor::zeros/ones/full`,
-# `.to_vec()` or `.clone()` (other than of a `Shape`, which is inline) in one
-# of these files is a hot-loop allocation. Exempt: constructors (`fn new`
-# bodies), comments, everything from `mod tests` on, and lines annotated
-# `alloc-gate: allow` (cold paths: oracles, checkpoint restore, buffers
-# returned to the caller). A one-element `vec![dx]` — a layer's gradient
-# list, a control structure — is not a sized allocation and is not flagged.
-for src in crates/tensor/src/matmul.rs crates/tensor/src/bcast.rs crates/tensor/src/conv2d.rs \
-    crates/tensor/src/pool.rs crates/nn/src/layers/*.rs; do
-  allocs=$(awk '/^(pub\(crate\) )?mod tests/ { exit }
-    /fn new\(/ { ctor = 1 }
-    ctor { if (/^    }$/) ctor = 0; next }
-    /^[[:space:]]*\/\// || /alloc-gate: allow/ { next }
-    { line = $0; gsub(/shape(\(\))?\.clone\(\)/, "", line) }
-    line ~ /vec!\[[^]]*;|Vec::(new|with_capacity)|Tensor::(zeros|ones|full)|\.to_vec\(\)|\.clone\(\)/ {
-      print FILENAME ":" FNR ": " $0 }' "$src")
-  if [ -n "$allocs" ]; then
-    echo "heap allocation in $src hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
-    echo "$allocs" >&2
-    exit 1
-  fi
-done
-
-echo "==> no process-wide switch (thread budgets are per thread, the scalar kernel is an env var, logs go to stderr)"
-# swt-tensor's thread budget belongs to the thread that runs the kernels
-# (`scoped_max_threads`), the portable kernel is pinned by
-# SWT_FORCE_SCALAR_KERNEL alone, and the JSONL log sink is gone, so no test
-# needs a lock or a binary of its own to flip one of them.
-switches=$(grep -rnE 'set_max_threads|force_scalar_kernel|\bFORCE_SCALAR\b|BUDGET_TESTS|\bMAX_THREADS\b|set_jsonl_path|SWT_LOG_JSON' \
-  crates tests examples || true)
-if [ -n "$switches" ]; then
-  echo "a deleted process-wide switch or its test lock is named again:" >&2
-  echo "$switches" >&2
-  exit 1
-fi
-
-echo "==> no-panic gate (networked code must degrade, never unwrap)"
-panics=$(grep -rnE '\.unwrap\(\)|\.expect\(|panic!\(' \
-  crates/dist/src crates/obs/src/serve.rs crates/obs/src/wire.rs crates/wire/src \
-  crates/ckpt-server/src \
-  --include='*.rs' || true)
-if [ -n "$panics" ]; then
-  echo "panicking call in networked code (swt-dist, swt-wire, swt-ckpt-server, live server, row codec) — degrade with errors, never panic:" >&2
-  echo "$panics" >&2
-  exit 1
-fi
 
 echo "==> docs gate (the newest CHANGES.md entry is one paragraph; DESIGN.md §7-§14 hold no history)"
 # An entry starts at a line `PR N:` (or `- PR N:`) and runs to the next one.
@@ -410,19 +80,6 @@ if [ -n "$history" ]; then
 fi
 
 cargo build --release --quiet -p swt   # worker binary for the coordinator (and the smokes below) to spawn
-
-echo "==> one experiment driver (each figure is a function; no per-figure binary, report or trace_stats)"
-# Every table and figure runs through `swt-experiments <figure|all|docs>`
-# (DESIGN.md §4): `docs` replaced `report`, and `trace_stats` fed no
-# section. Cargo finds binaries by directory as well as by stanza.
-bin_dir=$(find crates/experiments/src/bin crates/experiments/src/bin.rs 2>/dev/null || true)
-stanzas=$(grep -Hn '\[\[bin\]\]' crates/experiments/Cargo.toml || true)
-gone=$(grep -rnE 'trace_stats|"report"|fn report\b' crates/experiments || true)
-if [ -n "$bin_dir$stanzas$gone" ]; then
-  echo "a per-figure binary, a [[bin]] stanza, report or trace_stats is back in swt-experiments:" >&2
-  printf '%s\n' "$bin_dir" "$stanzas" "$gone" | grep . >&2
-  exit 1
-fi
 
 echo "==> experiments docs gate (EXPERIMENTS.md's measured blocks are generated from results/quick/)"
 # `docs` rewrites every fenced block whose info string names a figure from
@@ -447,41 +104,8 @@ if grep -n '(to be filled' EXPERIMENTS.md >&2; then
   exit 1
 fi
 
-echo "==> one-codec gate (the byte format lives in swt-wire; protocols only declare frames)"
-# A protocol file spelling bytes out itself — or probing for an optional
-# tail — is a second codec beside the derived one. swt-obs's report rows
-# travel too; their one hand-written impl builds on the same primitives.
-bytes=$(grep -nE 'to_le_bytes|from_le_bytes|at_end\(' \
-  crates/dist/src/wire.rs crates/ckpt-server/src/proto.rs crates/obs/src/wire.rs || true)
-if [ -n "$bytes" ]; then
-  echo "hand-written byte handling in a protocol declaration file (use the Wire impls in swt-wire):" >&2
-  echo "$bytes" >&2
-  exit 1
-fi
-# The dist frames carry the run's own types (`Candidate`, `EvalOutcome`, the
-# enums in `RunSpec`), each deriving its codec beside its declaration: no
-# wire-side copy of one, and no `Wire` impl written out by hand.
-mirrors=$(grep -rnE 'struct Task\b|TaskResult|Code<|byte_codes!' crates/dist/src || true)
-handmade=$(grep -rnE 'impl\b.*\bWire for\b' crates tests examples --include='*.rs' \
-  | grep -v '^crates/wire/src/' \
-  | grep -v '^crates/obs/src/wire.rs:' \
-  || true)
-if [ -n "$mirrors$handmade" ]; then
-  echo "a wire-side mirror type or a hand-written Wire impl (derive it with wire_struct!/wire_codes! beside the type):" >&2
-  printf '%s\n' "$mirrors" "$handmade" | grep . >&2
-  exit 1
-fi
-
 echo "==> wire fuzz + store wire fuzz (golden bytes; every frame under truncation/bit-flips/hostile counts)"
 cargo test --release --quiet -p swt-dist -p swt-ckpt-server --test fuzz_decode
-
-echo "==> one store read (GetRaw is the wire's only read; no per-tensor frames, no fifth store)"
-second=$(grep -rnE 'GetIndex|GetTensors|IndexResp|RangeRow|QuantizedStore' crates tests examples || true)
-if [ -n "$second" ]; then
-  echo "a deleted store read path or store implementation is named again:" >&2
-  echo "$second" >&2
-  exit 1
-fi
 
 echo "==> elastic smoke (a worker joining from outside must not change the canonical trace)"
 # The quick population is 16: only from candidate 17 on is a candidate a
