@@ -4,10 +4,10 @@
 //! choice) and an activation folded in from the `Activation` node that reads
 //! it.
 
-use super::{add_bias_and_activate, glorot_limit, pre_activation_grad, set_gradient, Layer};
+use super::{add_bias_and_activate, glorot_limit, pre_activation_grad, Layer};
 use crate::spec::Activation;
 use swt_tensor::{
-    conv2d_backward_kernel_ws, conv2d_backward_ws, conv2d_forward_ws, Padding, Rng, Tensor,
+    conv2d_backward_input_ws, conv2d_backward_kernel_into, conv2d_forward_ws, Padding, Rng, Tensor,
     Workspace,
 };
 
@@ -63,21 +63,16 @@ impl Layer for ConvLayer {
         ws: &mut Workspace,
     ) -> Vec<Option<Tensor>> {
         pre_activation_grad(dout, output, self.activation, &mut self.d_bias);
-        let (x, kernel, dpre) = (inputs[0], &self.kernel, &*dout);
-        let (dx, mut dk) = if wanted[0] {
-            let (dx, dk) = conv2d_backward_ws(x, kernel, dpre, self.padding, ws);
-            (Some(dx), dk)
-        } else {
-            (None, conv2d_backward_kernel_ws(x, kernel, dpre, self.padding, ws))
-        };
+        let (x, dpre) = (inputs[0], &*dout);
+        conv2d_backward_kernel_into(x, dpre, self.padding, &mut self.d_kernel, ws);
+        let dx =
+            wanted[0].then(|| conv2d_backward_input_ws(x, &self.kernel, dpre, self.padding, ws));
         if self.l2 > 0.0 {
             // d/dw of (l2/2)·||w||² added to the kernel gradient; the
             // factor matches Keras' `l2(l2)` regulariser up to its 1/2
             // convention, which only rescales the effective weight decay.
-            dk.axpy(self.l2, &self.kernel);
+            self.d_kernel.axpy(self.l2, &self.kernel);
         }
-        set_gradient(&mut self.d_kernel, &dk);
-        ws.recycle(dk);
         vec![dx]
     }
 

@@ -1,8 +1,8 @@
 //! Fully-connected layer with optional fused activation.
 
-use super::{add_bias_and_activate, glorot_limit, pre_activation_grad, set_gradient, Layer};
+use super::{add_bias_and_activate, glorot_limit, pre_activation_grad, Layer};
 use crate::spec::Activation;
-use swt_tensor::{matmul_at_ws, matmul_bt_ws, matmul_ws, Rng, Tensor, Workspace};
+use swt_tensor::{matmul_at_into, matmul_bt_ws, matmul_ws, Rng, Tensor, Workspace};
 
 /// `y = act(x · W + b)` for rank-2 input `(batch, in_features)`.
 pub struct DenseLayer {
@@ -59,9 +59,7 @@ impl Layer for DenseLayer {
         self.grads_zeroed = false;
         // The pre-activation gradient, in place, and the bias gradient.
         pre_activation_grad(dout, output, self.activation, &mut self.d_bias);
-        let dk = matmul_at_ws(x, dout, ws);
-        set_gradient(&mut self.d_kernel, &dk);
-        ws.recycle(dk);
+        matmul_at_into(x, dout, &mut self.d_kernel, ws);
         let dx = wanted[0].then(|| matmul_bt_ws(dout, &self.kernel, ws));
         vec![dx]
     }
@@ -193,19 +191,24 @@ mod tests {
         assert_eq!(grads(&mut layer), once);
     }
 
-    /// The one-pass write-back against what it replaced — zero the
-    /// gradients, then add the product and the column sums — to the bit, on
-    /// the operands where a bare store of the product would differ: exact-zero
-    /// products, `-0.0` operands, and chains whose every product underflows
-    /// from below (a fused chain then ends in `-0.0`, and `0.0 + -0.0` is
-    /// `+0.0`). One shape under the small-product cutoff, one on the blocked
-    /// driver.
+    /// The weight gradient `backward` writes, read by one `Adam` step and one
+    /// `Sgd` step, moves the parameters to the bit as the zero-then-add
+    /// gradient it replaced did — zero the gradients, then add the product
+    /// and the column sums — on the operands where a bare product differs
+    /// from that: exact-zero products, `-0.0` operands, and chains whose every
+    /// product underflows from below (a fused chain then ends in `-0.0`, and
+    /// `0.0 + -0.0` is `+0.0`). The weight under that chain starts at `-0.0`,
+    /// where an `Sgd` step tells the two zeros apart. One shape under the
+    /// small-product cutoff, one on the tile.
     #[test]
     fn backward_equals_zero_then_accumulate_bitwise() {
+        use crate::model::Model;
+        use crate::optimizer::{Adam, AdamConfig, Sgd};
+        use crate::spec::{LayerSpec, ModelSpec};
         let mut rng = Rng::seed(13);
-        let mut ws = Workspace::new();
         for (batch, fan_in, units) in [(4, 3, 2), (32, 160, 64)] {
-            let mut layer = DenseLayer::new(fan_in, units, Some(Activation::Tanh), &mut rng);
+            let dense = LayerSpec::Dense { units, activation: Some(Activation::Tanh) };
+            let spec = ModelSpec::chain(vec![fan_in], vec![dense]).unwrap();
             let mut x = Tensor::rand_normal([batch, fan_in], 0.0, 1.0, &mut rng);
             for (i, v) in x.data_mut().iter_mut().enumerate() {
                 match i % fan_in % 3 {
@@ -215,35 +218,62 @@ mod tests {
                     _ => {}
                 }
             }
-            let y = layer.forward(&[&x], true, &mut ws);
             let mut dout = Tensor::rand_normal([batch, units], 0.0, 1.0, &mut rng);
             dout.data_mut().iter_mut().step_by(units).for_each(|v| *v = -1e-30);
-            let _ = layer.backward(&[&x], &y, &mut dout.clone(), &[true], &mut ws);
+            let (cfg, lr) = (AdamConfig::default(), 0.1);
+            for sgd in [false, true] {
+                let mut model = Model::build(&spec, 5).unwrap();
+                let [(name, mut kernel), (_, bias)]: [_; 2] =
+                    model.named_params().try_into().unwrap();
+                kernel.data_mut()[0] = -0.0;
+                assert!(model.set_param(&name, &kernel));
+                let y = model.forward(&[&x], true);
+                model.zero_grads();
+                model.backward(&dout);
 
-            let mut dpre = dout.clone();
-            for (dp, &yv) in dpre.data_mut().iter_mut().zip(y.data()) {
-                *dp *= activation_grad_scalar(yv, Activation::Tanh);
+                let mut dpre = dout.clone();
+                for (dp, &yv) in dpre.data_mut().iter_mut().zip(y.data()) {
+                    *dp *= activation_grad_scalar(yv, Activation::Tanh);
+                }
+                let product = swt_tensor::matmul_at(&x, &dpre);
+                let fused = swt_tensor::gemm_kernel_name().contains("fma");
+                if fused && batch * fan_in * units > 32 * 1024 {
+                    assert_eq!(
+                        product.data()[0].to_bits(),
+                        (-0.0f32).to_bits(),
+                        "the chain under the -0.0 weight did not end in -0.0: \
+                         a step without `0.0 +` would pass this test"
+                    );
+                }
+                let mut d_kernel = Tensor::zeros([fan_in, units]);
+                d_kernel.axpy(1.0, &product);
+                let mut d_bias = Tensor::zeros([units]);
+                for row in dpre.data().chunks(units) {
+                    d_bias.data_mut().iter_mut().zip(row).for_each(|(o, &v)| *o += v);
+                }
+                let mut want = [kernel, bias];
+                for (p, g) in want.iter_mut().zip([&d_kernel, &d_bias]) {
+                    if sgd {
+                        p.axpy(-lr, g);
+                    } else {
+                        let (mut m, mut v) = (vec![0.0; g.numel()], vec![0.0; g.numel()]);
+                        let bcs = [1.0 - cfg.beta1, 1.0 - cfg.beta2];
+                        let s =
+                            swt_tensor::AdamStep::new(cfg.lr, [cfg.beta1, cfg.beta2], cfg.eps, bcs);
+                        swt_tensor::adam_update(&s, p.data_mut(), g.data(), &mut m, &mut v);
+                    }
+                }
+                if sgd {
+                    Sgd::new(lr).step(&mut model);
+                } else {
+                    Adam::new(cfg).step(&mut model);
+                }
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let got = model.named_params();
+                for ((name, got), want) in got.iter().zip(&want) {
+                    assert_eq!(bits(got), bits(want), "{fan_in}x{units} sgd {sgd}: {name}");
+                }
             }
-            let product = swt_tensor::matmul_at(&x, &dpre);
-            if swt_tensor::gemm_kernel_name().contains("fma") && batch * fan_in * units > 32 * 1024
-            {
-                assert!(
-                    product.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()),
-                    "no chain ended in -0.0: a bare store would pass this test"
-                );
-            }
-            let mut d_kernel = Tensor::zeros([fan_in, units]);
-            d_kernel.axpy(1.0, &product);
-            let mut d_bias = vec![0.0f32; units];
-            for row in dpre.data().chunks(units) {
-                d_bias.iter_mut().zip(row).for_each(|(o, &v)| *o += v);
-            }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                grads(&mut layer),
-                [bits(d_kernel.data()), bits(&d_bias)],
-                "{fan_in}x{units}"
-            );
         }
     }
 

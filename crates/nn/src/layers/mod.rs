@@ -53,14 +53,14 @@ pub trait Layer: Send {
 
     /// Backpropagate through the latest training-mode `forward`, whose
     /// `inputs` and `output` the caller still holds. The layer's parameter
-    /// gradients are *set* to this pass's, whatever `wanted` says — to the
-    /// bit what zeroing them and adding this pass's would leave, without the
-    /// zeroing. Nothing sums them across calls: the model adds up the
-    /// gradients of a multi-reader activation at node level, and one
-    /// optimizer step follows every pass. The gradient of
-    /// input `i` is computed only if `wanted[i]` — an input fed by the data
-    /// set has no reader for it, and for a first convolution or dense layer
-    /// that product is a third of the layer's step.
+    /// gradients are *set* to this pass's, whatever `wanted` says, and the
+    /// optimizers read each as `0.0 + g` — to the bit what zeroing it and
+    /// adding this pass's would leave, without the zeroing. Nothing sums them
+    /// across calls: the model adds up the gradients of a multi-reader
+    /// activation at node level, and one optimizer step follows every pass.
+    /// The gradient of input `i` is computed only if `wanted[i]` — an input
+    /// fed by the data set has no reader for it, and for a first convolution
+    /// or dense layer that product is a third of the layer's step.
     fn backward(
         &mut self,
         inputs: &[&Tensor],
@@ -194,17 +194,6 @@ fn grad_and_column_sums(
             *d = grad(*d, yv);
             *sum += *d;
         }
-    }
-}
-
-/// `grad = 0.0 + product`, element by element: what zeroing `grad` and
-/// adding `product` leaves, to the bit, in one pass. A bare copy is not — a
-/// fused chain whose every product underflows from below ends in `-0.0`, and
-/// `0.0 + -0.0` is `+0.0`.
-pub(crate) fn set_gradient(grad: &mut Tensor, product: &Tensor) {
-    assert_eq!(grad.shape(), product.shape(), "gradient shape mismatch");
-    for (g, &p) in grad.data_mut().iter_mut().zip(product.data()) {
-        *g = 0.0 + p;
     }
 }
 

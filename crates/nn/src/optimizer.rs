@@ -1,7 +1,7 @@
 //! Optimizers: Adam (the paper's configuration) and plain SGD.
 
 use crate::model::Model;
-use swt_tensor::Tensor;
+use swt_tensor::{adam_update, AdamStep, Tensor};
 
 /// Adam hyperparameters. [`AdamConfig::default`] matches the paper exactly:
 /// lr 1e-3, β₁ 0.9, β₂ 0.999, ε 1e-7 (Section VII-A).
@@ -37,13 +37,13 @@ impl Adam {
     }
 
     /// Apply one update step from the gradients the latest backward left in the
-    /// model's layers.
+    /// model's layers ([`adam_update`] per parameter).
     pub fn step(&mut self, model: &mut Model) {
         self.t += 1;
         let t = self.t as i32;
         let cfg = self.cfg;
-        let bc1 = 1.0 - cfg.beta1.powi(t);
-        let bc2 = 1.0 - cfg.beta2.powi(t);
+        let bcs = [1.0 - cfg.beta1.powi(t), 1.0 - cfg.beta2.powi(t)];
+        let step = AdamStep::new(cfg.lr, [cfg.beta1, cfg.beta2], cfg.eps, bcs);
         let moments = &mut self.moments;
         let mut idx = 0usize;
         model.visit_updates_fast(&mut |param, grad| {
@@ -56,14 +56,7 @@ impl Adam {
             let (m, v) = &mut moments[idx];
             idx += 1;
             debug_assert_eq!(m.numel(), param.numel(), "Adam stepped against a different model");
-            let (md, vd, pd, gd) = (m.data_mut(), v.data_mut(), param.data_mut(), grad.data());
-            for i in 0..pd.len() {
-                md[i] = cfg.beta1 * md[i] + (1.0 - cfg.beta1) * gd[i];
-                vd[i] = cfg.beta2 * vd[i] + (1.0 - cfg.beta2) * gd[i] * gd[i];
-                let mhat = md[i] / bc1;
-                let vhat = vd[i] / bc2;
-                pd[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
-            }
+            adam_update(&step, param.data_mut(), grad.data(), m.data_mut(), v.data_mut());
         });
     }
 
@@ -83,11 +76,15 @@ impl Sgd {
         Sgd { lr }
     }
 
-    /// `param -= lr * grad` for every parameter.
+    /// `param -= lr * grad` for every parameter, the gradient read as
+    /// `0.0 + grad` like [`adam_update`] reads it.
     pub fn step(&mut self, model: &mut Model) {
         let lr = self.lr;
         model.visit_updates_fast(&mut |param, grad| {
-            param.axpy(-lr, grad);
+            assert_eq!(param.shape(), grad.shape(), "gradient shape mismatch");
+            for (p, &g) in param.data_mut().iter_mut().zip(grad.data()) {
+                *p += -lr * (0.0 + g);
+            }
         });
     }
 }

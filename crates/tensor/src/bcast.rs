@@ -259,6 +259,20 @@ unsafe fn strip_scalar_fma<const R: usize, const V: usize>(
     strip_generic::<true, R, V>(s, a_off, rows, c, c_off)
 }
 
+/// What a register tile reads: the broadcast rows `a[r]`, each readable
+/// for `reach` elements, the strip's step table, and the vector operand from
+/// the tile's first lane of the first step on, one step's row `sb` further
+/// per step.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Operands<'s, const R: usize> {
+    a: [*const f32; R],
+    reach: usize,
+    steps: &'s [u32],
+    b: *const f32,
+    sb: usize,
+}
+
 /// The AVX2+FMA strip: every `V`-vector chunk of the tile's rows goes
 /// through [`tile_avx2`], straight into `c` where the chunk is all whole
 /// vectors of a full tile, by way of a stack copy of the tile where it is
@@ -284,7 +298,7 @@ unsafe fn strip_avx2<const R: usize, const V: usize>(
     let reach = s.a.len().saturating_sub(a_off.iter().copied().max().unwrap_or(0));
     for v0 in (0..s.lanes.div_ceil(LANES)).step_by(V) {
         let lane0 = v0 * LANES;
-        let b = s.b.as_ptr().add(lane0);
+        let ops = Operands { a, reach, steps: s.steps, b: s.b.as_ptr().add(lane0), sb: s.sb };
         // SAFETY (both calls): `reach` is what is left of `s.a` past the
         // farthest row start, `b` holds `V` whole vectors per step from
         // `lane0` on (caller's contract), and `to` points at `V` whole
@@ -292,7 +306,7 @@ unsafe fn strip_avx2<const R: usize, const V: usize>(
         // for `s.lanes >= lane0 + V·LANES` elements), of `tile` below.
         if rows == R && lane0 + V * LANES <= s.lanes {
             let to: [*mut f32; R] = std::array::from_fn(|r| c.as_mut_ptr().add(c_off[r] + lane0));
-            tile_avx2::<R, V>(&a, reach, s.steps, b, s.sb, &to, s.mode);
+            tile_avx2::<R, V>(&ops, &to, s.mode);
             continue;
         }
         // The lanes of this chunk that exist in a row of `c`.
@@ -305,7 +319,7 @@ unsafe fn strip_avx2<const R: usize, const V: usize>(
         }
         let to: [*mut f32; R] = std::array::from_fn(|r| tile[r].as_mut_ptr().cast());
         let mode = if s.mode == Mode::Add { Mode::Store } else { s.mode };
-        tile_avx2::<R, V>(&a, reach, s.steps, b, s.sb, &to, mode);
+        tile_avx2::<R, V>(&ops, &to, mode);
         for (row, &at) in tile.iter().zip(c_off).take(rows) {
             let (row, to) = (&row.as_flattened()[..live], &mut c[at + lane0..][..live]);
             if s.mode == Mode::Add {
@@ -326,23 +340,19 @@ unsafe fn strip_avx2<const R: usize, const V: usize>(
 ///
 /// # Safety
 /// Caller must have verified `is_x86_feature_detected!("avx2")` and
-/// `("fma")`; `a[r]` must be readable for `reach` elements, `b` for `V`
-/// vectors at every multiple of `sb` below `steps.len() · sb`, and `c[r]`
-/// readable and writable for `V` vectors.
+/// `("fma")`; `o.a[r]` must be readable for `o.reach` elements, `o.b` for `V`
+/// vectors at every multiple of `o.sb` below `o.steps.len() · o.sb`, and
+/// `c[r]` readable and writable for `V` vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline(never)]
 unsafe fn tile_avx2<const R: usize, const V: usize>(
-    a: &[*const f32; R],
-    reach: usize,
-    steps: &[u32],
-    mut b: *const f32,
-    sb: usize,
+    o: &Operands<R>,
     c: &[*mut f32; R],
     mode: Mode,
 ) {
     use std::arch::x86_64::*;
-    let a = *a;
+    let Operands { a, reach, steps, mut b, sb } = *o;
     let mut acc = [[_mm256_setzero_ps(); V]; R];
     if mode == Mode::Extend {
         for (acc, &from) in acc.iter_mut().zip(c) {
@@ -417,7 +427,8 @@ unsafe fn strip_avx512<const R: usize, const V: usize>(
                 dummy.as_mut_ptr().cast()
             }
         });
-        tile_avx512::<R, V>(&a, reach, s.steps, s.b.as_ptr().add(lane0), s.sb, &to, &masks, s.mode);
+        let ops = Operands { a, reach, steps: s.steps, b: s.b.as_ptr().add(lane0), sb: s.sb };
+        tile_avx512::<R, V>(&ops, &to, &masks, s.mode);
     }
 }
 
@@ -429,26 +440,22 @@ unsafe fn strip_avx512<const R: usize, const V: usize>(
 /// Out of line for the reason `tile_avx2` is.
 ///
 /// # Safety
-/// Caller must have verified `is_x86_feature_detected!("avx512f")`; `a[r]`
-/// must be readable for `reach` elements; for every `v < V`, the lanes
-/// `masks[v]` admits must be readable at `b + 16v` at every multiple of `sb`
-/// below `steps.len() · sb`, and readable and writable at `c[r] + 16v`.
+/// Caller must have verified `is_x86_feature_detected!("avx512f")`; `o.a[r]`
+/// must be readable for `o.reach` elements; for every `v < V`, the lanes
+/// `masks[v]` admits must be readable at `o.b + 16v` at every multiple of
+/// `o.sb` below `o.steps.len() · o.sb`, and readable and writable at
+/// `c[r] + 16v`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn tile_avx512<const R: usize, const V: usize>(
-    a: &[*const f32; R],
-    reach: usize,
-    steps: &[u32],
-    mut b: *const f32,
-    sb: usize,
+    o: &Operands<R>,
     c: &[*mut f32; R],
     masks: &[u16; V],
     mode: Mode,
 ) {
     use std::arch::x86_64::*;
-    let (a, masks) = (*a, *masks);
+    let (Operands { a, reach, steps, mut b, sb }, masks) = (*o, *masks);
     let mut acc = [[_mm512_setzero_ps(); V]; R];
     if mode == Mode::Extend {
         for (acc, &from) in acc.iter_mut().zip(c) {

@@ -257,14 +257,14 @@ fn whole_vectors(
     (Some(wide), fp)
 }
 
-/// `out (rows × f) = col · W`.
-pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -> Vec<f32> {
+/// `out (rows × f) = col · W`, every element of `out` overwritten.
+pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], out: &mut [f32], ws: &mut Workspace) {
     let (rows, cols, f) = (g.rows(), g.cols(), g.f);
     let (kind, later) = plan(rows, f, cols);
-    let mut out = ws.take(rows * f);
+    assert_eq!(out.len(), rows * f, "conv2d output length");
     if rows * cols * f == 0 {
         out.fill(0.0);
-        return out;
+        return;
     }
     let xs = g.padded().then(|| g.pad(x, ws));
     let src = xs.as_deref().unwrap_or(x);
@@ -275,7 +275,7 @@ pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -
     // Tasks are ranges of output rows, whole tiles each.
     let task_rows = rows.div_ceil(tasks(rows * cols * f, rows.div_ceil(tile)));
     let task_rows = task_rows.next_multiple_of(tile);
-    parallel::par_chunks_mut(&mut out, task_rows * f, |ti, out| {
+    parallel::par_chunks_mut(out, task_rows * f, |ti, out| {
         let m = out.len() / f;
         let (mut a_off, mut c_off) = ([0; MAX_TILE_ROWS], [0; MAX_TILE_ROWS]);
         let mut table = [0; KC];
@@ -307,20 +307,26 @@ pub(crate) fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -
         }
     });
     wide.into_iter().chain(xs).for_each(|buf| ws.give(buf));
-    out
 }
 
-/// `d_kernel (cols × f) = colᵀ · dOut`: tiles of patch columns, contracted
-/// over output positions. Panels are the outer loop so one panel of `dOut`
-/// serves every column tile from cache. Shares nothing with
-/// [`backward_input`] but `dout`: a backward pass is the two, in this order.
-pub(crate) fn backward_kernel(g: &Geom, x: &[f32], dout: &[f32], ws: &mut Workspace) -> Vec<f32> {
+/// `dk (cols × f) = colᵀ · dOut`, every element of `dk` overwritten: tiles
+/// of patch columns, contracted over output positions. Panels are the outer
+/// loop so one panel of `dOut` serves every column tile from cache. Shares
+/// nothing with [`backward_input`] but `dout`: a backward pass is the two, in
+/// this order.
+pub(crate) fn backward_kernel(
+    g: &Geom,
+    x: &[f32],
+    dout: &[f32],
+    dk: &mut [f32],
+    ws: &mut Workspace,
+) {
     let (rows, cols, f) = (g.rows(), g.cols(), g.f);
     let (dw_kind, dw_later) = plan(cols, f, rows);
-    let mut dk = ws.take(cols * f);
+    assert_eq!(dk.len(), cols * f, "conv2d kernel gradient length");
     if rows * cols * f == 0 {
         dk.fill(0.0);
-        return dk;
+        return;
     }
     let macs = rows * cols * f;
     let (kernel_row, src_row) = (g.kw * g.c, g.src_strides().0);
@@ -331,7 +337,7 @@ pub(crate) fn backward_kernel(g: &Geom, x: &[f32], dout: &[f32], ws: &mut Worksp
     let tile = tile_rows(dw_kind, f);
     // Tasks are ranges of patch columns (rows of `dk`), whole tiles each.
     let task_cols = cols.div_ceil(tasks(macs, cols.div_ceil(tile))).next_multiple_of(tile);
-    parallel::par_chunks_mut(&mut dk, task_cols * f, |ti, dk| {
+    parallel::par_chunks_mut(dk, task_cols * f, |ti, dk| {
         let m = dk.len() / f;
         let (mut a_off, mut c_off) = ([0; MAX_TILE_ROWS], [0; MAX_TILE_ROWS]);
         let mut table = [0; KC];
@@ -372,7 +378,6 @@ pub(crate) fn backward_kernel(g: &Geom, x: &[f32], dout: &[f32], ws: &mut Worksp
         }
     });
     wide.into_iter().chain(xs).for_each(|buf| ws.give(buf));
-    dk
 }
 
 /// `d_input`: rows of `dCol = dOut · Wᵀ`, a tile at a time into `stage`, each
@@ -503,13 +508,14 @@ pub fn conv2d_forward_ws(
     ws: &mut Workspace,
 ) -> Tensor {
     let g = geom(input, kernel, padding);
-    let out = forward(&g, input.data(), kernel.data(), ws);
-    Tensor::from_vec(nhwc_or_nwc(input.shape().rank(), [g.n, g.oh, g.ow, g.f]), out)
+    let mut out = ws.take_tensor(nhwc_or_nwc(input.shape().rank(), [g.n, g.oh, g.ow, g.f]));
+    forward(&g, input.data(), kernel.data(), out.data_mut(), ws);
+    out
 }
 
 /// Backward convolution: given upstream gradient `dout` (the forward
-/// output's shape), returns `(d_input, d_kernel)` — [`conv2d_backward_kernel_ws`],
-/// then the input half.
+/// output's shape), returns `(d_input, d_kernel)` — [`conv2d_backward_kernel_into`],
+/// then [`conv2d_backward_input_ws`].
 pub fn conv2d_backward(
     input: &Tensor,
     kernel: &Tensor,
@@ -527,16 +533,29 @@ pub fn conv2d_backward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor) {
-    let dk = conv2d_backward_kernel_ws(input, kernel, dout, padding, ws);
-    let g = geom(input, kernel, padding);
-    let dx = backward_input(&g, kernel.data(), dout.data(), ws);
-    (Tensor::from_vec(input.shape().clone(), dx), dk)
+    let mut dk = ws.take_tensor(kernel.shape().clone());
+    conv2d_backward_kernel_into(input, dout, padding, &mut dk, ws);
+    (conv2d_backward_input_ws(input, kernel, dout, padding, ws), dk)
 }
 
-/// The `d_kernel` half of [`conv2d_backward_ws`] alone, for a convolution
-/// whose `d_input` nobody reads (the first layer of a model): one contraction
-/// instead of two, the same bits. `kernel` gives the shape only.
-pub fn conv2d_backward_kernel_ws(
+/// The `d_kernel` half of [`conv2d_backward_ws`], written into `d_kernel`
+/// (the kernel's shape; every element overwritten): a layer's gradient lands
+/// where the optimizer reads it.
+pub fn conv2d_backward_kernel_into(
+    input: &Tensor,
+    dout: &Tensor,
+    padding: Padding,
+    d_kernel: &mut Tensor,
+    ws: &mut Workspace,
+) {
+    let g = geom(input, d_kernel, padding);
+    assert_dout_shape(input, dout, &g);
+    backward_kernel(&g, input.data(), dout.data(), d_kernel.data_mut(), ws);
+}
+
+/// The `d_input` half of [`conv2d_backward_ws`], for a convolution whose
+/// input gradient is read (not the first layer of a model).
+pub fn conv2d_backward_input_ws(
     input: &Tensor,
     kernel: &Tensor,
     dout: &Tensor,
@@ -544,14 +563,18 @@ pub fn conv2d_backward_kernel_ws(
     ws: &mut Workspace,
 ) -> Tensor {
     let g = geom(input, kernel, padding);
+    assert_dout_shape(input, dout, &g);
+    let dx = backward_input(&g, kernel.data(), dout.data(), ws);
+    Tensor::from_vec(input.shape().clone(), dx)
+}
+
+fn assert_dout_shape(input: &Tensor, dout: &Tensor, g: &Geom) {
     assert_eq!(
         dout.shape(),
         &nhwc_or_nwc(input.shape().rank(), [g.n, g.oh, g.ow, g.f]),
         "conv2d_backward: dout shape {} unexpected",
         dout.shape()
     );
-    let dk = backward_kernel(&g, input.data(), dout.data(), ws);
-    Tensor::from_vec(kernel.shape().clone(), dk)
 }
 
 #[cfg(test)]
@@ -643,7 +666,16 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `(d_input, d_kernel)`: a backward pass's two halves, in its order.
+    /// [`super::forward`] into a buffer of NaNs, each of which it must
+    /// overwrite.
+    fn forward(g: &Geom, x: &[f32], kernel: &[f32], ws: &mut Workspace) -> Vec<f32> {
+        let mut out = vec![f32::NAN; g.rows() * g.f];
+        super::forward(g, x, kernel, &mut out, ws);
+        out
+    }
+
+    /// `(d_input, d_kernel)`: a backward pass's two halves, in its order,
+    /// `d_kernel` written over NaNs like [`forward`]'s output.
     fn backward(
         g: &Geom,
         x: &[f32],
@@ -651,7 +683,8 @@ mod tests {
         dout: &[f32],
         ws: &mut Workspace,
     ) -> (Vec<f32>, Vec<f32>) {
-        let dk = backward_kernel(g, x, dout, ws);
+        let mut dk = vec![f32::NAN; g.cols() * g.f];
+        backward_kernel(g, x, dout, &mut dk, ws);
         (backward_input(g, kernel, dout, ws), dk)
     }
 

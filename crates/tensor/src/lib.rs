@@ -13,6 +13,8 @@
 //!   bit-identical to the GEMMs they stand for,
 //! * max-pooling over either rank with argmax-based backward,
 //! * row-wise softmax and elementwise activations,
+//! * the Adam update ([`adam_update`]): one pass per parameter at one
+//!   division per element, the bits of the textbook three,
 //! * a reusable scratch arena ([`Workspace`]) so the
 //!   training hot path is allocation-free at steady state,
 //! * scoped-thread data-parallel helpers ([`parallel`]) under a per-thread
@@ -28,6 +30,7 @@
 //! are the one place `unsafe` buys real throughput. Hot loops elsewhere are
 //! written over slices and fixed-size tiles so bounds checks vectorise away.
 
+mod adam;
 mod bcast;
 pub mod conv2d;
 pub mod matmul;
@@ -39,13 +42,14 @@ pub mod shape;
 pub mod tensor;
 pub mod workspace;
 
+pub use adam::{adam_update, AdamStep};
 pub use conv2d::{
-    conv2d_backward, conv2d_backward_kernel_ws, conv2d_backward_ws, conv2d_forward,
-    conv2d_forward_ws, Padding,
+    conv2d_backward, conv2d_backward_input_ws, conv2d_backward_kernel_into, conv2d_backward_ws,
+    conv2d_forward, conv2d_forward_ws, Padding,
 };
 pub use matmul::{
-    gemm_kernel_name, matmul, matmul_at, matmul_at_ws, matmul_bt, matmul_bt_ws, matmul_naive,
-    matmul_ws,
+    gemm_kernel_name, matmul, matmul_at, matmul_at_into, matmul_at_ws, matmul_bt, matmul_bt_ws,
+    matmul_naive, matmul_ws,
 };
 pub use ops::{
     relu, relu_grad_from_output, sigmoid, sigmoid_grad_from_output, softmax_rows, tanh_act,

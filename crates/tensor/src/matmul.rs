@@ -242,15 +242,15 @@ pub fn matmul_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     // `A` is `m` one-pixel images of `k` channels, `B` a 1×1 kernel of `n`
     // filters.
     let g = Geom::new([m, 1, 1, k], [1, 1, n], Padding::Valid);
+    let mut out = ws.take_tensor([m, n]);
     on_tile(
-        m,
-        n,
-        k,
+        [m, n, k],
         View { data: a.data(), rs: k, cs: 1 },
         View { data: b.data(), rs: n, cs: 1 },
-        ws,
-        |ws| conv2d::forward(&g, a.data(), b.data(), ws),
-    )
+        out.data_mut(),
+        |c| conv2d::forward(&g, a.data(), b.data(), c, ws),
+    );
+    out
 }
 
 /// `C = Aᵀ · B` for `A (K×M)` and `B (K×N)`, result `(M, N)`:
@@ -264,46 +264,44 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// [`matmul_at`] with caller-owned scratch.
 pub fn matmul_at_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut out = ws.take_tensor([dims2(a, "matmul_at lhs").1, dims2(b, "matmul_at rhs").1]);
+    matmul_at_into(a, b, &mut out, ws);
+    out
+}
+
+/// [`matmul_at`] into `out`, an `(M, N)` tensor whose every element it
+/// overwrites: a dense layer writes its weight gradient where the optimizer
+/// reads it.
+pub fn matmul_at_into(a: &Tensor, b: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
     let (k, m) = dims2(a, "matmul_at lhs");
     let (k2, n) = dims2(b, "matmul_at rhs");
     assert_eq!(k, k2, "matmul_at inner dimension mismatch: {k} vs {k2}");
+    assert_eq!(out.shape().dims(), [m, n], "matmul_at output shape");
     // The kernel gradient of a 1×1 convolution over `k` one-pixel images of
     // `m` channels, `B` its output gradient.
     let g = Geom::new([k, 1, 1, m], [1, 1, n], Padding::Valid);
     on_tile(
-        m,
-        n,
-        k,
+        [m, n, k],
         // Logical Aᵀ (M×K): element (i, k) lives at A[k][i].
         View { data: a.data(), rs: 1, cs: m },
         View { data: b.data(), rs: n, cs: 1 },
-        ws,
-        |ws| conv2d::backward_kernel(&g, a.data(), b.data(), ws),
+        out.data_mut(),
+        |c| conv2d::backward_kernel(&g, a.data(), b.data(), c, ws),
     )
 }
 
-/// A product whose vector operand is contiguous where it lies: on the
-/// broadcast-FMA tile (`tile`, which routes it) above the small-problem
+/// A product into `c` whose vector operand is contiguous where it lies: on
+/// the broadcast-FMA tile (`tile`, which routes it) above the small-problem
 /// cutoff, on the direct loops below it.
-fn on_tile(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: View,
-    b: View,
-    ws: &mut Workspace,
-    tile: impl FnOnce(&mut Workspace) -> Vec<f32>,
-) -> Tensor {
-    let out = if m * n * k > SMALL_FLOPS {
-        tile(ws)
+fn on_tile(mnk: [usize; 3], a: View, b: View, c: &mut [f32], tile: impl FnOnce(&mut [f32])) {
+    let [m, n, k] = mnk;
+    if m * n * k > SMALL_FLOPS {
+        tile(c)
     } else {
         let direct = route(active_kernel(), m, n, k);
         debug_assert!(direct.is_none(), "under the cutoff");
-        let mut out = ws.take(m * n);
-        gemm_small(m, n, k, a, b, &mut out);
-        out
-    };
-    Tensor::from_vec([m, n], out)
+        gemm_small(mnk, a, b, c);
+    }
 }
 
 /// `C = A · Bᵀ` for `A (M×K)` and `B (N×K)`, result `(M, N)`:
@@ -322,9 +320,7 @@ pub fn matmul_bt_ws(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     assert_eq!(k, k2, "matmul_bt inner dimension mismatch: {k} vs {k2}");
     let mut out = ws.take(m * n);
     gemm(
-        m,
-        n,
-        k,
+        [m, n, k],
         View { data: a.data(), rs: k, cs: 1 },
         // Logical Bᵀ (K×N): element (k, j) lives at B[j][k].
         View { data: b.data(), rs: 1, cs: k },
@@ -357,8 +353,8 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 /// Blocked GEMM: `C (m×n, row-major, fully overwritten) = A · B` for a
 /// row-major view `a` and a transposed view `b` (`dy·wᵀ`), on the process's
 /// selected micro-kernel; under the cutoff, on the direct loops.
-fn gemm(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32], ws: &mut Workspace) {
-    gemm_with_kernel(active_kernel(), m, n, k, a, b, c, ws)
+fn gemm(mnk: [usize; 3], a: View, b: View, c: &mut [f32], ws: &mut Workspace) {
+    gemm_with_kernel(active_kernel(), mnk, a, b, c, ws)
 }
 
 /// Count one GEMM-shaped contraction and pick its path: `None` is the
@@ -381,20 +377,18 @@ pub(crate) fn route(kernel: KernelKind, m: usize, n: usize, k: usize) -> Option<
 
 /// [`gemm`] pinned to a specific micro-kernel (tests run every kind through
 /// this).
-#[allow(clippy::too_many_arguments)]
 fn gemm_with_kernel(
     kernel: KernelKind,
-    m: usize,
-    n: usize,
-    k: usize,
+    mnk: [usize; 3],
     a: View,
     b: View,
     c: &mut [f32],
     ws: &mut Workspace,
 ) {
+    let [m, n, k] = mnk;
     debug_assert_eq!(c.len(), m * n);
     let Some(kernel) = route(kernel, m, n, k) else {
-        return gemm_small(m, n, k, a, b, c);
+        return gemm_small(mnk, a, b, c);
     };
 
     let n_strips = n.div_ceil(NR);
@@ -425,7 +419,8 @@ fn gemm_with_kernel(
                 let mc = MC.min(m - m0);
                 let pa_scratch = &mut pa_scratch[..mc.div_ceil(MR) * MR * kc];
                 pack_a(kernel, a, m0, mc, k0, kc, pa_scratch);
-                block_kernel(kernel, c_chunk, n, mc, kc, pa_scratch, &pb, first);
+                let panels = Panels { pa: pa_scratch, pb: &pb, first };
+                block_kernel(kernel, c_chunk, [mc, n, kc], panels);
             },
         );
         k0 += kc;
@@ -449,7 +444,7 @@ const LANES: usize = 16;
 /// the vector axis is `j`; with `A` a transposed view (`dW = xᵀ·dy`) it is
 /// `i`; otherwise `A`'s rows are contiguous along `k` (`x·w` with one output
 /// unit, `dy·wᵀ`) and [`CHAINS`] rows advance together as scalar chains.
-fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
+fn gemm_small([m, n, k]: [usize; 3], a: View, b: View, c: &mut [f32]) {
     if m == 0 || n == 0 {
         return;
     }
@@ -683,19 +678,19 @@ fn pack_b(kernel: KernelKind, b: View, k0: usize, kc: usize, n: usize, dst: &mut
     }
 }
 
-/// Multiply one packed `mc×kc` A block by the packed `kc×n` B panel into the
-/// `mc×n` C block (`c` is row-major with row stride `n`), on `kernel`.
-#[allow(clippy::too_many_arguments)]
-fn block_kernel(
-    kernel: KernelKind,
-    c: &mut [f32],
-    n: usize,
-    mc: usize,
-    kc: usize,
-    pa: &[f32],
-    pb: &[f32],
+/// One K panel's packed operands: an `mc×kc` A block, the `kc×n` B panel,
+/// and whether the panel is the first (its sums are stored, later panels'
+/// added).
+struct Panels<'a> {
+    pa: &'a [f32],
+    pb: &'a [f32],
     first: bool,
-) {
+}
+
+/// Multiply one packed A block by the packed B panel into the `mc×n` C block
+/// (`c` is row-major with row stride `n`), on `kernel`.
+fn block_kernel(kernel: KernelKind, c: &mut [f32], [mc, n, kc]: [usize; 3], panels: Panels) {
+    let Panels { pa, pb, first } = panels;
     let n_strips = n.div_ceil(NR);
     for (is, i) in (0..mc).step_by(MR).enumerate() {
         let rows = MR.min(mc - i);
@@ -1093,9 +1088,7 @@ pub(crate) mod tests {
         let mut out = vec![0.0f32; m * n];
         gemm_with_kernel(
             kernel,
-            m,
-            n,
-            k,
+            [m, n, k],
             View { data: a.data(), rs: k, cs: 1 },
             View { data: bt.data(), rs: 1, cs: k },
             &mut out,
@@ -1221,11 +1214,11 @@ pub(crate) mod tests {
         let mut ws = Workspace::new();
         for kind in available_kernels() {
             let got = with_kernel(kind, || {
-                [
-                    matmul_ws(x, w, &mut ws),
-                    matmul_at_ws(x, dy, &mut ws),
-                    matmul_bt_ws(dy, w, &mut ws),
-                ]
+                let xw = matmul_ws(x, w, &mut ws);
+                // `xᵀ·dy` over NaNs, as a layer writes it over its last step's.
+                let mut dw = Tensor::full([fan_in, units], f32::NAN);
+                matmul_at_into(x, dy, &mut dw, &mut ws);
+                [xw, dw, matmul_bt_ws(dy, w, &mut ws)]
             });
             let want = if kind == KernelKind::Scalar {
                 &unfused
@@ -1370,7 +1363,9 @@ pub(crate) mod tests {
                     let b_cols = View { data: bt.data(), rs: 1, cs: k };
                     let shape = format!("({m},{n},{k})");
                     assert!(bitwise_eq(&matmul(&a, &b), &old(a_rows, b_rows)), "matmul {shape}");
-                    assert!(bitwise_eq(&matmul_at(&at, &b), &old(a_cols, b_rows)), "at {shape}");
+                    let mut dw = Tensor::full([m, n], f32::NAN);
+                    matmul_at_into(&at, &b, &mut dw, &mut Workspace::new());
+                    assert!(bitwise_eq(&dw, &old(a_cols, b_rows)), "at {shape}");
                     assert!(bitwise_eq(&matmul_bt(&a, &bt), &old(a_rows, b_cols)), "bt {shape}");
                 }
             }

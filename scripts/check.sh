@@ -58,8 +58,11 @@ cargo test --release --quiet -p swt-checkpoint -p swt-nas --test cache_coherence
 echo "==> alloc discipline (warmed kernels, training step and store cycle stay off the allocator)"
 cargo test --release --quiet -p swt-tensor -p swt-nn -p swt-checkpoint --test alloc_discipline
 
-echo "==> the step outside the GEMMs (mask fill, direct loops, gradient write-back and the dense products are their oracles' arithmetic, to the bit — in release)"
-cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise dense_products_
+echo "==> the step outside the GEMMs (mask fill, direct loops, the optimizer step and the dense products are their oracles' arithmetic, to the bit — in release)"
+cargo test --release --quiet -p swt-tensor -p swt-nn --lib -- fill_mask_is_chance_per_element small_products_match_the_strided_loop_bitwise backward_equals_zero_then_accumulate_bitwise dense_products_ update_matches_the_three_division_loop
+
+echo "==> Adam's bias corrections (the multiply by an f64 reciprocal rounds to the quotient's bits for every f32, steps 1-4)"
+cargo test --release --quiet -p swt-tensor --lib -- --ignored every_f32
 
 echo "==> docs gate (the newest CHANGES.md entry is one paragraph; DESIGN.md §7-§14 hold no history)"
 # An entry starts at a line `PR N:` (or `- PR N:`) and runs to the next one.

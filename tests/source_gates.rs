@@ -86,11 +86,10 @@ const ROWS: &[Row] = &[
                   run_nas_dist_with_stats", ALL)],
         bad: ("crates/dist/src/coordinator.rs", "    kill_worker_after: Option<usize>,"), ..ROW },
     Row { why: "one evaluator constructor, one store spelling, no clamped counts (§10 Backend split)",
-        deny: &[(r"with_namespace|threads\.max\(1\)", ALL), ("store_dir|store_url", "crates/dist/src/wire.rs"),
-                ("too_many_arguments", "crates tests examples !crates/tensor/src/bcast.rs !crates/tensor/src/matmul.rs")],
+        deny: &[(r"with_namespace|threads\.max\(1\)", ALL), ("store_dir|store_url", "crates/dist/src/wire.rs")],
         bad: ("crates/nas/src/evaluator.rs", "pub fn with_namespace(mut self, ns: &str) -> Self {"), ..ROW },
-    Row { why: "too_many_arguments: the three swt-tensor kernels, a count that only falls", most: 3,
-        deny: &[("too_many_arguments", "crates/tensor/src/bcast.rs crates/tensor/src/matmul.rs")],
+    Row { why: "no function takes more arguments than clippy allows: group them, as the kernels do (§7)",
+        deny: &[("too_many_arguments", ALL)],
         bad: ("crates/tensor/src/bcast.rs", "#[allow(clippy::too_many_arguments)]"), ..ROW },
     Row { why: "one Evaluator literal: Evaluator::new builds them all (§10 Backend split)", most: 1,
         deny: &[(r"\bEvaluator \{", ALL)], skip: &[Line("struct Evaluator {"), Line("impl Evaluator {")],
@@ -99,6 +98,12 @@ const ROWS: &[Row] = &[
         deny: &[(concat!(r"\bconv1d_forward|\bconv1d_backward|\bmaxpool1d_forward|\bmaxpool1d_backward|",
                  "Conv1DLayer|Conv2DLayer|MaxPool1DLayer|MaxPool2DLayer"), ALL)],
         bad: ("crates/nn/src/layers/conv.rs", "pub struct Conv1DLayer {"), ..ROW },
+    Row { why: "a layer writes its weight gradient in place; the optimizers read it as 0.0 + g (§7)",
+        deny: &[("set_gradient", ALL)],
+        bad: ("crates/nn/src/layers/dense.rs", "set_gradient(&mut self.d_kernel, &dk);"), ..ROW },
+    Row { why: "Adam's arithmetic is swt_tensor::adam_update: swt-nn divides by no bias correction (§7)",
+        deny: &[(r"/\s*bc1|/\s*bc2", "crates/nn")], skip: &[Comments],
+        bad: ("crates/nn/src/optimizer.rs", "let mhat = md[i] / bc1;"), ..ROW },
     Row { why: "masks come from Rng::fill_mask, not a draw per element (§7 The step outside the GEMMs)",
         deny: &[(r"rng\.chance\(", "crates/nn/src/layers/*.rs")], skip: &[Tests],
         bad: ("crates/nn/src/layers/misc.rs", "let keep = rng.chance(p);"), ..ROW },
@@ -136,7 +141,7 @@ type Gate = fn(&Tree) -> Vec<String>;
 const SHAPES: &[(Gate, &str, &str, &str)] = &[
     (store_impls, "crates/ckpt-server/src/client.rs", "impl CheckpointStore for RemoteStore {",
         "impl CheckpointStore for RemoteStore {\n    fn exists(&self, _: &str) -> bool {\n        true\n    }"),
-    (engine, "crates/tensor/src/matmul.rs", "|ws| conv2d::forward(&g, a.data(), b.data(), ws),", "|ws| gemm(m, n, k, a, b, c, ws),"),
+    (engine, "crates/tensor/src/matmul.rs", "|c| conv2d::forward(&g, a.data(), b.data(), c, ws),", "|c| gemm([m, n, k], a, b, c, ws),"),
     (provider_cache, "crates/dist/src/worker.rs", "None => Arc::new(DirStore::new(&run.store)",
         "None => Arc::new(CachedStore::new(DirStore::new(&run.store)"),
     (conv1d_tests_only, "crates/tensor/src/lib.rs", "#[cfg(test)]\nmod conv1d;", "mod conv1d;"),
@@ -193,10 +198,10 @@ fn engine(t: &Tree) -> Vec<String> {
                 out.push(format!("{path}:{}: {g}( in {f}(), not {c}()", n + 1));
             }
             fwd |= f == "matmul_ws" && line.contains("conv2d::forward(");
-            dw |= f == "matmul_at_ws" && line.contains("conv2d::backward_kernel(");
+            dw |= f == "matmul_at_into" && line.contains("conv2d::backward_kernel(");
         }
     }
-    out.extend((!fwd || !dw).then(|| "matmul_ws or matmul_at_ws left conv2d's tile".into()));
+    out.extend((!fwd || !dw).then(|| "matmul_ws or matmul_at_into left conv2d's tile".into()));
     out
 }
 
@@ -366,12 +371,13 @@ fn the_scanner_keeps_each_exemption() {
                 // alloc-gate: allow\nlet s = x.shape().clone();\nlet hit = d.clone();\nmod tests {\nf.clone()";
     let all = [Tests, FnNew, Comments, Line("alloc-gate: allow"), Strip("shape().clone()")];
     #[rustfmt::skip]
-    let cases: [(&str, &str, &[Skip], usize); 11] = [
+    let cases: [(&str, &str, &[Skip], usize); 13] = [
         (r"\.clone\(\)|\.to_vec\(\)", text, &all, 1), (r"\.clone\(\)|\.to_vec\(\)", text, &[], 6),
         (r"\bFORCE_SCALAR\b", "SWT_FORCE_SCALAR_KERNEL=1 cargo test", &[], 0), (r"\bFORCE_SCALAR\b", "FORCE_SCALAR:", &[], 1),
         (r"\bEvaluator \{", "(Evaluator { store })", &[], 1), (r"\bEvaluator \{", "BatchEvaluator {", &[], 0),
         (r"vec!\[[^]]*;", "vec![0.0; n]", &[], 1), (r"vec!\[[^]]*;", "vec![dx];", &[], 0), (r"\.tmp\b", "a.tmpl", &[], 0),
         (r#""/trace"\s*=>|x"#, r#""/trace"   => y"#, &[], 1), (r"impl\b.*\bWire for\b", "impl<T> Wire for T", &[], 1),
+        (r"/\s*bc1|/\s*bc2", "v[i] /bc2", &[], 1), (r"/\s*bc1|/\s*bc2", "1.0 / f64::from(bc1)", &[], 0),
     ];
     for (pat, text, skip, hits) in cases {
         let found = grep(&Tree::from([("f".into(), text.into())]), pat, "f", skip);
